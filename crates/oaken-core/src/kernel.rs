@@ -176,21 +176,8 @@ impl RowDecode {
     }
 }
 
-/// One precomputed COO correction: adding `delta` to the dense pass's
-/// contribution at element `index` turns the middle reconstruction into
-/// the outlier reconstruction, i.e.
-/// `delta = outlier(group, side, code) - middle(code)` for the entry's
-/// bits — the exact expression the fused kernels' patch-up applies.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OutlierPatch {
-    /// Element index within the row.
-    pub index: u32,
-    /// Outlier-minus-middle reconstruction difference.
-    pub delta: f32,
-}
-
 /// Append-maintained read-side companion of a fused-vector stream: the
-/// per-row decode work the attention kernels would otherwise redo on
+/// per-row decode work the attention kernel would otherwise redo on
 /// every call, hoisted to quantization time and laid out contiguously.
 ///
 /// Per appended row this caches
@@ -200,9 +187,12 @@ pub struct OutlierPatch {
 ///   `dense_stride` (`dense[i·stride .. (i+1)·stride]`) so the dense walk
 ///   streams sequential memory instead of chasing one heap allocation per
 ///   token, and
-/// * its COO corrections as ready-to-apply [`OutlierPatch`]es
-///   (`patches[patch_offsets[i] .. patch_offsets[i+1]]`, ascending
-///   index) so the patch-up never re-parses packed COO bytes.
+/// * its COO outliers in expand-load form ([`outliers`](Self::outliers)):
+///   one 16-bit mask per sixteen elements marking the outlier positions,
+///   and the outliers' reconstructed values in element order — a reader
+///   decodes sixteen dense nibbles through the row's
+///   [`middle_lut`](RowDecode::middle_lut) and overwrites the masked
+///   lanes with the next values, never re-parsing packed COO bytes.
 ///
 /// Everything here is derived metadata — a pure function of the encoded
 /// rows and the stream's [`FusedReadParams`] — and is **not** part of the
@@ -212,13 +202,14 @@ pub struct EncodedReadPlan {
     decodes: Vec<RowDecode>,
     dense: Vec<u8>,
     dense_stride: usize,
-    patches: Vec<OutlierPatch>,
-    patch_offsets: Vec<u32>,
+    outlier_masks: Vec<u16>,
+    mask_stride: usize,
+    outlier_values: Vec<f32>,
+    outlier_offsets: Vec<u32>,
 }
 
 impl EncodedReadPlan {
-    /// An empty plan; the dense stride is adopted from the first pushed
-    /// row.
+    /// An empty plan; the row width is adopted from the first pushed row.
     pub fn new() -> Self {
         Self::default()
     }
@@ -230,28 +221,28 @@ impl EncodedReadPlan {
 
     /// Derives and appends one row's read-side cache entries.
     pub fn push_row(&mut self, fv: &FusedVector, params: &FusedReadParams) {
-        if self.patch_offsets.is_empty() {
-            self.patch_offsets.push(0);
-        }
         let dec = RowDecode::for_row(fv, params);
         let bytes = fv.dense_bytes();
         if self.decodes.is_empty() {
             self.dense_stride = bytes.len();
+            self.mask_stride = fv.dim().div_ceil(16);
+            self.outlier_offsets.clear();
+            self.outlier_offsets.push(0);
         }
-        assert_eq!(
-            bytes.len(),
-            self.dense_stride,
-            "all rows of one stream share a dense width"
+        assert!(
+            bytes.len() == self.dense_stride && fv.dim().div_ceil(16) == self.mask_stride,
+            "all rows of one stream share a width"
         );
         self.dense.extend_from_slice(bytes);
+        let masks_at = self.outlier_masks.len();
+        self.outlier_masks.resize(masks_at + self.mask_stride, 0);
         for e in fv.outliers() {
             let code = u32::from(fv.dense_code(e.index));
-            self.patches.push(OutlierPatch {
-                index: e.index as u32,
-                delta: dec.outlier(e.group, e.high_side, code) - dec.middle(code),
-            });
+            self.outlier_masks[masks_at + e.index / 16] |= 1 << (e.index % 16);
+            self.outlier_values
+                .push(dec.outlier(e.group, e.high_side, code));
         }
-        self.patch_offsets.push(self.patches.len() as u32);
+        self.outlier_offsets.push(self.outlier_values.len() as u32);
         self.decodes.push(dec);
     }
 
@@ -259,9 +250,9 @@ impl EncodedReadPlan {
     pub fn clear(&mut self) {
         self.decodes.clear();
         self.dense.clear();
-        self.dense_stride = 0;
-        self.patches.clear();
-        self.patch_offsets.clear();
+        self.outlier_masks.clear();
+        self.outlier_values.clear();
+        self.outlier_offsets.clear();
     }
 
     /// The per-row decode coefficient table.
@@ -285,11 +276,15 @@ impl EncodedReadPlan {
         &self.dense
     }
 
-    /// Row `i`'s COO corrections, ascending by element index.
-    pub fn patches_for(&self, i: usize) -> &[OutlierPatch] {
-        let lo = self.patch_offsets[i] as usize;
-        let hi = self.patch_offsets[i + 1] as usize;
-        &self.patches[lo..hi]
+    /// Row `i`'s outliers as `(masks, values)`: bit `e % 16` of
+    /// `masks[e / 16]` is set iff element `e` is an outlier, and `values`
+    /// holds the outliers' reconstructions (`RowDecode::outlier` of their
+    /// bits) in ascending element order — one per set bit.
+    pub fn outliers(&self, i: usize) -> (&[u16], &[f32]) {
+        let masks = &self.outlier_masks[i * self.mask_stride..(i + 1) * self.mask_stride];
+        let lo = self.outlier_offsets[i] as usize;
+        let hi = self.outlier_offsets[i + 1] as usize;
+        (masks, &self.outlier_values[lo..hi])
     }
 }
 

@@ -64,9 +64,7 @@ pub use encoding::{CooEntry, FusedVector, OutlierIter, ScaleSet};
 pub use error::OakenError;
 pub use granularity::{PerHeadProfiler, PerHeadQuantizer};
 pub use groups::{classify, GroupKind, GroupStats};
-pub use kernel::{
-    decode_row_fused_into, EncodedReadPlan, FusedReadParams, OutlierPatch, RowDecode,
-};
+pub use kernel::{decode_row_fused_into, EncodedReadPlan, FusedReadParams, RowDecode};
 pub use pipeline::{CompressionReport, OakenQuantizer, OakenRowStream, OakenScratch};
 pub use profiler::OfflineProfiler;
 pub use quant::UniformQuantizer;

@@ -425,7 +425,7 @@ pub struct OakenRowStream {
     /// Per-row fused encodings: the stored cache payload.
     encoded: Vec<FusedVector>,
     /// Read-side cache of `encoded[i]` — decode coefficients, flat dense
-    /// arena, and ready-to-apply outlier patches — built once at append
+    /// arena, and outlier masks and values — built once at append
     /// time so the fused kernels never redo per-row decode work per token
     /// (derived metadata, not counted in `payload`).
     plan: EncodedReadPlan,

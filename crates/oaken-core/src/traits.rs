@@ -136,8 +136,8 @@ pub trait KvRowStream: Send {
     // Encoded (quantized-domain) read path — opt-in per method.
     //
     // Streams whose canonical state is the fused encoding can let the
-    // attention kernels read rows *without* a dequantized f32 view ever
-    // existing. All five methods default to "not supported" so every
+    // attention kernel read rows *without* a dequantized f32 view ever
+    // existing. All six methods default to "not supported" so every
     // baseline keeps working unchanged; a caller must check
     // `append_row_encoded`'s return and fall back to `append_row`.
     // ------------------------------------------------------------------
@@ -168,11 +168,11 @@ pub trait KvRowStream: Send {
     }
 
     /// The read-side cache maintained alongside the encoded rows — per-row
-    /// decode coefficients, a flat dense-nibble arena, and precomputed COO
-    /// patches (see [`EncodedReadPlan`]). Streams that keep this plan make
-    /// the fused kernels' per-row decode work O(1) amortized per appended
-    /// row instead of redone on every attention call. `None` sends readers
-    /// to the rebuild path.
+    /// decode coefficients, a flat dense-nibble arena, and the outliers in
+    /// expand-load form (see [`EncodedReadPlan`]) — the one form the fused
+    /// attention kernel reads. `None` (with
+    /// [`fused_read_params`](KvRowStream::fused_read_params)) means the
+    /// method has no fused read path and readers use the dequantized view.
     fn read_plan(&self) -> Option<&EncodedReadPlan> {
         None
     }

@@ -7,23 +7,23 @@
 //!
 //! Two kernel families share the score/softmax/weighted-sum structure:
 //!
-//! * the **exact** kernels ([`attend_one`], [`attend_kv_group`] and their
-//!   allocation-free `_into` variants) read dequantized f32 KV matrices
+//! * the **exact** kernels ([`attend_one`], [`attend_one_into`] and the
+//!   per-KV-head [`attend_kv_group_into`]) read dequantized f32 KV matrices
 //!   and carry the engine's bit-exactness contract;
-//! * the **fused** kernels ([`attend_one_fused`],
-//!   [`attend_kv_group_fused`]) read [`FusedVector`] rows directly —
-//!   integer nibble codes folded through per-row [`RowDecode`]
-//!   coefficients, with COO outliers patched into the accumulator — so
-//!   attention never needs a materialized f32 view of the cache. Their
-//!   numeric contract is SQNR-bounded against the exact kernels (see
-//!   `oaken_core::kernel`), and with the `simd` cargo feature the dense
-//!   nibble walk runs on an `std::arch` x86-64 SSE2 lane (accumulation
-//!   order differs from the scalar walk, so fused bits may change when
-//!   the feature is toggled).
+//! * the **fused** kernel ([`attend_run_fused_into`] and its single-token
+//!   wrappers) reads the encoded rows through their
+//!   [`EncodedReadPlan`] — one sweep over a sequence's arena decodes each
+//!   row once and serves a whole tile of query tokens (a prefill chunk)
+//!   and every query head of the group — so attention never needs a
+//!   materialized f32 view of the cache. Its numeric contract is
+//!   SQNR-bounded against the exact kernels (see `oaken_core::kernel`)
+//!   and *width-invariant*: a query's output does not depend on which
+//!   other queries shared its sweep. With the `simd` cargo feature the
+//!   decode runs on a `std::arch` AVX-512 lane, bit-identically.
 
-use oaken_core::kernel::{EncodedReadPlan, FusedReadParams, OutlierPatch, RowDecode};
-use oaken_core::FusedVector;
+use oaken_core::kernel::EncodedReadPlan;
 use oaken_tensor::softmax_in_place;
+use std::ops::Range;
 
 /// Shape parameters for one attention call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,45 +56,13 @@ impl AttentionShape {
 }
 
 /// Reusable scratch buffers for the `_into` kernel variants: the score
-/// vector shared by both families plus the per-row decode coefficient
-/// tables of the fused kernels. Hold one per decode loop (or per worker)
-/// and every attention call after warm-up allocates nothing.
+/// rows shared by both families plus the decoded row block of the fused
+/// kernel. Hold one per decode loop (or per worker) and every attention
+/// call after warm-up allocates nothing.
 #[derive(Debug, Default)]
 pub struct AttentionScratch {
     scores: Vec<f32>,
-    key_decodes: Vec<RowDecode>,
-    value_decodes: Vec<RowDecode>,
-}
-
-impl AttentionScratch {
-    /// Splits the scratch into the score buffer plus the decode tables the
-    /// fused kernels should read for this call: a tensor's stream-side
-    /// cache when [`EncodedKv::decodes`] carries one, the freshly rebuilt
-    /// scratch table (filled by `prepare_decodes`) otherwise. Either way
-    /// entry `i` decodes row `start + i` of the windowed span.
-    fn decode_slices<'s>(
-        &'s mut self,
-        keys: &EncodedKv<'s>,
-        values: &EncodedKv<'s>,
-        seq_len: usize,
-        shape: &AttentionShape,
-    ) -> (&'s mut Vec<f32>, &'s [RowDecode], &'s [RowDecode]) {
-        let start = window_start(shape, seq_len);
-        let Self {
-            scores,
-            key_decodes,
-            value_decodes,
-        } = self;
-        let kd = match keys.plan {
-            Some(p) => &p.decodes()[start..seq_len],
-            None => &key_decodes[..],
-        };
-        let vd = match values.plan {
-            Some(p) => &p.decodes()[start..seq_len],
-            None => &value_decodes[..],
-        };
-        (scores, kd, vd)
-    }
+    block: Vec<f32>,
 }
 
 /// First cached position visible to the query under the shape's sliding
@@ -112,10 +80,10 @@ fn window_start(shape: &AttentionShape, seq_len: usize) -> usize {
 ///
 /// `keys`/`values` are row-major `[seq_len × kv_dim]`.
 ///
-/// Internally iterates the KV heads through [`attend_kv_group`], so the
-/// serial path and the runtime-sharded path (one task per `(step,
-/// kv head)`) execute identical per-head arithmetic — the bit-exactness
-/// requirement of the parallel forward pass.
+/// Internally iterates the KV heads through [`attend_kv_group_into`], so the
+/// serial path and the runtime-sharded path (tasks over KV-head ranges)
+/// execute identical per-head arithmetic — the bit-exactness requirement
+/// of the parallel forward pass.
 ///
 /// Allocating convenience wrapper over [`attend_one_into`].
 ///
@@ -173,49 +141,14 @@ pub fn attend_one_into(
 }
 
 /// Computes the context of the query heads sharing KV head `kv_head` for a
-/// single token: the `[group_size × head_dim]` slice of [`attend_one`]'s
-/// output covering query heads `kv_head·group .. (kv_head+1)·group`.
+/// single token — the `[group_size × head_dim]` slice of [`attend_one`]'s
+/// output covering query heads `kv_head·group .. (kv_head+1)·group` —
+/// into `out_g` (fully overwritten); `scores` is reusable scratch.
 ///
-/// This is the shard unit of the parallel forward pass — each KV head's
-/// score/softmax/weighted-sum chain is fully independent, so computing
-/// groups in any order (or concurrently) reproduces [`attend_one`]'s bits
-/// exactly.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree with the shape parameters or
-/// `kv_head >= num_kv_heads`.
-pub fn attend_kv_group(
-    q: &[f32],
-    keys: &[f32],
-    values: &[f32],
-    seq_len: usize,
-    shape: &AttentionShape,
-    kv_head: usize,
-) -> Vec<f32> {
-    assert_eq!(q.len(), shape.q_dim(), "query width mismatch");
-    assert!(kv_head < shape.num_kv_heads, "kv head out of range");
-    let group = shape.group_size().max(1);
-    let mut out = vec![0.0f32; group * shape.head_dim];
-    let mut scores = Vec::new();
-    attend_kv_group_into(
-        q,
-        keys,
-        values,
-        seq_len,
-        shape,
-        kv_head,
-        &mut out,
-        &mut scores,
-    );
-    out
-}
-
-/// [`attend_kv_group`] writing into caller-owned buffers: the group's
-/// context goes to `out_g` (`group_size × head_dim` wide, fully
-/// overwritten), `scores` is reusable scratch. Bit-identical to the
-/// allocating wrapper; this is the shard unit the parallel forward pass
-/// dispatches.
+/// This is the shard unit of the forward passes' exact path: each KV
+/// head's score/softmax/weighted-sum chain is fully independent, so
+/// computing groups in any order (or concurrently) reproduces
+/// [`attend_one`]'s bits exactly.
 ///
 /// # Panics
 ///
@@ -271,63 +204,119 @@ pub fn attend_kv_group_into(
 }
 
 // ----------------------------------------------------------------------
-// Fused quantized-domain kernels
+// Fused quantized-domain kernel
 // ----------------------------------------------------------------------
 
-/// Borrowed encoded KV tensor for the fused kernels: at least `seq_len`
-/// stored [`FusedVector`] rows plus the tensor's row-independent decode
-/// parameters. This is what the paged pool hands out in fused mode — no
-/// dequantized f32 image of these rows exists anywhere.
+/// Borrowed encoded KV tensor for the fused kernel: the stream-maintained
+/// [`EncodedReadPlan`] of one `(sequence, layer, kind)` — per-row decode
+/// tables, the flat dense-nibble arena, and the COO outlier values. This
+/// is what the paged pool hands out in fused mode; no dequantized f32
+/// image of these rows exists anywhere.
 #[derive(Debug, Clone, Copy)]
 pub struct EncodedKv<'a> {
-    /// Encoded rows, one per cached token.
-    pub rows: &'a [FusedVector],
-    /// Decode parameters of the `(layer, kind)` tensor the rows belong to.
-    pub params: FusedReadParams,
-    /// The stream-maintained read plan for these rows (decode
-    /// coefficients, flat dense arena, precomputed COO patches; entry `i`
-    /// for `rows[i]`, at least `rows.len()` rows when present). `None`
-    /// makes the kernels rebuild coefficients into scratch and walk each
-    /// row's own buffers — correct but O(seq_len) extra work per call, so
-    /// production read paths hand the stream's plan through.
-    pub plan: Option<&'a EncodedReadPlan>,
+    /// Read plan covering every cached row of the tensor.
+    pub plan: &'a EncodedReadPlan,
 }
 
-/// Fused-kernel analogue of [`attend_one`]: computes the single-token
-/// context vector reading `keys`/`values` **directly in their encoded
-/// form**. Scores and weighted sums run over the packed 4-bit dense
-/// matrix through per-row [`RowDecode`] coefficients, with each COO
-/// outlier's contribution patched into the accumulator afterwards.
-///
-/// Numerically this is SQNR-bounded against [`attend_one`] over the
-/// dequantized views (see `oaken_core::kernel`), not bit-exact.
-///
-/// Allocating convenience wrapper over [`attend_one_fused_into`].
-///
-/// # Panics
-///
-/// Panics if `q` disagrees with the shape, fewer than `seq_len` encoded
-/// rows are supplied, or a row's width disagrees with `kv_dim`.
-pub fn attend_one_fused(
-    q: &[f32],
-    keys: &EncodedKv<'_>,
-    values: &EncodedKv<'_>,
-    seq_len: usize,
+/// What attention reads for one `(sequence, layer)`: the encoded tensors
+/// of a fused slot, or the dequantized f32 views of an exact one.
+#[derive(Debug, Clone, Copy)]
+pub enum KvRead<'a> {
+    /// Encoded K and V tensors for [`attend_run_fused_into`].
+    Fused {
+        /// Encoded keys.
+        keys: EncodedKv<'a>,
+        /// Encoded values.
+        values: EncodedKv<'a>,
+    },
+    /// Row-major `[rows × kv_dim]` views for [`attend_kv_group_into`].
+    Exact {
+        /// Dequantized keys.
+        keys: &'a [f32],
+        /// Dequantized values.
+        values: &'a [f32],
+    },
+}
+
+/// Most query tokens one sweep over a slot's encoded rows serves; longer
+/// runs take one sweep per tile.
+pub const QUERY_TILE: usize = 32;
+
+/// Rows decoded per block: keys land transposed (`[column][ROW_BLOCK]`)
+/// so a query head's scores against the whole block accumulate in
+/// `ROW_BLOCK` independent lanes, values land row-major.
+const ROW_BLOCK: usize = 64;
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<AttentionScratch> = std::cell::RefCell::default();
+}
+
+/// Runs `f` with this thread's long-lived scratch — what the forward
+/// passes' attention tasks use, so neither the serial pass nor a runtime
+/// worker allocates per `(task, layer, iteration)` after warm-up.
+pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut AttentionScratch) -> R) -> R {
+    SCRATCH.with_borrow_mut(f)
+}
+
+/// Attention of the query groups of KV heads `kv_heads` for a run of
+/// query tokens of one sequence, against whatever form the cache serves:
+/// `out` receives `[qs.len() × kv_heads.len() × group_size × head_dim]`,
+/// query `i` attending rows `window_start(limits[i]) .. limits[i]`. Limits
+/// are clamped to the rows the read holds — a slot poisoned by a failed
+/// append holds fewer than the schedule predicted, and its output is
+/// discarded by the caller.
+pub(crate) fn attend_run_into(
+    qs: &[&[f32]],
+    limits: &[usize],
+    read: &KvRead<'_>,
     shape: &AttentionShape,
-) -> Vec<f32> {
-    let mut out = Vec::new();
-    let mut scratch = AttentionScratch::default();
-    attend_one_fused_into(q, keys, values, seq_len, shape, &mut scratch, &mut out);
-    out
+    kv_heads: Range<usize>,
+    scratch: &mut AttentionScratch,
+    out: &mut [f32],
+) {
+    let kv_dim = shape.kv_dim();
+    let held = match read {
+        KvRead::Fused { keys, values } => keys.plan.rows().min(values.plan.rows()),
+        KvRead::Exact { keys, values } => keys.len().min(values.len()) / kv_dim.max(1),
+    };
+    let limits: Vec<usize> = limits.iter().map(|&l| l.min(held)).collect();
+    match read {
+        KvRead::Fused { keys, values } => {
+            attend_run_fused_into(qs, &limits, keys, values, shape, kv_heads, scratch, out);
+        }
+        KvRead::Exact { keys, values } => {
+            let gw = shape.group_size().max(1) * shape.head_dim;
+            let groups = qs
+                .iter()
+                .zip(&limits)
+                .flat_map(|(q, &limit)| kv_heads.clone().map(move |kvh| (q, limit, kvh)));
+            for ((q, limit, kvh), out_g) in groups.zip(out.chunks_mut(gw)) {
+                let visible = limit * kv_dim;
+                attend_kv_group_into(
+                    q,
+                    &keys[..visible],
+                    &values[..visible],
+                    limit,
+                    shape,
+                    kvh,
+                    out_g,
+                    &mut scratch.scores,
+                );
+            }
+        }
+    }
 }
 
-/// [`attend_one_fused`] writing into caller-owned buffers; with warm
-/// buffers the call allocates nothing. The per-row decode coefficients are
-/// prepared once and shared across every KV head of the token.
+/// Fused-kernel analogue of [`attend_one_into`]: the single-token context
+/// vector computed reading `keys`/`values` **in their encoded form** —
+/// [`attend_run_fused_into`] at width 1 over every head. Numerically
+/// SQNR-bounded against [`attend_one`] over the dequantized views (see
+/// `oaken_core::kernel`), not bit-exact. With warm buffers the call
+/// allocates nothing.
 ///
 /// # Panics
 ///
-/// Same conditions as [`attend_one_fused`].
+/// Same conditions as [`attend_run_fused_into`].
 pub fn attend_one_fused_into(
     q: &[f32],
     keys: &EncodedKv<'_>,
@@ -337,58 +326,19 @@ pub fn attend_one_fused_into(
     scratch: &mut AttentionScratch,
     out: &mut Vec<f32>,
 ) {
-    let hd = shape.head_dim;
-    assert_eq!(q.len(), shape.q_dim(), "query width mismatch");
-    let group = shape.group_size().max(1);
     out.clear();
     out.resize(shape.q_dim(), 0.0);
-    prepare_decodes(keys, values, seq_len, shape, scratch);
-    let (scores, kd, vd) = scratch.decode_slices(keys, values, seq_len, shape);
-    for kvh in 0..shape.num_kv_heads {
-        let out_g = &mut out[kvh * group * hd..(kvh + 1) * group * hd];
-        fused_group_kernel(q, keys, values, seq_len, shape, kvh, out_g, scores, kd, vd);
-    }
+    let all = 0..shape.num_kv_heads;
+    attend_run_fused_into(&[q], &[seq_len], keys, values, shape, all, scratch, out);
 }
 
-/// Fused-kernel analogue of [`attend_kv_group`]: one KV head's query-group
-/// context computed directly over the encoded rows. Shards tile
-/// [`attend_one_fused`] bit-exactly, so the parallel forward pass can fan
-/// fused groups out across threads exactly like exact ones.
+/// Fused-kernel analogue of [`attend_kv_group_into`]: one KV head's
+/// query-group context for a single token — [`attend_run_fused_into`] at
+/// width 1 over one head.
 ///
 /// # Panics
 ///
-/// Same conditions as [`attend_one_fused`], plus
-/// `kv_head >= num_kv_heads`.
-pub fn attend_kv_group_fused(
-    q: &[f32],
-    keys: &EncodedKv<'_>,
-    values: &EncodedKv<'_>,
-    seq_len: usize,
-    shape: &AttentionShape,
-    kv_head: usize,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; shape.group_size().max(1) * shape.head_dim];
-    let mut scratch = AttentionScratch::default();
-    attend_kv_group_fused_into(
-        q,
-        keys,
-        values,
-        seq_len,
-        shape,
-        kv_head,
-        &mut out,
-        &mut scratch,
-    );
-    out
-}
-
-/// [`attend_kv_group_fused`] writing into caller-owned buffers: the
-/// group's context goes to `out_g` (`group_size × head_dim` wide, fully
-/// overwritten).
-///
-/// # Panics
-///
-/// Same conditions as [`attend_kv_group_fused`].
+/// Same conditions as [`attend_run_fused_into`].
 #[allow(clippy::too_many_arguments)]
 pub fn attend_kv_group_fused_into(
     q: &[f32],
@@ -400,599 +350,595 @@ pub fn attend_kv_group_fused_into(
     out_g: &mut [f32],
     scratch: &mut AttentionScratch,
 ) {
-    assert_eq!(q.len(), shape.q_dim(), "query width mismatch");
-    assert!(kv_head < shape.num_kv_heads, "kv head out of range");
-    prepare_decodes(keys, values, seq_len, shape, scratch);
-    let (scores, kd, vd) = scratch.decode_slices(keys, values, seq_len, shape);
-    fused_group_kernel(
-        q, keys, values, seq_len, shape, kv_head, out_g, scores, kd, vd,
-    );
+    let head = kv_head..kv_head + 1;
+    attend_run_fused_into(&[q], &[seq_len], keys, values, shape, head, scratch, out_g);
 }
 
-/// Validates row counts and widths once up front so the inner loops can
-/// index without checks, and — only for tensors *without* a stream-side
-/// decode cache — rebuilds the per-row coefficient tables for the
-/// windowed span `start..seq_len` into scratch.
-fn prepare_decodes(
-    keys: &EncodedKv<'_>,
-    values: &EncodedKv<'_>,
-    seq_len: usize,
-    shape: &AttentionShape,
-    scratch: &mut AttentionScratch,
-) {
-    assert!(
-        keys.rows.len() >= seq_len,
-        "encoded key rows shorter than seq_len"
-    );
-    assert!(
-        values.rows.len() >= seq_len,
-        "encoded value rows shorter than seq_len"
-    );
-    if let Some(p) = keys.plan {
-        assert!(p.rows() >= seq_len, "key read plan shorter than seq_len");
-    }
-    if let Some(p) = values.plan {
-        assert!(p.rows() >= seq_len, "value read plan shorter than seq_len");
-    }
-    let kv_dim = shape.kv_dim();
-    let start = window_start(shape, seq_len);
-    scratch.key_decodes.clear();
-    scratch.value_decodes.clear();
-    for t in start..seq_len {
-        assert_eq!(keys.rows[t].dim(), kv_dim, "encoded key row width mismatch");
-        assert_eq!(
-            values.rows[t].dim(),
-            kv_dim,
-            "encoded value row width mismatch"
-        );
-        if keys.plan.is_none() {
-            scratch
-                .key_decodes
-                .push(RowDecode::for_row(&keys.rows[t], &keys.params));
-        }
-        if values.plan.is_none() {
-            scratch
-                .value_decodes
-                .push(RowDecode::for_row(&values.rows[t], &values.params));
-        }
-    }
-}
-
-/// Shared fused kernel for one KV head's query group. Expects
-/// [`prepare_decodes`] validation to have run, and takes the decode
-/// tables for the windowed span (entry `i` ↔ row `start + i`) from
-/// [`AttentionScratch::decode_slices`].
+/// The fused kernel: attention of the query groups of KV heads `kv_heads`
+/// for a run of query tokens of one sequence, computed directly over the
+/// encoded rows. Query `i` (`qs[i]`, `q_dim` wide) attends rows
+/// `window_start(limits[i]) .. limits[i]`; `out` receives
+/// `[qs.len() × kv_heads.len() × group_size × head_dim]`. A prefill chunk
+/// is a run with consecutive limits, a decode step a run of one.
+///
+/// Per [`QUERY_TILE`] queries the key arena is walked **once**: each
+/// block of rows is decoded a single time (table lookup per dense nibble,
+/// COO outliers overwritten in place) and reused by every query of the
+/// tile and every query head of the range; softmax runs per (query,
+/// head); the value arena is swept the same way.
+///
+/// **Width invariance.** Every score is
+/// `(((q₀·k₀ + q₁·k₁) + q₂·k₂) + …) / √d` — one serial chain over the
+/// head's columns with separately rounded multiplies and adds — and
+/// every output element accumulates `p·v` over the visible rows in
+/// ascending order. Lanes run over *rows* (keys) and *columns* (values),
+/// never across a chain, so each (query, row, head) score and each output
+/// element is a pure function of the query and the rows: independent of
+/// tile width and position, block alignment, the head range, thread and
+/// rank count, and of the `simd` feature (whose AVX-512 lane only speeds
+/// up the decode, bit-identically). Feeding a prompt in chunks of any size
+/// therefore yields the bits of feeding it token by token.
+///
+/// # Panics
+///
+/// Panics if `qs`/`limits`/`out` disagree with each other or the shape,
+/// `limits` decrease, a plan holds fewer rows than the largest limit or
+/// rows of another width, or `kv_heads` exceeds `num_kv_heads`.
 #[allow(clippy::too_many_arguments)]
-fn fused_group_kernel(
-    q: &[f32],
+pub fn attend_run_fused_into(
+    qs: &[&[f32]],
+    limits: &[usize],
     keys: &EncodedKv<'_>,
     values: &EncodedKv<'_>,
-    seq_len: usize,
     shape: &AttentionShape,
-    kv_head: usize,
-    out_g: &mut [f32],
-    scores: &mut Vec<f32>,
-    key_decodes: &[RowDecode],
-    value_decodes: &[RowDecode],
+    kv_heads: Range<usize>,
+    scratch: &mut AttentionScratch,
+    out: &mut [f32],
+) {
+    let gw = shape.group_size().max(1) * shape.head_dim;
+    let row_w = kv_heads.len() * gw;
+    assert_eq!(qs.len(), limits.len(), "one limit per query");
+    assert_eq!(out.len(), qs.len() * row_w, "output shape mismatch");
+    assert!(kv_heads.end <= shape.num_kv_heads, "kv head out of range");
+    assert!(
+        qs.iter().all(|q| q.len() == shape.q_dim()),
+        "query width mismatch"
+    );
+    assert!(
+        limits.windows(2).all(|w| w[0] <= w[1]),
+        "limits must not decrease along a run"
+    );
+    let hi = limits.last().copied().unwrap_or(0);
+    for (plan, what) in [(keys.plan, "key"), (values.plan, "value")] {
+        assert!(plan.rows() >= hi, "{what} read plan shorter than seq_len");
+        assert!(
+            hi == 0 || plan.dense_stride() == shape.kv_dim().div_ceil(2),
+            "encoded {what} row width mismatch"
+        );
+    }
+    if row_w == 0 {
+        return;
+    }
+    let tiles = qs
+        .chunks(QUERY_TILE)
+        .zip(limits.chunks(QUERY_TILE))
+        .zip(out.chunks_mut(QUERY_TILE * row_w));
+    for ((qs, limits), out) in tiles {
+        let heads = kv_heads.clone();
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if simd::available() {
+            // SAFETY: `available` verified the lane's CPU features.
+            unsafe {
+                simd::fused_sweep(
+                    qs,
+                    limits,
+                    keys.plan,
+                    values.plan,
+                    shape,
+                    heads,
+                    scratch,
+                    out,
+                )
+            };
+            continue;
+        }
+        fused_sweep::<false>(
+            qs,
+            limits,
+            keys.plan,
+            values.plan,
+            shape,
+            heads,
+            scratch,
+            out,
+        );
+    }
+}
+
+/// One tile of [`attend_run_fused_into`] (`qs.len() <= QUERY_TILE`,
+/// inputs validated there). `AVX512` selects the decode lane; every
+/// arithmetic loop is the same portable code on both, compiled once per
+/// lane (the AVX-512 instance inlines into a `#[target_feature]` caller
+/// and vectorizes at 512 bits).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn fused_sweep<const AVX512: bool>(
+    qs: &[&[f32]],
+    limits: &[usize],
+    keys: &EncodedReadPlan,
+    values: &EncodedReadPlan,
+    shape: &AttentionShape,
+    heads: Range<usize>,
+    scratch: &mut AttentionScratch,
+    out: &mut [f32],
 ) {
     let hd = shape.head_dim;
-    let start = window_start(shape, seq_len);
-    let span = seq_len - start;
-    let inv_sqrt = 1.0 / (hd as f32).sqrt();
     let group = shape.group_size().max(1);
-    let col = kv_head * hd;
-    out_g.fill(0.0);
-    scores.clear();
-    scores.resize(span, 0.0);
+    let (col, width) = (heads.start * hd, heads.len() * hd);
+    // Query heads served per query.
+    let nh = heads.len() * group;
+    let inv_sqrt = 1.0 / (hd as f32).sqrt();
+    out.fill(0.0);
+    // Rows any query of the tile sees; limits (hence window starts) are
+    // non-decreasing, so both ends sit at the tile's ends.
+    let hi = limits.last().copied().unwrap_or(0);
+    let lo = limits.first().map_or(0, |&l| window_start(shape, l));
+    if hi == lo {
+        return;
+    }
+    // One score row per (query, head), `stride` apart; row `t` at `t - lo`.
+    let stride = (hi - lo).next_multiple_of(ROW_BLOCK);
+    // Grown, never cleared: every score and block element is written
+    // before the pass that reads it.
+    let AttentionScratch { scores, block } = scratch;
+    if scores.len() < qs.len() * nh * stride {
+        scores.resize(qs.len() * nh * stride, 0.0);
+    }
+    if block.len() < width * ROW_BLOCK {
+        block.resize(width * ROW_BLOCK, 0.0);
+    }
+    let block = &mut block[..width * ROW_BLOCK];
 
-    let key_rows = &keys.rows[start..seq_len];
-    let value_rows = &values.rows[start..seq_len];
-    for g in 0..group {
-        let h = kv_head * group + g;
-        let q_h = &q[h * hd..(h + 1) * hd];
-        match keys.plan {
-            Some(p) => fused_dot_plan(q_h, p, start, seq_len, col, key_decodes, inv_sqrt, scores),
-            None => {
-                for (i, fv) in key_rows.iter().enumerate() {
-                    scores[i] = fused_dot(q_h, fv, col, &key_decodes[i]) * inv_sqrt;
+    for b0 in (lo..hi).step_by(ROW_BLOCK) {
+        let n = ROW_BLOCK.min(hi - b0);
+        decode_keys::<AVX512>(keys, b0, n, col, width, block);
+        // Queries seeing any row of the block form a contiguous range.
+        let i0 = limits.partition_point(|&l| l <= b0);
+        let i1 = limits.partition_point(|&l| window_start(shape, l) < b0 + n);
+        for i in i0..i1 {
+            // `group` consecutive query heads share each KV head's tile.
+            let q = qs[i][heads.start * group * hd..][..nh * hd].chunks_exact(hd);
+            let tiles = block.chunks_exact(hd * ROW_BLOCK);
+            let heads = tiles.flat_map(|kt| std::iter::repeat_n(kt, group));
+            for (h, (q_h, kt)) in q.zip(heads).enumerate() {
+                let at = (i * nh + h) * stride + (b0 - lo);
+                for (s, a) in scores[at..at + ROW_BLOCK]
+                    .iter_mut()
+                    .zip(dot_block(q_h, kt))
+                {
+                    *s = a * inv_sqrt;
                 }
             }
         }
-        softmax_in_place(scores);
-        let out_h = &mut out_g[g * hd..(g + 1) * hd];
-        match values.plan {
-            Some(p) => fused_axpy_plan(scores, p, start, seq_len, col, value_decodes, out_h),
-            None => {
-                for (i, fv) in value_rows.iter().enumerate() {
-                    let p = scores[i];
-                    if p != 0.0 {
-                        fused_axpy(p, fv, col, &value_decodes[i], out_h);
-                    }
+    }
+
+    for (i, &limit) in limits.iter().enumerate() {
+        let start = window_start(shape, limit);
+        for row in scores[i * nh * stride..(i + 1) * nh * stride].chunks_exact_mut(stride) {
+            softmax_in_place(&mut row[start - lo..limit - lo]);
+        }
+    }
+
+    // Row-outer, (query, head)-inner: consecutive updates hit different
+    // accumulators, while each accumulator still sees its rows in
+    // ascending order. The queries seeing row `t` are `i0..i1`, both ends
+    // only ever moving up with `t`.
+    let (mut i0, mut i1) = (0, 0);
+    for b0 in (lo..hi).step_by(ROW_BLOCK) {
+        let n = ROW_BLOCK.min(hi - b0);
+        decode_values::<AVX512>(values, b0, n, col, width, block);
+        for (r, v_t) in block.chunks_exact(width).take(n).enumerate() {
+            let t = b0 + r;
+            while i0 < limits.len() && limits[i0] <= t {
+                i0 += 1;
+            }
+            while i1 < limits.len() && window_start(shape, limits[i1]) <= t {
+                i1 += 1;
+            }
+            for i in i0..i1 {
+                let probs = scores[i * nh * stride + (t - lo)..].iter().step_by(stride);
+                let o = out[i * nh * hd..(i + 1) * nh * hd].chunks_exact_mut(hd);
+                let heads = v_t
+                    .chunks_exact(hd)
+                    .flat_map(|v_h| std::iter::repeat_n(v_h, group));
+                for ((o_h, &p), v_h) in o.zip(probs).zip(heads) {
+                    axpy::<AVX512>(p, v_h, o_h);
                 }
             }
         }
     }
 }
 
-/// One scores pass over the plan-cached span `start..seq_len`:
-/// `scores[i] = (dense + patches) / sqrt(d)` for row `start + i`. The
-/// dense walk streams the plan's flat nibble arena (sequential memory, no
-/// per-row pointer chase); the COO patch-up applies the precomputed
-/// `(index, delta)` pairs without re-parsing packed bytes. With the
-/// AVX-512 lane the whole span runs inside one `#[target_feature]` call
-/// and the patch-up follows as a scalar sweep (same per-row expression,
-/// patch terms summed before the dense total — a few-ULP reassociation of
-/// the same class as the documented feature-toggle variance).
-#[allow(clippy::too_many_arguments)]
-fn fused_dot_plan(
-    q_h: &[f32],
-    plan: &EncodedReadPlan,
-    start: usize,
-    seq_len: usize,
-    col: usize,
-    decs: &[RowDecode],
-    inv_sqrt: f32,
-    scores: &mut [f32],
-) {
-    let stride = plan.dense_stride();
-    let arena = &plan.dense_arena()[start * stride..seq_len * stride];
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::dot_block(q_h, arena, stride, col, decs, scores) {
-        for (i, s) in scores.iter_mut().enumerate() {
-            *s = (*s + patch_dot(q_h, plan.patches_for(start + i), col)) * inv_sqrt;
+/// Scores of one query head against a transposed key block: lane `r`
+/// accumulates `Σ_j q_h[j] · kt[j][r]` in column order — the serial
+/// per-(query, row) chain of the width-invariance contract, `ROW_BLOCK`
+/// rows at a time.
+#[inline(always)]
+fn dot_block(q_h: &[f32], kt: &[f32]) -> [f32; ROW_BLOCK] {
+    let mut acc = [0.0f32; ROW_BLOCK];
+    for (&qv, k_j) in q_h.iter().zip(kt.as_chunks::<ROW_BLOCK>().0) {
+        for (a, &kv) in acc.iter_mut().zip(k_j) {
+            *a += qv * kv;
         }
-        return;
     }
-    for (i, s) in scores.iter_mut().enumerate() {
-        let bytes = &arena[i * stride..(i + 1) * stride];
-        let dense = dense_dot(q_h, bytes, col, &decs[i]);
-        *s = (dense + patch_dot(q_h, plan.patches_for(start + i), col)) * inv_sqrt;
+    acc
+}
+
+/// `o += p · v`: each element one multiply and one add, separately
+/// rounded, on either lane.
+#[inline(always)]
+fn axpy<const AVX512: bool>(p: f32, v: &[f32], o: &mut [f32]) {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if AVX512 {
+        // SAFETY: `AVX512` is only instantiated behind `simd::available`.
+        return unsafe { simd::axpy(p, v, o) };
+    }
+    for (o, &v) in o.iter_mut().zip(v) {
+        *o += p * v;
     }
 }
 
-/// One weighted-sum pass over the plan-cached span, mirroring
-/// [`fused_dot_plan`]: `out_h += probs[i] · row(start + i)`, zero
-/// probabilities skipped.
-fn fused_axpy_plan(
-    probs: &[f32],
-    plan: &EncodedReadPlan,
-    start: usize,
-    seq_len: usize,
-    col: usize,
-    decs: &[RowDecode],
-    out_h: &mut [f32],
-) {
-    let stride = plan.dense_stride();
-    let arena = &plan.dense_arena()[start * stride..seq_len * stride];
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::axpy_block(probs, arena, stride, col, decs, out_h) {
-        for (i, &p) in probs.iter().enumerate() {
-            if p != 0.0 {
-                patch_axpy(p, plan.patches_for(start + i), col, out_h);
+/// One plan row as the decodes read it.
+#[derive(Clone, Copy)]
+struct Row<'a> {
+    /// Packed dense nibbles (element `i` in nibble `i`, low nibble first).
+    bytes: &'a [u8],
+    /// Value of each dense code.
+    lut: &'a [f32; 16],
+    /// Outlier positions and values ([`EncodedReadPlan::outliers`]).
+    masks: &'a [u16],
+    values: &'a [f32],
+}
+
+impl Row<'_> {
+    /// Hands `put` element `col + j` for every `j < width` outside `done`
+    /// (the columns a vector lane already decoded): the dense nibble's
+    /// table value, or the outlier's value where the masks mark one.
+    #[inline(always)]
+    fn decode(
+        &self,
+        col: usize,
+        width: usize,
+        done: &Range<usize>,
+        mut put: impl FnMut(usize, f32),
+    ) {
+        for j in (0..done.start).chain(done.end..width) {
+            let b = self.bytes[(col + j) / 2];
+            let code = if (col + j).is_multiple_of(2) {
+                b & 0xF
+            } else {
+                b >> 4
+            };
+            put(j, self.lut[usize::from(code)]);
+        }
+        let mut next = self.values.iter();
+        for (c, &mask) in self.masks.iter().enumerate() {
+            let mut left = mask;
+            while left != 0 {
+                let e = 16 * c + left.trailing_zeros() as usize;
+                let &value = next.next().expect("one value per mask bit");
+                if (col..col + width).contains(&e) && !done.contains(&(e - col)) {
+                    put(e - col, value);
+                }
+                left &= left - 1;
             }
         }
-        return;
-    }
-    for (i, &p) in probs.iter().enumerate() {
-        if p == 0.0 {
-            continue;
-        }
-        let bytes = &arena[i * stride..(i + 1) * stride];
-        dense_axpy(p, bytes, col, &decs[i], out_h);
-        patch_axpy(p, plan.patches_for(start + i), col, out_h);
     }
 }
 
-/// Applies a row's precomputed COO corrections to a dot product: the sum
-/// of `q_h[index - col] · delta` over patches inside `col .. col + len`.
-/// The patch list is index-sorted, so the loop early-exits past the head
-/// slice.
-#[inline]
-fn patch_dot(q_h: &[f32], patches: &[OutlierPatch], col: usize) -> f32 {
-    let col = col as u32;
-    let end = col + q_h.len() as u32;
-    let mut acc = 0.0f32;
-    for p in patches {
-        if p.index < col {
-            continue;
+/// Rows `b0 .. b0 + n` of a plan.
+#[inline(always)]
+fn block_rows(plan: &EncodedReadPlan, b0: usize, n: usize) -> impl Iterator<Item = Row<'_>> {
+    let stride = plan.dense_stride();
+    let arena = &plan.dense_arena()[b0 * stride..(b0 + n) * stride];
+    let rows = arena.chunks_exact(stride).zip(&plan.decodes()[b0..b0 + n]);
+    rows.enumerate().map(move |(r, (bytes, dec))| {
+        let (masks, values) = plan.outliers(b0 + r);
+        Row {
+            bytes,
+            lut: &dec.middle_lut,
+            masks,
+            values,
         }
-        if p.index >= end {
-            break;
+    })
+}
+
+/// Decodes columns `col .. col + width` of plan rows `b0 .. b0 + n` into
+/// the transposed key block: `block[j · ROW_BLOCK + r]` is element
+/// `col + j` of row `b0 + r`, bit-identical to
+/// [`decode_row_fused_into`](oaken_core::kernel::decode_row_fused_into);
+/// lanes `n..` are zeroed.
+#[inline(always)]
+fn decode_keys<const AVX512: bool>(
+    plan: &EncodedReadPlan,
+    b0: usize,
+    n: usize,
+    col: usize,
+    width: usize,
+    block: &mut [f32],
+) {
+    // The vector lane covers columns `done`; the scalar walk the rest.
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    let done = if AVX512 {
+        // SAFETY: `AVX512` is only instantiated behind `simd::available`.
+        unsafe { simd::decode_keys(plan, b0, n, col, width, block) }
+    } else {
+        0..0
+    };
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    let done = 0..0;
+    if done.len() < width {
+        for (r, row) in block_rows(plan, b0, n).enumerate() {
+            row.decode(col, width, &done, |j, v| block[j * ROW_BLOCK + r] = v);
         }
-        acc += q_h[(p.index - col) as usize] * p.delta;
     }
-    acc
-}
-
-/// Applies a row's precomputed COO corrections to a weighted sum:
-/// `out_h[index - col] += p · delta` for patches inside the head slice.
-#[inline]
-fn patch_axpy(p: f32, patches: &[OutlierPatch], col: usize, out_h: &mut [f32]) {
-    let col = col as u32;
-    let end = col + out_h.len() as u32;
-    for e in patches {
-        if e.index < col {
-            continue;
+    if n < ROW_BLOCK {
+        for lanes in block.as_chunks_mut::<ROW_BLOCK>().0 {
+            lanes[n..].fill(0.0);
         }
-        if e.index >= end {
-            break;
-        }
-        out_h[(e.index - col) as usize] += p * e.delta;
-    }
-}
-
-/// Quantized-domain dot product of `q_h` against columns
-/// `col .. col + q_h.len()` of one encoded row: a dense nibble pass with
-/// the row's middle coefficients, then a COO patch-up replacing each
-/// in-range outlier's middle contribution with its outlier value. The COO
-/// stream is index-sorted, so the patch loop early-exits past the head
-/// slice.
-fn fused_dot(q_h: &[f32], fv: &FusedVector, col: usize, dec: &RowDecode) -> f32 {
-    dense_dot(q_h, fv.dense_bytes(), col, dec) + outlier_dot_patch(q_h, fv, col, dec)
-}
-
-/// The COO correction term of [`fused_dot`]: for each in-range outlier,
-/// the difference between its outlier reconstruction and the middle value
-/// the dense pass already charged, weighted by the query element.
-fn outlier_dot_patch(q_h: &[f32], fv: &FusedVector, col: usize, dec: &RowDecode) -> f32 {
-    let mut acc = 0.0f32;
-    let end = col + q_h.len();
-    for e in fv.outliers() {
-        if e.index < col {
-            continue;
-        }
-        if e.index >= end {
-            break;
-        }
-        let code = u32::from(fv.dense_code(e.index));
-        acc += q_h[e.index - col] * (dec.outlier(e.group, e.high_side, code) - dec.middle(code));
-    }
-    acc
-}
-
-/// Quantized-domain `out_h += p · v[col..col+len]` over one encoded row:
-/// dense nibble pass plus COO patch-up, mirroring [`fused_dot`].
-fn fused_axpy(p: f32, fv: &FusedVector, col: usize, dec: &RowDecode, out_h: &mut [f32]) {
-    dense_axpy(p, fv.dense_bytes(), col, dec, out_h);
-    outlier_axpy_patch(p, fv, col, dec, out_h);
-}
-
-/// The COO correction of [`fused_axpy`], mirroring [`outlier_dot_patch`].
-fn outlier_axpy_patch(p: f32, fv: &FusedVector, col: usize, dec: &RowDecode, out_h: &mut [f32]) {
-    let end = col + out_h.len();
-    for e in fv.outliers() {
-        if e.index < col {
-            continue;
-        }
-        if e.index >= end {
-            break;
-        }
-        let code = u32::from(fv.dense_code(e.index));
-        out_h[e.index - col] += p * (dec.outlier(e.group, e.high_side, code) - dec.middle(code));
     }
 }
 
-/// Dense nibble `i` of a packed code buffer — the
-/// [`FusedVector::dense_bytes`] layout (element `i` in nibble `i`, low
-/// nibble first), shared by the per-row buffers and the plan's flat
-/// arena.
-#[inline]
-fn code_at(bytes: &[u8], i: usize) -> u32 {
-    let b = bytes[i / 2];
-    u32::from(if i.is_multiple_of(2) { b & 0xF } else { b >> 4 })
-}
-
-/// Scalar dense-pass dot product — the reference lane the `simd` feature's
-/// kernels are tested against.
-#[cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(dead_code))]
-fn dense_dot_scalar(q_h: &[f32], bytes: &[u8], col: usize, dec: &RowDecode) -> f32 {
-    let mut acc = 0.0f32;
-    for (j, &qv) in q_h.iter().enumerate() {
-        acc += qv * dec.middle(code_at(bytes, col + j));
-    }
-    acc
-}
-
-/// Scalar dense-pass axpy — the reference lane the `simd` feature's
-/// kernels are tested against.
-#[cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(dead_code))]
-fn dense_axpy_scalar(p: f32, bytes: &[u8], col: usize, dec: &RowDecode, out_h: &mut [f32]) {
-    for (j, o) in out_h.iter_mut().enumerate() {
-        *o += p * dec.middle(code_at(bytes, col + j));
+/// Decodes columns `col .. col + width` of plan rows `b0 .. b0 + n` into
+/// the row-major value block (`block[r · width + j]`), bit-identical to
+/// [`decode_row_fused_into`](oaken_core::kernel::decode_row_fused_into).
+#[inline(always)]
+fn decode_values<const AVX512: bool>(
+    plan: &EncodedReadPlan,
+    b0: usize,
+    n: usize,
+    col: usize,
+    width: usize,
+    block: &mut [f32],
+) {
+    for (row, out) in block_rows(plan, b0, n).zip(block.chunks_exact_mut(width)) {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        let done = if AVX512 {
+            // SAFETY: `AVX512` is only instantiated behind `simd::available`.
+            unsafe { simd::decode_row(&row, col, out) }
+        } else {
+            0..0
+        };
+        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+        let done = 0..0;
+        if done.len() < width {
+            row.decode(col, width, &done, |j, v| out[j] = v);
+        }
     }
 }
 
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-use dense_axpy_scalar as dense_axpy;
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-use dense_dot_scalar as dense_dot;
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use simd::{dense_axpy, dense_dot};
-
-/// `std::arch` lanes for the dense nibble walk, enabled by the `simd`
-/// cargo feature on x86-64. With AVX-512F (detected at runtime) sixteen
-/// dense codes are unpacked per iteration from one 8-byte load and decoded
-/// by a single table permute over the row's
-/// [`middle_lut`](RowDecode::middle_lut); otherwise an SSE2 lane unpacks
-/// four codes per iteration with the compare/blend decode. Per-element
-/// decoded values are bit-identical to the scalar lane in both cases, but
-/// the dot product's accumulation order differs (partial sums reduced at
-/// the end), so fused outputs may differ by a few ULP when the feature is
-/// toggled; the axpy lanes apply the same per-element expression as the
-/// scalar walk.
+/// The AVX-512 decode lane, enabled by the `simd` cargo feature on x86-64
+/// and selected at runtime. Sixteen elements at a time: the dense codes
+/// are unpacked from one 8-byte load and decoded by a single table
+/// permute over the row's
+/// [`middle_lut`](oaken_core::kernel::RowDecode::middle_lut), then one
+/// masked expand-load drops the chunk's outlier values into their lanes —
+/// bit-identical to the scalar walk, so the lane changes speed and
+/// nothing else. Key blocks are transposed in registers, sixteen rows by
+/// sixteen columns at a time.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd {
-    use super::{code_at, RowDecode};
+    use super::{block_rows, AttentionScratch, AttentionShape, EncodedReadPlan, Row, ROW_BLOCK};
     use std::arch::x86_64::*;
+    use std::ops::Range;
     use std::sync::OnceLock;
 
-    /// One-time CPUID probe for the 512-bit lane.
-    fn use_avx512() -> bool {
+    /// One-time CPUID probe for the 512-bit lane (and the `popcnt` its
+    /// outlier-mask arithmetic compiles to).
+    pub(super) fn available() -> bool {
         static PROBE: OnceLock<bool> = OnceLock::new();
-        *PROBE.get_or_init(|| is_x86_feature_detected!("avx512f"))
+        *PROBE.get_or_init(|| {
+            is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("popcnt")
+        })
     }
 
-    pub(super) fn dense_dot(q_h: &[f32], bytes: &[u8], col: usize, dec: &RowDecode) -> f32 {
-        if use_avx512() {
-            // SAFETY: `use_avx512` verified AVX-512F support on this CPU.
-            unsafe { dense_dot_avx512(q_h, bytes, col, dec) }
-        } else {
-            dense_dot_sse2(q_h, bytes, col, dec)
-        }
-    }
-
-    pub(super) fn dense_axpy(p: f32, bytes: &[u8], col: usize, dec: &RowDecode, out_h: &mut [f32]) {
-        if use_avx512() {
-            // SAFETY: `use_avx512` verified AVX-512F support on this CPU.
-            unsafe { dense_axpy_avx512(p, bytes, col, dec, out_h) }
-        } else {
-            dense_axpy_sse2(p, bytes, col, dec, out_h)
-        }
-    }
-
-    /// Batched dense-dot over a span of the plan's flat nibble arena
-    /// (row `i` at `arena[i·stride..]`), or `false` without AVX-512F (the
-    /// caller then falls back to the per-row lane). Keeping the row loop
-    /// inside one `#[target_feature]` function lets the per-row kernel
-    /// inline — no vector-transition call per token row — while the arena
-    /// keeps the walk on sequential, prefetchable memory.
-    pub(super) fn dot_block(
-        q_h: &[f32],
-        arena: &[u8],
-        stride: usize,
-        col: usize,
-        decs: &[RowDecode],
-        scores: &mut [f32],
-    ) -> bool {
-        if !use_avx512() {
-            return false;
-        }
-        // SAFETY: `use_avx512` verified AVX-512F support on this CPU.
-        unsafe { dot_block_avx512(q_h, arena, stride, col, decs, scores) };
-        true
-    }
-
-    /// Batched dense-axpy over a span of the plan's arena, or `false`
-    /// without AVX-512F; skips zero probabilities like the scalar walk.
-    pub(super) fn axpy_block(
-        probs: &[f32],
-        arena: &[u8],
-        stride: usize,
-        col: usize,
-        decs: &[RowDecode],
-        out_h: &mut [f32],
-    ) -> bool {
-        if !use_avx512() {
-            return false;
-        }
-        // SAFETY: `use_avx512` verified AVX-512F support on this CPU.
-        unsafe { axpy_block_avx512(probs, arena, stride, col, decs, out_h) };
-        true
-    }
-
-    #[target_feature(enable = "avx512f")]
-    unsafe fn dot_block_avx512(
-        q_h: &[f32],
-        arena: &[u8],
-        stride: usize,
-        col: usize,
-        decs: &[RowDecode],
-        scores: &mut [f32],
+    /// [`super::fused_sweep`] compiled with the lane's features enabled.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and `popcnt`.
+    #[target_feature(enable = "avx512f,popcnt")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn fused_sweep(
+        qs: &[&[f32]],
+        limits: &[usize],
+        keys: &EncodedReadPlan,
+        values: &EncodedReadPlan,
+        shape: &AttentionShape,
+        heads: Range<usize>,
+        scratch: &mut AttentionScratch,
+        out: &mut [f32],
     ) {
-        for (i, s) in scores.iter_mut().enumerate() {
-            let bytes = &arena[i * stride..(i + 1) * stride];
-            // SAFETY: caller upholds the row-width contract checked in
-            // `prepare_decodes`; same target features, so this inlines.
-            *s = unsafe { dense_dot_avx512(q_h, bytes, col, &decs[i]) };
+        super::fused_sweep::<true>(qs, limits, keys, values, shape, heads, scratch, out);
+    }
+
+    /// The columns of a `width`-wide slice starting at `col` the vector
+    /// lane decodes: whole 16-column chunks, when the slice starts on one
+    /// of the plan's 16-element mask groups.
+    fn vector_columns(col: usize, width: usize) -> Range<usize> {
+        if col.is_multiple_of(16) {
+            0..width / 16 * 16
+        } else {
+            0..0
         }
     }
 
-    #[target_feature(enable = "avx512f")]
-    unsafe fn axpy_block_avx512(
-        probs: &[f32],
-        arena: &[u8],
-        stride: usize,
-        col: usize,
-        decs: &[RowDecode],
-        out_h: &mut [f32],
-    ) {
-        for (i, &p) in probs.iter().enumerate() {
-            if p == 0.0 {
-                continue;
-            }
-            let bytes = &arena[i * stride..(i + 1) * stride];
-            // SAFETY: as in `dot_block_avx512`.
-            unsafe { dense_axpy_avx512(p, bytes, col, &decs[i], out_h) };
-        }
+    /// A row's outlier values from the first one at or after element
+    /// `col` (`col` a multiple of 16).
+    fn values_from<'a>(row: &Row<'a>, col: usize) -> &'a [f32] {
+        let before: u32 = row.masks[..col / 16].iter().map(|m| m.count_ones()).sum();
+        &row.values[before as usize..]
     }
 
-    /// Lane selector for the 16-wide walks: the low 8 dwords replicate the
-    /// loaded 8-byte word's low half, the high 8 its high half, so the
-    /// per-lane shifts `4·(k mod 8)` put nibble `k` in lane `k`.
+    /// Decodes elements `at .. at + 16` (`at` a multiple of 16) of one
+    /// row, taking its outliers off the front of `values`.
     #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn nibble_codes(d: u64) -> __m512i {
+    #[target_feature(enable = "avx512f,popcnt")]
+    fn decode16(row: &Row<'_>, lut: __m512, at: usize, values: &mut &[f32]) -> __m512 {
+        let word: [u8; 8] = row.bytes[at / 2..at / 2 + 8]
+            .try_into()
+            .expect("eight bytes sliced");
+        // The low 8 dwords replicate the word's low half, the high 8 its
+        // high half, so the per-lane shifts `4·(k mod 8)` put nibble `k`
+        // in lane `k`.
         let sel = _mm512_set_epi32(1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0);
         let shifts = _mm512_set_epi32(28, 24, 20, 16, 12, 8, 4, 0, 28, 24, 20, 16, 12, 8, 4, 0);
-        let dw = _mm512_permutexvar_epi32(sel, _mm512_set1_epi64(d as i64));
-        _mm512_and_si512(_mm512_srlv_epi32(dw, shifts), _mm512_set1_epi32(15))
+        let dw = _mm512_permutexvar_epi32(sel, _mm512_set1_epi64(i64::from_le_bytes(word)));
+        let codes = _mm512_and_si512(_mm512_srlv_epi32(dw, shifts), _mm512_set1_epi32(15));
+        let dense = _mm512_permutexvar_ps(codes, lut);
+        let mask = row.masks[at / 16];
+        let (mine, rest) = values.split_at(mask.count_ones() as usize);
+        *values = rest;
+        // SAFETY: the expand-load reads one float per set mask bit, and
+        // `mine` is exactly that many.
+        unsafe { _mm512_mask_expandloadu_ps(dense, mask, mine.as_ptr()) }
     }
 
-    /// AVX-512F dot: 16 nibbles per iteration, decoded with one
-    /// `vpermps` over the row's 16-entry value table.
+    /// Vector part of [`super::decode_values`] for one row: fills
+    /// `out[j]` for the returned column range.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and `popcnt`.
     #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn dense_dot_avx512(q_h: &[f32], bytes: &[u8], col: usize, dec: &RowDecode) -> f32 {
-        let mut acc = 0.0f32;
-        let mut j = 0usize;
-        // Peel an odd starting column so the vector body is byte-aligned.
-        if col % 2 == 1 && !q_h.is_empty() {
-            acc += q_h[0] * dec.middle(code_at(bytes, col));
-            j = 1;
+    #[target_feature(enable = "avx512f,popcnt")]
+    pub(super) unsafe fn decode_row(row: &Row<'_>, col: usize, out: &mut [f32]) -> Range<usize> {
+        let done = vector_columns(col, out.len());
+        if done.is_empty() {
+            return done;
         }
-        // SAFETY: `j + 16 <= q_h.len()` bounds the query loads and — with
-        // the row width checked by the caller — the 8-byte nibble reads
-        // (`(col + j) / 2 + 8 <= bytes.len()`).
-        unsafe {
-            let lut = _mm512_loadu_ps(dec.middle_lut.as_ptr());
-            let mut vacc = _mm512_setzero_ps();
-            while j + 16 <= q_h.len() {
-                let d = (bytes.as_ptr().add((col + j) / 2) as *const u64).read_unaligned();
-                let vals = _mm512_permutexvar_ps(nibble_codes(d), lut);
-                let qv = _mm512_loadu_ps(q_h.as_ptr().add(j));
-                vacc = _mm512_fmadd_ps(qv, vals, vacc);
-                j += 16;
-            }
-            acc += _mm512_reduce_add_ps(vacc);
+        let mut values = values_from(row, col);
+        // SAFETY: `lut` is sixteen floats.
+        let lut = unsafe { _mm512_loadu_ps(row.lut.as_ptr()) };
+        for (k, chunk) in out.as_chunks_mut::<16>().0.iter_mut().enumerate() {
+            let v = decode16(row, lut, col + 16 * k, &mut values);
+            // SAFETY: `chunk` is sixteen floats.
+            unsafe { _mm512_storeu_ps(chunk.as_mut_ptr(), v) };
         }
-        while j < q_h.len() {
-            acc += q_h[j] * dec.middle(code_at(bytes, col + j));
-            j += 1;
-        }
-        acc
+        done
     }
 
-    /// AVX-512F axpy: same unpack as the dot, with the scalar lane's
-    /// unfused `out += p · v` rounding (separate multiply and add).
+    /// Vector part of [`super::decode_keys`]: fills
+    /// `block[j · ROW_BLOCK + r]` for the returned column range and every
+    /// lane `r` of each 16-row group holding a valid row (rows `n..` of
+    /// such a group as zeros).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and `popcnt`.
     #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn dense_axpy_avx512(
-        p: f32,
-        bytes: &[u8],
+    #[target_feature(enable = "avx512f,popcnt")]
+    pub(super) unsafe fn decode_keys(
+        plan: &EncodedReadPlan,
+        b0: usize,
+        n: usize,
         col: usize,
-        dec: &RowDecode,
-        out_h: &mut [f32],
-    ) {
-        let mut j = 0usize;
-        if col % 2 == 1 && !out_h.is_empty() {
-            out_h[0] += p * dec.middle(code_at(bytes, col));
-            j = 1;
+        width: usize,
+        block: &mut [f32],
+    ) -> Range<usize> {
+        let done = vector_columns(col, width);
+        if done.is_empty() {
+            return done;
         }
-        // SAFETY: as in `dense_dot_avx512`; stores stay within `out_h`
-        // because `j + 16 <= out_h.len()`.
-        unsafe {
-            let lut = _mm512_loadu_ps(dec.middle_lut.as_ptr());
-            let pv = _mm512_set1_ps(p);
-            while j + 16 <= out_h.len() {
-                let d = (bytes.as_ptr().add((col + j) / 2) as *const u64).read_unaligned();
-                let vals = _mm512_permutexvar_ps(nibble_codes(d), lut);
-                let cur = _mm512_loadu_ps(out_h.as_ptr().add(j));
-                _mm512_storeu_ps(
-                    out_h.as_mut_ptr().add(j),
-                    _mm512_add_ps(cur, _mm512_mul_ps(pv, vals)),
-                );
-                j += 16;
+        for g0 in (0..n).step_by(16) {
+            let empty: &[f32] = &[];
+            let mut rows = [None; 16];
+            let mut values = [empty; 16];
+            for (r, row) in block_rows(plan, b0 + g0, 16.min(n - g0)).enumerate() {
+                values[r] = values_from(&row, col);
+                rows[r] = Some(row);
+            }
+            for j in done.clone().step_by(16) {
+                let mut v = [_mm512_setzero_ps(); 16];
+                for ((v, row), values) in v.iter_mut().zip(&rows).zip(&mut values) {
+                    if let Some(row) = row {
+                        // SAFETY: `lut` is sixteen floats.
+                        let lut = unsafe { _mm512_loadu_ps(row.lut.as_ptr()) };
+                        *v = decode16(row, lut, col + j, values);
+                    }
+                }
+                transpose16(&mut v);
+                let lanes = block[j * ROW_BLOCK..].as_chunks_mut::<ROW_BLOCK>().0;
+                for (v, lanes) in v.iter().zip(lanes) {
+                    // SAFETY: `g0 + 16 <= ROW_BLOCK` (`g0` steps by 16
+                    // below `n <= ROW_BLOCK`), so the store stays inside
+                    // the `ROW_BLOCK`-float chunk.
+                    unsafe { _mm512_storeu_ps(lanes[g0..g0 + 16].as_mut_ptr(), *v) };
+                }
             }
         }
-        while j < out_h.len() {
-            out_h[j] += p * dec.middle(code_at(bytes, col + j));
-            j += 1;
+        done
+    }
+
+    /// [`super::axpy`] in explicit 512-bit operations: left to the
+    /// auto-vectorizer, the short per-head loop pays more in trip-count
+    /// and overlap checks than in arithmetic.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and `popcnt`.
+    #[inline]
+    #[target_feature(enable = "avx512f,popcnt")]
+    pub(super) unsafe fn axpy(p: f32, v: &[f32], o: &mut [f32]) {
+        let ((v16, v_tail), (o16, o_tail)) = (v.as_chunks::<16>(), o.as_chunks_mut::<16>());
+        let pv = _mm512_set1_ps(p);
+        for (o, v) in o16.iter_mut().zip(v16) {
+            // SAFETY: both chunks are sixteen floats.
+            unsafe {
+                let sum = _mm512_add_ps(
+                    _mm512_loadu_ps(o.as_ptr()),
+                    _mm512_mul_ps(pv, _mm512_loadu_ps(v.as_ptr())),
+                );
+                _mm512_storeu_ps(o.as_mut_ptr(), sum);
+            }
+        }
+        for (o, &v) in o_tail.iter_mut().zip(v_tail) {
+            *o += p * v;
         }
     }
 
-    fn dense_dot_sse2(q_h: &[f32], bytes: &[u8], col: usize, dec: &RowDecode) -> f32 {
-        let mut acc = 0.0f32;
-        let mut j = 0usize;
-        // Peel an odd starting column so the vector body is byte-aligned.
-        if col % 2 == 1 && !q_h.is_empty() {
-            acc += q_h[0] * dec.middle(code_at(bytes, col));
-            j = 1;
+    /// In-register 16×16 transpose: on return `v[c]` holds lane `c` of
+    /// every input vector, in input order.
+    #[inline]
+    #[target_feature(enable = "avx512f,popcnt")]
+    fn transpose16(v: &mut [__m512; 16]) {
+        let mut t = [_mm512_setzero_ps(); 16];
+        // 32-bit interleave of row pairs.
+        for i in 0..8 {
+            t[2 * i] = _mm512_unpacklo_ps(v[2 * i], v[2 * i + 1]);
+            t[2 * i + 1] = _mm512_unpackhi_ps(v[2 * i], v[2 * i + 1]);
         }
-        // SAFETY: SSE2 is baseline on every x86_64 target; loads are
-        // unaligned (`loadu`) and `j + 4 <= q_h.len()` bounds the query
-        // pointer while `(col + j + 3) / 2 < bytes.len()` (row width
-        // checked by the caller) bounds the nibble reads.
-        unsafe {
-            let step = _mm_set1_ps(dec.mid_step);
-            let base_hi = _mm_set1_ps(dec.base_hi);
-            let base_lo = _mm_set1_ps(dec.base_lo);
-            let c0 = _mm_set1_epi32(dec.c0 as i32);
-            let mut vacc = _mm_setzero_ps();
-            while j + 4 <= q_h.len() {
-                let byte = (col + j) / 2;
-                let b0 = i32::from(bytes[byte]);
-                let b1 = i32::from(bytes[byte + 1]);
-                let codes = _mm_set_epi32(b1 >> 4, b1 & 15, b0 >> 4, b0 & 15);
-                let lo_mask = _mm_castsi128_ps(_mm_cmplt_epi32(codes, c0));
-                let base = _mm_or_ps(
-                    _mm_and_ps(lo_mask, base_lo),
-                    _mm_andnot_ps(lo_mask, base_hi),
-                );
-                let vals = _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(codes), step), base);
-                let qv = _mm_loadu_ps(q_h.as_ptr().add(j));
-                vacc = _mm_add_ps(vacc, _mm_mul_ps(qv, vals));
-                j += 4;
-            }
-            // Horizontal sum of the four lanes.
-            let shuf = _mm_shuffle_ps(vacc, vacc, 0b10_11_00_01);
-            let sums = _mm_add_ps(vacc, shuf);
-            let high = _mm_movehl_ps(sums, sums);
-            acc += _mm_cvtss_f32(_mm_add_ss(sums, high));
+        // 64-bit interleave: each 128-bit lane now holds one column of
+        // four consecutive rows.
+        for i in 0..4 {
+            let (a, b, c, d) = (t[4 * i], t[4 * i + 1], t[4 * i + 2], t[4 * i + 3]);
+            v[4 * i] = _mm512_shuffle_ps::<0b01_00_01_00>(a, c);
+            v[4 * i + 1] = _mm512_shuffle_ps::<0b11_10_11_10>(a, c);
+            v[4 * i + 2] = _mm512_shuffle_ps::<0b01_00_01_00>(b, d);
+            v[4 * i + 3] = _mm512_shuffle_ps::<0b11_10_11_10>(b, d);
         }
-        while j < q_h.len() {
-            acc += q_h[j] * dec.middle(code_at(bytes, col + j));
-            j += 1;
+        // 128-bit lane shuffles gather the four row groups per column.
+        for i in 0..4 {
+            t[i] = _mm512_shuffle_f32x4::<0b10_00_10_00>(v[i], v[i + 4]);
+            t[i + 4] = _mm512_shuffle_f32x4::<0b11_01_11_01>(v[i], v[i + 4]);
+            t[i + 8] = _mm512_shuffle_f32x4::<0b10_00_10_00>(v[i + 8], v[i + 12]);
+            t[i + 12] = _mm512_shuffle_f32x4::<0b11_01_11_01>(v[i + 8], v[i + 12]);
         }
-        acc
-    }
-
-    fn dense_axpy_sse2(p: f32, bytes: &[u8], col: usize, dec: &RowDecode, out_h: &mut [f32]) {
-        let mut j = 0usize;
-        if col % 2 == 1 && !out_h.is_empty() {
-            out_h[0] += p * dec.middle(code_at(bytes, col));
-            j = 1;
-        }
-        // SAFETY: as in `dense_dot`; stores stay within `out_h` because
-        // `j + 4 <= out_h.len()`.
-        unsafe {
-            let step = _mm_set1_ps(dec.mid_step);
-            let base_hi = _mm_set1_ps(dec.base_hi);
-            let base_lo = _mm_set1_ps(dec.base_lo);
-            let c0 = _mm_set1_epi32(dec.c0 as i32);
-            let pv = _mm_set1_ps(p);
-            while j + 4 <= out_h.len() {
-                let byte = (col + j) / 2;
-                let b0 = i32::from(bytes[byte]);
-                let b1 = i32::from(bytes[byte + 1]);
-                let codes = _mm_set_epi32(b1 >> 4, b1 & 15, b0 >> 4, b0 & 15);
-                let lo_mask = _mm_castsi128_ps(_mm_cmplt_epi32(codes, c0));
-                let base = _mm_or_ps(
-                    _mm_and_ps(lo_mask, base_lo),
-                    _mm_andnot_ps(lo_mask, base_hi),
-                );
-                let vals = _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(codes), step), base);
-                let cur = _mm_loadu_ps(out_h.as_ptr().add(j));
-                _mm_storeu_ps(
-                    out_h.as_mut_ptr().add(j),
-                    _mm_add_ps(cur, _mm_mul_ps(pv, vals)),
-                );
-                j += 4;
-            }
-        }
-        while j < out_h.len() {
-            out_h[j] += p * dec.middle(code_at(bytes, col + j));
-            j += 1;
+        for i in 0..4 {
+            v[i] = _mm512_shuffle_f32x4::<0b10_00_10_00>(t[i], t[i + 8]);
+            v[i + 8] = _mm512_shuffle_f32x4::<0b11_01_11_01>(t[i], t[i + 8]);
+            v[i + 4] = _mm512_shuffle_f32x4::<0b10_00_10_00>(t[i + 4], t[i + 12]);
+            v[i + 12] = _mm512_shuffle_f32x4::<0b11_01_11_01>(t[i + 4], t[i + 12]);
         }
     }
 }
@@ -1092,7 +1038,8 @@ mod tests {
         let whole = attend_one(&q, &keys, &values, seq_len, &s);
         let gw = s.group_size() * s.head_dim;
         for kvh in 0..s.num_kv_heads {
-            let part = attend_kv_group(&q, &keys, &values, seq_len, &s, kvh);
+            let (mut part, mut scores) = (vec![0.0f32; gw], Vec::new());
+            attend_kv_group_into(&q, &keys, &values, seq_len, &s, kvh, &mut part, &mut scores);
             let wb: Vec<u32> = whole[kvh * gw..(kvh + 1) * gw]
                 .iter()
                 .map(|v| v.to_bits())
@@ -1164,24 +1111,27 @@ mod tests {
         OakenQuantizer::new(config, p.try_finish().unwrap())
     }
 
-    /// Quantizes `seq_len` rows, returning the encoded rows and the exact
-    /// dequantized view for one kind.
+    /// Quantizes `seq_len` rows of one kind: the read plan the fused kernel
+    /// walks, the encoded rows behind it, and the exact dequantized view.
     fn encode_rows(
         q: &OakenQuantizer,
         kind: KvKind,
         seq_len: usize,
         kv_dim: usize,
         seed: u64,
-    ) -> (Vec<FusedVector>, Vec<f32>) {
+    ) -> (EncodedReadPlan, Vec<oaken_core::FusedVector>, Vec<f32>) {
+        let params = q.fused_read_params(0, kind).unwrap();
+        let mut plan = EncodedReadPlan::new();
         let mut rows = Vec::new();
         let mut view = Vec::new();
         for t in 0..seq_len {
             let x = kv_row(kv_dim, seed + t as u64 * 131);
             let fv = q.quantize_vector(&x, 0, kind).unwrap();
             view.extend_from_slice(&q.dequantize_vector(&fv, 0, kind).unwrap());
+            plan.push_row(&fv, &params);
             rows.push(fv);
         }
-        (rows, view)
+        (plan, rows, view)
     }
 
     fn max_rel_err(a: &[f32], b: &[f32]) -> f32 {
@@ -1192,35 +1142,36 @@ mod tests {
             .fold(0.0f32, f32::max)
     }
 
+    fn attend_one_fused(
+        q: &[f32],
+        keys: &EncodedReadPlan,
+        values: &EncodedReadPlan,
+        seq_len: usize,
+        s: &AttentionShape,
+    ) -> Vec<f32> {
+        let (keys, values) = (EncodedKv { plan: keys }, EncodedKv { plan: values });
+        let (mut out, mut scratch) = (Vec::new(), AttentionScratch::default());
+        attend_one_fused_into(q, &keys, &values, seq_len, s, &mut scratch, &mut out);
+        out
+    }
+
     #[test]
     fn fused_attention_close_to_exact_over_decoded_views() {
         // GQA + window + odd head_dim to exercise the unaligned column
-        // paths of the dense nibble walk.
-        for (heads, kv, hd, window) in [(4, 2, 16, None), (6, 3, 5, Some(9)), (2, 2, 32, Some(4))] {
+        // paths of the decode, and a context spanning several row blocks.
+        for (heads, kv, hd, window, seq_len) in [
+            (4, 2, 16, None, 13),
+            (6, 3, 5, Some(9), 13),
+            (2, 2, 32, Some(4), 13),
+            (4, 2, 32, None, 150),
+        ] {
             let s = shape(heads, kv, hd, window);
             let quant = oaken(s.kv_dim());
-            let kp = quant.fused_read_params(0, KvKind::Key).unwrap();
-            let vp = quant.fused_read_params(0, KvKind::Value).unwrap();
-            let seq_len = 13;
-            let (krows, kview) = encode_rows(&quant, KvKind::Key, seq_len, s.kv_dim(), 1);
-            let (vrows, vview) = encode_rows(&quant, KvKind::Value, seq_len, s.kv_dim(), 2);
+            let (kplan, _, kview) = encode_rows(&quant, KvKind::Key, seq_len, s.kv_dim(), 1);
+            let (vplan, _, vview) = encode_rows(&quant, KvKind::Value, seq_len, s.kv_dim(), 2);
             let q: Vec<f32> = kv_row(s.q_dim(), 977);
             let exact = attend_one(&q, &kview, &vview, seq_len, &s);
-            let fused = attend_one_fused(
-                &q,
-                &EncodedKv {
-                    rows: &krows,
-                    params: kp,
-                    plan: None,
-                },
-                &EncodedKv {
-                    rows: &vrows,
-                    params: vp,
-                    plan: None,
-                },
-                seq_len,
-                &s,
-            );
+            let fused = attend_one_fused(&q, &kplan, &vplan, seq_len, &s);
             let err = max_rel_err(&exact, &fused);
             assert!(
                 err <= 5e-4,
@@ -1229,98 +1180,78 @@ mod tests {
         }
     }
 
-    /// The fused per-KV-head shard must tile `attend_one_fused` bitwise,
-    /// mirroring the exact-path invariant the parallel forward relies on.
-    #[test]
-    fn fused_group_shards_tile_fused_attend_one_bitwise() {
-        let s = shape(4, 2, 6, Some(5));
-        let quant = oaken(s.kv_dim());
-        let kp = quant.fused_read_params(0, KvKind::Key).unwrap();
-        let vp = quant.fused_read_params(0, KvKind::Value).unwrap();
-        let seq_len = 7;
-        let (krows, _) = encode_rows(&quant, KvKind::Key, seq_len, s.kv_dim(), 5);
-        let (vrows, _) = encode_rows(&quant, KvKind::Value, seq_len, s.kv_dim(), 6);
-        let keys = EncodedKv {
-            rows: &krows,
-            params: kp,
-            plan: None,
-        };
-        let values = EncodedKv {
-            rows: &vrows,
-            params: vp,
-            plan: None,
-        };
-        let q: Vec<f32> = kv_row(s.q_dim(), 311);
-        let whole = attend_one_fused(&q, &keys, &values, seq_len, &s);
-        let gw = s.group_size() * s.head_dim;
-        for kvh in 0..s.num_kv_heads {
-            let part = attend_kv_group_fused(&q, &keys, &values, seq_len, &s, kvh);
-            let wb: Vec<u32> = whole[kvh * gw..(kvh + 1) * gw]
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            let pb: Vec<u32> = part.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(wb, pb, "fused kv head {kvh} diverged");
-        }
-    }
-
     #[test]
     fn fused_sliding_window_ignores_old_tokens() {
         let s = shape(1, 1, 8, Some(2));
         let quant = oaken(s.kv_dim());
-        let kp = quant.fused_read_params(0, KvKind::Key).unwrap();
-        let vp = quant.fused_read_params(0, KvKind::Value).unwrap();
         let seq_len = 6;
-        let (krows, kview) = encode_rows(&quant, KvKind::Key, seq_len, s.kv_dim(), 21);
-        let (vrows, vview) = encode_rows(&quant, KvKind::Value, seq_len, s.kv_dim(), 22);
+        let (kplan, _, kview) = encode_rows(&quant, KvKind::Key, seq_len, s.kv_dim(), 21);
+        let (vplan, _, vview) = encode_rows(&quant, KvKind::Value, seq_len, s.kv_dim(), 22);
         let q: Vec<f32> = kv_row(s.q_dim(), 555);
         let exact = attend_one(&q, &kview, &vview, seq_len, &s);
-        let fused = attend_one_fused(
-            &q,
-            &EncodedKv {
-                rows: &krows,
-                params: kp,
-                plan: None,
-            },
-            &EncodedKv {
-                rows: &vrows,
-                params: vp,
-                plan: None,
-            },
-            seq_len,
-            &s,
-        );
+        let fused = attend_one_fused(&q, &kplan, &vplan, seq_len, &s);
         assert!(max_rel_err(&exact, &fused) <= 5e-4);
     }
 
-    /// With the `simd` feature on, the SSE2 dense lanes must stay within a
-    /// few ULP of the scalar reference, including odd starting columns.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    /// Both block decodes — on every lane this build and CPU offer — must
+    /// reproduce `decode_row_fused_into` element for element, at odd
+    /// widths, odd column offsets, and partial row blocks.
     #[test]
-    fn simd_dense_lanes_match_scalar_reference() {
-        let kv_dim = 33; // odd width → odd columns for kv_head 1 when hd=11
-        let quant = oaken(kv_dim);
-        let kp = quant.fused_read_params(0, KvKind::Key).unwrap();
-        for seed in 0..8u64 {
-            let x = kv_row(kv_dim, seed * 17 + 3);
-            let fv = quant.quantize_vector(&x, 0, KvKind::Key).unwrap();
-            let dec = RowDecode::for_row(&fv, &kp);
-            for (col, width) in [(0usize, 16usize), (11, 11), (3, 7), (32, 1), (5, 0)] {
-                let qv = kv_row(width, seed + 900 + col as u64);
-                let simd_dot = simd::dense_dot(&qv, fv.dense_bytes(), col, &dec);
-                let scalar_dot = dense_dot_scalar(&qv, fv.dense_bytes(), col, &dec);
-                assert!(
-                    (simd_dot - scalar_dot).abs() <= scalar_dot.abs().max(1.0) * 1e-5,
-                    "dot diverged at col {col}: simd {simd_dot} scalar {scalar_dot}"
-                );
-                let mut a = vec![0.5f32; width];
-                let mut b = a.clone();
-                simd::dense_axpy(0.37, fv.dense_bytes(), col, &dec, &mut a);
-                dense_axpy_scalar(0.37, fv.dense_bytes(), col, &dec, &mut b);
-                for (x, y) in a.iter().zip(&b) {
-                    assert!((x - y).abs() <= 1e-6, "axpy diverged: {x} vs {y}");
+    fn block_decodes_match_reference_decode_bitwise() {
+        fn check<const AVX512: bool>(plan: &EncodedReadPlan, want: &[Vec<f32>], kv_dim: usize) {
+            let rows = want.len();
+            for (col, hd) in [
+                (0usize, kv_dim),
+                (0, 32),
+                (32, 35),
+                (3, 33),
+                (17, 16),
+                (66, 1),
+            ] {
+                for b0 in (0..rows).step_by(ROW_BLOCK) {
+                    let n = ROW_BLOCK.min(rows - b0);
+                    let mut kt = vec![7.0f32; hd * ROW_BLOCK];
+                    let mut v = vec![7.0f32; hd * ROW_BLOCK];
+                    decode_keys::<AVX512>(plan, b0, n, col, hd, &mut kt);
+                    decode_values::<AVX512>(plan, b0, n, col, hd, &mut v);
+                    for r in 0..ROW_BLOCK {
+                        for j in 0..hd {
+                            let reference = if r < n { want[b0 + r][col + j] } else { 0.0 };
+                            assert_eq!(
+                                kt[j * ROW_BLOCK + r].to_bits(),
+                                reference.to_bits(),
+                                "key block row {} col {} (avx512 {AVX512})",
+                                b0 + r,
+                                col + j
+                            );
+                            if r < n {
+                                assert_eq!(v[r * hd + j].to_bits(), reference.to_bits());
+                            }
+                        }
+                    }
                 }
             }
+        }
+        let kv_dim = 67;
+        let quant = oaken(kv_dim);
+        let params = quant.fused_read_params(0, KvKind::Key).unwrap();
+        let (plan, rows, _) = encode_rows(&quant, KvKind::Key, ROW_BLOCK + 21, kv_dim, 9);
+        let want: Vec<Vec<f32>> = rows
+            .iter()
+            .map(|fv| {
+                let mut out = Vec::new();
+                oaken_core::kernel::decode_row_fused_into(fv, &params, &mut out);
+                out
+            })
+            .collect();
+        assert!(
+            (0..plan.rows()).any(|t| !plan.outliers(t).1.is_empty()),
+            "the rows must carry outliers"
+        );
+        check::<false>(&plan, &want, kv_dim);
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if simd::available() {
+            check::<true>(&plan, &want, kv_dim);
         }
     }
 }

@@ -44,7 +44,7 @@
 //! Streams are bit-exact with the batch path on every prefix — enforced by
 //! the property tests in `tests/props.rs`.
 
-use crate::attention::EncodedKv;
+use crate::attention::{EncodedKv, KvRead};
 use oaken_core::{KvKind, KvQuantizer, KvRowStream};
 use std::sync::Arc;
 
@@ -55,11 +55,11 @@ use std::sync::Arc;
 ///   views: the bit-exactness reference, unchanged from before fused
 ///   kernels existed.
 /// * [`Fused`](KernelMode::Fused) — appends keep rows **only in their
-///   encoded form** and attention runs the quantized-domain kernels
-///   ([`crate::attend_one_fused`]) straight over the stored
-///   [`oaken_core::FusedVector`]s: resident KV bytes equal the encoded
-///   footprint, and reads skip the dequantize-then-dot roundtrip. The
-///   numeric contract is SQNR-bounded against `Exact` (see
+///   encoded form** and attention runs the quantized-domain kernel
+///   ([`crate::attention::attend_run_fused_into`]) straight over the
+///   streams' read plans: resident KV bytes equal the encoded footprint,
+///   and one sweep over a sequence's rows serves a whole prefill chunk.
+///   The numeric contract is SQNR-bounded against `Exact` (see
 ///   `oaken_core::kernel`), not bit-exact.
 ///
 /// Methods without an encoded form (every non-Oaken baseline) silently
@@ -128,6 +128,10 @@ pub trait KvCacheBackend: Send {
     /// Row-major view of the cached values.
     fn values(&mut self, layer: usize) -> &[f32];
 
+    /// Both views at once, `(keys, values)` — what exact attention reads
+    /// in place.
+    fn kv_views(&mut self, layer: usize) -> (&[f32], &[f32]);
+
     /// Mean stored bits per cached element, for capacity accounting.
     fn stored_bits_per_elem(&self) -> f64;
 
@@ -193,18 +197,22 @@ pub trait BatchKvCache {
     /// Number of cached tokens for `(slot, layer)`.
     fn seq_len(&self, slot: usize, layer: usize) -> usize;
 
-    /// Row-major dequantized view of the cached keys for `(slot, layer)`.
-    fn keys(&mut self, slot: usize, layer: usize) -> &[f32];
-
-    /// Row-major dequantized view of the cached values for `(slot, layer)`.
-    fn values(&mut self, slot: usize, layer: usize) -> &[f32];
+    /// What attention reads for `layer` of each `(slot, queries)` run, in
+    /// order: the encoded tensors of a slot on the fused read path, its
+    /// dequantized views otherwise — all borrowed together, so one pass
+    /// over the iteration's runs attends in place with no copy. `queries`
+    /// is how many consecutive query tokens the caller serves from the
+    /// borrow (the run whose rows it just appended); backends use it for
+    /// read accounting only.
+    fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<KvRead<'_>>;
 
     /// Whether an append only *extends* the dequantized views — rows
     /// already materialized are never rewritten by later appends.
     ///
     /// This is the gate for the parallel forward pass: when it holds, the
     /// forward pass may append a whole iteration's rows first and attend
-    /// afterwards against length-limited snapshots, with bit-identical
+    /// afterwards with each step limited to its own causal length, with
+    /// bit-identical
     /// results to the serial append-then-attend interleaving. It holds
     /// for exact f32 storage and for every streaming quantizer (the
     /// [`KvRowStream`] contract); it does **not** hold for the
@@ -230,21 +238,6 @@ pub trait BatchKvCache {
             self.append(it.slot, layer, it.k, it.v);
         }
     }
-
-    /// The `(slot, layer)` K and V tensors in their encoded form, when the
-    /// backend runs the fused read path for that slot. See
-    /// [`KvCacheBackend::encoded_kv`].
-    fn encoded_kv(&self, slot: usize, layer: usize) -> Option<(EncodedKv<'_>, EncodedKv<'_>)> {
-        let _ = (slot, layer);
-        None
-    }
-
-    /// Cheap probe: `true` iff [`encoded_kv`](BatchKvCache::encoded_kv)
-    /// would serve `(slot, layer)`. Split from the read itself so the
-    /// branch probe never touches a backend's read accounting.
-    fn has_encoded_kv(&self, slot: usize, layer: usize) -> bool {
-        self.encoded_kv(slot, layer).is_some()
-    }
 }
 
 /// Adapter exposing one single-sequence [`KvCacheBackend`] as a one-slot
@@ -263,24 +256,24 @@ impl BatchKvCache for SingleSlot<'_> {
         self.0.seq_len(layer)
     }
 
-    fn keys(&mut self, slot: usize, layer: usize) -> &[f32] {
-        assert_eq!(slot, 0, "single-sequence cache has one slot");
-        self.0.keys(layer)
-    }
-
-    fn values(&mut self, slot: usize, layer: usize) -> &[f32] {
-        assert_eq!(slot, 0, "single-sequence cache has one slot");
-        self.0.values(layer)
-    }
-
-    fn encoded_kv(&self, slot: usize, layer: usize) -> Option<(EncodedKv<'_>, EncodedKv<'_>)> {
-        assert_eq!(slot, 0, "single-sequence cache has one slot");
-        self.0.encoded_kv(layer)
-    }
-
-    fn has_encoded_kv(&self, slot: usize, layer: usize) -> bool {
-        assert_eq!(slot, 0, "single-sequence cache has one slot");
-        self.0.has_encoded_kv(layer)
+    fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<KvRead<'_>> {
+        assert!(
+            runs.len() <= 1 && runs.iter().all(|&(slot, _)| slot == 0),
+            "single-sequence cache has one slot"
+        );
+        if runs.is_empty() {
+            return Vec::new();
+        }
+        // Probe-then-reborrow: the scrutinee of a single
+        // `match self.0.encoded_kv(..)` would hold its borrow across the
+        // arm that needs the backend mutably.
+        if self.0.has_encoded_kv(layer) {
+            let (keys, values) = self.0.encoded_kv(layer).expect("probed fused above");
+            vec![KvRead::Fused { keys, values }]
+        } else {
+            let (keys, values) = self.0.kv_views(layer);
+            vec![KvRead::Exact { keys, values }]
+        }
     }
 }
 
@@ -332,6 +325,11 @@ impl KvCacheBackend for ExactCache {
 
     fn values(&mut self, layer: usize) -> &[f32] {
         &self.layers[layer].v
+    }
+
+    fn kv_views(&mut self, layer: usize) -> (&[f32], &[f32]) {
+        let store = &self.layers[layer];
+        (&store.k, &store.v)
     }
 
     fn stored_bits_per_elem(&self) -> f64 {
@@ -436,22 +434,13 @@ impl KindSlot {
     }
 
     /// The slot's encoded tensor, when it runs the fused read path and
-    /// the stream's encoded state covers every appended row.
+    /// the stream's read plan covers every appended row.
     pub(crate) fn encoded(&self) -> Option<EncodedKv<'_>> {
         if !self.fused {
             return None;
         }
-        let stream = self.stream.as_ref()?;
-        let rows = stream.encoded_rows()?;
-        if rows.len() != self.rows {
-            return None;
-        }
-        let params = stream.fused_read_params()?;
-        Some(EncodedKv {
-            rows,
-            params,
-            plan: stream.read_plan(),
-        })
+        let plan = self.stream.as_ref()?.read_plan()?;
+        (plan.rows() == self.rows).then_some(EncodedKv { plan })
     }
 }
 
@@ -617,6 +606,16 @@ impl KvCacheBackend for QuantizedCache {
         let slot = &mut self.layers[layer][1];
         slot.ensure_view(d);
         &slot.view
+    }
+
+    fn kv_views(&mut self, layer: usize) -> (&[f32], &[f32]) {
+        self.refresh(layer, KvKind::Key);
+        self.refresh(layer, KvKind::Value);
+        let d = self.kv_dim;
+        let [key_slot, value_slot] = &mut self.layers[layer];
+        key_slot.ensure_view(d);
+        value_slot.ensure_view(d);
+        (&key_slot.view, &value_slot.view)
     }
 
     /// Mean stored bits per element across **all layers and both tensor
@@ -903,8 +902,8 @@ mod tests {
         assert!(fused.layers[0][0].view.is_empty());
         assert!(fused.layers[0][1].view.is_empty());
         let (ek, ev) = fused.encoded_kv(0).expect("fused cache exposes encoding");
-        assert_eq!(ek.rows.len(), 12);
-        assert_eq!(ev.rows.len(), 12);
+        assert_eq!(ek.plan.rows(), 12);
+        assert_eq!(ev.plan.rows(), 12);
         assert!(KvCacheBackend::encoded_kv(&exact, 0).is_none());
         // Lazy decode reproduces the exact views bit-for-bit.
         let a: Vec<u32> = exact.keys(0).iter().map(|x| x.to_bits()).collect();

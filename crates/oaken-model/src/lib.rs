@@ -65,9 +65,9 @@ pub mod synth;
 pub mod trie;
 
 pub use attention::{
-    attend_kv_group, attend_kv_group_fused, attend_kv_group_fused_into, attend_kv_group_into,
-    attend_one, attend_one_fused, attend_one_fused_into, attend_one_into, AttentionScratch,
-    AttentionShape, EncodedKv,
+    attend_kv_group_fused_into, attend_kv_group_into, attend_one, attend_one_fused_into,
+    attend_one_into, attend_run_fused_into, AttentionScratch, AttentionShape, EncodedKv, KvRead,
+    QUERY_TILE,
 };
 pub use cache::{
     BatchAppend, BatchKvCache, CacheMode, ExactCache, KernelMode, KvCacheBackend, QuantizedCache,

@@ -2,21 +2,19 @@
 //! inference sessions with pluggable KV cache backends and KV observation
 //! hooks for offline profiling.
 
-use crate::attention::{
-    attend_kv_group, attend_kv_group_fused, attend_one_fused_into, attend_one_into,
-    AttentionScratch, AttentionShape, EncodedKv,
-};
+use crate::attention::{attend_run_into, with_thread_scratch, AttentionShape, KvRead, QUERY_TILE};
 use crate::cache::{BatchAppend, BatchKvCache, KernelMode, KvCacheBackend, SingleSlot};
 use crate::config::{ModelConfig, Positional};
 use crate::ffn::{DenseFfn, FfnWeights};
 use crate::synth::{self, SynthParams};
-use oaken_core::kernel::{EncodedReadPlan, FusedReadParams};
-use oaken_core::{FusedVector, KvKind};
-use oaken_runtime::Runtime;
+use oaken_core::KvKind;
+use oaken_runtime::{chunk_range, Runtime};
 use oaken_tensor::norm::{layernorm, rmsnorm, NormKind};
 use oaken_tensor::rope::{apply_rope, DEFAULT_THETA};
 use oaken_tensor::Tensor;
+#[cfg(debug_assertions)]
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Weights of one decoder layer.
 #[derive(Debug, Clone)]
@@ -230,13 +228,14 @@ impl Model {
     /// scheduling, where one core's weight fetch serves many requests).
     ///
     /// A slot may appear in **multiple steps** with consecutive positions
-    /// — a *prompt chunk* (Sarathi-style chunked prefill). Within a layer,
-    /// steps execute in order, each appending its K/V rows before
-    /// attending, so step `j` of a chunk sees the rows of steps `i < j`:
-    /// causal attention over the chunk is exactly the arithmetic of
-    /// feeding the same tokens one iteration at a time, and the logits of
-    /// every step are bit-identical to the token-by-token schedule
-    /// (enforced by `chunked_prefill_matches_single_steps_bitwise`).
+    /// — a *prompt chunk* (Sarathi-style chunked prefill). Within a layer
+    /// the chunk's K/V rows are appended first and step `j` then attends
+    /// the rows of steps `i <= j` only: causal attention over the chunk is
+    /// exactly the arithmetic of feeding the same tokens one iteration at
+    /// a time, and the logits of every step are bit-identical to the
+    /// token-by-token schedule in both kernel modes (enforced by
+    /// `chunked_prefill_matches_single_steps_bitwise` and the tile
+    /// properties in `tests/tile_props.rs`).
     ///
     /// Per-sequence arithmetic is *identical* to the single-sequence path:
     /// sequences never mix activations, so a batch of one is bit-exact
@@ -274,22 +273,20 @@ impl Model {
     /// * **weight sweeps** — every projection (Q/K/V/O, FFN, LM head)
     ///   runs through the row-sharded [`Tensor::matvec_batch_on`], whose
     ///   accumulation chains are row-local;
-    /// * **quantize + append** — when the cache's views are append-only
-    ///   ([`BatchKvCache::append_only_views`]), the iteration's K/V rows
-    ///   are appended through [`BatchKvCache::append_batch`], which the
-    ///   paged pool shards per sequence (each slot's row streams are
-    ///   independent) while keeping page allocation single-writer;
-    /// * **attention** — one task per `(step, KV head)` over per-slot
-    ///   snapshots, each sliced to the step's own causal length; group
-    ///   outputs merge in `(step, head)` order ([`attend_kv_group`], or
-    ///   [`attend_kv_group_fused`] over *encoded* snapshots when the
-    ///   cache serves [`KernelMode::Fused`] tensors — no dequantized f32
-    ///   image is materialized anywhere on that path).
+    /// * **quantize + append** — the iteration's K/V rows are appended
+    ///   through [`BatchKvCache::append_batch`], which the paged pool
+    ///   shards per sequence (each slot's row streams are independent)
+    ///   while keeping page allocation single-writer;
+    /// * **attention** — one task per `(slot run, query tile, KV head)`
+    ///   (`attend_runs`), reading the cache in place: the f32 views in
+    ///   [`KernelMode::Exact`], or one sweep over the *encoded* rows per
+    ///   tile in [`KernelMode::Fused`] — no dequantized f32 image is
+    ///   materialized, and nothing is copied, on either path.
     ///
     /// When the cache's views are *not* append-only (the KIVI/KVQuant
     /// recompute fallback re-derives scales over the whole prefix on
-    /// read) or an observer is attached, attention and appends keep the
-    /// serial per-step interleaving — only the weight sweeps shard.
+    /// read) or an observer is attached, each step appends and attends
+    /// before the next one appends — the same code, one step at a time.
     ///
     /// # Panics
     ///
@@ -331,8 +328,8 @@ impl Model {
         }
         // Append-then-attend batching is only bit-exact when appends never
         // rewrite materialized view rows; the observer callback is `FnMut`
-        // and must fire in step order, so it also forces the serial path.
-        let parallel_attention = !rt.is_serial() && observer.is_none() && cache.append_only_views();
+        // and must see each step's rows before they are cached.
+        let interleave = observer.is_some() || !cache.append_only_views();
         let d = cfg.d_model;
         let hd = cfg.head_dim();
         let shape = AttentionShape {
@@ -341,6 +338,7 @@ impl Model {
             head_dim: hd,
             window: cfg.sliding_window,
         };
+        let slots: Vec<usize> = steps.iter().map(|s| s.slot).collect();
 
         let mut xs: Vec<Vec<f32>> = steps
             .iter()
@@ -359,11 +357,6 @@ impl Model {
             vs.iter().map(|v| v.as_slice()).collect()
         }
 
-        // One scratch for every (step, layer) of the serial attention path:
-        // scores and fused decode tables reach steady-state capacity after
-        // the first step and never allocate again.
-        let mut scratch = AttentionScratch::default();
-
         for (l, lw) in self.layers.iter().enumerate() {
             // Attention block: one weight sweep per projection serves the
             // whole batch (matvec_batch, row-sharded on `rt`), everything
@@ -376,43 +369,45 @@ impl Model {
             let mut qs = lw.wq.matvec_batch_on(rt, &href).expect("Wq shape");
             let mut ks = lw.wk.matvec_batch_on(rt, &href).expect("Wk shape");
             let vs = lw.wv.matvec_batch_on(rt, &href).expect("Wv shape");
-            let atts: Vec<Vec<f32>> = if parallel_attention {
-                self.attend_layer_parallel(rt, cache, steps, l, &mut qs, &mut ks, &vs, &shape)
-            } else {
-                let mut atts = Vec::with_capacity(steps.len());
+            if cfg.positional == Positional::Rope {
+                for ((q, k), step) in qs.iter_mut().zip(&mut ks).zip(steps) {
+                    for head in q.chunks_mut(hd).chain(k.chunks_mut(hd)) {
+                        apply_rope(head, step.pos, DEFAULT_THETA);
+                    }
+                }
+            }
+            let atts = if interleave {
+                let mut atts = Vec::with_capacity(steps.len() * shape.q_dim());
                 for (i, step) in steps.iter().enumerate() {
-                    let (q, k, v) = (&mut qs[i], &mut ks[i], &vs[i]);
-                    if cfg.positional == Positional::Rope {
-                        for head in q.chunks_mut(hd) {
-                            apply_rope(head, step.pos, DEFAULT_THETA);
-                        }
-                        for head in k.chunks_mut(hd) {
-                            apply_rope(head, step.pos, DEFAULT_THETA);
-                        }
-                    }
                     if let Some(obs) = observer.as_deref_mut() {
-                        obs(i, l, KvKind::Key, k);
-                        obs(i, l, KvKind::Value, v);
+                        obs(i, l, KvKind::Key, &ks[i]);
+                        obs(i, l, KvKind::Value, &vs[i]);
                     }
-                    cache.append(step.slot, l, k, v);
-                    let seq_len = cache.seq_len(step.slot, l);
-                    let mut att = Vec::new();
-                    // Probe-then-reborrow: the scrutinee of a single
-                    // `match cache.encoded_kv(..)` would hold its borrow
-                    // across the arm that needs `cache` mutably.
-                    if cache.has_encoded_kv(step.slot, l) {
-                        let (ke, ve) = cache.encoded_kv(step.slot, l).expect("probed fused above");
-                        attend_one_fused_into(q, &ke, &ve, seq_len, &shape, &mut scratch, &mut att);
-                    } else {
-                        let keys = cache.keys(step.slot, l).to_vec();
-                        let values = cache.values(step.slot, l);
-                        attend_one_into(q, &keys, values, seq_len, &shape, &mut scratch, &mut att);
-                    }
-                    atts.push(att);
+                    cache.append(step.slot, l, &ks[i], &vs[i]);
+                    atts.extend(attend_appended(
+                        rt,
+                        cache,
+                        &slots[i..=i],
+                        l,
+                        &qs[i..=i],
+                        shape,
+                    ));
                 }
                 atts
+            } else {
+                let items: Vec<BatchAppend<'_>> = steps
+                    .iter()
+                    .zip(ks.iter().zip(&vs))
+                    .map(|(step, (k, v))| BatchAppend {
+                        slot: step.slot,
+                        k,
+                        v,
+                    })
+                    .collect();
+                cache.append_batch(rt, l, &items);
+                attend_appended(rt, cache, &slots, l, &qs, shape)
             };
-            let attref = as_refs(&atts);
+            let attref: Vec<&[f32]> = atts.chunks(shape.q_dim()).collect();
             let projs = lw.wo.matvec_batch_on(rt, &attref).expect("Wo shape");
             for (x, proj) in xs.iter_mut().zip(projs) {
                 for (xi, pi) in x.iter_mut().zip(proj) {
@@ -447,174 +442,150 @@ impl Model {
             .matvec_batch_on(rt, &href)
             .expect("LM head shape")
     }
+}
 
-    /// One layer's attention block on the parallel path: rope + batched
-    /// append (quantization sharded per sequence by the cache), then one
-    /// attention task per `(step, KV head)` against per-slot snapshots.
-    ///
-    /// Bit-exactness with the serial per-step interleaving rests on the
-    /// cache's append-only-views guarantee: a step's snapshot sliced to
-    /// its own causal length (`seq_len` recorded at its append) contains
-    /// exactly the rows the serial path read after that step's append —
-    /// later appends only extend the buffers.
-    #[allow(clippy::too_many_arguments)]
-    fn attend_layer_parallel(
-        &self,
-        rt: &Runtime,
-        cache: &mut dyn BatchKvCache,
-        steps: &[BatchStep],
-        l: usize,
-        qs: &mut [Vec<f32>],
-        ks: &mut [Vec<f32>],
-        vs: &[Vec<f32>],
-        shape: &AttentionShape,
-    ) -> Vec<Vec<f32>> {
-        let cfg = &self.config;
-        let hd = cfg.head_dim();
-        let kv_dim = cfg.kv_dim();
-        // Phase A (serial, step order): position rotation, then the whole
-        // iteration's K/V rows in one batched append. Each step's causal
-        // length is its base length plus its occurrence index within the
-        // batch — the value the serial path reads right after its append.
-        let mut seq_lens = vec![0usize; steps.len()];
-        let mut grown: HashMap<usize, usize> = HashMap::new();
-        for (i, step) in steps.iter().enumerate() {
-            if cfg.positional == Positional::Rope {
-                for head in qs[i].chunks_mut(hd) {
-                    apply_rope(head, step.pos, DEFAULT_THETA);
-                }
-                for head in ks[i].chunks_mut(hd) {
-                    apply_rope(head, step.pos, DEFAULT_THETA);
-                }
+/// The steps of one forward pass grouped into per-slot **runs**: a slot's
+/// steps (consecutive positions — a prompt chunk, or a lone decode step)
+/// are served together, their K/V rows being the newest the slot holds.
+pub(crate) struct StepRuns {
+    /// Step indices, stably grouped by slot.
+    order: Vec<usize>,
+    /// Per run: the slot and its span of `order` / `limits`.
+    runs: Vec<(usize, Range<usize>)>,
+    /// Rows visible to step `order[k]`: everything its slot held once the
+    /// step's own row was appended.
+    limits: Vec<usize>,
+}
+
+impl StepRuns {
+    /// Groups `slots` (one entry per step, in step order), **after** the
+    /// iteration's rows were appended: `len_of(slot)` is the slot's length
+    /// now, so the `k`-th of a run's `n` steps sees all but the last
+    /// `n - 1 - k` rows. (A slot poisoned by a failed append holds fewer
+    /// rows than steps; its limits saturate at zero and its outputs are
+    /// discarded by the caller.)
+    pub(crate) fn new(slots: &[usize], len_of: impl Fn(usize) -> usize) -> Self {
+        let mut order: Vec<usize> = (0..slots.len()).collect();
+        order.sort_by_key(|&i| slots[i]);
+        let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
+        for (k, &i) in order.iter().enumerate() {
+            match runs.last_mut() {
+                Some((slot, span)) if *slot == slots[i] => span.end = k + 1,
+                _ => runs.push((slots[i], k..k + 1)),
             }
-            let len = grown
-                .entry(step.slot)
-                .or_insert_with(|| cache.seq_len(step.slot, l));
-            *len += 1;
-            seq_lens[i] = *len;
         }
-        let items: Vec<BatchAppend<'_>> = steps
-            .iter()
-            .enumerate()
-            .map(|(i, step)| BatchAppend {
-                slot: step.slot,
-                k: &ks[i],
-                v: &vs[i],
-            })
-            .collect();
-        cache.append_batch(rt, l, &items);
-
-        // Phase B (serial): one key/value snapshot per distinct slot; all
-        // of a slot's steps slice the same buffers by their own lengths.
-        // Fused slots snapshot their *encoded* rows — no f32 image of the
-        // cache is materialized anywhere on this path.
-        let mut slots: Vec<usize> = steps.iter().map(|s| s.slot).collect();
-        slots.sort_unstable();
-        slots.dedup();
-        let snaps: HashMap<usize, KvSnapshot> = slots
-            .into_iter()
-            .map(|slot| {
-                // Probe-then-reborrow, as on the serial path.
-                let snap = if cache.has_encoded_kv(slot, l) {
-                    let (ke, ve) = cache.encoded_kv(slot, l).expect("probed fused above");
-                    KvSnapshot::Fused {
-                        keys: ke.rows.to_vec(),
-                        values: ve.rows.to_vec(),
-                        key_params: ke.params,
-                        value_params: ve.params,
-                        key_plan: ke.plan.map(|p| Box::new(p.clone())),
-                        value_plan: ve.plan.map(|p| Box::new(p.clone())),
-                    }
-                } else {
-                    let keys = cache.keys(slot, l).to_vec();
-                    let values = cache.values(slot, l).to_vec();
-                    KvSnapshot::Exact { keys, values }
-                };
-                (slot, snap)
-            })
-            .collect();
-
-        // Phase C (parallel): tasks over (step × KV head), merged in
-        // (step, head) order.
-        let nk = cfg.num_kv_heads.max(1);
-        let group_width = shape.group_size().max(1) * hd;
-        let groups = rt.map(steps.len() * nk, |t| {
-            let (i, kvh) = (t / nk, t % nk);
-            // Clamp to what the cache actually holds: a poisoned slot
-            // (failed append, see `PoolBatchView`) has fewer rows than
-            // the Phase-A prediction; on the fault-free path the two are
-            // always equal, so the clamp is bit-exact there.
-            match &snaps[&steps[i].slot] {
-                KvSnapshot::Exact { keys, values } => {
-                    let visible = (seq_lens[i] * kv_dim).min(keys.len());
-                    attend_kv_group(
-                        &qs[i],
-                        &keys[..visible],
-                        &values[..visible],
-                        visible / kv_dim,
-                        shape,
-                        kvh,
-                    )
-                }
-                KvSnapshot::Fused {
-                    keys,
-                    values,
-                    key_params,
-                    value_params,
-                    key_plan,
-                    value_plan,
-                } => {
-                    let visible = seq_lens[i].min(keys.len());
-                    attend_kv_group_fused(
-                        &qs[i],
-                        &EncodedKv {
-                            rows: keys,
-                            params: *key_params,
-                            plan: key_plan.as_deref(),
-                        },
-                        &EncodedKv {
-                            rows: values,
-                            params: *value_params,
-                            plan: value_plan.as_deref(),
-                        },
-                        visible,
-                        shape,
-                        kvh,
-                    )
-                }
+        let mut limits = vec![0usize; order.len()];
+        for (slot, span) in &runs {
+            let len = len_of(*slot);
+            for k in span.clone() {
+                limits[k] = len.saturating_sub(span.end - 1 - k);
             }
-        });
-        (0..steps.len())
-            .map(|i| {
-                let mut out = vec![0.0f32; shape.q_dim()];
-                for kvh in 0..nk {
-                    out[kvh * group_width..(kvh + 1) * group_width]
-                        .copy_from_slice(&groups[i * nk + kvh]);
-                }
-                out
-            })
-            .collect()
+        }
+        Self {
+            order,
+            runs,
+            limits,
+        }
+    }
+
+    /// `(slot, queries)` per run — the argument of
+    /// [`BatchKvCache::read_runs`].
+    pub(crate) fn spec(&self) -> Vec<(usize, usize)> {
+        self.runs.iter().map(|(s, span)| (*s, span.len())).collect()
     }
 }
 
-/// One slot's per-layer KV snapshot on the parallel attention path: the
-/// dequantized f32 views, or — in fused kernel mode — clones of the
-/// encoded rows plus their decode parameters (never touching f32).
-enum KvSnapshot {
-    Exact {
-        keys: Vec<f32>,
-        values: Vec<f32>,
-    },
-    Fused {
-        keys: Vec<FusedVector>,
-        values: Vec<FusedVector>,
-        key_params: FusedReadParams,
-        value_params: FusedReadParams,
-        // Boxed: the plan is three Vecs plus a stride, which would bloat
-        // every Exact snapshot through the enum's size.
-        key_plan: Option<Box<EncodedReadPlan>>,
-        value_plan: Option<Box<EncodedReadPlan>>,
-    },
+/// One head-local shard of a layer's attention: the whole model on the
+/// unsharded pass, one rank's heads on the ranked pass.
+pub(crate) struct AttendShard<'a> {
+    /// The shard's own head counts (rank-local on the ranked pass).
+    pub(crate) shape: AttentionShape,
+    /// Per step, the shard's query vector (`shape.q_dim()` wide).
+    pub(crate) qs: &'a [Vec<f32>],
+    /// Per run, what the shard's cache serves for the layer.
+    pub(crate) reads: Vec<KvRead<'a>>,
+}
+
+/// Attention of every step against every shard: one task per `(shard,
+/// run, query tile, KV-head range)` on `rt`, each reading the cache in place
+/// through its run's [`KvRead`]. Returns, per shard, the step-major
+/// `[steps × shape.q_dim()]` context matrix.
+///
+/// Every (step, head) output is a function of that step's query and the
+/// rows below its limit alone (the exact kernels trivially, the fused
+/// kernel by its width-invariance contract), so neither the grouping into
+/// tiles nor the schedule is observable in the bits.
+pub(crate) fn attend_runs(
+    rt: &Runtime,
+    runs: &StepRuns,
+    shards: &[AttendShard<'_>],
+) -> Vec<Vec<f32>> {
+    // Head ranges: one per thread that could take one, so the serial pass
+    // decodes each row once for all of a shard's heads.
+    let mut tasks = Vec::new();
+    for (s, shard) in shards.iter().enumerate() {
+        let nk = shard.shape.num_kv_heads;
+        let parts = rt.threads().min(nk).max(1);
+        for (r, (_, span)) in runs.runs.iter().enumerate() {
+            for tile in span.clone().step_by(QUERY_TILE) {
+                let tile = tile..(tile + QUERY_TILE).min(span.end);
+                tasks.extend((0..parts).map(|p| (s, r, tile.clone(), chunk_range(p, nk, parts))));
+            }
+        }
+    }
+    let groups = rt.map(tasks.len(), |t| {
+        let (s, r, tile, heads) = &tasks[t];
+        let shard = &shards[*s];
+        let gw = shard.shape.group_size().max(1) * shard.shape.head_dim;
+        let qs: Vec<&[f32]> = runs.order[tile.clone()]
+            .iter()
+            .map(|&i| shard.qs[i].as_slice())
+            .collect();
+        let mut out = vec![0.0f32; qs.len() * heads.len() * gw];
+        with_thread_scratch(|scratch| {
+            attend_run_into(
+                &qs,
+                &runs.limits[tile.clone()],
+                &shard.reads[*r],
+                &shard.shape,
+                heads.clone(),
+                scratch,
+                &mut out,
+            )
+        });
+        out
+    });
+    let mut outs: Vec<Vec<f32>> = shards
+        .iter()
+        .map(|shard| vec![0.0f32; runs.order.len() * shard.shape.q_dim()])
+        .collect();
+    for ((s, _, tile, heads), group) in tasks.iter().zip(&groups) {
+        let shape = &shards[*s].shape;
+        let gw = shape.group_size().max(1) * shape.head_dim;
+        let steps = runs.order[tile.clone()].iter();
+        for (&i, g) in steps.zip(group.chunks(heads.len() * gw)) {
+            let at = i * shape.q_dim() + heads.start * gw;
+            outs[*s][at..at + g.len()].copy_from_slice(g);
+        }
+    }
+    outs
+}
+
+/// Attention of steps whose K/V rows `cache` already holds (`slots[i]` is
+/// step `i`'s slot, `qs[i]` its query): the step-major context matrix.
+fn attend_appended(
+    rt: &Runtime,
+    cache: &mut dyn BatchKvCache,
+    slots: &[usize],
+    l: usize,
+    qs: &[Vec<f32>],
+    shape: AttentionShape,
+) -> Vec<f32> {
+    let runs = StepRuns::new(slots, |slot| cache.seq_len(slot, l));
+    let reads = cache.read_runs(l, &runs.spec());
+    attend_runs(rt, &runs, &[AttendShard { shape, qs, reads }])
+        .pop()
+        .expect("one shard in, one matrix out")
 }
 
 /// Observer for batched forward passes: sees every freshly generated K/V

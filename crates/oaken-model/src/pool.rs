@@ -110,7 +110,7 @@
 //!
 //! [`KvQuantizer::prefix_deterministic`]: oaken_core::KvQuantizer::prefix_deterministic
 
-use crate::attention::EncodedKv;
+use crate::attention::{EncodedKv, KvRead, QUERY_TILE};
 use crate::cache::{BatchAppend, BatchKvCache, KernelMode, KindSlot};
 use crate::config::ModelConfig;
 use crate::trie::{PrefixStats, PrefixTrie, TrieBlock};
@@ -376,16 +376,26 @@ struct BatchScratch {
 }
 
 /// Cumulative KV read-path traffic of a pool, split by kernel family —
-/// the measurement behind the fused kernels' bandwidth claim: in fused
+/// the measurement behind the fused kernel's bandwidth claim: in fused
 /// mode the bytes column counts **encoded payload bytes**, in exact mode
 /// it counts the dequantized f32 view bytes the kernels actually stream.
+///
+/// Rows and bytes are *logical*: every query token is charged the K and V
+/// rows cached when it attends (before any sliding window), whether or
+/// not it shared a sweep with its neighbours. `fused_rows_swept` is the
+/// physical side: rows the fused kernel actually walked and decoded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KvReadStats {
-    /// Encoded rows handed to the fused kernels.
+    /// Encoded rows attended, summed over query tokens.
     pub fused_rows: u64,
     /// Encoded payload bytes those rows occupy.
     pub fused_bytes: u64,
-    /// Dequantized f32 rows handed to the exact kernels.
+    /// Encoded rows walked by sweeps of the fused kernel: one pass over a
+    /// sequence's rows per tile of up to [`QUERY_TILE`] query tokens, so
+    /// equal to `fused_rows` on pure decode and far below it on a chunked
+    /// prefill.
+    pub fused_rows_swept: u64,
+    /// Dequantized f32 rows attended, summed over query tokens.
     pub exact_rows: u64,
     /// f32 bytes those rows occupy.
     pub exact_bytes: u64,
@@ -398,6 +408,7 @@ pub struct KvReadStats {
 struct ReadCounters {
     fused_rows: AtomicU64,
     fused_bytes: AtomicU64,
+    fused_rows_swept: AtomicU64,
     exact_rows: AtomicU64,
     exact_bytes: AtomicU64,
 }
@@ -407,6 +418,7 @@ impl ReadCounters {
         KvReadStats {
             fused_rows: self.fused_rows.load(Ordering::Relaxed),
             fused_bytes: self.fused_bytes.load(Ordering::Relaxed),
+            fused_rows_swept: self.fused_rows_swept.load(Ordering::Relaxed),
             exact_rows: self.exact_rows.load(Ordering::Relaxed),
             exact_bytes: self.exact_bytes.load(Ordering::Relaxed),
         }
@@ -2218,17 +2230,7 @@ impl PagedKvPool {
     ///
     /// Panics on an unknown sequence.
     pub fn keys(&mut self, seq: SeqId, layer: usize) -> &[f32] {
-        self.refresh(seq, layer, KvKind::Key);
-        let kv_dim = self.kv_dim;
-        let slot = &mut self.seqs.get_mut(&seq.0).expect("unknown sequence").slots[layer][0];
-        slot.ensure_view(kv_dim);
-        self.reads
-            .exact_rows
-            .fetch_add(slot.rows as u64, Ordering::Relaxed);
-        self.reads
-            .exact_bytes
-            .fetch_add((slot.rows * kv_dim * 4) as u64, Ordering::Relaxed);
-        &slot.view
+        self.synced_view(seq, layer, KvKind::Key)
     }
 
     /// Dequantized view of the cached values (see [`PagedKvPool::keys`]).
@@ -2237,42 +2239,124 @@ impl PagedKvPool {
     ///
     /// Panics on an unknown sequence.
     pub fn values(&mut self, seq: SeqId, layer: usize) -> &[f32] {
-        self.refresh(seq, layer, KvKind::Value);
+        self.synced_view(seq, layer, KvKind::Value)
+    }
+
+    /// The `(seq, layer)` K and V tensors in their encoded form — the
+    /// fused kernel's read path — accounted as one query token's read.
+    /// `None` unless the pool runs [`KernelMode::Fused`] (or for an
+    /// unknown sequence). Takes `&self` so the key and value tensors can
+    /// be borrowed together; read accounting therefore goes through
+    /// relaxed atomic counters.
+    pub fn encoded_kv(&self, seq: SeqId, layer: usize) -> Option<(EncodedKv<'_>, EncodedKv<'_>)> {
+        if !self.has_encoded_kv(seq, layer) {
+            return None;
+        }
+        match self.read_kv(seq, layer, 1) {
+            KvRead::Fused { keys, values } => Some((keys, values)),
+            KvRead::Exact { .. } => unreachable!("probed fused above"),
+        }
+    }
+
+    /// Brings the dequantized views of `(seq, layer)` up to date for
+    /// [`read_kv`](PagedKvPool::read_kv) — a no-op for slots on the fused
+    /// read path and for views that appends maintain; the recompute
+    /// fallback re-materializes here.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown sequence.
+    pub fn sync_views(&mut self, seq: SeqId, layer: usize) {
+        if !self.has_encoded_kv(seq, layer) {
+            for kind in KvKind::ALL {
+                self.sync_view(seq, layer, kind);
+            }
+        }
+    }
+
+    /// Brings one tensor's dequantized view up to date: the recompute
+    /// fallback re-materialized, a fused slot's missing rows decoded.
+    fn sync_view(&mut self, seq: SeqId, layer: usize, kind: KvKind) {
+        assert!(self.seqs.contains_key(&seq.0), "unknown sequence");
+        self.refresh(seq, layer, kind);
         let kv_dim = self.kv_dim;
-        let slot = &mut self.seqs.get_mut(&seq.0).expect("unknown sequence").slots[layer][1];
-        slot.ensure_view(kv_dim);
+        let state = self.seqs.get_mut(&seq.0).expect("checked above");
+        state.slots[layer][kind_index(kind)].ensure_view(kv_dim);
+    }
+
+    /// One tensor's view, synced and charged as one full read of its rows.
+    fn synced_view(&mut self, seq: SeqId, layer: usize, kind: KvKind) -> &[f32] {
+        self.sync_view(seq, layer, kind);
+        let slot = &self.seqs[&seq.0].slots[layer][kind_index(kind)];
         self.reads
             .exact_rows
             .fetch_add(slot.rows as u64, Ordering::Relaxed);
         self.reads
             .exact_bytes
-            .fetch_add((slot.rows * kv_dim * 4) as u64, Ordering::Relaxed);
+            .fetch_add((slot.rows * self.kv_dim * 4) as u64, Ordering::Relaxed);
         &slot.view
     }
 
-    /// The `(seq, layer)` K and V tensors in their encoded form — the
-    /// fused kernels' read path. `None` unless the pool runs
-    /// [`KernelMode::Fused`] (or for an unknown sequence). Takes `&self`
-    /// so the key and value tensors can be borrowed together; read
-    /// accounting therefore goes through relaxed atomic counters.
-    pub fn encoded_kv(&self, seq: SeqId, layer: usize) -> Option<(EncodedKv<'_>, EncodedKv<'_>)> {
-        let state = self.seqs.get(&seq.0)?;
-        let [key_slot, value_slot] = &state.slots[layer];
-        let k = key_slot.encoded()?;
-        let v = value_slot.encoded()?;
-        let rows = (k.rows.len() + v.rows.len()) as u64;
-        let bytes: u64 = [key_slot, value_slot]
-            .iter()
-            .filter_map(|s| s.stream.as_ref().and_then(|st| st.payload_bytes()))
-            .sum::<usize>() as u64;
-        self.reads.fused_rows.fetch_add(rows, Ordering::Relaxed);
+    /// What attention reads for `(seq, layer)`: the encoded tensors in
+    /// fused mode, else the dequantized views as of the last
+    /// [`sync_views`](PagedKvPool::sync_views). `queries` is the run of
+    /// consecutive query tokens served from this borrow — the tokens whose
+    /// rows are the newest `queries` cached — and sizes the read
+    /// accounting (see [`KvReadStats`]). Takes `&self` so any number of
+    /// sequences can be read together.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown sequence, or if an exact slot's view is stale.
+    pub fn read_kv(&self, seq: SeqId, layer: usize, queries: usize) -> KvRead<'_> {
+        let [key_slot, value_slot] = &self.seqs.get(&seq.0).expect("unknown sequence").slots[layer];
+        let rows = key_slot.rows;
+        let n = queries.min(rows);
+        // Query `i` of the run attends `rows - n + 1 + i` K/V row pairs.
+        let attended = (n * (2 * rows + 1 - n)) as u64;
+        let (Some(keys), Some(values)) = (key_slot.encoded(), value_slot.encoded()) else {
+            for slot in [key_slot, value_slot] {
+                assert!(
+                    !slot.dirty && slot.view.len() == slot.rows * self.kv_dim,
+                    "exact view read without sync_views"
+                );
+            }
+            self.reads.exact_rows.fetch_add(attended, Ordering::Relaxed);
+            self.reads
+                .exact_bytes
+                .fetch_add(attended * (self.kv_dim * 4) as u64, Ordering::Relaxed);
+            return KvRead::Exact {
+                keys: &key_slot.view,
+                values: &value_slot.view,
+            };
+        };
+        // Payload of the first `m` rows of both streams, summed over the
+        // run's `m`: walk back from the full payload one row at a time.
+        let mut bytes = 0u64;
+        for slot in [key_slot, value_slot] {
+            let stream = slot.stream.as_ref().expect("encoded slots stream");
+            let tail = stream.encoded_rows().expect("encoded slots keep rows");
+            let mut prefix = stream.payload_bytes().unwrap_or(0);
+            for fv in tail[rows - n..].iter().rev() {
+                bytes += prefix as u64;
+                prefix -= fv.payload_bytes();
+            }
+        }
+        // One sweep per tile, up to the rows its last query sees.
+        let swept: usize = (0..n)
+            .step_by(QUERY_TILE)
+            .map(|a| 2 * (rows - n + (a + QUERY_TILE).min(n)))
+            .sum();
+        self.reads.fused_rows.fetch_add(attended, Ordering::Relaxed);
         self.reads.fused_bytes.fetch_add(bytes, Ordering::Relaxed);
-        Some((k, v))
+        self.reads
+            .fused_rows_swept
+            .fetch_add(swept as u64, Ordering::Relaxed);
+        KvRead::Fused { keys, values }
     }
 
-    /// Whether [`encoded_kv`](PagedKvPool::encoded_kv) would serve
-    /// `(seq, layer)` — the branch probe, free of read accounting so the
-    /// probe-then-read pattern in the model never double-counts.
+    /// Whether `(seq, layer)` is served in encoded form — the branch
+    /// probe, free of read accounting.
     pub fn has_encoded_kv(&self, seq: SeqId, layer: usize) -> bool {
         let Some(state) = self.seqs.get(&seq.0) else {
             return false;
@@ -2385,24 +2469,18 @@ impl BatchKvCache for PoolBatchView<'_> {
         self.pool.seq_len(self.seqs[slot], layer)
     }
 
-    fn keys(&mut self, slot: usize, layer: usize) -> &[f32] {
-        self.pool.keys(self.seqs[slot], layer)
-    }
-
-    fn values(&mut self, slot: usize, layer: usize) -> &[f32] {
-        self.pool.values(self.seqs[slot], layer)
+    fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<KvRead<'_>> {
+        for &(slot, _) in runs {
+            self.pool.sync_views(self.seqs[slot], layer);
+        }
+        let pool = &*self.pool;
+        runs.iter()
+            .map(|&(slot, queries)| pool.read_kv(self.seqs[slot], layer, queries))
+            .collect()
     }
 
     fn append_only_views(&self) -> bool {
         self.pool.append_only_views()
-    }
-
-    fn encoded_kv(&self, slot: usize, layer: usize) -> Option<(EncodedKv<'_>, EncodedKv<'_>)> {
-        self.pool.encoded_kv(self.seqs[slot], layer)
-    }
-
-    fn has_encoded_kv(&self, slot: usize, layer: usize) -> bool {
-        self.pool.has_encoded_kv(self.seqs[slot], layer)
     }
 
     fn append_batch(&mut self, rt: &Runtime, layer: usize, items: &[BatchAppend<'_>]) {

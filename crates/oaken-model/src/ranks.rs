@@ -41,20 +41,19 @@
 //! [`KernelMode::Exact`]: crate::cache::KernelMode::Exact
 //! [`KernelMode::Fused`]: crate::cache::KernelMode::Fused
 
-use crate::attention::{attend_kv_group, attend_kv_group_fused, AttentionShape, EncodedKv};
+use crate::attention::AttentionShape;
 use crate::cache::KernelMode;
 use crate::config::{ModelConfig, Positional};
 use crate::ffn::{DenseFfn, FfnWeights};
-use crate::model::{BatchStep, Model};
+use crate::model::{attend_runs, AttendShard, BatchStep, Model, StepRuns};
 use crate::pool::{KvReadStats, KvTransfer, PagedKvPool, PoolError, PrefixAlloc, SeqId};
 use crate::trie::PrefixStats;
-use oaken_core::kernel::{EncodedReadPlan, FusedReadParams};
-use oaken_core::FusedVector;
 use oaken_mmu::{FaultPlan, FaultStats, SwapReceipt};
 use oaken_runtime::{chunk_range, Comm, Runtime};
 use oaken_tensor::activation::Activation;
 use oaken_tensor::rope::{apply_rope, DEFAULT_THETA};
 use oaken_tensor::{softmax_in_place, Tensor};
+#[cfg(debug_assertions)]
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -502,6 +501,7 @@ impl RankedPools {
             let s = p.kv_read_stats();
             total.fused_rows += s.fused_rows;
             total.fused_bytes += s.fused_bytes;
+            total.fused_rows_swept += s.fused_rows_swept;
             total.exact_rows += s.exact_rows;
             total.exact_bytes += s.exact_bytes;
         }
@@ -530,24 +530,6 @@ impl std::fmt::Debug for RankedPools {
             .field("peaks", &self.peaks)
             .finish()
     }
-}
-
-/// One rank's per-layer KV snapshot on the ranked attention path —
-/// shard-width clone of the rank pool's rows (see `KvSnapshot` on the
-/// unsharded parallel path).
-enum RankSnap {
-    Exact {
-        keys: Vec<f32>,
-        values: Vec<f32>,
-    },
-    Fused {
-        keys: Vec<FusedVector>,
-        values: Vec<FusedVector>,
-        key_params: FusedReadParams,
-        value_params: FusedReadParams,
-        key_plan: Option<Box<EncodedReadPlan>>,
-        value_plan: Option<Box<EncodedReadPlan>>,
-    },
 }
 
 /// Computes each rank's rows of `w · x` per input, without merging:
@@ -777,16 +759,8 @@ pub fn forward_batch_ranked(
     let d = cfg.d_model;
     let hd = cfg.head_dim();
     let kv_dim = cfg.kv_dim();
-    let nk = cfg.num_kv_heads;
-    let group_width = plan.group * hd;
     let quantized = pools.quantized();
-    // Global KV head → (owning rank, rank-local head index).
-    let mut owner = vec![(0usize, 0usize); nk];
-    for r in 0..n {
-        for (local, kvh) in plan.kv_heads(r).enumerate() {
-            owner[kvh] = (r, local);
-        }
-    }
+    let slots: Vec<usize> = steps.iter().map(|s| s.slot).collect();
     let shapes: Vec<AttentionShape> = (0..n)
         .map(|r| AttentionShape {
             num_heads: plan.kv_heads(r).len() * plan.group,
@@ -863,18 +837,6 @@ pub fn forward_batch_ranked(
             }
         }
 
-        // Causal lengths, predicted exactly like the unsharded parallel
-        // path (rank-invariant: every shard appends the same steps).
-        let mut seq_lens = vec![0usize; steps.len()];
-        let mut grown: HashMap<usize, usize> = HashMap::new();
-        for (i, step) in steps.iter().enumerate() {
-            let len = grown
-                .entry(step.slot)
-                .or_insert_with(|| pools.lead().seq_len(seqs[step.slot], l));
-            *len += 1;
-            seq_lens[i] = *len;
-        }
-
         // Appends, serial in step order, lead shard first per step: the
         // lead's injectors give the only fault verdict, and a failure
         // poisons the slot before any follower stores the row — so a
@@ -901,95 +863,39 @@ pub fn forward_batch_ranked(
             }
         }
 
-        // Per-rank snapshots of each distinct slot (shard-width rows).
-        let mut slots: Vec<usize> = steps.iter().map(|s| s.slot).collect();
-        slots.sort_unstable();
-        slots.dedup();
-        let mut snaps: Vec<HashMap<usize, RankSnap>> = Vec::with_capacity(n);
-        for r in 0..n {
-            let pool = &mut pools.ranks_mut()[r];
-            let mut map = HashMap::with_capacity(slots.len());
-            for &slot in &slots {
-                let seq = seqs[slot];
-                let snap = if pool.has_encoded_kv(seq, l) {
-                    let (ke, ve) = pool.encoded_kv(seq, l).expect("probed fused above");
-                    RankSnap::Fused {
-                        keys: ke.rows.to_vec(),
-                        values: ve.rows.to_vec(),
-                        key_params: ke.params,
-                        value_params: ve.params,
-                        key_plan: ke.plan.map(|p| Box::new(p.clone())),
-                        value_plan: ve.plan.map(|p| Box::new(p.clone())),
-                    }
-                } else {
-                    RankSnap::Exact {
-                        keys: pool.keys(seq, l).to_vec(),
-                        values: pool.values(seq, l).to_vec(),
-                    }
-                };
-                map.insert(slot, snap);
+        // Attention, exactly the unsharded decomposition — tasks over
+        // (run, query tile, KV-head range) — each running on its owner
+        // rank's shard with the rank-local shape, reading that shard in
+        // place. Head-local arithmetic makes every group output
+        // bit-identical to the 1-rank kernel's.
+        let runs = StepRuns::new(&slots, |slot| pools.lead().seq_len(seqs[slot], l));
+        let spec = runs.spec();
+        for pool in pools.ranks_mut() {
+            for &(slot, _) in &spec {
+                pool.sync_views(seqs[slot], l);
             }
-            snaps.push(map);
         }
-
-        // One attention task per (step, global KV head), exactly the
-        // unsharded decomposition — each task just runs on its owner
-        // rank's shard with the rank-local shape. Head-local arithmetic
-        // makes the group outputs bit-identical to the 1-rank kernel.
-        let groups = rt.map(steps.len() * nk, |t| {
-            let (i, kvh) = (t / nk, t % nk);
-            let (r, local) = owner[kvh];
-            let shape_r = &shapes[r];
-            let kv_dim_r = shape_r.kv_dim();
-            let q = &q_parts[r][i];
-            match &snaps[r][&steps[i].slot] {
-                RankSnap::Exact { keys, values } => {
-                    let visible = (seq_lens[i] * kv_dim_r).min(keys.len());
-                    attend_kv_group(
-                        q,
-                        &keys[..visible],
-                        &values[..visible],
-                        visible / kv_dim_r,
-                        shape_r,
-                        local,
-                    )
-                }
-                RankSnap::Fused {
-                    keys,
-                    values,
-                    key_params,
-                    value_params,
-                    key_plan,
-                    value_plan,
-                } => {
-                    let visible = seq_lens[i].min(keys.len());
-                    attend_kv_group_fused(
-                        q,
-                        &EncodedKv {
-                            rows: keys,
-                            params: *key_params,
-                            plan: key_plan.as_deref(),
-                        },
-                        &EncodedKv {
-                            rows: values,
-                            params: *value_params,
-                            plan: value_plan.as_deref(),
-                        },
-                        visible,
-                        shape_r,
-                        local,
-                    )
-                }
-            }
-        });
+        let shards: Vec<AttendShard<'_>> = pools
+            .ranks()
+            .iter()
+            .enumerate()
+            .map(|(r, pool)| AttendShard {
+                shape: shapes[r],
+                qs: &q_parts[r],
+                reads: spec
+                    .iter()
+                    .map(|&(slot, queries)| pool.read_kv(seqs[slot], l, queries))
+                    .collect(),
+            })
+            .collect();
+        let rank_atts = attend_runs(rt, &runs, &shards);
 
         // Gather the disjoint q-head slices: one all-reduce per layer.
         let mut parts: Vec<Vec<f32>> = vec![vec![0.0f32; steps.len() * d]; n];
-        for i in 0..steps.len() {
-            for kvh in 0..nk {
-                let (r, _) = owner[kvh];
-                parts[r][i * d + kvh * group_width..i * d + (kvh + 1) * group_width]
-                    .copy_from_slice(&groups[i * nk + kvh]);
+        for (r, (part, att)) in parts.iter_mut().zip(&rank_atts).enumerate() {
+            let ch = plan.q_channels(r);
+            for (i, a) in att.chunks(ch.len()).enumerate() {
+                part[i * d + ch.start..i * d + ch.end].copy_from_slice(a);
             }
         }
         let mut refs: Vec<&mut [f32]> = parts.iter_mut().map(|p| p.as_mut_slice()).collect();

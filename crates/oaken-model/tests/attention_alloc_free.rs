@@ -1,18 +1,19 @@
-//! Proves the decode-path attention kernels are **allocation-free in
-//! steady state**: once an [`AttentionScratch`] and an output buffer have
-//! grown to working capacity, a window of `attend_one_into` /
-//! `attend_one_fused_into` calls performs **zero** heap allocations — the
-//! scores buffer, the per-row decode tables, and the context vector all
-//! live in caller-owned reused storage. This is the scratch-reuse
-//! guarantee the serial forward pass relies on for every `(token, layer)`
-//! step of a decode.
+//! Proves the attention kernels are **allocation-free in steady state**:
+//! once an [`AttentionScratch`] and an output buffer have grown to working
+//! capacity, a window of `attend_one_into` / `attend_one_fused_into` calls
+//! (decode steps) and of 64-query `attend_run_fused_into` calls (a prefill
+//! chunk, two query tiles) performs **zero** heap allocations — the score
+//! rows, the decoded row block, and the context vectors all live in
+//! caller-owned reused storage. This is the scratch-reuse guarantee the
+//! forward passes rely on for every `(task, layer)` of an iteration.
 //!
 //! This file intentionally holds a single test: the counting global
 //! allocator must not observe allocations from concurrently running tests.
 
 use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler};
 use oaken_model::{
-    attend_one_fused_into, attend_one_into, AttentionScratch, AttentionShape, EncodedKv,
+    attend_one_fused_into, attend_one_into, attend_run_fused_into, AttentionScratch,
+    AttentionShape, EncodedKv,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -78,8 +79,13 @@ fn steady_state_attention_kernels_make_zero_allocations() {
         window: None,
     };
     let d = shape.kv_dim();
-    let seq_len = 24usize;
+    let seq_len = 200usize;
     let q: Vec<f32> = kv_row(shape.q_dim(), 99);
+    // A 64-token prefill chunk ending at the last cached row.
+    let chunk: Vec<Vec<f32>> = (0..64).map(|i| kv_row(shape.q_dim(), 500 + i)).collect();
+    let chunk_qs: Vec<&[f32]> = chunk.iter().map(|q| q.as_slice()).collect();
+    let chunk_limits: Vec<usize> = (0..64).map(|i| seq_len - 63 + i).collect();
+    let mut chunk_out = vec![0.0f32; 64 * shape.q_dim()];
 
     // Exact-path inputs: flat f32 K/V matrices.
     let mut keys = Vec::new();
@@ -102,31 +108,41 @@ fn steady_state_attention_kernels_make_zero_allocations() {
         v_stream.append_row(&values[t * d..(t + 1) * d], &mut scratch_view);
     }
     let ek = EncodedKv {
-        rows: k_stream.encoded_rows().expect("oaken keeps encoded rows"),
-        params: k_stream.fused_read_params().expect("fused-capable"),
-        plan: k_stream.read_plan(),
+        plan: k_stream.read_plan().expect("oaken keeps a read plan"),
     };
     let ev = EncodedKv {
-        rows: v_stream.encoded_rows().expect("oaken keeps encoded rows"),
-        params: v_stream.fused_read_params().expect("fused-capable"),
-        plan: v_stream.read_plan(),
+        plan: v_stream.read_plan().expect("oaken keeps a read plan"),
     };
 
     let mut scratch = AttentionScratch::default();
     let mut out = Vec::new();
 
-    // Warm-up: grow the scratch and output to working capacity.
-    attend_one_into(&q, &keys, &values, seq_len, &shape, &mut scratch, &mut out);
-    attend_one_fused_into(&q, &ek, &ev, seq_len, &shape, &mut scratch, &mut out);
+    let mut run = |scratch: &mut AttentionScratch, out: &mut Vec<f32>| {
+        attend_one_into(&q, &keys, &values, seq_len, &shape, scratch, out);
+        attend_one_fused_into(&q, &ek, &ev, seq_len, &shape, scratch, out);
+        let all = 0..shape.num_kv_heads;
+        attend_run_fused_into(
+            &chunk_qs,
+            &chunk_limits,
+            &ek,
+            &ev,
+            &shape,
+            all,
+            scratch,
+            &mut chunk_out,
+        );
+    };
 
-    // Measured window: both kernels, warm buffers, zero allocations.
+    // Warm-up: grow the scratch and output to working capacity.
+    run(&mut scratch, &mut out);
+
+    // Measured window: all three kernels, warm buffers, zero allocations.
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..32 {
-        attend_one_into(&q, &keys, &values, seq_len, &shape, &mut scratch, &mut out);
-        attend_one_fused_into(&q, &ek, &ev, seq_len, &shape, &mut scratch, &mut out);
+        run(&mut scratch, &mut out);
     }
     let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert!(out.iter().all(|v| v.is_finite()));
+    assert!(out.iter().chain(&chunk_out).all(|v| v.is_finite()));
     assert_eq!(
         delta, 0,
         "steady-state attention kernels must not allocate ({delta} allocations in the window)"

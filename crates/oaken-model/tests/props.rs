@@ -7,8 +7,9 @@ use oaken_baselines::{AtomStyle, Fp16Reference, QServeStyle, TenderStyle};
 use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler};
 use oaken_model::QuantizedCache;
 use oaken_model::{
-    attend_one, attend_one_fused, AttentionShape, EncodedKv, ExactCache, KernelMode,
-    KvCacheBackend, Model, ModelConfig,
+    attend_kv_group_fused_into, attend_one, attend_run_fused_into, AttentionScratch,
+    AttentionShape, EncodedKv, ExactCache, KernelMode, KvCacheBackend, Model, ModelConfig,
+    QUERY_TILE,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -206,23 +207,32 @@ fn model_construction_deterministic() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The fused quantized-domain kernels' numerical contract: over random
-    /// shapes, sequence lengths, windows, and row contents, the fused
-    /// output tracks the exact kernels run on the *decoded views of the
-    /// same encoded rows* within a tight accumulation-order bound — both
-    /// per-coordinate relative error and aggregate SQNR. The stored bits
-    /// are identical either way; the only divergence is f32 summation
-    /// order inside the kernels.
+    /// The fused quantized-domain kernel's two contracts, over random
+    /// shapes (GQA, odd head widths and hence odd column offsets), row
+    /// contents (sparse to outlier-heavy), context lengths, sliding
+    /// windows shorter than the run, and run lengths crossing the query
+    /// tile:
+    ///
+    /// * **SQNR bound** — every query of a run tracks the exact kernels
+    ///   run on the *decoded views of the same encoded rows* within a
+    ///   tight accumulation-order bound, per coordinate and in aggregate.
+    ///   The stored bits are identical either way; the only divergence is
+    ///   f32 summation order inside the kernels.
+    /// * **Width invariance** — the run served by shared sweeps over all
+    ///   heads is bit-identical to each query served alone, one KV head
+    ///   at a time.
     #[test]
-    fn fused_kernel_is_sqnr_bounded_against_exact(
+    fn fused_kernel_is_sqnr_bounded_and_width_invariant(
         kv_heads in 1usize..4,
         group in 1usize..3,
-        head_dim_sel in 0usize..2,
-        seq_len in 1usize..41,
+        head_dim_sel in 0usize..5,
+        context in 0usize..150,
+        run in 1usize..(2 * QUERY_TILE + 6),
         window_sel in 0usize..3,
+        outlier_every in 3usize..40,
         seed in 0u64..1_000,
     ) {
-        let head_dim = [8, 16][head_dim_sel];
+        let head_dim = [3, 8, 16, 17, 32][head_dim_sel];
         let window = [None, Some(7), Some(21)][window_sel];
         let shape = AttentionShape {
             num_heads: kv_heads * group,
@@ -231,50 +241,71 @@ proptest! {
             window,
         };
         let d = shape.kv_dim();
+        let seq_len = context + run;
         let quant = profiled_oaken(d, 1);
         let mut k_stream = quant.row_stream(d, 0, KvKind::Key).expect("oaken streams");
         let mut v_stream = quant.row_stream(d, 0, KvKind::Value).expect("oaken streams");
         let (mut k_view, mut v_view) = (Vec::new(), Vec::new());
+        let row = |seed: u64| -> Vec<f32> {
+            let mut x = kv_row(d, seed);
+            for v in x.iter_mut().step_by(outlier_every) {
+                *v *= 9.0;
+            }
+            x
+        };
         for t in 0..seq_len as u64 {
-            k_stream.append_row(&kv_row(d, seed * 31 + 2 * t), &mut k_view);
-            v_stream.append_row(&kv_row(d, seed * 37 + 2 * t + 1), &mut v_view);
+            k_stream.append_row(&row(seed * 31 + 2 * t), &mut k_view);
+            v_stream.append_row(&row(seed * 37 + 2 * t + 1), &mut v_view);
         }
-        // Exercise both coefficient paths: the stream's decode cache for
-        // keys, the kernels' scratch rebuild for values.
         let ek = EncodedKv {
-            rows: k_stream.encoded_rows().expect("encoded state"),
-            params: k_stream.fused_read_params().expect("fused-capable"),
-            plan: k_stream.read_plan(),
+            plan: k_stream.read_plan().expect("oaken keeps a read plan"),
         };
         let ev = EncodedKv {
-            rows: v_stream.encoded_rows().expect("encoded state"),
-            params: v_stream.fused_read_params().expect("fused-capable"),
-            plan: None,
+            plan: v_stream.read_plan().expect("oaken keeps a read plan"),
         };
-        let q = kv_row(shape.q_dim(), seed ^ 0xABCD);
+        let queries: Vec<Vec<f32>> = (0..run as u64)
+            .map(|i| kv_row(shape.q_dim(), seed ^ (0xABCD + i)))
+            .collect();
+        let qs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
+        let limits: Vec<usize> = (1..=run).map(|i| context + i).collect();
 
-        let exact = attend_one(&q, &k_view, &v_view, seq_len, &shape);
-        let fused = attend_one_fused(&q, &ek, &ev, seq_len, &shape);
-        prop_assert_eq!(exact.len(), fused.len());
+        let mut scratch = AttentionScratch::default();
+        let mut tile = vec![0.0f32; run * shape.q_dim()];
+        let all = 0..kv_heads;
+        attend_run_fused_into(&qs, &limits, &ek, &ev, &shape, all, &mut scratch, &mut tile);
 
-        let scale = exact.iter().fold(0.0f32, |m, x| m.max(x.abs())).max(1e-6);
-        let mut signal = 0.0f64;
-        let mut noise = 0.0f64;
-        for (i, (a, b)) in exact.iter().zip(&fused).enumerate() {
-            prop_assert!(b.is_finite(), "fused coordinate {} not finite", i);
-            prop_assert!(
-                (a - b).abs() / scale < 5e-4,
-                "coordinate {}: exact {} fused {} (scale {})", i, a, b, scale
-            );
-            signal += (*a as f64) * (*a as f64);
-            noise += (*a as f64 - *b as f64) * (*a as f64 - *b as f64);
-        }
-        if noise > 0.0 {
-            let sqnr_db = 10.0 * (signal / noise).log10();
-            prop_assert!(
-                sqnr_db >= 60.0,
-                "SQNR {} dB below the fused kernels' 60 dB contract", sqnr_db
-            );
+        let gw = group * head_dim;
+        for (i, fused) in tile.chunks(shape.q_dim()).enumerate() {
+            let mut alone = vec![0.0f32; shape.q_dim()];
+            for (kvh, out_g) in alone.chunks_mut(gw).enumerate() {
+                attend_kv_group_fused_into(
+                    qs[i], &ek, &ev, limits[i], &shape, kvh, out_g, &mut scratch,
+                );
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            prop_assert_eq!(bits(fused), bits(&alone), "query {} depends on its sweep", i);
+
+            let visible = limits[i] * d;
+            let exact = attend_one(qs[i], &k_view[..visible], &v_view[..visible], limits[i], &shape);
+            let scale = exact.iter().fold(0.0f32, |m, x| m.max(x.abs())).max(1e-6);
+            let mut signal = 0.0f64;
+            let mut noise = 0.0f64;
+            for (c, (a, b)) in exact.iter().zip(fused).enumerate() {
+                prop_assert!(b.is_finite(), "fused coordinate {} not finite", c);
+                prop_assert!(
+                    (a - b).abs() / scale < 5e-4,
+                    "query {} coordinate {}: exact {} fused {} (scale {})", i, c, a, b, scale
+                );
+                signal += (*a as f64) * (*a as f64);
+                noise += (*a as f64 - *b as f64) * (*a as f64 - *b as f64);
+            }
+            if noise > 0.0 {
+                let sqnr_db = 10.0 * (signal / noise).log10();
+                prop_assert!(
+                    sqnr_db >= 60.0,
+                    "SQNR {} dB below the fused kernel's 60 dB contract", sqnr_db
+                );
+            }
         }
     }
 

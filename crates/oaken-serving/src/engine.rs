@@ -471,9 +471,10 @@ pub struct EngineStats {
     /// Requests killed by the [`EngineConfig::max_iterations`] deadline.
     pub deadline_kills: u64,
     /// Cumulative KV read-path traffic mirrored from the pool: encoded
-    /// rows/bytes streamed by the fused kernels vs dequantized f32
-    /// rows/bytes streamed by the exact kernels — the serving-level view
-    /// of the fused read path's bandwidth saving.
+    /// rows/bytes attended through the fused kernel (and the rows its
+    /// sweeps physically walked, `fused_rows_swept`) vs dequantized f32
+    /// rows/bytes attended through the exact kernels — the serving-level
+    /// view of the fused read path's bandwidth saving.
     pub kv_reads: KvReadStats,
     /// Tensor-parallel ranks the engine actually ran with (after
     /// capability gating; 1 for the unsharded engine).

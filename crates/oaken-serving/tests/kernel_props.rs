@@ -69,6 +69,14 @@ fn fused_engine_reads_encoded_rows_only() {
         "exact engine must not touch the encoded read path"
     );
 
+    // Prompt chunks share one sweep over their sequence's rows; the
+    // single-token decode steps sweep for themselves.
+    assert!(
+        fused.kv_reads.fused_rows_swept < fused.kv_reads.fused_rows,
+        "chunked prefill must walk fewer rows than its tokens attend"
+    );
+    assert_eq!(exact.kv_reads.fused_rows_swept, 0);
+
     // Same schedule, same rows read — the fused path just reads them in
     // their encoded form, at a fraction of the f32 byte traffic.
     assert_eq!(fused.kv_reads.fused_rows, exact.kv_reads.exact_rows);

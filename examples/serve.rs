@@ -313,6 +313,10 @@ fn main() {
         "{:>22}  {} B",
         "fused bytes read", stats.kv_reads.fused_bytes
     );
+    println!(
+        "{:>22}  {}",
+        "fused rows swept", stats.kv_reads.fused_rows_swept
+    );
     println!("{:>22}  {}", "exact rows read", stats.kv_reads.exact_rows);
     println!(
         "{:>22}  {} B",
