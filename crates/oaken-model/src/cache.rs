@@ -167,6 +167,15 @@ pub trait KvCacheBackend: Send {
     fn kernel_mode(&self) -> KernelMode {
         KernelMode::Exact
     }
+
+    /// Whether an append only *extends* the dequantized views (see
+    /// [`BatchKvCache::append_only_views`], which [`SingleSlot`] forwards
+    /// this to): true for exact f32 storage and for streaming quantizers,
+    /// false — the conservative default — for the recompute-on-read
+    /// fallback.
+    fn append_only_views(&self) -> bool {
+        false
+    }
 }
 
 /// One slot's K/V rows within a batched append
@@ -197,14 +206,16 @@ pub trait BatchKvCache {
     /// Number of cached tokens for `(slot, layer)`.
     fn seq_len(&self, slot: usize, layer: usize) -> usize;
 
-    /// What attention reads for `layer` of each `(slot, queries)` run, in
-    /// order: the encoded tensors of a slot on the fused read path, its
-    /// dequantized views otherwise — all borrowed together, so one pass
-    /// over the iteration's runs attends in place with no copy. `queries`
-    /// is how many consecutive query tokens the caller serves from the
-    /// borrow (the run whose rows it just appended); backends use it for
-    /// read accounting only.
-    fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<KvRead<'_>>;
+    /// What attention reads for `layer`, `[shard][run]`: per KV shard of
+    /// this cache (one per tensor-parallel rank, rank order; a lone shard
+    /// for an unsharded cache) and per `(slot, queries)` run in order, the
+    /// encoded tensors of a slot on the fused read path, its dequantized
+    /// views otherwise — all borrowed together, so one pass over the
+    /// iteration's runs attends in place with no copy. `queries` is how
+    /// many consecutive query tokens the caller serves from the borrow
+    /// (the run whose rows it just appended); backends use it for read
+    /// accounting only.
+    fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<Vec<KvRead<'_>>>;
 
     /// Whether an append only *extends* the dequantized views — rows
     /// already materialized are never rewritten by later appends.
@@ -220,6 +231,14 @@ pub trait BatchKvCache {
     /// whole prefix), so the conservative default is `false` and the
     /// forward pass falls back to the serial interleaving.
     fn append_only_views(&self) -> bool {
+        false
+    }
+
+    /// Whether this cache's shards must agree on quantization scales per
+    /// appended row — a rank-sharded quantized pool, whose whole-row
+    /// min/max the forward pass accounts as one scale sync per K and V
+    /// row.
+    fn syncs_row_scales(&self) -> bool {
         false
     }
 
@@ -256,24 +275,28 @@ impl BatchKvCache for SingleSlot<'_> {
         self.0.seq_len(layer)
     }
 
-    fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<KvRead<'_>> {
+    fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<Vec<KvRead<'_>>> {
         assert!(
             runs.len() <= 1 && runs.iter().all(|&(slot, _)| slot == 0),
             "single-sequence cache has one slot"
         );
         if runs.is_empty() {
-            return Vec::new();
+            return vec![Vec::new()];
         }
         // Probe-then-reborrow: the scrutinee of a single
         // `match self.0.encoded_kv(..)` would hold its borrow across the
         // arm that needs the backend mutably.
         if self.0.has_encoded_kv(layer) {
             let (keys, values) = self.0.encoded_kv(layer).expect("probed fused above");
-            vec![KvRead::Fused { keys, values }]
+            vec![vec![KvRead::Fused { keys, values }]]
         } else {
             let (keys, values) = self.0.kv_views(layer);
-            vec![KvRead::Exact { keys, values }]
+            vec![vec![KvRead::Exact { keys, values }]]
         }
+    }
+
+    fn append_only_views(&self) -> bool {
+        self.0.append_only_views()
     }
 }
 
@@ -334,6 +357,10 @@ impl KvCacheBackend for ExactCache {
 
     fn stored_bits_per_elem(&self) -> f64 {
         32.0
+    }
+
+    fn append_only_views(&self) -> bool {
+        true
     }
 }
 
@@ -660,6 +687,13 @@ impl KvCacheBackend for QuantizedCache {
     fn kernel_mode(&self) -> KernelMode {
         self.kernel
     }
+
+    /// Append-only exactly when every `(layer, kind)` slot streams
+    /// (`row_stream` is a per-tensor decision); a recompute slot
+    /// re-derives its view over the whole prefix on read.
+    fn append_only_views(&self) -> bool {
+        self.layers.iter().flatten().all(|s| s.stream.is_some())
+    }
 }
 
 #[cfg(test)]
@@ -859,6 +893,27 @@ mod tests {
             }
             OakenQuantizer::new(config, p.try_finish().unwrap())
         }
+    }
+
+    /// `SingleSlot` forwards the backend's answer, so Sessions over exact
+    /// and streaming caches take the append-then-attend batch path and only
+    /// the recompute fallback interleaves.
+    #[test]
+    fn append_only_views_follow_the_backend() {
+        use oaken_baselines_test_helpers::oaken_quantizer;
+        let q = Arc::new(oaken_quantizer(16, 1));
+        let mut exact = ExactCache::new();
+        exact.reset(1, 16);
+        assert!(SingleSlot(&mut exact).append_only_views());
+        let mut streaming = QuantizedCache::new(q.clone());
+        streaming.reset(1, 16);
+        assert!(SingleSlot(&mut streaming).append_only_views());
+        let mut recompute = QuantizedCache::new_recompute(q);
+        recompute.reset(1, 16);
+        assert!(!SingleSlot(&mut recompute).append_only_views());
+        let mut per_channel = QuantizedCache::new(Arc::new(RoundingQuantizer));
+        per_channel.reset(1, 16);
+        assert!(!SingleSlot(&mut per_channel).append_only_views());
     }
 
     #[test]

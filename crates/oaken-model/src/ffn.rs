@@ -1,6 +1,8 @@
 //! Feed-forward networks: dense (SwiGLU or plain) and sparse
 //! mixture-of-experts (Mixtral's top-2 of 8).
 
+use crate::ranks::{as_refs, even_rows, gather, sharded_matvec};
+use oaken_runtime::{Comm, Runtime};
 use oaken_tensor::activation::Activation;
 use oaken_tensor::{softmax_in_place, Tensor};
 
@@ -37,38 +39,33 @@ impl DenseFfn {
         self.w_down.matvec(&up).expect("down-projection shape")
     }
 
-    /// Applies the FFN to a batch of token vectors through
-    /// [`Tensor::matvec_batch`], bit-exact per vector with
-    /// [`DenseFfn::forward`].
+    /// Applies the FFN to a batch of token vectors as `comm.num_ranks()`
+    /// ranks on `rt`: each rank computes its rows of `up` (and `gate`),
+    /// applies the activation and the gating product **locally**
+    /// (elementwise, so shard bits equal full-vector bits), the hidden
+    /// shards gather through one all-reduce, and the down-projection's
+    /// rows through a second. Bit-exact per vector with
+    /// [`DenseFfn::forward`] for every rank and thread count.
     ///
     /// # Panics
     ///
     /// Panics if the matrix shapes disagree with the inputs.
-    pub fn forward_batch(&self, xs: &[&[f32]], act: Activation) -> Vec<Vec<f32>> {
-        self.forward_batch_on(&oaken_runtime::Runtime::serial(), xs, act)
-    }
-
-    /// [`DenseFfn::forward_batch`] with its three weight sweeps sharded
-    /// across `rt` (row-parallel [`Tensor::matvec_batch_on`]) — bit-exact
-    /// with the serial path for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix shapes disagree with the inputs.
-    pub fn forward_batch_on(
+    pub(crate) fn forward_sharded(
         &self,
-        rt: &oaken_runtime::Runtime,
+        rt: &Runtime,
+        comm: &mut Comm,
         xs: &[&[f32]],
         act: Activation,
     ) -> Vec<Vec<f32>> {
+        let rows = even_rows(comm.num_ranks(), self.w_up.shape()[0]);
         let mut ups = self
             .w_up
-            .matvec_batch_on(rt, xs)
+            .matvec_batch_shards(rt, xs, &rows)
             .expect("up-projection shape");
         match &self.w_gate {
             Some(g) => {
-                let mut gates = g.matvec_batch_on(rt, xs).expect("gate shape");
-                for (up, gate) in ups.iter_mut().zip(&mut gates) {
+                let mut gates = g.matvec_batch_shards(rt, xs, &rows).expect("gate shape");
+                for (up, gate) in ups.iter_mut().flatten().zip(gates.iter_mut().flatten()) {
                     act.apply_in_place(gate);
                     for (u, g) in up.iter_mut().zip(gate.iter()) {
                         *u *= g;
@@ -76,16 +73,28 @@ impl DenseFfn {
                 }
             }
             None => {
-                for up in &mut ups {
+                for up in ups.iter_mut().flatten() {
                     act.apply_in_place(up);
                 }
             }
         }
-        let refs: Vec<&[f32]> = ups.iter().map(|v| v.as_slice()).collect();
-        self.w_down
-            .matvec_batch_on(rt, &refs)
-            .expect("down-projection shape")
+        let hidden = gather(comm, ups, &rows);
+        sharded_matvec(rt, comm, &self.w_down, &as_refs(&hidden))
     }
+}
+
+/// Softmax over the router logits, the `top_k` strongest experts, and
+/// their weights renormalised to sum to one: `(expert, weight)` in
+/// descending routing weight — the order the expert outputs accumulate in.
+fn route(mut logits: Vec<f32>, top_k: usize) -> Vec<(usize, f32)> {
+    softmax_in_place(&mut logits);
+    let mut idx: Vec<usize> = (0..logits.len()).collect();
+    idx.sort_by(|&a, &b| logits[b].partial_cmp(&logits[a]).unwrap());
+    idx.truncate(top_k);
+    let norm: f32 = idx.iter().map(|&i| logits[i]).sum();
+    idx.into_iter()
+        .map(|e| (e, if norm > 0.0 { logits[e] / norm } else { 0.0 }))
+        .collect()
 }
 
 /// The FFN of one decoder layer: dense or mixture-of-experts.
@@ -114,16 +123,9 @@ impl FfnWeights {
                 experts,
                 top_k,
             } => {
-                let mut logits = router.matvec(x).expect("router shape");
-                softmax_in_place(&mut logits);
-                // Top-k experts by routing weight.
-                let mut idx: Vec<usize> = (0..experts.len()).collect();
-                idx.sort_by(|&a, &b| logits[b].partial_cmp(&logits[a]).unwrap());
-                let chosen = &idx[..(*top_k).min(experts.len())];
-                let norm: f32 = chosen.iter().map(|&i| logits[i]).sum();
+                let logits = router.matvec(x).expect("router shape");
                 let mut out = vec![0.0f32; x.len()];
-                for &e in chosen {
-                    let w = if norm > 0.0 { logits[e] / norm } else { 0.0 };
+                for (e, w) in route(logits, *top_k) {
                     let y = experts[e].forward(x, act);
                     for (o, v) in out.iter_mut().zip(y) {
                         *o += w * v;
@@ -134,30 +136,46 @@ impl FfnWeights {
         }
     }
 
-    /// Applies the FFN to a batch of vectors, bit-exact per vector with
-    /// [`FfnWeights::forward`]. Dense FFNs share one weight sweep across
-    /// the batch; MoE layers route per token, so they fall back to
-    /// per-vector execution (each token may hit different experts).
-    pub fn forward_batch(&self, xs: &[&[f32]], act: Activation) -> Vec<Vec<f32>> {
-        self.forward_batch_on(&oaken_runtime::Runtime::serial(), xs, act)
-    }
-
-    /// [`FfnWeights::forward_batch`] sharded across `rt`: dense layers
-    /// row-shard their weight sweeps; MoE layers run one task per token
-    /// (each token's routed expert pass is independent, and results merge
-    /// in token order) — bit-exact with the serial path either way.
-    pub fn forward_batch_on(
+    /// Applies the FFN to a batch of vectors as `comm.num_ranks()` ranks
+    /// on `rt`, bit-exact per vector with [`FfnWeights::forward`]. Dense
+    /// FFNs share one weight sweep across the batch
+    /// ([`DenseFfn::forward_sharded`]). MoE layers gather the router's
+    /// expert rows once for the whole batch, replicate the routing
+    /// ([`route`]: pure elementwise/ordering work on identical bits), and
+    /// run each token's chosen experts as rank-sharded dense FFNs (each
+    /// token may hit different experts).
+    pub(crate) fn forward_sharded(
         &self,
-        rt: &oaken_runtime::Runtime,
+        rt: &Runtime,
+        comm: &mut Comm,
         xs: &[&[f32]],
         act: Activation,
     ) -> Vec<Vec<f32>> {
         match self {
-            FfnWeights::Dense(ffn) => ffn.forward_batch_on(rt, xs, act),
-            moe @ FfnWeights::Moe { .. } if !rt.is_serial() && xs.len() > 1 => {
-                rt.map(xs.len(), |i| moe.forward(xs[i], act))
+            FfnWeights::Dense(ffn) => ffn.forward_sharded(rt, comm, xs, act),
+            FfnWeights::Moe {
+                router,
+                experts,
+                top_k,
+            } => {
+                let all_logits = sharded_matvec(rt, comm, router, xs);
+                xs.iter()
+                    .zip(all_logits)
+                    .map(|(x, logits)| {
+                        let mut out = vec![0.0f32; x.len()];
+                        for (e, w) in route(logits, *top_k) {
+                            let y = experts[e]
+                                .forward_sharded(rt, comm, &[x], act)
+                                .pop()
+                                .expect("one input, one output");
+                            for (o, v) in out.iter_mut().zip(y) {
+                                *o += w * v;
+                            }
+                        }
+                        out
+                    })
+                    .collect()
             }
-            moe @ FfnWeights::Moe { .. } => xs.iter().map(|x| moe.forward(x, act)).collect(),
         }
     }
 

@@ -32,11 +32,14 @@
 //! batch of steps per call (one token per decoding sequence, multi-token
 //! prompt chunks for prefilling ones), layer-major with batched weight
 //! sweeps — bit-exact per sequence with [`Session`].
-//! [`Model::forward_batch_on`] is the same pass sharded across an
-//! `oaken-runtime` worker pool (rows for the weight sweeps, sequences for
-//! quantize+append via [`pool::PagedKvPool::append_batch`], `(step, KV
-//! head)` tasks for attention), bit-exact with the serial pass for every
-//! thread count.
+//! It is a thin entry point of the one batched pass,
+//! [`Model::forward_batch_sharded`]: N tensor-parallel [`ranks`] (each
+//! owning a head slice, the matching weight rows and a private pool shard,
+//! merged by a deterministic all-reduce) on an `oaken-runtime` worker pool
+//! (`(rank, row sub-chunk)` tasks for the weight sweeps, sequences for
+//! quantize+append via [`pool::PagedKvPool::append_batch`], `(rank, run,
+//! query tile, KV-head range)` tasks for attention) — bit-exact with the
+//! serial one-rank pass for every rank and thread count.
 //!
 //! [`KvQuantizer`]: oaken_core::KvQuantizer
 //!
@@ -81,7 +84,7 @@ pub use pool::{
     KvReadStats, KvTransfer, PageAccounting, PagedKvPool, PoolBatchView, PoolError, PrefixAlloc,
     SeqId, SeqRowAppend,
 };
-pub use ranks::{forward_batch_ranked, RankPlan, RankedPools};
+pub use ranks::{RankPlan, RankedPools};
 pub use sampling::{sample_greedy, sample_temperature};
 pub use synth::SynthParams;
 pub use trie::PrefixStats;

@@ -6,9 +6,10 @@ use crate::attention::{attend_run_into, with_thread_scratch, AttentionShape, KvR
 use crate::cache::{BatchAppend, BatchKvCache, KernelMode, KvCacheBackend, SingleSlot};
 use crate::config::{ModelConfig, Positional};
 use crate::ffn::{DenseFfn, FfnWeights};
+use crate::ranks::{as_refs, concat_shards, gather, sharded_matvec, RankPlan, RowShards};
 use crate::synth::{self, SynthParams};
 use oaken_core::KvKind;
-use oaken_runtime::{chunk_range, Runtime};
+use oaken_runtime::{chunk_range, Comm, Runtime};
 use oaken_tensor::norm::{layernorm, rmsnorm, NormKind};
 use oaken_tensor::rope::{apply_rope, DEFAULT_THETA};
 use oaken_tensor::Tensor;
@@ -176,6 +177,26 @@ impl Model {
         &self.layers
     }
 
+    /// Token embedding matrix `[vocab × d]` (read-only).
+    pub fn embed(&self) -> &Tensor {
+        &self.embed
+    }
+
+    /// Learned positional embedding, when the model uses one.
+    pub fn pos_embed(&self) -> Option<&Tensor> {
+        self.pos_embed.as_ref()
+    }
+
+    /// Final-norm gain and bias.
+    pub fn final_norm(&self) -> (&[f32], Option<&Vec<f32>>) {
+        (&self.final_norm_w, self.final_norm_b.as_ref())
+    }
+
+    /// LM head `[vocab × d]` (read-only).
+    pub fn lm_head(&self) -> &Tensor {
+        &self.lm_head
+    }
+
     /// Starts an inference session over the given cache backend.
     pub fn session<'m>(&'m self, mut cache: Box<dyn KvCacheBackend + 'm>) -> Session<'m> {
         cache.reset(self.config.num_layers, self.config.kv_dim());
@@ -187,32 +208,13 @@ impl Model {
         }
     }
 
-    /// Token embedding matrix (read-only; the ranked forward pass
-    /// replicates the embedding lookup on every rank).
-    pub(crate) fn embed(&self) -> &Tensor {
-        &self.embed
-    }
-
-    /// Learned positional embedding, when the model uses one.
-    pub(crate) fn pos_embed(&self) -> Option<&Tensor> {
-        self.pos_embed.as_ref()
-    }
-
-    /// Final-norm gain and bias.
-    pub(crate) fn final_norm(&self) -> (&[f32], Option<&Vec<f32>>) {
-        (&self.final_norm_w, self.final_norm_b.as_ref())
-    }
-
-    /// LM head `[vocab × d]` (read-only; ranks shard its rows).
-    pub(crate) fn lm_head(&self) -> &Tensor {
-        &self.lm_head
-    }
-
-    pub(crate) fn norm(&self, x: &[f32], w: &[f32], b: Option<&Vec<f32>>) -> Vec<f32> {
-        match self.config.norm {
+    /// The model's norm of every activation row (replicated on every rank).
+    fn norms(&self, xs: &[Vec<f32>], w: &[f32], b: Option<&Vec<f32>>) -> Vec<Vec<f32>> {
+        let norm = |x: &Vec<f32>| match self.config.norm {
             NormKind::Rms => rmsnorm(x, w, 1e-5),
             NormKind::Layer => layernorm(x, w, b.map(|v| v.as_slice()).unwrap_or(&[]), 1e-5),
-        }
+        };
+        xs.iter().map(norm).collect()
     }
 
     /// Advances a *batch* of sequence steps and returns the next-token
@@ -246,8 +248,8 @@ impl Model {
     /// `observer` (if any) sees every freshly generated K/V vector as
     /// `(step_index, layer, kind, vector)`.
     ///
-    /// Runs serially; [`Model::forward_batch_on`] is the same pass with
-    /// its work sharded across a [`Runtime`].
+    /// Runs serially on one shard: the thin entry point of
+    /// [`Model::forward_batch_sharded`] that Sessions and baselines use.
     ///
     /// # Panics
     ///
@@ -264,29 +266,9 @@ impl Model {
     }
 
     /// [`Model::forward_batch`] with the iteration's work sharded across
-    /// `rt` — the parallel serving path, bit-exact with the serial pass
-    /// for every thread count (`rt = Runtime::serial()` *is* the serial
-    /// pass).
-    ///
-    /// Three shard axes, mirroring the paper's many parallel engines:
-    ///
-    /// * **weight sweeps** — every projection (Q/K/V/O, FFN, LM head)
-    ///   runs through the row-sharded [`Tensor::matvec_batch_on`], whose
-    ///   accumulation chains are row-local;
-    /// * **quantize + append** — the iteration's K/V rows are appended
-    ///   through [`BatchKvCache::append_batch`], which the paged pool
-    ///   shards per sequence (each slot's row streams are independent)
-    ///   while keeping page allocation single-writer;
-    /// * **attention** — one task per `(slot run, query tile, KV head)`
-    ///   (`attend_runs`), reading the cache in place: the f32 views in
-    ///   [`KernelMode::Exact`], or one sweep over the *encoded* rows per
-    ///   tile in [`KernelMode::Fused`] — no dequantized f32 image is
-    ///   materialized, and nothing is copied, on either path.
-    ///
-    /// When the cache's views are *not* append-only (the KIVI/KVQuant
-    /// recompute fallback re-derives scales over the whole prefix on
-    /// read) or an observer is attached, each step appends and attends
-    /// before the next one appends — the same code, one step at a time.
+    /// `rt`: [`Model::forward_batch_sharded`] on a one-shard plan, whose
+    /// communicator accounts nothing — bit-exact with the serial pass for
+    /// every thread count (`rt = Runtime::serial()` *is* the serial pass).
     ///
     /// # Panics
     ///
@@ -296,9 +278,64 @@ impl Model {
         rt: &Runtime,
         cache: &mut dyn BatchKvCache,
         steps: &[BatchStep],
+        observer: Option<&mut BatchKvObserver<'_>>,
+    ) -> Vec<Vec<f32>> {
+        let plan = RankPlan::new(&self.config, 1);
+        self.forward_batch_sharded(rt, &plan, &mut Comm::new(1), cache, steps, observer)
+    }
+
+    /// The batched forward pass — the only one — executed as
+    /// `plan.ranks()` tensor-parallel ranks on `rt`'s threads. `cache`
+    /// holds one KV shard per rank ([`BatchKvCache::read_runs`] serves
+    /// them in rank order); a single-shard cache with a one-rank plan is
+    /// the unsharded engine, and the logits are bit-identical for every
+    /// rank and thread count.
+    ///
+    /// Work is partitioned by ownership, every accumulation chain lives
+    /// inside one task, and `comm` merges what ranks own disjointly:
+    ///
+    /// * **weight sweeps** — every projection runs through
+    ///   [`Tensor::matvec_batch_shards`], tasks over `(rank, thread
+    ///   sub-chunk of the rank's rows)`. `Wq`/`Wk`/`Wv` rows follow head
+    ///   ownership and stay rank-local; `Wo`, the FFN matrices and the LM
+    ///   head split evenly and gather through one all-reduce each;
+    /// * **quantize + append** — one [`BatchKvCache::append_batch`] call
+    ///   per layer with full-width rows (Oaken's scales are whole-row
+    ///   min/max, which a rank group pays as a per-row scale sync,
+    ///   accounted here); each shard stores its own heads' channels;
+    /// * **attention** — head-local: one task per `(rank, slot run, query
+    ///   tile, KV-head range)`, each reading its rank's shard in place —
+    ///   f32 views in [`KernelMode::Exact`], one sweep over the *encoded*
+    ///   rows per tile in [`KernelMode::Fused`] — and one all-reduce
+    ///   gathers the ranks' disjoint query-head slices.
+    ///
+    /// Per decoder layer that is four all-reduces (attention gather,
+    /// `Wo`, FFN hidden, FFN down; MoE layers pay the router merge plus
+    /// two per routed expert instead), plus one for the logits. At one
+    /// rank every "gather" is the owner's buffer itself and `comm`
+    /// accounts zero.
+    ///
+    /// When the cache's views are *not* append-only (the KIVI/KVQuant
+    /// recompute fallback re-derives scales over the whole prefix on
+    /// read) or an observer is attached, each step appends and attends
+    /// before the next one appends — the same code, one step at a time.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`Model::forward_batch`]; also panics if `plan`,
+    /// `comm` and `cache` disagree on the shard count.
+    pub fn forward_batch_sharded(
+        &self,
+        rt: &Runtime,
+        plan: &RankPlan,
+        comm: &mut Comm,
+        cache: &mut dyn BatchKvCache,
+        steps: &[BatchStep],
         mut observer: Option<&mut BatchKvObserver<'_>>,
     ) -> Vec<Vec<f32>> {
         let cfg = &self.config;
+        let n = plan.ranks();
+        assert_eq!(n, comm.num_ranks(), "plan and comm agree on rank count");
         for s in steps {
             assert!(
                 (s.token as usize) < cfg.vocab_size,
@@ -330,16 +367,15 @@ impl Model {
         // rewrite materialized view rows; the observer callback is `FnMut`
         // and must see each step's rows before they are cached.
         let interleave = observer.is_some() || !cache.append_only_views();
-        let d = cfg.d_model;
         let hd = cfg.head_dim();
-        let shape = AttentionShape {
-            num_heads: cfg.num_heads,
-            num_kv_heads: cfg.num_kv_heads,
-            head_dim: hd,
-            window: cfg.sliding_window,
-        };
+        let q_rows: Vec<Range<usize>> = (0..n).map(|r| plan.q_channels(r)).collect();
+        let kv_rows: Vec<Range<usize>> = (0..n).map(|r| plan.kv_channels(r)).collect();
+        let shapes: Vec<AttentionShape> = (0..n)
+            .map(|r| plan.attention_shape(r, cfg.sliding_window))
+            .collect();
         let slots: Vec<usize> = steps.iter().map(|s| s.slot).collect();
 
+        // Embedding and norms are replicated on every rank.
         let mut xs: Vec<Vec<f32>> = steps
             .iter()
             .map(|s| {
@@ -353,45 +389,47 @@ impl Model {
             })
             .collect();
 
-        fn as_refs(vs: &[Vec<f32>]) -> Vec<&[f32]> {
-            vs.iter().map(|v| v.as_slice()).collect()
-        }
-
         for (l, lw) in self.layers.iter().enumerate() {
             // Attention block: one weight sweep per projection serves the
-            // whole batch (matvec_batch, row-sharded on `rt`), everything
-            // per-sequence stays per-sequence.
-            let hs: Vec<Vec<f32>> = xs
-                .iter()
-                .map(|x| self.norm(x, &lw.attn_norm_w, lw.attn_norm_b.as_ref()))
-                .collect();
+            // whole batch. Q/K/V rows follow head ownership and stay
+            // rank-local — only the attention outputs are gathered.
+            let hs = self.norms(&xs, &lw.attn_norm_w, lw.attn_norm_b.as_ref());
             let href = as_refs(&hs);
-            let mut qs = lw.wq.matvec_batch_on(rt, &href).expect("Wq shape");
-            let mut ks = lw.wk.matvec_batch_on(rt, &href).expect("Wk shape");
-            let vs = lw.wv.matvec_batch_on(rt, &href).expect("Wv shape");
+            let shards =
+                |w: &Tensor, rows, what| w.matvec_batch_shards(rt, &href, rows).expect(what);
+            let mut qs = shards(&lw.wq, &q_rows, "Wq shape");
+            // Every shard appends the full-width K/V row: whole-row
+            // min/max scales need global agreement, which a real rank
+            // group pays as a tiny per-row scale sync; the channel
+            // payloads themselves stay rank-local in the shards.
+            let mut ks = concat_shards(shards(&lw.wk, &kv_rows, "Wk shape"));
+            let vs = concat_shards(shards(&lw.wv, &kv_rows, "Wv shape"));
+            if cache.syncs_row_scales() {
+                // One (min, max) pair per appended K and V row.
+                comm.account_sync(2 * steps.len() as u64, 2);
+            }
+            // Rope is head-local: rotating each rank's query heads and the
+            // assembled K row head by head is the full-width rotation.
             if cfg.positional == Positional::Rope {
-                for ((q, k), step) in qs.iter_mut().zip(&mut ks).zip(steps) {
-                    for head in q.chunks_mut(hd).chain(k.chunks_mut(hd)) {
+                for (i, step) in steps.iter().enumerate() {
+                    let q_heads = qs.iter_mut().flat_map(|part| part[i].chunks_mut(hd));
+                    for head in q_heads.chain(ks[i].chunks_mut(hd)) {
                         apply_rope(head, step.pos, DEFAULT_THETA);
                     }
                 }
             }
             let atts = if interleave {
-                let mut atts = Vec::with_capacity(steps.len() * shape.q_dim());
+                let mut atts: RowShards = vec![Vec::with_capacity(steps.len()); n];
                 for (i, step) in steps.iter().enumerate() {
                     if let Some(obs) = observer.as_deref_mut() {
                         obs(i, l, KvKind::Key, &ks[i]);
                         obs(i, l, KvKind::Value, &vs[i]);
                     }
                     cache.append(step.slot, l, &ks[i], &vs[i]);
-                    atts.extend(attend_appended(
-                        rt,
-                        cache,
-                        &slots[i..=i],
-                        l,
-                        &qs[i..=i],
-                        shape,
-                    ));
+                    let one = attend_appended(rt, cache, l, &slots, &qs, i..i + 1, &shapes);
+                    for (att, o) in atts.iter_mut().zip(one) {
+                        att.extend(o);
+                    }
                 }
                 atts
             } else {
@@ -405,49 +443,38 @@ impl Model {
                     })
                     .collect();
                 cache.append_batch(rt, l, &items);
-                attend_appended(rt, cache, &slots, l, &qs, shape)
+                attend_appended(rt, cache, l, &slots, &qs, 0..steps.len(), &shapes)
             };
-            let attref: Vec<&[f32]> = atts.chunks(shape.q_dim()).collect();
-            let projs = lw.wo.matvec_batch_on(rt, &attref).expect("Wo shape");
-            for (x, proj) in xs.iter_mut().zip(projs) {
-                for (xi, pi) in x.iter_mut().zip(proj) {
-                    *xi += pi;
-                }
-            }
+            let atts = gather(comm, atts, &q_rows);
+            add_rows(&mut xs, sharded_matvec(rt, comm, &lw.wo, &as_refs(&atts)));
 
             // FFN block.
-            let hs: Vec<Vec<f32>> = xs
-                .iter()
-                .map(|x| self.norm(x, &lw.ffn_norm_w, lw.ffn_norm_b.as_ref()))
-                .collect();
-            let href = as_refs(&hs);
-            let ys = lw.ffn.forward_batch_on(rt, &href, cfg.activation);
-            for (x, y) in xs.iter_mut().zip(ys) {
-                for (xi, yi) in x.iter_mut().zip(y) {
-                    *xi += yi;
-                }
-            }
+            let hs = self.norms(&xs, &lw.ffn_norm_w, lw.ffn_norm_b.as_ref());
+            let ffn = &lw.ffn;
+            add_rows(
+                &mut xs,
+                ffn.forward_sharded(rt, comm, &as_refs(&hs), cfg.activation),
+            );
         }
 
-        let hs: Vec<Vec<f32>> = xs
-            .iter()
-            .map(|x| {
-                let h = self.norm(x, &self.final_norm_w, self.final_norm_b.as_ref());
-                debug_assert_eq!(h.len(), d);
-                h
-            })
-            .collect();
-        let href = as_refs(&hs);
-        self.lm_head
-            .matvec_batch_on(rt, &href)
-            .expect("LM head shape")
+        let hs = self.norms(&xs, &self.final_norm_w, self.final_norm_b.as_ref());
+        sharded_matvec(rt, comm, &self.lm_head, &as_refs(&hs))
+    }
+}
+
+/// The residual connection: `xs[i] += ys[i]`, elementwise.
+fn add_rows(xs: &mut [Vec<f32>], ys: Vec<Vec<f32>>) {
+    for (x, y) in xs.iter_mut().zip(ys) {
+        for (xi, yi) in x.iter_mut().zip(y) {
+            *xi += yi;
+        }
     }
 }
 
 /// The steps of one forward pass grouped into per-slot **runs**: a slot's
 /// steps (consecutive positions — a prompt chunk, or a lone decode step)
 /// are served together, their K/V rows being the newest the slot holds.
-pub(crate) struct StepRuns {
+struct StepRuns {
     /// Step indices, stably grouped by slot.
     order: Vec<usize>,
     /// Per run: the slot and its span of `order` / `limits`.
@@ -464,7 +491,7 @@ impl StepRuns {
     /// `n - 1 - k` rows. (A slot poisoned by a failed append holds fewer
     /// rows than steps; its limits saturate at zero and its outputs are
     /// discarded by the caller.)
-    pub(crate) fn new(slots: &[usize], len_of: impl Fn(usize) -> usize) -> Self {
+    fn new(slots: &[usize], len_of: impl Fn(usize) -> usize) -> Self {
         let mut order: Vec<usize> = (0..slots.len()).collect();
         order.sort_by_key(|&i| slots[i]);
         let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
@@ -490,36 +517,32 @@ impl StepRuns {
 
     /// `(slot, queries)` per run — the argument of
     /// [`BatchKvCache::read_runs`].
-    pub(crate) fn spec(&self) -> Vec<(usize, usize)> {
+    fn spec(&self) -> Vec<(usize, usize)> {
         self.runs.iter().map(|(s, span)| (*s, span.len())).collect()
     }
 }
 
-/// One head-local shard of a layer's attention: the whole model on the
-/// unsharded pass, one rank's heads on the ranked pass.
-pub(crate) struct AttendShard<'a> {
-    /// The shard's own head counts (rank-local on the ranked pass).
-    pub(crate) shape: AttentionShape,
-    /// Per step, the shard's query vector (`shape.q_dim()` wide).
-    pub(crate) qs: &'a [Vec<f32>],
-    /// Per run, what the shard's cache serves for the layer.
-    pub(crate) reads: Vec<KvRead<'a>>,
+/// One rank's head-local shard of a layer's attention (the whole model
+/// at one rank).
+struct AttendShard<'a> {
+    /// The rank's own head counts.
+    shape: AttentionShape,
+    /// Per step, the rank's query vector (`shape.q_dim()` wide).
+    qs: &'a [Vec<f32>],
+    /// Per run, what the rank's cache shard serves for the layer.
+    reads: Vec<KvRead<'a>>,
 }
 
 /// Attention of every step against every shard: one task per `(shard,
 /// run, query tile, KV-head range)` on `rt`, each reading the cache in place
-/// through its run's [`KvRead`]. Returns, per shard, the step-major
-/// `[steps × shape.q_dim()]` context matrix.
+/// through its run's [`KvRead`]. Returns, per shard and step, the
+/// `shape.q_dim()`-wide context vector.
 ///
 /// Every (step, head) output is a function of that step's query and the
 /// rows below its limit alone (the exact kernels trivially, the fused
 /// kernel by its width-invariance contract), so neither the grouping into
 /// tiles nor the schedule is observable in the bits.
-pub(crate) fn attend_runs(
-    rt: &Runtime,
-    runs: &StepRuns,
-    shards: &[AttendShard<'_>],
-) -> Vec<Vec<f32>> {
+fn attend_runs(rt: &Runtime, runs: &StepRuns, shards: &[AttendShard<'_>]) -> RowShards {
     // Head ranges: one per thread that could take one, so the serial pass
     // decodes each row once for all of a shard's heads.
     let mut tasks = Vec::new();
@@ -555,37 +578,46 @@ pub(crate) fn attend_runs(
         });
         out
     });
-    let mut outs: Vec<Vec<f32>> = shards
+    let mut outs: RowShards = shards
         .iter()
-        .map(|shard| vec![0.0f32; runs.order.len() * shard.shape.q_dim()])
+        .map(|shard| vec![vec![0.0f32; shard.shape.q_dim()]; runs.order.len()])
         .collect();
     for ((s, _, tile, heads), group) in tasks.iter().zip(&groups) {
         let shape = &shards[*s].shape;
         let gw = shape.group_size().max(1) * shape.head_dim;
         let steps = runs.order[tile.clone()].iter();
         for (&i, g) in steps.zip(group.chunks(heads.len() * gw)) {
-            let at = i * shape.q_dim() + heads.start * gw;
-            outs[*s][at..at + g.len()].copy_from_slice(g);
+            outs[*s][i][heads.start * gw..][..g.len()].copy_from_slice(g);
         }
     }
     outs
 }
 
-/// Attention of steps whose K/V rows `cache` already holds (`slots[i]` is
-/// step `i`'s slot, `qs[i]` its query): the step-major context matrix.
+/// Attention of the steps `span` (of an iteration whose step `i` runs in
+/// `slots[i]` with rank `r`'s query `qs[r][i]`), whose K/V rows `cache`
+/// already holds: per rank, the steps' context vectors.
 fn attend_appended(
     rt: &Runtime,
     cache: &mut dyn BatchKvCache,
-    slots: &[usize],
     l: usize,
-    qs: &[Vec<f32>],
-    shape: AttentionShape,
-) -> Vec<f32> {
-    let runs = StepRuns::new(slots, |slot| cache.seq_len(slot, l));
+    slots: &[usize],
+    qs: &RowShards,
+    span: Range<usize>,
+    shapes: &[AttentionShape],
+) -> RowShards {
+    let runs = StepRuns::new(&slots[span.clone()], |slot| cache.seq_len(slot, l));
     let reads = cache.read_runs(l, &runs.spec());
-    attend_runs(rt, &runs, &[AttendShard { shape, qs, reads }])
-        .pop()
-        .expect("one shard in, one matrix out")
+    assert_eq!(reads.len(), shapes.len(), "one read set per rank shard");
+    let shards: Vec<AttendShard<'_>> = reads
+        .into_iter()
+        .zip(shapes.iter().zip(qs))
+        .map(|(reads, (&shape, qs))| AttendShard {
+            shape,
+            qs: &qs[span.clone()],
+            reads,
+        })
+        .collect();
+    attend_runs(rt, &runs, &shards)
 }
 
 /// Observer for batched forward passes: sees every freshly generated K/V
@@ -887,6 +919,7 @@ mod tests {
     #[test]
     fn forward_batch_on_matches_serial_bitwise_over_paged_pool() {
         use crate::pool::{PagedKvPool, PoolBatchView};
+        use crate::ranks::RankedPools;
         use oaken_runtime::Runtime;
 
         let m = tiny();
@@ -895,10 +928,11 @@ mod tests {
             let mut pool = PagedKvPool::for_model(&cfg, None, 4096, 512);
             let seqs = vec![pool.alloc_seq(), pool.alloc_seq(), pool.alloc_seq()];
             assert!(pool.append_only_views(), "exact pool is append-only");
+            let mut pool = RankedPools::single(&cfg, pool);
             let mut all = Vec::new();
             // Iteration 1: slot 0 feeds a 3-token chunk, slots 1-2 one
             // token each. Iteration 2: everyone decodes one token.
-            let mk = |steps: &[BatchStep], pool: &mut PagedKvPool| {
+            let mk = |steps: &[BatchStep], pool: &mut RankedPools| {
                 let mut view = PoolBatchView::new(pool, &seqs);
                 m.forward_batch_on(rt, &mut view, steps, None)
             };
@@ -1003,6 +1037,7 @@ mod tests {
     fn forward_batch_on_fused_matches_serial_bitwise_over_fused_pool() {
         use crate::cache::KernelMode;
         use crate::pool::{PagedKvPool, PoolBatchView};
+        use crate::ranks::RankedPools;
         use oaken_runtime::Runtime;
 
         let mut cfg = ModelConfig::llama2_7b().proxy(2, 64);
@@ -1015,6 +1050,7 @@ mod tests {
             assert_eq!(pool.set_kernel_mode(KernelMode::Fused), KernelMode::Fused);
             let seqs = vec![pool.alloc_seq(), pool.alloc_seq()];
             assert!(pool.append_only_views(), "streaming pool is append-only");
+            let mut pool = RankedPools::single(&cfg, pool);
             let mut all = Vec::new();
             let it1: Vec<BatchStep> = (0..3)
                 .map(|j| BatchStep {

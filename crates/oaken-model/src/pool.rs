@@ -113,6 +113,7 @@
 use crate::attention::{EncodedKv, KvRead, QUERY_TILE};
 use crate::cache::{BatchAppend, BatchKvCache, KernelMode, KindSlot};
 use crate::config::ModelConfig;
+use crate::ranks::RankedPools;
 use crate::trie::{PrefixStats, PrefixTrie, TrieBlock};
 use oaken_core::{FusedVector, KvKind, KvQuantizer};
 use oaken_mmu::{
@@ -2409,22 +2410,30 @@ fn rows_to_pages(tail_free: usize, rows: usize, bound: usize, page: usize) -> u3
     ((rows - absorbed).div_ceil(per_page)) as u32
 }
 
-/// Borrowed view pairing a [`PagedKvPool`] with the batch's slot → sequence
-/// mapping for one engine iteration, implementing [`BatchKvCache`] for
-/// [`crate::Model::forward_batch`].
+/// Borrowed view pairing the engine's [`RankedPools`] (one private shard
+/// per tensor-parallel rank; a lone pool wrapped by
+/// [`RankedPools::single`] is the one-shard case) with the batch's slot →
+/// sequence mapping for one engine iteration, implementing
+/// [`BatchKvCache`] for [`crate::Model::forward_batch_sharded`].
+///
+/// Every shard appends the same full-width rows, **lead shard first**: the
+/// lead alone carries the fault injectors, so its verdict on a row arrives
+/// before any follower stores it and a fault plan fires once per logical
+/// append.
 ///
 /// Appends never panic: a failing append — an injected
 /// [`PoolError::Fault`], or pool exhaustion despite the scheduler's
 /// [`PagedKvPool::pages_possibly_needed_n`] reservation — **poisons** its
-/// batch slot instead. A poisoned slot's later appends are skipped (its
-/// cached state stays exactly as of the failure, so reads remain
-/// self-consistent) while every other slot proceeds untouched; the engine
-/// drains [`take_poisoned`](Self::take_poisoned) after the forward pass
-/// and quarantines the offending sequences. The poison list is an empty
-/// `Vec` on the fault-free path, so the steady state stays
-/// allocation-free.
+/// batch slot instead. A poisoned slot's later appends are skipped on
+/// every shard (its cached state stays exactly as of the failure, so reads
+/// remain self-consistent) while every other slot proceeds untouched; the
+/// engine drains [`take_poisoned`](Self::take_poisoned) after the forward
+/// pass and quarantines the offending sequences — the only cross-shard
+/// divergence that can exist, removed everywhere by the teardown. The
+/// poison list is an empty `Vec` on the fault-free path, so the steady
+/// state stays allocation-free.
 pub struct PoolBatchView<'p> {
-    pool: &'p mut PagedKvPool,
+    pools: &'p mut RankedPools,
     seqs: &'p [SeqId],
     /// `(slot, error)` per poisoned slot, in failure order.
     poisoned: Vec<(usize, PoolError)>,
@@ -2432,9 +2441,9 @@ pub struct PoolBatchView<'p> {
 
 impl<'p> PoolBatchView<'p> {
     /// Creates a view where batch slot `i` maps to `seqs[i]`.
-    pub fn new(pool: &'p mut PagedKvPool, seqs: &'p [SeqId]) -> Self {
+    pub fn new(pools: &'p mut RankedPools, seqs: &'p [SeqId]) -> Self {
         Self {
-            pool,
+            pools,
             seqs,
             poisoned: Vec::new(),
         }
@@ -2460,33 +2469,52 @@ impl BatchKvCache for PoolBatchView<'_> {
         if self.slot_poisoned(slot) {
             return;
         }
-        if let Err(e) = self.pool.append(self.seqs[slot], layer, k, v) {
-            self.poisoned.push((slot, e));
+        for pool in self.pools.ranks_mut() {
+            if let Err(e) = pool.append(self.seqs[slot], layer, k, v) {
+                self.poisoned.push((slot, e));
+                return;
+            }
         }
     }
 
     fn seq_len(&self, slot: usize, layer: usize) -> usize {
-        self.pool.seq_len(self.seqs[slot], layer)
+        self.pools.lead().seq_len(self.seqs[slot], layer)
     }
 
-    fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<KvRead<'_>> {
-        for &(slot, _) in runs {
-            self.pool.sync_views(self.seqs[slot], layer);
+    fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<Vec<KvRead<'_>>> {
+        for pool in self.pools.ranks_mut() {
+            for &(slot, _) in runs {
+                pool.sync_views(self.seqs[slot], layer);
+            }
         }
-        let pool = &*self.pool;
-        runs.iter()
-            .map(|&(slot, queries)| pool.read_kv(self.seqs[slot], layer, queries))
+        let seqs = self.seqs;
+        self.pools
+            .ranks()
+            .iter()
+            .map(|pool| {
+                runs.iter()
+                    .map(|&(slot, queries)| pool.read_kv(seqs[slot], layer, queries))
+                    .collect()
+            })
             .collect()
     }
 
     fn append_only_views(&self) -> bool {
-        self.pool.append_only_views()
+        self.pools.lead().append_only_views()
+    }
+
+    fn syncs_row_scales(&self) -> bool {
+        self.pools.quantized()
     }
 
     fn append_batch(&mut self, rt: &Runtime, layer: usize, items: &[BatchAppend<'_>]) {
-        if self.pool.faults_active() || !self.poisoned.is_empty() {
-            // Per-item appends: each item polls the fault schedule in
-            // item order (thread-count-independent injection) and a
+        if self.pools.num_ranks() > 1
+            || self.pools.lead().faults_active()
+            || !self.poisoned.is_empty()
+        {
+            // Per-item appends: no follower stores a row ahead of the
+            // lead's verdict on it, each item polls the fault schedule in
+            // item order (thread-count-independent injection), and a
             // failure poisons exactly its own slot.
             for it in items {
                 self.append(it.slot, layer, it.k, it.v);
@@ -2497,7 +2525,8 @@ impl BatchKvCache for PoolBatchView<'_> {
         // materializing a mapped item list (this adapter sits on the
         // steady-state allocation-free append path).
         let seqs = self.seqs;
-        if let Err((i, e)) = self.pool.append_batch_with(rt, layer, items.len(), &|i| {
+        let lead = self.pools.lead_mut();
+        if let Err((i, e)) = lead.append_batch_with(rt, layer, items.len(), &|i| {
             let it = &items[i];
             SeqRowAppend {
                 seq: seqs[it.slot],

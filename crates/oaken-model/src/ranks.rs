@@ -1,8 +1,11 @@
-//! Tensor-parallel rank-sharded execution: N engine ranks, each owning a
+//! Tensor-parallel rank sharding: N engine ranks, each owning a
 //! contiguous slice of the KV heads, the matching row shard of every
 //! projection matrix, and a **private** [`PagedKvPool`] shard — glued back
 //! together by the deterministic all-reduce of `oaken-runtime`'s
-//! [`Comm`].
+//! [`Comm`]. This module holds the ownership map ([`RankPlan`]), the
+//! lockstep pool façade ([`RankedPools`]) and the gather primitives the
+//! one forward pass ([`Model::forward_batch_sharded`]) merges rank shards
+//! with; a 1-rank plan is the unsharded engine.
 //!
 //! This is the software analogue of Oaken's multi-channel deployment
 //! (§5.2: one quantization engine per memory channel, each owning its
@@ -13,8 +16,8 @@
 //! bit-exactness discipline:
 //!
 //! * **Row-sharded projections** (`Wq`/`Wk`/`Wv` by head, `Wo`, FFN and
-//!   LM head by [`chunk_range`]) reproduce the unsharded kernels bit for
-//!   bit: every output element is computed by exactly one rank with the
+//!   LM head by [`chunk_range`]) produce the same bits under every shard
+//!   map: every output element is computed by exactly one task with the
 //!   serial per-row accumulation chain ([`Tensor::matvec_batch_rows`]),
 //!   and the all-reduce's `+0.0` identity passes the owner's bits through
 //!   unchanged.
@@ -36,25 +39,22 @@
 //! it: one all-reduce per projection merge (attention gather, `Wo`, FFN
 //! hidden, FFN down, and the final logits), plus a per-row scale sync for
 //! quantized pools (each rank computes its own K/V channels; only the
-//! whole-row min/max scales must be agreed globally).
+//! whole-row min/max scales must be agreed globally). One rank has no
+//! interconnect: its shard of every product *is* the product, and
+//! [`Comm`] accounts nothing.
 //!
 //! [`KernelMode::Exact`]: crate::cache::KernelMode::Exact
 //! [`KernelMode::Fused`]: crate::cache::KernelMode::Fused
+//! [`Model::forward_batch_sharded`]: crate::Model::forward_batch_sharded
 
 use crate::attention::AttentionShape;
 use crate::cache::KernelMode;
-use crate::config::{ModelConfig, Positional};
-use crate::ffn::{DenseFfn, FfnWeights};
-use crate::model::{attend_runs, AttendShard, BatchStep, Model, StepRuns};
+use crate::config::ModelConfig;
 use crate::pool::{KvReadStats, KvTransfer, PagedKvPool, PoolError, PrefixAlloc, SeqId};
 use crate::trie::PrefixStats;
 use oaken_mmu::{FaultPlan, FaultStats, SwapReceipt};
 use oaken_runtime::{chunk_range, Comm, Runtime};
-use oaken_tensor::activation::Activation;
-use oaken_tensor::rope::{apply_rope, DEFAULT_THETA};
-use oaken_tensor::{softmax_in_place, Tensor};
-#[cfg(debug_assertions)]
-use std::collections::HashMap;
+use oaken_tensor::Tensor;
 use std::ops::Range;
 
 /// The static shard-ownership map of a rank count over a model: which
@@ -117,6 +117,17 @@ impl RankPlan {
     pub fn q_channels(&self, r: usize) -> Range<usize> {
         let h = self.kv_heads(r);
         h.start * self.group * self.head_dim..h.end * self.group * self.head_dim
+    }
+
+    /// The attention problem rank `r` solves: its own heads only.
+    pub(crate) fn attention_shape(&self, r: usize, window: Option<usize>) -> AttentionShape {
+        let kv_heads = self.kv_heads(r).len();
+        AttentionShape {
+            num_heads: kv_heads * self.group,
+            num_kv_heads: kv_heads,
+            head_dim: self.head_dim,
+            window,
+        }
     }
 }
 
@@ -233,8 +244,8 @@ impl RankedPools {
         &mut self.pools
     }
 
-    /// Whether the shards store quantized streams (drives the scale-sync
-    /// accounting of the ranked forward pass).
+    /// Whether the shards store quantized streams (drives the forward
+    /// pass's scale-sync accounting).
     pub(crate) fn quantized(&self) -> bool {
         self.pools[0].quantizer_handle().is_some()
     }
@@ -300,9 +311,6 @@ impl RankedPools {
     /// is returned; on success every shard is frozen and the summed
     /// receipt comes back.
     pub fn suspend_seq(&mut self, seq: SeqId) -> Result<SwapReceipt, PoolError> {
-        if self.pools.len() == 1 {
-            return self.pools[0].suspend_seq(seq);
-        }
         let mut done: Vec<usize> = Vec::new();
         let mut total = SwapReceipt::default();
         for r in (1..self.pools.len()).chain([0]) {
@@ -532,39 +540,54 @@ impl std::fmt::Debug for RankedPools {
     }
 }
 
-/// Computes each rank's rows of `w · x` per input, without merging:
-/// `shards[r][s]` holds rows `rows_of(r)` of input `s`'s product, in the
-/// serial kernel's exact bits ([`Tensor::matvec_batch_rows`]). Ranks run
-/// as parallel tasks on `rt` — each rank's rows are a self-contained
-/// accumulation chain, so scheduling is unobservable.
-fn rank_rows<F>(rt: &Runtime, n: usize, w: &Tensor, xs: &[&[f32]], rows_of: F) -> Vec<Vec<Vec<f32>>>
-where
-    F: Fn(usize) -> Range<usize> + Sync,
-{
-    rt.map(n, |r| {
-        w.matvec_batch_rows(xs, rows_of(r))
-            .expect("rank row shard shape")
-    })
+/// What a row-sharded product leaves on the ranks: `[rank][input]` →
+/// that rank's rows of the input's product
+/// ([`Tensor::matvec_batch_shards`]'s output).
+pub(crate) type RowShards = Vec<Vec<Vec<f32>>>;
+
+pub(crate) fn as_refs(vs: &[Vec<f32>]) -> Vec<&[f32]> {
+    vs.iter().map(|v| v.as_slice()).collect()
 }
 
-/// Scatters per-rank compact row shards into zero-padded full-width
-/// buffers (`xs.len() × m` per rank) and merges them with one
-/// [`Comm::all_reduce`]: every output element is owned by exactly one
-/// rank, so the reduce is a bit-exact gather (the `+0.0` identity passes
-/// the owner's bits through). Returns the full-width products.
-fn reduce_row_shards(
+/// `m` rows split evenly over `n` ranks, rank order.
+pub(crate) fn even_rows(n: usize, m: usize) -> Vec<Range<usize>> {
+    (0..n).map(|r| chunk_range(r, m, n)).collect()
+}
+
+/// The full-width vector per input, each rank's rows side by side in rank
+/// order — for rows every rank needs whole but no link carries (the K/V
+/// rows every pool shard appends).
+pub(crate) fn concat_shards(mut shards: RowShards) -> Vec<Vec<f32>> {
+    let mut full = shards.remove(0);
+    for shard in shards {
+        for (row, part) in full.iter_mut().zip(shard) {
+            row.extend(part);
+        }
+    }
+    full
+}
+
+/// Merges the ranks' shards of one product (`rows[r]` of every input on
+/// rank `r`, contiguous and covering) into full-width vectors with one
+/// [`Comm::all_reduce`]: each rank scatters its rows into a zero-padded
+/// full-width buffer, and since every element is owned by exactly one rank
+/// the reduce is a bit-exact gather (the `+0.0` identity passes the
+/// owner's bits through). A lone rank owns every row — its shard is the
+/// product and nothing crosses a link.
+pub(crate) fn gather(
     comm: &mut Comm,
-    shards: &[Vec<Vec<f32>>],
-    n_inputs: usize,
-    m: usize,
-    rows_of: impl Fn(usize) -> Range<usize>,
+    mut shards: RowShards,
+    rows: &[Range<usize>],
 ) -> Vec<Vec<f32>> {
-    let n = shards.len();
-    let mut parts: Vec<Vec<f32>> = vec![vec![0.0f32; n_inputs * m]; n];
-    for (r, outs) in shards.iter().enumerate() {
-        let rows = rows_of(r);
+    if shards.len() == 1 {
+        return shards.remove(0);
+    }
+    let m = rows.last().map_or(0, |r| r.end);
+    let n_inputs = shards[0].len();
+    let mut parts: Vec<Vec<f32>> = vec![vec![0.0f32; n_inputs * m]; shards.len()];
+    for ((part, outs), rows) in parts.iter_mut().zip(&shards).zip(rows) {
         for (s, out) in outs.iter().enumerate() {
-            parts[r][s * m + rows.start..s * m + rows.end].copy_from_slice(out);
+            part[s * m + rows.start..s * m + rows.end].copy_from_slice(out);
         }
     }
     let mut refs: Vec<&mut [f32]> = parts.iter_mut().map(|p| p.as_mut_slice()).collect();
@@ -574,389 +597,25 @@ fn reduce_row_shards(
         .collect()
 }
 
-/// Row-sharded matvec + all-reduce in one step: each rank computes its
-/// `rows_of(rank)` rows, the shards gather through the reduce tree.
-fn sharded_matvec<F>(
+/// `w · x` per input, rows split evenly over the ranks and gathered by one
+/// all-reduce: the `Wo`, FFN-down, router and LM-head product.
+pub(crate) fn sharded_matvec(
     rt: &Runtime,
     comm: &mut Comm,
     w: &Tensor,
     xs: &[&[f32]],
-    m: usize,
-    rows_of: F,
-) -> Vec<Vec<f32>>
-where
-    F: Fn(usize) -> Range<usize> + Sync,
-{
-    let n = comm.num_ranks();
-    let shards = rank_rows(rt, n, w, xs, &rows_of);
-    reduce_row_shards(comm, &shards, xs.len(), m, rows_of)
-}
-
-/// The FFN hidden activation, row-sharded over the hidden dimension:
-/// each rank computes its rows of `up` (and `gate`), applies the
-/// activation and the gating product **locally** (elementwise, so shard
-/// bits equal full-vector bits), and the shards gather through one
-/// all-reduce. Returns the full hidden vector per input.
-fn sharded_hidden(
-    rt: &Runtime,
-    comm: &mut Comm,
-    ffn: &DenseFfn,
-    xs: &[&[f32]],
-    hidden: usize,
-    act: Activation,
 ) -> Vec<Vec<f32>> {
-    let n = comm.num_ranks();
-    let shards: Vec<Vec<Vec<f32>>> = rt.map(n, |r| {
-        let rows = chunk_range(r, hidden, n);
-        let mut ups = ffn
-            .w_up
-            .matvec_batch_rows(xs, rows.clone())
-            .expect("up-projection shard shape");
-        match &ffn.w_gate {
-            Some(g) => {
-                let mut gates = g.matvec_batch_rows(xs, rows).expect("gate shard shape");
-                for (up, gate) in ups.iter_mut().zip(&mut gates) {
-                    act.apply_in_place(gate);
-                    for (u, gv) in up.iter_mut().zip(gate.iter()) {
-                        *u *= gv;
-                    }
-                }
-            }
-            None => {
-                for up in &mut ups {
-                    act.apply_in_place(up);
-                }
-            }
-        }
-        ups
-    });
-    reduce_row_shards(comm, &shards, xs.len(), hidden, |r| {
-        chunk_range(r, hidden, n)
-    })
-}
-
-/// One dense FFN application sharded across ranks: hidden rows on each
-/// rank (one all-reduce), then down-projection rows (a second). Bit-exact
-/// per input with [`DenseFfn::forward_batch_on`] — and, for a single
-/// input, with the serial [`DenseFfn::forward`] (the lone-vector kernel
-/// path is shared).
-fn sharded_dense_ffn(
-    rt: &Runtime,
-    comm: &mut Comm,
-    ffn: &DenseFfn,
-    xs: &[&[f32]],
-    d: usize,
-    hidden: usize,
-    act: Activation,
-) -> Vec<Vec<f32>> {
-    let n = comm.num_ranks();
-    let hs = sharded_hidden(rt, comm, ffn, xs, hidden, act);
-    let href: Vec<&[f32]> = hs.iter().map(|v| v.as_slice()).collect();
-    sharded_matvec(rt, comm, &ffn.w_down, &href, d, |r| chunk_range(r, d, n))
-}
-
-/// One MoE layer sharded across ranks: the router's expert rows are
-/// chunked across ranks and gathered once for the whole batch; softmax,
-/// top-k selection, and the routed accumulation are replicated (pure
-/// elementwise/ordering work on identical bits), and each chosen expert
-/// runs as a rank-sharded dense FFN. Bit-exact per token with
-/// [`FfnWeights::forward`].
-#[allow(clippy::too_many_arguments)]
-fn sharded_moe(
-    rt: &Runtime,
-    comm: &mut Comm,
-    router: &Tensor,
-    experts: &[DenseFfn],
-    top_k: usize,
-    xs: &[&[f32]],
-    d: usize,
-    hidden: usize,
-    act: Activation,
-) -> Vec<Vec<f32>> {
-    let n = comm.num_ranks();
-    let num_experts = experts.len();
-    let all_logits = sharded_matvec(rt, comm, router, xs, num_experts, |r| {
-        chunk_range(r, num_experts, n)
-    });
-    xs.iter()
-        .zip(all_logits)
-        .map(|(x, mut logits)| {
-            softmax_in_place(&mut logits);
-            let mut idx: Vec<usize> = (0..num_experts).collect();
-            idx.sort_by(|&a, &b| logits[b].partial_cmp(&logits[a]).unwrap());
-            let chosen = &idx[..top_k.min(num_experts)];
-            let norm: f32 = chosen.iter().map(|&i| logits[i]).sum();
-            let mut out = vec![0.0f32; x.len()];
-            for &e in chosen {
-                let w = if norm > 0.0 { logits[e] / norm } else { 0.0 };
-                let ys = sharded_dense_ffn(rt, comm, &experts[e], &[x], d, hidden, act);
-                for (o, v) in out.iter_mut().zip(&ys[0]) {
-                    *o += w * v;
-                }
-            }
-            out
-        })
-        .collect()
-}
-
-/// The rank-sharded batched forward pass: [`Model::forward_batch_on`]'s
-/// arithmetic executed as `comm.num_ranks()` cooperating ranks over
-/// private pool shards, merged by deterministic all-reduces. Returns the
-/// per-step logits and the batch slots whose append failed mid-forward
-/// (the engine quarantines those exactly like the 1-rank poison path).
-///
-/// Per decoder layer the ranks communicate four times (attention gather,
-/// `Wo` merge, FFN hidden merge, FFN down merge — MoE layers pay the
-/// router merge plus two per routed expert instead), plus one logits
-/// merge per forward; quantized pools additionally account a whole-row
-/// scale sync per appended K/V row.
-///
-/// # Panics
-///
-/// Panics if `comm` and `pools` disagree on the rank count, on the same
-/// shape violations as [`Model::forward_batch_on`], or if a follower
-/// shard diverges from the lead (a façade-bypass bug).
-pub fn forward_batch_ranked(
-    model: &Model,
-    rt: &Runtime,
-    comm: &mut Comm,
-    pools: &mut RankedPools,
-    seqs: &[SeqId],
-    steps: &[BatchStep],
-) -> (Vec<Vec<f32>>, Vec<(usize, PoolError)>) {
-    let cfg = model.config();
-    let n = comm.num_ranks();
-    assert_eq!(n, pools.num_ranks(), "comm and pools agree on rank count");
-    for s in steps {
-        assert!(
-            (s.token as usize) < cfg.vocab_size,
-            "token {} outside vocabulary {}",
-            s.token,
-            cfg.vocab_size
-        );
-        assert!(
-            s.pos < cfg.max_seq_len,
-            "sequence exceeds max_seq_len {}",
-            cfg.max_seq_len
-        );
-    }
-    #[cfg(debug_assertions)]
-    {
-        let mut last: HashMap<usize, usize> = HashMap::new();
-        for s in steps {
-            if let Some(prev) = last.insert(s.slot, s.pos) {
-                debug_assert_eq!(
-                    s.pos,
-                    prev + 1,
-                    "slot {}: chunked steps must have consecutive positions",
-                    s.slot
-                );
-            }
-        }
-    }
-
-    let plan = pools.plan().clone();
-    let d = cfg.d_model;
-    let hd = cfg.head_dim();
-    let kv_dim = cfg.kv_dim();
-    let quantized = pools.quantized();
-    let slots: Vec<usize> = steps.iter().map(|s| s.slot).collect();
-    let shapes: Vec<AttentionShape> = (0..n)
-        .map(|r| AttentionShape {
-            num_heads: plan.kv_heads(r).len() * plan.group,
-            num_kv_heads: plan.kv_heads(r).len(),
-            head_dim: hd,
-            window: cfg.sliding_window,
-        })
-        .collect();
-
-    // Embedding is replicated on every rank (it feeds every shard).
-    let mut xs: Vec<Vec<f32>> = steps
-        .iter()
-        .map(|s| {
-            let mut x = model.embed().row(s.token as usize).to_vec();
-            if let Some(pe) = model.pos_embed() {
-                for (xi, pi) in x.iter_mut().zip(pe.row(s.pos)) {
-                    *xi += pi;
-                }
-            }
-            x
-        })
-        .collect();
-
-    fn as_refs(vs: &[Vec<f32>]) -> Vec<&[f32]> {
-        vs.iter().map(|v| v.as_slice()).collect()
-    }
-
-    let mut poisoned: Vec<(usize, PoolError)> = Vec::new();
-
-    for (l, lw) in model.layers().iter().enumerate() {
-        // Attention block. Norms are replicated; the three projections
-        // are row-sharded by head ownership and *stay rank-local* — only
-        // the attention outputs are gathered.
-        let hs: Vec<Vec<f32>> = xs
-            .iter()
-            .map(|x| model.norm(x, &lw.attn_norm_w, lw.attn_norm_b.as_ref()))
-            .collect();
-        let href = as_refs(&hs);
-        let mut q_parts = rank_rows(rt, n, &lw.wq, &href, |r| plan.q_channels(r));
-        let k_parts = rank_rows(rt, n, &lw.wk, &href, |r| plan.kv_channels(r));
-        let v_parts = rank_rows(rt, n, &lw.wv, &href, |r| plan.kv_channels(r));
-
-        // Assemble the full-width K/V rows every rank appends: Oaken's
-        // whole-row min/max scales need global agreement, which a real
-        // deployment pays as a tiny per-row scale sync (accounted below);
-        // the channel payloads themselves stay rank-local in the pools.
-        let mut ks: Vec<Vec<f32>> = vec![vec![0.0f32; kv_dim]; steps.len()];
-        let mut vs: Vec<Vec<f32>> = vec![vec![0.0f32; kv_dim]; steps.len()];
-        for r in 0..n {
-            let ch = plan.kv_channels(r);
-            for i in 0..steps.len() {
-                ks[i][ch.clone()].copy_from_slice(&k_parts[r][i]);
-                vs[i][ch.clone()].copy_from_slice(&v_parts[r][i]);
-            }
-        }
-        if quantized {
-            // One (min, max) pair per appended K and V row.
-            comm.account_sync(2 * steps.len() as u64, 2);
-        }
-
-        // Rope is head-local: each rank rotates its own query heads, and
-        // the assembled K rows rotate whole heads in place — the same
-        // bits as the unsharded path's full-width rotation.
-        if cfg.positional == Positional::Rope {
-            for (i, step) in steps.iter().enumerate() {
-                for part in q_parts.iter_mut() {
-                    for head in part[i].chunks_mut(hd) {
-                        apply_rope(head, step.pos, DEFAULT_THETA);
-                    }
-                }
-                for head in ks[i].chunks_mut(hd) {
-                    apply_rope(head, step.pos, DEFAULT_THETA);
-                }
-            }
-        }
-
-        // Appends, serial in step order, lead shard first per step: the
-        // lead's injectors give the only fault verdict, and a failure
-        // poisons the slot before any follower stores the row — so a
-        // quarantined teardown is the only cross-shard divergence that
-        // can ever exist, and it removes the sequence everywhere.
-        for (i, step) in steps.iter().enumerate() {
-            if poisoned.iter().any(|&(s, _)| s == step.slot) {
-                continue;
-            }
-            let seq = seqs[step.slot];
-            if let Err(e) = pools.ranks_mut()[0].append(seq, l, &ks[i], &vs[i]) {
-                poisoned.push((step.slot, e));
-                continue;
-            }
-            let mut failed = None;
-            for r in 1..n {
-                if let Err(e) = pools.ranks_mut()[r].append(seq, l, &ks[i], &vs[i]) {
-                    failed = Some(e);
-                    break;
-                }
-            }
-            if let Some(e) = failed {
-                poisoned.push((step.slot, e));
-            }
-        }
-
-        // Attention, exactly the unsharded decomposition — tasks over
-        // (run, query tile, KV-head range) — each running on its owner
-        // rank's shard with the rank-local shape, reading that shard in
-        // place. Head-local arithmetic makes every group output
-        // bit-identical to the 1-rank kernel's.
-        let runs = StepRuns::new(&slots, |slot| pools.lead().seq_len(seqs[slot], l));
-        let spec = runs.spec();
-        for pool in pools.ranks_mut() {
-            for &(slot, _) in &spec {
-                pool.sync_views(seqs[slot], l);
-            }
-        }
-        let shards: Vec<AttendShard<'_>> = pools
-            .ranks()
-            .iter()
-            .enumerate()
-            .map(|(r, pool)| AttendShard {
-                shape: shapes[r],
-                qs: &q_parts[r],
-                reads: spec
-                    .iter()
-                    .map(|&(slot, queries)| pool.read_kv(seqs[slot], l, queries))
-                    .collect(),
-            })
-            .collect();
-        let rank_atts = attend_runs(rt, &runs, &shards);
-
-        // Gather the disjoint q-head slices: one all-reduce per layer.
-        let mut parts: Vec<Vec<f32>> = vec![vec![0.0f32; steps.len() * d]; n];
-        for (r, (part, att)) in parts.iter_mut().zip(&rank_atts).enumerate() {
-            let ch = plan.q_channels(r);
-            for (i, a) in att.chunks(ch.len()).enumerate() {
-                part[i * d + ch.start..i * d + ch.end].copy_from_slice(a);
-            }
-        }
-        let mut refs: Vec<&mut [f32]> = parts.iter_mut().map(|p| p.as_mut_slice()).collect();
-        comm.all_reduce(&mut refs);
-        let atts: Vec<Vec<f32>> = (0..steps.len())
-            .map(|i| parts[0][i * d..(i + 1) * d].to_vec())
-            .collect();
-
-        let attref = as_refs(&atts);
-        let projs = sharded_matvec(rt, comm, &lw.wo, &attref, d, |r| chunk_range(r, d, n));
-        for (x, proj) in xs.iter_mut().zip(projs) {
-            for (xi, pi) in x.iter_mut().zip(proj) {
-                *xi += pi;
-            }
-        }
-
-        // FFN block.
-        let hs: Vec<Vec<f32>> = xs
-            .iter()
-            .map(|x| model.norm(x, &lw.ffn_norm_w, lw.ffn_norm_b.as_ref()))
-            .collect();
-        let href = as_refs(&hs);
-        let ys = match &lw.ffn {
-            FfnWeights::Dense(ffn) => {
-                sharded_dense_ffn(rt, comm, ffn, &href, d, cfg.ffn_hidden, cfg.activation)
-            }
-            FfnWeights::Moe {
-                router,
-                experts,
-                top_k,
-            } => sharded_moe(
-                rt,
-                comm,
-                router,
-                experts,
-                *top_k,
-                &href,
-                d,
-                cfg.ffn_hidden,
-                cfg.activation,
-            ),
-        };
-        for (x, y) in xs.iter_mut().zip(ys) {
-            for (xi, yi) in x.iter_mut().zip(y) {
-                *xi += yi;
-            }
-        }
-    }
-
-    let (fw, fb) = model.final_norm();
-    let hs: Vec<Vec<f32>> = xs.iter().map(|x| model.norm(x, fw, fb)).collect();
-    let href = as_refs(&hs);
-    let logits = sharded_matvec(rt, comm, model.lm_head(), &href, cfg.vocab_size, |r| {
-        chunk_range(r, cfg.vocab_size, n)
-    });
-    (logits, poisoned)
+    let rows = even_rows(comm.num_ranks(), w.shape()[0]);
+    let shards = w
+        .matvec_batch_shards(rt, xs, &rows)
+        .expect("projection shape");
+    gather(comm, shards, &rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{BatchStep, Model};
     use crate::pool::PoolBatchView;
     use crate::sampling::sample_greedy;
     use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler};
@@ -997,11 +656,32 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// One engine-style forward over `pools` (as many ranks as it holds),
+    /// asserting the fault-free run poisons nothing.
+    fn forward(
+        model: &Model,
+        rt: &Runtime,
+        comm: &mut Comm,
+        pools: &mut RankedPools,
+        seqs: &[SeqId],
+        steps: &[BatchStep],
+    ) -> Vec<Vec<f32>> {
+        let plan = pools.plan().clone();
+        let mut view = PoolBatchView::new(pools, seqs);
+        let logits = model.forward_batch_sharded(rt, &plan, comm, &mut view, steps, None);
+        assert!(
+            view.take_poisoned().is_empty(),
+            "fault-free run poisons nothing"
+        );
+        logits
+    }
+
     /// Drives `iters` engine-style iterations (a prompt chunk, then
-    /// greedy decode) over two interleaved sequences through both the
-    /// unsharded parallel forward and the ranked forward, comparing every
-    /// step's logits bitwise.
-    fn assert_ranked_matches_unsharded(
+    /// greedy decode) over two interleaved sequences through the forward
+    /// pass at one rank and at `ranks` ranks, comparing every step's
+    /// logits bitwise (the independent oracle for the one-rank pass is
+    /// `tests/reference_forward.rs`).
+    fn assert_n_ranks_match_one_rank(
         cfg: &ModelConfig,
         quantizer: Option<Arc<dyn KvQuantizer>>,
         ranks: usize,
@@ -1012,22 +692,25 @@ mod tests {
         let model = Model::synthetic(cfg.clone(), 42);
         let rt = Runtime::new(threads);
 
-        let mut ref_pool = PagedKvPool::for_model(cfg, quantizer.clone(), 512, 4096);
-        ref_pool.set_kernel_mode(kernel);
-        let donor = {
-            let mut p = PagedKvPool::for_model(cfg, quantizer, 512, 4096);
+        let donor = || {
+            let mut p = PagedKvPool::for_model(cfg, quantizer.clone(), 512, 4096);
             p.set_kernel_mode(kernel);
             p
         };
-        let mut pools = RankedPools::split(cfg, donor, ranks);
+        let mut one = RankedPools::single(cfg, donor());
+        let mut one_comm = Comm::new(1);
+        let mut pools = RankedPools::split(cfg, donor(), ranks);
         let mut comm = Comm::new(ranks);
 
-        let ref_seqs = vec![ref_pool.alloc_seq(), ref_pool.alloc_seq()];
-        let seqs = vec![
-            pools.alloc_seq_with_prefix(&[]).seq,
-            pools.alloc_seq_with_prefix(&[]).seq,
-        ];
-        assert_eq!(ref_seqs, seqs, "reference and ranked ids align");
+        let alloc2 = |p: &mut RankedPools| {
+            vec![
+                p.alloc_seq_with_prefix(&[]).seq,
+                p.alloc_seq_with_prefix(&[]).seq,
+            ]
+        };
+        let one_seqs = alloc2(&mut one);
+        let seqs = alloc2(&mut pools);
+        assert_eq!(one_seqs, seqs, "one-rank and ranked ids align");
 
         let mut pos = [0usize; 2];
         let mut last = [1u32, 7u32];
@@ -1048,13 +731,8 @@ mod tests {
                 pos[slot] += chunk;
             }
 
-            let want = {
-                let mut view = PoolBatchView::new(&mut ref_pool, &ref_seqs);
-                model.forward_batch_on(&rt, &mut view, &steps, None)
-            };
-            let (got, poisons) =
-                forward_batch_ranked(&model, &rt, &mut comm, &mut pools, &seqs, &steps);
-            assert!(poisons.is_empty(), "fault-free run poisons nothing");
+            let want = forward(&model, &rt, &mut one_comm, &mut one, &one_seqs, &steps);
+            let got = forward(&model, &rt, &mut comm, &mut pools, &seqs, &steps);
             assert_eq!(want.len(), got.len());
             for (s, (w, g)) in want.iter().zip(&got).enumerate() {
                 assert_eq!(
@@ -1075,6 +753,11 @@ mod tests {
             comm.stats().allreduce_calls > 0,
             "ranked forward reduces at least once per layer"
         );
+        assert_eq!(
+            one_comm.stats(),
+            oaken_runtime::CommStats::default(),
+            "one rank has no interconnect to account"
+        );
     }
 
     fn dense_cfg() -> ModelConfig {
@@ -1086,7 +769,7 @@ mod tests {
     fn exact_pools_match_unsharded_bitwise() {
         for ranks in [2, 3, 4] {
             for threads in [1, 4] {
-                assert_ranked_matches_unsharded(
+                assert_n_ranks_match_one_rank(
                     &dense_cfg(),
                     None,
                     ranks,
@@ -1104,7 +787,7 @@ mod tests {
         let q = oaken(cfg.kv_dim(), cfg.num_layers);
         for ranks in [2, 4] {
             for threads in [1, 4] {
-                assert_ranked_matches_unsharded(
+                assert_n_ranks_match_one_rank(
                     &cfg,
                     Some(q.clone()),
                     ranks,
@@ -1124,7 +807,7 @@ mod tests {
         let cfg = dense_cfg();
         let q = oaken(cfg.kv_dim(), cfg.num_layers);
         for ranks in [2, 3] {
-            assert_ranked_matches_unsharded(&cfg, Some(q.clone()), ranks, 4, KernelMode::Fused, 4);
+            assert_n_ranks_match_one_rank(&cfg, Some(q.clone()), ranks, 4, KernelMode::Fused, 4);
         }
     }
 
@@ -1133,7 +816,7 @@ mod tests {
         // Mixtral proxy: 2 KV heads (GQA 4), 8 experts top-2.
         let cfg = ModelConfig::mixtral_8x7b().proxy(2, 32);
         assert!(cfg.moe.is_some(), "mixtral proxy keeps its experts");
-        assert_ranked_matches_unsharded(&cfg, None, 2, 4, KernelMode::Exact, 3);
+        assert_n_ranks_match_one_rank(&cfg, None, 2, 4, KernelMode::Exact, 3);
     }
 
     #[test]
@@ -1151,8 +834,7 @@ mod tests {
             pos: 0,
             token: 5,
         }];
-        let (_, poisons) = forward_batch_ranked(&model, &rt, &mut comm, &mut pools, &seqs, &steps);
-        assert!(poisons.is_empty());
+        forward(&model, &rt, &mut comm, &mut pools, &seqs, &steps);
         // 4 reduces per dense layer + 1 logits reduce.
         assert_eq!(
             comm.stats().allreduce_calls,
@@ -1181,8 +863,7 @@ mod tests {
                 pos,
                 token: feed,
             }];
-            let (logits, _) =
-                forward_batch_ranked(&model, &rt, &mut comm, &mut pools, &seqs, &steps);
+            let logits = forward(&model, &rt, &mut comm, &mut pools, &seqs, &steps);
             feed = sample_greedy(&logits[0]);
         }
         let before: Vec<Vec<u32>> = (0..3)
@@ -1210,8 +891,7 @@ mod tests {
             pos: 4,
             token: feed,
         }];
-        let (_, poisons) = forward_batch_ranked(&model, &rt, &mut comm, &mut pools, &seqs, &steps);
-        assert!(poisons.is_empty());
+        forward(&model, &rt, &mut comm, &mut pools, &seqs, &steps);
         assert!(pools.free_seq(seqs[0]).is_ok());
         assert_eq!(pools.free_pages(), pools.capacity_pages());
     }
@@ -1234,7 +914,7 @@ mod tests {
                 pos,
                 token: 9,
             }];
-            forward_batch_ranked(&model, &rt, &mut comm, &mut pools, &seqs, &steps);
+            forward(&model, &rt, &mut comm, &mut pools, &seqs, &steps);
             pools.note_page_peaks();
         }
         assert_eq!(pools.page_peaks().len(), 4);

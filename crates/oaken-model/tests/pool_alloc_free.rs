@@ -18,7 +18,7 @@
 //! allocator must not observe allocations from concurrently running tests.
 
 use oaken_model::{
-    BatchAppend, BatchKvCache, ModelConfig, PagedKvPool, PoolBatchView, SeqRowAppend,
+    BatchAppend, BatchKvCache, ModelConfig, PagedKvPool, PoolBatchView, RankedPools, SeqRowAppend,
 };
 use oaken_runtime::Runtime;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -167,15 +167,16 @@ fn steady_state_parallel_append_batch_makes_zero_allocations() {
     }
 
     // The engine's slot-mapped adapter (`PoolBatchView::append_batch`,
-    // the path `forward_batch_on` actually drives) must be equally
+    // the path the forward pass actually drives) must be equally
     // allocation-free: it translates slots through the accessor form
     // instead of materializing a mapped item list.
     let seq_list: Vec<_> = seqs.to_vec();
     let k0 = kv_row(d, 9_001);
     let v0 = kv_row(d, 9_002);
+    let mut pools = RankedPools::single(&cfg, pool);
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     {
-        let mut view = PoolBatchView::new(&mut pool, &seq_list);
+        let mut view = PoolBatchView::new(&mut pools, &seq_list);
         for layer in 0..layers {
             let items = [
                 BatchAppend {
@@ -208,6 +209,6 @@ fn steady_state_parallel_append_batch_makes_zero_allocations() {
         "PoolBatchView::append_batch performed {delta} heap allocations"
     );
     for &s in &seqs {
-        assert_eq!(pool.seq_len(s, 0), total + 1);
+        assert_eq!(pools.lead().seq_len(s, 0), total + 1);
     }
 }

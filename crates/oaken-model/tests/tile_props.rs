@@ -2,14 +2,14 @@
 //! same prompt fed as chunks of any size — one token at a time, a few,
 //! whole query tiles, or the entire prompt in one pass — yields
 //! bit-identical logits and leaves bit-identical pool state, on the serial
-//! and the parallel runtime, unsharded and rank-sharded. This is the fused
+//! and the parallel runtime, at one rank and rank-sharded (the same
+//! forward pass, N ranks ≡ 1 rank). This is the fused
 //! kernel's width-invariance contract observed end to end: which queries
 //! shared a sweep over the encoded rows never shows in any output bit.
 
 use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler};
 use oaken_model::{
-    forward_batch_ranked, BatchStep, KernelMode, Model, ModelConfig, PagedKvPool, PoolBatchView,
-    RankedPools,
+    BatchStep, KernelMode, Model, ModelConfig, PagedKvPool, PoolBatchView, RankedPools,
 };
 use oaken_runtime::{Comm, Runtime};
 use proptest::prelude::*;
@@ -81,15 +81,13 @@ fn prefill(
                 token,
             })
             .collect();
-        let logits = if ranks == 1 {
-            let mut view = PoolBatchView::new(pools.lead_mut(), &seqs);
-            model.forward_batch_on(&rt, &mut view, &steps, None)
-        } else {
-            let (logits, poisoned) =
-                forward_batch_ranked(model, &rt, &mut comm, &mut pools, &seqs, &steps);
-            assert!(poisoned.is_empty(), "fault-free run poisons nothing");
-            logits
-        };
+        let plan = pools.plan().clone();
+        let mut view = PoolBatchView::new(&mut pools, &seqs);
+        let logits = model.forward_batch_sharded(&rt, &plan, &mut comm, &mut view, &steps, None);
+        assert!(
+            view.take_poisoned().is_empty(),
+            "fault-free run poisons nothing"
+        );
         observed.extend(logits.iter().map(|l| bits(l)));
     }
     let reads = pools.kv_read_stats();

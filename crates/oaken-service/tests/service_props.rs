@@ -11,7 +11,7 @@ mod common;
 
 use common::*;
 use oaken_service::{replay_open_loop_direct, serve, OpenLoopSpec};
-use oaken_serving::{EngineRequest, PreemptPolicy, RequestOutcome, TokenScheduler};
+use oaken_serving::{EngineRequest, PreemptPolicy, RequestFailure, RequestOutcome, TokenScheduler};
 use proptest::prelude::*;
 
 /// Runs one schedule through the service and through the direct replay
@@ -125,6 +125,68 @@ fn bursty_schedule_bit_exact_under_page_pressure() {
         .collect();
     for &preempt in &[PreemptPolicy::RestartRecompute, PreemptPolicy::SwapToHost] {
         assert_service_matches_direct(&schedule, 4, preempt, 80, 80);
+    }
+}
+
+/// Malformed requests arrive from outside the process: each must end in
+/// a typed `Failed(Invalid)` on its own stream — not a panic that takes
+/// the engine thread down and strands every waiting client — and the
+/// service must keep serving: a good request submitted after them still
+/// finishes with the reference tokens, and shutdown joins cleanly.
+#[test]
+fn invalid_requests_fail_typed_and_the_service_keeps_serving() {
+    let model = tiny_model();
+    let quantizer = profiled_oaken(&model);
+    let vocab = model.config().vocab_size as u32;
+    let bad = [
+        EngineRequest {
+            id: 0,
+            prompt: vec![3, vocab, 5], // out of vocabulary
+            max_new_tokens: 4,
+        },
+        EngineRequest {
+            id: 1,
+            prompt: Vec::new(),
+            max_new_tokens: 4,
+        },
+        EngineRequest {
+            id: 2,
+            prompt: vec![1, 2, 3],
+            max_new_tokens: 0,
+        },
+    ];
+    let good = request_for(3, 6, 5);
+    for &threads in &[1usize, 4] {
+        let ((failed, served), report) = serve(
+            &model,
+            service_pool(&model, &quantizer, 256, 128),
+            TokenScheduler::new(4),
+            service_config(threads, PreemptPolicy::SwapToHost),
+            |client| {
+                let failed: Vec<_> = bad
+                    .iter()
+                    .map(|req| client.submit(req.clone()).wait())
+                    .collect();
+                (failed, client.submit(good.clone()).wait())
+            },
+        );
+        for res in &failed {
+            assert_eq!(
+                res.end.outcome,
+                RequestOutcome::Failed(RequestFailure::Invalid),
+                "request {}",
+                res.id
+            );
+            assert!(res.tokens.is_empty() && res.end.generated.is_empty());
+        }
+        assert_eq!(served.end.outcome, RequestOutcome::Finished);
+        assert_eq!(
+            served.tokens,
+            session_decode(&model, &quantizer, &good.prompt, good.max_new_tokens)
+        );
+        assert_eq!(report.stats.failed, bad.len() as u64);
+        assert_eq!(report.stats.retired, 1);
+        assert!(report.drained_empty(), "pool residue: {:?}", report.drain);
     }
 }
 

@@ -43,8 +43,8 @@
 
 use crate::scheduler::TokenScheduler;
 use oaken_model::{
-    forward_batch_ranked, sample_greedy, BatchStep, FaultKind, FaultPlan, KernelMode, KvReadStats,
-    KvTransfer, Model, PagedKvPool, PoolBatchView, PoolError, PrefixStats, RankedPools, SeqId,
+    sample_greedy, BatchStep, FaultKind, FaultPlan, KernelMode, KvReadStats, KvTransfer, Model,
+    PagedKvPool, PoolBatchView, PoolError, PrefixStats, RankedPools, SeqId,
 };
 use oaken_runtime::{Comm, CommStats, Runtime};
 use std::collections::{HashSet, VecDeque};
@@ -222,10 +222,12 @@ pub struct EngineConfig {
     /// machine's available parallelism).
     pub num_threads: usize,
     /// Tensor-parallel engine ranks. `1` (the default) is the unsharded
-    /// engine, byte for byte. `N > 1` splits the pool into `N` private
-    /// per-rank shards (contiguous KV-head slices, device/host capacity
-    /// divided evenly) and runs every forward pass rank-sharded with a
-    /// deterministic all-reduce ([`oaken_model::forward_batch_ranked`]) —
+    /// engine: one pool shard, a communicator that accounts nothing.
+    /// `N > 1` splits the pool into `N` private per-rank shards
+    /// (contiguous KV-head slices, device/host capacity divided evenly)
+    /// and the same forward pass
+    /// ([`Model::forward_batch_sharded`]) runs `N` ranks merged by a
+    /// deterministic all-reduce —
     /// logits stay **bit-exact** with the 1-rank engine in
     /// [`KernelMode::Exact`] for every thread count. The request is
     /// capability-gated like [`EngineConfig::kernel`]: clamped to the
@@ -284,6 +286,9 @@ pub enum RequestFailure {
     /// A pool operation failed mid-flight and the retry/demotion budget
     /// is exhausted; carries the final error.
     Pool(PoolError),
+    /// Rejected at [`BatchEngine::submit`]: an empty prompt, a zero
+    /// output budget, or a prompt token outside the model's vocabulary.
+    Invalid,
 }
 
 impl std::fmt::Display for RequestFailure {
@@ -291,6 +296,7 @@ impl std::fmt::Display for RequestFailure {
         match self {
             RequestFailure::Impossible => write!(f, "request can never fit the pool"),
             RequestFailure::Pool(e) => write!(f, "pool operation failed: {e}"),
+            RequestFailure::Invalid => write!(f, "malformed request"),
         }
     }
 }
@@ -722,14 +728,23 @@ impl<'m> BatchEngine<'m> {
         self.pools.num_ranks()
     }
 
-    /// Enqueues a request.
+    /// Enqueues a request. A malformed one — empty prompt, zero output
+    /// budget, or an out-of-vocabulary prompt token ([`EngineRequest`]'s
+    /// fields are public, so [`EngineRequest::new`]'s checks can be
+    /// bypassed) — finishes immediately as
+    /// [`RequestFailure::Invalid`]: requests come from outside the
+    /// process, and the forward pass's asserts are an internal guard that
+    /// would take the engine thread, and every waiting client, down.
     pub fn submit(&mut self, req: EngineRequest) {
-        assert!(
-            req.prompt
-                .iter()
-                .all(|&t| (t as usize) < self.model.config().vocab_size),
-            "prompt tokens must be in-vocabulary"
-        );
+        let vocab = self.model.config().vocab_size;
+        let valid = !req.prompt.is_empty()
+            && req.max_new_tokens > 0
+            && req.prompt.iter().all(|&t| (t as usize) < vocab);
+        if !valid {
+            let failed = RequestOutcome::Failed(RequestFailure::Invalid);
+            self.finish_request(req, Vec::new(), Vec::new(), 0, 0, failed);
+            return;
+        }
         self.queue.push_back(QueuedRequest {
             req,
             preemptions: 0,
@@ -1001,29 +1016,21 @@ impl<'m> BatchEngine<'m> {
                 steps.push(BatchStep { slot, pos, token });
             }
         }
-        let (logits, poisoned) = if self.pools.num_ranks() == 1 {
-            // The unsharded engine, byte for byte: the legacy batched
-            // forward over the sole pool.
-            let mut view = PoolBatchView::new(self.pools.lead_mut(), &seqs);
-            let logits = self
-                .model
-                .forward_batch_on(&self.runtime, &mut view, &steps, None);
-            // Slots whose append failed mid-forward (injected fault or —
-            // never on the fault-free path — exhaustion despite the
-            // reservation): their forward output is discarded below and
-            // the sequences are quarantined after the batch bookkeeping.
-            let poisoned = view.take_poisoned();
-            (logits, poisoned)
-        } else {
-            forward_batch_ranked(
-                self.model,
-                &self.runtime,
-                &mut self.comm,
-                &mut self.pools,
-                &seqs,
-                &steps,
-            )
-        };
+        let ranks = self.pools.plan().clone();
+        let mut view = PoolBatchView::new(&mut self.pools, &seqs);
+        let logits = self.model.forward_batch_sharded(
+            &self.runtime,
+            &ranks,
+            &mut self.comm,
+            &mut view,
+            &steps,
+            None,
+        );
+        // Slots whose append failed mid-forward (injected fault or —
+        // never on the fault-free path — exhaustion despite the
+        // reservation): their forward output is discarded below and
+        // the sequences are quarantined after the batch bookkeeping.
+        let poisoned = view.take_poisoned();
         self.pools.note_page_peaks();
         self.stats.pages_in_use_peak = self.stats.pages_in_use_peak.max(self.pools.pages_in_use());
 

@@ -419,73 +419,20 @@ impl Tensor {
     /// Per input, the accumulation order is identical to
     /// [`Tensor::matvec`], so `matvec_batch(&[x])[0]` is bit-exact with
     /// `matvec(x)` and results never depend on the co-batched vectors.
+    /// This is [`Tensor::matvec_batch_rows`] over every row.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::IncompatibleShapes`] unless `self` is rank 2
     /// and every vector's length equals the column count.
     pub fn matvec_batch(&self, xs: &[&[f32]]) -> Result<Vec<Vec<f32>>, TensorError> {
-        for v in xs {
-            if self.rank() != 2 || self.shape[1] != v.len() {
-                return Err(TensorError::IncompatibleShapes {
-                    lhs: self.shape.clone(),
-                    rhs: vec![v.len()],
-                    op: "matvec_batch",
-                });
-            }
-        }
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let mut outs = vec![vec![0.0f32; m]; xs.len()];
-        let mut start = 0usize;
-        while start < xs.len() {
-            let n = (xs.len() - start).min(MATVEC_CHUNK);
-            if n == 1 {
-                // A lone vector gains nothing from interleaving; take the
-                // single-sequence dot path (identical accumulation order).
-                let x = xs[start];
-                for (i, o) in outs[start].iter_mut().enumerate() {
-                    *o = dot(&self.data[i * k..(i + 1) * k], x);
-                }
-                start += 1;
-                continue;
-            }
-            // Re-slice each input to exactly `k` elements so the indexed
-            // loads below are provably in bounds and check-free.
-            let mut chunk = [&[] as &[f32]; MATVEC_CHUNK];
-            for (c, x) in chunk[..n].iter_mut().zip(&xs[start..start + n]) {
-                *c = &x[..k];
-            }
-            for i in 0..m {
-                let row = &self.data[i * k..(i + 1) * k];
-                let mut acc = [0.0f32; MATVEC_CHUNK];
-                for (j, &w) in row.iter().enumerate() {
-                    for (a, x) in acc[..n].iter_mut().zip(&chunk[..n]) {
-                        *a += w * x[j];
-                    }
-                }
-                for (s, &a) in acc[..n].iter().enumerate() {
-                    outs[start + s][i] = a;
-                }
-            }
-            start += n;
-        }
-        Ok(outs)
+        self.matvec_batch_rows(xs, 0..*self.shape.first().unwrap_or(&0))
     }
 
     /// [`Tensor::matvec_batch`] sharded across output rows on `rt` —
-    /// the parallel form of the batched-decode primitive.
-    ///
-    /// The decomposition follows the runtime's determinism discipline:
-    /// each task owns a contiguous, fixed range of output rows
-    /// ([`oaken_runtime::chunk_range`]) and replicates the serial kernel's
-    /// arithmetic for exactly those rows — every accumulation chain is
-    /// row-local, so no reassociation is possible and the result is
-    /// **bit-exact** with the serial [`Tensor::matvec_batch`] for every
-    /// thread count and every scheduling order. Per-task partial outputs
-    /// are merged in index order.
-    ///
-    /// Small products (or a serial `rt`) take the serial path directly;
-    /// the crossover is sized so the fork-join overhead never dominates.
+    /// the parallel form of the batched-decode primitive, and the
+    /// one-shard case of [`Tensor::matvec_batch_shards`]: bit-exact with
+    /// the serial kernel for every thread count.
     ///
     /// # Errors
     ///
@@ -496,69 +443,57 @@ impl Tensor {
         rt: &oaken_runtime::Runtime,
         xs: &[&[f32]],
     ) -> Result<Vec<Vec<f32>>, TensorError> {
-        let (m, k) = (
-            *self.shape.first().unwrap_or(&0),
-            *self.shape.get(1).unwrap_or(&0),
-        );
-        // The fork-join pays off only when every thread gets real work.
-        let flops = m * k * xs.len();
-        if rt.is_serial() || m < 2 || flops < PAR_MATVEC_MIN_FLOPS {
-            return self.matvec_batch(xs);
+        let all = 0..*self.shape.first().unwrap_or(&0);
+        let mut shards = self.matvec_batch_shards(rt, xs, &[all])?;
+        Ok(shards.pop().expect("one shard in, one shard out"))
+    }
+
+    /// The batched product with its output rows partitioned into
+    /// `shards` (one contiguous row range per owner — a tensor-parallel
+    /// rank, or the whole matrix): `out[s][i][li]` is row
+    /// `shards[s].start + li` of `self · xs[i]`.
+    ///
+    /// The decomposition follows the runtime's determinism discipline:
+    /// tasks form a fixed `(shard, sub-chunk of that shard's rows)` grid
+    /// ([`oaken_runtime::chunk_range`]), each running
+    /// [`Tensor::matvec_batch_rows`] on its own rows — every accumulation
+    /// chain is row-local, so no reassociation is possible and every
+    /// element is **bit-exact** with the serial [`Tensor::matvec_batch`]
+    /// for every shard map, thread count and scheduling order. A shard's
+    /// sub-chunks are concatenated in row order.
+    ///
+    /// Small products (or a serial `rt`) run one task per shard; the
+    /// crossover is sized so the fork-join overhead never dominates.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::IncompatibleShapes`] under the same
+    /// conditions as [`Tensor::matvec_batch_rows`], for any shard.
+    pub fn matvec_batch_shards(
+        &self,
+        rt: &oaken_runtime::Runtime,
+        xs: &[&[f32]],
+        shards: &[std::ops::Range<usize>],
+    ) -> Result<Vec<Vec<Vec<f32>>>, TensorError> {
+        let k = *self.shape.get(1).unwrap_or(&0);
+        let tasks = shard_tasks(rt.threads(), k * xs.len(), shards);
+        if let [(_, rows)] = tasks.as_slice() {
+            // One shard, one task: nothing to fork or merge.
+            return Ok(vec![self.matvec_batch_rows(xs, rows.clone())?]);
         }
-        for v in xs {
-            if self.rank() != 2 || self.shape[1] != v.len() {
-                return Err(TensorError::IncompatibleShapes {
-                    lhs: self.shape.clone(),
-                    rhs: vec![v.len()],
-                    op: "matvec_batch",
-                });
-            }
-        }
-        let n_tasks = m.min(rt.threads() * PAR_MATVEC_TASKS_PER_THREAD);
-        // Each task computes its own row range for the whole batch,
-        // laid out `[seq][local_row]`; the merge scatters in index order.
-        let partials = rt.map(n_tasks, |t| {
-            let rows = oaken_runtime::chunk_range(t, m, n_tasks);
-            let rows_len = rows.len();
-            let mut local = vec![0.0f32; rows_len * xs.len()];
-            let mut start = 0usize;
-            while start < xs.len() {
-                let n = (xs.len() - start).min(MATVEC_CHUNK);
-                if n == 1 {
-                    // Same lone-vector fast path as the serial kernel.
-                    let x = &xs[start][..k];
-                    for (li, i) in rows.clone().enumerate() {
-                        local[start * rows_len + li] = dot(&self.data[i * k..(i + 1) * k], x);
-                    }
-                    start += 1;
-                    continue;
-                }
-                let mut chunk = [&[] as &[f32]; MATVEC_CHUNK];
-                for (c, x) in chunk[..n].iter_mut().zip(&xs[start..start + n]) {
-                    *c = &x[..k];
-                }
-                for (li, i) in rows.clone().enumerate() {
-                    let row = &self.data[i * k..(i + 1) * k];
-                    let mut acc = [0.0f32; MATVEC_CHUNK];
-                    for (j, &w) in row.iter().enumerate() {
-                        for (a, x) in acc[..n].iter_mut().zip(&chunk[..n]) {
-                            *a += w * x[j];
-                        }
-                    }
-                    for (s, &a) in acc[..n].iter().enumerate() {
-                        local[(start + s) * rows_len + li] = a;
-                    }
-                }
-                start += n;
-            }
-            local
+        let partials = rt.map(tasks.len(), |t| {
+            self.matvec_batch_rows(xs, tasks[t].1.clone())
         });
-        let mut outs = vec![vec![0.0f32; m]; xs.len()];
-        for (t, local) in partials.iter().enumerate() {
-            let rows = oaken_runtime::chunk_range(t, m, n_tasks);
-            let rows_len = rows.len();
-            for (s, out) in outs.iter_mut().enumerate() {
-                out[rows.clone()].copy_from_slice(&local[s * rows_len..(s + 1) * rows_len]);
+        let mut outs: Vec<Vec<Vec<f32>>> = Vec::with_capacity(shards.len());
+        for ((s, _), partial) in tasks.iter().zip(partials) {
+            let partial = partial?;
+            if *s == outs.len() {
+                outs.push(partial); // the shard's first (often only) sub-chunk
+            } else {
+                for (out, sub) in outs[*s].iter_mut().zip(partial) {
+                    out.reserve_exact(shards[*s].len() - out.len());
+                    out.extend_from_slice(&sub);
+                }
             }
         }
         Ok(outs)
@@ -567,15 +502,14 @@ impl Tensor {
     /// [`Tensor::matvec_batch`] restricted to a contiguous row range:
     /// `rows.len()` outputs per input, `outs[s][li] == matvec(xs[s])[rows.start + li]`.
     ///
-    /// This is the tensor-parallel rank's shard kernel: each rank owns a
-    /// row range of every projection and computes exactly these outputs.
-    /// The per-row arithmetic replicates [`Tensor::matvec_batch`] —
-    /// including the lone-vector dot fast path and the
-    /// `MATVEC_CHUNK`-interleaved accumulators — and every accumulation
-    /// chain is row-local, so each produced element is **bit-exact** with
-    /// the corresponding element of the full product. Concatenating the
-    /// ranks' shards in rank order therefore reproduces the unsharded
-    /// result bit-for-bit.
+    /// This is the one batched kernel: the full product is the range
+    /// `0..m`, a thread's or a tensor-parallel rank's share is a
+    /// sub-range. Every accumulation chain is row-local — a lone vector
+    /// takes the [`Tensor::matvec`] dot path, several vectors interleave
+    /// `MATVEC_CHUNK` accumulators per weight row in the same per-input
+    /// order — so each produced element is **bit-exact** with the
+    /// corresponding element of `matvec`, and concatenating the shards of
+    /// any row partition reproduces the full product bit-for-bit.
     ///
     /// # Errors
     ///
@@ -611,7 +545,8 @@ impl Tensor {
         while start < xs.len() {
             let n = (xs.len() - start).min(MATVEC_CHUNK);
             if n == 1 {
-                // Same lone-vector fast path as the full kernel.
+                // A lone vector gains nothing from interleaving; take the
+                // single-sequence dot path (identical accumulation order).
                 let x = &xs[start][..k];
                 for (li, i) in rows.clone().enumerate() {
                     outs[start][li] = dot(&self.data[i * k..(i + 1) * k], x);
@@ -619,6 +554,8 @@ impl Tensor {
                 start += 1;
                 continue;
             }
+            // Re-slice each input to exactly `k` elements so the indexed
+            // loads below are provably in bounds and check-free.
             let mut chunk = [&[] as &[f32]; MATVEC_CHUNK];
             for (c, x) in chunk[..n].iter_mut().zip(&xs[start..start + n]) {
                 *c = &x[..k];
@@ -679,14 +616,44 @@ impl Default for Tensor {
 /// that the accumulators stay in registers.
 const MATVEC_CHUNK: usize = 8;
 
-/// Minimum `m × k × batch` product for [`Tensor::matvec_batch_on`] to
-/// shard: below this the fork-join round trip costs more than the
+/// Minimum `rows × k × batch` product for [`Tensor::matvec_batch_shards`]
+/// to split a shard's rows: below this the fork-join round trip costs more than the
 /// multiply loop it would split.
 const PAR_MATVEC_MIN_FLOPS: usize = 16 * 1024;
 
-/// Row-range tasks per thread for the sharded matvec: enough slack that a
-/// thread finishing early steals remaining chunks instead of idling.
+/// Row-range tasks per thread for the sharded matvec (over all shards):
+/// enough slack that a thread finishing early steals remaining chunks
+/// instead of idling.
 const PAR_MATVEC_TASKS_PER_THREAD: usize = 4;
+
+/// The task grid of [`Tensor::matvec_batch_shards`]: every shard's rows
+/// split into equal sub-chunks, `(shard, rows)` in shard-then-row order —
+/// a function of the problem shape and thread count alone. One task per
+/// shard when `threads == 1` or the product (`flops_per_row` per output
+/// row) is below the crossover; otherwise the per-thread task budget is
+/// divided across the shards.
+fn shard_tasks(
+    threads: usize,
+    flops_per_row: usize,
+    shards: &[std::ops::Range<usize>],
+) -> Vec<(usize, std::ops::Range<usize>)> {
+    let rows: usize = shards.iter().map(|s| s.len()).sum();
+    // The fork-join pays off only when every thread gets real work.
+    let per_shard = if threads == 1 || rows * flops_per_row < PAR_MATVEC_MIN_FLOPS {
+        1
+    } else {
+        (threads * PAR_MATVEC_TASKS_PER_THREAD).div_ceil(shards.len())
+    };
+    let mut tasks = Vec::new();
+    for (s, shard) in shards.iter().enumerate() {
+        let parts = per_shard.min(shard.len()).max(1);
+        tasks.extend((0..parts).map(|p| {
+            let sub = oaken_runtime::chunk_range(p, shard.len(), parts);
+            (s, shard.start + sub.start..shard.start + sub.end)
+        }));
+    }
+    tasks
+}
 
 /// Dot product of two equal-length slices.
 ///
@@ -852,6 +819,66 @@ mod tests {
         // The serial runtime goes through the serial kernel verbatim.
         let rt1 = oaken_runtime::Runtime::serial();
         assert_eq!(a.matvec_batch_on(&rt1, &refs).unwrap(), serial);
+
+        // Rank row ranges × thread sub-chunks: uneven shard maps (67 rows
+        // over 2, 3, 5 owners), batches that cross the interleave chunk
+        // (13 = 8 + 5, 9 = 8 + a lone tail) and a lone vector — every
+        // element must carry `matvec`'s bits whichever task computed it.
+        for n in [13usize, 9, 1] {
+            let want: Vec<Vec<f32>> = xs[..n].iter().map(|x| a.matvec(x).unwrap()).collect();
+            for ranks in [1usize, 2, 3, 5] {
+                let shards: Vec<_> = (0..ranks)
+                    .map(|r| oaken_runtime::chunk_range(r, m, ranks))
+                    .collect();
+                for threads in [1usize, 2, 3, 4, 8] {
+                    let rt = oaken_runtime::Runtime::new(threads);
+                    let got = a.matvec_batch_shards(&rt, &refs[..n], &shards).unwrap();
+                    assert_eq!(got.len(), ranks);
+                    for (rows, shard) in shards.iter().zip(&got) {
+                        assert_eq!(shard.len(), n);
+                        for (s, out) in shard.iter().enumerate() {
+                            let gb: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                            let wb: Vec<u32> =
+                                want[s][rows.clone()].iter().map(|v| v.to_bits()).collect();
+                            assert_eq!(
+                                gb, wb,
+                                "input {s} rows {rows:?}: {ranks} ranks, {threads} threads, batch {n}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `(shard, sub-chunk)` grid: one shard on 4 threads keeps the
+    /// `matvec_batch_on` fan-out (4 tasks per thread), N shards divide the
+    /// same budget so threads beyond the rank count are used, and small
+    /// products or a serial runtime run one task per shard.
+    #[test]
+    fn shard_tasks_divide_the_thread_budget_across_shards() {
+        let big = PAR_MATVEC_MIN_FLOPS; // per output row: always above the crossover
+        let whole = 0..64;
+        let one = shard_tasks(4, big, std::slice::from_ref(&whole));
+        assert_eq!(one.len(), 4 * PAR_MATVEC_TASKS_PER_THREAD);
+        assert_eq!(one[0], (0, 0..4));
+        assert_eq!(one.last().unwrap(), &(0, 60..64));
+        // Two uneven ranks on 4 threads: 8 sub-chunks each, in rank order,
+        // covering exactly the rank's rows.
+        let two = shard_tasks(4, big, &[0..34, 34..67]);
+        assert_eq!(two.len(), 16);
+        for (r, rows) in [(0usize, 0..34), (1, 34..67)] {
+            let mine: Vec<_> = two.iter().filter(|t| t.0 == r).collect();
+            assert_eq!(mine.len(), 8);
+            assert_eq!(mine[0].1.start, rows.start);
+            assert_eq!(mine[7].1.end, rows.end);
+            assert!(mine.windows(2).all(|w| w[0].1.end == w[1].1.start));
+        }
+        // Fewer rows than the budget: one task per row, never an empty one.
+        assert_eq!(shard_tasks(8, big, &[0..3, 3..5]).len(), 5);
+        // Below the crossover, or serial: one task per shard.
+        assert_eq!(shard_tasks(4, 1, &[0..34, 34..67]).len(), 2);
+        assert_eq!(shard_tasks(1, big, &[0..34, 34..67]).len(), 2);
     }
 
     #[test]
