@@ -7,9 +7,10 @@
 //! Four sweeps:
 //!
 //! 1. **Batch sweep** — a fixed request set replayed at growing `max_batch`.
-//!    The engine's layer-major forward pass dots each weight row against
-//!    the whole batch in one sweep (`Tensor::matvec_batch`), so the row
-//!    load is amortized and the independent accumulator chains pipeline —
+//!    The engine's layer-major forward pass multiplies each weight
+//!    against the whole batch in one sweep (`Tensor::matvec_batch`: the
+//!    batch's inputs sit in the lanes of a vector register), so a sweep
+//!    costs about the same at every width up to the lane count —
 //!    aggregate tokens/sec must rise with batch, exactly like a GEMV
 //!    widened into a GEMM on real hardware.
 //! 2. **Capacity sweep** — fixed batch over a shrinking page pool,

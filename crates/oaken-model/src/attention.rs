@@ -1254,4 +1254,13 @@ mod tests {
             check::<true>(&plan, &want, kv_dim);
         }
     }
+
+    /// This crate's `simd` feature is the one `bench/Cargo.toml` and CI
+    /// enable; it must switch on the weight sweep's lanes in oaken-tensor
+    /// as well as the decode lane here.
+    #[cfg(feature = "simd")]
+    #[test]
+    fn simd_feature_reaches_the_tensor_lanes() {
+        const { assert!(oaken_tensor::SIMD_LANES_COMPILED) };
+    }
 }

@@ -17,10 +17,11 @@
 //!
 //! * **Row-sharded projections** (`Wq`/`Wk`/`Wv` by head, `Wo`, FFN and
 //!   LM head by [`chunk_range`]) produce the same bits under every shard
-//!   map: every output element is computed by exactly one task with the
-//!   serial per-row accumulation chain ([`Tensor::matvec_batch_rows`]),
-//!   and the all-reduce's `+0.0` identity passes the owner's bits through
-//!   unchanged.
+//!   map: every output element is computed by exactly one task as one
+//!   serial multiply-then-add chain over its row — one vector lane of
+//!   [`Tensor::matvec_batch_rows`], whose lanes run across the step's
+//!   inputs and never along a row — and the all-reduce's `+0.0` identity
+//!   passes the owner's bits through unchanged.
 //! * **Attention is head-local**, so each rank attends over its own KV
 //!   heads against its own pool shard; the rank outputs are disjoint
 //!   q-head slices gathered by one all-reduce per layer.

@@ -8,12 +8,16 @@
 //! activations, rotary position embeddings, and the order statistics
 //! (top-k, quantiles) that Oaken's offline profiler relies on.
 //!
-//! The serving hot path is [`Tensor::matvec_batch`] — one weight-row sweep
-//! dotted against a whole decode batch — and its row-sharded parallel form
-//! [`Tensor::matvec_batch_on`], which fans the rows out across an
-//! `oaken-runtime` worker pool while staying **bit-exact** with the serial
-//! kernel (every accumulation chain is row-local, so no thread count or
-//! schedule can reassociate it).
+//! The serving hot path is [`Tensor::matvec_batch`] — one sweep over the
+//! weights serving a whole step, the step's inputs in the lanes of a vector
+//! register and each weight broadcast against them — and its row-sharded
+//! parallel form [`Tensor::matvec_batch_on`], which fans the rows out
+//! across an `oaken-runtime` worker pool. Every output element is one
+//! serial multiply-then-add chain over its row, whichever lane, task or
+//! step width computed it, so both are **bit-exact** with
+//! [`Tensor::matvec`]: no lane width, thread count or schedule can
+//! reassociate anything. The `simd` cargo feature adds `std::arch` AVX2 and
+//! AVX-512F lanes (x86-64, chosen at runtime) beside the portable one.
 //!
 //! # Example
 //!
@@ -40,3 +44,9 @@ pub mod rope;
 pub use ops::{log_softmax, softmax_in_place};
 pub use stats::{argmax, bottom_k, quantile, top_k, MinMax};
 pub use tensor::{Tensor, TensorError};
+
+/// Whether this build compiled the `std::arch` lanes of the weight sweep
+/// (the `simd` feature) — for dependants to assert that their own `simd`
+/// feature reaches this crate.
+#[doc(hidden)]
+pub const SIMD_LANES_COMPILED: bool = cfg!(feature = "simd");

@@ -60,7 +60,11 @@ impl std::error::Error for TensorError {}
 ///
 /// `Tensor` deliberately stays small: it is the numeric substrate for the
 /// transformer inference engine and the quantization pipeline, not a general
-/// autodiff framework. All operations are implemented in safe Rust.
+/// autodiff framework. All operations are implemented in safe Rust, with
+/// one exception: the `std::arch` lanes of the batched weight sweep
+/// ([`Tensor::matvec_batch_rows`], `simd` feature only), whose
+/// `#[target_feature]` entry points and register loads and stores are
+/// `unsafe`.
 ///
 /// # Example
 ///
@@ -408,13 +412,11 @@ impl Tensor {
     /// Matrix-vector product against *several* vectors at once:
     /// `(m,k) × n·(k,) → n·(m,)` — the batched-decode primitive.
     ///
-    /// Each weight row is loaded once and dotted against every input
-    /// before moving on, so (a) the row stays in L1 across the batch and
-    /// (b) the `n` accumulator chains are independent, letting the FP
-    /// adders pipeline instead of serializing on one dot's dependency
-    /// chain. This is where batched decode gets its measured throughput:
-    /// one weight sweep serves the whole batch, exactly like a GEMV
-    /// widened into a GEMM on real hardware.
+    /// One sweep over the weights serves the whole batch: the inputs sit in
+    /// the lanes of a vector register, each weight is broadcast against
+    /// them, and a block of rows is read from memory once however wide the
+    /// step is — a GEMV widened into a GEMM, exactly as on real hardware.
+    /// See [`Tensor::matvec_batch_rows`] for the kernel.
     ///
     /// Per input, the accumulation order is identical to
     /// [`Tensor::matvec`], so `matvec_batch(&[x])[0]` is bit-exact with
@@ -454,13 +456,15 @@ impl Tensor {
     /// `shards[s].start + li` of `self · xs[i]`.
     ///
     /// The decomposition follows the runtime's determinism discipline:
-    /// tasks form a fixed `(shard, sub-chunk of that shard's rows)` grid
-    /// ([`oaken_runtime::chunk_range`]), each running
+    /// the inputs are interleaved into lanes once, then tasks form a fixed
+    /// `(shard, sub-chunk of that shard's rows)` grid
+    /// ([`oaken_runtime::chunk_range`]), each running the kernel of
     /// [`Tensor::matvec_batch_rows`] on its own rows — every accumulation
-    /// chain is row-local, so no reassociation is possible and every
-    /// element is **bit-exact** with the serial [`Tensor::matvec_batch`]
-    /// for every shard map, thread count and scheduling order. A shard's
-    /// sub-chunks are concatenated in row order.
+    /// chain is one (row, input) pair's, so no reassociation is possible
+    /// and every element is **bit-exact** with the serial
+    /// [`Tensor::matvec_batch`] for every shard map, thread count and
+    /// scheduling order. A shard's sub-chunks are concatenated in row
+    /// order.
     ///
     /// Small products (or a serial `rt`) run one task per shard; the
     /// crossover is sized so the fork-join overhead never dominates.
@@ -475,18 +479,23 @@ impl Tensor {
         xs: &[&[f32]],
         shards: &[std::ops::Range<usize>],
     ) -> Result<Vec<Vec<Vec<f32>>>, TensorError> {
-        let k = *self.shape.get(1).unwrap_or(&0);
-        let tasks = shard_tasks(rt.threads(), k * xs.len(), shards);
-        if let [(_, rows)] = tasks.as_slice() {
-            // One shard, one task: nothing to fork or merge.
-            return Ok(vec![self.matvec_batch_rows(xs, rows.clone())?]);
+        let k = self.check_sweep(xs, shards)?;
+        let inputs = LaneInputs::new(Lane::for_width(xs.len()), xs, k);
+        // Multiply-adds the kernel executes per output row, padding lanes
+        // included: what a task's time is proportional to.
+        let (threads, flops_per_row) = (rt.threads(), inputs.xt.len());
+        if let [rows] = shards {
+            if parts_per_shard(threads, flops_per_row, shards).min(rows.len()) <= 1 {
+                // One shard, one task: nothing to fork or merge.
+                return Ok(vec![self.sweep_rows(&inputs, rows.clone())]);
+            }
         }
+        let tasks = shard_tasks(threads, flops_per_row, shards);
         let partials = rt.map(tasks.len(), |t| {
-            self.matvec_batch_rows(xs, tasks[t].1.clone())
+            self.sweep_rows(&inputs, tasks[t].1.clone())
         });
         let mut outs: Vec<Vec<Vec<f32>>> = Vec::with_capacity(shards.len());
         for ((s, _), partial) in tasks.iter().zip(partials) {
-            let partial = partial?;
             if *s == outs.len() {
                 outs.push(partial); // the shard's first (often only) sub-chunk
             } else {
@@ -502,14 +511,26 @@ impl Tensor {
     /// [`Tensor::matvec_batch`] restricted to a contiguous row range:
     /// `rows.len()` outputs per input, `outs[s][li] == matvec(xs[s])[rows.start + li]`.
     ///
-    /// This is the one batched kernel: the full product is the range
-    /// `0..m`, a thread's or a tensor-parallel rank's share is a
-    /// sub-range. Every accumulation chain is row-local — a lone vector
-    /// takes the [`Tensor::matvec`] dot path, several vectors interleave
-    /// `MATVEC_CHUNK` accumulators per weight row in the same per-input
-    /// order — so each produced element is **bit-exact** with the
-    /// corresponding element of `matvec`, and concatenating the shards of
-    /// any row partition reproduces the full product bit-for-bit.
+    /// This is the one batched kernel — the full product is the range
+    /// `0..m`, a thread's or a tensor-parallel rank's share is a sub-range
+    /// — and its vector lanes run across the **inputs**, never along a
+    /// row. The inputs are interleaved lane-major once (`xt[j][lane]`,
+    /// absent lanes zero); then, for a block of weight rows at a time, one
+    /// vector accumulator per row takes `acc[r] = acc[r] + splat(w[r][j])
+    /// · xt[j]` for `j` in index order. A lane is therefore one serial
+    /// multiply-then-add chain over `k` (no fused multiply-add), started
+    /// from `-0.0` like the sum in [`Tensor::matvec`]: each produced
+    /// element is **bit-exact** with the corresponding element of `matvec`
+    /// whatever the step width, the co-batched vectors, the row range or
+    /// the lane width, with or without the `simd` feature, and
+    /// concatenating the shards of any row partition reproduces the full
+    /// product bit-for-bit. Lanes never mix, so whatever a padding lane
+    /// computes (`w · 0.0` is NaN for an infinite weight) stays in it and
+    /// is never stored.
+    ///
+    /// Rows iterate outermost and lane-width groups of inputs innermost,
+    /// so a row block comes from memory once per call and every group
+    /// after the first reads it from L1.
     ///
     /// # Errors
     ///
@@ -521,60 +542,93 @@ impl Tensor {
         xs: &[&[f32]],
         rows: std::ops::Range<usize>,
     ) -> Result<Vec<Vec<f32>>, TensorError> {
-        let m = *self.shape.first().unwrap_or(&0);
-        if self.rank() != 2 || rows.start > rows.end || rows.end > m {
-            return Err(TensorError::IncompatibleShapes {
-                lhs: self.shape.clone(),
-                rhs: vec![rows.start, rows.end],
-                op: "matvec_batch_rows",
+        let k = self.check_sweep(xs, std::slice::from_ref(&rows))?;
+        let inputs = LaneInputs::new(Lane::for_width(xs.len()), xs, k);
+        Ok(self.sweep_rows(&inputs, rows))
+    }
+
+    /// The column count, if the sweep is well-formed: `self` rank 2, every
+    /// range of `shards` within its rows, every input as long as a row.
+    fn check_sweep(
+        &self,
+        xs: &[&[f32]],
+        shards: &[std::ops::Range<usize>],
+    ) -> Result<usize, TensorError> {
+        let bad = |rhs: Vec<usize>| TensorError::IncompatibleShapes {
+            lhs: self.shape.clone(),
+            rhs,
+            op: "matvec_batch_rows",
+        };
+        let &[m, k] = self.shape.as_slice() else {
+            return Err(bad(vec![]));
+        };
+        if let Some(rows) = shards.iter().find(|r| r.start > r.end || r.end > m) {
+            return Err(bad(vec![rows.start, rows.end]));
+        }
+        match xs.iter().find(|x| x.len() != k) {
+            Some(x) => Err(bad(vec![x.len()])),
+            None => Ok(k),
+        }
+    }
+
+    /// Runs the lane `inputs` was interleaved for over `rows` (validated
+    /// by the caller): `outs[s][li]` is row `rows.start + li` of
+    /// `self · xs[s]`.
+    fn sweep_rows(&self, inputs: &LaneInputs, rows: std::ops::Range<usize>) -> Vec<Vec<f32>> {
+        match inputs.lane {
+            Lane::Portable => self.sweep(
+                inputs,
+                rows,
+                block_portable::<PORTABLE_LANES, PORTABLE_ROWS>,
+            ),
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            Lane::Avx2 => self.sweep(inputs, rows, |rows, xt, acc| {
+                // SAFETY: `Lane::Avx2` only exists behind the `avx2` probe.
+                unsafe { simd::block_avx2(rows, xt, acc) }
+            }),
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            Lane::Avx512 => self.sweep(inputs, rows, |rows, xt, acc| {
+                // SAFETY: `Lane::Avx512` only exists behind the `avx512f` probe.
+                unsafe { simd::block_avx512(rows, xt, acc) }
+            }),
+        }
+    }
+
+    /// The lane-independent part of the kernel: walks `rows` in blocks of
+    /// `R`, hands each block and each `L`-input group of `inputs` to
+    /// `block` (which fills `acc[r][lane]`), and scatters the real lanes
+    /// into the per-input outputs. A short last block repeats its final
+    /// row so `block` always gets `R` rows; the repeats are not stored.
+    fn sweep<const L: usize, const R: usize>(
+        &self,
+        inputs: &LaneInputs,
+        rows: std::ops::Range<usize>,
+        block: impl Fn(&[&[f32]; R], &[f32], &mut [[f32; L]; R]),
+    ) -> Vec<Vec<f32>> {
+        debug_assert_eq!(inputs.lane.width(), L);
+        let k = inputs.k;
+        let mut outs = vec![vec![0.0f32; rows.len()]; inputs.n];
+        let mut acc = [[0.0f32; L]; R];
+        for base in rows.clone().step_by(R) {
+            let real = R.min(rows.end - base);
+            let block_rows: [&[f32]; R] = std::array::from_fn(|r| {
+                let i = base + r.min(real - 1);
+                &self.data[i * k..(i + 1) * k]
             });
-        }
-        for v in xs {
-            if self.shape[1] != v.len() {
-                return Err(TensorError::IncompatibleShapes {
-                    lhs: self.shape.clone(),
-                    rhs: vec![v.len()],
-                    op: "matvec_batch_rows",
-                });
-            }
-        }
-        let k = self.shape[1];
-        let rows_len = rows.len();
-        let mut outs = vec![vec![0.0f32; rows_len]; xs.len()];
-        let mut start = 0usize;
-        while start < xs.len() {
-            let n = (xs.len() - start).min(MATVEC_CHUNK);
-            if n == 1 {
-                // A lone vector gains nothing from interleaving; take the
-                // single-sequence dot path (identical accumulation order).
-                let x = &xs[start][..k];
-                for (li, i) in rows.clone().enumerate() {
-                    outs[start][li] = dot(&self.data[i * k..(i + 1) * k], x);
-                }
-                start += 1;
-                continue;
-            }
-            // Re-slice each input to exactly `k` elements so the indexed
-            // loads below are provably in bounds and check-free.
-            let mut chunk = [&[] as &[f32]; MATVEC_CHUNK];
-            for (c, x) in chunk[..n].iter_mut().zip(&xs[start..start + n]) {
-                *c = &x[..k];
-            }
-            for (li, i) in rows.clone().enumerate() {
-                let row = &self.data[i * k..(i + 1) * k];
-                let mut acc = [0.0f32; MATVEC_CHUNK];
-                for (j, &w) in row.iter().enumerate() {
-                    for (a, x) in acc[..n].iter_mut().zip(&chunk[..n]) {
-                        *a += w * x[j];
+            for (group, outs) in outs.chunks_mut(L).enumerate() {
+                block(
+                    &block_rows,
+                    &inputs.xt[group * k * L..(group + 1) * k * L],
+                    &mut acc,
+                );
+                for (lane, out) in outs.iter_mut().enumerate() {
+                    for (o, a) in out[base - rows.start..][..real].iter_mut().zip(&acc) {
+                        *o = a[lane];
                     }
                 }
-                for (s, &a) in acc[..n].iter().enumerate() {
-                    outs[start + s][li] = a;
-                }
             }
-            start += n;
         }
-        Ok(outs)
+        outs
     }
 
     /// Transposes a rank-2 tensor.
@@ -611,39 +665,230 @@ impl Default for Tensor {
     }
 }
 
-/// Sequences interleaved per weight row by [`Tensor::matvec_batch`]:
-/// enough independent FP-add chains to hide the add latency, few enough
-/// that the accumulators stay in registers.
-const MATVEC_CHUNK: usize = 8;
+/// Which instance of the input-lane kernel a sweep runs: the portable
+/// `[f32; L]` body — the reference, and the only one without the `simd`
+/// feature or off x86-64 — or one of the two `std::arch` bodies in
+/// `mod simd`. All three produce the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lane {
+    Portable,
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    Avx2,
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    Avx512,
+}
 
-/// Minimum `rows × k × batch` product for [`Tensor::matvec_batch_shards`]
-/// to split a shard's rows: below this the fork-join round trip costs more than the
-/// multiply loop it would split.
-const PAR_MATVEC_MIN_FLOPS: usize = 16 * 1024;
+/// Inputs per group and rows per block of the portable lane, by
+/// measurement on the reference host (baseline x86-64, so 128-bit
+/// registers): see the feature-off table in ARCHITECTURE.md.
+const PORTABLE_LANES: usize = 4;
+const PORTABLE_ROWS: usize = 4;
+
+impl Lane {
+    /// The lane for a step `width` inputs wide: eight lanes cover a decode
+    /// batch, sixteen halve the groups of anything wider. The CPU probe is
+    /// one-time (std caches CPUID), and the only way a `std::arch` lane
+    /// comes to exist outside the lane-parity test, which probes too.
+    fn for_width(width: usize) -> Lane {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        match width {
+            9.. if is_x86_feature_detected!("avx512f") => return Lane::Avx512,
+            _ if is_x86_feature_detected!("avx2") => return Lane::Avx2,
+            _ => {}
+        }
+        let _ = width; // the portable lane serves every width
+        Lane::Portable
+    }
+
+    /// Inputs per group (`L`).
+    fn width(self) -> usize {
+        match self {
+            Lane::Portable => PORTABLE_LANES,
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            Lane::Avx2 => 8,
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            Lane::Avx512 => 16,
+        }
+    }
+}
+
+/// A step's inputs interleaved for `lane`: group `g` (inputs `g·L ..`)
+/// occupies `xt[g·k·L ..][.. k·L]` as `[j][lane]`, lanes past the last
+/// input zero. Built once per call and shared by every task.
+struct LaneInputs {
+    lane: Lane,
+    /// Real inputs (`xs.len()`).
+    n: usize,
+    k: usize,
+    xt: Vec<f32>,
+}
+
+impl LaneInputs {
+    /// Interleaves `xs`, each of length `k`.
+    fn new(lane: Lane, xs: &[&[f32]], k: usize) -> Self {
+        let l = lane.width();
+        let mut xt = vec![0.0f32; xs.len().div_ceil(l) * k * l];
+        for (s, x) in xs.iter().enumerate() {
+            let group = &mut xt[s / l * k * l..];
+            for (j, &v) in x.iter().enumerate() {
+                group[j * l + s % l] = v;
+            }
+        }
+        Self {
+            lane,
+            n: xs.len(),
+            k,
+            xt,
+        }
+    }
+}
+
+/// The portable lane body: `acc[r][lane]` becomes the dot product of
+/// `rows[r]` with input `lane` of the group interleaved in `xt`
+/// (`xt.len() == k · L`), each a serial multiply-then-add chain from
+/// `-0.0` in index order.
+fn block_portable<const L: usize, const R: usize>(
+    rows: &[&[f32]; R],
+    xt: &[f32],
+    out: &mut [[f32; L]; R],
+) {
+    let rows = rows.map(|row| &row[..xt.len() / L]);
+    let mut acc = [[-0.0f32; L]; R];
+    for (j, x) in xt.as_chunks::<L>().0.iter().enumerate() {
+        for (a, row) in acc.iter_mut().zip(&rows) {
+            let w = row[j];
+            for (a, &x) in a.iter_mut().zip(x) {
+                *a += w * x;
+            }
+        }
+    }
+    *out = acc;
+}
+
+/// The `std::arch` lane bodies, enabled by the `simd` cargo feature on
+/// x86-64 and selected at runtime: [`block_portable`] written with
+/// explicit broadcast / multiply / add intrinsics (never a fused
+/// multiply-add), eight inputs to a 256-bit register or sixteen to a
+/// 512-bit one. Same chains, same bits; only the speed differs.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod simd {
+    use std::arch::x86_64::*;
+
+    /// Rows per block: enough independent add chains to cover the FP add
+    /// latency on both ports, few enough row streams for the prefetcher
+    /// (2, 6, 8 and 12 all measured slower at some width).
+    pub(super) const ROWS: usize = 4;
+
+    macro_rules! lane_block {
+        ($name:ident, $feature:literal, $lanes:literal,
+         $set1:ident, $loadu:ident, $mul:ident, $add:ident, $storeu:ident) => {
+            /// [`super::block_portable`] for this register width.
+            ///
+            /// # Safety
+            ///
+            /// The CPU must support the lane's target feature.
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn $name(
+                rows: &[&[f32]; ROWS],
+                xt: &[f32],
+                out: &mut [[f32; $lanes]; ROWS],
+            ) {
+                // Re-sliced to exactly `k`, so `row[j]` below is check-free
+                // (in a loop: an `array::map` closure does not inline into
+                // a `#[target_feature]` function and the lengths are lost).
+                let k = xt.len() / $lanes;
+                let mut rows = *rows;
+                for row in &mut rows {
+                    *row = &row[..k];
+                }
+                let mut acc = [$set1(-0.0); ROWS];
+                for (j, x) in xt.as_chunks::<$lanes>().0.iter().enumerate() {
+                    // SAFETY: `x` is one register's worth of floats.
+                    let x = unsafe { $loadu(x.as_ptr()) };
+                    for (a, row) in acc.iter_mut().zip(&rows) {
+                        *a = $add(*a, $mul($set1(row[j]), x));
+                    }
+                }
+                for (o, a) in out.iter_mut().zip(acc) {
+                    // SAFETY: `o` is one register's worth of floats.
+                    unsafe { $storeu(o.as_mut_ptr(), a) };
+                }
+            }
+        };
+    }
+
+    lane_block!(
+        block_avx2,
+        "avx2",
+        8,
+        _mm256_set1_ps,
+        _mm256_loadu_ps,
+        _mm256_mul_ps,
+        _mm256_add_ps,
+        _mm256_storeu_ps
+    );
+    lane_block!(
+        block_avx512,
+        "avx512f",
+        16,
+        _mm512_set1_ps,
+        _mm512_loadu_ps,
+        _mm512_mul_ps,
+        _mm512_add_ps,
+        _mm512_storeu_ps
+    );
+}
+
+/// Minimum multiply-adds a [`Tensor::matvec_batch_shards`] call executes
+/// (`rows × k × width`, the width rounded up to whole lane groups — what
+/// the kernel's time is proportional to) for a shard's rows to be split:
+/// below this, forking, allocating each task's outputs and concatenating
+/// them costs more than the sweep it would split.
+///
+/// Measured on the reference host (2 vCPUs sharing a core, `simd` lanes,
+/// 2 threads, best of 3000, always-split against serial): the split path
+/// costs 1.4 µs at width 1, 3.6 µs at width 8 and 25 µs at width 64 before
+/// any useful work, and the kernel retires ≈ 26 G multiply-adds/s. Split ÷
+/// serial time by multiply-adds executed — widths 1 / 8: 0.25 Mi 1.12 /
+/// 1.60, 0.5 Mi 0.94 / 1.25, 1.3 Mi 0.87 / 0.92; width 64: 1 Mi 1.48, 2 Mi
+/// 0.98, 10.8 Mi 0.63. Splitting starts to pay between 0.5 and 2 Mi,
+/// ≈ 40 µs of sweep (the scalar kernel's 16 Ki is 0.6 µs of this one).
+const PAR_MATVEC_MIN_FLOPS: usize = 1 << 20;
 
 /// Row-range tasks per thread for the sharded matvec (over all shards):
 /// enough slack that a thread finishing early steals remaining chunks
 /// instead of idling.
 const PAR_MATVEC_TASKS_PER_THREAD: usize = 4;
 
+/// Sub-chunks each shard's rows are split into (before the cap at one row
+/// per task): one when `threads == 1` or the product (`flops_per_row` per
+/// output row) is below the crossover; otherwise the per-thread task
+/// budget divided across the shards.
+fn parts_per_shard(
+    threads: usize,
+    flops_per_row: usize,
+    shards: &[std::ops::Range<usize>],
+) -> usize {
+    let rows: usize = shards.iter().map(|s| s.len()).sum();
+    // The fork-join pays off only when every thread gets real work.
+    if threads == 1 || rows * flops_per_row < PAR_MATVEC_MIN_FLOPS {
+        1
+    } else {
+        (threads * PAR_MATVEC_TASKS_PER_THREAD).div_ceil(shards.len())
+    }
+}
+
 /// The task grid of [`Tensor::matvec_batch_shards`]: every shard's rows
-/// split into equal sub-chunks, `(shard, rows)` in shard-then-row order —
-/// a function of the problem shape and thread count alone. One task per
-/// shard when `threads == 1` or the product (`flops_per_row` per output
-/// row) is below the crossover; otherwise the per-thread task budget is
-/// divided across the shards.
+/// split into [`parts_per_shard`] equal sub-chunks, `(shard, rows)` in
+/// shard-then-row order — a function of the problem shape and thread
+/// count alone. Any row range is a legal task: the kernel has no panel
+/// to snap to.
 fn shard_tasks(
     threads: usize,
     flops_per_row: usize,
     shards: &[std::ops::Range<usize>],
 ) -> Vec<(usize, std::ops::Range<usize>)> {
-    let rows: usize = shards.iter().map(|s| s.len()).sum();
-    // The fork-join pays off only when every thread gets real work.
-    let per_shard = if threads == 1 || rows * flops_per_row < PAR_MATVEC_MIN_FLOPS {
-        1
-    } else {
-        (threads * PAR_MATVEC_TASKS_PER_THREAD).div_ceil(shards.len())
-    };
+    let per_shard = parts_per_shard(threads, flops_per_row, shards);
     let mut tasks = Vec::new();
     for (s, shard) in shards.iter().enumerate() {
         let parts = per_shard.min(shard.len()).max(1);
@@ -879,6 +1124,128 @@ mod tests {
         // Below the crossover, or serial: one task per shard.
         assert_eq!(shard_tasks(4, 1, &[0..34, 34..67]).len(), 2);
         assert_eq!(shard_tasks(1, big, &[0..34, 34..67]).len(), 2);
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn awkward_matrix(m: usize, k: usize) -> Tensor {
+        let data = (0..m * k)
+            .map(|i| ((i * 2654435761) % 1013) as f32 / 113.0 - 4.3)
+            .collect();
+        Tensor::from_vec(data, &[m, k]).unwrap()
+    }
+
+    fn awkward_inputs(n: usize, k: usize) -> Vec<Vec<f32>> {
+        (0..n)
+            .map(|s| {
+                (0..k)
+                    .map(|j| ((s * 41 + j * 13) % 31) as f32 / 11.0 - 1.3)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every (row, input) chain starts from `-0.0`, the identity
+    /// `matvec`'s sum starts from, so a row whose products are all `-0.0`
+    /// — or an empty row — is `-0.0` alone and in any batch. The scalar
+    /// kernel this lane kernel replaced started co-batched chains from
+    /// `+0.0` and a lone one from `-0.0`: `matvec_batch(&[x, y])[0]`
+    /// differed from `matvec(x)` in the sign bit.
+    #[test]
+    fn negative_zero_rows_do_not_depend_on_the_batch() {
+        // An all-zero input (a ReLU hidden vector) against an all-negative
+        // row: every product is `-0.0`.
+        let a = Tensor::from_vec(vec![-1.0, -2.0, -3.0, 0.5, -0.25, 4.0], &[2, 3]).unwrap();
+        let no_columns = Tensor::zeros(&[3, 0]);
+        let zero = [0.0f32; 3];
+        let other = [1.0f32, -2.0, 0.5];
+        assert_eq!(bits(&a.matvec(&zero).unwrap()), bits(&[-0.0, 0.0]));
+        assert_eq!(bits(&no_columns.matvec(&[]).unwrap()), bits(&[-0.0; 3]));
+        for width in [1usize, 2, 9, 17] {
+            let mut xs: Vec<&[f32]> = vec![&other; width];
+            xs[0] = &zero;
+            let batch = a.matvec_batch(&xs).unwrap();
+            for (x, got) in xs.iter().zip(&batch) {
+                assert_eq!(bits(got), bits(&a.matvec(x).unwrap()), "width {width}");
+            }
+            let empties: Vec<&[f32]> = vec![&[]; width];
+            for got in no_columns.matvec_batch(&empties).unwrap() {
+                assert_eq!(bits(&got), bits(&[-0.0; 3]), "k = 0, width {width}");
+            }
+        }
+    }
+
+    /// The lanes this build compiled and this CPU runs: the portable body
+    /// always, the two `std::arch` bodies under the `simd` feature.
+    fn runnable_lanes() -> Vec<Lane> {
+        #[allow(unused_mut)]
+        let mut lanes = vec![Lane::Portable];
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        {
+            if is_x86_feature_detected!("avx2") {
+                lanes.push(Lane::Avx2);
+            }
+            if is_x86_feature_detected!("avx512f") {
+                lanes.push(Lane::Avx512);
+            }
+        }
+        lanes
+    }
+
+    /// Lane parity: every runnable lane, forced onto the same inputs at
+    /// widths on both sides of its group size, yields `matvec`'s bits —
+    /// so the lanes agree with each other and the `simd` build with the
+    /// portable one. 11 rows leave a short last block for every `R`.
+    #[test]
+    fn every_lane_produces_matvec_bits() {
+        let (m, k) = (11, 37);
+        let a = awkward_matrix(m, k);
+        let xs = awkward_inputs(33, k);
+        let want: Vec<Vec<f32>> = xs.iter().map(|x| a.matvec(x).unwrap()).collect();
+        for lane in runnable_lanes() {
+            for width in [1usize, 3, 4, 5, 8, 9, 16, 17, 33] {
+                let refs: Vec<&[f32]> = xs[..width].iter().map(Vec::as_slice).collect();
+                let inputs = LaneInputs::new(lane, &refs, k);
+                for rows in [0..m, 1..m - 2, 6..7, 4..4] {
+                    let got = a.sweep_rows(&inputs, rows.clone());
+                    assert_eq!(got.len(), width);
+                    for (out, want) in got.iter().zip(&want) {
+                        assert_eq!(
+                            bits(out),
+                            bits(&want[rows.clone()]),
+                            "{lane:?}, width {width}, rows {rows:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A product big enough to cross `PAR_MATVEC_MIN_FLOPS` has each
+    /// shard's rows cut into sub-chunks at arbitrary (not block-aligned)
+    /// rows, and the concatenation still carries `matvec`'s bits.
+    #[test]
+    fn sub_chunked_rows_above_the_crossover_keep_matvec_bits() {
+        let (m, k, width) = (70, 513, 33);
+        let a = awkward_matrix(m, k);
+        let xs = awkward_inputs(width, k);
+        let refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+        let per_row = LaneInputs::new(Lane::for_width(width), &refs, k).xt.len();
+        assert!(m * per_row >= PAR_MATVEC_MIN_FLOPS);
+        let shards = [0..37, 37..m];
+        assert_eq!(shard_tasks(4, per_row, &shards).len(), 16);
+        let rt = oaken_runtime::Runtime::new(4);
+        let whole = a.matvec_batch_on(&rt, &refs).unwrap();
+        let split = a.matvec_batch_shards(&rt, &refs, &shards).unwrap();
+        for (s, x) in xs.iter().enumerate() {
+            let want = a.matvec(x).unwrap();
+            assert_eq!(bits(&whole[s]), bits(&want), "input {s}");
+            for (rows, shard) in shards.iter().zip(&split) {
+                assert_eq!(bits(&shard[s]), bits(&want[rows.clone()]), "input {s}");
+            }
+        }
     }
 
     #[test]

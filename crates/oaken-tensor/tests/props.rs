@@ -8,6 +8,43 @@ fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-1.0e3f32..1.0e3, 1..max_len)
 }
 
+/// `n` floats drawn from `seed`, one in `rarity` of them awkward: a signed
+/// zero, a subnormal, an infinity or a NaN.
+fn awkward_floats(seed: &mut u64, n: usize, rarity: u64) -> Vec<f32> {
+    const AWKWARD: [f32; 7] = [
+        0.0,
+        -0.0,
+        1.0e-40,
+        -3.0e-42,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+    (0..n)
+        .map(|_| {
+            *seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let draw = *seed >> 33;
+            if draw.is_multiple_of(rarity) {
+                AWKWARD[(draw / rarity) as usize % AWKWARD.len()]
+            } else {
+                (draw % 4001) as f32 / 317.0 - 6.3
+            }
+        })
+        .collect()
+}
+
+/// Bit equality, except that any NaN equals any NaN (which payload a NaN
+/// operand pair propagates is the one thing a lane may legitimately vary).
+fn same_bits(got: &[f32], want: &[f32]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -98,6 +135,59 @@ proptest! {
         let mm = MinMax::of(&v).unwrap();
         for &x in &v {
             prop_assert!(mm.min <= x && x <= mm.max);
+        }
+    }
+
+    /// Width invariance of the weight sweep: whatever the step width (one
+    /// lane group, exactly one, a second one), the co-batched inputs, the
+    /// row range, the shard map and the thread count, every element is
+    /// `Tensor::matvec`'s — including the rows a short last block pads and
+    /// the `inf`/NaN weights a zero padding lane turns into NaN.
+    #[test]
+    fn weight_sweep_is_width_invariant(
+        m in 1usize..40,
+        k in prop::sample::select(vec![0usize, 1, 7, 33, 257]),
+        width in 1usize..41,
+        seed in any::<u64>(),
+        cuts in any::<u64>(),
+    ) {
+        let mut seed = seed;
+        let a = Tensor::from_vec(awkward_floats(&mut seed, m * k, 61), &[m, k]).unwrap();
+        let xs: Vec<Vec<f32>> = (0..width).map(|_| awkward_floats(&mut seed, k, 13)).collect();
+        let refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+        let want: Vec<Vec<f32>> = xs.iter().map(|x| a.matvec(x).unwrap()).collect();
+
+        let start = cuts as usize % (m + 1);
+        let rows = start..start + (cuts >> 8) as usize % (m - start + 1);
+        let got = a.matvec_batch_rows(&refs, rows.clone()).unwrap();
+        prop_assert_eq!(got.len(), width);
+        for (got, want) in got.iter().zip(&want) {
+            prop_assert!(same_bits(got, &want[rows.clone()]), "rows {:?}", rows);
+        }
+
+        // One to four contiguous shards of uneven (possibly zero) length.
+        let mut ends: Vec<usize> = (0..(cuts >> 16) % 4)
+            .map(|c| (cuts >> (20 + 8 * c)) as usize % (m + 1))
+            .collect();
+        ends.push(m);
+        ends.sort_unstable();
+        let shards: Vec<_> = ends
+            .iter()
+            .scan(0, |from, &to| Some(std::mem::replace(from, to)..to))
+            .collect();
+        for threads in [1usize, 4] {
+            let rt = oaken_runtime::Runtime::new(threads);
+            let got = a.matvec_batch_shards(&rt, &refs, &shards).unwrap();
+            prop_assert_eq!(got.len(), shards.len());
+            for (rows, shard) in shards.iter().zip(&got) {
+                prop_assert_eq!(shard.len(), width);
+                for (got, want) in shard.iter().zip(&want) {
+                    prop_assert!(
+                        same_bits(got, &want[rows.clone()]),
+                        "shard {:?} of {:?}, {} threads", rows, shards, threads
+                    );
+                }
+            }
         }
     }
 }
