@@ -44,7 +44,7 @@ use oaken_cluster::{
 };
 use oaken_core::{KvQuantizer, OakenConfig};
 use oaken_eval::harness::profile_oaken;
-use oaken_model::{Model, ModelConfig, PagedKvPool};
+use oaken_model::{KernelMode, Model, ModelConfig, PagedKvPool};
 use oaken_serving::{
     AdmissionPolicy, EngineConfig, EngineRequest, PreemptPolicy, Request, RequestOutcome,
 };
@@ -133,6 +133,8 @@ fn engine_config() -> EngineConfig {
         record_logits: false,
         prefill_token_budget: 8,
         num_threads: 1,
+        num_ranks: 1,
+        kernel: KernelMode::Exact,
         ..EngineConfig::default()
     }
 }

@@ -226,9 +226,8 @@ fn run_once(w: &Workload, max_batch: usize, pages: u32, num_threads: usize) -> M
 
 /// One engine run of `reqs` under an explicit preemption policy (the
 /// batch / capacity / prefix / thread sweeps pin `RestartRecompute` so
-/// their curves stay comparable with the committed PR 2-4 baselines
-/// regardless of the `OAKEN_PREEMPT` env knob). Also returns the mean
-/// TTFT in iterations.
+/// their curves stay comparable with the committed PR 2-4 baselines).
+/// Also returns the mean TTFT in iterations.
 fn run_once_policy(
     w: &Workload,
     reqs: &[EngineRequest],
@@ -254,6 +253,8 @@ fn run_once_policy(
             record_logits: false,
             prefill_token_budget: 16,
             num_threads,
+            num_ranks: 1,
+            kernel: KernelMode::Exact,
             ..EngineConfig::default()
         },
     );
@@ -321,6 +322,8 @@ fn run_overlap(w: &Workload, overlap_pct: usize, num_threads: usize) -> OverlapM
                 record_logits: false,
                 prefill_token_budget: 16,
                 num_threads,
+                num_ranks: 1,
+                kernel: KernelMode::Exact,
                 ..EngineConfig::default()
             },
         );
@@ -392,6 +395,8 @@ fn run_faulty(
             num_threads,
             fault_plan: (rate_permille > 0)
                 .then(|| FaultPlan::new(0xFA11).with_rate_permille(rate_permille)),
+            num_ranks: 1,
+            kernel: KernelMode::Exact,
             ..EngineConfig::default()
         },
     );
@@ -444,6 +449,7 @@ fn run_ranked(
             prefill_token_budget: 16,
             num_threads,
             num_ranks,
+            kernel: KernelMode::Exact,
             ..EngineConfig::default()
         },
     );
@@ -508,6 +514,8 @@ fn run_open_loop(
         record_logits: false,
         prefill_token_budget: 16,
         num_threads,
+        num_ranks: 1,
+        kernel: KernelMode::Exact,
         ..EngineConfig::default()
     };
     let spec = match burst {
@@ -601,9 +609,8 @@ fn run_config(w: &Workload, max_batch: usize, pages: u32, num_threads: usize) ->
     best
 }
 
-/// One engine run with an explicitly pinned attention kernel (the other
-/// sweeps inherit the `OAKEN_KERNEL` env default so their curves track
-/// whatever mode CI exercises).
+/// One engine run at the given attention kernel (every other sweep runs
+/// `KernelMode::Exact`).
 fn run_kernel(
     w: &Workload,
     max_batch: usize,
@@ -629,6 +636,7 @@ fn run_kernel(
                 record_logits: false,
                 prefill_token_budget: 16,
                 num_threads,
+                num_ranks: 1,
                 kernel,
                 ..EngineConfig::default()
             },

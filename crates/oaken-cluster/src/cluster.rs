@@ -47,7 +47,8 @@ use crate::transfer::{TransferLink, TransferStats};
 use oaken_model::{Model, PagedKvPool, PoolError};
 use oaken_service::ArrivalQueue;
 use oaken_serving::{
-    BatchEngine, EngineConfig, EngineRequest, EngineStats, RequestOutcome, TokenScheduler,
+    BatchEngine, EngineConfig, EngineRequest, EngineStats, RequestFailure, RequestOutcome,
+    TokenScheduler,
 };
 use std::collections::HashMap;
 
@@ -66,12 +67,9 @@ pub enum EngineRole {
 /// Cluster knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
-    /// Prefill/decode replica pairs. Defaults to
-    /// [`default_replicas`](crate::default_replicas) (the
-    /// `OAKEN_REPLICAS` environment knob).
+    /// Prefill/decode replica pairs (`serve --replicas N`; default 1).
     pub replicas: usize,
-    /// Placement policy. Defaults to [`RouterPolicy::default_policy`]
-    /// (the `OAKEN_ROUTER` environment knob).
+    /// Placement policy (default [`RouterPolicy::Affinity`]).
     pub router: RouterPolicy,
     /// Transfer-link bandwidth in wire bytes per tick; `0` is an
     /// infinitely fast link (one-tick minimum still applies).
@@ -87,13 +85,12 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Cluster defaults (environment knobs for replicas and routing, an
-    /// instantaneous link, 32 tokens of work per tick) around the given
-    /// engine config.
+    /// Cluster defaults (one replica, affinity routing, an instantaneous
+    /// link, 32 tokens of work per tick) around the given engine config.
     pub fn new(engine: EngineConfig) -> Self {
         Self {
-            replicas: crate::default_replicas(),
-            router: RouterPolicy::default_policy(),
+            replicas: 1,
+            router: RouterPolicy::default(),
             transfer_bytes_per_tick: 0,
             work_tokens_per_tick: 32,
             scheduler_cores: 4,
@@ -147,7 +144,8 @@ impl RequestRecord {
 pub struct ClusterReport {
     /// Per-request records, in schedule order (requests cancelled while
     /// still schedule-parked never ran and are omitted, mirroring the
-    /// service replay).
+    /// service replay), followed by one `Failed(Invalid)` record per
+    /// arrival that reused an id already in the run.
     pub requests: Vec<RequestRecord>,
     /// Placement counters.
     pub router: RouterStats,
@@ -292,18 +290,17 @@ fn run(
         RouterPolicy::RoundRobin // degenerate on one replica; keeps stats clean
     });
     let mut link = TransferLink::new(config.transfer_bytes_per_tick);
-    let mut queue: ArrivalQueue<EngineRequest> = ArrivalQueue::new();
+    let mut queue: ArrivalQueue<(EngineRequest, u64)> = ArrivalQueue::new();
     let order: Vec<u64> = schedule.iter().map(|(req, _)| req.id).collect();
-    let mut arrivals: HashMap<u64, u64> = HashMap::new();
     for (req, arrival) in schedule {
-        arrivals.insert(req.id, arrival);
-        queue.schedule(arrival, req);
+        queue.schedule(arrival, (req, arrival));
     }
     for &(at, id) in cancels {
         queue.schedule_cancel(at, id);
     }
 
     let mut records: HashMap<u64, RequestRecord> = HashMap::new();
+    let mut rejected: Vec<RequestRecord> = Vec::new();
     let mut orig_max: HashMap<u64, usize> = HashMap::new();
     let mut replica_of: HashMap<u64, usize> = HashMap::new();
     let mut clock: u64 = 0;
@@ -314,7 +311,25 @@ fn run(
         }
 
         // 1. Route and submit due arrivals.
-        for req in queue.take_due(clock) {
+        for (req, arrival) in queue.take_due(clock) {
+            // An id names one record, one placement and one transfer for
+            // the whole run: an arrival reusing one fails typed on a
+            // record of its own and leaves the first holder untouched.
+            if records.contains_key(&req.id) {
+                rejected.push(RequestRecord {
+                    id: req.id,
+                    arrival,
+                    replica: 0,
+                    prompt_len: req.prompt.len(),
+                    disaggregated: false,
+                    matched_at_placement: 0,
+                    tokens: Vec::new(),
+                    token_clocks: Vec::new(),
+                    outcome: RequestOutcome::Failed(RequestFailure::Invalid),
+                    finish_clock: clock,
+                });
+                continue;
+            }
             let probes: Vec<ReplicaProbe> = (0..replicas)
                 .map(|r| ReplicaProbe {
                     matched_tokens: slots[r * stride].engine.pool().probe_prefix(&req.prompt),
@@ -336,7 +351,7 @@ fn run(
                 req.id,
                 RequestRecord {
                     id: req.id,
-                    arrival: arrivals[&req.id],
+                    arrival,
                     replica: r,
                     prompt_len: req.prompt.len(),
                     disaggregated: split,
@@ -363,7 +378,7 @@ fn run(
         // cancel wherever they currently live — prefill engine, decode
         // engine, or mid-wire on the link.
         for id in queue.due_cancels(clock) {
-            if queue.remove_parked(id, |req| req.id).is_some() {
+            if queue.remove_parked(id, |(req, _)| req.id).is_some() {
                 records.remove(&id);
                 continue;
             }
@@ -469,7 +484,9 @@ fn run(
         }
     }
     ClusterReport {
-        requests: order.iter().filter_map(|id| records.remove(id)).collect(),
+        requests: (order.iter().filter_map(|id| records.remove(id)))
+            .chain(rejected)
+            .collect(),
         router: router.stats(),
         transfer: link.stats(),
         prefill_stats,

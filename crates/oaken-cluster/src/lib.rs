@@ -45,15 +45,3 @@ pub use cluster::{
 };
 pub use router::{ReplicaProbe, Router, RouterPolicy, RouterStats};
 pub use transfer::{TransferLink, TransferStats};
-
-/// The process-wide default replica count: the `OAKEN_REPLICAS`
-/// environment knob when set to a positive integer, else 1. The CI
-/// matrix uses it to run the whole suite as a 2-replica cluster without
-/// touching any call site.
-pub fn default_replicas() -> usize {
-    std::env::var("OAKEN_REPLICAS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}

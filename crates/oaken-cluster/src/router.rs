@@ -33,20 +33,6 @@ pub enum RouterPolicy {
     LeastLoaded,
 }
 
-impl RouterPolicy {
-    /// The process-wide default: `OAKEN_ROUTER=rr` selects
-    /// [`RouterPolicy::RoundRobin`], `OAKEN_ROUTER=load` selects
-    /// [`RouterPolicy::LeastLoaded`], anything else (or unset) selects
-    /// [`RouterPolicy::Affinity`].
-    pub fn default_policy() -> Self {
-        match std::env::var("OAKEN_ROUTER") {
-            Ok(v) if v.eq_ignore_ascii_case("rr") => RouterPolicy::RoundRobin,
-            Ok(v) if v.eq_ignore_ascii_case("load") => RouterPolicy::LeastLoaded,
-            _ => RouterPolicy::Affinity,
-        }
-    }
-}
-
 /// What the router knows about one replica at placement time.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicaProbe {

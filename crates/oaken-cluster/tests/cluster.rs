@@ -5,44 +5,29 @@
 //! affinity router must never reuse fewer prefix tokens than round-robin
 //! on the same schedule.
 
+#[path = "../../oaken-serving/tests/support/mod.rs"]
+mod support;
+
 use oaken_cluster::{
     run_cluster, run_monolithic, ClusterConfig, ClusterReport, EngineRole, RouterPolicy,
 };
-use oaken_core::{KvQuantizer, OakenConfig};
-use oaken_eval::harness::profile_oaken;
-use oaken_model::{Model, ModelConfig, PagedKvPool};
+use oaken_core::KvQuantizer;
+use oaken_model::Model;
 use oaken_service::workload::replay_open_loop_direct;
 use oaken_serving::{
-    AdmissionPolicy, EngineConfig, EngineRequest, PreemptPolicy, RequestOutcome, TokenScheduler,
+    EngineConfig, EngineRequest, PreemptPolicy, RequestFailure, RequestOutcome, TokenScheduler,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
+use support::{service_pool as pool, *};
 
-fn tiny_model() -> Model {
-    Model::synthetic(ModelConfig::llama2_7b().proxy(2, 32), 7)
-}
-
-fn profiled_oaken(model: &Model) -> Arc<dyn KvQuantizer> {
-    Arc::new(profile_oaken(model, OakenConfig::default(), 6, 8, 5))
-}
-
-/// Quantized pool with a host tier and small trie blocks, the same
-/// geometry for every engine in a run.
-fn pool(model: &Model, quantizer: &Arc<dyn KvQuantizer>, pages: u32, host: u32) -> PagedKvPool {
-    let mut pool = PagedKvPool::for_model(model.config(), Some(quantizer.clone()), pages, 512);
-    pool.set_host_pages(host);
-    pool.set_block_tokens(8);
-    pool
-}
-
-fn engine_config(threads: usize, preempt: PreemptPolicy) -> EngineConfig {
+/// The cluster shape of a matrix point: the thread count and the policy
+/// are each scenario's own, the kernel and the rank count the point's.
+fn engine_config(point: EngineConfig, threads: usize, preempt: PreemptPolicy) -> EngineConfig {
     EngineConfig {
-        max_batch: 4,
-        admission: AdmissionPolicy::PromptOnly,
         preempt,
-        prefill_token_budget: 8,
         num_threads: threads,
-        ..EngineConfig::default()
+        ..service_config(point)
     }
 }
 
@@ -105,35 +90,40 @@ fn assert_bit_exact(
 fn cluster_token_streams_match_monolithic_and_direct_replay() {
     let model = tiny_model();
     let q = profiled_oaken(&model);
-    let mut cfg = cluster_cfg(engine_config(2, PreemptPolicy::SwapToHost));
-    cfg.replicas = 2;
-    cfg.router = RouterPolicy::Affinity;
-    cfg.transfer_bytes_per_tick = 64;
-    // Two prefix families plus a singleton, staggered arrivals, one
-    // single-token request (must not be disaggregated).
-    let schedule = vec![
-        (EngineRequest::new(1, family_prompt(1, 24), 5), 0),
-        (EngineRequest::new(2, family_prompt(2, 17), 4), 3),
-        (EngineRequest::new(3, family_prompt(1, 29), 6), 14),
-        (EngineRequest::new(4, family_prompt(3, 9), 1), 15),
-        (EngineRequest::new(5, family_prompt(2, 21), 3), 22),
-    ];
-    let (cluster, mono) = assert_bit_exact(&model, &q, &cfg, 320, &schedule);
+    for_each_point(
+        |point| engine_config(point, 2, PreemptPolicy::SwapToHost),
+        |engine| {
+            let mut cfg = cluster_cfg(engine);
+            cfg.replicas = 2;
+            cfg.router = RouterPolicy::Affinity;
+            cfg.transfer_bytes_per_tick = 64;
+            // Two prefix families plus a singleton, staggered arrivals, one
+            // single-token request (must not be disaggregated).
+            let schedule = vec![
+                (EngineRequest::new(1, family_prompt(1, 24), 5), 0),
+                (EngineRequest::new(2, family_prompt(2, 17), 4), 3),
+                (EngineRequest::new(3, family_prompt(1, 29), 6), 14),
+                (EngineRequest::new(4, family_prompt(3, 9), 1), 15),
+                (EngineRequest::new(5, family_prompt(2, 21), 3), 22),
+            ];
+            let (cluster, mono) = assert_bit_exact(&model, &q, &cfg, 320, &schedule);
 
-    // Four requests took the disaggregated path; the 1-token request ran
-    // wholly on its prefill engine.
-    assert_eq!(cluster.transfer.transfers, 4);
-    assert!(cluster.transfer.wire_bytes > 0);
-    assert!(cluster.request(4).ttft().is_some());
-    assert!(!cluster.request(4).disaggregated);
-    assert!(cluster.request(1).disaggregated);
-    let exported: u64 = cluster.prefill_stats.iter().map(|s| s.exports).sum();
-    let imported: u64 = cluster.decode_stats.iter().map(|s| s.imports).sum();
-    assert_eq!(exported, 4);
-    assert_eq!(imported, 4);
-    // The monolithic comparator never touched a link.
-    assert_eq!(mono.transfer.transfers, 0);
-    assert!(mono.decode_stats.is_empty());
+            // Four requests took the disaggregated path; the 1-token request ran
+            // wholly on its prefill engine.
+            assert_eq!(cluster.transfer.transfers, 4);
+            assert!(cluster.transfer.wire_bytes > 0);
+            assert!(cluster.request(4).ttft().is_some());
+            assert!(!cluster.request(4).disaggregated);
+            assert!(cluster.request(1).disaggregated);
+            let exported: u64 = cluster.prefill_stats.iter().map(|s| s.exports).sum();
+            let imported: u64 = cluster.decode_stats.iter().map(|s| s.imports).sum();
+            assert_eq!(exported, 4);
+            assert_eq!(imported, 4);
+            // The monolithic comparator never touched a link.
+            assert_eq!(mono.transfer.transfers, 0);
+            assert!(mono.decode_stats.is_empty());
+        },
+    );
 }
 
 proptest! {
@@ -156,11 +146,12 @@ proptest! {
         bytes_per_tick in prop::sample::select(vec![0u64, 16, 400]),
         work in prop::sample::select(vec![1u64, 8, 64]),
         reqs in prop::collection::vec((1u64..5, 6usize..31, 1usize..7, 0u64..31), 2..7),
+        point in matrix_point(),
     ) {
         let model = tiny_model();
         let q = profiled_oaken(&model);
         let preempt = if swap { PreemptPolicy::SwapToHost } else { PreemptPolicy::RestartRecompute };
-        let mut cfg = cluster_cfg(engine_config(threads, preempt));
+        let mut cfg = cluster_cfg(engine_config(point, threads, preempt));
         cfg.replicas = replicas;
         cfg.router = policy;
         cfg.transfer_bytes_per_tick = bytes_per_tick;
@@ -183,6 +174,7 @@ proptest! {
     fn affinity_never_reuses_fewer_tokens_than_round_robin(
         replicas in 2usize..4,
         fams in prop::collection::vec((1u64..4, 16usize..33), 4..9),
+        point in matrix_point(),
     ) {
         let model = tiny_model();
         let q = profiled_oaken(&model);
@@ -194,7 +186,8 @@ proptest! {
             })
             .collect();
         let reuse = |policy: RouterPolicy| {
-            let mut cfg = cluster_cfg(engine_config(1, PreemptPolicy::SwapToHost));
+            let engine = engine_config(point, 1, PreemptPolicy::SwapToHost);
+            let mut cfg = cluster_cfg(engine);
             cfg.replicas = replicas;
             cfg.router = policy;
             let mut mk = |_role: EngineRole, _r: usize| pool(&model, &q, 320, 448);
@@ -215,51 +208,56 @@ proptest! {
 fn three_replica_two_family_placements_are_pinned() {
     let model = tiny_model();
     let q = profiled_oaken(&model);
-    let mut cfg = cluster_cfg(engine_config(1, PreemptPolicy::SwapToHost));
-    cfg.replicas = 3;
-    cfg.router = RouterPolicy::Affinity;
-    // Trie blocks live only while some sequence references them, so
-    // prefix families must *overlap in flight* to be routable — the
-    // realistic shape of a shared system prompt under load. Heads of
-    // families A and B arrive together; followers arrive while their
-    // predecessor is still prefilling (with an 8-token budget and
-    // 8 tokens of work per tick, a 24-token head has sealed its two
-    // shared blocks — 16 tokens — by tick 2 and is still live).
-    let schedule = vec![
-        (EngineRequest::new(1, family_prompt(10, 24), 4), 0), // A head
-        (EngineRequest::new(2, family_prompt(20, 24), 4), 0), // B head
-        (EngineRequest::new(3, family_prompt(10, 32), 4), 2), // A follower
-        (EngineRequest::new(4, family_prompt(20, 32), 4), 2), // B follower
-        (EngineRequest::new(5, family_prompt(10, 40), 4), 5), // A follower
-        (EngineRequest::new(6, family_prompt(20, 40), 4), 5), // B follower
-    ];
-    let mut mk = |_role: EngineRole, _r: usize| pool(&model, &q, 320, 448);
-    let report = run_cluster(&model, &cfg, &mut mk, schedule, &[]);
+    for_each_point(
+        |point| engine_config(point, 1, PreemptPolicy::SwapToHost),
+        |engine| {
+            let mut cfg = cluster_cfg(engine);
+            cfg.replicas = 3;
+            cfg.router = RouterPolicy::Affinity;
+            // Trie blocks live only while some sequence references them, so
+            // prefix families must *overlap in flight* to be routable — the
+            // realistic shape of a shared system prompt under load. Heads of
+            // families A and B arrive together; followers arrive while their
+            // predecessor is still prefilling (with an 8-token budget and
+            // 8 tokens of work per tick, a 24-token head has sealed its two
+            // shared blocks — 16 tokens — by tick 2 and is still live).
+            let schedule = vec![
+                (EngineRequest::new(1, family_prompt(10, 24), 4), 0), // A head
+                (EngineRequest::new(2, family_prompt(20, 24), 4), 0), // B head
+                (EngineRequest::new(3, family_prompt(10, 32), 4), 2), // A follower
+                (EngineRequest::new(4, family_prompt(20, 32), 4), 2), // B follower
+                (EngineRequest::new(5, family_prompt(10, 40), 4), 5), // A follower
+                (EngineRequest::new(6, family_prompt(20, 40), 4), 5), // B follower
+            ];
+            let mut mk = |_role: EngineRole, _r: usize| pool(&model, &q, 320, 448);
+            let report = run_cluster(&model, &cfg, &mut mk, schedule, &[]);
 
-    let placements: Vec<(u64, usize, bool)> = report
-        .requests
-        .iter()
-        .map(|r| (r.id, r.replica, r.matched_at_placement > 0))
-        .collect();
-    assert_eq!(
-        placements,
-        vec![
-            (1, 0, false), // A head: no match anywhere, least-loaded → 0
-            (2, 1, false), // B head: replica 0 now loaded, least-loaded → 1
-            (3, 0, true),  // A follower: trie match on 0
-            (4, 1, true),  // B follower: trie match on 1
-            (5, 0, true),  // A follower: trie match on 0 (via follower 3)
-            (6, 1, true),  // B follower: trie match on 1 (via follower 4)
-        ]
+            let placements: Vec<(u64, usize, bool)> = report
+                .requests
+                .iter()
+                .map(|r| (r.id, r.replica, r.matched_at_placement > 0))
+                .collect();
+            assert_eq!(
+                placements,
+                vec![
+                    (1, 0, false), // A head: no match anywhere, least-loaded → 0
+                    (2, 1, false), // B head: replica 0 now loaded, least-loaded → 1
+                    (3, 0, true),  // A follower: trie match on 0
+                    (4, 1, true),  // B follower: trie match on 1
+                    (5, 0, true),  // A follower: trie match on 0 (via follower 3)
+                    (6, 1, true),  // B follower: trie match on 1 (via follower 4)
+                ]
+            );
+            assert_eq!(report.router.placed, 6);
+            assert_eq!(report.router.fallbacks, 2);
+            assert_eq!(report.router.affinity_hits, 4);
+            // A 24-token head has sealed 2 shared blocks (16 tokens) when its
+            // follower arrives; that 32-token follower has sealed the third
+            // (24 tokens) when the last one arrives.
+            assert_eq!(report.router.matched_tokens, 16 + 16 + 24 + 24);
+            assert_eq!(report.tokens_reused(), 16 + 16 + 24 + 24);
+        },
     );
-    assert_eq!(report.router.placed, 6);
-    assert_eq!(report.router.fallbacks, 2);
-    assert_eq!(report.router.affinity_hits, 4);
-    // A 24-token head has sealed 2 shared blocks (16 tokens) when its
-    // follower arrives; that 32-token follower has sealed the third
-    // (24 tokens) when the last one arrives.
-    assert_eq!(report.router.matched_tokens, 16 + 16 + 24 + 24);
-    assert_eq!(report.tokens_reused(), 16 + 16 + 24 + 24);
 }
 
 /// The paper's disaggregation headline: a long prompt arriving mid-decode
@@ -270,28 +268,33 @@ fn three_replica_two_family_placements_are_pinned() {
 fn disaggregation_keeps_decode_itl_flat_under_prefill_interference() {
     let model = tiny_model();
     let q = profiled_oaken(&model);
-    let mut cfg = cluster_cfg(engine_config(1, PreemptPolicy::SwapToHost));
-    cfg.replicas = 1;
-    cfg.work_tokens_per_tick = 4; // iterations feeding many tokens cost many ticks
-    let schedule = vec![
-        // A short request that should stream at a steady cadence...
-        (EngineRequest::new(1, family_prompt(1, 8), 16), 0),
-        // ...and a long prompt crashing in mid-decode.
-        (EngineRequest::new(2, family_prompt(2, 48), 2), 6),
-    ];
-    let mut mk = |_role: EngineRole, _r: usize| pool(&model, &q, 320, 448);
-    let cluster = run_cluster(&model, &cfg, &mut mk, schedule.clone(), &[]);
-    let mono = run_monolithic(&model, &cfg, &mut mk, schedule, &[]);
+    for_each_point(
+        |point| engine_config(point, 1, PreemptPolicy::SwapToHost),
+        |engine| {
+            let mut cfg = cluster_cfg(engine);
+            cfg.replicas = 1;
+            cfg.work_tokens_per_tick = 4; // iterations feeding many tokens cost many ticks
+            let schedule = vec![
+                // A short request that should stream at a steady cadence...
+                (EngineRequest::new(1, family_prompt(1, 8), 16), 0),
+                // ...and a long prompt crashing in mid-decode.
+                (EngineRequest::new(2, family_prompt(2, 48), 2), 6),
+            ];
+            let mut mk = |_role: EngineRole, _r: usize| pool(&model, &q, 320, 448);
+            let cluster = run_cluster(&model, &cfg, &mut mk, schedule.clone(), &[]);
+            let mono = run_monolithic(&model, &cfg, &mut mk, schedule, &[]);
 
-    assert_eq!(cluster.request(1).tokens, mono.request(1).tokens);
-    assert_eq!(cluster.request(2).tokens, mono.request(2).tokens);
-    // Steady-state gaps (past the handoff) for the short request.
-    let steady = |r: &ClusterReport| r.request(1).itl_gaps().split_off(2);
-    let cluster_worst = steady(&cluster).into_iter().max().unwrap();
-    let mono_worst = steady(&mono).into_iter().max().unwrap();
-    assert!(
-        cluster_worst < mono_worst,
-        "decode replica worst ITL {cluster_worst} not below monolithic {mono_worst}"
+            assert_eq!(cluster.request(1).tokens, mono.request(1).tokens);
+            assert_eq!(cluster.request(2).tokens, mono.request(2).tokens);
+            // Steady-state gaps (past the handoff) for the short request.
+            let steady = |r: &ClusterReport| r.request(1).itl_gaps().split_off(2);
+            let cluster_worst = steady(&cluster).into_iter().max().unwrap();
+            let mono_worst = steady(&mono).into_iter().max().unwrap();
+            assert!(
+                cluster_worst < mono_worst,
+                "decode replica worst ITL {cluster_worst} not below monolithic {mono_worst}"
+            );
+        },
     );
 }
 
@@ -301,22 +304,27 @@ fn disaggregation_keeps_decode_itl_flat_under_prefill_interference() {
 fn slow_link_delays_handoff_but_never_changes_tokens() {
     let model = tiny_model();
     let q = profiled_oaken(&model);
-    let schedule = vec![(EngineRequest::new(1, family_prompt(1, 24), 4), 0)];
-    let run_at = |bytes_per_tick: u64| {
-        let mut cfg = cluster_cfg(engine_config(1, PreemptPolicy::SwapToHost));
-        cfg.replicas = 1;
-        cfg.transfer_bytes_per_tick = bytes_per_tick;
-        let mut mk = |_role: EngineRole, _r: usize| pool(&model, &q, 320, 448);
-        run_cluster(&model, &cfg, &mut mk, schedule.clone(), &[])
-    };
-    let fast = run_at(0);
-    let slow = run_at(16);
-    assert_eq!(fast.request(1).tokens, slow.request(1).tokens);
-    assert_eq!(fast.transfer.wire_bytes, slow.transfer.wire_bytes);
-    assert!(slow.transfer.delay_ticks > fast.transfer.delay_ticks);
-    // The handoff gap (first inter-token gap) carries the wire delay.
-    assert!(slow.request(1).itl_gaps()[0] > fast.request(1).itl_gaps()[0]);
-    assert_eq!(slow.transfer.retries, 0);
+    for_each_point(
+        |point| engine_config(point, 1, PreemptPolicy::SwapToHost),
+        |engine| {
+            let schedule = vec![(EngineRequest::new(1, family_prompt(1, 24), 4), 0)];
+            let run_at = |bytes_per_tick: u64| {
+                let mut cfg = cluster_cfg(engine);
+                cfg.replicas = 1;
+                cfg.transfer_bytes_per_tick = bytes_per_tick;
+                let mut mk = |_role: EngineRole, _r: usize| pool(&model, &q, 320, 448);
+                run_cluster(&model, &cfg, &mut mk, schedule.clone(), &[])
+            };
+            let fast = run_at(0);
+            let slow = run_at(16);
+            assert_eq!(fast.request(1).tokens, slow.request(1).tokens);
+            assert_eq!(fast.transfer.wire_bytes, slow.transfer.wire_bytes);
+            assert!(slow.transfer.delay_ticks > fast.transfer.delay_ticks);
+            // The handoff gap (first inter-token gap) carries the wire delay.
+            assert!(slow.request(1).itl_gaps()[0] > fast.request(1).itl_gaps()[0]);
+            assert_eq!(slow.transfer.retries, 0);
+        },
+    );
 }
 
 /// A decode host tier sized for exactly one frozen transfer bounces
@@ -330,58 +338,63 @@ fn slow_link_delays_handoff_but_never_changes_tokens() {
 fn full_decode_host_tier_bounces_and_retries_transfers() {
     let model = tiny_model();
     let q = profiled_oaken(&model);
-    let mut cfg = cluster_cfg(engine_config(1, PreemptPolicy::SwapToHost));
-    cfg.replicas = 1;
-    cfg.work_tokens_per_tick = 64; // one tick per engine iteration
-    let schedule = vec![
-        (EngineRequest::new(1, family_prompt(1, 24), 8), 0),
-        (EngineRequest::new(2, family_prompt(2, 3), 8), 0),
-        (EngineRequest::new(3, family_prompt(3, 3), 8), 0),
-    ];
-    // Measure the widest transfer's host-page footprint (per rank shard,
-    // since the host tier splits evenly across ranks) by running the
-    // 24-token request's prefill leg through a probe engine.
-    let per_transfer: u32 = {
-        let mut probe = oaken_serving::BatchEngine::new(
-            &model,
-            pool(&model, &q, 320, 448),
-            TokenScheduler::new(cfg.scheduler_cores),
-            cfg.engine,
-        );
-        let mut leg = schedule[0].0.clone();
-        leg.max_new_tokens = 1;
-        probe.mark_for_export(leg.id);
-        probe.submit(leg);
-        while probe.step() {}
-        let export = probe
-            .take_exports()
-            .pop()
-            .expect("probe produced an export");
-        let widest = export
-            .transfers
-            .iter()
-            .map(|t| t.payload().pages_needed(512))
-            .max()
-            .expect("at least one rank shard");
-        widest * export.transfers.len() as u32
-    };
-    let mut mk = |role: EngineRole, _r: usize| {
-        if role == EngineRole::Decode {
-            pool(&model, &q, 320, per_transfer)
-        } else {
-            pool(&model, &q, 320, 448)
-        }
-    };
-    let report = run_cluster(&model, &cfg, &mut mk, schedule, &[]);
-    assert!(
-        report.transfer.retries > 0,
-        "expected at least one bounced delivery"
+    for_each_point(
+        |point| engine_config(point, 1, PreemptPolicy::SwapToHost),
+        |engine| {
+            let mut cfg = cluster_cfg(engine);
+            cfg.replicas = 1;
+            cfg.work_tokens_per_tick = 64; // one tick per engine iteration
+            let schedule = vec![
+                (EngineRequest::new(1, family_prompt(1, 24), 8), 0),
+                (EngineRequest::new(2, family_prompt(2, 3), 8), 0),
+                (EngineRequest::new(3, family_prompt(3, 3), 8), 0),
+            ];
+            // Measure the widest transfer's host-page footprint (per rank shard,
+            // since the host tier splits evenly across ranks) by running the
+            // 24-token request's prefill leg through a probe engine.
+            let per_transfer: u32 = {
+                let mut probe = oaken_serving::BatchEngine::new(
+                    &model,
+                    pool(&model, &q, 320, 448),
+                    TokenScheduler::new(cfg.scheduler_cores),
+                    cfg.engine,
+                );
+                let mut leg = schedule[0].0.clone();
+                leg.max_new_tokens = 1;
+                probe.mark_for_export(leg.id);
+                probe.submit(leg);
+                while probe.step() {}
+                let export = probe
+                    .take_exports()
+                    .pop()
+                    .expect("probe produced an export");
+                let widest = export
+                    .transfers
+                    .iter()
+                    .map(|t| t.payload().pages_needed(512))
+                    .max()
+                    .expect("at least one rank shard");
+                widest * export.transfers.len() as u32
+            };
+            let mut mk = |role: EngineRole, _r: usize| {
+                if role == EngineRole::Decode {
+                    pool(&model, &q, 320, per_transfer)
+                } else {
+                    pool(&model, &q, 320, 448)
+                }
+            };
+            let report = run_cluster(&model, &cfg, &mut mk, schedule, &[]);
+            assert!(
+                report.transfer.retries > 0,
+                "expected at least one bounced delivery"
+            );
+            assert_eq!(report.transfer.transfers, 3);
+            for id in [1, 2, 3] {
+                assert_eq!(report.request(id).outcome, RequestOutcome::Finished);
+                assert_eq!(report.request(id).tokens.len(), 8);
+            }
+        },
     );
-    assert_eq!(report.transfer.transfers, 3);
-    for id in [1, 2, 3] {
-        assert_eq!(report.request(id).outcome, RequestOutcome::Finished);
-        assert_eq!(report.request(id).tokens.len(), 8);
-    }
 }
 
 /// Cancels catch requests wherever they live: still schedule-parked
@@ -391,38 +404,79 @@ fn full_decode_host_tier_bounces_and_retries_transfers() {
 fn cancels_catch_requests_parked_on_the_wire_and_decoding() {
     let model = tiny_model();
     let q = profiled_oaken(&model);
-    let mut mk = |_role: EngineRole, _r: usize| pool(&model, &q, 320, 448);
+    for_each_point(
+        |point| engine_config(point, 1, PreemptPolicy::SwapToHost),
+        |engine| {
+            let mut mk = |_role: EngineRole, _r: usize| pool(&model, &q, 320, 448);
 
-    // Fast link: request 1 reaches its decode engine quickly and is
-    // cancelled mid-decode; request 2 is cancelled while still
-    // schedule-parked and never runs.
-    let mut cfg = cluster_cfg(engine_config(1, PreemptPolicy::SwapToHost));
-    cfg.replicas = 1;
-    let schedule = vec![
-        (EngineRequest::new(1, family_prompt(1, 16), 12), 0),
-        (EngineRequest::new(2, family_prompt(2, 16), 4), 500),
-    ];
-    let report = run_cluster(&model, &cfg, &mut mk, schedule, &[(8, 1), (90, 2)]);
-    assert_eq!(report.requests.len(), 1, "parked cancel leaves no record");
-    assert_eq!(report.request(1).outcome, RequestOutcome::Cancelled);
-    let kept = report.request(1).tokens.len();
-    assert!(
-        kept > 1 && kept < 12,
-        "expected a partial decode stream, kept {kept}"
+            // Fast link: request 1 reaches its decode engine quickly and is
+            // cancelled mid-decode; request 2 is cancelled while still
+            // schedule-parked and never runs.
+            let mut cfg = cluster_cfg(engine);
+            cfg.replicas = 1;
+            let schedule = vec![
+                (EngineRequest::new(1, family_prompt(1, 16), 12), 0),
+                (EngineRequest::new(2, family_prompt(2, 16), 4), 500),
+            ];
+            let report = run_cluster(&model, &cfg, &mut mk, schedule, &[(8, 1), (90, 2)]);
+            assert_eq!(report.requests.len(), 1, "parked cancel leaves no record");
+            assert_eq!(report.request(1).outcome, RequestOutcome::Cancelled);
+            let kept = report.request(1).tokens.len();
+            assert!(
+                kept > 1 && kept < 12,
+                "expected a partial decode stream, kept {kept}"
+            );
+            assert!(report.request(1).disaggregated);
+            assert_eq!(report.decode_stats[0].cancellations, 1);
+
+            // Slow link (2 wire bytes per tick): the export spends hundreds of
+            // ticks in flight, so the cancel catches it on the wire — the frozen
+            // KV is dropped, only the prefill-leg token survives.
+            let mut cfg = cluster_cfg(engine);
+            cfg.replicas = 1;
+            cfg.transfer_bytes_per_tick = 2;
+            let schedule = vec![(EngineRequest::new(1, family_prompt(1, 16), 12), 0)];
+            let report = run_cluster(&model, &cfg, &mut mk, schedule, &[(40, 1)]);
+            assert_eq!(report.request(1).outcome, RequestOutcome::Cancelled);
+            assert_eq!(report.request(1).tokens.len(), 1);
+            assert_eq!(report.transfer.transfers, 1);
+            assert_eq!(report.decode_stats[0].imports, 0);
+        },
     );
-    assert!(report.request(1).disaggregated);
-    assert_eq!(report.decode_stats[0].cancellations, 1);
+}
 
-    // Slow link (2 wire bytes per tick): the export spends hundreds of
-    // ticks in flight, so the cancel catches it on the wire — the frozen
-    // KV is dropped, only the prefill-leg token survives.
-    let mut cfg = cluster_cfg(engine_config(1, PreemptPolicy::SwapToHost));
-    cfg.replicas = 1;
-    cfg.transfer_bytes_per_tick = 2;
-    let schedule = vec![(EngineRequest::new(1, family_prompt(1, 16), 12), 0)];
-    let report = run_cluster(&model, &cfg, &mut mk, schedule, &[(40, 1)]);
-    assert_eq!(report.request(1).outcome, RequestOutcome::Cancelled);
-    assert_eq!(report.request(1).tokens.len(), 1);
-    assert_eq!(report.transfer.transfers, 1);
-    assert_eq!(report.decode_stats[0].imports, 0);
+/// Configuration is a value: cluster defaults are constants, whatever the
+/// process environment holds.
+#[test]
+fn cluster_defaults_are_the_documented_constants() {
+    let cfg = ClusterConfig::new(REFERENCE);
+    assert_eq!((cfg.replicas, cfg.router), (1, RouterPolicy::Affinity));
+    assert_eq!(cfg.transfer_bytes_per_tick, 0);
+    assert_eq!((cfg.work_tokens_per_tick, cfg.scheduler_cores), (32, 4));
+}
+
+/// An arrival reusing an id already in the run fails typed on a record of
+/// its own; the first holder's record, placement and stream are those of
+/// the run without the intruder.
+#[test]
+fn duplicate_id_fails_typed_and_spares_the_first() {
+    let model = tiny_model();
+    let q = profiled_oaken(&model);
+    let mut cfg = cluster_cfg(service_config(BENCHMARKED));
+    cfg.replicas = 2;
+    let mut mk = |_role: EngineRole, _r: usize| pool(&model, &q, 320, 448);
+    let clean = vec![
+        (EngineRequest::new(1, family_prompt(1, 24), 6), 0),
+        (EngineRequest::new(2, family_prompt(2, 17), 4), 3),
+    ];
+    let mut dirty = clean.clone();
+    dirty.insert(1, (EngineRequest::new(1, family_prompt(3, 9), 5), 2));
+    let want = run_cluster(&model, &cfg, &mut mk, clean, &[]);
+    let got = run_cluster(&model, &cfg, &mut mk, dirty, &[]);
+    assert_eq!(got.requests.len(), 3);
+    assert_eq!(got.requests[..2], want.requests[..]);
+    let dup = &got.requests[2];
+    assert_eq!((dup.id, dup.arrival), (1, 2));
+    assert_eq!(dup.outcome, RequestOutcome::Failed(RequestFailure::Invalid));
+    assert!(dup.tokens.is_empty());
 }

@@ -3,21 +3,29 @@
 //! `dequantize_vector_into` with reused buffers performs **zero** heap
 //! allocations after warm-up (acceptance criterion of the incremental
 //! cache work — the hardware engine's fixed SRAM buffers, in software).
-//!
-//! This file intentionally holds a single test: the counting global
-//! allocator must not observe allocations from concurrently running tests.
 
 use oaken_core::{FusedVector, KvKind, OakenConfig, OakenQuantizer, OakenScratch, OfflineProfiler};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by *this* thread: libtest's main thread and
+    /// concurrently running tests allocate on their own counters, so a
+    /// counting window sees only the code it brackets. Const-initialised
+    /// with no destructor, which is what makes it legal to touch from
+    /// inside `GlobalAlloc`.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -26,7 +34,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -87,7 +95,7 @@ fn thousand_token_decode_loop_makes_zero_allocations() {
     }
 
     // Measured pass: the full 1k-token loop must not allocate at all.
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut checksum = 0.0f32;
     for (row, fv) in rows.iter().zip(&fused) {
         out.clear();
@@ -99,7 +107,7 @@ fn thousand_token_decode_loop_makes_zero_allocations() {
             .unwrap();
         checksum += out[d - 1];
     }
-    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let delta = allocations() - before;
     assert!(checksum.is_finite());
     assert_eq!(
         delta, 0,

@@ -131,16 +131,6 @@ impl FaultPlan {
         self.rate_permille = rate.min(1000);
         self
     }
-
-    /// Reads the process-wide `OAKEN_FAULTS` knob: a decimal seed selects
-    /// a default-rate plan, anything else (or unset) selects no plan.
-    /// This is the CI hook that runs the whole suite under injected
-    /// faults; nothing in the library consults it implicitly — engines
-    /// only inject when a plan is passed in explicitly.
-    pub fn from_env() -> Option<Self> {
-        let v = std::env::var("OAKEN_FAULTS").ok()?;
-        v.trim().parse::<u64>().ok().map(Self::new)
-    }
 }
 
 /// Counters over injected faults (one [`FaultInjector`]'s lifetime).
@@ -304,8 +294,8 @@ mod tests {
 
     #[test]
     fn env_knob_parses_seed() {
-        // Avoid touching the process env (tests run threaded): exercise
-        // the parse contract through a plan round-trip instead.
+        // A bare seed (what `serve --fault-seed` passes) selects the
+        // default rate and burst; rates clamp at 1000 permille.
         let p = FaultPlan::new(42);
         assert_eq!(p.rate_permille, FaultPlan::DEFAULT_RATE_PERMILLE);
         assert_eq!(p.burst, FaultPlan::DEFAULT_BURST);

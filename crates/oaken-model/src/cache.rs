@@ -75,7 +75,7 @@ pub enum KernelMode {
 }
 
 impl KernelMode {
-    /// Parses a CLI/env spelling (`"exact"` / `"fused"`, case-insensitive).
+    /// Parses a CLI spelling (`"exact"` / `"fused"`, case-insensitive).
     pub fn parse(s: &str) -> Option<Self> {
         if s.eq_ignore_ascii_case("exact") {
             Some(KernelMode::Exact)
@@ -83,15 +83,6 @@ impl KernelMode {
             Some(KernelMode::Fused)
         } else {
             None
-        }
-    }
-
-    /// The mode selected by the `OAKEN_KERNEL` environment variable
-    /// (unset or unrecognized → [`Exact`](KernelMode::Exact)).
-    pub fn default_mode() -> Self {
-        match std::env::var("OAKEN_KERNEL") {
-            Ok(v) => Self::parse(&v).unwrap_or(KernelMode::Exact),
-            Err(_) => KernelMode::Exact,
         }
     }
 

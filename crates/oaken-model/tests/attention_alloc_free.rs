@@ -6,9 +6,6 @@
 //! rows, the decoded row block, and the context vectors all live in
 //! caller-owned reused storage. This is the scratch-reuse guarantee the
 //! forward passes rely on for every `(task, layer)` of an iteration.
-//!
-//! This file intentionally holds a single test: the counting global
-//! allocator must not observe allocations from concurrently running tests.
 
 use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler};
 use oaken_model::{
@@ -16,15 +13,26 @@ use oaken_model::{
     AttentionShape, EncodedKv,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by *this* thread: libtest's main thread and
+    /// concurrently running tests allocate on their own counters, so a
+    /// counting window sees only the code it brackets. Const-initialised
+    /// with no destructor, which is what makes it legal to touch from
+    /// inside `GlobalAlloc`.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -33,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -137,11 +145,11 @@ fn steady_state_attention_kernels_make_zero_allocations() {
     run(&mut scratch, &mut out);
 
     // Measured window: all three kernels, warm buffers, zero allocations.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..32 {
         run(&mut scratch, &mut out);
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = allocations() - before;
     assert!(out.iter().chain(&chunk_out).all(|v| v.is_finite()));
     assert_eq!(
         delta, 0,

@@ -13,24 +13,59 @@
 //! storage appends into pre-grown flat buffers, so any allocation observed
 //! here would be genuine overhead introduced by the batched/parallel
 //! machinery.
-//!
-//! This file intentionally holds a single test: the counting global
-//! allocator must not observe allocations from concurrently running tests.
 
 use oaken_model::{
     BatchAppend, BatchKvCache, ModelConfig, PagedKvPool, PoolBatchView, RankedPools, SeqRowAppend,
 };
 use oaken_runtime::Runtime;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 struct CountingAllocator;
 
+/// Allocations made by enrolled threads.
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Whether this thread's allocations count. The append path under test
+    /// forks across a runtime, so the test thread *and* that runtime's
+    /// workers are enrolled ([`enroll`]); libtest's main thread and
+    /// concurrently running tests are not, and cannot land inside a
+    /// counting window. Const-initialised with no destructor, which is
+    /// what makes it legal to touch from inside `GlobalAlloc`.
+    static ENROLLED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_one() {
+    if ENROLLED.with(Cell::get) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Enrolls every thread of `rt` (the caller included): one task per
+/// thread, each held at a barrier until all of them have started, so no
+/// thread can take two and leave another out.
+fn enroll(rt: &Runtime) {
+    let barrier = Barrier::new(rt.threads());
+    rt.run(rt.threads(), |_| {
+        ENROLLED.with(|e| e.set(true));
+        barrier.wait();
+    });
+    // Self-check: one allocation on each thread, every one of them seen.
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    rt.run(rt.threads(), |i| {
+        drop(std::hint::black_box(Box::new(i)));
+        barrier.wait();
+    });
+    let seen = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(seen, rt.threads(), "every runtime thread must be counted");
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -39,7 +74,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -71,6 +106,7 @@ fn steady_state_parallel_append_batch_makes_zero_allocations() {
     // point is the append path's own overhead, not page-list growth.
     let mut pool = PagedKvPool::for_model(&cfg, None, 512, 65_536);
     let rt = Runtime::new(4);
+    enroll(&rt);
     let seqs = [
         pool.alloc_seq(),
         pool.alloc_seq(),

@@ -161,23 +161,6 @@ fn combine(a: f32, b: f32) -> f32 {
     }
 }
 
-/// The default rank count for the serving stack: the `OAKEN_RANKS`
-/// environment variable when set to a positive integer, otherwise `1`.
-///
-/// Unlike [`default_threads`](crate::default_threads) this does not consult
-/// the machine shape: ranks model a cluster topology, not local parallelism,
-/// so they are opt-in.
-pub fn default_ranks() -> usize {
-    if let Ok(v) = std::env::var("OAKEN_RANKS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    1
-}
-
 /// The contiguous KV-head range owned by `rank` out of `ranks`, balanced for
 /// uneven divisions via [`chunk_range`] (earlier ranks take the larger
 /// shares, e.g. 7 heads over 2 ranks split 4 + 3).
@@ -281,11 +264,6 @@ mod tests {
         let mut one = Comm::new(1);
         one.account_sync(10, 4);
         assert_eq!(one.stats(), CommStats::default());
-    }
-
-    #[test]
-    fn default_ranks_is_positive() {
-        assert!(default_ranks() >= 1);
     }
 
     #[test]

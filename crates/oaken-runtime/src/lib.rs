@@ -29,9 +29,9 @@
 //!   problem shape, never on timing.
 //!
 //! `Runtime::new(1)` (or [`Runtime::serial`]) runs every task inline on the
-//! calling thread — byte-for-byte the pre-parallel code path — so
-//! `OAKEN_THREADS=1` reproduces single-threaded behaviour exactly, and the
-//! serving engine's property tests can diff any thread count against it.
+//! calling thread — byte-for-byte the pre-parallel code path — so one
+//! thread reproduces single-threaded behaviour exactly, and the serving
+//! engine's property tests can diff any thread count against it.
 //!
 //! # Usage
 //!
@@ -45,31 +45,25 @@
 //! ```
 //!
 //! The thread count for the serving stack defaults to
-//! [`default_threads`]: the `OAKEN_THREADS` environment variable when set,
-//! otherwise [`std::thread::available_parallelism`].
+//! [`default_threads`], the machine's
+//! [`std::thread::available_parallelism`]. Nothing in this crate reads the
+//! process environment: a thread or rank count is always a value the
+//! caller passes.
 
 pub mod comm;
 mod pool;
 mod shard;
 
-pub use comm::{default_ranks, Comm, CommStats};
+pub use comm::{Comm, CommStats};
 pub use pool::WorkerPool;
 pub use shard::{chunk_range, UnsafeSlice};
 
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::sync::Arc;
 
-/// The default worker count for parallel stages: the `OAKEN_THREADS`
-/// environment variable when set to a positive integer, otherwise the
-/// machine's available parallelism (and `1` when even that is unknown).
+/// The default worker count for parallel stages: the machine's available
+/// parallelism (and `1` when even that is unknown).
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("OAKEN_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -104,11 +98,6 @@ impl Runtime {
                 pool: Some(Arc::new(WorkerPool::new(threads))),
             }
         }
-    }
-
-    /// A runtime with [`default_threads`] threads.
-    pub fn from_env() -> Self {
-        Self::new(default_threads())
     }
 
     /// Threads that execute a job (1 for the serial runtime).

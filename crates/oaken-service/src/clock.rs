@@ -143,6 +143,11 @@ impl<T> ArrivalQueue<T> {
         due
     }
 
+    /// Whether an item with the given id is still parked.
+    pub fn is_parked(&self, id: u64, id_of: impl Fn(&T) -> u64) -> bool {
+        self.pending.iter().any(|(_, _, it)| id_of(it) == id)
+    }
+
     /// Removes the still-parked item with the given id, if any — how a
     /// due cancel resolves against a not-yet-injected arrival.
     pub fn remove_parked(&mut self, id: u64, id_of: impl Fn(&T) -> u64) -> Option<T> {

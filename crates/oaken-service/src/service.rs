@@ -31,7 +31,8 @@ use crate::clock::{clock_tick, ArrivalQueue, ClockHooks};
 use crate::session::{SessionEnd, SessionHandle, StreamEvent, StreamToken};
 use oaken_model::{KernelMode, Model, PagedKvPool};
 use oaken_serving::{
-    BatchEngine, EngineConfig, EngineRequest, EngineStats, RequestOutcome, TokenScheduler,
+    BatchEngine, EngineConfig, EngineRequest, EngineStats, RequestFailure, RequestOutcome,
+    TokenScheduler,
 };
 use std::collections::HashMap;
 use std::sync::mpsc::sync_channel;
@@ -116,7 +117,10 @@ pub struct ServiceClient {
 impl ServiceClient {
     /// Submits a request for immediate injection (live-service
     /// semantics: it arrives at whatever clock tick the engine thread
-    /// next drains the mailbox). Returns the streaming handle.
+    /// next drains the mailbox). Returns the streaming handle. An id
+    /// names one stream until its terminal event: a submission whose id
+    /// is still in flight (parked in the schedule or inside the engine)
+    /// ends at once with `Failed(Invalid)` on its own handle.
     pub fn submit(&self, req: EngineRequest) -> SessionHandle {
         self.submit_inner(req, None)
     }
@@ -244,13 +248,7 @@ impl ClockHooks<Submission> for ServiceHooks {
     fn cancelled_parked(&mut self, sub: Submission, clock: u64) {
         // Still parked in the batcher schedule: never reaches the engine
         // at all; resolved client-side.
-        let _ = sub.tx.send(StreamEvent::Done(SessionEnd {
-            outcome: RequestOutcome::Cancelled,
-            generated: Vec::new(),
-            ttft_iteration: 0,
-            preemptions: 0,
-            clock,
-        }));
+        end_unserved(sub, RequestOutcome::Cancelled, clock);
     }
 
     fn deliver(&mut self, engine: &mut BatchEngine<'_>, clock: u64) {
@@ -284,6 +282,17 @@ impl ClockHooks<Submission> for ServiceHooks {
     }
 }
 
+/// Ends the stream of a submission that never reaches the engine.
+fn end_unserved(sub: Submission, outcome: RequestOutcome, clock: u64) {
+    let _ = sub.tx.send(StreamEvent::Done(SessionEnd {
+        outcome,
+        generated: Vec::new(),
+        ttft_iteration: 0,
+        preemptions: 0,
+        clock,
+    }));
+}
+
 fn engine_loop(
     model: &Model,
     pool: PagedKvPool,
@@ -312,6 +321,16 @@ fn engine_loop(
         for cmd in cmds {
             match cmd {
                 Command::Submit(sub) => {
+                    // An id names one stream until its terminal event:
+                    // registering a second submission under it would drop
+                    // the first client's channel and strand it. The
+                    // newcomer fails typed; the first is untouched.
+                    let id = sub.req.id;
+                    if hooks.sessions.contains_key(&id) || queue.is_parked(id, |s| s.req.id) {
+                        let invalid = RequestOutcome::Failed(RequestFailure::Invalid);
+                        end_unserved(sub, invalid, clock);
+                        continue;
+                    }
                     // Live submissions arrive "now"; scheduled ones in the
                     // past are clamped to now.
                     let arrival = sub.arrival.unwrap_or(clock).max(clock);

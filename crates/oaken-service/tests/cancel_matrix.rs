@@ -15,14 +15,14 @@
 //! rehearsal is guaranteed to catch the request in that spot when the
 //! service run applies the scripted cancel.
 
-mod common;
+#[path = "../../oaken-serving/tests/support/mod.rs"]
+mod support;
 
-use common::*;
 use oaken_service::{replay_open_loop_direct, serve};
 use oaken_serving::{
-    AdmissionPolicy, BatchEngine, EngineConfig, EngineRequest, PreemptPolicy, RequestOutcome,
-    TokenScheduler,
+    BatchEngine, EngineConfig, EngineRequest, PreemptPolicy, RequestOutcome, TokenScheduler,
 };
+use support::*;
 
 /// The distinct parking spots a cancel can catch a request in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,14 +58,14 @@ fn matrix_requests() -> Vec<EngineRequest> {
         .collect()
 }
 
-fn matrix_config() -> EngineConfig {
+/// The spot-loading shape of a matrix point: the policy and the thread
+/// count are the scenario's, the kernel and the rank count the point's.
+fn spot_config(point: EngineConfig) -> EngineConfig {
     EngineConfig {
         max_batch: 3,
-        admission: AdmissionPolicy::PromptOnly,
         preempt: PreemptPolicy::SwapToHost,
-        prefill_token_budget: 8,
         num_threads: 2,
-        ..EngineConfig::default()
+        ..service_config(point)
     }
 }
 
@@ -75,9 +75,10 @@ fn matrix_config() -> EngineConfig {
 fn rehearse_spots(
     model: &oaken_model::Model,
     quantizer: &std::sync::Arc<dyn oaken_core::KvQuantizer>,
+    cfg: EngineConfig,
 ) -> Vec<(u64, Spot, u64)> {
     let pool = service_pool(model, quantizer, 320, 448);
-    let mut engine = BatchEngine::new(model, pool, TokenScheduler::new(4), matrix_config());
+    let mut engine = BatchEngine::new(model, pool, TokenScheduler::new(4), cfg);
     for req in matrix_requests() {
         engine.submit(req);
     }
@@ -137,6 +138,7 @@ fn coordinate_for(spots: &[(u64, Spot, u64)], want: Spot) -> (u64, u64) {
 fn run_cancel_case(
     model: &oaken_model::Model,
     quantizer: &std::sync::Arc<dyn oaken_core::KvQuantizer>,
+    cfg: EngineConfig,
     spot: Spot,
     tick: u64,
     victim: u64,
@@ -146,7 +148,7 @@ fn run_cancel_case(
         model,
         service_pool(model, quantizer, 320, 448),
         TokenScheduler::new(4),
-        matrix_config(),
+        cfg,
         |client| {
             let handles = client.submit_schedule(schedule.iter().cloned());
             client.cancel_at(victim, tick);
@@ -157,7 +159,7 @@ fn run_cancel_case(
         model,
         service_pool(model, quantizer, 320, 448),
         TokenScheduler::new(4),
-        matrix_config(),
+        cfg,
         schedule.clone(),
         &[(tick, victim)],
     );
@@ -194,7 +196,13 @@ fn run_cancel_case(
                 .iter()
                 .find(|(r, _)| r.id == res.id)
                 .expect("in schedule");
-            let reference = session_decode(model, quantizer, &req.prompt, req.max_new_tokens);
+            let reference = reference_tokens(
+                model,
+                quantizer,
+                cfg.kernel,
+                &req.prompt,
+                req.max_new_tokens,
+            );
             assert_eq!(
                 res.tokens, reference,
                 "{ctx}: survivor {} != uninterrupted Session",
@@ -214,17 +222,19 @@ fn run_cancel_case(
 fn cancel_in_every_engine_parking_spot_leaves_zero_residue() {
     let model = tiny_model();
     let quantizer = profiled_oaken(&model);
-    let spots = rehearse_spots(&model, &quantizer);
-    for spot in [
-        Spot::Queued,
-        Spot::Prefill,
-        Spot::Decode,
-        Spot::Swapped,
-        Spot::ResumeHead,
-    ] {
-        let (tick, victim) = coordinate_for(&spots, spot);
-        run_cancel_case(&model, &quantizer, spot, tick, victim);
-    }
+    for_each_point(spot_config, |cfg| {
+        let spots = rehearse_spots(&model, &quantizer, cfg);
+        for spot in [
+            Spot::Queued,
+            Spot::Prefill,
+            Spot::Decode,
+            Spot::Swapped,
+            Spot::ResumeHead,
+        ] {
+            let (tick, victim) = coordinate_for(&spots, spot);
+            run_cancel_case(&model, &quantizer, cfg, spot, tick, victim);
+        }
+    });
 }
 
 /// The sixth spot: parked in the *batcher* schedule, never injected. The
@@ -235,57 +245,59 @@ fn cancel_in_every_engine_parking_spot_leaves_zero_residue() {
 fn cancel_while_batcher_parked_never_reaches_engine() {
     let model = tiny_model();
     let quantizer = profiled_oaken(&model);
-    let mut schedule: Vec<_> = matrix_requests()
-        .into_iter()
-        .take(3)
-        .map(|r| (r, 0u64))
-        .collect();
-    // Parked far in the future; cancelled long before arrival.
-    schedule.push((EngineRequest::new(9, prompt_for(9, 10), 5), 500));
-    let (results, report) = serve(
-        &model,
-        service_pool(&model, &quantizer, 320, 448),
-        TokenScheduler::new(4),
-        matrix_config(),
-        |client| {
-            let handles = client.submit_schedule(schedule.iter().cloned());
-            client.cancel_at(9, 3);
-            handles.into_iter().map(|h| h.wait()).collect::<Vec<_>>()
-        },
-    );
-    let replay = replay_open_loop_direct(
-        &model,
-        service_pool(&model, &quantizer, 320, 448),
-        TokenScheduler::new(4),
-        matrix_config(),
-        schedule.clone(),
-        &[(3, 9)],
-    );
+    for_each_point(spot_config, |cfg| {
+        let mut schedule: Vec<_> = matrix_requests()
+            .into_iter()
+            .take(3)
+            .map(|r| (r, 0u64))
+            .collect();
+        // Parked far in the future; cancelled long before arrival.
+        schedule.push((EngineRequest::new(9, prompt_for(9, 10), 5), 500));
+        let (results, report) = serve(
+            &model,
+            service_pool(&model, &quantizer, 320, 448),
+            TokenScheduler::new(4),
+            cfg,
+            |client| {
+                let handles = client.submit_schedule(schedule.iter().cloned());
+                client.cancel_at(9, 3);
+                handles.into_iter().map(|h| h.wait()).collect::<Vec<_>>()
+            },
+        );
+        let replay = replay_open_loop_direct(
+            &model,
+            service_pool(&model, &quantizer, 320, 448),
+            TokenScheduler::new(4),
+            cfg,
+            schedule.clone(),
+            &[(3, 9)],
+        );
 
-    let parked = results
-        .iter()
-        .find(|r| r.id == 9)
-        .expect("handle 9 terminal");
-    assert_eq!(parked.end.outcome, RequestOutcome::Cancelled);
-    assert!(parked.tokens.is_empty(), "never decoded");
-    assert_eq!(parked.end.ttft_iteration, 0);
-    assert_eq!(report.stats.cancellations, 0, "engine never saw request 9");
-    assert_eq!(report.stats.admitted, 3, "only the three real arrivals");
-    assert_eq!(report.stats, replay.stats);
-    for res in results.iter().filter(|r| r.id != 9) {
-        assert_eq!(res.end.outcome, RequestOutcome::Finished);
-        assert_eq!(
-            res.tokens,
-            replay.timing_for(res.id).tokens,
-            "request {}",
-            res.id
-        );
-        assert_eq!(
-            res.token_clocks,
-            replay.timing_for(res.id).token_clocks,
-            "request {}",
-            res.id
-        );
-    }
-    assert!(report.drained_empty(), "{:?}", report.drain);
+        let parked = results
+            .iter()
+            .find(|r| r.id == 9)
+            .expect("handle 9 terminal");
+        assert_eq!(parked.end.outcome, RequestOutcome::Cancelled);
+        assert!(parked.tokens.is_empty(), "never decoded");
+        assert_eq!(parked.end.ttft_iteration, 0);
+        assert_eq!(report.stats.cancellations, 0, "engine never saw request 9");
+        assert_eq!(report.stats.admitted, 3, "only the three real arrivals");
+        assert_eq!(report.stats, replay.stats);
+        for res in results.iter().filter(|r| r.id != 9) {
+            assert_eq!(res.end.outcome, RequestOutcome::Finished);
+            assert_eq!(
+                res.tokens,
+                replay.timing_for(res.id).tokens,
+                "request {}",
+                res.id
+            );
+            assert_eq!(
+                res.token_clocks,
+                replay.timing_for(res.id).token_clocks,
+                "request {}",
+                res.id
+            );
+        }
+        assert!(report.drained_empty(), "{:?}", report.drain);
+    });
 }

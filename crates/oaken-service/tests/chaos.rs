@@ -7,36 +7,19 @@
 //! bit-exact with both the direct replay *and* an uninterrupted
 //! `Session` decode, and the pool drains exactly empty.
 
-mod common;
+#[path = "../../oaken-serving/tests/support/mod.rs"]
+mod support;
 
-use common::*;
 use oaken_service::{arrival_schedule, replay_open_loop_direct, serve, OpenLoopSpec};
-use oaken_serving::{
-    AdmissionPolicy, EngineConfig, FaultPlan, PreemptPolicy, RequestOutcome, TokenScheduler,
-};
+use oaken_serving::{EngineConfig, FaultPlan, PreemptPolicy, RequestOutcome, TokenScheduler};
 use proptest::prelude::*;
+use support::*;
 
-#[allow(clippy::too_many_arguments)]
-fn run_service_chaos(
-    shapes: &[(usize, usize, u32)],
-    plan: FaultPlan,
-    num_threads: usize,
-    preempt: PreemptPolicy,
-    deadline: Option<u64>,
-    arrival_seed: u64,
-) -> u64 {
+/// Runs `shapes` on a seeded Poisson schedule under `cfg`, which carries
+/// the fault plan and the deadline; returns the faults injected.
+fn run_service_chaos(shapes: &[(usize, usize, u32)], cfg: EngineConfig, arrival_seed: u64) -> u64 {
     let model = tiny_model();
     let quantizer = profiled_oaken(&model);
-    let cfg = EngineConfig {
-        max_batch: 4,
-        admission: AdmissionPolicy::PromptOnly,
-        preempt,
-        prefill_token_budget: 8,
-        num_threads,
-        fault_plan: Some(plan),
-        max_iterations: deadline,
-        ..EngineConfig::default()
-    };
     let arrivals = arrival_schedule(&OpenLoopSpec::poisson(2.0, arrival_seed), shapes.len());
     let schedule: Vec<_> = shapes
         .iter()
@@ -89,7 +72,13 @@ fn run_service_chaos(
                 .iter()
                 .find(|(r, _)| r.id == res.id)
                 .expect("scheduled");
-            let reference = session_decode(&model, &quantizer, &req.prompt, req.max_new_tokens);
+            let reference = reference_tokens(
+                &model,
+                &quantizer,
+                cfg.kernel,
+                &req.prompt,
+                req.max_new_tokens,
+            );
             assert_eq!(res.tokens, reference, "survivor {} != Session", res.id);
         }
     }
@@ -126,38 +115,33 @@ proptest! {
         with_deadline in any::<bool>(),
         deadline_iters in 5u64..60,
         arrival_seed in any::<u64>(),
+        point in matrix_point(),
     ) {
-        run_service_chaos(
-            &shapes,
-            FaultPlan::new(seed).with_rate_permille(rate),
-            if four_threads { 4 } else { 1 },
-            if swap { PreemptPolicy::SwapToHost } else { PreemptPolicy::RestartRecompute },
-            with_deadline.then_some(deadline_iters),
-            arrival_seed,
-        );
+        let cfg = EngineConfig {
+            preempt: if swap { PreemptPolicy::SwapToHost } else { PreemptPolicy::RestartRecompute },
+            num_threads: if four_threads { 4 } else { 1 },
+            fault_plan: Some(FaultPlan::new(seed).with_rate_permille(rate)),
+            max_iterations: with_deadline.then_some(deadline_iters),
+            ..service_config(point)
+        };
+        run_service_chaos(&shapes, cfg, arrival_seed);
     }
 }
 
-/// CI wiring: under `OAKEN_FAULTS` the whole service-chaos contract runs
-/// on the env-seeded schedule (the suite's fault pass also sets
-/// `OAKEN_PREEMPT=swap` and `OAKEN_THREADS=4`); unset, a fixed hostile
-/// seed keeps the path covered.
+/// The whole service-chaos contract under one fixed hostile schedule —
+/// seed 7, the one CI's `serve --fault-seed 7` smoke replays — on the
+/// swap point.
 #[test]
-fn env_seeded_fault_schedule_is_contained_through_service() {
-    let plan = FaultPlan::from_env()
-        .unwrap_or_else(|| FaultPlan::new(0xC0FFEE))
-        .with_rate_permille(100);
+fn fixed_seed_fault_schedule_is_contained_through_service() {
     let shapes: Vec<(usize, usize, u32)> = (0..6u32)
         .map(|r| (4 + (r as usize % 5), 3 + (r as usize % 4), r * 37))
         .collect();
-    let injected = run_service_chaos(
-        &shapes,
-        plan,
-        oaken_runtime::default_threads(),
-        PreemptPolicy::default_policy(),
-        Some(120),
-        0xA11CE,
-    );
+    let cfg = EngineConfig {
+        fault_plan: Some(FaultPlan::new(7).with_rate_permille(100)),
+        max_iterations: Some(120),
+        ..service_config(SWAP)
+    };
+    let injected = run_service_chaos(&shapes, cfg, 0xA11CE);
     // The fixed seed at 10% is dense enough to actually fire.
     assert!(injected > 0, "the chaos pass must inject something");
 }

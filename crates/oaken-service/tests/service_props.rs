@@ -7,25 +7,26 @@
 //! (the latency substrate) must match the direct replay tick for tick,
 //! and so must the engine's aggregate stats.
 
-mod common;
+#[path = "../../oaken-serving/tests/support/mod.rs"]
+mod support;
 
-use common::*;
-use oaken_service::{replay_open_loop_direct, serve, OpenLoopSpec};
-use oaken_serving::{EngineRequest, PreemptPolicy, RequestFailure, RequestOutcome, TokenScheduler};
+use oaken_service::{replay_open_loop_direct, serve, OpenLoopSpec, StreamEvent};
+use oaken_serving::{
+    EngineConfig, EngineRequest, PreemptPolicy, RequestFailure, RequestOutcome, TokenScheduler,
+};
 use proptest::prelude::*;
+use support::*;
 
 /// Runs one schedule through the service and through the direct replay
-/// under the given knobs, asserting the full contract.
+/// under `cfg`, asserting the full contract.
 fn assert_service_matches_direct(
     schedule: &[(EngineRequest, u64)],
-    num_threads: usize,
-    preempt: PreemptPolicy,
+    cfg: EngineConfig,
     pages: u32,
     host_pages: u32,
 ) {
     let model = tiny_model();
     let quantizer = profiled_oaken(&model);
-    let cfg = service_config(num_threads, preempt);
 
     let (results, report) = serve(
         &model,
@@ -46,7 +47,7 @@ fn assert_service_matches_direct(
         &[],
     );
 
-    let ctx = format!("threads={num_threads} preempt={preempt:?}");
+    let ctx = format!("threads={} preempt={:?}", cfg.num_threads, cfg.preempt);
     assert_eq!(results.len(), schedule.len(), "{ctx}: all handles terminal");
     for res in &results {
         let timing = replay.timing_for(res.id);
@@ -76,7 +77,13 @@ fn assert_service_matches_direct(
                 .iter()
                 .find(|(r, _)| r.id == res.id)
                 .expect("result id came from the schedule");
-            let reference = session_decode(&model, &quantizer, &req.prompt, req.max_new_tokens);
+            let reference = reference_tokens(
+                &model,
+                &quantizer,
+                cfg.kernel,
+                &req.prompt,
+                req.max_new_tokens,
+            );
             assert_eq!(
                 res.tokens, reference,
                 "{ctx}: request {} != uninterrupted Session",
@@ -104,11 +111,27 @@ fn poisson_schedule_bit_exact_across_threads_and_policies() {
         .enumerate()
         .map(|(i, at)| (request_for(i as u64, 5 + i % 4, 4 + i % 5), at))
         .collect();
-    for &threads in &[1usize, 4] {
-        for &preempt in &[PreemptPolicy::RestartRecompute, PreemptPolicy::SwapToHost] {
-            assert_service_matches_direct(&schedule, threads, preempt, 256, 128);
-        }
-    }
+    // The thread × policy sweep is this test's own; a point supplies the
+    // kernel and the rank count.
+    for_each_point(
+        |point| EngineConfig {
+            preempt: PreemptPolicy::RestartRecompute,
+            num_threads: 1,
+            ..service_config(point)
+        },
+        |cfg| {
+            for num_threads in [1usize, 4] {
+                for preempt in [PreemptPolicy::RestartRecompute, PreemptPolicy::SwapToHost] {
+                    let cfg = EngineConfig {
+                        preempt,
+                        num_threads,
+                        ..cfg
+                    };
+                    assert_service_matches_direct(&schedule, cfg, 256, 128);
+                }
+            }
+        },
+    );
 }
 
 /// Bursty arrivals under page pressure: bursts slam the admission gate
@@ -123,9 +146,88 @@ fn bursty_schedule_bit_exact_under_page_pressure() {
         .enumerate()
         .map(|(i, at)| (request_for(i as u64, 6, 10), at))
         .collect();
-    for &preempt in &[PreemptPolicy::RestartRecompute, PreemptPolicy::SwapToHost] {
-        assert_service_matches_direct(&schedule, 4, preempt, 80, 80);
+    for_each_point(
+        |point| EngineConfig {
+            preempt: PreemptPolicy::RestartRecompute,
+            num_threads: 4,
+            ..service_config(point)
+        },
+        |cfg| {
+            for preempt in [PreemptPolicy::RestartRecompute, PreemptPolicy::SwapToHost] {
+                assert_service_matches_direct(&schedule, EngineConfig { preempt, ..cfg }, 80, 80);
+            }
+        },
+    );
+}
+
+/// A submission under an id that is still in flight — streaming, or
+/// still parked in the arrival schedule — must not take over the first
+/// holder's stream registration (which used to strand the first client
+/// on a closed channel): the newcomer fails `Invalid` on its own stream,
+/// and the first request decodes exactly the undisturbed run.
+#[test]
+fn duplicate_in_flight_id_fails_typed_and_spares_the_first() {
+    let model = tiny_model();
+    let quantizer = profiled_oaken(&model);
+    let cfg = service_config(BENCHMARKED);
+    // Long enough (hundreds of engine iterations) to still be decoding
+    // when the duplicate lands after its first token.
+    let streaming = request_for(5, 6, 250);
+    let parked = request_for(6, 5, 4);
+    let intruder = |id| EngineRequest::new(id, prompt_for(99, 4), 3);
+    let ((first, live_dup, scheduled), report) = serve(
+        &model,
+        service_pool(&model, &quantizer, 512, 512),
+        TokenScheduler::new(4),
+        cfg,
+        |client| {
+            // Streamed by hand: the duplicate lands after the first token.
+            let first = client.submit(streaming.clone());
+            let mut tokens = Vec::new();
+            let mut live_dup = None;
+            let end = loop {
+                match first.recv().expect("stream stays open until Done") {
+                    StreamEvent::Token(t) => {
+                        tokens.push(t.token);
+                        live_dup.get_or_insert_with(|| client.submit(intruder(5)).wait());
+                    }
+                    StreamEvent::Done(end) => break end,
+                }
+            };
+            // One atomic schedule: the duplicate meets its twin still
+            // parked, whatever the arrival ticks say.
+            let scheduled: Vec<_> = client
+                .submit_schedule([(parked.clone(), 40), (intruder(6), 3)])
+                .into_iter()
+                .map(|h| h.wait())
+                .collect();
+            ((tokens, end), live_dup.expect("first streamed"), scheduled)
+        },
+    );
+    let invalid = RequestOutcome::Failed(RequestFailure::Invalid);
+    for dup in [&live_dup, &scheduled[1]] {
+        assert_eq!(dup.end.outcome, invalid, "request {}", dup.id);
+        assert!(dup.tokens.is_empty() && dup.end.generated.is_empty());
     }
+    let parked_res = &scheduled[0];
+    for (tokens, end, req) in [
+        (&first.0, &first.1, &streaming),
+        (&parked_res.tokens, &parked_res.end, &parked),
+    ] {
+        let reference = reference_tokens(
+            &model,
+            &quantizer,
+            cfg.kernel,
+            &req.prompt,
+            req.max_new_tokens,
+        );
+        assert_eq!(end.outcome, RequestOutcome::Finished);
+        assert_eq!(tokens, &reference, "request {} was disturbed", req.id);
+        assert_eq!(end.generated, reference);
+    }
+    // The duplicates never reached the engine.
+    assert_eq!((report.stats.retired, report.stats.failed), (2, 0));
+    assert!(report.drained_empty(), "pool residue: {:?}", report.drain);
 }
 
 /// Malformed requests arrive from outside the process: each must end in
@@ -156,12 +258,16 @@ fn invalid_requests_fail_typed_and_the_service_keeps_serving() {
         },
     ];
     let good = request_for(3, 6, 5);
-    for &threads in &[1usize, 4] {
+    let swap = |point| EngineConfig {
+        preempt: PreemptPolicy::SwapToHost,
+        ..service_config(point)
+    };
+    for_each_point(swap, |cfg| {
         let ((failed, served), report) = serve(
             &model,
             service_pool(&model, &quantizer, 256, 128),
             TokenScheduler::new(4),
-            service_config(threads, PreemptPolicy::SwapToHost),
+            cfg,
             |client| {
                 let failed: Vec<_> = bad
                     .iter()
@@ -180,14 +286,18 @@ fn invalid_requests_fail_typed_and_the_service_keeps_serving() {
             assert!(res.tokens.is_empty() && res.end.generated.is_empty());
         }
         assert_eq!(served.end.outcome, RequestOutcome::Finished);
-        assert_eq!(
-            served.tokens,
-            session_decode(&model, &quantizer, &good.prompt, good.max_new_tokens)
+        let reference = reference_tokens(
+            &model,
+            &quantizer,
+            cfg.kernel,
+            &good.prompt,
+            good.max_new_tokens,
         );
+        assert_eq!(served.tokens, reference);
         assert_eq!(report.stats.failed, bad.len() as u64);
         assert_eq!(report.stats.retired, 1);
         assert!(report.drained_empty(), "pool residue: {:?}", report.drain);
-    }
+    });
 }
 
 proptest! {
@@ -201,6 +311,7 @@ proptest! {
         shapes in prop::collection::vec((2usize..10, 1usize..7, 0u64..5), 1..5),
         threads in prop::sample::select(vec![1usize, 4]),
         swap in any::<bool>(),
+        point in matrix_point(),
     ) {
         let mut at = 0u64;
         let schedule: Vec<_> = shapes
@@ -216,6 +327,11 @@ proptest! {
         } else {
             PreemptPolicy::RestartRecompute
         };
-        assert_service_matches_direct(&schedule, threads, preempt, 256, 128);
+        let cfg = EngineConfig {
+            preempt,
+            num_threads: threads,
+            ..service_config(point)
+        };
+        assert_service_matches_direct(&schedule, cfg, 256, 128);
     }
 }

@@ -5,17 +5,14 @@
 //! uninterrupted `Session` decode, the engine's terminal accounting adds
 //! up, and the KV pool drains *exactly* empty after shutdown — zero
 //! pages, zero shared blocks, zero host residue, zero sequences, on
-//! every rank shard.
-//!
-//! Runs under the CI env matrix (`OAKEN_THREADS`, `OAKEN_PREEMPT`,
-//! `OAKEN_KERNEL`, `OAKEN_RANKS`): the engine knobs stay env-driven here
-//! so each CI pass stresses a different configuration.
+//! every rank shard — at every point of the engine matrix.
 
-mod common;
+#[path = "../../oaken-serving/tests/support/mod.rs"]
+mod support;
 
-use common::*;
 use oaken_service::{serve, SessionEnd, StreamEvent};
-use oaken_serving::{AdmissionPolicy, EngineConfig, RequestOutcome, TokenScheduler};
+use oaken_serving::{EngineConfig, RequestOutcome, TokenScheduler};
+use support::*;
 
 const CLIENTS: u64 = 6;
 const PER_CLIENT: u64 = 5;
@@ -46,17 +43,19 @@ fn drain_streaming(
 fn concurrent_clients_stream_cancel_and_drain_clean() {
     let model = tiny_model();
     let quantizer = profiled_oaken(&model);
-    // Engine knobs stay env-driven (thread count, preemption policy,
-    // kernel mode, ranks) so the CI matrix varies them under load.
-    let cfg = EngineConfig {
-        max_batch: 4,
-        admission: AdmissionPolicy::PromptOnly,
-        prefill_token_budget: 8,
-        ..EngineConfig::default()
-    };
-    let pool = service_pool(&model, &quantizer, 256, 128);
+    for_each_point(service_config, |cfg| {
+        stress_one_point(&model, &quantizer, cfg)
+    });
+}
 
-    let (all, report) = serve(&model, pool, TokenScheduler::new(4), cfg, |client| {
+fn stress_one_point(
+    model: &oaken_model::Model,
+    quantizer: &std::sync::Arc<dyn oaken_core::KvQuantizer>,
+    cfg: EngineConfig,
+) {
+    let pool = service_pool(model, quantizer, 256, 128);
+
+    let (all, report) = serve(model, pool, TokenScheduler::new(4), cfg, |client| {
         std::thread::scope(|scope| {
             let mut workers = Vec::new();
             for c in 0..CLIENTS {
@@ -106,7 +105,7 @@ fn concurrent_clients_stream_cancel_and_drain_clean() {
         // acceptable — but the stream must be a bit-exact prefix of the
         // uninterrupted Session decode either way.
         let prompt = prompt_for(*id, 3 + (*id as usize % 6));
-        let reference = session_decode(&model, &quantizer, &prompt, *want);
+        let reference = reference_tokens(model, quantizer, cfg.kernel, &prompt, *want);
         assert!(
             tokens.len() <= reference.len() && tokens[..] == reference[..tokens.len()],
             "request {id}: stream is not a prefix of the Session reference"
@@ -163,33 +162,34 @@ fn concurrent_clients_stream_cancel_and_drain_clean() {
 fn shutdown_drains_in_flight_work() {
     let model = tiny_model();
     let quantizer = profiled_oaken(&model);
-    let cfg = EngineConfig {
+    let three_wide = |point| EngineConfig {
         max_batch: 3,
-        admission: AdmissionPolicy::PromptOnly,
-        prefill_token_budget: 8,
-        ..EngineConfig::default()
+        ..service_config(point)
     };
-    let pool = service_pool(&model, &quantizer, 256, 128);
+    for_each_point(three_wide, |cfg| {
+        let pool = service_pool(&model, &quantizer, 256, 128);
 
-    let (handles, report) = serve(&model, pool, TokenScheduler::new(4), cfg, |client| {
-        // Submit and return immediately — shutdown is flagged while all
-        // of these are still queued or mid-decode.
-        (0..8u64)
-            .map(|id| client.submit(request_for(id, 5, 6)))
-            .collect::<Vec<_>>()
+        let (handles, report) = serve(&model, pool, TokenScheduler::new(4), cfg, |client| {
+            // Submit and return immediately — shutdown is flagged while all
+            // of these are still queued or mid-decode.
+            (0..8u64)
+                .map(|id| client.submit(request_for(id, 5, 6)))
+                .collect::<Vec<_>>()
+        });
+        // The engine thread has already exited; the streams must be complete.
+        for h in handles {
+            let res = h.wait();
+            assert_eq!(
+                res.end.outcome,
+                RequestOutcome::Finished,
+                "request {}",
+                res.id
+            );
+            let prompt = prompt_for(res.id, 5);
+            let reference = reference_tokens(&model, &quantizer, cfg.kernel, &prompt, 6);
+            assert_eq!(res.tokens, reference, "request {}", res.id);
+        }
+        assert_eq!(report.stats.retired, 8);
+        assert!(report.drained_empty(), "{:?}", report.drain);
     });
-    // The engine thread has already exited; the streams must be complete.
-    for h in handles {
-        let res = h.wait();
-        assert_eq!(
-            res.end.outcome,
-            RequestOutcome::Finished,
-            "request {}",
-            res.id
-        );
-        let reference = session_decode(&model, &quantizer, &prompt_for(res.id, 5), 6);
-        assert_eq!(res.tokens, reference, "request {}", res.id);
-    }
-    assert_eq!(report.stats.retired, 8);
-    assert!(report.drained_empty(), "{:?}", report.drain);
 }

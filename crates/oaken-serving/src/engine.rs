@@ -174,21 +174,12 @@ pub enum PreemptPolicy {
     SwapToHost,
 }
 
-impl PreemptPolicy {
-    /// The process-wide default: `OAKEN_PREEMPT=swap` selects
-    /// [`PreemptPolicy::SwapToHost`], anything else (or unset) selects
-    /// [`PreemptPolicy::RestartRecompute`]. This is the CI knob that runs
-    /// the whole test suite — every bit-exactness property included —
-    /// under swap-based preemption.
-    pub fn default_policy() -> Self {
-        match std::env::var("OAKEN_PREEMPT") {
-            Ok(v) if v.eq_ignore_ascii_case("swap") => PreemptPolicy::SwapToHost,
-            _ => PreemptPolicy::RestartRecompute,
-        }
-    }
-}
-
-/// Engine knobs.
+/// Engine knobs. Configuration is a value: the engine reads nothing from
+/// the process environment, and [`EngineConfig::default`] is a constant
+/// apart from `num_threads` (the machine's available parallelism). The
+/// README's "Configuration is a value" table maps each field to its
+/// `serve` flag, its default, and the points of the test matrix
+/// (`tests/support/mod.rs`, `ENGINE_MATRIX`) that vary it.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Maximum concurrent sequences per iteration.
@@ -200,8 +191,6 @@ pub struct EngineConfig {
     /// sequence is preempted first, because it has the least cached work
     /// to move (swap) or redo (restart) and the oldest sequences — closest
     /// to retiring and releasing their pages for good — keep running.
-    /// Defaults to [`PreemptPolicy::default_policy`] (the `OAKEN_PREEMPT`
-    /// environment knob).
     pub preempt: PreemptPolicy,
     /// Record every decode-phase logits vector per request (for the
     /// bit-exactness tests; memory-heavy on real vocabularies).
@@ -218,8 +207,8 @@ pub struct EngineConfig {
     /// and per-`(step, KV head)` attention all shard across them).
     /// Parallel execution is **bit-exact** with `1`, which reproduces the
     /// single-threaded engine exactly. Defaults to
-    /// [`oaken_runtime::default_threads`] (`OAKEN_THREADS` or the
-    /// machine's available parallelism).
+    /// [`oaken_runtime::default_threads`] (the machine's available
+    /// parallelism).
     pub num_threads: usize,
     /// Tensor-parallel engine ranks. `1` (the default) is the unsharded
     /// engine: one pool shard, a communicator that accounts nothing.
@@ -233,15 +222,12 @@ pub struct EngineConfig {
     /// capability-gated like [`EngineConfig::kernel`]: clamped to the
     /// model's KV-head count, and downgraded to `1` for a pool whose
     /// quantizer cannot stream encoded rows (sharding slices the encoded
-    /// form). Defaults to [`oaken_runtime::default_ranks`] (the
-    /// `OAKEN_RANKS` environment knob).
+    /// form).
     pub num_ranks: usize,
     /// Deterministic fault schedule installed into the pool's MMU at
-    /// engine construction (see [`oaken_model::FaultPlan`]). **Always
-    /// `None` by default** — including under the `OAKEN_FAULTS` env knob,
-    /// which only the serve example and the chaos tests consult — so the
-    /// hooks are inert and the engine is bit-identical to a build without
-    /// them unless a plan is passed explicitly.
+    /// engine construction (see [`oaken_model::FaultPlan`]). `None` by
+    /// default, so the hooks are inert and the engine is bit-identical to
+    /// a build without them unless a plan is passed explicitly.
     pub fault_plan: Option<FaultPlan>,
     /// Per-request deadline: a request that has been in flight (active,
     /// suspended, or requeued after preemption) for this many engine
@@ -254,8 +240,7 @@ pub struct EngineConfig {
     /// construction ([`PagedKvPool::set_kernel_mode`]). The request is
     /// capability-gated: a pool whose quantizer has no encoded read path
     /// stays [`KernelMode::Exact`] (see [`BatchEngine::kernel_mode`] for
-    /// the installed answer). Defaults to [`KernelMode::default_mode`]
-    /// (the `OAKEN_KERNEL` environment knob).
+    /// the installed answer).
     pub kernel: KernelMode,
 }
 
@@ -264,14 +249,14 @@ impl Default for EngineConfig {
         Self {
             max_batch: 8,
             admission: AdmissionPolicy::default(),
-            preempt: PreemptPolicy::default_policy(),
+            preempt: PreemptPolicy::default(),
             record_logits: false,
             prefill_token_budget: 16,
             num_threads: oaken_runtime::default_threads(),
-            num_ranks: oaken_runtime::default_ranks(),
+            num_ranks: 1,
             fault_plan: None,
             max_iterations: None,
-            kernel: KernelMode::default_mode(),
+            kernel: KernelMode::default(),
         }
     }
 }
@@ -287,7 +272,8 @@ pub enum RequestFailure {
     /// is exhausted; carries the final error.
     Pool(PoolError),
     /// Rejected at [`BatchEngine::submit`]: an empty prompt, a zero
-    /// output budget, or a prompt token outside the model's vocabulary.
+    /// output budget, a prompt token outside the model's vocabulary, or
+    /// the id of a request still in flight.
     Invalid,
 }
 
@@ -729,15 +715,23 @@ impl<'m> BatchEngine<'m> {
     }
 
     /// Enqueues a request. A malformed one — empty prompt, zero output
-    /// budget, or an out-of-vocabulary prompt token ([`EngineRequest`]'s
+    /// budget, an out-of-vocabulary prompt token ([`EngineRequest`]'s
     /// fields are public, so [`EngineRequest::new`]'s checks can be
-    /// bypassed) — finishes immediately as
-    /// [`RequestFailure::Invalid`]: requests come from outside the
-    /// process, and the forward pass's asserts are an internal guard that
-    /// would take the engine thread, and every waiting client, down.
+    /// bypassed), or an id that is still in flight (queued, active or
+    /// suspended: ids are what [`cancel`](Self::cancel) and the token
+    /// stream address, so the first holder keeps it untouched) —
+    /// finishes immediately as [`RequestFailure::Invalid`]: requests
+    /// come from outside the process, and the forward pass's asserts are
+    /// an internal guard that would take the engine thread, and every
+    /// waiting client, down.
     pub fn submit(&mut self, req: EngineRequest) {
         let vocab = self.model.config().vocab_size;
-        let valid = !req.prompt.is_empty()
+        let in_flight = (self.queue.iter().map(|q| q.req.id))
+            .chain(self.active.iter().map(|a| a.req.id))
+            .chain(self.resume.iter().map(|s| s.req.id))
+            .any(|id| id == req.id);
+        let valid = !in_flight
+            && !req.prompt.is_empty()
             && req.max_new_tokens > 0
             && req.prompt.iter().all(|&t| (t as usize) < vocab);
         if !valid {
@@ -2425,5 +2419,52 @@ mod tests {
         let c = mk(2, 0);
         let d = mk(3, 0);
         assert_ne!(c.prompt, d.prompt);
+    }
+
+    /// Configuration is a value: the default reads nothing ambient and is
+    /// a constant apart from the measured thread count.
+    #[test]
+    fn default_config_is_the_documented_constant() {
+        let c = EngineConfig::default();
+        assert_eq!(c.max_batch, 8);
+        assert_eq!(c.admission, AdmissionPolicy::PromptOnly);
+        assert_eq!(c.preempt, PreemptPolicy::RestartRecompute);
+        assert!(!c.record_logits);
+        assert_eq!(c.prefill_token_budget, 16);
+        assert_eq!(c.num_threads, oaken_runtime::default_threads());
+        assert_eq!(c.num_ranks, 1);
+        assert_eq!((c.fault_plan, c.max_iterations), (None, None));
+        assert_eq!(c.kernel, KernelMode::Exact);
+    }
+
+    /// A second submission under an id still in flight fails `Invalid` on
+    /// its own record; the first holder of the id decodes exactly what it
+    /// decodes undisturbed.
+    #[test]
+    fn duplicate_in_flight_id_fails_typed_and_spares_the_first() {
+        let m = tiny_model();
+        let undisturbed = {
+            let mut e = engine_with_pages(&m, 512, EngineConfig::default());
+            e.submit(req(7, 5, 6));
+            e.run()[0].generated.clone()
+        };
+        let mut e = engine_with_pages(&m, 512, EngineConfig::default());
+        e.submit(req(7, 5, 6));
+        e.submit(req(7, 3, 2)); // first still queued
+        assert!(e.step());
+        e.submit(req(7, 3, 2)); // first now active
+        e.run();
+        let (dups, firsts): (Vec<_>, Vec<_>) = (e.finished().iter())
+            .partition(|f| f.outcome == RequestOutcome::Failed(RequestFailure::Invalid));
+        assert_eq!(dups.len(), 2);
+        assert!(dups.iter().all(|f| f.id == 7 && f.generated.is_empty()));
+        assert_eq!(firsts.len(), 1);
+        assert_eq!(firsts[0].outcome, RequestOutcome::Finished);
+        assert_eq!(firsts[0].generated, undisturbed);
+        assert_eq!(e.stats().failed, 2);
+        // Retired: the id is free again.
+        e.submit(req(7, 5, 6));
+        assert_eq!(e.run().last().unwrap().generated, undisturbed);
+        assert_pool_empty(&e);
     }
 }

@@ -7,8 +7,8 @@
 //! (admission reserves only a request's non-trie-shared pages).
 //!
 //! Each engine iteration runs on a deterministic fork-join runtime
-//! ([`EngineConfig::num_threads`], default `OAKEN_THREADS` or the host's
-//! available parallelism): weight sweeps shard across output rows,
+//! ([`EngineConfig::num_threads`], default the host's available
+//! parallelism): weight sweeps shard across output rows,
 //! quantize+append across sequences, attention across `(step, KV head)`
 //! tasks — and the output is **bit-exact** with `num_threads = 1` for
 //! every schedule, enforced by `tests/parallel_props.rs`.

@@ -3,101 +3,30 @@
 //! logit bit for logit bit — from independent legacy `Session` runs, for
 //! any admission/retire interleaving.
 
-use oaken_core::{KvQuantizer, OakenConfig};
-use oaken_eval::harness::profile_oaken;
-use oaken_model::{sample_greedy, Model, ModelConfig, PagedKvPool, QuantizedCache, Session};
+mod support;
+
+use oaken_core::KvQuantizer;
+use oaken_model::{Model, PagedKvPool};
 use oaken_serving::{AdmissionPolicy, BatchEngine, EngineConfig, EngineRequest, TokenScheduler};
 use proptest::prelude::*;
 use std::sync::Arc;
+use support::*;
 
-fn tiny_model() -> Model {
-    Model::synthetic(ModelConfig::llama2_7b().proxy(2, 32), 7)
-}
-
-/// Profiles an Oaken quantizer on the model's *actual* KV distribution via
-/// the observer hook (the paper's offline phase, shared with the Table 2
-/// harness), so the online thresholds are realistic for these weights.
-fn profiled_oaken(model: &Model) -> Arc<dyn KvQuantizer> {
-    Arc::new(profile_oaken(model, OakenConfig::default(), 6, 8, 5))
-}
-
-/// Greedy reference decode through the legacy single-sequence `Session`.
-fn reference_decode(
-    model: &Model,
-    quantizer: Option<Arc<dyn KvQuantizer>>,
-    prompt: &[u32],
-    max_new: usize,
-) -> (Vec<u32>, Vec<Vec<f32>>) {
-    let mut session: Session = match quantizer {
-        Some(q) => model.session(Box::new(QuantizedCache::new(q))),
-        None => model.session(Box::new(oaken_model::ExactCache::new())),
-    };
-    // Mirror the engine's env-driven kernel mode (`OAKEN_KERNEL`): the
-    // fused engine is bit-exact with a fused Session, not an exact one.
-    session.set_kernel_mode(oaken_model::KernelMode::default_mode());
-    let mut logits = session.prefill(prompt);
-    let mut tokens = Vec::new();
-    let mut all_logits = Vec::new();
-    for _ in 0..max_new {
-        let tok = sample_greedy(&logits);
-        tokens.push(tok);
-        all_logits.push(logits.clone());
-        if tokens.len() == max_new {
-            break;
-        }
-        logits = session.advance(tok);
-    }
-    (tokens, all_logits)
-}
-
-fn assert_bit_identical(a: &[Vec<f32>], b: &[Vec<f32>], ctx: &str) {
-    assert_eq!(a.len(), b.len(), "{ctx}: logits count");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        let xb: Vec<u32> = x.iter().map(|v| v.to_bits()).collect();
-        let yb: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(xb, yb, "{ctx}: logits diverged at decode step {i}");
-    }
-}
-
+/// Runs `requests` through one engine under `cfg` and holds every output
+/// against the reference decode at `cfg`'s kernel.
 fn run_engine_and_compare(
     model: &Model,
     quantizer: Option<Arc<dyn KvQuantizer>>,
     requests: &[(Vec<u32>, usize)],
-    max_batch: usize,
     num_pages: u32,
-    admission: AdmissionPolicy,
-) {
-    let num_ranks = EngineConfig::default().num_ranks;
-    run_engine_and_compare_budget(
-        model, quantizer, requests, max_batch, num_pages, admission, 16, num_ranks,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_engine_and_compare_budget(
-    model: &Model,
-    quantizer: Option<Arc<dyn KvQuantizer>>,
-    requests: &[(Vec<u32>, usize)],
-    max_batch: usize,
-    num_pages: u32,
-    admission: AdmissionPolicy,
-    prefill_token_budget: usize,
-    num_ranks: usize,
+    cfg: EngineConfig,
 ) {
     let pool = PagedKvPool::for_model(model.config(), quantizer.clone(), num_pages, 512);
-    let mut engine = BatchEngine::new(
-        model,
-        pool,
-        TokenScheduler::new(4),
-        EngineConfig {
-            max_batch,
-            admission,
-            record_logits: true,
-            prefill_token_budget,
-            num_ranks,
-            ..EngineConfig::default()
-        },
-    );
+    let cfg = EngineConfig {
+        record_logits: true,
+        ..cfg
+    };
+    let mut engine = BatchEngine::new(model, pool, TokenScheduler::new(4), cfg);
     for (id, (prompt, max_new)) in requests.iter().enumerate() {
         engine.submit(EngineRequest::new(id as u64, prompt.clone(), *max_new));
     }
@@ -110,7 +39,8 @@ fn run_engine_and_compare_budget(
             "request {} must complete (pool {num_pages} pages)",
             fin.id
         );
-        let (ref_tokens, ref_logits) = reference_decode(model, quantizer.clone(), prompt, *max_new);
+        let (ref_tokens, ref_logits) =
+            reference_decode(model, quantizer.clone(), cfg.kernel, prompt, *max_new);
         assert_eq!(
             fin.generated, ref_tokens,
             "request {}: generated tokens differ from the legacy Session",
@@ -132,13 +62,12 @@ fn eight_concurrent_sequences_match_eight_sessions_bitwise() {
             (prompt, 3 + (r as usize % 4))
         })
         .collect();
-    run_engine_and_compare(
-        &model,
-        Some(quantizer),
-        &requests,
-        8,
-        4096,
-        AdmissionPolicy::FullSequence,
+    for_each_point(
+        |point| EngineConfig {
+            admission: AdmissionPolicy::FullSequence,
+            ..point
+        },
+        |cfg| run_engine_and_compare(&model, Some(quantizer.clone()), &requests, 4096, cfg),
     );
 }
 
@@ -148,13 +77,13 @@ fn exact_pool_matches_exact_cache_sessions() {
     let requests: Vec<(Vec<u32>, usize)> = (0..4u32)
         .map(|r| ((0..6).map(|i| (r * 53 + i * 29) % 256).collect(), 4))
         .collect();
-    run_engine_and_compare(
-        &model,
-        None,
-        &requests,
-        4,
-        4096,
-        AdmissionPolicy::FullSequence,
+    for_each_point(
+        |point| EngineConfig {
+            max_batch: 4,
+            admission: AdmissionPolicy::FullSequence,
+            ..point
+        },
+        |cfg| run_engine_and_compare(&model, None, &requests, 4096, cfg),
     );
 }
 
@@ -172,15 +101,14 @@ fn preemption_preserves_bit_exactness() {
     // Pinned unsharded: uneven rank splits of the 70-page pool shift the
     // per-shard worst-case bounds enough to shed a request outright
     // (cross-rank page pressure is covered by tp_props).
-    run_engine_and_compare_budget(
-        &model,
-        Some(quantizer),
-        &requests,
-        4,
-        70,
-        AdmissionPolicy::PromptOnly,
-        16,
-        1,
+    for_each_point(
+        |point| EngineConfig {
+            max_batch: 4,
+            prefill_token_budget: 16,
+            num_ranks: 1,
+            ..point
+        },
+        |cfg| run_engine_and_compare(&model, Some(quantizer.clone()), &requests, 70, cfg),
     );
 }
 
@@ -196,6 +124,7 @@ proptest! {
         max_batch in 1usize..5,
         optimistic in any::<bool>(),
         budget in 1usize..24,
+        point in matrix_point(),
     ) {
         let model = tiny_model();
         let quantizer = profiled_oaken(&model);
@@ -211,9 +140,12 @@ proptest! {
         } else {
             AdmissionPolicy::FullSequence
         };
-        let num_ranks = EngineConfig::default().num_ranks;
-        run_engine_and_compare_budget(
-            &model, Some(quantizer), &requests, max_batch, 2048, admission, budget, num_ranks,
-        );
+        let cfg = EngineConfig {
+            max_batch,
+            admission,
+            prefill_token_budget: budget,
+            ..point
+        };
+        run_engine_and_compare(&model, Some(quantizer), &requests, 2048, cfg);
     }
 }

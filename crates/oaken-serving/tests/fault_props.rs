@@ -5,92 +5,38 @@
 //! leave every *surviving* request token- and logit-identical to an
 //! uninterrupted legacy `Session` run.
 
-use oaken_core::{KvQuantizer, OakenConfig};
-use oaken_eval::harness::profile_oaken;
-use oaken_model::{sample_greedy, Model, ModelConfig, PagedKvPool, QuantizedCache, Session};
+mod support;
+
+use oaken_core::KvQuantizer;
+use oaken_model::Model;
 use oaken_serving::{
-    AdmissionPolicy, BatchEngine, EngineConfig, EngineRequest, FaultPlan, PreemptPolicy,
-    RequestOutcome, TokenScheduler,
+    BatchEngine, EngineConfig, EngineRequest, FaultPlan, PreemptPolicy, RequestOutcome,
+    TokenScheduler,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
+use support::*;
 
-fn tiny_model() -> Model {
-    Model::synthetic(ModelConfig::llama2_7b().proxy(2, 32), 7)
-}
-
-fn profiled_oaken(model: &Model) -> Arc<dyn KvQuantizer> {
-    Arc::new(profile_oaken(model, OakenConfig::default(), 6, 8, 5))
-}
-
-/// Greedy reference decode through the legacy single-sequence `Session` —
-/// the uninterrupted run survivors are compared against.
-fn reference_decode(
-    model: &Model,
-    quantizer: Arc<dyn KvQuantizer>,
-    prompt: &[u32],
-    max_new: usize,
-) -> (Vec<u32>, Vec<Vec<f32>>) {
-    let mut session: Session = model.session(Box::new(QuantizedCache::new(quantizer)));
-    // Mirror the engine's env-driven kernel mode (`OAKEN_KERNEL`): the
-    // fused engine is bit-exact with a fused Session, not an exact one.
-    session.set_kernel_mode(oaken_model::KernelMode::default_mode());
-    let mut logits = session.prefill(prompt);
-    let mut tokens = Vec::new();
-    let mut all_logits = Vec::new();
-    for _ in 0..max_new {
-        let tok = sample_greedy(&logits);
-        tokens.push(tok);
-        all_logits.push(logits.clone());
-        if tokens.len() == max_new {
-            break;
-        }
-        logits = session.advance(tok);
-    }
-    (tokens, all_logits)
-}
-
-fn assert_bit_identical(a: &[Vec<f32>], b: &[Vec<f32>], ctx: &str) {
-    assert_eq!(a.len(), b.len(), "{ctx}: logits count");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        let xb: Vec<u32> = x.iter().map(|v| v.to_bits()).collect();
-        let yb: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(xb, yb, "{ctx}: logits diverged at decode step {i}");
+/// The chaos suite's shape of a matrix point.
+fn chaos_config(point: EngineConfig) -> EngineConfig {
+    EngineConfig {
+        record_logits: true,
+        ..service_config(point)
     }
 }
 
 /// Runs the workload under the fault plan, checking the containment
 /// contract at every single iteration, and verifies the survivors
-/// against uninterrupted references at the end.
-#[allow(clippy::too_many_arguments)]
+/// against uninterrupted references at the end. `cfg` carries the plan
+/// and the deadline.
 fn run_chaos(
     model: &Model,
     quantizer: Arc<dyn KvQuantizer>,
     requests: &[(Vec<u32>, usize)],
-    plan: FaultPlan,
-    num_threads: usize,
-    preempt: PreemptPolicy,
-    max_iterations: Option<u64>,
+    cfg: EngineConfig,
 ) -> u64 {
-    let mut pool = PagedKvPool::for_model(model.config(), Some(quantizer.clone()), 256, 512);
-    pool.set_host_pages(128);
-    pool.set_block_tokens(8);
-    let mut engine = BatchEngine::new(
-        model,
-        pool,
-        TokenScheduler::new(4),
-        EngineConfig {
-            max_batch: 4,
-            admission: AdmissionPolicy::PromptOnly,
-            preempt,
-            record_logits: true,
-            prefill_token_budget: 8,
-            num_threads,
-            fault_plan: Some(plan),
-            max_iterations,
-            ..EngineConfig::default()
-        },
-    );
+    let pool = service_pool(model, &quantizer, 256, 128);
+    let mut engine = BatchEngine::new(model, pool, TokenScheduler::new(4), cfg);
     for (id, (prompt, max_new)) in requests.iter().enumerate() {
         engine.submit(EngineRequest::new(id as u64, prompt.clone(), *max_new));
     }
@@ -99,7 +45,7 @@ fn run_chaos(
         iters += 1;
         assert!(iters < 20_000, "engine failed to terminate under faults");
         // The books balance after *every* iteration, on *every* rank
-        // shard (one unsharded pool unless OAKEN_RANKS splits it): free
+        // shard (one unsharded pool off the 2-rank point): free
         // + private + shared pages always sum to the shard's capacity,
         // whatever was injected, torn down, retried, or demoted.
         for (r, pool) in engine.rank_pools().iter().enumerate() {
@@ -139,7 +85,8 @@ fn run_chaos(
             continue;
         }
         let (prompt, max_new) = &requests[fin.id as usize];
-        let (ref_tokens, ref_logits) = reference_decode(model, quantizer.clone(), prompt, *max_new);
+        let (ref_tokens, ref_logits) =
+            reference_decode(model, Some(quantizer.clone()), cfg.kernel, prompt, *max_new);
         assert_eq!(
             fin.generated, ref_tokens,
             "surviving request {}: tokens differ from the uninterrupted run",
@@ -164,6 +111,7 @@ proptest! {
         swap in any::<bool>(),
         with_deadline in any::<bool>(),
         deadline_iters in 5u64..60,
+        point in matrix_point(),
     ) {
         let deadline = with_deadline.then_some(deadline_iters);
         let model = tiny_model();
@@ -175,27 +123,22 @@ proptest! {
                 (prompt, max_new)
             })
             .collect();
-        run_chaos(
-            &model,
-            quantizer,
-            &requests,
-            FaultPlan::new(seed).with_rate_permille(rate),
-            if four_threads { 4 } else { 1 },
-            if swap { PreemptPolicy::SwapToHost } else { PreemptPolicy::RestartRecompute },
-            deadline,
-        );
+        let cfg = EngineConfig {
+            preempt: if swap { PreemptPolicy::SwapToHost } else { PreemptPolicy::RestartRecompute },
+            num_threads: if four_threads { 4 } else { 1 },
+            fault_plan: Some(FaultPlan::new(seed).with_rate_permille(rate)),
+            max_iterations: deadline,
+            ..chaos_config(point)
+        };
+        run_chaos(&model, quantizer, &requests, cfg);
     }
 }
 
-/// The CI wiring: when `OAKEN_FAULTS` is set this runs the whole chaos
-/// contract under the env-seeded schedule (the suite's 4th pass sets it
-/// together with `OAKEN_THREADS=4` and `OAKEN_PREEMPT=swap`); unset, it
-/// still runs under a fixed seed so the path is always covered.
+/// The whole chaos contract under one fixed schedule — seed 7, the one
+/// CI's `serve --fault-seed 7` smoke replays — on the swap point.
 #[test]
-fn env_seeded_fault_schedule_is_contained() {
-    let plan = FaultPlan::from_env()
-        .unwrap_or_else(|| FaultPlan::new(0xC0FFEE))
-        .with_rate_permille(100);
+fn fixed_seed_fault_schedule_is_contained() {
+    let plan = FaultPlan::new(7).with_rate_permille(100);
     let model = tiny_model();
     let quantizer = profiled_oaken(&model);
     let requests: Vec<(Vec<u32>, usize)> = (0..6u32)
@@ -204,15 +147,11 @@ fn env_seeded_fault_schedule_is_contained() {
             (prompt, 3 + (r as usize % 4))
         })
         .collect();
-    run_chaos(
-        &model,
-        quantizer,
-        &requests,
-        plan,
-        oaken_runtime::default_threads(),
-        PreemptPolicy::default_policy(),
-        None,
-    );
+    let cfg = EngineConfig {
+        fault_plan: Some(plan),
+        ..chaos_config(SWAP)
+    };
+    run_chaos(&model, quantizer, &requests, cfg);
 }
 
 /// A plan so hostile it is mostly failure — 80% of fallible ops fault,
@@ -226,14 +165,17 @@ fn pathological_fault_rate_degrades_gracefully() {
     let requests: Vec<(Vec<u32>, usize)> = (0..5u32)
         .map(|r| ((0..6).map(|i| (r * 53 + i * 29) % 256).collect(), 4))
         .collect();
-    let injected = run_chaos(
-        &model,
-        quantizer,
-        &requests,
-        FaultPlan::new(99).with_rate_permille(800),
-        2,
-        PreemptPolicy::SwapToHost,
-        Some(200),
+    for_each_point(
+        |point| EngineConfig {
+            preempt: PreemptPolicy::SwapToHost,
+            num_threads: 2,
+            fault_plan: Some(FaultPlan::new(99).with_rate_permille(800)),
+            max_iterations: Some(200),
+            ..chaos_config(point)
+        },
+        |cfg| {
+            let injected = run_chaos(&model, quantizer.clone(), &requests, cfg);
+            assert!(injected > 0, "an 80% rate must actually inject");
+        },
     );
-    assert!(injected > 0, "an 80% rate must actually inject");
 }

@@ -5,36 +5,28 @@
 //! fraction of the exact path's — the storage win carried through to read
 //! bandwidth.
 
-use oaken_core::{KvQuantizer, OakenConfig};
-use oaken_eval::harness::profile_oaken;
-use oaken_model::{KernelMode, Model, ModelConfig, PagedKvPool};
-use oaken_serving::{AdmissionPolicy, BatchEngine, EngineConfig, EngineRequest, TokenScheduler};
-use std::sync::Arc;
+mod support;
 
-fn tiny_model() -> Model {
-    Model::synthetic(ModelConfig::llama2_7b().proxy(2, 32), 7)
-}
+use oaken_model::{KernelMode, PagedKvPool};
+use oaken_serving::{BatchEngine, EngineConfig, EngineRequest, TokenScheduler};
+use support::*;
 
 fn run_with_kernel(kernel: KernelMode) -> oaken_serving::EngineStats {
     let model = tiny_model();
-    let quantizer: Arc<dyn KvQuantizer> =
-        Arc::new(profile_oaken(&model, OakenConfig::default(), 6, 8, 5));
-    let pool = PagedKvPool::for_model(model.config(), Some(quantizer), 1024, 512);
+    let pool = PagedKvPool::for_model(model.config(), Some(profiled_oaken(&model)), 1024, 512);
     let mut engine = BatchEngine::new(
         &model,
         pool,
         TokenScheduler::new(4),
+        // Unsharded: this test calibrates the encoded row's per-row byte
+        // traffic against full-width f32 rows. Sharding splits each row
+        // across ranks and re-pays the fixed encoding header per slice,
+        // which shifts the ratio without changing the representation
+        // under test.
         EngineConfig {
             max_batch: 3,
-            admission: AdmissionPolicy::PromptOnly,
             kernel,
-            // Pinned unsharded: this test calibrates the encoded row's
-            // per-row byte traffic against full-width f32 rows. Sharding
-            // splits each row across ranks and re-pays the fixed encoding
-            // header per slice, which shifts the ratio without changing
-            // the representation under test.
-            num_ranks: 1,
-            ..EngineConfig::default()
+            ..REFERENCE
         },
     );
     assert_eq!(engine.kernel_mode(), kernel, "oaken streams support fused");

@@ -9,53 +9,34 @@
 //! whose accumulation chains are all task-local, so scheduling (the only
 //! nondeterminism threads introduce) is unobservable in the output.
 
-use oaken_core::{KvQuantizer, OakenConfig};
-use oaken_eval::harness::profile_oaken;
-use oaken_model::{Model, ModelConfig, PagedKvPool};
-use oaken_serving::{
-    AdmissionPolicy, BatchEngine, EngineConfig, EngineRequest, FinishedRequest, TokenScheduler,
-};
+mod support;
+
+use oaken_core::KvQuantizer;
+use oaken_model::{Model, PagedKvPool};
+use oaken_serving::{BatchEngine, EngineConfig, EngineRequest, FinishedRequest, TokenScheduler};
 use proptest::prelude::*;
 use std::sync::Arc;
+use support::*;
 
-fn tiny_model() -> Model {
-    Model::synthetic(ModelConfig::llama2_7b().proxy(2, 32), 7)
-}
-
-fn profiled_oaken(model: &Model) -> Arc<dyn KvQuantizer> {
-    Arc::new(profile_oaken(model, OakenConfig::default(), 6, 8, 5))
-}
-
-/// Runs one full engine schedule at a given thread count and returns the
-/// finished requests sorted by id.
-#[allow(clippy::too_many_arguments)]
+/// Runs one full engine schedule under `cfg` at a given thread count and
+/// returns the finished requests sorted by id.
 fn run_engine(
     model: &Model,
     quantizer: Option<Arc<dyn KvQuantizer>>,
     requests: &[EngineRequest],
     num_threads: usize,
-    max_batch: usize,
     num_pages: u32,
-    prefill_token_budget: usize,
     block_tokens: usize,
-    num_ranks: usize,
+    cfg: EngineConfig,
 ) -> Vec<FinishedRequest> {
     let mut pool = PagedKvPool::for_model(model.config(), quantizer, num_pages, 512);
     pool.set_block_tokens(block_tokens);
-    let mut engine = BatchEngine::new(
-        model,
-        pool,
-        TokenScheduler::new(4),
-        EngineConfig {
-            max_batch,
-            admission: AdmissionPolicy::PromptOnly,
-            record_logits: true,
-            prefill_token_budget,
-            num_threads,
-            num_ranks,
-            ..EngineConfig::default()
-        },
-    );
+    let cfg = EngineConfig {
+        record_logits: true,
+        num_threads,
+        ..cfg
+    };
+    let mut engine = BatchEngine::new(model, pool, TokenScheduler::new(4), cfg);
     for r in requests {
         engine.submit(r.clone());
     }
@@ -78,38 +59,8 @@ fn assert_runs_identical(serial: &[FinishedRequest], parallel: &[FinishedRequest
             "{ctx}: request {}",
             s.id
         );
-        assert_eq!(s.logits.len(), p.logits.len(), "{ctx}: request {}", s.id);
-        for (step, (a, b)) in s.logits.iter().zip(&p.logits).enumerate() {
-            let ab: Vec<u32> = a.iter().map(|v| v.to_bits()).collect();
-            let bb: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                ab, bb,
-                "{ctx}: request {} logits diverged at decode step {step}",
-                s.id
-            );
-        }
+        assert_bit_identical(&s.logits, &p.logits, &format!("{ctx}: request {}", s.id));
     }
-}
-
-/// Requests where the first `shared` tokens are a common system prompt
-/// (exercising trie adoption and seal dedup under parallel appends).
-fn requests_with_overlap(shapes: &[(usize, usize, u32)], shared: usize) -> Vec<EngineRequest> {
-    shapes
-        .iter()
-        .enumerate()
-        .map(|(id, &(plen, max_new, salt))| {
-            let prompt = (0..plen as u32)
-                .map(|i| {
-                    if (i as usize) < shared.min(plen.saturating_sub(1)) {
-                        (7 + i * 3) % 256
-                    } else {
-                        (salt + i * 13) % 256
-                    }
-                })
-                .collect();
-            EngineRequest::new(id as u64, prompt, max_new)
-        })
-        .collect()
 }
 
 /// The acceptance bar: 8 concurrent requests, chunked prefill, shared
@@ -122,31 +73,23 @@ fn eight_requests_bit_exact_across_thread_counts() {
         .map(|r| (6 + (r as usize % 5), 3 + (r as usize % 3), r * 37))
         .collect();
     let requests = requests_with_overlap(&shapes, 4);
-    let serial = run_engine(
-        &model,
-        Some(quantizer.clone()),
-        &requests,
-        1,
-        8,
-        4096,
-        16,
-        4,
-        EngineConfig::default().num_ranks,
+    // The thread count is this suite's own axis: points collapse on it.
+    for_each_point(
+        |point| EngineConfig {
+            num_threads: 1,
+            ..point
+        },
+        |cfg| {
+            let run = |threads| {
+                let q = Some(quantizer.clone());
+                run_engine(&model, q, &requests, threads, 4096, 4, cfg)
+            };
+            let serial = run(1);
+            for threads in [2usize, 4, 8] {
+                assert_runs_identical(&serial, &run(threads), &format!("{threads} threads"));
+            }
+        },
     );
-    for threads in [2usize, 4, 8] {
-        let par = run_engine(
-            &model,
-            Some(quantizer.clone()),
-            &requests,
-            threads,
-            8,
-            4096,
-            16,
-            4,
-            EngineConfig::default().num_ranks,
-        );
-        assert_runs_identical(&serial, &par, &format!("{threads} threads"));
-    }
 }
 
 /// Preemption-inducing pool: evictions and restarts must replay
@@ -160,22 +103,36 @@ fn preemption_schedule_bit_exact_across_thread_counts() {
     let shapes: Vec<(usize, usize, u32)> = (0..4u32).map(|r| (4, 40, r * 41)).collect();
     let requests = requests_with_overlap(&shapes, 0);
     let pages = 70;
-    // Pinned unsharded (last arg): rank-splitting the 70-page pool shifts
-    // the per-shard worst-case bounds and this geometry stops preempting;
-    // cross-rank preemption pressure is covered by tp_props.
-    let serial = run_engine(&model, None, &requests, 1, 4, pages, 16, 16, 1);
-    assert!(
-        serial.iter().any(|f| f.preemptions > 0),
-        "workload must actually preempt: {:?}",
-        serial
-            .iter()
-            .map(|f| (f.id, f.completed, f.preemptions))
-            .collect::<Vec<_>>()
+    // Pinned unsharded: rank-splitting the 70-page pool shifts the
+    // per-shard worst-case bounds and this geometry stops preempting;
+    // cross-rank preemption pressure is covered by tp_props. Pinned exact:
+    // an f32 pool has no encoded read path for a fused request to use.
+    for_each_point(
+        |point| EngineConfig {
+            max_batch: 4,
+            prefill_token_budget: 16,
+            num_threads: 1,
+            num_ranks: 1,
+            kernel: oaken_model::KernelMode::Exact,
+            ..point
+        },
+        |cfg| {
+            let run = |threads| run_engine(&model, None, &requests, threads, pages, 16, cfg);
+            let serial = run(1);
+            assert!(
+                serial.iter().any(|f| f.preemptions > 0),
+                "workload must actually preempt: {:?}",
+                serial
+                    .iter()
+                    .map(|f| (f.id, f.completed, f.preemptions))
+                    .collect::<Vec<_>>()
+            );
+            for threads in [2usize, 4, 8] {
+                let ctx = format!("{threads} threads (preempting)");
+                assert_runs_identical(&serial, &run(threads), &ctx);
+            }
+        },
     );
-    for threads in [2usize, 4, 8] {
-        let par = run_engine(&model, None, &requests, threads, 4, pages, 16, 16, 1);
-        assert_runs_identical(&serial, &par, &format!("{threads} threads (preempting)"));
-    }
 }
 
 proptest! {
@@ -192,6 +149,7 @@ proptest! {
         overlap in 0usize..8,
         block_tokens in 2usize..6,
         tight in any::<bool>(),
+        point in matrix_point(),
     ) {
         let model = tiny_model();
         let quantizer = profiled_oaken(&model);
@@ -200,17 +158,18 @@ proptest! {
         // eviction; ample pools exercise the full chunk plans. Both must
         // stay deterministic.
         let pages = if tight { 160 } else { 2048 };
-        let num_ranks = EngineConfig::default().num_ranks;
-        let serial = run_engine(
-            &model, Some(quantizer.clone()), &requests, 1, max_batch, pages, budget, block_tokens,
-            num_ranks,
-        );
+        let cfg = EngineConfig {
+            max_batch,
+            prefill_token_budget: budget,
+            ..point
+        };
+        let run = |threads| {
+            let q = Some(quantizer.clone());
+            run_engine(&model, q, &requests, threads, pages, block_tokens, cfg)
+        };
+        let serial = run(1);
         for threads in [2usize, 4, 8] {
-            let par = run_engine(
-                &model, Some(quantizer.clone()), &requests, threads, max_batch, pages, budget,
-                block_tokens, num_ranks,
-            );
-            assert_runs_identical(&serial, &par, &format!("{threads} threads"));
+            assert_runs_identical(&serial, &run(threads), &format!("{threads} threads"));
         }
     }
 }

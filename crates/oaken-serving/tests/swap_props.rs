@@ -5,84 +5,33 @@
 //! among the victims, and both runtime thread counts — while recomputing
 //! **zero** prefill tokens (the waste `RestartRecompute` pays).
 
-use oaken_core::{KvQuantizer, OakenConfig};
-use oaken_eval::harness::profile_oaken;
-use oaken_model::{sample_greedy, Model, ModelConfig, PagedKvPool, QuantizedCache, Session};
+mod support;
+
+use oaken_core::KvQuantizer;
+use oaken_model::{Model, PagedKvPool};
 use oaken_serving::{
-    AdmissionPolicy, BatchEngine, EngineConfig, EngineRequest, EngineStats, PreemptPolicy,
+    BatchEngine, EngineConfig, EngineRequest, EngineStats, FinishedRequest, PreemptPolicy,
     TokenScheduler,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
+use support::*;
 
-fn tiny_model() -> Model {
-    Model::synthetic(ModelConfig::llama2_7b().proxy(2, 32), 7)
-}
-
-fn profiled_oaken(model: &Model) -> Arc<dyn KvQuantizer> {
-    Arc::new(profile_oaken(model, OakenConfig::default(), 6, 8, 5))
-}
-
-/// Greedy reference decode through the legacy single-sequence `Session` —
-/// the never-preempted run every engine output is held against.
-fn reference_decode(
-    model: &Model,
-    quantizer: Option<Arc<dyn KvQuantizer>>,
-    prompt: &[u32],
-    max_new: usize,
-) -> (Vec<u32>, Vec<Vec<f32>>) {
-    let mut session: Session = match quantizer {
-        Some(q) => model.session(Box::new(QuantizedCache::new(q))),
-        None => model.session(Box::new(oaken_model::ExactCache::new())),
-    };
-    // Mirror the engine's env-driven kernel mode (`OAKEN_KERNEL`): the
-    // fused engine is bit-exact with a fused Session, not an exact one.
-    session.set_kernel_mode(oaken_model::KernelMode::default_mode());
-    let mut logits = session.prefill(prompt);
-    let mut tokens = Vec::new();
-    let mut all_logits = Vec::new();
-    for _ in 0..max_new {
-        let tok = sample_greedy(&logits);
-        tokens.push(tok);
-        all_logits.push(logits.clone());
-        if tokens.len() == max_new {
-            break;
-        }
-        logits = session.advance(tok);
-    }
-    (tokens, all_logits)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_swap_engine(
+/// Runs `requests` under `cfg` on a `num_pages` device pool backed by
+/// `host_pages` of swap tier; returns the finished requests by id.
+fn run_engine(
     model: &Model,
     quantizer: Option<Arc<dyn KvQuantizer>>,
     requests: &[(Vec<u32>, usize)],
-    max_batch: usize,
     num_pages: u32,
     host_pages: u32,
     block_tokens: usize,
-    num_threads: usize,
-    num_ranks: usize,
-) -> (Vec<oaken_serving::FinishedRequest>, EngineStats) {
+    cfg: EngineConfig,
+) -> (Vec<FinishedRequest>, EngineStats) {
     let mut pool = PagedKvPool::for_model(model.config(), quantizer, num_pages, 512);
     pool.set_block_tokens(block_tokens);
     pool.set_host_pages(host_pages);
-    let mut engine = BatchEngine::new(
-        model,
-        pool,
-        TokenScheduler::new(4),
-        EngineConfig {
-            max_batch,
-            admission: AdmissionPolicy::PromptOnly,
-            preempt: PreemptPolicy::SwapToHost,
-            record_logits: true,
-            prefill_token_budget: 16,
-            num_threads,
-            num_ranks,
-            ..EngineConfig::default()
-        },
-    );
+    let mut engine = BatchEngine::new(model, pool, TokenScheduler::new(4), cfg);
     for (id, (prompt, max_new)) in requests.iter().enumerate() {
         engine.submit(EngineRequest::new(id as u64, prompt.clone(), *max_new));
     }
@@ -100,8 +49,9 @@ fn run_swap_engine(
 fn assert_matches_reference(
     model: &Model,
     quantizer: &Option<Arc<dyn KvQuantizer>>,
+    kernel: oaken_model::KernelMode,
     requests: &[(Vec<u32>, usize)],
-    fin: &[oaken_serving::FinishedRequest],
+    fin: &[FinishedRequest],
     require_complete: bool,
     ctx: &str,
 ) {
@@ -117,22 +67,14 @@ fn assert_matches_reference(
             );
             continue;
         }
-        let (ref_tokens, ref_logits) = reference_decode(model, quantizer.clone(), prompt, *max_new);
+        let (ref_tokens, ref_logits) =
+            reference_decode(model, quantizer.clone(), kernel, prompt, *max_new);
         assert_eq!(
             f.generated, ref_tokens,
             "{ctx}: request {} tokens diverged from the uninterrupted Session",
             f.id
         );
-        assert_eq!(f.logits.len(), ref_logits.len(), "{ctx}: logits count");
-        for (i, (x, y)) in f.logits.iter().zip(&ref_logits).enumerate() {
-            let xb: Vec<u32> = x.iter().map(|v| v.to_bits()).collect();
-            let yb: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                xb, yb,
-                "{ctx}: request {} logits diverged at decode step {i}",
-                f.id
-            );
-        }
+        assert_bit_identical(&f.logits, &ref_logits, &format!("{ctx}: request {}", f.id));
     }
 }
 
@@ -161,23 +103,22 @@ fn swapped_sharers_resume_bit_exactly_with_zero_recompute() {
             (p, 160)
         })
         .collect();
-    for threads in [1usize, 4] {
-        // Pinned unsharded: the 230-page pool is calibrated so decode
-        // growth preempts *loaded* mid-stream victims. Rank-sharded page
-        // math shifts which sequence preempts when (still bit-exact, but
-        // the victims may freeze before carrying payload), so the
-        // payload-size assertions below only hold on this geometry.
-        let (fin, stats) = run_swap_engine(
-            &model,
-            quantizer.clone(),
-            &requests,
-            4,
-            230,
-            460,
-            4,
-            threads,
-            1,
-        );
+    // Pinned unsharded: the 230-page pool is calibrated so decode growth
+    // preempts *loaded* mid-stream victims. Rank-sharded page math shifts
+    // which sequence preempts when (still bit-exact, but the victims may
+    // freeze before carrying payload), so the payload-size assertions
+    // below only hold on this geometry.
+    let swap = |point| EngineConfig {
+        max_batch: 4,
+        preempt: PreemptPolicy::SwapToHost,
+        record_logits: true,
+        prefill_token_budget: 16,
+        num_ranks: 1,
+        ..point
+    };
+    for_each_point(swap, |cfg| {
+        let threads = cfg.num_threads;
+        let (fin, stats) = run_engine(&model, quantizer.clone(), &requests, 230, 460, 4, cfg);
         assert!(
             stats.preemptions > 0,
             "{threads} threads: the pool must be tight enough to preempt: {stats:?}"
@@ -205,37 +146,67 @@ fn swapped_sharers_resume_bit_exactly_with_zero_recompute() {
         assert_matches_reference(
             &model,
             &quantizer,
+            cfg.kernel,
             &requests,
             &fin,
             true,
             &format!("{threads} threads"),
         );
-    }
+    });
     // The restart policy on the identical workload pays recompute.
-    let mut pool = PagedKvPool::for_model(model.config(), quantizer.clone(), 230, 512);
-    pool.set_block_tokens(4);
-    let mut engine = BatchEngine::new(
-        &model,
-        pool,
-        TokenScheduler::new(4),
-        EngineConfig {
-            max_batch: 4,
-            admission: AdmissionPolicy::PromptOnly,
-            preempt: PreemptPolicy::RestartRecompute,
-            record_logits: false,
-            prefill_token_budget: 16,
-            ..EngineConfig::default()
-        },
-    );
-    for (id, (prompt, max_new)) in requests.iter().enumerate() {
-        engine.submit(EngineRequest::new(id as u64, prompt.clone(), *max_new));
-    }
-    engine.run();
-    let restart = engine.stats();
+    let restart = EngineConfig {
+        max_batch: 4,
+        ..REFERENCE
+    };
+    let (_, restart) = run_engine(&model, quantizer.clone(), &requests, 230, 460, 4, restart);
     assert!(restart.preemptions > 0, "{restart:?}");
     assert!(
         restart.recomputed_prefill_tokens > 0,
         "restart must recompute what swap moves: {restart:?}"
+    );
+}
+
+/// The configuration every `BENCHMARK.json` number is taken under —
+/// fused reads, swap preemption, batch 8, a 64-token prefill budget —
+/// unmodified, on a pool tight enough that it really swaps and really
+/// reads encoded rows: every output matches the uninterrupted `Session`
+/// run bit for bit.
+#[test]
+fn benchmarked_point_swaps_reads_encoded_rows_and_matches_session() {
+    let model = tiny_model();
+    let quantizer = Some(profiled_oaken(&model));
+    // Eight unshared requests — the benchmark's batch — on a device tier
+    // that holds about four of them; 64-token trie blocks, so a suspended
+    // sequence's pages are private and really move to the host.
+    let requests: Vec<(Vec<u32>, usize)> = (0..8u32)
+        .map(|r| {
+            let prompt = (0..6 + r % 4).map(|i| (r * 29 + i * 7) % 256).collect();
+            (prompt, 40 + (r as usize % 3) * 10)
+        })
+        .collect();
+    let cfg = EngineConfig {
+        record_logits: true,
+        ..BENCHMARKED
+    };
+    let (fin, stats) = run_engine(&model, quantizer.clone(), &requests, 300, 600, 64, cfg);
+    assert!(
+        stats.swap_outs > 0,
+        "the pool must force suspensions: {stats:?}"
+    );
+    assert!(
+        stats.swap_ins > 0,
+        "suspended sequences must resume: {stats:?}"
+    );
+    assert!(stats.kv_reads.fused_rows > 0 && stats.kv_reads.exact_rows == 0);
+    assert_eq!(fin.len(), requests.len());
+    assert_matches_reference(
+        &model,
+        &quantizer,
+        cfg.kernel,
+        &requests,
+        &fin,
+        true,
+        "benchmarked point",
     );
 }
 
@@ -254,6 +225,7 @@ proptest! {
         shared_len in 0usize..8,
         pages in 72u32..160,
         threads in prop::sample::select(vec![1usize, 4]),
+        point in matrix_point(),
     ) {
         // Host sized so no suspension ever falls back to restart (the
         // fallback path is covered by the engine's unit tests; here the
@@ -270,17 +242,15 @@ proptest! {
                 (p, max_new)
             })
             .collect();
-        let (fin, stats) = run_swap_engine(
-            &model,
-            quantizer.clone(),
-            &requests,
-            3,
-            pages,
-            host_pages,
-            4,
-            threads,
-            EngineConfig::default().num_ranks,
-        );
+        let cfg = EngineConfig {
+            max_batch: 3,
+            preempt: PreemptPolicy::SwapToHost,
+            record_logits: true,
+            prefill_token_budget: 16,
+            num_threads: threads,
+            ..point
+        };
+        let (fin, stats) = run_engine(&model, quantizer.clone(), &requests, pages, host_pages, 4, cfg);
         // Zero-recompute holds exactly when every preemption swapped
         // (host never filled: preemptions == swap_outs) and no resume had
         // to be converted back to a restart (the liveness escape hatch on
@@ -301,6 +271,7 @@ proptest! {
         assert_matches_reference(
             &model,
             &quantizer,
+            cfg.kernel,
             &requests,
             &fin,
             false,

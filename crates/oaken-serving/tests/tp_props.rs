@@ -15,53 +15,25 @@
 //!   tokens and logits still match bit for bit — only the scheduling
 //!   counters may differ.
 
-use oaken_core::{KvQuantizer, OakenConfig};
-use oaken_eval::harness::profile_oaken;
-use oaken_model::{FaultPlan, KernelMode, Model, ModelConfig, PagedKvPool};
+mod support;
+
+use oaken_core::KvQuantizer;
+use oaken_model::{FaultPlan, KernelMode, Model, PagedKvPool};
 use oaken_serving::{
-    AdmissionPolicy, BatchEngine, EngineConfig, EngineRequest, EngineStats, FinishedRequest,
-    PreemptPolicy, TokenScheduler,
+    BatchEngine, EngineConfig, EngineRequest, EngineStats, FinishedRequest, PreemptPolicy,
+    TokenScheduler,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
+use support::*;
 
-fn tiny_model() -> Model {
-    // 8 KV heads: rank counts 2, 3, and 4 all divide or split unevenly.
-    Model::synthetic(ModelConfig::llama2_7b().proxy(2, 32), 7)
-}
-
-fn profiled_oaken(model: &Model) -> Arc<dyn KvQuantizer> {
-    Arc::new(profile_oaken(model, OakenConfig::default(), 6, 8, 5))
-}
-
-#[derive(Clone, Copy)]
-struct RunKnobs {
-    num_ranks: usize,
-    num_threads: usize,
-    max_batch: usize,
-    num_pages: u32,
-    prefill_token_budget: usize,
-    block_tokens: usize,
-    preempt: PreemptPolicy,
-    kernel: KernelMode,
-    fault_plan: Option<FaultPlan>,
-}
-
-impl Default for RunKnobs {
-    fn default() -> Self {
-        Self {
-            num_ranks: 1,
-            num_threads: 1,
-            max_batch: 8,
-            num_pages: 4096,
-            prefill_token_budget: 16,
-            block_tokens: 4,
-            preempt: PreemptPolicy::RestartRecompute,
-            kernel: KernelMode::Exact,
-            fault_plan: None,
-        }
-    }
-}
+/// The 1-rank engine every ranked run is held against: the matrix's
+/// reference point, recording logits. This suite sweeps ranks, threads,
+/// kernels and preemption policies around it as its own axes.
+const BASE: EngineConfig = EngineConfig {
+    record_logits: true,
+    ..REFERENCE
+};
 
 /// Runs one full engine schedule and returns the finished requests
 /// (sorted by id) plus the run stats.
@@ -69,30 +41,16 @@ fn run_engine(
     model: &Model,
     quantizer: Option<Arc<dyn KvQuantizer>>,
     requests: &[EngineRequest],
-    knobs: &RunKnobs,
+    num_pages: u32,
+    block_tokens: usize,
+    cfg: EngineConfig,
 ) -> (Vec<FinishedRequest>, EngineStats) {
-    let mut pool = PagedKvPool::for_model(model.config(), quantizer, knobs.num_pages, 512);
-    pool.set_block_tokens(knobs.block_tokens);
-    let mut engine = BatchEngine::new(
-        model,
-        pool,
-        TokenScheduler::new(4),
-        EngineConfig {
-            max_batch: knobs.max_batch,
-            admission: AdmissionPolicy::PromptOnly,
-            preempt: knobs.preempt,
-            record_logits: true,
-            prefill_token_budget: knobs.prefill_token_budget,
-            num_threads: knobs.num_threads,
-            num_ranks: knobs.num_ranks,
-            fault_plan: knobs.fault_plan,
-            max_iterations: None,
-            kernel: knobs.kernel,
-        },
-    );
+    let mut pool = PagedKvPool::for_model(model.config(), quantizer, num_pages, 512);
+    pool.set_block_tokens(block_tokens);
+    let mut engine = BatchEngine::new(model, pool, TokenScheduler::new(4), cfg);
     assert_eq!(
         engine.num_ranks(),
-        knobs.num_ranks.min(model.config().num_kv_heads),
+        cfg.num_ranks.min(model.config().num_kv_heads),
         "Oaken streams support sharding; the rank request must be honored"
     );
     for r in requests {
@@ -113,16 +71,7 @@ fn assert_tokens_identical(base: &[FinishedRequest], tp: &[FinishedRequest], ctx
         assert_eq!(s.id, p.id, "{ctx}");
         assert_eq!(s.completed, p.completed, "{ctx}: request {}", s.id);
         assert_eq!(s.generated, p.generated, "{ctx}: request {} tokens", s.id);
-        assert_eq!(s.logits.len(), p.logits.len(), "{ctx}: request {}", s.id);
-        for (step, (a, b)) in s.logits.iter().zip(&p.logits).enumerate() {
-            let ab: Vec<u32> = a.iter().map(|v| v.to_bits()).collect();
-            let bb: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                ab, bb,
-                "{ctx}: request {} logits diverged at decode step {step}",
-                s.id
-            );
-        }
+        assert_bit_identical(&s.logits, &p.logits, &format!("{ctx}: request {}", s.id));
     }
 }
 
@@ -140,26 +89,6 @@ fn assert_schedules_identical(base: &[FinishedRequest], tp: &[FinishedRequest], 
     }
 }
 
-/// Requests where the first `shared` tokens are a common system prompt.
-fn requests_with_overlap(shapes: &[(usize, usize, u32)], shared: usize) -> Vec<EngineRequest> {
-    shapes
-        .iter()
-        .enumerate()
-        .map(|(id, &(plen, max_new, salt))| {
-            let prompt = (0..plen as u32)
-                .map(|i| {
-                    if (i as usize) < shared.min(plen.saturating_sub(1)) {
-                        (7 + i * 3) % 256
-                    } else {
-                        (salt + i * 13) % 256
-                    }
-                })
-                .collect();
-            EngineRequest::new(id as u64, prompt, max_new)
-        })
-        .collect()
-}
-
 fn acceptance_shapes() -> Vec<(usize, usize, u32)> {
     (0..8u32)
         .map(|r| (6 + (r as usize % 5), 3 + (r as usize % 3), r * 37))
@@ -175,32 +104,20 @@ fn ranked_engines_bit_exact_with_single_rank() {
     let quantizer = profiled_oaken(&model);
     let requests = requests_with_overlap(&acceptance_shapes(), 4);
     for kernel in [KernelMode::Exact, KernelMode::Fused] {
-        let (base, base_stats) = run_engine(
-            &model,
-            Some(quantizer.clone()),
-            &requests,
-            &RunKnobs {
-                kernel,
-                ..RunKnobs::default()
-            },
-        );
+        let one_rank = EngineConfig { kernel, ..BASE };
+        let run = |cfg| run_engine(&model, Some(quantizer.clone()), &requests, 4096, 4, cfg);
+        let (base, base_stats) = run(one_rank);
         assert_eq!(base_stats.preemptions, 0, "ample pool must not preempt");
         assert_eq!(base_stats.num_ranks, 1);
         assert_eq!(base_stats.comm.bytes_moved, 0, "1 rank moves no bytes");
         for ranks in [2usize, 4] {
             for threads in [1usize, 4] {
                 let ctx = format!("{ranks} ranks, {threads} threads, {kernel:?}");
-                let (tp, stats) = run_engine(
-                    &model,
-                    Some(quantizer.clone()),
-                    &requests,
-                    &RunKnobs {
-                        num_ranks: ranks,
-                        num_threads: threads,
-                        kernel,
-                        ..RunKnobs::default()
-                    },
-                );
+                let (tp, stats) = run(EngineConfig {
+                    num_ranks: ranks,
+                    num_threads: threads,
+                    ..one_rank
+                });
                 assert_schedules_identical(&base, &tp, &ctx);
                 assert_eq!(stats.num_ranks, ranks, "{ctx}");
                 assert!(stats.comm.allreduce_calls > 0, "{ctx}: ranks must reduce");
@@ -228,29 +145,23 @@ fn ranked_engines_match_content_under_page_pressure() {
     let shapes: Vec<(usize, usize, u32)> = (0..4u32).map(|r| (4, 40, r * 41)).collect();
     let requests = requests_with_overlap(&shapes, 0);
     for preempt in [PreemptPolicy::RestartRecompute, PreemptPolicy::SwapToHost] {
-        let tight = RunKnobs {
+        let tight = EngineConfig {
             max_batch: 4,
-            num_pages: 70,
-            block_tokens: 16,
             preempt,
-            ..RunKnobs::default()
+            ..BASE
         };
-        let (base, base_stats) = run_engine(&model, None, &requests, &tight);
+        let run = |cfg| run_engine(&model, None, &requests, 70, 16, cfg);
+        let (base, base_stats) = run(tight);
         assert!(
             base_stats.preemptions > 0,
             "workload must actually preempt ({preempt:?})"
         );
         for ranks in [2usize, 4] {
             let ctx = format!("{ranks} ranks under pressure, {preempt:?}");
-            let (tp, _) = run_engine(
-                &model,
-                None,
-                &requests,
-                &RunKnobs {
-                    num_ranks: ranks,
-                    ..tight
-                },
-            );
+            let (tp, _) = run(EngineConfig {
+                num_ranks: ranks,
+                ..tight
+            });
             assert_tokens_identical(&base, &tp, &ctx);
         }
     }
@@ -266,18 +177,14 @@ fn ranked_engine_absorbs_injected_faults() {
     let quantizer = profiled_oaken(&model);
     let requests = requests_with_overlap(&acceptance_shapes(), 4);
     for seed in [3u64, 11, 29] {
-        let (fin, stats) = run_engine(
-            &model,
-            Some(quantizer.clone()),
-            &requests,
-            &RunKnobs {
-                num_ranks: 2,
-                num_threads: 4,
-                preempt: PreemptPolicy::SwapToHost,
-                fault_plan: Some(FaultPlan::new(seed)),
-                ..RunKnobs::default()
-            },
-        );
+        let cfg = EngineConfig {
+            num_ranks: 2,
+            num_threads: 4,
+            preempt: PreemptPolicy::SwapToHost,
+            fault_plan: Some(FaultPlan::new(seed)),
+            ..BASE
+        };
+        let (fin, stats) = run_engine(&model, Some(quantizer.clone()), &requests, 4096, 4, cfg);
         assert_eq!(fin.len(), requests.len(), "seed {seed}: containment");
         assert_eq!(
             stats.faults_absorbed, stats.faults_injected,
@@ -307,20 +214,16 @@ proptest! {
         let model = tiny_model();
         let quantizer = profiled_oaken(&model);
         let requests = requests_with_overlap(&shapes, overlap);
-        let knobs = RunKnobs {
-            num_pages: if tight { 640 } else { 4096 },
+        let one_rank = EngineConfig {
             prefill_token_budget: budget,
             preempt: if swap { PreemptPolicy::SwapToHost } else { PreemptPolicy::RestartRecompute },
             kernel: if fused { KernelMode::Fused } else { KernelMode::Exact },
-            ..RunKnobs::default()
+            ..BASE
         };
-        let (base, _) = run_engine(&model, Some(quantizer.clone()), &requests, &knobs);
-        let (tp, stats) = run_engine(
-            &model,
-            Some(quantizer.clone()),
-            &requests,
-            &RunKnobs { num_ranks: ranks, num_threads: threads, ..knobs },
-        );
+        let pages = if tight { 640 } else { 4096 };
+        let run = |cfg| run_engine(&model, Some(quantizer.clone()), &requests, pages, 4, cfg);
+        let (base, _) = run(one_rank);
+        let (tp, stats) = run(EngineConfig { num_ranks: ranks, num_threads: threads, ..one_rank });
         let ctx = format!("{ranks} ranks, {threads} threads, tight={tight}");
         if tight {
             assert_tokens_identical(&base, &tp, &ctx);

@@ -2,22 +2,30 @@
 //! ([`Tensor::matvec_batch_shards`] on a serial runtime): the outputs it
 //! returns, the interleaved-input scratch, and a constant — nothing per
 //! weight row, and no task list when there is one task.
-//!
-//! This file intentionally holds a single test: the counting global
-//! allocator must not observe allocations from concurrently running tests.
 
 use oaken_runtime::Runtime;
 use oaken_tensor::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by *this* thread: libtest's main thread and
+    /// concurrently running tests allocate on their own counters, so a
+    /// counting window sees only the code it brackets. Const-initialised
+    /// with no destructor, which is what makes it legal to touch from
+    /// inside `GlobalAlloc`.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -26,7 +34,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,9 +52,9 @@ fn a_sweep_allocates_its_outputs_its_scratch_and_a_constant() {
         for m in [5usize, 64, 1024] {
             let a = Tensor::full(&[m, k], 0.25);
             let count = |shards: &[std::ops::Range<usize>]| {
-                let before = ALLOCATIONS.load(Ordering::Relaxed);
+                let before = allocations();
                 let out = a.matvec_batch_shards(&rt, &refs, shards).unwrap();
-                let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+                let made = allocations() - before;
                 assert_eq!(out.len(), shards.len());
                 made
             };

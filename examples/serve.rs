@@ -7,34 +7,37 @@
 //! [--prefix-overlap <0..100>] [--threads <N>] [--preempt restart|swap]
 //! [--host-pages <N>]`
 //!
+//! The flags below are the only spelling of every setting: nothing here or
+//! in the library reads an environment variable.
+//!
 //! * `--smoke` is the CI wiring: tiny workload, ~2 decode tokens per
 //!   request.
 //! * `--prefix-overlap P` prepends an identical system prompt covering
 //!   `P%` of every request's input — the shared-prompt traffic shape the
 //!   prefix trie deduplicates (default 50).
 //! * `--threads N` sizes the engine's deterministic fork-join runtime
-//!   (default: `OAKEN_THREADS` or the machine's available parallelism;
-//!   `1` reproduces the single-threaded engine bit for bit).
+//!   (default: the machine's available parallelism; `1` reproduces the
+//!   single-threaded engine bit for bit).
 //! * `--preempt {restart,swap}` picks the preemption policy: `restart`
 //!   evicts and recomputes (vLLM-style), `swap` suspends to the host
-//!   tier and resumes bit-exactly with zero recompute (default: the
-//!   `OAKEN_PREEMPT` env knob, falling back to `restart`).
+//!   tier and resumes bit-exactly with zero recompute (default
+//!   `restart`).
 //! * `--host-pages N` sizes the host swap tier in pages (default: the
 //!   device page count; `0` disables swapping entirely).
 //! * `--fault-seed N` installs a deterministic fault-injection schedule
 //!   seeded with `N` (page-allocation and swap-transfer failures; the
 //!   engine absorbs them with retries, demotions, and request-scoped
-//!   teardowns). Default: the `OAKEN_FAULTS` env knob, else no faults.
+//!   teardowns). Default: no faults.
 //! * `--deadline N` kills any request still in flight `N` iterations
 //!   after its first admission (graceful degradation under overload).
 //! * `--kernel {exact,fused}` picks the attention read path: `exact`
 //!   dequantizes rows to f32 views, `fused` computes scores and weighted
 //!   sums directly over the encoded 4-bit + outlier representation
-//!   (default: the `OAKEN_KERNEL` env knob, falling back to `exact`).
+//!   (default `exact`).
 //! * `--ranks N` runs the engine tensor-parallel over `N` ranks, each
 //!   with a private KV pool shard and a deterministic all-reduce —
-//!   logits bit-exact with `--ranks 1` under the exact kernel (default:
-//!   the `OAKEN_RANKS` env knob, falling back to 1).
+//!   logits bit-exact with `--ranks 1` under the exact kernel (default
+//!   1).
 //! * `--open-loop` drives the workload through the streaming service
 //!   frontend (`oaken-service`) on a seeded open-loop arrival schedule
 //!   instead of submitting everything up front: per-request token
@@ -47,12 +50,11 @@
 //!   requests landing together, same long-run rate.
 //! * `--replicas N` runs the workload through the disaggregated cluster
 //!   (`oaken-cluster`): `N` prefill/decode engine pairs behind the
-//!   prefix-affinity router (`OAKEN_ROUTER` picks the policy), frozen KV
-//!   shipped prefill→decode over a modeled link. Prints the router and
-//!   transfer counters and checks every token stream against the
-//!   monolithic comparator run (default: the `OAKEN_REPLICAS` env knob;
-//!   values above 1 engage cluster mode, which ignores `--open-loop`,
-//!   `--fault-seed`, and `--deadline`).
+//!   prefix-affinity router, frozen KV shipped prefill→decode over a
+//!   modeled link. Prints the router and transfer counters and checks
+//!   every token stream against the monolithic comparator run (default
+//!   1; passing the flag engages cluster mode, which ignores
+//!   `--open-loop`, `--fault-seed`, and `--deadline`).
 //! * `--transfer-cost B` sets the cluster link bandwidth in wire bytes
 //!   per service-clock tick (0 = instantaneous; implies cluster mode).
 
@@ -96,7 +98,7 @@ fn main() {
             "swap" => PreemptPolicy::SwapToHost,
             other => panic!("--preempt takes restart|swap, got {other:?}"),
         })
-        .unwrap_or_else(PreemptPolicy::default_policy);
+        .unwrap_or_default();
     let host_pages: Option<u32> = args
         .iter()
         .position(|a| a == "--host-pages")
@@ -106,8 +108,7 @@ fn main() {
         .iter()
         .position(|a| a == "--fault-seed")
         .and_then(|i| args.get(i + 1))
-        .map(|v| FaultPlan::new(v.parse().expect("--fault-seed takes a u64 seed")))
-        .or_else(FaultPlan::from_env);
+        .map(|v| FaultPlan::new(v.parse().expect("--fault-seed takes a u64 seed")));
     let deadline: Option<u64> = args
         .iter()
         .position(|a| a == "--deadline")
@@ -120,13 +121,13 @@ fn main() {
         .map(|v| {
             KernelMode::parse(v).unwrap_or_else(|| panic!("--kernel takes exact|fused, got {v:?}"))
         })
-        .unwrap_or_else(KernelMode::default_mode);
+        .unwrap_or_default();
     let num_ranks: usize = args
         .iter()
         .position(|a| a == "--ranks")
         .and_then(|i| args.get(i + 1))
         .map(|v| v.parse().expect("--ranks takes a positive integer"))
-        .unwrap_or_else(oaken::runtime::default_ranks);
+        .unwrap_or(1);
     assert!(num_ranks > 0, "--ranks takes a positive integer");
     let open_loop = args.iter().any(|a| a == "--open-loop");
     let arrival_rate: f64 = args
@@ -146,7 +147,7 @@ fn main() {
         .position(|a| a == "--replicas")
         .and_then(|i| args.get(i + 1))
         .map(|v| v.parse().expect("--replicas takes a positive integer"))
-        .unwrap_or_else(oaken::cluster::default_replicas);
+        .unwrap_or(1);
     assert!(replicas > 0, "--replicas takes a positive integer");
     let transfer_cost: Option<u64> = args
         .iter()
@@ -156,8 +157,7 @@ fn main() {
             v.parse()
                 .expect("--transfer-cost takes wire bytes per tick")
         });
-    let cluster_mode =
-        replicas > 1 || transfer_cost.is_some() || args.iter().any(|a| a == "--replicas");
+    let cluster_mode = transfer_cost.is_some() || args.iter().any(|a| a == "--replicas");
     let spec = TraceSpec::conversation();
 
     // A proxy model small enough to execute for real; trace lengths are
@@ -394,7 +394,7 @@ fn run_cluster_mode(
     cfg.max_iterations = None;
     let cluster_cfg = ClusterConfig {
         replicas,
-        router: RouterPolicy::default_policy(),
+        router: RouterPolicy::Affinity,
         transfer_bytes_per_tick: transfer_cost,
         work_tokens_per_tick: 8,
         scheduler_cores: 8,
