@@ -1,6 +1,7 @@
-//! Single-token multi-head attention over the cached KV matrices —
+//! Attention of query tokens over a sequence's cached keys and values —
 //! the un-batchable activation-activation operation at the heart of the
-//! paper's bandwidth argument (§2.2, Figure 2b).
+//! paper's bandwidth argument (§2.2, Figure 2b) — for one token (a decode
+//! step) or a run of them (a prefill chunk).
 //!
 //! Supports multi-head (MHA), grouped-query (GQA), and sliding-window
 //! attention as used by the eight evaluation models.
@@ -247,6 +248,31 @@ pub const QUERY_TILE: usize = 32;
 /// `ROW_BLOCK` independent lanes, values land row-major.
 const ROW_BLOCK: usize = 64;
 
+/// Runs `$body` over members `0 .. $members` in register blocks of the
+/// listed widths, widest first — `$m` the block's first member, `$G` its
+/// width as a constant. What is left of a run narrower than a block takes
+/// the narrower blocks, so no lane ever computes for a member that is not
+/// there.
+///
+/// A *member* is a (query, query head) pair reading one KV head's decoded
+/// tile — a prefill tile groups queries, a GQA decode step the group's
+/// heads — and a block's members keep their accumulators in registers
+/// side by side, so one load of the tile serves all of them.
+macro_rules! member_blocks {
+    ($members:expr, [$($g:literal),+], |$m:ident, $G:ident| $body:expr) => {{
+        let mut $m = 0;
+        $(while $members - $m >= $g {
+            const $G: usize = $g;
+            $body;
+            $m += $g;
+        })+
+    }};
+}
+
+/// Output columns of a member the weighted-sum pass holds in registers at
+/// a time (one 512-bit vector).
+const COLUMNS: usize = 16;
+
 thread_local! {
     static SCRATCH: std::cell::RefCell<AttentionScratch> = std::cell::RefCell::default();
 }
@@ -365,7 +391,12 @@ pub fn attend_kv_group_fused_into(
 /// block of rows is decoded a single time (table lookup per dense nibble,
 /// COO outliers overwritten in place) and reused by every query of the
 /// tile and every query head of the range; softmax runs per (query,
-/// head); the value arena is swept the same way.
+/// head); the value arena is swept the same way. The arithmetic behind
+/// both decodes is register-blocked (`score_block`, `weigh_block`): the
+/// queries and query heads sharing a KV head's tile keep their
+/// accumulators in registers side by side, so a decoded key column or
+/// value row is loaded once for all of them and an output is loaded and
+/// stored once per row block, not once per multiply.
 ///
 /// **Width invariance.** Every score is
 /// `(((q₀·k₀ + q₁·k₁) + q₂·k₂) + …) / √d` — one serial chain over the
@@ -487,6 +518,12 @@ fn fused_sweep<const AVX512: bool>(
         return;
     }
     // One score row per (query, head), `stride` apart; row `t` at `t - lo`.
+    // A multiple of 256 B, exactly 4 KiB for 961–1024 visible rows, so the
+    // tile's score rows share cache sets. Padding it by one cache line
+    // took 7 ms per `long_context` replay off the row-outer value pass
+    // this kernel used to have (85 → 78 ms); with each member's weights
+    // now read sequentially it measures nothing (174–192 µs unpadded,
+    // 180–181 µs padded, per 32-query × 1024-row tile), so it stays out.
     let stride = (hi - lo).next_multiple_of(ROW_BLOCK);
     // Grown, never cleared: every score and block element is written
     // before the pass that reads it.
@@ -502,23 +539,18 @@ fn fused_sweep<const AVX512: bool>(
     for b0 in (lo..hi).step_by(ROW_BLOCK) {
         let n = ROW_BLOCK.min(hi - b0);
         decode_keys::<AVX512>(keys, b0, n, col, width, block);
-        // Queries seeing any row of the block form a contiguous range.
-        let i0 = limits.partition_point(|&l| l <= b0);
-        let i1 = limits.partition_point(|&l| window_start(shape, l) < b0 + n);
-        for i in i0..i1 {
-            // `group` consecutive query heads share each KV head's tile.
-            let q = qs[i][heads.start * group * hd..][..nh * hd].chunks_exact(hd);
-            let tiles = block.chunks_exact(hd * ROW_BLOCK);
-            let heads = tiles.flat_map(|kt| std::iter::repeat_n(kt, group));
-            for (h, (q_h, kt)) in q.zip(heads).enumerate() {
-                let at = (i * nh + h) * stride + (b0 - lo);
-                for (s, a) in scores[at..at + ROW_BLOCK]
-                    .iter_mut()
-                    .zip(dot_block(q_h, kt))
-                {
-                    *s = a * inv_sqrt;
-                }
-            }
+        let seeing = queries_seeing(shape, limits, b0, n);
+        let members = seeing.len() * group;
+        for (kh, kt) in block.chunks_exact(hd * ROW_BLOCK).enumerate() {
+            let member = |m: usize| {
+                let (i, h) = (seeing.start + m / group, kh * group + m % group);
+                let q_h = &qs[i][(heads.start * group + h) * hd..][..hd];
+                (q_h, (i * nh + h) * stride + (b0 - lo))
+            };
+            // Four members' 64 row lanes fill sixteen 512-bit registers.
+            member_blocks!(members, [4, 2, 1], |m, G| score_block::<G>(
+                m, &member, kt, inv_sqrt, scores
+            ));
         }
     }
 
@@ -529,62 +561,149 @@ fn fused_sweep<const AVX512: bool>(
         }
     }
 
-    // Row-outer, (query, head)-inner: consecutive updates hit different
-    // accumulators, while each accumulator still sees its rows in
-    // ascending order. The queries seeing row `t` are `i0..i1`, both ends
-    // only ever moving up with `t`.
-    let (mut i0, mut i1) = (0, 0);
     for b0 in (lo..hi).step_by(ROW_BLOCK) {
         let n = ROW_BLOCK.min(hi - b0);
         decode_values::<AVX512>(values, b0, n, col, width, block);
-        for (r, v_t) in block.chunks_exact(width).take(n).enumerate() {
-            let t = b0 + r;
-            while i0 < limits.len() && limits[i0] <= t {
-                i0 += 1;
-            }
-            while i1 < limits.len() && window_start(shape, limits[i1]) <= t {
-                i1 += 1;
-            }
-            for i in i0..i1 {
-                let probs = scores[i * nh * stride + (t - lo)..].iter().step_by(stride);
-                let o = out[i * nh * hd..(i + 1) * nh * hd].chunks_exact_mut(hd);
-                let heads = v_t
-                    .chunks_exact(hd)
-                    .flat_map(|v_h| std::iter::repeat_n(v_h, group));
-                for ((o_h, &p), v_h) in o.zip(probs).zip(heads) {
-                    axpy::<AVX512>(p, v_h, o_h);
-                }
-            }
+        let seeing = queries_seeing(shape, limits, b0, n);
+        let members = seeing.len() * group;
+        for kh in 0..heads.len() {
+            let member = |m: usize| {
+                let (i, h) = (seeing.start + m / group, kh * group + m % group);
+                let rows = window_start(shape, limits[i]).max(b0)..limits[i].min(b0 + n);
+                let p = &scores[(i * nh + h) * stride + (b0 - lo)..][..n];
+                (p, rows.start - b0..rows.end - b0, (i * nh + h) * hd)
+            };
+            let v = &block[kh * hd..n * width];
+            // Eight members' add chains cover the add latency on both
+            // ports (4 measured 1.2× slower, 16 columns or 32 the same).
+            member_blocks!(members, [8, 4, 2, 1], |m, G| weigh_block::<G>(
+                m, &member, v, width, hd, out
+            ));
         }
     }
 }
 
-/// Scores of one query head against a transposed key block: lane `r`
-/// accumulates `Σ_j q_h[j] · kt[j][r]` in column order — the serial
-/// per-(query, row) chain of the width-invariance contract, `ROW_BLOCK`
-/// rows at a time.
+/// The tile's queries seeing any of rows `b0 .. b0 + n`: limits and window
+/// starts are non-decreasing, so they are contiguous.
 #[inline(always)]
-fn dot_block(q_h: &[f32], kt: &[f32]) -> [f32; ROW_BLOCK] {
-    let mut acc = [0.0f32; ROW_BLOCK];
-    for (&qv, k_j) in q_h.iter().zip(kt.as_chunks::<ROW_BLOCK>().0) {
-        for (a, &kv) in acc.iter_mut().zip(k_j) {
-            *a += qv * kv;
-        }
-    }
-    acc
+fn queries_seeing(shape: &AttentionShape, limits: &[usize], b0: usize, n: usize) -> Range<usize> {
+    let i0 = limits.partition_point(|&l| l <= b0);
+    let i1 = limits.partition_point(|&l| window_start(shape, l) < b0 + n);
+    i0..i1
 }
 
-/// `o += p · v`: each element one multiply and one add, separately
-/// rounded, on either lane.
+/// Scores of members `m0 .. m0 + G` of one KV head against its transposed
+/// key block `kt`: lane `r` of a member's accumulator takes
+/// `Σ_j q[j] · kt[j][r]` in column order — the serial per-(query, row)
+/// chain of the width-invariance contract, `ROW_BLOCK` rows at a time —
+/// and each key column is loaded once for all `G` chains. `member` names
+/// a member's query-head vector and where its block of scores goes.
 #[inline(always)]
-fn axpy<const AVX512: bool>(p: f32, v: &[f32], o: &mut [f32]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if AVX512 {
-        // SAFETY: `AVX512` is only instantiated behind `simd::available`.
-        return unsafe { simd::axpy(p, v, o) };
+fn score_block<'a, const G: usize>(
+    m0: usize,
+    member: &impl Fn(usize) -> (&'a [f32], usize),
+    kt: &[f32],
+    inv_sqrt: f32,
+    scores: &mut [f32],
+) {
+    let who: [_; G] = std::array::from_fn(|g| member(m0 + g));
+    let mut acc = [[0.0f32; ROW_BLOCK]; G];
+    for (j, k_j) in kt.as_chunks::<ROW_BLOCK>().0.iter().enumerate() {
+        for (acc, (q_h, _)) in acc.iter_mut().zip(&who) {
+            let qv = q_h[j];
+            for (a, &kv) in acc.iter_mut().zip(k_j) {
+                *a += qv * kv;
+            }
+        }
     }
-    for (o, &v) in o.iter_mut().zip(v) {
-        *o += p * v;
+    for (acc, &(_, at)) in acc.iter().zip(&who) {
+        for (s, a) in scores[at..at + ROW_BLOCK].iter_mut().zip(acc) {
+            *s = a * inv_sqrt;
+        }
+    }
+}
+
+/// `o += Σ_r p[r] · v[r]` for members `m0 .. m0 + G` of one KV head over a
+/// decoded value block (`v[r · width ..]` the head's columns of row `r`),
+/// [`COLUMNS`] output columns at a time and any remainder column by
+/// column. `member` names a member's weights for the block's rows, the
+/// rows of the block it sees, and where its head's output starts.
+#[inline(always)]
+fn weigh_block<'a, const G: usize>(
+    m0: usize,
+    member: &impl Fn(usize) -> (&'a [f32], Range<usize>, usize),
+    v: &[f32],
+    width: usize,
+    hd: usize,
+    out: &mut [f32],
+) {
+    let who: [_; G] = std::array::from_fn(|g| member(m0 + g));
+    let mut c = 0;
+    while c + COLUMNS <= hd {
+        weigh_columns::<G, COLUMNS>(&who, &v[c..], width, c, out);
+        c += COLUMNS;
+    }
+    while c < hd {
+        weigh_columns::<G, 1>(&who, &v[c..], width, c, out);
+        c += 1;
+    }
+}
+
+/// Columns `c .. c + W` of [`weigh_block`]: the `G × W` outputs are loaded
+/// into local accumulators once, take the block's rows in ascending order
+/// — each `p · v` one multiply and one add, separately rounded, with the
+/// row's `v` loaded once for all `G` members — and are stored once. Rows
+/// only some members see (the causal diagonal, a sliding window's edge)
+/// run for those members alone, below and above the rows all of them
+/// see: a hidden row is skipped, never multiplied by zero, so `-0.0` and
+/// non-finite values keep their bits.
+#[inline(always)]
+fn weigh_columns<const G: usize, const W: usize>(
+    who: &[(&[f32], Range<usize>, usize); G],
+    v: &[f32],
+    width: usize,
+    c: usize,
+    out: &mut [f32],
+) {
+    let mut acc: [[f32; W]; G] = std::array::from_fn(|g| {
+        let o = &out[who[g].2 + c..][..W];
+        o.try_into().expect("W columns sliced")
+    });
+    let row = |r: usize| -> [f32; W] { v[r * width..][..W].try_into().expect("W columns sliced") };
+    // Rows every member sees (empty, at the last start, if there are none).
+    let from = who.iter().map(|w| w.1.start).max().unwrap_or(0);
+    let common = from..who.iter().map(|w| w.1.end).min().unwrap_or(0).max(from);
+    for (acc, (p, rows, _)) in acc.iter_mut().zip(who) {
+        for r in rows.start..common.start.min(rows.end) {
+            accumulate(acc, p[r], &row(r));
+        }
+    }
+    // Re-sliced to the common rows, and the lengths asserted equal, so
+    // `p[k]` in the loop every full block spends its time in is check-free.
+    let ps: [&[f32]; G] = std::array::from_fn(|g| &who[g].0[common.clone()]);
+    assert!(ps.iter().all(|p| p.len() == common.len()));
+    for (k, r) in common.clone().enumerate() {
+        let v_r = row(r);
+        for (acc, p) in acc.iter_mut().zip(ps) {
+            accumulate(acc, p[k], &v_r);
+        }
+    }
+    for (acc, (p, rows, _)) in acc.iter_mut().zip(who) {
+        for r in common.end.max(rows.start)..rows.end {
+            accumulate(acc, p[r], &row(r));
+        }
+    }
+    for (acc, (_, _, at)) in acc.iter().zip(who) {
+        out[at + c..][..W].copy_from_slice(acc);
+    }
+}
+
+/// `acc += p · v`: each element one multiply and one add, separately
+/// rounded.
+#[inline(always)]
+fn accumulate<const W: usize>(acc: &mut [f32; W], p: f32, v: &[f32; W]) {
+    for (a, &x) in acc.iter_mut().zip(v) {
+        *a += p * x;
     }
 }
 
@@ -878,33 +997,6 @@ mod simd {
             }
         }
         done
-    }
-
-    /// [`super::axpy`] in explicit 512-bit operations: left to the
-    /// auto-vectorizer, the short per-head loop pays more in trip-count
-    /// and overlap checks than in arithmetic.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F and `popcnt`.
-    #[inline]
-    #[target_feature(enable = "avx512f,popcnt")]
-    pub(super) unsafe fn axpy(p: f32, v: &[f32], o: &mut [f32]) {
-        let ((v16, v_tail), (o16, o_tail)) = (v.as_chunks::<16>(), o.as_chunks_mut::<16>());
-        let pv = _mm512_set1_ps(p);
-        for (o, v) in o16.iter_mut().zip(v16) {
-            // SAFETY: both chunks are sixteen floats.
-            unsafe {
-                let sum = _mm512_add_ps(
-                    _mm512_loadu_ps(o.as_ptr()),
-                    _mm512_mul_ps(pv, _mm512_loadu_ps(v.as_ptr())),
-                );
-                _mm512_storeu_ps(o.as_mut_ptr(), sum);
-            }
-        }
-        for (o, &v) in o_tail.iter_mut().zip(v_tail) {
-            *o += p * v;
-        }
     }
 
     /// In-register 16×16 transpose: on return `v[c]` holds lane `c` of

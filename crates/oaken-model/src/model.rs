@@ -11,7 +11,7 @@ use crate::synth::{self, SynthParams};
 use oaken_core::KvKind;
 use oaken_runtime::{chunk_range, Comm, Runtime};
 use oaken_tensor::norm::{layernorm, rmsnorm, NormKind};
-use oaken_tensor::rope::{apply_rope, DEFAULT_THETA};
+use oaken_tensor::rope::{rope_row, rotate_by, DEFAULT_THETA};
 use oaken_tensor::Tensor;
 #[cfg(debug_assertions)]
 use std::collections::HashMap;
@@ -389,6 +389,16 @@ impl Model {
             })
             .collect();
 
+        // One `(sin, cos)` row per step position serves every head of
+        // every layer; none without rope.
+        let rope: Vec<Vec<(f32, f32)>> = match cfg.positional {
+            Positional::Rope => steps
+                .iter()
+                .map(|s| rope_row(hd, s.pos, DEFAULT_THETA))
+                .collect(),
+            Positional::Learned => Vec::new(),
+        };
+
         for (l, lw) in self.layers.iter().enumerate() {
             // Attention block: one weight sweep per projection serves the
             // whole batch. Q/K/V rows follow head ownership and stay
@@ -410,12 +420,10 @@ impl Model {
             }
             // Rope is head-local: rotating each rank's query heads and the
             // assembled K row head by head is the full-width rotation.
-            if cfg.positional == Positional::Rope {
-                for (i, step) in steps.iter().enumerate() {
-                    let q_heads = qs.iter_mut().flat_map(|part| part[i].chunks_mut(hd));
-                    for head in q_heads.chain(ks[i].chunks_mut(hd)) {
-                        apply_rope(head, step.pos, DEFAULT_THETA);
-                    }
+            for (i, row) in rope.iter().enumerate() {
+                let q_heads = qs.iter_mut().flat_map(|part| part[i].chunks_mut(hd));
+                for head in q_heads.chain(ks[i].chunks_mut(hd)) {
+                    rotate_by(head, row);
                 }
             }
             let atts = if interleave {

@@ -80,12 +80,22 @@ fn oaken(d: usize) -> OakenQuantizer {
 
 #[test]
 fn steady_state_attention_kernels_make_zero_allocations() {
-    let shape = AttentionShape {
-        num_heads: 4,
-        num_kv_heads: 2,
-        head_dim: 16,
-        window: None,
-    };
+    // Full register blocks; then a GQA group of 4, a column tail (35 = two
+    // 16-column blocks and 3 single columns) and a sliding window shorter
+    // than the chunk, so every query of a tile sees its own row range: the
+    // accumulators of every block width live on the stack, and the
+    // per-member ranges grow no scratch.
+    for (num_heads, num_kv_heads, head_dim, window) in [(4, 2, 16, None), (8, 2, 35, Some(40))] {
+        steady_state(AttentionShape {
+            num_heads,
+            num_kv_heads,
+            head_dim,
+            window,
+        });
+    }
+}
+
+fn steady_state(shape: AttentionShape) {
     let d = shape.kv_dim();
     let seq_len = 200usize;
     let q: Vec<f32> = kv_row(shape.q_dim(), 99);

@@ -105,6 +105,18 @@ fn prefill(
             reads.fused_rows
         );
     }
+    // Physical sweeps over the 91-token prompt's rows (2 layers, K and V,
+    // per rank), as recorded before the kernel's arithmetic passes were
+    // register-blocked: one sweep per query tile, whatever the blocking —
+    // no narrow-group path may add sweeps of its own.
+    let per_rank = match chunk {
+        1 => 16_744,
+        3 => 5_944,
+        16 => 1_324,
+        64 | 91 => 748,
+        _ => panic!("no recorded sweep count for chunk {chunk}"),
+    };
+    assert_eq!(reads.fused_rows_swept, per_rank * ranks as u64);
     for pool in pools.ranks_mut() {
         for layer in 0..cfg.num_layers {
             observed.push(bits(pool.keys(seqs[0], layer)));

@@ -29,6 +29,35 @@ pub fn apply_rope(head: &mut [f32], pos: usize, theta: f32) {
     }
 }
 
+/// The `(sin, cos)` of every channel pair's angle for heads of width `d`
+/// at position `pos` — [`apply_rope`]'s own expressions, evaluated once so
+/// every head of every layer at that position rotates from the same row
+/// ([`rotate_by`]) instead of recomputing a `powf` and a `sin_cos` per
+/// pair.
+pub fn rope_row(d: usize, pos: usize, theta: f32) -> Vec<(f32, f32)> {
+    (0..d / 2)
+        .map(|i| {
+            let freq = theta.powf(-2.0 * i as f32 / d as f32);
+            (pos as f32 * freq).sin_cos()
+        })
+        .collect()
+}
+
+/// Rotates `head` in place by a [`rope_row`] computed for its width:
+/// bit-identical to [`apply_rope`] at the row's position.
+///
+/// # Panics
+///
+/// Panics in debug builds if the row was computed for another width.
+pub fn rotate_by(head: &mut [f32], row: &[(f32, f32)]) {
+    debug_assert_eq!(head.len(), 2 * row.len(), "row computed for this width");
+    for (pair, &(sin, cos)) in head.chunks_exact_mut(2).zip(row) {
+        let (a, b) = (pair[0], pair[1]);
+        pair[0] = a * cos - b * sin;
+        pair[1] = a * sin + b * cos;
+    }
+}
+
 /// The default RoPE base used by Llama2 and Mistral.
 pub const DEFAULT_THETA: f32 = 10_000.0;
 
@@ -53,6 +82,23 @@ mod tests {
         apply_rope(&mut h, 17, DEFAULT_THETA);
         let norm_after: f32 = h.iter().map(|v| v * v).sum();
         assert!((norm_before - norm_after).abs() < 1e-3);
+    }
+
+    /// The table form is `apply_rope`, bit for bit.
+    #[test]
+    fn row_form_matches_apply_rope_bitwise() {
+        for d in [2usize, 4, 32, 128] {
+            for pos in [0usize, 1, 17, 4095] {
+                let head: Vec<f32> = (0..d)
+                    .map(|i| (i as f32 * 0.37 - 3.1).sin() * 5.0)
+                    .collect();
+                let (mut direct, mut by_row) = (head.clone(), head);
+                apply_rope(&mut direct, pos, DEFAULT_THETA);
+                rotate_by(&mut by_row, &rope_row(d, pos, DEFAULT_THETA));
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+                assert_eq!(bits(&direct), bits(&by_row), "width {d} at position {pos}");
+            }
+        }
     }
 
     #[test]
