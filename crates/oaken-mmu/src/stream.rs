@@ -10,7 +10,9 @@
 use crate::alloc::{AllocError, PageAllocator, PageId};
 use crate::burst::{plan_bursts, BurstPlan};
 use crate::fault::{FaultInjector, FaultKind, FaultOp, FaultPlan, FaultStats};
-use crate::swap::{FrozenRequest, FrozenStream, Residency, SwapError, SwapPool, SwapReceipt};
+use crate::swap::{
+    FrozenRequest, Residency, StreamPayload, SwapError, SwapPool, SwapReceipt, TransferPayload,
+};
 use crate::table::{StreamTable, TableEntry};
 use crate::PhysAddr;
 use std::collections::HashMap;
@@ -42,12 +44,46 @@ pub struct StreamKey {
     pub class: StreamClass,
 }
 
+/// The packing rule, stated once: a token payload never spans pages, so
+/// it lands right after its predecessor in the tail page, or — when no
+/// page is open yet or the tail cannot hold it whole — at the start of a
+/// fresh one. [`MmuSim::write_token`] lays pages by this rule and
+/// [`TransferPayload::pages_needed`] counts them by it.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct PageTail {
+    /// Bytes used in the open tail page.
+    used: usize,
+    /// Whether a tail page is open at all.
+    open: bool,
+}
+
+impl PageTail {
+    /// Places one token payload; returns its byte offset within its page
+    /// and whether that page is a fresh one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` exceeds the page size.
+    pub(crate) fn place(&mut self, bytes: u32, page_size: usize) -> (usize, bool) {
+        assert!(
+            bytes as usize <= page_size,
+            "token payload {bytes} exceeds page size {page_size}"
+        );
+        let fresh = !self.open || self.used + bytes as usize > page_size;
+        let offset = if fresh { 0 } else { self.used };
+        *self = PageTail {
+            used: offset + bytes as usize,
+            open: true,
+        };
+        (offset, fresh)
+    }
+}
+
 #[derive(Debug, Default)]
 struct Stream {
     table: StreamTable,
     pages: Vec<PageId>,
-    /// Bytes used in the last page.
-    tail_used: usize,
+    tail: PageTail,
     /// Copy-on-write marker: the tail page is shared with another stream
     /// (this stream was forked), so the next write must open a fresh page
     /// instead of appending into the shared one.
@@ -220,40 +256,46 @@ impl MmuSim {
             });
         }
         // All checks passed: the move itself cannot fail.
-        let mut entry = FrozenRequest {
+        let mut payload = TransferPayload {
             streams: Vec::with_capacity(keys.len()),
-            pages,
-            bytes: 0,
-            checksum: 0,
-            state: Residency::InFlight,
+            ..TransferPayload::default()
         };
         for k in keys {
             let stream = self.streams.remove(&k).expect("key listed above");
-            entry.bytes += stream.table.total_bytes();
             for p in stream.pages {
                 self.allocator
                     .free(p)
                     .expect("refcount-1 pages hard-free cleanly");
             }
-            entry.streams.push(FrozenStream {
-                key: k,
+            payload.streams.push(StreamPayload {
+                layer: k.layer,
+                head: k.head,
+                class: k.class,
                 sizes: stream.table.iter().map(|e| e.size).collect(),
             });
         }
-        entry.state = Residency::Host;
-        entry.checksum = crate::swap::size_checksum(
-            entry.streams.iter().flat_map(|fs| fs.sizes.iter().copied()),
-        );
+        payload.seal();
+        Ok(self.freeze(request, payload, pages))
+    }
+
+    /// Parks sealed size tables in the host tier as `request`, charging
+    /// `pages` host pages.
+    fn freeze(&mut self, request: u32, payload: TransferPayload, pages: u32) -> SwapReceipt {
         let receipt = SwapReceipt {
-            pages: entry.pages,
-            bytes: entry.bytes,
-            checksum: entry.checksum,
+            pages,
+            bytes: payload.bytes,
+            checksum: payload.checksum,
+        };
+        let entry = FrozenRequest {
+            payload,
+            pages,
+            state: Residency::Host,
         };
         self.host
             .as_mut()
-            .expect("checked above")
+            .expect("callers checked the tier")
             .freeze(request, entry);
-        Ok(receipt)
+        receipt
     }
 
     /// Thaws a frozen request back into device memory: fresh pages are
@@ -288,22 +330,25 @@ impl MmuSim {
             .expect("checked above")
             .thaw(request, true)
             .expect("residency checked above");
+        let FrozenRequest { payload, .. } = entry;
         debug_assert_eq!(
-            crate::swap::size_checksum(
-                entry.streams.iter().flat_map(|fs| fs.sizes.iter().copied())
-            ),
-            entry.checksum,
+            payload.derived_checksum(),
+            payload.checksum,
             "frozen size tables of request {request} fail their checksum; \
              refusing to rebuild a corrupted page layout"
         );
         let mut allocated = 0u32;
-        let bytes = entry.bytes;
-        let checksum = entry.checksum;
-        for fs in entry.streams {
-            debug_assert!(!self.streams.contains_key(&fs.key), "thaw into live key");
-            for size in fs.sizes {
+        for s in payload.streams {
+            let key = StreamKey {
+                request,
+                layer: s.layer,
+                head: s.head,
+                class: s.class,
+            };
+            debug_assert!(!self.streams.contains_key(&key), "thaw into live key");
+            for size in s.sizes {
                 let receipt = self
-                    .write_token(fs.key, size)
+                    .write_token(key, size)
                     .expect("pre-checked: replay never exceeds the frozen page count");
                 allocated += u32::from(receipt.new_page);
             }
@@ -314,8 +359,8 @@ impl MmuSim {
         );
         Ok(SwapReceipt {
             pages: allocated,
-            bytes,
-            checksum,
+            bytes: payload.bytes,
+            checksum: payload.checksum,
         })
     }
 
@@ -380,59 +425,24 @@ impl MmuSim {
             return Err(SwapError::AlreadyFrozen { request });
         }
         assert_eq!(
-            crate::swap::size_checksum(
-                payload.streams.iter().flat_map(|s| s.sizes.iter().copied())
-            ),
+            payload.derived_checksum(),
             payload.checksum,
             "transfer payload for request {request} fails its checksum; \
              refusing to import corrupted size tables"
         );
         let pages = payload.pages_needed(self.allocator.page_size());
-        let bytes: u64 = payload
-            .streams
-            .iter()
-            .flat_map(|s| s.sizes.iter())
-            .map(|&s| u64::from(s))
-            .sum();
         if pages > host.free_pages() {
             return Err(SwapError::OutOfHostPages {
                 needed: pages,
                 free: host.free_pages(),
             });
         }
-        let mut streams: Vec<FrozenStream> = payload
-            .streams
-            .iter()
-            .map(|s| FrozenStream {
-                key: StreamKey {
-                    request,
-                    layer: s.layer,
-                    head: s.head,
-                    class: s.class,
-                },
-                sizes: s.sizes.clone(),
-            })
-            .collect();
-        streams.sort_unstable_by_key(|fs| fs.key);
-        let entry = FrozenRequest {
-            checksum: crate::swap::size_checksum(
-                streams.iter().flat_map(|fs| fs.sizes.iter().copied()),
-            ),
-            streams,
-            pages,
-            bytes,
-            state: Residency::Host,
-        };
-        let receipt = SwapReceipt {
-            pages,
-            bytes,
-            checksum: entry.checksum,
-        };
-        self.host
-            .as_mut()
-            .expect("checked above")
-            .freeze(request, entry);
-        Ok(receipt)
+        // A thaw replays streams in listed order: keep the tier's entries
+        // in key order whatever order the wire delivered.
+        let mut stored = payload.clone();
+        stored.streams.sort_by_key(|s| (s.layer, s.head, s.class));
+        stored.seal();
+        Ok(self.freeze(request, stored, pages))
     }
 
     /// Appends one token's payload to a stream, allocating pages on demand.
@@ -451,33 +461,26 @@ impl MmuSim {
     /// Panics if `bytes` exceeds the page size.
     pub fn write_token(&mut self, key: StreamKey, bytes: u32) -> Result<WriteReceipt, AllocError> {
         let page_size = self.allocator.page_size();
-        assert!(
-            bytes as usize <= page_size,
-            "token payload {bytes} exceeds page size {page_size}"
-        );
         debug_assert!(
             !self.host.as_ref().is_some_and(|h| h.is_frozen(key.request)),
             "write to request {} while it is frozen to host",
             key.request
         );
         let stream = self.streams.entry(key).or_default();
-        let mut new_page = false;
-        if stream.pages.is_empty()
-            || stream.cow_tail
-            || stream.tail_used + bytes as usize > page_size
-        {
-            let page = self.allocator.alloc()?;
-            stream.pages.push(page);
-            stream.tail_used = 0;
+        // A forked tail is shared: the fork's first write opens a page.
+        let mut tail = if stream.cow_tail {
+            PageTail::default()
+        } else {
+            stream.tail
+        };
+        let (offset, new_page) = tail.place(bytes, page_size);
+        if new_page {
+            stream.pages.push(self.allocator.alloc()?);
             stream.cow_tail = false;
-            new_page = true;
         }
-        let tail = *stream.pages.last().expect("page just ensured");
-        let addr = self
-            .allocator
-            .base_addr(tail)
-            .offset(stream.tail_used as u64);
-        stream.tail_used += bytes as usize;
+        stream.tail = tail;
+        let page = *stream.pages.last().expect("page just ensured");
+        let addr = self.allocator.base_addr(page).offset(offset as u64);
         stream.table.push(TableEntry { addr, size: bytes });
         Ok(WriteReceipt {
             addr,
@@ -507,7 +510,7 @@ impl MmuSim {
     /// unknown streams (the first write always opens a page).
     pub fn tail_free(&self, key: &StreamKey) -> usize {
         match self.streams.get(key) {
-            Some(s) if !s.pages.is_empty() => self.allocator.page_size() - s.tail_used,
+            Some(s) if !s.pages.is_empty() => self.allocator.page_size() - s.tail.used,
             _ => 0,
         }
     }
@@ -654,9 +657,9 @@ impl MmuSim {
         if self.streams.contains_key(&dst) {
             return None;
         }
-        let (table, pages, tail_used) = {
+        let (table, pages, tail) = {
             let s = self.streams.get(src)?;
-            (s.table.clone(), s.pages.clone(), s.tail_used)
+            (s.table.clone(), s.pages.clone(), s.tail)
         };
         for &p in &pages {
             self.allocator
@@ -669,7 +672,7 @@ impl MmuSim {
             Stream {
                 table,
                 pages,
-                tail_used,
+                tail,
                 cow_tail: true,
             },
         );

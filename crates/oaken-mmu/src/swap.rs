@@ -36,7 +36,7 @@
 //!
 //! [`PreemptPolicy`]: ../../oaken_serving/engine/enum.PreemptPolicy.html
 
-use crate::stream::StreamKey;
+use crate::stream::PageTail;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -177,25 +177,15 @@ pub struct SwapStats {
     pub bytes_to_device: u64,
 }
 
-/// One frozen stream: its key plus the per-token payload sizes needed to
-/// rebuild its management table (and page layout) bit-compatibly on thaw.
-#[derive(Debug, Clone)]
-pub(crate) struct FrozenStream {
-    pub(crate) key: StreamKey,
-    pub(crate) sizes: Vec<u32>,
-}
-
-/// A request frozen to host: its streams in deterministic key order, the
-/// host pages it occupies, and its residency state.
+/// A request frozen to host: its per-token size tables — a
+/// [`TransferPayload`], streams in `(layer, head, class)` order, whose
+/// checksum is asserted on thaw before any page is rebuilt — plus the
+/// host pages it occupies and its residency state. A locally frozen
+/// request and one imported from another MMU are the same thing.
 #[derive(Debug)]
 pub(crate) struct FrozenRequest {
-    pub(crate) streams: Vec<FrozenStream>,
+    pub(crate) payload: TransferPayload,
     pub(crate) pages: u32,
-    pub(crate) bytes: u64,
-    /// [`size_checksum`] over the streams' size tables in listed order
-    /// (one running position counter across the whole request), asserted
-    /// on thaw before any page is rebuilt.
-    pub(crate) checksum: u64,
     pub(crate) state: Residency,
 }
 
@@ -247,7 +237,13 @@ impl TransferPayload {
             .flat_map(|s| s.sizes.iter())
             .map(|&s| u64::from(s))
             .sum();
-        self.checksum = size_checksum(self.streams.iter().flat_map(|s| s.sizes.iter().copied()));
+        self.checksum = self.derived_checksum();
+    }
+
+    /// [`size_checksum`] over the size tables as they are now — equal to
+    /// `checksum` unless the payload changed after it was sealed.
+    pub(crate) fn derived_checksum(&self) -> u64 {
+        size_checksum(self.streams.iter().flat_map(|s| s.sizes.iter().copied()))
     }
 
     /// Bytes this transfer occupies on the modeled wire: the KV payload
@@ -274,9 +270,9 @@ impl TransferPayload {
     }
 
     /// Pages this payload occupies when packed with the MMU's write rule
-    /// (a token never spans pages; a new page opens when the tail cannot
-    /// hold it) — the host charge an import needs, computed from the
-    /// payload alone so capacity checks never consume it.
+    /// (`stream::PageTail`, the rule `write_token` itself applies) — the host
+    /// charge an import needs, computed from the payload alone so
+    /// capacity checks never consume it.
     ///
     /// # Panics
     ///
@@ -285,19 +281,9 @@ impl TransferPayload {
     pub fn pages_needed(&self, page_size: usize) -> u32 {
         let mut pages = 0u32;
         for s in &self.streams {
-            let mut tail_used = 0usize;
-            let mut opened = false;
+            let mut tail = PageTail::default();
             for &size in &s.sizes {
-                assert!(
-                    size as usize <= page_size,
-                    "transfer token payload {size} exceeds page size {page_size}"
-                );
-                if !opened || tail_used + size as usize > page_size {
-                    pages += 1;
-                    tail_used = 0;
-                    opened = true;
-                }
-                tail_used += size as usize;
+                pages += u32::from(tail.place(size, page_size).1);
             }
         }
         pages
@@ -369,7 +355,7 @@ impl SwapPool {
 
     /// Payload bytes a frozen request holds (0 for unknown requests).
     pub fn frozen_bytes(&self, request: u32) -> u64 {
-        self.frozen.get(&request).map_or(0, |f| f.bytes)
+        self.frozen.get(&request).map_or(0, |f| f.payload.bytes)
     }
 
     /// Cumulative transfer counters.
@@ -388,7 +374,7 @@ impl SwapPool {
         self.used += entry.pages;
         self.stats.swap_outs += 1;
         self.stats.pages_to_host += u64::from(entry.pages);
-        self.stats.bytes_to_host += entry.bytes;
+        self.stats.bytes_to_host += entry.payload.bytes;
         let prev = self.frozen.insert(request, entry);
         debug_assert!(prev.is_none(), "freeze checked AlreadyFrozen");
     }
@@ -402,7 +388,7 @@ impl SwapPool {
         if moved {
             self.stats.swap_ins += 1;
             self.stats.pages_to_device += u64::from(entry.pages);
-            self.stats.bytes_to_device += entry.bytes;
+            self.stats.bytes_to_device += entry.payload.bytes;
         }
         Some(entry)
     }
@@ -414,19 +400,20 @@ mod tests {
     use crate::stream::StreamClass;
 
     fn entry(pages: u32, bytes: u64) -> FrozenRequest {
-        FrozenRequest {
-            streams: vec![FrozenStream {
-                key: StreamKey {
-                    request: 1,
-                    layer: 0,
-                    head: 0,
-                    class: StreamClass::Dense,
-                },
+        let mut payload = TransferPayload {
+            streams: vec![StreamPayload {
+                layer: 0,
+                head: 0,
+                class: StreamClass::Dense,
                 sizes: vec![bytes as u32],
             }],
+            bytes: 0,
+            checksum: 0,
+        };
+        payload.seal();
+        FrozenRequest {
+            payload,
             pages,
-            bytes,
-            checksum: size_checksum([bytes as u32]),
             state: Residency::Host,
         }
     }

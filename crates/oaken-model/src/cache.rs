@@ -381,7 +381,7 @@ pub(crate) struct KindSlot {
     pub(crate) exact: Vec<f32>,
     /// Dequantized `[rows × d]` view. In fused mode this stays empty (or
     /// short) — rows live only in the stream's encoded state and the view
-    /// is rebuilt lazily by [`KindSlot::ensure_view`] if an exact reader
+    /// is rebuilt lazily by [`KindSlot::sync`] if an exact reader
     /// asks for it.
     pub(crate) view: Vec<f32>,
     /// Fallback only: view is stale relative to `exact`.
@@ -394,15 +394,28 @@ pub(crate) struct KindSlot {
 }
 
 impl KindSlot {
-    pub(crate) fn new(stream: Option<Box<dyn KvRowStream>>) -> Self {
-        Self {
+    /// An empty slot over `stream`, on the fused read path when `kernel`
+    /// asks for it and the stream supports it.
+    pub(crate) fn new(stream: Option<Box<dyn KvRowStream>>, kernel: KernelMode) -> Self {
+        let mut slot = Self {
             stream,
             exact: Vec::new(),
             view: Vec::new(),
             dirty: false,
             rows: 0,
             fused: false,
-        }
+        };
+        slot.set_kernel(kernel);
+        slot
+    }
+
+    /// Puts an empty slot on the read path `kernel` asks for:
+    /// [`KernelMode::Fused`] engages only over a stream with the encoded
+    /// read path.
+    pub(crate) fn set_kernel(&mut self, kernel: KernelMode) {
+        assert_eq!(self.rows, 0, "kernel mode must be set before appends");
+        let fusable = (self.stream.as_deref()).is_some_and(|s| s.fused_read_params().is_some());
+        self.fused = kernel == KernelMode::Fused && fusable;
     }
 
     pub(crate) fn append(&mut self, row: &[f32]) {
@@ -420,21 +433,40 @@ impl KindSlot {
         }
     }
 
-    /// Extends `view` until it covers all `rows` — the exact-path escape
-    /// hatch for a fused slot (swap, logit recording, tests that compare
-    /// views). A no-op on exact slots, whose appends maintain the view.
+    /// Brings `view` up to date with every appended row — the one sync
+    /// behind every dequantized read. The recompute fallback
+    /// re-materializes a stale view from `exact` (through `quantizer`, or
+    /// verbatim for exact-f32 storage); a fused slot decodes the rows its
+    /// view is missing (the exact-path escape hatch: swap, logit
+    /// recording, tests that compare views); a streaming exact-kernel
+    /// slot is already current, its appends maintain the view.
     ///
     /// # Panics
     ///
     /// Panics if the slot is fused but its stream cannot decode (ruled out
     /// by the capability check when the mode is installed).
-    pub(crate) fn ensure_view(&mut self, d: usize) {
-        if let Some(stream) = &self.stream {
-            let have = self.view.len() / d.max(1);
-            if have < self.rows {
-                let ok = stream.decode_rows_into(have, self.rows, &mut self.view);
-                assert!(ok, "fused slot's stream lost its decode capability");
+    pub(crate) fn sync(
+        &mut self,
+        quantizer: Option<&dyn KvQuantizer>,
+        d: usize,
+        layer: usize,
+        kind: KvKind,
+    ) {
+        let Some(stream) = &self.stream else {
+            if self.dirty {
+                let rows = self.exact.len() / d.max(1);
+                self.view = match quantizer {
+                    Some(q) => q.roundtrip_matrix(&self.exact, rows, d, layer, kind),
+                    None => self.exact.clone(),
+                };
+                self.dirty = false;
             }
+            return;
+        };
+        let have = self.view.len() / d.max(1);
+        if have < self.rows {
+            let ok = stream.decode_rows_into(have, self.rows, &mut self.view);
+            assert!(ok, "fused slot's stream lost its decode capability");
         }
     }
 
@@ -516,15 +548,8 @@ impl QuantizedCache {
     /// behaviour.
     pub fn set_kernel_mode(&mut self, kernel: KernelMode) {
         self.kernel = kernel;
-        for layer in &mut self.layers {
-            for slot in layer.iter_mut() {
-                assert_eq!(slot.rows, 0, "kernel mode must be set before appends");
-                slot.fused = kernel == KernelMode::Fused
-                    && slot
-                        .stream
-                        .as_ref()
-                        .is_some_and(|s| s.fused_read_params().is_some());
-            }
+        for slot in self.layers.iter_mut().flatten() {
+            slot.set_kernel(kernel);
         }
     }
 
@@ -543,20 +568,16 @@ impl QuantizedCache {
         self.layers[layer][slot_index(kind)].fused
     }
 
-    fn refresh(&mut self, layer: usize, kind: KvKind) {
-        let kv_dim = self.kv_dim;
+    /// One tensor's dequantized view, brought up to date.
+    fn synced(&mut self, layer: usize, kind: KvKind) -> &[f32] {
         let slot = &mut self.layers[layer][slot_index(kind)];
-        if slot.stream.is_none() && slot.dirty {
-            let rows = slot.exact.len() / kv_dim.max(1);
-            slot.view = self
-                .quantizer
-                .roundtrip_matrix(&slot.exact, rows, kv_dim, layer, kind);
-            slot.dirty = false;
-        }
+        slot.sync(Some(&*self.quantizer), self.kv_dim, layer, kind);
+        &slot.view
     }
 }
 
-fn slot_index(kind: KvKind) -> usize {
+/// Index of `kind` within a `[KindSlot; 2]` pair: keys first.
+pub(crate) fn slot_index(kind: KvKind) -> usize {
     match kind {
         KvKind::Key => 0,
         KvKind::Value => 1,
@@ -585,13 +606,7 @@ impl KvCacheBackend for QuantizedCache {
                         CacheMode::Incremental => self.quantizer.row_stream(kv_dim, layer, kind),
                         CacheMode::Recompute => None,
                     };
-                    let mut slot = KindSlot::new(stream);
-                    slot.fused = kernel == KernelMode::Fused
-                        && slot
-                            .stream
-                            .as_ref()
-                            .is_some_and(|s| s.fused_read_params().is_some());
-                    slot
+                    KindSlot::new(stream, kernel)
                 };
                 [mk(KvKind::Key), mk(KvKind::Value)]
             })
@@ -611,28 +626,17 @@ impl KvCacheBackend for QuantizedCache {
     }
 
     fn keys(&mut self, layer: usize) -> &[f32] {
-        self.refresh(layer, KvKind::Key);
-        let d = self.kv_dim;
-        let slot = &mut self.layers[layer][0];
-        slot.ensure_view(d);
-        &slot.view
+        self.synced(layer, KvKind::Key)
     }
 
     fn values(&mut self, layer: usize) -> &[f32] {
-        self.refresh(layer, KvKind::Value);
-        let d = self.kv_dim;
-        let slot = &mut self.layers[layer][1];
-        slot.ensure_view(d);
-        &slot.view
+        self.synced(layer, KvKind::Value)
     }
 
     fn kv_views(&mut self, layer: usize) -> (&[f32], &[f32]) {
-        self.refresh(layer, KvKind::Key);
-        self.refresh(layer, KvKind::Value);
-        let d = self.kv_dim;
         let [key_slot, value_slot] = &mut self.layers[layer];
-        key_slot.ensure_view(d);
-        value_slot.ensure_view(d);
+        key_slot.sync(Some(&*self.quantizer), self.kv_dim, layer, KvKind::Key);
+        value_slot.sync(Some(&*self.quantizer), self.kv_dim, layer, KvKind::Value);
         (&key_slot.view, &value_slot.view)
     }
 

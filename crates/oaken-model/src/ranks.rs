@@ -277,26 +277,27 @@ impl RankedPools {
     }
 
     /// Frees a live sequence on every rank; returns the total pages
-    /// released across shards (first error wins, but every rank is still
-    /// torn down — containment over early exit).
+    /// released across shards.
     pub fn free_seq(&mut self, seq: SeqId) -> Result<u32, PoolError> {
-        let mut total = 0u32;
-        let mut err = None;
-        for p in &mut self.pools {
-            match p.free_seq(seq) {
-                Ok(n) => total += n,
-                Err(e) => err = err.or(Some(e)),
-            }
-        }
-        err.map_or(Ok(total), Err)
+        self.release_on_all(|p| p.free_seq(seq))
     }
 
     /// Drops a suspended sequence's host pages on every rank.
     pub fn drop_suspended_seq(&mut self, seq: SeqId) -> Result<u32, PoolError> {
+        self.release_on_all(|p| p.drop_suspended_seq(seq))
+    }
+
+    /// Runs one release on every rank and sums the pages it freed: the
+    /// first error wins, but every rank is still torn down — containment
+    /// over early exit.
+    fn release_on_all(
+        &mut self,
+        mut release: impl FnMut(&mut PagedKvPool) -> Result<u32, PoolError>,
+    ) -> Result<u32, PoolError> {
         let mut total = 0u32;
         let mut err = None;
         for p in &mut self.pools {
-            match p.drop_suspended_seq(seq) {
+            match release(p) {
                 Ok(n) => total += n,
                 Err(e) => err = err.or(Some(e)),
             }
@@ -507,12 +508,7 @@ impl RankedPools {
     pub fn kv_read_stats(&self) -> KvReadStats {
         let mut total = KvReadStats::default();
         for p in &self.pools {
-            let s = p.kv_read_stats();
-            total.fused_rows += s.fused_rows;
-            total.fused_bytes += s.fused_bytes;
-            total.fused_rows_swept += s.fused_rows_swept;
-            total.exact_rows += s.exact_rows;
-            total.exact_bytes += s.exact_bytes;
+            total += p.kv_read_stats();
         }
         total
     }

@@ -23,8 +23,10 @@
 //! invariant simple: a node with zero references has no children and is
 //! removed immediately.
 
+use crate::cache::KindSlot;
 use oaken_core::FusedVector;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Cumulative prefix-cache counters of one [`crate::PagedKvPool`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -47,6 +49,87 @@ pub struct PrefixStats {
     pub bytes_deduplicated: u64,
 }
 
+/// The rows a sealed block stores, in the one form its pool reads: what
+/// an adopting sequence receives instead of quantizing the tokens itself.
+/// Per layer, `[keys, values]`.
+#[derive(Debug)]
+pub(crate) enum BlockRows {
+    /// Dequantized rows, each `[block_tokens × kv_dim]` — copied into the
+    /// adopter's attention views ([`crate::KernelMode::Exact`] pools).
+    Views(Vec<[Vec<f32>; 2]>),
+    /// Encoded rows, `block_tokens` fused vectors each — fed into the
+    /// adopter's streams, so a [`crate::KernelMode::Fused`] pool never
+    /// materializes an f32 image of a shared prefix.
+    Encoded(Vec<[Vec<FusedVector>; 2]>),
+}
+
+impl BlockRows {
+    /// Copies rows `range` of every slot of one sequence, in the form the
+    /// slots keep them.
+    pub fn capture(slots: &[[KindSlot; 2]], kv_dim: usize, range: Range<usize>) -> Self {
+        if slots.iter().flatten().all(|s| s.fused) {
+            // A fused stream's encoded state covers absolute positions:
+            // adoption feeds the stream, never a side view.
+            let rows = |slot: &KindSlot| {
+                let stream = slot.stream.as_ref().expect("fused slots are streaming");
+                let rows = stream.encoded_rows().expect("fused slots keep rows");
+                rows[range.clone()].to_vec()
+            };
+            Self::Encoded(slots.iter().map(|[k, v]| [rows(k), rows(v)]).collect())
+        } else {
+            // Streaming slots keep `view` current on every append;
+            // exact-f32 slots hold the authoritative copy in `exact`.
+            let rows = |slot: &KindSlot| {
+                let src = if slot.stream.is_some() {
+                    &slot.view
+                } else {
+                    &slot.exact
+                };
+                src[range.start * kv_dim..range.end * kv_dim].to_vec()
+            };
+            Self::Views(slots.iter().map(|[k, v]| [rows(k), rows(v)]).collect())
+        }
+    }
+
+    /// Appends the block's `tokens` rows to every slot of an adopting
+    /// sequence.
+    pub fn adopt_into(&self, slots: &mut [[KindSlot; 2]], tokens: usize) {
+        for (layer, pair) in slots.iter_mut().enumerate() {
+            for (ki, slot) in pair.iter_mut().enumerate() {
+                match self {
+                    Self::Encoded(rows) => {
+                        let stream = slot.stream.as_mut().expect("fused slots are streaming");
+                        let ok = stream.adopt_encoded_rows(&rows[layer][ki]);
+                        assert!(ok, "fused slot's stream refused adoption");
+                    }
+                    Self::Views(rows) => {
+                        slot.view.extend_from_slice(&rows[layer][ki]);
+                        if slot.stream.is_none() {
+                            // Exact-f32 slots re-materialize views from
+                            // `exact` on read; keep it in sync.
+                            slot.exact.extend_from_slice(&rows[layer][ki]);
+                        }
+                    }
+                }
+                slot.rows += tokens;
+            }
+        }
+    }
+
+    /// Whether two independently produced copies of a block agree bit for
+    /// bit — what prefix determinism promises of a late-dedup trie hit.
+    pub fn same_bits(&self, other: &Self) -> bool {
+        fn bits(rows: &[[Vec<f32>; 2]]) -> impl Iterator<Item = u32> + '_ {
+            rows.iter().flatten().flatten().map(|x| x.to_bits())
+        }
+        match (self, other) {
+            (Self::Encoded(a), Self::Encoded(b)) => a == b,
+            (Self::Views(a), Self::Views(b)) => bits(a).eq(bits(b)),
+            _ => false,
+        }
+    }
+}
+
 /// One sealed, immutable, reference-counted block of `block_tokens` prompt
 /// tokens: the trie node.
 pub(crate) struct TrieBlock {
@@ -64,27 +147,13 @@ pub(crate) struct TrieBlock {
     pub pages: u32,
     /// Encoded payload bytes stored in those pages (dedup accounting).
     pub bytes: u64,
-    /// Dequantized rows per layer, `[keys, values]`, each
-    /// `[block_tokens × kv_dim]` — what an adopting sequence copies into
-    /// its attention view. Empty in a fused-kernel pool, where blocks hold
-    /// only [`TrieBlock::encoded`] and no f32 image is ever materialized.
-    pub views: Vec<[Vec<f32>; 2]>,
-    /// Encoded rows per layer, `[keys, values]`, each `block_tokens` fused
-    /// vectors — what an adopting sequence feeds into its streams'
-    /// encoded state under [`crate::KernelMode::Fused`]. Empty in an
-    /// exact-kernel pool.
-    pub encoded: Vec<[Vec<FusedVector>; 2]>,
+    /// The block's K/V rows, all layers.
+    pub rows: BlockRows,
 }
 
 impl TrieBlock {
     /// A freshly sealed block with a single reference (the sealer).
-    pub fn new(
-        tokens: Box<[u32]>,
-        mmu: u32,
-        pages: u32,
-        bytes: u64,
-        views: Vec<[Vec<f32>; 2]>,
-    ) -> Self {
+    pub fn new(tokens: Box<[u32]>, mmu: u32, pages: u32, bytes: u64, rows: BlockRows) -> Self {
         Self {
             tokens,
             parent: None,
@@ -93,8 +162,7 @@ impl TrieBlock {
             mmu,
             pages,
             bytes,
-            views,
-            encoded: Vec::new(),
+            rows,
         }
     }
 }
@@ -216,7 +284,7 @@ mod tests {
     use super::*;
 
     fn block(tokens: &[u32], mmu: u32, pages: u32) -> TrieBlock {
-        TrieBlock::new(tokens.into(), mmu, pages, 64, Vec::new())
+        TrieBlock::new(tokens.into(), mmu, pages, 64, BlockRows::Views(Vec::new()))
     }
 
     #[test]

@@ -21,7 +21,7 @@ use oaken_runtime::Runtime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex};
 
 struct CountingAllocator;
 
@@ -31,12 +31,18 @@ static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     /// Whether this thread's allocations count. The append path under test
     /// forks across a runtime, so the test thread *and* that runtime's
-    /// workers are enrolled ([`enroll`]); libtest's main thread and
-    /// concurrently running tests are not, and cannot land inside a
-    /// counting window. Const-initialised with no destructor, which is
-    /// what makes it legal to touch from inside `GlobalAlloc`.
+    /// workers are enrolled ([`enroll`]); libtest's main thread is not,
+    /// and this file's tests take turns ([`ONE_WINDOW`]), so nothing else
+    /// can land inside a counting window. Const-initialised with no
+    /// destructor, which is what makes it legal to touch from inside
+    /// `GlobalAlloc`.
     static ENROLLED: Cell<bool> = const { Cell::new(false) };
 }
+
+/// One test at a time: every test here enrolls its threads into the one
+/// [`ALLOCATIONS`] counter, so a neighbour's set-up must not run inside
+/// another's counting window.
+static ONE_WINDOW: Mutex<()> = Mutex::new(());
 
 fn count_one() {
     if ENROLLED.with(Cell::get) {
@@ -97,6 +103,7 @@ fn kv_row(d: usize, seed: u64) -> Vec<f32> {
 
 #[test]
 fn steady_state_parallel_append_batch_makes_zero_allocations() {
+    let _alone = ONE_WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let layers = 2;
     let d = 64;
     let mut cfg = ModelConfig::llama2_7b().proxy(layers, d);
@@ -247,4 +254,54 @@ fn steady_state_parallel_append_batch_makes_zero_allocations() {
     for &s in &seqs {
         assert_eq!(pools.lead().seq_len(s, 0), total + 1);
     }
+}
+
+/// The scheduler's reservation bound is asked up to twice per active
+/// sequence per engine step, so it must not allocate either — least of all
+/// on *planned* sequences, whose next rows straddle pending prompt blocks
+/// and the private tail.
+#[test]
+fn steady_state_page_bound_over_pending_blocks_makes_zero_allocations() {
+    let _alone = ONE_WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let layers = 2;
+    let d = 64;
+    let mut cfg = ModelConfig::llama2_7b().proxy(layers, d);
+    cfg.num_heads = 2;
+    cfg.num_kv_heads = 2;
+    let mut pool = PagedKvPool::for_model(&cfg, None, 512, 4096);
+    pool.set_block_tokens(4);
+    enroll(&Runtime::new(1));
+
+    // Three sequences mid-prefill at different offsets into a five-block
+    // plan: a bound over the next `n` rows walks up to five owners.
+    let prompt: Vec<u32> = (0..23).collect();
+    let seqs: Vec<_> = [1usize, 6, 11]
+        .into_iter()
+        .map(|fed| {
+            let seq = pool.alloc_seq_with_prefix(&prompt).seq;
+            for t in 0..fed {
+                for layer in 0..layers {
+                    let (k, v) = (kv_row(d, t as u64), kv_row(d, 500 + t as u64));
+                    pool.append(seq, layer, &k, &v).unwrap();
+                }
+            }
+            seq
+        })
+        .collect();
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let mut pages = 0u32;
+    for _ in 0..16 {
+        for &seq in &seqs {
+            for n in [1usize, 3, 8, 20] {
+                pages += pool.pages_possibly_needed_n(seq, n).unwrap();
+            }
+        }
+    }
+    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        delta, 0,
+        "pages_possibly_needed_n performed {delta} heap allocations"
+    );
+    assert!(std::hint::black_box(pages) > 0, "the bounds were computed");
 }

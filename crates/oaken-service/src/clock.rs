@@ -1,13 +1,19 @@
-//! The deterministic service-clock tick protocol, shared by every
-//! driver that steps a [`BatchEngine`] against scheduled arrivals.
+//! The deterministic service-clock tick protocol for stepping one
+//! [`BatchEngine`] against scheduled arrivals, and the [`ArrivalQueue`]
+//! whose ordering every scheduled-arrival driver shares.
 //!
-//! Three drivers run this exact protocol — the live engine thread behind
-//! [`serve`](crate::serve), the bare-engine reference replay
-//! [`replay_open_loop_direct`](crate::workload::replay_open_loop_direct),
-//! and the disaggregated cluster's per-engine clocks — and the
-//! service-vs-direct (and cluster-vs-monolithic) bit-exactness contracts
-//! hold precisely because it is *one* implementation, not three copies
-//! that could drift. One tick:
+//! Two drivers run this exact protocol through [`clock_tick`] — the live
+//! engine thread behind [`serve`](crate::serve) and the bare-engine
+//! reference replay
+//! [`replay_open_loop_direct`](crate::workload::replay_open_loop_direct)
+//! — and the service-vs-direct bit-exactness contract holds precisely
+//! because it is *one* implementation, not two copies that could drift.
+//! The disaggregated cluster does **not** run it: `run_cluster` keeps its
+//! own tick loop over many engines and borrows only the ordering rules
+//! from here ([`ArrivalQueue::take_due`], [`ArrivalQueue::due_cancels`]),
+//! so cluster-vs-monolithic equality is a property its tests establish,
+//! not one this module gives it (folding the two loops together is
+//! ROADMAP 6(c)). One tick:
 //!
 //! 1. inject every scheduled arrival with `arrival <= clock`, in
 //!    `(arrival, submission order)` order;

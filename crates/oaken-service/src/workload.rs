@@ -141,7 +141,8 @@ pub struct DirectReplay {
 }
 
 impl DirectReplay {
-    /// The terminal record for `id`.
+    /// The terminal record for `id` — the first retired under it, should
+    /// the schedule reuse the id.
     pub fn finished_for(&self, id: u64) -> &FinishedRequest {
         self.finished
             .iter()
@@ -149,7 +150,8 @@ impl DirectReplay {
             .expect("replay drove every request to a terminal state")
     }
 
-    /// The delivery timing for `id`.
+    /// The delivery timing for `id` — of the first schedule entry under
+    /// it, should the schedule reuse the id.
     pub fn timing_for(&self, id: u64) -> &RequestTiming {
         self.timings
             .iter()
@@ -171,55 +173,73 @@ pub fn replay_open_loop_direct(
     cancels: &[(u64, u64)],
 ) -> DirectReplay {
     /// The replay's side of the tick protocol: bare submission on
-    /// injection, timing records on delivery.
+    /// injection, timing records on delivery. Records are kept by
+    /// **schedule position** — an id names one request only until its
+    /// terminal event, so a schedule may reuse it for a later entry —
+    /// and `streaming` says which entry an id names right now, exactly
+    /// as the service's session table does.
     struct ReplayHooks {
-        timings: HashMap<u64, RequestTiming>,
+        timings: Vec<Option<RequestTiming>>,
+        streaming: HashMap<u64, usize>,
+        finished_seen: usize,
     }
 
-    impl ClockHooks<EngineRequest> for ReplayHooks {
-        fn id_of(&self, req: &EngineRequest) -> u64 {
+    impl ClockHooks<(usize, EngineRequest)> for ReplayHooks {
+        fn id_of(&self, (_, req): &(usize, EngineRequest)) -> u64 {
             req.id
         }
 
-        fn inject(&mut self, engine: &mut BatchEngine<'_>, req: EngineRequest) {
+        fn inject(&mut self, engine: &mut BatchEngine<'_>, (pos, req): (usize, EngineRequest)) {
+            let id = req.id;
             engine.submit(req);
+            // A submission the engine fails on the spot (malformed, or its
+            // id still in flight) streams nothing, and its terminal record
+            // must not take the id from the entry that holds it.
+            if engine.finished().len() > self.finished_seen {
+                self.finished_seen = engine.finished().len();
+            } else {
+                self.streaming.insert(id, pos);
+            }
         }
 
-        fn cancelled_parked(&mut self, req: EngineRequest, _clock: u64) {
+        fn cancelled_parked(&mut self, (pos, _): (usize, EngineRequest), _clock: u64) {
             // Cancelled while still schedule-parked: the service resolves
             // it client-side; here it simply never runs.
-            self.timings.remove(&req.id);
+            self.timings[pos] = None;
         }
 
         fn deliver(&mut self, engine: &mut BatchEngine<'_>, clock: u64) {
             for ev in engine.take_token_events() {
-                if let Some(t) = self.timings.get_mut(&ev.id) {
+                let entry = self.streaming.get(&ev.id);
+                if let Some(t) = entry.and_then(|&pos| self.timings[pos].as_mut()) {
                     if ev.index == t.tokens.len() {
                         t.tokens.push(ev.token);
                         t.token_clocks.push(clock);
                     }
                 }
             }
+            for fr in &engine.finished()[self.finished_seen..] {
+                self.streaming.remove(&fr.id);
+            }
+            self.finished_seen = engine.finished().len();
         }
     }
 
     let mut engine = BatchEngine::new(model, pool, scheduler, config);
-    let order: Vec<u64> = schedule.iter().map(|(req, _)| req.id).collect();
-    let mut queue: ArrivalQueue<EngineRequest> = ArrivalQueue::new();
+    let mut queue: ArrivalQueue<(usize, EngineRequest)> = ArrivalQueue::new();
     let mut hooks = ReplayHooks {
-        timings: HashMap::new(),
+        timings: Vec::with_capacity(schedule.len()),
+        streaming: HashMap::new(),
+        finished_seen: 0,
     };
-    for (req, arrival) in schedule {
-        hooks.timings.insert(
-            req.id,
-            RequestTiming {
-                id: req.id,
-                arrival,
-                tokens: Vec::new(),
-                token_clocks: Vec::new(),
-            },
-        );
-        queue.schedule(arrival, req);
+    for (pos, (req, arrival)) in schedule.into_iter().enumerate() {
+        hooks.timings.push(Some(RequestTiming {
+            id: req.id,
+            arrival,
+            tokens: Vec::new(),
+            token_clocks: Vec::new(),
+        }));
+        queue.schedule(arrival, (pos, req));
     }
     for &(at, id) in cancels {
         queue.schedule_cancel(at, id);
@@ -237,13 +257,9 @@ pub fn replay_open_loop_direct(
 
     let finished = engine.finished().to_vec();
     let stats = engine.stats().clone();
-    let timings = order
-        .iter()
-        .filter_map(|id| hooks.timings.remove(id))
-        .collect();
     DirectReplay {
         finished,
-        timings,
+        timings: hooks.timings.into_iter().flatten().collect(),
         clock,
         stats,
     }

@@ -230,6 +230,71 @@ fn duplicate_in_flight_id_fails_typed_and_spares_the_first() {
     assert!(report.drained_empty(), "pool residue: {:?}", report.drain);
 }
 
+/// An id names one request only until its terminal event, so a schedule
+/// may legitimately hand it to a later entry once the first holder has
+/// retired. The direct replay must keep one timing per schedule *entry*
+/// (keyed by id alone, the second holder overwrote the first's record and
+/// then lost its own tokens), and both holders' streams must equal the
+/// service's, clock for clock.
+#[test]
+fn id_reused_after_retirement_keeps_one_timing_per_schedule_entry() {
+    let model = tiny_model();
+    let quantizer = profiled_oaken(&model);
+    let cfg = service_config(BENCHMARKED);
+    let reuse_at = 300u64;
+    let schedule = vec![
+        (request_for(7, 6, 5), 0u64),
+        (request_for(8, 5, 4), 2),
+        (EngineRequest::new(7, prompt_for(3, 8), 6), reuse_at),
+    ];
+
+    let replay = replay_open_loop_direct(
+        &model,
+        service_pool(&model, &quantizer, 256, 128),
+        TokenScheduler::new(4),
+        cfg,
+        schedule.clone(),
+        &[],
+    );
+    assert_eq!(replay.timings.len(), schedule.len(), "one per entry");
+    assert_eq!(replay.finished.len(), schedule.len());
+    let first_done = *replay.timings[0].token_clocks.last().expect("decoded");
+    assert!(first_done < reuse_at, "the first holder must have retired");
+
+    // The service refuses an id that is still in flight — parked in the
+    // schedule counts — so the second holder is submitted once the first
+    // one's stream has ended; the service clock stands still meanwhile.
+    let (results, report) = serve(
+        &model,
+        service_pool(&model, &quantizer, 256, 128),
+        TokenScheduler::new(4),
+        cfg,
+        |client| {
+            let early = client.submit_schedule(schedule[..2].iter().cloned());
+            let mut results: Vec<_> = early.into_iter().map(|h| h.wait()).collect();
+            results.push(client.submit_at(schedule[2].0.clone(), reuse_at).wait());
+            results
+        },
+    );
+    for ((res, timing), (req, arrival)) in results.iter().zip(&replay.timings).zip(&schedule) {
+        assert_eq!((timing.id, timing.arrival), (req.id, *arrival));
+        assert_eq!(res.end.outcome, RequestOutcome::Finished);
+        assert_eq!(res.tokens, timing.tokens, "request {} stream", req.id);
+        assert_eq!(res.token_clocks, timing.token_clocks, "request {}", req.id);
+        let reference = reference_tokens(
+            &model,
+            &quantizer,
+            cfg.kernel,
+            &req.prompt,
+            req.max_new_tokens,
+        );
+        assert_eq!(res.tokens, reference, "request {} != Session", req.id);
+    }
+    assert_eq!(report.clock, replay.clock, "final service clocks");
+    assert_eq!(report.stats, replay.stats, "engine stats");
+    assert!(report.drained_empty(), "residue: {:?}", report.drain);
+}
+
 /// Malformed requests arrive from outside the process: each must end in
 /// a typed `Failed(Invalid)` on its own stream — not a panic that takes
 /// the engine thread down and strands every waiting client — and the

@@ -5,28 +5,43 @@
 # source file here keeps its `#[cfg(test)] mod tests` last, which is what
 # makes the cut-off exact.
 #
-# usage: scripts/src_loc.sh [repo-root]     (default: this checkout)
+# usage: scripts/src_loc.sh [--files N] [repo-root]   (default: this checkout)
+#   --files N   print the N largest source files by the same count instead
 set -euo pipefail
+top=0
+if [ "${1:-}" = "--files" ]; then
+    top="${2:?--files needs a count}"
+    shift 2
+fi
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 
+# Prints "<lines> <file>" per input file.
 count() {
     awk '
-        FNR == 1 { in_tests = 0 }
+        function flush() { if (file != "") print n + 0, file }
+        FNR == 1 { flush(); file = FILENAME; n = 0; in_tests = 0 }
         /^#\[cfg\(test\)\]/ { in_tests = 1 }
         in_tests { next }
         /^[[:space:]]*$/ { next }
         /^[[:space:]]*\/\// { next }
         { n++ }
-        END { print n + 0 }
+        END { flush() }
     ' "$@"
 }
+
+if [ "$top" -gt 0 ]; then
+    mapfile -t files < <(find "$root"/crates/*/src -name '*.rs' | sort)
+    count "${files[@]}" | sort -k1,1nr -k2 | head -n "$top" |
+        while read -r n file; do printf '%6d  %s\n' "$n" "${file#"$root"/}"; done
+    exit 0
+fi
 
 total=0
 for crate in "$root"/crates/*/; do
     [ -d "$crate/src" ] || continue
     mapfile -t files < <(find "$crate/src" -name '*.rs' | sort)
     [ "${#files[@]}" -gt 0 ] || continue
-    n=$(count "${files[@]}")
+    n=$(count "${files[@]}" | awk '{ s += $1 } END { print s + 0 }')
     printf '%-18s %6d\n' "$(basename "$crate")" "$n"
     total=$((total + n))
 done
