@@ -17,6 +17,11 @@
 //! performance simulator can charge the online sorting / reordering /
 //! mixed-precision overheads the paper identifies as their weakness.
 //!
+//! The crate holds every `KvQuantizer` that is not the served one, so
+//! Oaken's own evaluation-only variants live here too: the N-group band
+//! ablation of Table 3 ([`AblationQuantizer`]) and the per-head threshold
+//! granularity extension ([`PerHeadProfiler`] / [`PerHeadQuantizer`]).
+//!
 //! Two capability axes matter to the serving stack beyond accuracy:
 //!
 //! * **streaming** — token-granular methods (FP16, Atom, QServe, Tender)
@@ -32,18 +37,22 @@
 //!
 //! [`OnlineCost`]: oaken_core::OnlineCost
 
+mod ablation;
 mod atom;
 mod common;
 mod fp16;
+mod granularity;
 mod half_float;
 mod kivi;
 mod kvquant;
 mod qserve;
 mod tender;
 
+pub use ablation::{AblationQuantizer, BandKind, BandSpec};
 pub use atom::AtomStyle;
 pub use common::{quantize_groups_per_row, quantize_per_channel, ChannelOrder};
 pub use fp16::Fp16Reference;
+pub use granularity::{PerHeadProfiler, PerHeadQuantizer};
 pub use half_float::{f16_bits_to_f32, f16_roundtrip, f32_to_f16_bits};
 pub use kivi::KiviStyle;
 pub use kvquant::KvQuantStyle;

@@ -24,7 +24,8 @@
 //! schedule-parked requests never run, in-flight ones cancel on
 //! whichever engine or link leg holds them; (3) due transfers land on
 //! their decode engines (a full host tier bounces the delivery to the
-//! next tick); (4) every engine whose busy-horizon has passed steps
+//! next tick; a transfer that can never land fails its request typed);
+//! (4) every engine whose busy-horizon has passed steps
 //! once, its tokens are stitched into per-request records stamped with
 //! the current clock, and fresh prefill exports enter the link. Every
 //! one of those steps is a pure function of the schedule and the config,
@@ -225,7 +226,9 @@ impl Slot<'_> {
 /// schedule plus optional scripted `(tick, id)` cancels. `make_pool`
 /// builds each engine's pool — called once per engine with its role and
 /// replica index, so a fixed total page budget can be split however the
-/// experiment demands.
+/// experiment demands. The factory is outside input: a decode pool whose
+/// page cannot hold a token its prefill twin wrote fails that replica's
+/// handoffs `Failed(Pool(_))`, one request at a time.
 pub fn run_cluster(
     model: &Model,
     config: &ClusterConfig,
@@ -419,7 +422,19 @@ fn run(
                     );
                     link.requeue(export, r, sent_at, clock);
                 }
-                Err((_, e)) => panic!("transfer ingest failed: {e}"),
+                Err((_, e)) => {
+                    // No later tick can land this transfer (its payload is
+                    // corrupt or was written for larger pages than the
+                    // decode pool's, or a fault refused the landing): the
+                    // request fails typed, keeping the tokens it streamed,
+                    // and its frozen KV dies here.
+                    let rec = records
+                        .get_mut(&id)
+                        .expect("in-flight request has a record");
+                    rec.outcome = RequestOutcome::Failed(RequestFailure::Pool(e));
+                    rec.finish_clock = clock;
+                    orig_max.remove(&id);
+                }
             }
         }
 

@@ -12,7 +12,7 @@ use oaken_cluster::{
     run_cluster, run_monolithic, ClusterConfig, ClusterReport, EngineRole, RouterPolicy,
 };
 use oaken_core::KvQuantizer;
-use oaken_model::Model;
+use oaken_model::{Model, ModelConfig, PagedKvPool, PoolError};
 use oaken_service::workload::replay_open_loop_direct;
 use oaken_serving::{
     EngineConfig, EngineRequest, PreemptPolicy, RequestFailure, RequestOutcome, TokenScheduler,
@@ -371,7 +371,7 @@ fn full_decode_host_tier_bounces_and_retries_transfers() {
                 let widest = export
                     .transfers
                     .iter()
-                    .map(|t| t.payload().pages_needed(512))
+                    .map(|t| t.payload().pages_needed(512).unwrap())
                     .max()
                     .expect("at least one rank shard");
                 widest * export.transfers.len() as u32
@@ -479,4 +479,54 @@ fn duplicate_id_fails_typed_and_spares_the_first() {
     assert_eq!((dup.id, dup.arrival), (1, 2));
     assert_eq!(dup.outcome, RequestOutcome::Failed(RequestFailure::Invalid));
     assert!(dup.tokens.is_empty());
+}
+
+/// The pool factory is outside input: a decode pool whose page cannot
+/// hold a token its prefill twin wrote (built here for a narrower
+/// geometry, the only way the pool's constructor lets a page get that
+/// small) can never land that replica's transfers. The request fails
+/// typed with its record intact instead of panicking the run, and every
+/// other request finishes.
+#[test]
+fn too_small_decode_page_fails_that_request_typed() {
+    let model = Model::synthetic(ModelConfig::llama2_7b().proxy(2, 64), 7);
+    let narrow = ModelConfig::llama2_7b().proxy(2, 8);
+    let mut cfg = cluster_cfg(engine_config(REFERENCE, 1, PreemptPolicy::SwapToHost));
+    cfg.replicas = 2;
+    cfg.router = RouterPolicy::RoundRobin;
+    // f32 pools: a token is 4 · head_dim = 32 bytes per head, and replica
+    // 1's decode pages hold 24.
+    let mut mk = |role: EngineRole, r: usize| {
+        if role == EngineRole::Decode && r == 1 {
+            PagedKvPool::for_model(&narrow, None, 320, 24)
+        } else {
+            PagedKvPool::for_model(model.config(), None, 320, 512)
+        }
+    };
+    let schedule = vec![
+        (EngineRequest::new(1, family_prompt(1, 12), 5), 0),
+        (EngineRequest::new(2, family_prompt(2, 12), 5), 1),
+        (EngineRequest::new(3, family_prompt(3, 12), 5), 2),
+        // Single-token: runs wholly on replica 1's prefill engine.
+        (EngineRequest::new(4, family_prompt(4, 12), 1), 3),
+    ];
+    let report = run_cluster(&model, &cfg, &mut mk, schedule.clone(), &[]);
+    assert_eq!(report.requests.len(), 4);
+    // Round-robin puts exactly one handoff on replica 1: request 2.
+    let failed = report.request(2);
+    assert_eq!((failed.replica, failed.disaggregated), (1, true));
+    assert_eq!(
+        failed.outcome,
+        RequestOutcome::Failed(RequestFailure::Pool(PoolError::TransferExceedsPage {
+            bytes: 32,
+            page_size: 24,
+        }))
+    );
+    assert_eq!(failed.tokens.len(), 1, "the prefill-leg token survives");
+    assert_eq!(report.decode_stats[1].imports, 0);
+    for (req, _) in schedule.iter().filter(|(req, _)| req.id != 2) {
+        let rec = report.request(req.id);
+        assert_eq!(rec.outcome, RequestOutcome::Finished, "id {}", req.id);
+        assert_eq!(rec.tokens.len(), req.max_new_tokens);
+    }
 }

@@ -44,11 +44,9 @@
 //! # Ok::<(), oaken_core::OakenError>(())
 //! ```
 
-pub mod ablation;
 pub mod config;
 pub mod encoding;
 pub mod error;
-pub mod granularity;
 pub mod groups;
 pub mod groupshift;
 pub mod kernel;
@@ -58,11 +56,9 @@ pub mod quant;
 pub mod thresholds;
 pub mod traits;
 
-pub use ablation::{AblationQuantizer, BandKind, BandSpec};
 pub use config::{BitWidths, GroupRatios, OakenConfig};
 pub use encoding::{CooEntry, FusedVector, OutlierIter, ScaleSet};
 pub use error::OakenError;
-pub use granularity::{PerHeadProfiler, PerHeadQuantizer};
 pub use groups::{classify, GroupKind, GroupStats};
 pub use kernel::{decode_row_fused_into, EncodedReadPlan, FusedReadParams, RowDecode};
 pub use pipeline::{CompressionReport, OakenQuantizer, OakenRowStream, OakenScratch};

@@ -406,15 +406,13 @@ impl MmuSim {
     /// # Errors
     ///
     /// [`SwapError::NoHostTier`], [`SwapError::AlreadyFrozen`] (the local
-    /// id is taken), or [`SwapError::OutOfHostPages`] — all checked before
-    /// any state changes, so a failed import is a no-op and the caller can
-    /// retry later (the cluster's transfer clock does exactly that).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the payload fails its own checksum (a corrupted or
-    /// truncated transfer must fail loudly, never rebuild garbage tables)
-    /// or when any carried size exceeds the page size.
+    /// id is taken), [`SwapError::ChecksumMismatch`] or
+    /// [`SwapError::TokenExceedsPage`] (the payload is outside input: a
+    /// corrupted or truncated transfer, or one written for larger pages,
+    /// never rebuilds garbage tables), or [`SwapError::OutOfHostPages`] —
+    /// all checked before any state changes, so a failed import is a
+    /// no-op; only the last is worth retrying later (the cluster's
+    /// transfer clock does exactly that).
     pub fn import_frozen(
         &mut self,
         request: u32,
@@ -424,13 +422,7 @@ impl MmuSim {
         if host.is_frozen(request) || self.streams.keys().any(|k| k.request == request) {
             return Err(SwapError::AlreadyFrozen { request });
         }
-        assert_eq!(
-            payload.derived_checksum(),
-            payload.checksum,
-            "transfer payload for request {request} fails its checksum; \
-             refusing to import corrupted size tables"
-        );
-        let pages = payload.pages_needed(self.allocator.page_size());
+        let pages = payload.pages_needed(self.allocator.page_size())?;
         if pages > host.free_pages() {
             return Err(SwapError::OutOfHostPages {
                 needed: pages,
@@ -1150,8 +1142,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "checksum")]
-    fn corrupted_transfer_fails_loudly_on_import() {
+    fn corrupted_transfer_fails_typed_on_import() {
         use crate::swap::{StreamPayload, TransferPayload};
         let mut payload = TransferPayload {
             streams: vec![StreamPayload {
@@ -1164,11 +1155,37 @@ mod tests {
             checksum: 0,
         };
         payload.seal();
-        // Truncate after sealing: the wire lost a token.
-        payload.streams[0].sizes.pop();
         let mut dst = MmuSim::new(4, 128);
         dst.attach_host_tier(4);
-        let _ = dst.import_frozen(1, &payload);
+
+        // Truncated after sealing: the wire lost a token.
+        let mut truncated = payload.clone();
+        truncated.streams[0].sizes.pop();
+        assert!(matches!(
+            dst.import_frozen(1, &truncated),
+            Err(SwapError::ChecksumMismatch { .. })
+        ));
+        // One flipped bit in the size table.
+        let mut flipped = payload.clone();
+        flipped.streams[0].sizes[1] ^= 4;
+        assert!(matches!(
+            dst.import_frozen(1, &flipped),
+            Err(SwapError::ChecksumMismatch { .. })
+        ));
+        // Sealed by an exporter with larger pages than this importer's.
+        let mut oversize = payload.clone();
+        oversize.streams[0].sizes[2] = 129;
+        oversize.seal();
+        assert_eq!(
+            dst.import_frozen(1, &oversize),
+            Err(SwapError::TokenExceedsPage {
+                bytes: 129,
+                page_size: 128
+            })
+        );
+        // Every rejection was a no-op: the intact payload still lands.
+        assert_eq!(dst.host_tier().unwrap().used_pages(), 0);
+        dst.import_frozen(1, &payload).unwrap();
     }
 
     #[test]

@@ -89,6 +89,22 @@ pub enum SwapError {
         /// The offending request.
         request: u32,
     },
+    /// A transfer payload's size tables disagree with the checksum it
+    /// carries: bit-flipped, truncated or reordered on the way here.
+    ChecksumMismatch {
+        /// The checksum the payload carries.
+        carried: u64,
+        /// The checksum its size tables fold to.
+        derived: u64,
+    },
+    /// A transfer payload carries a token larger than the importer's
+    /// page, so the importer could never write it.
+    TokenExceedsPage {
+        /// The offending token payload size.
+        bytes: u32,
+        /// The importer's page size.
+        page_size: usize,
+    },
 }
 
 impl fmt::Display for SwapError {
@@ -114,6 +130,20 @@ impl fmt::Display for SwapError {
                 write!(
                     f,
                     "request {request} owns shared pages; only private pages can swap"
+                )
+            }
+            SwapError::ChecksumMismatch { carried, derived } => {
+                write!(
+                    f,
+                    "transfer payload fails its checksum: carries {carried:#x}, \
+                     size tables fold to {derived:#x}"
+                )
+            }
+            SwapError::TokenExceedsPage { bytes, page_size } => {
+                write!(
+                    f,
+                    "transfer payload carries a {bytes}-byte token, larger than \
+                     the {page_size}-byte page"
                 )
             }
         }
@@ -223,7 +253,7 @@ pub struct TransferPayload {
     /// Total payload bytes (Σ sizes) — the wire cost of the KV itself.
     pub bytes: u64,
     /// [`size_checksum`] over all size tables in listed order (one running
-    /// position counter), re-derived and asserted by the importer.
+    /// position counter), re-derived and checked by the importer.
     pub checksum: u64,
 }
 
@@ -269,24 +299,37 @@ impl TransferPayload {
             .unwrap_or(0)
     }
 
-    /// Pages this payload occupies when packed with the MMU's write rule
-    /// (`stream::PageTail`, the rule `write_token` itself applies) — the host
-    /// charge an import needs, computed from the payload alone so
-    /// capacity checks never consume it.
+    /// Validates the payload against an importer with `page_size`-byte
+    /// pages and returns the pages it occupies when packed with the MMU's
+    /// write rule (`stream::PageTail`, the rule `write_token` itself
+    /// applies) — the host charge an import needs, computed from the
+    /// payload alone so capacity checks never consume it.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when any carried size exceeds `page_size` (such a payload
-    /// could never have been written by an exporter with this page size).
-    pub fn pages_needed(&self, page_size: usize) -> u32 {
+    /// A payload arrives from outside this MMU, so both checks are typed:
+    /// [`SwapError::ChecksumMismatch`] when the size tables no longer fold
+    /// to the carried checksum, [`SwapError::TokenExceedsPage`] when a
+    /// carried size could never be written into a `page_size`-byte page.
+    pub fn pages_needed(&self, page_size: usize) -> Result<u32, SwapError> {
+        let derived = self.derived_checksum();
+        if derived != self.checksum {
+            return Err(SwapError::ChecksumMismatch {
+                carried: self.checksum,
+                derived,
+            });
+        }
         let mut pages = 0u32;
         for s in &self.streams {
             let mut tail = PageTail::default();
-            for &size in &s.sizes {
-                pages += u32::from(tail.place(size, page_size).1);
+            for &bytes in &s.sizes {
+                if bytes as usize > page_size {
+                    return Err(SwapError::TokenExceedsPage { bytes, page_size });
+                }
+                pages += u32::from(tail.place(bytes, page_size).1);
             }
         }
-        pages
+        Ok(pages)
     }
 }
 

@@ -363,9 +363,9 @@ pub enum CacheMode {
     /// fallback automatically.
     Incremental,
     /// Force the legacy batch path for every method: retain exact rows and
-    /// re-quantize the whole prefix on each read after an append. Kept for
-    /// benchmarking (`oaken-bench`'s decode-scaling comparison) and as the
-    /// reference semantics streams must match.
+    /// re-quantize the whole prefix on each read after an append. Kept as
+    /// the reference semantics streams must match (the streaming
+    /// proptests compare against it).
     Recompute,
 }
 

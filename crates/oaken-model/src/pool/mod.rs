@@ -100,6 +100,19 @@ pub enum PoolError {
         /// Transient (retry-able) or persistent (degrade).
         kind: FaultKind,
     },
+    /// An imported [`KvTransfer`]'s size tables fail the checksum they
+    /// carry (bit-flipped, truncated or reordered on the way here).
+    /// Nothing was mutated, and retrying cannot help.
+    CorruptTransfer,
+    /// An imported [`KvTransfer`] carries a token larger than this pool's
+    /// page — its exporter wrote larger pages than this pool could.
+    /// Nothing was mutated, and retrying cannot help.
+    TransferExceedsPage {
+        /// The offending token payload size.
+        bytes: u32,
+        /// This pool's page size.
+        page_size: usize,
+    },
 }
 
 impl fmt::Display for PoolError {
@@ -119,6 +132,16 @@ impl fmt::Display for PoolError {
             }
             PoolError::Fault { op, kind } => {
                 write!(f, "injected {kind} fault on {op}")
+            }
+            PoolError::CorruptTransfer => {
+                write!(f, "imported transfer fails its checksum")
+            }
+            PoolError::TransferExceedsPage { bytes, page_size } => {
+                write!(
+                    f,
+                    "imported transfer carries a {bytes}-byte token, larger than \
+                     the {page_size}-byte page"
+                )
             }
         }
     }
@@ -1404,7 +1427,7 @@ mod tests {
         // A destination whose host tier is too small refuses the landing
         // and hands the transfer back for a later retry.
         let mut tiny = PagedKvPool::for_model(&cfg, Some(q.clone()), 2, 256);
-        let needed = transfer.payload().pages_needed(tiny.page_size());
+        let needed = transfer.payload().pages_needed(tiny.page_size()).unwrap();
         assert!(needed > 2);
         assert!(matches!(
             tiny.can_import(&transfer),
@@ -1416,6 +1439,49 @@ mod tests {
 
         // The returned transfer is intact: a roomier pool accepts it.
         let mut dst = PagedKvPool::for_model(&cfg, Some(q), 2048, 512);
+        let (seq, _) = dst.import_seq(transfer).unwrap();
+        dst.resume_seq(seq).unwrap();
+        assert_eq!(dst.seq_len(seq, 0), 12);
+    }
+
+    #[test]
+    fn corrupt_or_oversize_transfer_is_refused_typed() {
+        let layers = 1;
+        let d = 64;
+        let cfg = tiny_config(layers, 2, 32);
+        let q = oaken(d, layers);
+        let mut src = PagedKvPool::for_model(&cfg, Some(q.clone()), 2048, 512);
+        let s = src.alloc_seq();
+        feed_prompt(&mut src, s, layers, d, 0, 12);
+        let mut transfer = src.export_seq(s).unwrap();
+        let mut dst = PagedKvPool::for_model(&cfg, Some(q), 2048, 512);
+
+        // One bit of a size table flips on the wire, after the exporter
+        // sealed the payload.
+        transfer.payload.streams[0].sizes[3] ^= 1;
+        assert_eq!(dst.can_import(&transfer), Err(PoolError::CorruptTransfer));
+        let (mut transfer, err) = dst.import_seq(transfer).unwrap_err();
+        assert_eq!(err, PoolError::CorruptTransfer);
+        assert_eq!(dst.host_pages_used(), 0, "nothing landed");
+        transfer.payload.streams[0].sizes[3] ^= 1;
+
+        // An entry larger than the importer's page, sealed as if an
+        // exporter with larger pages had written it.
+        let intact = transfer.payload.streams[0].sizes[3];
+        transfer.payload.streams[0].sizes[3] = 513;
+        transfer.payload.seal();
+        let oversize = PoolError::TransferExceedsPage {
+            bytes: 513,
+            page_size: 512,
+        };
+        assert_eq!(dst.can_import(&transfer), Err(oversize));
+        let (mut transfer, err) = dst.import_seq(transfer).unwrap_err();
+        assert_eq!(err, oversize);
+        assert_eq!(dst.host_pages_used(), 0, "nothing landed");
+        transfer.payload.streams[0].sizes[3] = intact;
+        transfer.payload.seal();
+
+        // Both refusals handed the transfer back whole: restored, it lands.
         let (seq, _) = dst.import_seq(transfer).unwrap();
         dst.resume_seq(seq).unwrap();
         assert_eq!(dst.seq_len(seq, 0), 12);

@@ -304,9 +304,16 @@ impl PageLedger {
         payload
     }
 
-    /// Host pages landing `payload` would charge, and whether they fit.
+    /// Whether `payload` is intact, writable at this page size, and the
+    /// host pages landing it would charge fit.
     pub(super) fn can_import(&self, payload: &TransferPayload) -> Result<(), PoolError> {
-        let needed = payload.pages_needed(self.mmu.allocator().page_size());
+        let needed = match payload.pages_needed(self.mmu.allocator().page_size()) {
+            Ok(needed) => needed,
+            Err(SwapError::TokenExceedsPage { bytes, page_size }) => {
+                return Err(PoolError::TransferExceedsPage { bytes, page_size });
+            }
+            Err(_) => return Err(PoolError::CorruptTransfer),
+        };
         let free = self.mmu.host_tier().map_or(0, |h| h.free_pages());
         if needed > free {
             return Err(PoolError::OutOfHostPages { needed, free });

@@ -59,7 +59,7 @@ pub(super) struct SuspendedSeq {
 /// transfer clock charges is [`KvTransfer::wire_bytes`].
 pub struct KvTransfer {
     slots: SeqSlots,
-    payload: TransferPayload,
+    pub(super) payload: TransferPayload,
 }
 
 impl fmt::Debug for KvTransfer {
@@ -251,7 +251,10 @@ impl PagedKvPool {
     /// # Errors
     ///
     /// [`PoolError::OutOfHostPages`] when the host tier lacks room for
-    /// the payload's page charge.
+    /// the payload's page charge; [`PoolError::CorruptTransfer`] when the
+    /// payload fails its checksum and [`PoolError::TransferExceedsPage`]
+    /// when it carries a token larger than this pool's page — no later
+    /// call can accept either.
     pub fn can_import(&self, transfer: &KvTransfer) -> Result<(), PoolError> {
         self.pages.can_import(&transfer.payload)
     }
@@ -263,21 +266,24 @@ impl PagedKvPool {
     /// [`suspend_seq`](Self::suspend_seq) froze locally, so the normal
     /// [`resume_seq`](Self::resume_seq) machinery (and the serving
     /// engine's resume queue, with its priority, backoff, and demotion
-    /// rules) activates it. The transfer's checksum is asserted before
-    /// any state lands (see [`oaken_mmu::MmuSim::import_frozen`]).
+    /// rules) activates it. The transfer's checksum and sizes are checked
+    /// before any state lands (see [`oaken_mmu::MmuSim::import_frozen`]).
     ///
     /// # Errors
     ///
     /// Returns the transfer back untouched with
     /// [`PoolError::OutOfHostPages`] when the host tier lacks room (the
-    /// caller retries later) or [`PoolError::Fault`] when the installed
-    /// fault schedule fails the host charge.
+    /// caller retries later), [`PoolError::Fault`] when the installed
+    /// fault schedule fails the host charge,
+    /// [`PoolError::CorruptTransfer`] when the payload fails its checksum,
+    /// or [`PoolError::TransferExceedsPage`] when it was written for
+    /// larger pages than this pool's.
     ///
     /// # Panics
     ///
     /// Panics when the transfer's geometry disagrees with this pool
     /// (layer count or kernel mode) — cluster engines must share a model
-    /// and kernel configuration — or when the payload fails its checksum.
+    /// and kernel configuration.
     #[allow(clippy::result_large_err)]
     pub fn import_seq(
         &mut self,

@@ -10,7 +10,7 @@
 #[path = "../../oaken-serving/tests/support/mod.rs"]
 mod support;
 
-use oaken_service::{replay_open_loop_direct, serve, OpenLoopSpec, StreamEvent};
+use oaken_service::{replay_open_loop_direct, serve, LatencyRecorder, OpenLoopSpec, StreamEvent};
 use oaken_serving::{
     EngineConfig, EngineRequest, PreemptPolicy, RequestFailure, RequestOutcome, TokenScheduler,
 };
@@ -18,13 +18,14 @@ use proptest::prelude::*;
 use support::*;
 
 /// Runs one schedule through the service and through the direct replay
-/// under `cfg`, asserting the full contract.
+/// under `cfg`, asserting the full contract. Returns the service's p95
+/// time-to-first-token in service-clock ticks.
 fn assert_service_matches_direct(
     schedule: &[(EngineRequest, u64)],
     cfg: EngineConfig,
     pages: u32,
     host_pages: u32,
-) {
+) -> u64 {
     let model = tiny_model();
     let quantizer = profiled_oaken(&model);
 
@@ -98,19 +99,27 @@ fn assert_service_matches_direct(
         "{ctx}: pool residue: {:?}",
         report.drain
     );
+    let mut latency = LatencyRecorder::new();
+    for (res, (_, arrival)) in results.iter().zip(schedule) {
+        latency.record("all", *arrival, &res.token_clocks);
+    }
+    latency.report()[0].ttft.p95
 }
 
 /// A fixed mixed workload on a seeded Poisson schedule, swept over the
 /// full thread × preemption-policy matrix.
 #[test]
 fn poisson_schedule_bit_exact_across_threads_and_policies() {
-    let spec = OpenLoopSpec::poisson(3.0, 42);
-    let arrivals = oaken_service::arrival_schedule(&spec, 6);
-    let schedule: Vec<_> = arrivals
-        .into_iter()
-        .enumerate()
-        .map(|(i, at)| (request_for(i as u64, 5 + i % 4, 4 + i % 5), at))
-        .collect();
+    // One seed, so every rate draws the same arrivals, scaled.
+    let schedule_at = |mean_interarrival: f64| -> Vec<(EngineRequest, u64)> {
+        let spec = OpenLoopSpec::poisson(mean_interarrival, 42);
+        oaken_service::arrival_schedule(&spec, 6)
+            .into_iter()
+            .enumerate()
+            .map(|(i, at)| (request_for(i as u64, 5 + i % 4, 4 + i % 5), at))
+            .collect()
+    };
+    let schedule = schedule_at(3.0);
     // The thread × policy sweep is this test's own; a point supplies the
     // kernel and the rank count.
     for_each_point(
@@ -131,6 +140,17 @@ fn poisson_schedule_bit_exact_across_threads_and_policies() {
                 }
             }
         },
+    );
+
+    // Open-loop load: sparse arrivals meet an idle engine, saturated ones
+    // queue behind the batch limit and share the prefill budget, so the
+    // tail time-to-first-token — an exact tick count — can only grow.
+    let p95_ttft =
+        |mean| assert_service_matches_direct(&schedule_at(mean), service_config(SWAP), 256, 128);
+    let (sparse, saturated) = (p95_ttft(40.0), p95_ttft(0.25));
+    assert!(
+        saturated >= sparse,
+        "saturated p95 TTFT {saturated} ticks < sparse {sparse}"
     );
 }
 

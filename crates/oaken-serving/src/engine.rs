@@ -1,8 +1,8 @@
 //! The continuous-batching serving engine: real token-by-token execution
 //! of many concurrent requests over a shared [`PagedKvPool`].
 //!
-//! This is the executed counterpart of the analytic serving simulator in
-//! [`crate::simulate`]. Scheduling follows the Orca/vLLM shape the paper's
+//! This is the executed counterpart of the analytic trace simulator of
+//! Figure 14 (`oaken-figures`). Scheduling follows the Orca/vLLM shape the paper's
 //! §5.3 token-level scheduler assumes, extended with the two levers
 //! high-QPS shared-prompt traffic rewards:
 //!
@@ -901,15 +901,18 @@ impl<'m> BatchEngine<'m> {
     /// # Errors
     ///
     /// Hands the export back untouched when a rank's host tier lacks room
-    /// ([`PoolError::OutOfHostPages`] — retry after pages free) or the
-    /// injected fault schedule rejects the landing ([`PoolError::Fault`]).
+    /// ([`PoolError::OutOfHostPages`] — retry after pages free), the
+    /// injected fault schedule rejects the landing ([`PoolError::Fault`]),
+    /// or a shard's payload fails its checksum
+    /// ([`PoolError::CorruptTransfer`]) or carries a token larger than
+    /// this engine's page ([`PoolError::TransferExceedsPage`]) — such a
+    /// transfer can never land, and never lands silently.
     ///
     /// # Panics
     ///
     /// Panics when the export does not match this engine (rank count,
     /// layer count, kernel mode, or a row count disagreeing with the
-    /// prompt), or fails its payload checksum — a corrupted or truncated
-    /// transfer never lands silently.
+    /// prompt).
     #[allow(clippy::result_large_err)]
     pub fn ingest_frozen(&mut self, export: KvExport) -> Result<(), (KvExport, PoolError)> {
         assert_eq!(

@@ -21,85 +21,9 @@ impl Request {
     }
 }
 
-/// Aggregate length statistics of a batch (drives the padding penalty for
-/// systolic platforms and the capacity check).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchStats {
-    /// Requests in the batch.
-    pub count: usize,
-    /// Mean prompt length.
-    pub mean_input: f64,
-    /// Longest prompt (padding target).
-    pub max_input: usize,
-    /// Mean output length.
-    pub mean_output: f64,
-    /// Longest output.
-    pub max_output: usize,
-}
-
-impl BatchStats {
-    /// Computes statistics over a batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty batch.
-    pub fn of(batch: &[Request]) -> Self {
-        assert!(!batch.is_empty(), "batch must not be empty");
-        let count = batch.len();
-        BatchStats {
-            count,
-            mean_input: batch.iter().map(|r| r.input_len as f64).sum::<f64>() / count as f64,
-            max_input: batch.iter().map(|r| r.input_len).max().unwrap_or(0),
-            mean_output: batch.iter().map(|r| r.output_len as f64).sum::<f64>() / count as f64,
-            max_output: batch.iter().map(|r| r.output_len).max().unwrap_or(0),
-        }
-    }
-
-    /// Padding waste factor: how much longer the padded prompt matrix is
-    /// than the real one (1.0 = no variance).
-    pub fn padding_factor(&self) -> f64 {
-        if self.mean_input <= 0.0 {
-            return 1.0;
-        }
-        self.max_input as f64 / self.mean_input
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_of_mixed_batch() {
-        let batch = [
-            Request {
-                id: 0,
-                input_len: 100,
-                output_len: 10,
-            },
-            Request {
-                id: 1,
-                input_len: 300,
-                output_len: 30,
-            },
-        ];
-        let s = BatchStats::of(&batch);
-        assert_eq!(s.count, 2);
-        assert_eq!(s.mean_input, 200.0);
-        assert_eq!(s.max_input, 300);
-        assert_eq!(s.max_output, 30);
-        assert!((s.padding_factor() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn uniform_batch_has_no_padding() {
-        let batch = [Request {
-            id: 0,
-            input_len: 128,
-            output_len: 128,
-        }; 4];
-        assert_eq!(BatchStats::of(&batch).padding_factor(), 1.0);
-    }
 
     #[test]
     fn total_len_adds_both_phases() {

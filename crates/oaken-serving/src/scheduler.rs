@@ -1,9 +1,6 @@
-//! Token-level batch scheduling (§5.3): prefill tokens fan out across all
-//! compute cores; in the generation phase each core owns one request's
-//! token, and quantization/dequantization overlap with DMA reads and
-//! attention computation from other requests.
-
-use crate::request::Request;
+//! Token-level batch scheduling (§5.3): in the generation phase each
+//! compute core owns one request's token. The engine asks for one
+//! least-loaded assignment per iteration and reports its core utilization.
 
 /// Assignment of requests to compute cores for one generation iteration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,16 +21,6 @@ impl CoreAssignment {
         }
         busy.iter().filter(|&&b| b).count() as f64 / self.num_cores.max(1) as f64
     }
-
-    /// Maximum requests multiplexed onto one core (>1 means the iteration
-    /// serializes).
-    pub fn max_per_core(&self) -> usize {
-        let mut counts = vec![0usize; self.num_cores];
-        for &c in &self.core_of {
-            counts[c] += 1;
-        }
-        counts.into_iter().max().unwrap_or(0)
-    }
 }
 
 /// The token-level scheduler.
@@ -52,14 +39,6 @@ impl TokenScheduler {
     pub fn new(num_cores: usize) -> Self {
         assert!(num_cores > 0, "need at least one core");
         Self { num_cores }
-    }
-
-    /// Round-robin generation assignment: request `i` → core `i % cores`.
-    pub fn assign_generation(&self, active: usize) -> CoreAssignment {
-        CoreAssignment {
-            core_of: (0..active).map(|i| i % self.num_cores).collect(),
-            num_cores: self.num_cores,
-        }
     }
 
     /// Least-loaded generation assignment: requests are placed on the core
@@ -98,93 +77,45 @@ impl TokenScheduler {
             num_cores: self.num_cores,
         }
     }
-
-    /// Number of sequential core-rounds one generation iteration takes
-    /// (`ceil(active/cores)`): beyond one round, per-core serialization
-    /// stretches the iteration.
-    pub fn generation_rounds(&self, active: usize) -> usize {
-        active.div_ceil(self.num_cores)
-    }
-
-    /// Prefill parallelism: the fraction of cores kept busy by a batch of
-    /// prompts with `total_tokens` prefill tokens (all cores busy as soon
-    /// as there are at least as many tokens as cores).
-    pub fn prefill_utilization(&self, total_tokens: usize) -> f64 {
-        (total_tokens as f64 / self.num_cores as f64).min(1.0)
-    }
-
-    /// Overlap model (§5.3): given per-iteration times for attention/DMA
-    /// work and (de)quantization work on *different* requests, returns the
-    /// exposed extra time — zero while quantization fits inside the
-    /// other requests' DMA/attention window.
-    pub fn overlapped_exposure(&self, dma_attention_s: f64, quant_s: f64) -> f64 {
-        (quant_s - dma_attention_s).max(0.0)
-    }
-
-    /// Splits a batch into admission waves of at most `max_batch` requests
-    /// (capacity-limited admission).
-    pub fn admission_waves<'r>(
-        &self,
-        requests: &'r [Request],
-        max_batch: usize,
-    ) -> Vec<&'r [Request]> {
-        if max_batch == 0 {
-            return Vec::new();
-        }
-        requests.chunks(max_batch).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Position-based round-robin (request `i` → core `i % cores`): the
+    /// assignment least-loaded is measured against.
+    fn round_robin(active: usize, cores: usize) -> CoreAssignment {
+        CoreAssignment {
+            core_of: (0..active).map(|i| i % cores).collect(),
+            num_cores: cores,
+        }
+    }
+
+    /// Most requests multiplexed onto one core (>1 means the iteration
+    /// serializes).
+    fn max_per_core(a: &CoreAssignment) -> usize {
+        let mut counts = vec![0usize; a.num_cores];
+        for &c in &a.core_of {
+            counts[c] += 1;
+        }
+        counts.into_iter().max().unwrap_or(0)
+    }
+
     #[test]
     fn small_batches_underutilize_cores() {
         let s = TokenScheduler::new(256);
-        let a = s.assign_generation(16);
+        let a = s.assign_generation_least_loaded(&[1.0; 16]);
         assert!((a.core_utilization() - 16.0 / 256.0).abs() < 1e-9);
-        assert_eq!(a.max_per_core(), 1);
-        assert_eq!(s.generation_rounds(16), 1);
+        assert_eq!(max_per_core(&a), 1);
     }
 
     #[test]
     fn oversubscription_serializes() {
         let s = TokenScheduler::new(256);
-        let a = s.assign_generation(512);
+        let a = s.assign_generation_least_loaded(&[1.0; 512]);
         assert_eq!(a.core_utilization(), 1.0);
-        assert_eq!(a.max_per_core(), 2);
-        assert_eq!(s.generation_rounds(512), 2);
-    }
-
-    #[test]
-    fn prefill_fills_cores_quickly() {
-        let s = TokenScheduler::new(256);
-        assert!(s.prefill_utilization(64) < 1.0);
-        assert_eq!(s.prefill_utilization(1024), 1.0);
-    }
-
-    #[test]
-    fn quant_hidden_while_smaller_than_dma_window() {
-        let s = TokenScheduler::new(4);
-        assert_eq!(s.overlapped_exposure(10.0, 3.0), 0.0);
-        assert_eq!(s.overlapped_exposure(10.0, 12.0), 2.0);
-    }
-
-    #[test]
-    fn admission_waves_chunk_requests() {
-        let s = TokenScheduler::new(4);
-        let reqs: Vec<Request> = (0..10)
-            .map(|id| Request {
-                id,
-                input_len: 10,
-                output_len: 10,
-            })
-            .collect();
-        let waves = s.admission_waves(&reqs, 4);
-        assert_eq!(waves.len(), 3);
-        assert_eq!(waves[2].len(), 2);
-        assert!(s.admission_waves(&reqs, 0).is_empty());
+        assert_eq!(max_per_core(&a), 2);
     }
 
     #[test]
@@ -201,7 +132,7 @@ mod tests {
             }
             per_core.into_iter().fold(0.0f64, f64::max)
         };
-        let rr = s.assign_generation(loads.len());
+        let rr = round_robin(loads.len(), 2);
         let ll = s.assign_generation_least_loaded(&loads);
         assert!(ll.core_of.iter().all(|&c| c < 2));
         assert_ne!(ll.core_of[0], ll.core_of[2], "two heaviest must split");
@@ -222,7 +153,7 @@ mod tests {
     fn utilization_agrees_between_strategies_on_shrinking_sets() {
         let s = TokenScheduler::new(16);
         for active in (0..=48).rev() {
-            let rr = s.assign_generation(active);
+            let rr = round_robin(active, 16);
             let loads: Vec<f64> = (0..active).map(|i| 64.0 + i as f64).collect();
             let ll = s.assign_generation_least_loaded(&loads);
             let expected_util = (active.min(16)) as f64 / 16.0;
@@ -235,13 +166,13 @@ mod tests {
                 "ll at {active}"
             );
             assert_eq!(
-                rr.max_per_core(),
+                max_per_core(&rr),
                 active.div_ceil(16),
                 "rr rounds at {active}"
             );
             assert_eq!(
-                ll.max_per_core(),
-                rr.max_per_core(),
+                max_per_core(&ll),
+                max_per_core(&rr),
                 "ll rounds at {active}"
             );
         }

@@ -13,14 +13,15 @@ use std::sync::Arc;
 use support::*;
 
 /// Runs `requests` through one engine under `cfg` and holds every output
-/// against the reference decode at `cfg`'s kernel.
+/// against the reference decode at `cfg`'s kernel. Returns the engine
+/// iterations the run took.
 fn run_engine_and_compare(
     model: &Model,
     quantizer: Option<Arc<dyn KvQuantizer>>,
     requests: &[(Vec<u32>, usize)],
     num_pages: u32,
     cfg: EngineConfig,
-) {
+) -> u64 {
     let pool = PagedKvPool::for_model(model.config(), quantizer.clone(), num_pages, 512);
     let cfg = EngineConfig {
         record_logits: true,
@@ -48,6 +49,7 @@ fn run_engine_and_compare(
         );
         assert_bit_identical(&fin.logits, &ref_logits, &format!("request {}", fin.id));
     }
+    engine.stats().iterations
 }
 
 /// The acceptance bar: 8 concurrent sequences through one engine are
@@ -67,7 +69,25 @@ fn eight_concurrent_sequences_match_eight_sessions_bitwise() {
             admission: AdmissionPolicy::FullSequence,
             ..point
         },
-        |cfg| run_engine_and_compare(&model, Some(quantizer.clone()), &requests, 4096, cfg),
+        |cfg| {
+            run_engine_and_compare(&model, Some(quantizer.clone()), &requests, 4096, cfg);
+        },
+    );
+
+    // Batch scaling: the same eight requests at a growing batch limit.
+    // Every stream still equals its `Session` (hence each other), and the
+    // engine needs strictly fewer iterations each time.
+    let iterations = [1usize, 2, 4, 8].map(|max_batch| {
+        let cfg = EngineConfig {
+            max_batch,
+            admission: AdmissionPolicy::FullSequence,
+            ..REFERENCE
+        };
+        run_engine_and_compare(&model, Some(quantizer.clone()), &requests, 4096, cfg)
+    });
+    assert!(
+        iterations.windows(2).all(|w| w[1] < w[0]),
+        "iterations must fall as max_batch grows: {iterations:?}"
     );
 }
 
@@ -83,7 +103,9 @@ fn exact_pool_matches_exact_cache_sessions() {
             admission: AdmissionPolicy::FullSequence,
             ..point
         },
-        |cfg| run_engine_and_compare(&model, None, &requests, 4096, cfg),
+        |cfg| {
+            run_engine_and_compare(&model, None, &requests, 4096, cfg);
+        },
     );
 }
 
@@ -108,7 +130,9 @@ fn preemption_preserves_bit_exactness() {
             num_ranks: 1,
             ..point
         },
-        |cfg| run_engine_and_compare(&model, Some(quantizer.clone()), &requests, 70, cfg),
+        |cfg| {
+            run_engine_and_compare(&model, Some(quantizer.clone()), &requests, 70, cfg);
+        },
     );
 }
 

@@ -5,6 +5,11 @@
 # source file here keeps its `#[cfg(test)] mod tests` last, which is what
 # makes the cut-off exact.
 #
+# After the per-crate rows come three group subtotals — the serving system
+# (the eight crates that may not depend on the other two groups; CI checks
+# it), evaluation (`eval`, `baselines`) and paper figures (`accel`,
+# `figures`) — then the total.
+#
 # usage: scripts/src_loc.sh [--files N] [repo-root]   (default: this checkout)
 #   --files N   print the N largest source files by the same count instead
 set -euo pipefail
@@ -36,13 +41,20 @@ if [ "$top" -gt 0 ]; then
     exit 0
 fi
 
-total=0
+total=0 system=0 evaluation=0 figures=0
 for crate in "$root"/crates/*/; do
     [ -d "$crate/src" ] || continue
     mapfile -t files < <(find "$crate/src" -name '*.rs' | sort)
     [ "${#files[@]}" -gt 0 ] || continue
     n=$(count "${files[@]}" | awk '{ s += $1 } END { print s + 0 }')
-    printf '%-18s %6d\n' "$(basename "$crate")" "$n"
+    name=$(basename "$crate")
+    printf '%-18s %6d\n' "$name" "$n"
+    case "$name" in
+        oaken-eval | oaken-baselines) evaluation=$((evaluation + n)) ;;
+        oaken-accel | oaken-figures) figures=$((figures + n)) ;;
+        *) system=$((system + n)) ;;
+    esac
     total=$((total + n))
 done
-printf '%-18s %6d\n' total "$total"
+printf '%-18s %6d\n' 'serving system' "$system" evaluation "$evaluation" \
+    'paper figures' "$figures" total "$total"

@@ -2,21 +2,24 @@
 //!
 //! A full reproduction of *"Oaken: Fast and Efficient LLM Serving with
 //! Online-Offline Hybrid KV Cache Quantization"* (ISCA 2025) as a Rust
-//! workspace. This facade crate re-exports every subsystem:
+//! workspace. This facade crate re-exports every library subsystem — the
+//! eight serving-system crates, which depend on none of the others, then
+//! the evaluation crates and the paper's analytic accelerator model (the
+//! figure/table binaries are the `oaken-figures` crate):
 //!
 //! | Module | Crate | Role |
 //! |---|---|---|
 //! | [`core`] | `oaken-core` | the paper's contribution: hybrid quantization |
-//! | [`baselines`] | `oaken-baselines` | KVQuant/KIVI/Atom/QServe/Tender reimplementations |
 //! | [`tensor`] | `oaken-tensor` | minimal f32 tensor substrate |
-//! | [`model`] | `oaken-model` | from-scratch transformer inference engine |
-//! | [`eval`] | `oaken-eval` | datasets, perplexity, zero-shot, distribution probes |
-//! | [`mmu`] | `oaken-mmu` | page-based dense/sparse memory management unit |
-//! | [`accel`] | `oaken-accel` | accelerator/GPU performance, area, power simulator |
 //! | [`runtime`] | `oaken-runtime` | deterministic fork-join worker pool (bit-exact parallelism) |
-//! | [`serving`] | `oaken-serving` | batch scheduling, traces, serving simulation, executed `BatchEngine` |
+//! | [`mmu`] | `oaken-mmu` | page-based dense/sparse memory management unit |
+//! | [`model`] | `oaken-model` | from-scratch transformer inference engine |
+//! | [`serving`] | `oaken-serving` | the executed `BatchEngine`, token scheduling, trace-shaped request synthesis |
 //! | [`service`] | `oaken-service` | streaming service frontend: batcher, sessions, open-loop workloads, tail latency |
 //! | [`cluster`] | `oaken-cluster` | disaggregated prefill/decode replicas, prefix-affinity router, KV transfer link |
+//! | [`eval`] | `oaken-eval` | evaluation: datasets, perplexity, zero-shot, distribution probes |
+//! | [`baselines`] | `oaken-baselines` | evaluation: KVQuant/KIVI/Atom/QServe/Tender reimplementations, Oaken's ablation variants |
+//! | [`accel`] | `oaken-accel` | paper figures: accelerator/GPU performance, area, power simulator |
 //!
 //! # Quickstart
 //!
