@@ -308,35 +308,60 @@ impl MmuSim {
     ///
     /// # Errors
     ///
-    /// [`SwapError::NoHostTier`], [`SwapError::NotFrozen`], or
-    /// [`SwapError::OutOfDevicePages`] when the device cannot hold the
-    /// frozen page count — checked up front, so a failed call is a no-op
-    /// and the request stays frozen.
+    /// As [`swap_in_requests`](Self::swap_in_requests), of which this is
+    /// the one-request case.
     pub fn swap_in_request(&mut self, request: u32) -> Result<SwapReceipt, SwapError> {
+        self.swap_in_requests(&[request])
+    }
+
+    /// Thaws `requests` as one unit, in the order given — all of them or,
+    /// on any error, none (a sequence's tail and its pending prompt blocks
+    /// are separate requests that must never be half-resident).
+    ///
+    /// # Errors
+    ///
+    /// [`SwapError::NoHostTier`], [`SwapError::NotFrozen`],
+    /// [`SwapError::ChecksumMismatch`] when a frozen entry's size tables
+    /// no longer fold to the checksum they were sealed with (a corrupted
+    /// page layout is never rebuilt; retrying cannot help), or
+    /// [`SwapError::OutOfDevicePages`] when the device cannot hold the
+    /// frozen page count — all checked before any state changes, so a
+    /// failed call is a no-op and every request stays frozen.
+    pub fn swap_in_requests(&mut self, requests: &[u32]) -> Result<SwapReceipt, SwapError> {
         let host = self.host.as_ref().ok_or(SwapError::NoHostTier)?;
-        let frozen_pages = host
-            .residency(request)
-            .map(|_| host.frozen_pages(request))
-            .ok_or(SwapError::NotFrozen { request })?;
+        let mut frozen_pages = 0u32;
+        for &request in requests {
+            let entry = host
+                .frozen
+                .get(&request)
+                .ok_or(SwapError::NotFrozen { request })?;
+            entry.payload.verify()?;
+            frozen_pages += entry.pages;
+        }
         if frozen_pages > self.allocator.free_pages() {
             return Err(SwapError::OutOfDevicePages {
                 needed: frozen_pages,
                 free: self.allocator.free_pages(),
             });
         }
-        let entry = self
+        let mut receipt = SwapReceipt::default();
+        for &request in requests {
+            receipt.merge(self.thaw(request));
+        }
+        debug_assert!(
+            receipt.pages <= frozen_pages,
+            "replay packed into more pages than it froze from"
+        );
+        Ok(receipt)
+    }
+
+    /// Replays one verified frozen entry onto fresh device pages.
+    fn thaw(&mut self, request: u32) -> SwapReceipt {
+        let FrozenRequest { payload, .. } = self
             .host
             .as_mut()
-            .expect("checked above")
-            .thaw(request, true)
-            .expect("residency checked above");
-        let FrozenRequest { payload, .. } = entry;
-        debug_assert_eq!(
-            payload.derived_checksum(),
-            payload.checksum,
-            "frozen size tables of request {request} fail their checksum; \
-             refusing to rebuild a corrupted page layout"
-        );
+            .and_then(|host| host.thaw(request, true))
+            .expect("the caller verified the entry");
         let mut allocated = 0u32;
         for s in payload.streams {
             let key = StreamKey {
@@ -353,15 +378,11 @@ impl MmuSim {
                 allocated += u32::from(receipt.new_page);
             }
         }
-        debug_assert!(
-            allocated <= frozen_pages,
-            "replay packed into more pages than it froze from"
-        );
-        Ok(SwapReceipt {
+        SwapReceipt {
             pages: allocated,
             bytes: payload.bytes,
             checksum: payload.checksum,
-        })
+        }
     }
 
     /// Drops a frozen request without thawing it (a suspended sequence
@@ -1139,6 +1160,55 @@ mod tests {
         assert!(out.is_err(), "no host tier on src yet");
         let out = src.swap_out_request(5).unwrap();
         assert_eq!(out.checksum, size_checksum([100u32, 60, 60, 7, 0, 29]));
+    }
+
+    #[test]
+    fn corrupted_frozen_entry_fails_typed_on_thaw_and_stays_frozen() {
+        let mut mmu = MmuSim::new(8, 128);
+        mmu.attach_host_tier(8);
+        for size in [100u32, 60, 60] {
+            mmu.write_token(key(3, 0, StreamClass::Dense), size)
+                .unwrap();
+        }
+        mmu.write_token(key(4, 0, StreamClass::Dense), 50).unwrap();
+        let out = mmu.swap_out_request(3).unwrap();
+        mmu.swap_out_request(4).unwrap();
+        let observed = |mmu: &MmuSim| {
+            let host = mmu.host_tier().unwrap();
+            (
+                mmu.allocator().free_pages(),
+                host.used_pages(),
+                host.stats(),
+                mmu.residency(3),
+                mmu.residency(4),
+                mmu.request_stream_sizes(3).len() + mmu.request_stream_sizes(4).len(),
+            )
+        };
+        let frozen = observed(&mmu);
+
+        // One flipped bit in a frozen size table, after sealing.
+        let flip = |mmu: &mut MmuSim| {
+            let host = mmu.host.as_mut().unwrap();
+            host.frozen.get_mut(&3).unwrap().payload.streams[0].sizes[1] ^= 4;
+        };
+        flip(&mut mmu);
+        // Alone, or behind an intact request of the same unit: typed, and
+        // nothing moved — both still frozen, no device page taken, no
+        // stream rebuilt, no transfer counted.
+        for unit in [&[3u32][..], &[4, 3]] {
+            assert!(matches!(
+                mmu.swap_in_requests(unit),
+                Err(SwapError::ChecksumMismatch { .. })
+            ));
+            assert_eq!(observed(&mmu), frozen);
+        }
+
+        // Repaired, the same entries thaw to what was frozen.
+        flip(&mut mmu);
+        let back = mmu.swap_in_requests(&[4, 3]).unwrap();
+        assert_eq!(back.bytes, out.bytes + 50);
+        assert_eq!(mmu.residency(3), Some(Residency::Device));
+        assert_eq!(mmu.request_bytes(3), out.bytes);
     }
 
     #[test]

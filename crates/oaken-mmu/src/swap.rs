@@ -89,8 +89,9 @@ pub enum SwapError {
         /// The offending request.
         request: u32,
     },
-    /// A transfer payload's size tables disagree with the checksum it
-    /// carries: bit-flipped, truncated or reordered on the way here.
+    /// A transfer payload's — or a frozen entry's — size tables disagree
+    /// with the checksum they carry: bit-flipped, truncated or reordered
+    /// on the wire, or tampered with while on host.
     ChecksumMismatch {
         /// The checksum the payload carries.
         carried: u64,
@@ -276,6 +277,24 @@ impl TransferPayload {
         size_checksum(self.streams.iter().flat_map(|s| s.sizes.iter().copied()))
     }
 
+    /// Checks the size tables against the carried checksum — on a payload
+    /// from the wire, and again on a frozen entry before a thaw rebuilds
+    /// page tables from it.
+    ///
+    /// # Errors
+    ///
+    /// [`SwapError::ChecksumMismatch`].
+    pub(crate) fn verify(&self) -> Result<(), SwapError> {
+        let derived = self.derived_checksum();
+        if derived != self.checksum {
+            return Err(SwapError::ChecksumMismatch {
+                carried: self.checksum,
+                derived,
+            });
+        }
+        Ok(())
+    }
+
     /// Bytes this transfer occupies on the modeled wire: the KV payload
     /// plus the self-describing header (4 bytes per size-table entry and
     /// an 8-byte descriptor per stream).
@@ -312,13 +331,7 @@ impl TransferPayload {
     /// to the carried checksum, [`SwapError::TokenExceedsPage`] when a
     /// carried size could never be written into a `page_size`-byte page.
     pub fn pages_needed(&self, page_size: usize) -> Result<u32, SwapError> {
-        let derived = self.derived_checksum();
-        if derived != self.checksum {
-            return Err(SwapError::ChecksumMismatch {
-                carried: self.checksum,
-                derived,
-            });
-        }
+        self.verify()?;
         let mut pages = 0u32;
         for s in &self.streams {
             let mut tail = PageTail::default();

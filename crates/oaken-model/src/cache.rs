@@ -203,9 +203,11 @@ pub trait BatchKvCache {
     /// encoded tensors of a slot on the fused read path, its dequantized
     /// views otherwise — all borrowed together, so one pass over the
     /// iteration's runs attends in place with no copy. `queries` is how
-    /// many consecutive query tokens the caller serves from the borrow
-    /// (the run whose rows it just appended); backends use it for read
-    /// accounting only.
+    /// many query tokens the caller serves from the borrow — the steps of
+    /// the run that attend, whose rows are the newest `queries` the slot
+    /// holds (a run's dead steps are appended but not counted; a run with
+    /// none attending is not listed); backends use it for read accounting
+    /// only.
     fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<Vec<KvRead<'_>>>;
 
     /// Whether an append only *extends* the dequantized views — rows

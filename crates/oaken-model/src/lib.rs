@@ -39,7 +39,11 @@
 //! (`(rank, row sub-chunk)` tasks for the weight sweeps, sequences for
 //! quantize+append via [`pool::PagedKvPool::append_batch`], `(rank, run,
 //! query tile, KV-head range)` tasks for attention) — bit-exact with the
-//! serial one-rank pass for every rank and thread count.
+//! serial one-rank pass for every rank and thread count. The pass takes
+//! its steps with their liveness ([`StepBatch`]: whose logits are read)
+//! and computes only what is read: every layer is a KV stage over all
+//! steps and a tail stage over the steps still read, so an unsampled
+//! prompt step ends at its last-layer K/V append.
 //!
 //! [`KvQuantizer`]: oaken_core::KvQuantizer
 //!
@@ -78,7 +82,7 @@ pub use cache::{
 };
 pub use config::{ModelConfig, MoeConfig, Positional};
 pub use ffn::{DenseFfn, FfnWeights};
-pub use model::{BatchKvObserver, BatchStep, KvObserver, LayerWeights, Model, Session};
+pub use model::{BatchKvObserver, BatchStep, KvObserver, LayerWeights, Model, Session, StepBatch};
 pub use oaken_mmu::{FaultKind, FaultOp, FaultPlan, FaultStats, Residency, SwapReceipt, SwapStats};
 pub use pool::{
     KvReadStats, KvTransfer, PageAccounting, PagedKvPool, PoolBatchView, PoolError, PrefixAlloc,

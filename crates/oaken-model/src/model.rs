@@ -208,13 +208,19 @@ impl Model {
         }
     }
 
-    /// The model's norm of every activation row (replicated on every rank).
-    fn norms(&self, xs: &[Vec<f32>], w: &[f32], b: Option<&Vec<f32>>) -> Vec<Vec<f32>> {
+    /// The model's norm of each given activation row (replicated on every
+    /// rank).
+    fn norms<'x>(
+        &self,
+        xs: impl Iterator<Item = &'x Vec<f32>>,
+        w: &[f32],
+        b: Option<&Vec<f32>>,
+    ) -> Vec<Vec<f32>> {
         let norm = |x: &Vec<f32>| match self.config.norm {
             NormKind::Rms => rmsnorm(x, w, 1e-5),
             NormKind::Layer => layernorm(x, w, b.map(|v| v.as_slice()).unwrap_or(&[]), 1e-5),
         };
-        xs.iter().map(norm).collect()
+        xs.map(norm).collect()
     }
 
     /// Advances a *batch* of sequence steps and returns the next-token
@@ -248,8 +254,9 @@ impl Model {
     /// `observer` (if any) sees every freshly generated K/V vector as
     /// `(step_index, layer, kind, vector)`.
     ///
-    /// Runs serially on one shard: the thin entry point of
-    /// [`Model::forward_batch_sharded`] that Sessions and baselines use.
+    /// Runs serially on one shard with every step live: the thin entry
+    /// point of [`Model::forward_batch_sharded`] that Sessions and
+    /// baselines use.
     ///
     /// # Panics
     ///
@@ -291,6 +298,30 @@ impl Model {
     /// the unsharded engine, and the logits are bit-identical for every
     /// rank and thread count.
     ///
+    /// `batch` is the steps plus which of them are **live** — have their
+    /// logits read ([`StepBatch`]; a plain step slice means all of them).
+    /// Returned are the live steps' logits, in step order. A pass computes
+    /// only what a live step's logits or a later iteration can read, so
+    /// every decoder layer is two stages over the rows that need them:
+    ///
+    /// * the **KV stage**, over *all* steps — attention norm → `Wk`/`Wv` →
+    ///   RoPE on K → [`BatchKvCache::append_batch`]: the cache rows are
+    ///   the pass's lasting product and every step leaves its own;
+    /// * the **tail stage**, over the steps whose output is still read —
+    ///   `Wq` → RoPE on Q → attention, each query under its own causal
+    ///   limit → `Wo` → FFN. Below the last layer that is every step (the
+    ///   next layer's K/V rows are made from its output); on the **last
+    ///   layer** it is the live steps alone, and the final norm + LM head
+    ///   run over the same rows.
+    ///
+    /// A dead step therefore ends at its last-layer K/V append. The saving
+    /// is the last layer's tail — `1 / num_layers` of the per-layer tail
+    /// work — plus the LM head, per dead step (an unsampled prompt step of
+    /// a serving chunk). No bit depends on who is live: a weight sweep's
+    /// element is bit-identical at every input width and a query's
+    /// attention output is a function of the query and the rows under its
+    /// limit alone (`tests/liveness_props.rs`).
+    ///
     /// Work is partitioned by ownership, every accumulation chain lives
     /// inside one task, and `comm` merges what ranks own disjointly:
     ///
@@ -311,28 +342,31 @@ impl Model {
     ///
     /// Per decoder layer that is four all-reduces (attention gather,
     /// `Wo`, FFN hidden, FFN down; MoE layers pay the router merge plus
-    /// two per routed expert instead), plus one for the logits. At one
-    /// rank every "gather" is the owner's buffer itself and `comm`
-    /// accounts zero.
+    /// two per routed expert instead), plus one for the logits, each
+    /// carrying the stage's rows: a tail stage (or LM head) over zero
+    /// rows launches no collective and accounts none. At one rank every
+    /// "gather" is the owner's buffer itself and `comm` accounts zero.
     ///
     /// When the cache's views are *not* append-only (the KIVI/KVQuant
     /// recompute fallback re-derives scales over the whole prefix on
     /// read) or an observer is attached, each step appends and attends
-    /// before the next one appends — the same code, one step at a time.
+    /// before the next one appends — the same two stages, one step at a
+    /// time.
     ///
     /// # Panics
     ///
     /// Same contract as [`Model::forward_batch`]; also panics if `plan`,
     /// `comm` and `cache` disagree on the shard count.
-    pub fn forward_batch_sharded(
+    pub fn forward_batch_sharded<'s>(
         &self,
         rt: &Runtime,
         plan: &RankPlan,
         comm: &mut Comm,
         cache: &mut dyn BatchKvCache,
-        steps: &[BatchStep],
-        mut observer: Option<&mut BatchKvObserver<'_>>,
+        batch: impl Into<StepBatch<'s>>,
+        observer: Option<&mut BatchKvObserver<'_>>,
     ) -> Vec<Vec<f32>> {
+        let StepBatch { steps, live } = batch.into();
         let cfg = &self.config;
         let n = plan.ranks();
         assert_eq!(n, comm.num_ranks(), "plan and comm agree on rank count");
@@ -365,15 +399,14 @@ impl Model {
         }
         // Append-then-attend batching is only bit-exact when appends never
         // rewrite materialized view rows; the observer callback is `FnMut`
-        // and must see each step's rows before they are cached.
+        // and must see each step's rows before they are cached. Either way
+        // the stages run over spans of steps: the whole batch, or one step.
         let interleave = observer.is_some() || !cache.append_only_views();
-        let hd = cfg.head_dim();
-        let q_rows: Vec<Range<usize>> = (0..n).map(|r| plan.q_channels(r)).collect();
-        let kv_rows: Vec<Range<usize>> = (0..n).map(|r| plan.kv_channels(r)).collect();
-        let shapes: Vec<AttentionShape> = (0..n)
-            .map(|r| plan.attention_shape(r, cfg.sliding_window))
+        let width = if interleave { 1 } else { steps.len().max(1) };
+        let spans: Vec<Range<usize>> = (0..steps.len())
+            .step_by(width)
+            .map(|i| i..(i + width).min(steps.len()))
             .collect();
-        let slots: Vec<usize> = steps.iter().map(|s| s.slot).collect();
 
         // Embedding and norms are replicated on every rank.
         let mut xs: Vec<Vec<f32>> = steps
@@ -389,103 +422,229 @@ impl Model {
             })
             .collect();
 
-        // One `(sin, cos)` row per step position serves every head of
-        // every layer; none without rope.
-        let rope: Vec<Vec<(f32, f32)>> = match cfg.positional {
-            Positional::Rope => steps
-                .iter()
-                .map(|s| rope_row(hd, s.pos, DEFAULT_THETA))
+        let mut pass = Pass {
+            model: self,
+            rt,
+            comm,
+            cache,
+            observer,
+            q_rows: (0..n).map(|r| plan.q_channels(r)).collect(),
+            kv_rows: (0..n).map(|r| plan.kv_channels(r)).collect(),
+            shapes: (0..n)
+                .map(|r| plan.attention_shape(r, cfg.sliding_window))
                 .collect(),
-            Positional::Learned => Vec::new(),
+            slots: steps.iter().map(|s| s.slot).collect(),
+            // One `(sin, cos)` row per step position serves every head of
+            // every layer; none without rope.
+            rope: match cfg.positional {
+                Positional::Rope => steps
+                    .iter()
+                    .map(|s| rope_row(cfg.head_dim(), s.pos, DEFAULT_THETA))
+                    .collect(),
+                Positional::Learned => Vec::new(),
+            },
         };
 
-        for (l, lw) in self.layers.iter().enumerate() {
-            // Attention block: one weight sweep per projection serves the
-            // whole batch. Q/K/V rows follow head ownership and stay
-            // rank-local — only the attention outputs are gathered.
-            let hs = self.norms(&xs, &lw.attn_norm_w, lw.attn_norm_b.as_ref());
-            let href = as_refs(&hs);
-            let shards =
-                |w: &Tensor, rows, what| w.matvec_batch_shards(rt, &href, rows).expect(what);
-            let mut qs = shards(&lw.wq, &q_rows, "Wq shape");
-            // Every shard appends the full-width K/V row: whole-row
-            // min/max scales need global agreement, which a real rank
-            // group pays as a tiny per-row scale sync; the channel
-            // payloads themselves stay rank-local in the shards.
-            let mut ks = concat_shards(shards(&lw.wk, &kv_rows, "Wk shape"));
-            let vs = concat_shards(shards(&lw.wv, &kv_rows, "Wv shape"));
-            if cache.syncs_row_scales() {
-                // One (min, max) pair per appended K and V row.
-                comm.account_sync(2 * steps.len() as u64, 2);
-            }
-            // Rope is head-local: rotating each rank's query heads and the
-            // assembled K row head by head is the full-width rotation.
-            for (i, row) in rope.iter().enumerate() {
-                let q_heads = qs.iter_mut().flat_map(|part| part[i].chunks_mut(hd));
-                for head in q_heads.chain(ks[i].chunks_mut(hd)) {
-                    rotate_by(head, row);
-                }
-            }
-            let atts = if interleave {
-                let mut atts: RowShards = vec![Vec::with_capacity(steps.len()); n];
-                for (i, step) in steps.iter().enumerate() {
-                    if let Some(obs) = observer.as_deref_mut() {
-                        obs(i, l, KvKind::Key, &ks[i]);
-                        obs(i, l, KvKind::Value, &vs[i]);
-                    }
-                    cache.append(step.slot, l, &ks[i], &vs[i]);
-                    let one = attend_appended(rt, cache, l, &slots, &qs, i..i + 1, &shapes);
-                    for (att, o) in atts.iter_mut().zip(one) {
-                        att.extend(o);
-                    }
-                }
-                atts
+        let all: Vec<usize> = (0..steps.len()).collect();
+        let live = live.unwrap_or(&all);
+        for l in 0..self.layers.len() {
+            // Every step's output feeds the next layer's K/V rows; past
+            // the last layer only the logits read it.
+            let read = if l + 1 == self.layers.len() {
+                live
             } else {
-                let items: Vec<BatchAppend<'_>> = steps
-                    .iter()
-                    .zip(ks.iter().zip(&vs))
-                    .map(|(step, (k, v))| BatchAppend {
-                        slot: step.slot,
-                        k,
-                        v,
-                    })
-                    .collect();
-                cache.append_batch(rt, l, &items);
-                attend_appended(rt, cache, l, &slots, &qs, 0..steps.len(), &shapes)
+                &all
             };
-            let atts = gather(comm, atts, &q_rows);
-            add_rows(&mut xs, sharded_matvec(rt, comm, &lw.wo, &as_refs(&atts)));
-
-            // FFN block.
-            let hs = self.norms(&xs, &lw.ffn_norm_w, lw.ffn_norm_b.as_ref());
-            let ffn = &lw.ffn;
-            add_rows(
-                &mut xs,
-                ffn.forward_sharded(rt, comm, &as_refs(&hs), cfg.activation),
-            );
+            for span in &spans {
+                let hs = pass.kv_stage(l, &xs, span.clone());
+                let within = |i: usize| read.partition_point(|&r| r < i);
+                let rows = &read[within(span.start)..within(span.end)];
+                pass.tail_stage(l, &mut xs, &hs, span.clone(), rows);
+            }
         }
 
-        let hs = self.norms(&xs, &self.final_norm_w, self.final_norm_b.as_ref());
-        sharded_matvec(rt, comm, &self.lm_head, &as_refs(&hs))
+        if live.is_empty() {
+            return Vec::new();
+        }
+        let hs = self.norms(
+            live.iter().map(|&i| &xs[i]),
+            &self.final_norm_w,
+            self.final_norm_b.as_ref(),
+        );
+        sharded_matvec(rt, pass.comm, &self.lm_head, &as_refs(&hs))
     }
 }
 
-/// The residual connection: `xs[i] += ys[i]`, elementwise.
-fn add_rows(xs: &mut [Vec<f32>], ys: Vec<Vec<f32>>) {
-    for (x, y) in xs.iter_mut().zip(ys) {
-        for (xi, yi) in x.iter_mut().zip(y) {
+/// What one forward pass holds across its layers and stages: the model,
+/// where it runs, the cache it fills and reads, and the per-rank and
+/// per-step tables every stage indexes.
+struct Pass<'a, 'o> {
+    model: &'a Model,
+    rt: &'a Runtime,
+    comm: &'a mut Comm,
+    cache: &'a mut dyn BatchKvCache,
+    observer: Option<&'a mut BatchKvObserver<'o>>,
+    /// Per rank: the query and K/V channels it owns, and its head counts.
+    q_rows: Vec<Range<usize>>,
+    kv_rows: Vec<Range<usize>>,
+    shapes: Vec<AttentionShape>,
+    /// Per step: its batch slot.
+    slots: Vec<usize>,
+    /// Per step: the `(sin, cos)` row of its position; empty without rope.
+    rope: Vec<Vec<(f32, f32)>>,
+}
+
+impl Pass<'_, '_> {
+    /// Rotates a full-width or rank-local row of `step` head by head —
+    /// rope is head-local, so that is the full-width rotation either way.
+    fn rotate(&self, step: usize, row: &mut [f32]) {
+        if let Some(angles) = self.rope.get(step) {
+            for head in row.chunks_mut(self.model.config.head_dim()) {
+                rotate_by(head, angles);
+            }
+        }
+    }
+
+    /// The **KV stage** of layer `l` over the steps `span`: attention norm
+    /// → `Wk`/`Wv` → RoPE on K → append. Returns the normed rows, which
+    /// the tail stage projects its queries from.
+    fn kv_stage(&mut self, l: usize, xs: &[Vec<f32>], span: Range<usize>) -> Vec<Vec<f32>> {
+        let lw = &self.model.layers[l];
+        let hs = self.model.norms(
+            xs[span.clone()].iter(),
+            &lw.attn_norm_w,
+            lw.attn_norm_b.as_ref(),
+        );
+        // One weight sweep per projection serves the whole span. K/V rows
+        // follow head ownership, and every shard appends the full-width
+        // row: whole-row min/max scales need global agreement, which a
+        // real rank group pays as a tiny per-row scale sync; the channel
+        // payloads themselves stay rank-local in the shards.
+        let href = as_refs(&hs);
+        let project = |w: &Tensor, what| {
+            concat_shards(
+                w.matvec_batch_shards(self.rt, &href, &self.kv_rows)
+                    .expect(what),
+            )
+        };
+        let mut ks = project(&lw.wk, "Wk shape");
+        let vs = project(&lw.wv, "Wv shape");
+        if self.cache.syncs_row_scales() {
+            // One (min, max) pair per appended K and V row.
+            self.comm.account_sync(2 * span.len() as u64, 2);
+        }
+        for (i, k) in span.clone().zip(&mut ks) {
+            self.rotate(i, k);
+        }
+        if let Some(obs) = self.observer.as_deref_mut() {
+            for (i, (k, v)) in span.clone().zip(ks.iter().zip(&vs)) {
+                obs(i, l, KvKind::Key, k);
+                obs(i, l, KvKind::Value, v);
+            }
+        }
+        let items: Vec<BatchAppend<'_>> = self.slots[span]
+            .iter()
+            .zip(ks.iter().zip(&vs))
+            .map(|(&slot, (k, v))| BatchAppend { slot, k, v })
+            .collect();
+        self.cache.append_batch(self.rt, l, &items);
+        hs
+    }
+
+    /// The **tail stage** of layer `l` over `rows` — the steps of `span`
+    /// whose output is still read, `hs` being the span's normed rows from
+    /// the KV stage, which has appended the whole span: `Wq` → RoPE on Q
+    /// → attention → `Wo` → FFN, added into `xs[rows]`. Zero rows cost
+    /// nothing: no sweep, no read of the cache, no collective.
+    fn tail_stage(
+        &mut self,
+        l: usize,
+        xs: &mut [Vec<f32>],
+        hs: &[Vec<f32>],
+        span: Range<usize>,
+        rows: &[usize],
+    ) {
+        if rows.is_empty() {
+            return;
+        }
+        let lw = &self.model.layers[l];
+        // Query rows follow head ownership and stay rank-local — only the
+        // attention outputs are gathered.
+        let href: Vec<&[f32]> = rows.iter().map(|&i| &hs[i - span.start][..]).collect();
+        let mut qs = lw
+            .wq
+            .matvec_batch_shards(self.rt, &href, &self.q_rows)
+            .expect("Wq shape");
+        for part in &mut qs {
+            for (&i, q) in rows.iter().zip(part) {
+                self.rotate(i, q);
+            }
+        }
+        let atts = self.attend_appended(l, span, rows, &qs);
+        let atts = gather(self.comm, atts, &self.q_rows);
+        let outs = sharded_matvec(self.rt, self.comm, &lw.wo, &as_refs(&atts));
+        add_rows(xs, rows, outs);
+
+        // FFN block.
+        let hs = self.model.norms(
+            rows.iter().map(|&i| &xs[i]),
+            &lw.ffn_norm_w,
+            lw.ffn_norm_b.as_ref(),
+        );
+        let act = self.model.config.activation;
+        let outs = lw
+            .ffn
+            .forward_sharded(self.rt, self.comm, &as_refs(&hs), act);
+        add_rows(xs, rows, outs);
+    }
+
+    /// Attention of the steps `rows` of `span` (rank `r`'s query of step
+    /// `rows[k]` being `qs[r][k]`) against layer `l` of the cache, which
+    /// already holds the K/V rows of the whole span: per rank and `k`, the
+    /// step's context vector.
+    fn attend_appended(
+        &mut self,
+        l: usize,
+        span: Range<usize>,
+        rows: &[usize],
+        qs: &RowShards,
+    ) -> RowShards {
+        let cache = &mut *self.cache;
+        let runs = StepRuns::new(&self.slots, span, rows, |slot| cache.seq_len(slot, l));
+        let reads = cache.read_runs(l, &runs.spec());
+        assert_eq!(
+            reads.len(),
+            self.shapes.len(),
+            "one read set per rank shard"
+        );
+        let shards: Vec<AttendShard<'_>> = reads
+            .into_iter()
+            .zip(self.shapes.iter().zip(qs))
+            .map(|(reads, (&shape, qs))| AttendShard { shape, qs, reads })
+            .collect();
+        attend_runs(self.rt, &runs, &shards)
+    }
+}
+
+/// The residual connection: `xs[rows[k]] += ys[k]`, elementwise.
+fn add_rows(xs: &mut [Vec<f32>], rows: &[usize], ys: Vec<Vec<f32>>) {
+    for (&i, y) in rows.iter().zip(ys) {
+        for (xi, yi) in xs[i].iter_mut().zip(y) {
             *xi += yi;
         }
     }
 }
 
-/// The steps of one forward pass grouped into per-slot **runs**: a slot's
-/// steps (consecutive positions — a prompt chunk, or a lone decode step)
-/// are served together, their K/V rows being the newest the slot holds.
+/// The attending steps of one stage grouped into per-slot **runs**: a
+/// slot's steps (consecutive positions — a prompt chunk, or a lone decode
+/// step) are served together, their K/V rows being the newest the slot
+/// holds.
 struct StepRuns {
-    /// Step indices, stably grouped by slot.
+    /// The attending steps — as indices `k` into the stage's `rows` —
+    /// stably grouped by slot.
     order: Vec<usize>,
-    /// Per run: the slot and its span of `order` / `limits`.
+    /// Per run with an attending step: the slot and its span of `order` /
+    /// `limits`.
     runs: Vec<(usize, Range<usize>)>,
     /// Rows visible to step `order[k]`: everything its slot held once the
     /// step's own row was appended.
@@ -493,27 +652,44 @@ struct StepRuns {
 }
 
 impl StepRuns {
-    /// Groups `slots` (one entry per step, in step order), **after** the
-    /// iteration's rows were appended: `len_of(slot)` is the slot's length
-    /// now, so the `k`-th of a run's `n` steps sees all but the last
-    /// `n - 1 - k` rows. (A slot poisoned by a failed append holds fewer
-    /// rows than steps; its limits saturate at zero and its outputs are
-    /// discarded by the caller.)
-    fn new(slots: &[usize], len_of: impl Fn(usize) -> usize) -> Self {
-        let mut order: Vec<usize> = (0..slots.len()).collect();
-        order.sort_by_key(|&i| slots[i]);
+    /// Groups the steps `rows ⊆ span` (ascending) by their slot in `slots`
+    /// (one entry per step of the pass), **after** the whole span's rows
+    /// were appended: `len_of(slot)` is the slot's length now, so the
+    /// `j`-th of a slot's `n` steps in `span` sees all but the last
+    /// `n - 1 - j` rows, attending or not. (A slot poisoned by a failed
+    /// append holds fewer rows than steps; its limits saturate at zero and
+    /// its outputs are discarded by the caller.)
+    ///
+    /// A slot's attending steps must be its **newest** — a suffix of its
+    /// run, the shape [`BatchKvCache::read_runs`] accounts.
+    fn new(
+        slots: &[usize],
+        span: Range<usize>,
+        rows: &[usize],
+        len_of: impl Fn(usize) -> usize,
+    ) -> Self {
+        let mut by_slot: Vec<usize> = span.collect();
+        by_slot.sort_by_key(|&i| slots[i]);
+        let mut order = Vec::with_capacity(rows.len());
+        let mut limits = Vec::with_capacity(rows.len());
         let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
-        for (k, &i) in order.iter().enumerate() {
-            match runs.last_mut() {
-                Some((slot, span)) if *slot == slots[i] => span.end = k + 1,
-                _ => runs.push((slots[i], k..k + 1)),
+        for run in by_slot.chunk_by(|&a, &b| slots[a] == slots[b]) {
+            let (slot, from) = (slots[run[0]], order.len());
+            let len = len_of(slot);
+            for (j, i) in run.iter().enumerate() {
+                if let Ok(k) = rows.binary_search(i) {
+                    order.push(k);
+                    limits.push(len.saturating_sub(run.len() - 1 - j));
+                }
             }
-        }
-        let mut limits = vec![0usize; order.len()];
-        for (slot, span) in &runs {
-            let len = len_of(*slot);
-            for k in span.clone() {
-                limits[k] = len.saturating_sub(span.end - 1 - k);
+            let attending = order.len() - from;
+            if attending > 0 {
+                debug_assert_eq!(
+                    rows.binary_search(&run[run.len() - attending]),
+                    Ok(order[from]),
+                    "slot {slot}: the attending steps of a run must be its newest"
+                );
+                runs.push((slot, from..order.len()));
             }
         }
         Self {
@@ -535,21 +711,22 @@ impl StepRuns {
 struct AttendShard<'a> {
     /// The rank's own head counts.
     shape: AttentionShape,
-    /// Per step, the rank's query vector (`shape.q_dim()` wide).
+    /// Per attending step, the rank's query vector (`shape.q_dim()` wide).
     qs: &'a [Vec<f32>],
     /// Per run, what the rank's cache shard serves for the layer.
     reads: Vec<KvRead<'a>>,
 }
 
-/// Attention of every step against every shard: one task per `(shard,
-/// run, query tile, KV-head range)` on `rt`, each reading the cache in place
-/// through its run's [`KvRead`]. Returns, per shard and step, the
-/// `shape.q_dim()`-wide context vector.
+/// Attention of every attending step against every shard: one task per
+/// `(shard, run, query tile, KV-head range)` on `rt`, each reading the
+/// cache in place through its run's [`KvRead`]. Returns, per shard and
+/// attending step, the `shape.q_dim()`-wide context vector.
 ///
 /// Every (step, head) output is a function of that step's query and the
 /// rows below its limit alone (the exact kernels trivially, the fused
 /// kernel by its width-invariance contract), so neither the grouping into
-/// tiles nor the schedule is observable in the bits.
+/// tiles, nor the schedule, nor which other steps attend is observable in
+/// the bits.
 fn attend_runs(rt: &Runtime, runs: &StepRuns, shards: &[AttendShard<'_>]) -> RowShards {
     // Head ranges: one per thread that could take one, so the serial pass
     // decodes each row once for all of a shard's heads.
@@ -570,7 +747,7 @@ fn attend_runs(rt: &Runtime, runs: &StepRuns, shards: &[AttendShard<'_>]) -> Row
         let gw = shard.shape.group_size().max(1) * shard.shape.head_dim;
         let qs: Vec<&[f32]> = runs.order[tile.clone()]
             .iter()
-            .map(|&i| shard.qs[i].as_slice())
+            .map(|&k| shard.qs[k].as_slice())
             .collect();
         let mut out = vec![0.0f32; qs.len() * heads.len() * gw];
         with_thread_scratch(|scratch| {
@@ -594,38 +771,11 @@ fn attend_runs(rt: &Runtime, runs: &StepRuns, shards: &[AttendShard<'_>]) -> Row
         let shape = &shards[*s].shape;
         let gw = shape.group_size().max(1) * shape.head_dim;
         let steps = runs.order[tile.clone()].iter();
-        for (&i, g) in steps.zip(group.chunks(heads.len() * gw)) {
-            outs[*s][i][heads.start * gw..][..g.len()].copy_from_slice(g);
+        for (&k, g) in steps.zip(group.chunks(heads.len() * gw)) {
+            outs[*s][k][heads.start * gw..][..g.len()].copy_from_slice(g);
         }
     }
     outs
-}
-
-/// Attention of the steps `span` (of an iteration whose step `i` runs in
-/// `slots[i]` with rank `r`'s query `qs[r][i]`), whose K/V rows `cache`
-/// already holds: per rank, the steps' context vectors.
-fn attend_appended(
-    rt: &Runtime,
-    cache: &mut dyn BatchKvCache,
-    l: usize,
-    slots: &[usize],
-    qs: &RowShards,
-    span: Range<usize>,
-    shapes: &[AttentionShape],
-) -> RowShards {
-    let runs = StepRuns::new(&slots[span.clone()], |slot| cache.seq_len(slot, l));
-    let reads = cache.read_runs(l, &runs.spec());
-    assert_eq!(reads.len(), shapes.len(), "one read set per rank shard");
-    let shards: Vec<AttendShard<'_>> = reads
-        .into_iter()
-        .zip(shapes.iter().zip(qs))
-        .map(|(reads, (&shape, qs))| AttendShard {
-            shape,
-            qs: &qs[span.clone()],
-            reads,
-        })
-        .collect();
-    attend_runs(rt, &runs, &shards)
 }
 
 /// Observer for batched forward passes: sees every freshly generated K/V
@@ -642,6 +792,49 @@ pub struct BatchStep {
     pub pos: usize,
     /// Token to feed.
     pub token: u32,
+}
+
+/// The input of one forward pass ([`Model::forward_batch_sharded`]): the
+/// steps, and which of them are **live** — have their logits read. A dead
+/// step still leaves its K/V rows in every layer of the cache; it is not
+/// computed past the last of them. A plain step slice converts to the
+/// batch with every step live.
+#[derive(Debug, Clone, Copy)]
+pub struct StepBatch<'a> {
+    steps: &'a [BatchStep],
+    /// Ascending indices into `steps`; `None` is every step.
+    live: Option<&'a [usize]>,
+}
+
+impl<'a> StepBatch<'a> {
+    /// `steps`, of which those at the indices `live` (ascending) are live.
+    /// The live steps of a slot must be its newest — the last step of a
+    /// prompt chunk, a decode step — which debug builds check.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `live` is strictly ascending and within `steps`.
+    pub fn new(steps: &'a [BatchStep], live: &'a [usize]) -> Self {
+        assert!(
+            live.windows(2).all(|w| w[0] < w[1]) && live.last().is_none_or(|&i| i < steps.len()),
+            "live steps are ascending indices into the steps"
+        );
+        Self {
+            steps,
+            live: Some(live),
+        }
+    }
+}
+
+/// A plain step list — slice, `Vec` or array — is the batch with every
+/// step live.
+impl<'a, S: AsRef<[BatchStep]> + ?Sized> From<&'a S> for StepBatch<'a> {
+    fn from(steps: &'a S) -> Self {
+        Self {
+            steps: steps.as_ref(),
+            live: None,
+        }
+    }
 }
 
 /// Callback observing each freshly generated KV vector before caching:

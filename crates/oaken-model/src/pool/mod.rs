@@ -100,9 +100,12 @@ pub enum PoolError {
         /// Transient (retry-able) or persistent (degrade).
         kind: FaultKind,
     },
-    /// An imported [`KvTransfer`]'s size tables fail the checksum they
-    /// carry (bit-flipped, truncated or reordered on the way here).
-    /// Nothing was mutated, and retrying cannot help.
+    /// The size tables of an imported [`KvTransfer`] — or of a suspended
+    /// sequence's frozen entry, checked again when
+    /// [`resume_seq`](PagedKvPool::resume_seq) would thaw it — fail the
+    /// checksum they carry (bit-flipped, truncated or reordered on the
+    /// way here or while on host). Nothing was mutated, and retrying
+    /// cannot help.
     CorruptTransfer,
     /// An imported [`KvTransfer`] carries a token larger than this pool's
     /// page — its exporter wrote larger pages than this pool could.
@@ -134,7 +137,7 @@ impl fmt::Display for PoolError {
                 write!(f, "injected {kind} fault on {op}")
             }
             PoolError::CorruptTransfer => {
-                write!(f, "imported transfer fails its checksum")
+                write!(f, "transferred size tables fail their checksum")
             }
             PoolError::TransferExceedsPage { bytes, page_size } => {
                 write!(

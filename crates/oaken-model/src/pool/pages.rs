@@ -262,19 +262,29 @@ impl PageLedger {
         }
     }
 
-    /// Moves exclusively held owners between the tiers — out `to_host`,
-    /// or back onto fresh device pages. The caller pre-checks headroom.
-    pub(super) fn swap(&mut self, owners: impl Iterator<Item = u32>, to_host: bool) -> SwapReceipt {
+    /// Moves exclusively held owners out to the host tier. The caller
+    /// pre-checks headroom.
+    pub(super) fn freeze(&mut self, owners: impl Iterator<Item = u32>) -> SwapReceipt {
         let mut receipt = SwapReceipt::default();
         for owner in owners {
-            let moved = if to_host {
-                self.mmu.swap_out_request(owner)
-            } else {
-                self.mmu.swap_in_request(owner)
-            };
+            let moved = self.mmu.swap_out_request(owner);
             receipt.merge(moved.expect("headroom pre-checked; private pages are refcount-1"));
         }
         receipt
+    }
+
+    /// Moves frozen owners back onto fresh device pages, all or none. The
+    /// caller pre-checks headroom; what is left to fail is an entry whose
+    /// size tables no longer fold to their checksum.
+    pub(super) fn thaw(
+        &mut self,
+        owners: impl Iterator<Item = u32>,
+    ) -> Result<SwapReceipt, PoolError> {
+        let owners: Vec<u32> = owners.collect();
+        self.mmu.swap_in_requests(&owners).map_err(|e| match e {
+            SwapError::ChecksumMismatch { .. } => PoolError::CorruptTransfer,
+            e => panic!("headroom pre-checked; a suspended sequence's owners are frozen: {e}"),
+        })
     }
 
     /// Flattens the size tables of `owners` — given in token order — into

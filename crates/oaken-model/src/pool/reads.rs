@@ -12,9 +12,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// mode the bytes column counts **encoded payload bytes**, in exact mode
 /// it counts the dequantized f32 view bytes the kernels actually stream.
 ///
-/// Rows and bytes are *logical*: every query token is charged the K and V
-/// rows cached when it attends (before any sliding window), whether or
-/// not it shared a sweep with its neighbours. `fused_rows_swept` is the
+/// Rows and bytes are *logical*: every query token that attends is
+/// charged the K and V rows cached when it does (before any sliding
+/// window), whether or not it shared a sweep with its neighbours — a step
+/// the forward pass ends at its K/V append (a dead step's last layer)
+/// reads nothing and is charged nothing. `fused_rows_swept` is the
 /// physical side: rows the fused kernel actually walked and decoded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KvReadStats {
@@ -152,10 +154,11 @@ impl PagedKvPool {
     /// What attention reads for `(seq, layer)`: the encoded tensors in
     /// fused mode, else the dequantized views as of the last
     /// [`sync_views`](PagedKvPool::sync_views). `queries` is the run of
-    /// consecutive query tokens served from this borrow — the tokens whose
-    /// rows are the newest `queries` cached — and sizes the read
-    /// accounting (see [`KvReadStats`]). Takes `&self` so any number of
-    /// sequences can be read together.
+    /// consecutive query tokens that attend through this borrow — the
+    /// tokens whose rows are the newest `queries` cached, i.e. the live
+    /// suffix of the run just appended, not its appended length — and
+    /// sizes the read accounting (see [`KvReadStats`]). Takes `&self` so
+    /// any number of sequences can be read together.
     ///
     /// # Panics
     ///

@@ -130,7 +130,7 @@ impl PagedKvPool {
             return Err(PoolError::OutOfHostPages { needed, free });
         }
         let mut slots = self.seqs.remove(&seq.0).expect("checked above");
-        let receipt = self.pages.swap(slots.private_owners(seq.0), true);
+        let receipt = self.pages.freeze(slots.private_owners(seq.0));
         debug_assert_eq!(receipt.pages, slots.pages, "private page accounting");
         slots.pages = 0;
         let frozen_pages = receipt.pages;
@@ -156,9 +156,12 @@ impl PagedKvPool {
     /// [`PoolError::UnknownSequence`] when the handle is not suspended,
     /// [`PoolError::OutOfPages`] when the device lacks the frozen page
     /// count — the sequence then stays on host and the caller retries
-    /// after pages free — and [`PoolError::Fault`] when the installed
+    /// after pages free — [`PoolError::Fault`] when the installed
     /// fault schedule fails the transfer (the sequence also stays on
-    /// host; callers retry with backoff, then degrade to a restart).
+    /// host; callers retry with backoff, then degrade to a restart), and
+    /// [`PoolError::CorruptTransfer`] when a frozen entry's size tables
+    /// fail their checksum: nothing thaws, the sequence stays suspended,
+    /// and no retry can help — drop it or restart the request.
     pub fn resume_seq(&mut self, seq: SeqId) -> Result<SwapReceipt, PoolError> {
         let Some(entry) = self.suspended.get(&seq.0) else {
             return Err(PoolError::UnknownSequence { seq });
@@ -171,8 +174,8 @@ impl PagedKvPool {
         if needed > free {
             return Err(PoolError::OutOfPages { needed, free });
         }
+        let receipt = self.pages.thaw(entry.slots.private_owners(seq.0))?;
         let mut slots = self.suspended.remove(&seq.0).expect("checked above").slots;
-        let receipt = self.pages.swap(slots.private_owners(seq.0), false);
         slots.pages = receipt.pages;
         self.seqs.insert(seq.0, slots);
         Ok(receipt)

@@ -842,6 +842,56 @@ mod tests {
         assert!(comm.stats().bytes_moved > 0);
     }
 
+    /// All-reduce traffic follows the rows a stage carries: dead steps
+    /// pay their scale syncs and the layers below the last, and a stage
+    /// over zero rows launches no collective.
+    #[test]
+    fn comm_accounting_follows_live_rows() {
+        use crate::model::StepBatch;
+        let cfg = dense_cfg();
+        let q = oaken(cfg.kv_dim(), cfg.num_layers);
+        let model = Model::synthetic(cfg.clone(), 42);
+        let steps: Vec<BatchStep> = (0..3)
+            .map(|pos| BatchStep {
+                slot: 0,
+                pos,
+                token: 5 + pos as u32,
+            })
+            .collect();
+        let traffic = |live: &[usize]| {
+            let donor = PagedKvPool::for_model(&cfg, Some(q.clone()), 256, 4096);
+            let mut pools = RankedPools::split(&cfg, donor, 2);
+            let plan = pools.plan().clone();
+            let mut comm = Comm::new(2);
+            let seqs = vec![pools.alloc_seq_with_prefix(&[]).seq];
+            let mut view = PoolBatchView::new(&mut pools, &seqs);
+            let batch = StepBatch::new(&steps, live);
+            let logits = model.forward_batch_sharded(
+                &Runtime::serial(),
+                &plan,
+                &mut comm,
+                &mut view,
+                batch,
+                None,
+            );
+            assert_eq!(logits.len(), live.len());
+            comm.stats()
+        };
+        let (none, last, all) = (traffic(&[]), traffic(&[2]), traffic(&[0, 1, 2]));
+        let layers = cfg.num_layers as u64;
+        assert_eq!(none.allreduce_calls, (layers - 1) * 4);
+        assert_eq!(last.allreduce_calls, layers * 4 + 1);
+        assert_eq!(all.allreduce_calls, layers * 4 + 1);
+        // Every appended row syncs its scales, whoever is live.
+        assert_eq!(none.sync_calls, all.sync_calls);
+        // The last layer's and the LM head's reduces carry the live rows:
+        // three times the bytes for three times the rows.
+        assert_eq!(
+            all.bytes_moved - none.bytes_moved,
+            3 * (last.bytes_moved - none.bytes_moved)
+        );
+    }
+
     #[test]
     fn suspend_and_resume_stay_atomic_across_shards() {
         let cfg = dense_cfg();

@@ -6,12 +6,19 @@
 //! rows, the decoded row block, and the context vectors all live in
 //! caller-owned reused storage. This is the scratch-reuse guarantee the
 //! forward passes rely on for every `(task, layer)` of an iteration.
+//!
+//! The same harness proves that **dead steps cost the tail stage
+//! nothing**: a last-layer pass over a chunk makes as many allocations for
+//! its one live step whether 63 dead steps or none share the chunk — no
+//! zero-filled context rows, no empty per-step logits vectors.
 
 use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler};
 use oaken_model::{
     attend_one_fused_into, attend_one_into, attend_run_fused_into, AttentionScratch,
-    AttentionShape, EncodedKv,
+    AttentionShape, BatchStep, EncodedKv, Model, ModelConfig, PagedKvPool, PoolBatchView, RankPlan,
+    RankedPools, StepBatch,
 };
+use oaken_runtime::{Comm, Runtime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -164,5 +171,53 @@ fn steady_state(shape: AttentionShape) {
     assert_eq!(
         delta, 0,
         "steady-state attention kernels must not allocate ({delta} allocations in the window)"
+    );
+}
+
+/// Allocations of one forward pass of a `steps`-token chunk, of which the
+/// last step is live or none is, over a fresh exact pool of a one-layer
+/// model — the first layer is the last, so dead steps end at its append.
+fn last_layer_pass(model: &Model, steps: usize, live: &[usize]) -> usize {
+    let cfg = model.config();
+    let mut pools = RankedPools::single(cfg, PagedKvPool::for_model(cfg, None, 256, 4096));
+    let seqs = [pools.alloc_seq_with_prefix(&[]).seq];
+    let steps: Vec<BatchStep> = (0..steps)
+        .map(|pos| BatchStep {
+            slot: 0,
+            pos,
+            token: (pos * 29 + 3) as u32 % 256,
+        })
+        .collect();
+    let (rt, plan, mut comm) = (Runtime::serial(), RankPlan::new(cfg, 1), Comm::new(1));
+    let mut view = PoolBatchView::new(&mut pools, &seqs);
+    let before = allocations();
+    let logits = model.forward_batch_sharded(
+        &rt,
+        &plan,
+        &mut comm,
+        &mut view,
+        StepBatch::new(&steps, live),
+        None,
+    );
+    let delta = allocations() - before;
+    assert_eq!(logits.len(), live.len(), "one logits vector per live step");
+    assert!(logits.iter().flatten().all(|v| v.is_finite()));
+    delta
+}
+
+#[test]
+fn dead_steps_cost_the_tail_stage_nothing() {
+    let model = Model::synthetic(ModelConfig::llama2_7b().proxy(1, 32), 42);
+    // Warm-up: grow this thread's attention scratch to the widest shape.
+    last_layer_pass(&model, 64, &[63]);
+
+    // The tail stage and LM head of one live step: what the pass with it
+    // allocates beyond the same pass without it.
+    let tail_after_63_dead = last_layer_pass(&model, 64, &[63]) - last_layer_pass(&model, 64, &[]);
+    let tail_alone = last_layer_pass(&model, 1, &[0]) - last_layer_pass(&model, 1, &[]);
+    assert!(tail_alone > 0, "a live step's tail allocates its outputs");
+    assert_eq!(
+        tail_after_63_dead, tail_alone,
+        "the tail stage of one live step must not allocate per dead step"
     );
 }

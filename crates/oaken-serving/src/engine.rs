@@ -44,7 +44,7 @@
 use crate::scheduler::TokenScheduler;
 use oaken_model::{
     sample_greedy, BatchStep, FaultKind, FaultPlan, KernelMode, KvReadStats, KvTransfer, Model,
-    PagedKvPool, PoolBatchView, PoolError, PrefixStats, RankedPools, SeqId,
+    PagedKvPool, PoolBatchView, PoolError, PrefixStats, RankedPools, SeqId, StepBatch,
 };
 use oaken_runtime::{Comm, CommStats, Runtime};
 use std::collections::{HashSet, VecDeque};
@@ -997,10 +997,16 @@ impl<'m> BatchEngine<'m> {
 
         // Advance the whole batch by its chunk plan (layer-major under
         // the hood; a chunk's steps attend causally within the same
-        // forward pass).
+        // forward pass). A step is live — its logits are computed, and
+        // sampled below — when it is the last of a chunk that finishes
+        // the prompt, or a decode step; the rest only leave K/V rows.
         let seqs: Vec<SeqId> = self.active.iter().map(|a| a.seq).collect();
         let mut steps = Vec::new();
+        let mut live = Vec::new();
         for (slot, (a, &n)) in self.active.iter().zip(&plan).enumerate() {
+            if a.pos + n >= a.req.prompt.len() {
+                live.push(steps.len() + n - 1);
+            }
             for j in 0..n {
                 let pos = a.pos + j;
                 let token = if pos < a.req.prompt.len() {
@@ -1020,7 +1026,7 @@ impl<'m> BatchEngine<'m> {
             &ranks,
             &mut self.comm,
             &mut view,
-            &steps,
+            StepBatch::new(&steps, &live),
             None,
         );
         // Slots whose append failed mid-forward (injected fault or —
@@ -1033,17 +1039,17 @@ impl<'m> BatchEngine<'m> {
 
         let iteration = self.stats.iterations;
         let mut decode_ctx: Vec<f64> = Vec::new();
+        let mut sampled = live.iter().zip(&logits).peekable();
         let mut idx = 0usize;
         for (slot, (a, &n)) in self.active.iter_mut().zip(&plan).enumerate() {
-            let last = &logits[idx + n - 1];
             idx += n;
+            let last = sampled.next_if(|&(&i, _)| i + 1 == idx).map(|(_, l)| l);
             if poisoned.iter().any(|&(s, _)| s == slot) {
                 // The slot's cached state stops at the failure point; do
                 // not advance its cursor or sample from garbage logits.
                 continue;
             }
-            let prompt_len = a.req.prompt.len();
-            let fed_prompt = prompt_len.saturating_sub(a.pos).min(n);
+            let fed_prompt = a.req.prompt.len().saturating_sub(a.pos).min(n);
             if fed_prompt > 0 {
                 self.stats.prefill_tokens += fed_prompt as u64;
                 self.stats.prefill_chunks += 1;
@@ -1054,9 +1060,9 @@ impl<'m> BatchEngine<'m> {
             }
             a.pos += n;
             a.reached = a.reached.max(a.pos);
-            if a.pos < prompt_len {
-                continue; // still prefilling: logits are not sampled
-            }
+            let Some(last) = last else {
+                continue; // still prefilling: no logits were computed
+            };
             let token = sample_greedy(last);
             a.generated.push(token);
             self.emitted.push(TokenEvent {
@@ -1412,10 +1418,15 @@ impl<'m> BatchEngine<'m> {
                 }
                 Err(e) => {
                     // Resume of a headroom-checked suspended sequence can
-                    // only fail via injection; anything else is an engine
-                    // bug. Contain it as a request failure rather than
-                    // panicking the loop.
-                    debug_assert!(false, "unexpected resume failure: {e}");
+                    // only fail via injection or a frozen entry corrupted
+                    // on host (typed, and the request's failure: no retry
+                    // can help); anything else is an engine bug. Contain
+                    // either as a request failure rather than panicking
+                    // the loop.
+                    debug_assert!(
+                        e == PoolError::CorruptTransfer,
+                        "unexpected resume failure: {e}"
+                    );
                     self.teardown_seq(s.seq, true);
                     self.finish_request(
                         s.req,

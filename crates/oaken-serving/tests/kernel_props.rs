@@ -80,3 +80,61 @@ fn fused_engine_reads_encoded_rows_only() {
          (fused {per_row_fused:.1} B/row vs exact {per_row_exact:.1} B/row)"
     );
 }
+
+/// The dead tail cannot silently return: a `P`-token prompt fed in
+/// `C`-token chunks ends every unsampled step at its last-layer K/V
+/// append, so on an `L`-layer fused pool the layers below the last sweep
+/// the full chunk-tiled schedule and the last layer sweeps exactly the
+/// rows of the one query that is sampled — the prompt's final token.
+#[test]
+fn unsampled_prompt_steps_read_nothing_on_the_last_layer() {
+    use oaken_model::{Model, ModelConfig, QUERY_TILE};
+    let (prompt_len, chunk) = (150usize, 64usize);
+    for layers in [1usize, 2, 3] {
+        let model = Model::synthetic(ModelConfig::llama2_7b().proxy(layers, 32), 7);
+        let pool = PagedKvPool::for_model(model.config(), Some(profiled_oaken(&model)), 1024, 512);
+        let mut engine = BatchEngine::new(
+            &model,
+            pool,
+            TokenScheduler::new(4),
+            EngineConfig {
+                prefill_token_budget: chunk,
+                kernel: KernelMode::Fused,
+                ..REFERENCE
+            },
+        );
+        // One new token: it is sampled from the prompt's last step, so no
+        // decode step is ever fed.
+        engine.submit(request_for(0, prompt_len, 1));
+        engine.run();
+        let stats = engine.stats();
+        assert_eq!((stats.retired, stats.decode_tokens), (1, 1));
+        assert_eq!(stats.prefill_chunks, prompt_len.div_ceil(chunk) as u64);
+
+        // A layer where every step attends: per chunk, one sweep per query
+        // tile up to the rows its last query sees; logically, query `t`
+        // attends `t + 1` K and V rows.
+        let mut tiled = 0usize;
+        for from in (0..prompt_len).step_by(chunk) {
+            let n = chunk.min(prompt_len - from);
+            tiled += (0..n)
+                .step_by(QUERY_TILE)
+                .map(|a| 2 * (from + (a + QUERY_TILE).min(n)))
+                .sum::<usize>();
+        }
+        let attended = prompt_len * (prompt_len + 1);
+        // The last layer: the final query alone, over every row.
+        let last = 2 * prompt_len;
+        let reads = stats.kv_reads;
+        assert_eq!(
+            reads.fused_rows_swept,
+            ((layers - 1) * tiled + last) as u64,
+            "{layers} layers: rows swept"
+        );
+        assert_eq!(
+            reads.fused_rows,
+            ((layers - 1) * attended + last) as u64,
+            "{layers} layers: rows attended"
+        );
+    }
+}

@@ -6,32 +6,38 @@
 # ignored ones left out) into two directories, each with its own
 # CARGO_TARGET_DIR, builds bench/ with `--features simd` in both, then for
 # seed s = 1..pairs runs
-#   run --workload W --seed s --seconds S --trace 0
+#   run --workload W --seed s --seconds S --trace T
 # on both sides, alternating which side goes first. Per-seed output digests
 # must agree between the sides (the script fails if they do not — a change
 # that is meant to move them is not an A/B of speed). Prints, per workload
-# and end-to-end metric of BENCHMARK.json: each side's median and quartiles,
-# the ratio of medians, and how many pairs the change won.
+# and metric of BENCHMARK.json — the end-to-end ones at `--trace 0`, the
+# per-layer ones at `--trace 1`, so a claimed gain is committed with its
+# explanation from the same alternating discipline: each side's median and
+# quartiles, the ratio of medians, and how many pairs the change won.
 #
-# usage: scripts/ab_pairs.sh [--dir DIR] [--seconds S] <parent-rev> [pairs=10] [workload...]
+# usage: scripts/ab_pairs.sh [--dir DIR] [--seconds S] [--trace 0|1] <parent-rev> [pairs=10] [workload...]
 #   --dir DIR     where the two exports, their builds and results.tsv go
 #                 (default: a fresh `mktemp -d`; an existing DIR is reused,
 #                 so a second invocation only rebuilds what changed)
 #   --seconds S   run length per side and seed (default: BENCHMARK.json's
 #                 run_seconds)
+#   --trace T     forwarded to `run` (default 0): 0 times the end-to-end
+#                 metrics, 1 the traced replay and the per-layer probes;
+#                 results go to results.tsv / results.trace1.tsv
 #   workload...   default: every workload of BENCHMARK.json
 set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
-dir="" seconds=""
+dir="" seconds="" trace=0
 while [ $# -gt 0 ]; do
     case "$1" in
         --dir) dir="$2"; shift 2 ;;
         --seconds) seconds="$2"; shift 2 ;;
+        --trace) trace="$2"; shift 2 ;;
         *) break ;;
     esac
 done
-if [ $# -lt 1 ] || [ "${1#-}" != "$1" ]; then
-    echo "usage: $0 [--dir DIR] [--seconds S] <parent-rev> [pairs=10] [workload...]" >&2
+if [ $# -lt 1 ] || [ "${1#-}" != "$1" ] || { [ "$trace" != 0 ] && [ "$trace" != 1 ]; }; then
+    echo "usage: $0 [--dir DIR] [--seconds S] [--trace 0|1] <parent-rev> [pairs=10] [workload...]" >&2
     exit 2
 fi
 rev="$1" pairs="${2:-10}"
@@ -42,7 +48,7 @@ if [ $# -gt 0 ]; then workloads=("$@"); else mapfile -t workloads < <(json "'\n'
 [ -n "$dir" ] || dir="$(mktemp -d)"
 mkdir -p "$dir"
 dir="$(cd "$dir" && pwd)"
-echo "ab_pairs: $rev vs working tree, $pairs pairs x ${workloads[*]}, ${seconds}s runs, in $dir"
+echo "ab_pairs: $rev vs working tree, $pairs pairs x ${workloads[*]}, ${seconds}s runs, --trace $trace, in $dir"
 
 # Export both sides (sources only; each side's target/ survives a re-run).
 for side in parent change; do
@@ -62,11 +68,11 @@ done
 run_side() {
     local side="$1" workload="$2" seed="$3" out
     out="$(cd "$dir/$side" && "$dir/$side/target/release/oaken-servebench" run \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 --out "$dir/$side/out")"
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" --out "$dir/$side/out")"
     printf '%s\t%s\n' "$(awk '$1 == "info" && $3 == "digest" { print $4 }' <<<"$out")" "$(tail -n 1 <<<"$out")"
 }
 
-results="$dir/results.tsv"
+if [ "$trace" = 0 ]; then results="$dir/results.tsv"; else results="$dir/results.trace$trace.tsv"; fi
 : >"$results"
 for workload in "${workloads[@]}"; do
     for seed in $(seq 1 "$pairs"); do
@@ -85,9 +91,10 @@ for workload in "${workloads[@]}"; do
     done
 done
 
-python3 - "$root/BENCHMARK.json" "$results" <<'EOF'
+python3 - "$root/BENCHMARK.json" "$results" "$trace" <<'EOF'
 import json, statistics, sys
 bench = json.load(open(sys.argv[1]))
+metrics = bench["end_to_end" if sys.argv[3] == "0" else "per_layer"]
 runs = {}  # (workload, metric) -> side -> {seed: value}
 for line in open(sys.argv[2]):
     workload, seed, side, result = line.rstrip("\n").split("\t")
@@ -101,9 +108,9 @@ def quartiles(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
 for workload in dict.fromkeys(w for w, _ in runs):
-    print(f"\n{workload}: {len(next(iter(runs[(workload, bench['end_to_end'][0]['name'])].values())))} pairs")
-    print(f"  {'metric':18s} {'parent q1/median/q3':>38s} {'change q1/median/q3':>38s} {'ratio':>7s}  wins")
-    for metric in bench["end_to_end"]:
+    print(f"\n{workload}: {len(next(iter(runs[(workload, metrics[0]['name'])].values())))} pairs")
+    print(f"  {'metric':34s} {'parent q1/median/q3':>38s} {'change q1/median/q3':>38s} {'ratio':>7s}  wins")
+    for metric in metrics:
         sides = runs[(workload, metric["name"])]
         parent, change = sides["parent"], sides["change"]
         higher = metric["better"] == "higher"
@@ -112,5 +119,5 @@ for workload in dict.fromkeys(w for w, _ in runs):
         p, c = quartiles(list(parent.values())), quartiles(list(change.values()))
         ratio = c[1] / p[1] if p[1] else float("nan")
         fmt = lambda q: "/".join(f"{v:.5g}" for v in q)
-        print(f"  {metric['name']:18s} {fmt(p):>38s} {fmt(c):>38s} {ratio:7.3f}  {wins}/{len(parent)}" + (f" ({ties} ties)" if ties else ""))
+        print(f"  {metric['name']:34s} {fmt(p):>38s} {fmt(c):>38s} {ratio:7.3f}  {wins}/{len(parent)}" + (f" ({ties} ties)" if ties else ""))
 EOF
