@@ -212,13 +212,11 @@ struct Slot<'m> {
 
 impl Slot<'_> {
     fn idle(&self) -> bool {
-        self.engine.active_len() == 0
-            && self.engine.queue_len() == 0
-            && self.engine.resume_len() == 0
+        self.engine.in_flight() == 0
     }
 
     fn outstanding(&self) -> u64 {
-        (self.engine.active_len() + self.engine.queue_len() + self.engine.resume_len()) as u64
+        self.engine.in_flight() as u64
     }
 }
 

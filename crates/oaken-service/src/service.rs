@@ -14,12 +14,14 @@
 //!
 //! Each tick runs the protocol of [`crate::clock`] — *the same code*
 //! that [`replay_open_loop_direct`](crate::workload::replay_open_loop_direct)
-//! and the disaggregated cluster drive, which is what makes
-//! service-vs-direct bit-exactness assertable: drain the mailbox
-//! (blocking only when fully idle), then one [`clock_tick`] — inject due
-//! arrivals in `(arrival, submission order)` order, apply due cancels,
-//! step, deliver stamped with the pre-increment clock, advance iff
-//! progressed or arrivals remain scheduled.
+//! drives, which is what makes service-vs-direct bit-exactness
+//! assertable: drain the mailbox (blocking only when fully idle), then
+//! one [`clock_tick`] — inject due arrivals in `(arrival, submission
+//! order)` order, apply due cancels, step, deliver stamped with the
+//! pre-increment clock, advance iff progressed or arrivals remain
+//! scheduled. (The disaggregated cluster keeps its own tick loop over
+//! many engines and borrows only the arrival ordering from
+//! [`crate::clock`].)
 //!
 //! Token delivery dedups by decode index: an evicted-and-restarted
 //! request re-emits its already-delivered tokens bit-identically, and the
@@ -307,8 +309,7 @@ fn engine_loop(
     let mut shutdown = false;
 
     loop {
-        let engine_idle =
-            engine.active_len() == 0 && engine.queue_len() == 0 && engine.resume_len() == 0;
+        let engine_idle = engine.in_flight() == 0;
         let idle = engine_idle && !queue.has_pending();
         // Only a fully idle engine blocks — the clock is frozen in
         // `wait`, so live idle gaps never inflate latency numbers.

@@ -247,9 +247,7 @@ pub fn replay_open_loop_direct(
     let mut clock: u64 = 0;
 
     loop {
-        let engine_idle =
-            engine.active_len() == 0 && engine.queue_len() == 0 && engine.resume_len() == 0;
-        if engine_idle && !queue.has_pending() {
+        if engine.in_flight() == 0 && !queue.has_pending() {
             break;
         }
         clock_tick(&mut engine, &mut clock, &mut queue, &mut hooks);

@@ -12,8 +12,9 @@
 //!   [token budget](EngineConfig::prefill_token_budget) (Sarathi-style):
 //!   a single long prompt no longer monopolizes iterations, decode and
 //!   prefill interleave inside one layer-major
-//!   [`Model::forward_batch`] pass, and every prefilling sequence is
-//!   guaranteed at least one token per iteration so nothing starves;
+//!   [`Model::forward_batch_sharded`] pass over the iteration's
+//!   [`StepBatch`], and every prefilling sequence is guaranteed at least
+//!   one token per iteration so nothing starves;
 //! * **prefix-aware admission control** — a queued request is probed
 //!   against the pool's prefix trie ([`PagedKvPool::probe_prefix`]) and
 //!   reserves pages only for its *non-shared* tokens, so a cache-hot
@@ -525,8 +526,25 @@ impl EngineStats {
     }
 }
 
-struct QueuedRequest {
+/// One request's whole engine-side record. It moves as one value between
+/// `queue` (not admitted, or restarted), `active` (its KV on device) and
+/// `resume` (its KV frozen on host); which of the three holds it says
+/// where the request sits. A suspension retains *everything* — the
+/// resume continues bit-exactly — while a [restart](BatchEngine::restart)
+/// drops the pool sequence and the output and keeps only what must
+/// survive an eviction.
+struct Tracked {
     req: EngineRequest,
+    /// The request's pool sequence while active or suspended; `None` while
+    /// queued.
+    seq: Option<SeqId>,
+    /// Tokens cached so far (prompt cursor while < prompt.len()); set at
+    /// admission to the trie-matched prefix length — adopted tokens are
+    /// never fed.
+    pos: usize,
+    generated: Vec<u32>,
+    logits: Vec<Vec<f32>>,
+    /// Times the request was preempted (evicted or swapped out).
     preemptions: usize,
     /// Iteration of the request's first decode token, carried across
     /// preemption restarts (the token was already produced — and in a
@@ -543,27 +561,10 @@ struct QueuedRequest {
     /// Teardown-and-restart cycles caused by transient append faults
     /// (bounded by `FAULT_RESTART_LIMIT`).
     fault_restarts: u32,
-}
-
-/// A sequence suspended to the host tier, waiting in the resume queue.
-/// Unlike a restart, *everything* is retained — position, generated
-/// tokens, logits — because the resume continues bit-exactly.
-struct SuspendedReq {
-    req: EngineRequest,
-    seq: SeqId,
-    pos: usize,
-    generated: Vec<u32>,
-    logits: Vec<Vec<f32>>,
-    preemptions: usize,
-    ttft_iteration: u64,
-    reached: usize,
-    /// Iteration the suspension happened in (resume-latency accounting).
+    /// Iteration of the latest suspension (resume-latency accounting).
     suspended_at: u64,
-    /// See [`QueuedRequest::born`].
-    born: u64,
-    /// See [`QueuedRequest::fault_restarts`].
-    fault_restarts: u32,
-    /// Failed resume attempts so far (injected swap-in faults).
+    /// Failed resume attempts of the current suspension (injected
+    /// swap-in faults).
     retries: u32,
     /// Earliest iteration the next resume attempt may run: after a
     /// failed attempt the sequence backs off `2^retries` iterations —
@@ -571,25 +572,30 @@ struct SuspendedReq {
     retry_at: u64,
 }
 
-struct ActiveSeq {
-    req: EngineRequest,
-    seq: SeqId,
-    /// Tokens cached so far (prompt cursor while < prompt.len()); starts
-    /// at the trie-matched prefix length — adopted tokens are never fed.
-    pos: usize,
-    generated: Vec<u32>,
-    logits: Vec<Vec<f32>>,
-    preemptions: usize,
-    ttft_iteration: u64,
-    /// See [`QueuedRequest::reached`].
-    reached: usize,
-    /// See [`QueuedRequest::born`].
-    born: u64,
-    /// See [`QueuedRequest::fault_restarts`].
-    fault_restarts: u32,
-}
+impl Tracked {
+    fn new(req: EngineRequest) -> Self {
+        Self {
+            req,
+            seq: None,
+            pos: 0,
+            generated: Vec::new(),
+            logits: Vec::new(),
+            preemptions: 0,
+            ttft_iteration: 0,
+            reached: 0,
+            born: 0,
+            fault_restarts: 0,
+            suspended_at: 0,
+            retries: 0,
+            retry_at: 0,
+        }
+    }
 
-impl ActiveSeq {
+    fn seq(&self) -> SeqId {
+        self.seq
+            .expect("active and suspended requests hold a sequence")
+    }
+
     fn decoding(&self) -> bool {
         self.pos >= self.req.prompt.len()
     }
@@ -611,12 +617,12 @@ pub struct BatchEngine<'m> {
     scheduler: TokenScheduler,
     config: EngineConfig,
     runtime: Runtime,
-    queue: VecDeque<QueuedRequest>,
+    queue: VecDeque<Tracked>,
     /// Suspended sequences waiting to thaw, oldest suspension first.
     /// Strict priority over `queue`: fresh admissions wait while a resume
     /// is pending, so swapped work cannot starve.
-    resume: VecDeque<SuspendedReq>,
-    active: Vec<ActiveSeq>,
+    resume: VecDeque<Tracked>,
+    active: Vec<Tracked>,
     finished: Vec<FinishedRequest>,
     /// Request ids to retire as [`KvExport`]s instead of finishing.
     export_marks: HashSet<u64>,
@@ -726,27 +732,16 @@ impl<'m> BatchEngine<'m> {
     /// waiting client, down.
     pub fn submit(&mut self, req: EngineRequest) {
         let vocab = self.model.config().vocab_size;
-        let in_flight = (self.queue.iter().map(|q| q.req.id))
-            .chain(self.active.iter().map(|a| a.req.id))
-            .chain(self.resume.iter().map(|s| s.req.id))
-            .any(|id| id == req.id);
-        let valid = !in_flight
+        let valid = !self.tracked().any(|t| t.req.id == req.id)
             && !req.prompt.is_empty()
             && req.max_new_tokens > 0
             && req.prompt.iter().all(|&t| (t as usize) < vocab);
-        if !valid {
-            let failed = RequestOutcome::Failed(RequestFailure::Invalid);
-            self.finish_request(req, Vec::new(), Vec::new(), 0, 0, failed);
-            return;
+        let t = Tracked::new(req);
+        if valid {
+            self.queue.push_back(t);
+        } else {
+            self.finish(t, RequestOutcome::Failed(RequestFailure::Invalid));
         }
-        self.queue.push_back(QueuedRequest {
-            req,
-            preemptions: 0,
-            ttft_iteration: 0,
-            reached: 0,
-            born: 0,
-            fault_restarts: 0,
-        });
     }
 
     /// Cancels a request wherever it is parked — queued, active,
@@ -758,45 +753,13 @@ impl<'m> BatchEngine<'m> {
     /// far. Returns `false` when `id` is not in flight (unknown or
     /// already finished).
     pub fn cancel(&mut self, id: u64) -> bool {
-        if let Some(i) = self.active.iter().position(|a| a.req.id == id) {
-            let a = self.active.remove(i);
-            self.teardown_seq(a.seq, false);
-            self.finish_request(
-                a.req,
-                a.generated,
-                a.logits,
-                a.preemptions,
-                a.ttft_iteration,
-                RequestOutcome::Cancelled,
-            );
-            return true;
-        }
-        if let Some(i) = self.resume.iter().position(|s| s.req.id == id) {
-            let s = self.resume.remove(i).expect("index from position");
-            self.teardown_seq(s.seq, true);
-            self.finish_request(
-                s.req,
-                s.generated,
-                s.logits,
-                s.preemptions,
-                s.ttft_iteration,
-                RequestOutcome::Cancelled,
-            );
-            return true;
-        }
-        if let Some(i) = self.queue.iter().position(|q| q.req.id == id) {
-            let q = self.queue.remove(i).expect("index from position");
-            self.finish_request(
-                q.req,
-                Vec::new(),
-                Vec::new(),
-                q.preemptions,
-                q.ttft_iteration,
-                RequestOutcome::Cancelled,
-            );
-            return true;
-        }
-        false
+        self.end(id, RequestOutcome::Cancelled)
+    }
+
+    /// Requests in flight — queued, active, or suspended in the resume
+    /// queue. Work remains exactly while this is nonzero.
+    pub fn in_flight(&self) -> usize {
+        self.queue.len() + self.active.len() + self.resume.len()
     }
 
     /// Requests finished so far.
@@ -942,20 +905,15 @@ impl<'m> BatchEngine<'m> {
         match self.pools.import_seq(transfers) {
             Ok((seq, _receipt)) => {
                 self.stats.imports += 1;
-                self.resume.push_back(SuspendedReq {
-                    req: request,
-                    seq,
+                self.park(Tracked {
+                    seq: Some(seq),
                     pos,
                     generated,
                     logits,
-                    preemptions: 0,
                     ttft_iteration,
                     reached: pos,
-                    suspended_at: self.stats.iterations,
                     born: self.stats.iterations,
-                    fault_restarts: 0,
-                    retries: 0,
-                    retry_at: 0,
+                    ..Tracked::new(request)
                 });
                 Ok(())
             }
@@ -978,7 +936,7 @@ impl<'m> BatchEngine<'m> {
     /// chunk, retire finished sequences, and refill their slots. Returns
     /// `false` once no work remains.
     pub fn step(&mut self) -> bool {
-        if self.active.is_empty() && self.queue.is_empty() && self.resume.is_empty() {
+        if self.in_flight() == 0 {
             return false;
         }
         self.stats.iterations += 1;
@@ -992,7 +950,7 @@ impl<'m> BatchEngine<'m> {
                 self.stats.admission_stalls += 1;
             }
             self.sync_prefix_stats();
-            return !self.queue.is_empty() || !self.resume.is_empty();
+            return self.in_flight() > 0;
         }
 
         // Advance the whole batch by its chunk plan (layer-major under
@@ -1000,7 +958,7 @@ impl<'m> BatchEngine<'m> {
         // forward pass). A step is live — its logits are computed, and
         // sampled below — when it is the last of a chunk that finishes
         // the prompt, or a decode step; the rest only leave K/V rows.
-        let seqs: Vec<SeqId> = self.active.iter().map(|a| a.seq).collect();
+        let seqs: Vec<SeqId> = self.active.iter().map(Tracked::seq).collect();
         let mut steps = Vec::new();
         let mut live = Vec::new();
         for (slot, (a, &n)) in self.active.iter().zip(&plan).enumerate() {
@@ -1098,7 +1056,7 @@ impl<'m> BatchEngine<'m> {
             self.stats.admission_stalls += 1;
         }
         self.sync_prefix_stats();
-        !self.active.is_empty() || !self.queue.is_empty() || !self.resume.is_empty()
+        self.in_flight() > 0
     }
 
     /// Runs until every submitted request is finished or dropped.
@@ -1153,7 +1111,7 @@ impl<'m> BatchEngine<'m> {
                 .iter()
                 .zip(plan)
                 .map(|(a, &n)| {
-                    let p = pool.pages_possibly_needed_n(a.seq, n);
+                    let p = pool.pages_possibly_needed_n(a.seq(), n);
                     debug_assert!(p.is_ok(), "active sequences are live in the pool");
                     p.unwrap_or(0)
                 })
@@ -1182,14 +1140,24 @@ impl<'m> BatchEngine<'m> {
             .sum()
     }
 
+    /// Every tracked request, in deadline-sweep order: active (slot
+    /// order), then the resume queue, then the queue.
+    fn tracked(&self) -> impl Iterator<Item = &Tracked> {
+        self.active.iter().chain(&self.resume).chain(&self.queue)
+    }
+
     /// The single audited teardown path: releases every pool resource a
-    /// sequence owns. `suspended` selects the pool-side entry point
-    /// (host-tier drop vs. device free). Teardown is best-effort by
-    /// design — a sequence the pool no longer knows is already torn down,
-    /// which only happens on paths that raced a prior teardown; the
-    /// invariant is asserted in debug builds and ignored in release so a
-    /// double-free can never cascade into a panic mid-run.
-    fn teardown_seq(&mut self, seq: SeqId, suspended: bool) {
+    /// request's sequence owns (none while queued). `suspended` selects
+    /// the pool-side entry point (host-tier drop vs. device free).
+    /// Teardown is best-effort by design — a sequence the pool no longer
+    /// knows is already torn down, which only happens on paths that raced
+    /// a prior teardown; the invariant is asserted in debug builds and
+    /// ignored in release so a double-free can never cascade into a panic
+    /// mid-run.
+    fn teardown(&mut self, t: &mut Tracked, suspended: bool) {
+        let Some(seq) = t.seq.take() else {
+            return;
+        };
         let r = if suspended {
             self.pools.drop_suspended_seq(seq)
         } else {
@@ -1201,16 +1169,10 @@ impl<'m> BatchEngine<'m> {
     /// Records a request's terminal state. Every request leaves the engine
     /// through this single path, whatever the outcome — the bookkeeping
     /// (`retired`/`failed`/`cancellations`/`deadline_kills`) can therefore
-    /// never drift from the `finished` list.
-    fn finish_request(
-        &mut self,
-        req: EngineRequest,
-        generated: Vec<u32>,
-        logits: Vec<Vec<f32>>,
-        preemptions: usize,
-        ttft_iteration: u64,
-        outcome: RequestOutcome,
-    ) {
+    /// never drift from the `finished` list. The caller has torn the
+    /// request down already.
+    fn finish(&mut self, t: Tracked, outcome: RequestOutcome) {
+        debug_assert!(t.seq.is_none(), "finished requests hold no sequence");
         match outcome {
             RequestOutcome::Finished => self.stats.retired += 1,
             RequestOutcome::Failed(_) => self.stats.failed += 1,
@@ -1218,14 +1180,59 @@ impl<'m> BatchEngine<'m> {
             RequestOutcome::DeadlineExceeded => self.stats.deadline_kills += 1,
         }
         self.finished.push(FinishedRequest {
-            id: req.id,
-            prompt_len: req.prompt.len(),
-            generated,
-            logits,
+            id: t.req.id,
+            prompt_len: t.req.prompt.len(),
+            generated: t.generated,
+            logits: t.logits,
             completed: outcome == RequestOutcome::Finished,
-            preemptions,
-            ttft_iteration,
+            preemptions: t.preemptions,
+            ttft_iteration: t.ttft_iteration,
             outcome,
+        });
+    }
+
+    /// Ends request `id` wherever it is parked — active, suspended in the
+    /// resume queue, or queued: tears it down and finishes it with
+    /// `outcome`, keeping the tokens it generated so far. Returns `false`
+    /// when `id` is not in flight.
+    fn end(&mut self, id: u64, outcome: RequestOutcome) -> bool {
+        let is_id = |t: &Tracked| t.req.id == id;
+        let found = if let Some(i) = self.active.iter().position(is_id) {
+            Some((self.active.remove(i), false))
+        } else if let Some(i) = self.resume.iter().position(is_id) {
+            self.resume.remove(i).map(|t| (t, true))
+        } else {
+            let i = self.queue.iter().position(is_id);
+            i.and_then(|i| self.queue.remove(i)).map(|t| (t, false))
+        };
+        let Some((mut t, suspended)) = found else {
+            return false;
+        };
+        self.teardown(&mut t, suspended);
+        self.finish(t, outcome);
+        true
+    }
+
+    /// Tears a request down and requeues it at the queue front to start
+    /// over: its output and pool sequence go, while what must survive an
+    /// eviction — preemption and fault-restart counts, TTFT, the
+    /// recompute mark, the deadline clock — rides along. Greedy decode
+    /// regenerates the dropped output bit-identically.
+    fn restart(&mut self, mut t: Tracked, suspended: bool) {
+        self.teardown(&mut t, suspended);
+        t.generated.clear();
+        t.logits.clear();
+        self.queue.push_front(t);
+    }
+
+    /// Parks a suspended request at the back of the resume queue, its
+    /// resume-retry state fresh.
+    fn park(&mut self, t: Tracked) {
+        self.resume.push_back(Tracked {
+            suspended_at: self.stats.iterations,
+            retries: 0,
+            retry_at: 0,
+            ..t
         });
     }
 
@@ -1239,72 +1246,28 @@ impl<'m> BatchEngine<'m> {
             return;
         };
         let now = self.stats.iterations;
-        let expired = |born: u64| born > 0 && now - born >= limit;
-        let mut i = 0;
-        while i < self.active.len() {
-            if expired(self.active[i].born) {
-                let a = self.active.remove(i);
-                self.teardown_seq(a.seq, false);
-                self.finish_request(
-                    a.req,
-                    a.generated,
-                    a.logits,
-                    a.preemptions,
-                    a.ttft_iteration,
-                    RequestOutcome::DeadlineExceeded,
-                );
-            } else {
-                i += 1;
-            }
-        }
-        let mut i = 0;
-        while i < self.resume.len() {
-            if expired(self.resume[i].born) {
-                let s = self.resume.remove(i).expect("index in bounds");
-                self.teardown_seq(s.seq, true);
-                self.finish_request(
-                    s.req,
-                    s.generated,
-                    s.logits,
-                    s.preemptions,
-                    s.ttft_iteration,
-                    RequestOutcome::DeadlineExceeded,
-                );
-            } else {
-                i += 1;
-            }
-        }
-        let mut i = 0;
-        while i < self.queue.len() {
-            if expired(self.queue[i].born) {
-                let q = self.queue.remove(i).expect("index in bounds");
-                self.finish_request(
-                    q.req,
-                    Vec::new(),
-                    Vec::new(),
-                    q.preemptions,
-                    q.ttft_iteration,
-                    RequestOutcome::DeadlineExceeded,
-                );
-            } else {
-                i += 1;
-            }
+        let expired: Vec<u64> = self
+            .tracked()
+            .filter(|t| t.born > 0 && now - t.born >= limit)
+            .map(|t| t.req.id)
+            .collect();
+        for id in expired {
+            self.end(id, RequestOutcome::DeadlineExceeded);
         }
     }
 
     /// Quarantines the sequences whose in-forward append failed: the
     /// poisoned slot is torn down and — for a transient fault within the
-    /// restart budget — requeued at the front to restart, otherwise
-    /// failed for good. Only the offending sequences are touched; the
-    /// rest of the batch already advanced normally.
+    /// restart budget — restarted, otherwise failed for good. Only the
+    /// offending sequences are touched; the rest of the batch already
+    /// advanced normally.
     fn quarantine_poisoned(&mut self, poisoned: &[(usize, PoolError)]) {
         // Highest slot first so earlier removals don't shift later ones.
         let mut order: Vec<usize> = (0..poisoned.len()).collect();
         order.sort_by(|&x, &y| poisoned[y].0.cmp(&poisoned[x].0));
         for &p in &order {
             let (slot, ref err) = poisoned[p];
-            let a = self.active.remove(slot);
-            self.teardown_seq(a.seq, false);
+            let mut a = self.active.remove(slot);
             self.stats.faults_absorbed += 1;
             let transient = matches!(
                 err,
@@ -1315,23 +1278,11 @@ impl<'m> BatchEngine<'m> {
             );
             if transient && a.fault_restarts < FAULT_RESTART_LIMIT {
                 self.stats.fault_retries += 1;
-                self.queue.push_front(QueuedRequest {
-                    req: a.req,
-                    preemptions: a.preemptions,
-                    ttft_iteration: a.ttft_iteration,
-                    reached: a.reached,
-                    born: a.born,
-                    fault_restarts: a.fault_restarts + 1,
-                });
+                a.fault_restarts += 1;
+                self.restart(a, false);
             } else {
-                self.finish_request(
-                    a.req,
-                    a.generated,
-                    a.logits,
-                    a.preemptions,
-                    a.ttft_iteration,
-                    RequestOutcome::Failed(RequestFailure::Pool(*err)),
-                );
+                self.teardown(&mut a, false);
+                self.finish(a, RequestOutcome::Failed(RequestFailure::Pool(*err)));
             }
         }
     }
@@ -1360,7 +1311,7 @@ impl<'m> BatchEngine<'m> {
                 // fresh admission is not page-stalled by it.
                 return Some(false);
             }
-            let front_seq = front.seq;
+            let front_seq = front.seq();
             // Resuming materializes the frozen pages on *every* rank
             // shard simultaneously; the tightest shard gates the resume.
             let fits = (0..self.pools.num_ranks()).all(|r| {
@@ -1368,51 +1319,32 @@ impl<'m> BatchEngine<'m> {
                 let frozen = u64::from(self.pools.suspended_seq_pages(r, front_seq));
                 frozen + self.committed_pages_on(pool) <= u64::from(pool.free_pages())
             });
+            if !fits && !self.active.is_empty() {
+                return Some(true);
+            }
+            let mut s = self.resume.pop_front().expect("front exists");
             if !fits {
-                if !self.active.is_empty() {
-                    return Some(true);
-                }
-                let s = self.resume.pop_front().expect("front exists");
-                self.teardown_seq(s.seq, true);
                 self.stats.resume_restarts += 1;
-                self.queue.push_front(QueuedRequest {
-                    req: s.req,
-                    preemptions: s.preemptions,
-                    ttft_iteration: s.ttft_iteration,
-                    reached: s.reached,
-                    born: s.born,
-                    fault_restarts: s.fault_restarts,
-                });
+                self.restart(s, true);
                 continue;
             }
-            let s = self.resume.pop_front().expect("front exists");
-            let receipt = match self.pools.resume_seq(s.seq) {
+            let receipt = match self.pools.resume_seq(front_seq) {
                 Ok(receipt) => receipt,
-                Err(PoolError::Fault { op, kind }) => {
+                Err(PoolError::Fault { .. }) => {
                     // Injected swap-in fault: the sequence stays frozen on
                     // the host. Retry after a deterministic exponential
                     // backoff (scheduler iterations, never wall-clock);
                     // out of retries, demote to evict-and-restart.
                     self.stats.faults_absorbed += 1;
-                    let mut s = s;
                     s.retries += 1;
                     if s.retries > SWAP_IN_RETRY_LIMIT {
-                        self.teardown_seq(s.seq, true);
                         self.stats.demotions += 1;
                         self.stats.resume_restarts += 1;
-                        self.queue.push_front(QueuedRequest {
-                            req: s.req,
-                            preemptions: s.preemptions,
-                            ttft_iteration: s.ttft_iteration,
-                            reached: s.reached,
-                            born: s.born,
-                            fault_restarts: s.fault_restarts,
-                        });
+                        self.restart(s, true);
                         continue;
                     }
                     self.stats.fault_retries += 1;
                     s.retry_at = self.stats.iterations + (1u64 << s.retries);
-                    let _ = (op, kind);
                     self.resume.push_front(s);
                     return Some(false);
                 }
@@ -1427,33 +1359,15 @@ impl<'m> BatchEngine<'m> {
                         e == PoolError::CorruptTransfer,
                         "unexpected resume failure: {e}"
                     );
-                    self.teardown_seq(s.seq, true);
-                    self.finish_request(
-                        s.req,
-                        s.generated,
-                        s.logits,
-                        s.preemptions,
-                        s.ttft_iteration,
-                        RequestOutcome::Failed(RequestFailure::Pool(e)),
-                    );
+                    self.teardown(&mut s, true);
+                    self.finish(s, RequestOutcome::Failed(RequestFailure::Pool(e)));
                     continue;
                 }
             };
             self.stats.swap_ins += 1;
             self.stats.swap_bytes_to_device += receipt.bytes;
             self.stats.resume_latency_iters += self.stats.iterations - s.suspended_at;
-            self.active.push(ActiveSeq {
-                req: s.req,
-                seq: s.seq,
-                pos: s.pos,
-                generated: s.generated,
-                logits: s.logits,
-                preemptions: s.preemptions,
-                ttft_iteration: s.ttft_iteration,
-                reached: s.reached,
-                born: s.born,
-                fault_restarts: s.fault_restarts,
-            });
+            self.active.push(s);
         }
         if self.resume.is_empty() {
             None
@@ -1498,14 +1412,7 @@ impl<'m> BatchEngine<'m> {
                 });
             if impossible {
                 let q = self.queue.pop_front().expect("front exists");
-                self.finish_request(
-                    q.req,
-                    Vec::new(),
-                    Vec::new(),
-                    q.preemptions,
-                    q.ttft_iteration,
-                    RequestOutcome::Failed(RequestFailure::Impossible),
-                );
+                self.finish(q, RequestOutcome::Failed(RequestFailure::Impossible));
                 continue;
             }
             let fits = self.pools.ranks().iter().all(|pool| {
@@ -1528,28 +1435,18 @@ impl<'m> BatchEngine<'m> {
                 stalled = true;
                 break;
             }
-            let q = self.queue.pop_front().expect("front exists");
+            let mut q = self.queue.pop_front().expect("front exists");
             let alloc = self.pools.alloc_seq_with_prefix(&q.req.prompt);
             debug_assert_eq!(alloc.matched_tokens, matched, "probe/alloc agree");
             self.stats.admitted += 1;
-            self.active.push(ActiveSeq {
-                req: q.req,
-                seq: alloc.seq,
-                pos: alloc.matched_tokens,
-                generated: Vec::new(),
-                logits: Vec::new(),
-                preemptions: q.preemptions,
-                ttft_iteration: q.ttft_iteration,
-                reached: q.reached,
-                // The deadline clock starts at the *first* admission and
-                // survives restarts.
-                born: if q.born == 0 {
-                    self.stats.iterations
-                } else {
-                    q.born
-                },
-                fault_restarts: q.fault_restarts,
-            });
+            q.seq = Some(alloc.seq);
+            q.pos = alloc.matched_tokens;
+            // The deadline clock starts at the *first* admission and
+            // survives restarts.
+            if q.born == 0 {
+                q.born = self.stats.iterations;
+            }
+            self.active.push(q);
         }
         self.stats.peak_active = self.stats.peak_active.max(self.active.len());
         stalled
@@ -1581,7 +1478,7 @@ impl<'m> BatchEngine<'m> {
             if self.plan_fits(&fallback) {
                 return fallback;
             }
-            let a = self.active.remove(self.victim_slot());
+            let mut a = self.active.remove(self.victim_slot());
             if self.active.is_empty() {
                 // Even alone, the *worst-case* bound says the sequence
                 // cannot take one more token. The bound is deliberately
@@ -1589,25 +1486,19 @@ impl<'m> BatchEngine<'m> {
                 // at the extreme margin this can drop a request whose
                 // actual encoded rows would still have squeezed into the
                 // page tails — safety over utilization.
-                self.teardown_seq(a.seq, false);
-                self.finish_request(
-                    a.req,
-                    a.generated,
-                    a.logits,
-                    a.preemptions,
-                    a.ttft_iteration,
-                    RequestOutcome::Failed(RequestFailure::Impossible),
-                );
+                self.teardown(&mut a, false);
+                self.finish(a, RequestOutcome::Failed(RequestFailure::Impossible));
                 return Vec::new();
             }
             self.stats.preemptions += 1;
+            a.preemptions += 1;
             if self.config.preempt == PreemptPolicy::SwapToHost {
                 // Transient swap faults are retried in place (bounded);
                 // a persistent fault, an exhausted budget, or a full host
                 // tier demotes this victim to evict-and-restart.
                 let mut swapped = None;
                 for attempt in 0..=SWAP_OUT_RETRY_LIMIT {
-                    match self.pools.suspend_seq(a.seq) {
+                    match self.pools.suspend_seq(a.seq()) {
                         Ok(receipt) => {
                             swapped = Some(receipt);
                             break;
@@ -1636,33 +1527,11 @@ impl<'m> BatchEngine<'m> {
                 if let Some(receipt) = swapped {
                     self.stats.swap_outs += 1;
                     self.stats.swap_bytes_to_host += receipt.bytes;
-                    self.resume.push_back(SuspendedReq {
-                        req: a.req,
-                        seq: a.seq,
-                        pos: a.pos,
-                        generated: a.generated,
-                        logits: a.logits,
-                        preemptions: a.preemptions + 1,
-                        ttft_iteration: a.ttft_iteration,
-                        reached: a.reached,
-                        suspended_at: self.stats.iterations,
-                        born: a.born,
-                        fault_restarts: a.fault_restarts,
-                        retries: 0,
-                        retry_at: 0,
-                    });
+                    self.park(a);
                     continue;
                 }
             }
-            self.teardown_seq(a.seq, false);
-            self.queue.push_front(QueuedRequest {
-                req: a.req,
-                preemptions: a.preemptions + 1,
-                ttft_iteration: a.ttft_iteration,
-                reached: a.reached,
-                born: a.born,
-                fault_restarts: a.fault_restarts,
-            });
+            self.restart(a, false);
         }
     }
 
@@ -1675,7 +1544,7 @@ impl<'m> BatchEngine<'m> {
                 i += 1;
                 continue;
             }
-            let a = self.active.remove(i);
+            let mut a = self.active.remove(i);
             if self.export_marks.remove(&a.req.id) {
                 // Export *is* the teardown: every rank pool flattens and
                 // frees the sequence, and the request leaves through the
@@ -1683,7 +1552,7 @@ impl<'m> BatchEngine<'m> {
                 // engine finishes it.
                 let transfers = self
                     .pools
-                    .export_seq(a.seq)
+                    .export_seq(a.seq())
                     .expect("retiring sequences are live in every rank pool");
                 let export = KvExport {
                     request: a.req,
@@ -1697,15 +1566,8 @@ impl<'m> BatchEngine<'m> {
                 self.exports.push(export);
                 continue;
             }
-            self.teardown_seq(a.seq, false);
-            self.finish_request(
-                a.req,
-                a.generated,
-                a.logits,
-                a.preemptions,
-                a.ttft_iteration,
-                RequestOutcome::Finished,
-            );
+            self.teardown(&mut a, false);
+            self.finish(a, RequestOutcome::Finished);
         }
     }
 }
@@ -2364,6 +2226,140 @@ mod tests {
         assert_eq!(ok.outcome, RequestOutcome::Finished);
         assert_eq!(e.stats().deadline_kills, 1);
         assert_pool_empty(&e);
+    }
+
+    /// One deadline sweep reaches every parking spot: on this geometry
+    /// request 2 (newest) is swapped to host, request 1 is later demoted
+    /// to a restart because the host tier is full, and request 2's
+    /// pending resume keeps request 1 queued behind it. All three were
+    /// admitted in iteration 1, so all three expire together.
+    #[test]
+    fn deadline_kills_every_parking_spot_in_one_sweep() {
+        let m = tiny_model();
+        let mut pool = PagedKvPool::for_model(m.config(), None, 140, 512);
+        pool.set_host_pages(64);
+        let limit = 91;
+        let mut e = BatchEngine::new(
+            &m,
+            pool,
+            TokenScheduler::new(4),
+            EngineConfig {
+                max_batch: 3,
+                preempt: PreemptPolicy::SwapToHost,
+                max_iterations: Some(limit),
+                // Pinned unsharded: fixed 140-page swap geometry.
+                num_ranks: 1,
+                ..EngineConfig::default()
+            },
+        );
+        for (id, prompt_len) in [(0, 4), (1, 4), (2, 8)] {
+            e.submit(req(id, prompt_len, 100));
+        }
+        for _ in 0..limit {
+            assert!(e.step());
+        }
+        assert_eq!(e.active_ids(), [0]);
+        assert_eq!(e.suspended_ids(), [2]);
+        assert_eq!(e.queued_ids(), [1]);
+        assert_eq!(e.queue[0].born, 1, "requeued by a restart, clock running");
+        assert!(
+            e.pool().host_pages_used() > 0,
+            "request 2's KV sits on host"
+        );
+        let active_tokens = e.active[0].generated.clone();
+        let suspended_tokens = e.resume[0].generated.clone();
+        assert!(!active_tokens.is_empty() && !suspended_tokens.is_empty());
+
+        assert!(!e.step(), "the sweep leaves nothing in flight");
+        let fin = e.finished();
+        assert_eq!(fin.iter().map(|f| f.id).collect::<Vec<_>>(), [0, 2, 1]);
+        assert!(fin
+            .iter()
+            .all(|f| f.outcome == RequestOutcome::DeadlineExceeded));
+        assert_eq!(fin[0].generated, active_tokens, "decoded tokens are kept");
+        assert_eq!(
+            fin[1].generated, suspended_tokens,
+            "decoded tokens are kept"
+        );
+        assert!(fin[2].generated.is_empty(), "a restart dropped its output");
+        assert_eq!(e.stats().deadline_kills, 3);
+        e.run();
+        assert_pool_empty(&e);
+    }
+
+    /// What a restart carries, pinned against fixed expectations rather
+    /// than against another engine run. On this geometry requests 1–3 are
+    /// each evicted twice — once mid-decode, once right after their
+    /// same-step re-admission — and re-emit decode index 0 after the
+    /// restart: `preemptions` counts both evictions and `ttft_iteration`
+    /// keeps the *first* emission. With a deadline, request 1 dies
+    /// `limit` iterations after its first admission, although its
+    /// re-admission came 39 iterations later.
+    #[test]
+    fn restart_carries_preemptions_ttft_and_the_deadline_clock() {
+        let m = tiny_model();
+        let run = |max_iterations| {
+            let mut e = engine_with_pages(
+                &m,
+                70,
+                EngineConfig {
+                    max_batch: 4,
+                    preempt: PreemptPolicy::RestartRecompute,
+                    max_iterations,
+                    // Pinned unsharded: fixed 70-page eviction geometry.
+                    num_ranks: 1,
+                    ..EngineConfig::default()
+                },
+            );
+            for id in 0..4 {
+                e.submit(req(id, 4, 40));
+            }
+            // Per request: the iterations of its index-0 token events,
+            // and the iteration it reached a terminal state.
+            let mut index0: Vec<Vec<u64>> = vec![Vec::new(); 4];
+            let mut ended = [0u64; 4];
+            loop {
+                let more = e.step();
+                for ev in e.take_token_events() {
+                    if ev.index == 0 {
+                        index0[ev.id as usize].push(ev.iteration);
+                    }
+                }
+                for f in e.finished() {
+                    if ended[f.id as usize] == 0 {
+                        ended[f.id as usize] = e.stats().iterations;
+                    }
+                }
+                if !more {
+                    break;
+                }
+            }
+            let mut fin = e.finished().to_vec();
+            fin.sort_by_key(|f| f.id);
+            (fin, index0, ended, e.stats().preemptions)
+        };
+
+        let (fin, index0, _, preemptions) = run(None);
+        assert!(fin.iter().all(|f| f.completed));
+        let per_request: Vec<usize> = fin.iter().map(|f| f.preemptions).collect();
+        assert_eq!(per_request, [0, 2, 2, 2]);
+        assert_eq!(preemptions, 6, "engine total is the per-request sum");
+        assert_eq!(index0, [vec![1], vec![1, 41], vec![41, 81], vec![81, 121]]);
+        let ttft: Vec<u64> = fin.iter().map(|f| f.ttft_iteration).collect();
+        assert_eq!(
+            ttft,
+            [1, 1, 41, 81],
+            "the first index-0 event, not the re-emission"
+        );
+
+        let limit = 45;
+        let (fin, _, ended, _) = run(Some(limit));
+        assert_eq!(fin[0].outcome, RequestOutcome::Finished);
+        assert_eq!(fin[1].outcome, RequestOutcome::DeadlineExceeded);
+        assert_eq!(ended[1], 1 + limit, "clock runs from the first admission");
+        assert_eq!(fin[1].preemptions, 2);
+        assert_eq!(fin[1].ttft_iteration, 1);
+        assert_eq!(fin[1].generated.len(), 5, "tokens 41..=45 of the restart");
     }
 
     /// The deadline clock starts at first admission: a request that waits
