@@ -23,7 +23,7 @@
 //!   decode runs on a `std::arch` AVX-512 lane, bit-identically.
 
 use oaken_core::kernel::EncodedReadPlan;
-use oaken_tensor::softmax_in_place;
+use oaken_tensor::{softmax_in_place, softmax_rows};
 use std::ops::Range;
 
 /// Shape parameters for one attention call.
@@ -555,10 +555,8 @@ fn fused_sweep<const AVX512: bool>(
     }
 
     for (i, &limit) in limits.iter().enumerate() {
-        let start = window_start(shape, limit);
-        for row in scores[i * nh * stride..(i + 1) * nh * stride].chunks_exact_mut(stride) {
-            softmax_in_place(&mut row[start - lo..limit - lo]);
-        }
+        let rows = &mut scores[i * nh * stride..(i + 1) * nh * stride];
+        softmax_rows(rows, stride, window_start(shape, limit) - lo..limit - lo);
     }
 
     for b0 in (lo..hi).step_by(ROW_BLOCK) {

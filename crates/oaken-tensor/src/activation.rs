@@ -4,9 +4,12 @@
 //! OPT uses ReLU. GELU is provided for completeness with encoder-style
 //! models.
 
-/// Sigmoid Linear Unit, `x * sigmoid(x)`.
+use crate::exp::{exp, exp_map, ExpOf};
+
+/// Sigmoid Linear Unit, `x * sigmoid(x)`, computed as `x / (1 + exp(−x))`
+/// through [`exp`](crate::exp()).
 pub fn silu(x: f32) -> f32 {
-    x / (1.0 + (-x).exp())
+    x / (1.0 + exp(-x))
 }
 
 /// Rectified Linear Unit.
@@ -44,8 +47,12 @@ impl Activation {
         }
     }
 
-    /// Applies the activation to every element of a slice in place.
+    /// Applies the activation to every element of a slice in place, SiLU
+    /// on the `exp` lane (elementwise, so the bits are [`silu`]'s).
     pub fn apply_in_place(self, xs: &mut [f32]) {
+        if self == Activation::Silu {
+            return exp_map(xs, ExpOf::Silu);
+        }
         for x in xs {
             *x = self.apply(*x);
         }
@@ -55,6 +62,7 @@ impl Activation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::tests::{edge_inputs, same};
 
     #[test]
     fn silu_known_points() {
@@ -83,5 +91,20 @@ mod tests {
         assert_eq!(v, vec![0.0, 0.0, 1.0]);
         assert_eq!(Activation::Silu.apply(0.0), 0.0);
         assert_eq!(Activation::default(), Activation::Silu);
+    }
+
+    /// `apply_in_place(Silu)` is [`silu`] element for element, at every
+    /// tail width.
+    #[test]
+    fn silu_in_place_matches_silu() {
+        let mut xs = edge_inputs();
+        xs.extend((0..40).map(|i| i as f32 * 0.37 - 7.0));
+        for n in 0..=xs.len() {
+            let mut got = xs[..n].to_vec();
+            Activation::Silu.apply_in_place(&mut got);
+            for (&x, &got) in xs.iter().zip(&got) {
+                assert!(same(got, silu(x)), "silu at {:#010x}", x.to_bits());
+            }
+        }
     }
 }

@@ -19,6 +19,10 @@
 //! reassociate anything. The `simd` cargo feature adds `std::arch` AVX2 and
 //! AVX-512F lanes (x86-64, chosen at runtime) beside the portable one.
 //!
+//! Softmax, log-softmax and SiLU take their `exp` from [`exp()`], which
+//! equals glibc's `expf` bit for bit; under `simd` an AVX-512F lane
+//! computes it sixteen elements at a time, with the same bits.
+//!
 //! # Example
 //!
 //! ```
@@ -33,6 +37,7 @@
 //!
 //! [`oaken-model`]: https://docs.rs/oaken-model
 
+mod exp;
 mod stats;
 mod tensor;
 
@@ -41,7 +46,8 @@ pub mod norm;
 pub mod ops;
 pub mod rope;
 
-pub use ops::{log_softmax, softmax_in_place};
+pub use exp::exp;
+pub use ops::{log_softmax, softmax_in_place, softmax_rows};
 pub use stats::{argmax, bottom_k, quantile, top_k, MinMax};
 pub use tensor::{Tensor, TensorError};
 

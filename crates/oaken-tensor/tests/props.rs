@@ -1,7 +1,7 @@
 //! Property tests for the tensor substrate: algebraic identities that must
 //! hold for arbitrary shapes and values.
 
-use oaken_tensor::{log_softmax, quantile, softmax_in_place, top_k, MinMax, Tensor};
+use oaken_tensor::{log_softmax, quantile, softmax_in_place, softmax_rows, top_k, MinMax, Tensor};
 use proptest::prelude::*;
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -45,8 +45,91 @@ fn same_bits(got: &[f32], want: &[f32]) -> bool {
             .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
 }
 
+/// The `exp` of the straight-line softmax: libm's where the in-repo one is
+/// pinned to it (glibc), the in-repo one elsewhere.
+fn libm_exp(x: f32) -> f32 {
+    if cfg!(all(target_os = "linux", target_env = "gnu")) {
+        x.exp()
+    } else {
+        oaken_tensor::exp(x)
+    }
+}
+
+/// Softmax written out: a max fold, then `exp(v − max)` and `sum +=` in
+/// index order, then `*= 1 / sum` when `sum > 0`.
+fn straight_line_softmax(x: &[f32]) -> Vec<f32> {
+    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    let mut out = Vec::new();
+    for &v in x {
+        let e = libm_exp(v - max);
+        sum += e;
+        out.push(e);
+    }
+    if sum > 0.0 {
+        let inv = 1.0 / sum;
+        for v in &mut out {
+            *v *= inv;
+        }
+    }
+    out
+}
+
+/// `n` scores drawn from `seed`: mostly spread far wider than `exp`'s
+/// 104-wide range, so weights underflow and turn subnormal; some near zero;
+/// one in 28 a `±0`, and one in 56 each `-inf` and NaN.
+fn scores(seed: &mut u64, n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|_| {
+            *seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let draw = *seed >> 33;
+            let unit = (draw >> 6) as f32 / (1u32 << 25) as f32;
+            match draw % 56 {
+                0 => f32::NAN,
+                1 => f32::NEG_INFINITY,
+                2 | 3 => 0.0,
+                4 | 5 => -0.0,
+                6..=15 => 2.0 * unit - 1.0,
+                _ => 300.0 * unit - 150.0,
+            }
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every length 0–70 puts every lane tail width under test.
+    #[test]
+    fn softmax_is_the_straight_line_libm_softmax(len in 0usize..71, seed in any::<u64>()) {
+        let mut seed = seed;
+        let row = scores(&mut seed, len);
+        let mut got = row.clone();
+        softmax_in_place(&mut got);
+        prop_assert!(same_bits(&got, &straight_line_softmax(&row)), "row {:?}", row);
+    }
+
+    #[test]
+    fn softmax_rows_is_softmax_in_place_per_row(
+        rows in 1usize..10,
+        stride in 1usize..40,
+        ends in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let mut seed = seed;
+        let buf = scores(&mut seed, rows * stride);
+        let (a, b) = (ends as usize % (stride + 1), (ends >> 32) as usize % (stride + 1));
+        let range = a.min(b)..a.max(b);
+        let mut want = buf.clone();
+        for row in want.chunks_exact_mut(stride) {
+            softmax_in_place(&mut row[range.clone()]);
+        }
+        let mut got = buf;
+        softmax_rows(&mut got, stride, range.clone());
+        prop_assert!(same_bits(&got, &want), "{} rows, range {:?}", rows, range);
+    }
 
     #[test]
     fn matmul_identity(v in finite_vec(64)) {
