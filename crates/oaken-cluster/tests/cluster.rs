@@ -533,3 +533,29 @@ fn too_small_decode_page_fails_that_request_typed() {
         assert_eq!(rec.tokens.len(), req.max_new_tokens);
     }
 }
+
+/// A request longer than the model's `max_seq_len` passes the prefill
+/// engine's admission as a one-token leg; the decode engine it lands on
+/// fails it `Impossible`, as a monolithic engine does at admission —
+/// never a panic in the forward pass — and the run goes on.
+#[test]
+fn over_length_request_fails_impossible_like_the_monolithic_engine() {
+    let model = tiny_model(); // max_seq_len 512
+    let q = profiled_oaken(&model);
+    let cfg = cluster_cfg(service_config(REFERENCE));
+    let schedule = vec![
+        (EngineRequest::new(1, family_prompt(1, 3), 562), 0),
+        (EngineRequest::new(2, family_prompt(2, 6), 4), 1),
+    ];
+    let mut mk = |_role: EngineRole, _r: usize| pool(&model, &q, 320, 448);
+    let cluster = run_cluster(&model, &cfg, &mut mk, schedule.clone(), &[]);
+    let monolithic = run_monolithic(&model, &cfg, &mut mk, schedule, &[]);
+    let impossible = RequestOutcome::Failed(RequestFailure::Impossible);
+    assert_eq!(cluster.request(1).outcome, impossible);
+    assert!(cluster.request(1).disaggregated);
+    assert_eq!(monolithic.request(1).outcome, impossible);
+    for report in [&cluster, &monolithic] {
+        assert_eq!(report.request(2).outcome, RequestOutcome::Finished);
+    }
+    assert_eq!(cluster.request(2).tokens, monolithic.request(2).tokens);
+}

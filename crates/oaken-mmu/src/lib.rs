@@ -26,9 +26,9 @@
 //! Pages are **refcounted** ([`PageAllocator::retain`]/[`release`]), which
 //! is what makes cross-sequence prefix sharing real at the physical level:
 //! a prefix-cache hit retains a whole request's pages
-//! ([`MmuSim::retain_request`]), copy-on-write forks share history pages
-//! until the next write ([`MmuSim::fork_stream`]), and a departing sharer
-//! frees pages only when it was the last owner. The serving property tests
+//! ([`MmuSim::retain_request`]), and a departing sharer
+//! ([`MmuSim::release_request`]) frees pages only when it was the last
+//! owner. The serving property tests
 //! re-check the resulting ownership balance (free + private + shared =
 //! capacity) after every engine step.
 //!
@@ -43,10 +43,10 @@
 //! quantization makes the moved bytes 3-4× cheaper than FP16 pages.
 //!
 //! Under the parallel runtime the MMU is deliberately a **single writer**:
-//! quantization fans out across worker threads, but every
-//! [`MmuSim::write_token`] happens on the calling thread in the serial
-//! item order, so physical page assignment is bit-reproducible for any
-//! thread count.
+//! the weight sweeps and attention fan out across worker threads, but every
+//! row is quantized and every [`MmuSim::write_token`] happens on the
+//! calling thread in append order, so physical page assignment is
+//! bit-reproducible for any thread count.
 //!
 //! [`release`]: PageAllocator::release
 

@@ -97,12 +97,6 @@ impl PageTail {
         self.end = start + bytes;
         (start, self.end.div_ceil(page).max(1))
     }
-
-    /// Closes the tail page: the next payload starts a fresh one (the
-    /// copy-on-write rule for a forked stream, whose tail page is shared).
-    fn close(&mut self, page: usize) {
-        self.end = self.end.next_multiple_of(page);
-    }
 }
 
 #[derive(Debug, Default)]
@@ -163,11 +157,6 @@ impl MmuSim {
     /// Removes the fault schedule; subsequent polls always pass.
     pub fn clear_faults(&mut self) {
         self.faults = None;
-    }
-
-    /// Whether a fault schedule is installed.
-    pub fn faults_active(&self) -> bool {
-        self.faults.is_some()
     }
 
     /// Counters over the faults injected so far (zero when no schedule
@@ -595,9 +584,8 @@ impl MmuSim {
 
     /// Frees every page belonging to `request` (request retirement). The
     /// request's stream tables are removed unconditionally; each page drops
-    /// one reference and physically frees only when no other owner (a fork
-    /// or a retained sharer) still holds it. Returns the pages actually
-    /// freed.
+    /// one reference and physically frees only when no other owner (a
+    /// retained sharer) still holds it. Returns the pages actually freed.
     ///
     /// # Errors
     ///
@@ -635,11 +623,11 @@ impl MmuSim {
     ///
     /// Contract: the request must be **whole-request shared** — every page
     /// at the same refcount, which [`retain_request`](Self::retain_request)
-    /// preserves and appends break. A request that was written to after a
-    /// [`fork_stream`](Self::fork_stream) mixes shared and private pages
-    /// and must be retired with [`free_request`](Self::free_request)
-    /// instead; releasing it would free its private tail while its tables
-    /// stay live, so that misuse is rejected loudly.
+    /// preserves and appends break. A request written to after it was
+    /// shared mixes shared and private pages and must be retired with
+    /// [`free_request`](Self::free_request) instead; releasing it would
+    /// free its private tail while its tables stay live, so that misuse is
+    /// rejected loudly.
     ///
     /// # Panics
     ///
@@ -658,7 +646,7 @@ impl MmuSim {
         assert!(
             uniform,
             "release_request on mixed-refcount request {request}: \
-             forked-then-written requests must use free_request"
+             requests written after sharing must use free_request"
         );
         let mut freed = 0u32;
         let mut fully_freed = true;
@@ -677,32 +665,6 @@ impl MmuSim {
             self.take_streams(request);
         }
         freed
-    }
-
-    /// Copy-on-write fork: `dst` becomes a new stream sharing every page
-    /// (and table entry) `src` has written so far. The shared pages gain
-    /// one reference each; `dst`'s tail is marked copy-on-write, so its
-    /// next [`write_token`](Self::write_token) opens a fresh private page
-    /// while `src` keeps appending into its own tail. Returns the number
-    /// of pages now shared, or `None` when `src` is unknown or `dst`
-    /// already exists.
-    pub fn fork_stream(&mut self, src: &StreamKey, dst: StreamKey) -> Option<u32> {
-        if self.streams.contains_key(&dst) {
-            return None;
-        }
-        let (table, pages, mut tail) = {
-            let s = self.streams.get(src)?;
-            (s.table.clone(), s.pages.clone(), s.tail)
-        };
-        for &p in &pages {
-            self.allocator
-                .retain(p)
-                .expect("stream-owned pages are allocated");
-        }
-        let shared = pages.len() as u32;
-        tail.close(self.allocator.page_size());
-        self.streams.insert(dst, Stream { table, pages, tail });
-        Some(shared)
     }
 
     /// Physical pages currently referenced by more than one owner.
@@ -928,59 +890,18 @@ mod tests {
     }
 
     #[test]
-    fn fork_stream_shares_history_and_diverges_on_write() {
-        let mut mmu = MmuSim::new(8, 128);
-        let src = key(1, 0, StreamClass::Dense);
-        for _ in 0..3 {
-            mmu.write_token(src, 60).unwrap(); // 2 pages, tail half full
-        }
-        let dst = key(2, 0, StreamClass::Dense);
-        assert_eq!(mmu.fork_stream(&src, dst).unwrap(), 2);
-        assert_eq!(mmu.shared_pages(), 2);
-        // The fork reads the same history...
-        for t in 0..3 {
-            assert_eq!(mmu.translate(&src, t), mmu.translate(&dst, t));
-        }
-        // ...but the next write is copy-on-write: dst opens a private page
-        // even though the shared tail has room, while src keeps appending
-        // in place.
-        let before = mmu.allocator().allocated_pages();
-        let rd = mmu.write_token(dst, 10).unwrap();
-        assert!(rd.new_page, "forked tail must not be written in place");
-        assert_eq!(mmu.allocator().allocated_pages(), before + 1);
-        let rs = mmu.write_token(src, 10).unwrap();
-        assert!(!rs.new_page, "src still owns its tail");
-        assert_ne!(rs.addr, rd.addr);
-        // Freeing src releases its references; dst keeps the shared pages.
-        mmu.free_request(1).unwrap();
-        assert_eq!(mmu.shared_pages(), 0);
-        assert!(mmu.translate(&dst, 0).is_some());
-    }
-
-    #[test]
     #[should_panic(expected = "mixed-refcount")]
     fn release_request_rejects_forked_then_written_requests() {
         let mut mmu = MmuSim::new(8, 128);
-        let src = key(1, 0, StreamClass::Dense);
-        mmu.write_token(src, 60).unwrap();
-        let dst = key(2, 0, StreamClass::Dense);
-        mmu.fork_stream(&src, dst).unwrap();
-        // dst now mixes a shared history page (rc 2) with a private tail
-        // page (rc 1): releasing it whole-request would corrupt; it must
-        // be retired with free_request instead.
-        mmu.write_token(dst, 10).unwrap();
-        mmu.release_request(2);
-    }
-
-    #[test]
-    fn fork_stream_rejects_unknown_src_and_existing_dst() {
-        let mut mmu = MmuSim::new(4, 128);
-        let a = key(1, 0, StreamClass::Dense);
-        let b = key(2, 0, StreamClass::Dense);
-        assert!(mmu.fork_stream(&a, b).is_none(), "unknown src");
-        mmu.write_token(a, 10).unwrap();
-        mmu.write_token(b, 10).unwrap();
-        assert!(mmu.fork_stream(&a, b).is_none(), "dst exists");
+        let k = key(1, 0, StreamClass::Dense);
+        mmu.write_token(k, 100).unwrap();
+        mmu.retain_request(1);
+        // Written after sharing, the request mixes a shared history page
+        // (rc 2) with a private tail page (rc 1): releasing it
+        // whole-request would corrupt; it must be retired with
+        // free_request instead.
+        mmu.write_token(k, 100).unwrap();
+        mmu.release_request(1);
     }
 
     #[test]

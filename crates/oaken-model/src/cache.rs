@@ -100,18 +100,6 @@ impl KernelMode {
     }
 }
 
-/// One slot's K/V rows within a batched append
-/// ([`BatchKvCache::append_batch`]).
-#[derive(Debug, Clone, Copy)]
-pub struct BatchAppend<'a> {
-    /// Batch slot the rows belong to.
-    pub slot: usize,
-    /// The token's key vector.
-    pub k: &'a [f32],
-    /// The token's value vector.
-    pub v: &'a [f32],
-}
-
 /// A KV cache serving *multiple concurrent sequences*, addressed by a
 /// dense batch `slot` index. This is the storage interface the batched
 /// forward pass ([`crate::Model::forward_batch`]) drives: slot `i` is the
@@ -144,11 +132,11 @@ pub trait BatchKvCache {
     /// Whether an append only *extends* the dequantized views — rows
     /// already materialized are never rewritten by later appends.
     ///
-    /// This is the gate for the parallel forward pass: when it holds, the
+    /// This is the gate for the batched forward pass: when it holds, the
     /// forward pass may append a whole iteration's rows first and attend
     /// afterwards with each step limited to its own causal length, with
-    /// bit-identical
-    /// results to the serial append-then-attend interleaving. It holds
+    /// bit-identical results to the serial append-then-attend
+    /// interleaving. It holds
     /// for exact f32 storage and for every streaming quantizer (the
     /// [`KvRowStream`] contract); it does **not** hold for the
     /// recompute-on-read fallback (KIVI/KVQuant re-derive scales over the
@@ -161,17 +149,6 @@ pub trait BatchKvCache {
     /// forward pass accounts as one scale sync per K and V row (free at
     /// one rank).
     fn syncs_row_scales(&self) -> bool;
-
-    /// Appends one iteration's rows for `layer` — semantically identical
-    /// to calling [`BatchKvCache::append`] for each item in order, with
-    /// the quantization work of independent slots free to shard across
-    /// `rt`.
-    fn append_batch(
-        &mut self,
-        rt: &oaken_runtime::Runtime,
-        layer: usize,
-        items: &[BatchAppend<'_>],
-    );
 }
 
 /// Where a [`KindSlot`] keeps its rows.

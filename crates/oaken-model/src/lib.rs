@@ -39,10 +39,11 @@
 //! [`Model::forward_batch_sharded`]: N tensor-parallel [`ranks`] (each
 //! owning a head slice, the matching weight rows and a private pool shard,
 //! merged by a deterministic all-reduce) on an `oaken-runtime` worker pool
-//! (`(rank, row sub-chunk)` tasks for the weight sweeps, sequences for
-//! quantize+append via [`pool::PagedKvPool::append_batch`], `(rank, run,
+//! (`(rank, row sub-chunk)` tasks for the weight sweeps, `(rank, run,
 //! query tile, KV-head range)` tasks for attention) — bit-exact with the
-//! serial one-rank pass for every rank and thread count. The pass takes
+//! serial one-rank pass for every rank and thread count. Nothing that
+//! mutates the pool leaves the calling thread: every row is quantized and
+//! laid into pages by [`pool::PagedKvPool::append`], one step at a time. The pass takes
 //! its steps with their liveness ([`StepBatch`]: whose logits are read)
 //! and computes only what is read: every layer is a KV stage over all
 //! steps and a tail stage over the steps still read, so an unsampled
@@ -80,14 +81,14 @@ pub use attention::{
     attend_one_into, attend_run_fused_into, AttentionScratch, AttentionShape, EncodedKv, KvRead,
     QUERY_TILE,
 };
-pub use cache::{BatchAppend, BatchKvCache, KernelMode};
+pub use cache::{BatchKvCache, KernelMode};
 pub use config::{ModelConfig, MoeConfig, Positional};
 pub use ffn::{DenseFfn, FfnWeights};
 pub use model::{BatchKvObserver, BatchStep, KvObserver, LayerWeights, Model, Session, StepBatch};
 pub use oaken_mmu::{FaultKind, FaultOp, FaultPlan, FaultStats, Residency, SwapReceipt, SwapStats};
 pub use pool::{
     KvReadStats, KvTransfer, PageAccounting, PagedKvPool, PoolBatchView, PoolError, PrefixAlloc,
-    SeqId, SeqRowAppend,
+    SeqId,
 };
 pub use ranks::{RankPlan, RankedPools};
 pub use sampling::{sample_greedy, sample_temperature};

@@ -3,7 +3,7 @@
 //! quantizer) with KV observation hooks for offline profiling.
 
 use crate::attention::{attend_run_into, with_thread_scratch, AttentionShape, KvRead, QUERY_TILE};
-use crate::cache::{BatchAppend, BatchKvCache, KernelMode, SeqStore};
+use crate::cache::{BatchKvCache, KernelMode, SeqStore};
 use crate::config::{ModelConfig, Positional};
 use crate::ffn::{DenseFfn, FfnWeights};
 use crate::ranks::{as_refs, concat_shards, gather, sharded_matvec, RankPlan, RowShards};
@@ -309,7 +309,7 @@ impl Model {
     /// every decoder layer is two stages over the rows that need them:
     ///
     /// * the **KV stage**, over *all* steps — attention norm → `Wk`/`Wv` →
-    ///   RoPE on K → [`BatchKvCache::append_batch`]: the cache rows are
+    ///   RoPE on K → [`BatchKvCache::append`] per step: the cache rows are
     ///   the pass's lasting product and every step leaves its own;
     /// * the **tail stage**, over the steps whose output is still read —
     ///   `Wq` → RoPE on Q → attention, each query under its own causal
@@ -334,10 +334,11 @@ impl Model {
     ///   sub-chunk of the rank's rows)`. `Wq`/`Wk`/`Wv` rows follow head
     ///   ownership and stay rank-local; `Wo`, the FFN matrices and the LM
     ///   head split evenly and gather through one all-reduce each;
-    /// * **quantize + append** — one [`BatchKvCache::append_batch`] call
-    ///   per layer with full-width rows (Oaken's scales are whole-row
-    ///   min/max, which a rank group pays as a per-row scale sync,
-    ///   accounted here); each shard stores its own heads' channels;
+    /// * **quantize + append** — serial, on the calling thread: one
+    ///   [`BatchKvCache::append`] per step and layer with full-width rows
+    ///   (Oaken's scales are whole-row min/max, which a rank group pays as
+    ///   a per-row scale sync, accounted here); each shard stores its own
+    ///   heads' channels, and the pool's MMU stays a single writer;
     /// * **attention** — head-local: one task per `(rank, slot run, query
     ///   tile, KV-head range)`, each reading its rank's shard in place —
     ///   f32 views in [`KernelMode::Exact`], one sweep over the *encoded*
@@ -353,9 +354,10 @@ impl Model {
     ///
     /// When the cache's views are *not* append-only (the KIVI/KVQuant
     /// recompute fallback re-derives scales over the whole prefix on
-    /// read) or an observer is attached, each step appends and attends
-    /// before the next one appends — the same two stages, one step at a
-    /// time.
+    /// read), each step appends and attends before the next one appends —
+    /// the same two stages, one step at a time. An observer sees every
+    /// step's rows of a layer, in step order, before they are appended,
+    /// and changes no bit.
     ///
     /// # Panics
     ///
@@ -402,10 +404,9 @@ impl Model {
             }
         }
         // Append-then-attend batching is only bit-exact when appends never
-        // rewrite materialized view rows; the observer callback is `FnMut`
-        // and must see each step's rows before they are cached. Either way
-        // the stages run over spans of steps: the whole batch, or one step.
-        let interleave = observer.is_some() || !cache.append_only_views();
+        // rewrite materialized view rows. Either way the stages run over
+        // spans of steps: the whole batch, or one step.
+        let interleave = !cache.append_only_views();
         let width = if interleave { 1 } else { steps.len().max(1) };
         let spans: Vec<Range<usize>> = (0..steps.len())
             .step_by(width)
@@ -546,12 +547,9 @@ impl Pass<'_, '_> {
                 obs(i, l, KvKind::Value, v);
             }
         }
-        let items: Vec<BatchAppend<'_>> = self.slots[span]
-            .iter()
-            .zip(ks.iter().zip(&vs))
-            .map(|(&slot, (k, v))| BatchAppend { slot, k, v })
-            .collect();
-        self.cache.append_batch(self.rt, l, &items);
+        for (&slot, (k, v)) in self.slots[span].iter().zip(ks.iter().zip(&vs)) {
+            self.cache.append(slot, l, k, v);
+        }
         hs
     }
 
@@ -1096,8 +1094,92 @@ mod tests {
         }
     }
 
-    /// The parallel forward pass (weight sweeps, batched appends, and
-    /// step×KV-head attention sharded across a runtime) must be
+    /// An observer changes no bit and sees each row once. Two multi-step
+    /// passes (prompt chunks beside lone steps, over a quantized pool) give
+    /// the logits of the same passes without one; the observer sees each
+    /// `(step, layer, kind)` row once, layer-major with steps in order,
+    /// and per sequence exactly the rows a token-by-token `Session`
+    /// observes.
+    #[test]
+    fn observer_changes_no_bit_and_sees_each_row_once() {
+        use crate::pool::{PagedKvPool, PoolBatchView};
+        use crate::ranks::RankedPools;
+        use std::cell::RefCell;
+        use std::collections::BTreeMap;
+        use std::rc::Rc;
+
+        /// `(slot, pos, layer, kind)`: one observed row.
+        type Key = (usize, usize, usize, usize);
+        fn bits(v: &[f32]) -> Vec<u32> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+        fn kind_index(kind: KvKind) -> usize {
+            usize::from(kind == KvKind::Value)
+        }
+
+        let m = tiny();
+        let cfg = m.config().clone();
+        let q = oaken(cfg.kv_dim(), cfg.num_layers);
+        let prompts: [&[u32]; 2] = [&[11, 12, 13, 14, 15], &[40, 41, 42]];
+        let step = |slot: usize, pos: usize| BatchStep {
+            slot,
+            pos,
+            token: prompts[slot][pos],
+        };
+        let iterations = [
+            vec![step(0, 0), step(0, 1), step(0, 2), step(0, 3), step(1, 0)],
+            vec![step(1, 1), step(1, 2), step(0, 4)],
+        ];
+        let run = |observe: bool| {
+            let mut pool = PagedKvPool::for_model(&cfg, Some(q.clone()), 4096, 512);
+            let seqs = [pool.alloc_seq(), pool.alloc_seq()];
+            let mut pools = RankedPools::single(&cfg, pool);
+            let (mut logits, mut order, mut rows) = (Vec::new(), Vec::new(), BTreeMap::new());
+            for steps in &iterations {
+                let mut view = PoolBatchView::new(&mut pools, &seqs);
+                let mut obs = |i: usize, l: usize, kind: KvKind, v: &[f32]| {
+                    let key: Key = (steps[i].slot, steps[i].pos, l, kind_index(kind));
+                    order.push(key);
+                    assert!(rows.insert(key, bits(v)).is_none(), "{key:?} seen twice");
+                };
+                let observer = observe.then_some(&mut obs as &mut BatchKvObserver<'_>);
+                let out = m.forward_batch(&mut view, steps, observer);
+                logits.extend(out.iter().map(|l| bits(l)));
+            }
+            (logits, order, rows)
+        };
+
+        let (plain, _, _) = run(false);
+        let (observed, order, rows) = run(true);
+        assert_eq!(observed, plain, "an observer changes no logit bit");
+        let layer_major: Vec<Key> = (iterations.iter())
+            .flat_map(|steps| {
+                (0..cfg.num_layers).flat_map(move |l| {
+                    (steps.iter()).flat_map(move |s| [(s.slot, s.pos, l, 0), (s.slot, s.pos, l, 1)])
+                })
+            })
+            .collect();
+        assert_eq!(order, layer_major);
+
+        let mut sessions = BTreeMap::new();
+        for (slot, prompt) in prompts.iter().enumerate() {
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            let mut session = m.session(Some(q.clone()));
+            let log = Rc::clone(&seen);
+            session.set_kv_observer(Box::new(move |l, kind, v| {
+                log.borrow_mut().push((l, kind_index(kind), bits(v)));
+            }));
+            session.prefill(prompt);
+            drop(session);
+            for (j, (l, kind, row)) in seen.take().into_iter().enumerate() {
+                sessions.insert((slot, j / (2 * cfg.num_layers), l, kind), row);
+            }
+        }
+        assert_eq!(rows, sessions);
+    }
+
+    /// The parallel forward pass (weight sweeps and step×KV-head
+    /// attention sharded across a runtime) must be
     /// bit-identical to the serial pass for every thread count — over a
     /// real paged pool with mixed decode steps and prompt chunks.
     #[test]

@@ -1,11 +1,10 @@
 //! The engine's adapter: one iteration's slot → sequence mapping over the
 //! rank shards, as a [`BatchKvCache`].
 
-use super::{PoolError, SeqId, SeqRowAppend};
+use super::{PoolError, SeqId};
 use crate::attention::KvRead;
-use crate::cache::{BatchAppend, BatchKvCache};
+use crate::cache::BatchKvCache;
 use crate::ranks::RankedPools;
-use oaken_runtime::Runtime;
 
 /// Borrowed view pairing the engine's [`RankedPools`] (one private shard
 /// per tensor-parallel rank; a lone pool wrapped by
@@ -89,42 +88,5 @@ impl BatchKvCache for PoolBatchView<'_> {
 
     fn syncs_row_scales(&self) -> bool {
         self.pools.quantized()
-    }
-
-    fn append_batch(&mut self, rt: &Runtime, layer: usize, items: &[BatchAppend<'_>]) {
-        if self.pools.num_ranks() > 1
-            || self.pools.lead().faults_active()
-            || !self.poisoned.is_empty()
-        {
-            // Per-item appends: no follower stores a row ahead of the
-            // lead's verdict on it, each item polls the fault schedule in
-            // item order (thread-count-independent injection), and a
-            // failure poisons exactly its own slot.
-            for it in items {
-                self.append(it.slot, layer, it.k, it.v);
-            }
-            return;
-        }
-        // Accessor form: translate slot → sequence on the fly instead of
-        // materializing a mapped item list (this adapter sits on the
-        // steady-state allocation-free append path).
-        let seqs = self.seqs;
-        let lead = self.pools.lead_mut();
-        if let Err((i, e)) = lead.append_batch_with(rt, layer, items.len(), &|i| {
-            let it = &items[i];
-            SeqRowAppend {
-                seq: seqs[it.slot],
-                k: it.k,
-                v: it.v,
-            }
-        }) {
-            // Items before `i` were applied, item `i` failed atomically:
-            // poison its slot and finish the rest one by one so the
-            // failure stays contained to a single sequence.
-            self.poisoned.push((items[i].slot, e));
-            for it in &items[i + 1..] {
-                self.append(it.slot, layer, it.k, it.v);
-            }
-        }
     }
 }

@@ -175,17 +175,10 @@ impl PagedKvPool {
         }
     }
 
-    /// Seals every pending block of `seq` whose rows are page-committed
-    /// across all layers and kinds, counting `layer` only up to its
-    /// `committed` rows.
-    ///
-    /// The batched append quantizes a whole iteration's rows before any
-    /// page is laid, so during its serial commit phase a layer's
-    /// `slot.rows` can run ahead of the rows whose pages exist; sealing a
-    /// block then would move a partially-written page range into the
-    /// trie. The cap keeps the serial invariant (where it is a no-op): a
-    /// block seals only once every one of its rows is page-committed.
-    pub(super) fn seal_ready_blocks(&mut self, seq: SeqId, layer: usize, committed: usize) {
+    /// Seals every pending block of `seq` whose rows are appended across
+    /// all layers and kinds (an append lays its pages before it returns,
+    /// so those rows are page-committed too).
+    pub(super) fn seal_ready_blocks(&mut self, seq: SeqId) {
         loop {
             let state = self.seqs.get(&seq.0).expect("caller validated");
             let Some(plan) = &state.plan else {
@@ -195,10 +188,7 @@ impl PagedKvPool {
                 return;
             }
             let boundary = (plan.sealed + 1) * self.block_tokens;
-            let complete = state.slots.iter().enumerate().all(|(l, pair)| {
-                let cap = if l == layer { committed } else { usize::MAX };
-                pair.iter().all(|s| s.rows.min(cap) >= boundary)
-            });
+            let complete = (state.slots.iter().flatten()).all(|s| s.rows >= boundary);
             if !complete {
                 return;
             }

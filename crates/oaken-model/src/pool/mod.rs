@@ -18,7 +18,7 @@
 //!
 //! | module | seam | owns |
 //! |---|---|---|
-//! | `seq` | sequence lifecycle | admission, the guarded single / batched append (one ingest, one page commit), the one teardown, slot recycling |
+//! | `seq` | sequence lifecycle | admission, the one guarded append (page bound, fault poll, quantize, page commit), the one teardown, slot recycling |
 //! | `blocks` | trie blocks | prompt plan, adoption, sealing and late dedup into the [prefix trie](crate::trie) |
 //! | `tiers` | tiers | suspend / resume to the host tier, export / import across pools ([`KvTransfer`]) |
 //! | `reads` | read views | dequantized views, encoded tensors, [`KvReadStats`] |
@@ -47,7 +47,6 @@ mod tiers;
 
 pub use batch_view::PoolBatchView;
 pub use reads::KvReadStats;
-pub use seq::SeqRowAppend;
 pub use tiers::KvTransfer;
 
 use crate::cache::KernelMode;
@@ -57,7 +56,7 @@ use oaken_core::{KvKind, KvQuantizer, KvRowStream};
 use oaken_mmu::{FaultKind, FaultOp, FaultPlan, FaultStats, MmuSim, SwapStats};
 use pages::PageLedger;
 use reads::ReadCounters;
-use seq::{BatchScratch, SeqSlots};
+use seq::SeqSlots;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -247,15 +246,13 @@ pub struct PagedKvPool {
     stats: PrefixStats,
     /// Whether the quantizer provides incremental row streams (probed once
     /// at construction): streams keep views append-only, the gate for the
-    /// parallel forward pass. Exact-f32 pools (no quantizer) also qualify.
+    /// batched forward pass. Exact-f32 pools (no quantizer) also qualify.
     streaming: bool,
     /// Which attention read path sequences admitted to this pool feed
     /// (installed by [`PagedKvPool::set_kernel_mode`] while idle).
     kernel: KernelMode,
     /// Cumulative read-path traffic, split by kernel family.
     reads: ReadCounters,
-    /// Reusable scratch for [`PagedKvPool::append_batch`].
-    batch: BatchScratch,
 }
 
 impl fmt::Debug for PagedKvPool {
@@ -325,7 +322,6 @@ impl PagedKvPool {
             streaming,
             kernel: KernelMode::Exact,
             reads: ReadCounters::default(),
-            batch: BatchScratch::default(),
         }
     }
 
@@ -598,13 +594,6 @@ impl PagedKvPool {
         self.pages.install_faults(plan);
     }
 
-    /// Whether a fault schedule is installed. The batched append path
-    /// degrades to the serial per-item loop while faults are active, so
-    /// the injection schedule is independent of the thread count.
-    pub fn faults_active(&self) -> bool {
-        self.mmu().faults_active()
-    }
-
     /// Counters over the faults injected so far.
     pub fn fault_stats(&self) -> FaultStats {
         self.mmu().fault_stats()
@@ -664,7 +653,6 @@ mod tests {
     use super::*;
     use crate::cache::SlotRows;
     use oaken_core::{OakenConfig, OakenQuantizer, OfflineProfiler};
-    use oaken_runtime::Runtime;
 
     fn row(d: usize, seed: u64) -> Vec<f32> {
         (0..d)
@@ -1064,113 +1052,6 @@ mod tests {
         pool.free_seq(a.seq).unwrap();
         assert_eq!(pool.trie_blocks(), 0);
         assert_eq!(pool.free_pages(), pool.capacity_pages());
-    }
-
-    /// The sharded batch append must leave the pool in *exactly* the
-    /// state of the serial per-item loop: views bit-identical, page
-    /// counts equal, blocks sealed into the trie the same way — across
-    /// chunked (multi-row) runs, prefix plans, and every thread count.
-    #[test]
-    fn append_batch_is_bit_identical_to_serial_appends() {
-        let layers = 2;
-        let d = 64;
-        let cfg = tiny_config(layers, 2, 32);
-        let q = oaken(d, layers);
-        let prompt: Vec<u32> = (0..11).collect();
-        for threads in [2usize, 4, 8] {
-            let rt = Runtime::new(threads);
-            let mut par = PagedKvPool::for_model(&cfg, Some(q.clone()), 2048, 512);
-            let mut ser = PagedKvPool::for_model(&cfg, Some(q.clone()), 2048, 512);
-            par.set_block_tokens(4);
-            ser.set_block_tokens(4);
-            let pa = par.alloc_seq_with_prefix(&prompt).seq;
-            let sa = ser.alloc_seq_with_prefix(&prompt).seq;
-            let pb = par.alloc_seq();
-            let sb = ser.alloc_seq();
-            // Chunked runs: 3 rows of sequence a, then 2 of sequence b,
-            // per layer, repeated — the chunked-prefill batch shape.
-            let mut pos_a = 0usize;
-            let mut pos_b = 0usize;
-            for _round in 0..4 {
-                for layer in 0..layers {
-                    let rows_a: Vec<(Vec<f32>, Vec<f32>)> =
-                        (0..3).map(|j| kv_for_pos(d, pos_a + j)).collect();
-                    let rows_b: Vec<(Vec<f32>, Vec<f32>)> =
-                        (0..2).map(|j| kv_for_pos(d, 500 + pos_b + j)).collect();
-                    let mut items = Vec::new();
-                    for (k, v) in &rows_a {
-                        items.push(SeqRowAppend { seq: pa, k, v });
-                    }
-                    for (k, v) in &rows_b {
-                        items.push(SeqRowAppend { seq: pb, k, v });
-                    }
-                    par.append_batch(&rt, layer, &items).unwrap();
-                    for (k, v) in &rows_a {
-                        ser.append(sa, layer, k, v).unwrap();
-                    }
-                    for (k, v) in &rows_b {
-                        ser.append(sb, layer, k, v).unwrap();
-                    }
-                }
-                pos_a += 3;
-                pos_b += 2;
-            }
-            for layer in 0..layers {
-                for (p, s) in [(pa, sa), (pb, sb)] {
-                    assert_eq!(par.seq_len(p, layer), ser.seq_len(s, layer));
-                    let a: Vec<u32> = par.keys(p, layer).iter().map(|x| x.to_bits()).collect();
-                    let b: Vec<u32> = ser.keys(s, layer).iter().map(|x| x.to_bits()).collect();
-                    assert_eq!(a, b, "keys diverged ({threads} threads, layer {layer})");
-                    let a: Vec<u32> = par.values(p, layer).iter().map(|x| x.to_bits()).collect();
-                    let b: Vec<u32> = ser.values(s, layer).iter().map(|x| x.to_bits()).collect();
-                    assert_eq!(a, b, "values diverged ({threads} threads, layer {layer})");
-                }
-            }
-            assert_eq!(par.free_pages(), ser.free_pages(), "{threads} threads");
-            assert_eq!(par.trie_blocks(), ser.trie_blocks());
-            assert_eq!(par.seq_pages(pa), ser.seq_pages(sa));
-            assert_eq!(par.seq_pages(pb), ser.seq_pages(sb));
-            assert_eq!(par.page_accounting(), ser.page_accounting());
-            assert_balanced(&par);
-        }
-    }
-
-    /// Exhaustion semantics of the batched path match the serial loop:
-    /// a batch whose conservative bound does not fit degrades to the
-    /// per-item loop and surfaces the same partial-progress error.
-    #[test]
-    fn append_batch_exhaustion_matches_serial() {
-        let layers = 1;
-        let d = 64;
-        let cfg = tiny_config(layers, 2, 32);
-        let rt = Runtime::new(4);
-        let mut par = PagedKvPool::for_model(&cfg, None, 4, 256);
-        let mut ser = PagedKvPool::for_model(&cfg, None, 4, 256);
-        let p = par.alloc_seq();
-        let s = ser.alloc_seq();
-        let rows: Vec<(Vec<f32>, Vec<f32>)> = (0..16).map(|t| kv_for_pos(d, t)).collect();
-        let mut par_err = None;
-        for chunk in rows.chunks(2) {
-            let items: Vec<SeqRowAppend<'_>> = chunk
-                .iter()
-                .map(|(k, v)| SeqRowAppend { seq: p, k, v })
-                .collect();
-            if let Err(e) = par.append_batch(&rt, 0, &items) {
-                par_err = Some(e);
-                break;
-            }
-        }
-        let mut ser_err = None;
-        for (k, v) in &rows {
-            if let Err(e) = ser.append(s, 0, k, v) {
-                ser_err = Some(e);
-                break;
-            }
-        }
-        assert!(matches!(par_err, Some(PoolError::OutOfPages { .. })));
-        assert!(matches!(ser_err, Some(PoolError::OutOfPages { .. })));
-        assert_eq!(par.seq_len(p, 0), ser.seq_len(s, 0), "same rows landed");
-        assert_eq!(par.free_pages(), ser.free_pages());
     }
 
     #[test]

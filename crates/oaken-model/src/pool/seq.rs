@@ -1,5 +1,5 @@
-//! Sequence lifecycle: admission, growth (the guarded single and batched
-//! appends), retirement, and the slot storage they move through.
+//! Sequence lifecycle: admission, growth (the one guarded append),
+//! retirement, and the slot storage they move through.
 //!
 //! * **Guarded appends** — [`PagedKvPool::append`] checks a conservative
 //!   worst-case page bound *before* touching any state and fails cleanly
@@ -25,11 +25,10 @@
 //!   leaf-first.
 
 use super::blocks::{SeqBlock, SeqPlan};
-use super::{PagedKvPool, PoolError, PoolShard, SeqId};
+use super::{PagedKvPool, PoolError, SeqId};
 use crate::cache::{KindSlot, SlotRows};
 use oaken_core::{KvKind, KvQuantizer};
 use oaken_mmu::FaultOp;
-use oaken_runtime::{Runtime, UnsafeSlice};
 use std::ops::Range;
 
 /// Per-sequence storage: one [`KindSlot`] per `(layer, kind)`, plus a
@@ -93,104 +92,6 @@ impl SeqSlots {
             SeqBlock::Shared(_) => None,
         }))
     }
-}
-
-/// One sequence's K/V rows within a batched pool append
-/// ([`PagedKvPool::append_batch`]).
-#[derive(Debug, Clone, Copy)]
-pub struct SeqRowAppend<'a> {
-    /// The sequence the rows belong to.
-    pub seq: SeqId,
-    /// The token's key vector.
-    pub k: &'a [f32],
-    /// The token's value vector.
-    pub v: &'a [f32],
-}
-
-/// What ingesting one token's K/V rows hands to its page commit.
-#[derive(Debug, Clone, Copy, Default)]
-struct RowRecord {
-    /// Rows held by the `(seq, layer)` slots *before* this token
-    /// (identical for both kinds) — the position the page commit routes by.
-    pos: usize,
-    /// `(dense, sparse)` encoded byte sizes of the key row.
-    key_bytes: (usize, usize),
-    /// `(dense, sparse)` encoded byte sizes of the value row.
-    value_bytes: (usize, usize),
-}
-
-/// The one row ingest, and what it needs of the pool — borrowed apart
-/// from the sequences so the parallel batch phase can hold both.
-struct Ingest<'a> {
-    quantizer: Option<&'a dyn KvQuantizer>,
-    /// Set on an exact-f32 rank shard, which slices the full-width row
-    /// itself; quantized shards pass the full row through (the stream
-    /// slices after whole-row quantization).
-    exact_shard: Option<PoolShard>,
-    kv_dim: usize,
-}
-
-impl<'a> Ingest<'a> {
-    fn new(
-        quantizer: &'a Option<std::sync::Arc<dyn KvQuantizer>>,
-        shard: Option<PoolShard>,
-        kv_dim: usize,
-    ) -> Self {
-        Self {
-            quantizer: quantizer.as_deref(),
-            exact_shard: shard.filter(|_| quantizer.is_none()),
-            kv_dim,
-        }
-    }
-
-    /// Quantizes one token's K and V rows into the sequence's own
-    /// `(layer)` slots — touching nothing else — and reports where they
-    /// landed and how many bytes each stored.
-    fn token(&self, state: &mut SeqSlots, layer: usize, k: &[f32], v: &[f32]) -> RowRecord {
-        let [key_slot, value_slot] = &mut state.slots[layer];
-        RowRecord {
-            pos: key_slot.rows,
-            key_bytes: self.row(key_slot, k),
-            value_bytes: self.row(value_slot, v),
-        }
-    }
-
-    fn row(&self, slot: &mut KindSlot, row: &[f32]) -> (usize, usize) {
-        let row = match self.exact_shard {
-            Some(s) => &row[s.start..s.start + self.kv_dim],
-            None => row,
-        };
-        slot.append(row);
-        encoded_row_payload(slot, self.quantizer, self.kv_dim)
-    }
-}
-
-/// Raw pointers to the distinct sequences' slot storage for one batched
-/// append — collected serially, dereferenced by exactly one task each.
-#[derive(Default)]
-struct SlotPtrs(Vec<*mut SeqSlots>);
-
-// SAFETY: the pointers are only alive (and only dereferenced) inside one
-// `append_batch` call, each by a single task over a distinct sequence, and
-// the pointees (`SeqSlots`) own only `Send` data (`Box<dyn KvRowStream>`
-// is `Send` by trait bound), so handing one to a worker thread is sound.
-unsafe impl Send for SlotPtrs {}
-// SAFETY: tasks share `&SlotPtrs` only to copy out their own run's
-// pointer; no two tasks dereference the same one (see `Send` above).
-unsafe impl Sync for SlotPtrs {}
-
-/// Reusable buffers for [`PagedKvPool::append_batch`] — held by the pool
-/// so the steady-state batched append path performs no heap allocations
-/// (enforced by `tests/pool_alloc_free.rs`).
-#[derive(Default)]
-pub(super) struct BatchScratch {
-    /// Consecutive same-sequence runs of the item list:
-    /// `(seq id, first item index, item count)`.
-    runs: Vec<(u32, usize, usize)>,
-    /// One record per item.
-    recs: Vec<RowRecord>,
-    /// One slot pointer per run.
-    ptrs: SlotPtrs,
 }
 
 impl PagedKvPool {
@@ -335,6 +236,10 @@ impl PagedKvPool {
     /// Completing the last row of a pending block **seals** it into the
     /// prefix trie (the `blocks` module).
     ///
+    /// This is the one way a row enters the pool: page bound, fault poll,
+    /// quantize, page commit, seal — on the calling thread, so the MMU has
+    /// a single writer (§5.2) and page assignment follows call order.
+    ///
     /// # Errors
     ///
     /// [`PoolError::UnknownSequence`] for a freed handle,
@@ -368,10 +273,24 @@ impl PagedKvPool {
         if needed > free {
             return Err(PoolError::OutOfPages { needed, free });
         }
-        let ingest = Ingest::new(&self.quantizer, self.shard, self.kv_dim);
+        // An exact-f32 rank shard slices the full-width row itself;
+        // quantized shards pass the full row through (the stream slices
+        // after whole-row quantization).
+        let cols = match self.shard {
+            Some(s) if self.quantizer.is_none() => s.start..s.start + self.kv_dim,
+            _ => 0..k.len(),
+        };
         let state = self.seqs.get_mut(&seq.0).expect("checked above");
-        let rec = ingest.token(state, layer, k, v);
-        self.commit_row(seq, layer, rec);
+        // The row's bytes go to whoever owns its position; new pages are
+        // charged to the sequence's private count (pending blocks stay
+        // private until sealed).
+        let owner = state.owner_for_pos(seq.0, self.block_tokens, state.slots[layer][0].rows);
+        for (slot, row) in state.slots[layer].iter_mut().zip([k, v]) {
+            slot.append(&row[cols.clone()]);
+            let bytes = encoded_row_payload(slot, self.quantizer.as_deref(), self.kv_dim);
+            state.pages += self.pages.write_row(owner, bytes);
+        }
+        self.seal_ready_blocks(seq);
         Ok(())
     }
 
@@ -381,177 +300,6 @@ impl PagedKvPool {
     /// incremental row stream, false for the recompute-on-read fallback.
     pub fn append_only_views(&self) -> bool {
         self.streaming
-    }
-
-    /// Appends one token's K/V rows for `layer` across a whole batch of
-    /// sequences — semantically identical to calling
-    /// [`PagedKvPool::append`] for each item in order (same state, same
-    /// page assignment, same errors), with the quantization work sharded
-    /// across `rt`.
-    ///
-    /// Execution follows the paper's engine/MMU split (§5.2): the many
-    /// quantization engines work on independent shards — here, each
-    /// sequence's own row streams, the software unit that preserves
-    /// bit-exactness — while the MMU stays a **single writer**: a
-    /// conservative page bound is checked up front (the pre-reservation),
-    /// the parallel phase only quantizes into per-sequence buffers, and
-    /// all page allocation happens afterwards on the calling thread in
-    /// item order, so physical page assignment is identical to the serial
-    /// schedule.
-    ///
-    /// Items of one sequence must be consecutive (chunked-prefill order);
-    /// otherwise, and for a serial `rt` or a batch of one, the call
-    /// degrades to the serial loop. After warm-up the batched path
-    /// performs no heap allocations (scratch is pool-owned and reused;
-    /// enforced by `tests/pool_alloc_free.rs`).
-    ///
-    /// # Errors
-    ///
-    /// As [`PagedKvPool::append`]; like the serial loop, items before a
-    /// failing item remain applied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vector width disagrees with the model's `kv_dim`.
-    pub fn append_batch(
-        &mut self,
-        rt: &Runtime,
-        layer: usize,
-        items: &[SeqRowAppend<'_>],
-    ) -> Result<(), PoolError> {
-        self.append_batch_with(rt, layer, items.len(), &|i| items[i])
-            .map_err(|(_, e)| e)
-    }
-
-    /// [`PagedKvPool::append_batch`] over an item *accessor* instead of a
-    /// materialized slice, so adapters that only hold a slot→sequence
-    /// mapping (the engine's `PoolBatchView`) can feed the batched path
-    /// without building a translated item list per call — keeping the
-    /// whole engine append path allocation-free in steady state.
-    ///
-    /// `get(i)` must be pure (it is called more than once per item).
-    ///
-    /// # Errors
-    ///
-    /// As [`PagedKvPool::append`], tagged with the index of the failing
-    /// item so adapters can contain the failure to one batch slot; like
-    /// the serial loop, items before the failing one remain applied and
-    /// items after it were not attempted.
-    pub fn append_batch_with<'a>(
-        &mut self,
-        rt: &Runtime,
-        layer: usize,
-        n_items: usize,
-        get: &(dyn Fn(usize) -> SeqRowAppend<'a> + Sync),
-    ) -> Result<(), (usize, PoolError)> {
-        for i in 0..n_items {
-            let it = get(i);
-            assert_eq!(it.k.len(), self.append_width(), "key width mismatch");
-            assert_eq!(it.v.len(), self.append_width(), "value width mismatch");
-        }
-        let serial = |pool: &mut Self| -> Result<(), (usize, PoolError)> {
-            for i in 0..n_items {
-                let it = get(i);
-                pool.append(it.seq, layer, it.k, it.v).map_err(|e| (i, e))?;
-            }
-            Ok(())
-        };
-        if rt.is_serial() || n_items < 2 || self.faults_active() {
-            // Faults force the serial loop: every item polls the
-            // schedule individually in item order, so the injection
-            // sequence is identical at every thread count.
-            return serial(self);
-        }
-        // Consecutive same-sequence runs; any irregularity (unknown
-        // sequence, a sequence split across non-adjacent runs) falls back
-        // to the serial loop, which surfaces errors at the right item.
-        self.batch.runs.clear();
-        for idx in 0..n_items {
-            let it = get(idx);
-            match self.batch.runs.last_mut() {
-                Some((s, _, len)) if *s == it.seq.0 => *len += 1,
-                _ => self.batch.runs.push((it.seq.0, idx, 1)),
-            }
-        }
-        let runs_ok = self
-            .batch
-            .runs
-            .iter()
-            .enumerate()
-            .all(|(i, &(s, _, _))| self.batch.runs[..i].iter().all(|&(p, _, _)| p != s))
-            && self
-                .batch
-                .runs
-                .iter()
-                .all(|&(s, _, _)| self.seqs.contains_key(&s));
-        if !runs_ok {
-            return serial(self);
-        }
-        // Conservative pre-reservation: worst-case pages for the whole
-        // batch at this layer. When it does not fit, the serial loop
-        // reproduces the exact per-item failure semantics (its per-item
-        // bound is weaker, so it may still make progress).
-        let mut needed = 0u32;
-        for &(seq_id, _, len) in &self.batch.runs {
-            needed += self.rows_pages_needed(&self.seqs[&seq_id], seq_id, layer..layer + 1, len);
-        }
-        if needed > self.free_pages() {
-            return serial(self);
-        }
-
-        // Phase 1 (parallel): quantize every row into its sequence's own
-        // streams — one task per run, rows in item order within a run, so
-        // each stream sees exactly the serial append order. Only
-        // per-sequence state is touched; sizes land in disjoint records.
-        self.batch.recs.clear();
-        self.batch.recs.resize(n_items, RowRecord::default());
-        self.batch.ptrs.0.clear();
-        for &(seq_id, _, _) in &self.batch.runs {
-            let state = self.seqs.get_mut(&seq_id).expect("validated above");
-            self.batch.ptrs.0.push(state as *mut SeqSlots);
-        }
-        {
-            let runs = &self.batch.runs;
-            let ptrs = &self.batch.ptrs;
-            let recs = UnsafeSlice::new(&mut self.batch.recs);
-            let ingest = Ingest::new(&self.quantizer, self.shard, self.kv_dim);
-            rt.run(runs.len(), |r| {
-                let (_, start, len) = runs[r];
-                let state_ptr: *mut SeqSlots = ptrs.0[r];
-                // SAFETY: each run names a distinct live sequence (checked
-                // above), so this is the only task touching these slots,
-                // and `self.seqs` is not otherwise accessed until the
-                // phase completes.
-                let state = unsafe { &mut *state_ptr };
-                for idx in start..start + len {
-                    let it = get(idx);
-                    // SAFETY: `idx` ranges are disjoint across runs.
-                    *unsafe { recs.get_mut(idx) } = ingest.token(state, layer, it.k, it.v);
-                }
-            });
-        }
-
-        // Phase 2 (serial, item order): lay the encoded bytes into pages
-        // and seal any block whose rows are now fully committed — the
-        // exact write/seal schedule of the serial loop, so page ids and
-        // trie state are bit-identical to it.
-        for idx in 0..n_items {
-            self.commit_row(get(idx).seq, layer, self.batch.recs[idx]);
-        }
-        Ok(())
-    }
-
-    /// Page commit of one ingested token: its K then V bytes are laid into
-    /// the streams of whoever owns position `rec.pos` (new pages charged
-    /// to the sequence's private count — pending blocks stay private until
-    /// sealed), then every block whose rows are now all committed seals.
-    fn commit_row(&mut self, seq: SeqId, layer: usize, rec: RowRecord) {
-        let state = self.seqs.get_mut(&seq.0).expect("caller validated");
-        let owner = state.owner_for_pos(seq.0, self.block_tokens, rec.pos);
-        for bytes in [rec.key_bytes, rec.value_bytes] {
-            state.pages += self.pages.write_row(owner, bytes);
-        }
-        self.seal_ready_blocks(seq, layer, rec.pos + 1);
     }
 }
 

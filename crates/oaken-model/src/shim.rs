@@ -6,10 +6,9 @@
 //! they go once `bench/` moves off them.
 
 use crate::attention::KvRead;
-use crate::cache::{BatchAppend, BatchKvCache, KernelMode, SeqStore};
+use crate::cache::{BatchKvCache, KernelMode, SeqStore};
 use crate::config::ModelConfig;
 use oaken_core::KvQuantizer;
-use oaken_runtime::Runtime;
 use std::sync::Arc;
 
 /// Tokens a reset store holds: at least the longest sequence `bench/`
@@ -129,11 +128,6 @@ impl BatchKvCache for SingleSlot<'_> {
 
     fn syncs_row_scales(&self) -> bool {
         self.0.cache().store().pools.quantized()
-    }
-
-    fn append_batch(&mut self, rt: &Runtime, layer: usize, items: &[BatchAppend<'_>]) {
-        let store = self.0.cache_mut().store_mut();
-        store.with_view(|view| view.append_batch(rt, layer, items));
     }
 }
 

@@ -23,8 +23,9 @@ pub(crate) struct Submission {
     /// (the open-loop arrival schedule); `None` injects it as soon as the
     /// engine thread sees it (live-service semantics).
     pub arrival: Option<u64>,
-    /// Streaming delivery channel (bounded to `max_new_tokens + 1`, so
-    /// the engine thread's sends can never block).
+    /// Streaming delivery channel (bounded to every token the request
+    /// can produce plus its terminal event, so the engine thread's sends
+    /// can never block).
     pub tx: SyncSender<StreamEvent>,
 }
 

@@ -37,7 +37,7 @@ use oaken_serving::{
     TokenScheduler,
 };
 use std::collections::HashMap;
-use std::sync::mpsc::sync_channel;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 
 /// Post-shutdown page accounting for one rank's pool shard — the
@@ -114,6 +114,8 @@ impl ServiceReport {
 /// method takes `&self`.
 pub struct ServiceClient {
     batcher: Arc<Batcher>,
+    /// The model's `max_seq_len`: no request yields more tokens.
+    max_seq_len: usize,
 }
 
 impl ServiceClient {
@@ -147,8 +149,8 @@ impl ServiceClient {
         let cmds: Vec<Command> = schedule
             .into_iter()
             .map(|(req, arrival)| {
-                let (tx, rx) = sync_channel(req.max_new_tokens + 1);
-                handles.push(SessionHandle::new(req.id, rx, self.batcher.clone()));
+                let (tx, handle) = self.stream(&req);
+                handles.push(handle);
                 Command::Submit(Submission {
                     req,
                     arrival: Some(arrival),
@@ -174,13 +176,19 @@ impl ServiceClient {
     }
 
     fn submit_inner(&self, req: EngineRequest, arrival: Option<u64>) -> SessionHandle {
-        // Bound = every token the request can produce plus the terminal
-        // event: engine-thread sends can never block on a slow client.
-        let (tx, rx) = sync_channel(req.max_new_tokens + 1);
-        let handle = SessionHandle::new(req.id, rx, self.batcher.clone());
+        let (tx, handle) = self.stream(&req);
         self.batcher
             .push(Command::Submit(Submission { req, arrival, tx }));
         handle
+    }
+
+    /// `req`'s stream, bounded to every token it can produce plus the
+    /// terminal event, so engine-thread sends can never block on a slow
+    /// client. A request longer than `max_seq_len` fails at admission
+    /// without a token, so no budget sizes a buffer past that.
+    fn stream(&self, req: &EngineRequest) -> (SyncSender<StreamEvent>, SessionHandle) {
+        let (tx, rx) = sync_channel(req.max_new_tokens.min(self.max_seq_len) + 1);
+        (tx, SessionHandle::new(req.id, rx, self.batcher.clone()))
     }
 }
 
@@ -203,6 +211,7 @@ pub fn serve<R>(
     let batcher = Arc::new(Batcher::new());
     let client = ServiceClient {
         batcher: batcher.clone(),
+        max_seq_len: model.config().max_seq_len,
     };
     std::thread::scope(|scope| {
         let engine_batcher = batcher.clone();
@@ -217,7 +226,7 @@ pub fn serve<R>(
 
 /// Per-request engine-thread bookkeeping.
 struct SessionState {
-    tx: std::sync::mpsc::SyncSender<StreamEvent>,
+    tx: SyncSender<StreamEvent>,
     /// Tokens forwarded so far; the next expected decode index. Restart
     /// re-emissions arrive with `index < delivered` and are dropped.
     delivered: usize,

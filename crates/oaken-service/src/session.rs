@@ -2,10 +2,11 @@
 //! streaming delivery.
 //!
 //! Every submission returns a [`SessionHandle`] wrapping a *bounded*
-//! `std::sync::mpsc` channel. The bound is `max_new_tokens + 1` — enough
-//! for every token the request can ever produce plus its terminal
-//! [`StreamEvent::Done`] — so the engine thread's sends can **never
-//! block** on a slow or absent consumer: streaming delivery is
+//! `std::sync::mpsc` channel. The bound is `min(max_new_tokens,
+//! max_seq_len) + 1` — enough for every token the request can ever
+//! produce plus its terminal [`StreamEvent::Done`] — so the engine
+//! thread's sends can **never block** on a slow or absent consumer:
+//! streaming delivery is
 //! observationally downstream of the engine and cannot perturb its
 //! deterministic iteration loop (and a full-channel deadlock is
 //! impossible by construction).

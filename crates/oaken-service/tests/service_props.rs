@@ -385,6 +385,36 @@ fn invalid_requests_fail_typed_and_the_service_keeps_serving() {
     });
 }
 
+/// A request longer than the model's `max_seq_len` ends typed on its own
+/// stream whatever its output budget: a `1 << 40`-token budget sizes no
+/// buffer for that many tokens (which would abort the process), fails
+/// `Impossible` at admission, and the service keeps serving.
+#[test]
+fn over_length_request_fails_impossible_without_sizing_its_budget() {
+    let model = tiny_model();
+    let quantizer = profiled_oaken(&model);
+    let huge = EngineRequest {
+        id: 0,
+        prompt: vec![1, 2, 3],
+        max_new_tokens: 1 << 40,
+    };
+    let good = request_for(1, 6, 5);
+    let ((failed, served), report) = serve(
+        &model,
+        service_pool(&model, &quantizer, 256, 128),
+        TokenScheduler::new(4),
+        service_config(REFERENCE),
+        |client| (client.submit(huge).wait(), client.submit(good).wait()),
+    );
+    assert_eq!(
+        failed.end.outcome,
+        RequestOutcome::Failed(RequestFailure::Impossible)
+    );
+    assert!(failed.tokens.is_empty());
+    assert_eq!(served.end.outcome, RequestOutcome::Finished);
+    assert!(report.drained_empty(), "pool residue: {:?}", report.drain);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

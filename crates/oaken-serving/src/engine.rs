@@ -132,9 +132,10 @@ impl EngineRequest {
     }
 
     /// Tokens the pool holds when the request completes (the final sampled
-    /// token is returned, never fed back).
+    /// token is returned, never fed back), saturating at `usize::MAX` for a
+    /// request no model could hold.
     pub fn total_tokens(&self) -> usize {
-        self.prompt.len() + self.max_new_tokens - 1
+        (self.prompt.len().saturating_add(self.max_new_tokens)).saturating_sub(1)
     }
 }
 
@@ -204,10 +205,11 @@ pub struct EngineConfig {
     /// classic one-token-per-step schedule is the `1` setting.
     pub prefill_token_budget: usize,
     /// Threads executing each engine iteration (the deterministic
-    /// fork-join runtime: weight sweeps, per-sequence quantize+append,
-    /// and per-`(step, KV head)` attention all shard across them).
-    /// Parallel execution is **bit-exact** with `1`, which reproduces the
-    /// single-threaded engine exactly. Defaults to
+    /// fork-join runtime: weight sweeps and per-`(step, KV head)` attention
+    /// shard across them; quantize+append stays on the calling thread, so
+    /// the pool's MMU has one writer). Parallel execution is
+    /// **bit-exact** with `1`, which reproduces the single-threaded engine
+    /// exactly. Defaults to
     /// [`oaken_runtime::default_threads`] (the machine's available
     /// parallelism).
     pub num_threads: usize,
@@ -859,7 +861,10 @@ impl<'m> BatchEngine<'m> {
     /// bit-exactly where the exporter stopped. If the resume later
     /// demotes to evict-and-restart (capacity pressure, injected swap
     /// faults), the request re-prefills here and regenerates the same
-    /// tokens; consumers dedupe the re-emitted indices as usual.
+    /// tokens; consumers dedupe the re-emitted indices as usual. A
+    /// request longer than the model's `max_seq_len` does not land: it
+    /// finishes at once as [`RequestFailure::Impossible`], keeping the
+    /// tokens the exporter generated.
     ///
     /// # Errors
     ///
@@ -902,6 +907,19 @@ impl<'m> BatchEngine<'m> {
             ttft_iteration,
             transfers,
         } = export;
+        if request.total_tokens() > self.model.config().max_seq_len {
+            // Admission's length check, which a one-token prefill leg
+            // passes: the whole request can never fit the model, so it
+            // fails here and its frozen KV is dropped.
+            let t = Tracked {
+                generated,
+                logits,
+                ttft_iteration,
+                ..Tracked::new(request)
+            };
+            self.finish(t, RequestOutcome::Failed(RequestFailure::Impossible));
+            return Ok(());
+        }
         match self.pools.import_seq(transfers) {
             Ok((seq, _receipt)) => {
                 self.stats.imports += 1;
@@ -1860,6 +1878,23 @@ mod tests {
         let fin = e.run().to_vec();
         assert!(!fin.iter().find(|f| f.id == 0).unwrap().completed);
         assert!(fin.iter().find(|f| f.id == 1).unwrap().completed);
+    }
+
+    /// A length no model could hold fails typed at admission: its
+    /// footprint saturates instead of overflowing.
+    #[test]
+    fn unbounded_output_budget_fails_impossible() {
+        let m = tiny_model();
+        let mut e = engine_with_pages(&m, 100_000, EngineConfig::default());
+        e.submit(req(0, 3, usize::MAX));
+        e.submit(req(1, 3, 3));
+        let fin = e.run().to_vec();
+        let outcome = |id| fin.iter().find(|f| f.id == id).unwrap().outcome;
+        assert_eq!(
+            outcome(0),
+            RequestOutcome::Failed(RequestFailure::Impossible)
+        );
+        assert_eq!(outcome(1), RequestOutcome::Finished);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //!
 //! Each engine iteration runs on a deterministic fork-join runtime
 //! ([`EngineConfig::num_threads`], default the host's available
-//! parallelism): weight sweeps shard across output rows,
-//! quantize+append across sequences, attention across `(step, KV head)`
-//! tasks — and the output is **bit-exact** with `num_threads = 1` for
-//! every schedule, enforced by `tests/parallel_props.rs`.
+//! parallelism): weight sweeps shard across output rows and attention
+//! across `(step, KV head)` tasks, while every K/V row is quantized and
+//! laid into pages on the calling thread, one append at a time — and the
+//! output is **bit-exact** with `num_threads = 1` for every schedule,
+//! enforced by `tests/parallel_props.rs`.
 //!
 //! The paper's real-world benchmark follows the NeuPIMs methodology:
 //! requests are sampled from two Azure production traces — *Conversation*

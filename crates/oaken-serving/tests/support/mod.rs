@@ -229,7 +229,7 @@ pub fn request_for(id: u64, prompt_len: usize, max_new: usize) -> EngineRequest 
 }
 
 /// Requests where the first `shared` tokens are a common system prompt
-/// (exercising trie adoption and seal dedup under parallel appends).
+/// (exercising trie adoption and seal dedup under interleaved appends).
 pub fn requests_with_overlap(shapes: &[(usize, usize, u32)], shared: usize) -> Vec<EngineRequest> {
     shapes
         .iter()

@@ -2,7 +2,7 @@
 //! quantized KV stream through the page-based MMU the way the paged KV pool
 //! lays it out — one dense slab and one sparse log per owner — inspect the
 //! dense and sparse management tables, plan the burst read that the
-//! generation phase performs, and fork a stream copy-on-write — the
+//! generation phase performs, and share the request by refcount — the
 //! page-sharing primitive behind the pool's prefix cache.
 //!
 //! Run with: `cargo run --example mmu_tour`
@@ -110,35 +110,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * mmu.internal_fragmentation()
     );
 
-    // Copy-on-write fork: a second request adopts the whole dense history
-    // by reference — the pages gain a refcount instead of being copied,
-    // exactly how the serving pool shares a common prompt prefix.
-    let forked_key = StreamKey {
-        request: 8,
-        ..dense_key
-    };
-    let shared = mmu
-        .fork_stream(&dense_key, forked_key)
-        .expect("source stream exists");
+    // Sharing: a second sequence adopts request 7's whole history by
+    // reference — every page gains a refcount instead of being copied,
+    // exactly how the serving pool adopts a sealed prompt block from its
+    // prefix trie.
+    let retained = mmu.retain_request(7);
     println!(
-        "\nforked the dense slab into request 8: {shared} pages shared \
-         (refcounted, {} shared device-wide)",
+        "\na second sharer adopts request 7: {retained} pages retained \
+         ({} shared device-wide)",
         mmu.shared_pages()
     );
-    // The fork reads the same history; its first own write goes to a
-    // fresh private page (the shared tail is immutable to it).
-    let receipt = mmu.write_token(forked_key, stride as u32)?;
+    // Sharers depart in any order; pages free only when the last one goes,
+    // and the tables stay readable until then.
+    let first = mmu.release_request(7);
     println!(
-        "request 8 appends one {stride}-byte row: new_page = {} (copy-on-write tail)",
-        receipt.new_page
+        "one sharer departs: {first} pages freed, tables still readable: {}",
+        mmu.table(&dense_key).is_some()
     );
-
-    // Retire both requests; everything returns to the free pool (shared
-    // pages only free when the last owner departs).
-    let freed7 = mmu.free_request(7)?;
-    let freed8 = mmu.free_request(8)?;
+    let last = mmu.release_request(7);
     println!(
-        "requests retired: {freed7} + {freed8} pages freed, {} free",
+        "the last sharer departs: {last} pages freed, {} free",
         mmu.allocator().free_pages()
     );
     assert_eq!(mmu.allocator().free_pages(), mmu.allocator().capacity());

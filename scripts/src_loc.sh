@@ -10,14 +10,24 @@
 # it), evaluation (`eval`, `baselines`) and paper figures (`accel`,
 # `figures`) — then the total.
 #
-# usage: scripts/src_loc.sh [--files N] [repo-root]   (default: this checkout)
+# usage: scripts/src_loc.sh [--files N | --unsafe] [repo-root]
+#                                               (default: this checkout)
 #   --files N   print the N largest source files by the same count instead
+#   --unsafe    print the `unsafe` keywords per file over the same lines
+#               (most first, files without one left out), then the total:
+#               the unsafe-site ledger
 set -euo pipefail
-top=0
-if [ "${1:-}" = "--files" ]; then
-    top="${2:?--files needs a count}"
-    shift 2
-fi
+top=0 unsafe=0
+case "${1:-}" in
+    --files)
+        top="${2:?--files needs a count}"
+        shift 2
+        ;;
+    --unsafe)
+        unsafe=1
+        shift
+        ;;
+esac
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 
 # Prints "<lines> <file>" per input file.
@@ -33,6 +43,33 @@ count() {
         END { flush() }
     ' "$@"
 }
+
+# Prints "<unsafe keywords> <file>" per input file, over the lines
+# `count` counts.
+unsafe_sites() {
+    awk '
+        function flush() { if (file != "") print n + 0, file }
+        FNR == 1 { flush(); file = FILENAME; n = 0; in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests { next }
+        /^[[:space:]]*\/\// { next }
+        {
+            k = split($0, words, /[^[:alnum:]_]+/)
+            for (i = 1; i <= k; i++) n += words[i] == "unsafe"
+        }
+        END { flush() }
+    ' "$@"
+}
+
+if [ "$unsafe" -eq 1 ]; then
+    mapfile -t files < <(find "$root"/crates/*/src -name '*.rs' | sort)
+    unsafe_sites "${files[@]}" | awk '$1 > 0' | sort -k1,1nr -k2 |
+        awk -v root="$root/" '
+            { printf "%6d  %s\n", $1, substr($2, length(root) + 1); total += $1 }
+            END { printf "%6d  total\n", total }
+        '
+    exit 0
+fi
 
 if [ "$top" -gt 0 ]; then
     mapfile -t files < <(find "$root"/crates/*/src -name '*.rs' | sort)
