@@ -29,11 +29,16 @@
 //! and exact reconstructions of the same code agree to within a few ULP
 //! (`a + c/σ` versus `c · (1/σ) + a'` rounding), and the property tests in
 //! `oaken-model` bound the end-to-end attention divergence.
+//!
+//! An [`EncodedReadPlan`] lays a stream's rows out the way the tile
+//! kernel decodes them: values row by row ([`ValuePlan`]), keys column by
+//! column in groups of [`KEY_GROUP`] rows ([`KeyPlan`]), so a key decode
+//! writes the transposed score tile directly.
 
 use crate::encoding::{FusedVector, ScaleSet};
 use crate::groups::GroupKind;
 use crate::quant::UniformQuantizer;
-use crate::thresholds::Thresholds;
+use crate::thresholds::{KvKind, Thresholds};
 
 /// Everything a fused reader needs besides the per-row [`ScaleSet`]:
 /// the offline-profiled thresholds of the `(layer, kind)` tensor and the
@@ -52,9 +57,9 @@ pub struct FusedReadParams {
 
 /// Per-row decode coefficients: the [`ScaleSet`] and [`FusedReadParams`]
 /// folded into the minimal set of constants the quantized-domain kernels
-/// read per element. Construction is O(2^middle_bits) (the `c0` scan);
-/// every per-element decode after that is a compare plus one fused
-/// multiply-add.
+/// read per element. Construction is O(middle_bits) (the `c0`
+/// bisection); every per-element decode after that is a compare plus one
+/// fused multiply-add.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowDecode {
     /// Middle reconstruction step `1/σ_mid` (0 for a degenerate range).
@@ -91,6 +96,17 @@ impl RowDecode {
     /// Panics on bit-widths outside `1..=8` (impossible for scales coming
     /// from a validated [`crate::OakenConfig`]).
     pub fn new(scales: &ScaleSet, params: &FusedReadParams) -> Self {
+        let mut this = Self::fold(scales, params);
+        for c in 0..16u32 {
+            this.middle_lut[c as usize] = this.middle(c);
+        }
+        this
+    }
+
+    /// [`new`](Self::new) without the [`middle_lut`](Self::middle_lut),
+    /// which is left zero: what a [`KeyPlan`] reads, since its lanes decode
+    /// by [`middle`](Self::middle)'s multiply-add instead of a table.
+    fn fold(scales: &ScaleSet, params: &FusedReadParams) -> Self {
         let q_mid = UniformQuantizer::new(scales.middle_min, scales.middle_max, params.middle_bits)
             .expect("validated middle bit-width");
         let q_inner = UniformQuantizer::new(0.0, scales.inner_mag_max, params.outlier_bits)
@@ -100,13 +116,16 @@ impl RowDecode {
         let max_code = q_mid.max_code();
         // The sign branch as a code threshold: evaluate the *exact* path's
         // reconstruction (min + c/σ, the very same f32 expression) per
-        // code. Monotonicity in c makes the first non-negative code a
-        // threshold; a degenerate σ reconstructs `min` for every code.
-        let mut c0 = max_code + 1;
-        for c in 0..=max_code {
-            if q_mid.dequantize(c) >= 0.0 {
-                c0 = c;
-                break;
+        // code. It is monotone in c (a degenerate σ reconstructs `min` for
+        // every code), so the first non-negative code is found by
+        // bisection.
+        let (mut lo, mut hi) = (0, max_code + 1);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if q_mid.dequantize(mid) >= 0.0 {
+                hi = mid;
+            } else {
+                lo = mid + 1;
             }
         }
         let t = params.thresholds;
@@ -117,9 +136,9 @@ impl RowDecode {
                 1.0 / q.sigma()
             }
         };
-        let mut this = Self {
+        Self {
             mid_step: inv(&q_mid),
-            c0,
+            c0: lo,
             base_hi: scales.middle_min + t.inner_hi,
             base_lo: scales.middle_min + t.inner_lo,
             inner_step: inv(&q_inner),
@@ -127,11 +146,7 @@ impl RowDecode {
             outer_hi: t.outer_hi,
             outer_lo: t.outer_lo,
             middle_lut: [0.0; 16],
-        };
-        for c in 0..16u32 {
-            this.middle_lut[c as usize] = this.middle(c);
         }
-        this
     }
 
     /// Coefficients for one encoded row.
@@ -178,13 +193,79 @@ impl RowDecode {
 
 /// Append-maintained read-side companion of a fused-vector stream: the
 /// per-row decode work the attention kernel would otherwise redo on
-/// every call, hoisted to quantization time and laid out contiguously.
+/// every call, hoisted to quantization time and laid out the way the
+/// kernel reads the stream's kind.
 ///
-/// Per appended row this caches
+/// Everything here is derived metadata — a pure function of the encoded
+/// rows and the stream's [`FusedReadParams`] — and is **not** part of the
+/// stored KV footprint. Rows appended one at a time, adopted in blocks,
+/// or re-appended after [`clear`](Self::clear) give equal plans.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EncodedReadPlan {
+    /// A key stream's rows, column-major in 16-row groups.
+    Keys(KeyPlan),
+    /// A value stream's rows, row-major.
+    Values(ValuePlan),
+}
+
+impl EncodedReadPlan {
+    /// An empty plan for a stream of `kind`; the row width is adopted
+    /// from the first pushed row.
+    pub fn new(kind: KvKind) -> Self {
+        match kind {
+            KvKind::Key => Self::Keys(KeyPlan::default()),
+            KvKind::Value => Self::Values(ValuePlan::default()),
+        }
+    }
+
+    /// Rows cached so far.
+    pub fn rows(&self) -> usize {
+        match self {
+            Self::Keys(p) => p.rows,
+            Self::Values(p) => p.decodes.len(),
+        }
+    }
+
+    /// Elements per row (0 before the first row).
+    pub fn dim(&self) -> usize {
+        match self {
+            Self::Keys(p) => p.dim,
+            Self::Values(p) => p.dim,
+        }
+    }
+
+    /// Derives and appends one row's read-side cache entries.
+    pub fn push_row(&mut self, fv: &FusedVector, params: &FusedReadParams) {
+        match self {
+            Self::Keys(p) => p.push_row(fv, params),
+            Self::Values(p) => p.push_row(fv, params),
+        }
+    }
+
+    /// [`push_row`](Self::push_row) for each of `rows` in order; a key
+    /// plan builds every whole group that starts at a group edge in one
+    /// pass (a prefix block being adopted).
+    pub fn push_rows(&mut self, rows: &[FusedVector], params: &FusedReadParams) {
+        match self {
+            Self::Keys(p) => p.push_rows(rows, params),
+            Self::Values(p) => rows.iter().for_each(|fv| p.push_row(fv, params)),
+        }
+    }
+
+    /// Drops all cached rows (the stream-reset companion).
+    pub fn clear(&mut self) {
+        match self {
+            Self::Keys(p) => p.clear(),
+            Self::Values(p) => p.clear(),
+        }
+    }
+}
+
+/// The row-major plan of a value stream. Per appended row it caches
 ///
 /// * its [`RowDecode`] coefficients (`decodes[i]`),
 /// * its packed dense nibbles, copied into one flat arena at a fixed
-///   `dense_stride` (`dense[i·stride .. (i+1)·stride]`) so the dense walk
+///   stride (`dense[i·stride .. (i+1)·stride]`) so the dense walk
 ///   streams sequential memory instead of chasing one heap allocation per
 ///   token, and
 /// * its COO outliers in expand-load form ([`outliers`](Self::outliers)):
@@ -193,49 +274,29 @@ impl RowDecode {
 ///   decodes sixteen dense nibbles through the row's
 ///   [`middle_lut`](RowDecode::middle_lut) and overwrites the masked
 ///   lanes with the next values, never re-parsing packed COO bytes.
-///
-/// Everything here is derived metadata — a pure function of the encoded
-/// rows and the stream's [`FusedReadParams`] — and is **not** part of the
-/// stored KV footprint.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct EncodedReadPlan {
+pub struct ValuePlan {
+    dim: usize,
     decodes: Vec<RowDecode>,
     dense: Vec<u8>,
-    dense_stride: usize,
     outlier_masks: Vec<u16>,
-    mask_stride: usize,
     outlier_values: Vec<f32>,
     outlier_offsets: Vec<u32>,
 }
 
-impl EncodedReadPlan {
-    /// An empty plan; the row width is adopted from the first pushed row.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rows cached so far.
-    pub fn rows(&self) -> usize {
-        self.decodes.len()
-    }
-
-    /// Derives and appends one row's read-side cache entries.
-    pub fn push_row(&mut self, fv: &FusedVector, params: &FusedReadParams) {
+impl ValuePlan {
+    fn push_row(&mut self, fv: &FusedVector, params: &FusedReadParams) {
         let dec = RowDecode::for_row(fv, params);
-        let bytes = fv.dense_bytes();
         if self.decodes.is_empty() {
-            self.dense_stride = bytes.len();
-            self.mask_stride = fv.dim().div_ceil(16);
+            self.dim = fv.dim();
             self.outlier_offsets.clear();
             self.outlier_offsets.push(0);
         }
-        assert!(
-            bytes.len() == self.dense_stride && fv.dim().div_ceil(16) == self.mask_stride,
-            "all rows of one stream share a width"
-        );
-        self.dense.extend_from_slice(bytes);
+        assert_eq!(fv.dim(), self.dim, "all rows of one stream share a width");
+        self.dense.extend_from_slice(fv.dense_bytes());
         let masks_at = self.outlier_masks.len();
-        self.outlier_masks.resize(masks_at + self.mask_stride, 0);
+        self.outlier_masks
+            .resize(masks_at + self.dim.div_ceil(16), 0);
         for e in fv.outliers() {
             let code = u32::from(fv.dense_code(e.index));
             self.outlier_masks[masks_at + e.index / 16] |= 1 << (e.index % 16);
@@ -246,8 +307,7 @@ impl EncodedReadPlan {
         self.decodes.push(dec);
     }
 
-    /// Drops all cached rows (the stream-reset companion).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.decodes.clear();
         self.dense.clear();
         self.outlier_masks.clear();
@@ -260,18 +320,14 @@ impl EncodedReadPlan {
         &self.decodes
     }
 
-    /// Row `i`'s packed dense nibbles (element `j` in nibble `j`, low
-    /// nibble first — the [`FusedVector::dense_bytes`] layout).
-    pub fn dense_row(&self, i: usize) -> &[u8] {
-        &self.dense[i * self.dense_stride..(i + 1) * self.dense_stride]
-    }
-
     /// Bytes per row in the dense arena.
     pub fn dense_stride(&self) -> usize {
-        self.dense_stride
+        self.dim.div_ceil(2)
     }
 
-    /// The flat dense-nibble arena.
+    /// The flat dense-nibble arena (row `i`'s element `j` in nibble `j` of
+    /// its stride, low nibble first — the [`FusedVector::dense_bytes`]
+    /// layout).
     pub fn dense_arena(&self) -> &[u8] {
         &self.dense
     }
@@ -281,10 +337,329 @@ impl EncodedReadPlan {
     /// holds the outliers' reconstructions (`RowDecode::outlier` of their
     /// bits) in ascending element order — one per set bit.
     pub fn outliers(&self, i: usize) -> (&[u16], &[f32]) {
-        let masks = &self.outlier_masks[i * self.mask_stride..(i + 1) * self.mask_stride];
+        let stride = self.dim.div_ceil(16);
+        let masks = &self.outlier_masks[i * stride..(i + 1) * stride];
         let lo = self.outlier_offsets[i] as usize;
         let hi = self.outlier_offsets[i + 1] as usize;
         (masks, &self.outlier_values[lo..hi])
+    }
+}
+
+/// Rows per group of a [`KeyPlan`]: one 512-bit vector of `f32` lanes.
+pub const KEY_GROUP: usize = 16;
+
+/// A key group's rows' middle-decode coefficients, lane `r` for the
+/// group's row `r` (the [`RowDecode`] fields of the same names; `c0` as
+/// an `f32`, exact for every code). A lane with no row yet is all zeros,
+/// which decodes every code to `+0.0`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[repr(C, align(64))]
+pub struct GroupCoeffs {
+    /// [`RowDecode::mid_step`] per row.
+    pub mid_step: [f32; KEY_GROUP],
+    /// [`RowDecode::c0`] per row.
+    pub c0: [f32; KEY_GROUP],
+    /// [`RowDecode::base_lo`] per row.
+    pub base_lo: [f32; KEY_GROUP],
+    /// [`RowDecode::base_hi`] per row.
+    pub base_hi: [f32; KEY_GROUP],
+}
+
+impl GroupCoeffs {
+    /// The group's middle decode of one column's codes, `codes >> 4r & 15`
+    /// the code of row `r`: lane `r` is bit-identical to
+    /// [`RowDecode::middle`] of row `r`.
+    #[inline(always)]
+    pub fn middle(&self, codes: u64) -> [f32; KEY_GROUP] {
+        std::array::from_fn(|r| {
+            let code = ((codes >> (4 * r)) & 0xF) as f32;
+            let base = if code >= self.c0[r] {
+                self.base_hi[r]
+            } else {
+                self.base_lo[r]
+            };
+            code * self.mid_step[r] + base
+        })
+    }
+}
+
+/// An outlier of a key plan's open group, kept row-major until the group
+/// seals.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpenOutlier {
+    /// Row within the group.
+    pub row: u32,
+    /// Element (column) of the row.
+    pub col: u32,
+    /// Its reconstruction ([`RowDecode::outlier`]).
+    pub value: f32,
+}
+
+/// The column-major plan of a key stream: rows in groups of
+/// [`KEY_GROUP`], so one decode pass per (group, column) fills sixteen
+/// lanes of the transposed score tile — no per-row table, no transpose.
+///
+/// A group holds
+///
+/// * its dense nibbles column by column, one `u64` per column with the
+///   group's row `r` in nibble `r`;
+/// * its rows' affine coefficients as four 16-lane arrays
+///   ([`GroupCoeffs`]);
+/// * once *sealed* (all sixteen rows in), per column a 16-bit mask of the
+///   rows whose element is an outlier, and the outliers' values in
+///   (column, row) order — what one masked expand-load per column reads.
+///
+/// The last group is *open* while it has fewer than sixteen rows. Its
+/// outliers stay row-major ([`open_outliers`](Self::open_outliers)) and
+/// its masks zero, so a reader patches them in after the dense decode;
+/// the group's outliers are put in column order once, when its sixteenth
+/// row lands.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct KeyPlan {
+    dim: usize,
+    rows: usize,
+    /// `dense[g·dim + j]`: column `j` of group `g`.
+    dense: Vec<u64>,
+    coeffs: Vec<GroupCoeffs>,
+    /// `masks[g·dim + j]`: column `j` of group `g`, zero while `g` is open.
+    masks: Vec<u16>,
+    /// Sealed groups' outlier values, group after group.
+    values: Vec<f32>,
+    /// Where group `g`'s values start in `values`.
+    value_starts: Vec<u32>,
+    open: Vec<OpenOutlier>,
+    /// The seal's per-column cursors: empty between seals (so equal plans
+    /// compare equal), kept for its capacity — allocating them per seal
+    /// made a 192-row prefix adoption about 15 % slower (2-vCPU AVX-512
+    /// Xeon).
+    cursors: Vec<u32>,
+}
+
+/// One group of a [`KeyPlan`], as a decode reads it.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyGroup<'a> {
+    /// The rows' coefficients.
+    pub coeffs: &'a GroupCoeffs,
+    /// One `u64` of codes per column.
+    pub dense: &'a [u64],
+    /// One outlier-row mask per column (zero in an open group).
+    pub masks: &'a [u16],
+    /// The outlier values, in (column, row) order.
+    pub values: &'a [f32],
+}
+
+impl KeyGroup<'_> {
+    /// The outlier values of columns `col..`: those after the outliers of
+    /// the columns before `col`.
+    #[inline(always)]
+    pub fn values_from(&self, col: usize) -> &[f32] {
+        let before: u32 = self.masks[..col].iter().map(|m| m.count_ones()).sum();
+        &self.values[before as usize..]
+    }
+}
+
+impl KeyPlan {
+    /// Rows cached so far.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Group `g` (rows `16g .. 16g + 16`).
+    pub fn group(&self, g: usize) -> KeyGroup<'_> {
+        let columns = g * self.dim..(g + 1) * self.dim;
+        let end = self
+            .value_starts
+            .get(g + 1)
+            .map_or(self.values.len(), |&e| e as usize);
+        KeyGroup {
+            coeffs: &self.coeffs[g],
+            dense: &self.dense[columns.clone()],
+            masks: &self.masks[columns],
+            values: &self.values[self.value_starts[g] as usize..end],
+        }
+    }
+
+    /// The open group's outliers in (row, column) order — empty when every
+    /// group is sealed. The open group is the last, `rows() / 16`.
+    pub fn open_outliers(&self) -> &[OpenOutlier] {
+        &self.open
+    }
+
+    fn push_row(&mut self, fv: &FusedVector, params: &FusedReadParams) {
+        let r = self.enter_row(fv, params);
+        let at = self.dense.len() - self.dim;
+        let (columns, bytes) = (&mut self.dense[at..], fv.dense_bytes());
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if simd::available() {
+            // SAFETY: `available` verified the lane's CPU feature.
+            unsafe { simd::or_codes(columns, bytes, 4 * r) };
+        } else {
+            or_codes(columns, bytes, 4 * r);
+        }
+        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+        or_codes(columns, bytes, 4 * r);
+        if r + 1 == KEY_GROUP {
+            self.seal();
+        }
+    }
+
+    fn push_rows(&mut self, mut rows: &[FusedVector], params: &FusedReadParams) {
+        while let Some(fv) = rows.first() {
+            if self.rows.is_multiple_of(KEY_GROUP) && rows.len() >= KEY_GROUP {
+                let (group, rest) = rows.split_at(KEY_GROUP);
+                self.push_group(group, params);
+                rows = rest;
+            } else {
+                self.push_row(fv, params);
+                rows = &rows[1..];
+            }
+        }
+    }
+
+    /// A whole group at a group edge (an adopted prefix block): the rows'
+    /// codes go in by one 16×16 nibble transpose per sixteen columns
+    /// instead of row by row.
+    fn push_group(&mut self, rows: &[FusedVector], params: &FusedReadParams) {
+        for fv in rows {
+            self.enter_row(fv, params);
+        }
+        let at = self.dense.len() - self.dim;
+        for (k, columns) in self.dense[at..].chunks_mut(16).enumerate() {
+            let mut words: [u64; KEY_GROUP] = std::array::from_fn(|r| {
+                let bytes = &rows[r].dense_bytes()[8 * k..];
+                u64::from_le_bytes(match bytes.first_chunk::<8>() {
+                    Some(&word) => word,
+                    None => std::array::from_fn(|i| bytes.get(i).copied().unwrap_or(0)),
+                })
+            });
+            transpose_nibbles(&mut words);
+            columns.copy_from_slice(&words[..columns.len()]);
+        }
+        self.seal();
+    }
+
+    /// Everything of one appended row but its codes: opens a group at a
+    /// group edge, sets the row's coefficient lanes and queues its
+    /// outliers on the open group. Returns the row's lane.
+    fn enter_row(&mut self, fv: &FusedVector, params: &FusedReadParams) -> usize {
+        let dim = fv.dim();
+        if self.rows == 0 {
+            self.dim = dim;
+        }
+        assert_eq!(dim, self.dim, "all rows of one stream share a width");
+        let r = self.rows % KEY_GROUP;
+        if r == 0 {
+            self.dense.resize(self.dense.len() + dim, 0);
+            self.masks.resize(self.masks.len() + dim, 0);
+            self.coeffs.push(GroupCoeffs::default());
+            self.value_starts.push(self.values.len() as u32);
+        }
+        let dec = RowDecode::fold(fv.scales(), params);
+        let c = self.coeffs.last_mut().expect("a group is open");
+        c.mid_step[r] = dec.mid_step;
+        c.c0[r] = dec.c0 as f32;
+        c.base_lo[r] = dec.base_lo;
+        c.base_hi[r] = dec.base_hi;
+        for e in fv.outliers() {
+            let code = u32::from(fv.dense_code(e.index));
+            self.open.push(OpenOutlier {
+                row: r as u32,
+                col: e.index as u32,
+                value: dec.outlier(e.group, e.high_side, code),
+            });
+        }
+        self.rows += 1;
+        r
+    }
+
+    /// Seals the full open group: sets its masks, then counting-sorts its
+    /// outliers' values into column order — rows already ascend within a
+    /// column, since the open outliers are row-major.
+    fn seal(&mut self) {
+        let masks = &mut self.masks[self.dense.len() - self.dim..];
+        let next = &mut self.cursors;
+        next.resize(self.dim, 0);
+        for o in &self.open {
+            masks[o.col as usize] |= 1 << o.row;
+            next[o.col as usize] += 1;
+        }
+        // Column j's values start after those of the columns before it.
+        let mut start = self.values.len() as u32;
+        for n in next.iter_mut() {
+            (*n, start) = (start, start + *n);
+        }
+        self.values.resize(start as usize, 0.0);
+        for o in &self.open {
+            let at = &mut next[o.col as usize];
+            self.values[*at as usize] = o.value;
+            *at += 1;
+        }
+        next.clear();
+        self.open.clear();
+    }
+
+    fn clear(&mut self) {
+        self.rows = 0;
+        self.dense.clear();
+        self.coeffs.clear();
+        self.masks.clear();
+        self.values.clear();
+        self.value_starts.clear();
+        self.open.clear();
+    }
+}
+
+/// ORs one row's packed codes (`bytes`, element `j` in nibble `j`) into
+/// bit `shift` of each column word — one read-modify-write per element,
+/// which the `simd` lane runs sixteen at a time.
+#[inline(always)]
+fn or_codes(columns: &mut [u64], bytes: &[u8], shift: usize) {
+    let (pairs, odd) = columns.as_chunks_mut::<2>();
+    for (pair, &b) in pairs.iter_mut().zip(bytes) {
+        pair[0] |= u64::from(b & 0xF) << shift;
+        pair[1] |= u64::from(b >> 4) << shift;
+    }
+    if let [last] = odd {
+        *last |= u64::from(bytes[pairs.len()] & 0xF) << shift;
+    }
+}
+
+/// Transposes a 16×16 matrix of nibbles held one row per word (element
+/// `k` of row `r` in nibble `k` of `m[r]`), so that afterwards nibble `r`
+/// of `m[k]` is that element: the off-diagonal blocks swap at 8, 4, 2 and
+/// 1 nibbles.
+fn transpose_nibbles(m: &mut [u64; 16]) {
+    for (step, low) in [
+        (8, 0x0000_0000_FFFF_FFFF_u64),
+        (4, 0x0000_FFFF_0000_FFFF),
+        (2, 0x00FF_00FF_00FF_00FF),
+        (1, 0x0F0F_0F0F_0F0F_0F0F),
+    ] {
+        let bits = 4 * step;
+        for r in (0..16).filter(|r| r & step == 0) {
+            let t = ((m[r] >> bits) ^ m[r + step]) & low;
+            m[r] ^= t << bits;
+            m[r + step] ^= t;
+        }
+    }
+}
+
+/// The append's AVX-512 lane, enabled by the `simd` cargo feature on
+/// x86-64 and selected at runtime: [`or_codes`] compiled at 512 bits.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod simd {
+    use std::sync::OnceLock;
+
+    /// One-time CPUID probe for the lane.
+    pub(super) fn available() -> bool {
+        static PROBE: OnceLock<bool> = OnceLock::new();
+        *PROBE.get_or_init(|| is_x86_feature_detected!("avx512f"))
+    }
+
+    /// [`super::or_codes`] with AVX-512F enabled.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn or_codes(columns: &mut [u64], bytes: &[u8], shift: usize) {
+        super::or_codes(columns, bytes, shift);
     }
 }
 

@@ -424,22 +424,23 @@ pub struct OakenRowStream {
     scratch: OakenScratch,
     /// Per-row fused encodings: the stored cache payload.
     encoded: Vec<FusedVector>,
-    /// Read-side cache of `encoded[i]` — decode coefficients, flat dense
-    /// arena, and outlier masks and values — built once at append
-    /// time so the fused kernels never redo per-row decode work per token
-    /// (derived metadata, not counted in `payload`).
+    /// Read-side cache of `encoded[i]` — decode coefficients, dense
+    /// nibbles, and outlier masks and values, laid out for the stream's
+    /// kind — built once at append time so the fused kernels never redo
+    /// per-row decode work per token (derived metadata, not counted in
+    /// `payload`).
     plan: EncodedReadPlan,
     payload: usize,
 }
 
 impl OakenRowStream {
-    /// Folds and caches the newest row's read-plan entries.
-    fn push_decode(&mut self, fv: &FusedVector) {
+    /// Folds and caches the newest rows' read-plan entries.
+    fn push_decode(&mut self, rows: &[FusedVector]) {
         let params = self
             .quantizer
             .fused_read_params(self.layer, self.kind)
             .expect("layer must be profiled before streaming quantization");
-        self.plan.push_row(fv, &params);
+        self.plan.push_rows(rows, &params);
     }
 }
 
@@ -474,7 +475,7 @@ impl KvRowStream for OakenRowStream {
             .dequantize_vector_into(&fv, self.layer, self.kind, view)
             .expect("fused vector decodes with the same thresholds");
         self.payload += fv.payload_bytes();
-        self.push_decode(&fv);
+        self.push_decode(std::slice::from_ref(&fv));
         self.encoded.push(fv);
     }
 
@@ -518,7 +519,7 @@ impl KvRowStream for OakenRowStream {
             .quantize_vector_with(row, self.layer, self.kind, &mut self.scratch)
             .expect("layer must be profiled before streaming quantization");
         self.payload += fv.payload_bytes();
-        self.push_decode(&fv);
+        self.push_decode(std::slice::from_ref(&fv));
         self.encoded.push(fv);
         true
     }
@@ -532,11 +533,9 @@ impl KvRowStream for OakenRowStream {
     }
 
     fn adopt_encoded_rows(&mut self, rows: &[FusedVector]) -> bool {
-        for fv in rows {
-            self.payload += fv.payload_bytes();
-            self.push_decode(fv);
-            self.encoded.push(fv.clone());
-        }
+        self.payload += rows.iter().map(FusedVector::payload_bytes).sum::<usize>();
+        self.push_decode(rows);
+        self.encoded.extend_from_slice(rows);
         true
     }
 
@@ -613,7 +612,7 @@ impl KvQuantizer for OakenQuantizer {
             d,
             scratch: OakenScratch::new(),
             encoded: Vec::new(),
-            plan: EncodedReadPlan::new(),
+            plan: EncodedReadPlan::new(kind),
             payload: 0,
         }))
     }
@@ -888,6 +887,43 @@ mod tests {
             );
         }
         assert!(stream.payload_bytes().unwrap() > 0);
+    }
+
+    /// Swap, resume, prefix adoption and import rely on a plan being a
+    /// function of its rows alone: appended, adopted in 16-row blocks (the
+    /// trie's) or rebuilt after a reset, at a length with an open group
+    /// and a width ending mid-byte.
+    #[test]
+    fn read_plans_are_equal_however_their_rows_arrive() {
+        let q = quantizer();
+        let (d, rows) = (97, 40);
+        for kind in KvKind::ALL {
+            let stream = || q.row_stream(d, 0, kind).expect("oaken streams");
+            let mut appended = stream();
+            for r in 0..rows {
+                assert!(appended.append_row_encoded(&test_vector(d, r + 11)));
+            }
+            let encoded = appended.encoded_rows().unwrap().to_vec();
+            let mut adopted = stream();
+            for block in encoded.chunks(16) {
+                assert!(adopted.adopt_encoded_rows(block));
+            }
+            let mut rebuilt = stream();
+            assert!(rebuilt.adopt_encoded_rows(&encoded[..23]));
+            rebuilt.reset();
+            assert!(rebuilt.adopt_encoded_rows(&encoded));
+            let plan = appended.read_plan().unwrap();
+            assert_eq!(plan.rows(), rows as usize);
+            assert_eq!(plan, adopted.read_plan().unwrap(), "{kind:?} adopted");
+            assert_eq!(plan, rebuilt.read_plan().unwrap(), "{kind:?} rebuilt");
+            match (kind, plan) {
+                (KvKind::Key, EncodedReadPlan::Keys(keys)) => {
+                    assert!(!keys.open_outliers().is_empty(), "an open group");
+                }
+                (KvKind::Value, EncodedReadPlan::Values(_)) => {}
+                _ => panic!("{kind:?} stream has the other kind's plan"),
+            }
+        }
     }
 
     #[test]

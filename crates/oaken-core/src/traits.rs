@@ -167,10 +167,10 @@ pub trait KvRowStream: Send {
         None
     }
 
-    /// The read-side cache maintained alongside the encoded rows — per-row
-    /// decode coefficients, a flat dense-nibble arena, and the outliers in
-    /// expand-load form (see [`EncodedReadPlan`]) — the one form the fused
-    /// attention kernel reads. `None` (with
+    /// The read-side cache maintained alongside the encoded rows — decode
+    /// coefficients, dense nibbles and the outliers in expand-load form,
+    /// keys column-major and values row-major (see [`EncodedReadPlan`]) —
+    /// the one form the fused attention kernel reads. `None` (with
     /// [`fused_read_params`](KvRowStream::fused_read_params)) means the
     /// method has no fused read path and readers use the dequantized view.
     fn read_plan(&self) -> Option<&EncodedReadPlan> {

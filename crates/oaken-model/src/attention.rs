@@ -19,10 +19,12 @@
 //!   materialized f32 view of the cache. Its numeric contract is
 //!   SQNR-bounded against the exact kernels (see `oaken_core::kernel`)
 //!   and *width-invariant*: a query's output does not depend on which
-//!   other queries shared its sweep. With the `simd` cargo feature the
-//!   decode runs on a `std::arch` AVX-512 lane, bit-identically.
+//!   other queries shared its sweep. Keys decode column by column, sixteen
+//!   rows at a time, straight into the transposed score tile; values row
+//!   by row. With the `simd` cargo feature both decodes run on a
+//!   `std::arch` AVX-512 lane, bit-identically.
 
-use oaken_core::kernel::EncodedReadPlan;
+use oaken_core::kernel::{EncodedReadPlan, KeyGroup, KeyPlan, ValuePlan, KEY_GROUP};
 use oaken_tensor::{softmax_in_place, softmax_rows};
 use std::ops::Range;
 
@@ -209,10 +211,11 @@ pub fn attend_kv_group_into(
 // ----------------------------------------------------------------------
 
 /// Borrowed encoded KV tensor for the fused kernel: the stream-maintained
-/// [`EncodedReadPlan`] of one `(sequence, layer, kind)` — per-row decode
-/// tables, the flat dense-nibble arena, and the COO outlier values. This
-/// is what the paged pool hands out in fused mode; no dequantized f32
-/// image of these rows exists anywhere.
+/// [`EncodedReadPlan`] of one `(sequence, layer, kind)` — decode
+/// coefficients, dense nibbles and outlier values, keys column-major in
+/// 16-row groups and values row-major. This is what the paged pool hands
+/// out in fused mode; no dequantized f32 image of these rows exists
+/// anywhere.
 #[derive(Debug, Clone, Copy)]
 pub struct EncodedKv<'a> {
     /// Read plan covering every cached row of the tensor.
@@ -243,10 +246,12 @@ pub enum KvRead<'a> {
 /// runs take one sweep per tile.
 pub const QUERY_TILE: usize = 32;
 
-/// Rows decoded per block: keys land transposed (`[column][ROW_BLOCK]`)
-/// so a query head's scores against the whole block accumulate in
-/// `ROW_BLOCK` independent lanes, values land row-major.
+/// Rows decoded per block: keys land transposed (`[column][ROW_BLOCK]`),
+/// a whole number of key groups, so a query head's scores against the
+/// whole block accumulate in `ROW_BLOCK` independent lanes; values land
+/// row-major.
 const ROW_BLOCK: usize = 64;
+const _: () = assert!(ROW_BLOCK.is_multiple_of(KEY_GROUP));
 
 /// Runs `$body` over members `0 .. $members` in register blocks of the
 /// listed widths, widest first — `$m` the block's first member, `$G` its
@@ -387,11 +392,12 @@ pub fn attend_kv_group_fused_into(
 /// `[qs.len() × kv_heads.len() × group_size × head_dim]`. A prefill chunk
 /// is a run with consecutive limits, a decode step a run of one.
 ///
-/// Per [`QUERY_TILE`] queries the key arena is walked **once**: each
-/// block of rows is decoded a single time (table lookup per dense nibble,
-/// COO outliers overwritten in place) and reused by every query of the
-/// tile and every query head of the range; softmax runs per (query,
-/// head); the value arena is swept the same way. The arithmetic behind
+/// Per [`QUERY_TILE`] queries the key plan is walked **once**: each
+/// block of rows is decoded a single time (a multiply-add per dense code,
+/// sixteen rows of a column at a time, outliers overwritten in place) and
+/// reused by every query of the tile and every query head of the range;
+/// softmax runs per (query, head); the value arena is swept the same way
+/// (a table lookup per dense code). The arithmetic behind
 /// both decodes is register-blocked (`score_block`, `weigh_block`): the
 /// queries and query heads sharing a KV head's tile keep their
 /// accumulators in registers side by side, so a decoded key column or
@@ -414,7 +420,8 @@ pub fn attend_kv_group_fused_into(
 ///
 /// Panics if `qs`/`limits`/`out` disagree with each other or the shape,
 /// `limits` decrease, a plan holds fewer rows than the largest limit or
-/// rows of another width, or `kv_heads` exceeds `num_kv_heads`.
+/// rows of another width, `keys` is not a key plan or `values` not a
+/// value plan, or `kv_heads` exceeds `num_kv_heads`.
 #[allow(clippy::too_many_arguments)]
 pub fn attend_run_fused_into(
     qs: &[&[f32]],
@@ -443,10 +450,14 @@ pub fn attend_run_fused_into(
     for (plan, what) in [(keys.plan, "key"), (values.plan, "value")] {
         assert!(plan.rows() >= hi, "{what} read plan shorter than seq_len");
         assert!(
-            hi == 0 || plan.dense_stride() == shape.kv_dim().div_ceil(2),
+            hi == 0 || plan.dim() == shape.kv_dim(),
             "encoded {what} row width mismatch"
         );
     }
+    let (EncodedReadPlan::Keys(keys), EncodedReadPlan::Values(values)) = (keys.plan, values.plan)
+    else {
+        panic!("keys are read through a key plan, values through a value plan");
+    };
     if row_w == 0 {
         return;
     }
@@ -459,30 +470,10 @@ pub fn attend_run_fused_into(
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if simd::available() {
             // SAFETY: `available` verified the lane's CPU features.
-            unsafe {
-                simd::fused_sweep(
-                    qs,
-                    limits,
-                    keys.plan,
-                    values.plan,
-                    shape,
-                    heads,
-                    scratch,
-                    out,
-                )
-            };
+            unsafe { simd::fused_sweep(qs, limits, keys, values, shape, heads, scratch, out) };
             continue;
         }
-        fused_sweep::<false>(
-            qs,
-            limits,
-            keys.plan,
-            values.plan,
-            shape,
-            heads,
-            scratch,
-            out,
-        );
+        fused_sweep::<false>(qs, limits, keys, values, shape, heads, scratch, out);
     }
 }
 
@@ -496,8 +487,8 @@ pub fn attend_run_fused_into(
 fn fused_sweep<const AVX512: bool>(
     qs: &[&[f32]],
     limits: &[usize],
-    keys: &EncodedReadPlan,
-    values: &EncodedReadPlan,
+    keys: &KeyPlan,
+    values: &ValuePlan,
     shape: &AttentionShape,
     heads: Range<usize>,
     scratch: &mut AttentionScratch,
@@ -513,10 +504,14 @@ fn fused_sweep<const AVX512: bool>(
     // Rows any query of the tile sees; limits (hence window starts) are
     // non-decreasing, so both ends sit at the tile's ends.
     let hi = limits.last().copied().unwrap_or(0);
-    let lo = limits.first().map_or(0, |&l| window_start(shape, l));
-    if hi == lo {
+    let start = limits.first().map_or(0, |&l| window_start(shape, l));
+    if hi == start {
         return;
     }
+    // Blocks start at a key group's edge; rows below the first window
+    // start are then scored but never read (softmax and the weighted sum
+    // take each query's own rows).
+    let lo = start / KEY_GROUP * KEY_GROUP;
     // One score row per (query, head), `stride` apart; row `t` at `t - lo`.
     // A multiple of 256 B, exactly 4 KiB for 961–1024 visible rows, so the
     // tile's score rows share cache sets. Padding it by one cache line
@@ -705,14 +700,14 @@ fn accumulate<const W: usize>(acc: &mut [f32; W], p: f32, v: &[f32; W]) {
     }
 }
 
-/// One plan row as the decodes read it.
+/// One value-plan row as the value decode reads it.
 #[derive(Clone, Copy)]
 struct Row<'a> {
     /// Packed dense nibbles (element `i` in nibble `i`, low nibble first).
     bytes: &'a [u8],
     /// Value of each dense code.
     lut: &'a [f32; 16],
-    /// Outlier positions and values ([`EncodedReadPlan::outliers`]).
+    /// Outlier positions and values ([`ValuePlan::outliers`]).
     masks: &'a [u16],
     values: &'a [f32],
 }
@@ -753,9 +748,9 @@ impl Row<'_> {
     }
 }
 
-/// Rows `b0 .. b0 + n` of a plan.
+/// Rows `b0 .. b0 + n` of a value plan.
 #[inline(always)]
-fn block_rows(plan: &EncodedReadPlan, b0: usize, n: usize) -> impl Iterator<Item = Row<'_>> {
+fn block_rows(plan: &ValuePlan, b0: usize, n: usize) -> impl Iterator<Item = Row<'_>> {
     let stride = plan.dense_stride();
     let arena = &plan.dense_arena()[b0 * stride..(b0 + n) * stride];
     let rows = arena.chunks_exact(stride).zip(&plan.decodes()[b0..b0 + n]);
@@ -770,38 +765,68 @@ fn block_rows(plan: &EncodedReadPlan, b0: usize, n: usize) -> impl Iterator<Item
     })
 }
 
-/// Decodes columns `col .. col + width` of plan rows `b0 .. b0 + n` into
-/// the transposed key block: `block[j · ROW_BLOCK + r]` is element
-/// `col + j` of row `b0 + r`, bit-identical to
-/// [`decode_row_fused_into`](oaken_core::kernel::decode_row_fused_into);
-/// lanes `n..` are zeroed.
+/// Decodes columns `col .. col + width` of the key groups holding rows
+/// `b0 .. b0 + n` (`b0` a group edge) into the transposed key block:
+/// `block[j · ROW_BLOCK + r]` is element `col + j` of row `b0 + r`,
+/// bit-identical to
+/// [`decode_row_fused_into`](oaken_core::kernel::decode_row_fused_into),
+/// for every row of those groups the plan holds; every other lane is
+/// `+0.0`.
 #[inline(always)]
 fn decode_keys<const AVX512: bool>(
-    plan: &EncodedReadPlan,
+    plan: &KeyPlan,
     b0: usize,
     n: usize,
     col: usize,
     width: usize,
     block: &mut [f32],
 ) {
-    // The vector lane covers columns `done`; the scalar walk the rest.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    let done = if AVX512 {
-        // SAFETY: `AVX512` is only instantiated behind `simd::available`.
-        unsafe { simd::decode_keys(plan, b0, n, col, width, block) }
-    } else {
-        0..0
-    };
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    let done = 0..0;
-    if done.len() < width {
-        for (r, row) in block_rows(plan, b0, n).enumerate() {
-            row.decode(col, width, &done, |j, v| block[j * ROW_BLOCK + r] = v);
+    let groups = b0 / KEY_GROUP..(b0 + n).div_ceil(KEY_GROUP);
+    for (k, g) in groups.clone().enumerate() {
+        let group = plan.group(g);
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if AVX512 {
+            // SAFETY: `AVX512` is only instantiated behind `simd::available`.
+            unsafe { simd::decode_key_group(&group, col, width, KEY_GROUP * k, block) };
+            continue;
+        }
+        decode_key_group(&group, col, width, KEY_GROUP * k, block);
+    }
+    // The open group's outliers are still row-major: patch them in.
+    let open = plan.rows() / KEY_GROUP;
+    if groups.contains(&open) {
+        let at = KEY_GROUP * (open - groups.start);
+        for o in plan.open_outliers() {
+            if let Some(j) = (o.col as usize).checked_sub(col).filter(|&j| j < width) {
+                block[j * ROW_BLOCK + at + o.row as usize] = o.value;
+            }
         }
     }
-    if n < ROW_BLOCK {
+    let filled = KEY_GROUP * groups.len();
+    if filled < ROW_BLOCK {
         for lanes in block.as_chunks_mut::<ROW_BLOCK>().0 {
-            lanes[n..].fill(0.0);
+            lanes[filled..].fill(0.0);
+        }
+    }
+}
+
+/// Columns `col .. col + width` of one key group into lanes
+/// `at .. at + 16` of the transposed key block: per column, the rows'
+/// middle decodes, with the sealed outliers laid over them.
+#[inline(always)]
+fn decode_key_group(group: &KeyGroup<'_>, col: usize, width: usize, at: usize, block: &mut [f32]) {
+    let mut values = group.values_from(col).iter();
+    let columns = group.dense[col..col + width]
+        .iter()
+        .zip(&group.masks[col..col + width]);
+    for ((&codes, &mask), lanes) in columns.zip(block.chunks_exact_mut(ROW_BLOCK)) {
+        let lanes = &mut lanes[at..at + KEY_GROUP];
+        lanes.copy_from_slice(&group.coeffs.middle(codes));
+        let mut left = mask;
+        while left != 0 {
+            let r = left.trailing_zeros() as usize;
+            lanes[r] = *values.next().expect("one value per mask bit");
+            left &= left - 1;
         }
     }
 }
@@ -811,7 +836,7 @@ fn decode_keys<const AVX512: bool>(
 /// [`decode_row_fused_into`](oaken_core::kernel::decode_row_fused_into).
 #[inline(always)]
 fn decode_values<const AVX512: bool>(
-    plan: &EncodedReadPlan,
+    plan: &ValuePlan,
     b0: usize,
     n: usize,
     col: usize,
@@ -835,17 +860,20 @@ fn decode_values<const AVX512: bool>(
 }
 
 /// The AVX-512 decode lane, enabled by the `simd` cargo feature on x86-64
-/// and selected at runtime. Sixteen elements at a time: the dense codes
-/// are unpacked from one 8-byte load and decoded by a single table
-/// permute over the row's
-/// [`middle_lut`](oaken_core::kernel::RowDecode::middle_lut), then one
-/// masked expand-load drops the chunk's outlier values into their lanes —
-/// bit-identical to the scalar walk, so the lane changes speed and
-/// nothing else. Key blocks are transposed in registers, sixteen rows by
-/// sixteen columns at a time.
+/// and selected at runtime. Sixteen elements at a time, unpacked from one
+/// 64-bit word of nibbles: sixteen columns of a value row, decoded by a
+/// single table permute over the row's
+/// [`middle_lut`](oaken_core::kernel::RowDecode::middle_lut), or sixteen
+/// rows of one key-group column, decoded by the rows' multiply-add lanes
+/// ([`GroupCoeffs`](oaken_core::kernel::GroupCoeffs)) straight into the
+/// transposed key block. One masked expand-load then drops the outlier
+/// values into their lanes — bit-identical to the scalar walk, so the lane
+/// changes speed and nothing else.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd {
-    use super::{block_rows, AttentionScratch, AttentionShape, EncodedReadPlan, Row, ROW_BLOCK};
+    use super::{
+        AttentionScratch, AttentionShape, KeyGroup, KeyPlan, Row, ValuePlan, KEY_GROUP, ROW_BLOCK,
+    };
     use std::arch::x86_64::*;
     use std::ops::Range;
     use std::sync::OnceLock;
@@ -860,17 +888,13 @@ mod simd {
     }
 
     /// [`super::fused_sweep`] compiled with the lane's features enabled.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F and `popcnt`.
     #[target_feature(enable = "avx512f,popcnt")]
     #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn fused_sweep(
+    pub(super) fn fused_sweep(
         qs: &[&[f32]],
         limits: &[usize],
-        keys: &EncodedReadPlan,
-        values: &EncodedReadPlan,
+        keys: &KeyPlan,
+        values: &ValuePlan,
         shape: &AttentionShape,
         heads: Range<usize>,
         scratch: &mut AttentionScratch,
@@ -879,9 +903,50 @@ mod simd {
         super::fused_sweep::<true>(qs, limits, keys, values, shape, heads, scratch, out);
     }
 
+    /// Sixteen floats into a register.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load16(src: &[f32; 16]) -> __m512 {
+        // SAFETY: `src` is sixteen floats.
+        unsafe { _mm512_loadu_ps(src.as_ptr()) }
+    }
+
+    /// A register into sixteen floats.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store16(dst: &mut [f32; 16], v: __m512) {
+        // SAFETY: `dst` is sixteen floats.
+        unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), v) }
+    }
+
+    /// Nibble `k` of `word` (low nibble first) in lane `k`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn nibbles(word: u64) -> __m512i {
+        // The low 8 dwords replicate the word's low half, the high 8 its
+        // high half, so the per-lane shifts `4·(k mod 8)` put nibble `k`
+        // in lane `k`.
+        let sel = _mm512_set_epi32(1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0);
+        let shifts = _mm512_set_epi32(28, 24, 20, 16, 12, 8, 4, 0, 28, 24, 20, 16, 12, 8, 4, 0);
+        let dw = _mm512_permutexvar_epi32(sel, _mm512_set1_epi64(word as i64));
+        _mm512_and_si512(_mm512_srlv_epi32(dw, shifts), _mm512_set1_epi32(15))
+    }
+
+    /// `dense` with the lanes `mask` marks replaced by the next values,
+    /// taken off the front of `values`.
+    #[inline]
+    #[target_feature(enable = "avx512f,popcnt")]
+    fn patch(dense: __m512, mask: u16, values: &mut &[f32]) -> __m512 {
+        let (mine, rest) = values.split_at(mask.count_ones() as usize);
+        *values = rest;
+        // SAFETY: the expand-load reads one float per set mask bit, and
+        // `mine` is exactly that many.
+        unsafe { _mm512_mask_expandloadu_ps(dense, mask, mine.as_ptr()) }
+    }
+
     /// The columns of a `width`-wide slice starting at `col` the vector
-    /// lane decodes: whole 16-column chunks, when the slice starts on one
-    /// of the plan's 16-element mask groups.
+    /// lane decodes from a value row: whole 16-column chunks, when the
+    /// slice starts on one of the row's 16-element mask groups.
     fn vector_columns(col: usize, width: usize) -> Range<usize> {
         if col.is_multiple_of(16) {
             0..width / 16 * 16
@@ -897,138 +962,57 @@ mod simd {
         &row.values[before as usize..]
     }
 
-    /// Decodes elements `at .. at + 16` (`at` a multiple of 16) of one
-    /// row, taking its outliers off the front of `values`.
-    #[inline]
-    #[target_feature(enable = "avx512f,popcnt")]
-    fn decode16(row: &Row<'_>, lut: __m512, at: usize, values: &mut &[f32]) -> __m512 {
-        let word: [u8; 8] = row.bytes[at / 2..at / 2 + 8]
-            .try_into()
-            .expect("eight bytes sliced");
-        // The low 8 dwords replicate the word's low half, the high 8 its
-        // high half, so the per-lane shifts `4·(k mod 8)` put nibble `k`
-        // in lane `k`.
-        let sel = _mm512_set_epi32(1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0);
-        let shifts = _mm512_set_epi32(28, 24, 20, 16, 12, 8, 4, 0, 28, 24, 20, 16, 12, 8, 4, 0);
-        let dw = _mm512_permutexvar_epi32(sel, _mm512_set1_epi64(i64::from_le_bytes(word)));
-        let codes = _mm512_and_si512(_mm512_srlv_epi32(dw, shifts), _mm512_set1_epi32(15));
-        let dense = _mm512_permutexvar_ps(codes, lut);
-        let mask = row.masks[at / 16];
-        let (mine, rest) = values.split_at(mask.count_ones() as usize);
-        *values = rest;
-        // SAFETY: the expand-load reads one float per set mask bit, and
-        // `mine` is exactly that many.
-        unsafe { _mm512_mask_expandloadu_ps(dense, mask, mine.as_ptr()) }
-    }
-
     /// Vector part of [`super::decode_values`] for one row: fills
     /// `out[j]` for the returned column range.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F and `popcnt`.
     #[inline]
     #[target_feature(enable = "avx512f,popcnt")]
-    pub(super) unsafe fn decode_row(row: &Row<'_>, col: usize, out: &mut [f32]) -> Range<usize> {
+    pub(super) fn decode_row(row: &Row<'_>, col: usize, out: &mut [f32]) -> Range<usize> {
         let done = vector_columns(col, out.len());
         if done.is_empty() {
             return done;
         }
         let mut values = values_from(row, col);
-        // SAFETY: `lut` is sixteen floats.
-        let lut = unsafe { _mm512_loadu_ps(row.lut.as_ptr()) };
+        let lut = load16(row.lut);
         for (k, chunk) in out.as_chunks_mut::<16>().0.iter_mut().enumerate() {
-            let v = decode16(row, lut, col + 16 * k, &mut values);
-            // SAFETY: `chunk` is sixteen floats.
-            unsafe { _mm512_storeu_ps(chunk.as_mut_ptr(), v) };
+            let at = col + 16 * k;
+            let word: [u8; 8] = row.bytes[at / 2..at / 2 + 8]
+                .try_into()
+                .expect("eight bytes sliced");
+            let dense = _mm512_permutexvar_ps(nibbles(u64::from_le_bytes(word)), lut);
+            store16(chunk, patch(dense, row.masks[at / 16], &mut values));
         }
         done
     }
 
-    /// Vector part of [`super::decode_keys`]: fills
-    /// `block[j · ROW_BLOCK + r]` for the returned column range and every
-    /// lane `r` of each 16-row group holding a valid row (rows `n..` of
-    /// such a group as zeros).
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F and `popcnt`.
+    /// [`super::decode_key_group`] on the lane: per column one unpack of
+    /// the sixteen rows' codes, `code · mid_step + (code ≥ c0 ? base_hi :
+    /// base_lo)` with the multiply and the add rounded separately, one
+    /// expand-load of the column's outliers and one store.
     #[inline]
     #[target_feature(enable = "avx512f,popcnt")]
-    pub(super) unsafe fn decode_keys(
-        plan: &EncodedReadPlan,
-        b0: usize,
-        n: usize,
+    pub(super) fn decode_key_group(
+        group: &KeyGroup<'_>,
         col: usize,
         width: usize,
+        at: usize,
         block: &mut [f32],
-    ) -> Range<usize> {
-        let done = vector_columns(col, width);
-        if done.is_empty() {
-            return done;
-        }
-        for g0 in (0..n).step_by(16) {
-            let empty: &[f32] = &[];
-            let mut rows = [None; 16];
-            let mut values = [empty; 16];
-            for (r, row) in block_rows(plan, b0 + g0, 16.min(n - g0)).enumerate() {
-                values[r] = values_from(&row, col);
-                rows[r] = Some(row);
-            }
-            for j in done.clone().step_by(16) {
-                let mut v = [_mm512_setzero_ps(); 16];
-                for ((v, row), values) in v.iter_mut().zip(&rows).zip(&mut values) {
-                    if let Some(row) = row {
-                        // SAFETY: `lut` is sixteen floats.
-                        let lut = unsafe { _mm512_loadu_ps(row.lut.as_ptr()) };
-                        *v = decode16(row, lut, col + j, values);
-                    }
-                }
-                transpose16(&mut v);
-                let lanes = block[j * ROW_BLOCK..].as_chunks_mut::<ROW_BLOCK>().0;
-                for (v, lanes) in v.iter().zip(lanes) {
-                    // SAFETY: `g0 + 16 <= ROW_BLOCK` (`g0` steps by 16
-                    // below `n <= ROW_BLOCK`), so the store stays inside
-                    // the `ROW_BLOCK`-float chunk.
-                    unsafe { _mm512_storeu_ps(lanes[g0..g0 + 16].as_mut_ptr(), *v) };
-                }
-            }
-        }
-        done
-    }
-
-    /// In-register 16×16 transpose: on return `v[c]` holds lane `c` of
-    /// every input vector, in input order.
-    #[inline]
-    #[target_feature(enable = "avx512f,popcnt")]
-    fn transpose16(v: &mut [__m512; 16]) {
-        let mut t = [_mm512_setzero_ps(); 16];
-        // 32-bit interleave of row pairs.
-        for i in 0..8 {
-            t[2 * i] = _mm512_unpacklo_ps(v[2 * i], v[2 * i + 1]);
-            t[2 * i + 1] = _mm512_unpackhi_ps(v[2 * i], v[2 * i + 1]);
-        }
-        // 64-bit interleave: each 128-bit lane now holds one column of
-        // four consecutive rows.
-        for i in 0..4 {
-            let (a, b, c, d) = (t[4 * i], t[4 * i + 1], t[4 * i + 2], t[4 * i + 3]);
-            v[4 * i] = _mm512_shuffle_ps::<0b01_00_01_00>(a, c);
-            v[4 * i + 1] = _mm512_shuffle_ps::<0b11_10_11_10>(a, c);
-            v[4 * i + 2] = _mm512_shuffle_ps::<0b01_00_01_00>(b, d);
-            v[4 * i + 3] = _mm512_shuffle_ps::<0b11_10_11_10>(b, d);
-        }
-        // 128-bit lane shuffles gather the four row groups per column.
-        for i in 0..4 {
-            t[i] = _mm512_shuffle_f32x4::<0b10_00_10_00>(v[i], v[i + 4]);
-            t[i + 4] = _mm512_shuffle_f32x4::<0b11_01_11_01>(v[i], v[i + 4]);
-            t[i + 8] = _mm512_shuffle_f32x4::<0b10_00_10_00>(v[i + 8], v[i + 12]);
-            t[i + 12] = _mm512_shuffle_f32x4::<0b11_01_11_01>(v[i + 8], v[i + 12]);
-        }
-        for i in 0..4 {
-            v[i] = _mm512_shuffle_f32x4::<0b10_00_10_00>(t[i], t[i + 8]);
-            v[i + 8] = _mm512_shuffle_f32x4::<0b11_01_11_01>(t[i], t[i + 8]);
-            v[i + 4] = _mm512_shuffle_f32x4::<0b10_00_10_00>(t[i + 4], t[i + 12]);
-            v[i + 12] = _mm512_shuffle_f32x4::<0b11_01_11_01>(t[i + 4], t[i + 12]);
+    ) {
+        let c = group.coeffs;
+        let (mid_step, c0) = (load16(&c.mid_step), load16(&c.c0));
+        let (base_lo, base_hi) = (load16(&c.base_lo), load16(&c.base_hi));
+        let mut values = group.values_from(col);
+        let columns = group.dense[col..col + width]
+            .iter()
+            .zip(&group.masks[col..col + width]);
+        for ((&word, &mask), lanes) in columns.zip(block.chunks_exact_mut(ROW_BLOCK)) {
+            let code = _mm512_cvtepi32_ps(nibbles(word));
+            let high = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(code, c0);
+            let base = _mm512_mask_blend_ps(high, base_lo, base_hi);
+            let dense = _mm512_add_ps(_mm512_mul_ps(code, mid_step), base);
+            let lanes = (&mut lanes[at..at + KEY_GROUP])
+                .try_into()
+                .expect("sixteen lanes sliced");
+            store16(lanes, patch(dense, mask, &mut values));
         }
     }
 }
@@ -1211,7 +1195,7 @@ mod tests {
         seed: u64,
     ) -> (EncodedReadPlan, Vec<oaken_core::FusedVector>, Vec<f32>) {
         let params = q.fused_read_params(0, kind).unwrap();
-        let mut plan = EncodedReadPlan::new();
+        let mut plan = EncodedReadPlan::new(kind);
         let mut rows = Vec::new();
         let mut view = Vec::new();
         for t in 0..seq_len {
@@ -1284,39 +1268,65 @@ mod tests {
     }
 
     /// Both block decodes — on every lane this build and CPU offer — must
-    /// reproduce `decode_row_fused_into` element for element, at odd
-    /// widths, odd column offsets, and partial row blocks.
+    /// reproduce `decode_row_fused_into` element for element: key plans of
+    /// every length 1–80 (partial groups, an open group, a group ending a
+    /// row block), key blocks starting at every group edge, column offsets
+    /// at every residue mod 16 and widths ending mid-chunk.
     #[test]
     fn block_decodes_match_reference_decode_bitwise() {
-        fn check<const AVX512: bool>(plan: &EncodedReadPlan, want: &[Vec<f32>], kv_dim: usize) {
+        fn check_keys<const AVX512: bool>(
+            plan: &KeyPlan,
+            want: &[Vec<f32>],
+            columns: &[(usize, usize)],
+        ) {
             let rows = want.len();
-            for (col, hd) in [
-                (0usize, kv_dim),
-                (0, 32),
-                (32, 35),
-                (3, 33),
-                (17, 16),
-                (66, 1),
-            ] {
+            for &(col, width) in columns {
+                for b0 in (0..rows).step_by(KEY_GROUP) {
+                    for n in [ROW_BLOCK.min(rows - b0), 1] {
+                        let mut kt = vec![7.0f32; width * ROW_BLOCK];
+                        decode_keys::<AVX512>(plan, b0, n, col, width, &mut kt);
+                        // Whole groups decode; lanes past them are zero.
+                        let decoded = n.next_multiple_of(KEY_GROUP).min(rows - b0);
+                        for r in 0..ROW_BLOCK {
+                            for j in 0..width {
+                                let reference = if r < decoded {
+                                    want[b0 + r][col + j]
+                                } else {
+                                    0.0
+                                };
+                                assert_eq!(
+                                    kt[j * ROW_BLOCK + r].to_bits(),
+                                    reference.to_bits(),
+                                    "key row {} col {} of {rows} rows (avx512 {AVX512})",
+                                    b0 + r,
+                                    col + j
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        fn check_values<const AVX512: bool>(
+            plan: &ValuePlan,
+            want: &[Vec<f32>],
+            columns: &[(usize, usize)],
+        ) {
+            let rows = want.len();
+            for &(col, width) in columns {
                 for b0 in (0..rows).step_by(ROW_BLOCK) {
                     let n = ROW_BLOCK.min(rows - b0);
-                    let mut kt = vec![7.0f32; hd * ROW_BLOCK];
-                    let mut v = vec![7.0f32; hd * ROW_BLOCK];
-                    decode_keys::<AVX512>(plan, b0, n, col, hd, &mut kt);
-                    decode_values::<AVX512>(plan, b0, n, col, hd, &mut v);
-                    for r in 0..ROW_BLOCK {
-                        for j in 0..hd {
-                            let reference = if r < n { want[b0 + r][col + j] } else { 0.0 };
+                    let mut v = vec![7.0f32; width * ROW_BLOCK];
+                    decode_values::<AVX512>(plan, b0, n, col, width, &mut v);
+                    for r in 0..n {
+                        for j in 0..width {
                             assert_eq!(
-                                kt[j * ROW_BLOCK + r].to_bits(),
-                                reference.to_bits(),
-                                "key block row {} col {} (avx512 {AVX512})",
+                                v[r * width + j].to_bits(),
+                                want[b0 + r][col + j].to_bits(),
+                                "value row {} col {} (avx512 {AVX512})",
                                 b0 + r,
                                 col + j
                             );
-                            if r < n {
-                                assert_eq!(v[r * hd + j].to_bits(), reference.to_bits());
-                            }
                         }
                     }
                 }
@@ -1324,24 +1334,57 @@ mod tests {
         }
         let kv_dim = 67;
         let quant = oaken(kv_dim);
-        let params = quant.fused_read_params(0, KvKind::Key).unwrap();
-        let (plan, rows, _) = encode_rows(&quant, KvKind::Key, ROW_BLOCK + 21, kv_dim, 9);
-        let want: Vec<Vec<f32>> = rows
-            .iter()
-            .map(|fv| {
-                let mut out = Vec::new();
-                oaken_core::kernel::decode_row_fused_into(fv, &params, &mut out);
-                out
-            })
+        // Every column offset residue mod 16, each with one column, a
+        // width ending mid-chunk and the rest of the row.
+        let columns: Vec<(usize, usize)> = (0..17)
+            .flat_map(|col| [1, 21 - col % 16, kv_dim - col].map(|w| (col, w)))
             .collect();
+        let reference = |kind: KvKind, rows: usize| {
+            let params = quant.fused_read_params(0, kind).unwrap();
+            let (_, encoded, _) = encode_rows(&quant, kind, rows, kv_dim, 9);
+            let want: Vec<Vec<f32>> = encoded
+                .iter()
+                .map(|fv| {
+                    let mut out = Vec::new();
+                    oaken_core::kernel::decode_row_fused_into(fv, &params, &mut out);
+                    out
+                })
+                .collect();
+            (encoded, want, params)
+        };
+
+        let (encoded, want, params) = reference(KvKind::Key, 80);
+        let mut plan = EncodedReadPlan::new(KvKind::Key);
+        let (mut open, mut sealed) = (false, false);
+        for (len, fv) in (1..).zip(&encoded) {
+            plan.push_row(fv, &params);
+            let EncodedReadPlan::Keys(keys) = &plan else {
+                unreachable!("a key stream's plan")
+            };
+            open |= !keys.open_outliers().is_empty();
+            sealed |= len >= KEY_GROUP && !keys.group(0).values.is_empty();
+            check_keys::<false>(keys, &want[..len], &columns);
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            if simd::available() {
+                check_keys::<true>(keys, &want[..len], &columns);
+            }
+        }
+        assert!(open && sealed, "open and sealed groups must carry outliers");
+
+        let (encoded, want, params) = reference(KvKind::Value, ROW_BLOCK + 21);
+        let mut plan = EncodedReadPlan::new(KvKind::Value);
+        encoded.iter().for_each(|fv| plan.push_row(fv, &params));
+        let EncodedReadPlan::Values(values) = &plan else {
+            unreachable!("a value stream's plan")
+        };
         assert!(
-            (0..plan.rows()).any(|t| !plan.outliers(t).1.is_empty()),
+            (0..values.decodes().len()).any(|t| !values.outliers(t).1.is_empty()),
             "the rows must carry outliers"
         );
-        check::<false>(&plan, &want, kv_dim);
+        check_values::<false>(values, &want, &columns);
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if simd::available() {
-            check::<true>(&plan, &want, kv_dim);
+            check_values::<true>(values, &want, &columns);
         }
     }
 

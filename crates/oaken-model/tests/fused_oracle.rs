@@ -253,6 +253,34 @@ proptest! {
     }
 }
 
+/// Key blocks start at the 16-row group edge below the tile's first window
+/// start, so the rows between are scored and never read: a run whose first
+/// window start takes every residue mod 16 — and one long run whose
+/// queries' starts do — must still be the oracle's bits.
+#[test]
+fn window_starts_at_every_residue_mod_16_match_the_oracle() {
+    let case = |window: usize, first_limit: usize, run: usize| Case {
+        shape: AttentionShape {
+            num_heads: 4,
+            num_kv_heads: 2,
+            head_dim: 16,
+            window: Some(window),
+        },
+        kv_heads: 0..2,
+        first_limit,
+        run,
+        outlier_every: 7,
+        sharp: false,
+        seed: 11,
+    };
+    for residue in 0..16 {
+        for (window, run) in [(37, 1), (20, 5)] {
+            check(&case(window, 64 + residue + window, run)).expect("kernel equals oracle");
+        }
+    }
+    check(&case(20, 30, 40)).expect("kernel equals oracle");
+}
+
 /// A query whose softmax underflows some weights to exactly `0.0`: those
 /// rows still take part in every output chain (`o + 0·v`), on the kernel
 /// as in the oracle.

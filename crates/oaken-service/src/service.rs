@@ -137,16 +137,28 @@ impl ServiceClient {
         self.submit_inner(req, Some(arrival))
     }
 
-    /// Pushes a whole `(request, arrival)` schedule atomically — one
-    /// mailbox lock acquisition, so the engine thread wakes to the
-    /// complete schedule and the run is deterministic regardless of how
-    /// it interleaves with the push.
+    /// [`submit_scripted`](Self::submit_scripted) without cancels.
     pub fn submit_schedule(
         &self,
         schedule: impl IntoIterator<Item = (EngineRequest, u64)>,
     ) -> Vec<SessionHandle> {
+        self.submit_scripted(schedule, &[])
+    }
+
+    /// Pushes a whole `(request, arrival)` schedule and its scripted
+    /// `(tick, id)` cancels — the shape
+    /// [`replay_open_loop_direct`](crate::workload::replay_open_loop_direct)
+    /// takes — atomically: one mailbox lock acquisition, so the engine
+    /// thread wakes to the complete script, every cancel is scheduled
+    /// before the clock can pass its tick, and the run is deterministic
+    /// regardless of how it interleaves with the push.
+    pub fn submit_scripted(
+        &self,
+        schedule: impl IntoIterator<Item = (EngineRequest, u64)>,
+        cancels: &[(u64, u64)],
+    ) -> Vec<SessionHandle> {
         let mut handles = Vec::new();
-        let cmds: Vec<Command> = schedule
+        let mut cmds: Vec<Command> = schedule
             .into_iter()
             .map(|(req, arrival)| {
                 let (tx, handle) = self.stream(&req);
@@ -158,6 +170,11 @@ impl ServiceClient {
                 })
             })
             .collect();
+        cmds.extend(
+            cancels
+                .iter()
+                .map(|&(at, id)| Command::Cancel { id, at: Some(at) }),
+        );
         self.batcher.push_all(cmds);
         handles
     }
@@ -166,13 +183,6 @@ impl ServiceClient {
     /// wherever it is parked. No-op for unknown or already-terminal ids.
     pub fn cancel(&self, id: u64) {
         self.batcher.cancel(id);
-    }
-
-    /// Cancels a request at a scheduled service-clock tick — scripted
-    /// cancellation for deterministic tests. A tick already in the past
-    /// applies immediately.
-    pub fn cancel_at(&self, id: u64, at: u64) {
-        self.batcher.push(Command::Cancel { id, at: Some(at) });
     }
 
     fn submit_inner(&self, req: EngineRequest, arrival: Option<u64>) -> SessionHandle {

@@ -170,8 +170,7 @@ fn run_cancel_case(
         TokenScheduler::new(4),
         cfg,
         |client| {
-            let handles = client.submit_schedule(schedule.iter().cloned());
-            client.cancel_at(victim, tick);
+            let handles = client.submit_scripted(schedule.iter().cloned(), &[(tick, victim)]);
             handles.into_iter().map(|h| h.wait()).collect::<Vec<_>>()
         },
     );
@@ -279,8 +278,7 @@ fn cancel_while_batcher_parked_never_reaches_engine() {
             TokenScheduler::new(4),
             cfg,
             |client| {
-                let handles = client.submit_schedule(schedule.iter().cloned());
-                client.cancel_at(9, 3);
+                let handles = client.submit_scripted(schedule.iter().cloned(), &[(3, 9)]);
                 handles.into_iter().map(|h| h.wait()).collect::<Vec<_>>()
             },
         );

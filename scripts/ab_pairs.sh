@@ -14,7 +14,15 @@
 # and metric of BENCHMARK.json — the end-to-end ones at `--trace 0`, the
 # per-layer ones at `--trace 1`, so a claimed gain is committed with its
 # explanation from the same alternating discipline: each side's median and
-# quartiles, the ratio of medians, and how many pairs the change won.
+# quartiles, the ratio of medians, how many pairs the change won, and a
+# verdict — the ROADMAP's claim rule as a column:
+#   gain        the change won >= 9/10 of the pairs and its median is better
+#               than the parent's by more than the parent's interquartile range
+#   worse       the change's median is worse than the parent's by more than
+#               the metric's BENCHMARK.json bound (a share of the parent's median)
+#   unresolved  the parent's interquartile range is wider than that bound
+#   within      none of these
+# Per-layer metrics have no bound: their verdict is `gain` or `—`.
 #
 # usage: scripts/ab_pairs.sh [--dir DIR] [--seconds S] [--trace 0|1] [--schedule-may-change] <parent-rev> [pairs=10] [workload...]
 #   --dir DIR     where the two exports, their builds and results.tsv go
@@ -133,11 +141,24 @@ def quartiles(values):
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
+def verdict(metric, p, c, wins, pairs):
+    # `better`: how far the change's median beats the parent's.
+    better = (c[1] - p[1]) if metric["better"] == "higher" else (p[1] - c[1])
+    iqr = p[2] - p[0]
+    if 10 * wins >= 9 * pairs and better > iqr:
+        return "gain"
+    if "bound" not in metric:
+        return "—"
+    if -better > metric["bound"] * abs(p[1]):
+        return "worse"
+    if iqr > metric["bound"] * abs(p[1]):
+        return "unresolved"
+    return "within"
 for workload in dict.fromkeys(w for w, _ in runs):
     pairs = len(next(iter(runs[(workload, metrics[0]['name'])].values())))
     moved = differs.get(workload, [])
     print(f"\n{workload}: {pairs} pairs" + (f", digest differs on {len(moved)}/{pairs} seeds {moved}" if moved else ""))
-    print(f"  {'metric':34s} {'parent q1/median/q3':>38s} {'change q1/median/q3':>38s} {'ratio':>7s}  wins")
+    print(f"  {'metric':34s} {'parent q1/median/q3':>38s} {'change q1/median/q3':>38s} {'ratio':>7s}  {'verdict':10s} wins")
     for metric in metrics:
         sides = runs[(workload, metric["name"])]
         parent, change = sides["parent"], sides["change"]
@@ -147,5 +168,6 @@ for workload in dict.fromkeys(w for w, _ in runs):
         p, c = quartiles(list(parent.values())), quartiles(list(change.values()))
         ratio = c[1] / p[1] if p[1] else float("nan")
         fmt = lambda q: "/".join(f"{v:.5g}" for v in q)
-        print(f"  {metric['name']:34s} {fmt(p):>38s} {fmt(c):>38s} {ratio:7.3f}  {wins}/{len(parent)}" + (f" ({ties} ties)" if ties else ""))
+        judged = verdict(metric, p, c, wins, len(parent))
+        print(f"  {metric['name']:34s} {fmt(p):>38s} {fmt(c):>38s} {ratio:7.3f}  {judged:10s} {wins}/{len(parent)}" + (f" ({ties} ties)" if ties else ""))
 EOF
