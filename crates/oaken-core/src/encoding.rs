@@ -124,20 +124,17 @@ impl FusedVector {
                 detail: format!("{} dense codes for dimension {dim}", dense_codes.len()),
             });
         }
-        if dense_codes.iter().any(|&c| c > 0xF) {
+        // One OR-fold: every code fits 4 bits iff their union does.
+        if dense_codes.iter().fold(0, |all, &c| all | c) > 0xF {
             return Err(OakenError::CorruptEncoding {
                 detail: "dense code exceeds 4 bits".to_owned(),
             });
         }
         let num_blocks = dim.div_ceil(block_size);
-        let mut dense = vec![0u8; dim.div_ceil(2)];
-        for (i, &code) in dense_codes.iter().enumerate() {
-            if i % 2 == 0 {
-                dense[i / 2] |= code;
-            } else {
-                dense[i / 2] |= code << 4;
-            }
-        }
+        let (pairs, odd) = dense_codes.as_chunks::<2>();
+        let mut dense = Vec::with_capacity(dim.div_ceil(2));
+        dense.extend(pairs.iter().map(|&[lo, hi]| lo | hi << 4));
+        dense.extend_from_slice(odd);
         let mut sparse = Vec::with_capacity(outliers.len());
         let mut block_counts = vec![0u8; num_blocks];
         let mut prev: Option<usize> = None;

@@ -32,6 +32,11 @@ pub struct ShiftedValue {
 }
 
 /// Classifies and shifts one value per Eq. 4.
+///
+/// The straight-line statement of the decomposer: the online quantizer
+/// ([`crate::OakenQuantizer`]) runs the same arithmetic branch-free over
+/// 16-element lanes, and `tests/quantize_oracle.rs` holds it bit-identical
+/// to this function.
 #[inline]
 pub fn shift(x: f32, t: &Thresholds) -> ShiftedValue {
     let group = classify(x, t);

@@ -37,6 +37,7 @@
 
 use crate::encoding::{FusedVector, ScaleSet};
 use crate::groups::GroupKind;
+use crate::lanes;
 use crate::quant::UniformQuantizer;
 use crate::thresholds::{KvKind, Thresholds};
 
@@ -489,15 +490,10 @@ impl KeyPlan {
         let r = self.enter_row(fv, params);
         let at = self.dense.len() - self.dim;
         let (columns, bytes) = (&mut self.dense[at..], fv.dense_bytes());
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if simd::available() {
-            // SAFETY: `available` verified the lane's CPU feature.
-            unsafe { simd::or_codes(columns, bytes, 4 * r) };
-        } else {
-            or_codes(columns, bytes, 4 * r);
-        }
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        or_codes(columns, bytes, 4 * r);
+        lanes::widest(
+            #[inline(always)]
+            || or_codes(columns, bytes, 4 * r),
+        );
         if r + 1 == KEY_GROUP {
             self.seal();
         }
@@ -641,25 +637,6 @@ fn transpose_nibbles(m: &mut [u64; 16]) {
             m[r] ^= t << bits;
             m[r + step] ^= t;
         }
-    }
-}
-
-/// The append's AVX-512 lane, enabled by the `simd` cargo feature on
-/// x86-64 and selected at runtime: [`or_codes`] compiled at 512 bits.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod simd {
-    use std::sync::OnceLock;
-
-    /// One-time CPUID probe for the lane.
-    pub(super) fn available() -> bool {
-        static PROBE: OnceLock<bool> = OnceLock::new();
-        *PROBE.get_or_init(|| is_x86_feature_detected!("avx512f"))
-    }
-
-    /// [`super::or_codes`] with AVX-512F enabled.
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn or_codes(columns: &mut [u64], bytes: &[u8], shift: usize) {
-        super::or_codes(columns, bytes, shift);
     }
 }
 

@@ -50,6 +50,7 @@ pub mod error;
 pub mod groups;
 pub mod groupshift;
 pub mod kernel;
+mod lanes;
 pub mod pipeline;
 pub mod profiler;
 pub mod quant;

@@ -2,25 +2,45 @@
 //! encoding behind one API, mirroring the hardware quantization engine's
 //! dataflow (§5.2, Figure 9).
 //!
-//! Quantization path (per token vector, single streaming pass + encode):
+//! Quantization path (per token vector, two passes over 16-element lanes,
+//! then the encode):
 //!
-//! 1. **decomposer** — classify each element against the offline thresholds
-//!    and apply the group shift;
-//! 2. **min/max finders + σ calculators** — per-group online statistics;
+//! 1. **decomposer + min/max finders** — classify each element against
+//!    the offline thresholds, apply the group shift, and fold per-lane
+//!    group statistics (pass 1);
+//! 2. **σ calculators** — one per group, from the lane-reduced statistics;
 //! 3. **inlier/outlier quantizers** — 4-bit middle codes, 4+1-bit outlier
-//!    codes;
+//!    codes (pass 2);
 //! 4. **zero-remove shifter / concatenator** — fuse outlier magnitudes into
 //!    the dense matrix and emit 8-bit COO entries.
+//!
+//! Neither pass branches on an element's value: every candidate is
+//! computed and the element's group picks one by select, so the passes
+//! run sixteen elements at a time (on the `simd` feature's AVX-512F lane,
+//! one vector). They are bit-identical to the straight-line reference
+//! ([`crate::groupshift::shift`] per element, then
+//! [`UniformQuantizer::quantize`]); ARCHITECTURE.md's "The write path"
+//! gives the argument, and `tests/quantize_oracle.rs` checks it.
 
 use crate::config::OakenConfig;
 use crate::encoding::{CooEntry, FusedVector, ScaleSet};
 use crate::error::OakenError;
 use crate::groups::GroupKind;
-use crate::groupshift::{shift, unshift_middle, unshift_sparse, ShiftedValue};
+use crate::groupshift::{unshift_middle, unshift_sparse};
 use crate::kernel::{EncodedReadPlan, FusedReadParams};
+use crate::lanes;
 use crate::quant::UniformQuantizer;
 use crate::thresholds::{KvKind, ModelThresholds, Thresholds};
 use crate::traits::{KvQuantizer, KvRowStream, OnlineCost};
+
+/// Elements per lane chunk: one 512-bit vector of `f32`.
+const LANES: usize = 16;
+
+/// Pass-1 tag bits of an element. `HIGH` and `OUTER` sit where a COO byte
+/// keeps its sign and group bits ([`CooEntry::pack`]).
+const HIGH: u8 = 1;
+const OUTER: u8 = 2;
+const INNER: u8 = 4;
 
 /// Reusable scratch buffers for the allocation-free quantize/dequantize
 /// paths ([`OakenQuantizer::quantize_vector_with`],
@@ -34,8 +54,12 @@ use crate::traits::{KvQuantizer, KvRowStream, OnlineCost};
 /// verbatim afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct OakenScratch {
-    /// Per-element classification + shifted values (pass 1 output).
-    shifted: Vec<ShiftedValue>,
+    /// Per-element shifted values (pass 1 output): signed for middle,
+    /// magnitudes for inner and outer.
+    vals: Vec<f32>,
+    /// Per-element group and side (pass 1 output): [`HIGH`], [`OUTER`]
+    /// and [`INNER`] bits; a middle element has neither group bit.
+    tags: Vec<u8>,
     /// 4-bit dense codes (pass 2 output), one byte per element.
     dense_codes: Vec<u8>,
     /// Absolute-indexed outlier entries in ascending index order.
@@ -154,7 +178,18 @@ impl OakenQuantizer {
         scratch: &mut OakenScratch,
     ) -> Result<FusedVector, OakenError> {
         let t = *self.thresholds.get(layer, kind)?;
-        self.quantize_into_scratch(x, &t, scratch)?;
+        self.quantize_with_thresholds(x, &t, scratch)
+    }
+
+    /// [`quantize_vector_with`](Self::quantize_vector_with) against
+    /// thresholds the caller already holds.
+    fn quantize_with_thresholds(
+        &self,
+        x: &[f32],
+        t: &Thresholds,
+        scratch: &mut OakenScratch,
+    ) -> Result<FusedVector, OakenError> {
+        self.quantize_into_scratch(x, t, scratch)?;
         FusedVector::from_parts(
             x.len(),
             self.config.block_size,
@@ -165,7 +200,7 @@ impl OakenQuantizer {
     }
 
     /// The two-pass quantization engine (§5.2 Figure 9), writing into
-    /// reusable scratch buffers.
+    /// reusable scratch buffers, on the widest lane the CPU offers.
     fn quantize_into_scratch(
         &self,
         x: &[f32],
@@ -173,70 +208,34 @@ impl OakenQuantizer {
         scratch: &mut OakenScratch,
     ) -> Result<(), OakenError> {
         let bits = self.config.bits;
+        lanes::widest(
+            #[inline(always)]
+            || {
+                let n = x.len();
+                // Both passes overwrite every element, so a warm scratch
+                // is neither cleared nor refilled.
+                scratch.vals.resize(n, 0.0);
+                scratch.tags.resize(n, 0);
+                scratch.dense_codes.resize(n, 0);
+                scratch.scales = classify_row(x, t, &mut scratch.vals, &mut scratch.tags);
 
-        // Pass 1: decompose + group-shift + per-group min/max.
-        scratch.shifted.clear();
-        scratch.shifted.reserve(x.len());
-        let mut middle_min = f32::INFINITY;
-        let mut middle_max = f32::NEG_INFINITY;
-        let mut inner_mag_max = 0.0f32;
-        let mut outer_mag_max = 0.0f32;
-        let mut num_middle = 0usize;
-        for &v in x {
-            let s = shift(v, t);
-            match s.group {
-                GroupKind::Middle => {
-                    num_middle += 1;
-                    middle_min = middle_min.min(s.shifted);
-                    middle_max = middle_max.max(s.shifted);
-                }
-                GroupKind::Inner => inner_mag_max = inner_mag_max.max(s.shifted),
-                GroupKind::Outer => outer_mag_max = outer_mag_max.max(s.shifted),
-            }
-            scratch.shifted.push(s);
-        }
-        if num_middle == 0 {
-            middle_min = 0.0;
-            middle_max = 0.0;
-        }
-        scratch.scales = ScaleSet {
-            middle_min,
-            middle_max,
-            inner_mag_max,
-            outer_mag_max,
-        };
-
-        // σ calculators (Eq. 2).
-        let q_mid = UniformQuantizer::new(middle_min, middle_max, bits.middle)?;
-        let q_inner = UniformQuantizer::new(0.0, inner_mag_max, bits.outlier_mag)?;
-        let q_outer = UniformQuantizer::new(0.0, outer_mag_max, bits.outlier_mag)?;
-
-        // Pass 2: emit dense codes and COO entries.
-        scratch.dense_codes.clear();
-        scratch.dense_codes.reserve(x.len());
-        scratch.outliers.clear();
-        for (i, s) in scratch.shifted.iter().enumerate() {
-            match s.group {
-                GroupKind::Middle => scratch.dense_codes.push(q_mid.quantize(s.shifted) as u8),
-                GroupKind::Inner => {
-                    scratch.dense_codes.push(q_inner.quantize(s.shifted) as u8);
-                    scratch.outliers.push(CooEntry {
-                        index: i,
-                        group: GroupKind::Inner,
-                        high_side: s.high_side,
-                    });
-                }
-                GroupKind::Outer => {
-                    scratch.dense_codes.push(q_outer.quantize(s.shifted) as u8);
-                    scratch.outliers.push(CooEntry {
-                        index: i,
-                        group: GroupKind::Outer,
-                        high_side: s.high_side,
-                    });
-                }
-            }
-        }
-        Ok(())
+                // σ calculators (Eq. 2).
+                let s = scratch.scales;
+                let codes = GroupCodes::new(
+                    &UniformQuantizer::new(s.middle_min, s.middle_max, bits.middle)?,
+                    &UniformQuantizer::new(0.0, s.inner_mag_max, bits.outlier_mag)?,
+                    &UniformQuantizer::new(0.0, s.outer_mag_max, bits.outlier_mag)?,
+                );
+                scratch.outliers.clear();
+                codes.encode_row(
+                    &scratch.vals,
+                    &scratch.tags,
+                    &mut scratch.dense_codes,
+                    &mut scratch.outliers,
+                );
+                Ok(())
+            },
+        )
     }
 
     /// Dequantizes a fused vector back to f32.
@@ -373,6 +372,254 @@ impl OakenQuantizer {
     }
 }
 
+/// Classifies and shifts one element exactly as
+/// [`crate::groupshift::shift`] does, with no branch: each group's shifted
+/// value and side are computed and the element's group picks one.
+/// Returns the shifted value and the element's tag.
+#[inline(always)]
+fn classify_shift(x: f32, t: &Thresholds) -> (f32, u8) {
+    let outer = (x < t.outer_lo) | (x > t.outer_hi);
+    let inner = !outer & (t.inner_lo <= x) & (x <= t.inner_hi);
+    let (outer_high, middle_high) = (x > t.outer_hi, x > t.inner_hi);
+    let outer_mag = if outer_high {
+        x - t.outer_hi
+    } else {
+        t.outer_lo - x
+    };
+    let middle = x - if middle_high { t.inner_hi } else { t.inner_lo };
+    let (shifted, high) = if outer {
+        (outer_mag, outer_high)
+    } else if inner {
+        (x.abs(), x >= 0.0)
+    } else {
+        (middle, middle_high)
+    };
+    let group = if outer {
+        OUTER
+    } else if inner {
+        INNER
+    } else {
+        0
+    };
+    (shifted, group | u8::from(high))
+}
+
+/// Pass 1's per-lane group statistics: lane `l` folds elements `l`,
+/// `l + 16`, `l + 32`, … of the row.
+///
+/// Every fold is a compare and a select, exact whatever the order: a
+/// middle shifted value is never ±0 (`x ≠ T` implies `x − T ≠ 0`), inner
+/// and outer magnitudes are `≥ +0`, and a NaN element (classified middle)
+/// fails both compares, so it is skipped as `f32::min` / `f32::max` skip
+/// it. The lanes therefore reduce to the straight-line fold's values.
+struct LaneStats {
+    middle_min: [f32; LANES],
+    middle_max: [f32; LANES],
+    inner_max: [f32; LANES],
+    outer_max: [f32; LANES],
+    middles: [u32; LANES],
+}
+
+impl LaneStats {
+    fn new() -> Self {
+        Self {
+            middle_min: [f32::INFINITY; LANES],
+            middle_max: [f32::NEG_INFINITY; LANES],
+            inner_max: [0.0; LANES],
+            outer_max: [0.0; LANES],
+            middles: [0; LANES],
+        }
+    }
+
+    /// Folds one element, of value `s` and tag `tag`, into lane `l`.
+    #[inline(always)]
+    fn observe(&mut self, l: usize, s: f32, tag: u8) {
+        let middle = tag & (OUTER | INNER) == 0;
+        let low = if middle { s } else { f32::INFINITY };
+        let high = if middle { s } else { f32::NEG_INFINITY };
+        let inner = if tag & INNER != 0 { s } else { 0.0 };
+        let outer = if tag & OUTER != 0 { s } else { 0.0 };
+        self.middle_min[l] = min(self.middle_min[l], low);
+        self.middle_max[l] = max(self.middle_max[l], high);
+        self.inner_max[l] = max(self.inner_max[l], inner);
+        self.outer_max[l] = max(self.outer_max[l], outer);
+        self.middles[l] += u32::from(middle);
+    }
+
+    /// Reduces the lanes to the row's scales; an empty middle group gets
+    /// the degenerate range `[0, 0]`.
+    #[inline(always)]
+    fn reduce(&self) -> ScaleSet {
+        let fold = |lanes: &[f32; LANES], pick: fn(f32, f32) -> f32| {
+            lanes[1..].iter().fold(lanes[0], |acc, &v| pick(acc, v))
+        };
+        let (middle_min, middle_max) = if self.middles.iter().any(|&n| n > 0) {
+            (fold(&self.middle_min, min), fold(&self.middle_max, max))
+        } else {
+            (0.0, 0.0)
+        };
+        ScaleSet {
+            middle_min,
+            middle_max,
+            inner_mag_max: fold(&self.inner_max, max),
+            outer_mag_max: fold(&self.outer_max, max),
+        }
+    }
+}
+
+/// `b` if it is below `a`, else `a`: a NaN `b` leaves `a`.
+#[inline(always)]
+fn min(a: f32, b: f32) -> f32 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// `b` if it is above `a`, else `a`: a NaN `b` leaves `a`.
+#[inline(always)]
+fn max(a: f32, b: f32) -> f32 {
+    if b > a {
+        b
+    } else {
+        a
+    }
+}
+
+/// Pass 1 over a whole row: writes every element's shifted value and tag,
+/// and returns the row's scales.
+#[inline(always)]
+fn classify_row(x: &[f32], t: &Thresholds, vals: &mut [f32], tags: &mut [u8]) -> ScaleSet {
+    let mut stats = LaneStats::new();
+    let (x_chunks, x_tail) = x.as_chunks::<LANES>();
+    let (val_chunks, val_tail) = vals.as_chunks_mut::<LANES>();
+    let (tag_chunks, tag_tail) = tags.as_chunks_mut::<LANES>();
+    for ((xs, vs), ts) in x_chunks.iter().zip(val_chunks).zip(tag_chunks) {
+        for l in 0..LANES {
+            let (s, tag) = classify_shift(xs[l], t);
+            (vs[l], ts[l]) = (s, tag);
+            stats.observe(l, s, tag);
+        }
+    }
+    for (l, ((&x, v), tg)) in x_tail.iter().zip(val_tail).zip(tag_tail).enumerate() {
+        let (s, tag) = classify_shift(x, t);
+        (*v, *tg) = (s, tag);
+        stats.observe(l, s, tag);
+    }
+    stats.reduce()
+}
+
+/// Pass 2's per-group quantizers (Eq. 2–3), as the values an element's
+/// group selects: the middle group's `min`, each group's σ, and the
+/// largest codes as `f32`. The sparse groups' `min` is 0.
+struct GroupCodes {
+    middle_min: f32,
+    middle_sigma: f32,
+    inner_sigma: f32,
+    outer_sigma: f32,
+    middle_top: f32,
+    outlier_top: f32,
+}
+
+impl GroupCodes {
+    /// Splits the three groups' quantizers into the values pass 2 selects.
+    #[inline(always)]
+    fn new(middle: &UniformQuantizer, inner: &UniformQuantizer, outer: &UniformQuantizer) -> Self {
+        debug_assert_eq!((inner.min(), outer.min()), (0.0, 0.0));
+        debug_assert_eq!(inner.max_code(), outer.max_code());
+        Self {
+            middle_min: middle.min(),
+            middle_sigma: middle.sigma(),
+            inner_sigma: inner.sigma(),
+            outer_sigma: outer.sigma(),
+            middle_top: middle.max_code() as f32,
+            outlier_top: outer.max_code() as f32,
+        }
+    }
+
+    /// [`UniformQuantizer::quantize`] of `s` with its group's quantizer,
+    /// picked by select. Clamping before rounding gives the same code as
+    /// rounding first: `max` sends NaN (and a degenerate σ's `±0`) to 0.
+    /// On `[0, max_code]`, adding 2²³ rounds `v` to the nearest integer,
+    /// ties to even, and leaves that integer in the low mantissa bits;
+    /// `v − nearest` is exact, so a tie rounded down is exactly
+    /// `v − nearest = ½`, and bumping it gives `f32::round`'s half away
+    /// from zero — with no call to libm's `roundf` and no saturating
+    /// float-to-int cast, neither of which runs in lanes.
+    #[inline(always)]
+    fn code(&self, s: f32, tag: u8) -> u8 {
+        let (outer, inner) = (tag & OUTER != 0, tag & INNER != 0);
+        let lo = if outer | inner { 0.0 } else { self.middle_min };
+        let sigma = if outer {
+            self.outer_sigma
+        } else if inner {
+            self.inner_sigma
+        } else {
+            self.middle_sigma
+        };
+        let top = if outer | inner {
+            self.outlier_top
+        } else {
+            self.middle_top
+        };
+        let v = min(max(0.0, (s - lo) * sigma), top);
+        const TWO_23: f32 = 8_388_608.0;
+        let biased = v + TWO_23;
+        let nearest = biased - TWO_23;
+        let tie_down = v - nearest == 0.5;
+        (biased.to_bits() - TWO_23.to_bits() + u32::from(tie_down)) as u8
+    }
+
+    /// Pass 2 over a whole row: writes every element's dense code and
+    /// appends its outliers' COO entries in index order, found per chunk
+    /// from a mask of the tags.
+    #[inline(always)]
+    fn encode_row(&self, vals: &[f32], tags: &[u8], codes: &mut [u8], out: &mut Vec<CooEntry>) {
+        let (val_chunks, val_tail) = vals.as_chunks::<LANES>();
+        let (tag_chunks, tag_tail) = tags.as_chunks::<LANES>();
+        let (code_chunks, code_tail) = codes.as_chunks_mut::<LANES>();
+        for (k, ((vs, ts), cs)) in val_chunks
+            .iter()
+            .zip(tag_chunks)
+            .zip(code_chunks)
+            .enumerate()
+        {
+            for l in 0..LANES {
+                cs[l] = self.code(vs[l], ts[l]);
+            }
+            push_outliers(k * LANES, ts, out);
+        }
+        for ((&v, &tag), c) in val_tail.iter().zip(tag_tail).zip(code_tail.iter_mut()) {
+            *c = self.code(v, tag);
+        }
+        push_outliers(val_chunks.len() * LANES, tag_tail, out);
+    }
+}
+
+/// Appends the COO entries of a chunk of at most 16 tags starting at
+/// element `base`, in index order.
+#[inline(always)]
+fn push_outliers(base: usize, tags: &[u8], out: &mut Vec<CooEntry>) {
+    let mut mask = tags.iter().enumerate().fold(0u32, |m, (l, &tag)| {
+        m | u32::from(tag & (OUTER | INNER) != 0) << l
+    });
+    while mask != 0 {
+        let l = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        let tag = tags[l];
+        out.push(CooEntry {
+            index: base + l,
+            group: if tag & OUTER != 0 {
+                GroupKind::Outer
+            } else {
+                GroupKind::Inner
+            },
+            high_side: tag & HIGH != 0,
+        });
+    }
+}
+
 /// The streaming zero-insert dequantization walk shared by the fused and
 /// scratch decode paths: scan elements in order, consuming the (sorted)
 /// outlier stream whenever its head matches the current index.
@@ -421,6 +668,10 @@ pub struct OakenRowStream {
     layer: usize,
     kind: KvKind,
     d: usize,
+    /// The tensor's thresholds and bit-widths, fetched once when the
+    /// stream opens; `None` for an unprofiled layer, which fails on the
+    /// first row.
+    params: Option<FusedReadParams>,
     scratch: OakenScratch,
     /// Per-row fused encodings: the stored cache payload.
     encoded: Vec<FusedVector>,
@@ -434,20 +685,30 @@ pub struct OakenRowStream {
 }
 
 impl OakenRowStream {
-    /// Folds and caches the newest rows' read-plan entries.
-    fn push_decode(&mut self, rows: &[FusedVector]) {
-        let params = self
-            .quantizer
-            .fused_read_params(self.layer, self.kind)
-            .expect("layer must be profiled before streaming quantization");
-        self.plan.push_rows(rows, &params);
-    }
-}
-
-impl OakenRowStream {
     /// The encoded rows held by the stream (the actual cache contents).
     pub fn encoded_rows(&self) -> &[FusedVector] {
         &self.encoded
+    }
+
+    /// The stream's read parameters. An unprofiled layer is a caller bug
+    /// on the streaming path, as on the trait-level batch path.
+    fn params(&self) -> FusedReadParams {
+        self.params
+            .expect("layer must be profiled before streaming quantization")
+    }
+
+    /// Quantizes one row against the stream's thresholds and stores it,
+    /// with its read-plan entry.
+    fn push_quantized(&mut self, row: &[f32]) {
+        assert_eq!(row.len(), self.d, "row width mismatch");
+        let params = self.params();
+        let fv = self
+            .quantizer
+            .quantize_with_thresholds(row, &params.thresholds, &mut self.scratch)
+            .expect("configured bit-widths are valid");
+        self.payload += fv.payload_bytes();
+        self.plan.push_row(&fv, &params);
+        self.encoded.push(fv);
     }
 }
 
@@ -464,19 +725,11 @@ impl std::fmt::Debug for OakenRowStream {
 
 impl KvRowStream for OakenRowStream {
     fn append_row(&mut self, row: &[f32], view: &mut Vec<f32>) {
-        assert_eq!(row.len(), self.d, "row width mismatch");
-        // An unprofiled layer is a caller bug on the streaming path, as on
-        // the trait-level batch path.
-        let fv = self
-            .quantizer
-            .quantize_vector_with(row, self.layer, self.kind, &mut self.scratch)
-            .expect("layer must be profiled before streaming quantization");
+        self.push_quantized(row);
+        let fv = self.encoded.last().expect("a row was just pushed");
         self.quantizer
-            .dequantize_vector_into(&fv, self.layer, self.kind, view)
+            .dequantize_vector_into(fv, self.layer, self.kind, view)
             .expect("fused vector decodes with the same thresholds");
-        self.payload += fv.payload_bytes();
-        self.push_decode(std::slice::from_ref(&fv));
-        self.encoded.push(fv);
     }
 
     fn rows(&self) -> usize {
@@ -510,22 +763,15 @@ impl KvRowStream for OakenRowStream {
     }
 
     fn append_row_encoded(&mut self, row: &[f32]) -> bool {
-        assert_eq!(row.len(), self.d, "row width mismatch");
         // Same quantization as `append_row`, minus the dequantize-into-view
         // step: the encoded vector *is* the cache contents, and the fused
         // attention kernels read it in place.
-        let fv = self
-            .quantizer
-            .quantize_vector_with(row, self.layer, self.kind, &mut self.scratch)
-            .expect("layer must be profiled before streaming quantization");
-        self.payload += fv.payload_bytes();
-        self.push_decode(std::slice::from_ref(&fv));
-        self.encoded.push(fv);
+        self.push_quantized(row);
         true
     }
 
     fn fused_read_params(&self) -> Option<FusedReadParams> {
-        self.quantizer.fused_read_params(self.layer, self.kind).ok()
+        self.params
     }
 
     fn read_plan(&self) -> Option<&EncodedReadPlan> {
@@ -533,8 +779,9 @@ impl KvRowStream for OakenRowStream {
     }
 
     fn adopt_encoded_rows(&mut self, rows: &[FusedVector]) -> bool {
+        let params = self.params();
         self.payload += rows.iter().map(FusedVector::payload_bytes).sum::<usize>();
-        self.push_decode(rows);
+        self.plan.push_rows(rows, &params);
         self.encoded.extend_from_slice(rows);
         true
     }
@@ -610,6 +857,7 @@ impl KvQuantizer for OakenQuantizer {
             layer,
             kind,
             d,
+            params: self.fused_read_params(layer, kind).ok(),
             scratch: OakenScratch::new(),
             encoded: Vec::new(),
             plan: EncodedReadPlan::new(kind),

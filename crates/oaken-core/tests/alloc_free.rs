@@ -2,7 +2,8 @@
 //! 1k-token decode loop through `roundtrip_vector_into` and
 //! `dequantize_vector_into` with reused buffers performs **zero** heap
 //! allocations after warm-up (acceptance criterion of the incremental
-//! cache work — the hardware engine's fixed SRAM buffers, in software).
+//! cache work — the hardware engine's fixed SRAM buffers, in software),
+//! and `quantize_vector_with` allocates only the row it returns.
 
 use oaken_core::{FusedVector, KvKind, OakenConfig, OakenQuantizer, OakenScratch, OfflineProfiler};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -113,4 +114,46 @@ fn thousand_token_decode_loop_makes_zero_allocations() {
         delta, 0,
         "scratch decode loop performed {delta} heap allocations over {tokens} tokens"
     );
+}
+
+/// Once its scratch is warm, the quantizer allocates the returned
+/// `FusedVector`'s own buffers and nothing else: its dense nibbles, its
+/// per-block counts and, when the row has outliers, its COO bytes — at
+/// most three per row. A scratch that regrew per row would show here.
+#[test]
+fn warm_quantizer_allocates_only_the_encoded_row() {
+    let config = OakenConfig::default();
+    let mut profiler = OfflineProfiler::new(config.clone(), 1);
+    for s in 0..16 {
+        profiler.observe(0, KvKind::Key, &kv_row(256, s));
+        profiler.observe(0, KvKind::Value, &kv_row(256, s));
+    }
+    let q = OakenQuantizer::new(config, profiler.try_finish().unwrap());
+    // Widths off the 16-element chunk edge and a shrinking order: the
+    // scratch warms once at the widest row.
+    let rows: Vec<Vec<f32>> = [256, 200, 97, 16, 1]
+        .iter()
+        .flat_map(|&d| (0..50).map(move |t| kv_row(d, 300 + t)))
+        .collect();
+    let mut scratch = OakenScratch::new();
+    for row in &rows {
+        q.quantize_vector_with(row, 0, KvKind::Value, &mut scratch)
+            .unwrap();
+    }
+    for row in &rows {
+        let before = allocations();
+        let fv = q
+            .quantize_vector_with(row, 0, KvKind::Value, &mut scratch)
+            .unwrap();
+        let made = allocations() - before;
+        let own = 2 + usize::from(fv.num_outliers() > 0);
+        assert_eq!(
+            made,
+            own,
+            "a {}-wide row with {} outliers made {made} allocations",
+            row.len(),
+            fv.num_outliers()
+        );
+        assert!(made <= 3);
+    }
 }
