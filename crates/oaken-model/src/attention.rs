@@ -11,15 +11,18 @@
 //! * the **exact** kernels ([`attend_one`], [`attend_one_into`] and the
 //!   per-KV-head [`attend_kv_group_into`]) read dequantized f32 KV matrices
 //!   and carry the engine's bit-exactness contract;
-//! * the **fused** kernel ([`attend_run_fused_into`] and its single-token
-//!   wrappers) reads the encoded rows through their
-//!   [`EncodedReadPlan`] — one sweep over a sequence's arena decodes each
-//!   row once and serves a whole tile of query tokens (a prefill chunk)
-//!   and every query head of the group — so attention never needs a
-//!   materialized f32 view of the cache. Its numeric contract is
+//! * the **fused** kernel ([`attend_segments_fused_into`], and its
+//!   one-run and single-token wrappers) reads the encoded rows through
+//!   their [`EncodedReadPlan`] — one sweep decodes each row once and
+//!   serves a whole tile of query tokens (a prefill chunk, or the decode
+//!   steps of sequences that share prefix-trie blocks, whose shared rows
+//!   it decodes once for all of them) and every query head of the group —
+//!   so attention never needs a materialized f32 view of the cache. Its
+//!   numeric contract is
 //!   SQNR-bounded against the exact kernels (see `oaken_core::kernel`)
 //!   and *width-invariant*: a query's output does not depend on which
-//!   other queries shared its sweep. Keys decode column by column, sixteen
+//!   other queries, of its sequence or another, shared its sweep. Keys
+//!   decode column by column, sixteen
 //!   rows at a time, straight into the transposed score tile; values row
 //!   by row. With the `simd` cargo feature both decodes run on a
 //!   `std::arch` AVX-512 lane, bit-identically.
@@ -59,13 +62,14 @@ impl AttentionShape {
 }
 
 /// Reusable scratch buffers for the `_into` kernel variants: the score
-/// rows shared by both families plus the decoded row block of the fused
-/// kernel. Hold one per decode loop (or per worker) and every attention
-/// call after warm-up allocates nothing.
+/// rows shared by both families plus the decoded row block and the tile
+/// bookkeeping of the fused kernel. Hold one per decode loop (or per
+/// worker) and every attention call after warm-up allocates nothing.
 #[derive(Debug, Default)]
 pub struct AttentionScratch {
     scores: Vec<f32>,
     block: Vec<f32>,
+    pieces: Vec<Piece>,
 }
 
 /// First cached position visible to the query under the shape's sliding
@@ -242,6 +246,42 @@ pub enum KvRead<'a> {
     },
 }
 
+impl KvRead<'_> {
+    /// K/V row pairs the read holds (`kv_dim` wide).
+    pub(crate) fn rows(&self, kv_dim: usize) -> usize {
+        match self {
+            KvRead::Fused { keys, values } => keys.plan.rows().min(values.plan.rows()),
+            KvRead::Exact { keys, values } => keys.len().min(values.len()) / kv_dim.max(1),
+        }
+    }
+}
+
+/// One segment of a fused sweep: a run of `queries` query tokens of one
+/// sequence — the next `queries` entries of the call's queries and limits,
+/// the limits non-decreasing — and that sequence's encoded K and V
+/// tensors. A prefill chunk is a run with consecutive limits, a decode
+/// step a run of one.
+#[derive(Debug, Clone, Copy)]
+pub struct Segment<'a> {
+    /// Query tokens in the run.
+    pub queries: usize,
+    /// The sequence's encoded keys.
+    pub keys: EncodedKv<'a>,
+    /// The sequence's encoded values.
+    pub values: EncodedKv<'a>,
+}
+
+impl Segment<'_> {
+    /// The key and value plans.
+    #[inline(always)]
+    fn plans(&self) -> (&KeyPlan, &ValuePlan) {
+        match (self.keys.plan, self.values.plan) {
+            (EncodedReadPlan::Keys(keys), EncodedReadPlan::Values(values)) => (keys, values),
+            _ => panic!("keys are read through a key plan, values through a value plan"),
+        }
+    }
+}
+
 /// Most query tokens one sweep over a slot's encoded rows serves; longer
 /// runs take one sweep per tile.
 pub const QUERY_TILE: usize = 32;
@@ -289,52 +329,38 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut AttentionScratch) -> R)
     SCRATCH.with_borrow_mut(f)
 }
 
-/// Attention of the query groups of KV heads `kv_heads` for a run of
-/// query tokens of one sequence, against whatever form the cache serves:
-/// `out` receives `[qs.len() × kv_heads.len() × group_size × head_dim]`,
-/// query `i` attending rows `window_start(limits[i]) .. limits[i]`. Limits
-/// are clamped to the rows the read holds — a slot poisoned by a failed
-/// append holds fewer than the schedule predicted, and its output is
-/// discarded by the caller.
-pub(crate) fn attend_run_into(
+/// The exact kernels over a run of query tokens of one sequence: `out`
+/// receives `[qs.len() × kv_heads.len() × group_size × head_dim]`, query
+/// `i` attending rows `window_start(limits[i]) .. limits[i]` of the
+/// row-major `keys` / `values` views.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn attend_exact_run_into(
     qs: &[&[f32]],
     limits: &[usize],
-    read: &KvRead<'_>,
+    keys: &[f32],
+    values: &[f32],
     shape: &AttentionShape,
     kv_heads: Range<usize>,
     scratch: &mut AttentionScratch,
     out: &mut [f32],
 ) {
-    let kv_dim = shape.kv_dim();
-    let held = match read {
-        KvRead::Fused { keys, values } => keys.plan.rows().min(values.plan.rows()),
-        KvRead::Exact { keys, values } => keys.len().min(values.len()) / kv_dim.max(1),
-    };
-    let limits: Vec<usize> = limits.iter().map(|&l| l.min(held)).collect();
-    match read {
-        KvRead::Fused { keys, values } => {
-            attend_run_fused_into(qs, &limits, keys, values, shape, kv_heads, scratch, out);
-        }
-        KvRead::Exact { keys, values } => {
-            let gw = shape.group_size().max(1) * shape.head_dim;
-            let groups = qs
-                .iter()
-                .zip(&limits)
-                .flat_map(|(q, &limit)| kv_heads.clone().map(move |kvh| (q, limit, kvh)));
-            for ((q, limit, kvh), out_g) in groups.zip(out.chunks_mut(gw)) {
-                let visible = limit * kv_dim;
-                attend_kv_group_into(
-                    q,
-                    &keys[..visible],
-                    &values[..visible],
-                    limit,
-                    shape,
-                    kvh,
-                    out_g,
-                    &mut scratch.scores,
-                );
-            }
-        }
+    let (kv_dim, gw) = (shape.kv_dim(), shape.group_size().max(1) * shape.head_dim);
+    let groups = qs
+        .iter()
+        .zip(limits)
+        .flat_map(|(q, &limit)| kv_heads.clone().map(move |kvh| (q, limit, kvh)));
+    for ((q, limit, kvh), out_g) in groups.zip(out.chunks_mut(gw)) {
+        let visible = limit * kv_dim;
+        attend_kv_group_into(
+            q,
+            &keys[..visible],
+            &values[..visible],
+            limit,
+            shape,
+            kvh,
+            out_g,
+            &mut scratch.scores,
+        );
     }
 }
 
@@ -385,43 +411,13 @@ pub fn attend_kv_group_fused_into(
     attend_run_fused_into(&[q], &[seq_len], keys, values, shape, head, scratch, out_g);
 }
 
-/// The fused kernel: attention of the query groups of KV heads `kv_heads`
-/// for a run of query tokens of one sequence, computed directly over the
-/// encoded rows. Query `i` (`qs[i]`, `q_dim` wide) attends rows
-/// `window_start(limits[i]) .. limits[i]`; `out` receives
-/// `[qs.len() × kv_heads.len() × group_size × head_dim]`. A prefill chunk
-/// is a run with consecutive limits, a decode step a run of one.
-///
-/// Per [`QUERY_TILE`] queries the key plan is walked **once**: each
-/// block of rows is decoded a single time (a multiply-add per dense code,
-/// sixteen rows of a column at a time, outliers overwritten in place) and
-/// reused by every query of the tile and every query head of the range;
-/// softmax runs per (query, head); the value arena is swept the same way
-/// (a table lookup per dense code). The arithmetic behind
-/// both decodes is register-blocked (`score_block`, `weigh_block`): the
-/// queries and query heads sharing a KV head's tile keep their
-/// accumulators in registers side by side, so a decoded key column or
-/// value row is loaded once for all of them and an output is loaded and
-/// stored once per row block, not once per multiply.
-///
-/// **Width invariance.** Every score is
-/// `(((q₀·k₀ + q₁·k₁) + q₂·k₂) + …) / √d` — one serial chain over the
-/// head's columns with separately rounded multiplies and adds — and
-/// every output element accumulates `p·v` over the visible rows in
-/// ascending order. Lanes run over *rows* (keys) and *columns* (values),
-/// never across a chain, so each (query, row, head) score and each output
-/// element is a pure function of the query and the rows: independent of
-/// tile width and position, block alignment, the head range, thread and
-/// rank count, and of the `simd` feature (whose AVX-512 lane only speeds
-/// up the decode, bit-identically). Feeding a prompt in chunks of any size
-/// therefore yields the bits of feeding it token by token.
+/// The fused kernel for one run of query tokens of one sequence:
+/// [`attend_segments_fused_into`] over that run alone. A prefill chunk is
+/// a run with consecutive limits, a decode step a run of one.
 ///
 /// # Panics
 ///
-/// Panics if `qs`/`limits`/`out` disagree with each other or the shape,
-/// `limits` decrease, a plan holds fewer rows than the largest limit or
-/// rows of another width, `keys` is not a key plan or `values` not a
-/// value plan, or `kv_heads` exceeds `num_kv_heads`.
+/// Same conditions as [`attend_segments_fused_into`].
 #[allow(clippy::too_many_arguments)]
 pub fn attend_run_fused_into(
     qs: &[&[f32]],
@@ -433,96 +429,251 @@ pub fn attend_run_fused_into(
     scratch: &mut AttentionScratch,
     out: &mut [f32],
 ) {
-    let gw = shape.group_size().max(1) * shape.head_dim;
-    let row_w = kv_heads.len() * gw;
+    let run = Segment {
+        queries: qs.len(),
+        keys: *keys,
+        values: *values,
+    };
+    attend_segments_fused_into(qs, limits, &[run], 0, shape, kv_heads, scratch, out);
+}
+
+/// The fused kernel: attention of the query groups of KV heads `kv_heads`
+/// for query tokens of several sequences, computed directly over the
+/// encoded rows. Query `i` (`qs[i]`, `q_dim` wide) attends rows
+/// `window_start(limits[i]) .. limits[i]` of its segment's sequence — the
+/// segments take the queries in order — and `out` receives
+/// `[qs.len() × kv_heads.len() × group_size × head_dim]`. Rows
+/// `0 .. shared` (a multiple of [`KEY_GROUP`]) must be the same in every
+/// segment's plans — the rows of the prefix-trie blocks their sequences
+/// share; a lone segment passes 0.
+///
+/// Per [`QUERY_TILE`] queries the key plans are walked **once**: each
+/// block of rows is decoded a single time (a multiply-add per dense code,
+/// sixteen rows of a column at a time, outliers overwritten in place) and
+/// reused by every query of the tile that sees it and every query head of
+/// the range; softmax runs per (query, head); the value plans are swept
+/// the same way (a table lookup per dense code). Rows below `shared` are
+/// decoded from the tile's first segment for the queries of every
+/// segment; each segment's rows from `shared` up from its own plans for
+/// its own queries. The arithmetic behind both decodes is register-blocked
+/// (`score_block`, `weigh_block`): the queries and query heads sharing a
+/// KV head's tile keep their accumulators in registers side by side, so a
+/// decoded key column or value row is loaded once for all of them and an
+/// output is loaded and stored once per row block, not once per multiply.
+///
+/// **Width invariance.** Every score is
+/// `(((q₀·k₀ + q₁·k₁) + q₂·k₂) + …) / √d` — one serial chain over the
+/// head's columns with separately rounded multiplies and adds — and
+/// every output element accumulates `p·v` over the visible rows in
+/// ascending order (the shared rows, then the segment's own). Lanes run
+/// over *rows* (keys) and *columns* (values), never across a chain, so
+/// each (query, row, head) score and each output element is a pure
+/// function of the query and the rows: independent of tile width and
+/// position, block alignment, which segments share the sweep, the head
+/// range, thread and rank count, and of the `simd` feature (whose AVX-512
+/// lane only speeds up the decode, bit-identically). Feeding a prompt in
+/// chunks of any size therefore yields the bits of feeding it token by
+/// token, and a query swept beside other sequences' the bits of its run
+/// alone.
+///
+/// # Panics
+///
+/// Panics if `qs`/`limits`/`out` and the segments' query counts disagree
+/// with each other or the shape, a segment's limits decrease, a plan holds
+/// fewer
+/// rows than its largest limit or than `shared`, or rows of another
+/// width, `keys` is not a key plan or `values` not a value plan, `shared`
+/// is not a multiple of [`KEY_GROUP`], or `kv_heads` exceeds
+/// `num_kv_heads`.
+#[allow(clippy::too_many_arguments)]
+pub fn attend_segments_fused_into(
+    qs: &[&[f32]],
+    limits: &[usize],
+    segments: &[Segment<'_>],
+    shared: usize,
+    shape: &AttentionShape,
+    kv_heads: Range<usize>,
+    scratch: &mut AttentionScratch,
+    out: &mut [f32],
+) {
+    let row_w = kv_heads.len() * shape.group_size().max(1) * shape.head_dim;
     assert_eq!(qs.len(), limits.len(), "one limit per query");
+    let queries: usize = segments.iter().map(|s| s.queries).sum();
+    assert_eq!(queries, qs.len(), "the segments take every query");
     assert_eq!(out.len(), qs.len() * row_w, "output shape mismatch");
     assert!(kv_heads.end <= shape.num_kv_heads, "kv head out of range");
+    assert!(
+        shared.is_multiple_of(KEY_GROUP),
+        "shared rows end at a key group's edge"
+    );
     assert!(
         qs.iter().all(|q| q.len() == shape.q_dim()),
         "query width mismatch"
     );
-    assert!(
-        limits.windows(2).all(|w| w[0] <= w[1]),
-        "limits must not decrease along a run"
-    );
-    let hi = limits.last().copied().unwrap_or(0);
-    for (plan, what) in [(keys.plan, "key"), (values.plan, "value")] {
-        assert!(plan.rows() >= hi, "{what} read plan shorter than seq_len");
+    let mut at = 0;
+    for seg in segments {
+        let limits = &limits[at..at + seg.queries];
+        at += seg.queries;
         assert!(
-            hi == 0 || plan.dim() == shape.kv_dim(),
-            "encoded {what} row width mismatch"
+            limits.windows(2).all(|w| w[0] <= w[1]),
+            "limits must not decrease along a run"
         );
+        let hi = limits.last().copied().unwrap_or(0);
+        for (plan, what) in [(seg.keys.plan, "key"), (seg.values.plan, "value")] {
+            assert!(plan.rows() >= hi, "{what} read plan shorter than seq_len");
+            assert!(
+                plan.rows() >= shared,
+                "{what} read plan shorter than the shared rows"
+            );
+            assert!(
+                hi.max(shared) == 0 || plan.dim() == shape.kv_dim(),
+                "encoded {what} row width mismatch"
+            );
+        }
+        // Panics on a plan of the wrong kind.
+        seg.plans();
     }
-    let (EncodedReadPlan::Keys(keys), EncodedReadPlan::Values(values)) = (keys.plan, values.plan)
-    else {
-        panic!("keys are read through a key plan, values through a value plan");
-    };
     if row_w == 0 {
         return;
     }
-    let tiles = qs
-        .chunks(QUERY_TILE)
-        .zip(limits.chunks(QUERY_TILE))
-        .zip(out.chunks_mut(QUERY_TILE * row_w));
-    for ((qs, limits), out) in tiles {
+    for (t, out) in out.chunks_mut(QUERY_TILE * row_w).enumerate() {
+        let tile = t * QUERY_TILE..t * QUERY_TILE + out.len() / row_w;
         let heads = kv_heads.clone();
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if simd::available() {
             // SAFETY: `available` verified the lane's CPU features.
-            unsafe { simd::fused_sweep(qs, limits, keys, values, shape, heads, scratch, out) };
+            let sweep = Tile {
+                qs,
+                limits,
+                segments,
+                queries: tile,
+                shared,
+            };
+            unsafe { simd::fused_sweep(sweep, shape, heads, scratch, out) };
             continue;
         }
-        fused_sweep::<false>(qs, limits, keys, values, shape, heads, scratch, out);
+        let sweep = Tile {
+            qs,
+            limits,
+            segments,
+            queries: tile,
+            shared,
+        };
+        fused_sweep::<false>(sweep, shape, heads, scratch, out);
     }
 }
 
-/// One tile of [`attend_run_fused_into`] (`qs.len() <= QUERY_TILE`,
-/// inputs validated there). `AVX512` selects the decode lane; every
-/// arithmetic loop is the same portable code on both, compiled once per
-/// lane (the AVX-512 instance inlines into a `#[target_feature]` caller
-/// and vectorizes at 512 bits).
+/// The pieces of positions `tile` of the concatenation of runs `lens`
+/// long, in order: per run the tile overlaps, the run's index and the
+/// positions within it.
+pub(crate) fn tile_pieces(
+    lens: impl IntoIterator<Item = usize>,
+    tile: Range<usize>,
+) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let mut at = 0;
+    lens.into_iter().enumerate().filter_map(move |(i, len)| {
+        let (from, to) = (at, at + len);
+        at = to;
+        let piece = tile.start.clamp(from, to) - from..tile.end.clamp(from, to) - from;
+        (!piece.is_empty()).then_some((i, piece))
+    })
+}
+
+/// A segment's queries in the tile being swept.
+#[derive(Debug, Clone)]
+struct Piece {
+    /// Index of the segment.
+    seg: usize,
+    /// Its queries' tile rows (output and score rows).
+    at: Range<usize>,
+    /// The rows they see, from the key group holding the first window
+    /// start.
+    rows: Range<usize>,
+}
+
+/// One tile of [`attend_segments_fused_into`] (at most [`QUERY_TILE`]
+/// queries, inputs validated there): per walk of a plan's rows — the
+/// shared rows for every piece, then each piece's own — the key blocks are
+/// decoded and scored, softmax runs per (query, head), and the same walks
+/// decode the value blocks and weigh them. `AVX512` selects the decode
+/// lane; every arithmetic loop is the same portable code on both, compiled
+/// once per lane (the AVX-512 instance inlines into a `#[target_feature]`
+/// caller and vectorizes at 512 bits).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn fused_sweep<const AVX512: bool>(
-    qs: &[&[f32]],
-    limits: &[usize],
-    keys: &KeyPlan,
-    values: &ValuePlan,
+    tile: Tile<'_, '_>,
     shape: &AttentionShape,
     heads: Range<usize>,
     scratch: &mut AttentionScratch,
     out: &mut [f32],
 ) {
-    let hd = shape.head_dim;
-    let group = shape.group_size().max(1);
-    let (col, width) = (heads.start * hd, heads.len() * hd);
-    // Query heads served per query.
-    let nh = heads.len() * group;
-    let inv_sqrt = 1.0 / (hd as f32).sqrt();
     out.fill(0.0);
-    // Rows any query of the tile sees; limits (hence window starts) are
-    // non-decreasing, so both ends sit at the tile's ends.
-    let hi = limits.last().copied().unwrap_or(0);
-    let start = limits.first().map_or(0, |&l| window_start(shape, l));
-    if hi == start {
+    let AttentionScratch {
+        scores,
+        block,
+        pieces,
+    } = scratch;
+    // Rows a piece's queries see: limits (hence window starts) are
+    // non-decreasing along a segment, so both ends sit at the piece's
+    // ends. Walks start at a key group's edge; rows below a window start
+    // are then scored but never read (softmax and the weighted sum take
+    // each query's own rows).
+    let (segments, shared) = (tile.segments, tile.shared);
+    let qs = &tile.qs[tile.queries.clone()];
+    let limits = &tile.limits[tile.queries.clone()];
+    pieces.clear();
+    let (mut row, mut lo, mut top) = (0, usize::MAX, 0);
+    for (seg, queries) in tile_pieces(segments.iter().map(|s| s.queries), tile.queries) {
+        let at = row..row + queries.len();
+        row = at.end;
+        let start = window_start(shape, limits[at.start]) / KEY_GROUP * KEY_GROUP;
+        let rows = start..limits[at.end - 1];
+        (lo, top) = (lo.min(rows.start), top.max(rows.end));
+        pieces.push(Piece { seg, at, rows });
+    }
+    let pieces: &[Piece] = pieces;
+    let lo = lo.min(top);
+    // The shared rows any query sees, walked once for all; then a piece's
+    // own rows from `shared` up, each starting at a key group's edge.
+    let common = lo..shared.min(top).max(lo);
+    let own = |p: &Piece| {
+        let from = p.rows.start.max(shared);
+        from..p.rows.end.max(from)
+    };
+    let end = |rows: &Range<usize>| match rows.len() {
+        0 => 0,
+        n => rows.start + n.next_multiple_of(ROW_BLOCK) - lo,
+    };
+    // One score row per (query, head), `stride` apart; row `t` at `t - lo`.
+    // A multiple of 256 B for a lone segment, exactly 4 KiB for 961–1024
+    // visible rows, so the tile's score rows share cache sets. Padding it
+    // by one cache line took 7 ms per `long_context` replay off the
+    // row-outer value pass this kernel used to have (85 → 78 ms); with
+    // each member's weights now read sequentially it measures nothing
+    // (174–192 µs unpadded, 180–181 µs padded, per 32-query × 1024-row
+    // tile), so it stays out.
+    let stride = pieces
+        .iter()
+        .map(|p| end(&own(p)))
+        .fold(end(&common), usize::max);
+    if stride == 0 {
         return;
     }
-    // Blocks start at a key group's edge; rows below the first window
-    // start are then scored but never read (softmax and the weighted sum
-    // take each query's own rows).
-    let lo = start / KEY_GROUP * KEY_GROUP;
-    // One score row per (query, head), `stride` apart; row `t` at `t - lo`.
-    // A multiple of 256 B, exactly 4 KiB for 961–1024 visible rows, so the
-    // tile's score rows share cache sets. Padding it by one cache line
-    // took 7 ms per `long_context` replay off the row-outer value pass
-    // this kernel used to have (85 → 78 ms); with each member's weights
-    // now read sequentially it measures nothing (174–192 µs unpadded,
-    // 180–181 µs padded, per 32-query × 1024-row tile), so it stays out.
-    let stride = (hi - lo).next_multiple_of(ROW_BLOCK);
+    let (hd, group) = (shape.head_dim, shape.group_size().max(1));
+    let sweep = Sweep {
+        qs,
+        limits,
+        shape,
+        group,
+        nh: heads.len() * group,
+        col: heads.start * hd,
+        width: heads.len() * hd,
+        lo,
+        stride,
+    };
+    let (nh, width) = (sweep.nh, sweep.width);
     // Grown, never cleared: every score and block element is written
     // before the pass that reads it.
-    let AttentionScratch { scores, block } = scratch;
     if scores.len() < qs.len() * nh * stride {
         scores.resize(qs.len() * nh * stride, 0.0);
     }
@@ -530,48 +681,174 @@ fn fused_sweep<const AVX512: bool>(
         block.resize(width * ROW_BLOCK, 0.0);
     }
     let block = &mut block[..width * ROW_BLOCK];
+    // The walks, each from one segment's plans: the shared rows for every
+    // piece, from the first; then each piece's own rows, from its own.
+    let walks = || {
+        let shared = std::iter::once((pieces[0].seg, common.clone(), pieces));
+        let own = pieces
+            .iter()
+            .map(|p| (p.seg, own(p), std::slice::from_ref(p)));
+        shared.chain(own).filter(|(_, rows, _)| !rows.is_empty())
+    };
 
-    for b0 in (lo..hi).step_by(ROW_BLOCK) {
-        let n = ROW_BLOCK.min(hi - b0);
-        decode_keys::<AVX512>(keys, b0, n, col, width, block);
-        let seeing = queries_seeing(shape, limits, b0, n);
-        let members = seeing.len() * group;
-        for (kh, kt) in block.chunks_exact(hd * ROW_BLOCK).enumerate() {
-            let member = |m: usize| {
-                let (i, h) = (seeing.start + m / group, kh * group + m % group);
-                let q_h = &qs[i][(heads.start * group + h) * hd..][..hd];
-                (q_h, (i * nh + h) * stride + (b0 - lo))
-            };
-            // Four members' 64 row lanes fill sixteen 512-bit registers.
-            member_blocks!(members, [4, 2, 1], |m, G| score_block::<G>(
-                m, &member, kt, inv_sqrt, scores
-            ));
-        }
+    for (seg, rows, at) in walks() {
+        let keys = segments[seg].plans().0;
+        sweep.score::<AVX512>(keys, rows, at, block, scores);
     }
 
-    for (i, &limit) in limits.iter().enumerate() {
-        let rows = &mut scores[i * nh * stride..(i + 1) * nh * stride];
+    for (t, &limit) in limits.iter().enumerate() {
+        let rows = &mut scores[t * nh * stride..(t + 1) * nh * stride];
         softmax_rows(rows, stride, window_start(shape, limit) - lo..limit - lo);
     }
 
-    for b0 in (lo..hi).step_by(ROW_BLOCK) {
-        let n = ROW_BLOCK.min(hi - b0);
-        decode_values::<AVX512>(values, b0, n, col, width, block);
-        let seeing = queries_seeing(shape, limits, b0, n);
-        let members = seeing.len() * group;
-        for kh in 0..heads.len() {
-            let member = |m: usize| {
-                let (i, h) = (seeing.start + m / group, kh * group + m % group);
-                let rows = window_start(shape, limits[i]).max(b0)..limits[i].min(b0 + n);
-                let p = &scores[(i * nh + h) * stride + (b0 - lo)..][..n];
-                (p, rows.start - b0..rows.end - b0, (i * nh + h) * hd)
-            };
-            let v = &block[kh * hd..n * width];
-            // Eight members' add chains cover the add latency on both
-            // ports (4 measured 1.2× slower, 16 columns or 32 the same).
-            member_blocks!(members, [8, 4, 2, 1], |m, G| weigh_block::<G>(
-                m, &member, v, width, hd, out
-            ));
+    for (seg, rows, at) in walks() {
+        let values = segments[seg].plans().1;
+        sweep.weigh::<AVX512>(values, rows, at, block, scores, out);
+    }
+}
+
+/// The queries of one tile of [`attend_segments_fused_into`]: positions
+/// `queries` of the call's `qs` / `limits`, taken by `segments` in order.
+struct Tile<'s, 'a> {
+    qs: &'s [&'a [f32]],
+    limits: &'s [usize],
+    segments: &'s [Segment<'a>],
+    queries: Range<usize>,
+    shared: usize,
+}
+
+/// The walks of one tile of [`fused_sweep`].
+struct Sweep<'s, 'a> {
+    /// Per tile row, its query vector and its limit.
+    qs: &'s [&'a [f32]],
+    limits: &'s [usize],
+    shape: &'s AttentionShape,
+    /// Query heads per KV head, and per query.
+    group: usize,
+    nh: usize,
+    /// The columns of the KV heads served.
+    col: usize,
+    width: usize,
+    /// The row at the start of every score row.
+    lo: usize,
+    /// Score-row length.
+    stride: usize,
+}
+
+impl<'a> Sweep<'_, 'a> {
+    /// The tile rows of `pieces` whose queries see any of rows
+    /// `b0 .. b0 + n`: exactly those for one piece (its limits are
+    /// non-decreasing, so they are contiguous); for several — the shared
+    /// walk, whose pieces' rows are contiguous — the span from the first of
+    /// them to the last, where a query that sees none of the rows takes
+    /// part with none visible.
+    #[inline(always)]
+    fn seeing(&self, pieces: &[Piece], b0: usize, n: usize) -> Range<usize> {
+        if let [p] = pieces {
+            let seen = queries_seeing(self.shape, &self.limits[p.at.clone()], b0, n);
+            return p.at.start + seen.start..p.at.start + seen.end;
+        }
+        let (mut first, mut last) = (usize::MAX, 0);
+        for p in pieces {
+            let seen = queries_seeing(self.shape, &self.limits[p.at.clone()], b0, n);
+            if !seen.is_empty() {
+                first = first.min(p.at.start + seen.start);
+                last = last.max(p.at.start + seen.end);
+            }
+        }
+        first.min(last)..last
+    }
+
+    /// Decodes rows `rows` of `keys` block by block and scores them for
+    /// the queries of `pieces` that see them.
+    #[inline(always)]
+    fn score<const AVX512: bool>(
+        &self,
+        keys: &KeyPlan,
+        rows: Range<usize>,
+        pieces: &[Piece],
+        block: &mut [f32],
+        scores: &mut [f32],
+    ) {
+        let Self {
+            qs,
+            group,
+            nh,
+            col,
+            width,
+            lo,
+            stride,
+            ..
+        } = *self;
+        let hd = self.shape.head_dim;
+        let inv_sqrt = 1.0 / (hd as f32).sqrt();
+        for b0 in rows.clone().step_by(ROW_BLOCK) {
+            let n = ROW_BLOCK.min(rows.end - b0);
+            decode_keys::<AVX512>(keys, b0, n, col, width, block);
+            let seeing = self.seeing(pieces, b0, n);
+            let members = seeing.len() * group;
+            for (kh, kt) in block.chunks_exact(hd * ROW_BLOCK).enumerate() {
+                let member = |m: usize| {
+                    let (t, h) = (seeing.start + m / group, kh * group + m % group);
+                    let q_h = &qs[t][col * group + h * hd..][..hd];
+                    (q_h, (t * nh + h) * stride + (b0 - lo))
+                };
+                // Four members' 64 row lanes fill sixteen 512-bit registers.
+                member_blocks!(members, [4, 2, 1], |m, G| score_block::<G>(
+                    m, &member, kt, inv_sqrt, scores
+                ));
+            }
+        }
+    }
+
+    /// Decodes rows `rows` of `values` block by block and adds each row's
+    /// weighted value into the output of every query of `pieces` that
+    /// sees it.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn weigh<const AVX512: bool>(
+        &self,
+        values: &ValuePlan,
+        rows: Range<usize>,
+        pieces: &[Piece],
+        block: &mut [f32],
+        scores: &[f32],
+        out: &mut [f32],
+    ) {
+        let Self {
+            limits,
+            shape,
+            group,
+            nh,
+            col,
+            width,
+            lo,
+            stride,
+            ..
+        } = *self;
+        let hd = shape.head_dim;
+        for b0 in rows.clone().step_by(ROW_BLOCK) {
+            let n = ROW_BLOCK.min(rows.end - b0);
+            decode_values::<AVX512>(values, b0, n, col, width, block);
+            let seeing = self.seeing(pieces, b0, n);
+            let members = seeing.len() * group;
+            for kh in 0..width / hd {
+                let member = |m: usize| {
+                    let (t, h) = (seeing.start + m / group, kh * group + m % group);
+                    // Empty, inside the block, for a query that sees none
+                    // of its rows.
+                    let from = window_start(shape, limits[t]).max(b0).min(b0 + n);
+                    let to = limits[t].min(b0 + n).max(from);
+                    let p = &scores[(t * nh + h) * stride + (b0 - lo)..][..n];
+                    (p, from - b0..to - b0, (t * nh + h) * hd)
+                };
+                let v = &block[kh * hd..n * width];
+                // Eight members' add chains cover the add latency on both
+                // ports (4 measured 1.2× slower, 16 columns or 32 the same).
+                member_blocks!(members, [8, 4, 2, 1], |m, G| weigh_block::<G>(
+                    m, &member, v, width, hd, out
+                ));
+            }
         }
     }
 }
@@ -662,13 +939,12 @@ fn weigh_columns<const G: usize, const W: usize>(
         let o = &out[who[g].2 + c..][..W];
         o.try_into().expect("W columns sliced")
     });
-    let row = |r: usize| -> [f32; W] { v[r * width..][..W].try_into().expect("W columns sliced") };
     // Rows every member sees (empty, at the last start, if there are none).
     let from = who.iter().map(|w| w.1.start).max().unwrap_or(0);
     let common = from..who.iter().map(|w| w.1.end).min().unwrap_or(0).max(from);
     for (acc, (p, rows, _)) in acc.iter_mut().zip(who) {
         for r in rows.start..common.start.min(rows.end) {
-            accumulate(acc, p[r], &row(r));
+            accumulate(acc, p[r], &row(v, width, r));
         }
     }
     // Re-sliced to the common rows, and the lengths asserted equal, so
@@ -676,19 +952,25 @@ fn weigh_columns<const G: usize, const W: usize>(
     let ps: [&[f32]; G] = std::array::from_fn(|g| &who[g].0[common.clone()]);
     assert!(ps.iter().all(|p| p.len() == common.len()));
     for (k, r) in common.clone().enumerate() {
-        let v_r = row(r);
+        let v_r = row(v, width, r);
         for (acc, p) in acc.iter_mut().zip(ps) {
             accumulate(acc, p[k], &v_r);
         }
     }
     for (acc, (p, rows, _)) in acc.iter_mut().zip(who) {
         for r in common.end.max(rows.start)..rows.end {
-            accumulate(acc, p[r], &row(r));
+            accumulate(acc, p[r], &row(v, width, r));
         }
     }
     for (acc, (_, _, at)) in acc.iter().zip(who) {
         out[at + c..][..W].copy_from_slice(acc);
     }
+}
+
+/// Columns `0 .. W` of row `r` of `v` (rows `width` apart).
+#[inline(always)]
+fn row<const W: usize>(v: &[f32], width: usize, r: usize) -> [f32; W] {
+    v[r * width..][..W].try_into().expect("W columns sliced")
 }
 
 /// `acc += p · v`: each element one multiply and one add, separately
@@ -871,9 +1153,7 @@ fn decode_values<const AVX512: bool>(
 /// changes speed and nothing else.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd {
-    use super::{
-        AttentionScratch, AttentionShape, KeyGroup, KeyPlan, Row, ValuePlan, KEY_GROUP, ROW_BLOCK,
-    };
+    use super::{AttentionScratch, AttentionShape, KeyGroup, Row, Tile, KEY_GROUP, ROW_BLOCK};
     use std::arch::x86_64::*;
     use std::ops::Range;
     use std::sync::OnceLock;
@@ -889,18 +1169,14 @@ mod simd {
 
     /// [`super::fused_sweep`] compiled with the lane's features enabled.
     #[target_feature(enable = "avx512f,popcnt")]
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn fused_sweep(
-        qs: &[&[f32]],
-        limits: &[usize],
-        keys: &KeyPlan,
-        values: &ValuePlan,
+        tile: Tile<'_, '_>,
         shape: &AttentionShape,
         heads: Range<usize>,
         scratch: &mut AttentionScratch,
         out: &mut [f32],
     ) {
-        super::fused_sweep::<true>(qs, limits, keys, values, shape, heads, scratch, out);
+        super::fused_sweep::<true>(tile, shape, heads, scratch, out);
     }
 
     /// Sixteen floats into a register.

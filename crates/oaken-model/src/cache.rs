@@ -46,9 +46,9 @@
 //! Streams are bit-exact with the batch path on every prefix — enforced by
 //! the property tests in `tests/props.rs`.
 
-use crate::attention::{EncodedKv, KvRead};
+use crate::attention::EncodedKv;
 use crate::config::ModelConfig;
-use crate::pool::{PagedKvPool, PoolBatchView, SeqId};
+use crate::pool::{PagedKvPool, PoolBatchView, SeqId, ShardReads};
 use crate::ranks::RankedPools;
 use oaken_core::{KvKind, KvQuantizer, KvRowStream};
 use std::sync::Arc;
@@ -116,18 +116,19 @@ pub trait BatchKvCache {
     /// Number of cached tokens for `(slot, layer)`.
     fn seq_len(&self, slot: usize, layer: usize) -> usize;
 
-    /// What attention reads for `layer`, `[shard][run]`: per KV shard of
-    /// this cache (one per tensor-parallel rank, rank order; a lone shard
-    /// for an unsharded cache) and per `(slot, queries)` run in order, the
-    /// encoded tensors of a slot on the fused read path, its dequantized
-    /// views otherwise — all borrowed together, so one pass over the
-    /// iteration's runs attends in place with no copy. `queries` is how
-    /// many query tokens the caller serves from the borrow — the steps of
-    /// the run that attend, whose rows are the newest `queries` the slot
-    /// holds (a run's dead steps are appended but not counted; a run with
-    /// none attending is not listed); backends use it for read accounting
-    /// only.
-    fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<Vec<KvRead<'_>>>;
+    /// What attention reads for `layer`: per KV shard of this cache (one
+    /// per tensor-parallel rank, rank order; a lone shard for an unsharded
+    /// cache), per `(slot, queries)` run in order, the encoded tensors of a
+    /// slot on the fused read path, its dequantized views otherwise — all
+    /// borrowed together, so one pass over the iteration's runs attends in
+    /// place with no copy — and the runs grouped by the prefix-trie blocks
+    /// their sequences share ([`ShardReads::groups`]), which the fused
+    /// kernel sweeps once for the whole group. `queries` is how many query
+    /// tokens the caller serves from the borrow — the steps of the run that
+    /// attend, whose rows are the newest `queries` the slot holds (a run's
+    /// dead steps are appended but not counted; a run with none attending
+    /// is not listed); backends use it for read accounting only.
+    fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<ShardReads<'_>>;
 
     /// Whether an append only *extends* the dequantized views — rows
     /// already materialized are never rewritten by later appends.

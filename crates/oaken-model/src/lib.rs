@@ -78,8 +78,8 @@ pub mod trie;
 
 pub use attention::{
     attend_kv_group_fused_into, attend_kv_group_into, attend_one, attend_one_fused_into,
-    attend_one_into, attend_run_fused_into, AttentionScratch, AttentionShape, EncodedKv, KvRead,
-    QUERY_TILE,
+    attend_one_into, attend_run_fused_into, attend_segments_fused_into, AttentionScratch,
+    AttentionShape, EncodedKv, KvRead, Segment, QUERY_TILE,
 };
 pub use cache::{BatchKvCache, KernelMode};
 pub use config::{ModelConfig, MoeConfig, Positional};
@@ -88,7 +88,7 @@ pub use model::{BatchKvObserver, BatchStep, KvObserver, LayerWeights, Model, Ses
 pub use oaken_mmu::{FaultKind, FaultOp, FaultPlan, FaultStats, Residency, SwapReceipt, SwapStats};
 pub use pool::{
     KvReadStats, KvTransfer, PageAccounting, PagedKvPool, PoolBatchView, PoolError, PrefixAlloc,
-    SeqId,
+    SeqId, ShardReads,
 };
 pub use ranks::{RankPlan, RankedPools};
 pub use sampling::{sample_greedy, sample_temperature};

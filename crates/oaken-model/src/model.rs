@@ -2,10 +2,14 @@
 //! inference sessions on a one-sequence paged pool (exact f32 or any
 //! quantizer) with KV observation hooks for offline profiling.
 
-use crate::attention::{attend_run_into, with_thread_scratch, AttentionShape, KvRead, QUERY_TILE};
+use crate::attention::{
+    attend_exact_run_into, attend_segments_fused_into, tile_pieces, with_thread_scratch,
+    AttentionShape, KvRead, Segment, QUERY_TILE,
+};
 use crate::cache::{BatchKvCache, KernelMode, SeqStore};
 use crate::config::{ModelConfig, Positional};
 use crate::ffn::{DenseFfn, FfnWeights};
+use crate::pool::ShardReads;
 use crate::ranks::{as_refs, concat_shards, gather, sharded_matvec, RankPlan, RowShards};
 use crate::synth::{self, SynthParams};
 use oaken_core::{KvKind, KvQuantizer};
@@ -612,13 +616,21 @@ impl Pass<'_, '_> {
         qs: &RowShards,
     ) -> RowShards {
         let cache = &mut *self.cache;
-        let runs = StepRuns::new(&self.slots, span, rows, |slot| cache.seq_len(slot, l));
+        let mut runs = StepRuns::new(&self.slots, span, rows, |slot| cache.seq_len(slot, l));
         let reads = cache.read_runs(l, &runs.spec());
         assert_eq!(
             reads.len(),
             self.shapes.len(),
             "one read set per rank shard"
         );
+        // A slot poisoned by a failed append holds fewer rows than the
+        // schedule predicted, on some shards; its output is discarded by
+        // the caller, so its limits may as well be what every shard holds.
+        runs.clamp(|r| {
+            let held = reads.iter().zip(&self.shapes);
+            held.map(|(shard, shape)| shard.reads[r].rows(shape.kv_dim()))
+                .min()
+        });
         let shards: Vec<AttendShard<'_>> = reads
             .into_iter()
             .zip(self.shapes.iter().zip(qs))
@@ -706,6 +718,31 @@ impl StepRuns {
     fn spec(&self) -> Vec<(usize, usize)> {
         self.runs.iter().map(|(s, span)| (*s, span.len())).collect()
     }
+
+    /// Clamps the limits of run `r` to `held(r)` rows, if any.
+    fn clamp(&mut self, held: impl Fn(usize) -> Option<usize>) {
+        for (r, (_, span)) in self.runs.iter().enumerate() {
+            if let Some(held) = held(r) {
+                self.limits[span.clone()]
+                    .iter_mut()
+                    .for_each(|l| *l = held.min(*l));
+            }
+        }
+    }
+
+    /// Positions `tile` of the concatenated steps of the runs `group`, run
+    /// by run: each run's index and its steps' span of `order` / `limits`.
+    fn pieces<'s>(
+        &'s self,
+        group: &'s [usize],
+        tile: Range<usize>,
+    ) -> impl Iterator<Item = (usize, Range<usize>)> + 's {
+        let lens = group.iter().map(|&r| self.runs[r].1.len());
+        tile_pieces(lens, tile).map(|(j, steps)| {
+            let from = self.runs[group[j]].1.start;
+            (group[j], from + steps.start..from + steps.end)
+        })
+    }
 }
 
 /// One rank's head-local shard of a layer's attention (the whole model
@@ -715,14 +752,18 @@ struct AttendShard<'a> {
     shape: AttentionShape,
     /// Per attending step, the rank's query vector (`shape.q_dim()` wide).
     qs: &'a [Vec<f32>],
-    /// Per run, what the rank's cache shard serves for the layer.
-    reads: Vec<KvRead<'a>>,
+    /// Per run, what the rank's cache shard serves for the layer, and the
+    /// runs grouped by the trie blocks they share.
+    reads: ShardReads<'a>,
 }
 
 /// Attention of every attending step against every shard: one task per
-/// `(shard, run, query tile, KV-head range)` on `rt`, each reading the
-/// cache in place through its run's [`KvRead`]. Returns, per shard and
-/// attending step, the `shape.q_dim()`-wide context vector.
+/// `(shard, group, query tile, KV-head range)` on `rt`, each reading the
+/// cache in place through its runs' [`KvRead`]s. A group is the runs whose
+/// sequences share prefix-trie blocks, a tile up to [`QUERY_TILE`] of
+/// their steps, and the fused kernel decodes the shared rows once for all
+/// of a tile's runs. Returns, per shard and attending step, the
+/// `shape.q_dim()`-wide context vector.
 ///
 /// Every (step, head) output is a function of that step's query and the
 /// rows below its limit alone (the exact kernels trivially, the fused
@@ -736,32 +777,65 @@ fn attend_runs(rt: &Runtime, runs: &StepRuns, shards: &[AttendShard<'_>]) -> Row
     for (s, shard) in shards.iter().enumerate() {
         let nk = shard.shape.num_kv_heads;
         let parts = rt.threads().min(nk).max(1);
-        for (r, (_, span)) in runs.runs.iter().enumerate() {
-            for tile in span.clone().step_by(QUERY_TILE) {
-                let tile = tile..(tile + QUERY_TILE).min(span.end);
-                tasks.extend((0..parts).map(|p| (s, r, tile.clone(), chunk_range(p, nk, parts))));
+        for (group, shared) in shard.reads.groups() {
+            let steps: usize = group.iter().map(|&r| runs.runs[r].1.len()).sum();
+            for tile in (0..steps).step_by(QUERY_TILE) {
+                let tile = tile..(tile + QUERY_TILE).min(steps);
+                let task = |p| (s, group, shared, tile.clone(), chunk_range(p, nk, parts));
+                tasks.extend((0..parts).map(task));
             }
         }
     }
-    let groups = rt.map(tasks.len(), |t| {
-        let (s, r, tile, heads) = &tasks[t];
+    let outputs = rt.map(tasks.len(), |t| {
+        let (s, group, shared, tile, heads) = &tasks[t];
         let shard = &shards[*s];
         let gw = shard.shape.group_size().max(1) * shard.shape.head_dim;
-        let qs: Vec<&[f32]> = runs.order[tile.clone()]
-            .iter()
-            .map(|&k| shard.qs[k].as_slice())
-            .collect();
+        let mut qs: Vec<&[f32]> = Vec::with_capacity(tile.len());
+        let steps = runs.pieces(group, tile.clone());
+        qs.extend(
+            steps
+                .flat_map(|(_, steps)| &runs.order[steps])
+                .map(|&k| &shard.qs[k][..]),
+        );
         let mut out = vec![0.0f32; qs.len() * heads.len() * gw];
-        with_thread_scratch(|scratch| {
-            attend_run_into(
-                &qs,
-                &runs.limits[tile.clone()],
-                &shard.reads[*r],
-                &shard.shape,
-                heads.clone(),
-                scratch,
-                &mut out,
-            )
+        let segment = |(r, steps): (usize, Range<usize>)| {
+            let KvRead::Fused { keys, values } = shard.reads.reads[r] else {
+                unreachable!("a group of several runs reads fused")
+            };
+            let queries = steps.len();
+            Segment {
+                queries,
+                keys,
+                values,
+            }
+        };
+        let (shape, heads) = (&shard.shape, heads.clone());
+        with_thread_scratch(|scratch| match (*group, shard.reads.reads[group[0]]) {
+            // A lone run's limits are one slice, and it needs no list.
+            (&[r], read) => {
+                let limits = &runs.limits[runs.runs[r].1.clone()][tile.clone()];
+                if let KvRead::Exact { keys, values } = read {
+                    attend_exact_run_into(
+                        &qs, limits, keys, values, shape, heads, scratch, &mut out,
+                    );
+                } else {
+                    let run = [segment((r, 0..qs.len()))];
+                    let out = &mut out;
+                    attend_segments_fused_into(
+                        &qs, limits, &run, *shared, shape, heads, scratch, out,
+                    );
+                }
+            }
+            _ => {
+                let pieces = || runs.pieces(group, tile.clone());
+                let mut limits = Vec::with_capacity(tile.len());
+                limits.extend(pieces().flat_map(|(_, s)| &runs.limits[s]));
+                let segments: Vec<Segment<'_>> = pieces().map(segment).collect();
+                let out = &mut out;
+                attend_segments_fused_into(
+                    &qs, &limits, &segments, *shared, shape, heads, scratch, out,
+                );
+            }
         });
         out
     });
@@ -769,11 +843,12 @@ fn attend_runs(rt: &Runtime, runs: &StepRuns, shards: &[AttendShard<'_>]) -> Row
         .iter()
         .map(|shard| vec![vec![0.0f32; shard.shape.q_dim()]; runs.order.len()])
         .collect();
-    for ((s, _, tile, heads), group) in tasks.iter().zip(&groups) {
+    for ((s, group, _, tile, heads), output) in tasks.iter().zip(&outputs) {
         let shape = &shards[*s].shape;
         let gw = shape.group_size().max(1) * shape.head_dim;
-        let steps = runs.order[tile.clone()].iter();
-        for (&k, g) in steps.zip(group.chunks(heads.len() * gw)) {
+        let steps = runs.pieces(group, tile.clone());
+        let steps = steps.flat_map(|(_, steps)| runs.order[steps].iter());
+        for (&k, g) in steps.zip(output.chunks(heads.len() * gw)) {
             outs[*s][k][heads.start * gw..][..g.len()].copy_from_slice(g);
         }
     }

@@ -1,8 +1,7 @@
 //! The engine's adapter: one iteration's slot → sequence mapping over the
 //! rank shards, as a [`BatchKvCache`].
 
-use super::{PoolError, SeqId};
-use crate::attention::KvRead;
+use super::{PoolError, SeqId, ShardReads};
 use crate::cache::BatchKvCache;
 use crate::ranks::RankedPools;
 
@@ -78,7 +77,7 @@ impl BatchKvCache for PoolBatchView<'_> {
         self.pools.lead().seq_len(self.seqs[slot], layer)
     }
 
-    fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<Vec<KvRead<'_>>> {
+    fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<ShardReads<'_>> {
         self.pools.read_runs(self.seqs, layer, runs)
     }
 

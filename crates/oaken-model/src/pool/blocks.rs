@@ -38,7 +38,7 @@ use super::{PagedKvPool, PrefixAlloc, SeqId};
 use crate::trie::{BlockRows, TrieBlock};
 
 /// One slot of a sequence's prompt-block plan.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum SeqBlock {
     /// Adopted from (or sealed into) the trie; the sequence holds one
     /// refcount on it.
@@ -60,6 +60,17 @@ pub(super) struct SeqPlan {
     pub(super) blocks: Vec<SeqBlock>,
     /// Blocks sealed (or adopted) so far.
     sealed: usize,
+}
+
+impl SeqPlan {
+    /// The blocks the sequence holds as [`SeqBlock::Shared`] from position
+    /// 0, root first. A trie node has one path to the root, so two chains
+    /// that agree on their `b`-th block agree on every block before it, and
+    /// hold bit-identical rows `0 .. b · block_tokens` in every layer and
+    /// kind.
+    pub(super) fn shared_chain(&self) -> &[SeqBlock] {
+        &self.blocks[..self.sealed]
+    }
 }
 
 impl PagedKvPool {

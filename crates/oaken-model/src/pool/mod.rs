@@ -21,7 +21,7 @@
 //! | `seq` | sequence lifecycle | admission, the one guarded append (page bound, fault poll, quantize, page commit), the one teardown, slot recycling |
 //! | `blocks` | trie blocks | prompt plan, adoption, sealing and late dedup into the [prefix trie](crate::trie) |
 //! | `tiers` | tiers | suspend / resume to the host tier, export / import across pools ([`KvTransfer`]) |
-//! | `reads` | read views | dequantized views, encoded tensors, [`KvReadStats`] |
+//! | `reads` | read views | dequantized views, encoded tensors, the runs of a layer grouped by the trie blocks they share ([`ShardReads`]), [`KvReadStats`] |
 //! | `pages` | page accounting | the `MmuSim` and the **page layout** — one dense slab and one sparse log per owner; the only file that names a page stream |
 //!
 //! `batch_view` holds [`PoolBatchView`], the engine's per-iteration
@@ -46,7 +46,7 @@ mod seq;
 mod tiers;
 
 pub use batch_view::PoolBatchView;
-pub use reads::KvReadStats;
+pub use reads::{KvReadStats, ShardReads};
 pub use tiers::KvTransfer;
 
 use crate::cache::KernelMode;

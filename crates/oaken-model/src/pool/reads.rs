@@ -1,11 +1,40 @@
 //! Read views: what attention reads of a sequence — dequantized views or
 //! encoded tensors — and the traffic counters over those reads.
 
+use super::blocks::SeqBlock;
+use super::seq::SeqSlots;
 use super::{PagedKvPool, SeqId};
-use crate::attention::{EncodedKv, KvRead, QUERY_TILE};
+use crate::attention::{tile_pieces, EncodedKv, KvRead, QUERY_TILE};
 use crate::cache::slot_index;
+use oaken_core::kernel::KEY_GROUP;
 use oaken_core::KvKind;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// What one KV shard serves attention for one layer's runs
+/// ([`BatchKvCache::read_runs`](crate::BatchKvCache::read_runs)): per run
+/// its read, and the runs grouped by the prefix-trie blocks they share.
+pub struct ShardReads<'a> {
+    /// Per `(slot, queries)` run, in the order asked.
+    pub reads: Vec<KvRead<'a>>,
+    /// Run indices, group after group, ascending within a group.
+    order: Vec<usize>,
+    /// Per group, where its runs end in `order`, and its shared rows.
+    groups: Vec<(usize, usize)>,
+}
+
+impl ShardReads<'_> {
+    /// Every run exactly once, per group: its runs, ascending, and its
+    /// shared rows — the leading rows every one of their plans holds
+    /// bit-identically. Runs whose sequences hold the same first trie
+    /// block group together, sharing the rows of the blocks all their
+    /// chains agree on (floored to a key group, and to the rows each
+    /// holds). Any other run — no shared block, no fused read, no sharer
+    /// this layer — is a group of one with no shared rows.
+    pub fn groups(&self) -> impl Iterator<Item = (&[usize], usize)> + '_ {
+        let starts = std::iter::once(0).chain(self.groups.iter().map(|g| g.0));
+        (starts.zip(&self.groups)).map(|(from, &(to, shared))| (&self.order[from..to], shared))
+    }
+}
 
 /// Cumulative KV read-path traffic of a pool, split by kernel family —
 /// the measurement behind the fused kernel's bandwidth claim: in fused
@@ -14,20 +43,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Rows and bytes are *logical*: every query token that attends is
 /// charged the K and V rows cached when it does (before any sliding
-/// window), whether or not it shared a sweep with its neighbours — a step
-/// the forward pass ends at its K/V append (a dead step's last layer)
-/// reads nothing and is charged nothing. `fused_rows_swept` is the
-/// physical side: rows the fused kernel actually walked and decoded.
+/// window), whether or not it shared a sweep with its neighbours or with
+/// other sequences — a step the forward pass ends at its K/V append (a
+/// dead step's last layer) reads nothing and is charged nothing.
+/// `fused_rows_swept` is the physical side: rows the fused kernel
+/// actually walked and decoded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KvReadStats {
     /// Encoded rows attended, summed over query tokens.
     pub fused_rows: u64,
     /// Encoded payload bytes those rows occupy.
     pub fused_bytes: u64,
-    /// Encoded rows walked by sweeps of the fused kernel: one pass over a
-    /// sequence's rows per tile of up to [`QUERY_TILE`] query tokens, so
-    /// equal to `fused_rows` on pure decode and far below it on a chunked
-    /// prefill.
+    /// Encoded rows walked by sweeps of the fused kernel. A sweep serves a
+    /// tile of up to [`QUERY_TILE`] query tokens: it walks the rows of the
+    /// prefix-trie blocks the tile's sequences share once, then each
+    /// sequence's own rows up to its last query's. So this equals
+    /// `fused_rows` on pure decode without sharers, falls below it on a
+    /// chunked prefill, and falls further when sequences that adopted the
+    /// same prompt blocks decode together.
     pub fused_rows_swept: u64,
     /// Dequantized f32 rows attended, summed over query tokens.
     pub exact_rows: u64,
@@ -157,14 +190,129 @@ impl PagedKvPool {
     /// consecutive query tokens that attend through this borrow — the
     /// tokens whose rows are the newest `queries` cached, i.e. the live
     /// suffix of the run just appended, not its appended length — and
-    /// sizes the read accounting (see [`KvReadStats`]). Takes `&self` so
-    /// any number of sequences can be read together.
+    /// sizes the read accounting (see [`KvReadStats`]), the run swept
+    /// alone. Takes `&self` so any number of sequences can be read
+    /// together.
     ///
     /// # Panics
     ///
     /// Panics on an unknown sequence, or if an exact slot's view is stale.
     pub fn read_kv(&self, seq: SeqId, layer: usize, queries: usize) -> KvRead<'_> {
-        let [key_slot, value_slot] = &self.seqs.get(&seq.0).expect("unknown sequence").slots[layer];
+        let state = self.seqs.get(&seq.0).expect("unknown sequence");
+        let read = self.read_run(state, layer, queries);
+        if let KvRead::Fused { .. } = read {
+            let rows = state.slots[layer][0].rows;
+            self.charge_swept(1, |_| (rows, queries), 0);
+        }
+        read
+    }
+
+    /// What attention reads of `layer` for the `(slot, queries)` runs,
+    /// slot `i` being `seqs[i]`, and how the fused kernel sweeps them: runs
+    /// whose sequences share prefix-trie blocks form a group (see
+    /// [`ShardReads::groups`]). Accounted as [`read_kv`] accounts a run,
+    /// except that a group's shared rows are swept once per tile.
+    ///
+    /// [`read_kv`]: PagedKvPool::read_kv
+    pub(crate) fn read_layer(
+        &self,
+        seqs: &[SeqId],
+        layer: usize,
+        runs: &[(usize, usize)],
+    ) -> ShardReads<'_> {
+        // Per run: its read, and the trie blocks its sequence holds from
+        // position 0 on the fused read path and its rows.
+        let mut reads = Vec::with_capacity(runs.len());
+        let mut chains: Vec<(&[SeqBlock], usize)> = Vec::with_capacity(runs.len());
+        for &(slot, queries) in runs {
+            let state = self.seqs.get(&seqs[slot].0).expect("unknown sequence");
+            let read = self.read_run(state, layer, queries);
+            let chain = match (read, &state.plan) {
+                (KvRead::Fused { .. }, Some(plan)) => plan.shared_chain(),
+                _ => &[],
+            };
+            reads.push(read);
+            chains.push((chain, state.slots[layer][0].rows));
+        }
+        let chain = |r: usize| chains[r].0;
+        let root = |r: usize| match chain(r).first() {
+            Some(&SeqBlock::Shared(id)) => Some(id),
+            _ => None,
+        };
+        let mut order: Vec<usize> = (0..runs.len()).collect();
+        order.sort_unstable_by_key(|&r| (root(r).is_none(), root(r), r));
+        let mut groups = Vec::new();
+        let mut at = 0;
+        for group in order.chunk_by(|&a, &b| root(a).is_some() && root(a) == root(b)) {
+            // The chains agree up to the deepest block they all hold alike.
+            let first = chain(group[0]);
+            let mut depth = group.iter().map(|&r| chain(r).len()).min().unwrap_or(0);
+            while depth > 0
+                && group
+                    .iter()
+                    .any(|&r| chain(r)[depth - 1] != first[depth - 1])
+            {
+                depth -= 1;
+            }
+            let held = group.iter().map(|&r| reads[r].rows(self.kv_dim)).min();
+            let rows = (depth * self.block_tokens).min(held.unwrap_or(0));
+            let shared = if group.len() > 1 {
+                rows / KEY_GROUP * KEY_GROUP
+            } else {
+                0
+            };
+            if shared == 0 {
+                groups.extend((1..=group.len()).map(|i| (at + i, 0)));
+            } else {
+                groups.push((at + group.len(), shared));
+            }
+            at += group.len();
+        }
+        let shard = ShardReads {
+            reads,
+            order,
+            groups,
+        };
+        for (group, shared) in shard.groups() {
+            // A group of several runs is fused; a lone exact run sweeps
+            // nothing.
+            if let KvRead::Fused { .. } = shard.reads[group[0]] {
+                let run = |j: usize| (chains[group[j]].1, runs[group[j]].1);
+                self.charge_swept(group.len(), run, shared);
+            }
+        }
+        shard
+    }
+
+    /// Charges the sweeps over one group of `count` fused runs —
+    /// `run(j)` is run `j`'s `(rows held, queries)` — whose first `shared`
+    /// rows are alike: per tile of up to [`QUERY_TILE`] of their queries,
+    /// the shared rows any of its queries sees once, then each run's rows
+    /// above them up to its last query's in the tile; K and V each.
+    fn charge_swept(&self, count: usize, run: impl Fn(usize) -> (usize, usize), shared: usize) {
+        let queries = |j: usize| {
+            let (rows, queries) = run(j);
+            queries.min(rows)
+        };
+        let total: usize = (0..count).map(queries).sum();
+        let mut swept = 0;
+        for t in (0..total).step_by(QUERY_TILE) {
+            let tile = t..(t + QUERY_TILE).min(total);
+            let mut top = 0;
+            for (j, piece) in tile_pieces((0..count).map(queries), tile) {
+                let hi = run(j).0 - queries(j) + piece.end;
+                top = top.max(hi);
+                swept += hi - shared.min(hi);
+            }
+            swept += shared.min(top);
+        }
+        (self.reads.fused_rows_swept).fetch_add(2 * swept as u64, Ordering::Relaxed);
+    }
+
+    /// [`read_kv`](PagedKvPool::read_kv) without the sweep: the read and
+    /// its logical rows and bytes.
+    fn read_run<'a>(&'a self, state: &'a SeqSlots, layer: usize, queries: usize) -> KvRead<'a> {
+        let [key_slot, value_slot] = &state.slots[layer];
         let rows = key_slot.rows;
         let n = queries.min(rows);
         // Query `i` of the run attends `rows - n + 1 + i` K/V row pairs.
@@ -194,17 +342,9 @@ impl PagedKvPool {
                 prefix -= fv.payload_bytes();
             }
         }
-        // One sweep per tile, up to the rows its last query sees.
-        let swept: usize = (0..n)
-            .step_by(QUERY_TILE)
-            .map(|a| 2 * (rows - n + (a + QUERY_TILE).min(n)))
-            .sum();
         let reads = &self.reads;
         reads.fused_rows.fetch_add(attended, Ordering::Relaxed);
         reads.fused_bytes.fetch_add(bytes, Ordering::Relaxed);
-        reads
-            .fused_rows_swept
-            .fetch_add(swept as u64, Ordering::Relaxed);
         KvRead::Fused { keys, values }
     }
 

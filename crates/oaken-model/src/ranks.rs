@@ -48,10 +48,12 @@
 //! [`KernelMode::Fused`]: crate::cache::KernelMode::Fused
 //! [`Model::forward_batch_sharded`]: crate::Model::forward_batch_sharded
 
-use crate::attention::{AttentionShape, KvRead};
+use crate::attention::AttentionShape;
 use crate::cache::KernelMode;
 use crate::config::ModelConfig;
-use crate::pool::{KvReadStats, KvTransfer, PagedKvPool, PoolError, PrefixAlloc, SeqId};
+use crate::pool::{
+    KvReadStats, KvTransfer, PagedKvPool, PoolError, PrefixAlloc, SeqId, ShardReads,
+};
 use crate::trie::PrefixStats;
 use oaken_mmu::{FaultPlan, FaultStats, SwapReceipt};
 use oaken_runtime::{chunk_range, Comm, Runtime};
@@ -260,18 +262,14 @@ impl RankedPools {
         seqs: &[SeqId],
         layer: usize,
         runs: &[(usize, usize)],
-    ) -> Vec<Vec<KvRead<'_>>> {
+    ) -> Vec<ShardReads<'_>> {
         for pool in &mut self.pools {
             for &(slot, _) in runs {
                 pool.sync_views(seqs[slot], layer);
             }
         }
         (self.pools.iter())
-            .map(|pool| {
-                runs.iter()
-                    .map(|&(slot, queries)| pool.read_kv(seqs[slot], layer, queries))
-                    .collect()
-            })
+            .map(|pool| pool.read_layer(seqs, layer, runs))
             .collect()
     }
 

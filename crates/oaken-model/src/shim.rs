@@ -5,9 +5,9 @@
 //! that serves. Nothing else in the workspace may name them (CI checks);
 //! they go once `bench/` moves off them.
 
-use crate::attention::KvRead;
 use crate::cache::{BatchKvCache, KernelMode, SeqStore};
 use crate::config::ModelConfig;
+use crate::pool::ShardReads;
 use oaken_core::KvQuantizer;
 use std::sync::Arc;
 
@@ -117,7 +117,7 @@ impl BatchKvCache for SingleSlot<'_> {
         store.pools.lead().seq_len(store.seq[slot], layer)
     }
 
-    fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<Vec<KvRead<'_>>> {
+    fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<ShardReads<'_>> {
         let store = self.0.cache_mut().store_mut();
         store.pools.read_runs(&store.seq, layer, runs)
     }

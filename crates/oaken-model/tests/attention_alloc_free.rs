@@ -1,10 +1,12 @@
 //! Proves the attention kernels are **allocation-free in steady state**:
 //! once an [`AttentionScratch`] and an output buffer have grown to working
 //! capacity, a window of `attend_one_into` / `attend_one_fused_into` calls
-//! (decode steps) and of 64-query `attend_run_fused_into` calls (a prefill
-//! chunk, two query tiles) performs **zero** heap allocations — the score
-//! rows, the decoded row block, and the context vectors all live in
-//! caller-owned reused storage. This is the scratch-reuse guarantee the
+//! (decode steps), of 64-query `attend_run_fused_into` calls (a prefill
+//! chunk, two query tiles) and of `attend_segments_fused_into` calls (three
+//! sequences decoding together over 48 shared rows) performs **zero** heap
+//! allocations — the score rows, the decoded row block, the tile
+//! bookkeeping and the context vectors all live in caller-owned reused
+//! storage. This is the scratch-reuse guarantee the
 //! forward passes rely on for every `(task, layer)` of an iteration.
 //!
 //! The same harness proves that **dead steps cost the tail stage
@@ -14,9 +16,9 @@
 
 use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler};
 use oaken_model::{
-    attend_one_fused_into, attend_one_into, attend_run_fused_into, AttentionScratch,
-    AttentionShape, BatchStep, EncodedKv, Model, ModelConfig, PagedKvPool, PoolBatchView, RankPlan,
-    RankedPools, StepBatch,
+    attend_one_fused_into, attend_one_into, attend_run_fused_into, attend_segments_fused_into,
+    AttentionScratch, AttentionShape, BatchStep, EncodedKv, Model, ModelConfig, PagedKvPool,
+    PoolBatchView, RankPlan, RankedPools, Segment, StepBatch,
 };
 use oaken_runtime::{Comm, Runtime};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -139,6 +141,43 @@ fn steady_state(shape: AttentionShape) {
         plan: v_stream.read_plan().expect("oaken keeps a read plan"),
     };
 
+    // Three sequences that adopted the same 48 rows, each with rows of its
+    // own past them, decoding together.
+    let sharers: Vec<_> = (0..3u64)
+        .map(|s| {
+            let mut k = quant.row_stream(d, 0, KvKind::Key).expect("oaken streams");
+            let mut v = quant
+                .row_stream(d, 0, KvKind::Value)
+                .expect("oaken streams");
+            for t in 0..48 + 10 * (s as usize + 1) {
+                let (kr, vr) = if t < 48 {
+                    (keys[t * d..][..d].to_vec(), values[t * d..][..d].to_vec())
+                } else {
+                    let at = 7_000 + 200 * s + 2 * t as u64;
+                    (kv_row(d, at), kv_row(d, at + 1))
+                };
+                k.append_row(&kr, &mut scratch_view);
+                v.append_row(&vr, &mut scratch_view);
+            }
+            (k, v)
+        })
+        .collect();
+    let sharer_qs: Vec<Vec<f32>> = (0..3).map(|s| kv_row(shape.q_dim(), 300 + s)).collect();
+    let sharer_q: Vec<&[f32]> = sharer_qs.iter().map(|q| q.as_slice()).collect();
+    let sharer_limits: Vec<usize> = (0..3).map(|s| 48 + 10 * (s + 1)).collect();
+    let segments: Vec<Segment<'_>> = (sharers.iter())
+        .map(|(k, v)| Segment {
+            queries: 1,
+            keys: EncodedKv {
+                plan: k.read_plan().expect("oaken keeps a read plan"),
+            },
+            values: EncodedKv {
+                plan: v.read_plan().expect("oaken keeps a read plan"),
+            },
+        })
+        .collect();
+    let mut segment_out = vec![0.0f32; 3 * shape.q_dim()];
+
     let mut scratch = AttentionScratch::default();
     let mut out = Vec::new();
 
@@ -156,6 +195,18 @@ fn steady_state(shape: AttentionShape) {
             scratch,
             &mut chunk_out,
         );
+        let all = 0..shape.num_kv_heads;
+        let (qs, limits) = (&sharer_q, &sharer_limits);
+        attend_segments_fused_into(
+            qs,
+            limits,
+            &segments,
+            48,
+            &shape,
+            all,
+            scratch,
+            &mut segment_out,
+        );
     };
 
     // Warm-up: grow the scratch and output to working capacity.
@@ -167,7 +218,11 @@ fn steady_state(shape: AttentionShape) {
         run(&mut scratch, &mut out);
     }
     let delta = allocations() - before;
-    assert!(out.iter().chain(&chunk_out).all(|v| v.is_finite()));
+    assert!(out
+        .iter()
+        .chain(&chunk_out)
+        .chain(&segment_out)
+        .all(|v| v.is_finite()));
     assert_eq!(
         delta, 0,
         "steady-state attention kernels must not allocate ({delta} allocations in the window)"

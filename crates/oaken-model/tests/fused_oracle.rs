@@ -4,15 +4,19 @@
 //! SQNR against the exact kernels; this one says what the bits *are*, the
 //! way `reference_forward.rs` does for the exact forward pass.
 //!
-//! The oracle has no tiles, no row blocks and no lanes: per row
-//! `decode_row_fused_into`, per (query, head) the documented score chain
-//! `(((q₀k₀ + q₁k₁) + …))·(1/√d)`, `softmax_in_place` over
+//! The oracle has no tiles, no row blocks, no segments and no lanes: per
+//! row `decode_row_fused_into`, per (query, head) the documented score
+//! chain `(((q₀k₀ + q₁k₁) + …))·(1/√d)`, `softmax_in_place` over
 //! `window_start(limit) .. limit`, then `o[d] += p·v[d]` over the rows in
-//! ascending order.
+//! ascending order. Sequences swept together over shared rows must each
+//! get the bits of their run alone.
 
 use oaken_core::kernel::decode_row_fused_into;
 use oaken_core::{KvKind, KvQuantizer, KvRowStream, OakenConfig, OakenQuantizer, OfflineProfiler};
-use oaken_model::{attend_run_fused_into, AttentionScratch, AttentionShape, EncodedKv};
+use oaken_model::{
+    attend_run_fused_into, attend_segments_fused_into, AttentionScratch, AttentionShape, EncodedKv,
+    Segment,
+};
 use oaken_tensor::softmax_in_place;
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -205,6 +209,218 @@ fn check(case: &Case) -> Result<usize, TestCaseError> {
 
 thread_local! {
     static SCRATCH: std::cell::RefCell<AttentionScratch> = std::cell::RefCell::default();
+}
+
+/// Sequences that adopted the same prefix-trie blocks, swept together:
+/// `shared` leading rows alike in every segment's plans, then each
+/// segment's own rows.
+struct SegmentCase {
+    shape: AttentionShape,
+    kv_heads: Range<usize>,
+    shared: usize,
+    /// Per segment, its rows past the shared ones and how many queries its
+    /// run holds (at most its rows), the last at its last row.
+    runs: Vec<(usize, usize)>,
+    outlier_every: usize,
+    seed: u64,
+}
+
+/// The segment call must give each query the bits of its run alone, and
+/// both must be the oracle's.
+fn check_segments(case: &SegmentCase) -> Result<(), TestCaseError> {
+    let SegmentCase {
+        shape,
+        kv_heads,
+        shared,
+        runs,
+        outlier_every,
+        seed,
+    } = case;
+    let d = shape.kv_dim();
+    let quant = profiled_oaken(d);
+    let row = |seed: u64| {
+        let mut x = kv_row(d, seed);
+        for v in x.iter_mut().step_by(*outlier_every) {
+            *v *= 9.0;
+        }
+        x
+    };
+    struct Run {
+        keys: (Box<dyn KvRowStream>, Vec<Vec<f32>>),
+        values: (Box<dyn KvRowStream>, Vec<Vec<f32>>),
+        queries: Vec<Vec<f32>>,
+        limits: Vec<usize>,
+    }
+    let runs: Vec<Run> = (0u64..)
+        .zip(runs)
+        .map(|(s, &(own, queries))| {
+            let rows = shared + own;
+            // Rows below `shared` come from the same seeds in every segment.
+            let at = |t: usize| match t < *shared {
+                true => t as u64,
+                false => ((s + 1) << 20) + t as u64,
+            };
+            let keys = (0..rows).map(|t| row(seed * 31 + 2 * at(t)));
+            let values = (0..rows).map(|t| row(seed * 37 + 2 * at(t) + 1));
+            let n = queries.min(rows);
+            Run {
+                keys: encode(&quant, KvKind::Key, keys, d),
+                values: encode(&quant, KvKind::Value, values, d),
+                queries: (0..n as u64)
+                    .map(|i| kv_row(shape.q_dim(), seed ^ (0xABCD + (s << 8) + i)))
+                    .collect(),
+                limits: (rows - n + 1..=rows).collect(),
+            }
+        })
+        .collect();
+    fn plan(stream: &dyn KvRowStream) -> EncodedKv<'_> {
+        EncodedKv {
+            plan: stream.read_plan().expect("oaken keeps a read plan"),
+        }
+    }
+    let qs: Vec<Vec<&[f32]>> = (runs.iter())
+        .map(|r| r.queries.iter().map(|q| q.as_slice()).collect())
+        .collect();
+    let segments: Vec<Segment<'_>> = (runs.iter())
+        .map(|run| Segment {
+            queries: run.limits.len(),
+            keys: plan(&*run.keys.0),
+            values: plan(&*run.values.0),
+        })
+        .collect();
+    let want: Vec<Vec<f32>> = (runs.iter())
+        .map(|r| {
+            oracle(
+                &r.queries,
+                &r.limits,
+                &r.keys.1,
+                &r.values.1,
+                shape,
+                kv_heads.clone(),
+            )
+            .0
+        })
+        .collect();
+    let row_w = kv_heads.len() * shape.group_size() * shape.head_dim;
+    let mut together = vec![f32::NAN; want.iter().map(Vec::len).sum()];
+    let alone: Vec<Vec<f32>> = SCRATCH.with_borrow_mut(|scratch| {
+        let heads = kv_heads.clone();
+        let all_qs = qs.concat();
+        let all_limits: Vec<usize> = runs.iter().flat_map(|r| r.limits.clone()).collect();
+        let out = &mut together;
+        attend_segments_fused_into(
+            &all_qs,
+            &all_limits,
+            &segments,
+            *shared,
+            shape,
+            heads,
+            scratch,
+            out,
+        );
+        (segments.iter().zip(&want).zip(runs.iter().zip(&qs)))
+            .map(|((seg, want), (run, qs))| {
+                let mut got = vec![f32::NAN; want.len()];
+                let (keys, values) = (&seg.keys, &seg.values);
+                let heads = kv_heads.clone();
+                attend_run_fused_into(
+                    qs,
+                    &run.limits,
+                    keys,
+                    values,
+                    shape,
+                    heads,
+                    scratch,
+                    &mut got,
+                );
+                got
+            })
+            .collect()
+    });
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let mut together = together.chunks(row_w);
+    for (s, (want, alone)) in want.iter().zip(&alone).enumerate() {
+        let limits = &runs[s].limits;
+        for (i, (want, alone)) in want.chunks(row_w).zip(alone.chunks(row_w)).enumerate() {
+            let got = together.next().expect("one output row per query");
+            let at = format!(
+                "segment {s} of {}, query {i} (limit {}), shared {shared}, {shape:?}, heads {kv_heads:?}",
+                runs.len(),
+                limits[i]
+            );
+            prop_assert_eq!(bits(alone), bits(want), "alone: {}", at);
+            prop_assert_eq!(bits(got), bits(want), "together: {}", at);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Segments sharing 0–192 rows (some not a whole number of 64-row
+    /// blocks), own rows 0–70, decode runs beside prefill runs of up to 40
+    /// queries, GQA groups 1/2/4, windows whose start falls below, inside
+    /// and above the shared rows, KV-head sub-ranges and outlier-heavy
+    /// rows.
+    #[test]
+    fn segments_match_their_runs_alone_and_the_oracle_bitwise(
+        head_dim in prop::sample::select(vec![3usize, 4, 16, 35]),
+        group in prop::sample::select(vec![1usize, 2, 4]),
+        num_kv_heads in 1usize..4,
+        head_range in (0usize..3, 0usize..3),
+        shared in prop::sample::select(vec![0usize, 16, 48, 64, 80, 192]),
+        runs in prop::collection::vec(
+            (0usize..71, prop::sample::select(vec![1usize, 1, 1, 2, 3, 17, 32, 40])),
+            1..10,
+        ),
+        window_sel in 0usize..4,
+        window in 1usize..300,
+        outlier_every in 2usize..40,
+        seed in 0u64..1_000,
+    ) {
+        let (a, b) = (head_range.0 % num_kv_heads, head_range.1 % num_kv_heads);
+        check_segments(&SegmentCase {
+            shape: AttentionShape {
+                num_heads: num_kv_heads * group,
+                num_kv_heads,
+                head_dim,
+                window: (window_sel > 0).then_some(window),
+            },
+            kv_heads: a.min(b)..a.max(b) + 1,
+            shared,
+            runs,
+            outlier_every,
+            seed,
+        })?;
+    }
+}
+
+/// Every shared depth the property draws from, with one to nine segments
+/// and windows that start below, inside and above the shared rows.
+#[test]
+fn every_shared_depth_and_segment_count_matches_the_oracle() {
+    for shared in [0, 16, 48, 64, 80, 192] {
+        for count in [1, 2, 3, 9] {
+            for window in [None, Some(20), Some(100)] {
+                let runs = (0..count).map(|s| ((s * 23 + 5) % 71, [1, 40, 1, 5][s % 4]));
+                check_segments(&SegmentCase {
+                    shape: AttentionShape {
+                        num_heads: 4,
+                        num_kv_heads: 2,
+                        head_dim: 16,
+                        window,
+                    },
+                    kv_heads: 0..2,
+                    shared,
+                    runs: runs.collect(),
+                    outlier_every: 5,
+                    seed: 3,
+                })
+                .expect("segments equal their runs alone and the oracle");
+            }
+        }
+    }
 }
 
 proptest! {

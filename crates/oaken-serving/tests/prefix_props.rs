@@ -11,7 +11,7 @@
 
 mod support;
 
-use oaken_model::{KernelMode, Model, ModelConfig, PagedKvPool};
+use oaken_model::{KernelMode, KvReadStats, Model, ModelConfig, PagedKvPool};
 use oaken_serving::{
     AdmissionPolicy, BatchEngine, EngineConfig, EngineRequest, EngineStats, PreemptPolicy, Request,
     TokenScheduler,
@@ -114,7 +114,7 @@ fn eight_sharers_dedupe_the_kilotoken_prompt() {
         // `sharing = false` also drops to a one-token prefill budget: exactly
         // the PR-2 engine's lockstep schedule, whose peak really does hold
         // every private prompt copy simultaneously.
-        let run = |sharing: bool| -> (EngineStats, Vec<(u64, Vec<u32>)>) {
+        let run = |sharing: bool| -> (EngineStats, KvReadStats, Vec<(u64, Vec<u32>)>) {
             let mut pool =
                 PagedKvPool::for_model(model.config(), Some(quantizer.clone()), 8192, 256);
             pool.set_block_tokens(block_tokens);
@@ -141,7 +141,14 @@ fn eight_sharers_dedupe_the_kilotoken_prompt() {
             for r in reqs {
                 engine.submit(r);
             }
+            let before = engine.stats().kv_reads;
             let stats = run_checked(&mut engine);
+            // What the reads cost once the sharers arrived.
+            let reads = KvReadStats {
+                fused_rows: stats.kv_reads.fused_rows - before.fused_rows,
+                fused_rows_swept: stats.kv_reads.fused_rows_swept - before.fused_rows_swept,
+                ..KvReadStats::default()
+            };
             let outs = engine
                 .finished()
                 .iter()
@@ -150,11 +157,29 @@ fn eight_sharers_dedupe_the_kilotoken_prompt() {
                     (f.id, f.generated.clone())
                 })
                 .collect();
-            (stats, outs)
+            (stats, reads, outs)
         };
 
-        let (shared, mut outs) = run(true);
+        let (shared, reads, mut outs) = run(true);
         assert_eq!(shared.preemptions, 0);
+
+        // From the sharers' arrival on, every run is one query wide (a
+        // sharer's one live prompt token, then decode steps), so each run
+        // swept alone walks exactly the rows it attends. Swept together,
+        // the sharers decode the 1024 prefix rows once per step.
+        if cfg.kernel == KernelMode::Fused {
+            eprintln!(
+                "after the sharers arrive: {} rows attended, {} swept",
+                reads.fused_rows, reads.fused_rows_swept
+            );
+            assert!(reads.fused_rows > 0);
+            assert!(
+                reads.fused_rows_swept < reads.fused_rows,
+                "sharers must sweep the shared prefix together: {} swept, {} attended",
+                reads.fused_rows_swept,
+                reads.fused_rows
+            );
+        }
 
         // The seven sharers matched the full 1024-token prefix and skipped
         // its quantization: 7 × 1024 tokens × 1 layer × 2 kinds.
@@ -177,7 +202,7 @@ fn eight_sharers_dedupe_the_kilotoken_prompt() {
         // page peaks — `parallel_props` pins every counter across thread
         // counts), so the serial points stop at the shared run's checks.
         if cfg.num_threads > 1 {
-            let (unshared, unshared_outs) = run(false);
+            let (unshared, _, unshared_outs) = run(false);
             assert_eq!(unshared.preemptions, 0);
             // Reused tokens are never fed: prefill compute drops accordingly.
             assert_eq!(
