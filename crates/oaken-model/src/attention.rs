@@ -12,7 +12,8 @@
 //!   per-KV-head [`attend_kv_group_into`]) read dequantized f32 KV matrices
 //!   and carry the engine's bit-exactness contract;
 //! * the **fused** kernel ([`attend_segments_fused_into`], and its
-//!   one-run and single-token wrappers) reads the encoded rows through
+//!   single-token, one-KV-head form [`attend_kv_group_fused_into`]) reads
+//!   the encoded rows through
 //!   their [`EncodedReadPlan`] — one sweep decodes each row once and
 //!   serves a whole tile of query tokens (a prefill chunk, or the decode
 //!   steps of sequences that share prefix-trie blocks, whose shared rows
@@ -230,7 +231,7 @@ pub struct EncodedKv<'a> {
 /// of a fused slot, or the dequantized f32 views of an exact one.
 #[derive(Debug, Clone, Copy)]
 pub enum KvRead<'a> {
-    /// Encoded K and V tensors for [`attend_run_fused_into`].
+    /// Encoded K and V tensors for [`attend_segments_fused_into`].
     Fused {
         /// Encoded keys.
         keys: EncodedKv<'a>,
@@ -364,38 +365,13 @@ pub(crate) fn attend_exact_run_into(
     }
 }
 
-/// Fused-kernel analogue of [`attend_one_into`]: the single-token context
-/// vector computed reading `keys`/`values` **in their encoded form** —
-/// [`attend_run_fused_into`] at width 1 over every head. Numerically
-/// SQNR-bounded against [`attend_one`] over the dequantized views (see
-/// `oaken_core::kernel`), not bit-exact. With warm buffers the call
-/// allocates nothing.
-///
-/// # Panics
-///
-/// Same conditions as [`attend_run_fused_into`].
-pub fn attend_one_fused_into(
-    q: &[f32],
-    keys: &EncodedKv<'_>,
-    values: &EncodedKv<'_>,
-    seq_len: usize,
-    shape: &AttentionShape,
-    scratch: &mut AttentionScratch,
-    out: &mut Vec<f32>,
-) {
-    out.clear();
-    out.resize(shape.q_dim(), 0.0);
-    let all = 0..shape.num_kv_heads;
-    attend_run_fused_into(&[q], &[seq_len], keys, values, shape, all, scratch, out);
-}
-
 /// Fused-kernel analogue of [`attend_kv_group_into`]: one KV head's
-/// query-group context for a single token — [`attend_run_fused_into`] at
-/// width 1 over one head.
+/// query-group context for a single token — [`attend_segments_fused_into`]
+/// over one segment of width 1 and one head.
 ///
 /// # Panics
 ///
-/// Same conditions as [`attend_run_fused_into`].
+/// Same conditions as [`attend_segments_fused_into`].
 #[allow(clippy::too_many_arguments)]
 pub fn attend_kv_group_fused_into(
     q: &[f32],
@@ -407,34 +383,13 @@ pub fn attend_kv_group_fused_into(
     out_g: &mut [f32],
     scratch: &mut AttentionScratch,
 ) {
-    let head = kv_head..kv_head + 1;
-    attend_run_fused_into(&[q], &[seq_len], keys, values, shape, head, scratch, out_g);
-}
-
-/// The fused kernel for one run of query tokens of one sequence:
-/// [`attend_segments_fused_into`] over that run alone. A prefill chunk is
-/// a run with consecutive limits, a decode step a run of one.
-///
-/// # Panics
-///
-/// Same conditions as [`attend_segments_fused_into`].
-#[allow(clippy::too_many_arguments)]
-pub fn attend_run_fused_into(
-    qs: &[&[f32]],
-    limits: &[usize],
-    keys: &EncodedKv<'_>,
-    values: &EncodedKv<'_>,
-    shape: &AttentionShape,
-    kv_heads: Range<usize>,
-    scratch: &mut AttentionScratch,
-    out: &mut [f32],
-) {
     let run = Segment {
-        queries: qs.len(),
+        queries: 1,
         keys: *keys,
         values: *values,
     };
-    attend_segments_fused_into(qs, limits, &[run], 0, shape, kv_heads, scratch, out);
+    let head = kv_head..kv_head + 1;
+    attend_segments_fused_into(&[q], &[seq_len], &[run], 0, shape, head, scratch, out_g);
 }
 
 /// The fused kernel: attention of the query groups of KV heads `kv_heads`
@@ -1500,8 +1455,15 @@ mod tests {
         s: &AttentionShape,
     ) -> Vec<f32> {
         let (keys, values) = (EncodedKv { plan: keys }, EncodedKv { plan: values });
-        let (mut out, mut scratch) = (Vec::new(), AttentionScratch::default());
-        attend_one_fused_into(q, &keys, &values, seq_len, s, &mut scratch, &mut out);
+        let run = Segment {
+            queries: 1,
+            keys,
+            values,
+        };
+        let mut out = vec![0.0; s.q_dim()];
+        let all = 0..s.num_kv_heads;
+        let mut scratch = AttentionScratch::default();
+        attend_segments_fused_into(&[q], &[seq_len], &[run], 0, s, all, &mut scratch, &mut out);
         out
     }
 

@@ -50,7 +50,7 @@ use crate::attention::EncodedKv;
 use crate::config::ModelConfig;
 use crate::pool::{PagedKvPool, PoolBatchView, SeqId, ShardReads};
 use crate::ranks::RankedPools;
-use oaken_core::{KvKind, KvQuantizer, KvRowStream};
+use oaken_core::{FusedVector, KvKind, KvQuantizer, KvRowStream};
 use std::sync::Arc;
 
 /// Which attention read path the engine runs against a quantized cache.
@@ -61,7 +61,7 @@ use std::sync::Arc;
 ///   kernels existed.
 /// * [`Fused`](KernelMode::Fused) — appends keep rows **only in their
 ///   encoded form** and attention runs the quantized-domain kernel
-///   ([`crate::attention::attend_run_fused_into`]) straight over the
+///   ([`crate::attention::attend_segments_fused_into`]) straight over the
 ///   streams' read plans: resident KV bytes equal the encoded footprint,
 ///   and one sweep over a sequence's rows serves a whole prefill chunk.
 ///   The numeric contract is SQNR-bounded against `Exact` (see
@@ -229,6 +229,27 @@ impl KindSlot {
             }
             SlotRows::Recompute(exact) => exact.extend_from_slice(row),
         }
+    }
+
+    /// Appends one row already encoded at this slot's width — a rank
+    /// shard's channels of a row encoded once at full width — through the
+    /// call trie adoption uses. An exact-kernel slot then decodes it into
+    /// its view, bit-identical to what `append` would have materialized,
+    /// from the stream's own last row: a trie-adopted prefix of an exact
+    /// slot lives only in the view, so the stream may hold fewer rows than
+    /// the slot.
+    pub(crate) fn adopt(&mut self, row: &FusedVector) {
+        let SlotRows::Stream(stream) = &mut self.storage else {
+            panic!("encoded rows are adopted only by streams");
+        };
+        let ok = stream.adopt_encoded_rows(std::slice::from_ref(row));
+        assert!(ok, "a shard's stream adopts encoded rows");
+        if !self.fused {
+            let at = stream.rows() - 1;
+            let ok = stream.decode_rows_into(at, at + 1, &mut self.view);
+            assert!(ok, "a shard's stream decodes its rows");
+        }
+        self.rows += 1;
     }
 
     /// Brings `view` up to date with every appended row — the one sync

@@ -42,8 +42,9 @@
 //! (`(rank, row sub-chunk)` tasks for the weight sweeps, `(rank, run,
 //! query tile, KV-head range)` tasks for attention) — bit-exact with the
 //! serial one-rank pass for every rank and thread count. Nothing that
-//! mutates the pool leaves the calling thread: every row is quantized and
-//! laid into pages by [`pool::PagedKvPool::append`], one step at a time. The pass takes
+//! mutates the pool leaves the calling thread: every row is quantized once
+//! and laid into each shard's pages by `RankedPools::append`, one step at
+//! a time. The pass takes
 //! its steps with their liveness ([`StepBatch`]: whose logits are read)
 //! and computes only what is read: every layer is a KV stage over all
 //! steps and a tail stage over the steps still read, so an unsampled
@@ -71,15 +72,14 @@ pub mod model;
 pub mod pool;
 pub mod ranks;
 pub mod sampling;
-pub(crate) mod sharding;
 mod shim;
 pub mod synth;
 pub mod trie;
 
 pub use attention::{
-    attend_kv_group_fused_into, attend_kv_group_into, attend_one, attend_one_fused_into,
-    attend_one_into, attend_run_fused_into, attend_segments_fused_into, AttentionScratch,
-    AttentionShape, EncodedKv, KvRead, Segment, QUERY_TILE,
+    attend_kv_group_fused_into, attend_kv_group_into, attend_one, attend_one_into,
+    attend_segments_fused_into, AttentionScratch, AttentionShape, EncodedKv, KvRead, Segment,
+    QUERY_TILE,
 };
 pub use cache::{BatchKvCache, KernelMode};
 pub use config::{ModelConfig, MoeConfig, Positional};

@@ -339,10 +339,11 @@ impl Model {
     ///   ownership and stay rank-local; `Wo`, the FFN matrices and the LM
     ///   head split evenly and gather through one all-reduce each;
     /// * **quantize + append** — serial, on the calling thread: one
-    ///   [`BatchKvCache::append`] per step and layer with full-width rows
-    ///   (Oaken's scales are whole-row min/max, which a rank group pays as
-    ///   a per-row scale sync, accounted here); each shard stores its own
-    ///   heads' channels, and the pool's MMU stays a single writer;
+    ///   [`BatchKvCache::append`] per step and layer with full-width rows,
+    ///   each encoded once (Oaken's scales are whole-row min/max, which a
+    ///   rank group pays as a per-row scale sync, accounted here); each
+    ///   shard stores its own heads' channels of the encoding, and the
+    ///   pool's MMU stays a single writer;
     /// * **attention** — head-local: one task per `(rank, slot run, query
     ///   tile, KV-head range)`, each reading its rank's shard in place —
     ///   f32 views in [`KernelMode::Exact`], one sweep over the *encoded*
@@ -525,9 +526,9 @@ impl Pass<'_, '_> {
             lw.attn_norm_b.as_ref(),
         );
         // One weight sweep per projection serves the whole span. K/V rows
-        // follow head ownership, and every shard appends the full-width
-        // row: whole-row min/max scales need global agreement, which a
-        // real rank group pays as a tiny per-row scale sync; the channel
+        // follow head ownership, and each full-width row is encoded once:
+        // whole-row min/max scales need global agreement, which a real
+        // rank group pays as a tiny per-row scale sync; the channel
         // payloads themselves stay rank-local in the shards.
         let href = as_refs(&hs);
         let project = |w: &Tensor, what| {

@@ -11,10 +11,8 @@ use crate::ranks::RankedPools;
 /// sequence mapping for one engine iteration, implementing
 /// [`BatchKvCache`] for [`crate::Model::forward_batch_sharded`].
 ///
-/// Every shard appends the same full-width rows, **lead shard first**: the
-/// lead alone carries the fault injectors, so its verdict on a row arrives
-/// before any follower stores it and a fault plan fires once per logical
-/// append.
+/// Rows go to the shards through `RankedPools::append`: encoded once,
+/// **lead shard first**, so a fault plan fires once per logical append.
 ///
 /// Appends never panic: a failing append — an injected
 /// [`PoolError::Fault`], or pool exhaustion despite the scheduler's
@@ -65,11 +63,8 @@ impl BatchKvCache for PoolBatchView<'_> {
         if self.slot_poisoned(slot) {
             return;
         }
-        for pool in self.pools.ranks_mut() {
-            if let Err(e) = pool.append(self.seqs[slot], layer, k, v) {
-                self.poisoned.push((slot, e));
-                return;
-            }
+        if let Err(e) = self.pools.append(self.seqs[slot], layer, k, v) {
+            self.poisoned.push((slot, e));
         }
     }
 

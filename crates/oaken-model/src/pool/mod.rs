@@ -202,25 +202,15 @@ fn every_stream(
 /// Default tokens per shareable prefix block.
 pub const DEFAULT_BLOCK_TOKENS: usize = 16;
 
-/// The channel slice a rank-shard pool stores out of the full KV row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PoolShard {
-    /// First full-row channel this shard owns.
-    pub(crate) start: usize,
-    /// Full KV row width appends must supply.
-    pub(crate) full_dim: usize,
-}
-
 /// The shared paged KV pool. See the module docs for the design.
 pub struct PagedKvPool {
     quantizer: Option<Arc<dyn KvQuantizer>>,
-    /// When this pool is one tensor-parallel rank's private shard: the
-    /// channel slice of the full KV row it stores. Append entry points
-    /// then take *full-width* rows (every rank quantizes the full row so
-    /// whole-row scales match the 1-rank cache bit-for-bit; see
-    /// `crate::sharding`) while all storage, accounting, and reads cover
-    /// only the shard's channels.
-    shard: Option<PoolShard>,
+    /// Set on a quantized tensor-parallel rank shard: its rows arrive
+    /// encoded at full width through [`RankedPools::append`], and a raw
+    /// row — which would be quantized with shard-local scales — is refused.
+    ///
+    /// [`RankedPools::append`]: crate::RankedPools::append
+    adopts_only: bool,
     num_layers: usize,
     kv_dim: usize,
     /// Nominal KV bytes per token for the whole model — computed through
@@ -307,7 +297,7 @@ impl PagedKvPool {
         Self {
             pages: PageLedger::new(num_pages, page_size, kv_dim, quantizer.is_some()),
             quantizer,
-            shard: None,
+            adopts_only: false,
             num_layers: model.num_layers,
             kv_dim,
             bytes_per_token: model.kv_bytes_per_token(bits),
@@ -327,21 +317,21 @@ impl PagedKvPool {
 
     /// Creates one tensor-parallel rank's private pool shard: the same
     /// geometry as [`PagedKvPool::for_model`] restricted to the contiguous
-    /// KV heads `kv_heads`, over this rank's own `num_pages`.
+    /// KV heads `kv_heads`, over this rank's own `num_pages`. Rows and
+    /// reads are shard-width, laid out for a rank-local attention shape.
     ///
-    /// The shard's append entry points take **full-width** rows — the rank
-    /// quantizes the whole row (Oaken's scales are whole-row min/max, so
-    /// this is what keeps shard bits identical to the 1-rank cache) and
-    /// stores only its heads' channels. With `quantizer = None` the rows
-    /// are sliced directly. Reads ([`PagedKvPool::keys`],
-    /// [`PagedKvPool::encoded_kv`]) return shard-width data laid out for a
-    /// rank-local attention shape.
+    /// A quantized shard takes no raw rows: Oaken's scales are whole-row
+    /// min/max, so the [`RankedPools`] of a split encodes each row once at
+    /// full width and each shard adopts its channels of it — which is what
+    /// keeps shard bits identical to the 1-rank cache.
     ///
     /// # Panics
     ///
     /// Panics if the head range is empty or out of range, or if a
-    /// quantizer is supplied that cannot stream encoded rows (sharding
-    /// slices the encoded form; methods without it cannot shard).
+    /// quantizer is supplied that cannot stream encoded rows (shards adopt
+    /// slices of the encoded form; methods without it cannot shard).
+    ///
+    /// [`RankedPools`]: crate::RankedPools
     pub fn for_model_shard(
         model: &ModelConfig,
         quantizer: Option<Arc<dyn KvQuantizer>>,
@@ -354,47 +344,25 @@ impl PagedKvPool {
             "shard heads {kv_heads:?} invalid for {} KV heads",
             model.num_kv_heads
         );
-        let head_dim = model.head_dim();
         let group = model.num_heads / model.num_kv_heads;
-        let full_dim = model.kv_dim();
-        let start = kv_heads.start * head_dim;
-        let dim = kv_heads.len() * head_dim;
         // The shard's geometry is the model's, restricted to its heads;
         // `head_dim` is preserved so row bounds and page math carry over.
         let shard_cfg = ModelConfig {
             num_kv_heads: kv_heads.len(),
             num_heads: kv_heads.len() * group,
-            d_model: kv_heads.len() * group * head_dim,
+            d_model: kv_heads.len() * group * model.head_dim(),
             ..model.clone()
         };
-        let wrapped = quantizer.map(|q| {
-            Arc::new(crate::sharding::ShardedQuantizer::new(
-                q, start, dim, full_dim,
-            )) as Arc<dyn KvQuantizer>
-        });
-        let had_quantizer = wrapped.is_some();
-        let mut pool = Self::for_model(&shard_cfg, wrapped, num_pages, page_size);
-        assert!(
-            !had_quantizer || pool.streaming,
-            "sharding requires a quantizer with encoded row streams"
-        );
-        pool.shard = Some(PoolShard { start, full_dim });
-        pool
-    }
-
-    /// The row width append entry points expect: the full KV row for a
-    /// rank-shard pool, this pool's own `kv_dim` otherwise.
-    pub fn append_width(&self) -> usize {
-        self.shard.map_or(self.kv_dim, |s| s.full_dim)
-    }
-
-    /// The full-row channel range this pool stores (`0..kv_dim` for an
-    /// unsharded pool).
-    pub fn channel_range(&self) -> std::ops::Range<usize> {
-        match self.shard {
-            Some(s) => s.start..s.start + self.kv_dim,
-            None => 0..self.kv_dim,
+        let mut pool = Self::for_model(&shard_cfg, quantizer, num_pages, page_size);
+        if let Some(q) = pool.quantizer.as_deref() {
+            let encodes = |s: &dyn KvRowStream| s.encoded_rows().is_some();
+            assert!(
+                every_stream(q, pool.num_layers, pool.kv_dim, encodes),
+                "sharding requires a quantizer with encoded row streams"
+            );
+            pool.adopts_only = true;
         }
+        pool
     }
 
     /// The wrapped quantizer handle, for building further shards of the

@@ -150,14 +150,17 @@ impl PagedKvPool {
         if !self.has_encoded_kv(seq, layer) {
             return None;
         }
-        match self.read_kv(seq, layer, 1) {
-            KvRead::Fused { keys, values } => Some((keys, values)),
-            KvRead::Exact { .. } => unreachable!("probed fused above"),
-        }
+        let state = &self.seqs[&seq.0];
+        let KvRead::Fused { keys, values } = self.read_run(state, layer, 1) else {
+            unreachable!("probed fused above");
+        };
+        let rows = state.slots[layer][0].rows;
+        self.charge_swept(1, |_| (rows, 1), 0);
+        Some((keys, values))
     }
 
     /// Brings the dequantized views of `(seq, layer)` up to date for
-    /// [`read_kv`](PagedKvPool::read_kv) — a no-op for slots on the fused
+    /// attention's reads — a no-op for slots on the fused
     /// read path and for views that appends maintain; the recompute
     /// fallback re-materializes here.
     ///
@@ -184,36 +187,12 @@ impl PagedKvPool {
         &slot.view
     }
 
-    /// What attention reads for `(seq, layer)`: the encoded tensors in
-    /// fused mode, else the dequantized views as of the last
-    /// [`sync_views`](PagedKvPool::sync_views). `queries` is the run of
-    /// consecutive query tokens that attend through this borrow — the
-    /// tokens whose rows are the newest `queries` cached, i.e. the live
-    /// suffix of the run just appended, not its appended length — and
-    /// sizes the read accounting (see [`KvReadStats`]), the run swept
-    /// alone. Takes `&self` so any number of sequences can be read
-    /// together.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown sequence, or if an exact slot's view is stale.
-    pub fn read_kv(&self, seq: SeqId, layer: usize, queries: usize) -> KvRead<'_> {
-        let state = self.seqs.get(&seq.0).expect("unknown sequence");
-        let read = self.read_run(state, layer, queries);
-        if let KvRead::Fused { .. } = read {
-            let rows = state.slots[layer][0].rows;
-            self.charge_swept(1, |_| (rows, queries), 0);
-        }
-        read
-    }
-
     /// What attention reads of `layer` for the `(slot, queries)` runs,
     /// slot `i` being `seqs[i]`, and how the fused kernel sweeps them: runs
     /// whose sequences share prefix-trie blocks form a group (see
-    /// [`ShardReads::groups`]). Accounted as [`read_kv`] accounts a run,
-    /// except that a group's shared rows are swept once per tile.
-    ///
-    /// [`read_kv`]: PagedKvPool::read_kv
+    /// [`ShardReads::groups`]). Each run is accounted as its queries'
+    /// reads (see [`KvReadStats`]), and each group's sweeps with its shared
+    /// rows swept once per tile.
     pub(crate) fn read_layer(
         &self,
         seqs: &[SeqId],
@@ -309,8 +288,17 @@ impl PagedKvPool {
         (self.reads.fused_rows_swept).fetch_add(2 * swept as u64, Ordering::Relaxed);
     }
 
-    /// [`read_kv`](PagedKvPool::read_kv) without the sweep: the read and
-    /// its logical rows and bytes.
+    /// What attention reads for `(seq, layer)`, charged as its logical
+    /// rows and bytes (the sweep is the caller's to charge): the encoded
+    /// tensors in fused mode, else the dequantized views as of the last
+    /// [`sync_views`](PagedKvPool::sync_views). `queries` is the run of
+    /// consecutive query tokens that attend through this borrow — the
+    /// tokens whose rows are the newest `queries` cached, i.e. the live
+    /// suffix of the run just appended, not its appended length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an exact slot's view is stale.
     fn read_run<'a>(&'a self, state: &'a SeqSlots, layer: usize, queries: usize) -> KvRead<'a> {
         let [key_slot, value_slot] = &state.slots[layer];
         let rows = key_slot.rows;
@@ -350,7 +338,7 @@ impl PagedKvPool {
 
     /// Whether `(seq, layer)` is served in encoded form — the branch
     /// probe, free of read accounting.
-    pub fn has_encoded_kv(&self, seq: SeqId, layer: usize) -> bool {
+    fn has_encoded_kv(&self, seq: SeqId, layer: usize) -> bool {
         let Some(state) = self.seqs.get(&seq.0) else {
             return false;
         };

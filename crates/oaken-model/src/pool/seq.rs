@@ -27,7 +27,7 @@
 use super::blocks::{SeqBlock, SeqPlan};
 use super::{PagedKvPool, PoolError, SeqId};
 use crate::cache::{KindSlot, SlotRows};
-use oaken_core::{KvKind, KvQuantizer};
+use oaken_core::{FusedVector, KvKind, KvQuantizer};
 use oaken_mmu::FaultOp;
 use std::ops::Range;
 
@@ -238,7 +238,10 @@ impl PagedKvPool {
     ///
     /// This is the one way a row enters the pool: page bound, fault poll,
     /// quantize, page commit, seal — on the calling thread, so the MMU has
-    /// a single writer (§5.2) and page assignment follows call order.
+    /// a single writer (§5.2) and page assignment follows call order. A
+    /// quantized rank shard takes the same path with the quantize step
+    /// replaced by adopting its slice of a row encoded once at full width
+    /// (`adopt_encoded`).
     ///
     /// # Errors
     ///
@@ -249,7 +252,9 @@ impl PagedKvPool {
     ///
     /// # Panics
     ///
-    /// Panics if the vector widths disagree with the model's `kv_dim`.
+    /// Panics if the vector widths disagree with the pool's `kv_dim`, or
+    /// if the pool is a quantized rank shard (see
+    /// [`PagedKvPool::for_model_shard`]).
     pub fn append(
         &mut self,
         seq: SeqId,
@@ -257,8 +262,40 @@ impl PagedKvPool {
         k: &[f32],
         v: &[f32],
     ) -> Result<(), PoolError> {
-        assert_eq!(k.len(), self.append_width(), "key width mismatch");
-        assert_eq!(v.len(), self.append_width(), "value width mismatch");
+        assert_eq!(k.len(), self.kv_dim, "key width mismatch");
+        assert_eq!(v.len(), self.kv_dim, "value width mismatch");
+        assert!(
+            !self.adopts_only,
+            "a quantized rank shard adopts rows encoded at full width"
+        );
+        self.commit(seq, layer, |slot, kind| slot.append([k, v][kind]))
+    }
+
+    /// [`append`](Self::append) for a quantized rank shard: `k` and `v` are
+    /// its channels of one token's rows, encoded at full width.
+    pub(crate) fn adopt_encoded(
+        &mut self,
+        seq: SeqId,
+        layer: usize,
+        k: &FusedVector,
+        v: &FusedVector,
+    ) -> Result<(), PoolError> {
+        assert!(
+            k.dim() == self.kv_dim && v.dim() == self.kv_dim,
+            "encoded slice width mismatch"
+        );
+        self.commit(seq, layer, |slot, kind| slot.adopt([k, v][kind]))
+    }
+
+    /// The commit body behind every row: page bound, fault poll, then
+    /// `step` stores the row in each `(layer, kind)` slot (keys first),
+    /// page commit, seal.
+    fn commit(
+        &mut self,
+        seq: SeqId,
+        layer: usize,
+        mut step: impl FnMut(&mut KindSlot, usize),
+    ) -> Result<(), PoolError> {
         let Some(state) = self.seqs.get(&seq.0) else {
             return Err(PoolError::UnknownSequence { seq });
         };
@@ -273,20 +310,13 @@ impl PagedKvPool {
         if needed > free {
             return Err(PoolError::OutOfPages { needed, free });
         }
-        // An exact-f32 rank shard slices the full-width row itself;
-        // quantized shards pass the full row through (the stream slices
-        // after whole-row quantization).
-        let cols = match self.shard {
-            Some(s) if self.quantizer.is_none() => s.start..s.start + self.kv_dim,
-            _ => 0..k.len(),
-        };
         let state = self.seqs.get_mut(&seq.0).expect("checked above");
         // The row's bytes go to whoever owns its position; new pages are
         // charged to the sequence's private count (pending blocks stay
         // private until sealed).
         let owner = state.owner_for_pos(seq.0, self.block_tokens, state.slots[layer][0].rows);
-        for (slot, row) in state.slots[layer].iter_mut().zip([k, v]) {
-            slot.append(&row[cols.clone()]);
+        for (kind, slot) in state.slots[layer].iter_mut().enumerate() {
+            step(slot, kind);
             let bytes = encoded_row_payload(slot, self.quantizer.as_deref(), self.kv_dim);
             state.pages += self.pages.write_row(owner, bytes);
         }

@@ -25,11 +25,12 @@
 //! * **Attention is head-local**, so each rank attends over its own KV
 //!   heads against its own pool shard; the rank outputs are disjoint
 //!   q-head slices gathered by one all-reduce per layer.
-//! * **Pool shards append full-width rows** (Oaken's scales are whole-row
-//!   min/max) and store only their heads' channels; the shard's decoded
-//!   views are bitwise slices of the 1-rank views (`sharding` tests), so
-//!   rank-local attention reads exactly the bits the unsharded kernel
-//!   would have read for those heads.
+//! * **Each K/V row is encoded once, at full width** (Oaken's scales are
+//!   whole-row min/max), and every pool shard adopts its heads' channels
+//!   of that encoding; the shard's decoded views are bitwise slices of
+//!   the 1-rank views (the `shard_*` tests below), so rank-local attention
+//!   reads exactly the bits the unsharded kernel would have read for
+//!   those heads.
 //!
 //! Net: N-rank logits are **bit-exact with the 1-rank engine** in
 //! [`KernelMode::Exact`] for every thread count, and identical-within-mode
@@ -55,6 +56,7 @@ use crate::pool::{
     KvReadStats, KvTransfer, PagedKvPool, PoolError, PrefixAlloc, SeqId, ShardReads,
 };
 use crate::trie::PrefixStats;
+use oaken_core::{FusedVector, KvKind, KvRowStream};
 use oaken_mmu::{FaultPlan, FaultStats, SwapReceipt};
 use oaken_runtime::{chunk_range, Comm, Runtime};
 use oaken_tensor::Tensor;
@@ -147,6 +149,11 @@ pub struct RankedPools {
     plan: RankPlan,
     pools: Vec<PagedKvPool>,
     peaks: Vec<u32>,
+    /// Per layer, one full-width `[K, V]` row stream of a quantized split,
+    /// used only as a stateless encoder: each row is quantized here once
+    /// and every shard adopts its channels (empty unless quantized and
+    /// sharded).
+    encoders: Vec<[Box<dyn KvRowStream>; 2]>,
 }
 
 impl RankedPools {
@@ -157,21 +164,23 @@ impl RankedPools {
             plan: RankPlan::new(cfg, 1),
             pools: vec![pool],
             peaks: vec![0],
+            encoders: Vec::new(),
         }
     }
 
     /// Splits an idle donor pool into `ranks` private shards: device and
     /// host capacity are divided by [`chunk_range`], each shard owns its
     /// plan's KV heads, and the donor's quantizer, block size, sharing
-    /// flag, and kernel mode carry over. `ranks <= 1` wraps the donor
-    /// unchanged.
+    /// flag, and kernel mode carry over; a quantized split keeps one
+    /// full-width encoder per `(layer, kind)` for `append`.
+    /// `ranks <= 1` wraps the donor unchanged.
     ///
     /// # Panics
     ///
     /// Panics if the donor holds live or suspended sequences, if `ranks`
     /// exceeds the model's KV heads, if the split leaves a rank without
     /// pages, or if the donor's quantizer cannot stream encoded rows
-    /// (sharding slices the encoded form).
+    /// (shards adopt slices of the encoded form).
     pub fn split(cfg: &ModelConfig, donor: PagedKvPool, ranks: usize) -> Self {
         if ranks <= 1 {
             return Self::single(cfg, donor);
@@ -209,11 +218,75 @@ impl RankedPools {
                 p
             })
             .collect();
+        let encoders = match &quantizer {
+            None => Vec::new(),
+            Some(q) => (0..cfg.num_layers)
+                .map(|layer| {
+                    KvKind::ALL.map(|kind| {
+                        (q.row_stream(cfg.kv_dim(), layer, kind))
+                            .expect("every shard checked the quantizer streams")
+                    })
+                })
+                .collect(),
+        };
         Self {
             plan,
             pools,
             peaks: vec![0; ranks],
+            encoders,
         }
+    }
+
+    /// Appends one token's K/V rows for `(seq, layer)` to every rank,
+    /// **lead shard first**: the lead alone carries the fault injectors,
+    /// so its verdict arrives before any follower stores a row and a fault
+    /// plan fires once per logical append. One rank takes the rows whole
+    /// ([`PagedKvPool::append`]) and exact-f32 shards take their channels
+    /// of them. A quantized split encodes each row **once**, at full width
+    /// — Oaken's scales are whole-row min/max, so a shard quantizing its
+    /// own channels would compute other scales and other bits — and every
+    /// shard adopts its channels of the encoding
+    /// ([`FusedVector::slice_channels`]), each a pure function of its own
+    /// code, outlier entry and the shared scales. (A real rank group would
+    /// min/max all-reduce partial scales, an exact reduction with the same
+    /// result; the forward pass accounts those syncs to
+    /// [`CommStats`](oaken_runtime::CommStats).)
+    ///
+    /// # Errors
+    ///
+    /// The first shard's [`PoolError`]; shards before it keep the row (the
+    /// caller poisons the sequence, see [`PoolBatchView`]).
+    ///
+    /// [`PoolBatchView`]: crate::PoolBatchView
+    pub(crate) fn append(
+        &mut self,
+        seq: SeqId,
+        layer: usize,
+        k: &[f32],
+        v: &[f32],
+    ) -> Result<(), PoolError> {
+        let Some([key_encoder, value_encoder]) = self.encoders.get_mut(layer) else {
+            if let [pool] = &mut self.pools[..] {
+                return pool.append(seq, layer, k, v);
+            }
+            for (r, pool) in self.pools.iter_mut().enumerate() {
+                let ch = self.plan.kv_channels(r);
+                pool.append(seq, layer, &k[ch.clone()], &v[ch])?;
+            }
+            return Ok(());
+        };
+        let (k, v) = (
+            encode(&mut **key_encoder, k),
+            encode(&mut **value_encoder, v),
+        );
+        for (r, pool) in self.pools.iter_mut().enumerate() {
+            let ch = self.plan.kv_channels(r);
+            let slice = |fv: &FusedVector| {
+                (fv.slice_channels(ch.clone())).expect("rank channels lie within the row")
+            };
+            pool.adopt_encoded(seq, layer, &slice(k), &slice(v))?;
+        }
+        Ok(())
     }
 
     /// The ownership map.
@@ -549,6 +622,19 @@ impl RankedPools {
     }
 }
 
+/// `row` encoded by `encoder` as the one row it holds: a reset stream is
+/// bit-exact with a fresh one (the quantizer is prefix-deterministic), so
+/// the encoding depends on the row alone.
+fn encode<'a>(encoder: &'a mut dyn KvRowStream, row: &[f32]) -> &'a FusedVector {
+    encoder.reset();
+    assert!(
+        encoder.append_row_encoded(row),
+        "sharding encoders keep encoded rows"
+    );
+    let rows = encoder.encoded_rows().expect("checked when split");
+    rows.last().expect("a row was just encoded")
+}
+
 impl std::fmt::Debug for RankedPools {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RankedPools")
@@ -637,7 +723,11 @@ mod tests {
     use crate::model::{BatchStep, Model};
     use crate::pool::PoolBatchView;
     use crate::sampling::sample_greedy;
-    use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler};
+    use oaken_core::{
+        EncodedReadPlan, FusedReadParams, KvQuantizer, OakenConfig, OakenQuantizer,
+        OfflineProfiler, OnlineCost,
+    };
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn row(d: usize, seed: u64) -> Vec<f32> {
@@ -963,6 +1053,270 @@ mod tests {
         forward(&model, &rt, &mut comm, &mut pools, &seqs, &steps);
         assert!(pools.free_seq(seqs[0]).is_ok());
         assert_eq!(pools.free_pages(), pools.capacity_pages());
+    }
+
+    /// `q` with every row its streams quantize counted: `append_row` and
+    /// `append_row_encoded` calls, adoptions excluded.
+    struct CountingQuantizer {
+        inner: Arc<dyn KvQuantizer>,
+        encodes: Arc<AtomicUsize>,
+    }
+
+    impl KvQuantizer for CountingQuantizer {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn roundtrip_matrix(
+            &self,
+            data: &[f32],
+            rows: usize,
+            d: usize,
+            layer: usize,
+            kind: KvKind,
+        ) -> Vec<f32> {
+            self.inner.roundtrip_matrix(data, rows, d, layer, kind)
+        }
+        fn effective_bits(&self, rows: usize, d: usize) -> f64 {
+            self.inner.effective_bits(rows, d)
+        }
+        fn online_cost(&self) -> OnlineCost {
+            self.inner.online_cost()
+        }
+        fn row_stream(&self, d: usize, layer: usize, kind: KvKind) -> Option<Box<dyn KvRowStream>> {
+            let inner = self.inner.row_stream(d, layer, kind)?;
+            let encodes = self.encodes.clone();
+            Some(Box::new(CountingStream { inner, encodes }))
+        }
+        fn prefix_deterministic(&self) -> bool {
+            self.inner.prefix_deterministic()
+        }
+    }
+
+    struct CountingStream {
+        inner: Box<dyn KvRowStream>,
+        encodes: Arc<AtomicUsize>,
+    }
+
+    impl KvRowStream for CountingStream {
+        fn append_row(&mut self, row: &[f32], view: &mut Vec<f32>) {
+            self.encodes.fetch_add(1, Ordering::Relaxed);
+            self.inner.append_row(row, view);
+        }
+        fn rows(&self) -> usize {
+            self.inner.rows()
+        }
+        fn payload_bytes(&self) -> Option<usize> {
+            self.inner.payload_bytes()
+        }
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+        fn last_row_payload(&self) -> Option<(usize, usize)> {
+            self.inner.last_row_payload()
+        }
+        fn encoded_rows(&self) -> Option<&[FusedVector]> {
+            self.inner.encoded_rows()
+        }
+        fn append_row_encoded(&mut self, row: &[f32]) -> bool {
+            self.encodes.fetch_add(1, Ordering::Relaxed);
+            self.inner.append_row_encoded(row)
+        }
+        fn fused_read_params(&self) -> Option<FusedReadParams> {
+            self.inner.fused_read_params()
+        }
+        fn read_plan(&self) -> Option<&EncodedReadPlan> {
+            self.inner.read_plan()
+        }
+        fn adopt_encoded_rows(&mut self, rows: &[FusedVector]) -> bool {
+            self.inner.adopt_encoded_rows(rows)
+        }
+        fn decode_rows_into(&self, start: usize, end: usize, out: &mut Vec<f32>) -> bool {
+            self.inner.decode_rows_into(start, end, out)
+        }
+    }
+
+    /// Each K/V row is quantized exactly once, whatever the rank count and
+    /// kernel: shards adopt their channels of the one encoding.
+    #[test]
+    fn every_row_is_encoded_once_at_any_rank_count() {
+        let cfg = dense_cfg();
+        let inner = oaken(cfg.kv_dim(), cfg.num_layers);
+        let model = Model::synthetic(cfg.clone(), 42);
+        let rt = Runtime::serial();
+        // A 4-token prompt chunk, then two decode steps.
+        let feeds: [&[u32]; 3] = [&[3, 9, 4, 1], &[7], &[2]];
+        let tokens = feeds.iter().map(|f| f.len()).sum::<usize>();
+        for kernel in [KernelMode::Exact, KernelMode::Fused] {
+            for ranks in 1..=4 {
+                let encodes = Arc::new(AtomicUsize::new(0));
+                let q = CountingQuantizer {
+                    inner: inner.clone(),
+                    encodes: encodes.clone(),
+                };
+                let mut donor = PagedKvPool::for_model(&cfg, Some(Arc::new(q)), 512, 4096);
+                assert_eq!(donor.set_kernel_mode(kernel), kernel);
+                let mut pools = RankedPools::split(&cfg, donor, ranks);
+                let mut comm = Comm::new(ranks);
+                let seqs = vec![pools.alloc_seq_with_prefix(&[]).seq];
+                let mut pos = 0;
+                for feed in feeds {
+                    let steps: Vec<BatchStep> = (feed.iter().enumerate())
+                        .map(|(j, &token)| BatchStep {
+                            slot: 0,
+                            pos: pos + j,
+                            token,
+                        })
+                        .collect();
+                    forward(&model, &rt, &mut comm, &mut pools, &seqs, &steps);
+                    pos += feed.len();
+                }
+                assert_eq!(
+                    encodes.load(Ordering::Relaxed),
+                    2 * tokens * cfg.num_layers,
+                    "{ranks} ranks, {kernel:?}"
+                );
+            }
+        }
+    }
+
+    /// `tokens` K/V rows per layer appended to one fresh sequence of a
+    /// `ranks`-way split of a `kernel` pool over `q`.
+    fn fed_pools(
+        cfg: &ModelConfig,
+        q: &Arc<dyn KvQuantizer>,
+        ranks: usize,
+        kernel: KernelMode,
+        tokens: u64,
+    ) -> (RankedPools, SeqId) {
+        let mut donor = PagedKvPool::for_model(cfg, Some(q.clone()), 512, 4096);
+        donor.set_kernel_mode(kernel);
+        let mut pools = RankedPools::split(cfg, donor, ranks);
+        let seq = pools.alloc_seq_with_prefix(&[]).seq;
+        let d = cfg.kv_dim();
+        for t in 0..tokens {
+            for layer in 0..cfg.num_layers {
+                let (k, v) = (row(d, 100 + 2 * t), row(d, 101 + 2 * t));
+                pools.append(seq, layer, &k, &v).unwrap();
+            }
+        }
+        (pools, seq)
+    }
+
+    /// Per rank `r` and layer, the `(keys, values)` views of `seq`.
+    fn views(pools: &mut RankedPools, seq: SeqId, layers: usize) -> Vec<Vec<[Vec<u32>; 2]>> {
+        (pools.ranks_mut().iter_mut())
+            .map(|p| {
+                (0..layers)
+                    .map(|layer| [bits(p.keys(seq, layer)), bits(p.values(seq, layer))])
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Rank `r`'s channels of a one-rank view of `rows` rows.
+    fn channels(view: &[u32], plan: &RankPlan, r: usize, rows: usize) -> Vec<u32> {
+        let d = view.len() / rows;
+        (0..rows)
+            .flat_map(|t| view[t * d..][plan.kv_channels(r)].to_vec())
+            .collect()
+    }
+
+    /// At 2, 3 (uneven: 3 / 3 / 2 heads) and 4 ranks of a `kernel` pool,
+    /// every shard's encoded rows are the matching channel slices of the
+    /// one-rank rows, its read plans cover them, and its views are the
+    /// matching channels of the one-rank Exact views.
+    fn assert_shards_match_one_rank(kernel: KernelMode) {
+        let cfg = dense_cfg();
+        let q = oaken(cfg.kv_dim(), cfg.num_layers);
+        let tokens = 6;
+        let (mut one, seq) = fed_pools(&cfg, &q, 1, KernelMode::Exact, tokens);
+        let want = views(&mut one, seq, cfg.num_layers).remove(0);
+        for ranks in [2, 3, 4] {
+            let (mut pools, seq) = fed_pools(&cfg, &q, ranks, kernel, tokens);
+            let plan = pools.plan().clone();
+            for (r, pool) in pools.ranks().iter().enumerate() {
+                let slots = pool.slots(seq).iter().flatten();
+                for (slot, whole) in slots.zip(one.lead().slots(seq).iter().flatten()) {
+                    let stream = slot.stream().unwrap();
+                    let full_rows = whole.stream().unwrap().encoded_rows().unwrap();
+                    let rows = stream.encoded_rows().unwrap();
+                    assert_eq!(rows.len(), tokens as usize);
+                    for (fv, full) in rows.iter().zip(full_rows) {
+                        assert_eq!(fv, &full.slice_channels(plan.kv_channels(r)).unwrap());
+                    }
+                    assert_eq!(stream.read_plan().unwrap().rows(), tokens as usize);
+                    // A fused shard has materialized nothing yet.
+                    assert_eq!(slot.view.is_empty(), kernel == KernelMode::Fused);
+                }
+            }
+            let got = views(&mut pools, seq, cfg.num_layers);
+            for (r, shard) in got.iter().enumerate() {
+                for (layer, pair) in shard.iter().enumerate() {
+                    for (kind, view) in pair.iter().enumerate() {
+                        let slice = channels(&want[layer][kind], &plan, r, tokens as usize);
+                        assert_eq!(
+                            view, &slice,
+                            "{ranks} ranks: rank {r} layer {layer} kind {kind}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shard_views_match_one_rank_slices() {
+        assert_shards_match_one_rank(KernelMode::Exact);
+    }
+
+    /// Views a fused shard decodes on demand from its adopted rows.
+    #[test]
+    fn shard_lazy_decodes_match_one_rank_slices() {
+        assert_shards_match_one_rank(KernelMode::Fused);
+    }
+
+    /// Shards store the dense codes and outliers once between them and a
+    /// copy of the row's scales each: their payloads sum to the one-rank
+    /// payload plus `ranks − 1` scale copies per row.
+    #[test]
+    fn shard_payloads_sum_to_one_rank_payload_plus_scale_copies() {
+        let cfg = dense_cfg();
+        let q = oaken(cfg.kv_dim(), cfg.num_layers);
+        let tokens = 4;
+        let payload = |pools: &RankedPools, seq: SeqId| -> usize {
+            (pools.ranks().iter())
+                .map(|p| {
+                    p.slots(seq)[0][0]
+                        .stream()
+                        .unwrap()
+                        .payload_bytes()
+                        .unwrap()
+                })
+                .sum()
+        };
+        let (one, seq) = fed_pools(&cfg, &q, 1, KernelMode::Fused, tokens);
+        let whole = payload(&one, seq);
+        let scale_bytes = 8; // ScaleSet::STORAGE_BITS / 8
+        for ranks in [2, 4] {
+            let (pools, seq) = fed_pools(&cfg, &q, ranks, KernelMode::Fused, tokens);
+            assert_eq!(
+                payload(&pools, seq),
+                whole + (ranks - 1) * tokens as usize * scale_bytes,
+                "{ranks} ranks"
+            );
+        }
+    }
+
+    /// A raw row would be quantized with the shard's own scales: a
+    /// quantized shard refuses it.
+    #[test]
+    #[should_panic(expected = "adopts rows encoded at full width")]
+    fn a_quantized_shard_refuses_raw_rows() {
+        let cfg = dense_cfg();
+        let q = oaken(cfg.kv_dim(), cfg.num_layers);
+        let (mut pools, seq) = fed_pools(&cfg, &q, 2, KernelMode::Exact, 0);
+        let d = pools.plan().kv_channels(1).len();
+        let _ = pools.ranks_mut()[1].append(seq, 0, &row(d, 1), &row(d, 2));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Proves the attention kernels are **allocation-free in steady state**:
 //! once an [`AttentionScratch`] and an output buffer have grown to working
-//! capacity, a window of `attend_one_into` / `attend_one_fused_into` calls
-//! (decode steps), of 64-query `attend_run_fused_into` calls (a prefill
-//! chunk, two query tiles) and of `attend_segments_fused_into` calls (three
-//! sequences decoding together over 48 shared rows) performs **zero** heap
+//! capacity, a window of `attend_one_into` calls and of
+//! `attend_segments_fused_into` calls — one decode step, a 64-query run (a
+//! prefill chunk, two query tiles), and three sequences decoding together
+//! over 48 shared rows — performs **zero** heap
 //! allocations — the score rows, the decoded row block, the tile
 //! bookkeeping and the context vectors all live in caller-owned reused
 //! storage. This is the scratch-reuse guarantee the
@@ -16,9 +16,9 @@
 
 use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler};
 use oaken_model::{
-    attend_one_fused_into, attend_one_into, attend_run_fused_into, attend_segments_fused_into,
-    AttentionScratch, AttentionShape, BatchStep, EncodedKv, Model, ModelConfig, PagedKvPool,
-    PoolBatchView, RankPlan, RankedPools, Segment, StepBatch,
+    attend_one_into, attend_segments_fused_into, AttentionScratch, AttentionShape, BatchStep,
+    EncodedKv, Model, ModelConfig, PagedKvPool, PoolBatchView, RankPlan, RankedPools, Segment,
+    StepBatch,
 };
 use oaken_runtime::{Comm, Runtime};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -178,18 +178,34 @@ fn steady_state(shape: AttentionShape) {
         .collect();
     let mut segment_out = vec![0.0f32; 3 * shape.q_dim()];
 
+    let mut one_out = vec![0.0f32; shape.q_dim()];
     let mut scratch = AttentionScratch::default();
     let mut out = Vec::new();
 
     let mut run = |scratch: &mut AttentionScratch, out: &mut Vec<f32>| {
         attend_one_into(&q, &keys, &values, seq_len, &shape, scratch, out);
-        attend_one_fused_into(&q, &ek, &ev, seq_len, &shape, scratch, out);
+        let one = |queries| Segment {
+            queries,
+            keys: ek,
+            values: ev,
+        };
         let all = 0..shape.num_kv_heads;
-        attend_run_fused_into(
+        attend_segments_fused_into(
+            &[&q],
+            &[seq_len],
+            &[one(1)],
+            0,
+            &shape,
+            all,
+            scratch,
+            &mut one_out,
+        );
+        let all = 0..shape.num_kv_heads;
+        attend_segments_fused_into(
             &chunk_qs,
             &chunk_limits,
-            &ek,
-            &ev,
+            &[one(chunk_qs.len())],
+            0,
             &shape,
             all,
             scratch,
@@ -220,6 +236,7 @@ fn steady_state(shape: AttentionShape) {
     let delta = allocations() - before;
     assert!(out
         .iter()
+        .chain(&one_out)
         .chain(&chunk_out)
         .chain(&segment_out)
         .all(|v| v.is_finite()));

@@ -14,8 +14,7 @@
 use oaken_core::kernel::decode_row_fused_into;
 use oaken_core::{KvKind, KvQuantizer, KvRowStream, OakenConfig, OakenQuantizer, OfflineProfiler};
 use oaken_model::{
-    attend_run_fused_into, attend_segments_fused_into, AttentionScratch, AttentionShape, EncodedKv,
-    Segment,
+    attend_segments_fused_into, AttentionScratch, AttentionShape, EncodedKv, Segment,
 };
 use oaken_tensor::softmax_in_place;
 use proptest::prelude::*;
@@ -178,12 +177,17 @@ fn check(case: &Case) -> Result<usize, TestCaseError> {
     };
     // Dirty output and a scratch reused across shapes: neither may show.
     let mut got = vec![f32::NAN; want.len()];
+    let seg = Segment {
+        queries: *run,
+        keys: ek,
+        values: ev,
+    };
     SCRATCH.with_borrow_mut(|scratch| {
-        attend_run_fused_into(
+        attend_segments_fused_into(
             &qs,
             &limits,
-            &ek,
-            &ev,
+            &[seg],
+            0,
             shape,
             kv_heads.clone(),
             scratch,
@@ -321,13 +325,12 @@ fn check_segments(case: &SegmentCase) -> Result<(), TestCaseError> {
         (segments.iter().zip(&want).zip(runs.iter().zip(&qs)))
             .map(|((seg, want), (run, qs))| {
                 let mut got = vec![f32::NAN; want.len()];
-                let (keys, values) = (&seg.keys, &seg.values);
                 let heads = kv_heads.clone();
-                attend_run_fused_into(
+                attend_segments_fused_into(
                     qs,
                     &run.limits,
-                    keys,
-                    values,
+                    std::slice::from_ref(seg),
+                    0,
                     shape,
                     heads,
                     scratch,

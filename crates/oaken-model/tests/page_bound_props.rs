@@ -86,8 +86,8 @@ fn page_size(kv_dim: usize, quantized: bool, eighths: usize) -> usize {
     (eighths * kv_dim / 8).max(floor)
 }
 
-/// Appends the K/V rows of `tokens[range]` layer-major, the way one
-/// engine step feeds a chunk. A row is a pure function of its token,
+/// Appends the `d`-wide K/V rows of `tokens[range]` layer-major, the way
+/// one engine step feeds a chunk. A row is a pure function of its token,
 /// position, layer and kind, as a real model's rows are of the prefix.
 fn feed(
     pool: &mut PagedKvPool,
@@ -95,9 +95,9 @@ fn feed(
     tokens: &[u32],
     range: Range<usize>,
     layers: usize,
+    d: usize,
     spiky: bool,
 ) {
-    let d = pool.append_width();
     for layer in 0..layers {
         for pos in range.clone() {
             let seed = (u64::from(tokens[pos]) << 24) ^ ((pos as u64) << 8) ^ (layer as u64) << 1;
@@ -169,7 +169,7 @@ proptest! {
             let n = n.min(lane.tokens.len() - lane.pos);
             let before = pool.mmu().allocator().allocated_pages();
             let bound = pool.pages_possibly_needed_n(lane.seq, n).unwrap();
-            feed(&mut pool, lane.seq, &lane.tokens, lane.pos..lane.pos + n, layers, true);
+            feed(&mut pool, lane.seq, &lane.tokens, lane.pos..lane.pos + n, layers, cfg.kv_dim(), true);
             lane.pos += n;
             let opened = pool.mmu().allocator().allocated_pages() - before;
             prop_assert!(
@@ -220,7 +220,7 @@ proptest! {
                 (seq, planned as u64)
             }
         };
-        feed(&mut pool, seq, &ids, 0..tokens, layers, false);
+        feed(&mut pool, seq, &ids, 0..tokens, layers, cfg.kv_dim(), false);
         // Sealed blocks leave the sequence for the trie: count every page.
         let held = u64::from(pool.mmu().allocator().allocated_pages());
         let allowance = blocks * (1 + u64::from(sparse));
@@ -246,7 +246,15 @@ fn a_kilotoken_prompt_fills_four_fifths_of_its_pages() {
         let mut pool = PagedKvPool::for_model(&cfg, quantizer(Method::Oaken, 2), 4096, page);
         let prompt: Vec<u32> = (0..1024).collect();
         let seq = pool.alloc_seq_with_prefix(&prompt).seq;
-        feed(&mut pool, seq, &prompt, 0..prompt.len(), 2, true);
+        feed(
+            &mut pool,
+            seq,
+            &prompt,
+            0..prompt.len(),
+            2,
+            cfg.kv_dim(),
+            true,
+        );
         let fill = 1.0 - pool.mmu().internal_fragmentation();
         assert!(
             fill >= 0.8,

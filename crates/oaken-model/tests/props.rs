@@ -6,8 +6,9 @@
 use oaken_baselines::{AtomStyle, Fp16Reference, QServeStyle, TenderStyle};
 use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler, OnlineCost};
 use oaken_model::{
-    attend_kv_group_fused_into, attend_one, attend_run_fused_into, AttentionScratch,
-    AttentionShape, EncodedKv, KernelMode, Model, ModelConfig, PagedKvPool, SeqId, QUERY_TILE,
+    attend_kv_group_fused_into, attend_one, attend_segments_fused_into, AttentionScratch,
+    AttentionShape, EncodedKv, KernelMode, Model, ModelConfig, PagedKvPool, Segment, SeqId,
+    QUERY_TILE,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -303,7 +304,8 @@ proptest! {
         let mut scratch = AttentionScratch::default();
         let mut tile = vec![0.0f32; run * shape.q_dim()];
         let all = 0..kv_heads;
-        attend_run_fused_into(&qs, &limits, &ek, &ev, &shape, all, &mut scratch, &mut tile);
+        let seg = Segment { queries: run, keys: ek, values: ev };
+        attend_segments_fused_into(&qs, &limits, &[seg], 0, &shape, all, &mut scratch, &mut tile);
 
         let gw = group * head_dim;
         for (i, fused) in tile.chunks(shape.q_dim()).enumerate() {

@@ -23,7 +23,7 @@
 //!   lives *inside* one task (the same per-row / per-head chains the serial
 //!   code uses — no cross-task reductions, no atomics on floats);
 //! * merged outputs are fixed because tasks write disjoint index ranges
-//!   that are concatenated in index order ([`UnsafeSlice`],
+//!   that are concatenated in index order ([`Runtime::map`],
 //!   [`chunk_range`]);
 //! * control flow is fixed because the decomposition depends only on the
 //!   problem shape, never on timing.
@@ -56,10 +56,9 @@ mod shard;
 
 pub use comm::{Comm, CommStats};
 pub use pool::WorkerPool;
-pub use shard::{chunk_range, UnsafeSlice};
+pub use shard::chunk_range;
 
-use std::mem::{ManuallyDrop, MaybeUninit};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The default worker count for parallel stages: the machine's available
 /// parallelism (and `1` when even that is unknown).
@@ -136,26 +135,26 @@ impl Runtime {
     ///
     /// # Panics
     ///
-    /// Re-throws the first panic raised by any task; already-produced
-    /// results are leaked (not dropped) in that case.
+    /// Re-throws the first panic raised by any task, after dropping the
+    /// results the other tasks produced.
     pub fn map<T: Send>(&self, n_tasks: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
         match &self.pool {
             None => (0..n_tasks).map(task).collect(),
             Some(pool) => {
-                let mut out: Vec<MaybeUninit<T>> = Vec::with_capacity(n_tasks);
-                out.resize_with(n_tasks, MaybeUninit::uninit);
-                let slots = UnsafeSlice::new(&mut out);
+                // One slot per task, each locked once, by its own task.
+                let slots: Vec<Mutex<Option<T>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
                 pool.run(n_tasks, &|i| {
                     let value = task(i);
-                    // SAFETY: each task writes only its own slot.
-                    unsafe { slots.write(i, MaybeUninit::new(value)) };
+                    *slots[i].lock().expect("a slot is never locked by a panic") = Some(value);
                 });
-                // Every task completed, so every slot is initialized.
-                let mut out = ManuallyDrop::new(out);
-                let (ptr, len, cap) = (out.as_mut_ptr(), out.len(), out.capacity());
-                // SAFETY: `MaybeUninit<T>` has the same layout as `T` and
-                // all `len` elements were written above.
-                unsafe { Vec::from_raw_parts(ptr.cast::<T>(), len, cap) }
+                (slots.into_iter())
+                    .map(|slot| {
+                        let value = slot
+                            .into_inner()
+                            .expect("a slot is never locked by a panic");
+                        value.expect("every task completed")
+                    })
+                    .collect()
             }
         }
     }
@@ -199,6 +198,28 @@ mod tests {
         for (i, x) in v.iter().enumerate() {
             assert_eq!(x.len(), i);
         }
+    }
+
+    #[test]
+    fn map_drops_finished_results_when_a_task_panics() {
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct Counted;
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let rt = Runtime::new(2);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.map(8, |i| {
+                assert_ne!(i, 5, "task 5 fails");
+                Counted
+            })
+        }));
+        assert!(result.is_err(), "the task's panic reaches the caller");
+        // The job drains before the panic is re-thrown: the seven other
+        // tasks produced a value each, and each was dropped.
+        assert_eq!(DROPS.load(Ordering::Relaxed), 7);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Sharding helpers for deterministic task decompositions: balanced index
-//! ranges and a disjoint-write slice wrapper for merging per-task results
-//! in index order without a gather copy.
+//! ranges.
 
-use std::marker::PhantomData;
 use std::ops::Range;
 
 /// The index range task `task` of `n_tasks` owns when `n_items` items are
@@ -26,69 +24,6 @@ pub fn chunk_range(task: usize, n_items: usize, n_tasks: usize) -> Range<usize> 
     let start = task * base + task.min(extra);
     let len = base + usize::from(task < extra);
     start..(start + len)
-}
-
-/// A shared view of a mutable slice that allows concurrent writes to
-/// **disjoint** indices — the merge-in-index-order primitive parallel
-/// stages use to publish per-task results without locks or gather copies.
-///
-/// All methods are `unsafe`: the caller promises that no index is written
-/// by more than one task of the same fork-join job (reads are not
-/// supported at all while the job runs).
-pub struct UnsafeSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: the wrapper only hands out writes, and the caller contract
-// (disjoint indices per job) makes those writes race-free; `T: Send`
-// because values are written from other threads.
-unsafe impl<T: Send> Sync for UnsafeSlice<'_, T> {}
-unsafe impl<T: Send> Send for UnsafeSlice<'_, T> {}
-
-impl<'a, T> UnsafeSlice<'a, T> {
-    /// Wraps a mutable slice for the duration of one fork-join job.
-    pub fn new(slice: &'a mut [T]) -> Self {
-        Self {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Length of the wrapped slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the wrapped slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Writes `value` at `index`.
-    ///
-    /// # Safety
-    ///
-    /// `index` must be in bounds, and no other task of the same job may
-    /// read or write it.
-    pub unsafe fn write(&self, index: usize, value: T) {
-        debug_assert!(index < self.len);
-        unsafe { self.ptr.add(index).write(value) }
-    }
-
-    /// Exclusive reference to the element at `index`.
-    ///
-    /// # Safety
-    ///
-    /// `index` must be in bounds, and no other task of the same job may
-    /// hold a reference to it.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn get_mut(&self, index: usize) -> &mut T {
-        debug_assert!(index < self.len);
-        unsafe { &mut *self.ptr.add(index) }
-    }
 }
 
 #[cfg(test)]
@@ -124,21 +59,5 @@ mod tests {
     #[test]
     fn out_of_range_task_gets_empty_range() {
         assert!(chunk_range(5, 3, 2).is_empty());
-    }
-
-    #[test]
-    fn unsafe_slice_disjoint_writes_land() {
-        let mut data = vec![0usize; 16];
-        {
-            let view = UnsafeSlice::new(&mut data);
-            assert_eq!(view.len(), 16);
-            assert!(!view.is_empty());
-            for i in 0..16 {
-                // Single-threaded here, but exercises the write path.
-                unsafe { view.write(i, i * i) };
-            }
-        }
-        assert_eq!(data[3], 9);
-        assert_eq!(data[15], 225);
     }
 }

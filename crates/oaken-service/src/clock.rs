@@ -13,7 +13,7 @@
 //! from here ([`ArrivalQueue::take_due`], [`ArrivalQueue::due_cancels`]),
 //! so cluster-vs-monolithic equality is a property its tests establish,
 //! not one this module gives it (folding the two loops together is
-//! ROADMAP 6(c)). One tick:
+//! ROADMAP 9). One tick:
 //!
 //! 1. inject every scheduled arrival with `arrival <= clock`, in
 //!    `(arrival, submission order)` order;

@@ -224,8 +224,8 @@ pub struct EngineConfig {
     /// [`KernelMode::Exact`] for every thread count. The request is
     /// capability-gated like [`EngineConfig::kernel`]: clamped to the
     /// model's KV-head count, and downgraded to `1` for a pool whose
-    /// quantizer cannot stream encoded rows (sharding slices the encoded
-    /// form).
+    /// quantizer cannot stream encoded rows (shards adopt slices of the
+    /// encoded form).
     pub num_ranks: usize,
     /// Deterministic fault schedule installed into the pool's MMU at
     /// engine construction (see [`oaken_model::FaultPlan`]). `None` by
