@@ -349,7 +349,7 @@ fn full_decode_host_tier_bounces_and_retries_transfers() {
                 (EngineRequest::new(2, family_prompt(2, 3), 8), 0),
                 (EngineRequest::new(3, family_prompt(3, 3), 8), 0),
             ];
-            // Measure the widest transfer's host-page footprint (per rank shard,
+            // Measure the widest transfer's host-page footprint (per rank,
             // since the host tier splits evenly across ranks) by running the
             // 24-token request's prefill leg through a probe engine.
             let per_transfer: u32 = {
@@ -369,12 +369,13 @@ fn full_decode_host_tier_bounces_and_retries_transfers() {
                     .pop()
                     .expect("probe produced an export");
                 let widest = export
-                    .transfers
+                    .transfer
+                    .payloads()
                     .iter()
-                    .map(|t| t.payload().pages_needed(512).unwrap())
+                    .map(|p| p.pages_needed(512).unwrap())
                     .max()
-                    .expect("at least one rank shard");
-                widest * export.transfers.len() as u32
+                    .expect("at least one rank");
+                widest * export.transfer.payloads().len() as u32
             };
             let mut mk = |role: EngineRole, _r: usize| {
                 if role == EngineRole::Decode {

@@ -340,6 +340,26 @@ impl MmuSim {
     /// frozen page count — all checked before any state changes, so a
     /// failed call is a no-op and every request stays frozen.
     pub fn swap_in_requests(&mut self, requests: &[u32]) -> Result<SwapReceipt, SwapError> {
+        let frozen_pages = self.can_swap_in(requests)?;
+        let mut receipt = SwapReceipt::default();
+        for &request in requests {
+            receipt.merge(self.thaw(request));
+        }
+        debug_assert!(
+            receipt.pages <= frozen_pages,
+            "replay packed into more pages than it froze from"
+        );
+        Ok(receipt)
+    }
+
+    /// The checks of [`swap_in_requests`](Self::swap_in_requests), without
+    /// the thaw: every entry frozen and intact, and the device holding
+    /// their pages. Returns the frozen page count.
+    ///
+    /// # Errors
+    ///
+    /// As [`swap_in_requests`](Self::swap_in_requests).
+    pub fn can_swap_in(&self, requests: &[u32]) -> Result<u32, SwapError> {
         let host = self.host.as_ref().ok_or(SwapError::NoHostTier)?;
         let mut frozen_pages = 0u32;
         for &request in requests {
@@ -350,21 +370,14 @@ impl MmuSim {
             entry.payload.verify()?;
             frozen_pages += entry.pages;
         }
-        if frozen_pages > self.allocator.free_pages() {
+        let free = self.allocator.free_pages();
+        if frozen_pages > free {
             return Err(SwapError::OutOfDevicePages {
                 needed: frozen_pages,
-                free: self.allocator.free_pages(),
+                free,
             });
         }
-        let mut receipt = SwapReceipt::default();
-        for &request in requests {
-            receipt.merge(self.thaw(request));
-        }
-        debug_assert!(
-            receipt.pages <= frozen_pages,
-            "replay packed into more pages than it froze from"
-        );
-        Ok(receipt)
+        Ok(frozen_pages)
     }
 
     /// Replays one verified frozen entry onto fresh device pages.

@@ -49,7 +49,6 @@
 use crate::attention::EncodedKv;
 use crate::config::ModelConfig;
 use crate::pool::{PagedKvPool, PoolBatchView, SeqId, ShardReads};
-use crate::ranks::RankedPools;
 use oaken_core::{FusedVector, KvKind, KvQuantizer, KvRowStream};
 use std::sync::Arc;
 
@@ -106,7 +105,7 @@ impl KernelMode {
 /// `i`-th sequence of the current iteration's batch.
 ///
 /// [`crate::PoolBatchView`] is the implementation: the serving engine's
-/// batch over its pool shards, and [`crate::Session`]'s batch of one —
+/// batch over its pool, and [`crate::Session`]'s batch of one —
 /// so the batched engine and the single-sequence path execute identical
 /// code.
 pub trait BatchKvCache {
@@ -336,7 +335,7 @@ const STORE_PAGES: usize = 16;
 /// `⌈rows / STORE_PAGES⌉` such rows, so each class fits in `STORE_PAGES`
 /// pages and one append's page bound asks at most three more.
 pub(crate) struct SeqStore {
-    pub(crate) pools: RankedPools,
+    pub(crate) pool: PagedKvPool,
     pub(crate) seq: [SeqId; 1],
 }
 
@@ -349,32 +348,27 @@ impl SeqStore {
         let pages = 2 * STORE_PAGES as u32 + 4;
         let mut pool = PagedKvPool::for_model(cfg, quantizer, pages, page_size);
         let seq = [pool.alloc_seq()];
-        Self {
-            pools: RankedPools::single(cfg, pool),
-            seq,
-        }
+        Self { pool, seq }
     }
 
     /// Installs `kernel` on a fresh sequence (the pool takes a mode only
     /// while idle), returning the mode installed.
     pub(crate) fn set_kernel_mode(&mut self, kernel: KernelMode) -> KernelMode {
-        let pool = self.pools.lead_mut();
-        pool.free_seq(self.seq[0])
-            .expect("the store's sequence is live");
-        let installed = pool.set_kernel_mode(kernel);
-        self.seq = [pool.alloc_seq()];
+        (self.pool.free_seq(self.seq[0])).expect("the store's sequence is live");
+        let installed = self.pool.set_kernel_mode(kernel);
+        self.seq = [self.pool.alloc_seq()];
         installed
     }
 
     /// The installed attention read path.
     pub(crate) fn kernel_mode(&self) -> KernelMode {
-        self.pools.lead().kernel_mode()
+        self.pool.kernel_mode()
     }
 
     /// Runs `pass` over the store's batch view and checks that the pool
     /// took every append: the view skips a refused one silently.
     pub(crate) fn with_view<R>(&mut self, pass: impl FnOnce(&mut PoolBatchView<'_>) -> R) -> R {
-        let mut view = PoolBatchView::new(&mut self.pools, &self.seq);
+        let mut view = PoolBatchView::new(&mut self.pool, &self.seq);
         let out = pass(&mut view);
         let poisoned = view.take_poisoned();
         assert!(
@@ -503,7 +497,7 @@ mod tests {
         use oaken_baselines_test_helpers::oaken_quantizer;
         let q: Arc<dyn KvQuantizer> = Arc::new(oaken_quantizer(16, 1));
         let streams = |(pool, s): &(PagedKvPool, SeqId)| {
-            let slots = pool.slots(*s).iter().flatten();
+            let slots = pool.slots(0, *s).iter().flatten();
             slots
                 .map(|slot| slot.stream().is_some())
                 .collect::<Vec<_>>()
@@ -624,7 +618,7 @@ mod tests {
             fused.append(f, 0, &k, &v).unwrap();
         }
         // No dequantized image resident; encoded rows fully exposed.
-        assert!(fused.slots(f)[0].iter().all(|s| s.view.is_empty()));
+        assert!(fused.slots(0, f)[0].iter().all(|s| s.view.is_empty()));
         let (ek, ev) = fused.encoded_kv(f, 0).expect("fused pool exposes encoding");
         assert_eq!((ek.plan.rows(), ev.plan.rows()), (12, 12));
         assert!(exact.encoded_kv(e, 0).is_none());

@@ -111,7 +111,13 @@ impl ModelConfig {
     /// KV cache bytes per token at the given storage precision
     /// (`2 × layers × kv_dim × bits/8`).
     pub fn kv_bytes_per_token(&self, bits_per_elem: f64) -> u64 {
-        (2.0 * self.num_layers as f64 * self.kv_dim() as f64 * bits_per_elem / 8.0).ceil() as u64
+        self.kv_slice_bytes_per_token(self.kv_dim(), bits_per_elem)
+    }
+
+    /// [`kv_bytes_per_token`](Self::kv_bytes_per_token) of a `width`-channel
+    /// slice of every K/V row — one tensor-parallel rank's share.
+    pub fn kv_slice_bytes_per_token(&self, width: usize, bits_per_elem: f64) -> u64 {
+        (2.0 * self.num_layers as f64 * width as f64 * bits_per_elem / 8.0).ceil() as u64
     }
 
     /// Effective attention span at `seq_len` given any sliding window.

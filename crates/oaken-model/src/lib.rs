@@ -37,13 +37,13 @@
 //! sweeps — bit-exact per sequence with [`Session`].
 //! It is a thin entry point of the one batched pass,
 //! [`Model::forward_batch_sharded`]: N tensor-parallel [`ranks`] (each
-//! owning a head slice, the matching weight rows and a private pool shard,
-//! merged by a deterministic all-reduce) on an `oaken-runtime` worker pool
+//! owning a head slice, the matching weight rows and its channels of the
+//! pool, merged by a deterministic all-reduce) on an `oaken-runtime` worker pool
 //! (`(rank, row sub-chunk)` tasks for the weight sweeps, `(rank, run,
 //! query tile, KV-head range)` tasks for attention) — bit-exact with the
 //! serial one-rank pass for every rank and thread count. Nothing that
 //! mutates the pool leaves the calling thread: every row is quantized once
-//! and laid into each shard's pages by `RankedPools::append`, one step at
+//! and laid into each rank's pages by [`PagedKvPool::append`], one step at
 //! a time. The pass takes
 //! its steps with their liveness ([`StepBatch`]: whose logits are read)
 //! and computes only what is read: every layer is a KV stage over all
@@ -88,9 +88,9 @@ pub use model::{BatchKvObserver, BatchStep, KvObserver, LayerWeights, Model, Ses
 pub use oaken_mmu::{FaultKind, FaultOp, FaultPlan, FaultStats, Residency, SwapReceipt, SwapStats};
 pub use pool::{
     KvReadStats, KvTransfer, PageAccounting, PagedKvPool, PoolBatchView, PoolError, PrefixAlloc,
-    SeqId, ShardReads,
+    RankPages, SeqId, ShardReads,
 };
-pub use ranks::{RankPlan, RankedPools};
+pub use ranks::RankPlan;
 pub use sampling::{sample_greedy, sample_temperature};
 #[doc(hidden)]
 pub use shim::{ExactCache, KvCacheBackend, QuantizedCache, SingleSlot};

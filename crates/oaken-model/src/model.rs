@@ -1179,7 +1179,6 @@ mod tests {
     #[test]
     fn observer_changes_no_bit_and_sees_each_row_once() {
         use crate::pool::{PagedKvPool, PoolBatchView};
-        use crate::ranks::RankedPools;
         use std::cell::RefCell;
         use std::collections::BTreeMap;
         use std::rc::Rc;
@@ -1209,7 +1208,7 @@ mod tests {
         let run = |observe: bool| {
             let mut pool = PagedKvPool::for_model(&cfg, Some(q.clone()), 4096, 512);
             let seqs = [pool.alloc_seq(), pool.alloc_seq()];
-            let mut pools = RankedPools::single(&cfg, pool);
+            let mut pools = pool;
             let (mut logits, mut order, mut rows) = (Vec::new(), Vec::new(), BTreeMap::new());
             for steps in &iterations {
                 let mut view = PoolBatchView::new(&mut pools, &seqs);
@@ -1261,7 +1260,6 @@ mod tests {
     #[test]
     fn forward_batch_on_matches_serial_bitwise_over_paged_pool() {
         use crate::pool::{PagedKvPool, PoolBatchView};
-        use crate::ranks::RankedPools;
         use oaken_runtime::Runtime;
 
         let m = tiny();
@@ -1270,11 +1268,10 @@ mod tests {
             let mut pool = PagedKvPool::for_model(&cfg, None, 4096, 512);
             let seqs = vec![pool.alloc_seq(), pool.alloc_seq(), pool.alloc_seq()];
             assert!(pool.append_only_views(), "exact pool is append-only");
-            let mut pool = RankedPools::single(&cfg, pool);
             let mut all = Vec::new();
             // Iteration 1: slot 0 feeds a 3-token chunk, slots 1-2 one
             // token each. Iteration 2: everyone decodes one token.
-            let mk = |steps: &[BatchStep], pool: &mut RankedPools| {
+            let mk = |steps: &[BatchStep], pool: &mut PagedKvPool| {
                 let mut view = PoolBatchView::new(pool, &seqs);
                 m.forward_batch_on(rt, &mut view, steps, None)
             };
@@ -1379,7 +1376,6 @@ mod tests {
     fn forward_batch_on_fused_matches_serial_bitwise_over_fused_pool() {
         use crate::cache::KernelMode;
         use crate::pool::{PagedKvPool, PoolBatchView};
-        use crate::ranks::RankedPools;
         use oaken_runtime::Runtime;
 
         let mut cfg = ModelConfig::llama2_7b().proxy(2, 64);
@@ -1392,7 +1388,6 @@ mod tests {
             assert_eq!(pool.set_kernel_mode(KernelMode::Fused), KernelMode::Fused);
             let seqs = vec![pool.alloc_seq(), pool.alloc_seq()];
             assert!(pool.append_only_views(), "streaming pool is append-only");
-            let mut pool = RankedPools::single(&cfg, pool);
             let mut all = Vec::new();
             let it1: Vec<BatchStep> = (0..3)
                 .map(|j| BatchStep {

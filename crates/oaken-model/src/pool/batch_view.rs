@@ -1,33 +1,27 @@
 //! The engine's adapter: one iteration's slot → sequence mapping over the
-//! rank shards, as a [`BatchKvCache`].
+//! pool, as a [`BatchKvCache`].
 
-use super::{PoolError, SeqId, ShardReads};
+use super::{PagedKvPool, PoolError, SeqId, ShardReads};
 use crate::cache::BatchKvCache;
-use crate::ranks::RankedPools;
 
-/// Borrowed view pairing the engine's [`RankedPools`] (one private shard
-/// per tensor-parallel rank; a lone pool wrapped by
-/// [`RankedPools::single`] is the one-shard case) with the batch's slot →
-/// sequence mapping for one engine iteration, implementing
-/// [`BatchKvCache`] for [`crate::Model::forward_batch_sharded`].
-///
-/// Rows go to the shards through `RankedPools::append`: encoded once,
-/// **lead shard first**, so a fault plan fires once per logical append.
+/// Borrowed view pairing the engine's [`PagedKvPool`] with the batch's
+/// slot → sequence mapping for one engine iteration, implementing
+/// [`BatchKvCache`] for [`crate::Model::forward_batch_sharded`]: rows go
+/// in through [`PagedKvPool::append`], reads come out one shard per rank.
 ///
 /// Appends never panic: a failing append — an injected
 /// [`PoolError::Fault`], or pool exhaustion despite the scheduler's
-/// [`pages_possibly_needed_n`](super::PagedKvPool::pages_possibly_needed_n)
-/// reservation — **poisons** its
-/// batch slot instead. A poisoned slot's later appends are skipped on
-/// every shard (its cached state stays exactly as of the failure, so reads
+/// [`pages_possibly_needed_n`](super::RankPages::pages_possibly_needed_n)
+/// reservation — **poisons** its batch slot instead. A failed append
+/// changed nothing on any rank; the poisoned slot's later appends are
+/// skipped (its cached state stays exactly as of the failure, so reads
 /// remain self-consistent) while every other slot proceeds untouched; the
 /// engine drains [`take_poisoned`](Self::take_poisoned) after the forward
-/// pass and quarantines the offending sequences — the only cross-shard
-/// divergence that can exist, removed everywhere by the teardown. The
-/// poison list is an empty `Vec` on the fault-free path, so the steady
-/// state stays allocation-free.
+/// pass and quarantines the offending sequences. The poison list is an
+/// empty `Vec` on the fault-free path, so the steady state stays
+/// allocation-free.
 pub struct PoolBatchView<'p> {
-    pools: &'p mut RankedPools,
+    pool: &'p mut PagedKvPool,
     seqs: &'p [SeqId],
     /// `(slot, error)` per poisoned slot, in failure order.
     poisoned: Vec<(usize, PoolError)>,
@@ -35,9 +29,9 @@ pub struct PoolBatchView<'p> {
 
 impl<'p> PoolBatchView<'p> {
     /// Creates a view where batch slot `i` maps to `seqs[i]`.
-    pub fn new(pools: &'p mut RankedPools, seqs: &'p [SeqId]) -> Self {
+    pub fn new(pool: &'p mut PagedKvPool, seqs: &'p [SeqId]) -> Self {
         Self {
-            pools,
+            pool,
             seqs,
             poisoned: Vec::new(),
         }
@@ -63,24 +57,24 @@ impl BatchKvCache for PoolBatchView<'_> {
         if self.slot_poisoned(slot) {
             return;
         }
-        if let Err(e) = self.pools.append(self.seqs[slot], layer, k, v) {
+        if let Err(e) = self.pool.append(self.seqs[slot], layer, k, v) {
             self.poisoned.push((slot, e));
         }
     }
 
     fn seq_len(&self, slot: usize, layer: usize) -> usize {
-        self.pools.lead().seq_len(self.seqs[slot], layer)
+        self.pool.seq_len(self.seqs[slot], layer)
     }
 
     fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<ShardReads<'_>> {
-        self.pools.read_runs(self.seqs, layer, runs)
+        self.pool.read_runs(self.seqs, layer, runs)
     }
 
     fn append_only_views(&self) -> bool {
-        self.pools.lead().append_only_views()
+        self.pool.append_only_views()
     }
 
     fn syncs_row_scales(&self) -> bool {
-        self.pools.quantized()
+        self.pool.quantized()
     }
 }

@@ -34,8 +34,9 @@
 //!
 //! [`KvQuantizer::prefix_deterministic`]: oaken_core::KvQuantizer::prefix_deterministic
 
+use super::seq::SeqShard;
 use super::{PagedKvPool, PrefixAlloc, SeqId};
-use crate::trie::{BlockRows, TrieBlock};
+use crate::trie::{BlockRows, BlockShard, TrieBlock};
 
 /// One slot of a sequence's prompt-block plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,18 +143,22 @@ impl PagedKvPool {
         let state = self.seqs.get_mut(&seq.0).expect("just allocated");
         let mut adopted_bytes = 0u64;
         for &id in &matched_ids {
-            adopted_bytes += self.trie.get(id).bytes;
+            adopted_bytes += self.trie.get(id).shards[0].bytes;
             self.trie.retain(id);
             let block = self.trie.get(id);
-            self.pages.retain_owner(block.mmu);
-            block.rows.adopt_into(&mut state.slots, bt);
+            let ranks = state.shards.iter_mut().zip(&mut self.ranks);
+            for ((shard, ledger), block_shard) in ranks.zip(&block.shards) {
+                ledger.retain_owner(block.mmu);
+                block_shard.rows.adopt_into(&mut shard.slots, bt);
+            }
         }
         let mut blocks: Vec<SeqBlock> = matched_ids.into_iter().map(SeqBlock::Shared).collect();
         for _ in matched..planned {
             blocks.push(SeqBlock::Pending {
-                mmu: self.pages.fresh_block_owner(),
+                mmu: self.fresh_block_owner(),
             });
         }
+        let state = self.seqs.get_mut(&seq.0).expect("just allocated");
         state.plan = Some(SeqPlan {
             prompt: tokens.to_vec(),
             blocks,
@@ -161,7 +166,7 @@ impl PagedKvPool {
         });
         self.stats.trie_hits += matched as u64;
         self.stats.tokens_reused += (matched * bt) as u64;
-        self.stats.quant_rows_skipped += (matched * bt * self.num_layers * 2) as u64;
+        self.stats.quant_rows_skipped += (matched * bt * self.model.num_layers * 2) as u64;
         self.stats.bytes_deduplicated += adopted_bytes;
         PrefixAlloc {
             seq,
@@ -170,25 +175,27 @@ impl PagedKvPool {
     }
 
     /// Drops one sequence's reference on a sealed trie block, freeing its
-    /// pages when the last sharer departs. Returns the pages physically
-    /// freed.
+    /// pages on every rank when the last sharer departs. Returns the pages
+    /// physically freed.
     pub(super) fn release_shared_block(&mut self, id: usize) -> u32 {
-        let released = self.pages.release_owner(self.trie.get(id).mmu);
+        let mmu = self.trie.get(id).mmu;
+        let released: Vec<u32> = (self.ranks.iter_mut())
+            .map(|ledger| ledger.release_owner(mmu))
+            .collect();
         match self.trie.release(id) {
             Some(b) => {
-                debug_assert_eq!(released, b.pages, "block page accounting");
-                released
+                for (freed, shard) in released.iter().zip(&b.shards) {
+                    debug_assert_eq!(*freed, shard.pages, "block page accounting");
+                }
             }
-            None => {
-                debug_assert_eq!(released, 0, "block still shared");
-                0
-            }
+            None => debug_assert!(released.iter().all(|&p| p == 0), "block still shared"),
         }
+        released.iter().sum()
     }
 
     /// Seals every pending block of `seq` whose rows are appended across
-    /// all layers and kinds (an append lays its pages before it returns,
-    /// so those rows are page-committed too).
+    /// all layers and kinds (an append lays its pages on every rank before
+    /// it returns, so those rows are page-committed too).
     pub(super) fn seal_ready_blocks(&mut self, seq: SeqId) {
         loop {
             let state = self.seqs.get(&seq.0).expect("caller validated");
@@ -199,8 +206,8 @@ impl PagedKvPool {
                 return;
             }
             let boundary = (plan.sealed + 1) * self.block_tokens;
-            let complete = (state.slots.iter().flatten()).all(|s| s.rows >= boundary);
-            if !complete {
+            let slots = state.shards.iter().flat_map(|s| s.slots.iter().flatten());
+            if !slots.clone().all(|s| s.rows >= boundary) {
                 return;
             }
             self.seal_block(seq);
@@ -208,9 +215,10 @@ impl PagedKvPool {
     }
 
     /// Seals the next pending block of `seq`: it either enters the trie as
-    /// a new node (its pages move from private to shared accounting) or —
-    /// when a concurrent sequence already sealed the identical block — is
-    /// freed and the existing node adopted instead (late dedup).
+    /// a new node (its pages move from private to shared accounting on
+    /// every rank) or — when a concurrent sequence already sealed the
+    /// identical block — is freed and the existing node adopted instead
+    /// (late dedup).
     fn seal_block(&mut self, seq: SeqId) {
         let bt = self.block_tokens;
         let state = self.seqs.get_mut(&seq.0).expect("caller validated");
@@ -224,34 +232,53 @@ impl PagedKvPool {
             SeqBlock::Pending { .. } => unreachable!("blocks seal in order"),
         });
         let chunk: Box<[u32]> = plan.prompt[b * bt..(b + 1) * bt].into();
-        let ours = || BlockRows::capture(&state.slots, self.kv_dim, b * bt..(b + 1) * bt);
+        let ours = |r: usize, shard: &SeqShard| {
+            let width = self.plan.kv_channels(r).len();
+            BlockRows::capture(&shard.slots, width, b * bt..(b + 1) * bt)
+        };
         // Either way the pending pages leave this sequence's private
-        // count: freed, or moved to the trie's shared count.
-        let (sealed_id, left) = match self.trie.child(parent, &chunk) {
+        // count on every rank: freed, or moved to the trie's shared count.
+        let existing = self.trie.child(parent, &chunk);
+        let (sealed_id, left): (usize, Vec<u32>) = match existing {
             Some(existing) => {
                 // Late dedup: another sequence sealed the identical block
                 // first. Prefix determinism says both copies are
                 // bit-identical, so drop ours and adopt theirs.
+                let block = self.trie.get(existing);
                 debug_assert!(
-                    self.trie.get(existing).rows.same_bits(&ours()),
+                    (block.shards.iter().zip(&state.shards).enumerate())
+                        .all(|(r, (theirs, shard))| theirs.rows.same_bits(&ours(r, shard))),
                     "trie hit is not bit-exact: quantizer wrongly claims prefix determinism"
                 );
-                let freed = self.pages.drop_owner(pending, false);
-                self.trie.retain(existing);
-                let block = self.trie.get(existing);
-                self.pages.retain_owner(block.mmu);
+                let freed = (self.ranks.iter_mut())
+                    .map(|ledger| {
+                        ledger.retain_owner(block.mmu);
+                        ledger.drop_owner(pending, false)
+                    })
+                    .collect();
                 self.stats.seal_dedups += 1;
-                self.stats.bytes_deduplicated += block.bytes;
+                self.stats.bytes_deduplicated += block.shards[0].bytes;
+                self.trie.retain(existing);
                 (existing, freed)
             }
             None => {
-                let pages = self.pages.mmu().request_pages(pending);
-                let bytes = self.pages.mmu().request_bytes(pending);
-                let block = TrieBlock::new(chunk, pending, pages, bytes, ours());
-                (self.trie.insert(parent, block), pages)
+                let shards: Vec<BlockShard> = (state.shards.iter().zip(&self.ranks))
+                    .enumerate()
+                    .map(|(r, (shard, ledger))| BlockShard {
+                        pages: ledger.mmu().request_pages(pending),
+                        bytes: ledger.mmu().request_bytes(pending),
+                        rows: ours(r, shard),
+                    })
+                    .collect();
+                let left = shards.iter().map(|s| s.pages).collect();
+                let block = TrieBlock::new(chunk, pending, shards);
+                (self.trie.insert(parent, block), left)
             }
         };
-        state.pages -= left;
+        for (shard, left) in state.shards.iter_mut().zip(left) {
+            shard.pages -= left;
+        }
+        let plan = state.plan.as_mut().expect("caller checked");
         plan.blocks[b] = SeqBlock::Shared(sealed_id);
         plan.sealed += 1;
     }

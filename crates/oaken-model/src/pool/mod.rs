@@ -3,13 +3,27 @@
 //! continuous-batching engine.
 //!
 //! [`PagedKvPool`] is the one KV store: it multiplexes every active
-//! sequence over one [`oaken_mmu::PageAllocator`] — the serving engine's
-//! batch, or the lone sequence of a [`crate::Session`] — and every
-//! appended token row is quantized
-//! incrementally through the per-`(sequence, layer, kind)`
-//! [`oaken_core::KvRowStream`]s, and its encoded payload is
-//! laid into fixed-size physical pages, so capacity, fragmentation and
-//! admission are **real**.
+//! sequence over paged device memory — the serving engine's batch, or the
+//! lone sequence of a [`crate::Session`] — and every appended token row is
+//! quantized incrementally through the per-`(sequence, layer, kind)`
+//! [`oaken_core::KvRowStream`]s, and its encoded payload is laid into
+//! fixed-size physical pages, so capacity, fragmentation and admission are
+//! **real**.
+//!
+//! # One control plane over per-rank data planes
+//!
+//! Oaken puts one quantization engine on each memory channel, each owning
+//! its shard of the KV stream (§5.2). The pool mirrors that split for
+//! tensor-parallel ranks ([`PagedKvPool::set_ranks`]): what a sequence
+//! *is* exists once — the sequence table, the prefix trie and each
+//! sequence's prompt plan, residency, owner ids and the fault schedule —
+//! while each rank keeps only a data plane: its own page ledger (an
+//! [`oaken_mmu::MmuSim`] over its share of device and host capacity) and
+//! its channel slice of every sequence and trie block. One tail or block
+//! has one owner id on every rank; page lists stay per rank, because a
+//! slice's sparse log is as long as its own outliers. Every operation
+//! checks every rank before it mutates any, so nothing is ever half
+//! applied. A one-rank pool is one data plane holding whole rows.
 //!
 //! # Module map
 //!
@@ -22,11 +36,12 @@
 //! | `blocks` | trie blocks | prompt plan, adoption, sealing and late dedup into the [prefix trie](crate::trie) |
 //! | `tiers` | tiers | suspend / resume to the host tier, export / import across pools ([`KvTransfer`]) |
 //! | `reads` | read views | dequantized views, encoded tensors, the runs of a layer grouped by the trie blocks they share ([`ShardReads`]), [`KvReadStats`] |
-//! | `pages` | page accounting | the `MmuSim` and the **page layout** — one dense slab and one sparse log per owner; the only file that names a page stream |
+//! | `pages` | page accounting | one rank's `MmuSim` and the **page layout** — one dense slab and one sparse log per owner; the only file that names a page stream |
 //!
 //! `batch_view` holds [`PoolBatchView`], the engine's per-iteration
-//! adapter over the rank shards; this file holds the value types, the
-//! constructors and the configuration surface.
+//! adapter over the pool; this file holds the value types, the
+//! constructors, the configuration surface and [`RankPages`], one rank's
+//! accounting.
 //!
 //! # Bit-exactness
 //!
@@ -51,17 +66,17 @@ pub use tiers::KvTransfer;
 
 use crate::cache::KernelMode;
 use crate::config::ModelConfig;
+use crate::ranks::RankPlan;
 use crate::trie::{PrefixStats, PrefixTrie};
 use oaken_core::{KvKind, KvQuantizer, KvRowStream};
-use oaken_mmu::{FaultKind, FaultOp, FaultPlan, FaultStats, MmuSim, SwapStats};
+use oaken_mmu::{FaultInjector, FaultKind, FaultOp, FaultPlan, FaultStats, MmuSim, SwapStats};
+use oaken_runtime::chunk_range;
 use pages::PageLedger;
 use reads::ReadCounters;
 use seq::SeqSlots;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use tiers::SuspendedSeq;
-
 /// Handle to one sequence's KV state inside a [`PagedKvPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SeqId(pub u32);
@@ -205,26 +220,31 @@ pub const DEFAULT_BLOCK_TOKENS: usize = 16;
 /// The shared paged KV pool. See the module docs for the design.
 pub struct PagedKvPool {
     quantizer: Option<Arc<dyn KvQuantizer>>,
-    /// Set on a quantized tensor-parallel rank shard: its rows arrive
-    /// encoded at full width through [`RankedPools::append`], and a raw
-    /// row — which would be quantized with shard-local scales — is refused.
-    ///
-    /// [`RankedPools::append`]: crate::RankedPools::append
-    adopts_only: bool,
-    num_layers: usize,
-    kv_dim: usize,
-    /// Nominal KV bytes per token for the whole model — computed through
-    /// the shared [`ModelConfig::kv_bytes_per_token`] helper.
-    bytes_per_token: u64,
-    /// The page layout and the MMU under it.
-    pages: PageLedger,
+    model: ModelConfig,
+    /// Which KV heads, and so which channels of every row, each rank
+    /// stores.
+    plan: RankPlan,
+    /// One data plane per rank: the page layout and the MMU under it.
+    ranks: Vec<PageLedger>,
+    /// Per layer, one full-width `[K, V]` row stream of a quantized pool
+    /// split over ranks, used only as a stateless encoder: each row is
+    /// quantized here once and every rank adopts its channels (empty
+    /// unless quantized and split).
+    encoders: Vec<[Box<dyn KvRowStream>; 2]>,
+    /// The installed fault schedule, polled once per logical operation.
+    faults: Option<FaultInjector>,
+    /// The next sequence owner: sequence owners count up from 0, and a
+    /// sequence's id *is* its tail's owner.
+    next_seq_owner: u32,
+    /// The next pending-block owner, counting down from `u32::MAX`.
+    next_block_owner: u32,
     seqs: HashMap<u32, SeqSlots>,
     /// Sequences suspended to the host tier: their stream/view state is
     /// retained verbatim (which is what makes resume bit-exact), their
-    /// private pages live in the MMU's swap pool, and their shared trie
+    /// private pages live in each rank's swap pool, and their shared trie
     /// blocks stay adopted (refcounts held) so the payload a resume needs
     /// can never be destroyed underneath them.
-    suspended: HashMap<u32, SuspendedSeq>,
+    suspended: HashMap<u32, SeqSlots>,
     recycled: Vec<SeqSlots>,
     /// Tokens per shareable prefix block.
     block_tokens: usize,
@@ -252,8 +272,9 @@ impl fmt::Debug for PagedKvPool {
                 "quantizer",
                 &self.quantizer.as_ref().map_or("exact-f32", |q| q.name()),
             )
-            .field("num_layers", &self.num_layers)
-            .field("kv_dim", &self.kv_dim)
+            .field("num_layers", &self.model.num_layers)
+            .field("kv_dim", &self.model.kv_dim())
+            .field("ranks", &self.ranks.len())
             .field("active_seqs", &self.seqs.len())
             .field("suspended_seqs", &self.suspended.len())
             .field("free_pages", &self.free_pages())
@@ -264,15 +285,15 @@ impl fmt::Debug for PagedKvPool {
 }
 
 impl PagedKvPool {
-    /// Creates a pool for `model`'s KV geometry over `num_pages` pages of
-    /// `page_size` bytes. `quantizer = None` stores exact f32 rows (the
-    /// FP32 reference configuration). Prefix sharing is enabled whenever
-    /// the quantizer streams every tensor and is prefix-deterministic
-    /// (always, for exact f32; never for the recompute fallback, which
-    /// re-derives a view over the whole prefix), with
-    /// [`DEFAULT_BLOCK_TOKENS`]-token blocks. The host tier defaults to
-    /// mirroring the device capacity; [`set_host_pages`](Self::set_host_pages)
-    /// resizes or disables it.
+    /// Creates a one-rank pool for `model`'s KV geometry over `num_pages`
+    /// pages of `page_size` bytes. `quantizer = None` stores exact f32 rows
+    /// (the FP32 reference configuration). Prefix sharing is enabled
+    /// whenever the quantizer streams every tensor and is
+    /// prefix-deterministic (always, for exact f32; never for the
+    /// recompute fallback, which re-derives a view over the whole prefix),
+    /// with [`DEFAULT_BLOCK_TOKENS`]-token blocks. The host tier defaults
+    /// to mirroring the device capacity;
+    /// [`set_host_pages`](Self::set_host_pages) resizes or disables it.
     ///
     /// # Panics
     ///
@@ -287,20 +308,19 @@ impl PagedKvPool {
         page_size: usize,
     ) -> Self {
         let kv_dim = model.kv_dim();
-        let bits = quantizer
-            .as_ref()
-            .map_or(32.0, |q| q.effective_bits(1, kv_dim));
         let streaming = (quantizer.as_deref())
             .is_none_or(|q| every_stream(q, model.num_layers, kv_dim, |_| true));
         let sharing_supported =
             streaming && quantizer.as_ref().is_none_or(|q| q.prefix_deterministic());
-        Self {
-            pages: PageLedger::new(num_pages, page_size, kv_dim, quantizer.is_some()),
+        let mut pool = Self {
             quantizer,
-            adopts_only: false,
-            num_layers: model.num_layers,
-            kv_dim,
-            bytes_per_token: model.kv_bytes_per_token(bits),
+            model: model.clone(),
+            plan: RankPlan::new(model, 1),
+            ranks: Vec::new(),
+            encoders: Vec::new(),
+            faults: None,
+            next_seq_owner: 0,
+            next_block_owner: u32::MAX,
             seqs: HashMap::new(),
             suspended: HashMap::new(),
             recycled: Vec::new(),
@@ -312,79 +332,134 @@ impl PagedKvPool {
             streaming,
             kernel: KernelMode::Exact,
             reads: ReadCounters::default(),
-        }
-    }
-
-    /// Creates one tensor-parallel rank's private pool shard: the same
-    /// geometry as [`PagedKvPool::for_model`] restricted to the contiguous
-    /// KV heads `kv_heads`, over this rank's own `num_pages`. Rows and
-    /// reads are shard-width, laid out for a rank-local attention shape.
-    ///
-    /// A quantized shard takes no raw rows: Oaken's scales are whole-row
-    /// min/max, so the [`RankedPools`] of a split encodes each row once at
-    /// full width and each shard adopts its channels of it — which is what
-    /// keeps shard bits identical to the 1-rank cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the head range is empty or out of range, or if a
-    /// quantizer is supplied that cannot stream encoded rows (shards adopt
-    /// slices of the encoded form; methods without it cannot shard).
-    ///
-    /// [`RankedPools`]: crate::RankedPools
-    pub fn for_model_shard(
-        model: &ModelConfig,
-        quantizer: Option<Arc<dyn KvQuantizer>>,
-        num_pages: u32,
-        page_size: usize,
-        kv_heads: std::ops::Range<usize>,
-    ) -> Self {
-        assert!(
-            !kv_heads.is_empty() && kv_heads.end <= model.num_kv_heads,
-            "shard heads {kv_heads:?} invalid for {} KV heads",
-            model.num_kv_heads
-        );
-        let group = model.num_heads / model.num_kv_heads;
-        // The shard's geometry is the model's, restricted to its heads;
-        // `head_dim` is preserved so row bounds and page math carry over.
-        let shard_cfg = ModelConfig {
-            num_kv_heads: kv_heads.len(),
-            num_heads: kv_heads.len() * group,
-            d_model: kv_heads.len() * group * model.head_dim(),
-            ..model.clone()
         };
-        let mut pool = Self::for_model(&shard_cfg, quantizer, num_pages, page_size);
-        if let Some(q) = pool.quantizer.as_deref() {
-            let encodes = |s: &dyn KvRowStream| s.encoded_rows().is_some();
-            assert!(
-                every_stream(q, pool.num_layers, pool.kv_dim, encodes),
-                "sharding requires a quantizer with encoded row streams"
-            );
-            pool.adopts_only = true;
-        }
+        pool.ranks = vec![pool.ledger(0, num_pages, page_size)];
         pool
     }
 
-    /// The wrapped quantizer handle, for building further shards of the
-    /// same method.
-    pub(crate) fn quantizer_handle(&self) -> Option<Arc<dyn KvQuantizer>> {
-        self.quantizer.clone()
+    /// Rank `r`'s page ledger over `num_pages` device pages: its slice's
+    /// width, and the nominal bytes a token of that slice takes.
+    fn ledger(&self, r: usize, num_pages: u32, page_size: usize) -> PageLedger {
+        let width = self.width(r);
+        let bits = (self.quantizer.as_ref()).map_or(32.0, |q| q.effective_bits(1, width));
+        let bytes_per_token = self.model.kv_slice_bytes_per_token(width, bits);
+        let sparse = self.quantizer.is_some();
+        PageLedger::new(num_pages, page_size, width, sparse, bytes_per_token)
     }
 
-    /// The backing MMU simulator (read-only): translation tables, burst
-    /// plans, and fragmentation statistics over the actual stored sizes.
+    /// Splits the idle pool into `ranks` tensor-parallel data planes: rank
+    /// `r` stores its [`RankPlan`] heads' channels of every K/V row on a
+    /// page ledger of its own, device and host capacity divided by
+    /// [`chunk_range`]. Sequences, the trie and the fault schedule stay
+    /// one. A quantized pool keeps one full-width encoder per
+    /// `(layer, kind)`: Oaken's scales are whole-row min/max, so a rank
+    /// quantizing its own channels would compute other scales and other
+    /// bits — each row is encoded once and every rank adopts its slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the pool is idle, if `ranks` exceeds the model's KV
+    /// heads, if the split leaves a rank without pages, or if the
+    /// quantizer cannot stream encoded rows (ranks adopt slices of the
+    /// encoded form).
+    pub fn set_ranks(&mut self, ranks: usize) {
+        self.assert_idle("ranks can only be split");
+        let capacity = self.capacity_pages() as usize;
+        let host = self.host_capacity_pages() as usize;
+        let page_size = self.page_size();
+        self.plan = RankPlan::new(&self.model, ranks);
+        self.ranks = (0..ranks)
+            .map(|r| {
+                let pages = chunk_range(r, capacity, ranks).len() as u32;
+                assert!(
+                    pages > 0,
+                    "capacity {capacity} leaves rank {r} without pages"
+                );
+                let mut ledger = self.ledger(r, pages, page_size);
+                ledger.set_host_pages(chunk_range(r, host, ranks).len() as u32);
+                ledger
+            })
+            .collect();
+        let (layers, kv_dim) = (self.model.num_layers, self.model.kv_dim());
+        self.encoders = match self.quantizer.as_deref() {
+            Some(q) if ranks > 1 => {
+                let encodes = |s: &dyn KvRowStream| s.encoded_rows().is_some();
+                assert!(
+                    every_stream(q, layers, kv_dim, encodes),
+                    "splitting ranks requires a quantizer with encoded row streams"
+                );
+                let stream = |layer, kind| q.row_stream(kv_dim, layer, kind).expect("checked");
+                (0..layers)
+                    .map(|layer| KvKind::ALL.map(|kind| stream(layer, kind)))
+                    .collect()
+            }
+            _ => Vec::new(),
+        };
+        // Recycled slots are cut at the old widths.
+        self.recycled.clear();
+    }
+
+    /// The ownership map: which channels each rank stores.
+    pub fn plan(&self) -> &RankPlan {
+        &self.plan
+    }
+
+    /// Number of ranks.
+    pub fn num_ranks(&self) -> usize {
+        self.ranks.len()
+    }
+
+    /// Rank `r`'s accounting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is not a rank of the pool.
+    pub fn rank(&self, r: usize) -> RankPages<'_> {
+        assert!(r < self.ranks.len(), "rank {r} of {}", self.ranks.len());
+        RankPages { pool: self, r }
+    }
+
+    /// Every rank's accounting, rank order.
+    pub fn ranks(&self) -> impl Iterator<Item = RankPages<'_>> + '_ {
+        (0..self.ranks.len()).map(|r| RankPages { pool: self, r })
+    }
+
+    /// `f` of every rank, summed.
+    fn sum_ranks<T: std::iter::Sum<T>>(&self, f: impl Fn(RankPages<'_>) -> T) -> T {
+        self.ranks().map(f).sum()
+    }
+
+    /// Width of rank `r`'s slice of a K/V row.
+    fn width(&self, r: usize) -> usize {
+        self.plan.kv_channels(r).len()
+    }
+
+    /// Whether the pool stores quantized rows (the forward pass accounts a
+    /// scale sync per appended row of those).
+    pub(crate) fn quantized(&self) -> bool {
+        self.quantizer.is_some()
+    }
+
+    /// Rank 0's MMU simulator (read-only) — a one-rank pool's only one:
+    /// translation tables, burst plans, and fragmentation statistics over
+    /// the actual stored sizes. [`RankPages::mmu`] reaches every rank's.
     pub fn mmu(&self) -> &MmuSim {
-        self.pages.mmu()
+        self.ranks[0].mmu()
     }
 
-    /// Total pages in the device.
+    /// Total device pages, every rank.
     pub fn capacity_pages(&self) -> u32 {
-        self.mmu().allocator().capacity()
+        self.sum_ranks(|r| r.capacity_pages())
     }
 
-    /// Currently free pages.
+    /// Currently free pages, every rank.
     pub fn free_pages(&self) -> u32 {
-        self.mmu().allocator().free_pages()
+        self.sum_ranks(|r| r.free_pages())
+    }
+
+    /// Pages currently allocated, every rank.
+    pub fn pages_in_use(&self) -> u32 {
+        self.sum_ranks(|r| r.pages_in_use())
     }
 
     /// Page size in bytes.
@@ -397,19 +472,22 @@ impl PagedKvPool {
         self.seqs.len()
     }
 
-    /// Pages owned *exclusively* by a sequence — its private tail streams
-    /// plus its unsealed pending blocks (O(1): tracked per sequence, not
-    /// recounted from the MMU's stream map). Adopted shared pages are not
-    /// included; they are accounted once, under
+    /// Pages owned *exclusively* by a sequence, every rank — its private
+    /// tail streams plus its unsealed pending blocks (O(1): tracked per
+    /// sequence, not recounted from the MMU's stream map). Adopted shared
+    /// pages are not included; they are accounted once, under
     /// [`PagedKvPool::shared_block_pages`].
     pub fn seq_pages(&self, seq: SeqId) -> u32 {
-        self.seqs.get(&seq.0).map_or(0, |s| s.pages)
+        let state = self.seqs.get(&seq.0);
+        state.map_or(0, |s| s.shards.iter().map(|shard| shard.pages).sum())
     }
 
-    /// Nominal KV bytes per token (the shared bytes-per-token figure the
-    /// analytic capacity model also uses).
+    /// Nominal KV bytes per token of whole rows (the shared
+    /// bytes-per-token figure the analytic capacity model also uses).
     pub fn bytes_per_token(&self) -> u64 {
-        self.bytes_per_token
+        let kv_dim = self.model.kv_dim();
+        let bits = (self.quantizer.as_ref()).map_or(32.0, |q| q.effective_bits(1, kv_dim));
+        self.model.kv_bytes_per_token(bits)
     }
 
     /// Whether prefix sharing is active.
@@ -458,8 +536,9 @@ impl PagedKvPool {
     pub fn set_kernel_mode(&mut self, kernel: KernelMode) -> KernelMode {
         self.assert_idle("kernel mode can only be installed");
         let fusable = |s: &dyn KvRowStream| s.fused_read_params().is_some();
-        let capable = (self.quantizer.as_deref())
-            .is_some_and(|q| every_stream(q, self.num_layers, self.kv_dim, fusable));
+        let (layers, kv_dim) = (self.model.num_layers, self.model.kv_dim());
+        let capable =
+            (self.quantizer.as_deref()).is_some_and(|q| every_stream(q, layers, kv_dim, fusable));
         self.kernel = if kernel == KernelMode::Fused && capable {
             KernelMode::Fused
         } else {
@@ -476,7 +555,8 @@ impl PagedKvPool {
         self.kernel
     }
 
-    /// Cumulative KV read-path traffic, split by kernel family.
+    /// Cumulative KV read-path traffic, split by kernel family, every
+    /// rank.
     pub fn kv_read_stats(&self) -> KvReadStats {
         self.reads.snapshot()
     }
@@ -503,10 +583,10 @@ impl PagedKvPool {
         self.stats
     }
 
-    /// Pages currently held by sealed trie blocks (each counted once,
-    /// however many sequences share it).
+    /// Pages currently held by sealed trie blocks, every rank (each block
+    /// counted once, however many sequences share it).
     pub fn shared_block_pages(&self) -> u32 {
-        self.trie.total_pages()
+        self.sum_ranks(|r| r.page_accounting().shared_blocks)
     }
 
     /// Sealed blocks currently live in the trie.
@@ -514,25 +594,28 @@ impl PagedKvPool {
         self.trie.len()
     }
 
-    /// Host-tier capacity in pages (same page size as the device tier).
+    /// Host-tier capacity in pages, every rank (same page size as the
+    /// device tier).
     pub fn host_capacity_pages(&self) -> u32 {
-        self.mmu().host_tier().map_or(0, |h| h.capacity())
+        self.sum_ranks(|r| r.host_capacity_pages())
     }
 
-    /// Host pages currently occupied by suspended sequences.
+    /// Host pages currently occupied by suspended sequences, every rank.
     pub fn host_pages_used(&self) -> u32 {
-        self.mmu().host_tier().map_or(0, |h| h.used_pages())
+        self.sum_ranks(|r| r.host_pages_used())
     }
 
-    /// Host pages currently free — the headroom swap-based preemption
-    /// (and the engine's optimistic admission under it) can still use.
+    /// Host pages currently free, every rank — the headroom swap-based
+    /// preemption (and the engine's optimistic admission under it) can
+    /// still use.
     pub fn host_free_pages(&self) -> u32 {
-        self.mmu().host_tier().map_or(0, |h| h.free_pages())
+        self.sum_ranks(|r| r.host_free_pages())
     }
 
-    /// Resizes the host tier (0 disables swap-based suspension; suspends
-    /// then fail with [`PoolError::OutOfHostPages`] for any sequence that
-    /// owns pages). Defaults to the device capacity at construction.
+    /// Resizes the host tier, divided over the ranks by [`chunk_range`]
+    /// (0 disables swap-based suspension; suspends then fail with
+    /// [`PoolError::OutOfHostPages`] for any sequence that owns pages).
+    /// Defaults to the device capacity at construction.
     ///
     /// # Panics
     ///
@@ -543,28 +626,51 @@ impl PagedKvPool {
             self.suspended.is_empty(),
             "host tier can only be resized with no suspended sequences"
         );
-        self.pages.set_host_pages(pages);
+        let n = self.ranks.len();
+        for (r, ledger) in self.ranks.iter_mut().enumerate() {
+            ledger.set_host_pages(chunk_range(r, pages as usize, n).len() as u32);
+        }
     }
 
-    /// Cumulative device↔host transfer counters.
-    pub fn swap_stats(&self) -> SwapStats {
-        self.mmu()
-            .host_tier()
-            .map_or_else(SwapStats::default, |h| h.stats())
-    }
-
-    /// Installs a deterministic fault schedule on the underlying MMU (see
-    /// [`oaken_mmu::fault`]): appends, suspends, and resumes then poll it
-    /// at their pre-check boundaries and surface [`PoolError::Fault`]
-    /// without mutating any state. No schedule is installed by default
-    /// and the hook is a single `Option` check when disabled.
+    /// Installs a deterministic fault schedule (see [`oaken_mmu::fault`]):
+    /// appends, suspends, resumes and imports then poll it at their
+    /// pre-check boundaries — once per operation, however many ranks it
+    /// spans — and surface [`PoolError::Fault`] without mutating any
+    /// state. No schedule is installed by default and the hook is a single
+    /// `Option` check when disabled.
     pub fn install_faults(&mut self, plan: FaultPlan) {
-        self.pages.install_faults(plan);
+        self.faults = Some(FaultInjector::new(plan));
     }
 
     /// Counters over the faults injected so far.
     pub fn fault_stats(&self) -> FaultStats {
-        self.mmu().fault_stats()
+        self.faults.as_ref().map(|f| f.stats()).unwrap_or_default()
+    }
+
+    /// Polls the fault schedule at an operation's pre-check boundary.
+    fn poll_fault(&mut self, op: FaultOp) -> Result<(), PoolError> {
+        match self.faults.as_mut().and_then(|f| f.poll(op)) {
+            Some(kind) => Err(PoolError::Fault { op, kind }),
+            None => Ok(()),
+        }
+    }
+
+    /// The owner of a new sequence's tail — also the sequence's id.
+    fn fresh_seq_owner(&mut self) -> u32 {
+        let owner = self.next_seq_owner;
+        self.next_seq_owner += 1;
+        owner
+    }
+
+    /// The owner of a new pending prompt block.
+    fn fresh_block_owner(&mut self) -> u32 {
+        let owner = self.next_block_owner;
+        self.next_block_owner -= 1;
+        assert!(
+            self.next_block_owner > self.next_seq_owner,
+            "block and sequence id spaces collided"
+        );
+        owner
     }
 
     /// Sequences currently suspended to host.
@@ -583,35 +689,133 @@ impl PagedKvPool {
         self.seqs.contains_key(&seq.0)
     }
 
-    /// Host pages a suspended sequence occupies — also the upper bound on
-    /// the device pages [`resume_seq`](Self::resume_seq) will need (0 for
-    /// handles that are not suspended).
+    /// Host pages a suspended sequence occupies, every rank — also the
+    /// upper bound on the device pages [`resume_seq`](Self::resume_seq)
+    /// will need (0 for handles that are not suspended).
     pub fn suspended_seq_pages(&self, seq: SeqId) -> u32 {
-        self.suspended.get(&seq.0).map_or(0, |s| s.frozen_pages)
+        self.sum_ranks(|r| r.suspended_seq_pages(seq))
     }
 
-    /// The free/private/shared page-ownership split; `total()` always
-    /// equals [`PagedKvPool::capacity_pages`].
+    /// The free/private/shared page-ownership split, every rank;
+    /// `total()` always equals [`PagedKvPool::capacity_pages`].
     pub fn page_accounting(&self) -> PageAccounting {
-        PageAccounting {
-            free: self.free_pages(),
-            private: self.seqs.values().map(|s| s.pages).sum(),
-            shared_blocks: self.trie.total_pages(),
+        let mut total = PageAccounting {
+            free: 0,
+            private: 0,
+            shared_blocks: 0,
+        };
+        for rank in self.ranks() {
+            let acc = rank.page_accounting();
+            total.free += acc.free;
+            total.private += acc.private;
+            total.shared_blocks += acc.shared_blocks;
         }
+        total
     }
 
     /// Admission estimate: pages a sequence of `tokens` total tokens will
-    /// occupy — its bytes packed into pages plus one page floor per stream
-    /// class, the rounding the analytic model ignores. Uses the *nominal*
-    /// bytes-per-token; the executed footprint of variable-rate methods
-    /// can differ slightly, which preemption absorbs. A prompt admitted
-    /// through [`PagedKvPool::alloc_seq_with_prefix`] is split into trie
-    /// block owners, each with its own floors, so it may exceed the
-    /// estimate by up to one page per class per planned block. Callers
-    /// admitting a prompt with a known trie prefix should pass only the
-    /// *non-shared* tokens (`tokens −` [`PagedKvPool::probe_prefix`]).
+    /// occupy, every rank — its bytes packed into pages plus one page
+    /// floor per stream class, the rounding the analytic model ignores.
+    /// Uses the *nominal* bytes-per-token; the executed footprint of
+    /// variable-rate methods can differ slightly, which preemption
+    /// absorbs. A prompt admitted through
+    /// [`PagedKvPool::alloc_seq_with_prefix`] is split into trie block
+    /// owners, each with its own floors, so it may exceed the estimate by
+    /// up to one page per class per planned block. Callers admitting a
+    /// prompt with a known trie prefix should pass only the *non-shared*
+    /// tokens (`tokens −` [`PagedKvPool::probe_prefix`]).
     pub fn pages_for_tokens(&self, tokens: usize) -> u64 {
-        self.pages.pages_for_tokens(tokens, self.bytes_per_token)
+        self.sum_ranks(|r| r.pages_for_tokens(tokens))
+    }
+}
+
+/// One rank's data plane, read-only: its page ledger, and its share of the
+/// pool's sequences and trie blocks — what a scheduler weighs when the
+/// tightest rank decides.
+#[derive(Clone, Copy)]
+pub struct RankPages<'a> {
+    pool: &'a PagedKvPool,
+    r: usize,
+}
+
+impl<'a> RankPages<'a> {
+    fn ledger(&self) -> &'a PageLedger {
+        &self.pool.ranks[self.r]
+    }
+
+    /// The rank's MMU simulator.
+    pub fn mmu(&self) -> &'a MmuSim {
+        self.ledger().mmu()
+    }
+
+    /// The rank's device pages.
+    pub fn capacity_pages(&self) -> u32 {
+        self.mmu().allocator().capacity()
+    }
+
+    /// The rank's free device pages.
+    pub fn free_pages(&self) -> u32 {
+        self.mmu().allocator().free_pages()
+    }
+
+    /// The rank's allocated device pages.
+    pub fn pages_in_use(&self) -> u32 {
+        self.capacity_pages() - self.free_pages()
+    }
+
+    /// The rank's host-tier capacity in pages.
+    pub fn host_capacity_pages(&self) -> u32 {
+        self.mmu().host_tier().map_or(0, |h| h.capacity())
+    }
+
+    /// Host pages the rank's share of suspended sequences occupies.
+    pub fn host_pages_used(&self) -> u32 {
+        self.mmu().host_tier().map_or(0, |h| h.used_pages())
+    }
+
+    /// The rank's free host pages.
+    pub fn host_free_pages(&self) -> u32 {
+        self.mmu().host_tier().map_or(0, |h| h.free_pages())
+    }
+
+    /// The rank's cumulative device↔host transfer counters.
+    pub fn swap_stats(&self) -> SwapStats {
+        (self.mmu().host_tier()).map_or_else(SwapStats::default, |h| h.stats())
+    }
+
+    /// The rank's free/private/shared page-ownership split; `total()`
+    /// always equals its [`capacity_pages`](Self::capacity_pages).
+    pub fn page_accounting(&self) -> PageAccounting {
+        let shards = self.pool.seqs.values().map(|s| &s.shards[self.r]);
+        PageAccounting {
+            free: self.free_pages(),
+            private: shards.map(|shard| shard.pages).sum(),
+            shared_blocks: self.pool.trie.total_pages(self.r),
+        }
+    }
+
+    /// [`PagedKvPool::pages_for_tokens`] on this rank.
+    pub fn pages_for_tokens(&self, tokens: usize) -> u64 {
+        self.ledger().pages_for_tokens(tokens)
+    }
+
+    /// [`PagedKvPool::pages_possibly_needed_n`] on this rank.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PoolError::UnknownSequence`] for a freed handle.
+    pub fn pages_possibly_needed_n(&self, seq: SeqId, n: usize) -> Result<u32, PoolError> {
+        let state = (self.pool.seqs.get(&seq.0)).ok_or(PoolError::UnknownSequence { seq })?;
+        let layers = 0..self.pool.model.num_layers;
+        Ok(self.pool.rows_pages_needed(state, seq.0, self.r, layers, n))
+    }
+
+    /// Host pages a suspended sequence occupies on this rank — the device
+    /// pages its resume needs here, at most (0 for handles that are not
+    /// suspended).
+    pub fn suspended_seq_pages(&self, seq: SeqId) -> u32 {
+        let state = self.pool.suspended.get(&seq.0);
+        state.map_or(0, |s| s.shards[self.r].pages)
     }
 }
 
@@ -691,7 +895,7 @@ mod tests {
         (b, sb): (&mut PagedKvPool, SeqId),
         ctx: &str,
     ) {
-        for layer in 0..a.num_layers {
+        for layer in 0..a.model.num_layers {
             let (ka, kb) = (bits(a.keys(sa, layer)), bits(b.keys(sb, layer)));
             assert_eq!(ka, kb, "{ctx}: keys diverged at layer {layer}");
             let (va, vb) = (bits(a.values(sa, layer)), bits(b.values(sb, layer)));
@@ -1118,7 +1322,7 @@ mod tests {
         pool.suspend_seq(b.seq).unwrap();
         pool.resume_seq(b.seq).unwrap();
         feed_prompt(&mut pool, b.seq, layers, d, 11, 14);
-        for slot in pool.slots(b.seq).iter().flatten() {
+        for slot in pool.slots(0, b.seq).iter().flatten() {
             assert!(matches!(slot.storage, SlotRows::F32), "no second copy");
             assert_eq!(slot.view.len(), 14 * d, "each row once");
         }
@@ -1204,7 +1408,7 @@ mod tests {
         assert_eq!(pool.trie_blocks(), 2);
         let (mut lone, l) = alone(&cfg, &q, prompt.len() + 3, |pos| kv_for_pos(d, pos));
         assert_same_views((&mut pool, s.seq), (&mut lone, l), "after resume");
-        let stats = pool.swap_stats();
+        let stats = pool.rank(0).swap_stats();
         assert_eq!(stats.swap_outs, 2, "tail + one pending block froze");
         assert_eq!(stats.swap_ins, 2);
         assert_eq!(stats.bytes_to_host, stats.bytes_to_device);
@@ -1234,7 +1438,7 @@ mod tests {
         let fed = prompt.len() + 2;
         let transfer = src.export_seq(s.seq).unwrap();
         assert_eq!(transfer.tokens(), fed, "every row ships, adopted included");
-        assert!(transfer.wire_bytes() > transfer.payload().bytes);
+        assert!(transfer.wire_bytes() > transfer.payloads()[0].bytes);
         // Source side is torn down exactly like free_seq.
         assert!(!src.is_live(s.seq) && !src.is_suspended(s.seq));
         assert!(matches!(
@@ -1282,7 +1486,9 @@ mod tests {
         // A destination whose host tier is too small refuses the landing
         // and hands the transfer back for a later retry.
         let mut tiny = PagedKvPool::for_model(&cfg, Some(q.clone()), 2, 256);
-        let needed = transfer.payload().pages_needed(tiny.page_size()).unwrap();
+        let needed = transfer.payloads()[0]
+            .pages_needed(tiny.page_size())
+            .unwrap();
         assert!(needed > 2);
         assert!(matches!(
             tiny.can_import(&transfer),
@@ -1313,20 +1519,20 @@ mod tests {
 
         // One bit of a size table flips on the wire, after the exporter
         // sealed the payload.
-        transfer.payload.streams[0].sizes[3] ^= 1;
+        transfer.payloads[0].streams[0].sizes[3] ^= 1;
         assert_eq!(dst.can_import(&transfer), Err(PoolError::CorruptTransfer));
         let (mut transfer, err) = dst.import_seq(transfer).unwrap_err();
         assert_eq!(err, PoolError::CorruptTransfer);
         assert_eq!(dst.host_pages_used(), 0, "nothing landed");
-        transfer.payload.streams[0].sizes[3] ^= 1;
+        transfer.payloads[0].streams[0].sizes[3] ^= 1;
 
         // A sparse entry larger than the importer's page, sealed as if an
         // exporter with larger pages had written it (dense rows straddle
         // pages; the sparse log, listed last, never does).
-        let log = transfer.payload.streams.len() - 1;
-        let intact = transfer.payload.streams[log].sizes[3];
-        transfer.payload.streams[log].sizes[3] = 513;
-        transfer.payload.seal();
+        let log = transfer.payloads[0].streams.len() - 1;
+        let intact = transfer.payloads[0].streams[log].sizes[3];
+        transfer.payloads[0].streams[log].sizes[3] = 513;
+        transfer.payloads[0].seal();
         let oversize = PoolError::TransferExceedsPage {
             bytes: 513,
             page_size: 512,
@@ -1335,8 +1541,8 @@ mod tests {
         let (mut transfer, err) = dst.import_seq(transfer).unwrap_err();
         assert_eq!(err, oversize);
         assert_eq!(dst.host_pages_used(), 0, "nothing landed");
-        transfer.payload.streams[log].sizes[3] = intact;
-        transfer.payload.seal();
+        transfer.payloads[0].streams[log].sizes[3] = intact;
+        transfer.payloads[0].seal();
 
         // Both refusals handed the transfer back whole: restored, it lands.
         let (seq, _) = dst.import_seq(transfer).unwrap();
@@ -1396,7 +1602,7 @@ mod tests {
             Err(PoolError::UnknownSequence { .. })
         ));
         // The swap-in counter must not have moved: bytes were discarded.
-        assert_eq!(pool.swap_stats().swap_ins, 0);
+        assert_eq!(pool.rank(0).swap_stats().swap_ins, 0);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! [`KvRowStream::last_row_payload`](oaken_core::KvRowStream::last_row_payload)
 //! contract), so the owner's rows pack back to back and may straddle page
 //! edges. The sparse stream is a log of COO outlier entries that never
-//! span pages. Sequence owners count up from 0 (a sequence's id *is* its
-//! tail's owner) while block owners count down from `u32::MAX`. The rest
-//! of the pool sees owners, rows and page counts.
+//! span pages. The pool hands out owner ids once for every rank's ledger
+//! (a sequence's id *is* its tail's owner), so one tail or block has one
+//! owner on every rank. The rest of the pool sees owners, rows and page
+//! counts.
 //!
 //! # The page bound
 //!
@@ -39,36 +40,43 @@
 
 use super::PoolError;
 use oaken_mmu::{
-    FaultOp, FaultPlan, MmuSim, StreamClass, StreamKey, StreamPayload, SwapError, SwapReceipt,
-    TransferPayload,
+    MmuSim, StreamClass, StreamKey, StreamPayload, SwapError, SwapReceipt, TransferPayload,
 };
 
-/// Owns the [`MmuSim`] and every decision about where a row's bytes go.
+/// One rank's data plane: its [`MmuSim`] and every decision about where
+/// the bytes of its channel slice of a row go.
 pub(super) struct PageLedger {
     mmu: MmuSim,
+    /// Width of the rank's slice of a K/V row.
     kv_dim: usize,
     /// Whether rows carry a variable sparse (COO outlier) part: methods
     /// going through a quantizer may, exact f32 storage never does.
     sparse: bool,
+    /// Nominal bytes per token of the rank's slice, every layer and kind.
+    bytes_per_token: u64,
     /// The widest dense row written so far: the slab stride the page
     /// bound charges.
     dense_stride: Option<usize>,
-    next_seq_owner: u32,
-    next_block_owner: u32,
 }
 
 impl PageLedger {
     /// A ledger over `num_pages` device pages of `page_size` bytes for
-    /// `kv_dim`-wide rows, with a host tier mirroring the device capacity
-    /// (host KV memory is at least as large as device memory on real
-    /// serving nodes).
+    /// `kv_dim`-wide rows of `bytes_per_token` nominal bytes a token, with
+    /// a host tier mirroring the device capacity (host KV memory is at
+    /// least as large as device memory on real serving nodes).
     ///
     /// # Panics
     ///
     /// Panics if rows carry a sparse part and `page_size` cannot hold one
     /// worst-case sparse row (`kv_dim` bytes). Dense rows straddle pages,
     /// so any page size holds them.
-    pub(super) fn new(num_pages: u32, page_size: usize, kv_dim: usize, sparse: bool) -> Self {
+    pub(super) fn new(
+        num_pages: u32,
+        page_size: usize,
+        kv_dim: usize,
+        sparse: bool,
+        bytes_per_token: u64,
+    ) -> Self {
         assert!(
             !sparse || kv_dim <= page_size,
             "page size {page_size} cannot hold one worst-case sparse row ({kv_dim} bytes)"
@@ -79,9 +87,8 @@ impl PageLedger {
             mmu,
             kv_dim,
             sparse,
+            bytes_per_token,
             dense_stride: None,
-            next_seq_owner: 0,
-            next_block_owner: u32::MAX,
         }
     }
 
@@ -93,37 +100,6 @@ impl PageLedger {
     /// Resizes the host tier (it must be empty).
     pub(super) fn set_host_pages(&mut self, pages: u32) {
         self.mmu.attach_host_tier(pages);
-    }
-
-    /// Installs a deterministic fault schedule on the MMU.
-    pub(super) fn install_faults(&mut self, plan: FaultPlan) {
-        self.mmu.install_faults(plan);
-    }
-
-    /// Polls the fault schedule at an operation's pre-check boundary.
-    pub(super) fn poll_fault(&mut self, op: FaultOp) -> Result<(), PoolError> {
-        match self.mmu.poll_fault(op) {
-            Some(kind) => Err(PoolError::Fault { op, kind }),
-            None => Ok(()),
-        }
-    }
-
-    /// The owner of a new sequence's tail — also the sequence's id.
-    pub(super) fn fresh_seq_owner(&mut self) -> u32 {
-        let owner = self.next_seq_owner;
-        self.next_seq_owner += 1;
-        owner
-    }
-
-    /// The owner of a new pending prompt block.
-    pub(super) fn fresh_block_owner(&mut self) -> u32 {
-        let owner = self.next_block_owner;
-        self.next_block_owner -= 1;
-        assert!(
-            self.next_block_owner > self.next_seq_owner,
-            "block and sequence id spaces collided"
-        );
-        owner
     }
 
     fn key(owner: u32, class: StreamClass) -> StreamKey {
@@ -139,14 +115,13 @@ impl PageLedger {
         self.mmu.allocator().page_size()
     }
 
-    /// Nominal pages a sequence of `tokens` tokens occupies at
-    /// `bytes_per_token`: its bytes packed into pages, plus one page floor
-    /// per stream class.
-    pub(super) fn pages_for_tokens(&self, tokens: usize, bytes_per_token: u64) -> u64 {
+    /// Nominal pages a sequence of `tokens` tokens occupies: its bytes
+    /// packed into pages, plus one page floor per stream class.
+    pub(super) fn pages_for_tokens(&self, tokens: usize) -> u64 {
         if tokens == 0 {
             return 0;
         }
-        let packed = (tokens as u64 * bytes_per_token).div_ceil(self.page_size() as u64);
+        let packed = (tokens as u64 * self.bytes_per_token).div_ceil(self.page_size() as u64);
         packed + 1 + u64::from(self.sparse)
     }
 
@@ -210,27 +185,29 @@ impl PageLedger {
 
     /// Moves exclusively held owners out to the host tier. The caller
     /// pre-checks headroom.
-    pub(super) fn freeze(&mut self, owners: impl Iterator<Item = u32>) -> SwapReceipt {
+    pub(super) fn freeze(&mut self, owners: &[u32]) -> SwapReceipt {
         let mut receipt = SwapReceipt::default();
-        for owner in owners {
+        for &owner in owners {
             let moved = self.mmu.swap_out_request(owner);
             receipt.merge(moved.expect("headroom pre-checked; private pages are refcount-1"));
         }
         receipt
     }
 
-    /// Moves frozen owners back onto fresh device pages, all or none. The
-    /// caller pre-checks headroom; what is left to fail is an entry whose
-    /// size tables no longer fold to their checksum.
-    pub(super) fn thaw(
-        &mut self,
-        owners: impl Iterator<Item = u32>,
-    ) -> Result<SwapReceipt, PoolError> {
-        let owners: Vec<u32> = owners.collect();
-        self.mmu.swap_in_requests(&owners).map_err(|e| match e {
-            SwapError::ChecksumMismatch { .. } => PoolError::CorruptTransfer,
-            e => panic!("headroom pre-checked; a suspended sequence's owners are frozen: {e}"),
-        })
+    /// Whether frozen `owners` can thaw: each entry's size tables still
+    /// fold to their checksum. The caller checked the device headroom.
+    pub(super) fn can_thaw(&self, owners: &[u32]) -> Result<(), PoolError> {
+        match self.mmu.can_swap_in(owners) {
+            Ok(_) => Ok(()),
+            Err(SwapError::ChecksumMismatch { .. }) => Err(PoolError::CorruptTransfer),
+            Err(e) => panic!("headroom checked; a suspended sequence's owners are frozen: {e}"),
+        }
+    }
+
+    /// Moves frozen owners back onto fresh device pages, all of them. The
+    /// caller checked [`can_thaw`](Self::can_thaw).
+    pub(super) fn thaw(&mut self, owners: &[u32]) -> SwapReceipt {
+        (self.mmu.swap_in_requests(owners)).expect("the caller checked the thaw")
     }
 
     /// Flattens the size tables of `owners` — given in token order — into
@@ -273,19 +250,10 @@ impl PageLedger {
         Ok(())
     }
 
-    /// Lands `payload` in the host tier under a fresh sequence owner
-    /// (consumed only on success).
-    pub(super) fn import(
-        &mut self,
-        payload: &TransferPayload,
-    ) -> Result<(u32, SwapReceipt), PoolError> {
-        match self.mmu.import_frozen(self.next_seq_owner, payload) {
-            Ok(receipt) => Ok((self.fresh_seq_owner(), receipt)),
-            Err(SwapError::OutOfHostPages { needed, free }) => {
-                Err(PoolError::OutOfHostPages { needed, free })
-            }
-            Err(e) => panic!("import pre-flight missed {e}"),
-        }
+    /// Lands `payload` in the host tier under `owner`. The caller checked
+    /// [`can_import`](Self::can_import).
+    pub(super) fn import(&mut self, owner: u32, payload: &TransferPayload) -> SwapReceipt {
+        (self.mmu.import_frozen(owner, payload)).expect("the caller checked the import")
     }
 }
 

@@ -1,8 +1,9 @@
 //! Read views: what attention reads of a sequence — dequantized views or
-//! encoded tensors — and the traffic counters over those reads.
+//! encoded tensors, each rank its own channels — and the traffic counters
+//! over those reads.
 
 use super::blocks::SeqBlock;
-use super::seq::SeqSlots;
+use super::seq::SeqShard;
 use super::{PagedKvPool, SeqId};
 use crate::attention::{tile_pieces, EncodedKv, KvRead, QUERY_TILE};
 use crate::cache::slot_index;
@@ -10,7 +11,7 @@ use oaken_core::kernel::KEY_GROUP;
 use oaken_core::KvKind;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// What one KV shard serves attention for one layer's runs
+/// What one rank's KV shard serves attention for one layer's runs
 /// ([`BatchKvCache::read_runs`](crate::BatchKvCache::read_runs)): per run
 /// its read, and the runs grouped by the prefix-trie blocks they share.
 pub struct ShardReads<'a> {
@@ -116,11 +117,12 @@ impl PagedKvPool {
     ///
     /// Panics on an unknown sequence.
     pub fn seq_len(&self, seq: SeqId, layer: usize) -> usize {
-        self.seqs.get(&seq.0).expect("unknown sequence").slots[layer][0].rows
+        self.seqs.get(&seq.0).expect("unknown sequence").rows(layer)
     }
 
-    /// Dequantized `[seq_len × kv_dim]` view of the cached keys. In fused
-    /// mode this is the exact-path escape hatch: the view is rebuilt
+    /// Dequantized `[seq_len × width]` view of the cached keys on rank 0 —
+    /// a one-rank pool's whole rows (see [`PagedKvPool::rank_view`]). In
+    /// fused mode this is the exact-path escape hatch: the view is rebuilt
     /// lazily from the encoded rows (attention itself goes through
     /// [`PagedKvPool::encoded_kv`] and never pays this).
     ///
@@ -128,90 +130,122 @@ impl PagedKvPool {
     ///
     /// Panics on an unknown sequence.
     pub fn keys(&mut self, seq: SeqId, layer: usize) -> &[f32] {
-        self.synced_view(seq, layer, KvKind::Key)
+        self.rank_view(0, seq, layer, KvKind::Key)
     }
 
-    /// Dequantized view of the cached values (see [`PagedKvPool::keys`]).
+    /// Dequantized view of the cached values on rank 0 (see
+    /// [`PagedKvPool::keys`]).
     ///
     /// # Panics
     ///
     /// Panics on an unknown sequence.
     pub fn values(&mut self, seq: SeqId, layer: usize) -> &[f32] {
-        self.synced_view(seq, layer, KvKind::Value)
+        self.rank_view(0, seq, layer, KvKind::Value)
     }
 
-    /// The `(seq, layer)` K and V tensors in their encoded form — the
-    /// fused kernel's read path — accounted as one query token's read.
-    /// `None` unless the pool runs [`KernelMode::Fused`](crate::KernelMode::Fused)
-    /// (or for an unknown sequence). Takes `&self` so the key and value
-    /// tensors can be borrowed together; read accounting therefore goes
-    /// through relaxed atomic counters.
+    /// Rank `rank`'s dequantized view of one `(seq, layer, kind)` tensor:
+    /// its channels of every cached row, synced and charged as one full
+    /// read of its rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown sequence.
+    pub fn rank_view(&mut self, rank: usize, seq: SeqId, layer: usize, kind: KvKind) -> &[f32] {
+        let width = self.width(rank);
+        let state = self.seqs.get_mut(&seq.0).expect("unknown sequence");
+        let slot = &mut state.shards[rank].slots[layer][slot_index(kind)];
+        slot.sync(self.quantizer.as_deref(), width, layer, kind);
+        self.reads.charge_exact(slot.rows as u64, width);
+        &slot.view
+    }
+
+    /// The `(seq, layer)` K and V tensors of rank 0 in their encoded form
+    /// — the fused kernel's read path — accounted as one query token's
+    /// read. `None` unless the pool runs
+    /// [`KernelMode::Fused`](crate::KernelMode::Fused) (or for an unknown
+    /// sequence). Takes `&self` so the key and value tensors can be
+    /// borrowed together; read accounting therefore goes through relaxed
+    /// atomic counters.
     pub fn encoded_kv(&self, seq: SeqId, layer: usize) -> Option<(EncodedKv<'_>, EncodedKv<'_>)> {
-        if !self.has_encoded_kv(seq, layer) {
+        let shard = &self.seqs.get(&seq.0)?.shards[0];
+        if !shard.encoded(layer) {
             return None;
         }
-        let state = &self.seqs[&seq.0];
-        let KvRead::Fused { keys, values } = self.read_run(state, layer, 1) else {
+        let KvRead::Fused { keys, values } = self.read_run(shard, self.width(0), layer, 1) else {
             unreachable!("probed fused above");
         };
-        let rows = state.slots[layer][0].rows;
+        let rows = shard.slots[layer][0].rows;
         self.charge_swept(1, |_| (rows, 1), 0);
         Some((keys, values))
     }
 
-    /// Brings the dequantized views of `(seq, layer)` up to date for
-    /// attention's reads — a no-op for slots on the fused
-    /// read path and for views that appends maintain; the recompute
-    /// fallback re-materializes here.
+    /// Brings the dequantized views of `(seq, layer)` up to date on every
+    /// rank for attention's reads — a no-op for slots on the fused read
+    /// path and for views that appends maintain; the recompute fallback
+    /// re-materializes here.
     ///
     /// # Panics
     ///
     /// Panics on an unknown sequence.
     pub fn sync_views(&mut self, seq: SeqId, layer: usize) {
-        if self.has_encoded_kv(seq, layer) {
-            return;
-        }
         let state = self.seqs.get_mut(&seq.0).expect("unknown sequence");
-        for kind in KvKind::ALL {
-            let slot = &mut state.slots[layer][slot_index(kind)];
-            slot.sync(self.quantizer.as_deref(), self.kv_dim, layer, kind);
+        for (r, shard) in state.shards.iter_mut().enumerate() {
+            if shard.encoded(layer) {
+                continue;
+            }
+            let width = self.plan.kv_channels(r).len();
+            for kind in KvKind::ALL {
+                let slot = &mut shard.slots[layer][slot_index(kind)];
+                slot.sync(self.quantizer.as_deref(), width, layer, kind);
+            }
         }
-    }
-
-    /// One tensor's view, synced and charged as one full read of its rows.
-    fn synced_view(&mut self, seq: SeqId, layer: usize, kind: KvKind) -> &[f32] {
-        let state = self.seqs.get_mut(&seq.0).expect("unknown sequence");
-        let slot = &mut state.slots[layer][slot_index(kind)];
-        slot.sync(self.quantizer.as_deref(), self.kv_dim, layer, kind);
-        self.reads.charge_exact(slot.rows as u64, self.kv_dim);
-        &slot.view
     }
 
     /// What attention reads of `layer` for the `(slot, queries)` runs,
-    /// slot `i` being `seqs[i]`, and how the fused kernel sweeps them: runs
-    /// whose sequences share prefix-trie blocks form a group (see
-    /// [`ShardReads::groups`]). Each run is accounted as its queries'
+    /// slot `i` being `seqs[i]`: the runs' views brought up to date, then
+    /// per rank and run its read (see
+    /// [`BatchKvCache::read_runs`](crate::BatchKvCache::read_runs)).
+    pub(crate) fn read_runs(
+        &mut self,
+        seqs: &[SeqId],
+        layer: usize,
+        runs: &[(usize, usize)],
+    ) -> Vec<ShardReads<'_>> {
+        for &(slot, _) in runs {
+            self.sync_views(seqs[slot], layer);
+        }
+        (0..self.ranks.len())
+            .map(|r| self.read_layer(r, seqs, layer, runs))
+            .collect()
+    }
+
+    /// What attention reads of `layer` on `rank` for the `(slot, queries)`
+    /// runs, slot `i` being `seqs[i]`, and how the fused kernel sweeps
+    /// them: runs whose sequences share prefix-trie blocks form a group
+    /// (see [`ShardReads::groups`]). Each run is accounted as its queries'
     /// reads (see [`KvReadStats`]), and each group's sweeps with its shared
     /// rows swept once per tile.
-    pub(crate) fn read_layer(
+    fn read_layer(
         &self,
+        rank: usize,
         seqs: &[SeqId],
         layer: usize,
         runs: &[(usize, usize)],
     ) -> ShardReads<'_> {
+        let width = self.width(rank);
         // Per run: its read, and the trie blocks its sequence holds from
         // position 0 on the fused read path and its rows.
         let mut reads = Vec::with_capacity(runs.len());
         let mut chains: Vec<(&[SeqBlock], usize)> = Vec::with_capacity(runs.len());
         for &(slot, queries) in runs {
             let state = self.seqs.get(&seqs[slot].0).expect("unknown sequence");
-            let read = self.read_run(state, layer, queries);
+            let read = self.read_run(&state.shards[rank], width, layer, queries);
             let chain = match (read, &state.plan) {
                 (KvRead::Fused { .. }, Some(plan)) => plan.shared_chain(),
                 _ => &[],
             };
             reads.push(read);
-            chains.push((chain, state.slots[layer][0].rows));
+            chains.push((chain, state.rows(layer)));
         }
         let chain = |r: usize| chains[r].0;
         let root = |r: usize| match chain(r).first() {
@@ -233,7 +267,7 @@ impl PagedKvPool {
             {
                 depth -= 1;
             }
-            let held = group.iter().map(|&r| reads[r].rows(self.kv_dim)).min();
+            let held = group.iter().map(|&r| reads[r].rows(width)).min();
             let rows = (depth * self.block_tokens).min(held.unwrap_or(0));
             let shared = if group.len() > 1 {
                 rows / KEY_GROUP * KEY_GROUP
@@ -288,19 +322,26 @@ impl PagedKvPool {
         (self.reads.fused_rows_swept).fetch_add(2 * swept as u64, Ordering::Relaxed);
     }
 
-    /// What attention reads for `(seq, layer)`, charged as its logical
-    /// rows and bytes (the sweep is the caller's to charge): the encoded
-    /// tensors in fused mode, else the dequantized views as of the last
-    /// [`sync_views`](PagedKvPool::sync_views). `queries` is the run of
-    /// consecutive query tokens that attend through this borrow — the
-    /// tokens whose rows are the newest `queries` cached, i.e. the live
-    /// suffix of the run just appended, not its appended length.
+    /// What attention reads of one rank's share of a sequence at `layer`,
+    /// charged as its logical rows and bytes (the sweep is the caller's to
+    /// charge): the encoded tensors in fused mode, else the dequantized
+    /// views as of the last [`sync_views`](PagedKvPool::sync_views).
+    /// `queries` is the run of consecutive query tokens that attend
+    /// through this borrow — the tokens whose rows are the newest `queries`
+    /// cached, i.e. the live suffix of the run just appended, not its
+    /// appended length.
     ///
     /// # Panics
     ///
     /// Panics if an exact slot's view is stale.
-    fn read_run<'a>(&'a self, state: &'a SeqSlots, layer: usize, queries: usize) -> KvRead<'a> {
-        let [key_slot, value_slot] = &state.slots[layer];
+    fn read_run<'a>(
+        &'a self,
+        shard: &'a SeqShard,
+        width: usize,
+        layer: usize,
+        queries: usize,
+    ) -> KvRead<'a> {
+        let [key_slot, value_slot] = &shard.slots[layer];
         let rows = key_slot.rows;
         let n = queries.min(rows);
         // Query `i` of the run attends `rows - n + 1 + i` K/V row pairs.
@@ -308,11 +349,11 @@ impl PagedKvPool {
         let (Some(keys), Some(values)) = (key_slot.encoded(), value_slot.encoded()) else {
             for slot in [key_slot, value_slot] {
                 assert!(
-                    slot.view.len() == slot.rows * self.kv_dim,
+                    slot.view.len() == slot.rows * width,
                     "exact view read without sync_views"
                 );
             }
-            self.reads.charge_exact(attended, self.kv_dim);
+            self.reads.charge_exact(attended, width);
             return KvRead::Exact {
                 keys: &key_slot.view,
                 values: &value_slot.view,
@@ -335,22 +376,22 @@ impl PagedKvPool {
         reads.fused_bytes.fetch_add(bytes, Ordering::Relaxed);
         KvRead::Fused { keys, values }
     }
+}
 
-    /// Whether `(seq, layer)` is served in encoded form — the branch
-    /// probe, free of read accounting.
-    fn has_encoded_kv(&self, seq: SeqId, layer: usize) -> bool {
-        let Some(state) = self.seqs.get(&seq.0) else {
-            return false;
-        };
-        let [key_slot, value_slot] = &state.slots[layer];
+impl SeqShard {
+    /// Whether `layer` is served in encoded form — the branch probe, free
+    /// of read accounting.
+    fn encoded(&self, layer: usize) -> bool {
+        let [key_slot, value_slot] = &self.slots[layer];
         key_slot.encoded().is_some() && value_slot.encoded().is_some()
     }
 }
 
 #[cfg(test)]
 impl PagedKvPool {
-    /// A live sequence's slots, for tests that inspect what is resident.
-    pub(crate) fn slots(&self, seq: SeqId) -> &[[crate::cache::KindSlot; 2]] {
-        &self.seqs[&seq.0].slots
+    /// A live sequence's slots on `rank`, for tests that inspect what is
+    /// resident.
+    pub(crate) fn slots(&self, rank: usize, seq: SeqId) -> &[[crate::cache::KindSlot; 2]] {
+        &self.seqs[&seq.0].shards[rank].slots
     }
 }

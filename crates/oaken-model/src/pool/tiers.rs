@@ -26,7 +26,9 @@
 //!   more clearly under quantization.
 //!
 //! An imported sequence lands in the host tier as if it had been
-//! suspended here, so one resume path serves both.
+//! suspended here, so one resume path serves both. Every move spans every
+//! rank: each checks its headroom (and a thaw its frozen entries' checksums)
+//! before any rank's pages move, and the fault schedule is polled once.
 
 use super::blocks::SeqBlock;
 use super::seq::SeqSlots;
@@ -35,70 +37,62 @@ use crate::cache::KernelMode;
 use oaken_mmu::{FaultOp, SwapReceipt, TransferPayload};
 use std::fmt;
 
-/// A sequence frozen to the host tier: suspended locally or imported.
-pub(super) struct SuspendedSeq {
-    /// The sequence's slots, retained verbatim: quantizer stream state,
-    /// dequantized views, row counts, and the prompt-block plan.
-    pub(super) slots: SeqSlots,
-    /// Host pages its private streams occupy (the device pages a resume
-    /// needs, as an upper bound).
-    pub(super) frozen_pages: u32,
-}
-
 /// One sequence's KV state packaged for shipment to another pool — the
 /// prefill→decode handoff object of a disaggregated cluster
 /// ([`PagedKvPool::export_seq`] / [`PagedKvPool::import_seq`]).
 ///
 /// Two halves travel together, mirroring the repo's functional split:
 /// the **payload** (quantizer stream state, dequantized views, row
-/// counts — the sequence's internal slots, flattened to fully private
-/// form) and the **accounting** (an [`oaken_mmu::TransferPayload`]: the
-/// self-describing per-token size tables covering *every* token,
-/// adopted prefix rows included, so the importer rebuilds bit-compatible
-/// page tables with no shared state). The wire cost the cluster's
-/// transfer clock charges is [`KvTransfer::wire_bytes`].
+/// counts — the sequence's internal slots, every rank's slice, flattened
+/// to fully private form) and the **accounting** (per rank, an
+/// [`oaken_mmu::TransferPayload`]: the self-describing per-token size
+/// tables covering *every* token, adopted prefix rows included, so the
+/// importer rebuilds bit-compatible page tables with no shared state).
+/// The wire cost the cluster's transfer clock charges is
+/// [`KvTransfer::wire_bytes`].
 pub struct KvTransfer {
     slots: SeqSlots,
-    pub(super) payload: TransferPayload,
+    pub(super) payloads: Vec<TransferPayload>,
 }
 
 impl fmt::Debug for KvTransfer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("KvTransfer")
-            .field("layers", &self.slots.slots.len())
-            .field("bytes", &self.payload.bytes)
-            .field("checksum", &self.payload.checksum)
+            .field("ranks", &self.payloads.len())
+            .field("tokens", &self.tokens())
+            .field("wire_bytes", &self.wire_bytes())
             .finish()
     }
 }
 
 impl KvTransfer {
-    /// The self-describing MMU half: per-stream size tables, byte totals,
-    /// and the integrity checksum asserted on import.
-    pub fn payload(&self) -> &TransferPayload {
-        &self.payload
+    /// The self-describing MMU half, one per rank in rank order: per-stream
+    /// size tables, byte totals, and the integrity checksum asserted on
+    /// import.
+    pub fn payloads(&self) -> &[TransferPayload] {
+        &self.payloads
     }
 
-    /// Modeled wire bytes of this transfer: the encoded KV payload plus
-    /// the self-describing size-table header.
+    /// Modeled wire bytes of this transfer: every rank's encoded KV
+    /// payload plus its self-describing size-table header.
     pub fn wire_bytes(&self) -> u64 {
-        self.payload.wire_bytes()
+        self.payloads.iter().map(|p| p.wire_bytes()).sum()
     }
 
     /// Tokens cached per `(layer, kind)` slot — the rows the importer's
     /// decode resumes from.
     pub fn tokens(&self) -> usize {
-        self.slots.slots.first().map_or(0, |pair| pair[0].rows)
+        self.slots.rows(0)
     }
 }
 
 impl PagedKvPool {
     /// Suspends an active sequence to the host tier: its private pages
-    /// (tail streams plus pending prompt blocks) swap out through the MMU
-    /// — device pages free, host pages charge, transfer bytes are
-    /// accounted — while its quantizer stream state, dequantized views,
-    /// and prompt-block plan are retained verbatim, which is what makes a
-    /// later [`resume_seq`](Self::resume_seq) **bit-exact** by
+    /// (tail streams plus pending prompt blocks) swap out through every
+    /// rank's MMU — device pages free, host pages charge, transfer bytes
+    /// are accounted — while its quantizer stream state, dequantized
+    /// views, and prompt-block plan are retained verbatim, which is what
+    /// makes a later [`resume_seq`](Self::resume_seq) **bit-exact** by
     /// construction. Shared trie blocks stay resident: the suspended
     /// sequence keeps its refcounts, so a sealed prefix another sequence
     /// is using (or that only this sequence still needs) cannot be
@@ -106,42 +100,48 @@ impl PagedKvPool {
     /// break the zero-recompute guarantee whenever this sequence was the
     /// last sharer.
     ///
-    /// Returns the pages/bytes moved to host. On `Err` nothing changed
-    /// and the sequence stays active.
+    /// Returns the pages/bytes moved to host, every rank. On `Err` nothing
+    /// changed on any rank and the sequence stays active.
     ///
     /// # Errors
     ///
     /// [`PoolError::UnknownSequence`] for a freed handle,
-    /// [`PoolError::OutOfHostPages`] when the host tier cannot hold the
-    /// sequence's private pages (callers fall back to
-    /// evict-and-recompute), [`PoolError::Fault`] when the installed
-    /// fault schedule fails the host charge or the transfer.
+    /// [`PoolError::OutOfHostPages`] when a rank's host tier cannot hold
+    /// its share of the sequence's private pages (the lowest such rank's;
+    /// callers fall back to evict-and-recompute), [`PoolError::Fault`] when
+    /// the installed fault schedule fails the host charge or the transfer.
     pub fn suspend_seq(&mut self, seq: SeqId) -> Result<SwapReceipt, PoolError> {
         let Some(state) = self.seqs.get(&seq.0) else {
             return Err(PoolError::UnknownSequence { seq });
         };
-        let needed = state.pages;
+        let short = |r: usize| {
+            let (needed, free) = (state.shards[r].pages, self.rank(r).host_free_pages());
+            (needed > free).then_some(PoolError::OutOfHostPages { needed, free })
+        };
+        // Rank 0 checks its host room after the schedule is polled, the
+        // other ranks before — the order ranks froze in when each kept a
+        // sequence table of its own, so a plan faults where it always did.
+        let (lead_short, follower_short) = (short(0), (1..self.ranks.len()).find_map(short));
+        if let Some(e) = follower_short {
+            return Err(e);
+        }
         // Suspension charges the host tier and runs a device → host
         // transfer: both are injectable, polled before anything mutates.
-        self.pages.poll_fault(FaultOp::HostAlloc)?;
-        self.pages.poll_fault(FaultOp::SwapOut)?;
-        let free = self.host_free_pages();
-        if needed > free {
-            return Err(PoolError::OutOfHostPages { needed, free });
+        self.poll_fault(FaultOp::HostAlloc)?;
+        self.poll_fault(FaultOp::SwapOut)?;
+        if let Some(e) = lead_short {
+            return Err(e);
         }
-        let mut slots = self.seqs.remove(&seq.0).expect("checked above");
-        let receipt = self.pages.freeze(slots.private_owners(seq.0));
-        debug_assert_eq!(receipt.pages, slots.pages, "private page accounting");
-        slots.pages = 0;
-        let frozen_pages = receipt.pages;
-        self.suspended.insert(
-            seq.0,
-            SuspendedSeq {
-                slots,
-                frozen_pages,
-            },
-        );
-        Ok(receipt)
+        let mut state = self.seqs.remove(&seq.0).expect("checked above");
+        let owners = state.private_owners(seq.0);
+        let mut total = SwapReceipt::default();
+        for (shard, ledger) in state.shards.iter_mut().zip(&mut self.ranks) {
+            let receipt = ledger.freeze(&owners);
+            debug_assert_eq!(receipt.pages, shard.pages, "private page accounting");
+            total.merge(receipt);
+        }
+        self.suspended.insert(seq.0, state);
+        Ok(total)
     }
 
     /// Resumes a suspended sequence: its private page streams thaw back
@@ -163,22 +163,32 @@ impl PagedKvPool {
     /// fail their checksum: nothing thaws, the sequence stays suspended,
     /// and no retry can help — drop it or restart the request.
     pub fn resume_seq(&mut self, seq: SeqId) -> Result<SwapReceipt, PoolError> {
-        let Some(entry) = self.suspended.get(&seq.0) else {
+        if !self.suspended.contains_key(&seq.0) {
             return Err(PoolError::UnknownSequence { seq });
-        };
-        let needed = entry.frozen_pages;
+        }
         // The resume runs a host → device transfer: injectable, polled
         // before anything mutates (the sequence stays frozen on `Err`).
-        self.pages.poll_fault(FaultOp::SwapIn)?;
-        let free = self.free_pages();
-        if needed > free {
-            return Err(PoolError::OutOfPages { needed, free });
+        self.poll_fault(FaultOp::SwapIn)?;
+        let state = &self.suspended[&seq.0];
+        let owners = state.private_owners(seq.0);
+        // Every rank's headroom and frozen entries are checked before any
+        // rank thaws.
+        for (shard, ledger) in state.shards.iter().zip(&self.ranks) {
+            let (needed, free) = (shard.pages, ledger.mmu().allocator().free_pages());
+            if needed > free {
+                return Err(PoolError::OutOfPages { needed, free });
+            }
+            ledger.can_thaw(&owners)?;
         }
-        let receipt = self.pages.thaw(entry.slots.private_owners(seq.0))?;
-        let mut slots = self.suspended.remove(&seq.0).expect("checked above").slots;
-        slots.pages = receipt.pages;
-        self.seqs.insert(seq.0, slots);
-        Ok(receipt)
+        let mut state = self.suspended.remove(&seq.0).expect("checked above");
+        let mut total = SwapReceipt::default();
+        for (shard, ledger) in state.shards.iter_mut().zip(&mut self.ranks) {
+            let receipt = ledger.thaw(&owners);
+            shard.pages = receipt.pages;
+            total.merge(receipt);
+        }
+        self.seqs.insert(seq.0, state);
+        Ok(total)
     }
 
     /// Retires a *suspended* sequence without resuming it: its frozen
@@ -191,22 +201,22 @@ impl PagedKvPool {
     ///
     /// [`PoolError::UnknownSequence`] when the handle is not suspended.
     pub fn drop_suspended_seq(&mut self, seq: SeqId) -> Result<u32, PoolError> {
-        let mut entry = self
+        let mut state = self
             .suspended
             .remove(&seq.0)
             .ok_or(PoolError::UnknownSequence { seq })?;
-        let freed = self.release_pages(seq.0, &mut entry.slots, true);
-        self.recycle_slots(entry.slots);
+        let freed = self.release_pages(seq.0, &mut state, true);
+        self.recycle_slots(state);
         Ok(freed)
     }
 
     /// Exports an active sequence as a [`KvTransfer`] and retires it from
     /// this pool — the send side of a prefill→decode handoff.
     ///
-    /// The sequence is **flattened to fully private form**: its per-token
-    /// size tables are collected across every owner in token order
-    /// (adopted shared trie blocks, pending prompt blocks, then the
-    /// private tail), sealed into a self-describing
+    /// The sequence is **flattened to fully private form**: on every rank,
+    /// its per-token size tables are collected across every owner in token
+    /// order (adopted shared trie blocks, pending prompt blocks, then the
+    /// private tail) and sealed into a self-describing
     /// [`oaken_mmu::TransferPayload`], and its slots (quantizer stream
     /// state, views, row counts) ship verbatim with the prompt plan
     /// stripped. Flattening is what makes the transfer self-contained:
@@ -241,9 +251,9 @@ impl PagedKvPool {
             })
             .chain([seq.0])
             .collect();
-        let payload = self.pages.flatten(&owners);
+        let payloads = self.ranks.iter().map(|l| l.flatten(&owners)).collect();
         self.release_pages(seq.0, &mut slots, false);
-        Ok(KvTransfer { slots, payload })
+        Ok(KvTransfer { slots, payloads })
     }
 
     /// Whether [`import_seq`](Self::import_seq) would accept `transfer`
@@ -253,74 +263,90 @@ impl PagedKvPool {
     ///
     /// # Errors
     ///
-    /// [`PoolError::OutOfHostPages`] when the host tier lacks room for
-    /// the payload's page charge; [`PoolError::CorruptTransfer`] when the
-    /// payload fails its checksum and [`PoolError::TransferExceedsPage`]
-    /// when it carries a token larger than this pool's page — no later
-    /// call can accept either.
+    /// The lowest failing rank's: [`PoolError::OutOfHostPages`] when its
+    /// host tier lacks room for its payload's page charge;
+    /// [`PoolError::CorruptTransfer`] when the payload fails its checksum
+    /// and [`PoolError::TransferExceedsPage`] when it carries a token
+    /// larger than this pool's page — no later call can accept either.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the transfer carries another rank count than this
+    /// pool's.
     pub fn can_import(&self, transfer: &KvTransfer) -> Result<(), PoolError> {
-        self.pages.can_import(&transfer.payload)
+        assert_eq!(
+            transfer.payloads.len(),
+            self.ranks.len(),
+            "a transfer carries one payload per rank"
+        );
+        (self.ranks.iter().zip(&transfer.payloads)).try_for_each(|(l, p)| l.can_import(p))
     }
 
-    /// Imports a [`KvTransfer`] from another pool: the payload lands as a
-    /// frozen entry of this pool's **host tier** under a fresh local
-    /// sequence id (returned), and the slots park in the suspended map —
-    /// the imported sequence is indistinguishable from one
+    /// Imports a [`KvTransfer`] from another pool: each rank's payload
+    /// lands as a frozen entry of that rank's **host tier** under a fresh
+    /// local sequence id (returned), and the slots park in the suspended
+    /// map — the imported sequence is indistinguishable from one
     /// [`suspend_seq`](Self::suspend_seq) froze locally, so the normal
     /// [`resume_seq`](Self::resume_seq) machinery (and the serving
     /// engine's resume queue, with its priority, backoff, and demotion
-    /// rules) activates it. The transfer's checksum and sizes are checked
-    /// before any state lands (see [`oaken_mmu::MmuSim::import_frozen`]).
+    /// rules) activates it. Every rank's payload is checked before any
+    /// lands (see [`oaken_mmu::MmuSim::import_frozen`]).
     ///
     /// # Errors
     ///
     /// Returns the transfer back untouched with
-    /// [`PoolError::OutOfHostPages`] when the host tier lacks room (the
+    /// [`PoolError::OutOfHostPages`] when a host tier lacks room (the
     /// caller retries later), [`PoolError::Fault`] when the installed
     /// fault schedule fails the host charge,
-    /// [`PoolError::CorruptTransfer`] when the payload fails its checksum,
+    /// [`PoolError::CorruptTransfer`] when a payload fails its checksum,
     /// or [`PoolError::TransferExceedsPage`] when it was written for
     /// larger pages than this pool's.
     ///
     /// # Panics
     ///
     /// Panics when the transfer's geometry disagrees with this pool
-    /// (layer count or kernel mode) — cluster engines must share a model
-    /// and kernel configuration.
+    /// (rank count, layer count or kernel mode) — cluster engines must
+    /// share a model and kernel configuration.
     #[allow(clippy::result_large_err)]
     pub fn import_seq(
         &mut self,
         transfer: KvTransfer,
     ) -> Result<(SeqId, SwapReceipt), (KvTransfer, PoolError)> {
-        assert_eq!(
-            transfer.slots.slots.len(),
-            self.num_layers,
-            "imported sequence's layer count disagrees with this pool"
-        );
-        for slot in transfer.slots.slots.iter().flatten() {
+        for shard in &transfer.slots.shards {
             assert_eq!(
-                slot.fused,
-                self.kernel == KernelMode::Fused,
-                "imported sequence's kernel mode disagrees with this pool"
+                shard.slots.len(),
+                self.model.num_layers,
+                "imported sequence's layer count disagrees with this pool"
             );
+            for slot in shard.slots.iter().flatten() {
+                assert_eq!(
+                    slot.fused,
+                    self.kernel == KernelMode::Fused,
+                    "imported sequence's kernel mode disagrees with this pool"
+                );
+            }
         }
         // The landing charges the host tier: injectable, polled before
         // anything mutates (the transfer is handed back for a retry).
-        let landed = (self.pages.poll_fault(FaultOp::HostAlloc))
-            .and_then(|()| self.pages.can_import(&transfer.payload))
-            .and_then(|()| self.pages.import(&transfer.payload));
-        let (id, receipt) = match landed {
-            Ok(landed) => landed,
-            Err(e) => return Err((transfer, e)),
-        };
+        let checked =
+            (self.can_import(&transfer)).and_then(|()| self.poll_fault(FaultOp::HostAlloc));
+        if let Err(e) = checked {
+            return Err((transfer, e));
+        }
         debug_assert!(transfer.slots.plan.is_none(), "exports are flattened");
-        self.suspended.insert(
-            id,
-            SuspendedSeq {
-                slots: transfer.slots,
-                frozen_pages: receipt.pages,
-            },
-        );
-        Ok((SeqId(id), receipt))
+        let KvTransfer {
+            slots: mut state,
+            payloads,
+        } = transfer;
+        let id = self.fresh_seq_owner();
+        let mut total = SwapReceipt::default();
+        let ranks = state.shards.iter_mut().zip(&mut self.ranks);
+        for ((shard, ledger), payload) in ranks.zip(&payloads) {
+            let receipt = ledger.import(id, payload);
+            shard.pages = receipt.pages;
+            total.merge(receipt);
+        }
+        self.suspended.insert(id, state);
+        Ok((SeqId(id), total))
     }
 }

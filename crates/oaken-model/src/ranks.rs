@@ -1,11 +1,13 @@
 //! Tensor-parallel rank sharding: N engine ranks, each owning a
 //! contiguous slice of the KV heads, the matching row shard of every
-//! projection matrix, and a **private** [`PagedKvPool`] shard — glued back
-//! together by the deterministic all-reduce of `oaken-runtime`'s
-//! [`Comm`]. This module holds the ownership map ([`RankPlan`]), the
-//! lockstep pool façade ([`RankedPools`]) and the gather primitives the
-//! one forward pass ([`Model::forward_batch_sharded`]) merges rank shards
-//! with; a 1-rank plan is the unsharded engine.
+//! projection matrix, and its channel slice of every KV row in the pool —
+//! glued back together by the deterministic all-reduce of
+//! `oaken-runtime`'s [`Comm`]. This module holds the ownership map
+//! ([`RankPlan`]) and the gather primitives the one forward pass
+//! ([`Model::forward_batch_sharded`]) merges rank shards with; the
+//! [`PagedKvPool`](crate::PagedKvPool) keeps one data plane per rank of
+//! the plan under its one control plane ([`set_ranks`]). A 1-rank plan is
+//! the unsharded engine.
 //!
 //! This is the software analogue of Oaken's multi-channel deployment
 //! (§5.2: one quantization engine per memory channel, each owning its
@@ -23,14 +25,14 @@
 //!   inputs and never along a row — and the all-reduce's `+0.0` identity
 //!   passes the owner's bits through unchanged.
 //! * **Attention is head-local**, so each rank attends over its own KV
-//!   heads against its own pool shard; the rank outputs are disjoint
-//!   q-head slices gathered by one all-reduce per layer.
+//!   heads against its own channels of the pool; the rank outputs are
+//!   disjoint q-head slices gathered by one all-reduce per layer.
 //! * **Each K/V row is encoded once, at full width** (Oaken's scales are
-//!   whole-row min/max), and every pool shard adopts its heads' channels
-//!   of that encoding; the shard's decoded views are bitwise slices of
-//!   the 1-rank views (the `shard_*` tests below), so rank-local attention
-//!   reads exactly the bits the unsharded kernel would have read for
-//!   those heads.
+//!   whole-row min/max), and every rank adopts its heads' channels of that
+//!   encoding; a rank's decoded views are bitwise slices of the 1-rank
+//!   views (the `shard_*` tests below), so rank-local attention reads
+//!   exactly the bits the unsharded kernel would have read for those
+//!   heads.
 //!
 //! Net: N-rank logits are **bit-exact with the 1-rank engine** in
 //! [`KernelMode::Exact`] for every thread count, and identical-within-mode
@@ -48,16 +50,10 @@
 //! [`KernelMode::Exact`]: crate::cache::KernelMode::Exact
 //! [`KernelMode::Fused`]: crate::cache::KernelMode::Fused
 //! [`Model::forward_batch_sharded`]: crate::Model::forward_batch_sharded
+//! [`set_ranks`]: crate::PagedKvPool::set_ranks
 
 use crate::attention::AttentionShape;
-use crate::cache::KernelMode;
 use crate::config::ModelConfig;
-use crate::pool::{
-    KvReadStats, KvTransfer, PagedKvPool, PoolError, PrefixAlloc, SeqId, ShardReads,
-};
-use crate::trie::PrefixStats;
-use oaken_core::{FusedVector, KvKind, KvRowStream};
-use oaken_mmu::{FaultPlan, FaultStats, SwapReceipt};
 use oaken_runtime::{chunk_range, Comm, Runtime};
 use oaken_tensor::Tensor;
 use std::ops::Range;
@@ -136,515 +132,6 @@ impl RankPlan {
     }
 }
 
-/// The engine side of tensor parallelism: one private [`PagedKvPool`]
-/// shard per rank, mutated in lockstep through this façade so sequence
-/// ids, trie structure, and suspend/resume state never diverge across
-/// ranks.
-///
-/// Rank 0 is the **lead shard**: it alone carries the fault injectors
-/// (so a fault plan fires once per logical operation, not once per rank)
-/// and answers the trie/statistics queries that are identical across
-/// ranks by construction.
-pub struct RankedPools {
-    plan: RankPlan,
-    pools: Vec<PagedKvPool>,
-    peaks: Vec<u32>,
-    /// Per layer, one full-width `[K, V]` row stream of a quantized split,
-    /// used only as a stateless encoder: each row is quantized here once
-    /// and every shard adopts its channels (empty unless quantized and
-    /// sharded).
-    encoders: Vec<[Box<dyn KvRowStream>; 2]>,
-}
-
-impl RankedPools {
-    /// Wraps an unsharded pool as the single rank of a 1-rank plan (the
-    /// legacy engine path, byte-for-byte).
-    pub fn single(cfg: &ModelConfig, pool: PagedKvPool) -> Self {
-        Self {
-            plan: RankPlan::new(cfg, 1),
-            pools: vec![pool],
-            peaks: vec![0],
-            encoders: Vec::new(),
-        }
-    }
-
-    /// Splits an idle donor pool into `ranks` private shards: device and
-    /// host capacity are divided by [`chunk_range`], each shard owns its
-    /// plan's KV heads, and the donor's quantizer, block size, sharing
-    /// flag, and kernel mode carry over; a quantized split keeps one
-    /// full-width encoder per `(layer, kind)` for `append`.
-    /// `ranks <= 1` wraps the donor unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the donor holds live or suspended sequences, if `ranks`
-    /// exceeds the model's KV heads, if the split leaves a rank without
-    /// pages, or if the donor's quantizer cannot stream encoded rows
-    /// (shards adopt slices of the encoded form).
-    pub fn split(cfg: &ModelConfig, donor: PagedKvPool, ranks: usize) -> Self {
-        if ranks <= 1 {
-            return Self::single(cfg, donor);
-        }
-        assert!(
-            donor.active_seqs() == 0 && donor.suspended_seqs() == 0,
-            "pool split requires an idle donor pool"
-        );
-        let plan = RankPlan::new(cfg, ranks);
-        let quantizer = donor.quantizer_handle();
-        let capacity = donor.capacity_pages() as usize;
-        let host = donor.host_capacity_pages() as usize;
-        let page_size = donor.page_size();
-        let block_tokens = donor.block_tokens();
-        let sharing = donor.prefix_sharing();
-        let kernel = donor.kernel_mode();
-        let pools: Vec<PagedKvPool> = (0..ranks)
-            .map(|r| {
-                let pages = chunk_range(r, capacity, ranks).len() as u32;
-                assert!(
-                    pages > 0,
-                    "capacity {capacity} leaves rank {r} without pages"
-                );
-                let mut p = PagedKvPool::for_model_shard(
-                    cfg,
-                    quantizer.clone(),
-                    pages,
-                    page_size,
-                    plan.kv_heads(r),
-                );
-                p.set_host_pages(chunk_range(r, host, ranks).len() as u32);
-                p.set_block_tokens(block_tokens);
-                p.set_prefix_sharing(sharing);
-                p.set_kernel_mode(kernel);
-                p
-            })
-            .collect();
-        let encoders = match &quantizer {
-            None => Vec::new(),
-            Some(q) => (0..cfg.num_layers)
-                .map(|layer| {
-                    KvKind::ALL.map(|kind| {
-                        (q.row_stream(cfg.kv_dim(), layer, kind))
-                            .expect("every shard checked the quantizer streams")
-                    })
-                })
-                .collect(),
-        };
-        Self {
-            plan,
-            pools,
-            peaks: vec![0; ranks],
-            encoders,
-        }
-    }
-
-    /// Appends one token's K/V rows for `(seq, layer)` to every rank,
-    /// **lead shard first**: the lead alone carries the fault injectors,
-    /// so its verdict arrives before any follower stores a row and a fault
-    /// plan fires once per logical append. One rank takes the rows whole
-    /// ([`PagedKvPool::append`]) and exact-f32 shards take their channels
-    /// of them. A quantized split encodes each row **once**, at full width
-    /// — Oaken's scales are whole-row min/max, so a shard quantizing its
-    /// own channels would compute other scales and other bits — and every
-    /// shard adopts its channels of the encoding
-    /// ([`FusedVector::slice_channels`]), each a pure function of its own
-    /// code, outlier entry and the shared scales. (A real rank group would
-    /// min/max all-reduce partial scales, an exact reduction with the same
-    /// result; the forward pass accounts those syncs to
-    /// [`CommStats`](oaken_runtime::CommStats).)
-    ///
-    /// # Errors
-    ///
-    /// The first shard's [`PoolError`]; shards before it keep the row (the
-    /// caller poisons the sequence, see [`PoolBatchView`]).
-    ///
-    /// [`PoolBatchView`]: crate::PoolBatchView
-    pub(crate) fn append(
-        &mut self,
-        seq: SeqId,
-        layer: usize,
-        k: &[f32],
-        v: &[f32],
-    ) -> Result<(), PoolError> {
-        let Some([key_encoder, value_encoder]) = self.encoders.get_mut(layer) else {
-            if let [pool] = &mut self.pools[..] {
-                return pool.append(seq, layer, k, v);
-            }
-            for (r, pool) in self.pools.iter_mut().enumerate() {
-                let ch = self.plan.kv_channels(r);
-                pool.append(seq, layer, &k[ch.clone()], &v[ch])?;
-            }
-            return Ok(());
-        };
-        let (k, v) = (
-            encode(&mut **key_encoder, k),
-            encode(&mut **value_encoder, v),
-        );
-        for (r, pool) in self.pools.iter_mut().enumerate() {
-            let ch = self.plan.kv_channels(r);
-            let slice = |fv: &FusedVector| {
-                (fv.slice_channels(ch.clone())).expect("rank channels lie within the row")
-            };
-            pool.adopt_encoded(seq, layer, &slice(k), &slice(v))?;
-        }
-        Ok(())
-    }
-
-    /// The ownership map.
-    pub fn plan(&self) -> &RankPlan {
-        &self.plan
-    }
-
-    /// Number of ranks.
-    pub fn num_ranks(&self) -> usize {
-        self.pools.len()
-    }
-
-    /// The lead (rank 0) shard — the one carrying fault injectors and
-    /// answering rank-invariant queries.
-    pub fn lead(&self) -> &PagedKvPool {
-        &self.pools[0]
-    }
-
-    /// Mutable lead shard.
-    pub fn lead_mut(&mut self) -> &mut PagedKvPool {
-        &mut self.pools[0]
-    }
-
-    /// All rank shards, rank order.
-    pub fn ranks(&self) -> &[PagedKvPool] {
-        &self.pools
-    }
-
-    /// All rank shards, mutable.
-    pub fn ranks_mut(&mut self) -> &mut [PagedKvPool] {
-        &mut self.pools
-    }
-
-    /// Whether the shards store quantized streams (drives the forward
-    /// pass's scale-sync accounting).
-    pub(crate) fn quantized(&self) -> bool {
-        self.pools[0].quantizer_handle().is_some()
-    }
-
-    /// What attention reads of `layer` for the `(slot, queries)` runs,
-    /// slot `i` being `seqs[i]`: the runs' views brought up to date on
-    /// every rank, then per rank shard and run its read (see
-    /// [`BatchKvCache::read_runs`](crate::BatchKvCache::read_runs)).
-    pub(crate) fn read_runs(
-        &mut self,
-        seqs: &[SeqId],
-        layer: usize,
-        runs: &[(usize, usize)],
-    ) -> Vec<ShardReads<'_>> {
-        for pool in &mut self.pools {
-            for &(slot, _) in runs {
-                pool.sync_views(seqs[slot], layer);
-            }
-        }
-        (self.pools.iter())
-            .map(|pool| pool.read_layer(seqs, layer, runs))
-            .collect()
-    }
-
-    /// Allocates a sequence on every rank, probing the prefix trie; the
-    /// rank pools allocate in lockstep, so the ids and trie matches must
-    /// agree (asserted — a divergence would mean the façade was bypassed).
-    pub fn alloc_seq_with_prefix(&mut self, tokens: &[u32]) -> PrefixAlloc {
-        let first = self.pools[0].alloc_seq_with_prefix(tokens);
-        for p in &mut self.pools[1..] {
-            let a = p.alloc_seq_with_prefix(tokens);
-            assert_eq!(
-                a.seq, first.seq,
-                "rank pools allocate sequence ids in lockstep"
-            );
-            assert_eq!(
-                a.matched_tokens, first.matched_tokens,
-                "rank tries agree on shared prefixes"
-            );
-        }
-        first
-    }
-
-    /// Trie probe (rank-invariant: every rank seals the same token
-    /// blocks, only the stored bytes differ).
-    pub fn probe_prefix(&self, tokens: &[u32]) -> usize {
-        self.pools[0].probe_prefix(tokens)
-    }
-
-    /// Frees a live sequence on every rank; returns the total pages
-    /// released across shards.
-    pub fn free_seq(&mut self, seq: SeqId) -> Result<u32, PoolError> {
-        self.release_on_all(|p| p.free_seq(seq))
-    }
-
-    /// Drops a suspended sequence's host pages on every rank.
-    pub fn drop_suspended_seq(&mut self, seq: SeqId) -> Result<u32, PoolError> {
-        self.release_on_all(|p| p.drop_suspended_seq(seq))
-    }
-
-    /// Runs one release on every rank and sums the pages it freed: the
-    /// first error wins, but every rank is still torn down — containment
-    /// over early exit.
-    fn release_on_all(
-        &mut self,
-        mut release: impl FnMut(&mut PagedKvPool) -> Result<u32, PoolError>,
-    ) -> Result<u32, PoolError> {
-        let mut total = 0u32;
-        let mut err = None;
-        for p in &mut self.pools {
-            match release(p) {
-                Ok(n) => total += n,
-                Err(e) => err = err.or(Some(e)),
-            }
-        }
-        err.map_or(Ok(total), Err)
-    }
-
-    /// Suspends a sequence to the host tier **atomically across shards**:
-    /// followers first, the lead shard last — the lead carries the fault
-    /// injectors, so its verdict arrives while every follower can still
-    /// be rolled back (resumed) without touching the fault schedule. On
-    /// any failure the already-suspended shards are resumed and the error
-    /// is returned; on success every shard is frozen and the summed
-    /// receipt comes back.
-    pub fn suspend_seq(&mut self, seq: SeqId) -> Result<SwapReceipt, PoolError> {
-        let mut done: Vec<usize> = Vec::new();
-        let mut total = SwapReceipt::default();
-        for r in (1..self.pools.len()).chain([0]) {
-            match self.pools[r].suspend_seq(seq) {
-                Ok(receipt) => {
-                    total.merge(receipt);
-                    done.push(r);
-                }
-                Err(e) => {
-                    for &d in &done {
-                        self.pools[d]
-                            .resume_seq(seq)
-                            .expect("rolling back a follower suspend cannot fault");
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(total)
-    }
-
-    /// Resumes a suspended sequence on every rank, lead shard first (its
-    /// injectors get the only say before any follower thaws); follower
-    /// resumes are headroom-pre-checked by the engine and fault-free by
-    /// construction, so a follower failure rolls the resumed shards back
-    /// to the host tier and surfaces the error.
-    pub fn resume_seq(&mut self, seq: SeqId) -> Result<SwapReceipt, PoolError> {
-        let mut done: Vec<usize> = Vec::new();
-        let mut total = SwapReceipt::default();
-        for r in 0..self.pools.len() {
-            match self.pools[r].resume_seq(seq) {
-                Ok(receipt) => {
-                    total.merge(receipt);
-                    done.push(r);
-                }
-                Err(e) => {
-                    for &d in done.iter().rev() {
-                        self.pools[d]
-                            .suspend_seq(seq)
-                            .expect("re-freezing a just-resumed shard cannot fail");
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(total)
-    }
-
-    /// Device pages a suspended sequence needs on rank `r` to resume.
-    pub fn suspended_seq_pages(&self, r: usize, seq: SeqId) -> u32 {
-        self.pools[r].suspended_seq_pages(seq)
-    }
-
-    /// Exports a sequence from every rank as one [`KvTransfer`] per
-    /// shard, in rank order — the send side of a cross-engine handoff.
-    /// Export is teardown (each shard frees the sequence), so it probes
-    /// the lead shard's liveness first and otherwise changes nothing;
-    /// past that probe the per-rank exports are infallible.
-    pub fn export_seq(&mut self, seq: SeqId) -> Result<Vec<KvTransfer>, PoolError> {
-        if !self.pools[0].is_live(seq) {
-            return Err(PoolError::UnknownSequence { seq });
-        }
-        Ok(self
-            .pools
-            .iter_mut()
-            .map(|p| {
-                p.export_seq(seq)
-                    .expect("rank pools hold sequences in lockstep")
-            })
-            .collect())
-    }
-
-    /// Whether every rank can land its shard of `transfers` right now
-    /// (the cluster's transfer clock polls this before committing).
-    pub fn can_import(&self, transfers: &[KvTransfer]) -> Result<(), PoolError> {
-        assert_eq!(
-            transfers.len(),
-            self.pools.len(),
-            "a transfer carries one shard per rank"
-        );
-        for (p, t) in self.pools.iter().zip(transfers) {
-            p.can_import(t)?;
-        }
-        Ok(())
-    }
-
-    /// Imports one [`KvTransfer`] per rank (produced by
-    /// [`export_seq`](Self::export_seq) on a pool fleet with the same
-    /// rank count), landing each shard in its rank's host tier under one
-    /// lockstep sequence id. Every rank's capacity is pre-checked before
-    /// any shard lands, so a rejection hands the transfers back untouched
-    /// — there is no partial import to roll back.
-    #[allow(clippy::type_complexity, clippy::result_large_err)]
-    pub fn import_seq(
-        &mut self,
-        transfers: Vec<KvTransfer>,
-    ) -> Result<(SeqId, SwapReceipt), (Vec<KvTransfer>, PoolError)> {
-        if let Err(e) = self.can_import(&transfers) {
-            return Err((transfers, e));
-        }
-        let mut total = SwapReceipt::default();
-        let mut id = None;
-        let mut pending = transfers.into_iter();
-        for r in 0..self.pools.len() {
-            let t = pending.next().expect("length asserted above");
-            match self.pools[r].import_seq(t) {
-                Ok((seq, receipt)) => {
-                    match id {
-                        None => id = Some(seq),
-                        Some(first) => assert_eq!(
-                            seq, first,
-                            "rank pools assign imported sequence ids in lockstep"
-                        ),
-                    }
-                    total.merge(receipt);
-                }
-                Err((t, e)) => {
-                    // Only the lead shard carries fault injectors, and it
-                    // imports first — no follower state to unwind, and the
-                    // untouched shards hand straight back.
-                    assert!(
-                        r == 0 && id.is_none(),
-                        "follower imports cannot fail past the capacity pre-check"
-                    );
-                    let mut back = vec![t];
-                    back.extend(pending);
-                    return Err((back, e));
-                }
-            }
-        }
-        Ok((id.expect("at least one rank"), total))
-    }
-
-    /// Installs a fault plan on the **lead shard only**: one logical
-    /// operation polls the schedule once, exactly like the 1-rank engine,
-    /// and the shard orderings above guarantee followers never see a
-    /// half-applied operation.
-    pub fn install_faults(&mut self, plan: FaultPlan) {
-        self.pools[0].install_faults(plan);
-    }
-
-    /// Lead-shard fault counters (followers have no injectors).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.pools[0].fault_stats()
-    }
-
-    /// Requests a kernel mode on every rank; returns the mode actually
-    /// installed (capability-gated identically on every shard — they wrap
-    /// the same quantizer).
-    pub fn set_kernel_mode(&mut self, kernel: KernelMode) -> KernelMode {
-        let mut installed = kernel;
-        for p in &mut self.pools {
-            installed = p.set_kernel_mode(kernel);
-        }
-        installed
-    }
-
-    /// The installed attention read path.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.pools[0].kernel_mode()
-    }
-
-    /// Prefix-cache counters (lead-shard view; hit/token/row counts are
-    /// rank-invariant, byte counters are the lead shard's slice).
-    pub fn prefix_stats(&self) -> PrefixStats {
-        self.pools[0].prefix_stats()
-    }
-
-    /// Pages held by sealed shared blocks, summed across shards.
-    pub fn shared_block_pages(&self) -> u32 {
-        self.pools.iter().map(|p| p.shared_block_pages()).sum()
-    }
-
-    /// Total device capacity across shards.
-    pub fn capacity_pages(&self) -> u32 {
-        self.pools.iter().map(|p| p.capacity_pages()).sum()
-    }
-
-    /// Total free device pages across shards.
-    pub fn free_pages(&self) -> u32 {
-        self.pools.iter().map(|p| p.free_pages()).sum()
-    }
-
-    /// Pages currently allocated across all shards.
-    pub fn pages_in_use(&self) -> u32 {
-        self.pools
-            .iter()
-            .map(|p| p.capacity_pages() - p.free_pages())
-            .sum()
-    }
-
-    /// KV read-path traffic summed across shards.
-    pub fn kv_read_stats(&self) -> KvReadStats {
-        let mut total = KvReadStats::default();
-        for p in &self.pools {
-            total += p.kv_read_stats();
-        }
-        total
-    }
-
-    /// Folds the current per-rank page occupancy into the running peaks
-    /// (called once per engine iteration, after the forward pass).
-    pub fn note_page_peaks(&mut self) {
-        for (p, peak) in self.pools.iter().zip(&mut self.peaks) {
-            *peak = (*peak).max(p.capacity_pages() - p.free_pages());
-        }
-    }
-
-    /// Peak allocated pages per rank over the run so far.
-    pub fn page_peaks(&self) -> &[u32] {
-        &self.peaks
-    }
-}
-
-/// `row` encoded by `encoder` as the one row it holds: a reset stream is
-/// bit-exact with a fresh one (the quantizer is prefix-deterministic), so
-/// the encoding depends on the row alone.
-fn encode<'a>(encoder: &'a mut dyn KvRowStream, row: &[f32]) -> &'a FusedVector {
-    encoder.reset();
-    assert!(
-        encoder.append_row_encoded(row),
-        "sharding encoders keep encoded rows"
-    );
-    let rows = encoder.encoded_rows().expect("checked when split");
-    rows.last().expect("a row was just encoded")
-}
-
-impl std::fmt::Debug for RankedPools {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RankedPools")
-            .field("ranks", &self.pools.len())
-            .field("free_pages", &self.free_pages())
-            .field("peaks", &self.peaks)
-            .finish()
-    }
-}
-
 /// What a row-sharded product leaves on the ranks: `[rank][input]` →
 /// that rank's rows of the input's product
 /// ([`Tensor::matvec_batch_shards`]'s output).
@@ -661,7 +148,7 @@ pub(crate) fn even_rows(n: usize, m: usize) -> Vec<Range<usize>> {
 
 /// The full-width vector per input, each rank's rows side by side in rank
 /// order — for rows every rank needs whole but no link carries (the K/V
-/// rows every pool shard appends).
+/// rows the pool encodes once and slices per rank).
 pub(crate) fn concat_shards(mut shards: RowShards) -> Vec<Vec<f32>> {
     let mut full = shards.remove(0);
     for shard in shards {
@@ -720,13 +207,15 @@ pub(crate) fn sharded_matvec(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::KernelMode;
     use crate::model::{BatchStep, Model};
-    use crate::pool::PoolBatchView;
+    use crate::pool::{PagedKvPool, PoolBatchView, PoolError, SeqId};
     use crate::sampling::sample_greedy;
     use oaken_core::{
-        EncodedReadPlan, FusedReadParams, KvQuantizer, OakenConfig, OakenQuantizer,
-        OfflineProfiler, OnlineCost,
+        EncodedReadPlan, FusedReadParams, FusedVector, KvKind, KvQuantizer, KvRowStream,
+        OakenConfig, OakenQuantizer, OfflineProfiler, OnlineCost,
     };
+    use oaken_mmu::FaultPlan;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -765,18 +254,24 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// One engine-style forward over `pools` (as many ranks as it holds),
+    /// `pool` split into `ranks` data planes.
+    fn split(mut pool: PagedKvPool, ranks: usize) -> PagedKvPool {
+        pool.set_ranks(ranks);
+        pool
+    }
+
+    /// One engine-style forward over `pool` (as many ranks as it holds),
     /// asserting the fault-free run poisons nothing.
     fn forward(
         model: &Model,
         rt: &Runtime,
         comm: &mut Comm,
-        pools: &mut RankedPools,
+        pool: &mut PagedKvPool,
         seqs: &[SeqId],
         steps: &[BatchStep],
     ) -> Vec<Vec<f32>> {
-        let plan = pools.plan().clone();
-        let mut view = PoolBatchView::new(pools, seqs);
+        let plan = pool.plan().clone();
+        let mut view = PoolBatchView::new(pool, seqs);
         let logits = model.forward_batch_sharded(rt, &plan, comm, &mut view, steps, None);
         assert!(
             view.take_poisoned().is_empty(),
@@ -806,12 +301,12 @@ mod tests {
             p.set_kernel_mode(kernel);
             p
         };
-        let mut one = RankedPools::single(cfg, donor());
+        let mut one = donor();
         let mut one_comm = Comm::new(1);
-        let mut pools = RankedPools::split(cfg, donor(), ranks);
+        let mut pools = split(donor(), ranks);
         let mut comm = Comm::new(ranks);
 
-        let alloc2 = |p: &mut RankedPools| {
+        let alloc2 = |p: &mut PagedKvPool| {
             vec![
                 p.alloc_seq_with_prefix(&[]).seq,
                 p.alloc_seq_with_prefix(&[]).seq,
@@ -935,7 +430,7 @@ mod tests {
         let model = Model::synthetic(cfg.clone(), 42);
         let rt = Runtime::serial();
         let donor = PagedKvPool::for_model(&cfg, Some(q), 256, 4096);
-        let mut pools = RankedPools::split(&cfg, donor, 2);
+        let mut pools = split(donor, 2);
         let mut comm = Comm::new(2);
         let seqs = vec![pools.alloc_seq_with_prefix(&[]).seq];
         let steps = vec![BatchStep {
@@ -972,7 +467,7 @@ mod tests {
             .collect();
         let traffic = |live: &[usize]| {
             let donor = PagedKvPool::for_model(&cfg, Some(q.clone()), 256, 4096);
-            let mut pools = RankedPools::split(&cfg, donor, 2);
+            let mut pools = split(donor, 2);
             let plan = pools.plan().clone();
             let mut comm = Comm::new(2);
             let seqs = vec![pools.alloc_seq_with_prefix(&[]).seq];
@@ -1004,47 +499,146 @@ mod tests {
         );
     }
 
+    /// What an operation may not touch on a failure: per rank, its page
+    /// accounting, host use and every layer's views of `seq`, and where
+    /// `seq` lives.
+    fn snapshot(pool: &mut PagedKvPool, seq: SeqId) -> Vec<String> {
+        let live = pool.is_live(seq);
+        let mut out = vec![format!("{live} {}", pool.is_suspended(seq))];
+        for r in 0..pool.num_ranks() {
+            let rank = pool.rank(r);
+            let (acc, host) = (rank.page_accounting(), rank.host_pages_used());
+            out.push(format!("rank {r}: {acc:?} host {host}"));
+            if live {
+                let keys = bits(pool.rank_view(r, seq, 0, KvKind::Key));
+                out.push(format!("rank {r} keys {keys:?}"));
+            }
+        }
+        out
+    }
+
+    /// Suspend, resume and import span every rank as one operation: a
+    /// fault, or one rank short of pages, leaves every rank untouched, and
+    /// the round trip that then succeeds is bit-exact on every rank.
     #[test]
     fn suspend_and_resume_stay_atomic_across_shards() {
         let cfg = dense_cfg();
         let q = oaken(cfg.kv_dim(), cfg.num_layers);
         let model = Model::synthetic(cfg.clone(), 42);
         let rt = Runtime::serial();
-        let donor = PagedKvPool::for_model(&cfg, Some(q), 256, 4096);
-        let mut pools = RankedPools::split(&cfg, donor, 3);
-        let mut comm = Comm::new(3);
-        let seqs = vec![pools.alloc_seq_with_prefix(&[]).seq];
+        // A 3-rank pool (3 / 3 / 2 heads) holding one sequence fed four
+        // tokens through the forward pass.
+        let fed = || {
+            let mut pool = split(PagedKvPool::for_model(&cfg, Some(q.clone()), 256, 4096), 3);
+            let mut comm = Comm::new(3);
+            let seqs = vec![pool.alloc_seq_with_prefix(&[]).seq];
+            let mut feed = 3u32;
+            for pos in 0..4usize {
+                let steps = vec![BatchStep {
+                    slot: 0,
+                    pos,
+                    token: feed,
+                }];
+                let logits = forward(&model, &rt, &mut comm, &mut pool, &seqs, &steps);
+                feed = sample_greedy(&logits[0]);
+            }
+            (pool, seqs, comm, feed)
+        };
+        let every_poll_faults = FaultPlan::new(1).with_rate_permille(1000);
+        let fault = |e: PoolError| matches!(e, PoolError::Fault { .. });
 
-        let mut feed = 3u32;
-        for pos in 0..4usize {
-            let steps = vec![BatchStep {
-                slot: 0,
-                pos,
-                token: feed,
-            }];
-            let logits = forward(&model, &rt, &mut comm, &mut pools, &seqs, &steps);
-            feed = sample_greedy(&logits[0]);
-        }
-        let before: Vec<Vec<u32>> = (0..3)
-            .map(|r| bits(pools.ranks_mut()[r].keys(seqs[0], 0)))
+        // Suspend: a fault, then exactly one rank short of host pages.
+        let (mut pool, seqs, _, _) = fed();
+        let private: Vec<u32> = (pool.ranks())
+            .map(|rank| rank.page_accounting().private)
             .collect();
+        let short = |host: usize| {
+            (0..3)
+                .filter(|&r| private[r] as usize > chunk_range(r, host, 3).len())
+                .count()
+        };
+        let total: usize = private.iter().map(|&p| p as usize).sum();
+        let host = (0..total).rev().find(|&h| short(h) == 1).unwrap();
+        pool.set_host_pages(host as u32);
+        let before = snapshot(&mut pool, seqs[0]);
+        let err = pool.suspend_seq(seqs[0]).unwrap_err();
+        assert!(matches!(err, PoolError::OutOfHostPages { .. }), "{err}");
+        assert_eq!(snapshot(&mut pool, seqs[0]), before, "short host rank");
+        pool.set_host_pages(4096);
+        let before = snapshot(&mut pool, seqs[0]);
+        pool.install_faults(every_poll_faults);
+        assert!(fault(pool.suspend_seq(seqs[0]).unwrap_err()));
+        assert_eq!(snapshot(&mut pool, seqs[0]), before, "faulted suspend");
 
+        // Resume: a fault, then a device one rank cannot thaw into.
+        let (mut pool, seqs, _, _) = fed();
+        pool.suspend_seq(seqs[0]).unwrap();
+        let before = snapshot(&mut pool, seqs[0]);
+        let filler = pool.alloc_seq();
+        let d = cfg.kv_dim();
+        let mut t = 0;
+        while pool.append(filler, 0, &row(d, t), &row(d, t + 1)).is_ok() {
+            t += 1;
+        }
+        let filled = snapshot(&mut pool, seqs[0]);
+        let err = pool.resume_seq(seqs[0]).unwrap_err();
+        assert!(matches!(err, PoolError::OutOfPages { .. }), "{err}");
+        assert_eq!(snapshot(&mut pool, seqs[0]), filled, "short device rank");
+        pool.free_seq(filler).unwrap();
+        assert_eq!(snapshot(&mut pool, seqs[0]), before);
+        pool.install_faults(every_poll_faults);
+        assert!(fault(pool.resume_seq(seqs[0]).unwrap_err()));
+        assert_eq!(snapshot(&mut pool, seqs[0]), before, "faulted resume");
+
+        // Import: a fault, then one rank's host tier too small to land.
+        let (mut src, seqs, _, _) = fed();
+        let transfer = src.export_seq(seqs[0]).unwrap();
+        assert_eq!(transfer.payloads().len(), 3, "one payload per rank");
+        let mut dst = split(PagedKvPool::for_model(&cfg, Some(q.clone()), 256, 4096), 3);
+        let landing: Vec<u32> = (transfer.payloads().iter())
+            .map(|p| p.pages_needed(4096).unwrap())
+            .collect();
+        let total: u32 = landing.iter().sum();
+        let host = (0..total).rev().find(|&h| {
+            let fits = |r: usize| landing[r] as usize <= chunk_range(r, h as usize, 3).len();
+            (0..3).filter(|&r| !fits(r)).count() == 1
+        });
+        dst.set_host_pages(host.unwrap());
+        let (transfer, err) = dst.import_seq(transfer).unwrap_err();
+        assert!(matches!(err, PoolError::OutOfHostPages { .. }), "{err}");
+        assert_eq!(dst.host_pages_used(), 0, "nothing landed on any rank");
+        dst.set_host_pages(4096);
+        dst.install_faults(every_poll_faults);
+        let (transfer, err) = dst.import_seq(transfer).unwrap_err();
+        assert!(fault(err));
+        assert_eq!(dst.host_pages_used(), 0, "nothing landed on any rank");
+        assert_eq!(dst.suspended_seqs(), 0);
+        let mut dst = split(PagedKvPool::for_model(&cfg, Some(q.clone()), 256, 4096), 3);
+        let (landed, _) = dst.import_seq(transfer).unwrap();
+        dst.resume_seq(landed).unwrap();
+        assert_eq!(dst.seq_len(landed, 0), 4);
+
+        // With room and no faults, the round trip is bit-exact on every
+        // rank and the next forward continues from the thawed state.
+        let (mut pools, seqs, mut comm, feed) = fed();
+        let before: Vec<Vec<u32>> = (0..3)
+            .map(|r| bits(pools.rank_view(r, seqs[0], 0, KvKind::Key)))
+            .collect();
         let receipt = pools.suspend_seq(seqs[0]).expect("suspend fits host tiers");
         assert!(receipt.bytes > 0);
-        for p in pools.ranks() {
-            assert!(p.is_suspended(seqs[0]), "every shard froze");
+        for rank in pools.ranks() {
+            assert_eq!(rank.page_accounting().private, 0, "every rank froze");
+            assert!(rank.host_pages_used() > 0, "every rank froze");
         }
         let back = pools.resume_seq(seqs[0]).expect("resume fits device");
         assert_eq!(back.bytes, receipt.bytes, "round trip moves the same bytes");
         for (r, want) in before.iter().enumerate() {
             assert_eq!(
-                &bits(pools.ranks_mut()[r].keys(seqs[0], 0)),
+                &bits(pools.rank_view(r, seqs[0], 0, KvKind::Key)),
                 want,
                 "rank {r} resumed bit-exactly"
             );
         }
-
-        // The next forward continues bit-exactly from the thawed state.
         let steps = vec![BatchStep {
             slot: 0,
             pos: 4,
@@ -1155,7 +749,7 @@ mod tests {
                 };
                 let mut donor = PagedKvPool::for_model(&cfg, Some(Arc::new(q)), 512, 4096);
                 assert_eq!(donor.set_kernel_mode(kernel), kernel);
-                let mut pools = RankedPools::split(&cfg, donor, ranks);
+                let mut pools = split(donor, ranks);
                 let mut comm = Comm::new(ranks);
                 let seqs = vec![pools.alloc_seq_with_prefix(&[]).seq];
                 let mut pos = 0;
@@ -1187,10 +781,10 @@ mod tests {
         ranks: usize,
         kernel: KernelMode,
         tokens: u64,
-    ) -> (RankedPools, SeqId) {
+    ) -> (PagedKvPool, SeqId) {
         let mut donor = PagedKvPool::for_model(cfg, Some(q.clone()), 512, 4096);
         donor.set_kernel_mode(kernel);
-        let mut pools = RankedPools::split(cfg, donor, ranks);
+        let mut pools = split(donor, ranks);
         let seq = pools.alloc_seq_with_prefix(&[]).seq;
         let d = cfg.kv_dim();
         for t in 0..tokens {
@@ -1203,11 +797,11 @@ mod tests {
     }
 
     /// Per rank `r` and layer, the `(keys, values)` views of `seq`.
-    fn views(pools: &mut RankedPools, seq: SeqId, layers: usize) -> Vec<Vec<[Vec<u32>; 2]>> {
-        (pools.ranks_mut().iter_mut())
-            .map(|p| {
+    fn views(pools: &mut PagedKvPool, seq: SeqId, layers: usize) -> Vec<Vec<[Vec<u32>; 2]>> {
+        (0..pools.num_ranks())
+            .map(|r| {
                 (0..layers)
-                    .map(|layer| [bits(p.keys(seq, layer)), bits(p.values(seq, layer))])
+                    .map(|layer| KvKind::ALL.map(|kind| bits(pools.rank_view(r, seq, layer, kind))))
                     .collect()
             })
             .collect()
@@ -1234,9 +828,9 @@ mod tests {
         for ranks in [2, 3, 4] {
             let (mut pools, seq) = fed_pools(&cfg, &q, ranks, kernel, tokens);
             let plan = pools.plan().clone();
-            for (r, pool) in pools.ranks().iter().enumerate() {
-                let slots = pool.slots(seq).iter().flatten();
-                for (slot, whole) in slots.zip(one.lead().slots(seq).iter().flatten()) {
+            for r in 0..ranks {
+                let slots = pools.slots(r, seq).iter().flatten();
+                for (slot, whole) in slots.zip(one.slots(0, seq).iter().flatten()) {
                     let stream = slot.stream().unwrap();
                     let full_rows = whole.stream().unwrap().encoded_rows().unwrap();
                     let rows = stream.encoded_rows().unwrap();
@@ -1283,10 +877,10 @@ mod tests {
         let cfg = dense_cfg();
         let q = oaken(cfg.kv_dim(), cfg.num_layers);
         let tokens = 4;
-        let payload = |pools: &RankedPools, seq: SeqId| -> usize {
-            (pools.ranks().iter())
-                .map(|p| {
-                    p.slots(seq)[0][0]
+        let payload = |pools: &PagedKvPool, seq: SeqId| -> usize {
+            (0..pools.num_ranks())
+                .map(|r| {
+                    pools.slots(r, seq)[0][0]
                         .stream()
                         .unwrap()
                         .payload_bytes()
@@ -1307,30 +901,19 @@ mod tests {
         }
     }
 
-    /// A raw row would be quantized with the shard's own scales: a
-    /// quantized shard refuses it.
-    #[test]
-    #[should_panic(expected = "adopts rows encoded at full width")]
-    fn a_quantized_shard_refuses_raw_rows() {
-        let cfg = dense_cfg();
-        let q = oaken(cfg.kv_dim(), cfg.num_layers);
-        let (mut pools, seq) = fed_pools(&cfg, &q, 2, KernelMode::Exact, 0);
-        let d = pools.plan().kv_channels(1).len();
-        let _ = pools.ranks_mut()[1].append(seq, 0, &row(d, 1), &row(d, 2));
-    }
-
     #[test]
     fn page_peaks_track_per_rank_occupancy() {
         let cfg = dense_cfg();
         let model = Model::synthetic(cfg.clone(), 42);
         let rt = Runtime::serial();
         let donor = PagedKvPool::for_model(&cfg, None, 90, 4096);
-        let mut pools = RankedPools::split(&cfg, donor, 4);
+        let mut pools = split(donor, 4);
         let mut comm = Comm::new(4);
         // Uneven capacity split: 90 pages over 4 ranks → 23/23/22/22.
-        let caps: Vec<u32> = pools.ranks().iter().map(|p| p.capacity_pages()).collect();
+        let caps: Vec<u32> = pools.ranks().map(|p| p.capacity_pages()).collect();
         assert_eq!(caps, vec![23, 23, 22, 22]);
         let seqs = vec![pools.alloc_seq_with_prefix(&[]).seq];
+        let mut peaks = vec![0u32; 4];
         for pos in 0..3usize {
             let steps = vec![BatchStep {
                 slot: 0,
@@ -1338,13 +921,14 @@ mod tests {
                 token: 9,
             }];
             forward(&model, &rt, &mut comm, &mut pools, &seqs, &steps);
-            pools.note_page_peaks();
+            for (peak, rank) in peaks.iter_mut().zip(pools.ranks()) {
+                *peak = (*peak).max(rank.pages_in_use());
+            }
         }
-        assert_eq!(pools.page_peaks().len(), 4);
+        assert_eq!(peaks.len(), 4);
         assert!(
-            pools.page_peaks().iter().all(|&p| p > 0),
-            "every rank allocated pages: {:?}",
-            pools.page_peaks()
+            peaks.iter().all(|&p| p > 0),
+            "every rank allocated pages: {peaks:?}"
         );
     }
 }

@@ -114,20 +114,20 @@ impl BatchKvCache for SingleSlot<'_> {
 
     fn seq_len(&self, slot: usize, layer: usize) -> usize {
         let store = self.0.cache().store();
-        store.pools.lead().seq_len(store.seq[slot], layer)
+        store.pool.seq_len(store.seq[slot], layer)
     }
 
     fn read_runs(&mut self, layer: usize, runs: &[(usize, usize)]) -> Vec<ShardReads<'_>> {
         let store = self.0.cache_mut().store_mut();
-        store.pools.read_runs(&store.seq, layer, runs)
+        store.pool.read_runs(&store.seq, layer, runs)
     }
 
     fn append_only_views(&self) -> bool {
-        self.0.cache().store().pools.lead().append_only_views()
+        self.0.cache().store().pool.append_only_views()
     }
 
     fn syncs_row_scales(&self) -> bool {
-        self.0.cache().store().pools.quantized()
+        self.0.cache().store().pool.quantized()
     }
 }
 

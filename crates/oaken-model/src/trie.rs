@@ -117,6 +117,18 @@ impl BlockRows {
     }
 }
 
+/// One rank's share of a sealed block: its channel slice of the block's
+/// rows and the pages they occupy on that rank.
+#[derive(Debug)]
+pub(crate) struct BlockShard {
+    /// Physical pages the block's streams occupy on the rank.
+    pub pages: u32,
+    /// Encoded payload bytes stored in those pages (dedup accounting).
+    pub bytes: u64,
+    /// The rank's slice of the block's K/V rows, all layers.
+    pub rows: BlockRows,
+}
+
 /// One sealed, immutable, reference-counted block of `block_tokens` prompt
 /// tokens: the trie node.
 pub(crate) struct TrieBlock {
@@ -128,28 +140,22 @@ pub(crate) struct TrieBlock {
     children: HashMap<Box<[u32]>, usize>,
     /// Sequences currently built on this block.
     pub refcount: u32,
-    /// MMU request id owning the block's page streams.
+    /// MMU request id owning the block's page streams, on every rank.
     pub mmu: u32,
-    /// Physical pages the block's streams occupy.
-    pub pages: u32,
-    /// Encoded payload bytes stored in those pages (dedup accounting).
-    pub bytes: u64,
-    /// The block's K/V rows, all layers.
-    pub rows: BlockRows,
+    /// Per rank, its share of the block.
+    pub shards: Vec<BlockShard>,
 }
 
 impl TrieBlock {
     /// A freshly sealed block with a single reference (the sealer).
-    pub fn new(tokens: Box<[u32]>, mmu: u32, pages: u32, bytes: u64, rows: BlockRows) -> Self {
+    pub fn new(tokens: Box<[u32]>, mmu: u32, shards: Vec<BlockShard>) -> Self {
         Self {
             tokens,
             parent: None,
             children: HashMap::new(),
             refcount: 1,
             mmu,
-            pages,
-            bytes,
-            rows,
+            shards,
         }
     }
 }
@@ -161,8 +167,8 @@ pub(crate) struct PrefixTrie {
     nodes: Vec<Option<TrieBlock>>,
     free: Vec<usize>,
     roots: HashMap<Box<[u32]>, usize>,
-    /// Total pages held by live blocks.
-    pages: u32,
+    /// Per rank, the pages live blocks hold.
+    pages: Vec<u32>,
     /// Live block count.
     len: usize,
 }
@@ -214,7 +220,11 @@ impl PrefixTrie {
                 .insert(tokens, id),
         };
         assert!(displaced.is_none(), "duplicate block sealed into the trie");
-        self.pages += self.get(id).pages;
+        let shards = &self.nodes[id].as_ref().expect("just inserted").shards;
+        self.pages.resize(self.pages.len().max(shards.len()), 0);
+        for (pages, shard) in self.pages.iter_mut().zip(shards) {
+            *pages += shard.pages;
+        }
         self.len += 1;
         id
     }
@@ -249,15 +259,17 @@ impl PrefixTrie {
                 .remove(&block.tokens),
         };
         self.free.push(id);
-        self.pages -= block.pages;
+        for (pages, shard) in self.pages.iter_mut().zip(&block.shards) {
+            *pages -= shard.pages;
+        }
         self.len -= 1;
         Some(block)
     }
 
-    /// Total pages held by live blocks — the "shared" side of the pool's
+    /// Pages live blocks hold on `rank` — the "shared" side of that rank's
     /// page accounting.
-    pub fn total_pages(&self) -> u32 {
-        self.pages
+    pub fn total_pages(&self, rank: usize) -> u32 {
+        self.pages.get(rank).copied().unwrap_or(0)
     }
 
     /// Live blocks in the trie.
@@ -271,7 +283,13 @@ mod tests {
     use super::*;
 
     fn block(tokens: &[u32], mmu: u32, pages: u32) -> TrieBlock {
-        TrieBlock::new(tokens.into(), mmu, pages, 64, BlockRows::Views(Vec::new()))
+        let rows = BlockRows::Views(Vec::new());
+        let shard = BlockShard {
+            pages,
+            bytes: 64,
+            rows,
+        };
+        TrieBlock::new(tokens.into(), mmu, vec![shard])
     }
 
     #[test]
@@ -282,7 +300,7 @@ mod tests {
         assert_eq!(t.child(None, &[1, 2]), Some(a));
         assert_eq!(t.child(Some(a), &[3, 4]), Some(b));
         assert_eq!(t.child(Some(a), &[9, 9]), None);
-        assert_eq!(t.total_pages(), 5);
+        assert_eq!(t.total_pages(0), 5);
         assert_eq!(t.len(), 2);
 
         // A second sequence adopts the whole path.
@@ -297,7 +315,7 @@ mod tests {
         assert_eq!(freed_b.mmu, 101);
         let freed_a = t.release(a).expect("root freed");
         assert_eq!(freed_a.mmu, 100);
-        assert_eq!(t.total_pages(), 0);
+        assert_eq!(t.total_pages(0), 0);
         assert_eq!(t.len(), 0);
         assert_eq!(t.child(None, &[1, 2]), None);
     }

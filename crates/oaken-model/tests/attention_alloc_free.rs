@@ -17,8 +17,7 @@
 use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler};
 use oaken_model::{
     attend_one_into, attend_segments_fused_into, AttentionScratch, AttentionShape, BatchStep,
-    EncodedKv, Model, ModelConfig, PagedKvPool, PoolBatchView, RankPlan, RankedPools, Segment,
-    StepBatch,
+    EncodedKv, Model, ModelConfig, PagedKvPool, PoolBatchView, RankPlan, Segment, StepBatch,
 };
 use oaken_runtime::{Comm, Runtime};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -251,7 +250,7 @@ fn steady_state(shape: AttentionShape) {
 /// model — the first layer is the last, so dead steps end at its append.
 fn last_layer_pass(model: &Model, steps: usize, live: &[usize]) -> usize {
     let cfg = model.config();
-    let mut pools = RankedPools::single(cfg, PagedKvPool::for_model(cfg, None, 256, 4096));
+    let mut pools = PagedKvPool::for_model(cfg, None, 256, 4096);
     let seqs = [pools.alloc_seq_with_prefix(&[]).seq];
     let steps: Vec<BatchStep> = (0..steps)
         .map(|pos| BatchStep {

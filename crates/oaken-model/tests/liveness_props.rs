@@ -12,7 +12,7 @@
 use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler};
 use oaken_mmu::PageId;
 use oaken_model::{
-    BatchStep, KernelMode, Model, ModelConfig, PagedKvPool, PoolBatchView, RankedPools, StepBatch,
+    BatchStep, KernelMode, Model, ModelConfig, PagedKvPool, PoolBatchView, StepBatch,
 };
 use oaken_runtime::{Comm, Runtime};
 use proptest::prelude::*;
@@ -114,7 +114,8 @@ fn prefill(
     let mut donor = PagedKvPool::for_model(cfg, Some(setup.quantizer.clone()), 2048, 512);
     donor.set_block_tokens(8);
     assert_eq!(donor.set_kernel_mode(setup.kernel), setup.kernel);
-    let mut pools = RankedPools::split(cfg, donor, setup.ranks);
+    let mut pools = donor;
+    pools.set_ranks(setup.ranks);
     let plan = pools.plan().clone();
     let mut comm = Comm::new(setup.ranks);
     let seqs: Vec<_> = prompts
@@ -163,22 +164,21 @@ fn prefill(
         assert!(view.take_poisoned().is_empty(), "ample pool, no faults");
     }
 
-    let states = pools
-        .ranks_mut()
-        .iter_mut()
-        .map(|pool| {
+    let mut states: Vec<PoolState> = (0..setup.ranks)
+        .map(|r| {
             let mut rows = Vec::new();
             for &seq in &seqs {
                 for layer in 0..cfg.num_layers {
                     rows.push((
-                        pool.seq_len(seq, layer),
-                        bits(pool.keys(seq, layer)),
-                        bits(pool.values(seq, layer)),
+                        pools.seq_len(seq, layer),
+                        bits(pools.rank_view(r, seq, layer, KvKind::Key)),
+                        bits(pools.rank_view(r, seq, layer, KvKind::Value)),
                     ));
                 }
             }
-            let mmu = pool.mmu();
-            let refcounts = (0..pool.capacity_pages())
+            let rank = pools.rank(r);
+            let mmu = rank.mmu();
+            let refcounts = (0..rank.capacity_pages())
                 .map(|p| mmu.allocator().refcount(PageId(p)))
                 .collect();
             let tables = seqs
@@ -189,23 +189,23 @@ fn prefill(
                     table.iter().map(|e| (e.addr.0, e.size)).collect()
                 })
                 .collect();
-            let mut state = PoolState {
+            PoolState {
                 rows,
                 refcounts,
                 tables,
-                trie_blocks: pool.trie_blocks(),
-                shared_block_pages: pool.shared_block_pages(),
-                prefix: pool.prefix_stats(),
+                trie_blocks: pools.trie_blocks(),
+                shared_block_pages: rank.page_accounting().shared_blocks,
+                prefix: pools.prefix_stats(),
                 exports: Vec::new(),
-            };
-            for &seq in &seqs {
-                let transfer = pool.export_seq(seq).expect("live sequence exports");
-                let payload = transfer.payload();
-                state.exports.push((payload.bytes, payload.checksum));
             }
-            state
         })
         .collect();
+    for &seq in &seqs {
+        let transfer = pools.export_seq(seq).expect("live sequence exports");
+        for (state, payload) in states.iter_mut().zip(transfer.payloads()) {
+            state.exports.push((payload.bytes, payload.checksum));
+        }
+    }
     (logits, states)
 }
 

@@ -13,7 +13,7 @@
 //! storage appends into pre-grown flat buffers, so any allocation observed
 //! here would be genuine overhead of the append path.
 
-use oaken_model::{BatchKvCache, ModelConfig, PagedKvPool, PoolBatchView, RankedPools};
+use oaken_model::{BatchKvCache, ModelConfig, PagedKvPool, PoolBatchView};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -107,14 +107,14 @@ fn steady_state_pool_batch_view_append_makes_zero_allocations() {
         // Big pages so the measured window never crosses a page boundary:
         // the point is the append path's own overhead, not page-list
         // growth.
-        let donor = PagedKvPool::for_model(&cfg, None, 512, 65_536);
-        let mut pools = RankedPools::split(&cfg, donor, ranks);
+        let mut pools = PagedKvPool::for_model(&cfg, None, 512, 65_536);
+        pools.set_ranks(ranks);
         let seqs: Vec<_> = (0..slots)
             .map(|_| pools.alloc_seq_with_prefix(&[]).seq)
             .collect();
         // One view per token, as the engine makes one per iteration; each
         // step appends its rows layer by layer through it.
-        let feed = |pools: &mut RankedPools, tokens: std::ops::Range<usize>| {
+        let feed = |pools: &mut PagedKvPool, tokens: std::ops::Range<usize>| {
             for t in tokens {
                 let mut view = PoolBatchView::new(pools, &seqs);
                 for layer in 0..layers {
@@ -136,10 +136,8 @@ fn steady_state_pool_batch_view_append_makes_zero_allocations() {
              {measured_tokens} tokens x {layers} layers x {slots} slots at {ranks} ranks"
         );
         // Sanity: the rows actually landed on every rank.
-        for pool in pools.ranks() {
-            for &s in &seqs {
-                assert_eq!(pool.seq_len(s, layers - 1), total);
-            }
+        for &s in &seqs {
+            assert_eq!(pools.seq_len(s, layers - 1), total);
         }
     }
 }

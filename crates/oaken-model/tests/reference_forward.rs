@@ -12,7 +12,7 @@
 
 use oaken_model::{
     attend_kv_group_into, AttentionShape, BatchStep, Model, ModelConfig, PagedKvPool,
-    PoolBatchView, Positional, RankedPools,
+    PoolBatchView, Positional,
 };
 use oaken_runtime::{Comm, CommStats, Runtime};
 use oaken_tensor::norm::{layernorm, rmsnorm, NormKind};
@@ -120,8 +120,8 @@ fn batched(
 ) -> Vec<Vec<Vec<u32>>> {
     let cfg = model.config();
     let rt = Runtime::new(threads);
-    let donor = PagedKvPool::for_model(cfg, None, 512, 4096);
-    let mut pools = RankedPools::split(cfg, donor, ranks);
+    let mut pools = PagedKvPool::for_model(cfg, None, 512, 4096);
+    pools.set_ranks(ranks);
     let plan = pools.plan().clone();
     let mut comm = Comm::new(ranks);
     let seqs: Vec<_> = prompts

@@ -8,9 +8,7 @@
 //! shared a sweep over the encoded rows never shows in any output bit.
 
 use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler};
-use oaken_model::{
-    BatchStep, KernelMode, Model, ModelConfig, PagedKvPool, PoolBatchView, RankedPools,
-};
+use oaken_model::{BatchStep, KernelMode, Model, ModelConfig, PagedKvPool, PoolBatchView};
 use oaken_runtime::{Comm, Runtime};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -67,7 +65,8 @@ fn prefill(
     let rt = Runtime::new(threads);
     let mut donor = PagedKvPool::for_model(cfg, Some(quantizer.clone()), 2048, 4096);
     assert_eq!(donor.set_kernel_mode(KernelMode::Fused), KernelMode::Fused);
-    let mut pools = RankedPools::split(cfg, donor, ranks);
+    let mut pools = donor;
+    pools.set_ranks(ranks);
     let mut comm = Comm::new(ranks);
     let seqs = vec![pools.alloc_seq_with_prefix(&[]).seq];
     let mut observed = Observed::new();
@@ -117,10 +116,10 @@ fn prefill(
         _ => panic!("no recorded sweep count for chunk {chunk}"),
     };
     assert_eq!(reads.fused_rows_swept, per_rank * ranks as u64);
-    for pool in pools.ranks_mut() {
+    for r in 0..ranks {
         for layer in 0..cfg.num_layers {
-            observed.push(bits(pool.keys(seqs[0], layer)));
-            observed.push(bits(pool.values(seqs[0], layer)));
+            observed.push(bits(pools.rank_view(r, seqs[0], layer, KvKind::Key)));
+            observed.push(bits(pools.rank_view(r, seqs[0], layer, KvKind::Value)));
         }
     }
     observed

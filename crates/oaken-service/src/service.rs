@@ -31,7 +31,7 @@
 use crate::batcher::{Batcher, Command, Submission};
 use crate::clock::{clock_tick, ArrivalQueue, ClockHooks};
 use crate::session::{SessionEnd, SessionHandle, StreamEvent, StreamToken};
-use oaken_model::{KernelMode, Model, PagedKvPool};
+use oaken_model::{KernelMode, Model, PagedKvPool, RankPages};
 use oaken_serving::{
     BatchEngine, EngineConfig, EngineRequest, EngineStats, RequestFailure, RequestOutcome,
     TokenScheduler,
@@ -40,7 +40,7 @@ use std::collections::HashMap;
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 
-/// Post-shutdown page accounting for one rank's pool shard — the
+/// Post-shutdown page accounting for one rank of the pool — the
 /// "drains exactly empty" obligation, captured after the engine thread
 /// exits so tests can assert it without racing the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,20 +62,20 @@ pub struct PoolDrain {
 }
 
 impl PoolDrain {
-    fn capture(pool: &PagedKvPool) -> Self {
-        let acc = pool.page_accounting();
+    fn capture(pool: &PagedKvPool, rank: RankPages<'_>) -> Self {
+        let acc = rank.page_accounting();
         Self {
             free_pages: acc.free,
-            capacity_pages: pool.capacity_pages(),
+            capacity_pages: rank.capacity_pages(),
             private_pages: acc.private,
             shared_block_pages: acc.shared_blocks,
-            host_pages_used: pool.host_pages_used(),
+            host_pages_used: rank.host_pages_used(),
             active_seqs: pool.active_seqs(),
             suspended_seqs: pool.suspended_seqs(),
         }
     }
 
-    /// `true` when the shard is exactly empty: every page back on the
+    /// `true` when the rank is exactly empty: every page back on the
     /// free list, nothing private, no shared blocks, no host residue, no
     /// registered sequences.
     pub fn is_empty(&self) -> bool {
@@ -102,7 +102,7 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
-    /// `true` when every rank's shard drained exactly empty.
+    /// `true` when every rank drained exactly empty.
     pub fn drained_empty(&self) -> bool {
         self.drain.iter().all(PoolDrain::is_empty)
     }
@@ -382,7 +382,9 @@ fn engine_loop(
     );
     ServiceReport {
         stats: engine.stats().clone(),
-        drain: engine.rank_pools().iter().map(PoolDrain::capture).collect(),
+        drain: (engine.pool().ranks())
+            .map(|rank| PoolDrain::capture(engine.pool(), rank))
+            .collect(),
         kernel_mode: engine.kernel_mode(),
         clock,
     }

@@ -65,16 +65,19 @@ fn matrix_pool(
     quantizer: &std::sync::Arc<dyn oaken_core::KvQuantizer>,
     cfg: EngineConfig,
 ) -> oaken_model::PagedKvPool {
-    let heads = 0..model.config().num_kv_heads / cfg.num_ranks;
-    let shard = oaken_model::PagedKvPool::for_model_shard(
-        model.config(),
-        Some(quantizer.clone()),
-        1,
-        512,
-        heads,
-    );
-    let per_shard = shard.pages_for_tokens(20 + 30) as u32 * 11 / 5;
-    let device = cfg.num_ranks as u32 * per_shard;
+    let ranks = cfg.num_ranks;
+    let mut probe =
+        oaken_model::PagedKvPool::for_model(model.config(), Some(quantizer.clone()), 64, 512);
+    probe.set_ranks(ranks);
+    let per_shard = probe.rank(0).pages_for_tokens(20 + 30) as u32 * 11 / 5;
+    let device = ranks as u32 * per_shard;
+    // The device tiers the spot-loading scenario was tuned on.
+    let tuned = match ranks {
+        1 => 28,
+        2 => 38,
+        _ => panic!("no tuned geometry for {ranks} ranks"),
+    };
+    assert_eq!(device, tuned, "{ranks} ranks");
     service_pool(model, quantizer, device, 2 * device)
 }
 

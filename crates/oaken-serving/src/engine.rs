@@ -45,7 +45,7 @@
 use crate::scheduler::TokenScheduler;
 use oaken_model::{
     sample_greedy, BatchStep, FaultKind, FaultPlan, KernelMode, KvReadStats, KvTransfer, Model,
-    PagedKvPool, PoolBatchView, PoolError, PrefixStats, RankedPools, SeqId, StepBatch,
+    PagedKvPool, PoolBatchView, PoolError, PrefixStats, RankPages, SeqId, StepBatch,
 };
 use oaken_runtime::{Comm, CommStats, Runtime};
 use std::collections::{HashSet, VecDeque};
@@ -214,10 +214,10 @@ pub struct EngineConfig {
     /// parallelism).
     pub num_threads: usize,
     /// Tensor-parallel engine ranks. `1` (the default) is the unsharded
-    /// engine: one pool shard, a communicator that accounts nothing.
-    /// `N > 1` splits the pool into `N` private per-rank shards
-    /// (contiguous KV-head slices, device/host capacity divided evenly)
-    /// and the same forward pass
+    /// engine: one data plane, a communicator that accounts nothing.
+    /// `N > 1` splits the pool into `N` per-rank data planes
+    /// ([`PagedKvPool::set_ranks`]: contiguous KV-head slices,
+    /// device/host capacity divided evenly) and the same forward pass
     /// ([`Model::forward_batch_sharded`]) runs `N` ranks merged by a
     /// deterministic all-reduce —
     /// logits stay **bit-exact** with the 1-rank engine in
@@ -350,7 +350,8 @@ pub struct FinishedRequest {
 
 /// A retired request's frozen KV plus everything a peer engine needs to
 /// continue decoding it — the unit a disaggregated cluster ships from a
-/// prefill engine to a decode engine (one [`KvTransfer`] per rank shard).
+/// prefill engine to a decode engine: one [`KvTransfer`], carrying every
+/// rank's slice of the sequence.
 ///
 /// Produced by [`BatchEngine::take_exports`] for requests previously
 /// tagged with [`BatchEngine::mark_for_export`]; consumed by
@@ -370,15 +371,15 @@ pub struct KvExport {
     pub logits: Vec<Vec<f32>>,
     /// Exporting engine's iteration of the first decode token.
     pub ttft_iteration: u64,
-    /// One flattened KV transfer per rank shard, in rank order.
-    pub transfers: Vec<KvTransfer>,
+    /// The flattened KV transfer.
+    pub transfer: KvTransfer,
 }
 
 impl KvExport {
-    /// Total bytes on the modeled wire: every shard's payload plus its
+    /// Total bytes on the modeled wire: every rank's payload plus its
     /// self-describing size tables.
     pub fn wire_bytes(&self) -> u64 {
-        self.transfers.iter().map(|t| t.wire_bytes()).sum()
+        self.transfer.wire_bytes()
     }
 }
 
@@ -478,9 +479,9 @@ pub struct EngineStats {
     /// all-reduce calls, scale syncs, and total bytes moved. All zero for
     /// a 1-rank engine.
     pub comm: CommStats,
-    /// Peak allocated pages **per rank shard** over the run (one entry
-    /// per rank; sums to at least [`pages_in_use_peak`] when page use
-    /// peaked simultaneously).
+    /// Peak allocated pages **per rank** over the run (one entry per
+    /// rank; sums to at least [`pages_in_use_peak`] when page use peaked
+    /// simultaneously).
     ///
     /// [`pages_in_use_peak`]: Self::pages_in_use_peak
     pub rank_page_peaks: Vec<u32>,
@@ -610,9 +611,8 @@ impl Tracked {
 /// The continuous-batching engine. See the module docs.
 pub struct BatchEngine<'m> {
     model: &'m Model,
-    /// The KV pool, split into one private shard per tensor-parallel rank
-    /// (a single unsharded pool for the 1-rank engine).
-    pools: RankedPools,
+    /// The KV pool: one data plane per tensor-parallel rank.
+    pool: PagedKvPool,
     /// The deterministic all-reduce context shared by every iteration
     /// (a no-op accounting shell for the 1-rank engine).
     comm: Comm,
@@ -669,16 +669,15 @@ impl<'m> BatchEngine<'m> {
         } else {
             1
         };
-        let mut pools = if ranks > 1 {
-            RankedPools::split(model.config(), pool, ranks)
-        } else {
-            RankedPools::single(model.config(), pool)
-        };
-        if let Some(plan) = config.fault_plan {
-            pools.install_faults(plan);
+        let mut pool = pool;
+        if ranks != pool.num_ranks() {
+            pool.set_ranks(ranks);
         }
-        if config.kernel != pools.kernel_mode() {
-            pools.set_kernel_mode(config.kernel);
+        if let Some(plan) = config.fault_plan {
+            pool.install_faults(plan);
+        }
+        if config.kernel != pool.kernel_mode() {
+            pool.set_kernel_mode(config.kernel);
         }
         let stats = EngineStats {
             num_ranks: ranks,
@@ -687,7 +686,7 @@ impl<'m> BatchEngine<'m> {
         };
         Self {
             model,
-            pools,
+            pool,
             comm: Comm::new(ranks),
             scheduler,
             runtime: Runtime::new(config.num_threads),
@@ -712,14 +711,14 @@ impl<'m> BatchEngine<'m> {
     /// [`KernelMode::Exact`] when the configured request could not be
     /// honored (quantizer without an encoded read path).
     pub fn kernel_mode(&self) -> KernelMode {
-        self.pools.kernel_mode()
+        self.pool.kernel_mode()
     }
 
     /// Tensor-parallel ranks the engine actually runs with, after
     /// capability gating — 1 when the request was downgraded (see
     /// [`EngineConfig::num_ranks`]).
     pub fn num_ranks(&self) -> usize {
-        self.pools.num_ranks()
+        self.pool.num_ranks()
     }
 
     /// Enqueues a request. A malformed one — empty prompt, zero output
@@ -774,15 +773,10 @@ impl<'m> BatchEngine<'m> {
         &self.stats
     }
 
-    /// The shared pool (read-only): the sole pool for a 1-rank engine,
-    /// rank 0's shard otherwise.
+    /// The shared pool (read-only), every rank of it: its totals sum the
+    /// ranks, and [`PagedKvPool::rank`] reads one rank's accounting.
     pub fn pool(&self) -> &PagedKvPool {
-        self.pools.lead()
-    }
-
-    /// The per-rank pool shards (one entry for a 1-rank engine).
-    pub fn rank_pools(&self) -> &[PagedKvPool] {
-        self.pools.ranks()
+        &self.pool
     }
 
     /// Currently active sequences.
@@ -854,8 +848,8 @@ impl<'m> BatchEngine<'m> {
         std::mem::take(&mut self.exports)
     }
 
-    /// Accepts a peer engine's [`KvExport`]: each rank shard lands in
-    /// this engine's host tier, and the request parks in the resume
+    /// Accepts a peer engine's [`KvExport`]: each rank's slice lands in
+    /// that rank's host tier, and the request parks in the resume
     /// queue — strict priority over fresh admissions, identical to a
     /// locally suspended sequence — to thaw and continue decoding
     /// bit-exactly where the exporter stopped. If the resume later
@@ -883,29 +877,22 @@ impl<'m> BatchEngine<'m> {
     /// prompt).
     #[allow(clippy::result_large_err)]
     pub fn ingest_frozen(&mut self, export: KvExport) -> Result<(), (KvExport, PoolError)> {
-        assert_eq!(
-            export.transfers.len(),
-            self.pools.num_ranks(),
-            "an export carries one transfer per rank"
-        );
         assert!(
             !export.generated.is_empty(),
             "an export continues decoding: the prefill leg samples at least one token"
         );
         let pos = export.request.prompt.len();
-        for t in &export.transfers {
-            assert_eq!(
-                t.tokens(),
-                pos,
-                "an export's KV holds exactly the prompt rows on every shard"
-            );
-        }
+        assert_eq!(
+            export.transfer.tokens(),
+            pos,
+            "an export's KV holds exactly the prompt rows"
+        );
         let KvExport {
             request,
             generated,
             logits,
             ttft_iteration,
-            transfers,
+            transfer,
         } = export;
         if request.total_tokens() > self.model.config().max_seq_len {
             // Admission's length check, which a one-token prefill leg
@@ -920,7 +907,7 @@ impl<'m> BatchEngine<'m> {
             self.finish(t, RequestOutcome::Failed(RequestFailure::Impossible));
             return Ok(());
         }
-        match self.pools.import_seq(transfers) {
+        match self.pool.import_seq(transfer) {
             Ok((seq, _receipt)) => {
                 self.stats.imports += 1;
                 self.park(Tracked {
@@ -935,13 +922,13 @@ impl<'m> BatchEngine<'m> {
                 });
                 Ok(())
             }
-            Err((transfers, e)) => Err((
+            Err((transfer, e)) => Err((
                 KvExport {
                     request,
                     generated,
                     logits,
                     ttft_iteration,
-                    transfers,
+                    transfer,
                 },
                 e,
             )),
@@ -995,8 +982,8 @@ impl<'m> BatchEngine<'m> {
                 steps.push(BatchStep { slot, pos, token });
             }
         }
-        let ranks = self.pools.plan().clone();
-        let mut view = PoolBatchView::new(&mut self.pools, &seqs);
+        let ranks = self.pool.plan().clone();
+        let mut view = PoolBatchView::new(&mut self.pool, &seqs);
         let logits = self.model.forward_batch_sharded(
             &self.runtime,
             &ranks,
@@ -1010,8 +997,11 @@ impl<'m> BatchEngine<'m> {
         // reservation): their forward output is discarded below and
         // the sequences are quarantined after the batch bookkeeping.
         let poisoned = view.take_poisoned();
-        self.pools.note_page_peaks();
-        self.stats.pages_in_use_peak = self.stats.pages_in_use_peak.max(self.pools.pages_in_use());
+        let peaks = self.stats.rank_page_peaks.iter_mut();
+        for (peak, rank) in peaks.zip(self.pool.ranks()) {
+            *peak = (*peak).max(rank.pages_in_use());
+        }
+        self.stats.pages_in_use_peak = self.stats.pages_in_use_peak.max(self.pool.pages_in_use());
 
         let iteration = self.stats.iterations;
         let mut decode_ctx: Vec<f64> = Vec::new();
@@ -1084,18 +1074,14 @@ impl<'m> BatchEngine<'m> {
     }
 
     fn sync_prefix_stats(&mut self) {
-        self.stats.prefix = self.pools.prefix_stats();
+        self.stats.prefix = self.pool.prefix_stats();
         self.stats.shared_pages_peak = self
             .stats
             .shared_pages_peak
-            .max(self.pools.shared_block_pages());
-        self.stats.faults_injected = self.pools.fault_stats().injected;
-        self.stats.kv_reads = self.pools.kv_read_stats();
+            .max(self.pool.shared_block_pages());
+        self.stats.faults_injected = self.pool.fault_stats().injected;
+        self.stats.kv_reads = self.pool.kv_read_stats();
         self.stats.comm = self.comm.stats();
-        self.stats.rank_page_peaks.clear();
-        self.stats
-            .rank_page_peaks
-            .extend_from_slice(self.pools.page_peaks());
     }
 
     /// Tokens each active sequence feeds this iteration: decoding
@@ -1118,23 +1104,22 @@ impl<'m> BatchEngine<'m> {
             .collect()
     }
 
-    /// Whether the pool can absorb `plan` in the worst case. With ranked
-    /// shards **every** rank must have the headroom — shards grow in
-    /// lockstep (one row-slice per appended token each), so the tightest
-    /// shard bounds the whole batch.
+    /// Whether the pool can absorb `plan` in the worst case. **Every**
+    /// rank must have the headroom — each appended token lands a slice on
+    /// every rank, so the tightest rank bounds the whole batch.
     fn plan_fits(&self, plan: &[usize]) -> bool {
-        self.pools.ranks().iter().all(|pool| {
+        self.pool.ranks().all(|rank| {
             let needed: u32 = self
                 .active
                 .iter()
                 .zip(plan)
                 .map(|(a, &n)| {
-                    let p = pool.pages_possibly_needed_n(a.seq(), n);
+                    let p = rank.pages_possibly_needed_n(a.seq(), n);
                     debug_assert!(p.is_ok(), "active sequences are live in the pool");
                     p.unwrap_or(0)
                 })
                 .sum();
-            needed <= pool.free_pages()
+            needed <= rank.free_pages()
         })
     }
 
@@ -1145,7 +1130,7 @@ impl<'m> BatchEngine<'m> {
     /// leave this headroom untouched, otherwise "reserving" would be a
     /// no-op until the pages actually allocate and `FullSequence` would
     /// over-admit.
-    fn committed_pages_on(&self, pool: &PagedKvPool) -> u64 {
+    fn committed_pages_on(&self, rank: RankPages<'_>) -> u64 {
         self.active
             .iter()
             .map(|a| {
@@ -1153,7 +1138,7 @@ impl<'m> BatchEngine<'m> {
                     AdmissionPolicy::PromptOnly => a.req.prompt.len(),
                     AdmissionPolicy::FullSequence => a.req.total_tokens(),
                 };
-                pool.pages_for_tokens(promised_tokens.saturating_sub(a.pos))
+                rank.pages_for_tokens(promised_tokens.saturating_sub(a.pos))
             })
             .sum()
     }
@@ -1177,9 +1162,9 @@ impl<'m> BatchEngine<'m> {
             return;
         };
         let r = if suspended {
-            self.pools.drop_suspended_seq(seq)
+            self.pool.drop_suspended_seq(seq)
         } else {
-            self.pools.free_seq(seq)
+            self.pool.free_seq(seq)
         };
         debug_assert!(r.is_ok(), "teardown of a tracked sequence failed: {r:?}");
     }
@@ -1331,11 +1316,10 @@ impl<'m> BatchEngine<'m> {
             }
             let front_seq = front.seq();
             // Resuming materializes the frozen pages on *every* rank
-            // shard simultaneously; the tightest shard gates the resume.
-            let fits = (0..self.pools.num_ranks()).all(|r| {
-                let pool = &self.pools.ranks()[r];
-                let frozen = u64::from(self.pools.suspended_seq_pages(r, front_seq));
-                frozen + self.committed_pages_on(pool) <= u64::from(pool.free_pages())
+            // simultaneously; the tightest rank gates the resume.
+            let fits = self.pool.ranks().all(|rank| {
+                let frozen = u64::from(rank.suspended_seq_pages(front_seq));
+                frozen + self.committed_pages_on(rank) <= u64::from(rank.free_pages())
             });
             if !fits && !self.active.is_empty() {
                 return Some(true);
@@ -1346,7 +1330,7 @@ impl<'m> BatchEngine<'m> {
                 self.restart(s, true);
                 continue;
             }
-            let receipt = match self.pools.resume_seq(front_seq) {
+            let receipt = match self.pool.resume_seq(front_seq) {
                 Ok(receipt) => receipt,
                 Err(PoolError::Fault { .. }) => {
                     // Injected swap-in fault: the sequence stays frozen on
@@ -1419,42 +1403,42 @@ impl<'m> BatchEngine<'m> {
             let Some(front) = self.queue.front() else {
                 break;
             };
-            let matched = self.pools.probe_prefix(&front.req.prompt);
-            // Every rank shard must hold the request (its slice of every
-            // row), so both the impossibility and the reservation checks
-            // quantify over all shards — the tightest one decides.
+            let matched = self.pool.probe_prefix(&front.req.prompt);
+            // Every rank must hold the request (its slice of every row), so
+            // both the impossibility and the reservation checks quantify
+            // over all ranks — the tightest one decides.
             let impossible = front.req.total_tokens() > self.model.config().max_seq_len
-                || self.pools.ranks().iter().any(|pool| {
-                    pool.pages_for_tokens(front.req.total_tokens() - matched)
-                        > u64::from(pool.capacity_pages())
+                || self.pool.ranks().any(|rank| {
+                    rank.pages_for_tokens(front.req.total_tokens() - matched)
+                        > u64::from(rank.capacity_pages())
                 });
             if impossible {
                 let q = self.queue.pop_front().expect("front exists");
                 self.finish(q, RequestOutcome::Failed(RequestFailure::Impossible));
                 continue;
             }
-            let fits = self.pools.ranks().iter().all(|pool| {
+            let fits = self.pool.ranks().all(|rank| {
                 let reserve = match self.config.admission {
                     AdmissionPolicy::PromptOnly => {
-                        pool.pages_for_tokens(front.req.prompt.len() - matched)
+                        rank.pages_for_tokens(front.req.prompt.len() - matched)
                     }
                     AdmissionPolicy::FullSequence => {
-                        pool.pages_for_tokens(front.req.total_tokens() - matched)
+                        rank.pages_for_tokens(front.req.total_tokens() - matched)
                     }
                 };
                 let host_headroom = match self.config.preempt {
-                    PreemptPolicy::SwapToHost => u64::from(pool.host_free_pages()),
+                    PreemptPolicy::SwapToHost => u64::from(rank.host_free_pages()),
                     PreemptPolicy::RestartRecompute => 0,
                 };
-                reserve + self.committed_pages_on(pool)
-                    <= u64::from(pool.free_pages()) + host_headroom
+                reserve + self.committed_pages_on(rank)
+                    <= u64::from(rank.free_pages()) + host_headroom
             });
             if !fits {
                 stalled = true;
                 break;
             }
             let mut q = self.queue.pop_front().expect("front exists");
-            let alloc = self.pools.alloc_seq_with_prefix(&q.req.prompt);
+            let alloc = self.pool.alloc_seq_with_prefix(&q.req.prompt);
             debug_assert_eq!(alloc.matched_tokens, matched, "probe/alloc agree");
             self.stats.admitted += 1;
             q.seq = Some(alloc.seq);
@@ -1516,7 +1500,7 @@ impl<'m> BatchEngine<'m> {
                 // tier demotes this victim to evict-and-restart.
                 let mut swapped = None;
                 for attempt in 0..=SWAP_OUT_RETRY_LIMIT {
-                    match self.pools.suspend_seq(a.seq()) {
+                    match self.pool.suspend_seq(a.seq()) {
                         Ok(receipt) => {
                             swapped = Some(receipt);
                             break;
@@ -1564,20 +1548,18 @@ impl<'m> BatchEngine<'m> {
             }
             let mut a = self.active.remove(i);
             if self.export_marks.remove(&a.req.id) {
-                // Export *is* the teardown: every rank pool flattens and
-                // frees the sequence, and the request leaves through the
-                // export drain instead of the finished list — a peer
+                // Export *is* the teardown: the pool flattens and frees the
+                // sequence on every rank, and the request leaves through
+                // the export drain instead of the finished list — a peer
                 // engine finishes it.
-                let transfers = self
-                    .pools
-                    .export_seq(a.seq())
-                    .expect("retiring sequences are live in every rank pool");
+                let transfer = (self.pool.export_seq(a.seq()))
+                    .expect("retiring sequences are live in the pool");
                 let export = KvExport {
                     request: a.req,
                     generated: a.generated,
                     logits: a.logits,
                     ttft_iteration: a.ttft_iteration,
-                    transfers,
+                    transfer,
                 };
                 self.stats.exports += 1;
                 self.stats.export_wire_bytes += export.wire_bytes();
@@ -1597,8 +1579,8 @@ impl std::fmt::Debug for BatchEngine<'_> {
             .field("queued", &self.queue.len())
             .field("resume_queued", &self.resume.len())
             .field("finished", &self.finished.len())
-            .field("num_ranks", &self.pools.num_ranks())
-            .field("free_pages", &self.pools.free_pages())
+            .field("num_ranks", &self.pool.num_ranks())
+            .field("free_pages", &self.pool.free_pages())
             .finish()
     }
 }

@@ -49,14 +49,14 @@ fn run_chaos(
         iters += 1;
         assert!(iters < 20_000, "engine failed to terminate under faults");
         // The books balance after *every* iteration, on *every* rank
-        // shard (one unsharded pool off the 2-rank point): free
-        // + private + shared pages always sum to the shard's capacity,
+        // (one rank off the 2-rank point): free
+        // + private + shared pages always sum to the rank's capacity,
         // whatever was injected, torn down, retried, or demoted.
-        for (r, pool) in engine.rank_pools().iter().enumerate() {
-            let acct = pool.page_accounting();
+        for (r, rank) in engine.pool().ranks().enumerate() {
+            let acct = rank.page_accounting();
             assert_eq!(
                 acct.total(),
-                pool.capacity_pages(),
+                rank.capacity_pages(),
                 "rank {r} page accounting leaked at iteration {iters}: {acct:?}"
             );
         }
@@ -69,17 +69,17 @@ fn run_chaos(
     let stats = engine.stats();
     assert_eq!(stats.faults_absorbed, stats.faults_injected);
 
-    // Nothing residual: every rank shard drained to exactly empty.
-    for (r, pool) in engine.rank_pools().iter().enumerate() {
-        let acct = pool.page_accounting();
+    // Nothing residual: every rank drained to exactly empty.
+    for (r, rank) in engine.pool().ranks().enumerate() {
+        let acct = rank.page_accounting();
         assert_eq!(
             acct.free,
-            pool.capacity_pages(),
+            rank.capacity_pages(),
             "rank {r} device pages leaked: {acct:?}"
         );
-        assert_eq!(pool.host_pages_used(), 0, "rank {r} host pages leaked");
-        assert_eq!(pool.active_seqs(), 0);
-        assert_eq!(pool.suspended_seqs(), 0);
+        assert_eq!(rank.host_pages_used(), 0, "rank {r} host pages leaked");
+        assert_eq!(engine.pool().active_seqs(), 0);
+        assert_eq!(engine.pool().suspended_seqs(), 0);
     }
 
     // Survivors are bit-exact with uninterrupted Session runs: faults

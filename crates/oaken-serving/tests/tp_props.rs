@@ -1,5 +1,5 @@
 //! Determinism guard for tensor-parallel execution: an engine running
-//! `N` ranks — private per-rank KV pool shards, rank-sharded forward
+//! `N` ranks — per-rank data planes of one KV pool, rank-sharded forward
 //! passes, a deterministic all-reduce — must generate **identical token
 //! streams and logit bits** to the 1-rank engine, in both kernel modes,
 //! at every thread count, under both preemption policies, and with an

@@ -35,7 +35,8 @@
 //!   sums directly over the encoded 4-bit + outlier representation
 //!   (default `exact`).
 //! * `--ranks N` runs the engine tensor-parallel over `N` ranks, each
-//!   with a private KV pool shard and a deterministic all-reduce —
+//!   with its channels of every KV row in the pool and a deterministic
+//!   all-reduce —
 //!   logits bit-exact with `--ranks 1` under the exact kernel (default
 //!   1).
 //! * `--open-loop` drives the workload through the streaming service
