@@ -143,7 +143,7 @@ impl PagedKvPool {
         let state = self.seqs.get_mut(&seq.0).expect("just allocated");
         let mut adopted_bytes = 0u64;
         for &id in &matched_ids {
-            adopted_bytes += self.trie.get(id).shards[0].bytes;
+            adopted_bytes += self.trie.get(id).bytes();
             self.trie.retain(id);
             let block = self.trie.get(id);
             let ranks = state.shards.iter_mut().zip(&mut self.ranks);
@@ -257,7 +257,7 @@ impl PagedKvPool {
                     })
                     .collect();
                 self.stats.seal_dedups += 1;
-                self.stats.bytes_deduplicated += block.shards[0].bytes;
+                self.stats.bytes_deduplicated += block.bytes();
                 self.trie.retain(existing);
                 (existing, freed)
             }

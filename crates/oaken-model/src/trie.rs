@@ -45,7 +45,8 @@ pub struct PrefixStats {
     /// (`tokens_reused × layers × 2` kinds).
     pub quant_rows_skipped: u64,
     /// Encoded payload bytes that were *not* re-stored because an
-    /// identical block already existed (alloc-time hits + seal dedups).
+    /// identical block already existed (alloc-time hits + seal dedups),
+    /// summed over every rank's slice of the block.
     pub bytes_deduplicated: u64,
 }
 
@@ -157,6 +158,11 @@ impl TrieBlock {
             mmu,
             shards,
         }
+    }
+
+    /// Encoded payload bytes the block stores, every rank.
+    pub fn bytes(&self) -> u64 {
+        self.shards.iter().map(|s| s.bytes).sum()
     }
 }
 

@@ -429,3 +429,44 @@ proptest! {
         }
     }
 }
+
+/// `PrefixStats::bytes_deduplicated` counts the bytes *every* rank did
+/// not re-store: split over ranks, each holding its channels of a block
+/// and a copy of each row's scales, the pool never reports fewer
+/// deduplicated bytes than the one-rank pool does for the same traffic.
+#[test]
+fn deduplicated_bytes_count_every_rank() {
+    let model = tiny_model();
+    let q = profiled_oaken(&model);
+    let shapes = [(26, 3, 1), (26, 3, 2), (26, 3, 3), (26, 3, 4)];
+    let prefix = |ranks: usize| {
+        let cfg = EngineConfig {
+            num_ranks: ranks,
+            ..REFERENCE
+        };
+        let pool = service_pool(&model, &q, 512, 512);
+        let mut engine = BatchEngine::new(&model, pool, TokenScheduler::new(4), cfg);
+        assert_eq!(engine.num_ranks(), ranks);
+        for req in requests_with_overlap(&shapes, 24) {
+            engine.submit(req);
+        }
+        run_checked(&mut engine).prefix
+    };
+    let one = prefix(1);
+    assert!(one.trie_hits + one.seal_dedups > 0, "the traffic shares");
+    assert!(one.bytes_deduplicated > 0);
+    for ranks in [2, 3] {
+        let split = prefix(ranks);
+        assert_eq!(
+            (split.trie_hits, split.seal_dedups, split.tokens_reused),
+            (one.trie_hits, one.seal_dedups, one.tokens_reused),
+            "{ranks} ranks share what one rank shares"
+        );
+        assert!(
+            split.bytes_deduplicated >= one.bytes_deduplicated,
+            "{ranks} ranks report {} deduplicated bytes, one rank {}",
+            split.bytes_deduplicated,
+            one.bytes_deduplicated
+        );
+    }
+}
