@@ -69,7 +69,7 @@ use crate::config::ModelConfig;
 use crate::ranks::RankPlan;
 use crate::trie::{PrefixStats, PrefixTrie};
 use oaken_core::{KvKind, KvQuantizer, KvRowStream};
-use oaken_mmu::{FaultInjector, FaultKind, FaultOp, FaultPlan, FaultStats, MmuSim, SwapStats};
+use oaken_mmu::{FaultInjector, FaultKind, FaultOp, FaultPlan, FaultStats, MmuSim};
 use oaken_runtime::chunk_range;
 use pages::PageLedger;
 use reads::ReadCounters;
@@ -605,13 +605,6 @@ impl PagedKvPool {
         self.sum_ranks(|r| r.host_pages_used())
     }
 
-    /// Host pages currently free, every rank — the headroom swap-based
-    /// preemption (and the engine's optimistic admission under it) can
-    /// still use.
-    pub fn host_free_pages(&self) -> u32 {
-        self.sum_ranks(|r| r.host_free_pages())
-    }
-
     /// Resizes the host tier, divided over the ranks by [`chunk_range`]
     /// (0 disables swap-based suspension; suspends then fail with
     /// [`PoolError::OutOfHostPages`] for any sequence that owns pages).
@@ -776,11 +769,6 @@ impl<'a> RankPages<'a> {
     /// The rank's free host pages.
     pub fn host_free_pages(&self) -> u32 {
         self.mmu().host_tier().map_or(0, |h| h.free_pages())
-    }
-
-    /// The rank's cumulative device↔host transfer counters.
-    pub fn swap_stats(&self) -> SwapStats {
-        (self.mmu().host_tier()).map_or_else(SwapStats::default, |h| h.stats())
     }
 
     /// The rank's free/private/shared page-ownership split; `total()`
@@ -1408,7 +1396,7 @@ mod tests {
         assert_eq!(pool.trie_blocks(), 2);
         let (mut lone, l) = alone(&cfg, &q, prompt.len() + 3, |pos| kv_for_pos(d, pos));
         assert_same_views((&mut pool, s.seq), (&mut lone, l), "after resume");
-        let stats = pool.rank(0).swap_stats();
+        let stats = pool.mmu().host_tier().unwrap().stats();
         assert_eq!(stats.swap_outs, 2, "tail + one pending block froze");
         assert_eq!(stats.swap_ins, 2);
         assert_eq!(stats.bytes_to_host, stats.bytes_to_device);
@@ -1602,7 +1590,7 @@ mod tests {
             Err(PoolError::UnknownSequence { .. })
         ));
         // The swap-in counter must not have moved: bytes were discarded.
-        assert_eq!(pool.rank(0).swap_stats().swap_ins, 0);
+        assert_eq!(pool.mmu().host_tier().unwrap().stats().swap_ins, 0);
     }
 
     #[test]
