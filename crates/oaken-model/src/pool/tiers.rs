@@ -119,9 +119,9 @@ impl PagedKvPool {
             let (needed, free) = (state.shards[r].pages, self.rank(r).host_free_pages());
             (needed > free).then_some(PoolError::OutOfHostPages { needed, free })
         };
-        // Rank 0 checks its host room after the schedule is polled, the
-        // other ranks before — the order ranks froze in when each kept a
-        // sequence table of its own, so a plan faults where it always did.
+        // The schedule is polled after the other ranks' host room is
+        // checked and before rank 0's: a suspend some rank past the first
+        // cannot hold consumes no poll.
         let (lead_short, follower_short) = (short(0), (1..self.ranks.len()).find_map(short));
         if let Some(e) = follower_short {
             return Err(e);
