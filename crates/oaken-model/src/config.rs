@@ -116,7 +116,7 @@ impl ModelConfig {
 
     /// [`kv_bytes_per_token`](Self::kv_bytes_per_token) of a `width`-channel
     /// slice of every K/V row — one tensor-parallel rank's share.
-    pub fn kv_slice_bytes_per_token(&self, width: usize, bits_per_elem: f64) -> u64 {
+    pub(crate) fn kv_slice_bytes_per_token(&self, width: usize, bits_per_elem: f64) -> u64 {
         (2.0 * self.num_layers as f64 * width as f64 * bits_per_elem / 8.0).ceil() as u64
     }
 

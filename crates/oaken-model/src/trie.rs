@@ -120,7 +120,6 @@ impl BlockRows {
 
 /// One rank's share of a sealed block: its channel slice of the block's
 /// rows and the pages they occupy on that rank.
-#[derive(Debug)]
 pub(crate) struct BlockShard {
     /// Physical pages the block's streams occupy on the rank.
     pub pages: u32,
