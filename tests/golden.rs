@@ -198,9 +198,11 @@ fn list<T: ToString>(items: impl IntoIterator<Item = T>) -> String {
 /// One ledger row: `(column, value)` pairs, the row's key first.
 type Row = Vec<(&'static str, String)>;
 
-/// The engine's share of a row: what every engine counter below records.
+/// The engine counters of a row: preemptions, swap bytes to host / to
+/// device, per-rank page peaks, `injected/absorbed/retries/demotions` (the
+/// engine's mirror of the pool's fault injector and what containment made
+/// of it) and the prefix-cache counters.
 fn engine_columns(row: &mut Row, stats: &EngineStats) {
-    let f = stats_faults(stats);
     let p = stats.prefix;
     row.extend([
         ("preemptions", stats.preemptions.to_string()),
@@ -212,22 +214,19 @@ fn engine_columns(row: &mut Row, stats: &EngineStats) {
             ),
         ),
         ("rank_page_peaks", list(&stats.rank_page_peaks)),
-        ("faults", f),
+        (
+            "faults",
+            format!(
+                "{}/{}/{}/{}",
+                stats.faults_injected, stats.faults_absorbed, stats.fault_retries, stats.demotions
+            ),
+        ),
         ("trie_hits", p.trie_hits.to_string()),
         ("seal_dedups", p.seal_dedups.to_string()),
         ("tokens_reused", p.tokens_reused.to_string()),
         ("quant_rows_skipped", p.quant_rows_skipped.to_string()),
         ("bytes_deduplicated", p.bytes_deduplicated.to_string()),
     ]);
-}
-
-/// `injected/absorbed/retries/demotions`: the engine's mirror of the
-/// pool's fault injector and what containment made of it.
-fn stats_faults(stats: &EngineStats) -> String {
-    format!(
-        "{}/{}/{}/{}",
-        stats.faults_injected, stats.faults_absorbed, stats.fault_retries, stats.demotions
-    )
 }
 
 fn replay_row(key: String, replay: &DirectReplay) -> Row {
@@ -285,22 +284,16 @@ fn cluster_row(key: String, report: &ClusterReport) -> Row {
             ),
         ),
     ];
-    for (leg, stats) in [
-        ("prefill", &report.prefill_stats),
-        ("decode", &report.decode_stats),
+    // Every engine's per-rank page peaks, engines in replica order.
+    for (column, stats) in [
+        ("prefill_page_peaks", &report.prefill_stats),
+        ("decode_page_peaks", &report.decode_stats),
     ] {
-        let peaks = stats.iter().map(|s| list(&s.rank_page_peaks));
-        row.push((
-            if leg == "prefill" {
-                "prefill_page_peaks"
-            } else {
-                "decode_page_peaks"
-            },
-            list(peaks).replace(',', ";"),
-        ));
+        let peaks = stats.iter().flat_map(|s| &s.rank_page_peaks);
+        row.push((column, list(peaks).replace(',', ";")));
     }
-    let stats = &report.prefill_stats[0];
-    engine_columns(&mut row, stats);
+    // The prefill engine's counters: it holds the shared prefixes.
+    engine_columns(&mut row, &report.prefill_stats[0]);
     row
 }
 
