@@ -18,7 +18,7 @@
 //! hold on any machine, at any optimisation level, with or without the
 //! `simd` feature.
 
-use oaken::cluster::{run_cluster, ClusterConfig, ClusterReport, EngineRole};
+use oaken::cluster::{run_cluster, run_monolithic, ClusterConfig, ClusterReport, EngineRole};
 use oaken::core::{KvQuantizer, OakenConfig};
 use oaken::eval::harness::profile_oaken;
 use oaken::model::{FaultPlan, KernelMode, Model, ModelConfig, PagedKvPool};
@@ -269,7 +269,14 @@ fn cluster_row(key: String, report: &ClusterReport) -> Row {
         .requests
         .iter()
         .map(|r| r.ttft().map_or("-".into(), |t| t.to_string()));
-    let t = report.transfer;
+    let (t, p) = (report.transfer, report.router);
+    // Every engine's counters, prefill then decode, in replica order.
+    let engines = fnv(report
+        .prefill_stats
+        .iter()
+        .chain(&report.decode_stats)
+        .flat_map(|s| format!("{s:?}").into_bytes())
+        .map(u64::from));
     let mut row = vec![
         ("row", key),
         ("digest", format!("{digest:016x}")),
@@ -283,6 +290,14 @@ fn cluster_row(key: String, report: &ClusterReport) -> Row {
                 t.transfers, t.wire_bytes, t.delay_ticks, t.retries
             ),
         ),
+        (
+            "router",
+            format!(
+                "{}/{}/{}/{}",
+                p.placed, p.affinity_hits, p.matched_tokens, p.fallbacks
+            ),
+        ),
+        ("engines", format!("{engines:016x}")),
     ];
     // Every engine's per-rank page peaks, engines in replica order.
     for (column, stats) in [
@@ -307,7 +322,8 @@ fn setup() -> (Model, Arc<dyn KvQuantizer>) {
 
 /// Every ledger file's rows, computed: one file per workload (a row per
 /// configuration point, plus the faulted two-rank row on
-/// `memory_pressure`), and `handoff.tsv`'s two-rank cluster row.
+/// `memory_pressure`), and `handoff.tsv`'s cluster rows on the
+/// `shared_prefix` schedule.
 fn ledger() -> BTreeMap<String, Vec<Row>> {
     let (model, q) = setup();
     let vocab = model.config().vocab_size;
@@ -359,30 +375,66 @@ fn ledger() -> BTreeMap<String, Vec<Row>> {
                 })
             })
             .collect();
-        let handoff = {
-            let w = &WORKLOADS[2];
-            let cfg = ClusterConfig {
-                replicas: 1,
-                work_tokens_per_tick: 16,
-                transfer_bytes_per_tick: 256,
-                ..ClusterConfig::new(engine_config(
-                    KernelMode::Fused,
-                    1,
-                    2,
-                    PreemptPolicy::SwapToHost,
-                ))
-            };
-            let mut make_pool = |_: EngineRole, _: usize| pool(&model, &q, w.pages);
-            let report = run_cluster(&model, &cfg, &mut make_pool, schedule(w, vocab, SEED), &[]);
-            cluster_row("shared_prefix-fused-t1-r2-swap".into(), &report)
-        };
-        files.insert("handoff.tsv".to_string(), vec![handoff]);
+        files.insert("handoff.tsv".to_string(), handoff(&model, &q));
         for h in handles {
             let (file, rows) = h.join().expect("a workload's replays ran");
             files.insert(file, rows);
         }
     });
     files
+}
+
+/// `handoff.tsv`'s rows, all on the `shared_prefix` schedule: one
+/// replica over a 256-byte-per-tick link, the monolithic comparator of
+/// the same config, and two affinity-routed replicas over a slower link
+/// into decode host tiers that bounce a landing, with three scripted
+/// cancels — request 7 still in the schedule, request 1 on the wire and
+/// request 3 decoding.
+fn handoff(model: &Model, q: &Arc<dyn KvQuantizer>) -> Vec<Row> {
+    let w = &WORKLOADS[2];
+    let vocab = model.config().vocab_size;
+    let cfg = ClusterConfig {
+        replicas: 1,
+        work_tokens_per_tick: 16,
+        transfer_bytes_per_tick: 256,
+        ..ClusterConfig::new(engine_config(
+            KernelMode::Fused,
+            1,
+            2,
+            PreemptPolicy::SwapToHost,
+        ))
+    };
+    let mut make_pool = |_: EngineRole, _: usize| pool(model, q, w.pages);
+    let single = run_cluster(model, &cfg, &mut make_pool, schedule(w, vocab, SEED), &[]);
+    let mono = run_monolithic(model, &cfg, &mut make_pool, schedule(w, vocab, SEED), &[]);
+    let wide = ClusterConfig {
+        replicas: 2,
+        transfer_bytes_per_tick: 128,
+        ..cfg
+    };
+    let mut tight_decode = |role: EngineRole, _: usize| {
+        let mut pool = pool(model, q, w.pages);
+        if role == EngineRole::Decode {
+            pool.set_host_pages(32);
+        }
+        pool
+    };
+    let cancels = [(6, 7), (30, 1), (71, 3)];
+    let affinity = run_cluster(
+        model,
+        &wide,
+        &mut tight_decode,
+        schedule(w, vocab, SEED),
+        &cancels,
+    );
+    vec![
+        cluster_row("shared_prefix-fused-t1-r2-swap".into(), &single),
+        cluster_row("shared_prefix-fused-t1-r2-swap-monolithic".into(), &mono),
+        cluster_row(
+            "shared_prefix-fused-t1-r2-swap-x2-affinity-cancels".into(),
+            &affinity,
+        ),
+    ]
 }
 
 fn golden_dir() -> PathBuf {
