@@ -16,24 +16,47 @@
 //! [`run_monolithic`] applies the *identical* cost model to a single
 //! engine, so cluster-vs-monolithic comparisons are apples to apples.
 //!
-//! # The tick
+//! # Replicas and the tick
 //!
-//! Each tick, in fixed order: (1) due arrivals are routed and submitted
-//! (the one shared [`ArrivalQueue`] yields them in the service
-//! protocol's `(arrival, submission)` order); (2) due cancels resolve —
-//! schedule-parked requests never run, in-flight ones cancel on
-//! whichever engine or link leg holds them; (3) due transfers land on
-//! their decode engines (a full host tier bounces the delivery to the
-//! next tick; a transfer that can never land fails its request typed);
-//! (4) every engine whose busy-horizon has passed steps
-//! once, its tokens are stitched into per-request records stamped with
-//! the current clock, and fresh prefill exports enter the link. Every
-//! one of those steps is a pure function of the schedule and the config,
-//! so any `(replicas, policy, transfer cost)` run is bit-exact
-//! reproducible — and generates *token streams* identical to the
-//! monolithic run, because the engines themselves are deterministic and
-//! a handoff resumes at exactly the position a monolithic engine would
-//! have been in.
+//! A cluster is a list of replicas, each a prefill engine plus an
+//! optional decode engine: [`run_cluster`] builds `replicas` of them
+//! with both, [`run_monolithic`] builds one without a decode engine, and
+//! from there the two runs share every line. Each tick runs four stages
+//! in fixed order over the one cluster value:
+//!
+//! 1. *route* — due arrivals (the one shared [`ArrivalQueue`] yields them
+//!    in the service protocol's `(arrival, submission)` order) are
+//!    placed by the router and submitted to their replica's prefill
+//!    engine, marked for export when the replica has a decode engine;
+//! 2. *cancel* — due cancels resolve: a request still in the schedule
+//!    never runs and leaves no record; a placed one is cancelled in
+//!    whichever engine holds it, or on the link;
+//! 3. *land* — due transfers are ingested by their decode engines (a
+//!    full host tier bounces the delivery to the next tick; a transfer
+//!    that can never land fails its request typed);
+//! 4. *step* — every engine whose busy horizon has passed steps once,
+//!    replica by replica, prefill before decode; every engine's tokens
+//!    and terminals are then stitched into the per-request records,
+//!    stamped with the current clock, and fresh prefill exports enter the
+//!    link.
+//!
+//! Every stage is a pure function of the schedule and the config, so any
+//! `(replicas, policy, transfer cost)` run is bit-exact reproducible —
+//! and generates *token streams* identical to the monolithic run, because
+//! the engines themselves are deterministic and a handoff resumes at
+//! exactly the position a monolithic engine would have been in.
+//!
+//! # What the cluster shares with the service clock
+//!
+//! The arrival order and the cancel timing are the service clock's own:
+//! the cluster's schedule and its transfer link are both
+//! [`ArrivalQueue`]s, so `(tick, submission)` ordering exists once in
+//! the workspace. The tick itself is not yet [`oaken_service::clock_tick`]:
+//! that drives one engine and advances the clock only on progress, while
+//! this loop drives many engines under a work-aware cost and advances
+//! every tick. Folding the two waits on the benchmark under `bench/`
+//! moving first (ROADMAP item 1), because it names `clock_tick`,
+//! `ClockHooks` and [`run_monolithic`] as they are today.
 //!
 //! # The single-token rule
 //!
@@ -48,8 +71,8 @@ use crate::transfer::{TransferLink, TransferStats};
 use oaken_model::{Model, PagedKvPool, PoolError};
 use oaken_service::ArrivalQueue;
 use oaken_serving::{
-    BatchEngine, EngineConfig, EngineRequest, EngineStats, RequestFailure, RequestOutcome,
-    TokenScheduler,
+    BatchEngine, EngineConfig, EngineRequest, EngineStats, KvExport, RequestFailure,
+    RequestOutcome, TokenScheduler,
 };
 use std::collections::HashMap;
 
@@ -210,14 +233,91 @@ struct Slot<'m> {
     finished_seen: usize,
 }
 
-impl Slot<'_> {
-    fn idle(&self) -> bool {
-        self.engine.in_flight() == 0
+impl<'m> Slot<'m> {
+    fn new(model: &'m Model, pool: PagedKvPool, config: &ClusterConfig) -> Self {
+        let scheduler = TokenScheduler::new(config.scheduler_cores);
+        Self {
+            engine: BatchEngine::new(model, pool, scheduler, config.engine),
+            busy_until: 0,
+            tokens_seen: 0,
+            finished_seen: 0,
+        }
     }
 
     fn outstanding(&self) -> u64 {
         self.engine.in_flight() as u64
     }
+
+    /// Steps the engine when it holds work and its busy horizon has
+    /// passed; an iteration that fed `n` tokens keeps it busy for
+    /// `max(1, ceil(n / work_tokens_per_tick))` ticks.
+    fn step(&mut self, clock: u64, work_tokens_per_tick: u64) {
+        if clock < self.busy_until || self.outstanding() == 0 {
+            return;
+        }
+        let progressed = self.engine.step();
+        let stats = self.engine.stats();
+        let fed = stats.prefill_tokens + stats.decode_tokens;
+        let delta = fed - self.tokens_seen;
+        self.tokens_seen = fed;
+        if progressed {
+            let cost = if work_tokens_per_tick == 0 {
+                1
+            } else {
+                delta.div_ceil(work_tokens_per_tick).max(1)
+            };
+            self.busy_until = clock + cost;
+        }
+    }
+
+    /// Stitches the engine's new tokens and terminals into the request
+    /// map, stamped `clock`, and returns its fresh exports.
+    fn harvest(&mut self, clock: u64, requests: &mut HashMap<u64, Tracked>) -> Vec<KvExport> {
+        for ev in self.engine.take_token_events() {
+            if let Some(Tracked { record, .. }) = requests.get_mut(&ev.id) {
+                if ev.index == record.tokens.len() {
+                    record.tokens.push(ev.token);
+                    record.token_clocks.push(clock);
+                }
+            }
+        }
+        let exports = self.engine.take_exports();
+        let finished = self.engine.finished();
+        for f in &finished[self.finished_seen..] {
+            if let Some(Tracked { record, .. }) = requests.get_mut(&f.id) {
+                record.outcome = f.outcome;
+                record.finish_clock = clock;
+                debug_assert_eq!(
+                    record.tokens, f.generated,
+                    "stitched stream diverged from the terminal record"
+                );
+            }
+        }
+        self.finished_seen = finished.len();
+        exports
+    }
+}
+
+/// A prefill engine plus, in a disaggregated cluster, its decode twin.
+struct Replica<'m> {
+    prefill: Slot<'m>,
+    decode: Option<Slot<'m>>,
+}
+
+impl Replica<'_> {
+    /// Requests active, queued or suspended on either engine.
+    fn outstanding(&self) -> u64 {
+        self.prefill.outstanding() + self.decode.as_ref().map_or(0, Slot::outstanding)
+    }
+}
+
+/// One placed request.
+struct Tracked {
+    /// Its journey so far; `record.replica` is where it was placed.
+    record: RequestRecord,
+    /// `max_new_tokens` as scheduled. A disaggregated request's prefill
+    /// leg runs with 1; the handoff restores this budget.
+    max_new_tokens: usize,
 }
 
 /// Runs a disaggregated cluster over an open-loop `(request, arrival)`
@@ -225,8 +325,9 @@ impl Slot<'_> {
 /// builds each engine's pool — called once per engine with its role and
 /// replica index, so a fixed total page budget can be split however the
 /// experiment demands. The factory is outside input: a decode pool whose
-/// page cannot hold a token its prefill twin wrote fails that replica's
-/// handoffs `Failed(Pool(_))`, one request at a time.
+/// page cannot hold a token its prefill twin wrote, or whose host tier
+/// cannot hold a transfer even when empty, fails that replica's handoffs
+/// `Failed(Pool(_))`, one request at a time.
 pub fn run_cluster(
     model: &Model,
     config: &ClusterConfig,
@@ -235,7 +336,13 @@ pub fn run_cluster(
     cancels: &[(u64, u64)],
 ) -> ClusterReport {
     assert!(config.replicas > 0, "a cluster needs at least one replica");
-    run(model, config, make_pool, schedule, cancels, true)
+    let replicas = (0..config.replicas)
+        .map(|r| Replica {
+            prefill: Slot::new(model, make_pool(EngineRole::Prefill, r), config),
+            decode: Some(Slot::new(model, make_pool(EngineRole::Decode, r), config)),
+        })
+        .collect();
+    run(config, replicas, config.router, schedule, cancels)
 }
 
 /// Runs the monolithic comparator: one engine, no disaggregation, no
@@ -250,274 +357,218 @@ pub fn run_monolithic(
     schedule: Vec<(EngineRequest, u64)>,
     cancels: &[(u64, u64)],
 ) -> ClusterReport {
-    run(model, config, make_pool, schedule, cancels, false)
+    let replica = Replica {
+        prefill: Slot::new(model, make_pool(EngineRole::Monolithic, 0), config),
+        decode: None,
+    };
+    // Round-robin is degenerate on one replica and keeps the router's
+    // counters clean.
+    run(
+        config,
+        vec![replica],
+        RouterPolicy::RoundRobin,
+        schedule,
+        cancels,
+    )
 }
 
 fn run(
-    model: &Model,
     config: &ClusterConfig,
-    make_pool: &mut dyn FnMut(EngineRole, usize) -> PagedKvPool,
+    replicas: Vec<Replica<'_>>,
+    policy: RouterPolicy,
     schedule: Vec<(EngineRequest, u64)>,
     cancels: &[(u64, u64)],
-    disaggregate: bool,
 ) -> ClusterReport {
-    let replicas = if disaggregate { config.replicas } else { 1 };
-    let scheduler = TokenScheduler::new(config.scheduler_cores);
-
-    // Slot layout: replica r's prefill engine at 2r, decode at 2r + 1;
-    // the monolithic engine is a lone "prefill" slot.
-    let mut slots: Vec<Slot<'_>> = Vec::new();
-    for r in 0..replicas {
-        let role = if disaggregate {
-            EngineRole::Prefill
-        } else {
-            EngineRole::Monolithic
-        };
-        slots.push(new_slot(model, make_pool(role, r), scheduler, config));
-        if disaggregate {
-            slots.push(new_slot(
-                model,
-                make_pool(EngineRole::Decode, r),
-                scheduler,
-                config,
-            ));
-        }
-    }
-    let stride = if disaggregate { 2 } else { 1 };
-
-    let mut router = Router::new(if disaggregate {
-        config.router
-    } else {
-        RouterPolicy::RoundRobin // degenerate on one replica; keeps stats clean
-    });
-    let mut link = TransferLink::new(config.transfer_bytes_per_tick);
-    let mut queue: ArrivalQueue<(EngineRequest, u64)> = ArrivalQueue::new();
     let order: Vec<u64> = schedule.iter().map(|(req, _)| req.id).collect();
+    let mut queue = ArrivalQueue::new();
     for (req, arrival) in schedule {
         queue.schedule(arrival, (req, arrival));
     }
     for &(at, id) in cancels {
         queue.schedule_cancel(at, id);
     }
+    let mut cluster = Cluster {
+        replicas,
+        router: Router::new(policy),
+        link: TransferLink::new(config.transfer_bytes_per_tick),
+        queue,
+        requests: HashMap::new(),
+        rejected: Vec::new(),
+        work_tokens_per_tick: config.work_tokens_per_tick,
+        clock: 0,
+    };
+    while !cluster.idle() {
+        cluster.route();
+        cluster.cancel();
+        cluster.land();
+        cluster.step();
+        cluster.clock += 1;
+    }
+    cluster.report(&order)
+}
 
-    let mut records: HashMap<u64, RequestRecord> = HashMap::new();
-    let mut rejected: Vec<RequestRecord> = Vec::new();
-    let mut orig_max: HashMap<u64, usize> = HashMap::new();
-    let mut replica_of: HashMap<u64, usize> = HashMap::new();
-    let mut clock: u64 = 0;
+/// Everything one run drives, one tick at a time.
+struct Cluster<'m> {
+    replicas: Vec<Replica<'m>>,
+    router: Router,
+    link: TransferLink,
+    /// Scheduled `(request, arrival)`s and scripted cancels.
+    queue: ArrivalQueue<(EngineRequest, u64)>,
+    /// Every placed request, by id.
+    requests: HashMap<u64, Tracked>,
+    /// One `Failed(Invalid)` record per arrival that reused a placed id.
+    rejected: Vec<RequestRecord>,
+    work_tokens_per_tick: u64,
+    clock: u64,
+}
 
-    loop {
-        if slots.iter().all(Slot::idle) && !queue.has_pending() && link.is_empty() {
-            break;
-        }
+impl Cluster<'_> {
+    fn idle(&self) -> bool {
+        self.replicas.iter().all(|r| r.outstanding() == 0)
+            && !self.queue.has_pending()
+            && self.link.is_empty()
+    }
 
-        // 1. Route and submit due arrivals.
-        for (req, arrival) in queue.take_due(clock) {
+    /// Places and submits every due arrival.
+    fn route(&mut self) {
+        for (mut req, arrival) in self.queue.take_due(self.clock) {
+            let record = RequestRecord {
+                id: req.id,
+                arrival,
+                replica: 0,
+                prompt_len: req.prompt.len(),
+                disaggregated: false,
+                matched_at_placement: 0,
+                tokens: Vec::new(),
+                token_clocks: Vec::new(),
+                outcome: RequestOutcome::Failed(RequestFailure::Invalid),
+                finish_clock: self.clock,
+            };
             // An id names one record, one placement and one transfer for
             // the whole run: an arrival reusing one fails typed on a
             // record of its own and leaves the first holder untouched.
-            if records.contains_key(&req.id) {
-                rejected.push(RequestRecord {
-                    id: req.id,
-                    arrival,
-                    replica: 0,
-                    prompt_len: req.prompt.len(),
-                    disaggregated: false,
-                    matched_at_placement: 0,
-                    tokens: Vec::new(),
-                    token_clocks: Vec::new(),
-                    outcome: RequestOutcome::Failed(RequestFailure::Invalid),
-                    finish_clock: clock,
-                });
+            if self.requests.contains_key(&req.id) {
+                self.rejected.push(record);
                 continue;
             }
-            let probes: Vec<ReplicaProbe> = (0..replicas)
-                .map(|r| ReplicaProbe {
-                    matched_tokens: slots[r * stride].engine.pool().probe_prefix(&req.prompt),
-                    load: slots[r * stride].outstanding()
-                        + if disaggregate {
-                            slots[r * stride + 1].outstanding() + link.in_flight_to(r)
-                        } else {
-                            0
-                        },
+            let probes: Vec<ReplicaProbe> = (self.replicas.iter().enumerate())
+                .map(|(r, replica)| ReplicaProbe {
+                    matched_tokens: replica.prefill.engine.pool().probe_prefix(&req.prompt),
+                    load: replica.outstanding() + self.link.in_flight_to(r),
                 })
                 .collect();
-            let r = router.place(&probes);
-            replica_of.insert(req.id, r);
+            let r = self.router.place(&probes);
             // The single-token rule: a 1-token request's output *is* the
             // prefill sample — it cannot be resumed without overshooting,
             // so it runs to completion on the prefill engine.
-            let split = disaggregate && req.max_new_tokens >= 2;
-            records.insert(
-                req.id,
-                RequestRecord {
-                    id: req.id,
-                    arrival,
+            let split = self.replicas[r].decode.is_some() && req.max_new_tokens >= 2;
+            let tracked = Tracked {
+                record: RequestRecord {
                     replica: r,
-                    prompt_len: req.prompt.len(),
                     disaggregated: split,
                     matched_at_placement: probes[r].matched_tokens,
-                    tokens: Vec::new(),
-                    token_clocks: Vec::new(),
                     outcome: RequestOutcome::Finished, // overwritten at terminal
                     finish_clock: 0,
+                    ..record
                 },
-            );
-            let prefill = &mut slots[r * stride];
+                max_new_tokens: req.max_new_tokens,
+            };
+            self.requests.insert(req.id, tracked);
+            let prefill = &mut self.replicas[r].prefill.engine;
             if split {
-                orig_max.insert(req.id, req.max_new_tokens);
-                let mut leg = req;
-                leg.max_new_tokens = 1;
-                prefill.engine.mark_for_export(leg.id);
-                prefill.engine.submit(leg);
-            } else {
-                prefill.engine.submit(req);
+                req.max_new_tokens = 1;
+                prefill.mark_for_export(req.id);
             }
+            prefill.submit(req);
         }
+    }
 
-        // 2. Due cancels: parked requests never ran; in-flight ones
-        // cancel wherever they currently live — prefill engine, decode
-        // engine, or mid-wire on the link.
-        for id in queue.due_cancels(clock) {
-            if queue.remove_parked(id, |(req, _)| req.id).is_some() {
-                records.remove(&id);
+    /// Resolves every due cancel wherever its request lives.
+    fn cancel(&mut self) {
+        for id in self.queue.due_cancels(self.clock) {
+            // A request still in the schedule never runs: it leaves no
+            // record, and a placed request sharing its id is untouched.
+            if self.queue.remove_parked(id, |(req, _)| req.id).is_some() {
                 continue;
             }
-            let Some(&r) = replica_of.get(&id) else {
-                continue; // unknown or already torn down
+            let Some(Tracked { record, .. }) = self.requests.get_mut(&id) else {
+                continue; // unknown id
             };
-            let base = r * stride;
-            let cancelled = slots[base].engine.cancel(id)
-                || (disaggregate && slots[base + 1].engine.cancel(id));
-            if !cancelled {
-                if let Some(export) = link.cancel(id) {
-                    let rec = records
-                        .get_mut(&id)
-                        .expect("in-flight request has a record");
-                    rec.outcome = RequestOutcome::Cancelled;
-                    rec.finish_clock = clock;
-                    drop(export); // the frozen KV dies on the wire
-                }
-            }
-            // An engine-side cancel surfaces through finished() below.
-        }
-
-        // 3. Land due transfers on their decode engines.
-        for (r, mut export, sent_at) in link.deliver_due(clock) {
-            let id = export.request.id;
-            export.request.max_new_tokens = orig_max[&id];
-            let decode = &mut slots[r * stride + 1];
-            match decode.engine.ingest_frozen(export) {
-                Ok(()) => {
-                    orig_max.remove(&id);
-                }
-                Err((export, PoolError::OutOfHostPages { .. })) => {
-                    // Destination host tier full: if it is fully idle with
-                    // nothing else bound for it, no future tick can help.
-                    assert!(
-                        !(decode.idle() && link.in_flight_to(r) == 0),
-                        "transfer for request {id} can never fit replica {r}'s decode host tier"
-                    );
-                    link.requeue(export, r, sent_at, clock);
-                }
-                Err((_, e)) => {
-                    // No later tick can land this transfer (its payload is
-                    // corrupt or was written for larger pages than the
-                    // decode pool's, or a fault refused the landing): the
-                    // request fails typed, keeping the tokens it streamed,
-                    // and its frozen KV dies here.
-                    let rec = records
-                        .get_mut(&id)
-                        .expect("in-flight request has a record");
-                    rec.outcome = RequestOutcome::Failed(RequestFailure::Pool(e));
-                    rec.finish_clock = clock;
-                    orig_max.remove(&id);
-                }
+            let replica = &mut self.replicas[record.replica];
+            let cancelled = replica.prefill.engine.cancel(id)
+                || (replica.decode.as_mut()).is_some_and(|d| d.engine.cancel(id));
+            // An engine-side cancel surfaces through `finished()` in
+            // `step`; one caught on the wire drops the frozen KV with its
+            // export.
+            if !cancelled && self.link.cancel(id).is_some() {
+                record.outcome = RequestOutcome::Cancelled;
+                record.finish_clock = self.clock;
             }
         }
-
-        // 4. Step every engine whose work horizon has passed, in fixed
-        // slot order; stitch its emissions into the records.
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if clock >= slot.busy_until && !slot.idle() {
-                let progressed = slot.engine.step();
-                let stats = slot.engine.stats();
-                let fed = stats.prefill_tokens + stats.decode_tokens;
-                let delta = fed - slot.tokens_seen;
-                slot.tokens_seen = fed;
-                if progressed {
-                    let cost = if config.work_tokens_per_tick == 0 {
-                        1
-                    } else {
-                        delta.div_ceil(config.work_tokens_per_tick).max(1)
-                    };
-                    slot.busy_until = clock + cost;
-                }
-            }
-            // Drain emissions even on ticks the engine did not step: a
-            // cancel can retire a request (and idle the engine) between
-            // steps, and its terminal record must still be harvested.
-            for ev in slot.engine.take_token_events() {
-                if let Some(rec) = records.get_mut(&ev.id) {
-                    if ev.index == rec.tokens.len() {
-                        rec.tokens.push(ev.token);
-                        rec.token_clocks.push(clock);
-                    }
-                }
-            }
-            // Fresh exports ride the link to this slot's decode twin.
-            let replica = i / stride;
-            for export in slot.engine.take_exports() {
-                link.send(export, replica, clock);
-            }
-            let finished = slot.engine.finished();
-            for f in &finished[slot.finished_seen..] {
-                if let Some(rec) = records.get_mut(&f.id) {
-                    rec.outcome = f.outcome;
-                    rec.finish_clock = clock;
-                    debug_assert_eq!(
-                        rec.tokens, f.generated,
-                        "stitched stream diverged from the terminal record"
-                    );
-                }
-            }
-            slot.finished_seen = finished.len();
-        }
-
-        clock += 1;
     }
 
-    let mut prefill_stats = Vec::new();
-    let mut decode_stats = Vec::new();
-    for (i, slot) in slots.iter().enumerate() {
-        if disaggregate && i % 2 == 1 {
-            decode_stats.push(slot.engine.stats().clone());
-        } else {
-            prefill_stats.push(slot.engine.stats().clone());
+    /// Lands every due transfer on its decode engine.
+    fn land(&mut self) {
+        for (r, mut export, sent_at) in self.link.deliver_due(self.clock) {
+            let tracked = (self.requests.get_mut(&export.request.id))
+                .expect("a transfer's request has a record");
+            export.request.max_new_tokens = tracked.max_new_tokens;
+            let decode =
+                (self.replicas[r].decode.as_mut()).expect("transfers ride only to decode engines");
+            let error = match decode.engine.ingest_frozen(export) {
+                Ok(()) => continue,
+                // A full host tier bounces the landing to the next tick,
+                // unless the decode engine is idle with nothing else bound
+                // for it: then no later tick frees a page.
+                Err((export, PoolError::OutOfHostPages { .. }))
+                    if decode.outstanding() > 0 || self.link.in_flight_to(r) > 0 =>
+                {
+                    self.link.requeue(export, r, sent_at, self.clock);
+                    continue;
+                }
+                Err((_, e)) => e,
+            };
+            // No later tick can land this transfer (it can never fit the
+            // host tier, its payload is corrupt or was written for larger
+            // pages than the decode pool's, or a fault refused the
+            // landing): the request fails typed, keeping the tokens it
+            // streamed, and its frozen KV dies here.
+            tracked.record.outcome = RequestOutcome::Failed(RequestFailure::Pool(error));
+            tracked.record.finish_clock = self.clock;
         }
     }
-    ClusterReport {
-        requests: (order.iter().filter_map(|id| records.remove(id)))
-            .chain(rejected)
-            .collect(),
-        router: router.stats(),
-        transfer: link.stats(),
-        prefill_stats,
-        decode_stats,
-        clock,
-    }
-}
 
-fn new_slot<'m>(
-    model: &'m Model,
-    pool: PagedKvPool,
-    scheduler: TokenScheduler,
-    config: &ClusterConfig,
-) -> Slot<'m> {
-    Slot {
-        engine: BatchEngine::new(model, pool, scheduler, config.engine),
-        busy_until: 0,
-        tokens_seen: 0,
-        finished_seen: 0,
+    /// Steps every engine whose busy horizon has passed, replica by
+    /// replica, prefill before decode, and harvests every engine — also
+    /// one that did not step: a cancel can retire a request (and idle the
+    /// engine) between steps, and its terminal must still be recorded.
+    /// Fresh exports ride the link to their replica's decode engine.
+    fn step(&mut self) {
+        let clock = self.clock;
+        for (r, replica) in self.replicas.iter_mut().enumerate() {
+            for slot in std::iter::once(&mut replica.prefill).chain(replica.decode.as_mut()) {
+                slot.step(clock, self.work_tokens_per_tick);
+                for export in slot.harvest(clock, &mut self.requests) {
+                    self.link.send(export, r, clock);
+                }
+            }
+        }
+    }
+
+    fn report(mut self, order: &[u64]) -> ClusterReport {
+        let stats = |slot: &Slot<'_>| slot.engine.stats().clone();
+        let requests = order.iter().filter_map(|id| self.requests.remove(id));
+        ClusterReport {
+            requests: requests.map(|t| t.record).chain(self.rejected).collect(),
+            router: self.router.stats(),
+            transfer: self.link.stats(),
+            prefill_stats: self.replicas.iter().map(|r| stats(&r.prefill)).collect(),
+            decode_stats: self
+                .replicas
+                .iter()
+                .flat_map(|r| r.decode.as_ref().map(stats))
+                .collect(),
+            clock: self.clock,
+        }
     }
 }

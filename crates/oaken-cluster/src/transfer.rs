@@ -11,7 +11,13 @@
 //! cannot yet host (its host tier is full) are requeued for the next
 //! tick rather than dropped — backpressure shows up as delay, never as
 //! lost KV.
+//!
+//! The wire is an [`ArrivalQueue`] keyed by delivery tick: a transfer is
+//! an arrival at its decode replica, so deliveries due on the same tick
+//! come out in the order they entered the link — the ordering rule the
+//! service clock already owns, not a second copy of it.
 
+use oaken_service::ArrivalQueue;
 use oaken_serving::KvExport;
 
 /// Link accounting.
@@ -34,10 +40,6 @@ struct InFlight {
     export: KvExport,
     replica: usize,
     sent_at: u64,
-    deliver_at: u64,
-    /// Arrival order on the link — the delivery-order tiebreak for
-    /// transfers due on the same tick.
-    seq: u64,
 }
 
 /// The cluster's shared transfer fabric: every prefill→decode handoff,
@@ -45,8 +47,7 @@ struct InFlight {
 #[derive(Debug)]
 pub struct TransferLink {
     bytes_per_tick: u64,
-    in_flight: Vec<InFlight>,
-    next_seq: u64,
+    in_flight: ArrivalQueue<InFlight>,
     stats: TransferStats,
 }
 
@@ -57,8 +58,7 @@ impl TransferLink {
     pub fn new(bytes_per_tick: u64) -> Self {
         Self {
             bytes_per_tick,
-            in_flight: Vec::new(),
-            next_seq: 0,
+            in_flight: ArrivalQueue::new(),
             stats: TransferStats::default(),
         }
     }
@@ -75,13 +75,13 @@ impl TransferLink {
 
     /// Whether nothing is on the wire.
     pub fn is_empty(&self) -> bool {
-        self.in_flight.is_empty()
+        !self.in_flight.has_pending()
     }
 
     /// Transfers currently bound for `replica` — router load input.
     pub fn in_flight_to(&self, replica: usize) -> u64 {
         self.in_flight
-            .iter()
+            .parked()
             .filter(|f| f.replica == replica)
             .count() as u64
     }
@@ -96,14 +96,12 @@ impl TransferLink {
         };
         self.stats.transfers += 1;
         self.stats.wire_bytes += wire;
-        self.in_flight.push(InFlight {
+        let flight = InFlight {
             export,
             replica,
             sent_at: now,
-            deliver_at: now + ticks,
-            seq: self.next_seq,
-        });
-        self.next_seq += 1;
+        };
+        self.in_flight.schedule(now + ticks, flight);
     }
 
     /// Puts a bounced delivery back on the wire for the next tick (the
@@ -111,14 +109,12 @@ impl TransferLink {
     /// so the retry keeps accruing delay.
     pub fn requeue(&mut self, export: KvExport, replica: usize, sent_at: u64, now: u64) {
         self.stats.retries += 1;
-        self.in_flight.push(InFlight {
+        let flight = InFlight {
             export,
             replica,
             sent_at,
-            deliver_at: now + 1,
-            seq: self.next_seq,
-        });
-        self.next_seq += 1;
+        };
+        self.in_flight.schedule(now + 1, flight);
     }
 
     /// Removes and returns the in-flight export for request `id`, if one
@@ -126,30 +122,21 @@ impl TransferLink {
     /// frozen KV is simply dropped with the export; the destination never
     /// sees it.
     pub fn cancel(&mut self, id: u64) -> Option<KvExport> {
-        let i = self
-            .in_flight
-            .iter()
-            .position(|f| f.export.request.id == id)?;
-        Some(self.in_flight.remove(i).export)
+        let flight = self.in_flight.remove_parked(id, |f| f.export.request.id)?;
+        Some(flight.export)
     }
 
-    /// Removes and returns every transfer with `deliver_at <= now`, in
-    /// `(deliver_at, link arrival order)` order: `(replica, export,
-    /// sent_at)` triples. The caller ingests each and
-    /// [`requeue`](Self::requeue)s rejections.
+    /// Removes and returns every transfer due by `now`, in `(due tick,
+    /// link arrival order)` order: `(replica, export, sent_at)` triples.
+    /// The caller ingests each and [`requeue`](Self::requeue)s
+    /// rejections.
     pub fn deliver_due(&mut self, now: u64) -> Vec<(usize, KvExport, u64)> {
-        self.in_flight.sort_by_key(|f| (f.deliver_at, f.seq));
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].deliver_at <= now {
-                let f = self.in_flight.remove(i);
+        let due = self.in_flight.take_due(now);
+        due.into_iter()
+            .map(|f| {
                 self.stats.delay_ticks += now - f.sent_at;
-                due.push((f.replica, f.export, f.sent_at));
-            } else {
-                i += 1;
-            }
-        }
-        due
+                (f.replica, f.export, f.sent_at)
+            })
+            .collect()
     }
 }

@@ -560,3 +560,51 @@ fn over_length_request_fails_impossible_like_the_monolithic_engine() {
     }
     assert_eq!(cluster.request(2).tokens, monolithic.request(2).tokens);
 }
+
+/// A cancel that catches a duplicate-id arrival still in the schedule
+/// resolves against that arrival alone: the request already running
+/// under the id keeps its record and finishes, and the duplicate never
+/// arrives.
+#[test]
+fn cancel_of_a_parked_duplicate_spares_the_running_request() {
+    let model = tiny_model();
+    let q = profiled_oaken(&model);
+    let cfg = cluster_cfg(service_config(BENCHMARKED));
+    let mut mk = |_role: EngineRole, _r: usize| pool(&model, &q, 320, 448);
+    let schedule = vec![
+        (EngineRequest::new(1, family_prompt(1, 16), 6), 0),
+        (EngineRequest::new(1, family_prompt(2, 16), 6), 500),
+    ];
+    let report = run_cluster(&model, &cfg, &mut mk, schedule, &[(3, 1)]);
+    assert_eq!(report.requests.len(), 1);
+    let rec = &report.requests[0];
+    assert_eq!((rec.id, rec.outcome), (1, RequestOutcome::Finished));
+    assert_eq!(rec.tokens.len(), 6);
+}
+
+/// A decode host tier too small for a transfer even when it is empty
+/// fails that request typed, keeping the token its prefill leg streamed,
+/// and the run ends.
+#[test]
+fn transfer_larger_than_the_decode_host_tier_fails_typed() {
+    let model = tiny_model();
+    let q = profiled_oaken(&model);
+    let cfg = cluster_cfg(service_config(BENCHMARKED));
+    let mut mk = |role: EngineRole, _r: usize| {
+        let host = if role == EngineRole::Decode { 1 } else { 448 };
+        pool(&model, &q, 320, host)
+    };
+    let schedule = vec![(EngineRequest::new(1, family_prompt(1, 64), 6), 0)];
+    let report = run_cluster(&model, &cfg, &mut mk, schedule, &[]);
+    let rec = report.request(1);
+    assert!(
+        matches!(
+            rec.outcome,
+            RequestOutcome::Failed(RequestFailure::Pool(PoolError::OutOfHostPages { .. }))
+        ),
+        "{:?}",
+        rec.outcome
+    );
+    assert_eq!(rec.tokens.len(), 1, "the prefill-leg token survives");
+    assert_eq!(report.decode_stats[0].imports, 0);
+}

@@ -10,7 +10,6 @@
 
 use crate::alloc::{AllocError, PageAllocator, PageId};
 use crate::burst::{plan_bursts, BurstPlan};
-use crate::fault::{FaultInjector, FaultKind, FaultOp, FaultPlan, FaultStats};
 use crate::swap::{
     FrozenRequest, Residency, StreamPayload, SwapError, SwapPool, SwapReceipt, TransferPayload,
 };
@@ -125,10 +124,6 @@ pub struct MmuSim {
     streams: BTreeMap<StreamKey, Stream>,
     /// The host tier; `None` until [`MmuSim::attach_host_tier`].
     host: Option<SwapPool>,
-    /// Installed fault schedule; `None` (the default) disables injection
-    /// entirely — [`poll_fault`](Self::poll_fault) is then a single
-    /// discriminant check.
-    faults: Option<FaultInjector>,
 }
 
 impl MmuSim {
@@ -139,39 +134,12 @@ impl MmuSim {
             allocator: PageAllocator::new(num_pages, page_size),
             streams: BTreeMap::new(),
             host: None,
-            faults: None,
         }
     }
 
     /// The backing allocator (read-only view).
     pub fn allocator(&self) -> &PageAllocator {
         &self.allocator
-    }
-
-    /// Installs a deterministic fault schedule (see [`crate::fault`]).
-    /// Replaces any previous schedule, resetting its attempt counters.
-    pub fn install_faults(&mut self, plan: FaultPlan) {
-        self.faults = Some(FaultInjector::new(plan));
-    }
-
-    /// Removes the fault schedule; subsequent polls always pass.
-    pub fn clear_faults(&mut self) {
-        self.faults = None;
-    }
-
-    /// Counters over the faults injected so far (zero when no schedule
-    /// was ever installed).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.faults.as_ref().map(|f| f.stats()).unwrap_or_default()
-    }
-
-    /// Polls the installed schedule for one attempt of `op` — `None`
-    /// (always, when no schedule is installed) means proceed; `Some`
-    /// means the caller must fail the operation without mutating state.
-    /// Callers sit at pre-check boundaries, so a faulted operation is a
-    /// no-op by construction.
-    pub fn poll_fault(&mut self, op: FaultOp) -> Option<FaultKind> {
-        self.faults.as_mut()?.poll(op)
     }
 
     /// Attaches (or resizes) a host tier of `host_pages` pages, enabling

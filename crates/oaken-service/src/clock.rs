@@ -8,12 +8,17 @@
 //! [`replay_open_loop_direct`](crate::workload::replay_open_loop_direct)
 //! — and the service-vs-direct bit-exactness contract holds precisely
 //! because it is *one* implementation, not two copies that could drift.
-//! The disaggregated cluster does **not** run it: `run_cluster` keeps its
-//! own tick loop over many engines and borrows only the ordering rules
-//! from here ([`ArrivalQueue::take_due`], [`ArrivalQueue::due_cancels`]),
+//! The disaggregated cluster does **not** run it. It shares the
+//! [`ArrivalQueue`] instead: its schedule and cancels are one
+//! ([`ArrivalQueue::take_due`], [`ArrivalQueue::due_cancels`],
+//! [`ArrivalQueue::remove_parked`]), and so is its transfer link, whose
+//! in-flight exports are arrivals keyed by delivery tick. Its tick is its
+//! own — many engines under a work-aware cost, advancing every tick —
 //! so cluster-vs-monolithic equality is a property its tests establish,
-//! not one this module gives it (folding the two loops together is
-//! ROADMAP 9). One tick:
+//! not one this module gives it. Folding that loop into [`clock_tick`]
+//! waits on the benchmark under `bench/`, which names [`clock_tick`],
+//! [`ClockHooks`] and the cluster's `run_monolithic` as they are today,
+//! moving first (ROADMAP items 1 and 9). One tick:
 //!
 //! 1. inject every scheduled arrival with `arrival <= clock`, in
 //!    `(arrival, submission order)` order;
@@ -147,6 +152,11 @@ impl<T> ArrivalQueue<T> {
             }
         }
         due
+    }
+
+    /// Every parked item, in no particular order.
+    pub fn parked(&self) -> impl Iterator<Item = &T> {
+        self.pending.iter().map(|(_, _, item)| item)
     }
 
     /// Whether an item with the given id is still parked.

@@ -19,9 +19,9 @@
 //! one [`clock_tick`] — inject due arrivals in `(arrival, submission
 //! order)` order, apply due cancels, step, deliver stamped with the
 //! pre-increment clock, advance iff progressed or arrivals remain
-//! scheduled. (The disaggregated cluster keeps its own tick loop over
-//! many engines and borrows only the arrival ordering from
-//! [`crate::clock`].)
+//! scheduled. (The disaggregated cluster shares the [`ArrivalQueue`]'s
+//! ordering for its arrivals, cancels and transfer link, but keeps its
+//! own work-aware tick over many engines; [`crate::clock`] says why.)
 //!
 //! Token delivery dedups by decode index: an evicted-and-restarted
 //! request re-emits its already-delivered tokens bit-identically, and the

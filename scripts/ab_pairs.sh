@@ -16,13 +16,16 @@
 # explanation from the same alternating discipline: each side's median and
 # quartiles, the ratio of medians, how many pairs the change won, and a
 # verdict — the ROADMAP's claim rule as a column:
+#   equal       every seed's change value equals its parent value — a
+#               deterministic metric (a tick count, a byte count, a share of
+#               tokens) the change left where it was
 #   gain        the change won >= 9/10 of the pairs and its median is better
 #               than the parent's by more than the parent's interquartile range
 #   worse       the change's median is worse than the parent's by more than
 #               the metric's BENCHMARK.json bound (a share of the parent's median)
 #   unresolved  the parent's interquartile range is wider than that bound
 #   within      none of these
-# Per-layer metrics have no bound: their verdict is `gain` or `—`.
+# Per-layer metrics have no bound: their verdict is `equal`, `gain` or `—`.
 #
 # usage: scripts/ab_pairs.sh [--dir DIR] [--seconds S] [--trace 0|1] [--schedule-may-change] <parent-rev> [pairs=10] [workload...]
 #   --dir DIR     where the two exports, their builds and results.tsv go
@@ -168,6 +171,6 @@ for workload in dict.fromkeys(w for w, _ in runs):
         p, c = quartiles(list(parent.values())), quartiles(list(change.values()))
         ratio = c[1] / p[1] if p[1] else float("nan")
         fmt = lambda q: "/".join(f"{v:.5g}" for v in q)
-        judged = verdict(metric, p, c, wins, len(parent))
+        judged = "equal" if ties == len(parent) else verdict(metric, p, c, wins, len(parent))
         print(f"  {metric['name']:34s} {fmt(p):>38s} {fmt(c):>38s} {ratio:7.3f}  {judged:10s} {wins}/{len(parent)}" + (f" ({ties} ties)" if ties else ""))
 EOF
