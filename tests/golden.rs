@@ -105,6 +105,10 @@ const POINTS: [(KernelMode, usize, usize, PreemptPolicy); 6] = [
 /// Seed of every schedule's tokens.
 const SEED: u64 = 7;
 
+/// Device pages of the stalling `memory_pressure` row: room for two of its
+/// requests' whole footprints at a time.
+const STALL_PAGES: u32 = 40;
+
 fn engine_config(
     kernel: KernelMode,
     threads: usize,
@@ -384,12 +388,15 @@ fn ledger() -> BTreeMap<String, Vec<Row>> {
     files
 }
 
-/// `handoff.tsv`'s rows, all on the `shared_prefix` schedule: one
+/// `handoff.tsv`'s rows. Three run the `shared_prefix` schedule: one
 /// replica over a 256-byte-per-tick link, the monolithic comparator of
 /// the same config, and two affinity-routed replicas over a slower link
 /// into decode host tiers that bounce a landing, with three scripted
 /// cancels — request 7 still in the schedule, request 1 on the wire and
-/// request 3 decoding.
+/// request 3 decoding. The fourth runs `memory_pressure` monolithically
+/// under `FullSequence` admission on a pool too small for the queue, so
+/// admission stalls before and after retirement in one iteration: its
+/// `engines` digest pins the stall count the engine rows do not show.
 fn handoff(model: &Model, q: &Arc<dyn KvQuantizer>) -> Vec<Row> {
     let w = &WORKLOADS[2];
     let vocab = model.config().vocab_size;
@@ -427,12 +434,23 @@ fn handoff(model: &Model, q: &Arc<dyn KvQuantizer>) -> Vec<Row> {
         schedule(w, vocab, SEED),
         &cancels,
     );
+    let w = &WORKLOADS[3];
+    let stalling = ClusterConfig::new(EngineConfig {
+        admission: AdmissionPolicy::FullSequence,
+        ..engine_config(KernelMode::Exact, 1, 1, PreemptPolicy::RestartRecompute)
+    });
+    let mut tight = |_: EngineRole, _: usize| pool(model, q, STALL_PAGES);
+    let stalls = run_monolithic(model, &stalling, &mut tight, schedule(w, vocab, SEED), &[]);
     vec![
         cluster_row("shared_prefix-fused-t1-r2-swap".into(), &single),
         cluster_row("shared_prefix-fused-t1-r2-swap-monolithic".into(), &mono),
         cluster_row(
             "shared_prefix-fused-t1-r2-swap-x2-affinity-cancels".into(),
             &affinity,
+        ),
+        cluster_row(
+            "memory_pressure-exact-t1-r1-restart-fullseq-monolithic".into(),
+            &stalls,
         ),
     ]
 }
