@@ -347,23 +347,32 @@ impl PagedKvPool {
         PageLedger::new(num_pages, page_size, width, sparse, bytes_per_token)
     }
 
-    /// Splits the idle pool into `ranks` tensor-parallel data planes: rank
-    /// `r` stores its [`RankPlan`] heads' channels of every K/V row on a
-    /// page ledger of its own, device and host capacity divided by
-    /// [`chunk_range`]. Sequences, the trie and the fault schedule stay
-    /// one. A quantized pool keeps one full-width encoder per
-    /// `(layer, kind)`: Oaken's scales are whole-row min/max, so a rank
-    /// quantizing its own channels would compute other scales and other
-    /// bits — each row is encoded once and every rank adopts its slice.
+    /// Splits the idle pool into tensor-parallel data planes and returns
+    /// how many it installed — what the pool can hold, like
+    /// [`set_kernel_mode`](Self::set_kernel_mode): `ranks` clamped to the
+    /// model's KV heads, and 1 for a quantizer without encoded row
+    /// streams (ranks adopt slices of the encoded form). Rank `r` stores
+    /// its [`RankPlan`] heads' channels of every K/V row on a page ledger
+    /// of its own, device and host capacity divided by [`chunk_range`].
+    /// Sequences, the trie and the fault schedule stay one. A quantized
+    /// pool keeps one full-width encoder per `(layer, kind)`: Oaken's
+    /// scales are whole-row min/max, so a rank quantizing its own channels
+    /// would compute other scales and other bits — each row is encoded
+    /// once and every rank adopts its slice.
     ///
     /// # Panics
     ///
-    /// Panics unless the pool is idle, if `ranks` exceeds the model's KV
-    /// heads, if the split leaves a rank without pages, or if the
-    /// quantizer cannot stream encoded rows (ranks adopt slices of the
-    /// encoded form).
-    pub fn set_ranks(&mut self, ranks: usize) {
+    /// Panics unless the pool is idle, if `ranks` is zero, or if the split
+    /// leaves a rank without pages.
+    pub fn set_ranks(&mut self, ranks: usize) -> usize {
         self.assert_idle("ranks can only be split");
+        assert!(ranks > 0, "need at least one rank");
+        let (layers, kv_dim) = (self.model.num_layers, self.model.kv_dim());
+        let encodes = |s: &dyn KvRowStream| s.encoded_rows().is_some();
+        let ranks = match self.quantizer.as_deref() {
+            Some(q) if !every_stream(q, layers, kv_dim, encodes) => 1,
+            _ => ranks.min(self.model.num_kv_heads),
+        };
         let capacity = self.capacity_pages() as usize;
         let host = self.host_capacity_pages() as usize;
         let page_size = self.page_size();
@@ -380,14 +389,8 @@ impl PagedKvPool {
                 ledger
             })
             .collect();
-        let (layers, kv_dim) = (self.model.num_layers, self.model.kv_dim());
         self.encoders = match self.quantizer.as_deref() {
             Some(q) if ranks > 1 => {
-                let encodes = |s: &dyn KvRowStream| s.encoded_rows().is_some();
-                assert!(
-                    every_stream(q, layers, kv_dim, encodes),
-                    "splitting ranks requires a quantizer with encoded row streams"
-                );
                 let stream = |layer, kind| q.row_stream(kv_dim, layer, kind).expect("checked");
                 (0..layers)
                     .map(|layer| KvKind::ALL.map(|kind| stream(layer, kind)))
@@ -397,6 +400,7 @@ impl PagedKvPool {
         };
         // Recycled slots are cut at the old widths.
         self.recycled.clear();
+        ranks
     }
 
     /// The ownership map: which channels each rank stores.

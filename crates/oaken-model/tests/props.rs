@@ -218,6 +218,26 @@ proptest! {
     }
 }
 
+/// `set_ranks` installs what the pool can hold and says so: the request
+/// clamped to the KV heads, and one rank for a quantizer whose rows have
+/// no encoded form to slice (FP16 and the other non-Oaken baselines).
+#[test]
+fn set_ranks_installs_what_the_pool_can_hold() {
+    let cfg = ModelConfig::llama2_7b().proxy(2, 32);
+    let installed = |q: Option<Arc<dyn KvQuantizer>>, ranks| {
+        let mut pool = PagedKvPool::for_model(&cfg, q, 64, 512);
+        let got = pool.set_ranks(ranks);
+        assert_eq!(got, pool.num_ranks());
+        got
+    };
+    let oaken: Arc<dyn KvQuantizer> = Arc::new(profiled_oaken(cfg.kv_dim(), cfg.num_layers));
+    assert_eq!(installed(Some(Arc::new(Fp16Reference::new())), 2), 1);
+    assert_eq!(installed(Some(Arc::new(AtomStyle::default())), 2), 1);
+    assert_eq!(installed(Some(oaken.clone()), 2), 2);
+    assert_eq!(installed(Some(oaken), 64), cfg.num_kv_heads);
+    assert_eq!(installed(None, 3), 3);
+}
+
 /// Deterministic construction: the same (config, seed) always builds the
 /// same model, and different seeds differ.
 #[test]

@@ -37,6 +37,17 @@
 //!   queue with **priority over fresh admissions**, so swapped work can
 //!   never starve behind new arrivals.
 //!
+//! One iteration ([`BatchEngine::step`]) is six stages, each a private
+//! method: `expire` kills the requests past their deadline; `admit`
+//! resumes suspended sequences, then admits fresh ones; `plan` deals the
+//! chunks, degrades and preempts until they fit, and returns one
+//! `StepPlan` — each active slot's chunk and, if it samples, its index
+//! into the logits, plus the [`BatchStep`]s and their live list; `forward`
+//! runs the plan through one [`Model::forward_batch_sharded`] pass;
+//! `commit` advances cursors, samples, and quarantines the slots whose
+//! append failed; `retire` exports or finishes the sequences that are
+//! done, and a second `admit` refills their slots.
+//!
 //! Per-sequence arithmetic is bit-exact with a legacy single-sequence
 //! [`oaken_model::Session`] run over the same quantizer, for every
 //! admission/retire interleaving and every chunk schedule — enforced by
@@ -222,10 +233,11 @@ pub struct EngineConfig {
     /// deterministic all-reduce —
     /// logits stay **bit-exact** with the 1-rank engine in
     /// [`KernelMode::Exact`] for every thread count. The request is
-    /// capability-gated like [`EngineConfig::kernel`]: clamped to the
-    /// model's KV-head count, and downgraded to `1` for a pool whose
-    /// quantizer cannot stream encoded rows (shards adopt slices of the
-    /// encoded form).
+    /// capability-gated like [`EngineConfig::kernel`]: the pool installs
+    /// what it can hold ([`PagedKvPool::set_ranks`]) — the request
+    /// clamped to the model's KV-head count, and `1` for a quantizer
+    /// without encoded row streams (FP16 and the other non-Oaken
+    /// baselines: shards adopt slices of the encoded form).
     pub num_ranks: usize,
     /// Deterministic fault schedule installed into the pool's MMU at
     /// engine construction (see [`oaken_model::FaultPlan`]). `None` by
@@ -274,9 +286,10 @@ pub enum RequestFailure {
     /// A pool operation failed mid-flight and the retry/demotion budget
     /// is exhausted; carries the final error.
     Pool(PoolError),
-    /// Rejected at [`BatchEngine::submit`]: an empty prompt, a zero
-    /// output budget, a prompt token outside the model's vocabulary, or
-    /// the id of a request still in flight.
+    /// Rejected at [`BatchEngine::submit`] or
+    /// [`BatchEngine::ingest_frozen`]: an empty prompt, a zero output
+    /// budget, a prompt token outside the model's vocabulary, or the id
+    /// of a request still in flight.
     Invalid,
 }
 
@@ -608,6 +621,20 @@ impl Tracked {
     }
 }
 
+/// One iteration's schedule: built by `plan`, run by `forward` and booked
+/// by `commit`.
+#[derive(Default)]
+struct StepPlan {
+    /// Per active slot, slot order: the tokens it feeds, and — when its
+    /// chunk's last step is live — the index of its logits among those
+    /// the pass returns.
+    chunks: Vec<(usize, Option<usize>)>,
+    /// The forward pass's steps, slot-major.
+    steps: Vec<BatchStep>,
+    /// Indices into `steps` whose logits the pass returns, ascending.
+    live: Vec<usize>,
+}
+
 /// The continuous-batching engine. See the module docs.
 pub struct BatchEngine<'m> {
     model: &'m Model,
@@ -660,19 +687,11 @@ impl<'m> BatchEngine<'m> {
         );
         assert!(config.num_threads > 0, "need at least one thread");
         assert!(config.num_ranks > 0, "need at least one rank");
-        // Capability-gate the rank request: sharding stores each rank's
-        // KV-head slice as encoded row *slices*, which requires the
-        // pool's quantizer to stream encoded rows (the same capability
-        // the fused kernels need). A pool without it runs unsharded.
-        let ranks = if config.num_ranks > 1 && pool.append_only_views() {
-            config.num_ranks.min(model.config().num_kv_heads)
-        } else {
-            1
-        };
         let mut pool = pool;
-        if ranks != pool.num_ranks() {
-            pool.set_ranks(ranks);
+        if config.num_ranks != pool.num_ranks() {
+            pool.set_ranks(config.num_ranks);
         }
+        let ranks = pool.num_ranks();
         if let Some(plan) = config.fault_plan {
             pool.install_faults(plan);
         }
@@ -732,11 +751,7 @@ impl<'m> BatchEngine<'m> {
     /// an internal guard that would take the engine thread, and every
     /// waiting client, down.
     pub fn submit(&mut self, req: EngineRequest) {
-        let vocab = self.model.config().vocab_size;
-        let valid = !self.tracked().any(|t| t.req.id == req.id)
-            && !req.prompt.is_empty()
-            && req.max_new_tokens > 0
-            && req.prompt.iter().all(|&t| (t as usize) < vocab);
+        let valid = self.valid(&req);
         let t = Tracked::new(req);
         if valid {
             self.queue.push_back(t);
@@ -835,9 +850,11 @@ impl<'m> BatchEngine<'m> {
     /// Tags request `id` to retire as a [`KvExport`] instead of entering
     /// the finished list — the prefill leg of a disaggregated cluster
     /// marks each request at submit time and drains
-    /// [`take_exports`](Self::take_exports) after each step. A mark on a
-    /// request that ends any other way (failed, cancelled, deadline) is
-    /// simply never consumed: those requests finish locally.
+    /// [`take_exports`](Self::take_exports) after each step. A mark lives
+    /// while a request under its id is in flight: the export consumes it,
+    /// and a request that ends any other way (failed, cancelled,
+    /// deadline) finishes locally and takes its mark along, so a later
+    /// request under the same id finishes unless marked again.
     pub fn mark_for_export(&mut self, id: u64) {
         self.export_marks.insert(id);
     }
@@ -856,9 +873,11 @@ impl<'m> BatchEngine<'m> {
     /// demotes to evict-and-restart (capacity pressure, injected swap
     /// faults), the request re-prefills here and regenerates the same
     /// tokens; consumers dedupe the re-emitted indices as usual. A
-    /// request longer than the model's `max_seq_len` does not land: it
-    /// finishes at once as [`RequestFailure::Impossible`], keeping the
-    /// tokens the exporter generated.
+    /// request that fails [`submit`](Self::submit)'s intake check — an id
+    /// still in flight here, included — does not land: it finishes at
+    /// once as [`RequestFailure::Invalid`], and one longer than the
+    /// model's `max_seq_len` as [`RequestFailure::Impossible`], both
+    /// keeping the tokens the exporter generated.
     ///
     /// # Errors
     ///
@@ -894,17 +913,24 @@ impl<'m> BatchEngine<'m> {
             ttft_iteration,
             transfer,
         } = export;
-        if request.total_tokens() > self.model.config().max_seq_len {
+        let failure = if !self.valid(&request) {
+            Some(RequestFailure::Invalid)
+        } else if request.total_tokens() > self.model.config().max_seq_len {
             // Admission's length check, which a one-token prefill leg
-            // passes: the whole request can never fit the model, so it
-            // fails here and its frozen KV is dropped.
+            // passes: the whole request can never fit the model.
+            Some(RequestFailure::Impossible)
+        } else {
+            None
+        };
+        if let Some(failure) = failure {
+            // The frozen KV is dropped here; the tokens stay.
             let t = Tracked {
                 generated,
                 logits,
                 ttft_iteration,
                 ..Tracked::new(request)
             };
-            self.finish(t, RequestOutcome::Failed(RequestFailure::Impossible));
+            self.finish(t, RequestOutcome::Failed(failure));
             return Ok(());
         }
         match self.pool.import_seq(transfer) {
@@ -935,134 +961,28 @@ impl<'m> BatchEngine<'m> {
         }
     }
 
-    /// Runs one engine iteration: admit (prefix-probed), reserve capacity
-    /// for the iteration's chunk plan (possibly degrading to single-token
-    /// steps, then preempting), advance every active sequence by its
-    /// chunk, retire finished sequences, and refill their slots. Returns
-    /// `false` once no work remains.
+    /// Runs one engine iteration and returns `false` once no work remains.
+    /// The iteration is six stages — `expire` the deadlines, `admit`
+    /// (resumes first), `plan` the batch's chunks under the pool's
+    /// capacity, run them `forward`, `commit` what the pass produced,
+    /// `retire` the finished — and a second `admit` into the freed slots.
+    /// An iteration whose plan leaves nothing active stops after
+    /// planning, and at most one admission stall counts per iteration.
     pub fn step(&mut self) -> bool {
         if self.in_flight() == 0 {
             return false;
         }
         self.stats.iterations += 1;
-        self.enforce_deadlines();
+        self.expire();
         let mut stalled = self.admit();
-        let plan = self.reserve_capacity();
-        if self.active.is_empty() {
-            // Only impossible requests were queued and all got dropped,
-            // or every live sequence sits suspended waiting for pages.
-            if stalled {
-                self.stats.admission_stalls += 1;
-            }
-            self.sync_prefix_stats();
-            return self.in_flight() > 0;
+        let plan = self.plan();
+        if !plan.chunks.is_empty() {
+            let (logits, poisoned) = self.forward(&plan);
+            self.commit(plan, logits, poisoned);
+            self.retire();
+            stalled |= self.admit();
         }
-
-        // Advance the whole batch by its chunk plan (layer-major under
-        // the hood; a chunk's steps attend causally within the same
-        // forward pass). A step is live — its logits are computed, and
-        // sampled below — when it is the last of a chunk that finishes
-        // the prompt, or a decode step; the rest only leave K/V rows.
-        let seqs: Vec<SeqId> = self.active.iter().map(Tracked::seq).collect();
-        let mut steps = Vec::new();
-        let mut live = Vec::new();
-        for (slot, (a, &n)) in self.active.iter().zip(&plan).enumerate() {
-            if a.pos + n >= a.req.prompt.len() {
-                live.push(steps.len() + n - 1);
-            }
-            for j in 0..n {
-                let pos = a.pos + j;
-                let token = if pos < a.req.prompt.len() {
-                    a.req.prompt[pos]
-                } else {
-                    *a.generated
-                        .last()
-                        .expect("decode phase implies a generated token")
-                };
-                steps.push(BatchStep { slot, pos, token });
-            }
-        }
-        let ranks = self.pool.plan().clone();
-        let mut view = PoolBatchView::new(&mut self.pool, &seqs);
-        let logits = self.model.forward_batch_sharded(
-            &self.runtime,
-            &ranks,
-            &mut self.comm,
-            &mut view,
-            StepBatch::new(&steps, &live),
-            None,
-        );
-        // Slots whose append failed mid-forward (injected fault or —
-        // never on the fault-free path — exhaustion despite the
-        // reservation): their forward output is discarded below and
-        // the sequences are quarantined after the batch bookkeeping.
-        let poisoned = view.take_poisoned();
-        let peaks = self.stats.rank_page_peaks.iter_mut();
-        for (peak, rank) in peaks.zip(self.pool.ranks()) {
-            *peak = (*peak).max(rank.pages_in_use());
-        }
-        self.stats.pages_in_use_peak = self.stats.pages_in_use_peak.max(self.pool.pages_in_use());
-
-        let iteration = self.stats.iterations;
-        let mut decode_ctx: Vec<f64> = Vec::new();
-        let mut sampled = live.iter().zip(&logits).peekable();
-        let mut idx = 0usize;
-        for (slot, (a, &n)) in self.active.iter_mut().zip(&plan).enumerate() {
-            idx += n;
-            let last = sampled.next_if(|&(&i, _)| i + 1 == idx).map(|(_, l)| l);
-            if poisoned.iter().any(|&(s, _)| s == slot) {
-                // The slot's cached state stops at the failure point; do
-                // not advance its cursor or sample from garbage logits.
-                continue;
-            }
-            let fed_prompt = a.req.prompt.len().saturating_sub(a.pos).min(n);
-            if fed_prompt > 0 {
-                self.stats.prefill_tokens += fed_prompt as u64;
-                self.stats.prefill_chunks += 1;
-                // Prompt positions below the restart mark were already
-                // computed by an earlier incarnation: pure recompute.
-                self.stats.recomputed_prefill_tokens +=
-                    a.reached.saturating_sub(a.pos).min(fed_prompt) as u64;
-            }
-            a.pos += n;
-            a.reached = a.reached.max(a.pos);
-            let Some(last) = last else {
-                continue; // still prefilling: no logits were computed
-            };
-            let token = sample_greedy(last);
-            a.generated.push(token);
-            self.emitted.push(TokenEvent {
-                id: a.req.id,
-                index: a.generated.len() - 1,
-                token,
-                iteration,
-            });
-            self.stats.decode_tokens += 1;
-            if a.generated.len() == 1 && a.ttft_iteration == 0 {
-                a.ttft_iteration = iteration;
-            }
-            if self.config.record_logits {
-                a.logits.push(last.clone());
-            }
-            decode_ctx.push(a.pos as f64);
-        }
-
-        // §5.3 generation-phase core picture for this iteration: only the
-        // sequences that decoded occupy generation cores; pure-prefill
-        // iterations are skipped rather than diluting the mean.
-        if !decode_ctx.is_empty() {
-            let assignment = self.scheduler.assign_generation_least_loaded(&decode_ctx);
-            self.stats.utilization_sum += assignment.core_utilization();
-            self.stats.utilization_iters += 1;
-        }
-
-        self.quarantine_poisoned(&poisoned);
-        self.retire();
-        // Freed pages refill their slots in the same step.
-        stalled |= self.admit();
-        if stalled {
-            self.stats.admission_stalls += 1;
-        }
+        self.stats.admission_stalls += u64::from(stalled);
         self.sync_prefix_stats();
         self.in_flight() > 0
     }
@@ -1084,35 +1004,15 @@ impl<'m> BatchEngine<'m> {
         self.stats.comm = self.comm.stats();
     }
 
-    /// Tokens each active sequence feeds this iteration: decoding
-    /// sequences take exactly one; the remaining prefill budget is dealt
-    /// to prefilling sequences in admission order, at least one each.
-    fn chunk_plan(&self) -> Vec<usize> {
-        let decoding = self.active.iter().filter(|a| a.decoding()).count();
-        let mut left = self.config.prefill_token_budget.saturating_sub(decoding);
-        self.active
-            .iter()
-            .map(|a| {
-                if a.decoding() {
-                    1
-                } else {
-                    let n = (a.req.prompt.len() - a.pos).min(left.max(1));
-                    left = left.saturating_sub(n);
-                    n
-                }
-            })
-            .collect()
-    }
-
-    /// Whether the pool can absorb `plan` in the worst case. **Every**
+    /// Whether the pool can absorb `chunks` in the worst case. **Every**
     /// rank must have the headroom — each appended token lands a slice on
     /// every rank, so the tightest rank bounds the whole batch.
-    fn plan_fits(&self, plan: &[usize]) -> bool {
+    fn plan_fits(&self, chunks: &[usize]) -> bool {
         self.pool.ranks().all(|rank| {
             let needed: u32 = self
                 .active
                 .iter()
-                .zip(plan)
+                .zip(chunks)
                 .map(|(a, &n)| {
                     let p = rank.pages_possibly_needed_n(a.seq(), n);
                     debug_assert!(p.is_ok(), "active sequences are live in the pool");
@@ -1149,6 +1049,18 @@ impl<'m> BatchEngine<'m> {
         self.active.iter().chain(&self.resume).chain(&self.queue)
     }
 
+    /// The intake check [`submit`](Self::submit) and
+    /// [`ingest_frozen`](Self::ingest_frozen) share: the id is not in
+    /// flight, the prompt is non-empty, the budget is non-zero, and every
+    /// prompt token is inside the model's vocabulary.
+    fn valid(&self, req: &EngineRequest) -> bool {
+        let vocab = self.model.config().vocab_size;
+        !self.tracked().any(|t| t.req.id == req.id)
+            && !req.prompt.is_empty()
+            && req.max_new_tokens > 0
+            && req.prompt.iter().all(|&t| (t as usize) < vocab)
+    }
+
     /// The single audited teardown path: releases every pool resource a
     /// request's sequence owns (none while queued). `suspended` selects
     /// the pool-side entry point (host-tier drop vs. device free).
@@ -1173,9 +1085,15 @@ impl<'m> BatchEngine<'m> {
     /// through this single path, whatever the outcome — the bookkeeping
     /// (`retired`/`failed`/`cancellations`/`deadline_kills`) can therefore
     /// never drift from the `finished` list. The caller has torn the
-    /// request down already.
+    /// request down and taken it out of its parking spot already; an
+    /// export mark on its id dies here unless another request under that
+    /// id is still in flight (the one a rejected duplicate collided with).
     fn finish(&mut self, t: Tracked, outcome: RequestOutcome) {
         debug_assert!(t.seq.is_none(), "finished requests hold no sequence");
+        let id = t.req.id;
+        if self.export_marks.contains(&id) && !self.tracked().any(|u| u.req.id == id) {
+            self.export_marks.remove(&id);
+        }
         match outcome {
             RequestOutcome::Finished => self.stats.retired += 1,
             RequestOutcome::Failed(_) => self.stats.failed += 1,
@@ -1183,7 +1101,7 @@ impl<'m> BatchEngine<'m> {
             RequestOutcome::DeadlineExceeded => self.stats.deadline_kills += 1,
         }
         self.finished.push(FinishedRequest {
-            id: t.req.id,
+            id,
             prompt_len: t.req.prompt.len(),
             generated: t.generated,
             logits: t.logits,
@@ -1244,7 +1162,7 @@ impl<'m> BatchEngine<'m> {
     /// has expired — wherever it is parked. Queued requests that were
     /// never admitted (`born == 0`) are exempt: their clock has not
     /// started.
-    fn enforce_deadlines(&mut self) {
+    fn expire(&mut self) {
         let Some(limit) = self.config.max_iterations else {
             return;
         };
@@ -1256,37 +1174,6 @@ impl<'m> BatchEngine<'m> {
             .collect();
         for id in expired {
             self.end(id, RequestOutcome::DeadlineExceeded);
-        }
-    }
-
-    /// Quarantines the sequences whose in-forward append failed: the
-    /// poisoned slot is torn down and — for a transient fault within the
-    /// restart budget — restarted, otherwise failed for good. Only the
-    /// offending sequences are touched; the rest of the batch already
-    /// advanced normally.
-    fn quarantine_poisoned(&mut self, poisoned: &[(usize, PoolError)]) {
-        // Highest slot first so earlier removals don't shift later ones.
-        let mut order: Vec<usize> = (0..poisoned.len()).collect();
-        order.sort_by(|&x, &y| poisoned[y].0.cmp(&poisoned[x].0));
-        for &p in &order {
-            let (slot, ref err) = poisoned[p];
-            let mut a = self.active.remove(slot);
-            self.stats.faults_absorbed += 1;
-            let transient = matches!(
-                err,
-                PoolError::Fault {
-                    kind: FaultKind::Transient,
-                    ..
-                }
-            );
-            if transient && a.fault_restarts < FAULT_RESTART_LIMIT {
-                self.stats.fault_retries += 1;
-                a.fault_restarts += 1;
-                self.restart(a, false);
-            } else {
-                self.teardown(&mut a, false);
-                self.finish(a, RequestOutcome::Failed(RequestFailure::Pool(*err)));
-            }
         }
     }
 
@@ -1463,22 +1350,30 @@ impl<'m> BatchEngine<'m> {
         self.active.len() - 1
     }
 
-    /// Guarantees the pool can absorb this iteration's chunk plan,
-    /// degrading to single-token steps under pressure and then preempting
-    /// the newest sequences (restart or swap, per
-    /// [`EngineConfig::preempt`]) until it fits. A sequence that cannot
-    /// proceed even alone is dropped. Returns the reserved plan.
-    fn reserve_capacity(&mut self) -> Vec<usize> {
-        loop {
-            let plan = self.chunk_plan();
-            if self.plan_fits(&plan) {
-                return plan;
-            }
-            // Budgeted chunks do not fit: try the classic one-token-each
-            // schedule before preempting anyone.
-            let fallback = vec![1usize; self.active.len()];
-            if self.plan_fits(&fallback) {
-                return fallback;
+    /// This iteration's [`StepPlan`], guaranteed to fit the pool.
+    /// Decoding sequences feed exactly one token; the rest of the
+    /// prefill budget is dealt to prefilling sequences in admission
+    /// order, at least one each. When those chunks do not fit, the plan
+    /// degrades to one token each before [preempting](Self::preempt) the
+    /// newest sequence, and repeats until the remainder fits. A sequence
+    /// that cannot proceed even alone is dropped, leaving the plan empty.
+    fn plan(&mut self) -> StepPlan {
+        let chunks = loop {
+            let decoding = self.active.iter().filter(|a| a.decoding()).count();
+            let mut left = self.config.prefill_token_budget.saturating_sub(decoding);
+            let budgeted: Vec<usize> = (self.active.iter())
+                .map(|a| {
+                    if a.decoding() {
+                        return 1;
+                    }
+                    let n = (a.req.prompt.len() - a.pos).min(left.max(1));
+                    left = left.saturating_sub(n);
+                    n
+                })
+                .collect();
+            let single = vec![1; self.active.len()];
+            if let Some(chunks) = [budgeted, single].into_iter().find(|c| self.plan_fits(c)) {
+                break chunks;
             }
             let mut a = self.active.remove(self.victim_slot());
             if self.active.is_empty() {
@@ -1490,84 +1385,205 @@ impl<'m> BatchEngine<'m> {
                 // page tails — safety over utilization.
                 self.teardown(&mut a, false);
                 self.finish(a, RequestOutcome::Failed(RequestFailure::Impossible));
-                return Vec::new();
+                break Vec::new();
             }
-            self.stats.preemptions += 1;
-            a.preemptions += 1;
-            if self.config.preempt == PreemptPolicy::SwapToHost {
-                // Transient swap faults are retried in place (bounded);
-                // a persistent fault, an exhausted budget, or a full host
-                // tier demotes this victim to evict-and-restart.
-                let mut swapped = None;
-                for attempt in 0..=SWAP_OUT_RETRY_LIMIT {
-                    match self.pool.suspend_seq(a.seq()) {
-                        Ok(receipt) => {
-                            swapped = Some(receipt);
-                            break;
-                        }
-                        Err(PoolError::Fault { kind, .. }) => {
-                            self.stats.faults_absorbed += 1;
-                            if kind == FaultKind::Persistent || attempt == SWAP_OUT_RETRY_LIMIT {
-                                self.stats.demotions += 1;
-                                break;
-                            }
-                            self.stats.fault_retries += 1;
-                        }
-                        // Host tier full: this victim falls back to
-                        // evict-and-restart (the recompute cost shows up
-                        // in `recomputed_prefill_tokens`).
-                        Err(PoolError::OutOfHostPages { .. }) => {
+            self.preempt(a);
+        };
+        // A slot samples when its chunk ends the prompt (or decodes): its
+        // last step is live, and the pass returns its logits at that
+        // step's index in `live`.
+        let mut plan = StepPlan::default();
+        for (slot, (a, &n)) in self.active.iter().zip(&chunks).enumerate() {
+            let prompt = &a.req.prompt;
+            let sample = (a.pos + n >= prompt.len()).then(|| {
+                plan.live.push(plan.steps.len() + n - 1);
+                plan.live.len() - 1
+            });
+            plan.chunks.push((n, sample));
+            let last = || *(a.generated.last()).expect("decode phase implies a generated token");
+            plan.steps.extend((a.pos..a.pos + n).map(|pos| BatchStep {
+                slot,
+                pos,
+                token: prompt.get(pos).copied().unwrap_or_else(last),
+            }));
+        }
+        plan
+    }
+
+    /// Preempts `a`, just taken from the active set, per
+    /// [`EngineConfig::preempt`]: a swap suspends it to the host tier and
+    /// parks it for resume; transient swap faults are retried in place
+    /// (bounded), and a persistent fault, an exhausted budget or a full
+    /// host tier demotes it to evict-and-restart, the restart policy's
+    /// only move (the recompute cost shows up in
+    /// `recomputed_prefill_tokens`).
+    fn preempt(&mut self, mut a: Tracked) {
+        self.stats.preemptions += 1;
+        a.preemptions += 1;
+        if self.config.preempt == PreemptPolicy::SwapToHost {
+            for attempt in 0..=SWAP_OUT_RETRY_LIMIT {
+                match self.pool.suspend_seq(a.seq()) {
+                    Ok(receipt) => {
+                        self.stats.swap_outs += 1;
+                        self.stats.swap_bytes_to_host += receipt.bytes;
+                        self.park(a);
+                        return;
+                    }
+                    Err(PoolError::Fault { kind, .. }) => {
+                        self.stats.faults_absorbed += 1;
+                        if kind == FaultKind::Persistent || attempt == SWAP_OUT_RETRY_LIMIT {
                             self.stats.demotions += 1;
                             break;
                         }
-                        Err(e) => {
-                            debug_assert!(false, "unexpected suspend failure: {e}");
-                            break;
-                        }
+                        self.stats.fault_retries += 1;
+                    }
+                    Err(PoolError::OutOfHostPages { .. }) => {
+                        self.stats.demotions += 1;
+                        break;
+                    }
+                    Err(e) => {
+                        debug_assert!(false, "unexpected suspend failure: {e}");
+                        break;
                     }
                 }
-                if let Some(receipt) = swapped {
-                    self.stats.swap_outs += 1;
-                    self.stats.swap_bytes_to_host += receipt.bytes;
-                    self.park(a);
-                    continue;
-                }
             }
-            self.restart(a, false);
+        }
+        self.restart(a, false);
+    }
+
+    /// One layer-major [`Model::forward_batch_sharded`] pass
+    /// over the plan's steps (a chunk's steps attend causally within it),
+    /// then the page peaks. Returns the live steps' logits and the
+    /// poisoned slots — those whose append failed mid-pass (an injected
+    /// fault or, never on the fault-free path, exhaustion despite the
+    /// plan's reservation).
+    fn forward(&mut self, plan: &StepPlan) -> (Vec<Vec<f32>>, Vec<(usize, PoolError)>) {
+        let seqs: Vec<SeqId> = self.active.iter().map(Tracked::seq).collect();
+        let ranks = self.pool.plan().clone();
+        let mut view = PoolBatchView::new(&mut self.pool, &seqs);
+        let logits = self.model.forward_batch_sharded(
+            &self.runtime,
+            &ranks,
+            &mut self.comm,
+            &mut view,
+            StepBatch::new(&plan.steps, &plan.live),
+            None,
+        );
+        let poisoned = view.take_poisoned();
+        let peaks = self.stats.rank_page_peaks.iter_mut();
+        for (peak, rank) in peaks.zip(self.pool.ranks()) {
+            *peak = (*peak).max(rank.pages_in_use());
+        }
+        self.stats.pages_in_use_peak = self.stats.pages_in_use_peak.max(self.pool.pages_in_use());
+        (logits, poisoned)
+    }
+
+    /// Books the pass, slot order. Each slot's cursor advances
+    /// by its chunk; a slot that samples greedily picks its token (token
+    /// event, TTFT, recorded logits), and the decoders' contexts feed the
+    /// §5.3 generation-core picture — pure-prefill iterations are skipped
+    /// rather than diluting the utilization mean. A poisoned slot's state
+    /// stops at the failure point, so it neither advances nor samples:
+    /// it is quarantined instead, **highest slot first** (removals shift
+    /// no slot still to come, and the order fixes both the restart queue
+    /// and `finished`) — torn down and, for a transient fault within the
+    /// restart budget, restarted, otherwise failed for good. The rest of
+    /// the batch advanced normally.
+    fn commit(
+        &mut self,
+        plan: StepPlan,
+        mut logits: Vec<Vec<f32>>,
+        mut poisoned: Vec<(usize, PoolError)>,
+    ) {
+        let iteration = self.stats.iterations;
+        let mut decode_ctx: Vec<f64> = Vec::new();
+        for (slot, (a, &(n, sample))) in self.active.iter_mut().zip(&plan.chunks).enumerate() {
+            if poisoned.iter().any(|&(s, _)| s == slot) {
+                continue;
+            }
+            let fed_prompt = a.req.prompt.len().saturating_sub(a.pos).min(n);
+            if fed_prompt > 0 {
+                self.stats.prefill_tokens += fed_prompt as u64;
+                self.stats.prefill_chunks += 1;
+                // Prompt positions below the restart mark were already
+                // computed by an earlier incarnation: pure recompute.
+                self.stats.recomputed_prefill_tokens +=
+                    a.reached.saturating_sub(a.pos).min(fed_prompt) as u64;
+            }
+            a.pos += n;
+            a.reached = a.reached.max(a.pos);
+            let Some(i) = sample else {
+                continue;
+            };
+            let token = sample_greedy(&logits[i]);
+            a.generated.push(token);
+            self.emitted.push(TokenEvent {
+                id: a.req.id,
+                index: a.generated.len() - 1,
+                token,
+                iteration,
+            });
+            self.stats.decode_tokens += 1;
+            if a.generated.len() == 1 && a.ttft_iteration == 0 {
+                a.ttft_iteration = iteration;
+            }
+            if self.config.record_logits {
+                a.logits.push(std::mem::take(&mut logits[i]));
+            }
+            decode_ctx.push(a.pos as f64);
+        }
+        if !decode_ctx.is_empty() {
+            let assignment = self.scheduler.assign_generation_least_loaded(&decode_ctx);
+            self.stats.utilization_sum += assignment.core_utilization();
+            self.stats.utilization_iters += 1;
+        }
+        poisoned.sort_by_key(|&(slot, _)| std::cmp::Reverse(slot));
+        for (slot, err) in poisoned {
+            let mut a = self.active.remove(slot);
+            self.stats.faults_absorbed += 1;
+            let transient = matches!(
+                err,
+                PoolError::Fault {
+                    kind: FaultKind::Transient,
+                    ..
+                }
+            );
+            if transient && a.fault_restarts < FAULT_RESTART_LIMIT {
+                self.stats.fault_retries += 1;
+                a.fault_restarts += 1;
+                self.restart(a, false);
+            } else {
+                self.teardown(&mut a, false);
+                self.finish(a, RequestOutcome::Failed(RequestFailure::Pool(err)));
+            }
         }
     }
 
-    /// Retires finished sequences, freeing their private pages and
-    /// releasing their shared blocks immediately.
+    /// Retires finished sequences, slot order. A request marked
+    /// for export leaves as a [`KvExport`] — the export *is* the
+    /// teardown: the pool flattens and frees the sequence on every rank,
+    /// and a peer engine finishes the request — and every other one
+    /// frees its private pages and releases its shared blocks at once.
     fn retire(&mut self) {
-        let mut i = 0;
-        while i < self.active.len() {
-            if !self.active[i].finished() {
-                i += 1;
+        let done: Vec<Tracked> = self.active.extract_if(.., |a| a.finished()).collect();
+        for mut a in done {
+            if !self.export_marks.remove(&a.req.id) {
+                self.teardown(&mut a, false);
+                self.finish(a, RequestOutcome::Finished);
                 continue;
             }
-            let mut a = self.active.remove(i);
-            if self.export_marks.remove(&a.req.id) {
-                // Export *is* the teardown: the pool flattens and frees the
-                // sequence on every rank, and the request leaves through
-                // the export drain instead of the finished list — a peer
-                // engine finishes it.
-                let transfer = (self.pool.export_seq(a.seq()))
-                    .expect("retiring sequences are live in the pool");
-                let export = KvExport {
-                    request: a.req,
-                    generated: a.generated,
-                    logits: a.logits,
-                    ttft_iteration: a.ttft_iteration,
-                    transfer,
-                };
-                self.stats.exports += 1;
-                self.stats.export_wire_bytes += export.wire_bytes();
-                self.exports.push(export);
-                continue;
-            }
-            self.teardown(&mut a, false);
-            self.finish(a, RequestOutcome::Finished);
+            let transfer =
+                (self.pool.export_seq(a.seq())).expect("retiring sequences are live in the pool");
+            let export = KvExport {
+                request: a.req,
+                generated: a.generated,
+                logits: a.logits,
+                ttft_iteration: a.ttft_iteration,
+                transfer,
+            };
+            self.stats.exports += 1;
+            self.stats.export_wire_bytes += export.wire_bytes();
+            self.exports.push(export);
         }
     }
 }
@@ -1737,6 +1753,90 @@ mod tests {
             "no prompt recompute on the decode leg"
         );
         assert_eq!(decode.pool().free_pages(), decode.pool().capacity_pages());
+    }
+
+    /// A prefill-leg export of request `id`: `prompt_len` prompt tokens,
+    /// one decode token sampled, and the full budget `out` restored.
+    fn export_of(m: &Model, id: u64, prompt_len: usize, out: usize) -> KvExport {
+        let mut prefill = engine_with_pages(m, 512, EngineConfig::default());
+        prefill.mark_for_export(id);
+        prefill.submit(req(id, prompt_len, 1));
+        prefill.run();
+        let mut export = prefill.take_exports().pop().expect("one export");
+        export.request.max_new_tokens = out;
+        export
+    }
+
+    /// `(id, outcome, tokens generated)` of every finished request.
+    fn outcomes(e: &BatchEngine<'_>) -> Vec<(u64, RequestOutcome, usize)> {
+        let fin = e.finished().iter();
+        fin.map(|f| (f.id, f.outcome, f.generated.len())).collect()
+    }
+
+    /// An export mark dies with the request it was set for: a request
+    /// cancelled while marked does not leave its mark to the next request
+    /// submitted under its id, which finishes locally.
+    #[test]
+    fn export_mark_dies_with_its_request() {
+        let m = tiny_model();
+        let mut e = engine_with_pages(&m, 512, EngineConfig::default());
+        e.mark_for_export(1);
+        e.submit(req(1, 6, 2));
+        assert!(e.cancel(1), "cancelled while queued");
+        e.submit(req(1, 6, 3));
+        e.run();
+        assert_eq!(
+            outcomes(&e),
+            [
+                (1, RequestOutcome::Cancelled, 0),
+                (1, RequestOutcome::Finished, 3)
+            ]
+        );
+        assert!(e.take_exports().is_empty(), "the unmarked request finished");
+    }
+
+    /// A duplicate submission under a running marked id is rejected and
+    /// leaves the running request's mark alone: it still exports.
+    #[test]
+    fn rejected_duplicate_keeps_the_running_mark() {
+        let m = tiny_model();
+        let mut e = engine_with_pages(&m, 512, EngineConfig::default());
+        e.mark_for_export(1);
+        e.submit(req(1, 6, 2));
+        e.step();
+        assert_eq!(e.active_ids(), [1]);
+        e.submit(req(1, 4, 2));
+        e.run();
+        let invalid = RequestOutcome::Failed(RequestFailure::Invalid);
+        assert_eq!(outcomes(&e), [(1, invalid, 0)]);
+        let exports = e.take_exports();
+        assert_eq!(exports.len(), 1, "the running request exported");
+        assert_eq!(exports[0].generated.len(), 2);
+    }
+
+    /// `ingest_frozen` runs `submit`'s intake check: an export whose id is
+    /// already in flight finishes `Invalid` with the exporter's tokens,
+    /// and the request running under that id is untouched.
+    #[test]
+    fn ingest_rejects_an_id_in_flight() {
+        let m = tiny_model();
+        let export = export_of(&m, 1, 12, 5);
+        let first = export.generated.clone();
+        let mut e = engine_with_pages(&m, 512, EngineConfig::default());
+        e.submit(req(1, 6, 4));
+        e.step();
+        assert_eq!(e.ingest_frozen(export).map_err(|(_, err)| err), Ok(()));
+        assert_eq!(e.in_flight(), 1, "the export did not land");
+        let invalid = RequestOutcome::Failed(RequestFailure::Invalid);
+        assert_eq!(outcomes(&e), [(1, invalid, 1)]);
+        assert_eq!(e.finished()[0].generated, first, "the exporter's tokens");
+        e.run();
+        assert_eq!(
+            outcomes(&e),
+            [(1, invalid, 1), (1, RequestOutcome::Finished, 4)]
+        );
+        assert_eq!(e.stats().imports, 0);
+        assert_eq!(e.pool().free_pages(), e.pool().capacity_pages());
     }
 
     #[test]

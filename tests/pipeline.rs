@@ -6,7 +6,8 @@ use oaken::baselines::{Fp16Reference, TenderStyle};
 use oaken::core::{GroupStats, KvQuantizer, OakenConfig};
 use oaken::eval::harness::EvalSpec;
 use oaken::eval::{profile_oaken, EvalHarness};
-use oaken::model::{Model, ModelConfig};
+use oaken::model::{Model, ModelConfig, PagedKvPool};
+use oaken::serving::{BatchEngine, EngineConfig, EngineRequest, RequestOutcome, TokenScheduler};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -143,4 +144,39 @@ fn gqa_and_moe_proxies_run_quantized() {
             "non-finite logits for {name}"
         );
     }
+}
+
+/// An FP16 pool cannot split ranks — its rows have no encoded form for a
+/// rank to adopt a slice of — so an engine asking for two runs on one and
+/// produces the one-rank engine's tokens.
+#[test]
+fn fp16_engine_downgrades_a_rank_split() {
+    let model = Model::synthetic(ModelConfig::llama2_7b().proxy(2, 32), 7);
+    let run = |num_ranks| {
+        let q: Arc<dyn KvQuantizer> = Arc::new(Fp16Reference::new());
+        let pool = PagedKvPool::for_model(model.config(), Some(q), 256, 512);
+        let config = EngineConfig {
+            num_ranks,
+            num_threads: 1,
+            ..EngineConfig::default()
+        };
+        let mut engine = BatchEngine::new(&model, pool, TokenScheduler::new(4), config);
+        for id in 0..3u32 {
+            let prompt = (0..10).map(|i| (i * 13 + id * 5) % 256).collect();
+            engine.submit(EngineRequest::new(u64::from(id), prompt, 4));
+        }
+        let ranks = engine.num_ranks();
+        let finished = engine.run().iter();
+        let tokens: Vec<_> = finished
+            .map(|f| (f.id, f.outcome, f.generated.clone()))
+            .collect();
+        (ranks, tokens)
+    };
+    let (one, want) = run(1);
+    let (two, got) = run(2);
+    assert_eq!((one, two), (1, 1), "FP16 runs unsharded");
+    assert_eq!(got, want);
+    assert!(want
+        .iter()
+        .all(|(_, outcome, tokens)| *outcome == RequestOutcome::Finished && tokens.len() == 4));
 }
