@@ -366,11 +366,10 @@ impl PagedKvPool {
     /// leaves a rank without pages.
     pub fn set_ranks(&mut self, ranks: usize) -> usize {
         self.assert_idle("ranks can only be split");
-        assert!(ranks > 0, "need at least one rank");
         let (layers, kv_dim) = (self.model.num_layers, self.model.kv_dim());
         let encodes = |s: &dyn KvRowStream| s.encoded_rows().is_some();
         let ranks = match self.quantizer.as_deref() {
-            Some(q) if !every_stream(q, layers, kv_dim, encodes) => 1,
+            Some(q) if ranks > 1 && !every_stream(q, layers, kv_dim, encodes) => 1,
             _ => ranks.min(self.model.num_kv_heads),
         };
         let capacity = self.capacity_pages() as usize;

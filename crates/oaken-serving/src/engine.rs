@@ -676,7 +676,7 @@ impl<'m> BatchEngine<'m> {
     /// Panics if `max_batch` or `prefill_token_budget` is zero.
     pub fn new(
         model: &'m Model,
-        pool: PagedKvPool,
+        mut pool: PagedKvPool,
         scheduler: TokenScheduler,
         config: EngineConfig,
     ) -> Self {
@@ -687,7 +687,6 @@ impl<'m> BatchEngine<'m> {
         );
         assert!(config.num_threads > 0, "need at least one thread");
         assert!(config.num_ranks > 0, "need at least one rank");
-        let mut pool = pool;
         if config.num_ranks != pool.num_ranks() {
             pool.set_ranks(config.num_ranks);
         }
@@ -1371,9 +1370,14 @@ impl<'m> BatchEngine<'m> {
                     n
                 })
                 .collect();
+            if self.plan_fits(&budgeted) {
+                break budgeted;
+            }
+            // Budgeted chunks do not fit: try the classic one-token-each
+            // schedule before preempting anyone.
             let single = vec![1; self.active.len()];
-            if let Some(chunks) = [budgeted, single].into_iter().find(|c| self.plan_fits(c)) {
-                break chunks;
+            if self.plan_fits(&single) {
+                break single;
             }
             let mut a = self.active.remove(self.victim_slot());
             if self.active.is_empty() {
@@ -1390,8 +1394,8 @@ impl<'m> BatchEngine<'m> {
             self.preempt(a);
         };
         // A slot samples when its chunk ends the prompt (or decodes): its
-        // last step is live, and the pass returns its logits at that
-        // step's index in `live`.
+        // last step is live, and its logits come back at that step's
+        // position in `live`.
         let mut plan = StepPlan::default();
         for (slot, (a, &n)) in self.active.iter().zip(&chunks).enumerate() {
             let prompt = &a.req.prompt;
@@ -1755,18 +1759,6 @@ mod tests {
         assert_eq!(decode.pool().free_pages(), decode.pool().capacity_pages());
     }
 
-    /// A prefill-leg export of request `id`: `prompt_len` prompt tokens,
-    /// one decode token sampled, and the full budget `out` restored.
-    fn export_of(m: &Model, id: u64, prompt_len: usize, out: usize) -> KvExport {
-        let mut prefill = engine_with_pages(m, 512, EngineConfig::default());
-        prefill.mark_for_export(id);
-        prefill.submit(req(id, prompt_len, 1));
-        prefill.run();
-        let mut export = prefill.take_exports().pop().expect("one export");
-        export.request.max_new_tokens = out;
-        export
-    }
-
     /// `(id, outcome, tokens generated)` of every finished request.
     fn outcomes(e: &BatchEngine<'_>) -> Vec<(u64, RequestOutcome, usize)> {
         let fin = e.finished().iter();
@@ -1820,7 +1812,12 @@ mod tests {
     #[test]
     fn ingest_rejects_an_id_in_flight() {
         let m = tiny_model();
-        let export = export_of(&m, 1, 12, 5);
+        let mut prefill = engine_with_pages(&m, 512, EngineConfig::default());
+        prefill.mark_for_export(1);
+        prefill.submit(req(1, 12, 1));
+        prefill.run();
+        let mut export = prefill.take_exports().pop().expect("one export");
+        export.request.max_new_tokens = 5;
         let first = export.generated.clone();
         let mut e = engine_with_pages(&m, 512, EngineConfig::default());
         e.submit(req(1, 6, 4));
