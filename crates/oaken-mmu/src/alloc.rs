@@ -1,6 +1,5 @@
-//! Physical page allocator over the device memory's single address space.
+//! Physical page allocator over the device memory's pages.
 
-use crate::PhysAddr;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -42,9 +41,8 @@ impl std::error::Error for AllocError {}
 /// A first-fit (lowest-id-first) physical page allocator with per-page
 /// reference counts.
 ///
-/// Lowest-id-first keeps pages of one stream as adjacent as the global
-/// allocation pattern allows, which the burst planner rewards. Reference
-/// counting is what makes prefix sharing possible one layer up: a page
+/// Lowest-id-first keeps page assignment a function of the operation
+/// order alone, so it is reproducible run to run. Reference counting is what makes prefix sharing possible one layer up: a page
 /// holding a shared prompt's quantized rows is [retained](Self::retain)
 /// once per sharer and only returns to the free set when the last sharer
 /// [releases](Self::release) it.
@@ -187,11 +185,6 @@ impl PageAllocator {
         self.free.insert(page);
         Ok(())
     }
-
-    /// Physical base address of a page.
-    pub fn base_addr(&self, page: PageId) -> PhysAddr {
-        PhysAddr(u64::from(page.0) * self.page_size as u64)
-    }
 }
 
 #[cfg(test)]
@@ -276,12 +269,5 @@ mod tests {
             a.retain(PageId(9)),
             Err(AllocError::NotAllocated { .. })
         ));
-    }
-
-    #[test]
-    fn base_addresses_are_page_aligned() {
-        let a = PageAllocator::new(8, 4096);
-        assert_eq!(a.base_addr(PageId(0)), PhysAddr(0));
-        assert_eq!(a.base_addr(PageId(3)), PhysAddr(3 * 4096));
     }
 }

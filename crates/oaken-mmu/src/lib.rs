@@ -2,26 +2,26 @@
 //! Figure 10).
 //!
 //! The MMU manages the quantized KV cache in device memory at *page*
-//! granularity, with two management tables per stream:
+//! granularity. Each stream keeps the pages it owns, in write order, and
+//! the payload size of every token it holds — Figure 10's two management
+//! tables, one per stream class:
 //!
-//! * the **dense table** holds fixed-size transfer entries (the packed
-//!   4-bit dense matrix has a predictable per-token size);
-//! * the **sparse table** holds variable-size entries (the COO outlier
-//!   stream length changes token to token), which is why transfer sizes are
+//! * a **dense** stream holds fixed-size rows (the packed 4-bit dense
+//!   matrix has a predictable per-token size);
+//! * a **sparse** stream holds variable-size entries (the COO outlier
+//!   stream length changes token to token), which is why sizes are
 //!   recorded per token.
 //!
-//! Both map a single virtual address space onto physical pages, and the
-//! write layout implements the paper's burst-order rule: rows are appended
-//! *sequentially* to their stream's pages, so reading a stream's whole
-//! history during generation is a stream of long contiguous bursts. A
-//! dense stream is a fixed-stride slab whose rows may straddle page edges
-//! (so it packs its pages full); a sparse stream is a log whose entries
-//! never span pages.
+//! Rows are appended *sequentially* to their stream's pages, the paper's
+//! burst-order write rule. A dense stream is a fixed-stride slab whose rows
+//! may straddle page edges (so it packs its pages full); a sparse stream
+//! is a log whose entries never span pages.
 //!
-//! The model is functional rather than cycle-accurate: it tracks page
-//! allocation, address translation, per-token transfer sizes, burst
-//! coalescing, and fragmentation — the quantities the performance simulator
-//! and the Figure 11/13 capacity arguments consume.
+//! The model is a page and residency ledger, not an address space: the KV
+//! bytes live in the serving pool's quantizer streams, which read through
+//! their own plans. What the MMU keeps is what capacity and swap are
+//! accounted on — pages per stream, per-token sizes (the packing rule and
+//! the swap replay), refcounts, fragmentation and the host tier.
 //!
 //! Pages are **refcounted** ([`PageAllocator::retain`]/[`release`]), which
 //! is what makes cross-sequence prefix sharing real at the physical level:
@@ -34,7 +34,7 @@
 //!
 //! The device tier is optionally backed by a **host swap tier**
 //! ([`swap::SwapPool`], attached via [`MmuSim::attach_host_tier`]): a
-//! request's page table can be frozen to host
+//! request's streams can be frozen to host
 //! ([`MmuSim::swap_out_request`]) — device pages free, host pages charge,
 //! transfer bytes are accounted — and later rehydrated
 //! ([`MmuSim::swap_in_request`]) onto fresh pages with identical
@@ -51,35 +51,13 @@
 //! [`release`]: PageAllocator::release
 
 pub mod alloc;
-pub mod burst;
 pub mod fault;
 pub mod stream;
 pub mod swap;
-pub mod table;
 
 pub use alloc::{AllocError, PageAllocator, PageId};
-pub use burst::{plan_bursts, BurstPlan};
 pub use fault::{FaultInjector, FaultKind, FaultOp, FaultPlan, FaultStats};
-pub use stream::{MmuSim, StreamClass, StreamKey, WriteReceipt};
+pub use stream::{MmuSim, StreamClass, StreamKey};
 pub use swap::{
-    size_checksum, Residency, StreamPayload, SwapError, SwapPool, SwapReceipt, SwapStats,
-    TransferPayload,
+    size_checksum, StreamPayload, SwapError, SwapPool, SwapReceipt, SwapStats, TransferPayload,
 };
-pub use table::{StreamTable, TableEntry};
-
-/// Physical byte address in the device memory's single address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PhysAddr(pub u64);
-
-impl PhysAddr {
-    /// Byte offset addition.
-    pub fn offset(self, bytes: u64) -> PhysAddr {
-        PhysAddr(self.0 + bytes)
-    }
-}
-
-impl std::fmt::Display for PhysAddr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:#010x}", self.0)
-    }
-}

@@ -1,5 +1,5 @@
-//! The MMU simulator: per-(request, layer, head, class) streams appended to
-//! physical pages with dense and sparse management tables.
+//! The MMU simulator: per-(request, layer, head, class) streams, each its
+//! pages and its per-token payload sizes.
 //!
 //! Write layout (§5.2): each stream owns its pages and appends "written
 //! sequentially, immediately following the previous tokens' KV cache", so
@@ -9,12 +9,9 @@
 //! (`PageTail` states both rules once).
 
 use crate::alloc::{AllocError, PageAllocator, PageId};
-use crate::burst::{plan_bursts, BurstPlan};
 use crate::swap::{
-    FrozenRequest, Residency, StreamPayload, SwapError, SwapPool, SwapReceipt, TransferPayload,
+    FrozenRequest, StreamPayload, SwapError, SwapPool, SwapReceipt, TransferPayload,
 };
-use crate::table::{StreamTable, TableEntry};
-use crate::PhysAddr;
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
@@ -74,49 +71,46 @@ pub(crate) struct PageTail {
 }
 
 impl PageTail {
-    /// Places one token payload; returns its offset in the virtual run and
-    /// the pages the run then spans (at least one: a first write opens a
-    /// page even when empty).
+    /// Places one token payload; returns the pages the run then spans (at
+    /// least one: a first write opens a page even when empty).
     ///
     /// # Panics
     ///
     /// Panics if a sparse entry exceeds the page size.
-    pub(crate) fn place(&mut self, class: StreamClass, bytes: u32, page: usize) -> (usize, usize) {
+    pub(crate) fn place(&mut self, class: StreamClass, bytes: u32, page: usize) -> usize {
         let bytes = bytes as usize;
-        let mut start = self.end;
         if class == StreamClass::Sparse {
             assert!(
                 bytes <= page,
                 "sparse entry {bytes} exceeds page size {page}"
             );
-            if start % page + bytes > page {
-                start = start.next_multiple_of(page);
+            if self.end % page + bytes > page {
+                self.end = self.end.next_multiple_of(page);
             }
         }
-        self.end = start + bytes;
-        (start, self.end.div_ceil(page).max(1))
+        self.end += bytes;
+        self.end.div_ceil(page).max(1)
     }
 }
 
 #[derive(Debug, Default)]
 struct Stream {
-    table: StreamTable,
+    /// Pages owned, in write order.
     pages: Vec<PageId>,
     tail: PageTail,
+    /// Payload bytes per token, in token order: the size log a thaw or an
+    /// import replays.
+    sizes: Vec<u32>,
 }
 
-/// Result of one token write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteReceipt {
-    /// Where the token's payload starts.
-    pub addr: PhysAddr,
-    /// Bytes written.
-    pub bytes: u32,
-    /// Whether a fresh page had to be allocated.
-    pub new_page: bool,
+impl Stream {
+    /// Payload bytes stored.
+    fn bytes(&self) -> u64 {
+        self.sizes.iter().map(|&b| u64::from(b)).sum()
+    }
 }
 
-/// The MMU simulator: a page allocator plus dense/sparse stream tables,
+/// The MMU simulator: a page allocator plus dense/sparse streams,
 /// optionally backed by a host swap tier ([`SwapPool`]).
 #[derive(Debug)]
 pub struct MmuSim {
@@ -150,15 +144,15 @@ impl MmuSim {
     ///
     /// # Panics
     ///
-    /// Panics if requests are currently frozen (the tier can only be
-    /// resized while empty).
+    /// Panics if requests are currently frozen, a zero-page one included
+    /// (the tier can only be resized while empty).
     pub fn attach_host_tier(&mut self, host_pages: u32) {
         let prev_stats = match &self.host {
             Some(host) => {
                 assert_eq!(
-                    host.used_pages(),
+                    host.frozen_requests(),
                     0,
-                    "host tier can only be resized while empty"
+                    "host tier can only be resized while no request is frozen"
                 );
                 host.stats()
             }
@@ -169,20 +163,10 @@ impl MmuSim {
         self.host = Some(tier);
     }
 
-    /// The host tier, when attached (read-only: occupancy, residency,
-    /// transfer stats).
+    /// The host tier, when attached (read-only: occupancy, frozen
+    /// requests, transfer stats).
     pub fn host_tier(&self) -> Option<&SwapPool> {
         self.host.as_ref()
-    }
-
-    /// Residency of `request`'s pages: [`Residency::Host`] (or
-    /// [`Residency::InFlight`]) when frozen, [`Residency::Device`] when it
-    /// has live streams, `None` when the MMU knows nothing about it.
-    pub fn residency(&self, request: u32) -> Option<Residency> {
-        if let Some(r) = self.host.as_ref().and_then(|h| h.residency(request)) {
-            return Some(r);
-        }
-        self.has_streams(request).then_some(Residency::Device)
     }
 
     /// Whether `request` has any live stream.
@@ -202,9 +186,9 @@ impl MmuSim {
     }
 
     /// Freezes every stream of `request` to the host tier: the per-token
-    /// payload sizes (the management tables) move to host, the device
-    /// pages free, and the host tier charges the same page count. The
-    /// request's streams become unknown to the device until
+    /// payload sizes move to host, the device pages free, and the host
+    /// tier charges the same page count. The request's streams become
+    /// unknown to the device until
     /// [`swap_in_request`](Self::swap_in_request) thaws them.
     ///
     /// A request with *no* streams freezes successfully as an empty entry
@@ -251,7 +235,7 @@ impl MmuSim {
                 layer: k.layer,
                 head: k.head,
                 class: k.class,
-                sizes: stream.table.iter().map(|e| e.size).collect(),
+                sizes: stream.sizes,
             });
         }
         payload.seal();
@@ -266,11 +250,7 @@ impl MmuSim {
             bytes: payload.bytes,
             checksum: payload.checksum,
         };
-        let entry = FrozenRequest {
-            payload,
-            pages,
-            state: Residency::Host,
-        };
+        let entry = FrozenRequest { payload, pages };
         self.host
             .as_mut()
             .expect("callers checked the tier")
@@ -279,12 +259,12 @@ impl MmuSim {
     }
 
     /// Thaws a frozen request back into device memory: fresh pages are
-    /// allocated and each stream's management table is rebuilt by
-    /// replaying its recorded per-token sizes in deterministic key order.
-    /// Physical page *ids* may differ from before the freeze — the
-    /// contract is `PageId` *semantics*: every table entry translates to a
-    /// live exclusively-owned page, per-token sizes and tail headroom are
-    /// identical, and the page count never exceeds the frozen count.
+    /// allocated and each stream is rebuilt by replaying its recorded
+    /// per-token sizes in deterministic key order. Physical page *ids* may
+    /// differ from before the freeze — the contract is `PageId`
+    /// *semantics*: every stream's pages are live and exclusively owned,
+    /// per-token sizes and tail headroom are identical, and the page count
+    /// never exceeds the frozen count.
     ///
     /// # Errors
     ///
@@ -392,15 +372,6 @@ impl MmuSim {
         Ok(entry.pages)
     }
 
-    /// The per-token size tables of `request`'s *live* streams, in
-    /// deterministic key order — the raw material a pool-level exporter
-    /// flattens into a [`crate::swap::TransferPayload`]. Empty for unknown requests.
-    pub fn request_stream_sizes(&self, request: u32) -> Vec<(StreamKey, Vec<u32>)> {
-        self.request_streams(request)
-            .map(|(k, s)| (*k, s.table.iter().map(|e| e.size).collect()))
-            .collect()
-    }
-
     /// Lands a [`crate::swap::TransferPayload`] from another MMU as a frozen entry of
     /// this MMU's host tier under local id `request` — the receive side of
     /// a prefill→decode KV handoff. The imported request behaves exactly
@@ -447,8 +418,8 @@ impl MmuSim {
     /// Appends one token's payload to a stream by its class's packing rule
     /// (`PageTail`), allocating pages on demand: a dense row continues
     /// into as many fresh pages as it needs, a sparse entry that the tail
-    /// page cannot hold whole starts a fresh one. The receipt's address is
-    /// where the payload starts.
+    /// page cannot hold whole starts a fresh one. Returns the pages it
+    /// opened.
     ///
     /// # Errors
     ///
@@ -459,7 +430,7 @@ impl MmuSim {
     /// # Panics
     ///
     /// Panics if a sparse entry exceeds the page size.
-    pub fn write_token(&mut self, key: StreamKey, bytes: u32) -> Result<WriteReceipt, AllocError> {
+    pub fn write_token(&mut self, key: StreamKey, bytes: u32) -> Result<u32, AllocError> {
         let page_size = self.allocator.page_size();
         debug_assert!(
             !self.host.as_ref().is_some_and(|h| h.is_frozen(key.request)),
@@ -468,8 +439,7 @@ impl MmuSim {
         );
         let stream = self.streams.entry(key).or_default();
         let mut tail = stream.tail;
-        let (start, spans) = tail.place(key.class, bytes, page_size);
-        let opened = spans - stream.pages.len();
+        let opened = tail.place(key.class, bytes, page_size) - stream.pages.len();
         if opened > self.allocator.free_pages() as usize {
             return Err(AllocError::OutOfPages {
                 capacity: self.allocator.capacity(),
@@ -479,32 +449,16 @@ impl MmuSim {
             stream.pages.push(self.allocator.alloc()?);
         }
         stream.tail = tail;
-        // An empty payload may sit at the very end of a full tail page.
-        let index = (start / page_size).min(spans - 1);
-        let offset = (start - index * page_size) as u64;
-        let addr = self.allocator.base_addr(stream.pages[index]).offset(offset);
-        stream.table.push(TableEntry { addr, size: bytes });
-        Ok(WriteReceipt {
-            addr,
-            bytes,
-            new_page: opened > 0,
-        })
+        stream.sizes.push(bytes);
+        Ok(opened as u32)
     }
 
-    /// The management table of a stream, if it exists.
-    pub fn table(&self, key: &StreamKey) -> Option<&StreamTable> {
-        self.streams.get(key).map(|s| &s.table)
-    }
-
-    /// Translates `(stream, token)` to the physical transfer that fetches
-    /// that token's payload — the per-token address lookup the serving
-    /// layer's attention reads go through. `None` for unknown streams or
-    /// tokens beyond the stream's history.
-    pub fn translate(&self, key: &StreamKey, token: usize) -> Option<TableEntry> {
+    /// A stream's pages, in write order, and its per-token payload sizes,
+    /// in token order; `None` for unknown streams.
+    pub fn stream(&self, key: &StreamKey) -> Option<(&[PageId], &[u32])> {
         self.streams
             .get(key)
-            .and_then(|s| s.table.get(token))
-            .copied()
+            .map(|s| (s.pages.as_slice(), s.sizes.as_slice()))
     }
 
     /// Free bytes remaining in a stream's tail page: the headroom the next
@@ -523,48 +477,13 @@ impl MmuSim {
             .sum()
     }
 
-    /// Bytes actually stored for `request` (sum of its table entries).
+    /// Bytes actually stored for `request` (sum of its per-token sizes).
     pub fn request_bytes(&self, request: u32) -> u64 {
-        self.request_streams(request)
-            .map(|(_, s)| s.table.total_bytes())
-            .sum()
-    }
-
-    /// Plans the full-history burst read of a stream (the generation-phase
-    /// attention fetch): every payload split at its page edges, so a dense
-    /// row straddling into the stream's next page reads as two physical
-    /// pieces. Returns an empty plan for unknown streams.
-    pub fn read_plan(&self, key: &StreamKey, granularity: u64) -> BurstPlan {
-        let mut pieces = Vec::new();
-        if let Some(s) = self.streams.get(key) {
-            let page = self.allocator.page_size() as u64;
-            let base = |index: usize| self.allocator.base_addr(s.pages[index]).0;
-            let mut index = 0;
-            for e in s.table.iter().filter(|e| e.size > 0) {
-                while !(base(index)..base(index) + page).contains(&e.addr.0) {
-                    index += 1;
-                }
-                let (mut addr, mut left) = (e.addr.0, u64::from(e.size));
-                loop {
-                    let size = left.min(base(index) + page - addr);
-                    pieces.push(TableEntry {
-                        addr: PhysAddr(addr),
-                        size: size as u32,
-                    });
-                    left -= size;
-                    if left == 0 {
-                        break;
-                    }
-                    index += 1;
-                    addr = base(index);
-                }
-            }
-        }
-        plan_bursts(pieces.iter(), granularity)
+        self.request_streams(request).map(|(_, s)| s.bytes()).sum()
     }
 
     /// Frees every page belonging to `request` (request retirement). The
-    /// request's stream tables are removed unconditionally; each page drops
+    /// request's streams are removed unconditionally; each page drops
     /// one reference and physically frees only when no other owner (a
     /// retained sharer) still holds it. Returns the pages actually freed.
     ///
@@ -599,15 +518,15 @@ impl MmuSim {
 
     /// Drops one reference from every page owned by `request`'s streams (a
     /// sharer departing). When the last reference goes, the pages free and
-    /// the stream tables are removed; while other sharers remain, the
-    /// tables stay readable. Returns the pages actually freed.
+    /// the streams are removed; while other sharers remain, the streams
+    /// stay readable. Returns the pages actually freed.
     ///
     /// Contract: the request must be **whole-request shared** — every page
     /// at the same refcount, which [`retain_request`](Self::retain_request)
     /// preserves and appends break. A request written to after it was
     /// shared mixes shared and private pages and must be retired with
     /// [`free_request`](Self::free_request) instead; releasing it would
-    /// free its private tail while its tables stay live, so that misuse is
+    /// free its private tail while its streams stay live, so that misuse is
     /// rejected loudly.
     ///
     /// # Panics
@@ -620,7 +539,7 @@ impl MmuSim {
             .collect();
         // Reject mixed-refcount requests before touching any state: a
         // partial release would free a private tail page while the
-        // request's tables stay live.
+        // request's streams stay live.
         let uniform = pages
             .windows(2)
             .all(|w| self.allocator.refcount(w[0]) == self.allocator.refcount(w[1]));
@@ -640,7 +559,7 @@ impl MmuSim {
             fully_freed &= went;
         }
         // Uniform refcounts mean either every page freed (last sharer:
-        // drop the tables) or none did (tables stay for the remaining
+        // drop the streams) or none did (they stay for the remaining
         // sharers).
         if fully_freed {
             self.take_streams(request);
@@ -666,7 +585,7 @@ impl MmuSim {
         let mut used = 0u64;
         for s in self.streams.values() {
             allocated += s.pages.len() as u64 * page_size;
-            used += s.table.total_bytes();
+            used += s.bytes();
         }
         if allocated == 0 {
             return 0.0;
@@ -688,17 +607,16 @@ mod tests {
         }
     }
 
+    /// Rows land back to back: ten 64-byte rows fill the first 640 bytes
+    /// of one page.
     #[test]
     fn sequential_writes_are_contiguous() {
         let mut mmu = MmuSim::new(16, 4096);
         let k = key(1, 0, StreamClass::Dense);
-        for _ in 0..10 {
-            mmu.write_token(k, 64).unwrap();
-        }
-        let plan = mmu.read_plan(&k, 64);
-        assert_eq!(plan.bursts.len(), 1, "one page, one burst: {plan:?}");
-        assert_eq!(plan.total_bytes, 640);
-        assert_eq!(plan.efficiency(64), 1.0);
+        let opened: u32 = (0..10).map(|_| mmu.write_token(k, 64).unwrap()).sum();
+        assert_eq!(opened, 1, "one page holds the whole run");
+        assert_eq!(mmu.stream(&k), Some((&[PageId(0)][..], &[64; 10][..])));
+        assert_eq!(mmu.tail_free(&k), 4096 - 640);
     }
 
     #[test]
@@ -706,10 +624,11 @@ mod tests {
         let mut mmu = MmuSim::new(16, 4096);
         let ka = key(1, 0, StreamClass::Dense);
         let kb = key(1, 1, StreamClass::Dense);
-        let ra = mmu.write_token(ka, 64).unwrap();
-        let rb = mmu.write_token(kb, 64).unwrap();
-        assert_ne!(ra.addr, rb.addr, "heads go to distinct pages");
-        assert!(ra.new_page && rb.new_page);
+        assert_eq!(mmu.write_token(ka, 64), Ok(1));
+        assert_eq!(mmu.write_token(kb, 64), Ok(1));
+        let (pa, pb) = (mmu.stream(&ka).unwrap().0, mmu.stream(&kb).unwrap().0);
+        assert_eq!((pa, pb), (&[PageId(0)][..], &[PageId(1)][..]));
+        assert_eq!(mmu.request_pages(1), 2, "heads go to distinct pages");
     }
 
     #[test]
@@ -719,48 +638,42 @@ mod tests {
         for size in [7u32, 13, 2, 29] {
             mmu.write_token(k, size).unwrap();
         }
-        let table = mmu.table(&k).unwrap();
-        let sizes: Vec<u32> = table.iter().map(|e| e.size).collect();
-        assert_eq!(sizes, vec![7, 13, 2, 29]);
-        assert_eq!(table.total_bytes(), 51);
+        assert_eq!(mmu.stream(&k).unwrap().1, [7, 13, 2, 29]);
+        assert_eq!(mmu.request_bytes(2), 51);
     }
 
     #[test]
     fn page_overflow_opens_new_page() {
         let mut mmu = MmuSim::new(16, 128);
         let k = key(1, 0, StreamClass::Sparse);
-        let r1 = mmu.write_token(k, 100).unwrap();
-        let r2 = mmu.write_token(k, 100).unwrap();
-        assert!(r1.new_page);
-        assert!(r2.new_page, "second write cannot fit in first page");
-        // The read plan now has two bursts (pages 0 and 1 are adjacent in
-        // this allocator, but the 28-byte gap at the end of page 0 splits
-        // the stream).
-        let plan = mmu.read_plan(&k, 64);
-        assert_eq!(plan.bursts.len(), 2);
+        assert_eq!(mmu.write_token(k, 100), Ok(1));
+        assert_eq!(mmu.tail_free(&k), 28);
+        // The 28 bytes left on page 0 cannot hold the next entry whole,
+        // so it starts page 1 and the gap stays padding.
+        assert_eq!(mmu.write_token(k, 100), Ok(1), "second write opens a page");
+        assert_eq!(mmu.stream(&k).unwrap().0, [PageId(0), PageId(1)]);
+        assert_eq!(mmu.tail_free(&k), 28);
     }
 
-    /// A dense slab packs rows back to back: a row straddles into the next
-    /// page (one payload, two physical pieces), a row wider than a page
-    /// opens several, and the stream costs `ceil(bytes / page)` pages.
+    /// A dense slab packs rows back to back: row *i* starts at `i · stride`
+    /// of the stream's page run, so a row straddles into the next page, a
+    /// row wider than a page opens several, and the stream costs
+    /// `ceil(bytes / page)` pages.
     #[test]
     fn dense_rows_straddle_pages_into_a_packed_slab() {
         let mut mmu = MmuSim::new(16, 128);
         let k = key(1, 0, StreamClass::Dense);
-        let r1 = mmu.write_token(k, 100).unwrap();
+        assert_eq!(mmu.write_token(k, 100), Ok(1));
+        assert_eq!(mmu.tail_free(&k), 128 - 100, "row 1 starts at 1 · stride");
         mmu.write_token(key(9, 0, StreamClass::Sparse), 8).unwrap();
-        let r2 = mmu.write_token(k, 100).unwrap();
-        assert!(r1.new_page && r2.new_page);
-        assert_eq!(r2.addr, r1.addr.offset(100), "row 1 sits at 1 · stride");
+        assert_eq!(mmu.write_token(k, 100), Ok(1), "row 1 straddles");
         assert_eq!((mmu.request_pages(1), mmu.tail_free(&k)), (2, 56));
         // Page 1 went to request 9, so the straddle continues on page 2.
-        let plan = mmu.read_plan(&k, 64);
-        assert_eq!(plan.bursts, vec![(0, 128), (256, 72)]);
-        assert_eq!(plan.total_bytes, 200);
-        let wide = mmu.write_token(k, 300).unwrap();
-        assert!(wide.new_page);
+        assert_eq!(mmu.stream(&k).unwrap().0, [PageId(0), PageId(2)]);
+        assert_eq!(mmu.write_token(k, 300), Ok(2));
         assert_eq!(mmu.request_pages(1), 500usize.div_ceil(128) as u32);
-        assert_eq!(mmu.read_plan(&k, 64).total_bytes, 500);
+        assert_eq!(mmu.tail_free(&k), 4 * 128 - 500);
+        assert_eq!(mmu.request_bytes(1), 500);
     }
 
     #[test]
@@ -785,7 +698,7 @@ mod tests {
         let freed = mmu.free_request(7).unwrap();
         assert_eq!(freed, 4);
         assert_eq!(mmu.allocator().free_pages(), 4);
-        assert!(mmu.table(&key(7, 0, StreamClass::Dense)).is_none());
+        assert!(mmu.stream(&key(7, 0, StreamClass::Dense)).is_none());
     }
 
     #[test]
@@ -805,20 +718,16 @@ mod tests {
     }
 
     #[test]
-    fn translate_returns_per_token_transfers() {
+    fn stream_returns_pages_and_per_token_sizes() {
         let mut mmu = MmuSim::new(16, 128);
         let k = key(3, 0, StreamClass::Sparse);
-        let receipts: Vec<WriteReceipt> = [9u32, 17, 5]
+        let opened: Vec<u32> = [9u32, 17, 5]
             .iter()
             .map(|&b| mmu.write_token(k, b).unwrap())
             .collect();
-        for (t, r) in receipts.iter().enumerate() {
-            let e = mmu.translate(&k, t).expect("token written");
-            assert_eq!(e.addr, r.addr);
-            assert_eq!(e.size, r.bytes);
-        }
-        assert!(mmu.translate(&k, 3).is_none());
-        assert!(mmu.translate(&key(4, 0, StreamClass::Dense), 0).is_none());
+        assert_eq!(opened, [1, 0, 0], "only the first write opens a page");
+        assert_eq!(mmu.stream(&k), Some((&[PageId(0)][..], &[9, 17, 5][..])));
+        assert!(mmu.stream(&key(4, 0, StreamClass::Dense)).is_none());
     }
 
     #[test]
@@ -845,15 +754,15 @@ mod tests {
         assert_eq!(mmu.retain_request(10), 4);
         assert_eq!(mmu.retain_request(10), 4);
         assert_eq!(mmu.shared_pages(), 4);
-        // Departing sharers free nothing while others remain; the tables
-        // stay readable.
+        // Departing sharers free nothing while others remain; the stream
+        // stays readable.
         assert_eq!(mmu.release_request(10), 0);
-        assert!(mmu.table(&k).is_some());
+        assert!(mmu.stream(&k).is_some());
         assert_eq!(mmu.release_request(10), 0);
         assert_eq!(mmu.shared_pages(), 0);
-        // The last owner frees everything and drops the tables.
+        // The last owner frees everything and drops the stream.
         assert_eq!(mmu.release_request(10), 4);
-        assert!(mmu.table(&k).is_none());
+        assert!(mmu.stream(&k).is_none());
         assert_eq!(mmu.allocator().free_pages(), 8);
     }
 
@@ -863,10 +772,10 @@ mod tests {
         let k = key(3, 0, StreamClass::Dense);
         mmu.write_token(k, 64).unwrap();
         mmu.retain_request(3);
-        // Hard retirement removes the tables but the page survives for the
+        // Hard retirement removes the stream but the page survives for the
         // remaining owner.
         assert_eq!(mmu.free_request(3).unwrap(), 0);
-        assert!(mmu.table(&k).is_none());
+        assert!(mmu.stream(&k).is_none());
         assert_eq!(mmu.allocator().free_pages(), 7);
     }
 
@@ -898,13 +807,13 @@ mod tests {
         let before_pages = mmu.request_pages(5);
         let before_bytes = mmu.request_bytes(5);
         let tail_before = mmu.tail_free(&kd);
-        assert_eq!(mmu.residency(5), Some(crate::swap::Residency::Device));
 
         let out = mmu.swap_out_request(5).unwrap();
         assert_eq!(out.pages, before_pages);
         assert_eq!(out.bytes, before_bytes);
-        assert_eq!(mmu.residency(5), Some(crate::swap::Residency::Host));
-        assert_eq!(mmu.request_pages(5), 0, "device side forgot the streams");
+        assert!(mmu.host_tier().unwrap().is_frozen(5));
+        assert!(mmu.stream(&kd).is_none(), "device side forgot the streams");
+        assert_eq!(mmu.request_pages(5), 0);
         assert_eq!(mmu.allocator().free_pages(), 8);
         let host = mmu.host_tier().expect("attached");
         assert_eq!(host.used_pages(), before_pages);
@@ -916,13 +825,12 @@ mod tests {
         let back = mmu.swap_in_request(5).unwrap();
         assert_eq!(back.pages, before_pages, "no-CoW streams replay exactly");
         assert_eq!(back.bytes, before_bytes);
-        assert_eq!(mmu.residency(5), Some(crate::swap::Residency::Device));
+        assert!(!mmu.host_tier().unwrap().is_frozen(5));
         assert_eq!(mmu.request_pages(5), before_pages);
         assert_eq!(mmu.request_bytes(5), before_bytes);
         assert_eq!(mmu.tail_free(&kd), tail_before);
-        let sizes: Vec<u32> = mmu.table(&kd).unwrap().iter().map(|e| e.size).collect();
-        assert_eq!(sizes, vec![100, 60, 60]);
-        assert_eq!(mmu.table(&ks).unwrap().len(), 1);
+        assert_eq!(mmu.stream(&kd).unwrap().1, [100, 60, 60]);
+        assert_eq!(mmu.stream(&ks).unwrap().1, [17]);
         assert_eq!(mmu.host_tier().unwrap().used_pages(), 0);
 
         let stats = mmu.host_tier().unwrap().stats();
@@ -933,7 +841,7 @@ mod tests {
 
         // The thawed stream keeps appending normally.
         mmu.write_token(kd, 8).unwrap();
-        assert_eq!(mmu.table(&kd).unwrap().len(), 4);
+        assert_eq!(mmu.stream(&kd).unwrap().1.len(), 4);
     }
 
     #[test]
@@ -976,7 +884,7 @@ mod tests {
             mmu.swap_in_request(1),
             Err(SwapError::OutOfDevicePages { needed: 1, free: 0 })
         ));
-        assert_eq!(mmu.residency(1), Some(crate::swap::Residency::Host));
+        assert!(mmu.host_tier().unwrap().is_frozen(1));
         mmu.free_request(2).unwrap();
         assert_eq!(mmu.swap_in_request(1).unwrap().pages, 1);
     }
@@ -999,6 +907,17 @@ mod tests {
         );
     }
 
+    /// A zero-page frozen entry occupies no host page but is still frozen:
+    /// a resize would drop it, and its thaw would then fail `NotFrozen`.
+    #[test]
+    #[should_panic(expected = "no request is frozen")]
+    fn host_tier_resize_rejects_a_frozen_empty_request() {
+        let mut mmu = MmuSim::new(4, 128);
+        mmu.attach_host_tier(4);
+        assert_eq!(mmu.swap_out_request(7).unwrap().pages, 0);
+        mmu.attach_host_tier(8);
+    }
+
     #[test]
     fn empty_requests_freeze_and_discard_cleanly() {
         let mut mmu = MmuSim::new(4, 128);
@@ -1013,9 +932,10 @@ mod tests {
                 checksum: 0
             }
         );
-        assert_eq!(mmu.residency(7), Some(crate::swap::Residency::Host));
+        assert!(mmu.host_tier().unwrap().is_frozen(7));
         assert_eq!(mmu.swap_in_request(7).unwrap().pages, 0);
-        assert_eq!(mmu.residency(7), None);
+        assert!(!mmu.host_tier().unwrap().is_frozen(7));
+        assert_eq!(mmu.request_pages(7), 0, "an empty entry thaws to no stream");
         // Discard releases host pages without a swap-in.
         mmu.write_token(key(3, 0, StreamClass::Dense), 40).unwrap();
         mmu.swap_out_request(3).unwrap();
@@ -1042,17 +962,14 @@ mod tests {
         for size in [7u32, 0, 29] {
             src.write_token(ks, size).unwrap();
         }
-        let sizes = src.request_stream_sizes(5);
-        assert_eq!(sizes.len(), 2);
-        assert_eq!(sizes[0].0, kd, "dense sorts before sparse");
         let mut payload = TransferPayload {
-            streams: sizes
+            streams: [kd, ks]
                 .iter()
-                .map(|(k, sz)| StreamPayload {
+                .map(|k| StreamPayload {
                     layer: k.layer,
                     head: k.head,
                     class: k.class,
-                    sizes: sz.clone(),
+                    sizes: src.stream(k).unwrap().1.to_vec(),
                 })
                 .collect(),
             bytes: 0,
@@ -1067,25 +984,14 @@ mod tests {
         let receipt = dst.import_frozen(9, &payload).unwrap();
         assert_eq!(receipt.bytes, payload.bytes);
         assert_eq!(receipt.checksum, payload.checksum);
-        assert_eq!(dst.residency(9), Some(crate::swap::Residency::Host));
+        assert!(dst.host_tier().unwrap().is_frozen(9));
         assert_eq!(dst.host_tier().unwrap().used_pages(), receipt.pages);
 
         let thawed = dst.swap_in_request(9).unwrap();
         assert_eq!(thawed.bytes, payload.bytes);
-        let got: Vec<u32> = dst
-            .table(&key(9, 0, StreamClass::Dense))
-            .unwrap()
-            .iter()
-            .map(|e| e.size)
-            .collect();
-        assert_eq!(got, vec![100, 60, 60]);
-        let got: Vec<u32> = dst
-            .table(&key(9, 0, StreamClass::Sparse))
-            .unwrap()
-            .iter()
-            .map(|e| e.size)
-            .collect();
-        assert_eq!(got, vec![7, 0, 29]);
+        let sizes = |class| dst.stream(&key(9, 0, class)).unwrap().1;
+        assert_eq!(sizes(StreamClass::Dense), [100, 60, 60]);
+        assert_eq!(sizes(StreamClass::Sparse), [7, 0, 29]);
         // Same packing rule ⇒ same tail headroom as the source stream.
         assert_eq!(
             dst.tail_free(&key(9, 0, StreamClass::Dense)),
@@ -1117,9 +1023,9 @@ mod tests {
                 mmu.allocator().free_pages(),
                 host.used_pages(),
                 host.stats(),
-                mmu.residency(3),
-                mmu.residency(4),
-                mmu.request_stream_sizes(3).len() + mmu.request_stream_sizes(4).len(),
+                host.is_frozen(3),
+                host.is_frozen(4),
+                mmu.streams.len(),
             )
         };
         let frozen = observed(&mmu);
@@ -1145,7 +1051,7 @@ mod tests {
         flip(&mut mmu);
         let back = mmu.swap_in_requests(&[4, 3]).unwrap();
         assert_eq!(back.bytes, out.bytes + 50);
-        assert_eq!(mmu.residency(3), Some(Residency::Device));
+        assert!(!mmu.host_tier().unwrap().is_frozen(3));
         assert_eq!(mmu.request_bytes(3), out.bytes);
     }
 

@@ -19,37 +19,19 @@
 //! construction, and the swap machinery only has to keep the *accounting*
 //! exact.
 //!
-//! # Residency state machine
+//! # Device or host
 //!
-//! ```text
-//!            swap_out (begin)          swap_out (complete)
-//!   Device ───────────────────▶ InFlight ───────────────────▶ Host
-//!      ▲                                                        │
-//!      │            swap_in (complete)       swap_in (begin)    │
-//!      └──────────────────────── InFlight ◀──────────────────────┘
-//! ```
-//!
-//! Transfers in this functional model are synchronous, so an observer only
-//! ever sees `Device` (live streams) or `Host` (frozen); the `InFlight`
-//! state exists so an asynchronous transfer engine can be dropped in
-//! without changing the contract.
+//! A request's pages live in one of two places: on the **device** while
+//! it has live streams, or on the **host** while the tier holds its frozen
+//! entry. `swap_out_request` moves it device → host and `swap_in_request`
+//! host → device; both are synchronous, so no request is ever between the
+//! two.
 //!
 //! [`PreemptPolicy`]: ../../oaken_serving/engine/enum.PreemptPolicy.html
 
 use crate::stream::{PageTail, StreamClass};
 use std::collections::HashMap;
 use std::fmt;
-
-/// Where a request's pages currently live in the device/host hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Residency {
-    /// Pages are resident in device memory (live streams).
-    Device,
-    /// Pages are frozen in the host tier.
-    Host,
-    /// Pages are mid-transfer between the tiers.
-    InFlight,
-}
 
 /// Swap failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,13 +193,12 @@ pub struct SwapStats {
 /// A request frozen to host: its per-token size tables — a
 /// [`TransferPayload`], streams in `(layer, head, class)` order, whose
 /// checksum is asserted on thaw before any page is rebuilt — plus the
-/// host pages it occupies and its residency state. A locally frozen
-/// request and one imported from another MMU are the same thing.
+/// host pages it occupies. A locally frozen request and one imported from
+/// another MMU are the same thing.
 #[derive(Debug)]
 pub(crate) struct FrozenRequest {
     pub(crate) payload: TransferPayload,
     pub(crate) pages: u32,
-    pub(crate) state: Residency,
 }
 
 /// One stream inside a [`TransferPayload`]: the coordinates within the
@@ -329,7 +310,7 @@ impl TransferPayload {
                 if s.class == StreamClass::Sparse && bytes as usize > page_size {
                     return Err(SwapError::TokenExceedsPage { bytes, page_size });
                 }
-                spans = tail.place(s.class, bytes, page_size).1;
+                spans = tail.place(s.class, bytes, page_size);
             }
             pages += spans;
         }
@@ -341,8 +322,7 @@ impl TransferPayload {
 ///
 /// The pool never stores payload bytes here — the functional model keeps
 /// those in the quantizer streams — so the swap pool's job is exact
-/// occupancy and transfer accounting, plus the per-request residency
-/// state machine.
+/// occupancy and transfer accounting.
 #[derive(Debug)]
 pub struct SwapPool {
     capacity: u32,
@@ -383,16 +363,9 @@ impl SwapPool {
         self.frozen.len()
     }
 
-    /// Whether `request` is frozen (or mid-transfer).
+    /// Whether `request` is frozen.
     pub fn is_frozen(&self, request: u32) -> bool {
         self.frozen.contains_key(&request)
-    }
-
-    /// Residency of a *frozen* request (`None` when the host tier holds no
-    /// entry for it; the MMU-level [`residency`](crate::MmuSim::residency)
-    /// resolves live streams to [`Residency::Device`]).
-    pub fn residency(&self, request: u32) -> Option<Residency> {
-        self.frozen.get(&request).map(|f| f.state)
     }
 
     /// Host pages a frozen request occupies (0 for unknown requests).
@@ -457,11 +430,7 @@ mod tests {
             checksum: 0,
         };
         payload.seal();
-        FrozenRequest {
-            payload,
-            pages,
-            state: Residency::Host,
-        }
+        FrozenRequest { payload, pages }
     }
 
     #[test]
@@ -472,7 +441,6 @@ mod tests {
         assert_eq!(pool.used_pages(), 3);
         assert_eq!(pool.frozen_pages(1), 3);
         assert_eq!(pool.frozen_bytes(1), 100);
-        assert_eq!(pool.residency(1), Some(Residency::Host));
         assert!(pool.is_frozen(1));
         assert_eq!(pool.frozen_requests(), 1);
 

@@ -1,5 +1,5 @@
-//! Property tests for the MMU: allocation safety and address-translation
-//! laws under arbitrary interleaved workloads.
+//! Property tests for the MMU: allocation safety and page-ownership laws
+//! under arbitrary interleaved workloads.
 
 use oaken_mmu::{MmuSim, PageAllocator, StreamClass, StreamKey};
 use proptest::prelude::*;
@@ -33,9 +33,9 @@ proptest! {
         );
     }
 
-    /// Streams never overlap in physical memory: every physical range a
-    /// stream's payloads occupy (a dense row straddling a page edge is two)
-    /// is disjoint from every range of every other stream.
+    /// Streams never overlap in physical memory: no page is in two
+    /// streams' page lists (nothing here is retained, so every page has
+    /// one owner), and every allocated page is in one.
     #[test]
     fn streams_are_physically_disjoint(
         writes in prop::collection::vec((0u32..3, 0u16..3, any::<bool>(), 1u32..200), 1..120),
@@ -49,45 +49,36 @@ proptest! {
                 keys.insert(key);
             }
         }
-        let mut occupied: Vec<(u64, u64, StreamKey)> = Vec::new();
+        let mut owner = std::collections::HashMap::new();
         for key in &keys {
-            for (start, len) in mmu.read_plan(key, 1).bursts {
-                let end = start + len;
-                for &(s, e2, other) in &occupied {
-                    let overlap = start < e2 && s < end;
-                    prop_assert!(
-                        !overlap,
-                        "ranges [{start},{end}) of {key:?} and [{s},{e2}) of {other:?} overlap"
-                    );
-                }
-                occupied.push((start, end, *key));
+            for &page in mmu.stream(key).unwrap().0 {
+                prop_assert_eq!(mmu.allocator().refcount(page), 1);
+                let other = owner.insert(page, *key);
+                prop_assert!(other.is_none(), "{:?} is in {:?} and {:?}", page, key, other);
             }
         }
+        prop_assert_eq!(owner.len(), mmu.allocator().allocated_pages() as usize);
     }
 
-    /// Burst plans are exact: coalesced ranges cover exactly the written
-    /// bytes, in order, without overlap.
+    /// A stream's size log is exactly what was written, in order: the
+    /// sizes sum to the bytes written, and its pages hold them with the
+    /// tail headroom to spare.
     #[test]
-    fn burst_plan_partitions_the_stream(
+    fn stream_sizes_sum_to_the_bytes_written(
         sizes in prop::collection::vec(1u32..300, 1..80),
     ) {
         let mut mmu = MmuSim::new(512, 1024);
         let key = StreamKey { request: 1, layer: 0, head: 0, class: StreamClass::Sparse };
-        let mut total = 0u64;
         for s in &sizes {
             mmu.write_token(key, *s).unwrap();
-            total += u64::from(*s);
         }
-        let plan = mmu.read_plan(&key, 64);
-        prop_assert_eq!(plan.total_bytes, total);
-        let burst_sum: u64 = plan.bursts.iter().map(|&(_, len)| len).sum();
-        prop_assert_eq!(burst_sum, total);
-        // Bursts strictly ordered and non-overlapping.
-        for w in plan.bursts.windows(2) {
-            prop_assert!(w[0].0 + w[0].1 <= w[1].0);
-        }
-        // Transactions at least cover the payload.
-        prop_assert!(plan.transactions * 64 >= total);
+        let total: u64 = sizes.iter().map(|&s| u64::from(s)).sum();
+        let (pages, logged) = mmu.stream(&key).unwrap();
+        prop_assert_eq!(logged, &sizes[..]);
+        prop_assert_eq!(mmu.request_bytes(1), total);
+        // Padding never goes negative: the pages cover the payload.
+        let room = (pages.len() * 1024 - mmu.tail_free(&key)) as u64;
+        prop_assert!(room >= total, "{} bytes in {} pages", total, pages.len());
     }
 
     /// Fragmentation is always in [0, 1) and free restores it to zero for
@@ -130,7 +121,7 @@ proptest! {
             keys.iter().map(|k| (*k, mmu.tail_free(k))).collect();
         let sizes_before: Vec<(StreamKey, Vec<u32>)> = keys
             .iter()
-            .map(|k| (*k, mmu.table(k).unwrap().iter().map(|e| e.size).collect()))
+            .map(|k| (*k, mmu.stream(k).unwrap().1.to_vec()))
             .collect();
 
         let out = mmu.swap_out_request(9).unwrap();
@@ -149,8 +140,7 @@ proptest! {
             prop_assert_eq!(mmu.tail_free(&k), tail, "tail headroom of {:?}", k);
         }
         for (k, sizes) in sizes_before {
-            let now: Vec<u32> = mmu.table(&k).unwrap().iter().map(|e| e.size).collect();
-            prop_assert_eq!(now, sizes, "per-token sizes of {:?}", k);
+            prop_assert_eq!(mmu.stream(&k).unwrap().1, &sizes[..], "per-token sizes of {:?}", k);
         }
         mmu.free_request(9).unwrap();
         prop_assert_eq!(mmu.allocator().free_pages(), 256);

@@ -444,8 +444,9 @@ impl PagedKvPool {
     }
 
     /// Rank 0's MMU simulator (read-only) — a one-rank pool's only one:
-    /// translation tables, burst plans, and fragmentation statistics over
-    /// the actual stored sizes. [`RankPages::mmu`] reaches every rank's.
+    /// each owner's pages and per-token sizes, refcounts, the host tier,
+    /// and fragmentation statistics over the actual stored sizes.
+    /// [`RankPages::mmu`] reaches every rank's.
     pub fn mmu(&self) -> &MmuSim {
         self.ranks[0].mmu()
     }

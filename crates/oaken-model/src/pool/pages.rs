@@ -144,16 +144,17 @@ impl PageLedger {
     /// pages it opened. Must be covered by a
     /// [`pages_needed`](Self::pages_needed) pre-check.
     pub(super) fn write_row(&mut self, owner: u32, (dense, sparse): (usize, usize)) -> u32 {
-        let free = self.mmu.allocator().free_pages();
+        let mut opened = 0;
         for (class, bytes) in [(StreamClass::Dense, dense), (StreamClass::Sparse, sparse)] {
             if bytes > 0 {
-                self.mmu
+                opened += self
+                    .mmu
                     .write_token(Self::key(owner, class), bytes as u32)
                     .expect("append pre-checked the page bound");
             }
         }
         self.dense_stride = Some(self.dense_stride.map_or(dense, |s| s.max(dense)));
-        free - self.mmu.allocator().free_pages()
+        opened
     }
 
     /// One more sharer of everything `owner` holds (a trie-block adoption).
@@ -210,16 +211,17 @@ impl PageLedger {
         (self.mmu.swap_in_requests(owners)).expect("the caller checked the thaw")
     }
 
-    /// Flattens the size tables of `owners` — given in token order — into
-    /// one self-describing payload: per class, the owners' tables
+    /// Flattens the size logs of `owners` — given in token order — into
+    /// one self-describing payload: per class, the owners' logs
     /// concatenated, as if one owner had written every row.
     pub(super) fn flatten(&self, owners: &[u32]) -> TransferPayload {
         let mut payload = TransferPayload::default();
         for class in [StreamClass::Dense, StreamClass::Sparse] {
-            let tables = owners
+            let sizes: Vec<u32> = owners
                 .iter()
-                .filter_map(|&o| self.mmu.table(&Self::key(o, class)));
-            let sizes: Vec<u32> = tables.flat_map(|t| t.iter().map(|e| e.size)).collect();
+                .filter_map(|&o| self.mmu.stream(&Self::key(o, class)))
+                .flat_map(|(_, sizes)| sizes.iter().copied())
+                .collect();
             if !sizes.is_empty() {
                 payload.streams.push(StreamPayload {
                     layer: 0,

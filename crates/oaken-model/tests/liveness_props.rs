@@ -10,7 +10,7 @@
 //! one and four threads, MHA, GQA, a sliding window and the MoE proxy.
 
 use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler};
-use oaken_mmu::PageId;
+use oaken_mmu::{PageId, StreamClass, StreamKey};
 use oaken_model::{
     BatchStep, KernelMode, Model, ModelConfig, PagedKvPool, PoolBatchView, StepBatch,
 };
@@ -78,8 +78,8 @@ struct PoolState {
     /// Reference count of every physical page: which page ids are held,
     /// and by how many owners.
     refcounts: Vec<u32>,
-    /// Per sequence owner and stream: every token's `(address, size)`.
-    tables: Vec<Vec<(u64, u32)>>,
+    /// Per sequence owner and stream: its pages and every token's size.
+    streams: Vec<(Vec<PageId>, Vec<u32>)>,
     trie_blocks: usize,
     shared_block_pages: u32,
     prefix: oaken_model::PrefixStats,
@@ -181,18 +181,23 @@ fn prefill(
             let refcounts = (0..rank.capacity_pages())
                 .map(|p| mmu.allocator().refcount(PageId(p)))
                 .collect();
-            let tables = seqs
+            let streams = seqs
                 .iter()
-                .flat_map(|seq| mmu.request_stream_sizes(seq.0))
-                .map(|(key, _)| {
-                    let table = mmu.table(&key).expect("listed streams are live");
-                    table.iter().map(|e| (e.addr.0, e.size)).collect()
+                .flat_map(|seq| {
+                    [StreamClass::Dense, StreamClass::Sparse].map(|class| StreamKey {
+                        request: seq.0,
+                        layer: 0,
+                        head: 0,
+                        class,
+                    })
                 })
+                .filter_map(|key| mmu.stream(&key))
+                .map(|(pages, sizes)| (pages.to_vec(), sizes.to_vec()))
                 .collect();
             PoolState {
                 rows,
                 refcounts,
-                tables,
+                streams,
                 trie_blocks: pools.trie_blocks(),
                 shared_block_pages: rank.page_accounting().shared_blocks,
                 prefix: pools.prefix_stats(),

@@ -1,9 +1,9 @@
 //! A tour of the memory management unit (§5.2): write a request's
 //! quantized KV stream through the page-based MMU the way the paged KV pool
-//! lays it out — one dense slab and one sparse log per owner — inspect the
-//! dense and sparse management tables, plan the burst read that the
-//! generation phase performs, and share the request by refcount — the
-//! page-sharing primitive behind the pool's prefix cache.
+//! lays it out — one dense slab and one sparse log per owner — inspect
+//! each stream's per-token sizes and the pages they pack into, and share
+//! the request by refcount — the page-sharing primitive behind the pool's
+//! prefix cache.
 //!
 //! Run with: `cargo run --example mmu_tour`
 
@@ -64,47 +64,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mmu.write_token(sparse_key, fv.sparse_bytes().len().max(1) as u32)?;
     }
 
-    let table = mmu.table(&dense_key).expect("stream exists");
-    let stride = u64::from(table.iter().next().expect("rows written").size);
-    println!("\ndense management table (fixed stride {stride} bytes):");
-    for (t, e) in table.iter().enumerate().skip(19).take(4) {
-        let page_offset = e.addr.0 % page_size as u64;
-        let note = if page_offset + u64::from(e.size) > page_size as u64 {
+    // Each stream is its pages plus its per-token sizes. The slab's rows
+    // are one stride, so row t starts at t x stride and may straddle a page
+    // edge; the log's entries vary in size and never span a page.
+    let (_, dense_sizes) = mmu.stream(&dense_key).expect("stream exists");
+    let stride = dense_sizes[0] as usize;
+    println!("\ndense slab (fixed stride {stride} bytes):");
+    for (t, size) in dense_sizes.iter().enumerate().skip(19).take(4) {
+        let start = t * stride;
+        let note = if start / page_size != (start + stride - 1) / page_size {
             "  <- straddles the page edge"
         } else {
             ""
         };
+        println!("  token {t}: {size:#04x} bytes at slab offset {start:#06x}{note}");
+    }
+    let (_, sparse_sizes) = mmu.stream(&sparse_key).expect("stream exists");
+    println!("sparse log (first 4 tokens, variable sizes):");
+    for (t, size) in sparse_sizes.iter().take(4).enumerate() {
+        println!("  token {t}: {size:#04x} bytes");
+    }
+    println!();
+    for (name, key) in [("dense", dense_key), ("sparse", sparse_key)] {
+        let (pages, sizes) = mmu.stream(&key).expect("stream exists");
+        let ids: Vec<u32> = pages.iter().map(|p| p.0).collect();
+        let bytes: u32 = sizes.iter().sum();
         println!(
-            "  token {t}: addr {}, xfer {:#04x} bytes{note}",
-            e.addr, e.size
+            "{name} stream: {bytes} bytes on pages {ids:?}, {} bytes free on the tail page",
+            mmu.tail_free(&key)
         );
     }
-    println!("sparse management table (first 4 tokens, variable sizes):");
-    let stable = mmu.table(&sparse_key).expect("stream exists");
-    for (t, e) in stable.iter().take(4).enumerate() {
-        println!("  token {t}: addr {}, xfer {:#04x} bytes", e.addr, e.size);
-    }
-
-    // The generation-phase read: the request's whole dense history,
-    // coalesced. The straddling row reads as two pieces, one per page: the
-    // end of the first burst and the start of the second.
-    let plan = mmu.read_plan(&dense_key, 64);
-    println!("\nburst plan for the full dense history:");
-    println!("  payload: {} bytes", plan.total_bytes);
     println!(
-        "  bursts:  {} (mean {:.0} bytes)",
-        plan.bursts.len(),
-        plan.mean_burst()
-    );
-    for (start, len) in &plan.bursts {
-        println!("    {len} bytes at {start:#x}");
-    }
-    println!(
-        "  bus efficiency at 64B transactions: {:.1}%",
-        100.0 * plan.efficiency(64)
-    );
-    println!(
-        "\nallocator: {} of {} pages in use, internal fragmentation {:.1}%",
+        "allocator: {} of {} pages in use, internal fragmentation {:.1}%",
         mmu.allocator().allocated_pages(),
         mmu.allocator().capacity(),
         100.0 * mmu.internal_fragmentation()
@@ -121,11 +112,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mmu.shared_pages()
     );
     // Sharers depart in any order; pages free only when the last one goes,
-    // and the tables stay readable until then.
+    // and the streams stay readable until then.
     let first = mmu.release_request(7);
     println!(
-        "one sharer departs: {first} pages freed, tables still readable: {}",
-        mmu.table(&dense_key).is_some()
+        "one sharer departs: {first} pages freed, streams still readable: {}",
+        mmu.stream(&dense_key).is_some()
     );
     let last = mmu.release_request(7);
     println!(

@@ -90,8 +90,8 @@ proptest! {
         }
         for (head, total) in expected {
             let key = StreamKey { request: 1, layer: 0, head, class: StreamClass::Dense };
-            let plan = mmu.read_plan(&key, 64);
-            prop_assert_eq!(plan.total_bytes, total);
+            let written: u64 = mmu.stream(&key).unwrap().1.iter().map(|&b| u64::from(b)).sum();
+            prop_assert_eq!(written, total);
         }
     }
 
