@@ -116,16 +116,14 @@ impl Default for BitWidths {
     }
 }
 
-/// Complete configuration of the Oaken quantization pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Complete configuration of the Oaken quantization pipeline; the default
+/// is the paper's.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct OakenConfig {
     /// Target group ratios (drives offline threshold profiling).
     pub ratios: GroupRatios,
     /// Quantization bit-widths.
     pub bits: BitWidths,
-    /// Elements per COO index block; 6 index bits address a 64-element block
-    /// (§4.5: "6 bits to indicate the location of each value").
-    pub block_size: usize,
 }
 
 impl OakenConfig {
@@ -137,11 +135,7 @@ impl OakenConfig {
     pub fn new(ratios: GroupRatios, bits: BitWidths) -> Result<Self, OakenError> {
         bits.validate()?;
         GroupRatios::new(ratios.outer, ratios.middle, ratios.inner)?;
-        Ok(Self {
-            ratios,
-            bits,
-            block_size: 64,
-        })
+        Ok(Self { ratios, bits })
     }
 
     /// Predicted effective bits per element for dimension `d`, before
@@ -154,16 +148,6 @@ impl OakenConfig {
         f64::from(self.bits.middle)
             + self.ratios.outlier_fraction() * f64::from(self.bits.sparse_entry_bits())
             + scale_bits / d.max(1) as f64
-    }
-}
-
-impl Default for OakenConfig {
-    fn default() -> Self {
-        Self {
-            ratios: GroupRatios::paper_default(),
-            bits: BitWidths::paper_default(),
-            block_size: 64,
-        }
     }
 }
 
@@ -189,7 +173,6 @@ mod tests {
         assert_eq!(c.ratios.inner, 0.06);
         assert_eq!(c.bits.middle, 4);
         assert_eq!(c.bits.outlier_mag, 4);
-        assert_eq!(c.block_size, 64);
         assert!(OakenConfig::new(c.ratios, c.bits).is_ok());
     }
 

@@ -22,6 +22,10 @@
 use crate::error::OakenError;
 use crate::groups::GroupKind;
 
+/// Elements per COO block: a COO byte's 6 offset bits address exactly 64
+/// (§4.5: "6 bits to indicate the location of each value").
+const BLOCK_SIZE: usize = 64;
+
 /// Per-vector quantization scales, computed online from group min/max.
 ///
 /// Stored as four FP16 values in hardware; we keep f32 in memory and account
@@ -57,8 +61,17 @@ pub struct CooEntry {
 impl CooEntry {
     /// Packs the entry into its 8-bit wire format given its block-local
     /// offset: `[offset:6][group:1][sign:1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset_in_block` is not below the 64-element block: its
+    /// high bits would be shifted out and the entry stored at another
+    /// index.
     pub fn pack(offset_in_block: u8, group: GroupKind, high_side: bool) -> u8 {
-        debug_assert!(offset_in_block < 64);
+        assert!(
+            usize::from(offset_in_block) < BLOCK_SIZE,
+            "COO offset past its block"
+        );
         let g = match group {
             GroupKind::Outer => 1u8,
             GroupKind::Inner => 0u8,
@@ -69,7 +82,7 @@ impl CooEntry {
 
     /// Unpacks the 8-bit wire format. `block` supplies the 64-element block
     /// the entry belongs to (delimited by the per-block counts).
-    pub fn unpack(byte: u8, block: usize, block_size: usize) -> CooEntry {
+    pub fn unpack(byte: u8, block: usize) -> CooEntry {
         let offset = usize::from(byte >> 2);
         let group = if (byte >> 1) & 1 == 1 {
             GroupKind::Outer
@@ -77,7 +90,7 @@ impl CooEntry {
             GroupKind::Inner
         };
         CooEntry {
-            index: block * block_size + offset,
+            index: block * BLOCK_SIZE + offset,
             group,
             high_side: byte & 1 == 1,
         }
@@ -89,7 +102,6 @@ impl CooEntry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedVector {
     dim: usize,
-    block_size: usize,
     /// Packed 4-bit codes, element `i` in nibble `i` (low nibble first).
     dense: Vec<u8>,
     /// Packed COO entries ordered by ascending element index.
@@ -114,7 +126,6 @@ impl FusedVector {
     /// outlier index is out of range.
     pub fn from_parts(
         dim: usize,
-        block_size: usize,
         dense_codes: &[u8],
         outliers: &[CooEntry],
         scales: ScaleSet,
@@ -130,7 +141,7 @@ impl FusedVector {
                 detail: "dense code exceeds 4 bits".to_owned(),
             });
         }
-        let num_blocks = dim.div_ceil(block_size);
+        let num_blocks = dim.div_ceil(BLOCK_SIZE);
         let (pairs, odd) = dense_codes.as_chunks::<2>();
         let mut dense = Vec::with_capacity(dim.div_ceil(2));
         dense.extend(pairs.iter().map(|&[lo, hi]| lo | hi << 4));
@@ -152,14 +163,13 @@ impl FusedVector {
                 }
             }
             prev = Some(entry.index);
-            let block = entry.index / block_size;
-            let offset = (entry.index % block_size) as u8;
+            let block = entry.index / BLOCK_SIZE;
+            let offset = (entry.index % BLOCK_SIZE) as u8;
             sparse.push(CooEntry::pack(offset, entry.group, entry.high_side));
             block_counts[block] += 1;
         }
         Ok(Self {
             dim,
-            block_size,
             dense,
             sparse,
             block_counts,
@@ -170,11 +180,6 @@ impl FusedVector {
     /// Vector dimension (element count).
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// COO block size (64 in the paper's encoding).
-    pub fn block_size(&self) -> usize {
-        self.block_size
     }
 
     /// The per-vector scales.
@@ -229,12 +234,6 @@ impl FusedVector {
             block: 0,
             left_in_block: self.block_counts.first().copied().unwrap_or(0),
         }
-    }
-
-    /// Decodes the COO stream into a fresh `Vec` (allocating convenience
-    /// wrapper over [`FusedVector::outliers`]).
-    pub fn decode_outliers(&self) -> Vec<CooEntry> {
-        self.outliers().collect()
     }
 
     /// Bytes of KV payload: dense nibbles + sparse COO entries + FP16 scales.
@@ -292,7 +291,7 @@ impl FusedVector {
                 e
             })
             .collect();
-        Self::from_parts(range.len(), self.block_size, &codes, &outliers, self.scales)
+        Self::from_parts(range.len(), &codes, &outliers, self.scales)
     }
 }
 
@@ -320,7 +319,7 @@ impl Iterator for OutlierIter<'_> {
         let byte = self.fv.sparse[self.cursor];
         self.cursor += 1;
         self.left_in_block -= 1;
-        Some(CooEntry::unpack(byte, self.block, self.fv.block_size))
+        Some(CooEntry::unpack(byte, self.block))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -349,7 +348,7 @@ mod tests {
             for group in [GroupKind::Inner, GroupKind::Outer] {
                 for high in [false, true] {
                     let b = CooEntry::pack(offset, group, high);
-                    let e = CooEntry::unpack(b, 3, 64);
+                    let e = CooEntry::unpack(b, 3);
                     assert_eq!(e.index, 3 * 64 + offset as usize);
                     assert_eq!(e.group, group);
                     assert_eq!(e.high_side, high);
@@ -359,25 +358,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "COO offset past its block")]
+    fn pack_rejects_an_offset_past_the_block() {
+        CooEntry::pack(64, GroupKind::Outer, true);
+    }
+
+    #[test]
     fn from_parts_validates() {
         let scales = ScaleSet::default();
         // Wrong dense length.
-        assert!(FusedVector::from_parts(4, 64, &[1, 2, 3], &[], scales).is_err());
+        assert!(FusedVector::from_parts(4, &[1, 2, 3], &[], scales).is_err());
         // Code too wide.
-        assert!(FusedVector::from_parts(2, 64, &[16, 0], &[], scales).is_err());
+        assert!(FusedVector::from_parts(2, &[16, 0], &[], scales).is_err());
         // Out-of-range outlier.
-        assert!(FusedVector::from_parts(
-            2,
-            64,
-            &[0, 0],
-            &[entry(5, GroupKind::Outer, true)],
-            scales
-        )
-        .is_err());
+        assert!(
+            FusedVector::from_parts(2, &[0, 0], &[entry(5, GroupKind::Outer, true)], scales)
+                .is_err()
+        );
         // Unsorted outliers.
         assert!(FusedVector::from_parts(
             8,
-            64,
             &[0; 8],
             &[
                 entry(3, GroupKind::Inner, false),
@@ -391,7 +391,7 @@ mod tests {
     #[test]
     fn dense_nibble_roundtrip() {
         let codes: Vec<u8> = (0..9).map(|i| (i * 3) % 16).collect();
-        let fv = FusedVector::from_parts(9, 64, &codes, &[], ScaleSet::default()).unwrap();
+        let fv = FusedVector::from_parts(9, &codes, &[], ScaleSet::default()).unwrap();
         for (i, &c) in codes.iter().enumerate() {
             assert_eq!(fv.dense_code(i), c, "element {i}");
         }
@@ -409,10 +409,9 @@ mod tests {
             entry(130, GroupKind::Inner, false),
             entry(199, GroupKind::Outer, true),
         ];
-        let fv = FusedVector::from_parts(dim, 64, &codes, &outs, ScaleSet::default()).unwrap();
+        let fv = FusedVector::from_parts(dim, &codes, &outs, ScaleSet::default()).unwrap();
         assert_eq!(fv.block_counts(), &[2, 1, 1, 1]);
-        let decoded = fv.decode_outliers();
-        assert_eq!(decoded, outs);
+        assert_eq!(fv.outliers().collect::<Vec<_>>(), outs);
     }
 
     #[test]
@@ -423,12 +422,12 @@ mod tests {
             .iter()
             .map(|&i| entry(i, GroupKind::Outer, i % 2 == 0))
             .collect();
-        let fv = FusedVector::from_parts(dim, 64, &codes, &outs, ScaleSet::default()).unwrap();
+        let fv = FusedVector::from_parts(dim, &codes, &outs, ScaleSet::default()).unwrap();
         let it = fv.outliers();
         assert_eq!(it.len(), outs.len());
         assert_eq!(it.collect::<Vec<_>>(), outs);
         // Empty stream iterates to nothing.
-        let fv = FusedVector::from_parts(dim, 64, &codes, &[], ScaleSet::default()).unwrap();
+        let fv = FusedVector::from_parts(dim, &codes, &[], ScaleSet::default()).unwrap();
         assert_eq!(fv.outliers().count(), 0);
     }
 
@@ -439,7 +438,7 @@ mod tests {
         let outs: Vec<CooEntry> = (0..13)
             .map(|i| entry(i * 9, GroupKind::Outer, true))
             .collect();
-        let fv = FusedVector::from_parts(dim, 64, &codes, &outs, ScaleSet::default()).unwrap();
+        let fv = FusedVector::from_parts(dim, &codes, &outs, ScaleSet::default()).unwrap();
         assert_eq!(fv.payload_bytes(), 64 + 13 + 8);
         assert_eq!(fv.table_bytes(), 2);
         // ~10% outliers → effective bits ≈ 4 + 0.8 + 0.5 (scales over 128)
@@ -449,8 +448,8 @@ mod tests {
 
     #[test]
     fn empty_vector_is_legal() {
-        let fv = FusedVector::from_parts(0, 64, &[], &[], ScaleSet::default()).unwrap();
+        let fv = FusedVector::from_parts(0, &[], &[], ScaleSet::default()).unwrap();
         assert_eq!(fv.dim(), 0);
-        assert_eq!(fv.decode_outliers(), Vec::new());
+        assert_eq!(fv.outliers().count(), 0);
     }
 }

@@ -62,7 +62,7 @@ pub use encoding::{CooEntry, FusedVector, OutlierIter, ScaleSet};
 pub use error::OakenError;
 pub use groups::{classify, GroupKind, GroupStats};
 pub use kernel::{decode_row_fused_into, EncodedReadPlan, FusedReadParams, RowDecode};
-pub use pipeline::{CompressionReport, OakenQuantizer, OakenRowStream, OakenScratch};
+pub use pipeline::{OakenQuantizer, OakenRowStream, OakenScratch};
 pub use profiler::OfflineProfiler;
 pub use quant::UniformQuantizer;
 pub use thresholds::{KvKind, LayerThresholds, ModelThresholds, Thresholds};

@@ -42,9 +42,8 @@ const HIGH: u8 = 1;
 const OUTER: u8 = 2;
 const INNER: u8 = 4;
 
-/// Reusable scratch buffers for the allocation-free quantize/dequantize
-/// paths ([`OakenQuantizer::quantize_vector_with`],
-/// [`OakenQuantizer::roundtrip_vector_into`]).
+/// Reusable scratch buffers for the allocation-free quantize path
+/// ([`OakenQuantizer::quantize_vector_with`]).
 ///
 /// Holding one `OakenScratch` per decode stream removes every per-token
 /// heap allocation from the online quantizer — the property §5.2's
@@ -72,11 +71,6 @@ impl OakenScratch {
     /// Creates an empty scratch; buffers size themselves on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of outliers found by the last quantization pass.
-    pub fn num_outliers(&self) -> usize {
-        self.outliers.len()
     }
 }
 
@@ -192,7 +186,6 @@ impl OakenQuantizer {
         self.quantize_into_scratch(x, t, scratch)?;
         FusedVector::from_parts(
             x.len(),
-            self.config.block_size,
             &scratch.dense_codes,
             &scratch.outliers,
             scratch.scales,
@@ -291,84 +284,6 @@ impl OakenQuantizer {
             out,
         );
         Ok(())
-    }
-
-    /// Quantizes and immediately dequantizes one vector entirely through
-    /// caller-owned buffers — zero heap allocations once `scratch` and
-    /// `out` have warmed up. This is the per-token decode simulation path:
-    /// what the dedicated quantization/dequantization engines of §5.2 do
-    /// in hardware per generated token.
-    ///
-    /// Appends exactly `x.len()` values to `out`. Bit-identical to
-    /// [`OakenQuantizer::quantize_vector`] followed by
-    /// [`OakenQuantizer::dequantize_vector`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OakenError::LayerOutOfRange`] for an unprofiled layer.
-    pub fn roundtrip_vector_into(
-        &self,
-        x: &[f32],
-        layer: usize,
-        kind: KvKind,
-        scratch: &mut OakenScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), OakenError> {
-        let t = *self.thresholds.get(layer, kind)?;
-        self.quantize_into_scratch(x, &t, scratch)?;
-        let bits = self.config.bits;
-        let s = scratch.scales;
-        let q_mid = UniformQuantizer::new(s.middle_min, s.middle_max, bits.middle)?;
-        let q_inner = UniformQuantizer::new(0.0, s.inner_mag_max, bits.outlier_mag)?;
-        let q_outer = UniformQuantizer::new(0.0, s.outer_mag_max, bits.outlier_mag)?;
-        decode_walk(
-            &t,
-            &q_mid,
-            &q_inner,
-            &q_outer,
-            x.len(),
-            |i| u32::from(scratch.dense_codes[i]),
-            scratch.outliers.iter().copied(),
-            out,
-        );
-        Ok(())
-    }
-
-    /// Quantizes a `[rows × d]` matrix row-by-row and reports aggregate
-    /// compression statistics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-vector quantization errors.
-    pub fn compression_report(
-        &self,
-        data: &[f32],
-        rows: usize,
-        d: usize,
-        layer: usize,
-        kind: KvKind,
-    ) -> Result<CompressionReport, OakenError> {
-        if data.len() != rows * d {
-            return Err(OakenError::DimensionMismatch {
-                expected: rows * d,
-                actual: data.len(),
-            });
-        }
-        let mut payload = 0usize;
-        let mut tables = 0usize;
-        let mut outliers = 0usize;
-        for r in 0..rows {
-            let fv = self.quantize_vector(&data[r * d..(r + 1) * d], layer, kind)?;
-            payload += fv.payload_bytes();
-            tables += fv.table_bytes();
-            outliers += fv.num_outliers();
-        }
-        Ok(CompressionReport {
-            elements: rows * d,
-            payload_bytes: payload,
-            table_bytes: tables,
-            outliers,
-        })
     }
 }
 
@@ -874,37 +789,6 @@ impl KvQuantizer for OakenQuantizer {
     }
 }
 
-/// Aggregate compression statistics for a quantized matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompressionReport {
-    /// Total elements quantized.
-    pub elements: usize,
-    /// KV payload bytes (dense + sparse + scales).
-    pub payload_bytes: usize,
-    /// MMU management-table bytes (per-block transfer sizes).
-    pub table_bytes: usize,
-    /// Total outliers stored sparsely.
-    pub outliers: usize,
-}
-
-impl CompressionReport {
-    /// Mean stored bits per element (payload only, like the paper's
-    /// effective bitwidth).
-    pub fn effective_bits(&self) -> f64 {
-        self.payload_bytes as f64 * 8.0 / self.elements.max(1) as f64
-    }
-
-    /// Compression ratio versus FP16 storage.
-    pub fn ratio_vs_fp16(&self) -> f64 {
-        16.0 / self.effective_bits()
-    }
-
-    /// Observed outlier fraction.
-    pub fn outlier_fraction(&self) -> f64 {
-        self.outliers as f64 / self.elements.max(1) as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -993,17 +877,21 @@ mod tests {
         let q = quantizer();
         let rows = 16;
         let d = 1024;
-        let data: Vec<f32> = (0..rows).flat_map(|r| test_vector(d, r as u64)).collect();
-        let report = q
-            .compression_report(&data, rows, d, 0, KvKind::Key)
-            .unwrap();
+        let payload: usize = (0..rows)
+            .map(|r| {
+                let x = test_vector(d, r as u64);
+                q.quantize_vector(&x, 0, KvKind::Key)
+                    .unwrap()
+                    .payload_bytes()
+            })
+            .sum();
         let predicted = q.effective_bits(rows, d);
-        let observed = report.effective_bits();
+        let observed = payload as f64 * 8.0 / (rows * d) as f64;
         assert!(
             (observed - predicted).abs() < 0.5,
             "predicted {predicted}, observed {observed}"
         );
-        assert!(report.ratio_vs_fp16() > 3.0);
+        assert!(16.0 / observed > 3.0);
     }
 
     #[test]
@@ -1073,7 +961,7 @@ mod tests {
 
                 let back_alloc = q.dequantize_vector(&fv_alloc, 1, kind).unwrap();
                 out.clear();
-                q.roundtrip_vector_into(&x, 1, kind, &mut scratch, &mut out)
+                q.dequantize_vector_into(&fv_scratch, 1, kind, &mut out)
                     .unwrap();
                 assert_eq!(
                     back_alloc.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -1172,14 +1060,5 @@ mod tests {
                 _ => panic!("{kind:?} stream has the other kind's plan"),
             }
         }
-    }
-
-    #[test]
-    fn compression_report_checks_dims() {
-        let q = quantizer();
-        assert!(matches!(
-            q.compression_report(&[0.0; 10], 2, 6, 0, KvKind::Key),
-            Err(OakenError::DimensionMismatch { .. })
-        ));
     }
 }

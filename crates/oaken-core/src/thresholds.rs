@@ -103,20 +103,6 @@ impl Thresholds {
             outer_hi: limit,
         }
     }
-
-    /// Element-wise running average used when averaging per-inference
-    /// thresholds during offline profiling (§4.3: "their averages are
-    /// computed for each decoder layer").
-    pub fn lerp_toward(&self, other: &Thresholds, weight_other: f32) -> Thresholds {
-        let w = weight_other;
-        let lerp = |a: f32, b: f32| a * (1.0 - w) + b * w;
-        Thresholds {
-            outer_lo: lerp(self.outer_lo, other.outer_lo),
-            inner_lo: lerp(self.inner_lo, other.inner_lo),
-            inner_hi: lerp(self.inner_hi, other.inner_hi),
-            outer_hi: lerp(self.outer_hi, other.outer_hi),
-        }
-    }
 }
 
 /// Per-layer thresholds for keys and values.
@@ -197,15 +183,6 @@ mod tests {
         let t = Thresholds::wide(100.0);
         assert!(t.validate().is_ok());
         assert_eq!(t.outer_hi, 100.0);
-    }
-
-    #[test]
-    fn lerp_midpoint() {
-        let a = Thresholds::new(-2.0, -0.2, 0.2, 2.0).unwrap();
-        let b = Thresholds::new(-4.0, -0.4, 0.4, 4.0).unwrap();
-        let m = a.lerp_toward(&b, 0.5);
-        assert!((m.outer_lo + 3.0).abs() < 1e-6);
-        assert!((m.outer_hi - 3.0).abs() < 1e-6);
     }
 
     #[test]

@@ -83,7 +83,7 @@ fn straight_line(x: &[f32], t: &Thresholds, config: &OakenConfig) -> FusedVector
         inner_mag_max,
         outer_mag_max,
     };
-    FusedVector::from_parts(x.len(), config.block_size, &codes, &outliers, scales).unwrap()
+    FusedVector::from_parts(x.len(), &codes, &outliers, scales).unwrap()
 }
 
 /// A threshold set: usually straddling zero, sometimes with the inner band

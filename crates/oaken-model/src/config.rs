@@ -128,21 +128,6 @@ impl ModelConfig {
         }
     }
 
-    /// FLOPs for one decode step (one token, generation phase), counting
-    /// multiply-accumulate as 2 ops, at context length `ctx`.
-    pub fn decode_flops(&self, ctx: usize) -> f64 {
-        let d = self.d_model as f64;
-        let kv = self.kv_dim() as f64;
-        let f = self.ffn_hidden as f64;
-        let span = self.attention_span(ctx) as f64;
-        let ffn_mats: f64 = if self.gated_ffn() { 3.0 } else { 2.0 };
-        let active_experts = self.moe.map_or(1.0, |m| m.top_k as f64);
-        let per_layer = 2.0 * (d * d + 2.0 * d * kv + d * d)   // projections
-            + 2.0 * 2.0 * span * d                              // QK^T and SV
-            + active_experts * ffn_mats * 2.0 * d * f; // FFN
-        self.num_layers as f64 * per_layer + 2.0 * d * self.vocab_size as f64
-    }
-
     /// A scaled-down proxy preserving all structural features, suitable for
     /// real CPU inference in the accuracy experiments. `layers` and `d`
     /// control the proxy size; head counts keep the original GQA ratio.
@@ -355,15 +340,6 @@ mod tests {
         let p = ModelConfig::mixtral_8x7b().proxy(2, 32);
         assert!(p.moe.is_some());
         assert!(p.sliding_window.is_some());
-    }
-
-    #[test]
-    fn decode_flops_scale_with_context() {
-        let c = ModelConfig::llama2_7b();
-        assert!(c.decode_flops(4096) > c.decode_flops(1));
-        // Roughly 2×params at tiny context.
-        let ratio = c.decode_flops(1) / (2.0 * c.param_count() as f64);
-        assert!((0.7..1.3).contains(&ratio), "{ratio}");
     }
 
     #[test]

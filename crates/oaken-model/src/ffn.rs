@@ -192,11 +192,19 @@ impl FfnWeights {
 mod tests {
     use super::*;
 
+    /// The `d`×`d` identity matrix.
+    fn eye(d: usize) -> Tensor {
+        let data = (0..d * d)
+            .map(|i| if i % (d + 1) == 0 { 1.0 } else { 0.0 })
+            .collect();
+        Tensor::from_vec(data, &[d, d]).unwrap()
+    }
+
     fn identity_ffn(d: usize) -> DenseFfn {
         DenseFfn {
             w_gate: None,
-            w_up: Tensor::eye(d),
-            w_down: Tensor::eye(d),
+            w_up: eye(d),
+            w_down: eye(d),
         }
     }
 
@@ -211,9 +219,9 @@ mod tests {
     fn gated_ffn_multiplies_gate() {
         let d = 2;
         let ffn = DenseFfn {
-            w_gate: Some(Tensor::eye(d)),
-            w_up: Tensor::eye(d),
-            w_down: Tensor::eye(d),
+            w_gate: Some(eye(d)),
+            w_up: eye(d),
+            w_down: eye(d),
         };
         let x = vec![2.0, -1.0];
         let out = ffn.forward(&x, Activation::Silu);
@@ -230,12 +238,12 @@ mod tests {
         let double = DenseFfn {
             w_gate: None,
             w_up: Tensor::from_vec(vec![2.0, 0.0, 0.0, 2.0], &[2, 2]).unwrap(),
-            w_down: Tensor::eye(d),
+            w_down: eye(d),
         };
         let negate = DenseFfn {
             w_gate: None,
             w_up: Tensor::from_vec(vec![-1.0, 0.0, 0.0, -1.0], &[2, 2]).unwrap(),
-            w_down: Tensor::eye(d),
+            w_down: eye(d),
         };
         // Router hugely favours expert 0 for positive x[0].
         let router = Tensor::from_vec(vec![100.0, 0.0, -100.0, 0.0], &[2, 2]).unwrap();
@@ -255,12 +263,12 @@ mod tests {
         let a = DenseFfn {
             w_gate: None,
             w_up: Tensor::from_vec(vec![1.0], &[1, 1]).unwrap(),
-            w_down: Tensor::eye(d),
+            w_down: eye(d),
         };
         let b = DenseFfn {
             w_gate: None,
             w_up: Tensor::from_vec(vec![3.0], &[1, 1]).unwrap(),
-            w_down: Tensor::eye(d),
+            w_down: eye(d),
         };
         // Equal routing.
         let router = Tensor::from_vec(vec![0.0, 0.0], &[2, 1]).unwrap();

@@ -1052,7 +1052,7 @@ mod tests {
         let seq = pool.alloc_seq();
         for t in 0..40 {
             let before = pool.mmu().allocator().allocated_pages();
-            let bound = pool.pages_possibly_needed(seq).unwrap();
+            let bound = pool.pages_possibly_needed_n(seq, 1).unwrap();
             pool.append(seq, 0, &row(d, t), &row(d, t + 77)).unwrap();
             let grown = pool.mmu().allocator().allocated_pages() - before;
             assert!(grown <= bound, "token {t}: grew {grown} > bound {bound}");

@@ -5,9 +5,8 @@
 //!   worst-case page bound *before* touching any state and fails cleanly
 //!   with [`PoolError::OutOfPages`]; a successful call is atomic for the
 //!   `(layer, K, V)` triple. Schedulers should gate whole-token appends
-//!   with [`PagedKvPool::pages_possibly_needed`] (or the chunk-sized
-//!   [`PagedKvPool::pages_possibly_needed_n`]) so a multi-layer forward
-//!   pass never stalls mid-token.
+//!   with [`PagedKvPool::pages_possibly_needed_n`] so a multi-layer
+//!   forward pass never stalls mid-token.
 //! * **Slot recycling** — retiring a sequence frees its private pages
 //!   immediately, releases its shared blocks, and recycles its
 //!   stream/view buffers (via
@@ -196,18 +195,6 @@ impl PagedKvPool {
             }
         }
         self.recycled.push(state);
-    }
-
-    /// Worst-case pages appending **one token** to `seq` could allocate,
-    /// every rank: the pages its every-layer K/V rows overflow the owner's
-    /// dense slab and sparse log tails by (the slab exactly, the log at
-    /// worst-case rows).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PoolError::UnknownSequence`] for a freed handle.
-    pub fn pages_possibly_needed(&self, seq: SeqId) -> Result<u32, PoolError> {
-        self.pages_possibly_needed_n(seq, 1)
     }
 
     /// Worst-case pages appending the next `n` tokens to `seq` could

@@ -38,8 +38,6 @@
 //! so every rank encodes its KV slice against the global min/max — are
 //! charged via [`Comm::account_sync`].
 
-use crate::chunk_range;
-
 /// Counters for the simulated interconnect, reported in engine stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommStats {
@@ -161,16 +159,10 @@ fn combine(a: f32, b: f32) -> f32 {
     }
 }
 
-/// The contiguous KV-head range owned by `rank` out of `ranks`, balanced for
-/// uneven divisions via [`chunk_range`] (earlier ranks take the larger
-/// shares, e.g. 7 heads over 2 ranks split 4 + 3).
-pub fn rank_head_range(rank: usize, num_kv_heads: usize, ranks: usize) -> std::ops::Range<usize> {
-    chunk_range(rank, num_kv_heads, ranks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk_range;
 
     fn reduce(ranks: usize, mk: impl Fn(usize) -> Vec<f32>) -> (Vec<Vec<f32>>, Comm) {
         let mut bufs: Vec<Vec<f32>> = (0..ranks).map(mk).collect();
@@ -269,11 +261,11 @@ mod tests {
     #[test]
     fn head_ranges_balance_odd_counts() {
         // 7 heads over 2 ranks: 4 + 3, contiguous, covering.
-        assert_eq!(rank_head_range(0, 7, 2), 0..4);
-        assert_eq!(rank_head_range(1, 7, 2), 4..7);
+        assert_eq!(chunk_range(0, 7, 2), 0..4);
+        assert_eq!(chunk_range(1, 7, 2), 4..7);
         // 5 heads over 4 ranks: 2 + 1 + 1 + 1.
-        let lens: Vec<usize> = (0..4).map(|r| rank_head_range(r, 5, 4).len()).collect();
+        let lens: Vec<usize> = (0..4).map(|r| chunk_range(r, 5, 4).len()).collect();
         assert_eq!(lens, vec![2, 1, 1, 1]);
-        assert_eq!(rank_head_range(3, 5, 4).end, 5);
+        assert_eq!(chunk_range(3, 5, 4).end, 5);
     }
 }

@@ -104,11 +104,6 @@ impl Runtime {
         self.pool.as_ref().map_or(1, |p| p.threads())
     }
 
-    /// Whether this is the serial inline executor.
-    pub fn is_serial(&self) -> bool {
-        self.pool.is_none()
-    }
-
     /// Runs `task(i)` for every `i in 0..n_tasks` and returns when all
     /// have finished. Serial runtimes run the plain `for` loop; pooled
     /// runtimes fork-join across the workers. Under the crate's task
@@ -168,7 +163,6 @@ mod tests {
     #[test]
     fn serial_runtime_runs_inline_in_order() {
         let rt = Runtime::serial();
-        assert!(rt.is_serial());
         assert_eq!(rt.threads(), 1);
         let order = std::sync::Mutex::new(Vec::new());
         rt.run(5, |i| order.lock().unwrap().push(i));
@@ -177,9 +171,9 @@ mod tests {
 
     #[test]
     fn one_thread_is_serial() {
-        assert!(Runtime::new(1).is_serial());
-        assert!(Runtime::new(0).is_serial());
-        assert!(!Runtime::new(2).is_serial());
+        assert_eq!(Runtime::new(1).threads(), 1);
+        assert_eq!(Runtime::new(0).threads(), 1);
+        assert_eq!(Runtime::new(2).threads(), 2);
     }
 
     #[test]

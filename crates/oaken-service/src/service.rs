@@ -126,15 +126,13 @@ impl ServiceClient {
     /// is still in flight (parked in the schedule or inside the engine)
     /// ends at once with `Failed(Invalid)` on its own handle.
     pub fn submit(&self, req: EngineRequest) -> SessionHandle {
-        self.submit_inner(req, None)
-    }
-
-    /// Submits a request with a scheduled arrival tick. The engine
-    /// thread holds it until the service clock reaches `arrival` — the
-    /// open-loop building block. An `arrival` already in the past is
-    /// injected immediately.
-    pub fn submit_at(&self, req: EngineRequest, arrival: u64) -> SessionHandle {
-        self.submit_inner(req, Some(arrival))
+        let (tx, handle) = self.stream(&req);
+        self.batcher.push(Command::Submit(Submission {
+            req,
+            arrival: None,
+            tx,
+        }));
+        handle
     }
 
     /// [`submit_scripted`](Self::submit_scripted) without cancels.
@@ -183,13 +181,6 @@ impl ServiceClient {
     /// wherever it is parked. No-op for unknown or already-terminal ids.
     pub fn cancel(&self, id: u64) {
         self.batcher.cancel(id);
-    }
-
-    fn submit_inner(&self, req: EngineRequest, arrival: Option<u64>) -> SessionHandle {
-        let (tx, handle) = self.stream(&req);
-        self.batcher
-            .push(Command::Submit(Submission { req, arrival, tx }));
-        handle
     }
 
     /// `req`'s stream, bounded to every token it can produce plus the

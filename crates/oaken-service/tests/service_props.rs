@@ -292,7 +292,8 @@ fn id_reused_after_retirement_keeps_one_timing_per_schedule_entry() {
         |client| {
             let early = client.submit_schedule(schedule[..2].iter().cloned());
             let mut results: Vec<_> = early.into_iter().map(|h| h.wait()).collect();
-            results.push(client.submit_at(schedule[2].0.clone(), reuse_at).wait());
+            let late = client.submit_schedule([(schedule[2].0.clone(), reuse_at)]);
+            results.extend(late.into_iter().map(|h| h.wait()));
             results
         },
     );

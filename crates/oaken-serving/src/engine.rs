@@ -105,16 +105,11 @@ impl EngineRequest {
     }
 
     /// Synthesizes deterministic prompt content for a length-only
-    /// [`crate::Request`] (trace replays carry lengths, not tokens).
-    pub fn from_lengths(req: &crate::Request, vocab_size: usize, seed: u64) -> Self {
-        Self::from_lengths_with_shared_prefix(req, vocab_size, seed, 0)
-    }
-
-    /// Like [`from_lengths`](Self::from_lengths), but the first
-    /// `shared_prefix` prompt tokens are derived from `seed` alone — every
-    /// request synthesized with the same `(seed, shared_prefix)` starts
-    /// with the identical system prompt, the traffic shape prefix caching
-    /// deduplicates. The remainder stays request-unique.
+    /// [`crate::Request`] (trace replays carry lengths, not tokens). The
+    /// first `shared_prefix` prompt tokens are derived from `seed` alone —
+    /// every request synthesized with the same `(seed, shared_prefix)`
+    /// starts with the identical system prompt, the traffic shape prefix
+    /// caching deduplicates. The remainder stays request-unique.
     pub fn from_lengths_with_shared_prefix(
         req: &crate::Request,
         vocab_size: usize,

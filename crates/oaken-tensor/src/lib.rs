@@ -1,20 +1,22 @@
-//! Minimal dense `f32` tensor library used as the numeric substrate for the
-//! Oaken reproduction.
+//! Minimal dense `f32` numeric substrate for the Oaken reproduction.
 //!
 //! The Oaken paper evaluates KV-cache quantization inside real transformer
 //! inference. This crate provides just enough linear algebra to run a
 //! from-scratch transformer ([`oaken-model`]) without any external BLAS:
-//! row-major tensors, matrix multiplication, softmax, normalisation layers,
-//! activations, rotary position embeddings, and the order statistics
-//! (top-k, quantiles) that Oaken's offline profiler relies on.
+//! row-major weight matrices and the matrix-vector products over them,
+//! softmax, normalisation layers, activations, rotary position embeddings,
+//! and the order statistics (top-k, quantiles) that Oaken's offline
+//! profiler relies on.
 //!
-//! The serving hot path is [`Tensor::matvec_batch`] — one sweep over the
+//! [`Tensor`] is a `[rows, cols]` weight matrix. In generation, the
+//! batchable work is sweeping such a matrix over the whole batch, and the
+//! serving hot path is [`Tensor::matvec_batch`] — one sweep over the
 //! weights serving a whole step, the step's inputs in the lanes of a vector
 //! register and each weight broadcast against them — and its row-sharded
-//! parallel form [`Tensor::matvec_batch_on`], which fans the rows out
-//! across an `oaken-runtime` worker pool. Every output element is one
-//! serial multiply-then-add chain over its row, whichever lane, task or
-//! step width computed it, so both are **bit-exact** with
+//! parallel form [`Tensor::matvec_batch_shards`], which splits each
+//! owner's rows into tasks on an `oaken-runtime` worker pool. Every output
+//! element is one serial multiply-then-add chain over its row, whichever
+//! lane, task or step width computed it, so both are **bit-exact** with
 //! [`Tensor::matvec`]: no lane width, thread count or schedule can
 //! reassociate anything. The `simd` cargo feature adds `std::arch` AVX2 and
 //! AVX-512F lanes (x86-64, chosen at runtime) beside the portable one.
@@ -28,10 +30,11 @@
 //! ```
 //! use oaken_tensor::Tensor;
 //!
-//! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-//! let b = Tensor::eye(2);
-//! let c = a.matmul(&b)?;
-//! assert_eq!(c.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+//! let w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
+//! let (x, y) = ([1.0, 0.0], [0.5, -1.0]);
+//! let outs = w.matvec_batch(&[&x, &y])?;
+//! assert_eq!(outs, vec![vec![1.0, 3.0], vec![-1.5, -2.5]]);
+//! assert_eq!(outs[1], w.matvec(&y)?);
 //! # Ok::<(), oaken_tensor::TensorError>(())
 //! ```
 //!

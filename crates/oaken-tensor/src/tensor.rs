@@ -1,4 +1,4 @@
-//! The [`Tensor`] type: a row-major, heap-allocated, dense `f32` tensor.
+//! The [`Tensor`] type: a row-major, heap-allocated, dense `f32` matrix.
 
 use std::fmt;
 
@@ -16,7 +16,8 @@ pub enum TensorError {
         /// Number of elements actually provided.
         actual: usize,
     },
-    /// Two tensors were combined with incompatible shapes.
+    /// A shape is not `[rows, cols]`, or an operand does not fit the
+    /// matrix it is combined with.
     IncompatibleShapes {
         /// Shape of the left-hand operand.
         lhs: Vec<usize>,
@@ -25,16 +26,6 @@ pub enum TensorError {
         /// Name of the operation that failed.
         op: &'static str,
     },
-    /// An index was out of bounds for the tensor's shape.
-    IndexOutOfBounds {
-        /// The offending index.
-        index: Vec<usize>,
-        /// The tensor's shape.
-        shape: Vec<usize>,
-    },
-    /// A tensor with zero elements was passed to an operation that requires
-    /// at least one element (e.g. min/max reduction).
-    Empty,
 }
 
 impl fmt::Display for TensorError {
@@ -46,22 +37,19 @@ impl fmt::Display for TensorError {
             TensorError::IncompatibleShapes { lhs, rhs, op } => {
                 write!(f, "incompatible shapes {lhs:?} and {rhs:?} for {op}")
             }
-            TensorError::IndexOutOfBounds { index, shape } => {
-                write!(f, "index {index:?} out of bounds for shape {shape:?}")
-            }
-            TensorError::Empty => write!(f, "operation requires a non-empty tensor"),
         }
     }
 }
 
 impl std::error::Error for TensorError {}
 
-/// A dense, row-major `f32` tensor of arbitrary rank.
+/// A dense, row-major `f32` matrix of shape `[rows, cols]`: a weight the
+/// model sweeps over a batch.
 ///
-/// `Tensor` deliberately stays small: it is the numeric substrate for the
-/// transformer inference engine and the quantization pipeline, not a general
-/// autodiff framework. All operations are implemented in safe Rust, with
-/// one exception: the `std::arch` lanes of the batched weight sweep
+/// `Tensor` deliberately stays small: it holds a projection, FFN or LM-head
+/// weight and runs the matrix-vector products over it, nothing else. All
+/// operations are implemented in safe Rust, with one exception: the
+/// `std::arch` lanes of the batched weight sweep
 /// ([`Tensor::matvec_batch_rows`], `simd` feature only), whose
 /// `#[target_feature]` entry points and register loads and stores are
 /// `unsafe`.
@@ -71,70 +59,50 @@ impl std::error::Error for TensorError {}
 /// ```
 /// use oaken_tensor::Tensor;
 ///
-/// let t = Tensor::zeros(&[2, 3]);
+/// let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3])?;
 /// assert_eq!(t.shape(), &[2, 3]);
 /// assert_eq!(t.len(), 6);
+/// assert_eq!(t.row(1), &[4.0, 5.0, 6.0]);
+/// # Ok::<(), oaken_tensor::TensorError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
-    shape: Vec<usize>,
+    shape: [usize; 2],
 }
 
 impl Tensor {
-    /// Creates a tensor from a data buffer and a shape.
+    /// Creates a `[rows, cols]` matrix from its row-major data. This is
+    /// the one place a shape is checked.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] if `data.len()` does not equal
-    /// the product of `shape`.
+    /// Returns [`TensorError::IncompatibleShapes`] if `shape` is not
+    /// two-dimensional, and [`TensorError::ShapeMismatch`] if `data.len()`
+    /// does not equal `rows × cols`.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Result<Self, TensorError> {
-        let expected: usize = shape.iter().product();
-        if data.len() != expected {
+        let &[rows, cols] = shape else {
+            return Err(TensorError::IncompatibleShapes {
+                lhs: shape.to_vec(),
+                rhs: vec![],
+                op: "from_vec",
+            });
+        };
+        if data.len() != rows * cols {
             return Err(TensorError::ShapeMismatch {
-                expected,
+                expected: rows * cols,
                 actual: data.len(),
             });
         }
         Ok(Self {
             data,
-            shape: shape.to_vec(),
+            shape: [rows, cols],
         })
     }
 
-    /// Creates a tensor of zeros with the given shape.
-    pub fn zeros(shape: &[usize]) -> Self {
-        Self {
-            data: vec![0.0; shape.iter().product()],
-            shape: shape.to_vec(),
-        }
-    }
-
-    /// Creates a tensor filled with `value`.
-    pub fn full(shape: &[usize], value: f32) -> Self {
-        Self {
-            data: vec![value; shape.iter().product()],
-            shape: shape.to_vec(),
-        }
-    }
-
-    /// Creates the `n`×`n` identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Self::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
-    }
-
-    /// The tensor's shape.
-    pub fn shape(&self) -> &[usize] {
+    /// The matrix's shape, `[rows, cols]`.
+    pub fn shape(&self) -> &[usize; 2] {
         &self.shape
-    }
-
-    /// Number of dimensions (rank).
-    pub fn rank(&self) -> usize {
-        self.shape.len()
     }
 
     /// Total number of elements.
@@ -142,7 +110,7 @@ impl Tensor {
         self.data.len()
     }
 
-    /// Whether the tensor has zero elements.
+    /// Whether the matrix has zero elements.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
@@ -157,245 +125,32 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Reinterprets the tensor with a new shape of the same element count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the element counts differ.
-    pub fn reshape(&self, shape: &[usize]) -> Result<Self, TensorError> {
-        let expected: usize = shape.iter().product();
-        if expected != self.data.len() {
-            return Err(TensorError::ShapeMismatch {
-                expected,
-                actual: self.data.len(),
-            });
-        }
-        Ok(Self {
-            data: self.data.clone(),
-            shape: shape.to_vec(),
-        })
-    }
-
-    /// Returns the element at a fully-specified index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if the index rank differs
-    /// from the tensor rank or any coordinate exceeds its dimension.
-    pub fn get(&self, index: &[usize]) -> Result<f32, TensorError> {
-        let off = self.offset(index)?;
-        Ok(self.data[off])
-    }
-
-    /// Sets the element at a fully-specified index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] on an invalid index.
-    pub fn set(&mut self, index: &[usize], value: f32) -> Result<(), TensorError> {
-        let off = self.offset(index)?;
-        self.data[off] = value;
-        Ok(())
-    }
-
-    fn offset(&self, index: &[usize]) -> Result<usize, TensorError> {
-        if index.len() != self.shape.len() {
-            return Err(TensorError::IndexOutOfBounds {
-                index: index.to_vec(),
-                shape: self.shape.clone(),
-            });
-        }
-        let mut off = 0usize;
-        for (i, (&ix, &dim)) in index.iter().zip(&self.shape).enumerate() {
-            if ix >= dim {
-                return Err(TensorError::IndexOutOfBounds {
-                    index: index.to_vec(),
-                    shape: self.shape.clone(),
-                });
-            }
-            off = off * dim + ix;
-            debug_assert!(i < self.shape.len());
-        }
-        Ok(off)
-    }
-
-    /// Borrows row `r` of a rank-2 tensor.
+    /// Borrows row `r`.
     ///
     /// # Panics
     ///
-    /// Panics if the tensor is not rank 2 or `r` is out of bounds; rows are a
-    /// hot-path accessor so the check is an assertion rather than a `Result`.
+    /// Panics if `r` is out of bounds; rows are a hot-path accessor so the
+    /// check is the slice's rather than a `Result`.
     pub fn row(&self, r: usize) -> &[f32] {
-        assert_eq!(self.rank(), 2, "row() requires a rank-2 tensor");
         let cols = self.shape[1];
         &self.data[r * cols..(r + 1) * cols]
     }
 
-    /// Mutably borrows row `r` of a rank-2 tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank 2 or `r` is out of bounds.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        assert_eq!(self.rank(), 2, "row_mut() requires a rank-2 tensor");
-        let cols = self.shape[1];
-        &mut self.data[r * cols..(r + 1) * cols]
-    }
-
-    /// Element-wise addition.
+    /// Matrix-vector product: `(m,k) × (k,) → (m,)`.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::IncompatibleShapes`] when shapes differ.
-    pub fn add(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.zip_with(other, "add", |a, b| a + b)
-    }
-
-    /// Element-wise subtraction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IncompatibleShapes`] when shapes differ.
-    pub fn sub(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.zip_with(other, "sub", |a, b| a - b)
-    }
-
-    /// Element-wise (Hadamard) multiplication.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IncompatibleShapes`] when shapes differ.
-    pub fn mul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.zip_with(other, "mul", |a, b| a * b)
-    }
-
-    fn zip_with(
-        &self,
-        other: &Tensor,
-        op: &'static str,
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Result<Tensor, TensorError> {
-        if self.shape != other.shape {
-            return Err(TensorError::IncompatibleShapes {
-                lhs: self.shape.clone(),
-                rhs: other.shape.clone(),
-                op,
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        Ok(Tensor {
-            data,
-            shape: self.shape.clone(),
-        })
-    }
-
-    /// Multiplies every element by `s`.
-    pub fn scale(&self, s: f32) -> Tensor {
-        Tensor {
-            data: self.data.iter().map(|&x| x * s).collect(),
-            shape: self.shape.clone(),
-        }
-    }
-
-    /// Applies `f` to every element, producing a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            data: self.data.iter().map(|&x| f(x)).collect(),
-            shape: self.shape.clone(),
-        }
-    }
-
-    /// Minimum element.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::Empty`] for empty tensors.
-    pub fn min(&self) -> Result<f32, TensorError> {
-        if self.is_empty() {
-            return Err(TensorError::Empty);
-        }
-        Ok(self.data.iter().copied().fold(f32::INFINITY, f32::min))
-    }
-
-    /// Maximum element.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::Empty`] for empty tensors.
-    pub fn max(&self) -> Result<f32, TensorError> {
-        if self.is_empty() {
-            return Err(TensorError::Empty);
-        }
-        Ok(self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max))
-    }
-
-    /// Arithmetic mean of all elements.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::Empty`] for empty tensors.
-    pub fn mean(&self) -> Result<f32, TensorError> {
-        if self.is_empty() {
-            return Err(TensorError::Empty);
-        }
-        Ok(self.data.iter().sum::<f32>() / self.data.len() as f32)
-    }
-
-    /// Matrix multiplication of two rank-2 tensors: `(m,k) × (k,n) → (m,n)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IncompatibleShapes`] unless both operands are
-    /// rank 2 and the inner dimensions agree.
-    pub fn matmul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        if self.rank() != 2 || other.rank() != 2 || self.shape[1] != other.shape[0] {
-            return Err(TensorError::IncompatibleShapes {
-                lhs: self.shape.clone(),
-                rhs: other.shape.clone(),
-                op: "matmul",
-            });
-        }
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let n = other.shape[1];
-        let mut out = vec![0.0f32; m * n];
-        // i-k-j loop order keeps the inner loop streaming over contiguous
-        // rows of `other`, which matters for the larger model configs.
-        for i in 0..m {
-            let arow = &self.data[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (p, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// Matrix-vector product of a rank-2 tensor with a vector: `(m,k) × (k,) → (m,)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IncompatibleShapes`] unless `self` is rank 2
-    /// and `v.len()` equals the column count.
+    /// Returns [`TensorError::IncompatibleShapes`] unless `v.len()` equals
+    /// the column count.
     pub fn matvec(&self, v: &[f32]) -> Result<Vec<f32>, TensorError> {
-        if self.rank() != 2 || self.shape[1] != v.len() {
+        let [m, k] = self.shape;
+        if k != v.len() {
             return Err(TensorError::IncompatibleShapes {
-                lhs: self.shape.clone(),
+                lhs: self.shape.to_vec(),
                 rhs: vec![v.len()],
                 op: "matvec",
             });
         }
-        let (m, k) = (self.shape[0], self.shape[1]);
         let mut out = vec![0.0f32; m];
         for (i, o) in out.iter_mut().enumerate() {
             let row = &self.data[i * k..(i + 1) * k];
@@ -420,35 +175,16 @@ impl Tensor {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::IncompatibleShapes`] unless `self` is rank 2
-    /// and every vector's length equals the column count.
+    /// Returns [`TensorError::IncompatibleShapes`] unless every vector's
+    /// length equals the column count.
     pub fn matvec_batch(&self, xs: &[&[f32]]) -> Result<Vec<Vec<f32>>, TensorError> {
-        self.matvec_batch_rows(xs, 0..*self.shape.first().unwrap_or(&0))
+        self.matvec_batch_rows(xs, 0..self.shape[0])
     }
 
-    /// [`Tensor::matvec_batch`] sharded across output rows on `rt` —
-    /// the parallel form of the batched-decode primitive, and the
-    /// one-shard case of [`Tensor::matvec_batch_shards`]: bit-exact with
-    /// the serial kernel for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IncompatibleShapes`] under the same
-    /// conditions as [`Tensor::matvec_batch`].
-    pub fn matvec_batch_on(
-        &self,
-        rt: &oaken_runtime::Runtime,
-        xs: &[&[f32]],
-    ) -> Result<Vec<Vec<f32>>, TensorError> {
-        let all = 0..*self.shape.first().unwrap_or(&0);
-        let mut shards = self.matvec_batch_shards(rt, xs, &[all])?;
-        Ok(shards.pop().expect("one shard in, one shard out"))
-    }
-
-    /// The batched product with its output rows partitioned into
+    /// The batched product on `rt`, its output rows partitioned into
     /// `shards` (one contiguous row range per owner — a tensor-parallel
-    /// rank, or the whole matrix): `out[s][i][li]` is row
-    /// `shards[s].start + li` of `self · xs[i]`.
+    /// rank, or the whole matrix):
+    /// `out[s][i][li]` is row `shards[s].start + li` of `self · xs[i]`.
     ///
     /// The decomposition follows the runtime's determinism discipline:
     /// the inputs are interleaved into lanes once, then tasks form a fixed
@@ -529,9 +265,8 @@ impl Tensor {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::IncompatibleShapes`] unless `self` is rank 2,
-    /// every vector's length equals the column count, and `rows` is within
-    /// the row count.
+    /// Returns [`TensorError::IncompatibleShapes`] unless every vector's
+    /// length equals the column count and `rows` is within the row count.
     pub fn matvec_batch_rows(
         &self,
         xs: &[&[f32]],
@@ -542,21 +277,19 @@ impl Tensor {
         Ok(self.sweep_rows(&inputs, rows))
     }
 
-    /// The column count, if the sweep is well-formed: `self` rank 2, every
-    /// range of `shards` within its rows, every input as long as a row.
+    /// The column count, if the sweep is well-formed: every range of
+    /// `shards` within the rows, every input as long as a row.
     fn check_sweep(
         &self,
         xs: &[&[f32]],
         shards: &[std::ops::Range<usize>],
     ) -> Result<usize, TensorError> {
         let bad = |rhs: Vec<usize>| TensorError::IncompatibleShapes {
-            lhs: self.shape.clone(),
+            lhs: self.shape.to_vec(),
             rhs,
             op: "matvec_batch_rows",
         };
-        let &[m, k] = self.shape.as_slice() else {
-            return Err(bad(vec![]));
-        };
+        let [m, k] = self.shape;
         if let Some(rows) = shards.iter().find(|r| r.start > r.end || r.end > m) {
             return Err(bad(vec![rows.start, rows.end]));
         }
@@ -624,39 +357,6 @@ impl Tensor {
             }
         }
         outs
-    }
-
-    /// Transposes a rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IncompatibleShapes`] for non-rank-2 tensors.
-    pub fn transpose(&self) -> Result<Tensor, TensorError> {
-        if self.rank() != 2 {
-            return Err(TensorError::IncompatibleShapes {
-                lhs: self.shape.clone(),
-                rhs: vec![],
-                op: "transpose",
-            });
-        }
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
-        Tensor::from_vec(out, &[n, m])
-    }
-}
-
-impl Default for Tensor {
-    /// The default tensor is a rank-1 empty tensor.
-    fn default() -> Self {
-        Tensor {
-            data: Vec::new(),
-            shape: vec![0],
-        }
     }
 }
 
@@ -912,52 +612,41 @@ mod tests {
 
     #[test]
     fn from_vec_checks_shape() {
-        assert!(Tensor::from_vec(vec![1.0, 2.0], &[3]).is_err());
-        assert!(Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).is_ok());
-    }
-
-    #[test]
-    fn zeros_and_full() {
-        let z = Tensor::zeros(&[2, 2]);
-        assert!(z.as_slice().iter().all(|&x| x == 0.0));
-        let f = Tensor::full(&[2, 2], 3.5);
-        assert!(f.as_slice().iter().all(|&x| x == 3.5));
-    }
-
-    #[test]
-    fn eye_is_identity_under_matmul() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        let i3 = Tensor::eye(3);
-        let c = a.matmul(&i3).unwrap();
-        assert_eq!(c, a);
-    }
-
-    #[test]
-    fn matmul_known_values() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn matmul_rejects_bad_shapes() {
-        let a = Tensor::zeros(&[2, 3]);
-        let b = Tensor::zeros(&[2, 3]);
         assert!(matches!(
-            a.matmul(&b),
-            Err(TensorError::IncompatibleShapes { op: "matmul", .. })
+            Tensor::from_vec(vec![1.0, 2.0], &[1, 3]),
+            Err(TensorError::ShapeMismatch {
+                expected: 3,
+                actual: 2
+            })
         ));
+        assert!(Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]).is_ok());
+        assert!(Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3, 1]).is_ok());
+    }
+
+    /// A `Tensor` is a matrix: a shape of any other rank is refused even
+    /// when its element count matches the data.
+    #[test]
+    fn from_vec_rejects_shapes_that_are_not_two_dimensional() {
+        for shape in [&[3][..], &[], &[1, 1, 3], &[1, 3, 1, 1]] {
+            let want = shape.iter().product::<usize>();
+            assert!(
+                matches!(
+                    Tensor::from_vec(vec![0.5; want], shape),
+                    Err(TensorError::IncompatibleShapes { op: "from_vec", .. })
+                ),
+                "shape {shape:?}"
+            );
+        }
     }
 
     #[test]
-    fn matvec_matches_matmul() {
+    fn matvec_known_values() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        let v = vec![1.0, 0.5, -1.0];
-        let got = a.matvec(&v).unwrap();
-        let vm = Tensor::from_vec(v.clone(), &[3, 1]).unwrap();
-        let want = a.matmul(&vm).unwrap();
-        assert_eq!(got, want.as_slice());
+        assert_eq!(a.matvec(&[1.0, 0.5, -1.0]).unwrap(), vec![-1.0, 0.5]);
+        assert!(matches!(
+            a.matvec(&[1.0, 0.5]),
+            Err(TensorError::IncompatibleShapes { op: "matvec", .. })
+        ));
     }
 
     #[test]
@@ -1028,9 +717,21 @@ mod tests {
         }
     }
 
-    /// The row-sharded parallel kernel must reproduce the serial kernel's
-    /// bits for every thread count: all accumulation chains are row-local,
-    /// so the decomposition cannot reassociate anything.
+    /// The whole matrix as one shard of [`Tensor::matvec_batch_shards`]
+    /// on `rt`.
+    fn one_shard(a: &Tensor, rt: &oaken_runtime::Runtime, xs: &[&[f32]]) -> Vec<Vec<f32>> {
+        let whole = 0..a.shape()[0];
+        let mut shards = a
+            .matvec_batch_shards(rt, xs, std::slice::from_ref(&whole))
+            .unwrap();
+        assert_eq!(shards.len(), 1);
+        shards.pop().unwrap()
+    }
+
+    /// The matrix batched on a runtime's row-sharded parallel kernel must
+    /// reproduce the serial kernel's bits for every thread count: all
+    /// accumulation chains are row-local, so the decomposition cannot
+    /// reassociate anything.
     #[test]
     fn matvec_batch_on_bit_exact_with_serial_for_any_thread_count() {
         let (m, k) = (67, 33); // awkward odd shapes, above the crossover
@@ -1049,7 +750,7 @@ mod tests {
         let serial = a.matvec_batch(&refs).unwrap();
         for threads in [2usize, 3, 4, 8] {
             let rt = oaken_runtime::Runtime::new(threads);
-            let par = a.matvec_batch_on(&rt, &refs).unwrap();
+            let par = one_shard(&a, &rt, &refs);
             for (s, (x, y)) in serial.iter().zip(&par).enumerate() {
                 let xb: Vec<u32> = x.iter().map(|v| v.to_bits()).collect();
                 let yb: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
@@ -1058,7 +759,7 @@ mod tests {
         }
         // The serial runtime goes through the serial kernel verbatim.
         let rt1 = oaken_runtime::Runtime::serial();
-        assert_eq!(a.matvec_batch_on(&rt1, &refs).unwrap(), serial);
+        assert_eq!(one_shard(&a, &rt1, &refs), serial);
 
         // Rank row ranges × thread sub-chunks: uneven shard maps (67 rows
         // over 2, 3, 5 owners), batches that cross the interleave chunk
@@ -1092,7 +793,7 @@ mod tests {
     }
 
     /// The `(shard, sub-chunk)` grid: one shard on 4 threads keeps the
-    /// `matvec_batch_on` fan-out (4 tasks per thread), N shards divide the
+    /// whole-matrix fan-out (4 tasks per thread), N shards divide the
     /// same budget so threads beyond the rank count are used, and small
     /// products or a serial runtime run one task per shard.
     #[test]
@@ -1153,7 +854,7 @@ mod tests {
         // An all-zero input (a ReLU hidden vector) against an all-negative
         // row: every product is `-0.0`.
         let a = Tensor::from_vec(vec![-1.0, -2.0, -3.0, 0.5, -0.25, 4.0], &[2, 3]).unwrap();
-        let no_columns = Tensor::zeros(&[3, 0]);
+        let no_columns = Tensor::from_vec(vec![], &[3, 0]).unwrap();
         let zero = [0.0f32; 3];
         let other = [1.0f32, -2.0, 0.5];
         assert_eq!(bits(&a.matvec(&zero).unwrap()), bits(&[-0.0, 0.0]));
@@ -1232,7 +933,7 @@ mod tests {
         let shards = [0..37, 37..m];
         assert_eq!(shard_tasks(4, per_row, &shards).len(), 16);
         let rt = oaken_runtime::Runtime::new(4);
-        let whole = a.matvec_batch_on(&rt, &refs).unwrap();
+        let whole = one_shard(&a, &rt, &refs);
         let split = a.matvec_batch_shards(&rt, &refs, &shards).unwrap();
         for (s, x) in xs.iter().enumerate() {
             let want = a.matvec(x).unwrap();
@@ -1245,61 +946,27 @@ mod tests {
 
     #[test]
     fn matvec_batch_on_checks_shapes() {
-        let a = Tensor::zeros(&[64, 64]);
+        let a = Tensor::from_vec(vec![0.0; 64 * 64], &[64, 64]).unwrap();
         let good = [0.0f32; 64];
         let bad = [0.0f32; 63];
         let rt = oaken_runtime::Runtime::new(2);
         let xs: Vec<&[f32]> = (0..7)
             .map(|i| if i == 5 { &bad[..] } else { &good[..] })
             .collect();
-        assert!(a.matvec_batch_on(&rt, &xs).is_err());
-        assert!(a.matvec_batch_on(&rt, &[]).unwrap().is_empty());
+        assert!(a.matvec_batch_shards(&rt, &xs, &[0..32, 32..64]).is_err());
+        assert!(a
+            .matvec_batch_shards(&rt, &[&good], &[0..32, 32..65])
+            .is_err());
+        assert!(one_shard(&a, &rt, &[]).is_empty());
     }
 
     #[test]
     fn matvec_batch_checks_shapes() {
-        let a = Tensor::zeros(&[2, 3]);
+        let a = Tensor::from_vec(vec![0.0; 6], &[2, 3]).unwrap();
         let good = [0.0f32; 3];
         let bad = [0.0f32; 2];
         assert!(a.matvec_batch(&[&good, &bad]).is_err());
         assert!(a.matvec_batch(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[2, 3]).unwrap();
-        let t = a.transpose().unwrap();
-        assert_eq!(t.shape(), &[3, 2]);
-        assert_eq!(t.transpose().unwrap(), a);
-    }
-
-    #[test]
-    fn get_set_roundtrip() {
-        let mut t = Tensor::zeros(&[2, 3, 4]);
-        t.set(&[1, 2, 3], 9.0).unwrap();
-        assert_eq!(t.get(&[1, 2, 3]).unwrap(), 9.0);
-        assert!(t.get(&[2, 0, 0]).is_err());
-        assert!(t.get(&[0, 0]).is_err());
-    }
-
-    #[test]
-    fn elementwise_ops() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        let b = Tensor::from_vec(vec![3.0, 5.0], &[2]).unwrap();
-        assert_eq!(a.add(&b).unwrap().as_slice(), &[4.0, 7.0]);
-        assert_eq!(b.sub(&a).unwrap().as_slice(), &[2.0, 3.0]);
-        assert_eq!(a.mul(&b).unwrap().as_slice(), &[3.0, 10.0]);
-        assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0]);
-    }
-
-    #[test]
-    fn reductions() {
-        let t = Tensor::from_vec(vec![-1.0, 4.0, 2.0], &[3]).unwrap();
-        assert_eq!(t.min().unwrap(), -1.0);
-        assert_eq!(t.max().unwrap(), 4.0);
-        assert!((t.mean().unwrap() - 5.0 / 3.0).abs() < 1e-6);
-        let e = Tensor::default();
-        assert!(matches!(e.min(), Err(TensorError::Empty)));
     }
 
     #[test]
@@ -1310,16 +977,8 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        let r = t.reshape(&[4]).unwrap();
-        assert_eq!(r.as_slice(), t.as_slice());
-        assert!(t.reshape(&[3]).is_err());
-    }
-
-    #[test]
     fn error_display_is_lowercase() {
-        let e = TensorError::Empty.to_string();
+        let e = Tensor::from_vec(vec![], &[1, 1]).unwrap_err().to_string();
         assert!(e.starts_with(|c: char| c.is_lowercase()));
         assert!(!e.ends_with('.'));
     }

@@ -132,43 +132,6 @@ proptest! {
     }
 
     #[test]
-    fn matmul_identity(v in finite_vec(64)) {
-        let n = v.len();
-        let a = Tensor::from_vec(v.clone(), &[1, n]).unwrap();
-        let id = Tensor::eye(n);
-        let out = a.matmul(&id).unwrap();
-        for (x, y) in v.iter().zip(out.as_slice()) {
-            prop_assert!((x - y).abs() <= x.abs() * 1e-6 + 1e-6);
-        }
-    }
-
-    #[test]
-    fn matmul_distributes_over_addition(
-        a in finite_vec(16),
-        b in finite_vec(16),
-    ) {
-        let n = a.len().min(b.len()).max(1);
-        let a = Tensor::from_vec(a[..n].to_vec(), &[1, n]).unwrap();
-        let b = Tensor::from_vec(b[..n].to_vec(), &[1, n]).unwrap();
-        // (a + b) · I == a·I + b·I
-        let id = Tensor::eye(n);
-        let lhs = a.add(&b).unwrap().matmul(&id).unwrap();
-        let rhs = a.matmul(&id).unwrap().add(&b.matmul(&id).unwrap()).unwrap();
-        for (x, y) in lhs.as_slice().iter().zip(rhs.as_slice()) {
-            prop_assert!((x - y).abs() <= x.abs() * 1e-5 + 1e-4);
-        }
-    }
-
-    #[test]
-    fn transpose_is_involution(v in finite_vec(48)) {
-        let n = v.len();
-        // Factor into a 2D shape.
-        let rows = (1..=n).rev().find(|&r| n.is_multiple_of(r)).unwrap();
-        let t = Tensor::from_vec(v, &[rows, n / rows]).unwrap();
-        prop_assert_eq!(t.transpose().unwrap().transpose().unwrap(), t);
-    }
-
-    #[test]
     fn softmax_is_a_distribution(mut v in finite_vec(64)) {
         softmax_in_place(&mut v);
         let sum: f32 = v.iter().sum();

@@ -50,7 +50,7 @@ fn a_sweep_allocates_its_outputs_its_scratch_and_a_constant() {
         let xs = vec![vec![0.5f32; k]; width];
         let refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
         for m in [5usize, 64, 1024] {
-            let a = Tensor::full(&[m, k], 0.25);
+            let a = Tensor::from_vec(vec![0.25; m * k], &[m, k]).unwrap();
             let count = |shards: &[std::ops::Range<usize>]| {
                 let before = allocations();
                 let out = a.matvec_batch_shards(&rt, &refs, shards).unwrap();

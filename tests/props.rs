@@ -62,7 +62,7 @@ proptest! {
     fn fused_encoding_consistent(values in prop::collection::vec(-20.0f32..20.0, 1..300)) {
         let q = quantizer_for(std::slice::from_ref(&values));
         let fv = q.quantize_vector(&values, 0, KvKind::Value).unwrap();
-        let outliers = fv.decode_outliers();
+        let outliers: Vec<_> = fv.outliers().collect();
         prop_assert_eq!(outliers.len(), fv.num_outliers());
         let block_sum: usize = fv.block_counts().iter().map(|&c| c as usize).sum();
         prop_assert_eq!(block_sum, fv.num_outliers());
