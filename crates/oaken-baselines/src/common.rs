@@ -232,6 +232,13 @@ impl<K: CalibratedRowKernel> KvRowStream for CalibratedStream<K> {
         self.rows
     }
 
+    /// The exact rows buffered during warm-up. The rows themselves live
+    /// in the caller's f32 view, and the frozen calibration is a fixed
+    /// per-stream cost, not per row.
+    fn held_bytes(&self) -> usize {
+        self.buffered.capacity() * std::mem::size_of::<f32>()
+    }
+
     fn reset(&mut self) {
         // Calibration (the frozen kernel) is per-model state and survives
         // the reset — exactly how Atom/QServe/Tender share their offline

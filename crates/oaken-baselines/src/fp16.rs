@@ -75,6 +75,11 @@ impl KvRowStream for Fp16RowStream {
         Some(self.rows * self.d * 2)
     }
 
+    /// Nothing: the rows live only in the caller's f32 view.
+    fn held_bytes(&self) -> usize {
+        0
+    }
+
     fn reset(&mut self) {
         self.rows = 0;
     }

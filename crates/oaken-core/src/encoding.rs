@@ -97,9 +97,11 @@ impl CooEntry {
     }
 }
 
-/// A fused dense-and-sparse encoded vector: the unit the quantization engine
-/// writes to memory and the MMU lays out in pages.
-#[derive(Debug, Clone, PartialEq)]
+/// A fused dense-and-sparse encoded vector: what the quantization engine
+/// emits for one row and what crosses a boundary on its own (a test
+/// oracle, a wire). A stream stores its rows packed instead
+/// ([`PackedRows`], or a read plan beside a `SparseLog`).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FusedVector {
     dim: usize,
     /// Packed 4-bit codes, element `i` in nibble `i` (low nibble first).
@@ -130,6 +132,27 @@ impl FusedVector {
         outliers: &[CooEntry],
         scales: ScaleSet,
     ) -> Result<Self, OakenError> {
+        let mut fv = Self {
+            dim,
+            dense: Vec::new(),
+            sparse: Vec::new(),
+            block_counts: Vec::new(),
+            scales,
+        };
+        fv.refill(dim, dense_codes, outliers, scales)?;
+        Ok(fv)
+    }
+
+    /// [`from_parts`](Self::from_parts) into this vector's buffers, which
+    /// keep their capacity: the quantizer's per-row scratch. On error the
+    /// contents are unspecified.
+    pub(crate) fn refill(
+        &mut self,
+        dim: usize,
+        dense_codes: &[u8],
+        outliers: &[CooEntry],
+        scales: ScaleSet,
+    ) -> Result<(), OakenError> {
         if dense_codes.len() != dim {
             return Err(OakenError::CorruptEncoding {
                 detail: format!("{} dense codes for dimension {dim}", dense_codes.len()),
@@ -141,13 +164,16 @@ impl FusedVector {
                 detail: "dense code exceeds 4 bits".to_owned(),
             });
         }
-        let num_blocks = dim.div_ceil(BLOCK_SIZE);
         let (pairs, odd) = dense_codes.as_chunks::<2>();
-        let mut dense = Vec::with_capacity(dim.div_ceil(2));
-        dense.extend(pairs.iter().map(|&[lo, hi]| lo | hi << 4));
-        dense.extend_from_slice(odd);
-        let mut sparse = Vec::with_capacity(outliers.len());
-        let mut block_counts = vec![0u8; num_blocks];
+        self.dense.clear();
+        self.dense.reserve(dim.div_ceil(2));
+        self.dense
+            .extend(pairs.iter().map(|&[lo, hi]| lo | hi << 4));
+        self.dense.extend_from_slice(odd);
+        self.sparse.clear();
+        self.sparse.reserve(outliers.len());
+        self.block_counts.clear();
+        self.block_counts.resize(dim.div_ceil(BLOCK_SIZE), 0);
         let mut prev: Option<usize> = None;
         for entry in outliers {
             if entry.index >= dim {
@@ -165,16 +191,24 @@ impl FusedVector {
             prev = Some(entry.index);
             let block = entry.index / BLOCK_SIZE;
             let offset = (entry.index % BLOCK_SIZE) as u8;
-            sparse.push(CooEntry::pack(offset, entry.group, entry.high_side));
-            block_counts[block] += 1;
+            self.sparse
+                .push(CooEntry::pack(offset, entry.group, entry.high_side));
+            self.block_counts[block] += 1;
         }
-        Ok(Self {
-            dim,
-            dense,
-            sparse,
-            block_counts,
-            scales,
-        })
+        self.dim = dim;
+        self.scales = scales;
+        Ok(())
+    }
+
+    /// The vector's parts, borrowed.
+    pub fn row(&self) -> EncodedRow<'_> {
+        EncodedRow {
+            dim: self.dim,
+            dense: &self.dense,
+            sparse: &self.sparse,
+            block_counts: &self.block_counts,
+            scales: self.scales,
+        }
     }
 
     /// Vector dimension (element count).
@@ -198,13 +232,7 @@ impl FusedVector {
     ///
     /// Panics if `i >= dim()`.
     pub fn dense_code(&self, i: usize) -> u8 {
-        assert!(i < self.dim, "element {i} out of range {}", self.dim);
-        let byte = self.dense[i / 2];
-        if i.is_multiple_of(2) {
-            byte & 0xF
-        } else {
-            byte >> 4
-        }
+        self.row().dense_code(i)
     }
 
     /// The raw packed dense nibble buffer.
@@ -222,23 +250,22 @@ impl FusedVector {
         &self.block_counts
     }
 
-    /// Streams the COO entries in ascending index order without allocating,
-    /// using the per-block counts to attribute bytes to blocks — exactly the
-    /// zero-insert walk the dequantization engine performs (§5.2 "outlier
-    /// dequantizer"). This is the decode hot path: the streaming
-    /// dequantizer peeks it once per element.
+    /// Streams the COO entries in ascending index order without allocating
+    /// (see [`EncodedRow::outliers`]).
     pub fn outliers(&self) -> OutlierIter<'_> {
-        OutlierIter {
-            fv: self,
-            cursor: 0,
-            block: 0,
-            left_in_block: self.block_counts.first().copied().unwrap_or(0),
-        }
+        self.row().outliers()
     }
 
     /// Bytes of KV payload: dense nibbles + sparse COO entries + FP16 scales.
     pub fn payload_bytes(&self) -> usize {
-        self.dense.len() + self.sparse.len() + (ScaleSet::STORAGE_BITS as usize / 8)
+        self.row().payload_bytes()
+    }
+
+    /// Heap bytes the vector holds.
+    pub(crate) fn held_bytes(&self) -> usize {
+        capacity_bytes(&self.dense)
+            + capacity_bytes(&self.sparse)
+            + capacity_bytes(&self.block_counts)
     }
 
     /// Bytes of MMU-side metadata (per-block transfer sizes). Reported
@@ -295,11 +322,336 @@ impl FusedVector {
     }
 }
 
-/// Allocation-free iterator over a [`FusedVector`]'s COO entries in
-/// ascending index order. Created by [`FusedVector::outliers`].
+/// One encoded row's four parts, borrowed from where they are stored (a
+/// [`FusedVector`], a [`PackedRows`] run): what read plans are built
+/// from and the exact decoder walks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EncodedRow<'a> {
+    dim: usize,
+    dense: &'a [u8],
+    sparse: &'a [u8],
+    block_counts: &'a [u8],
+    scales: ScaleSet,
+}
+
+impl<'a> EncodedRow<'a> {
+    /// Row dimension (element count).
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The row's scales.
+    pub fn scales(&self) -> &ScaleSet {
+        &self.scales
+    }
+
+    /// Reads the 4-bit dense code of element `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= dim()`.
+    pub fn dense_code(&self, i: usize) -> u8 {
+        assert!(i < self.dim, "element {i} out of range {}", self.dim);
+        nibble(self.dense, i)
+    }
+
+    /// The packed dense nibbles, element `i` in nibble `i`.
+    pub fn dense_bytes(&self) -> &'a [u8] {
+        self.dense
+    }
+
+    /// Streams the COO entries in ascending index order without allocating,
+    /// using the per-block counts to attribute bytes to blocks — exactly the
+    /// zero-insert walk the dequantization engine performs (§5.2 "outlier
+    /// dequantizer"). This is the decode hot path: the streaming
+    /// dequantizer peeks it once per element.
+    pub fn outliers(&self) -> OutlierIter<'a> {
+        OutlierIter::new(self.sparse, self.block_counts)
+    }
+
+    /// Bytes of KV payload: dense nibbles + sparse COO entries + FP16 scales.
+    pub fn payload_bytes(&self) -> usize {
+        self.dense.len() + self.sparse.len() + SCALE_BYTES
+    }
+
+    /// A standalone copy of the row.
+    pub fn to_vector(&self) -> FusedVector {
+        FusedVector {
+            dim: self.dim,
+            dense: self.dense.to_vec(),
+            sparse: self.sparse.to_vec(),
+            block_counts: self.block_counts.to_vec(),
+            scales: self.scales,
+        }
+    }
+}
+
+/// Bytes the scales are charged per row (4 × FP16).
+const SCALE_BYTES: usize = ScaleSet::STORAGE_BITS as usize / 8;
+
+/// Nibble `i` of packed codes, low nibble first.
+#[inline(always)]
+pub(crate) fn nibble(bytes: &[u8], i: usize) -> u8 {
+    (bytes[i / 2] >> (4 * (i % 2))) & 0xF
+}
+
+/// Heap bytes a buffer holds: its capacity, not its length.
+pub(crate) fn capacity_bytes<T>(buf: &Vec<T>) -> usize {
+    buf.capacity() * std::mem::size_of::<T>()
+}
+
+/// Everything a run of encoded rows holds beside their dense nibbles: per
+/// row its scales, its COO bytes (one log, with each row's end) and its
+/// per-block counts — what a read plan cannot rebuild from its own
+/// buffers. Rows are appended in order and never rewritten.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct SparseLog {
+    /// Row width.
+    dim: usize,
+    /// Every row's COO bytes, row after row.
+    sparse: Vec<u8>,
+    /// Where row `i`'s COO bytes end in `sparse`.
+    ends: Vec<u32>,
+    /// `blocks` counts per row, row after row.
+    block_counts: Vec<u8>,
+    scales: Vec<ScaleSet>,
+}
+
+impl SparseLog {
+    /// An empty log of `dim`-wide rows.
+    pub(crate) fn new(dim: usize) -> Self {
+        Self {
+            dim,
+            ..Self::default()
+        }
+    }
+
+    /// Rows logged.
+    pub(crate) fn rows(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// COO blocks per row.
+    fn blocks(&self) -> usize {
+        self.dim.div_ceil(BLOCK_SIZE)
+    }
+
+    /// Payload bytes of the first `rows` rows — dense nibbles, COO bytes
+    /// and FP16 scales, what the pool charges for them — off the
+    /// cumulative COO ends.
+    pub(crate) fn payload_bytes_to(&self, rows: usize) -> usize {
+        rows * (self.dim.div_ceil(2) + SCALE_BYTES) + self.sparse_bytes_to(rows)
+    }
+
+    /// COO bytes of the first `rows` rows.
+    pub(crate) fn sparse_bytes_to(&self, rows: usize) -> usize {
+        rows.checked_sub(1)
+            .map_or(0, |last| self.ends[last] as usize)
+    }
+
+    /// Row `i`'s `(COO bytes, per-block counts, scales)`.
+    pub(crate) fn row(&self, i: usize) -> (&[u8], &[u8], ScaleSet) {
+        let sparse = self.sparse_bytes_to(i)..self.ends[i] as usize;
+        let counts = i * self.blocks()..(i + 1) * self.blocks();
+        (
+            &self.sparse[sparse],
+            &self.block_counts[counts],
+            self.scales[i],
+        )
+    }
+
+    /// Appends one row's sparse parts.
+    pub(crate) fn push(&mut self, row: EncodedRow<'_>) {
+        assert_eq!(row.dim, self.dim, "row width mismatch");
+        self.sparse.extend_from_slice(row.sparse);
+        self.end_row();
+        self.block_counts.extend_from_slice(row.block_counts);
+        self.scales.push(row.scales);
+    }
+
+    /// Closes the row whose COO bytes were just appended.
+    fn end_row(&mut self) {
+        let end = u32::try_from(self.sparse.len()).expect("a COO log stays under 4 GiB");
+        self.ends.push(end);
+    }
+
+    /// Appends rows `rows` of `other`, a log of rows of the same width
+    /// (into empty buffers, each sized to what it takes).
+    pub(crate) fn extend_from(&mut self, other: &Self, rows: std::ops::Range<usize>) {
+        assert_eq!(other.dim, self.dim, "row width mismatch");
+        let (from, to) = (
+            other.sparse_bytes_to(rows.start),
+            other.sparse_bytes_to(rows.end),
+        );
+        let base = self.sparse.len();
+        self.sparse.extend_from_slice(&other.sparse[from..to]);
+        let ends = other.ends[rows.clone()]
+            .iter()
+            .map(|&e| e as usize - from + base);
+        self.ends
+            .extend(ends.map(|e| u32::try_from(e).expect("a COO log stays under 4 GiB")));
+        let counts = rows.start * self.blocks()..rows.end * self.blocks();
+        self.block_counts
+            .extend_from_slice(&other.block_counts[counts]);
+        self.scales.extend_from_slice(&other.scales[rows]);
+    }
+
+    /// Drops every row, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.sparse.clear();
+        self.ends.clear();
+        self.block_counts.clear();
+        self.scales.clear();
+    }
+
+    /// Heap bytes the log holds.
+    pub(crate) fn held_bytes(&self) -> usize {
+        capacity_bytes(&self.sparse)
+            + capacity_bytes(&self.ends)
+            + capacity_bytes(&self.block_counts)
+            + capacity_bytes(&self.scales)
+    }
+}
+
+/// A run of encoded rows of one width in page form: the dense slab (each
+/// row's packed nibbles at a fixed stride) and the `SparseLog` — the
+/// bytes the pool charges, plus each row's COO end and f32 scales. What a
+/// sealed prefix-trie block holds per `(layer, kind)` and what a stream
+/// adopts.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedRows {
+    dense: Vec<u8>,
+    log: SparseLog,
+}
+
+impl PackedRows {
+    /// An empty run of `dim`-wide rows.
+    pub fn new(dim: usize) -> Self {
+        Self {
+            dense: Vec::new(),
+            log: SparseLog::new(dim),
+        }
+    }
+
+    /// Row width.
+    pub fn dim(&self) -> usize {
+        self.log.dim
+    }
+
+    /// Rows held.
+    pub fn rows(&self) -> usize {
+        self.log.rows()
+    }
+
+    /// Bytes per row of the dense slab.
+    pub(crate) fn dense_stride(&self) -> usize {
+        self.dim().div_ceil(2)
+    }
+
+    /// Row `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= rows()`.
+    pub fn row(&self, i: usize) -> EncodedRow<'_> {
+        let stride = self.dense_stride();
+        let (sparse, block_counts, scales) = self.log.row(i);
+        EncodedRow {
+            dim: self.dim(),
+            dense: &self.dense[i * stride..(i + 1) * stride],
+            sparse,
+            block_counts,
+            scales,
+        }
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = EncodedRow<'_>> + '_ {
+        (0..self.rows()).map(|i| self.row(i))
+    }
+
+    /// The sparse half of the run.
+    pub(crate) fn log(&self) -> &SparseLog {
+        &self.log
+    }
+
+    /// The dense slab: row `i`'s nibbles at `i · dense_stride()`.
+    pub(crate) fn dense_slab(&self) -> &[u8] {
+        &self.dense
+    }
+
+    /// Appends a copy of `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not `dim()` wide.
+    pub fn push(&mut self, row: EncodedRow<'_>) {
+        assert_eq!(row.dim, self.dim(), "row width mismatch");
+        self.dense.extend_from_slice(row.dense);
+        self.log.push(row);
+    }
+
+    /// Appends channels `range` of `row` as one `dim()`-wide row, re-based
+    /// as [`FusedVector::slice_channels`] does: a tensor-parallel rank's
+    /// share of a row encoded once at full width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is not `dim()` long or exceeds `row`.
+    pub fn push_channels(&mut self, row: EncodedRow<'_>, range: std::ops::Range<usize>) {
+        assert!(range.end <= row.dim, "channel slice past the row");
+        assert_eq!(range.len(), self.dim(), "row width mismatch");
+        let at = self.dense.len();
+        self.dense.resize(at + self.dense_stride(), 0);
+        for (j, i) in range.clone().enumerate() {
+            self.dense[at + j / 2] |= row.dense_code(i) << (4 * (j % 2));
+        }
+        let log = &mut self.log;
+        let counts_at = log.block_counts.len();
+        log.block_counts.resize(counts_at + log.blocks(), 0);
+        let inside = row.outliers().skip_while(|e| e.index < range.start);
+        for e in inside.take_while(|e| e.index < range.end) {
+            let j = e.index - range.start;
+            (log.sparse).push(CooEntry::pack((j % BLOCK_SIZE) as u8, e.group, e.high_side));
+            log.block_counts[counts_at + j / BLOCK_SIZE] += 1;
+        }
+        log.end_row();
+        log.scales.push(row.scales);
+    }
+
+    /// Appends dense bytes for `rows` rows through `fill` (handed the
+    /// zeroed slab of exactly those rows) and rows `rows` of `log`.
+    pub(crate) fn extend(
+        &mut self,
+        log: &SparseLog,
+        rows: std::ops::Range<usize>,
+        fill: impl FnOnce(&mut [u8]),
+    ) {
+        assert_eq!(log.dim, self.dim(), "row width mismatch");
+        let at = self.dense.len();
+        self.dense.resize(at + rows.len() * self.dense_stride(), 0);
+        fill(&mut self.dense[at..]);
+        self.log.extend_from(log, rows);
+    }
+
+    /// Bytes of KV payload: every row's dense nibbles, COO entries and
+    /// FP16 scales.
+    pub fn payload_bytes(&self) -> usize {
+        self.log.payload_bytes_to(self.rows())
+    }
+
+    /// Heap bytes the run holds.
+    pub fn held_bytes(&self) -> usize {
+        capacity_bytes(&self.dense) + self.log.held_bytes()
+    }
+}
+
+/// Allocation-free iterator over an encoded row's COO entries in
+/// ascending index order. Created by [`EncodedRow::outliers`].
 #[derive(Debug, Clone)]
 pub struct OutlierIter<'a> {
-    fv: &'a FusedVector,
+    sparse: &'a [u8],
+    block_counts: &'a [u8],
     /// Next byte to read from the sparse stream.
     cursor: usize,
     /// Block the next entry belongs to.
@@ -308,22 +660,35 @@ pub struct OutlierIter<'a> {
     left_in_block: u8,
 }
 
+impl<'a> OutlierIter<'a> {
+    /// The entries of `sparse`, attributed to blocks by `block_counts`.
+    pub(crate) fn new(sparse: &'a [u8], block_counts: &'a [u8]) -> Self {
+        Self {
+            sparse,
+            block_counts,
+            cursor: 0,
+            block: 0,
+            left_in_block: block_counts.first().copied().unwrap_or(0),
+        }
+    }
+}
+
 impl Iterator for OutlierIter<'_> {
     type Item = CooEntry;
 
     fn next(&mut self) -> Option<CooEntry> {
         while self.left_in_block == 0 {
             self.block += 1;
-            self.left_in_block = *self.fv.block_counts.get(self.block)?;
+            self.left_in_block = *self.block_counts.get(self.block)?;
         }
-        let byte = self.fv.sparse[self.cursor];
+        let byte = self.sparse[self.cursor];
         self.cursor += 1;
         self.left_in_block -= 1;
         Some(CooEntry::unpack(byte, self.block))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.fv.sparse.len() - self.cursor;
+        let left = self.sparse.len() - self.cursor;
         (left, Some(left))
     }
 }

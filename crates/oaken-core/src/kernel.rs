@@ -33,9 +33,13 @@
 //! An [`EncodedReadPlan`] lays a stream's rows out the way the tile
 //! kernel decodes them: values row by row ([`ValuePlan`]), keys column by
 //! column in groups of [`KEY_GROUP`] rows ([`KeyPlan`]), so a key decode
-//! writes the transposed score tile directly.
+//! writes the transposed score tile directly. The plan holds the rows'
+//! dense nibbles themselves, so with a `SparseLog` beside it it is a
+//! stream's one store of its rows ([`EncodedRows`]).
 
-use crate::encoding::{FusedVector, ScaleSet};
+use crate::encoding::{
+    capacity_bytes, nibble, EncodedRow, FusedVector, PackedRows, ScaleSet, SparseLog,
+};
 use crate::groups::GroupKind;
 use crate::lanes;
 use crate::quant::UniformQuantizer;
@@ -192,15 +196,17 @@ impl RowDecode {
     }
 }
 
-/// Append-maintained read-side companion of a fused-vector stream: the
-/// per-row decode work the attention kernel would otherwise redo on
-/// every call, hoisted to quantization time and laid out the way the
-/// kernel reads the stream's kind.
+/// A stream's rows laid out the way the kernel reads the stream's kind:
+/// their dense nibbles, and the per-row decode work the attention kernel
+/// would otherwise redo on every call, hoisted to quantization time.
 ///
-/// Everything here is derived metadata — a pure function of the encoded
-/// rows and the stream's [`FusedReadParams`] — and is **not** part of the
-/// stored KV footprint. Rows appended one at a time, adopted in blocks,
-/// or re-appended after [`clear`](Self::clear) give equal plans.
+/// The dense nibbles are the rows' own (a key plan keeps them column by
+/// column, a value plan row by row); everything else is a pure function
+/// of the encoded rows and the stream's [`FusedReadParams`]. With a
+/// `SparseLog` beside it, the plan is part of the stored KV footprint:
+/// the one copy a stream keeps ([`EncodedRows`]). Rows appended one at a
+/// time, adopted in blocks, or re-appended after [`clear`](Self::clear)
+/// give equal plans.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EncodedReadPlan {
     /// A key stream's rows, column-major in 16-row groups.
@@ -236,20 +242,37 @@ impl EncodedReadPlan {
     }
 
     /// Derives and appends one row's read-side cache entries.
-    pub fn push_row(&mut self, fv: &FusedVector, params: &FusedReadParams) {
+    pub fn push_row(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) {
         match self {
-            Self::Keys(p) => p.push_row(fv, params),
-            Self::Values(p) => p.push_row(fv, params),
+            Self::Keys(p) => p.push_row(row, params),
+            Self::Values(p) => p.push_row(row, params),
         }
     }
 
     /// [`push_row`](Self::push_row) for each of `rows` in order; a key
     /// plan builds every whole group that starts at a group edge in one
     /// pass (a prefix block being adopted).
-    pub fn push_rows(&mut self, rows: &[FusedVector], params: &FusedReadParams) {
+    pub fn push_rows(&mut self, rows: &PackedRows, params: &FusedReadParams) {
         match self {
             Self::Keys(p) => p.push_rows(rows, params),
-            Self::Values(p) => rows.iter().for_each(|fv| p.push_row(fv, params)),
+            Self::Values(p) => rows.iter().for_each(|row| p.push_row(row, params)),
+        }
+    }
+
+    /// Writes the packed dense nibbles of rows `rows` (element `j` of a
+    /// row in nibble `j`) into `out`, a zeroed slab of exactly those rows.
+    fn dense_rows_into(&self, rows: std::ops::Range<usize>, out: &mut [u8]) {
+        match self {
+            Self::Keys(p) => p.dense_rows_into(rows, out),
+            Self::Values(p) => p.dense_rows_into(rows, out),
+        }
+    }
+
+    /// Heap bytes the plan holds.
+    pub fn held_bytes(&self) -> usize {
+        match self {
+            Self::Keys(p) => p.held_bytes(),
+            Self::Values(p) => p.held_bytes(),
         }
     }
 
@@ -286,20 +309,20 @@ pub struct ValuePlan {
 }
 
 impl ValuePlan {
-    fn push_row(&mut self, fv: &FusedVector, params: &FusedReadParams) {
-        let dec = RowDecode::for_row(fv, params);
+    fn push_row(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) {
+        let dec = RowDecode::new(row.scales(), params);
         if self.decodes.is_empty() {
-            self.dim = fv.dim();
+            self.dim = row.dim();
             self.outlier_offsets.clear();
             self.outlier_offsets.push(0);
         }
-        assert_eq!(fv.dim(), self.dim, "all rows of one stream share a width");
-        self.dense.extend_from_slice(fv.dense_bytes());
+        assert_eq!(row.dim(), self.dim, "all rows of one stream share a width");
+        self.dense.extend_from_slice(row.dense_bytes());
         let masks_at = self.outlier_masks.len();
         self.outlier_masks
             .resize(masks_at + self.dim.div_ceil(16), 0);
-        for e in fv.outliers() {
-            let code = u32::from(fv.dense_code(e.index));
+        for e in row.outliers() {
+            let code = u32::from(row.dense_code(e.index));
             self.outlier_masks[masks_at + e.index / 16] |= 1 << (e.index % 16);
             self.outlier_values
                 .push(dec.outlier(e.group, e.high_side, code));
@@ -314,6 +337,24 @@ impl ValuePlan {
         self.outlier_masks.clear();
         self.outlier_values.clear();
         self.outlier_offsets.clear();
+    }
+
+    fn dense_rows_into(&self, rows: std::ops::Range<usize>, out: &mut [u8]) {
+        let stride = self.dense_stride();
+        out.copy_from_slice(&self.dense[rows.start * stride..rows.end * stride]);
+    }
+
+    /// The dense code of row `t`'s element `i`.
+    fn code(&self, t: usize, i: usize) -> u8 {
+        nibble(&self.dense[t * self.dense_stride()..], i)
+    }
+
+    fn held_bytes(&self) -> usize {
+        capacity_bytes(&self.decodes)
+            + capacity_bytes(&self.dense)
+            + capacity_bytes(&self.outlier_masks)
+            + capacity_bytes(&self.outlier_values)
+            + capacity_bytes(&self.outlier_offsets)
     }
 
     /// The per-row decode coefficient table.
@@ -486,10 +527,10 @@ impl KeyPlan {
         &self.open
     }
 
-    fn push_row(&mut self, fv: &FusedVector, params: &FusedReadParams) {
-        let r = self.enter_row(fv, params);
+    fn push_row(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) {
+        let r = self.enter_row(row, params);
         let at = self.dense.len() - self.dim;
-        let (columns, bytes) = (&mut self.dense[at..], fv.dense_bytes());
+        let (columns, bytes) = (&mut self.dense[at..], row.dense_bytes());
         lanes::widest(
             #[inline(always)]
             || or_codes(columns, bytes, 4 * r),
@@ -499,30 +540,32 @@ impl KeyPlan {
         }
     }
 
-    fn push_rows(&mut self, mut rows: &[FusedVector], params: &FusedReadParams) {
-        while let Some(fv) = rows.first() {
-            if self.rows.is_multiple_of(KEY_GROUP) && rows.len() >= KEY_GROUP {
-                let (group, rest) = rows.split_at(KEY_GROUP);
-                self.push_group(group, params);
-                rows = rest;
+    fn push_rows(&mut self, rows: &PackedRows, params: &FusedReadParams) {
+        let mut t = 0;
+        while t < rows.rows() {
+            if self.rows.is_multiple_of(KEY_GROUP) && rows.rows() - t >= KEY_GROUP {
+                self.push_group(rows, t, params);
+                t += KEY_GROUP;
             } else {
-                self.push_row(fv, params);
-                rows = &rows[1..];
+                self.push_row(rows.row(t), params);
+                t += 1;
             }
         }
     }
 
-    /// A whole group at a group edge (an adopted prefix block): the rows'
-    /// codes go in by one 16×16 nibble transpose per sixteen columns
-    /// instead of row by row.
-    fn push_group(&mut self, rows: &[FusedVector], params: &FusedReadParams) {
-        for fv in rows {
-            self.enter_row(fv, params);
+    /// Rows `first .. first + 16` of `rows`, a whole group at a group edge
+    /// (an adopted prefix block): the rows' codes go in by one 16×16
+    /// nibble transpose per sixteen columns instead of row by row.
+    fn push_group(&mut self, rows: &PackedRows, first: usize, params: &FusedReadParams) {
+        for t in first..first + KEY_GROUP {
+            self.enter_row(rows.row(t), params);
         }
+        let stride = rows.dense_stride();
+        let slab = &rows.dense_slab()[first * stride..(first + KEY_GROUP) * stride];
         let at = self.dense.len() - self.dim;
         for (k, columns) in self.dense[at..].chunks_mut(16).enumerate() {
             let mut words: [u64; KEY_GROUP] = std::array::from_fn(|r| {
-                let bytes = &rows[r].dense_bytes()[8 * k..];
+                let bytes = &slab[r * stride + 8 * k..(r + 1) * stride];
                 u64::from_le_bytes(match bytes.first_chunk::<8>() {
                     Some(&word) => word,
                     None => std::array::from_fn(|i| bytes.get(i).copied().unwrap_or(0)),
@@ -537,8 +580,8 @@ impl KeyPlan {
     /// Everything of one appended row but its codes: opens a group at a
     /// group edge, sets the row's coefficient lanes and queues its
     /// outliers on the open group. Returns the row's lane.
-    fn enter_row(&mut self, fv: &FusedVector, params: &FusedReadParams) -> usize {
-        let dim = fv.dim();
+    fn enter_row(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) -> usize {
+        let dim = row.dim();
         if self.rows == 0 {
             self.dim = dim;
         }
@@ -550,14 +593,14 @@ impl KeyPlan {
             self.coeffs.push(GroupCoeffs::default());
             self.value_starts.push(self.values.len() as u32);
         }
-        let dec = RowDecode::fold(fv.scales(), params);
+        let dec = RowDecode::fold(row.scales(), params);
         let c = self.coeffs.last_mut().expect("a group is open");
         c.mid_step[r] = dec.mid_step;
         c.c0[r] = dec.c0 as f32;
         c.base_lo[r] = dec.base_lo;
         c.base_hi[r] = dec.base_hi;
-        for e in fv.outliers() {
-            let code = u32::from(fv.dense_code(e.index));
+        for e in row.outliers() {
+            let code = u32::from(row.dense_code(e.index));
             self.open.push(OpenOutlier {
                 row: r as u32,
                 col: e.index as u32,
@@ -603,6 +646,129 @@ impl KeyPlan {
         self.value_starts.clear();
         self.open.clear();
     }
+
+    /// Un-transposes the column words of rows `rows` into packed row
+    /// bytes: per group and sixteen columns, one 16×16 nibble transpose
+    /// (its own inverse) gives each row's eight bytes of those columns.
+    fn dense_rows_into(&self, rows: std::ops::Range<usize>, out: &mut [u8]) {
+        let stride = self.dim.div_ceil(2);
+        let mut t = rows.start;
+        while t < rows.end {
+            let g = t / KEY_GROUP;
+            let group = t..rows.end.min((g + 1) * KEY_GROUP);
+            let columns = &self.dense[g * self.dim..(g + 1) * self.dim];
+            for (k, chunk) in columns.chunks(16).enumerate() {
+                let mut words = [0u64; KEY_GROUP];
+                words[..chunk.len()].copy_from_slice(chunk);
+                transpose_nibbles(&mut words);
+                let bytes = 8 * k..stride.min(8 * k + 8);
+                for row in group.clone() {
+                    let at = (row - rows.start) * stride;
+                    let word = words[row % KEY_GROUP].to_le_bytes();
+                    out[at + bytes.start..at + bytes.end].copy_from_slice(&word[..bytes.len()]);
+                }
+            }
+            t = group.end;
+        }
+    }
+
+    /// The dense code of row `t`'s element `i`.
+    fn code(&self, t: usize, i: usize) -> u8 {
+        let word = self.dense[t / KEY_GROUP * self.dim + i];
+        ((word >> (4 * (t % KEY_GROUP))) & 0xF) as u8
+    }
+
+    fn held_bytes(&self) -> usize {
+        capacity_bytes(&self.dense)
+            + capacity_bytes(&self.coeffs)
+            + capacity_bytes(&self.masks)
+            + capacity_bytes(&self.values)
+            + capacity_bytes(&self.value_starts)
+            + capacity_bytes(&self.open)
+            + capacity_bytes(&self.cursors)
+    }
+}
+
+/// A stream's encoded rows as its one store keeps them: the dense nibbles
+/// in its [`EncodedReadPlan`], everything else in a `SparseLog` beside
+/// it. Rows leave the store only as copies, a range at a time
+/// ([`export`](Self::export)).
+#[derive(Debug, Clone, Copy)]
+pub struct EncodedRows<'a> {
+    plan: &'a EncodedReadPlan,
+    log: &'a SparseLog,
+}
+
+impl<'a> EncodedRows<'a> {
+    /// The rows of `plan` and `log`, which hold the same rows.
+    pub(crate) fn new(plan: &'a EncodedReadPlan, log: &'a SparseLog) -> Self {
+        debug_assert_eq!(
+            plan.rows(),
+            log.rows(),
+            "a plan and its log hold the same rows"
+        );
+        Self { plan, log }
+    }
+
+    /// Rows held.
+    pub fn len(&self) -> usize {
+        self.log.rows()
+    }
+
+    /// Whether no row is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Payload bytes of the first `rows` rows (see
+    /// `SparseLog::payload_bytes_to`).
+    pub fn payload_bytes(&self, rows: usize) -> usize {
+        self.log.payload_bytes_to(rows)
+    }
+
+    /// Appends rows `rows` to `out` in page form, reserving what they
+    /// take (into an empty run, exactly that): a key plan un-transposes
+    /// its 16×16 nibble groups, a value plan copies its dense arena, the
+    /// log copies its slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` exceeds the rows held or `out` is of another
+    /// width.
+    pub fn export(&self, rows: std::ops::Range<usize>, out: &mut PackedRows) {
+        assert!(
+            rows.start <= rows.end && rows.end <= self.len(),
+            "row range {rows:?} out of bounds ({} rows)",
+            self.len()
+        );
+        let dense = rows.clone();
+        out.extend(self.log, rows, |slab| {
+            self.plan.dense_rows_into(dense, slab)
+        });
+    }
+
+    /// Each row as a standalone vector.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = FusedVector> + 'a {
+        let this = *self;
+        (0..self.len()).map(move |t| {
+            let mut one = PackedRows::new(this.plan.dim());
+            this.export(t..t + 1, &mut one);
+            one.row(0).to_vector()
+        })
+    }
+
+    /// The dense code of row `t`'s element `i`.
+    pub(crate) fn code(&self, t: usize, i: usize) -> u8 {
+        match self.plan {
+            EncodedReadPlan::Keys(p) => p.code(t, i),
+            EncodedReadPlan::Values(p) => p.code(t, i),
+        }
+    }
+
+    /// Row `t`'s `(COO bytes, per-block counts, scales)`.
+    pub(crate) fn sparse_row(&self, t: usize) -> (&'a [u8], &'a [u8], ScaleSet) {
+        self.log.row(t)
+    }
 }
 
 /// ORs one row's packed codes (`bytes`, element `j` in nibble `j`) into
@@ -640,11 +806,16 @@ fn transpose_nibbles(m: &mut [u64; 16]) {
     }
 }
 
-/// Decodes a whole encoded row through the fused coefficients, appending
-/// `fv.dim()` values to `out`. Reference implementation for the kernel
-/// property tests — the attention kernels inline this walk instead of
-/// materializing it.
-pub fn decode_row_fused_into(fv: &FusedVector, params: &FusedReadParams, out: &mut Vec<f32>) {
+/// Decodes a whole encoded row (borrowed, or a copy out of a store)
+/// through the fused coefficients, appending `fv.dim()` values to `out`.
+/// Reference implementation for the kernel property tests — the attention
+/// kernels inline this walk instead of materializing it.
+pub fn decode_row_fused_into(
+    fv: impl std::borrow::Borrow<FusedVector>,
+    params: &FusedReadParams,
+    out: &mut Vec<f32>,
+) {
+    let fv = fv.borrow();
     let d = RowDecode::for_row(fv, params);
     let mut outliers = fv.outliers().peekable();
     out.reserve(fv.dim());

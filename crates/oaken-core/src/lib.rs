@@ -58,10 +58,10 @@ pub mod thresholds;
 pub mod traits;
 
 pub use config::{BitWidths, GroupRatios, OakenConfig};
-pub use encoding::{CooEntry, FusedVector, OutlierIter, ScaleSet};
+pub use encoding::{CooEntry, EncodedRow, FusedVector, OutlierIter, PackedRows, ScaleSet};
 pub use error::OakenError;
 pub use groups::{classify, GroupKind, GroupStats};
-pub use kernel::{decode_row_fused_into, EncodedReadPlan, FusedReadParams, RowDecode};
+pub use kernel::{decode_row_fused_into, EncodedReadPlan, EncodedRows, FusedReadParams, RowDecode};
 pub use pipeline::{OakenQuantizer, OakenRowStream, OakenScratch};
 pub use profiler::OfflineProfiler;
 pub use quant::UniformQuantizer;

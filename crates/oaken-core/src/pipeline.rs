@@ -23,11 +23,13 @@
 //! gives the argument, and `tests/quantize_oracle.rs` checks it.
 
 use crate::config::OakenConfig;
-use crate::encoding::{CooEntry, FusedVector, ScaleSet};
+use crate::encoding::{
+    capacity_bytes, CooEntry, FusedVector, OutlierIter, PackedRows, ScaleSet, SparseLog,
+};
 use crate::error::OakenError;
 use crate::groups::GroupKind;
 use crate::groupshift::{unshift_middle, unshift_sparse};
-use crate::kernel::{EncodedReadPlan, FusedReadParams};
+use crate::kernel::{EncodedReadPlan, EncodedRows, FusedReadParams};
 use crate::lanes;
 use crate::quant::UniformQuantizer;
 use crate::thresholds::{KvKind, ModelThresholds, Thresholds};
@@ -65,12 +67,24 @@ pub struct OakenScratch {
     outliers: Vec<CooEntry>,
     /// Per-vector scales computed in pass 1.
     scales: ScaleSet,
+    /// The row just quantized, packed: what a stream copies into its
+    /// store.
+    row: FusedVector,
 }
 
 impl OakenScratch {
     /// Creates an empty scratch; buffers size themselves on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Heap bytes the scratch holds.
+    fn held_bytes(&self) -> usize {
+        capacity_bytes(&self.vals)
+            + capacity_bytes(&self.tags)
+            + capacity_bytes(&self.dense_codes)
+            + capacity_bytes(&self.outliers)
+            + self.row.held_bytes()
     }
 }
 
@@ -157,9 +171,8 @@ impl OakenQuantizer {
     }
 
     /// Quantizes one per-token KV vector using caller-owned scratch
-    /// buffers: the only heap allocations are the encoded
-    /// [`FusedVector`]'s own storage (which *is* the cache payload), never
-    /// intermediate state.
+    /// buffers: the only heap allocations are the returned
+    /// [`FusedVector`]'s own storage, never intermediate state.
     ///
     /// # Errors
     ///
@@ -190,6 +203,18 @@ impl OakenQuantizer {
             &scratch.outliers,
             scratch.scales,
         )
+    }
+
+    /// Quantizes `x` into `scratch`'s packed row, reusing its buffers.
+    fn quantize_into_row(
+        &self,
+        x: &[f32],
+        t: &Thresholds,
+        scratch: &mut OakenScratch,
+    ) -> Result<(), OakenError> {
+        self.quantize_into_scratch(x, t, scratch)?;
+        let s = scratch;
+        s.row.refill(x.len(), &s.dense_codes, &s.outliers, s.scales)
     }
 
     /// The two-pass quantization engine (§5.2 Figure 9), writing into
@@ -268,21 +293,46 @@ impl OakenQuantizer {
         out: &mut Vec<f32>,
     ) -> Result<(), OakenError> {
         let t = *self.thresholds.get(layer, kind)?;
+        let code_at = |i| u32::from(fv.dense_code(i));
+        self.decode_row(&t, fv.scales(), fv.dim(), code_at, fv.outliers(), out)
+    }
+
+    /// The streaming zero-insert dequantization walk of one row, from its
+    /// codes (`code_at`), its outliers and its scales: scan elements in
+    /// order, consuming the (sorted) outlier stream whenever its head
+    /// matches the current index.
+    fn decode_row(
+        &self,
+        t: &Thresholds,
+        s: &ScaleSet,
+        dim: usize,
+        code_at: impl Fn(usize) -> u32,
+        outliers: OutlierIter<'_>,
+        out: &mut Vec<f32>,
+    ) -> Result<(), OakenError> {
         let bits = self.config.bits;
-        let s = *fv.scales();
         let q_mid = UniformQuantizer::new(s.middle_min, s.middle_max, bits.middle)?;
         let q_inner = UniformQuantizer::new(0.0, s.inner_mag_max, bits.outlier_mag)?;
         let q_outer = UniformQuantizer::new(0.0, s.outer_mag_max, bits.outlier_mag)?;
-        decode_walk(
-            &t,
-            &q_mid,
-            &q_inner,
-            &q_outer,
-            fv.dim(),
-            |i| u32::from(fv.dense_code(i)),
-            fv.outliers(),
-            out,
-        );
+        let mut outliers = outliers.peekable();
+        out.reserve(dim);
+        for i in 0..dim {
+            let code = code_at(i);
+            let v = match outliers.peek() {
+                Some(e) if e.index == i => {
+                    let e = *e;
+                    outliers.next();
+                    let q = match e.group {
+                        GroupKind::Inner => &q_inner,
+                        GroupKind::Outer => &q_outer,
+                        GroupKind::Middle => unreachable!("COO never stores middle"),
+                    };
+                    unshift_sparse(e.group, e.high_side, q.dequantize(code), t)
+                }
+                _ => unshift_middle(q_mid.dequantize(code), t),
+            };
+            out.push(v);
+        }
         Ok(())
     }
 }
@@ -535,49 +585,13 @@ fn push_outliers(base: usize, tags: &[u8], out: &mut Vec<CooEntry>) {
     }
 }
 
-/// The streaming zero-insert dequantization walk shared by the fused and
-/// scratch decode paths: scan elements in order, consuming the (sorted)
-/// outlier stream whenever its head matches the current index.
-#[allow(clippy::too_many_arguments)]
-fn decode_walk(
-    t: &Thresholds,
-    q_mid: &UniformQuantizer,
-    q_inner: &UniformQuantizer,
-    q_outer: &UniformQuantizer,
-    dim: usize,
-    code_at: impl Fn(usize) -> u32,
-    outliers: impl Iterator<Item = CooEntry>,
-    out: &mut Vec<f32>,
-) {
-    let mut outliers = outliers.peekable();
-    out.reserve(dim);
-    for i in 0..dim {
-        let code = code_at(i);
-        let v = match outliers.peek() {
-            Some(e) if e.index == i => {
-                let e = *e;
-                outliers.next();
-                match e.group {
-                    GroupKind::Inner => {
-                        unshift_sparse(GroupKind::Inner, e.high_side, q_inner.dequantize(code), t)
-                    }
-                    GroupKind::Outer => {
-                        unshift_sparse(GroupKind::Outer, e.high_side, q_outer.dequantize(code), t)
-                    }
-                    GroupKind::Middle => unreachable!("COO never stores middle"),
-                }
-            }
-            _ => unshift_middle(q_mid.dequantize(code), t),
-        };
-        out.push(v);
-    }
-}
-
 /// Incremental append-only stream for Oaken: rows are independent (all
 /// statistics are per-vector, thresholds are offline), so every append is
 /// O(d) with no warm-up and the stream is bit-exact with the batch path by
-/// construction. The stream owns the canonical *encoded* state — one
-/// [`FusedVector`] per row, exactly what the MMU lays out in pages.
+/// construction. The stream keeps each row once: its dense nibbles and
+/// decode coefficients in the [`EncodedReadPlan`] the fused kernel reads,
+/// and its scales, COO bytes and per-block counts — what the plan cannot
+/// rebuild — in a `SparseLog` beside it ([`EncodedRows`]).
 pub struct OakenRowStream {
     quantizer: OakenQuantizer,
     layer: usize,
@@ -588,23 +602,16 @@ pub struct OakenRowStream {
     /// first row.
     params: Option<FusedReadParams>,
     scratch: OakenScratch,
-    /// Per-row fused encodings: the stored cache payload.
-    encoded: Vec<FusedVector>,
-    /// Read-side cache of `encoded[i]` — decode coefficients, dense
-    /// nibbles, and outlier masks and values, laid out for the stream's
-    /// kind — built once at append time so the fused kernels never redo
-    /// per-row decode work per token (derived metadata, not counted in
-    /// `payload`).
+    /// The rows' dense nibbles, decode coefficients, and outlier masks and
+    /// values, laid out for the stream's kind and built once at append
+    /// time, so the fused kernels never redo per-row decode work per
+    /// token.
     plan: EncodedReadPlan,
-    payload: usize,
+    /// The rest of each row.
+    log: SparseLog,
 }
 
 impl OakenRowStream {
-    /// The encoded rows held by the stream (the actual cache contents).
-    pub fn encoded_rows(&self) -> &[FusedVector] {
-        &self.encoded
-    }
-
     /// The stream's read parameters. An unprofiled layer is a caller bug
     /// on the streaming path, as on the trait-level batch path.
     fn params(&self) -> FusedReadParams {
@@ -612,18 +619,21 @@ impl OakenRowStream {
             .expect("layer must be profiled before streaming quantization")
     }
 
-    /// Quantizes one row against the stream's thresholds and stores it,
-    /// with its read-plan entry.
+    fn stored(&self) -> EncodedRows<'_> {
+        EncodedRows::new(&self.plan, &self.log)
+    }
+
+    /// Quantizes one row against the stream's thresholds and stores it in
+    /// the plan and the log.
     fn push_quantized(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.d, "row width mismatch");
         let params = self.params();
-        let fv = self
-            .quantizer
-            .quantize_with_thresholds(row, &params.thresholds, &mut self.scratch)
+        (self.quantizer)
+            .quantize_into_row(row, &params.thresholds, &mut self.scratch)
             .expect("configured bit-widths are valid");
-        self.payload += fv.payload_bytes();
-        self.plan.push_row(&fv, &params);
-        self.encoded.push(fv);
+        let encoded = self.scratch.row.row();
+        self.log.push(encoded);
+        self.plan.push_row(encoded, &params);
     }
 }
 
@@ -633,7 +643,7 @@ impl std::fmt::Debug for OakenRowStream {
             .field("layer", &self.layer)
             .field("kind", &self.kind)
             .field("d", &self.d)
-            .field("rows", &self.encoded.len())
+            .field("rows", &self.log.rows())
             .finish()
     }
 }
@@ -641,45 +651,48 @@ impl std::fmt::Debug for OakenRowStream {
 impl KvRowStream for OakenRowStream {
     fn append_row(&mut self, row: &[f32], view: &mut Vec<f32>) {
         self.push_quantized(row);
-        let fv = self.encoded.last().expect("a row was just pushed");
         self.quantizer
-            .dequantize_vector_into(fv, self.layer, self.kind, view)
+            .dequantize_vector_into(&self.scratch.row, self.layer, self.kind, view)
             .expect("fused vector decodes with the same thresholds");
     }
 
     fn rows(&self) -> usize {
-        self.encoded.len()
+        self.log.rows()
     }
 
     fn payload_bytes(&self) -> Option<usize> {
-        Some(self.payload)
+        Some(self.stored().payload_bytes(self.rows()))
+    }
+
+    fn held_bytes(&self) -> usize {
+        self.plan.held_bytes() + self.log.held_bytes() + self.scratch.held_bytes()
     }
 
     fn reset(&mut self) {
         // All Oaken state beyond the appended rows (thresholds, config) is
         // offline-calibrated and shared, so a reset stream is bit-exact
-        // with a freshly opened one. Scratch buffers are deliberately kept
-        // warm for the next sequence.
-        self.encoded.clear();
+        // with a freshly opened one. Buffers are deliberately kept warm
+        // for the next sequence.
         self.plan.clear();
-        self.payload = 0;
+        self.log.clear();
     }
 
     fn last_row_payload(&self) -> Option<(usize, usize)> {
-        self.encoded.last().map(|fv| {
-            let sparse = fv.sparse_bytes().len();
-            // Scales travel with the dense transfer (fixed size per token).
-            (fv.payload_bytes() - sparse, sparse)
-        })
+        let rows = self.rows();
+        let last = rows.checked_sub(1)?;
+        let sparse = self.log.sparse_bytes_to(rows) - self.log.sparse_bytes_to(last);
+        // Scales travel with the dense transfer (fixed size per token).
+        let payload = self.stored().payload_bytes(rows) - self.stored().payload_bytes(last);
+        Some((payload - sparse, sparse))
     }
 
-    fn encoded_rows(&self) -> Option<&[FusedVector]> {
-        Some(&self.encoded)
+    fn encoded_rows(&self) -> Option<EncodedRows<'_>> {
+        Some(self.stored())
     }
 
     fn append_row_encoded(&mut self, row: &[f32]) -> bool {
         // Same quantization as `append_row`, minus the dequantize-into-view
-        // step: the encoded vector *is* the cache contents, and the fused
+        // step: the stored row *is* the cache contents, and the fused
         // attention kernels read it in place.
         self.push_quantized(row);
         true
@@ -693,24 +706,29 @@ impl KvRowStream for OakenRowStream {
         Some(&self.plan)
     }
 
-    fn adopt_encoded_rows(&mut self, rows: &[FusedVector]) -> bool {
+    fn adopt_encoded_rows(&mut self, rows: &PackedRows) -> bool {
+        assert_eq!(rows.dim(), self.d, "row width mismatch");
         let params = self.params();
-        self.payload += rows.iter().map(FusedVector::payload_bytes).sum::<usize>();
         self.plan.push_rows(rows, &params);
-        self.encoded.extend_from_slice(rows);
+        self.log.extend_from(rows.log(), 0..rows.rows());
         true
     }
 
     fn decode_rows_into(&self, start: usize, end: usize, out: &mut Vec<f32>) -> bool {
         assert!(
-            start <= end && end <= self.encoded.len(),
+            start <= end && end <= self.rows(),
             "row range {start}..{end} out of bounds ({} rows)",
-            self.encoded.len()
+            self.rows()
         );
-        for fv in &self.encoded[start..end] {
-            self.quantizer
-                .dequantize_vector_into(fv, self.layer, self.kind, out)
-                .expect("fused vector decodes with the same thresholds");
+        let stored = self.stored();
+        for t in start..end {
+            let (sparse, counts, scales) = stored.sparse_row(t);
+            let code_at = |i| u32::from(stored.code(t, i));
+            let outliers = OutlierIter::new(sparse, counts);
+            let thresholds = &self.params().thresholds;
+            (self.quantizer)
+                .decode_row(thresholds, &scales, self.d, code_at, outliers, out)
+                .expect("a stored row decodes with the same thresholds");
         }
         true
     }
@@ -774,9 +792,8 @@ impl KvQuantizer for OakenQuantizer {
             d,
             params: self.fused_read_params(layer, kind).ok(),
             scratch: OakenScratch::new(),
-            encoded: Vec::new(),
             plan: EncodedReadPlan::new(kind),
-            payload: 0,
+            log: SparseLog::new(d),
         }))
     }
 
@@ -793,6 +810,7 @@ impl KvQuantizer for OakenQuantizer {
 mod tests {
     use super::*;
     use crate::config::GroupRatios;
+    use crate::kernel::KEY_GROUP;
     use crate::profiler::OfflineProfiler;
 
     fn test_vector(n: usize, seed: u64) -> Vec<f32> {
@@ -973,7 +991,7 @@ mod tests {
 
     #[test]
     fn channel_slices_dequantize_bit_exact() {
-        // Tensor-parallel ranks store `FusedVector::slice_channels` shards;
+        // Tensor-parallel ranks store channel slices of a row's encoding;
         // decoding a shard must reproduce the corresponding channels of the
         // full decode bit-for-bit (scales are whole-row, reconstruction is
         // per-element). Ranges deliberately cross the 64-element block
@@ -1025,39 +1043,99 @@ mod tests {
         assert!(stream.payload_bytes().unwrap() > 0);
     }
 
-    /// Swap, resume, prefix adoption and import rely on a plan being a
-    /// function of its rows alone: appended, adopted in 16-row blocks (the
-    /// trie's) or rebuilt after a reset, at a length with an open group
-    /// and a width ending mid-byte.
+    /// Bit patterns of `x`.
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `rows` packed into one run.
+    fn packed<'a>(dim: usize, rows: impl IntoIterator<Item = &'a FusedVector>) -> PackedRows {
+        let mut run = PackedRows::new(dim);
+        rows.into_iter().for_each(|fv| run.push(fv.row()));
+        run
+    }
+
+    /// Everything a stream `s` of `rows` holds, exported at once.
+    fn export(s: &dyn KvRowStream, dim: usize) -> PackedRows {
+        let mut run = PackedRows::new(dim);
+        let stored = s.encoded_rows().expect("oaken stores encoded rows");
+        stored.export(0..stored.len(), &mut run);
+        run
+    }
+
+    /// The store must be a function of its rows alone however they arrive
+    /// — appended, adopted in 16-row blocks (the trie's), reset and
+    /// re-adopted, or sliced to a rank's channels — as swap, resume,
+    /// prefix adoption, import and rank splits rely on: exported, it is
+    /// the quantizer's rows packed, its read plan is the appended one, and
+    /// it decodes to the bits the quantizer's own decoder gives each row.
+    /// Widths 33 and 97 end mid-byte and mid-COO-block, and 40 rows leave
+    /// an open key group.
     #[test]
-    fn read_plans_are_equal_however_their_rows_arrive() {
+    fn stores_round_trip_however_their_rows_arrive() {
         let q = quantizer();
-        let (d, rows) = (97, 40);
-        for kind in KvKind::ALL {
-            let stream = || q.row_stream(d, 0, kind).expect("oaken streams");
-            let mut appended = stream();
-            for r in 0..rows {
-                assert!(appended.append_row_encoded(&test_vector(d, r + 11)));
-            }
-            let encoded = appended.encoded_rows().unwrap().to_vec();
-            let mut adopted = stream();
-            for block in encoded.chunks(16) {
-                assert!(adopted.adopt_encoded_rows(block));
-            }
-            let mut rebuilt = stream();
-            assert!(rebuilt.adopt_encoded_rows(&encoded[..23]));
-            rebuilt.reset();
-            assert!(rebuilt.adopt_encoded_rows(&encoded));
-            let plan = appended.read_plan().unwrap();
-            assert_eq!(plan.rows(), rows as usize);
-            assert_eq!(plan, adopted.read_plan().unwrap(), "{kind:?} adopted");
-            assert_eq!(plan, rebuilt.read_plan().unwrap(), "{kind:?} rebuilt");
-            match (kind, plan) {
-                (KvKind::Key, EncodedReadPlan::Keys(keys)) => {
-                    assert!(!keys.open_outliers().is_empty(), "an open group");
+        let n = 40;
+        for d in [1, 33, 97, 128] {
+            for kind in KvKind::ALL {
+                let stream = |w: usize| q.row_stream(w, 0, kind).expect("oaken streams");
+                let fvs: Vec<FusedVector> = (0..n)
+                    .map(|r| q.quantize_vector(&test_vector(d, r + 11), 0, kind).unwrap())
+                    .collect();
+                let want = packed(d, &fvs);
+                let decoded = |fvs: &[FusedVector]| -> Vec<u32> {
+                    let rows = fvs
+                        .iter()
+                        .map(|fv| q.dequantize_vector(fv, 0, kind).unwrap());
+                    bits(&rows.flatten().collect::<Vec<_>>())
+                };
+                let mut appended = stream(d);
+                for r in 0..n {
+                    assert!(appended.append_row_encoded(&test_vector(d, r + 11)));
                 }
-                (KvKind::Value, EncodedReadPlan::Values(_)) => {}
-                _ => panic!("{kind:?} stream has the other kind's plan"),
+                let mut adopted = stream(d);
+                for block in fvs.chunks(16) {
+                    assert!(adopted.adopt_encoded_rows(&packed(d, block)));
+                }
+                let mut rebuilt = stream(d);
+                assert!(rebuilt.adopt_encoded_rows(&packed(d, &fvs[..23])));
+                rebuilt.reset();
+                assert!(rebuilt.adopt_encoded_rows(&export(&*appended, d)));
+                for (how, s) in [
+                    ("appended", &appended),
+                    ("adopted", &adopted),
+                    ("rebuilt", &rebuilt),
+                ] {
+                    let case = format!("{kind:?} width {d} {how}");
+                    assert_eq!(export(&**s, d), want, "{case}");
+                    assert_eq!(s.read_plan(), appended.read_plan(), "{case}");
+                    let mut out = Vec::new();
+                    assert!(s.decode_rows_into(0, n as usize, &mut out));
+                    assert_eq!(bits(&out), decoded(&fvs), "{case}");
+                    assert_eq!(s.payload_bytes(), Some(want.payload_bytes()), "{case}");
+                }
+                if kind == KvKind::Key {
+                    let Some(EncodedReadPlan::Keys(keys)) = appended.read_plan() else {
+                        panic!("a key stream has a key plan");
+                    };
+                    assert!(keys.rows() % KEY_GROUP != 0, "an open group");
+                }
+                for range in [0..d.div_ceil(2), d / 2..d] {
+                    let w = range.len();
+                    let mut sliced = stream(w);
+                    for fv in &fvs {
+                        let mut one = PackedRows::new(w);
+                        one.push_channels(fv.row(), range.clone());
+                        assert!(sliced.adopt_encoded_rows(&one));
+                    }
+                    let slices: Vec<FusedVector> = (fvs.iter())
+                        .map(|fv| fv.slice_channels(range.clone()).unwrap())
+                        .collect();
+                    let case = format!("{kind:?} width {d} channels {range:?}");
+                    assert_eq!(export(&*sliced, w), packed(w, &slices), "{case}");
+                    let mut out = Vec::new();
+                    assert!(sliced.decode_rows_into(0, n as usize, &mut out));
+                    assert_eq!(bits(&out), decoded(&slices), "{case}");
+                }
             }
         }
     }

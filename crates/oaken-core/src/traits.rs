@@ -3,8 +3,8 @@
 //! the serving-path KV cache drives, plus the [`OnlineCost`] descriptor that
 //! the performance simulator uses to charge each method's runtime overhead.
 
-use crate::encoding::FusedVector;
-use crate::kernel::{EncodedReadPlan, FusedReadParams};
+use crate::encoding::PackedRows;
+use crate::kernel::{EncodedReadPlan, EncodedRows, FusedReadParams};
 use crate::thresholds::KvKind;
 
 /// Runtime-cost descriptor of a KV quantization method, consumed by the
@@ -112,6 +112,13 @@ pub trait KvRowStream: Send {
         None
     }
 
+    /// Heap bytes the stream holds: the capacities of every buffer it
+    /// owns (rows, read-side caches, scratch), not counting the view the
+    /// caller passes to [`append_row`](KvRowStream::append_row). Set
+    /// against [`payload_bytes`](KvRowStream::payload_bytes), the charged
+    /// bytes, it says how much more memory a cached row really takes.
+    fn held_bytes(&self) -> usize;
+
     /// Clears all appended rows so the stream slot can be handed to a new
     /// sequence, **retaining any frozen calibration state** (channel
     /// orders, smoothing scales, group quantizers). This is the
@@ -137,16 +144,18 @@ pub trait KvRowStream: Send {
     //
     // Streams whose canonical state is the fused encoding can let the
     // attention kernel read rows *without* a dequantized f32 view ever
-    // existing. All six methods default to "not supported" so every
-    // baseline keeps working unchanged; a caller must check
-    // `append_row_encoded`'s return and fall back to `append_row`.
+    // existing. The six methods below, like `payload_bytes` and
+    // `last_row_payload` above — eight in all — default to "not
+    // supported" so every baseline keeps working unchanged; a caller must
+    // check `append_row_encoded`'s return and fall back to `append_row`.
     // ------------------------------------------------------------------
 
-    /// The encoded rows held by the stream, when the method stores fused
-    /// vectors — the representation the quantized-domain attention kernels
-    /// read directly. `None` means the method has no encoded form and
-    /// readers must use the dequantized view.
-    fn encoded_rows(&self) -> Option<&[FusedVector]> {
+    /// The encoded rows held by the stream, when the method stores them
+    /// encoded: a view of its one store, from which a row range is
+    /// exported in page form ([`EncodedRows::export`]). `None` means the
+    /// method has no encoded form and readers must use the dequantized
+    /// view.
+    fn encoded_rows(&self) -> Option<EncodedRows<'_>> {
         None
     }
 
@@ -177,10 +186,11 @@ pub trait KvRowStream: Send {
         None
     }
 
-    /// Appends already-encoded rows (a sealed prefix block being adopted
-    /// from the trie) to the stream's encoded state. Returns `false` when
-    /// the method has no encoded form.
-    fn adopt_encoded_rows(&mut self, rows: &[FusedVector]) -> bool {
+    /// Appends already-encoded rows in page form (a sealed prefix block
+    /// being adopted from the trie, a rank's slice of a row) to the
+    /// stream's encoded state. Returns `false` when the method has no
+    /// encoded form.
+    fn adopt_encoded_rows(&mut self, rows: &PackedRows) -> bool {
         let _ = rows;
         false
     }

@@ -1433,7 +1433,7 @@ mod tests {
             let x = kv_row(kv_dim, seed + t as u64 * 131);
             let fv = q.quantize_vector(&x, 0, kind).unwrap();
             view.extend_from_slice(&q.dequantize_vector(&fv, 0, kind).unwrap());
-            plan.push_row(&fv, &params);
+            plan.push_row(fv.row(), &params);
             rows.push(fv);
         }
         (plan, rows, view)
@@ -1595,7 +1595,7 @@ mod tests {
         let mut plan = EncodedReadPlan::new(KvKind::Key);
         let (mut open, mut sealed) = (false, false);
         for (len, fv) in (1..).zip(&encoded) {
-            plan.push_row(fv, &params);
+            plan.push_row(fv.row(), &params);
             let EncodedReadPlan::Keys(keys) = &plan else {
                 unreachable!("a key stream's plan")
             };
@@ -1611,7 +1611,9 @@ mod tests {
 
         let (encoded, want, params) = reference(KvKind::Value, ROW_BLOCK + 21);
         let mut plan = EncodedReadPlan::new(KvKind::Value);
-        encoded.iter().for_each(|fv| plan.push_row(fv, &params));
+        encoded
+            .iter()
+            .for_each(|fv| plan.push_row(fv.row(), &params));
         let EncodedReadPlan::Values(values) = &plan else {
             unreachable!("a value stream's plan")
         };

@@ -49,7 +49,7 @@
 use crate::attention::EncodedKv;
 use crate::config::ModelConfig;
 use crate::pool::{PagedKvPool, PoolBatchView, SeqId, ShardReads};
-use oaken_core::{FusedVector, KvKind, KvQuantizer, KvRowStream};
+use oaken_core::{KvKind, KvQuantizer, KvRowStream, PackedRows};
 use std::sync::Arc;
 
 /// Which attention read path the engine runs against a quantized cache.
@@ -61,8 +61,11 @@ use std::sync::Arc;
 /// * [`Fused`](KernelMode::Fused) — appends keep rows **only in their
 ///   encoded form** and attention runs the quantized-domain kernel
 ///   ([`crate::attention::attend_segments_fused_into`]) straight over the
-///   streams' read plans: resident KV bytes equal the encoded footprint,
-///   and one sweep over a sequence's rows serves a whole prefill chunk.
+///   streams' read plans: no f32 image of a row is resident, each row is
+///   held once in its stream's store (read plan plus sparse log, larger
+///   than the charged payload by the read-side decode caches; see
+///   [`crate::PagedKvPool::held_kv_bytes`]), and one sweep over a
+///   sequence's rows serves a whole prefill chunk.
 ///   The numeric contract is SQNR-bounded against `Exact` (see
 ///   `oaken_core::kernel`), not bit-exact.
 ///
@@ -230,25 +233,37 @@ impl KindSlot {
         }
     }
 
-    /// Appends one row already encoded at this slot's width — a rank
+    /// Appends rows already encoded at this slot's width — a rank
     /// shard's channels of a row encoded once at full width — through the
-    /// call trie adoption uses. An exact-kernel slot then decodes it into
-    /// its view, bit-identical to what `append` would have materialized,
-    /// from the stream's own last row: a trie-adopted prefix of an exact
-    /// slot lives only in the view, so the stream may hold fewer rows than
-    /// the slot.
-    pub(crate) fn adopt(&mut self, row: &FusedVector) {
+    /// call trie adoption uses. An exact-kernel slot then decodes them
+    /// into its view, bit-identical to what `append` would have
+    /// materialized, from the stream's own last rows: a trie-adopted
+    /// prefix of an exact slot lives only in the view, so the stream may
+    /// hold fewer rows than the slot.
+    pub(crate) fn adopt(&mut self, rows: &PackedRows) {
         let SlotRows::Stream(stream) = &mut self.storage else {
             panic!("encoded rows are adopted only by streams");
         };
-        let ok = stream.adopt_encoded_rows(std::slice::from_ref(row));
+        let ok = stream.adopt_encoded_rows(rows);
         assert!(ok, "a shard's stream adopts encoded rows");
         if !self.fused {
-            let at = stream.rows() - 1;
-            let ok = stream.decode_rows_into(at, at + 1, &mut self.view);
+            let (at, end) = (stream.rows() - rows.rows(), stream.rows());
+            let ok = stream.decode_rows_into(at, end, &mut self.view);
             assert!(ok, "a shard's stream decodes its rows");
         }
-        self.rows += 1;
+        self.rows += rows.rows();
+    }
+
+    /// Heap bytes the slot holds: its stream's (or its exact rows') and
+    /// its view's buffers.
+    pub(crate) fn held_bytes(&self) -> usize {
+        let f32s = |v: &Vec<f32>| v.capacity() * std::mem::size_of::<f32>();
+        let rows = match &self.storage {
+            SlotRows::F32 => 0,
+            SlotRows::Stream(stream) => stream.held_bytes(),
+            SlotRows::Recompute(exact) => f32s(exact),
+        };
+        rows + f32s(&self.view)
     }
 
     /// Brings `view` up to date with every appended row — the one sync

@@ -64,7 +64,7 @@ pub use batch_view::PoolBatchView;
 pub use reads::{KvReadStats, ShardReads};
 pub use tiers::KvTransfer;
 
-use crate::cache::KernelMode;
+use crate::cache::{KernelMode, KindSlot};
 use crate::config::ModelConfig;
 use crate::ranks::RankPlan;
 use crate::trie::{PrefixStats, PrefixTrie};
@@ -710,6 +710,24 @@ impl PagedKvPool {
         total
     }
 
+    /// Heap bytes the pool holds for KV rows, every rank: the capacities
+    /// of the buffers of every slot (live, suspended and recycled — its
+    /// stream or exact rows, and its view), of the rank encoders, and of
+    /// the trie blocks' rows. Set against the bytes the page ledger
+    /// charges ([`page_accounting`](Self::page_accounting)), it shows how
+    /// much more memory the pool really takes.
+    pub fn held_kv_bytes(&self) -> u64 {
+        let seqs = (self.seqs.values()).chain(self.suspended.values());
+        let shards = seqs.chain(&self.recycled).flat_map(|s| &s.shards);
+        let slots = shards.flat_map(|shard| shard.slots.iter().flatten());
+        let encoders = self.encoders.iter().flatten().map(|e| e.held_bytes());
+        let held = slots
+            .map(KindSlot::held_bytes)
+            .chain(encoders)
+            .sum::<usize>();
+        (held + self.trie.held_bytes()) as u64
+    }
+
     /// Admission estimate: pages a sequence of `tokens` total tokens will
     /// occupy, every rank — its bytes packed into pages plus one page
     /// floor per stream class, the rounding the analytic model ignores.
@@ -844,6 +862,10 @@ mod tests {
     }
 
     fn oaken(d: usize, layers: usize) -> Arc<dyn KvQuantizer> {
+        Arc::new(oaken_quantizer(d, layers))
+    }
+
+    fn oaken_quantizer(d: usize, layers: usize) -> OakenQuantizer {
         let config = OakenConfig::default();
         let mut p = OfflineProfiler::new(config.clone(), layers);
         for s in 0..24 {
@@ -853,7 +875,7 @@ mod tests {
                 }
             }
         }
-        Arc::new(OakenQuantizer::new(config, p.try_finish().unwrap()))
+        OakenQuantizer::new(config, p.try_finish().unwrap())
     }
 
     fn bits(x: &[f32]) -> Vec<u32> {
@@ -926,6 +948,93 @@ mod tests {
         }
         assert_eq!(pool.seq_len(seq, 0), 20);
         assert!(pool.mmu().request_bytes(seq.0) > 0);
+    }
+
+    /// At width 128 over 1,024 rows of a fused pool, the heap holds what
+    /// is charged within a bound per store: a stream's read plan and
+    /// sparse log at most 2.5× its payload for keys and 3.6× for values
+    /// (the plan's decode caches ride on the packed row), and a sealed
+    /// trie block's packed runs at most 1.25× its payload. The pool's
+    /// count is the sum of its slots' and its blocks'.
+    #[test]
+    fn held_bytes_stay_near_charged_bytes() {
+        let (d, tokens) = (128, 1024);
+        let cfg = tiny_config(1, 1, d);
+        let mut pool = PagedKvPool::for_model(&cfg, Some(oaken(d, 1)), 1024, 4096);
+        assert_eq!(pool.set_kernel_mode(KernelMode::Fused), KernelMode::Fused);
+        let prompt: Vec<u32> = (0..=tokens as u32).collect();
+        let seq = pool.alloc_seq_with_prefix(&prompt).seq;
+        for t in 0..tokens as u64 {
+            pool.append(seq, 0, &row(d, 2 * t), &row(d, 2 * t + 1))
+                .unwrap();
+        }
+        let ratio = |held: usize, charged: u64| held as f64 / charged as f64;
+        let [keys, values] = &pool.slots(0, seq)[0];
+        for (slot, bound, kind) in [(keys, 2.5, "keys"), (values, 3.6, "values")] {
+            let stream = slot.stream().unwrap();
+            let charged = stream.payload_bytes().unwrap() as u64;
+            let r = ratio(stream.held_bytes(), charged);
+            assert!(r <= bound, "{kind}: held ÷ charged {r:.2} over {bound}");
+            assert_eq!(slot.held_bytes(), stream.held_bytes(), "no view");
+        }
+        assert_eq!(pool.trie.len(), tokens / DEFAULT_BLOCK_TOKENS);
+        for id in 0..pool.trie.len() {
+            let block = pool.trie.get(id);
+            let r = ratio(block.shards[0].rows.held_bytes(), block.bytes());
+            assert!(r <= 1.25, "block {id}: held ÷ charged {r:.2} over 1.25");
+        }
+        let slots = keys.held_bytes() + values.held_bytes();
+        assert_eq!(
+            pool.held_kv_bytes(),
+            (slots + pool.trie.held_bytes()) as u64
+        );
+    }
+
+    /// A fused read charges each query the payload of every row it
+    /// attends, K and V: on a ragged read of several multi-query runs the
+    /// fused bytes are the quantizer's per-row payloads summed over each
+    /// query's rows — the `kv_read_bytes_per_token` numerator.
+    #[test]
+    fn fused_read_bytes_pin_on_a_ragged_multi_run_read() {
+        let d = 64;
+        let cfg = tiny_config(1, 2, 32);
+        let q = oaken_quantizer(d, 1);
+        let mut pool = PagedKvPool::for_model(&cfg, Some(Arc::new(q.clone())), 256, 4096);
+        assert_eq!(pool.set_kernel_mode(KernelMode::Fused), KernelMode::Fused);
+        let lens = [5u64, 19, 33];
+        let mut payloads = Vec::new();
+        let seqs: Vec<SeqId> = (lens.iter().enumerate())
+            .map(|(i, &n)| {
+                let seq = pool.alloc_seq();
+                let mut rows = Vec::new();
+                for t in 0..n {
+                    let (k, v) = (
+                        row(d, 100 * i as u64 + 2 * t),
+                        row(d, 100 * i as u64 + 2 * t + 1),
+                    );
+                    pool.append(seq, 0, &k, &v).unwrap();
+                    let payload =
+                        |x: &[f32], kind| q.quantize_vector(x, 0, kind).unwrap().payload_bytes();
+                    rows.push(payload(&k, KvKind::Key) + payload(&v, KvKind::Value));
+                }
+                payloads.push(rows);
+                seq
+            })
+            .collect();
+        let runs = [(0, 2), (1, 7), (2, 1), (1, 3)];
+        let want: usize = (runs.iter())
+            .map(|&(slot, queries)| {
+                let rows = &payloads[slot];
+                (rows.len() - queries + 1..=rows.len())
+                    .map(|m| rows[..m].iter().sum::<usize>())
+                    .sum::<usize>()
+            })
+            .sum();
+        let before = pool.kv_read_stats();
+        drop(pool.read_runs(&seqs, 0, &runs));
+        let got = pool.kv_read_stats().fused_bytes - before.fused_bytes;
+        assert_eq!(got, want as u64);
+        assert_eq!(got, 19_136, "pinned total");
     }
 
     #[test]

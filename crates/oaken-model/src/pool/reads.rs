@@ -360,16 +360,14 @@ impl PagedKvPool {
             };
         };
         // Payload of the first `m` rows of both streams, summed over the
-        // run's `m`: walk back from the full payload one row at a time.
+        // run's `m`, off the stores' cumulative COO ends.
         let mut bytes = 0u64;
         for slot in [key_slot, value_slot] {
-            let stream = slot.stream().expect("encoded slots stream");
-            let tail = stream.encoded_rows().expect("encoded slots keep rows");
-            let mut prefix = stream.payload_bytes().unwrap_or(0);
-            for fv in tail[rows - n..].iter().rev() {
-                bytes += prefix as u64;
-                prefix -= fv.payload_bytes();
-            }
+            let stored = slot.stream().and_then(|s| s.encoded_rows());
+            let stored = stored.expect("encoded slots keep rows");
+            bytes += (rows - n + 1..=rows)
+                .map(|m| stored.payload_bytes(m) as u64)
+                .sum::<u64>();
         }
         let reads = &self.reads;
         reads.fused_rows.fetch_add(attended, Ordering::Relaxed);

@@ -26,7 +26,7 @@
 use super::blocks::{SeqBlock, SeqPlan};
 use super::{PagedKvPool, PoolError, SeqId};
 use crate::cache::{KindSlot, SlotRows};
-use oaken_core::{FusedVector, KvKind, KvQuantizer, KvRowStream};
+use oaken_core::{KvKind, KvQuantizer, KvRowStream, PackedRows};
 use oaken_mmu::FaultOp;
 use std::ops::Range;
 
@@ -253,7 +253,7 @@ impl PagedKvPool {
     /// tail stream afterwards. Each rank stores its channels of the rows:
     /// a quantized pool split over ranks encodes each row **once**, at
     /// full width, and every rank adopts its slice of the encoding
-    /// ([`FusedVector::slice_channels`]) — each a pure function of its own
+    /// ([`PackedRows::push_channels`]) — each a pure function of its own
     /// code, outlier entry and the shared scales. (A real rank group would
     /// min/max all-reduce partial scales, an exact reduction with the same
     /// result; the forward pass accounts those syncs to
@@ -292,17 +292,20 @@ impl PagedKvPool {
                 slot.append(&[k, v][kind][plan.kv_channels(r)]);
             });
         };
-        let (k, v) = (
+        let rows = [
             encode(&mut **key_encoder, k),
             encode(&mut **value_encoder, v),
-        );
-        let slice = |fv: &FusedVector, r| {
-            (fv.slice_channels(plan.kv_channels(r))).expect("rank channels lie within the row")
+        ];
+        let slice = |full: &PackedRows, r: usize| {
+            let channels = plan.kv_channels(r);
+            let mut one = PackedRows::new(channels.len());
+            one.push_channels(full.row(0), channels);
+            one
         };
-        let rows: Vec<[FusedVector; 2]> = (0..plan.ranks())
-            .map(|r| [slice(k, r), slice(v, r)])
+        let shares: Vec<[PackedRows; 2]> = (0..plan.ranks())
+            .map(|r| rows.each_ref().map(|full| slice(full, r)))
             .collect();
-        self.commit(seq, layer, |r, slot, kind| slot.adopt(&rows[r][kind]))
+        self.commit(seq, layer, |r, slot, kind| slot.adopt(&shares[r][kind]))
     }
 
     /// The commit body behind every row: every rank's page bound, the
@@ -362,17 +365,18 @@ impl PagedKvPool {
     }
 }
 
-/// `row` encoded by `encoder` as the one row it holds: a reset stream is
-/// bit-exact with a fresh one (the quantizer is prefix-deterministic), so
-/// the encoding depends on the row alone.
-fn encode<'a>(encoder: &'a mut dyn KvRowStream, row: &[f32]) -> &'a FusedVector {
+/// `row` encoded by `encoder` as the one row it holds, packed: a reset
+/// stream is bit-exact with a fresh one (the quantizer is
+/// prefix-deterministic), so the encoding depends on the row alone.
+fn encode(encoder: &mut dyn KvRowStream, row: &[f32]) -> PackedRows {
     encoder.reset();
     assert!(
         encoder.append_row_encoded(row),
         "rank encoders keep encoded rows"
     );
-    let rows = encoder.encoded_rows().expect("checked when split");
-    rows.last().expect("a row was just encoded")
+    let mut one = PackedRows::new(row.len());
+    (encoder.encoded_rows().expect("checked when split")).export(0..1, &mut one);
+    one
 }
 
 /// `(dense, sparse)` stored byte sizes of a slot's most recently appended

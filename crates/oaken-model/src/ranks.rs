@@ -212,8 +212,8 @@ mod tests {
     use crate::pool::{PagedKvPool, PoolBatchView, PoolError, SeqId};
     use crate::sampling::sample_greedy;
     use oaken_core::{
-        EncodedReadPlan, FusedReadParams, FusedVector, KvKind, KvQuantizer, KvRowStream,
-        OakenConfig, OakenQuantizer, OfflineProfiler, OnlineCost,
+        EncodedReadPlan, EncodedRows, FusedReadParams, KvKind, KvQuantizer, KvRowStream,
+        OakenConfig, OakenQuantizer, OfflineProfiler, OnlineCost, PackedRows,
     };
     use oaken_mmu::FaultPlan;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -702,13 +702,16 @@ mod tests {
         fn payload_bytes(&self) -> Option<usize> {
             self.inner.payload_bytes()
         }
+        fn held_bytes(&self) -> usize {
+            self.inner.held_bytes()
+        }
         fn reset(&mut self) {
             self.inner.reset();
         }
         fn last_row_payload(&self) -> Option<(usize, usize)> {
             self.inner.last_row_payload()
         }
-        fn encoded_rows(&self) -> Option<&[FusedVector]> {
+        fn encoded_rows(&self) -> Option<EncodedRows<'_>> {
             self.inner.encoded_rows()
         }
         fn append_row_encoded(&mut self, row: &[f32]) -> bool {
@@ -721,7 +724,7 @@ mod tests {
         fn read_plan(&self) -> Option<&EncodedReadPlan> {
             self.inner.read_plan()
         }
-        fn adopt_encoded_rows(&mut self, rows: &[FusedVector]) -> bool {
+        fn adopt_encoded_rows(&mut self, rows: &PackedRows) -> bool {
             self.inner.adopt_encoded_rows(rows)
         }
         fn decode_rows_into(&self, start: usize, end: usize, out: &mut Vec<f32>) -> bool {
@@ -835,8 +838,8 @@ mod tests {
                     let full_rows = whole.stream().unwrap().encoded_rows().unwrap();
                     let rows = stream.encoded_rows().unwrap();
                     assert_eq!(rows.len(), tokens as usize);
-                    for (fv, full) in rows.iter().zip(full_rows) {
-                        assert_eq!(fv, &full.slice_channels(plan.kv_channels(r)).unwrap());
+                    for (fv, full) in rows.iter().zip(full_rows.iter()) {
+                        assert_eq!(fv, full.slice_channels(plan.kv_channels(r)).unwrap());
                     }
                     assert_eq!(stream.read_plan().unwrap().rows(), tokens as usize);
                     // A fused shard has materialized nothing yet.

@@ -24,7 +24,7 @@
 //! removed immediately.
 
 use crate::cache::{KindSlot, SlotRows};
-use oaken_core::FusedVector;
+use oaken_core::PackedRows;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -58,10 +58,10 @@ pub(crate) enum BlockRows {
     /// Dequantized rows, each `[block_tokens × kv_dim]` — copied into the
     /// adopter's attention views ([`crate::KernelMode::Exact`] pools).
     Views(Vec<[Vec<f32>; 2]>),
-    /// Encoded rows, `block_tokens` fused vectors each — fed into the
-    /// adopter's streams, so a [`crate::KernelMode::Fused`] pool never
-    /// materializes an f32 image of a shared prefix.
-    Encoded(Vec<[Vec<FusedVector>; 2]>),
+    /// Encoded rows, one packed run of `block_tokens` rows each — fed
+    /// into the adopter's streams, so a [`crate::KernelMode::Fused`] pool
+    /// never materializes an f32 image of a shared prefix.
+    Encoded(Vec<[PackedRows; 2]>),
 }
 
 impl BlockRows {
@@ -72,9 +72,10 @@ impl BlockRows {
             // A fused stream's encoded state covers absolute positions:
             // adoption feeds the stream, never a side view.
             let rows = |slot: &KindSlot| {
-                let stream = slot.stream().expect("fused slots are streaming");
-                let rows = stream.encoded_rows().expect("fused slots keep rows");
-                rows[range.clone()].to_vec()
+                let stored = slot.stream().and_then(|s| s.encoded_rows());
+                let mut run = PackedRows::new(kv_dim);
+                (stored.expect("fused slots keep rows")).export(range.clone(), &mut run);
+                run
             };
             Self::Encoded(slots.iter().map(|[k, v]| [rows(k), rows(v)]).collect())
         } else {
@@ -101,6 +102,17 @@ impl BlockRows {
                 }
                 slot.rows += tokens;
             }
+        }
+    }
+
+    /// Heap bytes the rows hold: their buffers' capacities.
+    pub fn held_bytes(&self) -> usize {
+        match self {
+            Self::Views(rows) => {
+                let f32s = rows.iter().flatten().map(Vec::capacity).sum::<usize>();
+                f32s * std::mem::size_of::<f32>()
+            }
+            Self::Encoded(rows) => rows.iter().flatten().map(PackedRows::held_bytes).sum(),
         }
     }
 
@@ -281,6 +293,12 @@ impl PrefixTrie {
     pub fn len(&self) -> usize {
         self.len
     }
+
+    /// Heap bytes the live blocks' rows hold, every rank.
+    pub fn held_bytes(&self) -> usize {
+        let shards = self.nodes.iter().flatten().flat_map(|b| &b.shards);
+        shards.map(|s| s.rows.held_bytes()).sum()
+    }
 }
 
 #[cfg(test)]
@@ -323,6 +341,45 @@ mod tests {
         assert_eq!(t.total_pages(0), 0);
         assert_eq!(t.len(), 0);
         assert_eq!(t.child(None, &[1, 2]), None);
+    }
+
+    /// A late-dedup check must see a block that differs from its twin in
+    /// one nibble of one row: packed runs compare every dense byte.
+    #[test]
+    fn same_bits_rejects_a_block_one_nibble_off() {
+        use oaken_core::{CooEntry, FusedVector, GroupKind, ScaleSet};
+        let dim = 97;
+        let codes: Vec<u8> = (0..dim).map(|i| (i * 5 % 16) as u8).collect();
+        let outliers = [3, 64, 96].map(|index| CooEntry {
+            index,
+            group: GroupKind::Outer,
+            high_side: index % 2 == 0,
+        });
+        let block = |flip: Option<(usize, usize)>| {
+            let run = |kind: usize| {
+                let mut run = PackedRows::new(dim);
+                for r in 0..16 {
+                    let mut codes = codes.clone();
+                    if flip == Some((kind, r)) {
+                        codes[dim - 1 - r] ^= 0x8;
+                    }
+                    let fv = FusedVector::from_parts(dim, &codes, &outliers, ScaleSet::default());
+                    run.push(fv.unwrap().row());
+                }
+                run
+            };
+            BlockRows::Encoded(vec![[run(0), run(1)]])
+        };
+        let ours = block(None);
+        assert!(ours.same_bits(&block(None)));
+        for kind in 0..2 {
+            for r in [0, 7, 15] {
+                assert!(
+                    !ours.same_bits(&block(Some((kind, r)))),
+                    "kind {kind} row {r}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! analogue of the hardware engines' fixed SRAM buffers).
 //!
 //! The pool under test stores exact f32 rows. That choice is deliberate:
-//! quantizers whose streams retain per-row *encoded* payloads (Oaken's
-//! `FusedVector`s) allocate for the stored state itself on every append —
-//! inherent storage growth, not overhead of the append path. Exact
-//! storage appends into pre-grown flat buffers, so any allocation observed
-//! here would be genuine overhead of the append path.
+//! a quantized stream's store (Oaken's read plan and sparse log) grows
+//! with the rows it keeps — inherent storage growth, not overhead of the
+//! append path. Exact storage appends into pre-grown flat buffers, so any
+//! allocation observed here would be genuine overhead of the append path.
 
 use oaken_model::{BatchKvCache, ModelConfig, PagedKvPool, PoolBatchView};
 use std::alloc::{GlobalAlloc, Layout, System};
