@@ -308,17 +308,9 @@ impl FusedVector {
                 ),
             });
         }
-        let codes: Vec<u8> = range.clone().map(|i| self.dense_code(i)).collect();
-        let outliers: Vec<CooEntry> = self
-            .outliers()
-            .skip_while(|e| e.index < range.start)
-            .take_while(|e| e.index < range.end)
-            .map(|mut e| {
-                e.index -= range.start;
-                e
-            })
-            .collect();
-        Self::from_parts(range.len(), &codes, &outliers, self.scales)
+        let mut one = PackedRows::new(range.len());
+        one.push_channels(self.row(), range);
+        Ok(one.row(0).to_vector())
     }
 }
 
@@ -591,9 +583,13 @@ impl PackedRows {
         self.log.push(row);
     }
 
-    /// Appends channels `range` of `row` as one `dim()`-wide row, re-based
-    /// as [`FusedVector::slice_channels`] does: a tensor-parallel rank's
-    /// share of a row encoded once at full width.
+    /// Appends channels `range` of `row` as one `dim()`-wide row: a
+    /// tensor-parallel rank's share of a row encoded once at full width.
+    /// Dense codes are re-packed from the range's origin; COO entries
+    /// inside it are re-based and re-bucketed into blocks (the range need
+    /// not be block-aligned); the scales travel unchanged. The one
+    /// implementation of the rule [`FusedVector::slice_channels`]
+    /// documents.
     ///
     /// # Panics
     ///

@@ -747,16 +747,6 @@ impl<'a> EncodedRows<'a> {
         });
     }
 
-    /// Each row as a standalone vector.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = FusedVector> + 'a {
-        let this = *self;
-        (0..self.len()).map(move |t| {
-            let mut one = PackedRows::new(this.plan.dim());
-            this.export(t..t + 1, &mut one);
-            one.row(0).to_vector()
-        })
-    }
-
     /// The dense code of row `t`'s element `i`.
     pub(crate) fn code(&self, t: usize, i: usize) -> u8 {
         match self.plan {
@@ -806,16 +796,11 @@ fn transpose_nibbles(m: &mut [u64; 16]) {
     }
 }
 
-/// Decodes a whole encoded row (borrowed, or a copy out of a store)
-/// through the fused coefficients, appending `fv.dim()` values to `out`.
-/// Reference implementation for the kernel property tests — the attention
-/// kernels inline this walk instead of materializing it.
-pub fn decode_row_fused_into(
-    fv: impl std::borrow::Borrow<FusedVector>,
-    params: &FusedReadParams,
-    out: &mut Vec<f32>,
-) {
-    let fv = fv.borrow();
+/// Decodes a whole encoded row through the fused coefficients, appending
+/// `fv.dim()` values to `out`. Reference implementation for the kernel
+/// property tests — the attention kernels inline this walk instead of
+/// materializing it.
+pub fn decode_row_fused_into(fv: &FusedVector, params: &FusedReadParams, out: &mut Vec<f32>) {
     let d = RowDecode::for_row(fv, params);
     let mut outliers = fv.outliers().peekable();
     out.reserve(fv.dim());

@@ -1070,7 +1070,8 @@ mod tests {
     /// the quantizer's rows packed, its read plan is the appended one, and
     /// it decodes to the bits the quantizer's own decoder gives each row.
     /// Widths 33 and 97 end mid-byte and mid-COO-block, and 40 rows leave
-    /// an open key group.
+    /// an open key group with outliers queued in it. A sliced stream
+    /// decodes to the same channels of the full rows' decode.
     #[test]
     fn stores_round_trip_however_their_rows_arrive() {
         let q = quantizer();
@@ -1113,11 +1114,16 @@ mod tests {
                     assert_eq!(bits(&out), decoded(&fvs), "{case}");
                     assert_eq!(s.payload_bytes(), Some(want.payload_bytes()), "{case}");
                 }
-                if kind == KvKind::Key {
-                    let Some(EncodedReadPlan::Keys(keys)) = appended.read_plan() else {
-                        panic!("a key stream has a key plan");
-                    };
-                    assert!(keys.rows() % KEY_GROUP != 0, "an open group");
+                match (kind, appended.read_plan().unwrap()) {
+                    (KvKind::Key, EncodedReadPlan::Keys(keys)) => {
+                        assert!(keys.rows() % KEY_GROUP != 0, "width {d}: an open group");
+                        assert!(
+                            !keys.open_outliers().is_empty(),
+                            "width {d}: outliers queued in the open group"
+                        );
+                    }
+                    (KvKind::Value, EncodedReadPlan::Values(_)) => {}
+                    _ => panic!("{kind:?} stream has the other kind's plan"),
                 }
                 for range in [0..d.div_ceil(2), d / 2..d] {
                     let w = range.len();
@@ -1134,7 +1140,12 @@ mod tests {
                     assert_eq!(export(&*sliced, w), packed(w, &slices), "{case}");
                     let mut out = Vec::new();
                     assert!(sliced.decode_rows_into(0, n as usize, &mut out));
-                    assert_eq!(bits(&out), decoded(&slices), "{case}");
+                    let full = decoded(&fvs);
+                    let want: Vec<u32> = (0..n as usize)
+                        .flat_map(|t| &full[t * d + range.start..t * d + range.end])
+                        .copied()
+                        .collect();
+                    assert_eq!(bits(&out), want, "{case}");
                 }
             }
         }

@@ -835,11 +835,19 @@ mod tests {
                 let slots = pools.slots(r, seq).iter().flatten();
                 for (slot, whole) in slots.zip(one.slots(0, seq).iter().flatten()) {
                     let stream = slot.stream().unwrap();
-                    let full_rows = whole.stream().unwrap().encoded_rows().unwrap();
-                    let rows = stream.encoded_rows().unwrap();
-                    assert_eq!(rows.len(), tokens as usize);
-                    for (fv, full) in rows.iter().zip(full_rows.iter()) {
-                        assert_eq!(fv, full.slice_channels(plan.kv_channels(r)).unwrap());
+                    let export = |s: &dyn KvRowStream, width: usize| {
+                        let stored = s.encoded_rows().unwrap();
+                        let mut run = PackedRows::new(width);
+                        stored.export(0..stored.len(), &mut run);
+                        run
+                    };
+                    let channels = plan.kv_channels(r);
+                    let rows = export(stream, channels.len());
+                    let full_rows = export(whole.stream().unwrap(), cfg.kv_dim());
+                    assert_eq!(rows.rows(), tokens as usize);
+                    for (row, full) in rows.iter().zip(full_rows.iter()) {
+                        let want = full.to_vector().slice_channels(channels.clone());
+                        assert_eq!(row.to_vector(), want.unwrap());
                     }
                     assert_eq!(stream.read_plan().unwrap().rows(), tokens as usize);
                     // A fused shard has materialized nothing yet.

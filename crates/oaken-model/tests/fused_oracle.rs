@@ -12,7 +12,9 @@
 //! get the bits of their run alone.
 
 use oaken_core::kernel::decode_row_fused_into;
-use oaken_core::{KvKind, KvQuantizer, KvRowStream, OakenConfig, OakenQuantizer, OfflineProfiler};
+use oaken_core::{
+    KvKind, KvQuantizer, KvRowStream, OakenConfig, OakenQuantizer, OfflineProfiler, PackedRows,
+};
 use oaken_model::{
     attend_segments_fused_into, AttentionScratch, AttentionShape, EncodedKv, Segment,
 };
@@ -65,13 +67,14 @@ fn encode(
         stream.append_row(&row, &mut view);
     }
     let params = quant.fused_read_params(0, kind).expect("layer 0 profiled");
-    let decoded = stream
-        .encoded_rows()
-        .expect("oaken keeps its encoded rows")
+    let stored = stream.encoded_rows().expect("oaken keeps its encoded rows");
+    let mut rows = PackedRows::new(d);
+    stored.export(0..stored.len(), &mut rows);
+    let decoded = rows
         .iter()
-        .map(|fv| {
+        .map(|row| {
             let mut out = Vec::new();
-            decode_row_fused_into(fv, &params, &mut out);
+            decode_row_fused_into(&row.to_vector(), &params, &mut out);
             out
         })
         .collect();
