@@ -698,10 +698,6 @@ impl KvRowStream for OakenRowStream {
         true
     }
 
-    fn fused_read_params(&self) -> Option<FusedReadParams> {
-        self.params
-    }
-
     fn read_plan(&self) -> Option<&EncodedReadPlan> {
         Some(&self.plan)
     }

@@ -4,7 +4,7 @@
 //! the performance simulator uses to charge each method's runtime overhead.
 
 use crate::encoding::PackedRows;
-use crate::kernel::{EncodedReadPlan, EncodedRows, FusedReadParams};
+use crate::kernel::{EncodedReadPlan, EncodedRows};
 use crate::thresholds::KvKind;
 
 /// Runtime-cost descriptor of a KV quantization method, consumed by the
@@ -144,8 +144,8 @@ pub trait KvRowStream: Send {
     //
     // Streams whose canonical state is the fused encoding can let the
     // attention kernel read rows *without* a dequantized f32 view ever
-    // existing. The six methods below, like `payload_bytes` and
-    // `last_row_payload` above — eight in all — default to "not
+    // existing. The five methods below, like `payload_bytes` and
+    // `last_row_payload` above — seven in all — default to "not
     // supported" so every baseline keeps working unchanged; a caller must
     // check `append_row_encoded`'s return and fall back to `append_row`.
     // ------------------------------------------------------------------
@@ -169,18 +169,10 @@ pub trait KvRowStream: Send {
         false
     }
 
-    /// The row-independent decode parameters of this stream's tensor, when
-    /// the encoded read path is supported. Valid before any row is
-    /// appended (thresholds are offline, bit-widths are global).
-    fn fused_read_params(&self) -> Option<FusedReadParams> {
-        None
-    }
-
     /// The read-side cache maintained alongside the encoded rows — decode
     /// coefficients, dense nibbles and the outliers in expand-load form,
     /// keys column-major and values row-major (see [`EncodedReadPlan`]) —
-    /// the one form the fused attention kernel reads. `None` (with
-    /// [`fused_read_params`](KvRowStream::fused_read_params)) means the
+    /// the one form the fused attention kernel reads. `None` means the
     /// method has no fused read path and readers use the dequantized view.
     fn read_plan(&self) -> Option<&EncodedReadPlan> {
         None

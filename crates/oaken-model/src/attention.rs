@@ -227,8 +227,8 @@ pub struct EncodedKv<'a> {
     pub plan: &'a EncodedReadPlan,
 }
 
-/// What attention reads for one `(sequence, layer)`: the encoded tensors
-/// of a fused slot, or the dequantized f32 views of an exact one.
+/// What attention reads for one `(sequence, layer)`: its encoded tensors
+/// under [`crate::KernelMode::Fused`], else its dequantized f32 views.
 #[derive(Debug, Clone, Copy)]
 pub enum KvRead<'a> {
     /// Encoded K and V tensors for [`attend_segments_fused_into`].

@@ -18,11 +18,14 @@
 //! written**, and the read path is a pure stream of already-encoded pages.
 //! A slot mirrors that architecture: it asks the quantizer for a
 //! [`KvRowStream`] and, when one is available (token-granular methods —
-//! Oaken, FP16, Atom, QServe, Tender), each append is O(d): the row is
-//! quantized, its encoded form is retained by the stream, and its
-//! dequantized image is appended to a materialized view. Reads return the
-//! view as-is, so a full decode of `n` tokens costs O(n·d) quantization
-//! work instead of the O(n²·d) of re-quantizing the prefix on every read.
+//! Oaken, FP16, Atom, QServe, Tender), each append is O(d). A stream with
+//! an encoded form (Oaken) keeps the row only encoded, whichever
+//! [`KernelMode`] reads it: the fused kernel reads the stream's read plan
+//! in place, and an exact reader's dequantized view is decoded from the
+//! stream on read, only the rows it does not hold yet. Any other stream
+//! appends the row's dequantized image to the view as it quantizes it.
+//! Either way a full decode of `n` tokens costs O(n·d) quantization work
+//! instead of the O(n²·d) of re-quantizing the prefix on every read.
 //! Exact f32 rows append to the view in place: one copy, no sync.
 //!
 //! # Per-channel fallback semantics
@@ -49,23 +52,25 @@
 use crate::attention::EncodedKv;
 use crate::config::ModelConfig;
 use crate::pool::{PagedKvPool, PoolBatchView, SeqId, ShardReads};
-use oaken_core::{KvKind, KvQuantizer, KvRowStream, PackedRows};
+use oaken_core::{EncodedRows, KvKind, KvQuantizer, KvRowStream, PackedRows};
 use std::sync::Arc;
 
-/// Which attention read path the engine runs against a quantized cache.
+/// Which attention kernel reads a quantized cache — a read-side choice
+/// only: how rows are stored does not depend on it. A stream with an
+/// encoded form (Oaken) holds each row once, encoded, in its stream's
+/// store (read plan plus sparse log, larger than the charged payload by
+/// the read-side decode caches; see
+/// [`crate::PagedKvPool::held_kv_bytes`]) in either mode, and sealed trie
+/// blocks hold the same encoded rows.
 ///
-/// * [`Exact`](KernelMode::Exact) — every append materializes the row's
-///   dequantized f32 image and attention runs the exact kernels over the
-///   views: the bit-exactness reference, unchanged from before fused
-///   kernels existed.
-/// * [`Fused`](KernelMode::Fused) — appends keep rows **only in their
-///   encoded form** and attention runs the quantized-domain kernel
-///   ([`crate::attention::attend_segments_fused_into`]) straight over the
-///   streams' read plans: no f32 image of a row is resident, each row is
-///   held once in its stream's store (read plan plus sparse log, larger
-///   than the charged payload by the read-side decode caches; see
-///   [`crate::PagedKvPool::held_kv_bytes`]), and one sweep over a
-///   sequence's rows serves a whole prefill chunk.
+/// * [`Exact`](KernelMode::Exact) — attention runs the exact kernels over
+///   dequantized f32 views, each decoded from the stream when it is read
+///   (only the rows the view does not hold yet): the bit-exactness
+///   reference, bit-identical to dequantizing each row as it is written.
+/// * [`Fused`](KernelMode::Fused) — attention runs the quantized-domain
+///   kernel ([`crate::attention::attend_segments_fused_into`]) straight
+///   over the streams' read plans: no f32 image of a row is materialized,
+///   and one sweep over a sequence's rows serves a whole prefill chunk.
 ///   The numeric contract is SQNR-bounded against `Exact` (see
 ///   `oaken_core::kernel`), not bit-exact.
 ///
@@ -74,7 +79,7 @@ use std::sync::Arc;
 /// not a guarantee.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// Materialized f32 views + exact kernels (bit-exact reference).
+    /// f32 views decoded on read + exact kernels (bit-exact reference).
     #[default]
     Exact,
     /// Quantized-domain kernels over the encoded rows.
@@ -161,8 +166,8 @@ pub(crate) enum SlotRows {
     F32,
     /// A quantizer's row stream: each row is quantized once on append and
     /// its encoded form kept by the stream; the view holds the dequantized
-    /// image (on the fused read path, only what an exact reader asked
-    /// for).
+    /// image — for a stream with an encoded form, only what an exact
+    /// reader asked for.
     Stream(Box<dyn KvRowStream>),
     /// The recompute fallback of a quantizer without a row stream: the
     /// exact rows, from which a stale view (shorter than them) is
@@ -174,28 +179,23 @@ pub(crate) enum SlotRows {
 /// rows, and the dequantized view attention reads.
 pub(crate) struct KindSlot {
     pub(crate) storage: SlotRows,
-    /// Dequantized `[rows × d]` view. On the fused read path this stays
-    /// empty (or short) — rows live only in the stream's encoded state and
-    /// the view is rebuilt lazily by [`KindSlot::sync`] if an exact reader
-    /// asks for it.
+    /// Dequantized `[rows × d]` view. For a stream with an encoded form
+    /// this stays empty (or short) — rows live only in the stream's
+    /// encoded state and [`KindSlot::sync`] decodes the missing ones when
+    /// an exact reader asks.
     pub(crate) view: Vec<f32>,
     pub(crate) rows: usize,
-    /// Appends go through the stream's encoded path, skipping the view.
-    /// Only ever true for streams that support the encoded read path.
-    pub(crate) fused: bool,
 }
 
 impl KindSlot {
     /// An empty slot for `d`-wide `(layer, kind)` rows: f32 without a
     /// quantizer, else the quantizer's row stream or, lacking one, the
-    /// recompute fallback — on the fused read path when `kernel` asks for
-    /// it and the stream supports it.
+    /// recompute fallback.
     pub(crate) fn new(
         quantizer: Option<&dyn KvQuantizer>,
         d: usize,
         layer: usize,
         kind: KvKind,
-        kernel: KernelMode,
     ) -> Self {
         let storage = match quantizer {
             None => SlotRows::F32,
@@ -203,12 +203,10 @@ impl KindSlot {
                 .row_stream(d, layer, kind)
                 .map_or(SlotRows::Recompute(Vec::new()), SlotRows::Stream),
         };
-        let fusable = matches!(&storage, SlotRows::Stream(s) if s.fused_read_params().is_some());
         Self {
             storage,
             view: Vec::new(),
             rows: 0,
-            fused: kernel == KernelMode::Fused && fusable,
         }
     }
 
@@ -220,12 +218,17 @@ impl KindSlot {
         }
     }
 
+    /// The slot's encoded rows, when its stream keeps them.
+    pub(crate) fn encoded_rows(&self) -> Option<EncodedRows<'_>> {
+        self.stream()?.encoded_rows()
+    }
+
     pub(crate) fn append(&mut self, row: &[f32]) {
         self.rows += 1;
         match &mut self.storage {
             SlotRows::F32 => self.view.extend_from_slice(row),
             SlotRows::Stream(stream) => {
-                if !(self.fused && stream.append_row_encoded(row)) {
+                if !stream.append_row_encoded(row) {
                     stream.append_row(row, &mut self.view);
                 }
             }
@@ -233,24 +236,15 @@ impl KindSlot {
         }
     }
 
-    /// Appends rows already encoded at this slot's width — a rank
-    /// shard's channels of a row encoded once at full width — through the
-    /// call trie adoption uses. An exact-kernel slot then decodes them
-    /// into its view, bit-identical to what `append` would have
-    /// materialized, from the stream's own last rows: a trie-adopted
-    /// prefix of an exact slot lives only in the view, so the stream may
-    /// hold fewer rows than the slot.
+    /// Appends rows already encoded at this slot's width — a sealed trie
+    /// block's run, or a rank shard's channels of a row encoded once at
+    /// full width — to the slot's stream.
     pub(crate) fn adopt(&mut self, rows: &PackedRows) {
         let SlotRows::Stream(stream) = &mut self.storage else {
             panic!("encoded rows are adopted only by streams");
         };
         let ok = stream.adopt_encoded_rows(rows);
-        assert!(ok, "a shard's stream adopts encoded rows");
-        if !self.fused {
-            let (at, end) = (stream.rows() - rows.rows(), stream.rows());
-            let ok = stream.decode_rows_into(at, end, &mut self.view);
-            assert!(ok, "a shard's stream decodes its rows");
-        }
+        assert!(ok, "a stream with an encoded form adopts encoded rows");
         self.rows += rows.rows();
     }
 
@@ -269,15 +263,16 @@ impl KindSlot {
     /// Brings `view` up to date with every appended row — the one sync
     /// behind every dequantized read. The recompute fallback
     /// re-materializes a stale view from its exact rows through
-    /// `quantizer`; a fused slot decodes the rows its view is missing (the
-    /// exact-path escape hatch: swap, logit recording, tests that compare
-    /// views); f32 and streaming exact-kernel slots are already current,
+    /// `quantizer`; a stream with an encoded form decodes the rows its
+    /// view is missing (bit-identical to dequantizing them as they were
+    /// written); f32 slots and the other streams are already current,
     /// their appends maintain the view.
     ///
     /// # Panics
     ///
-    /// Panics if the slot is fused but its stream cannot decode (ruled out
-    /// by the capability check when the mode is installed).
+    /// Panics if the view is short but the stream cannot decode: a stream
+    /// without an encoded form appends to the view itself, so its view is
+    /// never short.
     pub(crate) fn sync(
         &mut self,
         quantizer: Option<&dyn KvQuantizer>,
@@ -291,7 +286,7 @@ impl KindSlot {
                 let have = self.view.len() / d.max(1);
                 if have < self.rows {
                     let ok = stream.decode_rows_into(have, self.rows, &mut self.view);
-                    assert!(ok, "fused slot's stream lost its decode capability");
+                    assert!(ok, "a short view's stream decodes its rows");
                 }
             }
             SlotRows::Recompute(exact) => {
@@ -316,12 +311,9 @@ impl KindSlot {
         self.rows = 0;
     }
 
-    /// The slot's encoded tensor, when it runs the fused read path and
-    /// the stream's read plan covers every appended row.
+    /// The slot's encoded tensor, when its stream keeps a read plan
+    /// covering every appended row.
     pub(crate) fn encoded(&self) -> Option<EncodedKv<'_>> {
-        if !self.fused {
-            return None;
-        }
         let plan = self.stream()?.read_plan()?;
         (plan.rows() == self.rows).then_some(EncodedKv { plan })
     }
@@ -364,20 +356,6 @@ impl SeqStore {
         let mut pool = PagedKvPool::for_model(cfg, quantizer, pages, page_size);
         let seq = [pool.alloc_seq()];
         Self { pool, seq }
-    }
-
-    /// Installs `kernel` on a fresh sequence (the pool takes a mode only
-    /// while idle), returning the mode installed.
-    pub(crate) fn set_kernel_mode(&mut self, kernel: KernelMode) -> KernelMode {
-        (self.pool.free_seq(self.seq[0])).expect("the store's sequence is live");
-        let installed = self.pool.set_kernel_mode(kernel);
-        self.seq = [self.pool.alloc_seq()];
-        installed
-    }
-
-    /// The installed attention read path.
-    pub(crate) fn kernel_mode(&self) -> KernelMode {
-        self.pool.kernel_mode()
     }
 
     /// Runs `pass` over the store's batch view and checks that the pool

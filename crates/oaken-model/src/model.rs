@@ -961,12 +961,12 @@ impl<'m> Session<'m> {
     /// Panics if any token has already been fed.
     pub fn set_kernel_mode(&mut self, kernel: KernelMode) -> KernelMode {
         assert_eq!(self.pos, 0, "kernel mode must be selected before any token");
-        self.store.set_kernel_mode(kernel)
+        self.store.pool.set_kernel_mode(kernel)
     }
 
     /// The pool's installed kernel mode.
     pub fn kernel_mode(&self) -> KernelMode {
-        self.store.kernel_mode()
+        self.store.pool.kernel_mode()
     }
 
     /// Feeds one token and returns the next-token logits.

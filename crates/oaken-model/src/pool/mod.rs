@@ -258,8 +258,8 @@ pub struct PagedKvPool {
     /// at construction): streams keep views append-only, the gate for the
     /// batched forward pass. Exact-f32 pools (no quantizer) also qualify.
     streaming: bool,
-    /// Which attention read path sequences admitted to this pool feed
-    /// (installed by [`PagedKvPool::set_kernel_mode`] while idle).
+    /// Which attention kernel reads the pool's sequences (installed by
+    /// [`PagedKvPool::set_kernel_mode`]).
     kernel: KernelMode,
     /// Cumulative read-path traffic, split by kernel family.
     reads: ReadCounters,
@@ -367,10 +367,10 @@ impl PagedKvPool {
     pub fn set_ranks(&mut self, ranks: usize) -> usize {
         self.assert_idle("ranks can only be split");
         let (layers, kv_dim) = (self.model.num_layers, self.model.kv_dim());
-        let encodes = |s: &dyn KvRowStream| s.encoded_rows().is_some();
-        let ranks = match self.quantizer.as_deref() {
-            Some(q) if ranks > 1 && !every_stream(q, layers, kv_dim, encodes) => 1,
-            _ => ranks.min(self.model.num_kv_heads),
+        let ranks = if ranks > 1 && self.quantized() && !self.encodes() {
+            1
+        } else {
+            ranks.min(self.model.num_kv_heads)
         };
         let capacity = self.capacity_pages() as usize;
         let host = self.host_capacity_pages() as usize;
@@ -441,6 +441,14 @@ impl PagedKvPool {
     /// scale sync per appended row of those).
     pub(crate) fn quantized(&self) -> bool {
         self.quantizer.is_some()
+    }
+
+    /// Whether every `(layer, kind)` stream of the pool's quantizer keeps
+    /// encoded rows — what rank shards adopt and the fused kernel reads.
+    fn encodes(&self) -> bool {
+        let (layers, kv_dim) = (self.model.num_layers, self.model.kv_dim());
+        let encodes = |s: &dyn KvRowStream| s.encoded_rows().is_some();
+        (self.quantizer.as_deref()).is_some_and(|q| every_stream(q, layers, kv_dim, encodes))
     }
 
     /// Rank 0's MMU simulator (read-only) — a one-rank pool's only one:
@@ -514,7 +522,7 @@ impl PagedKvPool {
 
     /// The one idle check behind every construction-time setter: no
     /// sequence active **or suspended**, and an empty trie. A suspended
-    /// sequence keeps its prompt plan, slot flags and adopted blocks, all
+    /// sequence keeps its prompt plan, slot widths and adopted blocks, all
     /// cut for the configuration it was admitted under.
     fn assert_idle(&self, what: &str) {
         assert!(
@@ -523,38 +531,26 @@ impl PagedKvPool {
         );
     }
 
-    /// Selects the attention read path for sequences admitted from now
-    /// on, returning the mode actually installed: [`KernelMode::Fused`]
-    /// silently downgrades to [`KernelMode::Exact`] when the pool cannot
-    /// support it — no quantizer (exact-f32 pools), no streaming path, or
-    /// any `(layer, kind)` stream lacking the encoded read path (every
-    /// non-Oaken baseline). Under `Fused`, appended rows live **only** in
-    /// their encoded form (no dequantized views are materialized), sealed
-    /// trie blocks store encoded rows, and attention reads go through
-    /// [`PagedKvPool::encoded_kv`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the pool is idle — the switch is a construction-time
-    /// choice.
+    /// Selects the attention kernel every read from now on runs — live
+    /// sequences included — and returns the mode actually installed:
+    /// [`KernelMode::Fused`] silently downgrades to [`KernelMode::Exact`]
+    /// when the pool cannot support it — no quantizer (exact-f32 pools),
+    /// no streaming path, or any `(layer, kind)` stream without an encoded
+    /// form (every non-Oaken baseline). The mode picks the read kernel and
+    /// nothing else: rows, sealed trie blocks and transfers are stored
+    /// alike in both modes. Under `Fused`, attention reads go through
+    /// [`PagedKvPool::encoded_kv`]; under `Exact`, through views decoded
+    /// on read.
     pub fn set_kernel_mode(&mut self, kernel: KernelMode) -> KernelMode {
-        self.assert_idle("kernel mode can only be installed");
-        let fusable = |s: &dyn KvRowStream| s.fused_read_params().is_some();
-        let (layers, kv_dim) = (self.model.num_layers, self.model.kv_dim());
-        let capable =
-            (self.quantizer.as_deref()).is_some_and(|q| every_stream(q, layers, kv_dim, fusable));
-        self.kernel = if kernel == KernelMode::Fused && capable {
+        self.kernel = if kernel == KernelMode::Fused && self.encodes() {
             KernelMode::Fused
         } else {
             KernelMode::Exact
         };
-        // Recycled slots carry the previous mode's flags; drop them so
-        // every future sequence starts from a correctly-flagged slot set.
-        self.recycled.clear();
         self.kernel
     }
 
-    /// The installed attention read path.
+    /// The installed attention kernel.
     pub fn kernel_mode(&self) -> KernelMode {
         self.kernel
     }
@@ -950,44 +946,128 @@ mod tests {
         assert!(pool.mmu().request_bytes(seq.0) > 0);
     }
 
-    /// At width 128 over 1,024 rows of a fused pool, the heap holds what
-    /// is charged within a bound per store: a stream's read plan and
-    /// sparse log at most 2.5× its payload for keys and 3.6× for values
-    /// (the plan's decode caches ride on the packed row), and a sealed
-    /// trie block's packed runs at most 1.25× its payload. The pool's
-    /// count is the sum of its slots' and its blocks'.
+    /// At width 128 over 1,024 rows, in either kernel mode, the heap
+    /// holds what is charged within a bound per store: a stream's read
+    /// plan and sparse log at most 2.5× its payload for keys and 3.6× for
+    /// values (the plan's decode caches ride on the packed row), no view
+    /// before a read, and a sealed trie block's packed runs at most 1.25×
+    /// its payload. The pool's count is the sum of its slots' and its
+    /// blocks'.
     #[test]
     fn held_bytes_stay_near_charged_bytes() {
         let (d, tokens) = (128, 1024);
         let cfg = tiny_config(1, 1, d);
-        let mut pool = PagedKvPool::for_model(&cfg, Some(oaken(d, 1)), 1024, 4096);
-        assert_eq!(pool.set_kernel_mode(KernelMode::Fused), KernelMode::Fused);
-        let prompt: Vec<u32> = (0..=tokens as u32).collect();
-        let seq = pool.alloc_seq_with_prefix(&prompt).seq;
-        for t in 0..tokens as u64 {
-            pool.append(seq, 0, &row(d, 2 * t), &row(d, 2 * t + 1))
-                .unwrap();
+        let q = oaken(d, 1);
+        for kernel in [KernelMode::Exact, KernelMode::Fused] {
+            let mut pool = PagedKvPool::for_model(&cfg, Some(q.clone()), 1024, 4096);
+            assert_eq!(pool.set_kernel_mode(kernel), kernel);
+            let prompt: Vec<u32> = (0..=tokens as u32).collect();
+            let seq = pool.alloc_seq_with_prefix(&prompt).seq;
+            for t in 0..tokens as u64 {
+                pool.append(seq, 0, &row(d, 2 * t), &row(d, 2 * t + 1))
+                    .unwrap();
+            }
+            let ratio = |held: usize, charged: u64| held as f64 / charged as f64;
+            let [keys, values] = &pool.slots(0, seq)[0];
+            for (slot, bound, kind) in [(keys, 2.5, "keys"), (values, 3.6, "values")] {
+                let stream = slot.stream().unwrap();
+                let charged = stream.payload_bytes().unwrap() as u64;
+                let r = ratio(stream.held_bytes(), charged);
+                assert!(
+                    r <= bound,
+                    "{kernel:?} {kind}: held ÷ charged {r:.2} over {bound}"
+                );
+                assert_eq!(
+                    slot.held_bytes(),
+                    stream.held_bytes(),
+                    "{kernel:?}: no view"
+                );
+            }
+            assert_eq!(pool.trie.len(), tokens / DEFAULT_BLOCK_TOKENS);
+            for id in 0..pool.trie.len() {
+                let block = pool.trie.get(id);
+                let r = ratio(block.shards[0].rows.held_bytes(), block.bytes());
+                assert!(
+                    r <= 1.25,
+                    "{kernel:?} block {id}: held ÷ charged {r:.2} over 1.25"
+                );
+            }
+            let slots = keys.held_bytes() + values.held_bytes();
+            assert_eq!(
+                pool.held_kv_bytes(),
+                (slots + pool.trie.held_bytes()) as u64
+            );
         }
-        let ratio = |held: usize, charged: u64| held as f64 / charged as f64;
-        let [keys, values] = &pool.slots(0, seq)[0];
-        for (slot, bound, kind) in [(keys, 2.5, "keys"), (values, 3.6, "values")] {
-            let stream = slot.stream().unwrap();
-            let charged = stream.payload_bytes().unwrap() as u64;
-            let r = ratio(stream.held_bytes(), charged);
-            assert!(r <= bound, "{kind}: held ÷ charged {r:.2} over {bound}");
-            assert_eq!(slot.held_bytes(), stream.held_bytes(), "no view");
+    }
+
+    /// The kernel mode picks the read kernel and nothing else. The same
+    /// prompt fed to an Exact and a Fused pool, with a second sequence
+    /// adopting the first one's sealed blocks, leaves every slot with
+    /// equal encoded rows and read plans and bit-identical views; a live
+    /// pool switches mode both ways mid-decode; and an Exact pool's export
+    /// resumes in a Fused pool to the same views.
+    #[test]
+    fn kernel_mode_picks_the_read_kernel_only() {
+        use KernelMode::{Exact, Fused};
+        let (layers, d) = (2, 64);
+        let cfg = tiny_config(layers, 2, 32);
+        let q = oaken(d, layers);
+        let prompt: Vec<u32> = (0..13).collect(); // 3 full blocks + tail
+        let fresh = |kernel| {
+            let mut pool = PagedKvPool::for_model(&cfg, Some(q.clone()), 2048, 512);
+            pool.set_block_tokens(4);
+            assert_eq!(pool.set_kernel_mode(kernel), kernel);
+            let a = pool.alloc_seq_with_prefix(&prompt).seq;
+            feed_prompt(&mut pool, a, layers, d, 0, prompt.len());
+            let b = pool.alloc_seq_with_prefix(&prompt);
+            assert_eq!(b.matched_tokens, 12, "{kernel:?}: three blocks adopted");
+            feed_prompt(&mut pool, b.seq, layers, d, 12, prompt.len() + 2);
+            (pool, [a, b.seq])
+        };
+        let (mut exact, seqs) = fresh(Exact);
+        let (mut fused, fused_seqs) = fresh(Fused);
+        assert_eq!(seqs, fused_seqs);
+        let stored = |slot: &KindSlot| {
+            let rows = slot.encoded_rows().expect("Oaken slots keep encoded rows");
+            let mut run = oaken_core::PackedRows::new(d);
+            rows.export(0..rows.len(), &mut run);
+            (run, slot.stream().unwrap().read_plan().cloned())
+        };
+        for seq in seqs {
+            let slots = exact.slots(0, seq).iter().flatten();
+            for (e, f) in slots.zip(fused.slots(0, seq).iter().flatten()) {
+                assert_eq!(e.rows, f.rows);
+                assert_eq!(stored(e), stored(f), "{seq:?}: stores differ across modes");
+                assert!(
+                    e.view.is_empty() && f.view.is_empty(),
+                    "no view before a read"
+                );
+            }
+            assert_same_views((&mut exact, seq), (&mut fused, seq), "across modes");
         }
-        assert_eq!(pool.trie.len(), tokens / DEFAULT_BLOCK_TOKENS);
-        for id in 0..pool.trie.len() {
-            let block = pool.trie.get(id);
-            let r = ratio(block.shards[0].rows.held_bytes(), block.bytes());
-            assert!(r <= 1.25, "block {id}: held ÷ charged {r:.2} over 1.25");
+        // Switch live pools both ways and keep decoding.
+        let b = seqs[1];
+        assert!(exact.encoded_kv(b, 0).is_none());
+        assert_eq!(exact.set_kernel_mode(Fused), Fused);
+        assert!(exact.encoded_kv(b, 0).is_some());
+        assert_eq!(fused.set_kernel_mode(Exact), Exact);
+        assert!(fused.encoded_kv(b, 0).is_none());
+        let fed = prompt.len() + 4;
+        for pool in [&mut exact, &mut fused] {
+            feed_prompt(pool, b, layers, d, prompt.len() + 2, fed);
         }
-        let slots = keys.held_bytes() + values.held_bytes();
-        assert_eq!(
-            pool.held_kv_bytes(),
-            (slots + pool.trie.held_bytes()) as u64
-        );
+        assert_same_views((&mut exact, b), (&mut fused, b), "after the switch");
+        assert_eq!(exact.set_kernel_mode(Exact), Exact);
+        // An Exact pool's export resumes in a Fused pool.
+        let transfer = exact.export_seq(b).unwrap();
+        let mut dst = PagedKvPool::for_model(&cfg, Some(q.clone()), 2048, 512);
+        assert_eq!(dst.set_kernel_mode(Fused), Fused);
+        let (seq, _) = dst.import_seq(transfer).unwrap();
+        dst.resume_seq(seq).unwrap();
+        feed_prompt(&mut dst, seq, layers, d, fed, fed + 2);
+        assert!(dst.encoded_kv(seq, 0).is_some());
+        let (mut lone, l) = alone(&cfg, &q, fed + 2, |pos| kv_for_pos(d, pos));
+        assert_same_views((&mut dst, seq), (&mut lone, l), "imported across modes");
     }
 
     /// A fused read charges each query the payload of every row it

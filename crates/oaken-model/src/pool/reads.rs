@@ -6,7 +6,7 @@ use super::blocks::SeqBlock;
 use super::seq::SeqShard;
 use super::{PagedKvPool, SeqId};
 use crate::attention::{tile_pieces, EncodedKv, KvRead, QUERY_TILE};
-use crate::cache::slot_index;
+use crate::cache::{slot_index, KernelMode};
 use oaken_core::kernel::KEY_GROUP;
 use oaken_core::KvKind;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,9 +121,9 @@ impl PagedKvPool {
     }
 
     /// Dequantized `[seq_len × width]` view of the cached keys on rank 0 —
-    /// a one-rank pool's whole rows (see [`PagedKvPool::rank_view`]). In
-    /// fused mode this is the exact-path escape hatch: the view is rebuilt
-    /// lazily from the encoded rows (attention itself goes through
+    /// a one-rank pool's whole rows (see [`PagedKvPool::rank_view`]). For
+    /// encoded rows the view is decoded lazily, only the rows it does not
+    /// hold yet (fused attention goes through
     /// [`PagedKvPool::encoded_kv`] and never pays this).
     ///
     /// # Panics
@@ -161,16 +161,13 @@ impl PagedKvPool {
 
     /// The `(seq, layer)` K and V tensors of rank 0 in their encoded form
     /// — the fused kernel's read path — accounted as one query token's
-    /// read. `None` unless the pool runs
-    /// [`KernelMode::Fused`](crate::KernelMode::Fused) (or for an unknown
-    /// sequence). Takes `&self` so the key and value tensors can be
+    /// read. `None` unless the pool runs [`KernelMode::Fused`] (or for an
+    /// unknown sequence). Takes `&self` so the key and value tensors can be
     /// borrowed together; read accounting therefore goes through relaxed
     /// atomic counters.
     pub fn encoded_kv(&self, seq: SeqId, layer: usize) -> Option<(EncodedKv<'_>, EncodedKv<'_>)> {
         let shard = &self.seqs.get(&seq.0)?.shards[0];
-        if !shard.encoded(layer) {
-            return None;
-        }
+        shard.fused(layer, self.kernel)?;
         let KvRead::Fused { keys, values } = self.read_run(shard, self.width(0), layer, 1) else {
             unreachable!("probed fused above");
         };
@@ -180,8 +177,9 @@ impl PagedKvPool {
     }
 
     /// Brings the dequantized views of `(seq, layer)` up to date on every
-    /// rank for attention's reads — a no-op for slots on the fused read
-    /// path and for views that appends maintain; the recompute fallback
+    /// rank for attention's reads — a no-op for slots the fused kernel
+    /// reads and for views that appends maintain; an encoding stream's
+    /// exact reads decode their missing rows and the recompute fallback
     /// re-materializes here.
     ///
     /// # Panics
@@ -190,7 +188,7 @@ impl PagedKvPool {
     pub fn sync_views(&mut self, seq: SeqId, layer: usize) {
         let state = self.seqs.get_mut(&seq.0).expect("unknown sequence");
         for (r, shard) in state.shards.iter_mut().enumerate() {
-            if shard.encoded(layer) {
+            if shard.fused(layer, self.kernel).is_some() {
                 continue;
             }
             let width = self.plan.kv_channels(r).len();
@@ -346,7 +344,7 @@ impl PagedKvPool {
         let n = queries.min(rows);
         // Query `i` of the run attends `rows - n + 1 + i` K/V row pairs.
         let attended = (n * (2 * rows + 1 - n)) as u64;
-        let (Some(keys), Some(values)) = (key_slot.encoded(), value_slot.encoded()) else {
+        let Some((keys, values)) = shard.fused(layer, self.kernel) else {
             for slot in [key_slot, value_slot] {
                 assert!(
                     slot.view.len() == slot.rows * width,
@@ -363,8 +361,7 @@ impl PagedKvPool {
         // run's `m`, off the stores' cumulative COO ends.
         let mut bytes = 0u64;
         for slot in [key_slot, value_slot] {
-            let stored = slot.stream().and_then(|s| s.encoded_rows());
-            let stored = stored.expect("encoded slots keep rows");
+            let stored = slot.encoded_rows().expect("encoded slots keep rows");
             bytes += (rows - n + 1..=rows)
                 .map(|m| stored.payload_bytes(m) as u64)
                 .sum::<u64>();
@@ -377,11 +374,15 @@ impl PagedKvPool {
 }
 
 impl SeqShard {
-    /// Whether `layer` is served in encoded form — the branch probe, free
-    /// of read accounting.
-    fn encoded(&self, layer: usize) -> bool {
+    /// `layer`'s encoded K and V tensors when `kernel` is
+    /// [`KernelMode::Fused`] and both slots keep them — the branch probe,
+    /// free of read accounting.
+    fn fused(&self, layer: usize, kernel: KernelMode) -> Option<(EncodedKv<'_>, EncodedKv<'_>)> {
         let [key_slot, value_slot] = &self.slots[layer];
-        key_slot.encoded().is_some() && value_slot.encoded().is_some()
+        match kernel {
+            KernelMode::Fused => Some((key_slot.encoded()?, value_slot.encoded()?)),
+            KernelMode::Exact => None,
+        }
     }
 }
 

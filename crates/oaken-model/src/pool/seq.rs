@@ -117,13 +117,9 @@ impl PagedKvPool {
             return s;
         }
         let q = self.quantizer.as_deref();
-        // The pool's mode is capability-checked at install, so every slot
-        // takes it.
         let shard = |width: usize| SeqShard {
             slots: (0..self.model.num_layers)
-                .map(|layer| {
-                    KvKind::ALL.map(|kind| KindSlot::new(q, width, layer, kind, self.kernel))
-                })
+                .map(|layer| KvKind::ALL.map(|kind| KindSlot::new(q, width, layer, kind)))
                 .collect(),
             pages: 0,
         };

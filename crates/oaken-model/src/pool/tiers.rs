@@ -34,7 +34,6 @@
 use super::blocks::SeqBlock;
 use super::seq::SeqSlots;
 use super::{PagedKvPool, PoolError, SeqId};
-use crate::cache::KernelMode;
 use oaken_mmu::{FaultOp, SwapReceipt, TransferPayload};
 use std::fmt;
 
@@ -222,8 +221,9 @@ impl PagedKvPool {
     /// state, views, row counts) ship verbatim with the prompt plan
     /// stripped. Flattening is what makes the transfer self-contained:
     /// the importer owes nothing to this pool's trie, and the slots
-    /// already hold every adopted row's bytes (exact mode copies views at
-    /// adoption; fused mode adopts encoded rows into the stream itself).
+    /// already hold every adopted row's bytes (adoption feeds a block's
+    /// encoded rows into the streams themselves, or its views into an
+    /// exact-f32 or FP16 slot's view).
     /// The source side then tears down exactly like
     /// [`free_seq`](Self::free_seq): private pages free, shared blocks
     /// release leaf-first.
@@ -305,9 +305,9 @@ impl PagedKvPool {
     ///
     /// # Panics
     ///
-    /// Panics when the transfer's geometry disagrees with this pool
-    /// (rank count, layer count or kernel mode) — cluster engines must
-    /// share a model and kernel configuration.
+    /// Panics when the transfer's geometry disagrees with this pool (rank
+    /// count or layer count) — cluster engines must share a model. The
+    /// kernel modes may differ: rows are stored alike in both.
     #[allow(clippy::result_large_err)]
     pub fn import_seq(
         &mut self,
@@ -319,13 +319,6 @@ impl PagedKvPool {
                 self.model.num_layers,
                 "imported sequence's layer count disagrees with this pool"
             );
-            for slot in shard.slots.iter().flatten() {
-                assert_eq!(
-                    slot.fused,
-                    self.kernel == KernelMode::Fused,
-                    "imported sequence's kernel mode disagrees with this pool"
-                );
-            }
         }
         // The landing charges the host tier: injectable, polled before
         // anything mutates (the transfer is handed back for a retry).

@@ -212,8 +212,8 @@ mod tests {
     use crate::pool::{PagedKvPool, PoolBatchView, PoolError, SeqId};
     use crate::sampling::sample_greedy;
     use oaken_core::{
-        EncodedReadPlan, EncodedRows, FusedReadParams, KvKind, KvQuantizer, KvRowStream,
-        OakenConfig, OakenQuantizer, OfflineProfiler, OnlineCost, PackedRows,
+        EncodedReadPlan, EncodedRows, KvKind, KvQuantizer, KvRowStream, OakenConfig,
+        OakenQuantizer, OfflineProfiler, OnlineCost, PackedRows,
     };
     use oaken_mmu::FaultPlan;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -718,9 +718,6 @@ mod tests {
             self.encodes.fetch_add(1, Ordering::Relaxed);
             self.inner.append_row_encoded(row)
         }
-        fn fused_read_params(&self) -> Option<FusedReadParams> {
-            self.inner.fused_read_params()
-        }
         fn read_plan(&self) -> Option<&EncodedReadPlan> {
             self.inner.read_plan()
         }
@@ -850,8 +847,8 @@ mod tests {
                         assert_eq!(row.to_vector(), want.unwrap());
                     }
                     assert_eq!(stream.read_plan().unwrap().rows(), tokens as usize);
-                    // A fused shard has materialized nothing yet.
-                    assert_eq!(slot.view.is_empty(), kernel == KernelMode::Fused);
+                    // No shard has materialized a view before a read.
+                    assert!(slot.view.is_empty());
                 }
             }
             let got = views(&mut pools, seq, cfg.num_layers);

@@ -59,7 +59,7 @@ impl QuantizedCache {
     /// Selects the attention read path after a reset, returning the mode
     /// installed.
     pub fn set_kernel_mode(&mut self, kernel: KernelMode) -> KernelMode {
-        self.store_mut().set_kernel_mode(kernel)
+        self.store_mut().pool.set_kernel_mode(kernel)
     }
 
     fn store(&self) -> &SeqStore {

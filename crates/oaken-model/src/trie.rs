@@ -23,7 +23,7 @@
 //! invariant simple: a node with zero references has no children and is
 //! removed immediately.
 
-use crate::cache::{KindSlot, SlotRows};
+use crate::cache::KindSlot;
 use oaken_core::PackedRows;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -50,17 +50,18 @@ pub struct PrefixStats {
     pub bytes_deduplicated: u64,
 }
 
-/// The rows a sealed block stores, in the one form its pool reads: what
-/// an adopting sequence receives instead of quantizing the tokens itself.
-/// Per layer, `[keys, values]`.
+/// The rows a sealed block stores, in the one form its sequences' slots
+/// keep them: what an adopting sequence receives instead of quantizing
+/// the tokens itself. Per layer, `[keys, values]`.
 #[derive(Debug)]
 pub(crate) enum BlockRows {
-    /// Dequantized rows, each `[block_tokens × kv_dim]` — copied into the
-    /// adopter's attention views ([`crate::KernelMode::Exact`] pools).
+    /// f32 rows, each `[block_tokens × kv_dim]` — copied into the
+    /// adopter's views (exact-f32 and FP16 pools, whose views are their
+    /// rows).
     Views(Vec<[Vec<f32>; 2]>),
-    /// Encoded rows, one packed run of `block_tokens` rows each — fed
-    /// into the adopter's streams, so a [`crate::KernelMode::Fused`] pool
-    /// never materializes an f32 image of a shared prefix.
+    /// Encoded rows, one packed run of `block_tokens` rows each — fed into
+    /// the adopter's streams (Oaken pools, whichever kernel reads them),
+    /// so no f32 image of a shared prefix is materialized.
     Encoded(Vec<[PackedRows; 2]>),
 }
 
@@ -68,19 +69,19 @@ impl BlockRows {
     /// Copies rows `range` of every slot of one sequence, in the form the
     /// slots keep them.
     pub fn capture(slots: &[[KindSlot; 2]], kv_dim: usize, range: Range<usize>) -> Self {
-        if slots.iter().flatten().all(|s| s.fused) {
-            // A fused stream's encoded state covers absolute positions:
+        if slots.iter().flatten().all(|s| s.encoded_rows().is_some()) {
+            // An encoding stream's state covers absolute positions:
             // adoption feeds the stream, never a side view.
             let rows = |slot: &KindSlot| {
-                let stored = slot.stream().and_then(|s| s.encoded_rows());
                 let mut run = PackedRows::new(kv_dim);
-                (stored.expect("fused slots keep rows")).export(range.clone(), &mut run);
+                (slot.encoded_rows().expect("checked above")).export(range.clone(), &mut run);
                 run
             };
             Self::Encoded(slots.iter().map(|[k, v]| [rows(k), rows(v)]).collect())
         } else {
-            // Exact-kernel slots of a sharing pool stream or store f32, and
-            // their appends keep `view` current.
+            // Slots of a sharing pool without an encoded form store f32 or
+            // stream into their views, and their appends keep `view`
+            // current.
             let rows =
                 |slot: &KindSlot| slot.view[range.start * kv_dim..range.end * kv_dim].to_vec();
             Self::Views(slots.iter().map(|[k, v]| [rows(k), rows(v)]).collect())
@@ -92,15 +93,13 @@ impl BlockRows {
     pub fn adopt_into(&self, slots: &mut [[KindSlot; 2]], tokens: usize) {
         for (layer, pair) in slots.iter_mut().enumerate() {
             for (ki, slot) in pair.iter_mut().enumerate() {
-                match (self, &mut slot.storage) {
-                    (Self::Encoded(rows), SlotRows::Stream(stream)) => {
-                        let ok = stream.adopt_encoded_rows(&rows[layer][ki]);
-                        assert!(ok, "fused slot's stream refused adoption");
+                match self {
+                    Self::Encoded(rows) => slot.adopt(&rows[layer][ki]),
+                    Self::Views(rows) => {
+                        slot.view.extend_from_slice(&rows[layer][ki]);
+                        slot.rows += tokens;
                     }
-                    (Self::Encoded(_), _) => panic!("fused slots are streaming"),
-                    (Self::Views(rows), _) => slot.view.extend_from_slice(&rows[layer][ki]),
                 }
-                slot.rows += tokens;
             }
         }
     }

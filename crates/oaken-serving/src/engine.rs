@@ -246,11 +246,12 @@ pub struct EngineConfig {
     /// through the same audited path as retirement. `None` (the default)
     /// disables the sweep.
     pub max_iterations: Option<u64>,
-    /// Requested attention read path, installed into the pool at engine
-    /// construction ([`PagedKvPool::set_kernel_mode`]). The request is
-    /// capability-gated: a pool whose quantizer has no encoded read path
-    /// stays [`KernelMode::Exact`] (see [`BatchEngine::kernel_mode`] for
-    /// the installed answer).
+    /// Requested attention kernel, installed into the pool at engine
+    /// construction ([`PagedKvPool::set_kernel_mode`]). It picks how
+    /// attention reads the pool's rows, not how they are stored. The
+    /// request is capability-gated: a pool whose quantizer has no encoded
+    /// read path stays [`KernelMode::Exact`] (see
+    /// [`BatchEngine::kernel_mode`] for the installed answer).
     pub kernel: KernelMode,
 }
 
@@ -689,9 +690,7 @@ impl<'m> BatchEngine<'m> {
         if let Some(plan) = config.fault_plan {
             pool.install_faults(plan);
         }
-        if config.kernel != pool.kernel_mode() {
-            pool.set_kernel_mode(config.kernel);
-        }
+        pool.set_kernel_mode(config.kernel);
         let stats = EngineStats {
             num_ranks: ranks,
             rank_page_peaks: vec![0; ranks],
