@@ -228,10 +228,6 @@ impl<K: CalibratedRowKernel> KvRowStream for CalibratedStream<K> {
         }
     }
 
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// The exact rows buffered during warm-up. The rows themselves live
     /// in the caller's f32 view, and the frozen calibration is a fixed
     /// per-stream cost, not per row.

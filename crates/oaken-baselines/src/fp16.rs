@@ -43,7 +43,7 @@ impl KvQuantizer for Fp16Reference {
     }
 
     fn row_stream(&self, d: usize, _layer: usize, _kind: KvKind) -> Option<Box<dyn KvRowStream>> {
-        Some(Box::new(Fp16RowStream { d, rows: 0 }))
+        Some(Box::new(Fp16RowStream { d }))
     }
 
     /// Each element converts to FP16 independently — trivially a pure
@@ -54,25 +54,17 @@ impl KvQuantizer for Fp16Reference {
 }
 
 /// Streaming FP16 path: each element converts independently, so appends
-/// are trivially O(d) and bit-exact with the batch path.
+/// are trivially O(d) and bit-exact with the batch path. With no encoded
+/// form, a row is charged the nominal 16 bits per element: `2·d` dense
+/// bytes, no sparse ones.
 struct Fp16RowStream {
     d: usize,
-    rows: usize,
 }
 
 impl KvRowStream for Fp16RowStream {
     fn append_row(&mut self, row: &[f32], view: &mut Vec<f32>) {
         assert_eq!(row.len(), self.d, "row width mismatch");
         view.extend(row.iter().map(|&x| f16_roundtrip(x)));
-        self.rows += 1;
-    }
-
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn payload_bytes(&self) -> Option<usize> {
-        Some(self.rows * self.d * 2)
     }
 
     /// Nothing: the rows live only in the caller's f32 view.
@@ -80,13 +72,7 @@ impl KvRowStream for Fp16RowStream {
         0
     }
 
-    fn reset(&mut self) {
-        self.rows = 0;
-    }
-
-    fn last_row_payload(&self) -> Option<(usize, usize)> {
-        (self.rows > 0).then_some((self.d * 2, 0))
-    }
+    fn reset(&mut self) {}
 }
 
 #[cfg(test)]

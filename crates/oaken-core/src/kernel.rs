@@ -38,10 +38,11 @@
 //! stream's one store of its rows ([`EncodedRows`]).
 
 use crate::encoding::{
-    capacity_bytes, nibble, EncodedRow, FusedVector, PackedRows, ScaleSet, SparseLog,
+    capacity_bytes, nibble, EncodedRow, FusedVector, OutlierIter, PackedRows, ScaleSet, SparseLog,
 };
 use crate::groups::GroupKind;
 use crate::lanes;
+use crate::pipeline::decode_row;
 use crate::quant::UniformQuantizer;
 use crate::thresholds::{KvKind, Thresholds};
 
@@ -691,23 +692,33 @@ impl KeyPlan {
 
 /// A stream's encoded rows as its one store keeps them: the dense nibbles
 /// in its [`EncodedReadPlan`], everything else in a `SparseLog` beside
-/// it. Rows leave the store only as copies, a range at a time
-/// ([`export`](Self::export)).
+/// it, read with the stream's [`FusedReadParams`]. Everything a reader
+/// takes from the store goes through this view: the plan the tile kernel
+/// reads ([`plan`](Self::plan)), each row's charged bytes
+/// ([`row_payload`](Self::row_payload)), f32 rows
+/// ([`decode_into`](Self::decode_into)), and copies in page form, a range
+/// at a time ([`export`](Self::export)).
 #[derive(Debug, Clone, Copy)]
 pub struct EncodedRows<'a> {
     plan: &'a EncodedReadPlan,
     log: &'a SparseLog,
+    params: FusedReadParams,
 }
 
 impl<'a> EncodedRows<'a> {
-    /// The rows of `plan` and `log`, which hold the same rows.
-    pub(crate) fn new(plan: &'a EncodedReadPlan, log: &'a SparseLog) -> Self {
+    /// The rows of `plan` and `log`, which hold the same rows, read with
+    /// `params`.
+    pub(crate) fn new(
+        plan: &'a EncodedReadPlan,
+        log: &'a SparseLog,
+        params: FusedReadParams,
+    ) -> Self {
         debug_assert_eq!(
             plan.rows(),
             log.rows(),
             "a plan and its log hold the same rows"
         );
-        Self { plan, log }
+        Self { plan, log, params }
     }
 
     /// Rows held.
@@ -720,10 +731,56 @@ impl<'a> EncodedRows<'a> {
         self.len() == 0
     }
 
+    /// The read plan over every row held: what the fused attention kernel
+    /// reads (keys column-major, values row-major; see
+    /// [`EncodedReadPlan`]).
+    pub fn plan(&self) -> &'a EncodedReadPlan {
+        self.plan
+    }
+
     /// Payload bytes of the first `rows` rows (see
     /// `SparseLog::payload_bytes_to`).
     pub fn payload_bytes(&self, rows: usize) -> usize {
         self.log.payload_bytes_to(rows)
+    }
+
+    /// `(dense, sparse)` payload bytes of row `t`, what the paged pool
+    /// lays into its dense slab and sparse log: packed nibbles plus FP16
+    /// scales (fixed per row), then the row's COO bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not a row held.
+    pub fn row_payload(&self, t: usize) -> (usize, usize) {
+        assert!(
+            t < self.len(),
+            "row {t} out of bounds ({} rows)",
+            self.len()
+        );
+        let sparse = self.log.sparse_bytes_to(t + 1) - self.log.sparse_bytes_to(t);
+        let payload = self.payload_bytes(t + 1) - self.payload_bytes(t);
+        (payload - sparse, sparse)
+    }
+
+    /// Dequantizes rows `rows`, appending `rows.len() × d` values to
+    /// `out` through the walk
+    /// [`OakenQuantizer::dequantize_vector_into`](crate::OakenQuantizer::dequantize_vector_into)
+    /// takes, so the values are bit-identical to dequantizing each row as
+    /// it was written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` exceeds the rows held.
+    pub fn decode_into(&self, rows: std::ops::Range<usize>, out: &mut Vec<f32>) {
+        self.check(&rows);
+        let d = self.plan.dim();
+        for t in rows {
+            let (sparse, counts, scales) = self.log.row(t);
+            let code_at = |i| u32::from(self.code(t, i));
+            let outliers = OutlierIter::new(sparse, counts);
+            decode_row(&self.params, &scales, d, code_at, outliers, out)
+                .expect("a stored row decodes with its stream's parameters");
+        }
     }
 
     /// Appends rows `rows` to `out` in page form, reserving what they
@@ -736,28 +793,28 @@ impl<'a> EncodedRows<'a> {
     /// Panics if `rows` exceeds the rows held or `out` is of another
     /// width.
     pub fn export(&self, rows: std::ops::Range<usize>, out: &mut PackedRows) {
-        assert!(
-            rows.start <= rows.end && rows.end <= self.len(),
-            "row range {rows:?} out of bounds ({} rows)",
-            self.len()
-        );
+        self.check(&rows);
         let dense = rows.clone();
         out.extend(self.log, rows, |slab| {
             self.plan.dense_rows_into(dense, slab)
         });
     }
 
+    /// Panics unless `rows` is a range of rows held.
+    fn check(&self, rows: &std::ops::Range<usize>) {
+        assert!(
+            rows.start <= rows.end && rows.end <= self.len(),
+            "row range {rows:?} out of bounds ({} rows)",
+            self.len()
+        );
+    }
+
     /// The dense code of row `t`'s element `i`.
-    pub(crate) fn code(&self, t: usize, i: usize) -> u8 {
+    fn code(&self, t: usize, i: usize) -> u8 {
         match self.plan {
             EncodedReadPlan::Keys(p) => p.code(t, i),
             EncodedReadPlan::Values(p) => p.code(t, i),
         }
-    }
-
-    /// Row `t`'s `(COO bytes, per-block counts, scales)`.
-    pub(crate) fn sparse_row(&self, t: usize) -> (&'a [u8], &'a [u8], ScaleSet) {
-        self.log.row(t)
     }
 }
 

@@ -292,49 +292,50 @@ impl OakenQuantizer {
         kind: KvKind,
         out: &mut Vec<f32>,
     ) -> Result<(), OakenError> {
-        let t = *self.thresholds.get(layer, kind)?;
+        let params = self.fused_read_params(layer, kind)?;
         let code_at = |i| u32::from(fv.dense_code(i));
-        self.decode_row(&t, fv.scales(), fv.dim(), code_at, fv.outliers(), out)
+        decode_row(&params, fv.scales(), fv.dim(), code_at, fv.outliers(), out)
     }
+}
 
-    /// The streaming zero-insert dequantization walk of one row, from its
-    /// codes (`code_at`), its outliers and its scales: scan elements in
-    /// order, consuming the (sorted) outlier stream whenever its head
-    /// matches the current index.
-    fn decode_row(
-        &self,
-        t: &Thresholds,
-        s: &ScaleSet,
-        dim: usize,
-        code_at: impl Fn(usize) -> u32,
-        outliers: OutlierIter<'_>,
-        out: &mut Vec<f32>,
-    ) -> Result<(), OakenError> {
-        let bits = self.config.bits;
-        let q_mid = UniformQuantizer::new(s.middle_min, s.middle_max, bits.middle)?;
-        let q_inner = UniformQuantizer::new(0.0, s.inner_mag_max, bits.outlier_mag)?;
-        let q_outer = UniformQuantizer::new(0.0, s.outer_mag_max, bits.outlier_mag)?;
-        let mut outliers = outliers.peekable();
-        out.reserve(dim);
-        for i in 0..dim {
-            let code = code_at(i);
-            let v = match outliers.peek() {
-                Some(e) if e.index == i => {
-                    let e = *e;
-                    outliers.next();
-                    let q = match e.group {
-                        GroupKind::Inner => &q_inner,
-                        GroupKind::Outer => &q_outer,
-                        GroupKind::Middle => unreachable!("COO never stores middle"),
-                    };
-                    unshift_sparse(e.group, e.high_side, q.dequantize(code), t)
-                }
-                _ => unshift_middle(q_mid.dequantize(code), t),
-            };
-            out.push(v);
-        }
-        Ok(())
+/// The streaming zero-insert dequantization walk of one row, from its
+/// codes (`code_at`), its outliers, its scales and its tensor's read
+/// parameters: scan elements in order, consuming the (sorted) outlier
+/// stream whenever its head matches the current index. A
+/// [`FusedVector`] and a stored row ([`EncodedRows::decode_into`]) both
+/// decode through it.
+pub(crate) fn decode_row(
+    params: &FusedReadParams,
+    s: &ScaleSet,
+    dim: usize,
+    code_at: impl Fn(usize) -> u32,
+    outliers: OutlierIter<'_>,
+    out: &mut Vec<f32>,
+) -> Result<(), OakenError> {
+    let t = &params.thresholds;
+    let q_mid = UniformQuantizer::new(s.middle_min, s.middle_max, params.middle_bits)?;
+    let q_inner = UniformQuantizer::new(0.0, s.inner_mag_max, params.outlier_bits)?;
+    let q_outer = UniformQuantizer::new(0.0, s.outer_mag_max, params.outlier_bits)?;
+    let mut outliers = outliers.peekable();
+    out.reserve(dim);
+    for i in 0..dim {
+        let code = code_at(i);
+        let v = match outliers.peek() {
+            Some(e) if e.index == i => {
+                let e = *e;
+                outliers.next();
+                let q = match e.group {
+                    GroupKind::Inner => &q_inner,
+                    GroupKind::Outer => &q_outer,
+                    GroupKind::Middle => unreachable!("COO never stores middle"),
+                };
+                unshift_sparse(e.group, e.high_side, q.dequantize(code), t)
+            }
+            _ => unshift_middle(q_mid.dequantize(code), t),
+        };
+        out.push(v);
     }
+    Ok(())
 }
 
 /// Classifies and shifts one element exactly as
@@ -619,10 +620,6 @@ impl OakenRowStream {
             .expect("layer must be profiled before streaming quantization")
     }
 
-    fn stored(&self) -> EncodedRows<'_> {
-        EncodedRows::new(&self.plan, &self.log)
-    }
-
     /// Quantizes one row against the stream's thresholds and stores it in
     /// the plan and the log.
     fn push_quantized(&mut self, row: &[f32]) {
@@ -656,14 +653,6 @@ impl KvRowStream for OakenRowStream {
             .expect("fused vector decodes with the same thresholds");
     }
 
-    fn rows(&self) -> usize {
-        self.log.rows()
-    }
-
-    fn payload_bytes(&self) -> Option<usize> {
-        Some(self.stored().payload_bytes(self.rows()))
-    }
-
     fn held_bytes(&self) -> usize {
         self.plan.held_bytes() + self.log.held_bytes() + self.scratch.held_bytes()
     }
@@ -677,17 +666,10 @@ impl KvRowStream for OakenRowStream {
         self.log.clear();
     }
 
-    fn last_row_payload(&self) -> Option<(usize, usize)> {
-        let rows = self.rows();
-        let last = rows.checked_sub(1)?;
-        let sparse = self.log.sparse_bytes_to(rows) - self.log.sparse_bytes_to(last);
-        // Scales travel with the dense transfer (fixed size per token).
-        let payload = self.stored().payload_bytes(rows) - self.stored().payload_bytes(last);
-        Some((payload - sparse, sparse))
-    }
-
+    /// The stream's one store; `None` only for an unprofiled layer, whose
+    /// rows cannot be encoded (its first append panics).
     fn encoded_rows(&self) -> Option<EncodedRows<'_>> {
-        Some(self.stored())
+        (self.params).map(|params| EncodedRows::new(&self.plan, &self.log, params))
     }
 
     fn append_row_encoded(&mut self, row: &[f32]) -> bool {
@@ -698,34 +680,11 @@ impl KvRowStream for OakenRowStream {
         true
     }
 
-    fn read_plan(&self) -> Option<&EncodedReadPlan> {
-        Some(&self.plan)
-    }
-
     fn adopt_encoded_rows(&mut self, rows: &PackedRows) -> bool {
         assert_eq!(rows.dim(), self.d, "row width mismatch");
         let params = self.params();
         self.plan.push_rows(rows, &params);
         self.log.extend_from(rows.log(), 0..rows.rows());
-        true
-    }
-
-    fn decode_rows_into(&self, start: usize, end: usize, out: &mut Vec<f32>) -> bool {
-        assert!(
-            start <= end && end <= self.rows(),
-            "row range {start}..{end} out of bounds ({} rows)",
-            self.rows()
-        );
-        let stored = self.stored();
-        for t in start..end {
-            let (sparse, counts, scales) = stored.sparse_row(t);
-            let code_at = |i| u32::from(stored.code(t, i));
-            let outliers = OutlierIter::new(sparse, counts);
-            let thresholds = &self.params().thresholds;
-            (self.quantizer)
-                .decode_row(thresholds, &scales, self.d, code_at, outliers, out)
-                .expect("a stored row decodes with the same thresholds");
-        }
         true
     }
 }
@@ -1027,7 +986,7 @@ mod tests {
         let mut view = Vec::new();
         for r in 0..rows {
             stream.append_row(&data[r * d..(r + 1) * d], &mut view);
-            assert_eq!(stream.rows(), r + 1);
+            assert_eq!(stream.encoded_rows().unwrap().len(), r + 1);
             let batch = q.roundtrip_matrix(&data[..(r + 1) * d], r + 1, d, 0, KvKind::Key);
             assert_eq!(
                 batch.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -1064,10 +1023,12 @@ mod tests {
     /// re-adopted, or sliced to a rank's channels — as swap, resume,
     /// prefix adoption, import and rank splits rely on: exported, it is
     /// the quantizer's rows packed, its read plan is the appended one, and
-    /// it decodes to the bits the quantizer's own decoder gives each row.
-    /// Widths 33 and 97 end mid-byte and mid-COO-block, and 40 rows leave
-    /// an open key group with outliers queued in it. A sliced stream
-    /// decodes to the same channels of the full rows' decode.
+    /// it decodes to the bits the quantizer's own decoder gives each row,
+    /// and each row's `(dense, sparse)` charge is the quantizer's row's,
+    /// summing to the stream's payload. Widths 33 and 97 end mid-byte and
+    /// mid-COO-block, and 40 rows leave an open key group with outliers
+    /// queued in it. A sliced stream decodes to the same channels of the
+    /// full rows' decode.
     #[test]
     fn stores_round_trip_however_their_rows_arrive() {
         let q = quantizer();
@@ -1104,13 +1065,24 @@ mod tests {
                 ] {
                     let case = format!("{kind:?} width {d} {how}");
                     assert_eq!(export(&**s, d), want, "{case}");
-                    assert_eq!(s.read_plan(), appended.read_plan(), "{case}");
+                    let stored = s.encoded_rows().unwrap();
+                    let plan = appended.encoded_rows().unwrap().plan();
+                    assert_eq!(stored.plan(), plan, "{case}");
                     let mut out = Vec::new();
-                    assert!(s.decode_rows_into(0, n as usize, &mut out));
+                    stored.decode_into(0..n as usize, &mut out);
                     assert_eq!(bits(&out), decoded(&fvs), "{case}");
                     assert_eq!(s.payload_bytes(), Some(want.payload_bytes()), "{case}");
+                    let mut sum = 0;
+                    for (t, fv) in fvs.iter().enumerate() {
+                        let (dense, sparse) = stored.row_payload(t);
+                        // Nibbles plus four FP16 scales, then COO bytes.
+                        let want = (fv.dense_bytes().len() + 8, fv.sparse_bytes().len());
+                        assert_eq!((dense, sparse), want, "{case} row {t}");
+                        sum += dense + sparse;
+                    }
+                    assert_eq!(Some(sum), s.payload_bytes(), "{case}");
                 }
-                match (kind, appended.read_plan().unwrap()) {
+                match (kind, appended.encoded_rows().unwrap().plan()) {
                     (KvKind::Key, EncodedReadPlan::Keys(keys)) => {
                         assert!(keys.rows() % KEY_GROUP != 0, "width {d}: an open group");
                         assert!(
@@ -1135,7 +1107,7 @@ mod tests {
                     let case = format!("{kind:?} width {d} channels {range:?}");
                     assert_eq!(export(&*sliced, w), packed(w, &slices), "{case}");
                     let mut out = Vec::new();
-                    assert!(sliced.decode_rows_into(0, n as usize, &mut out));
+                    (sliced.encoded_rows().unwrap()).decode_into(0..n as usize, &mut out);
                     let full = decoded(&fvs);
                     let want: Vec<u32> = (0..n as usize)
                         .flat_map(|t| &full[t * d + range.start..t * d + range.end])
@@ -1145,5 +1117,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A decode past the rows held is a caller bug, not a short read.
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn decode_past_the_rows_held_panics() {
+        let q = quantizer();
+        let mut stream = q.row_stream(64, 0, KvKind::Value).expect("oaken streams");
+        for r in 0..3 {
+            assert!(stream.append_row_encoded(&test_vector(64, r)));
+        }
+        let mut out = Vec::new();
+        (stream.encoded_rows().unwrap()).decode_into(2..4, &mut out);
     }
 }

@@ -4,7 +4,7 @@
 //! the performance simulator uses to charge each method's runtime overhead.
 
 use crate::encoding::PackedRows;
-use crate::kernel::{EncodedReadPlan, EncodedRows};
+use crate::kernel::EncodedRows;
 use crate::thresholds::KvKind;
 
 /// Runtime-cost descriptor of a KV quantization method, consumed by the
@@ -80,9 +80,9 @@ impl Default for OnlineCost {
 /// Contract:
 ///
 /// * [`append_row`](KvRowStream::append_row) consumes one `d`-wide token
-///   vector and leaves `view` holding exactly `rows() × d` dequantized
-///   values afterwards. The same `view` buffer must be passed on every
-///   call; the stream owns its contents between appends.
+///   vector and leaves `view` holding exactly one `d`-wide row per row
+///   appended. The same `view` buffer must be passed on every call; the
+///   stream owns its contents between appends.
 /// * After the stream's **calibration warm-up** (if the method has one —
 ///   e.g. reorder-based baselines freeze their channel permutation after
 ///   `calib_rows` tokens), an append only *extends* `view`: rows already
@@ -95,22 +95,16 @@ impl Default for OnlineCost {
 /// semantics bit-exactly for any prefix at least as long as the warm-up;
 /// the property tests in `oaken-model` enforce this across random append
 /// schedules.
+///
+/// Three methods are required ([`append_row`](KvRowStream::append_row),
+/// [`held_bytes`](KvRowStream::held_bytes), [`reset`](KvRowStream::reset)),
+/// three are opt-in, for a method that keeps its rows encoded, and
+/// [`payload_bytes`](KvRowStream::payload_bytes) is derived from them.
 pub trait KvRowStream: Send {
     /// Quantizes and immediately dequantizes the next token row, appending
     /// the `d` reconstructed values to `view` (rewriting earlier rows only
     /// during calibration warm-up).
     fn append_row(&mut self, row: &[f32], view: &mut Vec<f32>);
-
-    /// Number of rows appended so far.
-    fn rows(&self) -> usize;
-
-    /// Exact encoded payload bytes held by the stream, when the method
-    /// tracks real storage (Oaken's fused vectors); `None` means the cache
-    /// should fall back to the nominal [`KvQuantizer::effective_bits`]
-    /// estimate.
-    fn payload_bytes(&self) -> Option<usize> {
-        None
-    }
 
     /// Heap bytes the stream holds: the capacities of every buffer it
     /// owns (rows, read-side caches, scratch), not counting the view the
@@ -128,32 +122,30 @@ pub trait KvRowStream: Send {
     /// indistinguishable from a fresh stream after `reset`.
     fn reset(&mut self);
 
-    /// `(dense_bytes, sparse_bytes)` of the most recently appended row's
-    /// encoded payload, when the method tracks real storage: the dense
-    /// component (packed codes + scales, fixed-size per token) and the
-    /// variable COO outlier component. The paged KV pool uses this to lay
-    /// rows into the MMU's dense/sparse page streams at their *actual*
-    /// stored sizes. `None` means the caller should fall back to the
-    /// nominal [`KvQuantizer::effective_bits`] estimate (dense only).
-    fn last_row_payload(&self) -> Option<(usize, usize)> {
-        None
+    /// Encoded payload bytes of every row held, off
+    /// [`encoded_rows`](KvRowStream::encoded_rows); `None` for a stream
+    /// without an encoded form, which the cache charges at the nominal
+    /// [`KvQuantizer::effective_bits`] instead.
+    fn payload_bytes(&self) -> Option<usize> {
+        let rows = self.encoded_rows()?;
+        Some(rows.payload_bytes(rows.len()))
     }
 
     // ------------------------------------------------------------------
-    // Encoded (quantized-domain) read path — opt-in per method.
+    // Encoded (quantized-domain) form — opt-in per method.
     //
-    // Streams whose canonical state is the fused encoding can let the
-    // attention kernel read rows *without* a dequantized f32 view ever
-    // existing. The five methods below, like `payload_bytes` and
-    // `last_row_payload` above — seven in all — default to "not
-    // supported" so every baseline keeps working unchanged; a caller must
-    // check `append_row_encoded`'s return and fall back to `append_row`.
+    // A stream whose canonical state is the fused encoding keeps each row
+    // once, encoded, and everything a reader takes from it — the fused
+    // kernel's read plan, each row's charged bytes, dequantized rows,
+    // page-form copies — comes from the one view `encoded_rows` returns.
+    // The three methods below default to "no encoded form", so every
+    // baseline keeps working unchanged; a caller must check
+    // `append_row_encoded`'s return and fall back to `append_row`.
     // ------------------------------------------------------------------
 
     /// The encoded rows held by the stream, when the method stores them
-    /// encoded: a view of its one store, from which a row range is
-    /// exported in page form ([`EncodedRows::export`]). `None` means the
-    /// method has no encoded form and readers must use the dequantized
+    /// encoded: a view of its one store ([`EncodedRows`]). `None` means
+    /// the method has no encoded form and readers must use the dequantized
     /// view.
     fn encoded_rows(&self) -> Option<EncodedRows<'_>> {
         None
@@ -169,33 +161,12 @@ pub trait KvRowStream: Send {
         false
     }
 
-    /// The read-side cache maintained alongside the encoded rows — decode
-    /// coefficients, dense nibbles and the outliers in expand-load form,
-    /// keys column-major and values row-major (see [`EncodedReadPlan`]) —
-    /// the one form the fused attention kernel reads. `None` means the
-    /// method has no fused read path and readers use the dequantized view.
-    fn read_plan(&self) -> Option<&EncodedReadPlan> {
-        None
-    }
-
     /// Appends already-encoded rows in page form (a sealed prefix block
     /// being adopted from the trie, a rank's slice of a row) to the
     /// stream's encoded state. Returns `false` when the method has no
     /// encoded form.
     fn adopt_encoded_rows(&mut self, rows: &PackedRows) -> bool {
         let _ = rows;
-        false
-    }
-
-    /// Dequantizes rows `start..end` of the encoded state, appending
-    /// `(end - start) × d` values to `out` — the exact-path escape hatch
-    /// for a stream populated through
-    /// [`append_row_encoded`](KvRowStream::append_row_encoded) (block
-    /// sealing, debug bit-compares, lazy view rebuilds). Bit-identical to
-    /// the view `append_row` would have produced. Returns `false` when
-    /// unsupported.
-    fn decode_rows_into(&self, start: usize, end: usize, out: &mut Vec<f32>) -> bool {
-        let _ = (start, end, out);
         false
     }
 }

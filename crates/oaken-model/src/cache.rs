@@ -20,10 +20,15 @@
 //! [`KvRowStream`] and, when one is available (token-granular methods —
 //! Oaken, FP16, Atom, QServe, Tender), each append is O(d). A stream with
 //! an encoded form (Oaken) keeps the row only encoded, whichever
-//! [`KernelMode`] reads it: the fused kernel reads the stream's read plan
-//! in place, and an exact reader's dequantized view is decoded from the
-//! stream on read, only the rows it does not hold yet. Any other stream
-//! appends the row's dequantized image to the view as it quantizes it.
+//! [`KernelMode`] reads it, and every read goes through the one view of
+//! that store, [`KvRowStream::encoded_rows`]: the fused kernel reads its
+//! [`plan`](EncodedRows::plan) in place, an exact reader's dequantized
+//! view is decoded from it on read ([`EncodedRows::decode_into`], only
+//! the rows the view does not hold yet), and the pool charges each row's
+//! [`row_payload`](EncodedRows::row_payload). Any other stream appends
+//! the row's dequantized image to the view as it quantizes it, and is
+//! charged the quantizer's nominal
+//! [`effective_bits`](KvQuantizer::effective_bits).
 //! Either way a full decode of `n` tokens costs O(n·d) quantization work
 //! instead of the O(n²·d) of re-quantizing the prefix on every read.
 //! Exact f32 rows append to the view in place: one copy, no sync.
@@ -285,8 +290,8 @@ impl KindSlot {
             SlotRows::Stream(stream) => {
                 let have = self.view.len() / d.max(1);
                 if have < self.rows {
-                    let ok = stream.decode_rows_into(have, self.rows, &mut self.view);
-                    assert!(ok, "a short view's stream decodes its rows");
+                    let stored = stream.encoded_rows().expect("short views are encoded");
+                    stored.decode_into(have..self.rows, &mut self.view);
                 }
             }
             SlotRows::Recompute(exact) => {
@@ -311,10 +316,10 @@ impl KindSlot {
         self.rows = 0;
     }
 
-    /// The slot's encoded tensor, when its stream keeps a read plan
+    /// The slot's encoded tensor, when its stream keeps encoded rows
     /// covering every appended row.
     pub(crate) fn encoded(&self) -> Option<EncodedKv<'_>> {
-        let plan = self.stream()?.read_plan()?;
+        let plan = self.encoded_rows()?.plan();
         (plan.rows() == self.rows).then_some(EncodedKv { plan })
     }
 }

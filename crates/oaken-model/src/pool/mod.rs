@@ -952,7 +952,8 @@ mod tests {
     /// values (the plan's decode caches ride on the packed row), no view
     /// before a read, and a sealed trie block's packed runs at most 1.25×
     /// its payload. The pool's count is the sum of its slots' and its
-    /// blocks'.
+    /// blocks'. An FP16 pool is charged its nominal 2 bytes per element,
+    /// dense only, and holds at most the f32 view over them: 2×.
     #[test]
     fn held_bytes_stay_near_charged_bytes() {
         let (d, tokens) = (128, 1024);
@@ -998,6 +999,21 @@ mod tests {
                 (slots + pool.trie.held_bytes()) as u64
             );
         }
+        let fp16: Arc<dyn KvQuantizer> = Arc::new(oaken_baselines::Fp16Reference::new());
+        let mut pool = PagedKvPool::for_model(&cfg, Some(fp16), 1024, 4096);
+        let seq = pool.alloc_seq();
+        for t in 0..tokens as u64 {
+            pool.append(seq, 0, &row(d, 2 * t), &row(d, 2 * t + 1))
+                .unwrap();
+        }
+        let charged = pool.mmu().request_bytes(seq.0);
+        assert_eq!(
+            charged,
+            (2 * tokens * 2 * d) as u64,
+            "FP16: 2·d per K and V row"
+        );
+        let r = pool.held_kv_bytes() as f64 / charged as f64;
+        assert!(r <= 2.0, "FP16: held ÷ charged {r:.2} over 2.0");
     }
 
     /// The kernel mode picks the read kernel and nothing else. The same
@@ -1031,7 +1047,7 @@ mod tests {
             let rows = slot.encoded_rows().expect("Oaken slots keep encoded rows");
             let mut run = oaken_core::PackedRows::new(d);
             rows.export(0..rows.len(), &mut run);
-            (run, slot.stream().unwrap().read_plan().cloned())
+            (run, rows.plan().clone())
         };
         for seq in seqs {
             let slots = exact.slots(0, seq).iter().flatten();

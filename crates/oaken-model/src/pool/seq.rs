@@ -376,8 +376,9 @@ fn encode(encoder: &mut dyn KvRowStream, row: &[f32]) -> PackedRows {
 }
 
 /// `(dense, sparse)` stored byte sizes of a slot's most recently appended
-/// row: the stream's actual payload when tracked, the quantizer's nominal
-/// estimate otherwise, raw f32 bytes for exact storage.
+/// row: its encoded payload when the stream keeps encoded rows, the
+/// quantizer's nominal estimate otherwise, raw f32 bytes for exact
+/// storage.
 fn encoded_row_payload(
     slot: &KindSlot,
     quantizer: Option<&dyn KvQuantizer>,
@@ -390,7 +391,9 @@ fn encoded_row_payload(
     };
     match &slot.storage {
         SlotRows::F32 => (kv_dim * 4, 0),
-        SlotRows::Stream(stream) => stream.last_row_payload().unwrap_or_else(nominal),
+        SlotRows::Stream(stream) => {
+            (stream.encoded_rows()).map_or_else(nominal, |rows| rows.row_payload(rows.len() - 1))
+        }
         SlotRows::Recompute(_) => nominal(),
     }
 }

@@ -212,8 +212,8 @@ mod tests {
     use crate::pool::{PagedKvPool, PoolBatchView, PoolError, SeqId};
     use crate::sampling::sample_greedy;
     use oaken_core::{
-        EncodedReadPlan, EncodedRows, KvKind, KvQuantizer, KvRowStream, OakenConfig,
-        OakenQuantizer, OfflineProfiler, OnlineCost, PackedRows,
+        EncodedRows, KvKind, KvQuantizer, KvRowStream, OakenConfig, OakenQuantizer,
+        OfflineProfiler, OnlineCost, PackedRows,
     };
     use oaken_mmu::FaultPlan;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -696,20 +696,11 @@ mod tests {
             self.encodes.fetch_add(1, Ordering::Relaxed);
             self.inner.append_row(row, view);
         }
-        fn rows(&self) -> usize {
-            self.inner.rows()
-        }
-        fn payload_bytes(&self) -> Option<usize> {
-            self.inner.payload_bytes()
-        }
         fn held_bytes(&self) -> usize {
             self.inner.held_bytes()
         }
         fn reset(&mut self) {
             self.inner.reset();
-        }
-        fn last_row_payload(&self) -> Option<(usize, usize)> {
-            self.inner.last_row_payload()
         }
         fn encoded_rows(&self) -> Option<EncodedRows<'_>> {
             self.inner.encoded_rows()
@@ -718,14 +709,8 @@ mod tests {
             self.encodes.fetch_add(1, Ordering::Relaxed);
             self.inner.append_row_encoded(row)
         }
-        fn read_plan(&self) -> Option<&EncodedReadPlan> {
-            self.inner.read_plan()
-        }
         fn adopt_encoded_rows(&mut self, rows: &PackedRows) -> bool {
             self.inner.adopt_encoded_rows(rows)
-        }
-        fn decode_rows_into(&self, start: usize, end: usize, out: &mut Vec<f32>) -> bool {
-            self.inner.decode_rows_into(start, end, out)
         }
     }
 
@@ -846,7 +831,10 @@ mod tests {
                         let want = full.to_vector().slice_channels(channels.clone());
                         assert_eq!(row.to_vector(), want.unwrap());
                     }
-                    assert_eq!(stream.read_plan().unwrap().rows(), tokens as usize);
+                    assert_eq!(
+                        stream.encoded_rows().unwrap().plan().rows(),
+                        tokens as usize
+                    );
                     // No shard has materialized a view before a read.
                     assert!(slot.view.is_empty());
                 }

@@ -134,10 +134,16 @@ fn steady_state(shape: AttentionShape) {
         v_stream.append_row(&values[t * d..(t + 1) * d], &mut scratch_view);
     }
     let ek = EncodedKv {
-        plan: k_stream.read_plan().expect("oaken keeps a read plan"),
+        plan: k_stream
+            .encoded_rows()
+            .expect("oaken keeps encoded rows")
+            .plan(),
     };
     let ev = EncodedKv {
-        plan: v_stream.read_plan().expect("oaken keeps a read plan"),
+        plan: v_stream
+            .encoded_rows()
+            .expect("oaken keeps encoded rows")
+            .plan(),
     };
 
     // Three sequences that adopted the same 48 rows, each with rows of its
@@ -168,10 +174,10 @@ fn steady_state(shape: AttentionShape) {
         .map(|(k, v)| Segment {
             queries: 1,
             keys: EncodedKv {
-                plan: k.read_plan().expect("oaken keeps a read plan"),
+                plan: k.encoded_rows().expect("oaken keeps encoded rows").plan(),
             },
             values: EncodedKv {
-                plan: v.read_plan().expect("oaken keeps a read plan"),
+                plan: v.encoded_rows().expect("oaken keeps encoded rows").plan(),
             },
         })
         .collect();

@@ -173,10 +173,16 @@ fn check(case: &Case) -> Result<usize, TestCaseError> {
 
     let (want, zeros) = oracle(&queries, &limits, &keys, &values, shape, kv_heads.clone());
     let ek = EncodedKv {
-        plan: k_stream.read_plan().expect("oaken keeps a read plan"),
+        plan: k_stream
+            .encoded_rows()
+            .expect("oaken keeps encoded rows")
+            .plan(),
     };
     let ev = EncodedKv {
-        plan: v_stream.read_plan().expect("oaken keeps a read plan"),
+        plan: v_stream
+            .encoded_rows()
+            .expect("oaken keeps encoded rows")
+            .plan(),
     };
     // Dirty output and a scratch reused across shapes: neither may show.
     let mut got = vec![f32::NAN; want.len()];
@@ -282,7 +288,10 @@ fn check_segments(case: &SegmentCase) -> Result<(), TestCaseError> {
         .collect();
     fn plan(stream: &dyn KvRowStream) -> EncodedKv<'_> {
         EncodedKv {
-            plan: stream.read_plan().expect("oaken keeps a read plan"),
+            plan: stream
+                .encoded_rows()
+                .expect("oaken keeps encoded rows")
+                .plan(),
         }
     }
     let qs: Vec<Vec<&[f32]>> = (runs.iter())

@@ -310,10 +310,10 @@ proptest! {
             v_stream.append_row(&row(seed * 37 + 2 * t + 1), &mut v_view);
         }
         let ek = EncodedKv {
-            plan: k_stream.read_plan().expect("oaken keeps a read plan"),
+            plan: k_stream.encoded_rows().expect("oaken keeps encoded rows").plan(),
         };
         let ev = EncodedKv {
-            plan: v_stream.read_plan().expect("oaken keeps a read plan"),
+            plan: v_stream.encoded_rows().expect("oaken keeps encoded rows").plan(),
         };
         let queries: Vec<Vec<f32>> = (0..run as u64)
             .map(|i| kv_row(shape.q_dim(), seed ^ (0xABCD + i)))
