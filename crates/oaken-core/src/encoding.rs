@@ -379,7 +379,7 @@ impl<'a> EncodedRow<'a> {
 }
 
 /// Bytes the scales are charged per row (4 × FP16).
-const SCALE_BYTES: usize = ScaleSet::STORAGE_BITS as usize / 8;
+pub(crate) const SCALE_BYTES: usize = ScaleSet::STORAGE_BITS as usize / 8;
 
 /// Nibble `i` of packed codes, low nibble first.
 #[inline(always)]
@@ -399,7 +399,7 @@ pub(crate) fn capacity_bytes<T>(buf: &Vec<T>) -> usize {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct SparseLog {
     /// Row width.
-    dim: usize,
+    pub(crate) dim: usize,
     /// Every row's COO bytes, row after row.
     sparse: Vec<u8>,
     /// Where row `i`'s COO bytes end in `sparse`.
@@ -488,6 +488,15 @@ impl SparseLog {
         self.scales.extend_from_slice(&other.scales[rows]);
     }
 
+    /// Reserves room for exactly `rows` more rows holding `sparse` COO
+    /// bytes between them.
+    pub(crate) fn reserve_exact(&mut self, rows: usize, sparse: usize) {
+        self.sparse.reserve_exact(sparse);
+        self.ends.reserve_exact(rows);
+        self.block_counts.reserve_exact(rows * self.blocks());
+        self.scales.reserve_exact(rows);
+    }
+
     /// Drops every row, keeping the buffers.
     pub(crate) fn clear(&mut self) {
         self.sparse.clear();
@@ -562,16 +571,6 @@ impl PackedRows {
         (0..self.rows()).map(|i| self.row(i))
     }
 
-    /// The sparse half of the run.
-    pub(crate) fn log(&self) -> &SparseLog {
-        &self.log
-    }
-
-    /// The dense slab: row `i`'s nibbles at `i · dense_stride()`.
-    pub(crate) fn dense_slab(&self) -> &[u8] {
-        &self.dense
-    }
-
     /// Appends a copy of `row`.
     ///
     /// # Panics
@@ -613,6 +612,13 @@ impl PackedRows {
         }
         log.end_row();
         log.scales.push(row.scales);
+    }
+
+    /// Reserves room for exactly `rows` more rows holding `sparse` COO
+    /// bytes between them.
+    pub(crate) fn reserve_exact(&mut self, rows: usize, sparse: usize) {
+        self.dense.reserve_exact(rows * self.dense_stride());
+        self.log.reserve_exact(rows, sparse);
     }
 
     /// Appends dense bytes for `rows` rows through `fill` (handed the

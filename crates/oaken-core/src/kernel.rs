@@ -34,17 +34,21 @@
 //! kernel decodes them: values row by row ([`ValuePlan`]), keys column by
 //! column in groups of [`KEY_GROUP`] rows ([`KeyPlan`]), so a key decode
 //! writes the transposed score tile directly. The plan holds the rows'
-//! dense nibbles themselves, so with a `SparseLog` beside it it is a
-//! stream's one store of its rows ([`EncodedRows`]).
+//! dense nibbles themselves and, segment by segment, their `SparseLog`,
+//! so it is a stream's one store of its rows ([`EncodedRows`]); its
+//! sealed 16-row [`StoreSegment`]s are shared by reference between every
+//! stream and prefix block holding the same rows.
 
 use crate::encoding::{
     capacity_bytes, nibble, EncodedRow, FusedVector, OutlierIter, PackedRows, ScaleSet, SparseLog,
+    SCALE_BYTES,
 };
 use crate::groups::GroupKind;
 use crate::lanes;
 use crate::pipeline::decode_row;
 use crate::quant::UniformQuantizer;
 use crate::thresholds::{KvKind, Thresholds};
+use std::sync::Arc;
 
 /// Everything a fused reader needs besides the per-row [`ScaleSet`]:
 /// the offline-profiled thresholds of the `(layer, kind)` tensor and the
@@ -201,13 +205,19 @@ impl RowDecode {
 /// their dense nibbles, and the per-row decode work the attention kernel
 /// would otherwise redo on every call, hoisted to quantization time.
 ///
+/// The plan is kept in [`StoreSegment`]s of [`KEY_GROUP`] rows: sealed
+/// ones, immutable and shared by reference (`Arc`) with every other
+/// stream and prefix-trie block that holds the same rows, and one open
+/// segment the plan owns, which takes appended rows and seals when its
+/// sixteenth row lands. A segment holds its rows' plan entries and their
+/// `SparseLog`, so the plan is the stream's one store ([`EncodedRows`]).
+///
 /// The dense nibbles are the rows' own (a key plan keeps them column by
 /// column, a value plan row by row); everything else is a pure function
-/// of the encoded rows and the stream's [`FusedReadParams`]. With a
-/// `SparseLog` beside it, the plan is part of the stored KV footprint:
-/// the one copy a stream keeps ([`EncodedRows`]). Rows appended one at a
-/// time, adopted in blocks, or re-appended after [`clear`](Self::clear)
-/// give equal plans.
+/// of the encoded rows and the stream's [`FusedReadParams`]. Rows
+/// appended one at a time, adopted in page form, taken as another
+/// plan's sealed segments ([`share_segments`](Self::share_segments)) or
+/// re-appended after [`clear`](Self::clear) give equal plans.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EncodedReadPlan {
     /// A key stream's rows, column-major in 16-row groups.
@@ -226,23 +236,32 @@ impl EncodedReadPlan {
         }
     }
 
+    /// The plan's segments.
+    fn list(&self) -> &SegmentList {
+        match self {
+            Self::Keys(p) => &p.list,
+            Self::Values(p) => &p.list,
+        }
+    }
+
     /// Rows cached so far.
     pub fn rows(&self) -> usize {
-        match self {
-            Self::Keys(p) => p.rows,
-            Self::Values(p) => p.decodes.len(),
-        }
+        self.list().rows
     }
 
     /// Elements per row (0 before the first row).
     pub fn dim(&self) -> usize {
-        match self {
-            Self::Keys(p) => p.dim,
-            Self::Values(p) => p.dim,
-        }
+        self.list().dim
     }
 
-    /// Derives and appends one row's read-side cache entries.
+    /// The sealed segments, rows `16s .. 16s + 16` in segment `s`; the
+    /// rows past the last of them are in the open segment.
+    pub fn segments(&self) -> &[Arc<StoreSegment>] {
+        &self.list().sealed
+    }
+
+    /// Derives and appends one row's read-side cache entries and its
+    /// sparse parts.
     pub fn push_row(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) {
         match self {
             Self::Keys(p) => p.push_row(row, params),
@@ -250,145 +269,420 @@ impl EncodedReadPlan {
         }
     }
 
-    /// [`push_row`](Self::push_row) for each of `rows` in order; a key
-    /// plan builds every whole group that starts at a group edge in one
-    /// pass (a prefix block being adopted).
+    /// [`push_row`](Self::push_row) for each of `rows` in order.
     pub fn push_rows(&mut self, rows: &PackedRows, params: &FusedReadParams) {
-        match self {
-            Self::Keys(p) => p.push_rows(rows, params),
-            Self::Values(p) => rows.iter().for_each(|row| p.push_row(row, params)),
+        rows.iter().for_each(|row| self.push_row(row, params));
+    }
+
+    /// Holds `segments` — sealed segments of a plan of the same kind,
+    /// width and parameters — as this plan's segments `first ..`, by
+    /// reference: each one this plan has sealed already (it must hold
+    /// the same rows) is swapped for the shared one, and the rest are
+    /// appended, which takes a plan at a segment edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first` is past the plan's sealed segments, a segment is
+    /// of the other kind or another width, or one would be appended while
+    /// the open segment holds rows.
+    pub fn share_segments(&mut self, first: usize, segments: &[Arc<StoreSegment>]) {
+        let keys = matches!(self, Self::Keys(_));
+        let list = match self {
+            Self::Keys(p) => &mut p.list,
+            Self::Values(p) => &mut p.list,
+        };
+        assert!(first <= list.sealed.len(), "segments are shared in order");
+        for (s, shared) in (first..).zip(segments) {
+            assert_eq!(
+                matches!(shared.rows, SegmentRows::Keys(_)),
+                keys,
+                "a plan shares segments of its own kind"
+            );
+            if let Some(held) = list.sealed.get_mut(s) {
+                debug_assert!(**held == **shared, "a swapped segment holds the same rows");
+                *held = Arc::clone(shared);
+                continue;
+            }
+            assert_eq!(
+                list.open.len(),
+                0,
+                "segments are appended at a segment edge"
+            );
+            if list.rows == 0 {
+                list.set_dim(shared.log.dim);
+            }
+            assert_eq!(
+                shared.log.dim, list.dim,
+                "all rows of one stream share a width"
+            );
+            list.sealed.push(Arc::clone(shared));
+            list.open.sparse_before = shared.sparse_to_end();
+            list.rows += KEY_GROUP;
         }
     }
 
-    /// Writes the packed dense nibbles of rows `rows` (element `j` of a
-    /// row in nibble `j`) into `out`, a zeroed slab of exactly those rows.
-    fn dense_rows_into(&self, rows: std::ops::Range<usize>, out: &mut [u8]) {
-        match self {
-            Self::Keys(p) => p.dense_rows_into(rows, out),
-            Self::Values(p) => p.dense_rows_into(rows, out),
-        }
-    }
-
-    /// Heap bytes the plan holds.
+    /// Heap bytes the plan holds, its sealed segments included.
     pub fn held_bytes(&self) -> usize {
         match self {
-            Self::Keys(p) => p.held_bytes(),
-            Self::Values(p) => p.held_bytes(),
+            Self::Keys(p) => {
+                p.list.held_bytes() + capacity_bytes(&p.open) + capacity_bytes(&p.cursors)
+            }
+            Self::Values(p) => p.list.held_bytes(),
         }
     }
 
-    /// Drops all cached rows (the stream-reset companion).
+    /// Drops all cached rows (the stream-reset companion): the sealed
+    /// segments are let go, the open one keeps its buffers.
     pub fn clear(&mut self) {
         match self {
-            Self::Keys(p) => p.clear(),
-            Self::Values(p) => p.clear(),
+            Self::Keys(p) => {
+                p.list.clear();
+                p.open.clear();
+            }
+            Self::Values(p) => p.list.clear(),
         }
     }
 }
 
-/// The row-major plan of a value stream. Per appended row it caches
-///
-/// * its [`RowDecode`] coefficients (`decodes[i]`),
-/// * its packed dense nibbles, copied into one flat arena at a fixed
-///   stride (`dense[i·stride .. (i+1)·stride]`) so the dense walk
-///   streams sequential memory instead of chasing one heap allocation per
-///   token, and
-/// * its COO outliers in expand-load form ([`outliers`](Self::outliers)):
-///   one 16-bit mask per sixteen elements marking the outlier positions,
-///   and the outliers' reconstructed values in element order — a reader
-///   decodes sixteen dense nibbles through the row's
-///   [`middle_lut`](RowDecode::middle_lut) and overwrites the masked
-///   lanes with the next values, never re-parsing packed COO bytes.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ValuePlan {
+/// A stream's store as [`StoreSegment`]s: the sealed ones, shared, and
+/// the open one, owned.
+#[derive(Debug, Clone, PartialEq)]
+struct SegmentList {
     dim: usize,
-    decodes: Vec<RowDecode>,
-    dense: Vec<u8>,
-    outlier_masks: Vec<u16>,
-    outlier_values: Vec<f32>,
-    outlier_offsets: Vec<u32>,
+    rows: usize,
+    sealed: Vec<Arc<StoreSegment>>,
+    /// Rows `16 · sealed.len() ..`, fewer than [`KEY_GROUP`].
+    open: StoreSegment,
 }
 
-impl ValuePlan {
-    fn push_row(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) {
-        let dec = RowDecode::new(row.scales(), params);
-        if self.decodes.is_empty() {
-            self.dim = row.dim();
-            self.outlier_offsets.clear();
-            self.outlier_offsets.push(0);
+impl SegmentList {
+    fn new(rows: SegmentRows) -> Self {
+        Self {
+            dim: 0,
+            rows: 0,
+            sealed: Vec::new(),
+            open: StoreSegment {
+                rows,
+                log: SparseLog::default(),
+                sparse_before: 0,
+            },
+        }
+    }
+
+    /// Sets the row width, at the first row.
+    fn set_dim(&mut self, dim: usize) {
+        self.dim = dim;
+        self.open.log.dim = dim;
+    }
+
+    /// The segment holding rows `16s .. 16s + 16`.
+    #[inline(always)]
+    fn segment(&self, s: usize) -> &StoreSegment {
+        self.sealed.get(s).map_or(&self.open, |sealed| sealed)
+    }
+
+    /// Enters one row's sparse parts into the open segment's log and
+    /// counts it. Returns the row's index within the open segment.
+    fn enter(&mut self, row: EncodedRow<'_>) -> usize {
+        if self.rows == 0 {
+            self.set_dim(row.dim());
         }
         assert_eq!(row.dim(), self.dim, "all rows of one stream share a width");
-        self.dense.extend_from_slice(row.dense_bytes());
-        let masks_at = self.outlier_masks.len();
-        self.outlier_masks
-            .resize(masks_at + self.dim.div_ceil(16), 0);
-        for e in row.outliers() {
-            let code = u32::from(row.dense_code(e.index));
-            self.outlier_masks[masks_at + e.index / 16] |= 1 << (e.index % 16);
-            self.outlier_values
-                .push(dec.outlier(e.group, e.high_side, code));
-        }
-        self.outlier_offsets.push(self.outlier_values.len() as u32);
-        self.decodes.push(dec);
+        let r = self.open.len();
+        self.open.log.push(row);
+        self.rows += 1;
+        r
+    }
+
+    /// Seals the full open segment: a copy of it, its buffers sized to
+    /// its rows, joins the sealed ones, and the open segment empties,
+    /// keeping its buffers for the next sixteen rows.
+    fn seal(&mut self) {
+        self.sealed.push(Arc::new(self.open.clone()));
+        self.open.clear();
+        self.open.sparse_before = self.sealed.last().expect("just sealed").sparse_to_end();
     }
 
     fn clear(&mut self) {
-        self.decodes.clear();
-        self.dense.clear();
-        self.outlier_masks.clear();
-        self.outlier_values.clear();
-        self.outlier_offsets.clear();
-    }
-
-    fn dense_rows_into(&self, rows: std::ops::Range<usize>, out: &mut [u8]) {
-        let stride = self.dense_stride();
-        out.copy_from_slice(&self.dense[rows.start * stride..rows.end * stride]);
-    }
-
-    /// The dense code of row `t`'s element `i`.
-    fn code(&self, t: usize, i: usize) -> u8 {
-        nibble(&self.dense[t * self.dense_stride()..], i)
+        self.rows = 0;
+        self.sealed.clear();
+        self.open.clear();
+        self.open.sparse_before = 0;
     }
 
     fn held_bytes(&self) -> usize {
-        capacity_bytes(&self.decodes)
-            + capacity_bytes(&self.dense)
-            + capacity_bytes(&self.outlier_masks)
-            + capacity_bytes(&self.outlier_values)
-            + capacity_bytes(&self.outlier_offsets)
-    }
-
-    /// The per-row decode coefficient table.
-    pub fn decodes(&self) -> &[RowDecode] {
-        &self.decodes
-    }
-
-    /// Bytes per row in the dense arena.
-    pub fn dense_stride(&self) -> usize {
-        self.dim.div_ceil(2)
-    }
-
-    /// The flat dense-nibble arena (row `i`'s element `j` in nibble `j` of
-    /// its stride, low nibble first — the [`FusedVector::dense_bytes`]
-    /// layout).
-    pub fn dense_arena(&self) -> &[u8] {
-        &self.dense
-    }
-
-    /// Row `i`'s outliers as `(masks, values)`: bit `e % 16` of
-    /// `masks[e / 16]` is set iff element `e` is an outlier, and `values`
-    /// holds the outliers' reconstructions (`RowDecode::outlier` of their
-    /// bits) in ascending element order — one per set bit.
-    pub fn outliers(&self, i: usize) -> (&[u16], &[f32]) {
-        let stride = self.dim.div_ceil(16);
-        let masks = &self.outlier_masks[i * stride..(i + 1) * stride];
-        let lo = self.outlier_offsets[i] as usize;
-        let hi = self.outlier_offsets[i + 1] as usize;
-        (masks, &self.outlier_values[lo..hi])
+        let sealed = self.sealed.iter().map(|s| s.held_bytes()).sum::<usize>();
+        sealed + capacity_bytes(&self.sealed) + self.open.buffer_bytes()
     }
 }
 
-/// Rows per group of a [`KeyPlan`]: one 512-bit vector of `f32` lanes.
+/// [`KEY_GROUP`] rows of one stream's store, or fewer while open: their
+/// plan entries (a key group, or value rows) and their slice of the
+/// `SparseLog`. Sealed, a segment is immutable and shared by reference:
+/// a stream and every prefix-trie block and adopter holding the same
+/// rows hold the one segment, so a shared prefix's bytes exist once.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StoreSegment {
+    rows: SegmentRows,
+    log: SparseLog,
+    /// COO bytes of the stream's rows before the segment's — the same in
+    /// every stream holding it, whose rows before it are the same.
+    sparse_before: usize,
+}
+
+/// The plan entries of a [`StoreSegment`]'s rows, by kind.
+#[derive(Debug, Clone, PartialEq)]
+enum SegmentRows {
+    Keys(KeyRows),
+    Values(ValueRows),
+}
+
+impl StoreSegment {
+    /// Rows held.
+    fn len(&self) -> usize {
+        self.log.rows()
+    }
+
+    /// COO bytes of the stream's rows up to the segment's end.
+    fn sparse_to_end(&self) -> usize {
+        self.sparse_before + self.log.sparse_bytes_to(self.len())
+    }
+
+    /// The key group, in a key plan's segment.
+    #[inline(always)]
+    fn keys(&self) -> &KeyRows {
+        match &self.rows {
+            SegmentRows::Keys(k) => k,
+            SegmentRows::Values(_) => unreachable!("a key plan holds key segments"),
+        }
+    }
+
+    #[inline(always)]
+    fn keys_mut(&mut self) -> &mut KeyRows {
+        match &mut self.rows {
+            SegmentRows::Keys(k) => k,
+            SegmentRows::Values(_) => unreachable!("a key plan holds key segments"),
+        }
+    }
+
+    /// The value rows, in a value plan's segment.
+    #[inline(always)]
+    fn values(&self) -> &ValueRows {
+        match &self.rows {
+            SegmentRows::Values(v) => v,
+            SegmentRows::Keys(_) => unreachable!("a value plan holds value segments"),
+        }
+    }
+
+    #[inline(always)]
+    fn values_mut(&mut self) -> &mut ValueRows {
+        match &mut self.rows {
+            SegmentRows::Values(v) => v,
+            SegmentRows::Keys(_) => unreachable!("a value plan holds value segments"),
+        }
+    }
+
+    /// The dense code of the segment's row `r`, element `i`.
+    fn code(&self, r: usize, i: usize) -> u8 {
+        match &self.rows {
+            SegmentRows::Keys(k) => ((k.dense[i] >> (4 * r)) & 0xF) as u8,
+            SegmentRows::Values(v) => nibble(&v.dense[r * self.log.dim.div_ceil(2)..], i),
+        }
+    }
+
+    /// Writes the packed dense nibbles of the segment's rows `rows`
+    /// (element `j` of a row in nibble `j`) into `out`, a zeroed slab of
+    /// exactly those rows: a key group un-transposes its column words —
+    /// per sixteen columns, one 16×16 nibble transpose (its own inverse)
+    /// gives each row's eight bytes of those columns — value rows copy.
+    fn dense_rows_into(&self, rows: std::ops::Range<usize>, out: &mut [u8]) {
+        let stride = self.log.dim.div_ceil(2);
+        match &self.rows {
+            SegmentRows::Values(v) => {
+                out.copy_from_slice(&v.dense[rows.start * stride..rows.end * stride]);
+            }
+            SegmentRows::Keys(k) => {
+                for (c, chunk) in k.dense.chunks(16).enumerate() {
+                    let mut words = [0u64; KEY_GROUP];
+                    words[..chunk.len()].copy_from_slice(chunk);
+                    transpose_nibbles(&mut words);
+                    let bytes = 8 * c..stride.min(8 * c + 8);
+                    for r in rows.clone() {
+                        let at = (r - rows.start) * stride;
+                        let word = words[r].to_le_bytes();
+                        out[at + bytes.start..at + bytes.end].copy_from_slice(&word[..bytes.len()]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Heap bytes the segment's buffers hold.
+    fn buffer_bytes(&self) -> usize {
+        let rows = match &self.rows {
+            SegmentRows::Keys(k) => {
+                std::mem::size_of::<GroupCoeffs>()
+                    + capacity_bytes(&k.dense)
+                    + capacity_bytes(&k.masks)
+                    + capacity_bytes(&k.values)
+            }
+            SegmentRows::Values(v) => {
+                capacity_bytes(&v.decodes)
+                    + capacity_bytes(&v.dense)
+                    + capacity_bytes(&v.masks)
+                    + capacity_bytes(&v.values)
+                    + capacity_bytes(&v.ends)
+            }
+        };
+        rows + self.log.held_bytes()
+    }
+
+    /// Heap bytes a sealed segment holds: its buffers and the shared
+    /// allocation that holds it (two reference counts and the segment).
+    pub fn held_bytes(&self) -> usize {
+        2 * std::mem::size_of::<usize>() + std::mem::size_of::<Self>() + self.buffer_bytes()
+    }
+
+    /// Drops every row, keeping the buffers.
+    fn clear(&mut self) {
+        match &mut self.rows {
+            SegmentRows::Keys(k) => {
+                k.dense.clear();
+                *k.coeffs = GroupCoeffs::default();
+                k.masks.clear();
+                k.values.clear();
+            }
+            SegmentRows::Values(v) => {
+                v.decodes.clear();
+                v.dense.clear();
+                v.masks.clear();
+                v.values.clear();
+                v.ends.clear();
+            }
+        }
+        self.log.clear();
+    }
+}
+
+/// The rows of a value plan's segment. Per row it caches
+///
+/// * its [`RowDecode`] coefficients (`decodes[r]`),
+/// * its packed dense nibbles, copied into one flat arena at a fixed
+///   stride (`dense[r·stride .. (r+1)·stride]`) so the dense walk
+///   streams sequential memory instead of chasing one heap allocation per
+///   token, and
+/// * its COO outliers in expand-load form: one 16-bit mask per sixteen
+///   elements marking the outlier positions, and the outliers'
+///   reconstructed values in element order (row `r`'s end in `ends[r]`).
+#[derive(Debug, Clone, Default, PartialEq)]
+struct ValueRows {
+    decodes: Vec<RowDecode>,
+    dense: Vec<u8>,
+    masks: Vec<u16>,
+    values: Vec<f32>,
+    ends: Vec<u32>,
+}
+
+/// The row-major plan of a value stream: per row its [`RowDecode`]
+/// coefficients, its dense nibbles in a flat arena at a fixed stride, and
+/// its outliers in expand-load form — a reader decodes sixteen dense
+/// nibbles through the row's [`middle_lut`](RowDecode::middle_lut) and
+/// overwrites the masked lanes with the next values, never re-parsing
+/// packed COO bytes ([`ValueRow`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ValuePlan {
+    list: SegmentList,
+}
+
+impl Default for ValuePlan {
+    fn default() -> Self {
+        Self {
+            list: SegmentList::new(SegmentRows::Values(ValueRows::default())),
+        }
+    }
+}
+
+/// One row of a [`ValuePlan`], as the value decode reads it.
+#[derive(Debug, Clone, Copy)]
+pub struct ValueRow<'a> {
+    /// Packed dense nibbles (element `i` in nibble `i`, low nibble first —
+    /// the [`FusedVector::dense_bytes`] layout).
+    pub dense: &'a [u8],
+    /// The row's decode coefficients.
+    pub decode: &'a RowDecode,
+    /// Bit `e % 16` of `masks[e / 16]` is set iff element `e` is an
+    /// outlier.
+    pub masks: &'a [u16],
+    /// The outliers' reconstructions (`RowDecode::outlier` of their bits)
+    /// in ascending element order — one per set bit.
+    pub values: &'a [f32],
+}
+
+impl ValuePlan {
+    /// Rows cached so far.
+    pub fn rows(&self) -> usize {
+        self.list.rows
+    }
+
+    /// Hands `each` rows `rows`, in order, walking each segment's buffers
+    /// in step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` exceeds the rows cached.
+    #[inline(always)]
+    pub fn for_rows(&self, rows: std::ops::Range<usize>, mut each: impl FnMut(ValueRow<'_>)) {
+        assert!(rows.end <= self.rows(), "value rows past the plan");
+        let (stride, per) = (self.list.dim.div_ceil(2), self.list.dim.div_ceil(16));
+        for s in rows.start / KEY_GROUP..rows.end.div_ceil(KEY_GROUP) {
+            let v = self.list.segment(s).values();
+            let first = s * KEY_GROUP;
+            let (lo, hi) = (
+                rows.start.max(first) - first,
+                rows.end.min(first + KEY_GROUP) - first,
+            );
+            let mut start = lo.checked_sub(1).map_or(0, |p| v.ends[p] as usize);
+            let dense = v.dense[lo * stride..hi * stride].chunks_exact(stride);
+            let masks = v.masks[lo * per..hi * per].chunks_exact(per);
+            let parts = dense
+                .zip(&v.decodes[lo..hi])
+                .zip(masks)
+                .zip(&v.ends[lo..hi]);
+            for (((dense, decode), masks), &end) in parts {
+                let values = &v.values[start..end as usize];
+                each(ValueRow {
+                    dense,
+                    decode,
+                    masks,
+                    values,
+                });
+                start = end as usize;
+            }
+        }
+    }
+
+    fn push_row(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) {
+        let dec = RowDecode::new(row.scales(), params);
+        let r = self.list.enter(row);
+        let open = self.list.open.values_mut();
+        open.dense.extend_from_slice(row.dense_bytes());
+        let masks_at = open.masks.len();
+        open.masks.resize(masks_at + row.dim().div_ceil(16), 0);
+        for e in row.outliers() {
+            let code = u32::from(row.dense_code(e.index));
+            open.masks[masks_at + e.index / 16] |= 1 << (e.index % 16);
+            open.values.push(dec.outlier(e.group, e.high_side, code));
+        }
+        open.ends.push(open.values.len() as u32);
+        open.decodes.push(dec);
+        if r + 1 == KEY_GROUP {
+            self.list.seal();
+        }
+    }
+}
+
+/// Rows per group of a [`KeyPlan`] and per [`StoreSegment`] of either
+/// plan: one 512-bit vector of `f32` lanes.
 pub const KEY_GROUP: usize = 16;
 
 /// A key group's rows' middle-decode coefficients, lane `r` for the
@@ -438,9 +732,23 @@ pub struct OpenOutlier {
     pub value: f32,
 }
 
+/// The rows of a key plan's segment: one group.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct KeyRows {
+    /// `dense[j]`: column `j`'s codes, row `r` in nibble `r`.
+    dense: Vec<u64>,
+    coeffs: Box<GroupCoeffs>,
+    /// `masks[j]`: column `j`'s outlier rows, zero while the group is
+    /// open.
+    masks: Vec<u16>,
+    /// The outlier values in (column, row) order, empty while open.
+    values: Vec<f32>,
+}
+
 /// The column-major plan of a key stream: rows in groups of
-/// [`KEY_GROUP`], so one decode pass per (group, column) fills sixteen
-/// lanes of the transposed score tile — no per-row table, no transpose.
+/// [`KEY_GROUP`], one per [`StoreSegment`], so one decode pass per
+/// (group, column) fills sixteen lanes of the transposed score tile — no
+/// per-row table, no transpose.
 ///
 /// A group holds
 ///
@@ -457,25 +765,25 @@ pub struct OpenOutlier {
 /// its masks zero, so a reader patches them in after the dense decode;
 /// the group's outliers are put in column order once, when its sixteenth
 /// row lands.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KeyPlan {
-    dim: usize,
-    rows: usize,
-    /// `dense[g·dim + j]`: column `j` of group `g`.
-    dense: Vec<u64>,
-    coeffs: Vec<GroupCoeffs>,
-    /// `masks[g·dim + j]`: column `j` of group `g`, zero while `g` is open.
-    masks: Vec<u16>,
-    /// Sealed groups' outlier values, group after group.
-    values: Vec<f32>,
-    /// Where group `g`'s values start in `values`.
-    value_starts: Vec<u32>,
+    list: SegmentList,
+    /// The open group's outliers, row-major.
     open: Vec<OpenOutlier>,
     /// The seal's per-column cursors: empty between seals (so equal plans
-    /// compare equal), kept for its capacity — allocating them per seal
-    /// made a 192-row prefix adoption about 15 % slower (2-vCPU AVX-512
-    /// Xeon).
+    /// compare equal), kept for its capacity, so a seal allocates nothing
+    /// for them.
     cursors: Vec<u32>,
+}
+
+impl Default for KeyPlan {
+    fn default() -> Self {
+        Self {
+            list: SegmentList::new(SegmentRows::Keys(KeyRows::default())),
+            open: Vec::new(),
+            cursors: Vec::new(),
+        }
+    }
 }
 
 /// One group of a [`KeyPlan`], as a decode reads it.
@@ -504,21 +812,18 @@ impl KeyGroup<'_> {
 impl KeyPlan {
     /// Rows cached so far.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.list.rows
     }
 
     /// Group `g` (rows `16g .. 16g + 16`).
+    #[inline(always)]
     pub fn group(&self, g: usize) -> KeyGroup<'_> {
-        let columns = g * self.dim..(g + 1) * self.dim;
-        let end = self
-            .value_starts
-            .get(g + 1)
-            .map_or(self.values.len(), |&e| e as usize);
+        let k = self.list.segment(g).keys();
         KeyGroup {
-            coeffs: &self.coeffs[g],
-            dense: &self.dense[columns.clone()],
-            masks: &self.masks[columns],
-            values: &self.values[self.value_starts[g] as usize..end],
+            coeffs: &k.coeffs,
+            dense: &k.dense,
+            masks: &k.masks,
+            values: &k.values,
         }
     }
 
@@ -528,74 +833,18 @@ impl KeyPlan {
         &self.open
     }
 
+    /// Appends one row: its coefficient lanes and queued outliers, then
+    /// its codes ORed into nibble `r` of each column word.
     fn push_row(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) {
-        let r = self.enter_row(row, params);
-        let at = self.dense.len() - self.dim;
-        let (columns, bytes) = (&mut self.dense[at..], row.dense_bytes());
-        lanes::widest(
-            #[inline(always)]
-            || or_codes(columns, bytes, 4 * r),
-        );
-        if r + 1 == KEY_GROUP {
-            self.seal();
-        }
-    }
-
-    fn push_rows(&mut self, rows: &PackedRows, params: &FusedReadParams) {
-        let mut t = 0;
-        while t < rows.rows() {
-            if self.rows.is_multiple_of(KEY_GROUP) && rows.rows() - t >= KEY_GROUP {
-                self.push_group(rows, t, params);
-                t += KEY_GROUP;
-            } else {
-                self.push_row(rows.row(t), params);
-                t += 1;
-            }
-        }
-    }
-
-    /// Rows `first .. first + 16` of `rows`, a whole group at a group edge
-    /// (an adopted prefix block): the rows' codes go in by one 16×16
-    /// nibble transpose per sixteen columns instead of row by row.
-    fn push_group(&mut self, rows: &PackedRows, first: usize, params: &FusedReadParams) {
-        for t in first..first + KEY_GROUP {
-            self.enter_row(rows.row(t), params);
-        }
-        let stride = rows.dense_stride();
-        let slab = &rows.dense_slab()[first * stride..(first + KEY_GROUP) * stride];
-        let at = self.dense.len() - self.dim;
-        for (k, columns) in self.dense[at..].chunks_mut(16).enumerate() {
-            let mut words: [u64; KEY_GROUP] = std::array::from_fn(|r| {
-                let bytes = &slab[r * stride + 8 * k..(r + 1) * stride];
-                u64::from_le_bytes(match bytes.first_chunk::<8>() {
-                    Some(&word) => word,
-                    None => std::array::from_fn(|i| bytes.get(i).copied().unwrap_or(0)),
-                })
-            });
-            transpose_nibbles(&mut words);
-            columns.copy_from_slice(&words[..columns.len()]);
-        }
-        self.seal();
-    }
-
-    /// Everything of one appended row but its codes: opens a group at a
-    /// group edge, sets the row's coefficient lanes and queues its
-    /// outliers on the open group. Returns the row's lane.
-    fn enter_row(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) -> usize {
         let dim = row.dim();
-        if self.rows == 0 {
-            self.dim = dim;
-        }
-        assert_eq!(dim, self.dim, "all rows of one stream share a width");
-        let r = self.rows % KEY_GROUP;
+        let r = self.list.enter(row);
+        let group = self.list.open.keys_mut();
         if r == 0 {
-            self.dense.resize(self.dense.len() + dim, 0);
-            self.masks.resize(self.masks.len() + dim, 0);
-            self.coeffs.push(GroupCoeffs::default());
-            self.value_starts.push(self.values.len() as u32);
+            group.dense.resize(dim, 0);
+            group.masks.resize(dim, 0);
         }
         let dec = RowDecode::fold(row.scales(), params);
-        let c = self.coeffs.last_mut().expect("a group is open");
+        let c = &mut group.coeffs;
         c.mid_step[r] = dec.mid_step;
         c.c0[r] = dec.c0 as f32;
         c.base_lo[r] = dec.base_lo;
@@ -608,122 +857,70 @@ impl KeyPlan {
                 value: dec.outlier(e.group, e.high_side, code),
             });
         }
-        self.rows += 1;
-        r
+        let (columns, bytes) = (&mut group.dense[..], row.dense_bytes());
+        lanes::widest(
+            #[inline(always)]
+            || or_codes(columns, bytes, 4 * r),
+        );
+        if r + 1 == KEY_GROUP {
+            self.seal();
+        }
     }
 
     /// Seals the full open group: sets its masks, then counting-sorts its
     /// outliers' values into column order — rows already ascend within a
-    /// column, since the open outliers are row-major.
+    /// column, since the open outliers are row-major — and seals its
+    /// segment.
     fn seal(&mut self) {
-        let masks = &mut self.masks[self.dense.len() - self.dim..];
+        let group = self.list.open.keys_mut();
         let next = &mut self.cursors;
-        next.resize(self.dim, 0);
+        next.resize(group.dense.len(), 0);
         for o in &self.open {
-            masks[o.col as usize] |= 1 << o.row;
+            group.masks[o.col as usize] |= 1 << o.row;
             next[o.col as usize] += 1;
         }
         // Column j's values start after those of the columns before it.
-        let mut start = self.values.len() as u32;
+        let mut start = 0;
         for n in next.iter_mut() {
             (*n, start) = (start, start + *n);
         }
-        self.values.resize(start as usize, 0.0);
+        group.values.resize(start as usize, 0.0);
         for o in &self.open {
             let at = &mut next[o.col as usize];
-            self.values[*at as usize] = o.value;
+            group.values[*at as usize] = o.value;
             *at += 1;
         }
         next.clear();
         self.open.clear();
-    }
-
-    fn clear(&mut self) {
-        self.rows = 0;
-        self.dense.clear();
-        self.coeffs.clear();
-        self.masks.clear();
-        self.values.clear();
-        self.value_starts.clear();
-        self.open.clear();
-    }
-
-    /// Un-transposes the column words of rows `rows` into packed row
-    /// bytes: per group and sixteen columns, one 16×16 nibble transpose
-    /// (its own inverse) gives each row's eight bytes of those columns.
-    fn dense_rows_into(&self, rows: std::ops::Range<usize>, out: &mut [u8]) {
-        let stride = self.dim.div_ceil(2);
-        let mut t = rows.start;
-        while t < rows.end {
-            let g = t / KEY_GROUP;
-            let group = t..rows.end.min((g + 1) * KEY_GROUP);
-            let columns = &self.dense[g * self.dim..(g + 1) * self.dim];
-            for (k, chunk) in columns.chunks(16).enumerate() {
-                let mut words = [0u64; KEY_GROUP];
-                words[..chunk.len()].copy_from_slice(chunk);
-                transpose_nibbles(&mut words);
-                let bytes = 8 * k..stride.min(8 * k + 8);
-                for row in group.clone() {
-                    let at = (row - rows.start) * stride;
-                    let word = words[row % KEY_GROUP].to_le_bytes();
-                    out[at + bytes.start..at + bytes.end].copy_from_slice(&word[..bytes.len()]);
-                }
-            }
-            t = group.end;
-        }
-    }
-
-    /// The dense code of row `t`'s element `i`.
-    fn code(&self, t: usize, i: usize) -> u8 {
-        let word = self.dense[t / KEY_GROUP * self.dim + i];
-        ((word >> (4 * (t % KEY_GROUP))) & 0xF) as u8
-    }
-
-    fn held_bytes(&self) -> usize {
-        capacity_bytes(&self.dense)
-            + capacity_bytes(&self.coeffs)
-            + capacity_bytes(&self.masks)
-            + capacity_bytes(&self.values)
-            + capacity_bytes(&self.value_starts)
-            + capacity_bytes(&self.open)
-            + capacity_bytes(&self.cursors)
+        self.list.seal();
     }
 }
 
-/// A stream's encoded rows as its one store keeps them: the dense nibbles
-/// in its [`EncodedReadPlan`], everything else in a `SparseLog` beside
-/// it, read with the stream's [`FusedReadParams`]. Everything a reader
-/// takes from the store goes through this view: the plan the tile kernel
-/// reads ([`plan`](Self::plan)), each row's charged bytes
+/// A stream's encoded rows as its one store keeps them: the
+/// [`EncodedReadPlan`]'s segments, each holding its rows' dense nibbles
+/// in the plan's layout and everything else in its slice of the
+/// `SparseLog`, read with the stream's [`FusedReadParams`]. Everything a
+/// reader takes from the store goes through this view: the plan the tile
+/// kernel reads ([`plan`](Self::plan)), the sealed segments a prefix-trie
+/// block shares ([`segments`](Self::segments)), each row's charged bytes
 /// ([`row_payload`](Self::row_payload)), f32 rows
 /// ([`decode_into`](Self::decode_into)), and copies in page form, a range
 /// at a time ([`export`](Self::export)).
 #[derive(Debug, Clone, Copy)]
 pub struct EncodedRows<'a> {
     plan: &'a EncodedReadPlan,
-    log: &'a SparseLog,
     params: FusedReadParams,
 }
 
 impl<'a> EncodedRows<'a> {
-    /// The rows of `plan` and `log`, which hold the same rows, read with
-    /// `params`.
-    pub(crate) fn new(
-        plan: &'a EncodedReadPlan,
-        log: &'a SparseLog,
-        params: FusedReadParams,
-    ) -> Self {
-        debug_assert_eq!(
-            plan.rows(),
-            log.rows(),
-            "a plan and its log hold the same rows"
-        );
-        Self { plan, log, params }
+    /// The rows of `plan`, read with `params`.
+    pub(crate) fn new(plan: &'a EncodedReadPlan, params: FusedReadParams) -> Self {
+        Self { plan, params }
     }
 
     /// Rows held.
     pub fn len(&self) -> usize {
-        self.log.rows()
+        self.plan.rows()
     }
 
     /// Whether no row is held.
@@ -738,10 +935,27 @@ impl<'a> EncodedRows<'a> {
         self.plan
     }
 
-    /// Payload bytes of the first `rows` rows (see
-    /// `SparseLog::payload_bytes_to`).
+    /// The sealed segments: rows `0 .. 16 · segments().len()`, shared by
+    /// reference.
+    pub fn segments(&self) -> &'a [Arc<StoreSegment>] {
+        self.plan.segments()
+    }
+
+    /// The segment holding row `t`, and `t`'s row within it.
+    fn locate(&self, t: usize) -> (&'a StoreSegment, usize) {
+        (self.plan.list().segment(t / KEY_GROUP), t % KEY_GROUP)
+    }
+
+    /// COO bytes of the first `rows` rows.
+    fn sparse_bytes_to(&self, rows: usize) -> usize {
+        let (segment, r) = self.locate(rows);
+        segment.sparse_before + segment.log.sparse_bytes_to(r)
+    }
+
+    /// Payload bytes of the first `rows` rows — dense nibbles, COO bytes
+    /// and FP16 scales, what the pool charges for them.
     pub fn payload_bytes(&self, rows: usize) -> usize {
-        self.log.payload_bytes_to(rows)
+        rows * (self.plan.dim().div_ceil(2) + SCALE_BYTES) + self.sparse_bytes_to(rows)
     }
 
     /// `(dense, sparse)` payload bytes of row `t`, what the paged pool
@@ -757,9 +971,9 @@ impl<'a> EncodedRows<'a> {
             "row {t} out of bounds ({} rows)",
             self.len()
         );
-        let sparse = self.log.sparse_bytes_to(t + 1) - self.log.sparse_bytes_to(t);
-        let payload = self.payload_bytes(t + 1) - self.payload_bytes(t);
-        (payload - sparse, sparse)
+        let (segment, r) = self.locate(t);
+        let sparse = segment.log.sparse_bytes_to(r + 1) - segment.log.sparse_bytes_to(r);
+        (self.plan.dim().div_ceil(2) + SCALE_BYTES, sparse)
     }
 
     /// Dequantizes rows `rows`, appending `rows.len() × d` values to
@@ -775,18 +989,18 @@ impl<'a> EncodedRows<'a> {
         self.check(&rows);
         let d = self.plan.dim();
         for t in rows {
-            let (sparse, counts, scales) = self.log.row(t);
-            let code_at = |i| u32::from(self.code(t, i));
+            let (segment, r) = self.locate(t);
+            let (sparse, counts, scales) = segment.log.row(r);
+            let code_at = |i| u32::from(segment.code(r, i));
             let outliers = OutlierIter::new(sparse, counts);
             decode_row(&self.params, &scales, d, code_at, outliers, out)
                 .expect("a stored row decodes with its stream's parameters");
         }
     }
 
-    /// Appends rows `rows` to `out` in page form, reserving what they
-    /// take (into an empty run, exactly that): a key plan un-transposes
-    /// its 16×16 nibble groups, a value plan copies its dense arena, the
-    /// log copies its slice.
+    /// Appends rows `rows` to `out` in page form, reserving exactly what
+    /// they take: a key group un-transposes its 16×16 nibble blocks, value
+    /// rows copy their dense arena, the log copies its slice.
     ///
     /// # Panics
     ///
@@ -794,10 +1008,18 @@ impl<'a> EncodedRows<'a> {
     /// width.
     pub fn export(&self, rows: std::ops::Range<usize>, out: &mut PackedRows) {
         self.check(&rows);
-        let dense = rows.clone();
-        out.extend(self.log, rows, |slab| {
-            self.plan.dense_rows_into(dense, slab)
-        });
+        let sparse = self.sparse_bytes_to(rows.end) - self.sparse_bytes_to(rows.start);
+        out.reserve_exact(rows.len(), sparse);
+        let mut t = rows.start;
+        while t < rows.end {
+            let (segment, r) = self.locate(t);
+            let local = r..(r + rows.end - t).min(KEY_GROUP);
+            let dense = local.clone();
+            t += local.len();
+            out.extend(&segment.log, local, |slab| {
+                segment.dense_rows_into(dense, slab)
+            });
+        }
     }
 
     /// Panics unless `rows` is a range of rows held.
@@ -807,14 +1029,6 @@ impl<'a> EncodedRows<'a> {
             "row range {rows:?} out of bounds ({} rows)",
             self.len()
         );
-    }
-
-    /// The dense code of row `t`'s element `i`.
-    fn code(&self, t: usize, i: usize) -> u8 {
-        match self.plan {
-            EncodedReadPlan::Keys(p) => p.code(t, i),
-            EncodedReadPlan::Values(p) => p.code(t, i),
-        }
     }
 }
 

@@ -61,7 +61,9 @@ pub use config::{BitWidths, GroupRatios, OakenConfig};
 pub use encoding::{CooEntry, EncodedRow, FusedVector, OutlierIter, PackedRows, ScaleSet};
 pub use error::OakenError;
 pub use groups::{classify, GroupKind, GroupStats};
-pub use kernel::{decode_row_fused_into, EncodedReadPlan, EncodedRows, FusedReadParams, RowDecode};
+pub use kernel::{
+    decode_row_fused_into, EncodedReadPlan, EncodedRows, FusedReadParams, RowDecode, StoreSegment,
+};
 pub use pipeline::{OakenQuantizer, OakenRowStream, OakenScratch};
 pub use profiler::OfflineProfiler;
 pub use quant::UniformQuantizer;

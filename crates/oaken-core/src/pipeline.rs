@@ -23,17 +23,16 @@
 //! gives the argument, and `tests/quantize_oracle.rs` checks it.
 
 use crate::config::OakenConfig;
-use crate::encoding::{
-    capacity_bytes, CooEntry, FusedVector, OutlierIter, PackedRows, ScaleSet, SparseLog,
-};
+use crate::encoding::{capacity_bytes, CooEntry, FusedVector, OutlierIter, PackedRows, ScaleSet};
 use crate::error::OakenError;
 use crate::groups::GroupKind;
 use crate::groupshift::{unshift_middle, unshift_sparse};
-use crate::kernel::{EncodedReadPlan, EncodedRows, FusedReadParams};
+use crate::kernel::{EncodedReadPlan, EncodedRows, FusedReadParams, StoreSegment};
 use crate::lanes;
 use crate::quant::UniformQuantizer;
 use crate::thresholds::{KvKind, ModelThresholds, Thresholds};
 use crate::traits::{KvQuantizer, KvRowStream, OnlineCost};
+use std::sync::Arc;
 
 /// Elements per lane chunk: one 512-bit vector of `f32`.
 const LANES: usize = 16;
@@ -589,10 +588,12 @@ fn push_outliers(base: usize, tags: &[u8], out: &mut Vec<CooEntry>) {
 /// Incremental append-only stream for Oaken: rows are independent (all
 /// statistics are per-vector, thresholds are offline), so every append is
 /// O(d) with no warm-up and the stream is bit-exact with the batch path by
-/// construction. The stream keeps each row once: its dense nibbles and
-/// decode coefficients in the [`EncodedReadPlan`] the fused kernel reads,
-/// and its scales, COO bytes and per-block counts — what the plan cannot
-/// rebuild — in a `SparseLog` beside it ([`EncodedRows`]).
+/// construction. The stream keeps each row once, in the
+/// [`EncodedReadPlan`] the fused kernel reads: its dense nibbles and
+/// decode coefficients, and its scales, COO bytes and per-block counts —
+/// what the plan entries cannot rebuild — in the `SparseLog` of the
+/// 16-row [`StoreSegment`] holding it ([`EncodedRows`]). Sealed segments
+/// are shared by reference with whatever else holds the same rows.
 pub struct OakenRowStream {
     quantizer: OakenQuantizer,
     layer: usize,
@@ -606,10 +607,8 @@ pub struct OakenRowStream {
     /// The rows' dense nibbles, decode coefficients, and outlier masks and
     /// values, laid out for the stream's kind and built once at append
     /// time, so the fused kernels never redo per-row decode work per
-    /// token.
+    /// token, and the rest of each row.
     plan: EncodedReadPlan,
-    /// The rest of each row.
-    log: SparseLog,
 }
 
 impl OakenRowStream {
@@ -621,16 +620,14 @@ impl OakenRowStream {
     }
 
     /// Quantizes one row against the stream's thresholds and stores it in
-    /// the plan and the log.
+    /// the plan.
     fn push_quantized(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.d, "row width mismatch");
         let params = self.params();
         (self.quantizer)
             .quantize_into_row(row, &params.thresholds, &mut self.scratch)
             .expect("configured bit-widths are valid");
-        let encoded = self.scratch.row.row();
-        self.log.push(encoded);
-        self.plan.push_row(encoded, &params);
+        self.plan.push_row(self.scratch.row.row(), &params);
     }
 }
 
@@ -640,7 +637,7 @@ impl std::fmt::Debug for OakenRowStream {
             .field("layer", &self.layer)
             .field("kind", &self.kind)
             .field("d", &self.d)
-            .field("rows", &self.log.rows())
+            .field("rows", &self.plan.rows())
             .finish()
     }
 }
@@ -654,22 +651,22 @@ impl KvRowStream for OakenRowStream {
     }
 
     fn held_bytes(&self) -> usize {
-        self.plan.held_bytes() + self.log.held_bytes() + self.scratch.held_bytes()
+        self.plan.held_bytes() + self.scratch.held_bytes()
     }
 
     fn reset(&mut self) {
         // All Oaken state beyond the appended rows (thresholds, config) is
         // offline-calibrated and shared, so a reset stream is bit-exact
-        // with a freshly opened one. Buffers are deliberately kept warm
-        // for the next sequence.
+        // with a freshly opened one. The open segment's buffers are
+        // deliberately kept warm for the next sequence; the sealed ones
+        // are let go.
         self.plan.clear();
-        self.log.clear();
     }
 
     /// The stream's one store; `None` only for an unprofiled layer, whose
     /// rows cannot be encoded (its first append panics).
     fn encoded_rows(&self) -> Option<EncodedRows<'_>> {
-        (self.params).map(|params| EncodedRows::new(&self.plan, &self.log, params))
+        (self.params).map(|params| EncodedRows::new(&self.plan, params))
     }
 
     fn append_row_encoded(&mut self, row: &[f32]) -> bool {
@@ -684,7 +681,11 @@ impl KvRowStream for OakenRowStream {
         assert_eq!(rows.dim(), self.d, "row width mismatch");
         let params = self.params();
         self.plan.push_rows(rows, &params);
-        self.log.extend_from(rows.log(), 0..rows.rows());
+        true
+    }
+
+    fn share_segments(&mut self, first: usize, segments: &[Arc<StoreSegment>]) -> bool {
+        self.plan.share_segments(first, segments);
         true
     }
 }
@@ -748,7 +749,6 @@ impl KvQuantizer for OakenQuantizer {
             params: self.fused_read_params(layer, kind).ok(),
             scratch: OakenScratch::new(),
             plan: EncodedReadPlan::new(kind),
-            log: SparseLog::new(d),
         }))
     }
 
@@ -1019,9 +1019,11 @@ mod tests {
     }
 
     /// The store must be a function of its rows alone however they arrive
-    /// — appended, adopted in 16-row blocks (the trie's), reset and
-    /// re-adopted, or sliced to a rank's channels — as swap, resume,
-    /// prefix adoption, import and rank splits rely on: exported, it is
+    /// — appended, adopted in 16-row page-form runs, reset and re-adopted,
+    /// taken as another stream's sealed segments by reference for the
+    /// first 32 rows and appended after them (a prefix adoption), or
+    /// sliced to a rank's channels — as swap, resume, prefix adoption,
+    /// import and rank splits rely on: exported, it is
     /// the quantizer's rows packed, its read plan is the appended one, and
     /// it decodes to the bits the quantizer's own decoder gives each row,
     /// and each row's `(dense, sparse)` charge is the quantizer's row's,
@@ -1058,10 +1060,24 @@ mod tests {
                 assert!(rebuilt.adopt_encoded_rows(&packed(d, &fvs[..23])));
                 rebuilt.reset();
                 assert!(rebuilt.adopt_encoded_rows(&export(&*appended, d)));
+                let sealed = appended.encoded_rows().unwrap().segments();
+                assert_eq!(sealed.len(), n as usize / KEY_GROUP);
+                let mut shared = stream(d);
+                assert!(shared.share_segments(0, sealed));
+                for r in (KEY_GROUP * sealed.len()) as u64..n {
+                    assert!(shared.append_row_encoded(&test_vector(d, r + 11)));
+                }
+                let held = shared.encoded_rows().unwrap().segments();
+                assert!(held.iter().zip(sealed).all(|(a, b)| Arc::ptr_eq(a, b)));
+                // Sealed segments swapped for equal shared ones.
+                assert!(adopted.share_segments(0, sealed));
+                let swapped = adopted.encoded_rows().unwrap().segments();
+                assert!(swapped.iter().zip(sealed).all(|(a, b)| Arc::ptr_eq(a, b)));
                 for (how, s) in [
                     ("appended", &appended),
                     ("adopted", &adopted),
                     ("rebuilt", &rebuilt),
+                    ("shared", &shared),
                 ] {
                     let case = format!("{kind:?} width {d} {how}");
                     assert_eq!(export(&**s, d), want, "{case}");

@@ -4,8 +4,9 @@
 //! the performance simulator uses to charge each method's runtime overhead.
 
 use crate::encoding::PackedRows;
-use crate::kernel::EncodedRows;
+use crate::kernel::{EncodedRows, StoreSegment};
 use crate::thresholds::KvKind;
+use std::sync::Arc;
 
 /// Runtime-cost descriptor of a KV quantization method, consumed by the
 /// `oaken-accel` performance simulator.
@@ -98,7 +99,7 @@ impl Default for OnlineCost {
 ///
 /// Three methods are required ([`append_row`](KvRowStream::append_row),
 /// [`held_bytes`](KvRowStream::held_bytes), [`reset`](KvRowStream::reset)),
-/// three are opt-in, for a method that keeps its rows encoded, and
+/// four are opt-in, for a method that keeps its rows encoded, and
 /// [`payload_bytes`](KvRowStream::payload_bytes) is derived from them.
 pub trait KvRowStream: Send {
     /// Quantizes and immediately dequantizes the next token row, appending
@@ -137,8 +138,9 @@ pub trait KvRowStream: Send {
     // A stream whose canonical state is the fused encoding keeps each row
     // once, encoded, and everything a reader takes from it — the fused
     // kernel's read plan, each row's charged bytes, dequantized rows,
-    // page-form copies — comes from the one view `encoded_rows` returns.
-    // The three methods below default to "no encoded form", so every
+    // page-form copies, the sealed segments a prefix block shares — comes
+    // from the one view `encoded_rows` returns. The four methods below
+    // default to "no encoded form", so every
     // baseline keeps working unchanged; a caller must check
     // `append_row_encoded`'s return and fall back to `append_row`.
     // ------------------------------------------------------------------
@@ -167,6 +169,19 @@ pub trait KvRowStream: Send {
     /// encoded form.
     fn adopt_encoded_rows(&mut self, rows: &PackedRows) -> bool {
         let _ = rows;
+        false
+    }
+
+    /// Holds `segments` — sealed segments of another stream of the same
+    /// tensor and width ([`EncodedRows::segments`]) — as the stream's own
+    /// segments `first ..`, by reference and without copying a row: those
+    /// it has sealed itself (equal rows, a late-deduplicated prefix block)
+    /// are swapped for the shared ones, the rest appended at a segment
+    /// edge (an adopted prefix). Returns `false` when the method has no
+    /// encoded form. See
+    /// [`EncodedReadPlan::share_segments`](crate::EncodedReadPlan::share_segments).
+    fn share_segments(&mut self, first: usize, segments: &[Arc<StoreSegment>]) -> bool {
+        let _ = (first, segments);
         false
     }
 }

@@ -496,7 +496,6 @@ pub fn attend_segments_fused_into(
         let heads = kv_heads.clone();
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if simd::available() {
-            // SAFETY: `available` verified the lane's CPU features.
             let sweep = Tile {
                 qs,
                 limits,
@@ -504,6 +503,7 @@ pub fn attend_segments_fused_into(
                 queries: tile,
                 shared,
             };
+            // SAFETY: `available` verified the lane's CPU features.
             unsafe { simd::fused_sweep(sweep, shape, heads, scratch, out) };
             continue;
         }
@@ -944,7 +944,7 @@ struct Row<'a> {
     bytes: &'a [u8],
     /// Value of each dense code.
     lut: &'a [f32; 16],
-    /// Outlier positions and values ([`ValuePlan::outliers`]).
+    /// Outlier positions and values ([`oaken_core::kernel::ValueRow`]).
     masks: &'a [u16],
     values: &'a [f32],
 }
@@ -983,23 +983,6 @@ impl Row<'_> {
             }
         }
     }
-}
-
-/// Rows `b0 .. b0 + n` of a value plan.
-#[inline(always)]
-fn block_rows(plan: &ValuePlan, b0: usize, n: usize) -> impl Iterator<Item = Row<'_>> {
-    let stride = plan.dense_stride();
-    let arena = &plan.dense_arena()[b0 * stride..(b0 + n) * stride];
-    let rows = arena.chunks_exact(stride).zip(&plan.decodes()[b0..b0 + n]);
-    rows.enumerate().map(move |(r, (bytes, dec))| {
-        let (masks, values) = plan.outliers(b0 + r);
-        Row {
-            bytes,
-            lut: &dec.middle_lut,
-            masks,
-            values,
-        }
-    })
 }
 
 /// Decodes columns `col .. col + width` of the key groups holding rows
@@ -1080,7 +1063,15 @@ fn decode_values<const AVX512: bool>(
     width: usize,
     block: &mut [f32],
 ) {
-    for (row, out) in block_rows(plan, b0, n).zip(block.chunks_exact_mut(width)) {
+    let mut outs = block.chunks_exact_mut(width);
+    plan.for_rows(b0..b0 + n, |row| {
+        let out = outs.next().expect("one block row per plan row");
+        let row = Row {
+            bytes: row.dense,
+            lut: &row.decode.middle_lut,
+            masks: row.masks,
+            values: row.values,
+        };
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         let done = if AVX512 {
             // SAFETY: `AVX512` is only instantiated behind `simd::available`.
@@ -1093,7 +1084,7 @@ fn decode_values<const AVX512: bool>(
         if done.len() < width {
             row.decode(col, width, &done, |j, v| out[j] = v);
         }
-    }
+    });
 }
 
 /// The AVX-512 decode lane, enabled by the `simd` cargo feature on x86-64
@@ -1617,10 +1608,9 @@ mod tests {
         let EncodedReadPlan::Values(values) = &plan else {
             unreachable!("a value stream's plan")
         };
-        assert!(
-            (0..values.decodes().len()).any(|t| !values.outliers(t).1.is_empty()),
-            "the rows must carry outliers"
-        );
+        let mut outliers = false;
+        values.for_rows(0..values.rows(), |row| outliers |= !row.values.is_empty());
+        assert!(outliers, "the rows must carry outliers");
         check_values::<false>(values, &want, &columns);
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if simd::available() {

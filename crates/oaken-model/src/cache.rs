@@ -57,7 +57,7 @@
 use crate::attention::EncodedKv;
 use crate::config::ModelConfig;
 use crate::pool::{PagedKvPool, PoolBatchView, SeqId, ShardReads};
-use oaken_core::{EncodedRows, KvKind, KvQuantizer, KvRowStream, PackedRows};
+use oaken_core::{EncodedRows, KvKind, KvQuantizer, KvRowStream, PackedRows, StoreSegment};
 use std::sync::Arc;
 
 /// Which attention kernel reads a quantized cache — a read-side choice
@@ -66,7 +66,7 @@ use std::sync::Arc;
 /// store (read plan plus sparse log, larger than the charged payload by
 /// the read-side decode caches; see
 /// [`crate::PagedKvPool::held_kv_bytes`]) in either mode, and sealed trie
-/// blocks hold the same encoded rows.
+/// blocks share the same store segments.
 ///
 /// * [`Exact`](KernelMode::Exact) — attention runs the exact kernels over
 ///   dequantized f32 views, each decoded from the stream when it is read
@@ -242,8 +242,9 @@ impl KindSlot {
     }
 
     /// Appends rows already encoded at this slot's width — a sealed trie
-    /// block's run, or a rank shard's channels of a row encoded once at
-    /// full width — to the slot's stream.
+    /// block's rows past its last segment edge, or a rank shard's
+    /// channels of a row encoded once at full width — to the slot's
+    /// stream.
     pub(crate) fn adopt(&mut self, rows: &PackedRows) {
         let SlotRows::Stream(stream) = &mut self.storage else {
             panic!("encoded rows are adopted only by streams");
@@ -251,6 +252,26 @@ impl KindSlot {
         let ok = stream.adopt_encoded_rows(rows);
         assert!(ok, "a stream with an encoded form adopts encoded rows");
         self.rows += rows.rows();
+    }
+
+    /// Holds a trie block's sealed segments as the stream's segments
+    /// `first ..`, by reference
+    /// ([`KvRowStream::share_segments`]): appended at a segment edge on
+    /// adoption, swapped for the slot's own equal ones on a late-dedup
+    /// seal.
+    pub(crate) fn share(&mut self, first: usize, segments: &[Arc<StoreSegment>]) {
+        let SlotRows::Stream(stream) = &mut self.storage else {
+            panic!("segments are shared only by streams");
+        };
+        let ok = stream.share_segments(first, segments);
+        assert!(ok, "a stream with an encoded form shares segments");
+        self.rows = stream.encoded_rows().expect("checked above").len();
+    }
+
+    /// The sealed segments the slot's stream holds (none without an
+    /// encoded form).
+    pub(crate) fn segments(&self) -> &[Arc<StoreSegment>] {
+        self.encoded_rows().map_or(&[], |rows| rows.segments())
     }
 
     /// Heap bytes the slot holds: its stream's (or its exact rows') and

@@ -11,16 +11,19 @@
 //!
 //! * [`PagedKvPool::alloc_seq_with_prefix`] walks the trie with the new
 //!   sequence's prompt, **adopts** every matched full block (refcount up,
-//!   pages retained, rows copied — no quantization, and the caller skips
-//!   the model forward pass for those tokens too), and plans private
-//!   *pending* blocks for the unmatched remainder — the copy-on-write
-//!   tail of the prompt;
+//!   pages retained, the chain's store segments taken by reference and
+//!   only its rows past the last 16-row edge copied — no quantization,
+//!   and the caller skips the model forward pass for those tokens too),
+//!   and plans private *pending* blocks for the unmatched remainder — the
+//!   copy-on-write tail of the prompt;
 //! * an append **seals** a pending block the moment its last row is
 //!   page-committed (all layers, both kinds): the block's page streams
-//!   become immutable and enter the trie, or — when a concurrent sequence
-//!   sealed the identical block first — are freed and the existing block
-//!   adopted (late dedup, with a debug-mode bit-exactness check between
-//!   the two independently quantized copies);
+//!   become immutable and enter the trie, holding the sealer's completed
+//!   segments by reference, or — when a concurrent sequence sealed the
+//!   identical block first — are freed and the existing block adopted
+//!   (late dedup, with a debug-mode bit-exactness check between the two
+//!   independently quantized copies), the sealer's own segments swapped
+//!   for the block's;
 //! * retiring a sequence *releases* its shared blocks leaf-first instead
 //!   of freeing them, so a preempted or retired sharer never invalidates
 //!   the others.
@@ -145,12 +148,14 @@ impl PagedKvPool {
         for &id in &matched_ids {
             adopted_bytes += self.trie.get(id).bytes();
             self.trie.retain(id);
-            let block = self.trie.get(id);
-            let ranks = state.shards.iter_mut().zip(&mut self.ranks);
-            for ((shard, ledger), block_shard) in ranks.zip(&block.shards) {
-                ledger.retain_owner(block.mmu);
-                block_shard.rows.adopt_into(&mut shard.slots, bt);
-            }
+            let mmu = self.trie.get(id).mmu;
+            self.ranks.iter_mut().for_each(|l| l.retain_owner(mmu));
+        }
+        for (r, shard) in state.shards.iter_mut().enumerate() {
+            let chain: Vec<&BlockRows> = (matched_ids.iter())
+                .map(|&id| &self.trie.get(id).shards[r].rows)
+                .collect();
+            BlockRows::adopt_chain(&chain, &mut shard.slots, bt);
         }
         let mut blocks: Vec<SeqBlock> = matched_ids.into_iter().map(SeqBlock::Shared).collect();
         for _ in matched..planned {
@@ -256,6 +261,9 @@ impl PagedKvPool {
                         ledger.drop_owner(pending, false)
                     })
                     .collect();
+                for (shard, theirs) in state.shards.iter_mut().zip(&block.shards) {
+                    theirs.rows.share_into(&mut shard.slots, b * bt);
+                }
                 self.stats.seal_dedups += 1;
                 self.stats.bytes_deduplicated += block.bytes();
                 self.trie.retain(existing);

@@ -64,7 +64,7 @@ pub use batch_view::PoolBatchView;
 pub use reads::{KvReadStats, ShardReads};
 pub use tiers::KvTransfer;
 
-use crate::cache::{KernelMode, KindSlot};
+use crate::cache::KernelMode;
 use crate::config::ModelConfig;
 use crate::ranks::RankPlan;
 use crate::trie::{PrefixStats, PrefixTrie};
@@ -709,19 +709,30 @@ impl PagedKvPool {
     /// Heap bytes the pool holds for KV rows, every rank: the capacities
     /// of the buffers of every slot (live, suspended and recycled — its
     /// stream or exact rows, and its view), of the rank encoders, and of
-    /// the trie blocks' rows. Set against the bytes the page ledger
-    /// charges ([`page_accounting`](Self::page_accounting)), it shows how
-    /// much more memory the pool really takes.
+    /// the trie blocks' rows, with each store segment counted once however
+    /// many slots and blocks share it. Set against the bytes the page
+    /// ledger charges ([`page_accounting`](Self::page_accounting)), it
+    /// shows how much more memory the pool really takes.
     pub fn held_kv_bytes(&self) -> u64 {
         let seqs = (self.seqs.values()).chain(self.suspended.values());
         let shards = seqs.chain(&self.recycled).flat_map(|s| &s.shards);
         let slots = shards.flat_map(|shard| shard.slots.iter().flatten());
         let encoders = self.encoders.iter().flatten().map(|e| e.held_bytes());
-        let held = slots
-            .map(KindSlot::held_bytes)
-            .chain(encoders)
-            .sum::<usize>();
-        (held + self.trie.held_bytes()) as u64
+        // Each segment's bytes, by its address.
+        let mut distinct = HashMap::new();
+        let mut held = 0;
+        for slot in slots {
+            held += slot.held_bytes();
+            for segment in slot.segments() {
+                held -= segment.held_bytes();
+                distinct.insert(Arc::as_ptr(segment), segment.held_bytes());
+            }
+        }
+        for segment in self.trie.shards().flat_map(|s| s.rows.segments()) {
+            distinct.insert(Arc::as_ptr(segment), segment.held_bytes());
+        }
+        held += distinct.values().sum::<usize>();
+        (held + encoders.sum::<usize>() + self.trie.held_bytes()) as u64
     }
 
     /// Admission estimate: pages a sequence of `tokens` total tokens will
@@ -829,7 +840,7 @@ impl<'a> RankPages<'a> {
 mod tests {
     use super::pages::rows_to_pages;
     use super::*;
-    use crate::cache::SlotRows;
+    use crate::cache::{KindSlot, SlotRows};
     use oaken_core::{OakenConfig, OakenQuantizer, OfflineProfiler};
 
     fn row(d: usize, seed: u64) -> Vec<f32> {
@@ -948,35 +959,45 @@ mod tests {
 
     /// At width 128 over 1,024 rows, in either kernel mode, the heap
     /// holds what is charged within a bound per store: a stream's read
-    /// plan and sparse log at most 2.5× its payload for keys and 3.6× for
-    /// values (the plan's decode caches ride on the packed row), no view
-    /// before a read, and a sealed trie block's packed runs at most 1.25×
-    /// its payload. The pool's count is the sum of its slots' and its
-    /// blocks'. An FP16 pool is charged its nominal 2 bytes per element,
-    /// dense only, and holds at most the f32 view over them: 2×.
+    /// plan (its segments' plan entries and sparse logs) at most 2.5× its
+    /// payload for keys and 3.6× for values (the plan's decode caches ride
+    /// on the packed row), no view before a read, and the page-form rows
+    /// a sealed trie block holds alone — at 24-token blocks, its rows past
+    /// its last 16-row segment edge; none at 16 — at most 1.25× their
+    /// payload. The pool's count is the sum of its slots' and its blocks',
+    /// each shared segment once. An FP16 pool is charged its nominal 2
+    /// bytes per element, dense only, and holds at most the f32 view over
+    /// them: 2×.
     #[test]
     fn held_bytes_stay_near_charged_bytes() {
+        use oaken_core::kernel::KEY_GROUP;
         let (d, tokens) = (128, 1024);
         let cfg = tiny_config(1, 1, d);
         let q = oaken(d, 1);
-        for kernel in [KernelMode::Exact, KernelMode::Fused] {
+        let cases = [
+            (KernelMode::Exact, DEFAULT_BLOCK_TOKENS),
+            (KernelMode::Fused, DEFAULT_BLOCK_TOKENS),
+            (KernelMode::Fused, 24),
+        ];
+        for (kernel, bt) in cases {
             let mut pool = PagedKvPool::for_model(&cfg, Some(q.clone()), 1024, 4096);
             assert_eq!(pool.set_kernel_mode(kernel), kernel);
+            pool.set_block_tokens(bt);
             let prompt: Vec<u32> = (0..=tokens as u32).collect();
             let seq = pool.alloc_seq_with_prefix(&prompt).seq;
             for t in 0..tokens as u64 {
                 pool.append(seq, 0, &row(d, 2 * t), &row(d, 2 * t + 1))
                     .unwrap();
             }
-            let ratio = |held: usize, charged: u64| held as f64 / charged as f64;
+            let ratio = |held: usize, charged: usize| held as f64 / charged as f64;
             let [keys, values] = &pool.slots(0, seq)[0];
             for (slot, bound, kind) in [(keys, 2.5, "keys"), (values, 3.6, "values")] {
                 let stream = slot.stream().unwrap();
-                let charged = stream.payload_bytes().unwrap() as u64;
+                let charged = stream.payload_bytes().unwrap();
                 let r = ratio(stream.held_bytes(), charged);
                 assert!(
                     r <= bound,
-                    "{kernel:?} {kind}: held ÷ charged {r:.2} over {bound}"
+                    "{kernel:?} {bt}-token blocks {kind}: held ÷ charged {r:.2} over {bound}"
                 );
                 assert_eq!(
                     slot.held_bytes(),
@@ -984,15 +1005,31 @@ mod tests {
                     "{kernel:?}: no view"
                 );
             }
-            assert_eq!(pool.trie.len(), tokens / DEFAULT_BLOCK_TOKENS);
+            assert_eq!(pool.trie.len(), tokens / bt);
+            let mut tails = 0;
             for id in 0..pool.trie.len() {
-                let block = pool.trie.get(id);
-                let r = ratio(block.shards[0].rows.held_bytes(), block.bytes());
+                let (start, end) = (id * bt, (id + 1) * bt);
+                let held = pool.trie.get(id).shards[0].rows.held_bytes();
+                let tail = start.max(end / KEY_GROUP * KEY_GROUP)..end;
+                let charged: usize = [keys, values]
+                    .map(|slot| {
+                        let rows = slot.encoded_rows().unwrap();
+                        rows.payload_bytes(tail.end) - rows.payload_bytes(tail.start)
+                    })
+                    .iter()
+                    .sum();
+                tails += usize::from(!tail.is_empty());
                 assert!(
-                    r <= 1.25,
-                    "{kernel:?} block {id}: held ÷ charged {r:.2} over 1.25"
+                    held as f64 <= 1.25 * charged as f64,
+                    "{kernel:?} {bt}-token block {id}: held {held} B for {charged} B \
+                     charged past its last segment edge"
                 );
             }
+            assert_eq!(
+                tails > 0,
+                bt == 24,
+                "page-form rows only off the segment edges"
+            );
             let slots = keys.held_bytes() + values.held_bytes();
             assert_eq!(
                 pool.held_kv_bytes(),
@@ -1014,6 +1051,36 @@ mod tests {
         );
         let r = pool.held_kv_bytes() as f64 / charged as f64;
         assert!(r <= 2.0, "FP16: held ÷ charged {r:.2} over 2.0");
+    }
+
+    /// A block shared by N sequences is held once. One sequence seals a
+    /// 192-token prompt in 16-token blocks, then eight more adopt it: they
+    /// hold its store segments by reference, so the pool's held bytes grow
+    /// by their slots' bookkeeping alone — at most 5 % — where copying
+    /// the rows into each adopter grew them by about eight times the
+    /// prefix's plan bytes.
+    #[test]
+    fn a_shared_block_is_held_once() {
+        let d = 128;
+        let cfg = tiny_config(1, 1, d);
+        let mut pool = PagedKvPool::for_model(&cfg, Some(oaken(d, 1)), 1024, 4096);
+        assert_eq!(pool.set_kernel_mode(KernelMode::Fused), KernelMode::Fused);
+        let prompt: Vec<u32> = (0..=192).collect();
+        let sealer = pool.alloc_seq_with_prefix(&prompt).seq;
+        for t in 0..192 {
+            pool.append(sealer, 0, &row(d, 2 * t), &row(d, 2 * t + 1))
+                .unwrap();
+        }
+        assert_eq!(pool.trie.len(), 12);
+        let one = pool.held_kv_bytes();
+        for _ in 0..8 {
+            assert_eq!(pool.alloc_seq_with_prefix(&prompt).matched_tokens, 192);
+        }
+        let held = pool.held_kv_bytes();
+        assert!(
+            held as f64 <= 1.05 * one as f64,
+            "eight adopters took the pool from {one} to {held} held bytes"
+        );
     }
 
     /// The kernel mode picks the read kernel and nothing else. The same
@@ -1353,36 +1420,47 @@ mod tests {
         assert_eq!(pool.free_pages(), pool.capacity_pages());
     }
 
+    /// At 4-token blocks (page-form rows only) and 16-token ones (one
+    /// store segment each, which the second sealer swaps for the first's).
     #[test]
     fn concurrent_prefills_dedup_at_seal() {
         let layers = 1;
         let d = 64;
         let cfg = tiny_config(layers, 2, 32);
         let q = oaken(d, layers);
-        let mut pool = PagedKvPool::for_model(&cfg, Some(q), 2048, 512);
-        pool.set_block_tokens(4);
-        let prompt: Vec<u32> = (0..9).collect(); // 2 full blocks
+        for bt in [4, DEFAULT_BLOCK_TOKENS] {
+            let mut pool = PagedKvPool::for_model(&cfg, Some(q.clone()), 2048, 512);
+            pool.set_block_tokens(bt);
+            let prompt: Vec<u32> = (0..2 * bt as u32 + 1).collect(); // 2 full blocks
 
-        // Both sequences admitted before either sealed: both miss.
-        let a = pool.alloc_seq_with_prefix(&prompt);
-        let b = pool.alloc_seq_with_prefix(&prompt);
-        assert_eq!(a.matched_tokens + b.matched_tokens, 0);
-        // Interleaved prefill, token by token.
-        for pos in 0..prompt.len() {
-            let (k, v) = kv_for_pos(d, pos);
-            pool.append(a.seq, 0, &k, &v).unwrap();
-            pool.append(b.seq, 0, &k, &v).unwrap();
+            // Both sequences admitted before either sealed: both miss.
+            let a = pool.alloc_seq_with_prefix(&prompt);
+            let b = pool.alloc_seq_with_prefix(&prompt);
+            assert_eq!(a.matched_tokens + b.matched_tokens, 0);
+            // Interleaved prefill, token by token.
+            for pos in 0..prompt.len() {
+                let (k, v) = kv_for_pos(d, pos);
+                pool.append(a.seq, 0, &k, &v).unwrap();
+                pool.append(b.seq, 0, &k, &v).unwrap();
+            }
+            // Whoever sealed second merged into the first's blocks, and
+            // holds the first's segments.
+            assert_eq!(pool.trie_blocks(), 2);
+            let stats = pool.prefix_stats();
+            assert_eq!(stats.seal_dedups, 2);
+            assert!(stats.bytes_deduplicated > 0);
+            let slots = |seq: SeqId| pool.slots(0, seq).iter().flatten();
+            for (x, y) in slots(a.seq).zip(slots(b.seq)) {
+                let (xs, ys) = (x.segments(), y.segments());
+                assert_eq!(xs.len(), 2 * bt / 16, "{bt}-token blocks");
+                assert!(xs.iter().zip(ys).all(|(x, y)| Arc::ptr_eq(x, y)));
+            }
+            assert_balanced(&pool);
+            pool.free_seq(a.seq).unwrap();
+            pool.free_seq(b.seq).unwrap();
+            assert_eq!(pool.free_pages(), pool.capacity_pages());
+            assert_eq!(pool.trie_blocks(), 0);
         }
-        // Whoever sealed second merged into the first's blocks.
-        assert_eq!(pool.trie_blocks(), 2);
-        let stats = pool.prefix_stats();
-        assert_eq!(stats.seal_dedups, 2);
-        assert!(stats.bytes_deduplicated > 0);
-        assert_balanced(&pool);
-        pool.free_seq(a.seq).unwrap();
-        pool.free_seq(b.seq).unwrap();
-        assert_eq!(pool.free_pages(), pool.capacity_pages());
-        assert_eq!(pool.trie_blocks(), 0);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   immediately, releases its shared blocks, and recycles its
 //!   stream/view buffers (via
 //!   [`KvRowStream::reset`](oaken_core::KvRowStream::reset), which retains
-//!   frozen calibration) for the next admitted sequence. That retention is
+//!   frozen calibration) for the next admitted sequence. An Oaken stream's
+//!   reset lets go of its sealed store segments — a trie block or another
+//!   sequence sharing one keeps it alive, else it is freed — and keeps its
+//!   open segment's buffers warm. That retention is
 //!   the one deliberate exception to per-sequence bit-exactness:
 //!   *calibrate-then-freeze* baselines (Atom/QServe/Tender) keep their
 //!   frozen calibration when a slot is recycled — calibration is per-model

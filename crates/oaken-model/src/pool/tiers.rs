@@ -34,7 +34,7 @@
 use super::blocks::SeqBlock;
 use super::seq::SeqSlots;
 use super::{PagedKvPool, PoolError, SeqId};
-use oaken_mmu::{FaultOp, SwapReceipt, TransferPayload};
+use oaken_mmu::{FaultOp, StreamClass, SwapReceipt, TransferPayload};
 use std::fmt;
 
 /// One sequence's KV state packaged for shipment to another pool — the
@@ -221,9 +221,10 @@ impl PagedKvPool {
     /// state, views, row counts) ship verbatim with the prompt plan
     /// stripped. Flattening is what makes the transfer self-contained:
     /// the importer owes nothing to this pool's trie, and the slots
-    /// already hold every adopted row's bytes (adoption feeds a block's
-    /// encoded rows into the streams themselves, or its views into an
-    /// exact-f32 or FP16 slot's view).
+    /// already hold every adopted row's bytes (adoption gives the streams
+    /// a block's store segments by reference — they outlive the block for
+    /// as long as a stream holds them — and its other rows, or copies its
+    /// views into an exact-f32 or FP16 slot's view).
     /// The source side then tears down exactly like
     /// [`free_seq`](Self::free_seq): private pages free, shared blocks
     /// release leaf-first.
@@ -264,23 +265,41 @@ impl PagedKvPool {
     ///
     /// # Errors
     ///
-    /// The lowest failing rank's: [`PoolError::OutOfHostPages`] when its
-    /// host tier lacks room for its payload's page charge;
-    /// [`PoolError::CorruptTransfer`] when the payload fails its checksum
-    /// and [`PoolError::TransferExceedsPage`] when it carries a token
-    /// larger than this pool's page — no later call can accept either.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the transfer carries another rank count than this
-    /// pool's.
+    /// [`PoolError::CorruptTransfer`] when the transfer's two halves
+    /// disagree with each other or with this pool's geometry: another rank
+    /// count, another layer count, or a slot whose rows differ from what
+    /// its payload's size tables count. Otherwise the lowest failing
+    /// rank's: [`PoolError::OutOfHostPages`] when its host tier lacks room
+    /// for its payload's page charge; [`PoolError::CorruptTransfer`] when
+    /// the payload fails its checksum and
+    /// [`PoolError::TransferExceedsPage`] when it carries a token larger
+    /// than this pool's page — no later call can accept any of these but
+    /// the first.
     pub fn can_import(&self, transfer: &KvTransfer) -> Result<(), PoolError> {
-        assert_eq!(
-            transfer.payloads.len(),
-            self.ranks.len(),
-            "a transfer carries one payload per rank"
-        );
+        if !self.halves_agree(transfer) {
+            return Err(PoolError::CorruptTransfer);
+        }
         (self.ranks.iter().zip(&transfer.payloads)).try_for_each(|(l, p)| l.can_import(p))
+    }
+
+    /// Whether `transfer`'s slots and payloads fit this pool and each
+    /// other: one slot shard and one payload per rank of this pool, one
+    /// `[K, V]` slot pair per layer of its model, and every slot holding
+    /// as many rows as its rank's payload counts per `(layer, kind)` — an
+    /// appended row writes one dense size entry for each.
+    fn halves_agree(&self, transfer: &KvTransfer) -> bool {
+        let (shards, payloads) = (&transfer.slots.shards, &transfer.payloads);
+        let layers = self.model.num_layers;
+        payloads.len() == self.ranks.len()
+            && shards.len() == payloads.len()
+            && shards.iter().zip(payloads).all(|(shard, payload)| {
+                let dense = (payload.streams.iter())
+                    .filter(|s| s.class == StreamClass::Dense)
+                    .map(|s| s.sizes.len())
+                    .sum::<usize>();
+                shard.slots.len() == layers
+                    && (shard.slots.iter().flatten()).all(|slot| 2 * layers * slot.rows == dense)
+            })
     }
 
     /// Imports a [`KvTransfer`] from another pool: each rank's payload
@@ -299,27 +318,18 @@ impl PagedKvPool {
     /// [`PoolError::OutOfHostPages`] when a host tier lacks room (the
     /// caller retries later), [`PoolError::Fault`] when the installed
     /// fault schedule fails the host charge,
-    /// [`PoolError::CorruptTransfer`] when a payload fails its checksum,
-    /// or [`PoolError::TransferExceedsPage`] when it was written for
-    /// larger pages than this pool's.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the transfer's geometry disagrees with this pool (rank
-    /// count or layer count) — cluster engines must share a model. The
-    /// kernel modes may differ: rows are stored alike in both.
+    /// [`PoolError::CorruptTransfer`] when a payload fails its checksum or
+    /// the transfer's geometry disagrees with its payloads or with this
+    /// pool (rank count, layer count, or a slot's rows against its
+    /// payload's — cluster engines must share a model), or
+    /// [`PoolError::TransferExceedsPage`] when it was written for larger
+    /// pages than this pool's. The kernel modes may differ: rows are
+    /// stored alike in both.
     #[allow(clippy::result_large_err)]
     pub fn import_seq(
         &mut self,
         transfer: KvTransfer,
     ) -> Result<(SeqId, SwapReceipt), (KvTransfer, PoolError)> {
-        for shard in &transfer.slots.shards {
-            assert_eq!(
-                shard.slots.len(),
-                self.model.num_layers,
-                "imported sequence's layer count disagrees with this pool"
-            );
-        }
         // The landing charges the host tier: injectable, polled before
         // anything mutates (the transfer is handed back for a retry).
         let checked =
@@ -342,5 +352,63 @@ impl PagedKvPool {
         }
         self.suspended.insert(id, state);
         Ok((SeqId(id), total))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ModelConfig;
+
+    /// An exact-f32 pool of `layers` layers over four 16-wide KV heads,
+    /// split over `ranks`, holding one sequence of three tokens.
+    fn fed(layers: usize, ranks: usize) -> (PagedKvPool, SeqId) {
+        let mut cfg = ModelConfig::llama2_7b().proxy(layers, 64);
+        (cfg.num_heads, cfg.num_kv_heads) = (4, 4);
+        let mut pool = PagedKvPool::for_model(&cfg, None, 256, 1024);
+        assert_eq!(pool.set_ranks(ranks), ranks);
+        let seq = pool.alloc_seq();
+        let row = |t: usize| (0..64).map(|i| (i + t) as f32).collect::<Vec<f32>>();
+        for t in 0..3 {
+            for layer in 0..layers {
+                pool.append(seq, layer, &row(t), &row(t + 1)).unwrap();
+            }
+        }
+        (pool, seq)
+    }
+
+    /// A transfer whose halves disagree — another rank count, another
+    /// layer count, or a slot's rows against its payload's size tables —
+    /// fails typed, from the pre-flight and from the import, and comes
+    /// back whole; the agreeing transfer then lands.
+    #[test]
+    fn a_transfer_whose_halves_disagree_fails_typed() {
+        let export = |layers, ranks| {
+            let (mut pool, seq) = fed(layers, ranks);
+            pool.export_seq(seq).unwrap()
+        };
+        let mut rows_off = export(2, 1);
+        rows_off.slots.shards[0].slots[1][0].rows += 1;
+        let cases = [
+            ("ranks", export(2, 2)),
+            ("layers", export(1, 1)),
+            ("rows", rows_off),
+        ];
+        for (case, transfer) in cases {
+            let (mut dst, _) = fed(2, 1);
+            assert_eq!(
+                dst.can_import(&transfer),
+                Err(PoolError::CorruptTransfer),
+                "{case}"
+            );
+            let (back, e) = dst.import_seq(transfer).expect_err(case);
+            assert_eq!(e, PoolError::CorruptTransfer, "{case}");
+            assert_eq!(back.tokens(), 3, "{case}: the transfer comes back");
+            assert_eq!(dst.suspended.len(), 0, "{case}: nothing landed");
+        }
+        let (mut dst, _) = fed(2, 1);
+        let (seq, _) = dst.import_seq(export(2, 1)).unwrap();
+        dst.resume_seq(seq).unwrap();
+        assert_eq!(dst.seq_len(seq, 1), 3);
     }
 }

@@ -213,7 +213,7 @@ mod tests {
     use crate::sampling::sample_greedy;
     use oaken_core::{
         EncodedRows, KvKind, KvQuantizer, KvRowStream, OakenConfig, OakenQuantizer,
-        OfflineProfiler, OnlineCost, PackedRows,
+        OfflineProfiler, OnlineCost, PackedRows, StoreSegment,
     };
     use oaken_mmu::FaultPlan;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -711,6 +711,9 @@ mod tests {
         }
         fn adopt_encoded_rows(&mut self, rows: &PackedRows) -> bool {
             self.inner.adopt_encoded_rows(rows)
+        }
+        fn share_segments(&mut self, first: usize, segments: &[Arc<StoreSegment>]) -> bool {
+            self.inner.share_segments(first, segments)
         }
     }
 

@@ -18,15 +18,25 @@
 //! references, so a block's storage survives exactly as long as some
 //! sequence needs it and the pool's page accounting stays exact.
 //!
+//! The heap agrees with the ledger. An Oaken stream keeps its rows in
+//! immutable 16-row store segments ([`oaken_core::StoreSegment`]), and a
+//! block holds the segments it completes by reference (`Arc`), the very
+//! segments its sealer's stream holds; an adopter takes them by reference
+//! too, so a block N sequences share is held once. Only a block that
+//! does not end on a 16-row edge also keeps its rows past the last edge
+//! in page form, which adopters copy into their streams' open segments.
+//!
 //! Sequences always hold *paths* (a block is adopted only together with all
 //! its ancestors) and always release leaf-first, which keeps the structural
 //! invariant simple: a node with zero references has no children and is
 //! removed immediately.
 
 use crate::cache::KindSlot;
-use oaken_core::PackedRows;
+use oaken_core::kernel::KEY_GROUP;
+use oaken_core::{PackedRows, StoreSegment};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Cumulative prefix-cache counters of one [`crate::PagedKvPool`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,7 +56,11 @@ pub struct PrefixStats {
     pub quant_rows_skipped: u64,
     /// Encoded payload bytes that were *not* re-stored because an
     /// identical block already existed (alloc-time hits + seal dedups),
-    /// summed over every rank's slice of the block.
+    /// summed over every rank's slice of the block. Adopters and a
+    /// late-dedup sealer hold the block's store segments by reference, so
+    /// this is memory that really is not duplicated — but for a block's
+    /// rows past its last 16-row edge, which are copied (none at the
+    /// default 16-token blocks).
     pub bytes_deduplicated: u64,
 }
 
@@ -59,23 +73,41 @@ pub(crate) enum BlockRows {
     /// adopter's views (exact-f32 and FP16 pools, whose views are their
     /// rows).
     Views(Vec<[Vec<f32>; 2]>),
-    /// Encoded rows, one packed run of `block_tokens` rows each — fed into
-    /// the adopter's streams (Oaken pools, whichever kernel reads them),
-    /// so no f32 image of a shared prefix is materialized.
-    Encoded(Vec<[PackedRows; 2]>),
+    /// Encoded rows — shared with, or fed into, the adopter's streams
+    /// (Oaken pools, whichever kernel reads them), so no f32 image of a
+    /// shared prefix is materialized.
+    Encoded(Vec<[EncodedBlock; 2]>),
+}
+
+/// A sealed block's encoded rows of one `(layer, kind)`: the store
+/// segments it completes, held by reference — the same segments its
+/// sealer's stream and every adopter's hold — and, when the block does
+/// not end on a 16-row segment edge, its rows past the last edge in page
+/// form (the sealer's open segment held them). At 16-token blocks that
+/// is exactly one segment and no page-form rows.
+#[derive(Debug, PartialEq)]
+pub(crate) struct EncodedBlock {
+    segments: Vec<Arc<StoreSegment>>,
+    tail: PackedRows,
 }
 
 impl BlockRows {
-    /// Copies rows `range` of every slot of one sequence, in the form the
-    /// slots keep them.
+    /// Takes rows `range` of every slot of one sequence, in the form the
+    /// slots keep them: an encoding stream's segments the range completes
+    /// by reference, and a copy of the rest.
     pub fn capture(slots: &[[KindSlot; 2]], kv_dim: usize, range: Range<usize>) -> Self {
         if slots.iter().flatten().all(|s| s.encoded_rows().is_some()) {
             // An encoding stream's state covers absolute positions:
             // adoption feeds the stream, never a side view.
+            let edge = range.end / KEY_GROUP;
             let rows = |slot: &KindSlot| {
-                let mut run = PackedRows::new(kv_dim);
-                (slot.encoded_rows().expect("checked above")).export(range.clone(), &mut run);
-                run
+                let stored = slot.encoded_rows().expect("checked above");
+                let mut tail = PackedRows::new(kv_dim);
+                stored.export(range.start.max(edge * KEY_GROUP)..range.end, &mut tail);
+                EncodedBlock {
+                    segments: stored.segments()[range.start / KEY_GROUP..edge].to_vec(),
+                    tail,
+                }
             };
             Self::Encoded(slots.iter().map(|[k, v]| [rows(k), rows(v)]).collect())
         } else {
@@ -88,31 +120,77 @@ impl BlockRows {
         }
     }
 
-    /// Appends the block's `tokens` rows to every slot of an adopting
-    /// sequence.
-    pub fn adopt_into(&self, slots: &mut [[KindSlot; 2]], tokens: usize) {
+    /// Appends the rows of `chain` — trie blocks of `tokens` rows each,
+    /// root first, from position 0 — to every slot of an adopting
+    /// sequence. An encoding stream takes every segment of the chain by
+    /// reference, then the page-form rows past the chain's last segment
+    /// edge: those are exactly the tails of the blocks ending past it.
+    pub fn adopt_chain(chain: &[&Self], slots: &mut [[KindSlot; 2]], tokens: usize) {
         for (layer, pair) in slots.iter_mut().enumerate() {
             for (ki, slot) in pair.iter_mut().enumerate() {
-                match self {
-                    Self::Encoded(rows) => slot.adopt(&rows[layer][ki]),
-                    Self::Views(rows) => {
-                        slot.view.extend_from_slice(&rows[layer][ki]);
-                        slot.rows += tokens;
+                let mut shared = 0;
+                for block in chain {
+                    match block {
+                        Self::Encoded(rows) => {
+                            let segments = &rows[layer][ki].segments;
+                            if !segments.is_empty() {
+                                slot.share(shared, segments);
+                                shared += segments.len();
+                            }
+                        }
+                        Self::Views(rows) => {
+                            slot.view.extend_from_slice(&rows[layer][ki]);
+                            slot.rows += tokens;
+                        }
+                    }
+                }
+                for (b, block) in chain.iter().enumerate() {
+                    if let Self::Encoded(rows) = block {
+                        if (b + 1) * tokens > shared * KEY_GROUP {
+                            slot.adopt(&rows[layer][ki].tail);
+                        }
                     }
                 }
             }
         }
     }
 
-    /// Heap bytes the rows hold: their buffers' capacities.
+    /// Swaps the segments of a sequence that sealed this block's rows
+    /// itself (a late dedup) for the block's: the sequence's own copies
+    /// are let go, so the rows are held once. The block starts at row
+    /// `start`.
+    pub fn share_into(&self, slots: &mut [[KindSlot; 2]], start: usize) {
+        if let Self::Encoded(rows) = self {
+            for (pair, blocks) in slots.iter_mut().zip(rows) {
+                for (slot, block) in pair.iter_mut().zip(blocks) {
+                    if !block.segments.is_empty() {
+                        slot.share(start / KEY_GROUP, &block.segments);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Heap bytes only the block holds: its views, or its page-form rows.
+    /// Its segments are held by reference, and counted once per pool
+    /// ([`crate::PagedKvPool::held_kv_bytes`]).
     pub fn held_bytes(&self) -> usize {
         match self {
             Self::Views(rows) => {
                 let f32s = rows.iter().flatten().map(Vec::capacity).sum::<usize>();
                 f32s * std::mem::size_of::<f32>()
             }
-            Self::Encoded(rows) => rows.iter().flatten().map(PackedRows::held_bytes).sum(),
+            Self::Encoded(rows) => rows.iter().flatten().map(|b| b.tail.held_bytes()).sum(),
         }
+    }
+
+    /// The segments the block holds by reference.
+    pub fn segments(&self) -> impl Iterator<Item = &Arc<StoreSegment>> {
+        let encoded = match self {
+            Self::Encoded(rows) => rows.as_slice(),
+            Self::Views(_) => &[],
+        };
+        encoded.iter().flatten().flat_map(|b| &b.segments)
     }
 
     /// Whether two independently produced copies of a block agree bit for
@@ -293,10 +371,15 @@ impl PrefixTrie {
         self.len
     }
 
-    /// Heap bytes the live blocks' rows hold, every rank.
+    /// Heap bytes only the live blocks hold, every rank: their views or
+    /// page-form rows, not the segments they share.
     pub fn held_bytes(&self) -> usize {
-        let shards = self.nodes.iter().flatten().flat_map(|b| &b.shards);
-        shards.map(|s| s.rows.held_bytes()).sum()
+        self.shards().map(|s| s.rows.held_bytes()).sum()
+    }
+
+    /// Every rank's share of every live block.
+    pub fn shards(&self) -> impl Iterator<Item = &BlockShard> {
+        self.nodes.iter().flatten().flat_map(|b| &b.shards)
     }
 }
 
@@ -343,36 +426,52 @@ mod tests {
     }
 
     /// A late-dedup check must see a block that differs from its twin in
-    /// one nibble of one row: packed runs compare every dense byte.
+    /// one nibble of one row, in a shared segment or in its page-form
+    /// rows: segments and packed runs compare every dense byte.
     #[test]
     fn same_bits_rejects_a_block_one_nibble_off() {
-        use oaken_core::{CooEntry, FusedVector, GroupKind, ScaleSet};
+        use oaken_core::{
+            CooEntry, EncodedReadPlan, FusedReadParams, FusedVector, GroupKind, KvKind, ScaleSet,
+            Thresholds,
+        };
         let dim = 97;
+        let params = FusedReadParams {
+            thresholds: Thresholds::new(-2.0, -0.1, 0.1, 2.0).unwrap(),
+            middle_bits: 4,
+            outlier_bits: 4,
+        };
         let codes: Vec<u8> = (0..dim).map(|i| (i * 5 % 16) as u8).collect();
         let outliers = [3, 64, 96].map(|index| CooEntry {
             index,
             group: GroupKind::Outer,
             high_side: index % 2 == 0,
         });
+        // 16 rows in one segment, then 8 in page form.
         let block = |flip: Option<(usize, usize)>| {
-            let run = |kind: usize| {
-                let mut run = PackedRows::new(dim);
-                for r in 0..16 {
+            let rows = |ki: usize, kind: KvKind| {
+                let mut plan = EncodedReadPlan::new(kind);
+                let mut tail = PackedRows::new(dim);
+                for r in 0..KEY_GROUP + 8 {
                     let mut codes = codes.clone();
-                    if flip == Some((kind, r)) {
+                    if flip == Some((ki, r)) {
                         codes[dim - 1 - r] ^= 0x8;
                     }
                     let fv = FusedVector::from_parts(dim, &codes, &outliers, ScaleSet::default());
-                    run.push(fv.unwrap().row());
+                    let fv = fv.unwrap();
+                    match r < KEY_GROUP {
+                        true => plan.push_row(fv.row(), &params),
+                        false => tail.push(fv.row()),
+                    }
                 }
-                run
+                let segments = plan.segments().to_vec();
+                EncodedBlock { segments, tail }
             };
-            BlockRows::Encoded(vec![[run(0), run(1)]])
+            BlockRows::Encoded(vec![[rows(0, KvKind::Key), rows(1, KvKind::Value)]])
         };
         let ours = block(None);
         assert!(ours.same_bits(&block(None)));
         for kind in 0..2 {
-            for r in [0, 7, 15] {
+            for r in [0, 7, 15, 16, 23] {
                 assert!(
                     !ours.same_bits(&block(Some((kind, r)))),
                     "kind {kind} row {r}"

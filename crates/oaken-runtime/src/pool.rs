@@ -154,9 +154,11 @@ impl WorkerPool {
             }
             return;
         }
-        // SAFETY (lifetime erasure): the pointer is dereferenced only while
-        // this call is blocked draining the job, which keeps `task` alive.
+        // Lifetime erasure: `RawTask` is the task pointer with its borrow
+        // forgotten.
         let raw: RawTask =
+            // SAFETY: the pointer is dereferenced only while this call is
+            // blocked draining the job, which keeps `task` alive.
             unsafe { std::mem::transmute::<*const (dyn Fn(usize) + Sync + '_), RawTask>(task) };
         state.task = Some(raw);
         state.next = 0;
