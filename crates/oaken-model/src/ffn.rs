@@ -18,17 +18,18 @@ pub struct DenseFfn {
 }
 
 impl DenseFfn {
-    /// Applies the FFN to one token vector.
+    /// Applies the FFN to one token vector: each product is the weight
+    /// sweep at width 1.
     ///
     /// # Panics
     ///
     /// Panics if the matrix shapes disagree with `x`.
     pub fn forward(&self, x: &[f32], act: Activation) -> Vec<f32> {
-        let mut up = self.w_up.matvec(x).expect("up-projection shape");
+        let mut up = sweep_one(&self.w_up, x, "up-projection shape");
         match &self.w_gate {
             Some(g) => {
                 // SwiGLU: down( act(gate(x)) ⊙ up(x) ).
-                let mut gate = g.matvec(x).expect("gate shape");
+                let mut gate = sweep_one(g, x, "gate shape");
                 act.apply_in_place(&mut gate);
                 for (u, g) in up.iter_mut().zip(&gate) {
                     *u *= g;
@@ -36,7 +37,7 @@ impl DenseFfn {
             }
             None => act.apply_in_place(&mut up),
         }
-        self.w_down.matvec(&up).expect("down-projection shape")
+        sweep_one(&self.w_down, &up, "down-projection shape")
     }
 
     /// Applies the FFN to a batch of token vectors as `comm.num_ranks()`
@@ -83,6 +84,13 @@ impl DenseFfn {
     }
 }
 
+/// `w · x` through the batched weight sweep at width 1 (bit-exact with
+/// [`Tensor::matvec`], which stays the reference).
+fn sweep_one(w: &Tensor, x: &[f32], shape: &str) -> Vec<f32> {
+    let mut outs = w.matvec_batch(&[x]).expect(shape);
+    outs.pop().expect("one input, one output")
+}
+
 /// Softmax over the router logits, the `top_k` strongest experts, and
 /// their weights renormalised to sum to one: `(expert, weight)` in
 /// descending routing weight — the order the expert outputs accumulate in.
@@ -123,7 +131,7 @@ impl FfnWeights {
                 experts,
                 top_k,
             } => {
-                let logits = router.matvec(x).expect("router shape");
+                let logits = sweep_one(router, x, "router shape");
                 let mut out = vec![0.0f32; x.len()];
                 for (e, w) in route(logits, *top_k) {
                     let y = experts[e].forward(x, act);

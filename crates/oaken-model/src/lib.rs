@@ -94,5 +94,5 @@ pub use ranks::RankPlan;
 pub use sampling::{sample_greedy, sample_temperature};
 #[doc(hidden)]
 pub use shim::{ExactCache, KvCacheBackend, QuantizedCache, SingleSlot};
-pub use synth::SynthParams;
+pub use synth::{RowTable, SynthParams};
 pub use trie::PrefixStats;

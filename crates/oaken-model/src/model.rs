@@ -11,7 +11,7 @@ use crate::config::{ModelConfig, Positional};
 use crate::ffn::{DenseFfn, FfnWeights};
 use crate::pool::ShardReads;
 use crate::ranks::{as_refs, concat_shards, gather, sharded_matvec, RankPlan, RowShards};
-use crate::synth::{self, SynthParams};
+use crate::synth::{self, RowTable, SynthParams};
 use oaken_core::{KvKind, KvQuantizer};
 use oaken_runtime::{chunk_range, Comm, Runtime};
 use oaken_tensor::norm::{layernorm, rmsnorm, NormKind};
@@ -49,8 +49,8 @@ pub struct LayerWeights {
 #[derive(Debug, Clone)]
 pub struct Model {
     config: ModelConfig,
-    embed: Tensor,
-    pos_embed: Option<Tensor>,
+    embed: RowTable,
+    pos_embed: Option<RowTable>,
     layers: Vec<LayerWeights>,
     final_norm_w: Vec<f32>,
     final_norm_b: Option<Vec<f32>>,
@@ -77,7 +77,7 @@ impl Model {
 
         let embed = synth::embedding(&mut synth::stream_rng(seed, 9_000), config.vocab_size, d);
         let pos_embed = match config.positional {
-            Positional::Learned => Some(synth::dense(
+            Positional::Learned => Some(synth::table(
                 &mut synth::stream_rng(seed, 9_001),
                 config.max_seq_len,
                 d,
@@ -182,13 +182,13 @@ impl Model {
         &self.layers
     }
 
-    /// Token embedding matrix `[vocab × d]` (read-only).
-    pub fn embed(&self) -> &Tensor {
+    /// Token embedding table `[vocab × d]` (read-only).
+    pub fn embed(&self) -> &RowTable {
         &self.embed
     }
 
     /// Learned positional embedding, when the model uses one.
-    pub fn pos_embed(&self) -> Option<&Tensor> {
+    pub fn pos_embed(&self) -> Option<&RowTable> {
         self.pos_embed.as_ref()
     }
 

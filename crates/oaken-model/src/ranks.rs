@@ -21,9 +21,11 @@
 //!   LM head by [`chunk_range`]) produce the same bits under every shard
 //!   map: every output element is computed by exactly one task as one
 //!   serial multiply-then-add chain over its row — one vector lane of
-//!   [`Tensor::matvec_batch_rows`], whose lanes run across the step's
-//!   inputs and never along a row — and the all-reduce's `+0.0` identity
-//!   passes the owner's bits through unchanged.
+//!   [`Tensor::matvec_batch_rows`], whose lanes are the output rows of a
+//!   16-row panel and never cut a row's chain; a shard edge inside a panel
+//!   only decides which rows of the panel each rank stores — and the
+//!   all-reduce's `+0.0` identity passes the owner's bits through
+//!   unchanged.
 //! * **Attention is head-local**, so each rank attends over its own KV
 //!   heads against its own channels of the pool; the rank outputs are
 //!   disjoint q-head slices gathered by one all-reduce per layer.

@@ -11,6 +11,10 @@
 //!   schemes;
 //! * **Observation 2** — input-independence falls out naturally: the channel
 //!   structure lives in the weights, not the data.
+//!
+//! Every edit is made to the row-major draw before a swept weight is packed
+//! into a [`Tensor`]; the embeddings, which are looked up and never swept,
+//! stay row-major as a [`RowTable`].
 
 use oaken_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -59,12 +63,50 @@ fn normal(rng: &mut StdRng) -> f32 {
     (s - 3.0) * (2.0f32).sqrt()
 }
 
+/// A row-major `[rows × cols]` table read one row at a time: the token and
+/// position embeddings, which are looked up and never swept, so they stay
+/// out of [`Tensor`]'s panel layout.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RowTable {
+    data: Vec<f32>,
+    cols: usize,
+}
+
+impl RowTable {
+    /// Borrows row `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of bounds.
+    pub fn row(&self, r: usize) -> &[f32] {
+        &self.data[r * self.cols..][..self.cols]
+    }
+}
+
+/// Draws a dense `[rows × cols]` matrix, row-major, with 1/sqrt(cols)
+/// scaling.
+fn dense_rows(rng: &mut StdRng, rows: usize, cols: usize, scale: f32) -> Vec<f32> {
+    let std = scale / (cols as f32).sqrt();
+    (0..rows * cols).map(|_| normal(rng) * std).collect()
+}
+
+/// Packs a row-major draw into a weight.
+fn pack(data: Vec<f32>, rows: usize, cols: usize) -> Tensor {
+    Tensor::from_vec(data, &[rows, cols]).expect("shape matches data length")
+}
+
 /// Generates a dense `[rows × cols]` weight matrix with 1/sqrt(cols)
 /// scaling.
 pub fn dense(rng: &mut StdRng, rows: usize, cols: usize, scale: f32) -> Tensor {
-    let std = scale / (cols as f32).sqrt();
-    let data: Vec<f32> = (0..rows * cols).map(|_| normal(rng) * std).collect();
-    Tensor::from_vec(data, &[rows, cols]).expect("shape matches data length")
+    pack(dense_rows(rng, rows, cols, scale), rows, cols)
+}
+
+/// The same draw as [`dense`], kept row-major for lookups.
+pub fn table(rng: &mut StdRng, rows: usize, cols: usize, scale: f32) -> RowTable {
+    RowTable {
+        data: dense_rows(rng, rows, cols, scale),
+        cols,
+    }
 }
 
 /// Generates a K/V projection matrix `[rows × cols]` whose output channels
@@ -76,7 +118,7 @@ pub fn kv_projection(
     scale: f32,
     params: &SynthParams,
 ) -> Tensor {
-    let mut w = dense(rng, rows, cols, scale * params.base_scale);
+    let mut data = dense_rows(rng, rows, cols, scale * params.base_scale);
     let n_outlier = ((rows as f64 * params.outlier_channel_fraction).round() as usize).min(rows);
     // Deterministically spread outlier channels across the output dim.
     let stride = if n_outlier > 0 {
@@ -84,7 +126,6 @@ pub fn kv_projection(
     } else {
         rows
     };
-    let data = w.as_mut_slice();
     for i in 0..n_outlier {
         let ch = (i * stride.max(1) + i * 7) % rows;
         let gain = params.outlier_gain.0
@@ -98,15 +139,15 @@ pub fn kv_projection(
             *v *= params.exception_gain;
         }
     }
-    w
+    pack(data, rows, cols)
 }
 
 /// Generates an embedding table with mild token-frequency structure (lower
 /// token ids get slightly larger norms, like frequent tokens in trained
 /// embeddings).
-pub fn embedding(rng: &mut StdRng, vocab: usize, d: usize) -> Tensor {
-    let mut t = dense(rng, vocab, d, 1.0);
-    let data = t.as_mut_slice();
+pub fn embedding(rng: &mut StdRng, vocab: usize, d: usize) -> RowTable {
+    let mut t = table(rng, vocab, d, 1.0);
+    let data = &mut t.data;
     for tok in 0..vocab {
         let boost = 1.0 + 0.5 / (1.0 + tok as f32 / 16.0);
         for c in 0..d {
@@ -126,11 +167,25 @@ pub fn stream_rng(seed: u64, stream: u64) -> StdRng {
 mod tests {
     use super::*;
 
+    /// A weight's rows, read back through the sweep: its product with the
+    /// unit vectors is its columns.
+    fn rows_of(w: &Tensor) -> Vec<Vec<f32>> {
+        let [m, k] = *w.shape();
+        let units: Vec<Vec<f32>> = (0..k)
+            .map(|j| (0..k).map(|i| if i == j { 1.0 } else { 0.0 }).collect())
+            .collect();
+        let refs: Vec<&[f32]> = units.iter().map(Vec::as_slice).collect();
+        let columns = w.matvec_batch(&refs).unwrap();
+        (0..m)
+            .map(|r| columns.iter().map(|c| c[r]).collect())
+            .collect()
+    }
+
     #[test]
     fn dense_has_expected_scale() {
         let mut rng = stream_rng(1, 0);
         let w = dense(&mut rng, 64, 256, 1.0);
-        let var: f32 = w.as_slice().iter().map(|v| v * v).sum::<f32>() / w.len() as f32;
+        let var: f32 = rows_of(&w).iter().flatten().map(|v| v * v).sum::<f32>() / w.len() as f32;
         // Target variance 1/cols.
         assert!(
             (var * 256.0 - 1.0).abs() < 0.3,
@@ -145,8 +200,9 @@ mod tests {
         let params = SynthParams::default();
         let w = kv_projection(&mut rng, 128, 128, 1.0, &params);
         // Per-output-channel norms.
-        let mut norms: Vec<f32> = (0..128)
-            .map(|r| w.row(r).iter().map(|v| v * v).sum::<f32>().sqrt())
+        let mut norms: Vec<f32> = rows_of(&w)
+            .iter()
+            .map(|row| row.iter().map(|v| v * v).sum::<f32>().sqrt())
             .collect();
         norms.sort_by(|a, b| b.partial_cmp(a).unwrap());
         // The amplified channels should dominate: top norm several times the

@@ -1,6 +1,8 @@
-//! The [`Tensor`] type: a row-major, heap-allocated, dense `f32` matrix.
+//! The [`Tensor`] type: a dense `f32` weight matrix stored in 16-row
+//! panels, and the batched weight sweep over it.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Error type for all fallible tensor operations.
 ///
@@ -43,16 +45,26 @@ impl fmt::Display for TensorError {
 
 impl std::error::Error for TensorError {}
 
-/// A dense, row-major `f32` matrix of shape `[rows, cols]`: a weight the
-/// model sweeps over a batch.
+/// Output rows per panel of a [`Tensor`]: the vector lanes of the weight
+/// sweep, one 512-bit register of `f32`.
+const PANEL: usize = 16;
+
+/// A dense `f32` matrix of shape `[rows, cols]`: a weight the model
+/// sweeps over a batch.
+///
+/// The matrix is stored once, in 16-row **panels**: panel `p` holds
+/// `w[16p + l][j]` at `[j][l]`, so the 16 weights of one panel column are
+/// one vector register, one lane per output row. The last panel is padded
+/// with zero rows, which no product ever stores. [`Tensor::from_vec`]
+/// takes row-major data and packs it in place; nothing row-major survives
+/// it.
 ///
 /// `Tensor` deliberately stays small: it holds a projection, FFN or LM-head
 /// weight and runs the matrix-vector products over it, nothing else. All
 /// operations are implemented in safe Rust, with one exception: the
-/// `std::arch` lanes of the batched weight sweep
-/// ([`Tensor::matvec_batch_rows`], `simd` feature only), whose
-/// `#[target_feature]` entry points and register loads and stores are
-/// `unsafe`.
+/// `std::arch` bodies of the batched weight sweep
+/// ([`Tensor::matvec_batch_rows`], `simd` feature only), whose register
+/// loads and stores and whose dispatch are `unsafe`.
 ///
 /// # Example
 ///
@@ -62,25 +74,26 @@ impl std::error::Error for TensorError {}
 /// let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3])?;
 /// assert_eq!(t.shape(), &[2, 3]);
 /// assert_eq!(t.len(), 6);
-/// assert_eq!(t.row(1), &[4.0, 5.0, 6.0]);
+/// assert_eq!(t.matvec(&[0.0, 1.0, 0.0])?, vec![2.0, 5.0]);
 /// # Ok::<(), oaken_tensor::TensorError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
+    /// `⌈rows / 16⌉` panels of `16 × cols` floats, `[j][l]` within each.
     data: Vec<f32>,
     shape: [usize; 2],
 }
 
 impl Tensor {
-    /// Creates a `[rows, cols]` matrix from its row-major data. This is
-    /// the one place a shape is checked.
+    /// Creates a `[rows, cols]` matrix from its row-major data, packing it
+    /// into panels in place. This is the one place a shape is checked.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::IncompatibleShapes`] if `shape` is not
     /// two-dimensional, and [`TensorError::ShapeMismatch`] if `data.len()`
     /// does not equal `rows × cols`.
-    pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Result<Self, TensorError> {
+    pub fn from_vec(mut data: Vec<f32>, shape: &[usize]) -> Result<Self, TensorError> {
         let &[rows, cols] = shape else {
             return Err(TensorError::IncompatibleShapes {
                 lhs: shape.to_vec(),
@@ -94,6 +107,20 @@ impl Tensor {
                 actual: data.len(),
             });
         }
+        // Panel `p` spans the same elements as rows `16p .. 16p + 16`, so
+        // each is transposed where it lies, through one panel of scratch.
+        data.resize(rows.div_ceil(PANEL) * PANEL * cols, 0.0);
+        if cols > 0 {
+            let mut rows_of_panel = vec![0.0f32; PANEL * cols];
+            for panel in data.chunks_exact_mut(PANEL * cols) {
+                rows_of_panel.copy_from_slice(panel);
+                for (l, row) in rows_of_panel.chunks_exact(cols).enumerate() {
+                    for (j, &w) in row.iter().enumerate() {
+                        panel[j * PANEL + l] = w;
+                    }
+                }
+            }
+        }
         Ok(Self {
             data,
             shape: [rows, cols],
@@ -105,38 +132,27 @@ impl Tensor {
         &self.shape
     }
 
-    /// Total number of elements.
+    /// Total number of elements, `rows × cols` (the padding rows of the
+    /// last panel not counted).
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.shape[0] * self.shape[1]
     }
 
     /// Whether the matrix has zero elements.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
-    /// Borrow the underlying buffer in row-major order.
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
+    /// Panel `p`: `16 × cols` floats, `[j][l]` = row `16p + l`, column `j`.
+    fn panel(&self, p: usize) -> &[f32] {
+        let size = PANEL * self.shape[1];
+        &self.data[p * size..][..size]
     }
 
-    /// Mutably borrow the underlying buffer in row-major order.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Borrows row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds; rows are a hot-path accessor so the
-    /// check is the slice's rather than a `Result`.
-    pub fn row(&self, r: usize) -> &[f32] {
-        let cols = self.shape[1];
-        &self.data[r * cols..(r + 1) * cols]
-    }
-
-    /// Matrix-vector product: `(m,k) × (k,) → (m,)`.
+    /// Matrix-vector product: `(m,k) × (k,) → (m,)` — the reference chain.
+    /// Element `i` is `Σ_j w[i][j] · v[j]` as one `Iterator::sum` over `j`
+    /// in index order: a multiply, then an add, from `-0.0`. Every batched
+    /// product reproduces these bits.
     ///
     /// # Errors
     ///
@@ -151,22 +167,22 @@ impl Tensor {
                 op: "matvec",
             });
         }
-        let mut out = vec![0.0f32; m];
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = &self.data[i * k..(i + 1) * k];
-            *o = dot(row, v);
-        }
-        Ok(out)
+        Ok((0..m)
+            .map(|i| {
+                let row = self.panel(i / PANEL).iter().skip(i % PANEL);
+                row.step_by(PANEL).zip(v).map(|(&w, &x)| w * x).sum()
+            })
+            .collect())
     }
 
     /// Matrix-vector product against *several* vectors at once:
     /// `(m,k) × n·(k,) → n·(m,)` — the batched-decode primitive.
     ///
-    /// One sweep over the weights serves the whole batch: the inputs sit in
-    /// the lanes of a vector register, each weight is broadcast against
-    /// them, and a block of rows is read from memory once however wide the
-    /// step is — a GEMV widened into a GEMM, exactly as on real hardware.
-    /// See [`Tensor::matvec_batch_rows`] for the kernel.
+    /// One sweep over the weights serves the whole batch: each lane of a
+    /// vector register is one output row of a panel, each input element
+    /// is broadcast against a panel column, and a block of panels is
+    /// swept once per group of inputs. See [`Tensor::matvec_batch_rows`]
+    /// for the kernel.
     ///
     /// Per input, the accumulation order is identical to
     /// [`Tensor::matvec`], so `matvec_batch(&[x])[0]` is bit-exact with
@@ -187,9 +203,9 @@ impl Tensor {
     /// `out[s][i][li]` is row `shards[s].start + li` of `self · xs[i]`.
     ///
     /// The decomposition follows the runtime's determinism discipline:
-    /// the inputs are interleaved into lanes once, then tasks form a fixed
-    /// `(shard, sub-chunk of that shard's rows)` grid
-    /// ([`oaken_runtime::chunk_range`]), each running the kernel of
+    /// tasks form a fixed `(shard, sub-chunk of that shard's rows)` grid
+    /// (sub-chunks cut on panel edges, [`oaken_runtime::chunk_range`] over
+    /// the shard's panels), each running the kernel of
     /// [`Tensor::matvec_batch_rows`] on its own rows — every accumulation
     /// chain is one (row, input) pair's, so no reassociation is possible
     /// and every element is **bit-exact** with the serial
@@ -208,22 +224,22 @@ impl Tensor {
         &self,
         rt: &oaken_runtime::Runtime,
         xs: &[&[f32]],
-        shards: &[std::ops::Range<usize>],
+        shards: &[Range<usize>],
     ) -> Result<Vec<Vec<Vec<f32>>>, TensorError> {
         let k = self.check_sweep(xs, shards)?;
-        let inputs = LaneInputs::new(Lane::for_width(xs.len()), xs, k);
-        // Multiply-adds the kernel executes per output row, padding lanes
-        // included: what a task's time is proportional to.
-        let (threads, flops_per_row) = (rt.threads(), inputs.xt.len());
+        let body = Body::widest();
+        // Multiply-adds per output row: what a task's time is
+        // proportional to.
+        let (threads, flops_per_row) = (rt.threads(), k * xs.len());
         if let [rows] = shards {
-            if parts_per_shard(threads, flops_per_row, shards).min(rows.len()) <= 1 {
+            if parts_per_shard(threads, flops_per_row, shards).min(panels_of(rows).len()) <= 1 {
                 // One shard, one task: nothing to fork or merge.
-                return Ok(vec![self.sweep_rows(&inputs, rows.clone())]);
+                return Ok(vec![self.sweep_rows(body, xs, rows.clone())]);
             }
         }
         let tasks = shard_tasks(threads, flops_per_row, shards);
         let partials = rt.map(tasks.len(), |t| {
-            self.sweep_rows(&inputs, tasks[t].1.clone())
+            self.sweep_rows(body, xs, tasks[t].1.clone())
         });
         let mut outs: Vec<Vec<Vec<f32>>> = Vec::with_capacity(shards.len());
         for ((s, _), partial) in tasks.iter().zip(partials) {
@@ -244,24 +260,23 @@ impl Tensor {
     ///
     /// This is the one batched kernel — the full product is the range
     /// `0..m`, a thread's or a tensor-parallel rank's share is a sub-range
-    /// — and its vector lanes run across the **inputs**, never along a
-    /// row. The inputs are interleaved lane-major once (`xt[j][lane]`,
-    /// absent lanes zero); then, for a block of weight rows at a time, one
-    /// vector accumulator per row takes `acc[r] = acc[r] + splat(w[r][j])
-    /// · xt[j]` for `j` in index order. A lane is therefore one serial
-    /// multiply-then-add chain over `k` (no fused multiply-add), started
-    /// from `-0.0` like the sum in [`Tensor::matvec`]: each produced
-    /// element is **bit-exact** with the corresponding element of `matvec`
-    /// whatever the step width, the co-batched vectors, the row range or
-    /// the lane width, with or without the `simd` feature, and
-    /// concatenating the shards of any row partition reproduces the full
-    /// product bit-for-bit. Lanes never mix, so whatever a padding lane
-    /// computes (`w · 0.0` is NaN for an infinite weight) stays in it and
-    /// is never stored.
-    ///
-    /// Rows iterate outermost and lane-width groups of inputs innermost,
-    /// so a row block comes from memory once per call and every group
-    /// after the first reads it from L1.
+    /// — and its vector lanes run across the **output rows** of a panel.
+    /// The inputs go in groups of up to eight; for each group, a block of
+    /// `R` panels at a time is swept with one vector accumulator per
+    /// (panel, input), `acc[r][g] = acc[r][g] + w[r][j] · splat(x[g][j])`
+    /// for `j` in index order, where `w[r][j]` is column `j` of panel `r`.
+    /// `R` follows the group's width so that a block always holds enough
+    /// independent chains to cover the add latency, whatever the step
+    /// width. A lane is therefore one serial multiply-then-add chain over
+    /// `k` (no fused multiply-add), started from `-0.0` like the sum in
+    /// [`Tensor::matvec`]: each produced element is **bit-exact** with the
+    /// corresponding element of `matvec` whatever the step width, the
+    /// co-batched vectors, the row range or the register body, with or
+    /// without the `simd` feature, and concatenating the shards of any row
+    /// partition reproduces the full product bit-for-bit. A range that
+    /// starts or ends inside a panel computes the whole panel and stores
+    /// only its own rows; lanes never mix, so whatever a padding row
+    /// computes (`0.0 · x` is NaN for an infinite input) is never stored.
     ///
     /// # Errors
     ///
@@ -270,20 +285,15 @@ impl Tensor {
     pub fn matvec_batch_rows(
         &self,
         xs: &[&[f32]],
-        rows: std::ops::Range<usize>,
+        rows: Range<usize>,
     ) -> Result<Vec<Vec<f32>>, TensorError> {
-        let k = self.check_sweep(xs, std::slice::from_ref(&rows))?;
-        let inputs = LaneInputs::new(Lane::for_width(xs.len()), xs, k);
-        Ok(self.sweep_rows(&inputs, rows))
+        self.check_sweep(xs, std::slice::from_ref(&rows))?;
+        Ok(self.sweep_rows(Body::widest(), xs, rows))
     }
 
     /// The column count, if the sweep is well-formed: every range of
     /// `shards` within the rows, every input as long as a row.
-    fn check_sweep(
-        &self,
-        xs: &[&[f32]],
-        shards: &[std::ops::Range<usize>],
-    ) -> Result<usize, TensorError> {
+    fn check_sweep(&self, xs: &[&[f32]], shards: &[Range<usize>]) -> Result<usize, TensorError> {
         let bad = |rhs: Vec<usize>| TensorError::IncompatibleShapes {
             lhs: self.shape.to_vec(),
             rhs,
@@ -299,73 +309,92 @@ impl Tensor {
         }
     }
 
-    /// Runs the lane `inputs` was interleaved for over `rows` (validated
-    /// by the caller): `outs[s][li]` is row `rows.start + li` of
-    /// `self · xs[s]`.
-    fn sweep_rows(&self, inputs: &LaneInputs, rows: std::ops::Range<usize>) -> Vec<Vec<f32>> {
-        match inputs.lane {
-            Lane::Portable => self.sweep(
-                inputs,
-                rows,
-                block_portable::<PORTABLE_LANES, PORTABLE_ROWS>,
-            ),
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            Lane::Avx2 => self.sweep(inputs, rows, |rows, xt, acc| {
-                // SAFETY: `Lane::Avx2` only exists behind the `avx2` probe.
-                unsafe { simd::block_avx2(rows, xt, acc) }
-            }),
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            Lane::Avx512 => self.sweep(inputs, rows, |rows, xt, acc| {
-                // SAFETY: `Lane::Avx512` only exists behind the `avx512f` probe.
-                unsafe { simd::block_avx512(rows, xt, acc) }
-            }),
-        }
-    }
-
-    /// The lane-independent part of the kernel: walks `rows` in blocks of
-    /// `R`, hands each block and each `L`-input group of `inputs` to
-    /// `block` (which fills `acc[r][lane]`), and scatters the real lanes
-    /// into the per-input outputs. A short last block repeats its final
-    /// row so `block` always gets `R` rows; the repeats are not stored.
-    fn sweep<const L: usize, const R: usize>(
-        &self,
-        inputs: &LaneInputs,
-        rows: std::ops::Range<usize>,
-        block: impl Fn(&[&[f32]; R], &[f32], &mut [[f32; L]; R]),
-    ) -> Vec<Vec<f32>> {
-        debug_assert_eq!(inputs.lane.width(), L);
-        let k = inputs.k;
-        let mut outs = vec![vec![0.0f32; rows.len()]; inputs.n];
-        let mut acc = [[0.0f32; L]; R];
-        for base in rows.clone().step_by(R) {
-            let real = R.min(rows.end - base);
-            let block_rows: [&[f32]; R] = std::array::from_fn(|r| {
-                let i = base + r.min(real - 1);
-                &self.data[i * k..(i + 1) * k]
-            });
-            for (group, outs) in outs.chunks_mut(L).enumerate() {
-                block(
-                    &block_rows,
-                    &inputs.xt[group * k * L..(group + 1) * k * L],
-                    &mut acc,
-                );
-                for (lane, out) in outs.iter_mut().enumerate() {
-                    for (o, a) in out[base - rows.start..][..real].iter_mut().zip(&acc) {
-                        *o = a[lane];
-                    }
+    /// The kernel on `body` over `rows` (validated by the caller):
+    /// `outs[s][li]` is row `rows.start + li` of `self · xs[s]`. Input
+    /// groups run outermost, each over every panel of `rows` in blocks
+    /// of [`BLOCK_PANELS`] panels (fewer for the last).
+    fn sweep_rows(&self, body: Body, xs: &[&[f32]], rows: Range<usize>) -> Vec<Vec<f32>> {
+        let mut outs = vec![vec![0.0f32; rows.len()]; xs.len()];
+        let panels = panels_of(&rows);
+        for (xs, outs) in xs.chunks(GROUP).zip(outs.chunks_mut(GROUP)) {
+            let mut p = panels.start;
+            while p < panels.end {
+                let r = BLOCK_PANELS[xs.len()].min(panels.end - p);
+                // One arm per block shape the table can ask for.
+                macro_rules! shapes {
+                    ($($g:literal: $($r:literal)+;)+) => {
+                        match (r, xs.len()) {
+                            $($(($r, $g) => self.block::<$r, $g>(body, p, xs, &rows, outs),)+)+
+                            _ => unreachable!("no {r} × {} block", xs.len()),
+                        }
+                    };
                 }
+                shapes! {
+                    1: 1 2 3 4 5 6 7 8;
+                    2: 1 2 3 4;
+                    3: 1 2 3;
+                    4: 1 2 3 4;
+                    5: 1 2 3 4;
+                    6: 1 2 3;
+                    7: 1 2 3;
+                    8: 1 2 3;
+                }
+                p += r;
             }
         }
         outs
     }
+
+    /// One register block: panels `p .. p + R` against the `G` inputs
+    /// `xs`, each panel's rows that fall in `rows` stored into `outs`.
+    fn block<const R: usize, const G: usize>(
+        &self,
+        body: Body,
+        p: usize,
+        xs: &[&[f32]],
+        rows: &Range<usize>,
+        outs: &mut [Vec<f32>],
+    ) {
+        let xs: &[&[f32]; G] = xs.try_into().expect("a group of G inputs");
+        let panels: [&[f32]; R] = std::array::from_fn(|r| self.panel(p + r));
+        let mut acc = [[[0.0f32; PANEL]; G]; R];
+        body.run(&panels, xs, &mut acc);
+        for (r, acc) in acc.iter().enumerate() {
+            let first = (p + r) * PANEL;
+            let live = first.max(rows.start)..(first + PANEL).min(rows.end);
+            for (out, lanes) in outs.iter_mut().zip(acc) {
+                out[live.start - rows.start..live.end - rows.start]
+                    .copy_from_slice(&lanes[live.start - first..live.end - first]);
+            }
+        }
+    }
 }
 
-/// Which instance of the input-lane kernel a sweep runs: the portable
-/// `[f32; L]` body — the reference, and the only one without the `simd`
+/// The panels a row range touches (none for an empty range).
+fn panels_of(rows: &Range<usize>) -> Range<usize> {
+    if rows.is_empty() {
+        0..0
+    } else {
+        rows.start / PANEL..rows.end.div_ceil(PANEL)
+    }
+}
+
+/// Inputs per group of the sweep: the widest register block.
+const GROUP: usize = 8;
+
+/// Panels per register block (`R`) for a group of `G` inputs, indexed by
+/// `G`: `R × G` accumulators, enough independent add chains to cover the
+/// latency of the add at every width, few enough to stay in the 32
+/// AVX-512 registers beside the `R` panel loads. Measured on the
+/// reference host: see § Weight sweep in ARCHITECTURE.md.
+const BLOCK_PANELS: [usize; GROUP + 1] = [0, 8, 4, 3, 4, 4, 3, 3, 3];
+
+/// Which instance of the panel kernel a sweep runs: the portable
+/// `[f32; 16]` body — the reference, and the only one without the `simd`
 /// feature or off x86-64 — or one of the two `std::arch` bodies in
 /// `mod simd`. All three produce the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Lane {
+enum Body {
     Portable,
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     Avx2,
@@ -373,146 +402,136 @@ enum Lane {
     Avx512,
 }
 
-/// Inputs per group and rows per block of the portable lane, by
-/// measurement on the reference host (baseline x86-64, so 128-bit
-/// registers): see the feature-off table in ARCHITECTURE.md.
-const PORTABLE_LANES: usize = 4;
-const PORTABLE_ROWS: usize = 4;
-
-impl Lane {
-    /// The lane for a step `width` inputs wide: eight lanes cover a decode
-    /// batch, sixteen halve the groups of anything wider. The CPU probe is
-    /// one-time (std caches CPUID), and the only way a `std::arch` lane
-    /// comes to exist outside the lane-parity test, which probes too.
-    fn for_width(width: usize) -> Lane {
+impl Body {
+    /// The widest body this CPU runs. The probe is one-time (std caches
+    /// CPUID), and the only way a `std::arch` body comes to exist outside
+    /// the body-parity test, which probes too.
+    fn widest() -> Body {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        match width {
-            9.. if is_x86_feature_detected!("avx512f") => return Lane::Avx512,
-            _ if is_x86_feature_detected!("avx2") => return Lane::Avx2,
-            _ => {}
+        {
+            if is_x86_feature_detected!("avx512f") {
+                return Body::Avx512;
+            }
+            if is_x86_feature_detected!("avx2") {
+                return Body::Avx2;
+            }
         }
-        let _ = width; // the portable lane serves every width
-        Lane::Portable
+        Body::Portable
     }
 
-    /// Inputs per group (`L`).
-    fn width(self) -> usize {
+    /// Fills `acc[r][g][l]` with row `l` of panel `panels[r]` · `xs[g]`.
+    fn run<const R: usize, const G: usize>(
+        self,
+        panels: &[&[f32]; R],
+        xs: &[&[f32]; G],
+        acc: &mut [[[f32; PANEL]; G]; R],
+    ) {
         match self {
-            Lane::Portable => PORTABLE_LANES,
+            Body::Portable => block_portable(panels, xs, acc),
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            Lane::Avx2 => 8,
+            Body::Avx2 => {
+                // SAFETY: `Body::Avx2` only exists behind the `avx2` probe.
+                unsafe { simd::block_avx2(panels, xs, acc) }
+            }
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            Lane::Avx512 => 16,
-        }
-    }
-}
-
-/// A step's inputs interleaved for `lane`: group `g` (inputs `g·L ..`)
-/// occupies `xt[g·k·L ..][.. k·L]` as `[j][lane]`, lanes past the last
-/// input zero. Built once per call and shared by every task.
-struct LaneInputs {
-    lane: Lane,
-    /// Real inputs (`xs.len()`).
-    n: usize,
-    k: usize,
-    xt: Vec<f32>,
-}
-
-impl LaneInputs {
-    /// Interleaves `xs`, each of length `k`.
-    fn new(lane: Lane, xs: &[&[f32]], k: usize) -> Self {
-        let l = lane.width();
-        let mut xt = vec![0.0f32; xs.len().div_ceil(l) * k * l];
-        for (s, x) in xs.iter().enumerate() {
-            let group = &mut xt[s / l * k * l..];
-            for (j, &v) in x.iter().enumerate() {
-                group[j * l + s % l] = v;
+            Body::Avx512 => {
+                // SAFETY: `Body::Avx512` only exists behind the `avx512f` probe.
+                unsafe { simd::block_avx512(panels, xs, acc) }
             }
         }
-        Self {
-            lane,
-            n: xs.len(),
-            k,
-            xt,
-        }
     }
 }
 
-/// The portable lane body: `acc[r][lane]` becomes the dot product of
-/// `rows[r]` with input `lane` of the group interleaved in `xt`
-/// (`xt.len() == k · L`), each a serial multiply-then-add chain from
-/// `-0.0` in index order.
-fn block_portable<const L: usize, const R: usize>(
-    rows: &[&[f32]; R],
-    xt: &[f32],
-    out: &mut [[f32; L]; R],
+/// The portable body: `out[r][g][l]` becomes the dot product of row `l`
+/// of `panels[r]` (each `16 × k` floats) with `xs[g]` (each `k`), a
+/// serial multiply-then-add chain from `-0.0` in index order. It runs one
+/// (panel, input) pair at a time: sixteen lanes the auto-vectoriser keeps
+/// in four 128-bit registers, where a whole `R × G` block of them spills
+/// (3 GFLOP/s on the chat-proxy sweep, against 10–26 this way).
+fn block_portable<const R: usize, const G: usize>(
+    panels: &[&[f32]; R],
+    xs: &[&[f32]; G],
+    out: &mut [[[f32; PANEL]; G]; R],
 ) {
-    let rows = rows.map(|row| &row[..xt.len() / L]);
-    let mut acc = [[-0.0f32; L]; R];
-    for (j, x) in xt.as_chunks::<L>().0.iter().enumerate() {
-        for (a, row) in acc.iter_mut().zip(&rows) {
-            let w = row[j];
-            for (a, &x) in a.iter_mut().zip(x) {
-                *a += w * x;
+    let k = panels[0].len() / PANEL;
+    for (out, panel) in out.iter_mut().zip(panels) {
+        let columns = &panel.as_chunks::<PANEL>().0[..k];
+        for (out, x) in out.iter_mut().zip(xs) {
+            let mut acc = [-0.0f32; PANEL];
+            for (w, &x) in columns.iter().zip(&x[..k]) {
+                for (a, &w) in acc.iter_mut().zip(w) {
+                    *a += w * x;
+                }
             }
+            *out = acc;
         }
     }
-    *out = acc;
 }
 
-/// The `std::arch` lane bodies, enabled by the `simd` cargo feature on
-/// x86-64 and selected at runtime: [`block_portable`] written with
-/// explicit broadcast / multiply / add intrinsics (never a fused
-/// multiply-add), eight inputs to a 256-bit register or sixteen to a
-/// 512-bit one. Same chains, same bits; only the speed differs.
+/// The `std::arch` bodies, enabled by the `simd` cargo feature on x86-64
+/// and selected at runtime: [`block_portable`] written with explicit load
+/// / broadcast / multiply / add / store intrinsics (never a fused
+/// multiply-add), a panel column as two 256-bit registers or one 512-bit
+/// one. Same chains, same bits; only the speed differs.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd {
+    use super::PANEL;
     use std::arch::x86_64::*;
 
-    /// Rows per block: enough independent add chains to cover the FP add
-    /// latency on both ports, few enough row streams for the prefetcher
-    /// (2, 6, 8 and 12 all measured slower at some width).
-    pub(super) const ROWS: usize = 4;
-
-    macro_rules! lane_block {
+    macro_rules! panel_block {
         ($name:ident, $feature:literal, $lanes:literal,
          $set1:ident, $loadu:ident, $mul:ident, $add:ident, $storeu:ident) => {
             /// [`super::block_portable`] for this register width.
-            ///
-            /// # Safety
-            ///
-            /// The CPU must support the lane's target feature.
             #[target_feature(enable = $feature)]
-            pub(super) unsafe fn $name(
-                rows: &[&[f32]; ROWS],
-                xt: &[f32],
-                out: &mut [[f32; $lanes]; ROWS],
+            pub(super) fn $name<const R: usize, const G: usize>(
+                panels: &[&[f32]; R],
+                xs: &[&[f32]; G],
+                out: &mut [[[f32; PANEL]; G]; R],
             ) {
-                // Re-sliced to exactly `k`, so `row[j]` below is check-free
-                // (in a loop: an `array::map` closure does not inline into
-                // a `#[target_feature]` function and the lengths are lost).
-                let k = xt.len() / $lanes;
-                let mut rows = *rows;
-                for row in &mut rows {
-                    *row = &row[..k];
+                // Registers per panel column.
+                const H: usize = PANEL / $lanes;
+                // Re-sliced to exactly `k`, so the indexing below is
+                // check-free (in loops: an `array::map` closure does not
+                // inline into a `#[target_feature]` function and the
+                // lengths are lost).
+                let k = panels[0].len() / PANEL;
+                let mut columns: [&[[f32; PANEL]]; R] = [&[]; R];
+                for (c, p) in columns.iter_mut().zip(panels) {
+                    *c = &p.as_chunks::<PANEL>().0[..k];
                 }
-                let mut acc = [$set1(-0.0); ROWS];
-                for (j, x) in xt.as_chunks::<$lanes>().0.iter().enumerate() {
-                    // SAFETY: `x` is one register's worth of floats.
-                    let x = unsafe { $loadu(x.as_ptr()) };
-                    for (a, row) in acc.iter_mut().zip(&rows) {
-                        *a = $add(*a, $mul($set1(row[j]), x));
+                let mut inputs: [&[f32]; G] = [&[]; G];
+                for (i, x) in inputs.iter_mut().zip(xs) {
+                    *i = &x[..k];
+                }
+                let mut acc = [[[$set1(-0.0); H]; G]; R];
+                for j in 0..k {
+                    let mut x = [$set1(0.0); G];
+                    for (x, input) in x.iter_mut().zip(&inputs) {
+                        *x = $set1(input[j]);
+                    }
+                    for (acc, columns) in acc.iter_mut().zip(&columns) {
+                        for (h, w) in columns[j].as_chunks::<$lanes>().0.iter().enumerate() {
+                            // SAFETY: `w` is one register's worth of floats.
+                            let w = unsafe { $loadu(w.as_ptr()) };
+                            for (a, &x) in acc.iter_mut().zip(&x) {
+                                a[h] = $add(a[h], $mul(w, x));
+                            }
+                        }
                     }
                 }
-                for (o, a) in out.iter_mut().zip(acc) {
-                    // SAFETY: `o` is one register's worth of floats.
-                    unsafe { $storeu(o.as_mut_ptr(), a) };
+                for (out, acc) in out.iter_mut().zip(&acc) {
+                    for (out, acc) in out.iter_mut().zip(acc) {
+                        for (o, &a) in out.as_chunks_mut::<$lanes>().0.iter_mut().zip(acc) {
+                            // SAFETY: `o` is one register's worth of floats.
+                            unsafe { $storeu(o.as_mut_ptr(), a) };
+                        }
+                    }
                 }
             }
         };
     }
 
-    lane_block!(
+    panel_block!(
         block_avx2,
         "avx2",
         8,
@@ -522,7 +541,7 @@ mod simd {
         _mm256_add_ps,
         _mm256_storeu_ps
     );
-    lane_block!(
+    panel_block!(
         block_avx512,
         "avx512f",
         16,
@@ -535,35 +554,32 @@ mod simd {
 }
 
 /// Minimum multiply-adds a [`Tensor::matvec_batch_shards`] call executes
-/// (`rows × k × width`, the width rounded up to whole lane groups — what
-/// the kernel's time is proportional to) for a shard's rows to be split:
-/// below this, forking, allocating each task's outputs and concatenating
-/// them costs more than the sweep it would split.
+/// (`rows × k × width`; no padding lanes, which the panel kernel no longer
+/// has) for a shard's rows to be split: below this, forking, allocating
+/// each task's outputs and concatenating them costs more than the sweep it
+/// would split.
 ///
-/// Measured on the reference host (2 vCPUs sharing a core, `simd` lanes,
-/// 2 threads, best of 3000, always-split against serial): the split path
-/// costs 1.4 µs at width 1, 3.6 µs at width 8 and 25 µs at width 64 before
-/// any useful work, and the kernel retires ≈ 26 G multiply-adds/s. Split ÷
-/// serial time by multiply-adds executed — widths 1 / 8: 0.25 Mi 1.12 /
-/// 1.60, 0.5 Mi 0.94 / 1.25, 1.3 Mi 0.87 / 0.92; width 64: 1 Mi 1.48, 2 Mi
-/// 0.98, 10.8 Mi 0.63. Splitting starts to pay between 0.5 and 2 Mi,
-/// ≈ 40 µs of sweep (the scalar kernel's 16 Ki is 0.6 µs of this one).
-const PAR_MATVEC_MIN_FLOPS: usize = 1 << 20;
+/// Measured on the reference host (2 vCPUs sharing a core, AVX-512F body,
+/// 2 threads against the serial runtime, `k` = 256, best of 5 × 80 ms, two
+/// runs): the panel kernel retires ≈ 24–30 G multiply-adds/s. Split ÷
+/// serial time by multiply-adds executed — width 1: 0.25 Mi 1.31 / 1.41,
+/// 0.5 Mi 0.67 / 1.07, 1 Mi 0.48 / 1.05; width 8: 1 Mi 1.20 / 1.10, 2 Mi
+/// 0.87 / 1.03, 4 Mi 0.74 / 1.07, 8 Mi 0.63 / 0.61; width 64: 2 Mi 1.18 /
+/// 1.49, 4 Mi 0.83 / 0.92, 8 Mi 0.71 / 0.65. Splitting pays reliably from
+/// 4 Mi, ≈ 150 µs of sweep (the input-lane kernel this one replaced
+/// crossed at 1 Mi, at half the rate).
+const PAR_MATVEC_MIN_FLOPS: usize = 1 << 22;
 
 /// Row-range tasks per thread for the sharded matvec (over all shards):
 /// enough slack that a thread finishing early steals remaining chunks
 /// instead of idling.
 const PAR_MATVEC_TASKS_PER_THREAD: usize = 4;
 
-/// Sub-chunks each shard's rows are split into (before the cap at one row
-/// per task): one when `threads == 1` or the product (`flops_per_row` per
-/// output row) is below the crossover; otherwise the per-thread task
-/// budget divided across the shards.
-fn parts_per_shard(
-    threads: usize,
-    flops_per_row: usize,
-    shards: &[std::ops::Range<usize>],
-) -> usize {
+/// Sub-chunks each shard's rows are split into (before the cap at one
+/// panel per task): one when `threads == 1` or the product
+/// (`flops_per_row` per output row) is below the crossover; otherwise the
+/// per-thread task budget divided across the shards.
+fn parts_per_shard(threads: usize, flops_per_row: usize, shards: &[Range<usize>]) -> usize {
     let rows: usize = shards.iter().map(|s| s.len()).sum();
     // The fork-join pays off only when every thread gets real work.
     if threads == 1 || rows * flops_per_row < PAR_MATVEC_MIN_FLOPS {
@@ -573,37 +589,39 @@ fn parts_per_shard(
     }
 }
 
-/// The task grid of [`Tensor::matvec_batch_shards`]: every shard's rows
-/// split into [`parts_per_shard`] equal sub-chunks, `(shard, rows)` in
-/// shard-then-row order — a function of the problem shape and thread
-/// count alone. Any row range is a legal task: the kernel has no panel
-/// to snap to.
+/// The task grid of [`Tensor::matvec_batch_shards`]: the panels each
+/// shard touches split into [`parts_per_shard`] equal sub-chunks, each
+/// clipped to the shard's rows, `(shard, rows)` in shard-then-row order —
+/// a function of the problem shape and thread count alone. Sub-chunks
+/// meet on panel edges, so no two tasks of one shard sweep the same
+/// panel; two shards may share one, each storing its own rows.
 fn shard_tasks(
     threads: usize,
     flops_per_row: usize,
-    shards: &[std::ops::Range<usize>],
-) -> Vec<(usize, std::ops::Range<usize>)> {
+    shards: &[Range<usize>],
+) -> Vec<(usize, Range<usize>)> {
     let per_shard = parts_per_shard(threads, flops_per_row, shards);
     let mut tasks = Vec::new();
     for (s, shard) in shards.iter().enumerate() {
-        let parts = per_shard.min(shard.len()).max(1);
-        tasks.extend((0..parts).map(|p| {
-            let sub = oaken_runtime::chunk_range(p, shard.len(), parts);
-            (s, shard.start + sub.start..shard.start + sub.end)
+        let panels = panels_of(shard);
+        let parts = per_shard.min(panels.len()).max(1);
+        tasks.extend((0..parts).map(|part| {
+            let sub = oaken_runtime::chunk_range(part, panels.len(), parts);
+            let edge = |p: usize| (panels.start + p) * PANEL;
+            let start = if sub.start == 0 {
+                shard.start
+            } else {
+                edge(sub.start)
+            };
+            let end = if sub.end == panels.len() {
+                shard.end
+            } else {
+                edge(sub.end)
+            };
+            (s, start..end)
         }));
     }
     tasks
-}
-
-/// Dot product of two equal-length slices.
-///
-/// # Panics
-///
-/// Panics (via `debug_assert!`) in debug builds when lengths differ; in
-/// release builds the shorter length wins.
-pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
 #[cfg(test)]
@@ -698,7 +716,7 @@ mod tests {
             .map(|i| ((i * 2654435761) % 997) as f32 / 131.0 - 3.7)
             .collect();
         let a = Tensor::from_vec(data, &[3, k]).unwrap();
-        // 11 vectors crosses the interleave-chunk boundary.
+        // 11 vectors cross the eight-input group boundary.
         let xs: Vec<Vec<f32>> = (0..11)
             .map(|s| {
                 (0..k)
@@ -762,7 +780,7 @@ mod tests {
         assert_eq!(one_shard(&a, &rt1, &refs), serial);
 
         // Rank row ranges × thread sub-chunks: uneven shard maps (67 rows
-        // over 2, 3, 5 owners), batches that cross the interleave chunk
+        // over 2, 3, 5 owners), batches that cross the input group
         // (13 = 8 + 5, 9 = 8 + a lone tail) and a lone vector — every
         // element must carry `matvec`'s bits whichever task computed it.
         for n in [13usize, 9, 1] {
@@ -794,29 +812,48 @@ mod tests {
 
     /// The `(shard, sub-chunk)` grid: one shard on 4 threads keeps the
     /// whole-matrix fan-out (4 tasks per thread), N shards divide the
-    /// same budget so threads beyond the rank count are used, and small
-    /// products or a serial runtime run one task per shard.
+    /// same budget so threads beyond the rank count are used, sub-chunks
+    /// meet on panel edges, and small products or a serial runtime run
+    /// one task per shard.
     #[test]
     fn shard_tasks_divide_the_thread_budget_across_shards() {
         let big = PAR_MATVEC_MIN_FLOPS; // per output row: always above the crossover
-        let whole = 0..64;
+        let whole = 0..64 * PANEL;
         let one = shard_tasks(4, big, std::slice::from_ref(&whole));
         assert_eq!(one.len(), 4 * PAR_MATVEC_TASKS_PER_THREAD);
-        assert_eq!(one[0], (0, 0..4));
-        assert_eq!(one.last().unwrap(), &(0, 60..64));
+        assert_eq!(one[0], (0, 0..4 * PANEL));
+        assert_eq!(one.last().unwrap(), &(0, 60 * PANEL..64 * PANEL));
         // Two uneven ranks on 4 threads: 8 sub-chunks each, in rank order,
-        // covering exactly the rank's rows.
-        let two = shard_tasks(4, big, &[0..34, 34..67]);
+        // covering exactly the rank's rows, cut on panel edges.
+        let (half, m) = (34 * PANEL + 5, 67 * PANEL + 3);
+        let two = shard_tasks(4, big, &[0..half, half..m]);
         assert_eq!(two.len(), 16);
-        for (r, rows) in [(0usize, 0..34), (1, 34..67)] {
+        for (r, rows) in [(0usize, 0..half), (1, half..m)] {
             let mine: Vec<_> = two.iter().filter(|t| t.0 == r).collect();
             assert_eq!(mine.len(), 8);
             assert_eq!(mine[0].1.start, rows.start);
             assert_eq!(mine[7].1.end, rows.end);
             assert!(mine.windows(2).all(|w| w[0].1.end == w[1].1.start));
+            assert!(mine[1..].iter().all(|t| t.1.start.is_multiple_of(PANEL)));
         }
-        // Fewer rows than the budget: one task per row, never an empty one.
-        assert_eq!(shard_tasks(8, big, &[0..3, 3..5]).len(), 5);
+        // Fewer panels than the budget: one task per panel, never an
+        // empty one, and no two tasks of a shard share a panel.
+        let few = shard_tasks(8, big, &[0..20, 20..50]);
+        assert_eq!(
+            few,
+            vec![
+                (0, 0..16),
+                (0, 16..20),
+                (1, 20..32),
+                (1, 32..48),
+                (1, 48..50)
+            ]
+        );
+        assert_eq!(shard_tasks(8, big, &[0..3, 3..5]).len(), 2);
+        assert_eq!(
+            shard_tasks(8, big, &[0..0, 0..5]),
+            vec![(0, 0..0), (1, 0..5)]
+        );
         // Below the crossover, or serial: one task per shard.
         assert_eq!(shard_tasks(4, 1, &[0..34, 34..67]).len(), 2);
         assert_eq!(shard_tasks(1, big, &[0..34, 34..67]).len(), 2);
@@ -873,46 +910,56 @@ mod tests {
         }
     }
 
-    /// The lanes this build compiled and this CPU runs: the portable body
+    /// The bodies this build compiled and this CPU runs: the portable body
     /// always, the two `std::arch` bodies under the `simd` feature.
-    fn runnable_lanes() -> Vec<Lane> {
+    fn runnable_bodies() -> Vec<Body> {
         #[allow(unused_mut)]
-        let mut lanes = vec![Lane::Portable];
+        let mut bodies = vec![Body::Portable];
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         {
             if is_x86_feature_detected!("avx2") {
-                lanes.push(Lane::Avx2);
+                bodies.push(Body::Avx2);
             }
             if is_x86_feature_detected!("avx512f") {
-                lanes.push(Lane::Avx512);
+                bodies.push(Body::Avx512);
             }
         }
-        lanes
+        bodies
     }
 
-    /// Lane parity: every runnable lane, forced onto the same inputs at
-    /// widths on both sides of its group size, yields `matvec`'s bits —
-    /// so the lanes agree with each other and the `simd` build with the
-    /// portable one. 11 rows leave a short last block for every `R`.
+    /// Body parity: every runnable body, forced onto the same inputs at
+    /// widths on both sides of each register block and of a group of
+    /// eight, yields `matvec`'s bits — so the bodies agree with each other
+    /// and the `simd` build with the portable one. 11 rows are one
+    /// part-filled panel; 150 rows are nine full panels and a part-filled
+    /// tenth, which leaves a short last block for every `R`. The row
+    /// ranges start and end on and off a 16-row edge.
     #[test]
     fn every_lane_produces_matvec_bits() {
-        let (m, k) = (11, 37);
-        let a = awkward_matrix(m, k);
-        let xs = awkward_inputs(33, k);
-        let want: Vec<Vec<f32>> = xs.iter().map(|x| a.matvec(x).unwrap()).collect();
-        for lane in runnable_lanes() {
-            for width in [1usize, 3, 4, 5, 8, 9, 16, 17, 33] {
-                let refs: Vec<&[f32]> = xs[..width].iter().map(Vec::as_slice).collect();
-                let inputs = LaneInputs::new(lane, &refs, k);
-                for rows in [0..m, 1..m - 2, 6..7, 4..4] {
-                    let got = a.sweep_rows(&inputs, rows.clone());
-                    assert_eq!(got.len(), width);
-                    for (out, want) in got.iter().zip(&want) {
-                        assert_eq!(
-                            bits(out),
-                            bits(&want[rows.clone()]),
-                            "{lane:?}, width {width}, rows {rows:?}"
-                        );
+        let k = 37;
+        for (m, ranges) in [
+            (11, vec![0..11, 1..9, 6..7, 4..4]),
+            (
+                150,
+                vec![0..150, 5..150, 16..144, 17..143, 33..34, 149..150],
+            ),
+        ] {
+            let a = awkward_matrix(m, k);
+            let xs = awkward_inputs(33, k);
+            let want: Vec<Vec<f32>> = xs.iter().map(|x| a.matvec(x).unwrap()).collect();
+            for body in runnable_bodies() {
+                for width in [1usize, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33] {
+                    let refs: Vec<&[f32]> = xs[..width].iter().map(Vec::as_slice).collect();
+                    for rows in &ranges {
+                        let got = a.sweep_rows(body, &refs, rows.clone());
+                        assert_eq!(got.len(), width);
+                        for (out, want) in got.iter().zip(&want) {
+                            assert_eq!(
+                                bits(out),
+                                bits(&want[rows.clone()]),
+                                "{body:?}, {m} rows, width {width}, rows {rows:?}"
+                            );
+                        }
                     }
                 }
             }
@@ -920,18 +967,23 @@ mod tests {
     }
 
     /// A product big enough to cross `PAR_MATVEC_MIN_FLOPS` has each
-    /// shard's rows cut into sub-chunks at arbitrary (not block-aligned)
-    /// rows, and the concatenation still carries `matvec`'s bits.
+    /// shard's rows cut into sub-chunks on panel edges, while the shards
+    /// themselves start and end inside a panel (rows 32..48 belong to
+    /// both), and the concatenation still carries `matvec`'s bits.
     #[test]
     fn sub_chunked_rows_above_the_crossover_keep_matvec_bits() {
-        let (m, k, width) = (70, 513, 33);
+        let (m, k, width) = (70, 2049, 33);
         let a = awkward_matrix(m, k);
         let xs = awkward_inputs(width, k);
         let refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
-        let per_row = LaneInputs::new(Lane::for_width(width), &refs, k).xt.len();
+        let per_row = k * width;
         assert!(m * per_row >= PAR_MATVEC_MIN_FLOPS);
         let shards = [0..37, 37..m];
-        assert_eq!(shard_tasks(4, per_row, &shards).len(), 16);
+        // Each shard touches three panels, so three tasks each.
+        let tasks = shard_tasks(4, per_row, &shards);
+        assert_eq!(tasks.len(), 6);
+        assert_eq!(tasks[2], (0, 32..37));
+        assert_eq!(tasks[3], (1, 37..48));
         let rt = oaken_runtime::Runtime::new(4);
         let whole = one_shard(&a, &rt, &refs);
         let split = a.matvec_batch_shards(&rt, &refs, &shards).unwrap();
@@ -969,11 +1021,24 @@ mod tests {
         assert!(a.matvec_batch(&[]).unwrap().is_empty());
     }
 
+    /// Packing keeps every weight where `matvec` reads it: against the
+    /// unit vectors, the product's columns are the row-major input, for
+    /// shapes with a part-filled panel, no columns and no rows.
     #[test]
-    fn rows_of_rank2() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        assert_eq!(t.row(0), &[1.0, 2.0]);
-        assert_eq!(t.row(1), &[3.0, 4.0]);
+    fn rows_survive_the_panel_layout() {
+        for (m, k) in [(2, 2), (17, 3), (16, 5), (33, 1), (3, 0), (0, 4)] {
+            let data: Vec<f32> = (0..m * k).map(|i| i as f32 - 7.5).collect();
+            let a = Tensor::from_vec(data.clone(), &[m, k]).unwrap();
+            assert_eq!(a.len(), m * k);
+            assert_eq!(a.data.len(), m.div_ceil(PANEL) * PANEL * k);
+            let units: Vec<Vec<f32>> = (0..k)
+                .map(|j| (0..k).map(|i| if i == j { 1.0 } else { 0.0 }).collect())
+                .collect();
+            for (j, unit) in units.iter().enumerate() {
+                let column: Vec<f32> = (0..m).map(|i| data[i * k + j]).collect();
+                assert_eq!(a.matvec(unit).unwrap(), column, "{m} × {k}, column {j}");
+            }
+        }
     }
 
     #[test]

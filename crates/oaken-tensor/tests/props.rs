@@ -185,13 +185,16 @@ proptest! {
     }
 
     /// Width invariance of the weight sweep: whatever the step width (one
-    /// lane group, exactly one, a second one), the co-batched inputs, the
+    /// input group, exactly one, a second one), the co-batched inputs, the
     /// row range, the shard map and the thread count, every element is
-    /// `Tensor::matvec`'s — including the rows a short last block pads and
-    /// the `inf`/NaN weights a zero padding lane turns into NaN.
+    /// `Tensor::matvec`'s — including the rows of a part-filled panel, the
+    /// short last block of panels and the `inf`/NaN inputs a zero padding
+    /// row turns into NaN. Row counts on both sides of a 16-row panel and
+    /// past an 8-panel block (129, 300) ride along with the small ones.
     #[test]
     fn weight_sweep_is_width_invariant(
-        m in 1usize..40,
+        m in (any::<bool>(), 1usize..40, prop::sample::select(vec![15usize, 16, 17, 129, 300]))
+            .prop_map(|(small, m, edge)| if small { m } else { edge }),
         k in prop::sample::select(vec![0usize, 1, 7, 33, 257]),
         width in 1usize..41,
         seed in any::<u64>(),

@@ -1,7 +1,7 @@
 //! Bounds the heap allocations of one weight sweep
 //! ([`Tensor::matvec_batch_shards`] on a serial runtime): the outputs it
-//! returns, the interleaved-input scratch, and a constant — nothing per
-//! weight row, and no task list when there is one task.
+//! returns and a constant — no scratch, nothing per weight panel, and no
+//! task list when there is one task.
 
 use oaken_runtime::Runtime;
 use oaken_tensor::Tensor;
@@ -50,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 #[test]
-fn a_sweep_allocates_its_outputs_its_scratch_and_a_constant() {
+fn a_sweep_allocates_its_outputs_and_a_constant() {
     let rt = Runtime::serial();
     let k = 48;
     for width in [1usize, 8, 19] {
@@ -65,18 +65,16 @@ fn a_sweep_allocates_its_outputs_its_scratch_and_a_constant() {
                 assert_eq!(out.len(), shards.len());
                 made
             };
-            // One task: `width` output vectors, the two vectors that hold
-            // them, and the interleaved inputs.
+            // One task: `width` output vectors and the two vectors that
+            // hold them.
             let whole = 0..m;
             let one = count(std::slice::from_ref(&whole));
-            assert_eq!(one, width + 3, "width {width}, {m} rows");
-            // Two shards: a task list and its results on top, each at most
-            // once per shard.
+            assert_eq!(one, width + 2, "width {width}, {m} rows");
+            // Two shards: each task's outputs and the vector holding them,
+            // then the task list, the list of task results and the list
+            // of shards.
             let two = count(&[0..m / 3, m / 3..m]);
-            assert!(
-                two <= 2 * (width + 3) + 2,
-                "width {width}, {m} rows: {two} allocations"
-            );
+            assert_eq!(two, 2 * (width + 1) + 3, "width {width}, {m} rows");
         }
     }
 }
