@@ -649,7 +649,8 @@ impl PackedRows {
 }
 
 /// Allocation-free iterator over an encoded row's COO entries in
-/// ascending index order. Created by [`EncodedRow::outliers`].
+/// ascending index order, or descending from the back. Created by
+/// [`EncodedRow::outliers`].
 #[derive(Debug, Clone)]
 pub struct OutlierIter<'a> {
     sparse: &'a [u8],
@@ -660,6 +661,13 @@ pub struct OutlierIter<'a> {
     block: usize,
     /// Entries remaining in the current block.
     left_in_block: u8,
+    /// One past the last byte left: the next byte read from the back is
+    /// `end - 1`.
+    end: usize,
+    /// Block the last entry left belongs to, and its entries left from
+    /// the back.
+    back_block: usize,
+    left_in_back_block: u8,
 }
 
 impl<'a> OutlierIter<'a> {
@@ -671,6 +679,9 @@ impl<'a> OutlierIter<'a> {
             cursor: 0,
             block: 0,
             left_in_block: block_counts.first().copied().unwrap_or(0),
+            end: sparse.len(),
+            back_block: block_counts.len().saturating_sub(1),
+            left_in_back_block: block_counts.last().copied().unwrap_or(0),
         }
     }
 }
@@ -679,6 +690,9 @@ impl Iterator for OutlierIter<'_> {
     type Item = CooEntry;
 
     fn next(&mut self) -> Option<CooEntry> {
+        if self.cursor == self.end {
+            return None;
+        }
         while self.left_in_block == 0 {
             self.block += 1;
             self.left_in_block = *self.block_counts.get(self.block)?;
@@ -690,8 +704,23 @@ impl Iterator for OutlierIter<'_> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.sparse.len() - self.cursor;
+        let left = self.end - self.cursor;
         (left, Some(left))
+    }
+}
+
+impl DoubleEndedIterator for OutlierIter<'_> {
+    fn next_back(&mut self) -> Option<CooEntry> {
+        if self.cursor == self.end {
+            return None;
+        }
+        while self.left_in_back_block == 0 {
+            self.back_block -= 1;
+            self.left_in_back_block = self.block_counts[self.back_block];
+        }
+        self.end -= 1;
+        self.left_in_back_block -= 1;
+        Some(CooEntry::unpack(self.sparse[self.end], self.back_block))
     }
 }
 
@@ -793,6 +822,14 @@ mod tests {
         let it = fv.outliers();
         assert_eq!(it.len(), outs.len());
         assert_eq!(it.collect::<Vec<_>>(), outs);
+        // From the back, and from both ends until they meet.
+        let back: Vec<_> = fv.outliers().rev().collect();
+        assert!(back.iter().eq(outs.iter().rev()));
+        let mut it = fv.outliers();
+        let (first, last) = (it.next(), it.next_back());
+        assert_eq!((first, last), (Some(outs[0]), Some(outs[5])));
+        assert_eq!(it.len(), 4);
+        assert_eq!(it.collect::<Vec<_>>(), outs[1..5]);
         // Empty stream iterates to nothing.
         let fv = FusedVector::from_parts(dim, &codes, &[], ScaleSet::default()).unwrap();
         assert_eq!(fv.outliers().count(), 0);

@@ -8,8 +8,8 @@
 //! element — fine for materializing a view once, too slow to run inside an
 //! attention inner loop.
 //!
-//! [`RowDecode`] precomputes, **once per row**, everything the per-element
-//! decode needs, in a form a dot-product kernel (scalar or SIMD) can
+//! [`RowDecode`] folds, **once per row**, everything the per-element
+//! decode needs into a form a dot-product kernel (scalar or SIMD) can
 //! consume branchlessly:
 //!
 //! * the middle-group reconstruction collapses to one fused
@@ -30,18 +30,23 @@
 //! (`a + c/σ` versus `c · (1/σ) + a'` rounding), and the property tests in
 //! `oaken-model` bound the end-to-end attention divergence.
 //!
-//! An [`EncodedReadPlan`] lays a stream's rows out the way the tile
-//! kernel decodes them: values row by row ([`ValuePlan`]), keys column by
-//! column in groups of [`KEY_GROUP`] rows ([`KeyPlan`]), so a key decode
-//! writes the transposed score tile directly. The plan holds the rows'
-//! dense nibbles themselves and, segment by segment, their `SparseLog`,
-//! so it is a stream's one store of its rows ([`EncodedRows`]); its
-//! sealed 16-row [`StoreSegment`]s are shared by reference between every
-//! stream and prefix block holding the same rows.
+//! An [`EncodedReadPlan`] keeps a stream's rows in 16-row
+//! [`StoreSegment`]s of one layout for either kind, open or sealed: the
+//! rows' nibbles in `u64` words, their middle-decode coefficients as
+//! sixteen lanes ([`GroupCoeffs`], what is kept of each row's
+//! [`RowDecode`]), an outlier mask per word and the outliers' values in
+//! word order, and the rows' `SparseLog` slice. Only the words' meaning
+//! depends on the kind: a key group keeps column `j` of its sixteen rows
+//! in word `j` ([`KeyPlan`]), so a key decode writes the transposed score
+//! tile directly; a value row keeps sixteen of its columns per word
+//! ([`ValuePlan`]), decoded through a 16-entry table the reader builds
+//! from the row's coefficient lane. The plan is a stream's one store of
+//! its rows ([`EncodedRows`]); its sealed segments are shared by
+//! reference between every stream and prefix block holding the same rows.
 
 use crate::encoding::{
-    capacity_bytes, nibble, EncodedRow, FusedVector, OutlierIter, PackedRows, ScaleSet, SparseLog,
-    SCALE_BYTES,
+    capacity_bytes, CooEntry, EncodedRow, FusedVector, OutlierIter, PackedRows, ScaleSet,
+    SparseLog, SCALE_BYTES,
 };
 use crate::groups::GroupKind;
 use crate::lanes;
@@ -69,7 +74,9 @@ pub struct FusedReadParams {
 /// folded into the minimal set of constants the quantized-domain kernels
 /// read per element. Construction is O(middle_bits) (the `c0`
 /// bisection); every per-element decode after that is a compare plus one
-/// fused multiply-add.
+/// fused multiply-add. A store folds each row once, as it is appended,
+/// and keeps its middle coefficients ([`GroupCoeffs`]) and its outliers'
+/// values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowDecode {
     /// Middle reconstruction step `1/σ_mid` (0 for a degenerate range).
@@ -91,10 +98,6 @@ pub struct RowDecode {
     pub outer_hi: f32,
     /// `T_o_lo`, with the low-side outer magnitude subtracted from it.
     pub outer_lo: f32,
-    /// [`middle`](RowDecode::middle) evaluated for every 4-bit dense code:
-    /// `middle_lut[c]` is bit-identical to `middle(c)`. SIMD dense lanes
-    /// decode by table permute instead of compare + multiply-add.
-    pub middle_lut: [f32; 16],
 }
 
 impl RowDecode {
@@ -106,17 +109,6 @@ impl RowDecode {
     /// Panics on bit-widths outside `1..=8` (impossible for scales coming
     /// from a validated [`crate::OakenConfig`]).
     pub fn new(scales: &ScaleSet, params: &FusedReadParams) -> Self {
-        let mut this = Self::fold(scales, params);
-        for c in 0..16u32 {
-            this.middle_lut[c as usize] = this.middle(c);
-        }
-        this
-    }
-
-    /// [`new`](Self::new) without the [`middle_lut`](Self::middle_lut),
-    /// which is left zero: what a [`KeyPlan`] reads, since its lanes decode
-    /// by [`middle`](Self::middle)'s multiply-add instead of a table.
-    fn fold(scales: &ScaleSet, params: &FusedReadParams) -> Self {
         let q_mid = UniformQuantizer::new(scales.middle_min, scales.middle_max, params.middle_bits)
             .expect("validated middle bit-width");
         let q_inner = UniformQuantizer::new(0.0, scales.inner_mag_max, params.outlier_bits)
@@ -155,7 +147,6 @@ impl RowDecode {
             outer_step: inv(&q_outer),
             outer_hi: t.outer_hi,
             outer_lo: t.outer_lo,
-            middle_lut: [0.0; 16],
         }
     }
 
@@ -230,9 +221,10 @@ impl EncodedReadPlan {
     /// An empty plan for a stream of `kind`; the row width is adopted
     /// from the first pushed row.
     pub fn new(kind: KvKind) -> Self {
+        let list = SegmentList::new(kind);
         match kind {
-            KvKind::Key => Self::Keys(KeyPlan::default()),
-            KvKind::Value => Self::Values(ValuePlan::default()),
+            KvKind::Key => Self::Keys(KeyPlan { list }),
+            KvKind::Value => Self::Values(ValuePlan { list }),
         }
     }
 
@@ -241,6 +233,13 @@ impl EncodedReadPlan {
         match self {
             Self::Keys(p) => &p.list,
             Self::Values(p) => &p.list,
+        }
+    }
+
+    fn list_mut(&mut self) -> &mut SegmentList {
+        match self {
+            Self::Keys(p) => &mut p.list,
+            Self::Values(p) => &mut p.list,
         }
     }
 
@@ -263,10 +262,7 @@ impl EncodedReadPlan {
     /// Derives and appends one row's read-side cache entries and its
     /// sparse parts.
     pub fn push_row(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) {
-        match self {
-            Self::Keys(p) => p.push_row(row, params),
-            Self::Values(p) => p.push_row(row, params),
-        }
+        self.list_mut().push(row, params);
     }
 
     /// [`push_row`](Self::push_row) for each of `rows` in order.
@@ -286,16 +282,11 @@ impl EncodedReadPlan {
     /// of the other kind or another width, or one would be appended while
     /// the open segment holds rows.
     pub fn share_segments(&mut self, first: usize, segments: &[Arc<StoreSegment>]) {
-        let keys = matches!(self, Self::Keys(_));
-        let list = match self {
-            Self::Keys(p) => &mut p.list,
-            Self::Values(p) => &mut p.list,
-        };
+        let list = self.list_mut();
         assert!(first <= list.sealed.len(), "segments are shared in order");
         for (s, shared) in (first..).zip(segments) {
             assert_eq!(
-                matches!(shared.rows, SegmentRows::Keys(_)),
-                keys,
+                shared.kind, list.open.kind,
                 "a plan shares segments of its own kind"
             );
             if let Some(held) = list.sealed.get_mut(s) {
@@ -323,24 +314,13 @@ impl EncodedReadPlan {
 
     /// Heap bytes the plan holds, its sealed segments included.
     pub fn held_bytes(&self) -> usize {
-        match self {
-            Self::Keys(p) => {
-                p.list.held_bytes() + capacity_bytes(&p.open) + capacity_bytes(&p.cursors)
-            }
-            Self::Values(p) => p.list.held_bytes(),
-        }
+        self.list().held_bytes()
     }
 
     /// Drops all cached rows (the stream-reset companion): the sealed
     /// segments are let go, the open one keeps its buffers.
     pub fn clear(&mut self) {
-        match self {
-            Self::Keys(p) => {
-                p.list.clear();
-                p.open.clear();
-            }
-            Self::Values(p) => p.list.clear(),
-        }
+        self.list_mut().clear();
     }
 }
 
@@ -356,13 +336,17 @@ struct SegmentList {
 }
 
 impl SegmentList {
-    fn new(rows: SegmentRows) -> Self {
+    fn new(kind: KvKind) -> Self {
         Self {
             dim: 0,
             rows: 0,
             sealed: Vec::new(),
             open: StoreSegment {
-                rows,
+                kind,
+                dense: Vec::new(),
+                coeffs: None,
+                masks: Vec::new(),
+                values: Vec::new(),
                 log: SparseLog::default(),
                 sparse_before: 0,
             },
@@ -381,17 +365,17 @@ impl SegmentList {
         self.sealed.get(s).map_or(&self.open, |sealed| sealed)
     }
 
-    /// Enters one row's sparse parts into the open segment's log and
-    /// counts it. Returns the row's index within the open segment.
-    fn enter(&mut self, row: EncodedRow<'_>) -> usize {
+    /// Appends one row to the open segment, sealing it at its sixteenth.
+    fn push(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) {
         if self.rows == 0 {
             self.set_dim(row.dim());
         }
         assert_eq!(row.dim(), self.dim, "all rows of one stream share a width");
-        let r = self.open.len();
-        self.open.log.push(row);
+        self.open.push(row, params);
         self.rows += 1;
-        r
+        if self.open.len() == KEY_GROUP {
+            self.seal();
+        }
     }
 
     /// Seals the full open segment: a copy of it, its buffers sized to
@@ -416,25 +400,37 @@ impl SegmentList {
     }
 }
 
-/// [`KEY_GROUP`] rows of one stream's store, or fewer while open: their
-/// plan entries (a key group, or value rows) and their slice of the
-/// `SparseLog`. Sealed, a segment is immutable and shared by reference:
-/// a stream and every prefix-trie block and adopter holding the same
-/// rows hold the one segment, so a shared prefix's bytes exist once.
+/// [`KEY_GROUP`] rows of one stream's store, or fewer while open, in one
+/// layout for keys and values:
+///
+/// * `dense`: the rows' 4-bit codes, sixteen per `u64` word, low nibble
+///   first. A key group keeps column `j` in word `j`, row `r` in nibble
+///   `r`; value row `r` keeps its columns `16w .. 16w + 16` in word
+///   `r · ⌈d/16⌉ + w`, column `16w + k` in nibble `k` (the last word
+///   zero-padded);
+/// * `coeffs`: each row's middle decode, lane `r` for row `r` (allocated
+///   at the first row, so a stream that only shares segments holds none);
+/// * `masks[w]`: the nibbles of word `w` that hold an outlier's
+///   magnitude, and `values`: those outliers' reconstructions
+///   ([`RowDecode::outlier`]) in (word, nibble) order — for keys (column,
+///   row), for values (row, column). Both are current after every append,
+///   so an open segment reads like a sealed one;
+/// * its rows' slice of the `SparseLog`.
+///
+/// Sealed, a segment is immutable and shared by reference: a stream and
+/// every prefix-trie block and adopter holding the same rows hold the one
+/// segment, so a shared prefix's bytes exist once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreSegment {
-    rows: SegmentRows,
+    kind: KvKind,
+    dense: Vec<u64>,
+    coeffs: Option<Box<GroupCoeffs>>,
+    masks: Vec<u16>,
+    values: Vec<f32>,
     log: SparseLog,
     /// COO bytes of the stream's rows before the segment's — the same in
     /// every stream holding it, whose rows before it are the same.
     sparse_before: usize,
-}
-
-/// The plan entries of a [`StoreSegment`]'s rows, by kind.
-#[derive(Debug, Clone, PartialEq)]
-enum SegmentRows {
-    Keys(KeyRows),
-    Values(ValueRows),
 }
 
 impl StoreSegment {
@@ -443,66 +439,98 @@ impl StoreSegment {
         self.log.rows()
     }
 
+    /// The rows' coefficients: all zeros for a segment with no row.
+    #[inline(always)]
+    fn coeffs(&self) -> &GroupCoeffs {
+        self.coeffs.as_deref().unwrap_or(&GroupCoeffs::NONE)
+    }
+
+    /// Nibble words per value row.
+    fn row_words(&self) -> usize {
+        self.log.dim.div_ceil(16)
+    }
+
     /// COO bytes of the stream's rows up to the segment's end.
     fn sparse_to_end(&self) -> usize {
         self.sparse_before + self.log.sparse_bytes_to(self.len())
     }
 
-    /// The key group, in a key plan's segment.
-    #[inline(always)]
-    fn keys(&self) -> &KeyRows {
-        match &self.rows {
-            SegmentRows::Keys(k) => k,
-            SegmentRows::Values(_) => unreachable!("a key plan holds key segments"),
-        }
-    }
-
-    #[inline(always)]
-    fn keys_mut(&mut self) -> &mut KeyRows {
-        match &mut self.rows {
-            SegmentRows::Keys(k) => k,
-            SegmentRows::Values(_) => unreachable!("a key plan holds key segments"),
-        }
-    }
-
-    /// The value rows, in a value plan's segment.
-    #[inline(always)]
-    fn values(&self) -> &ValueRows {
-        match &self.rows {
-            SegmentRows::Values(v) => v,
-            SegmentRows::Keys(_) => unreachable!("a value plan holds value segments"),
-        }
-    }
-
-    #[inline(always)]
-    fn values_mut(&mut self) -> &mut ValueRows {
-        match &mut self.rows {
-            SegmentRows::Values(v) => v,
-            SegmentRows::Keys(_) => unreachable!("a value plan holds value segments"),
-        }
-    }
-
     /// The dense code of the segment's row `r`, element `i`.
     fn code(&self, r: usize, i: usize) -> u8 {
-        match &self.rows {
-            SegmentRows::Keys(k) => ((k.dense[i] >> (4 * r)) & 0xF) as u8,
-            SegmentRows::Values(v) => nibble(&v.dense[r * self.log.dim.div_ceil(2)..], i),
+        let (word, nibble) = match self.kind {
+            KvKind::Key => (self.dense[i], r),
+            KvKind::Value => (self.dense[r * self.row_words() + i / 16], i % 16),
+        };
+        ((word >> (4 * nibble)) & 0xF) as u8
+    }
+
+    /// Appends one row: its coefficient lane, codes and outliers, and its
+    /// sparse parts.
+    fn push(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) {
+        let r = self.len();
+        let dec = RowDecode::new(row.scales(), params);
+        let c = self.coeffs.get_or_insert_default();
+        c.mid_step[r] = dec.mid_step;
+        c.c0[r] = dec.c0 as f32;
+        c.base_lo[r] = dec.base_lo;
+        c.base_hi[r] = dec.base_hi;
+        let value =
+            |e: &CooEntry| dec.outlier(e.group, e.high_side, u32::from(row.dense_code(e.index)));
+        match self.kind {
+            KvKind::Key => {
+                let dim = row.dim();
+                if r == 0 {
+                    self.dense.resize(dim, 0);
+                    self.masks.resize(dim, 0);
+                }
+                let (columns, masks, values) =
+                    (&mut self.dense[..], &mut self.masks, &mut self.values);
+                lanes::widest(
+                    #[inline(always)]
+                    || {
+                        or_codes(columns, row.dense_bytes(), 4 * r);
+                        merge_key_outliers(masks, values, row, r, value);
+                    },
+                );
+            }
+            KvKind::Value => {
+                let words = row.dense_bytes().chunks(8).map(|chunk| {
+                    let mut word = [0u8; 8];
+                    word[..chunk.len()].copy_from_slice(chunk);
+                    u64::from_le_bytes(word)
+                });
+                self.dense.extend(words);
+                let at = self.masks.len();
+                self.masks.resize(at + row.dim().div_ceil(16), 0);
+                for e in row.outliers() {
+                    self.masks[at + e.index / 16] |= 1 << (e.index % 16);
+                    self.values.push(value(&e));
+                }
+            }
         }
+        self.log.push(row);
     }
 
     /// Writes the packed dense nibbles of the segment's rows `rows`
     /// (element `j` of a row in nibble `j`) into `out`, a zeroed slab of
     /// exactly those rows: a key group un-transposes its column words —
     /// per sixteen columns, one 16×16 nibble transpose (its own inverse)
-    /// gives each row's eight bytes of those columns — value rows copy.
+    /// gives each row's eight bytes of those columns — value rows copy
+    /// their words' bytes.
     fn dense_rows_into(&self, rows: std::ops::Range<usize>, out: &mut [u8]) {
         let stride = self.log.dim.div_ceil(2);
-        match &self.rows {
-            SegmentRows::Values(v) => {
-                out.copy_from_slice(&v.dense[rows.start * stride..rows.end * stride]);
+        match self.kind {
+            KvKind::Value => {
+                let words = self.row_words();
+                for (k, r) in rows.enumerate() {
+                    let row = &mut out[k * stride..(k + 1) * stride];
+                    for (bytes, word) in row.chunks_mut(8).zip(&self.dense[r * words..]) {
+                        bytes.copy_from_slice(&word.to_le_bytes()[..bytes.len()]);
+                    }
+                }
             }
-            SegmentRows::Keys(k) => {
-                for (c, chunk) in k.dense.chunks(16).enumerate() {
+            KvKind::Key => {
+                for (c, chunk) in self.dense.chunks(16).enumerate() {
                     let mut words = [0u64; KEY_GROUP];
                     words[..chunk.len()].copy_from_slice(chunk);
                     transpose_nibbles(&mut words);
@@ -519,22 +547,13 @@ impl StoreSegment {
 
     /// Heap bytes the segment's buffers hold.
     fn buffer_bytes(&self) -> usize {
-        let rows = match &self.rows {
-            SegmentRows::Keys(k) => {
-                std::mem::size_of::<GroupCoeffs>()
-                    + capacity_bytes(&k.dense)
-                    + capacity_bytes(&k.masks)
-                    + capacity_bytes(&k.values)
-            }
-            SegmentRows::Values(v) => {
-                capacity_bytes(&v.decodes)
-                    + capacity_bytes(&v.dense)
-                    + capacity_bytes(&v.masks)
-                    + capacity_bytes(&v.values)
-                    + capacity_bytes(&v.ends)
-            }
-        };
-        rows + self.log.held_bytes()
+        self.coeffs
+            .as_ref()
+            .map_or(0, |_| std::mem::size_of::<GroupCoeffs>())
+            + capacity_bytes(&self.dense)
+            + capacity_bytes(&self.masks)
+            + capacity_bytes(&self.values)
+            + self.log.held_bytes()
     }
 
     /// Heap bytes a sealed segment holds: its buffers and the shared
@@ -543,152 +562,24 @@ impl StoreSegment {
         2 * std::mem::size_of::<usize>() + std::mem::size_of::<Self>() + self.buffer_bytes()
     }
 
-    /// Drops every row, keeping the buffers.
+    /// Drops every row, keeping the buffers but the coefficients'.
     fn clear(&mut self) {
-        match &mut self.rows {
-            SegmentRows::Keys(k) => {
-                k.dense.clear();
-                *k.coeffs = GroupCoeffs::default();
-                k.masks.clear();
-                k.values.clear();
-            }
-            SegmentRows::Values(v) => {
-                v.decodes.clear();
-                v.dense.clear();
-                v.masks.clear();
-                v.values.clear();
-                v.ends.clear();
-            }
-        }
+        self.dense.clear();
+        self.coeffs = None;
+        self.masks.clear();
+        self.values.clear();
         self.log.clear();
     }
 }
 
-/// The rows of a value plan's segment. Per row it caches
-///
-/// * its [`RowDecode`] coefficients (`decodes[r]`),
-/// * its packed dense nibbles, copied into one flat arena at a fixed
-///   stride (`dense[r·stride .. (r+1)·stride]`) so the dense walk
-///   streams sequential memory instead of chasing one heap allocation per
-///   token, and
-/// * its COO outliers in expand-load form: one 16-bit mask per sixteen
-///   elements marking the outlier positions, and the outliers'
-///   reconstructed values in element order (row `r`'s end in `ends[r]`).
-#[derive(Debug, Clone, Default, PartialEq)]
-struct ValueRows {
-    decodes: Vec<RowDecode>,
-    dense: Vec<u8>,
-    masks: Vec<u16>,
-    values: Vec<f32>,
-    ends: Vec<u32>,
-}
-
-/// The row-major plan of a value stream: per row its [`RowDecode`]
-/// coefficients, its dense nibbles in a flat arena at a fixed stride, and
-/// its outliers in expand-load form — a reader decodes sixteen dense
-/// nibbles through the row's [`middle_lut`](RowDecode::middle_lut) and
-/// overwrites the masked lanes with the next values, never re-parsing
-/// packed COO bytes ([`ValueRow`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ValuePlan {
-    list: SegmentList,
-}
-
-impl Default for ValuePlan {
-    fn default() -> Self {
-        Self {
-            list: SegmentList::new(SegmentRows::Values(ValueRows::default())),
-        }
-    }
-}
-
-/// One row of a [`ValuePlan`], as the value decode reads it.
-#[derive(Debug, Clone, Copy)]
-pub struct ValueRow<'a> {
-    /// Packed dense nibbles (element `i` in nibble `i`, low nibble first —
-    /// the [`FusedVector::dense_bytes`] layout).
-    pub dense: &'a [u8],
-    /// The row's decode coefficients.
-    pub decode: &'a RowDecode,
-    /// Bit `e % 16` of `masks[e / 16]` is set iff element `e` is an
-    /// outlier.
-    pub masks: &'a [u16],
-    /// The outliers' reconstructions (`RowDecode::outlier` of their bits)
-    /// in ascending element order — one per set bit.
-    pub values: &'a [f32],
-}
-
-impl ValuePlan {
-    /// Rows cached so far.
-    pub fn rows(&self) -> usize {
-        self.list.rows
-    }
-
-    /// Hands `each` rows `rows`, in order, walking each segment's buffers
-    /// in step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` exceeds the rows cached.
-    #[inline(always)]
-    pub fn for_rows(&self, rows: std::ops::Range<usize>, mut each: impl FnMut(ValueRow<'_>)) {
-        assert!(rows.end <= self.rows(), "value rows past the plan");
-        let (stride, per) = (self.list.dim.div_ceil(2), self.list.dim.div_ceil(16));
-        for s in rows.start / KEY_GROUP..rows.end.div_ceil(KEY_GROUP) {
-            let v = self.list.segment(s).values();
-            let first = s * KEY_GROUP;
-            let (lo, hi) = (
-                rows.start.max(first) - first,
-                rows.end.min(first + KEY_GROUP) - first,
-            );
-            let mut start = lo.checked_sub(1).map_or(0, |p| v.ends[p] as usize);
-            let dense = v.dense[lo * stride..hi * stride].chunks_exact(stride);
-            let masks = v.masks[lo * per..hi * per].chunks_exact(per);
-            let parts = dense
-                .zip(&v.decodes[lo..hi])
-                .zip(masks)
-                .zip(&v.ends[lo..hi]);
-            for (((dense, decode), masks), &end) in parts {
-                let values = &v.values[start..end as usize];
-                each(ValueRow {
-                    dense,
-                    decode,
-                    masks,
-                    values,
-                });
-                start = end as usize;
-            }
-        }
-    }
-
-    fn push_row(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) {
-        let dec = RowDecode::new(row.scales(), params);
-        let r = self.list.enter(row);
-        let open = self.list.open.values_mut();
-        open.dense.extend_from_slice(row.dense_bytes());
-        let masks_at = open.masks.len();
-        open.masks.resize(masks_at + row.dim().div_ceil(16), 0);
-        for e in row.outliers() {
-            let code = u32::from(row.dense_code(e.index));
-            open.masks[masks_at + e.index / 16] |= 1 << (e.index % 16);
-            open.values.push(dec.outlier(e.group, e.high_side, code));
-        }
-        open.ends.push(open.values.len() as u32);
-        open.decodes.push(dec);
-        if r + 1 == KEY_GROUP {
-            self.list.seal();
-        }
-    }
-}
-
-/// Rows per group of a [`KeyPlan`] and per [`StoreSegment`] of either
-/// plan: one 512-bit vector of `f32` lanes.
+/// Rows per [`StoreSegment`]: one 512-bit vector of `f32` lanes, so a
+/// key group's column decodes in one.
 pub const KEY_GROUP: usize = 16;
 
-/// A key group's rows' middle-decode coefficients, lane `r` for the
-/// group's row `r` (the [`RowDecode`] fields of the same names; `c0` as
-/// an `f32`, exact for every code). A lane with no row yet is all zeros,
-/// which decodes every code to `+0.0`.
+/// A segment's rows' middle-decode coefficients, lane `r` for its row `r`
+/// (the [`RowDecode`] fields of the same names; `c0` as an `f32`, exact
+/// for every code). A lane with no row yet is all zeros, which decodes
+/// every code to `+0.0`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[repr(C, align(64))]
 pub struct GroupCoeffs {
@@ -703,87 +594,54 @@ pub struct GroupCoeffs {
 }
 
 impl GroupCoeffs {
-    /// The group's middle decode of one column's codes, `codes >> 4r & 15`
-    /// the code of row `r`: lane `r` is bit-identical to
-    /// [`RowDecode::middle`] of row `r`.
+    /// Every lane without a row.
+    const NONE: Self = Self {
+        mid_step: [0.0; KEY_GROUP],
+        c0: [0.0; KEY_GROUP],
+        base_lo: [0.0; KEY_GROUP],
+        base_hi: [0.0; KEY_GROUP],
+    };
+
+    /// Row `r`'s middle decode of `code`: bit-identical to
+    /// [`RowDecode::middle`] of the row, the multiply and the add rounded
+    /// separately.
+    #[inline(always)]
+    fn lane(&self, r: usize, code: f32) -> f32 {
+        let base = if code >= self.c0[r] {
+            self.base_hi[r]
+        } else {
+            self.base_lo[r]
+        };
+        code * self.mid_step[r] + base
+    }
+
+    /// A key group's middle decode of one column's codes, `codes >> 4r &
+    /// 15` the code of row `r`: lane `r` is [`RowDecode::middle`] of row
+    /// `r`.
     #[inline(always)]
     pub fn middle(&self, codes: u64) -> [f32; KEY_GROUP] {
-        std::array::from_fn(|r| {
-            let code = ((codes >> (4 * r)) & 0xF) as f32;
-            let base = if code >= self.c0[r] {
-                self.base_hi[r]
-            } else {
-                self.base_lo[r]
-            };
-            code * self.mid_step[r] + base
-        })
+        std::array::from_fn(|r| self.lane(r, ((codes >> (4 * r)) & 0xF) as f32))
     }
-}
 
-/// An outlier of a key plan's open group, kept row-major until the group
-/// seals.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpenOutlier {
-    /// Row within the group.
-    pub row: u32,
-    /// Element (column) of the row.
-    pub col: u32,
-    /// Its reconstruction ([`RowDecode::outlier`]).
-    pub value: f32,
-}
-
-/// The rows of a key plan's segment: one group.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct KeyRows {
-    /// `dense[j]`: column `j`'s codes, row `r` in nibble `r`.
-    dense: Vec<u64>,
-    coeffs: Box<GroupCoeffs>,
-    /// `masks[j]`: column `j`'s outlier rows, zero while the group is
-    /// open.
-    masks: Vec<u16>,
-    /// The outlier values in (column, row) order, empty while open.
-    values: Vec<f32>,
+    /// Row `r`'s middle decode of every 4-bit code: entry `c` is
+    /// [`RowDecode::middle`]`(c)` of the row — the table a value row's
+    /// nibbles are looked up in.
+    #[inline(always)]
+    pub fn table(&self, r: usize) -> [f32; 16] {
+        std::array::from_fn(|c| self.lane(r, c as f32))
+    }
 }
 
 /// The column-major plan of a key stream: rows in groups of
 /// [`KEY_GROUP`], one per [`StoreSegment`], so one decode pass per
 /// (group, column) fills sixteen lanes of the transposed score tile — no
-/// per-row table, no transpose.
-///
-/// A group holds
-///
-/// * its dense nibbles column by column, one `u64` per column with the
-///   group's row `r` in nibble `r`;
-/// * its rows' affine coefficients as four 16-lane arrays
-///   ([`GroupCoeffs`]);
-/// * once *sealed* (all sixteen rows in), per column a 16-bit mask of the
-///   rows whose element is an outlier, and the outliers' values in
-///   (column, row) order — what one masked expand-load per column reads.
-///
-/// The last group is *open* while it has fewer than sixteen rows. Its
-/// outliers stay row-major ([`open_outliers`](Self::open_outliers)) and
-/// its masks zero, so a reader patches them in after the dense decode;
-/// the group's outliers are put in column order once, when its sixteenth
-/// row lands.
+/// per-row table, no transpose. Per column a group holds one `u64` of
+/// codes (row `r` in nibble `r`), a 16-bit mask of the rows whose element
+/// is an outlier, and their values in (column, row) order — what one
+/// masked expand-load per column reads — open or sealed alike.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KeyPlan {
     list: SegmentList,
-    /// The open group's outliers, row-major.
-    open: Vec<OpenOutlier>,
-    /// The seal's per-column cursors: empty between seals (so equal plans
-    /// compare equal), kept for its capacity, so a seal allocates nothing
-    /// for them.
-    cursors: Vec<u32>,
-}
-
-impl Default for KeyPlan {
-    fn default() -> Self {
-        Self {
-            list: SegmentList::new(SegmentRows::Keys(KeyRows::default())),
-            open: Vec::new(),
-            cursors: Vec::new(),
-        }
-    }
 }
 
 /// One group of a [`KeyPlan`], as a decode reads it.
@@ -793,7 +651,7 @@ pub struct KeyGroup<'a> {
     pub coeffs: &'a GroupCoeffs,
     /// One `u64` of codes per column.
     pub dense: &'a [u64],
-    /// One outlier-row mask per column (zero in an open group).
+    /// One outlier-row mask per column.
     pub masks: &'a [u16],
     /// The outlier values, in (column, row) order.
     pub values: &'a [f32],
@@ -815,84 +673,86 @@ impl KeyPlan {
         self.list.rows
     }
 
-    /// Group `g` (rows `16g .. 16g + 16`).
+    /// Group `g` (rows `16g .. 16g + 16`; the open group is the last,
+    /// `rows() / 16`).
     #[inline(always)]
     pub fn group(&self, g: usize) -> KeyGroup<'_> {
-        let k = self.list.segment(g).keys();
+        let s = self.list.segment(g);
         KeyGroup {
-            coeffs: &k.coeffs,
-            dense: &k.dense,
-            masks: &k.masks,
-            values: &k.values,
+            coeffs: s.coeffs(),
+            dense: &s.dense,
+            masks: &s.masks,
+            values: &s.values,
         }
     }
+}
 
-    /// The open group's outliers in (row, column) order — empty when every
-    /// group is sealed. The open group is the last, `rows() / 16`.
-    pub fn open_outliers(&self) -> &[OpenOutlier] {
-        &self.open
+/// The row-major plan of a value stream: per row its nibbles, sixteen
+/// columns per `u64` word, its segment's coefficient lane, and its
+/// outliers in expand-load form — a reader decodes sixteen nibbles
+/// through the row's 16-entry table ([`GroupCoeffs::table`]) and
+/// overwrites the masked lanes with the next values, never re-parsing
+/// packed COO bytes ([`ValueRow`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ValuePlan {
+    list: SegmentList,
+}
+
+/// One row of a [`ValuePlan`], as the value decode reads it.
+#[derive(Debug, Clone, Copy)]
+pub struct ValueRow<'a> {
+    /// The row's codes, columns `16w .. 16w + 16` in `dense[w]`, column
+    /// `16w + k` in nibble `k`.
+    pub dense: &'a [u64],
+    /// Its segment's coefficients; the row's are lane [`lane`](Self::lane).
+    pub coeffs: &'a GroupCoeffs,
+    /// The row's lane of [`coeffs`](Self::coeffs).
+    pub lane: usize,
+    /// Bit `k` of `masks[w]` is set iff column `16w + k` is an outlier.
+    pub masks: &'a [u16],
+    /// The outliers' reconstructions (`RowDecode::outlier` of their bits)
+    /// in ascending column order — one per set bit.
+    pub values: &'a [f32],
+}
+
+impl ValuePlan {
+    /// Rows cached so far.
+    pub fn rows(&self) -> usize {
+        self.list.rows
     }
 
-    /// Appends one row: its coefficient lanes and queued outliers, then
-    /// its codes ORed into nibble `r` of each column word.
-    fn push_row(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) {
-        let dim = row.dim();
-        let r = self.list.enter(row);
-        let group = self.list.open.keys_mut();
-        if r == 0 {
-            group.dense.resize(dim, 0);
-            group.masks.resize(dim, 0);
+    /// Hands `each` rows `rows`, in order, walking each segment's buffers
+    /// in step. A row's outlier values start where its COO bytes do in
+    /// the segment's log: one value per COO byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` exceeds the rows cached.
+    #[inline(always)]
+    pub fn for_rows(&self, rows: std::ops::Range<usize>, mut each: impl FnMut(ValueRow<'_>)) {
+        assert!(rows.end <= self.rows(), "value rows past the plan");
+        let words = self.list.dim.div_ceil(16);
+        for s in rows.start / KEY_GROUP..rows.end.div_ceil(KEY_GROUP) {
+            let seg = self.list.segment(s);
+            let first = s * KEY_GROUP;
+            let (lo, hi) = (
+                rows.start.max(first) - first,
+                rows.end.min(first + KEY_GROUP) - first,
+            );
+            let mut start = seg.log.sparse_bytes_to(lo);
+            for r in lo..hi {
+                let end = seg.log.sparse_bytes_to(r + 1);
+                let at = r * words..(r + 1) * words;
+                each(ValueRow {
+                    dense: &seg.dense[at.clone()],
+                    coeffs: seg.coeffs(),
+                    lane: r,
+                    masks: &seg.masks[at],
+                    values: &seg.values[start..end],
+                });
+                start = end;
+            }
         }
-        let dec = RowDecode::fold(row.scales(), params);
-        let c = &mut group.coeffs;
-        c.mid_step[r] = dec.mid_step;
-        c.c0[r] = dec.c0 as f32;
-        c.base_lo[r] = dec.base_lo;
-        c.base_hi[r] = dec.base_hi;
-        for e in row.outliers() {
-            let code = u32::from(row.dense_code(e.index));
-            self.open.push(OpenOutlier {
-                row: r as u32,
-                col: e.index as u32,
-                value: dec.outlier(e.group, e.high_side, code),
-            });
-        }
-        let (columns, bytes) = (&mut group.dense[..], row.dense_bytes());
-        lanes::widest(
-            #[inline(always)]
-            || or_codes(columns, bytes, 4 * r),
-        );
-        if r + 1 == KEY_GROUP {
-            self.seal();
-        }
-    }
-
-    /// Seals the full open group: sets its masks, then counting-sorts its
-    /// outliers' values into column order — rows already ascend within a
-    /// column, since the open outliers are row-major — and seals its
-    /// segment.
-    fn seal(&mut self) {
-        let group = self.list.open.keys_mut();
-        let next = &mut self.cursors;
-        next.resize(group.dense.len(), 0);
-        for o in &self.open {
-            group.masks[o.col as usize] |= 1 << o.row;
-            next[o.col as usize] += 1;
-        }
-        // Column j's values start after those of the columns before it.
-        let mut start = 0;
-        for n in next.iter_mut() {
-            (*n, start) = (start, start + *n);
-        }
-        group.values.resize(start as usize, 0.0);
-        for o in &self.open {
-            let at = &mut next[o.col as usize];
-            group.values[*at as usize] = o.value;
-            *at += 1;
-        }
-        next.clear();
-        self.open.clear();
-        self.list.seal();
     }
 }
 
@@ -1000,7 +860,7 @@ impl<'a> EncodedRows<'a> {
 
     /// Appends rows `rows` to `out` in page form, reserving exactly what
     /// they take: a key group un-transposes its 16×16 nibble blocks, value
-    /// rows copy their dense arena, the log copies its slice.
+    /// rows copy their words' bytes, the log copies its slice.
     ///
     /// # Panics
     ///
@@ -1030,6 +890,35 @@ impl<'a> EncodedRows<'a> {
             self.len()
         );
     }
+}
+
+/// Enters key row `r`'s outliers into the group: its value last in
+/// its column's run — the row is the group's newest — and bit `r` of
+/// the column's mask. One backward pass over the row's outliers, down
+/// to its first: the old values of the columns above each outlier, up
+/// to the next one, move up by the outliers up to and including it,
+/// and its value goes in just below them.
+#[inline(always)]
+fn merge_key_outliers(
+    masks: &mut [u16],
+    values: &mut Vec<f32>,
+    row: EncodedRow<'_>,
+    r: usize,
+    value: impl Fn(&CooEntry) -> f32,
+) {
+    let outliers = row.outliers();
+    let mut shift = outliers.len();
+    let (mut start, mut end, mut top) = (values.len(), values.len(), masks.len());
+    values.resize(end + shift, 0.0);
+    for e in outliers.clone().rev() {
+        let above: u32 = masks[e.index + 1..top].iter().map(|m| m.count_ones()).sum();
+        start -= above as usize;
+        values.copy_within(start..end, start + shift);
+        shift -= 1;
+        values[start + shift] = value(&e);
+        (end, top) = (start, e.index + 1);
+    }
+    outliers.for_each(|e| masks[e.index] |= 1 << r);
 }
 
 /// ORs one row's packed codes (`bytes`, element `j` in nibble `j`) into
@@ -1221,6 +1110,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A key group's masks mark exactly its rows' outliers and its values
+    /// stay in (column, row) order after every append, open or sealed:
+    /// each marked lane holds the reference decode of its element.
+    #[test]
+    fn key_group_outliers_stay_in_column_order() {
+        let (q, d) = (quantizer(), 96);
+        let params = q.fused_read_params(0, KvKind::Key).unwrap();
+        let mut plan = EncodedReadPlan::new(KvKind::Key);
+        let (mut want, mut outliers) = (Vec::new(), Vec::new());
+        for t in 0..40 {
+            let fv = q.quantize_vector(&test_vector(d, t * 5 + 3), 0, KvKind::Key);
+            let fv = fv.unwrap();
+            decode_row_fused_into(&fv, &params, &mut want);
+            outliers.push(fv.num_outliers());
+            plan.push_row(fv.row(), &params);
+            let EncodedReadPlan::Keys(keys) = &plan else {
+                unreachable!("a key stream's plan")
+            };
+            for g in 0..outliers.len().div_ceil(KEY_GROUP) {
+                let group = keys.group(g);
+                let mut values = group.values.iter();
+                for (j, &mask) in group.masks.iter().enumerate() {
+                    for r in (0..KEY_GROUP).filter(|r| mask >> r & 1 == 1) {
+                        let v = values.next().expect("one value per mask bit");
+                        let at = (KEY_GROUP * g + r) * d + j;
+                        assert_eq!(v.to_bits(), want[at].to_bits(), "row {t} group {g}");
+                    }
+                }
+                assert!(values.next().is_none(), "one mask bit per value");
+                let rows = KEY_GROUP * g..outliers.len().min(KEY_GROUP * (g + 1));
+                assert_eq!(group.values.len(), outliers[rows].iter().sum::<usize>());
+            }
+        }
+        assert!(
+            outliers.iter().sum::<usize>() > 40,
+            "the rows carry outliers"
+        );
     }
 
     #[test]

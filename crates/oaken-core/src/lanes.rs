@@ -5,9 +5,9 @@
 //! portable code otherwise. Both instances are the same source, so they
 //! are bit-identical by construction; the portable build stays the
 //! reference. The online quantizer's two passes
-//! ([`crate::pipeline`]) and the key plan's code append
-//! ([`crate::kernel`]) go through it, behind this module's single
-//! `unsafe` call.
+//! ([`crate::pipeline`]) and the key plan's append — its codes and its
+//! outlier merge ([`crate::kernel`]) — go through it, behind this
+//! module's single `unsafe` call.
 
 /// Runs `body` on the widest lane this CPU offers.
 ///

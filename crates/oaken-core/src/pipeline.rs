@@ -1101,9 +1101,10 @@ mod tests {
                 match (kind, appended.encoded_rows().unwrap().plan()) {
                     (KvKind::Key, EncodedReadPlan::Keys(keys)) => {
                         assert!(keys.rows() % KEY_GROUP != 0, "width {d}: an open group");
+                        let open = keys.group(keys.rows() / KEY_GROUP);
                         assert!(
-                            !keys.open_outliers().is_empty(),
-                            "width {d}: outliers queued in the open group"
+                            open.masks.iter().any(|&m| m != 0),
+                            "width {d}: outliers marked in the open group"
                         );
                     }
                     (KvKind::Value, EncodedReadPlan::Values(_)) => {}

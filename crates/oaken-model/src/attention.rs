@@ -28,7 +28,7 @@
 //!   by row. With the `simd` cargo feature both decodes run on a
 //!   `std::arch` AVX-512 lane, bit-identically.
 
-use oaken_core::kernel::{EncodedReadPlan, KeyGroup, KeyPlan, ValuePlan, KEY_GROUP};
+use oaken_core::kernel::{EncodedReadPlan, KeyGroup, KeyPlan, ValuePlan, ValueRow, KEY_GROUP};
 use oaken_tensor::{softmax_in_place, softmax_rows};
 use std::ops::Range;
 
@@ -937,50 +937,34 @@ fn accumulate<const W: usize>(acc: &mut [f32; W], p: f32, v: &[f32; W]) {
     }
 }
 
-/// One value-plan row as the value decode reads it.
-#[derive(Clone, Copy)]
-struct Row<'a> {
-    /// Packed dense nibbles (element `i` in nibble `i`, low nibble first).
-    bytes: &'a [u8],
-    /// Value of each dense code.
-    lut: &'a [f32; 16],
-    /// Outlier positions and values ([`oaken_core::kernel::ValueRow`]).
-    masks: &'a [u16],
-    values: &'a [f32],
-}
-
-impl Row<'_> {
-    /// Hands `put` element `col + j` for every `j < width` outside `done`
-    /// (the columns a vector lane already decoded): the dense nibble's
-    /// table value, or the outlier's value where the masks mark one.
-    #[inline(always)]
-    fn decode(
-        &self,
-        col: usize,
-        width: usize,
-        done: &Range<usize>,
-        mut put: impl FnMut(usize, f32),
-    ) {
-        for j in (0..done.start).chain(done.end..width) {
-            let b = self.bytes[(col + j) / 2];
-            let code = if (col + j).is_multiple_of(2) {
-                b & 0xF
-            } else {
-                b >> 4
-            };
-            put(j, self.lut[usize::from(code)]);
-        }
-        let mut next = self.values.iter();
-        for (c, &mask) in self.masks.iter().enumerate() {
-            let mut left = mask;
-            while left != 0 {
-                let e = 16 * c + left.trailing_zeros() as usize;
-                let &value = next.next().expect("one value per mask bit");
-                if (col..col + width).contains(&e) && !done.contains(&(e - col)) {
-                    put(e - col, value);
-                }
-                left &= left - 1;
+/// Hands `put` element `col + j` of `row` for every `j < width` outside
+/// `done` (the columns a vector lane already decoded): the dense nibble's
+/// value in the row's table, built here from its coefficient lane, or the
+/// outlier's value where the masks mark one.
+#[inline(always)]
+fn decode_value_row(
+    row: &ValueRow<'_>,
+    col: usize,
+    width: usize,
+    done: &Range<usize>,
+    mut put: impl FnMut(usize, f32),
+) {
+    let table = row.coeffs.table(row.lane);
+    for j in (0..done.start).chain(done.end..width) {
+        let e = col + j;
+        let code = (row.dense[e / 16] >> (4 * (e % 16))) & 0xF;
+        put(j, table[code as usize]);
+    }
+    let mut next = row.values.iter();
+    for (c, &mask) in row.masks.iter().enumerate() {
+        let mut left = mask;
+        while left != 0 {
+            let e = 16 * c + left.trailing_zeros() as usize;
+            let &value = next.next().expect("one value per mask bit");
+            if (col..col + width).contains(&e) && !done.contains(&(e - col)) {
+                put(e - col, value);
             }
+            left &= left - 1;
         }
     }
 }
@@ -991,7 +975,7 @@ impl Row<'_> {
 /// bit-identical to
 /// [`decode_row_fused_into`](oaken_core::kernel::decode_row_fused_into),
 /// for every row of those groups the plan holds; every other lane is
-/// `+0.0`.
+/// `+0.0`. An open group reads like a sealed one.
 #[inline(always)]
 fn decode_keys<const AVX512: bool>(
     plan: &KeyPlan,
@@ -1012,16 +996,6 @@ fn decode_keys<const AVX512: bool>(
         }
         decode_key_group(&group, col, width, KEY_GROUP * k, block);
     }
-    // The open group's outliers are still row-major: patch them in.
-    let open = plan.rows() / KEY_GROUP;
-    if groups.contains(&open) {
-        let at = KEY_GROUP * (open - groups.start);
-        for o in plan.open_outliers() {
-            if let Some(j) = (o.col as usize).checked_sub(col).filter(|&j| j < width) {
-                block[j * ROW_BLOCK + at + o.row as usize] = o.value;
-            }
-        }
-    }
     let filled = KEY_GROUP * groups.len();
     if filled < ROW_BLOCK {
         for lanes in block.as_chunks_mut::<ROW_BLOCK>().0 {
@@ -1032,7 +1006,7 @@ fn decode_keys<const AVX512: bool>(
 
 /// Columns `col .. col + width` of one key group into lanes
 /// `at .. at + 16` of the transposed key block: per column, the rows'
-/// middle decodes, with the sealed outliers laid over them.
+/// middle decodes, with the outliers laid over them.
 #[inline(always)]
 fn decode_key_group(group: &KeyGroup<'_>, col: usize, width: usize, at: usize, block: &mut [f32]) {
     let mut values = group.values_from(col).iter();
@@ -1066,12 +1040,6 @@ fn decode_values<const AVX512: bool>(
     let mut outs = block.chunks_exact_mut(width);
     plan.for_rows(b0..b0 + n, |row| {
         let out = outs.next().expect("one block row per plan row");
-        let row = Row {
-            bytes: row.dense,
-            lut: &row.decode.middle_lut,
-            masks: row.masks,
-            values: row.values,
-        };
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         let done = if AVX512 {
             // SAFETY: `AVX512` is only instantiated behind `simd::available`.
@@ -1082,7 +1050,7 @@ fn decode_values<const AVX512: bool>(
         #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
         let done = 0..0;
         if done.len() < width {
-            row.decode(col, width, &done, |j, v| out[j] = v);
+            decode_value_row(&row, col, width, &done, |j, v| out[j] = v);
         }
     });
 }
@@ -1090,16 +1058,17 @@ fn decode_values<const AVX512: bool>(
 /// The AVX-512 decode lane, enabled by the `simd` cargo feature on x86-64
 /// and selected at runtime. Sixteen elements at a time, unpacked from one
 /// 64-bit word of nibbles: sixteen columns of a value row, decoded by a
-/// single table permute over the row's
-/// [`middle_lut`](oaken_core::kernel::RowDecode::middle_lut), or sixteen
-/// rows of one key-group column, decoded by the rows' multiply-add lanes
+/// single table permute over the row's 16-entry table — built once per
+/// row from its coefficient lane by the same compare, blend, multiply and
+/// add, on the code-index vector — or sixteen rows of one key-group
+/// column, decoded by the rows' multiply-add lanes
 /// ([`GroupCoeffs`](oaken_core::kernel::GroupCoeffs)) straight into the
 /// transposed key block. One masked expand-load then drops the outlier
 /// values into their lanes — bit-identical to the scalar walk, so the lane
 /// changes speed and nothing else.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd {
-    use super::{AttentionScratch, AttentionShape, KeyGroup, Row, Tile, KEY_GROUP, ROW_BLOCK};
+    use super::{AttentionScratch, AttentionShape, KeyGroup, Tile, ValueRow, KEY_GROUP, ROW_BLOCK};
     use std::arch::x86_64::*;
     use std::ops::Range;
     use std::sync::OnceLock;
@@ -1179,29 +1148,48 @@ mod simd {
 
     /// A row's outlier values from the first one at or after element
     /// `col` (`col` a multiple of 16).
-    fn values_from<'a>(row: &Row<'a>, col: usize) -> &'a [f32] {
+    fn values_from<'a>(row: &ValueRow<'a>, col: usize) -> &'a [f32] {
         let before: u32 = row.masks[..col / 16].iter().map(|m| m.count_ones()).sum();
         &row.values[before as usize..]
+    }
+
+    /// Codes `code` through middle coefficients given per lane:
+    /// `code · mid_step + (code ≥ c0 ? base_hi : base_lo)`, the multiply
+    /// and the add rounded separately, as
+    /// [`RowDecode::middle`](oaken_core::RowDecode::middle) does.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn middle(code: __m512, [mid_step, c0, base_lo, base_hi]: [__m512; 4]) -> __m512 {
+        let high = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(code, c0);
+        let base = _mm512_mask_blend_ps(high, base_lo, base_hi);
+        _mm512_add_ps(_mm512_mul_ps(code, mid_step), base)
     }
 
     /// Vector part of [`super::decode_values`] for one row: fills
     /// `out[j]` for the returned column range.
     #[inline]
     #[target_feature(enable = "avx512f,popcnt")]
-    pub(super) fn decode_row(row: &Row<'_>, col: usize, out: &mut [f32]) -> Range<usize> {
+    pub(super) fn decode_row(row: &ValueRow<'_>, col: usize, out: &mut [f32]) -> Range<usize> {
         let done = vector_columns(col, out.len());
         if done.is_empty() {
             return done;
         }
         let mut values = values_from(row, col);
-        let lut = load16(row.lut);
+        let (c, r) = (row.coeffs, row.lane);
+        let lane = [
+            _mm512_set1_ps(c.mid_step[r]),
+            _mm512_set1_ps(c.c0[r]),
+            _mm512_set1_ps(c.base_lo[r]),
+            _mm512_set1_ps(c.base_hi[r]),
+        ];
+        let codes = _mm512_setr_ps(
+            0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0,
+        );
+        let table = middle(codes, lane);
         for (k, chunk) in out.as_chunks_mut::<16>().0.iter_mut().enumerate() {
-            let at = col + 16 * k;
-            let word: [u8; 8] = row.bytes[at / 2..at / 2 + 8]
-                .try_into()
-                .expect("eight bytes sliced");
-            let dense = _mm512_permutexvar_ps(nibbles(u64::from_le_bytes(word)), lut);
-            store16(chunk, patch(dense, row.masks[at / 16], &mut values));
+            let w = col / 16 + k;
+            let dense = _mm512_permutexvar_ps(nibbles(row.dense[w]), table);
+            store16(chunk, patch(dense, row.masks[w], &mut values));
         }
         done
     }
@@ -1220,17 +1208,18 @@ mod simd {
         block: &mut [f32],
     ) {
         let c = group.coeffs;
-        let (mid_step, c0) = (load16(&c.mid_step), load16(&c.c0));
-        let (base_lo, base_hi) = (load16(&c.base_lo), load16(&c.base_hi));
+        let coeffs = [
+            load16(&c.mid_step),
+            load16(&c.c0),
+            load16(&c.base_lo),
+            load16(&c.base_hi),
+        ];
         let mut values = group.values_from(col);
         let columns = group.dense[col..col + width]
             .iter()
             .zip(&group.masks[col..col + width]);
         for ((&word, &mask), lanes) in columns.zip(block.chunks_exact_mut(ROW_BLOCK)) {
-            let code = _mm512_cvtepi32_ps(nibbles(word));
-            let high = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(code, c0);
-            let base = _mm512_mask_blend_ps(high, base_lo, base_hi);
-            let dense = _mm512_add_ps(_mm512_mul_ps(code, mid_step), base);
+            let dense = middle(_mm512_cvtepi32_ps(nibbles(word)), coeffs);
             let lanes = (&mut lanes[at..at + KEY_GROUP])
                 .try_into()
                 .expect("sixteen lanes sliced");
@@ -1498,9 +1487,11 @@ mod tests {
 
     /// Both block decodes — on every lane this build and CPU offer — must
     /// reproduce `decode_row_fused_into` element for element: key plans of
-    /// every length 1–80 (partial groups, an open group, a group ending a
-    /// row block), key blocks starting at every group edge, column offsets
-    /// at every residue mod 16 and widths ending mid-chunk.
+    /// every length 1–80 and value plans of every length 1–85 (partial
+    /// groups, an open segment, a segment ending a row block), key blocks
+    /// starting at every group edge, column offsets at every residue mod
+    /// 16 and widths ending mid-chunk, at a width (67) that pads each value
+    /// row's last nibble word.
     #[test]
     fn block_decodes_match_reference_decode_bitwise() {
         fn check_keys<const AVX512: bool>(
@@ -1590,7 +1581,8 @@ mod tests {
             let EncodedReadPlan::Keys(keys) = &plan else {
                 unreachable!("a key stream's plan")
             };
-            open |= !keys.open_outliers().is_empty();
+            let open_masks = keys.group(len / KEY_GROUP).masks;
+            open |= len % KEY_GROUP != 0 && open_masks.iter().any(|&m| m != 0);
             sealed |= len >= KEY_GROUP && !keys.group(0).values.is_empty();
             check_keys::<false>(keys, &want[..len], &columns);
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -1602,20 +1594,26 @@ mod tests {
 
         let (encoded, want, params) = reference(KvKind::Value, ROW_BLOCK + 21);
         let mut plan = EncodedReadPlan::new(KvKind::Value);
-        encoded
-            .iter()
-            .for_each(|fv| plan.push_row(fv.row(), &params));
-        let EncodedReadPlan::Values(values) = &plan else {
-            unreachable!("a value stream's plan")
-        };
-        let mut outliers = false;
-        values.for_rows(0..values.rows(), |row| outliers |= !row.values.is_empty());
-        assert!(outliers, "the rows must carry outliers");
-        check_values::<false>(values, &want, &columns);
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if simd::available() {
-            check_values::<true>(values, &want, &columns);
+        let (mut open, mut sealed) = (false, false);
+        for (len, fv) in (1..).zip(&encoded) {
+            plan.push_row(fv.row(), &params);
+            let EncodedReadPlan::Values(values) = &plan else {
+                unreachable!("a value stream's plan")
+            };
+            let edge = len / KEY_GROUP * KEY_GROUP;
+            let marked = |row: ValueRow<'_>| row.masks.iter().any(|&m| m != 0);
+            values.for_rows(edge..len, |row| open |= marked(row));
+            values.for_rows(0..edge, |row| sealed |= marked(row));
+            check_values::<false>(values, &want[..len], &columns);
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            if simd::available() {
+                check_values::<true>(values, &want[..len], &columns);
+            }
         }
+        assert!(
+            open && sealed,
+            "open and sealed segments must carry outliers"
+        );
     }
 
     /// This crate's `simd` feature is the one `bench/Cargo.toml` and CI

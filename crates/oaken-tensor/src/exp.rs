@@ -196,12 +196,8 @@ mod simd {
 
     /// [`super::exp_map`] sixteen elements at a time, a short tail with a
     /// masked load and store.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn exp_map(xs: &mut [f32], op: ExpOf) {
+    pub(super) fn exp_map(xs: &mut [f32], op: ExpOf) {
         let mut tab = [_mm512_setzero_si512(); 4];
         for (v, t) in tab.iter_mut().zip(T.as_chunks::<8>().0) {
             // SAFETY: `t` is eight `u64`s, one register.

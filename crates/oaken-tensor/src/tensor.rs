@@ -752,12 +752,16 @@ mod tests {
     /// reassociate anything.
     #[test]
     fn matvec_batch_on_bit_exact_with_serial_for_any_thread_count() {
-        let (m, k) = (67, 33); // awkward odd shapes, above the crossover
+        // Awkward odd shapes, 13 inputs: `k` is the least odd depth that
+        // puts the product above the crossover, so the runs below fork.
+        let (m, width) = (67, 13);
+        let k = PAR_MATVEC_MIN_FLOPS.div_ceil(m * width) | 1;
+        assert!(m * k * width >= PAR_MATVEC_MIN_FLOPS);
         let data: Vec<f32> = (0..m * k)
             .map(|i| ((i * 2654435761) % 1009) as f32 / 97.0 - 5.1)
             .collect();
         let a = Tensor::from_vec(data, &[m, k]).unwrap();
-        let xs: Vec<Vec<f32>> = (0..13)
+        let xs: Vec<Vec<f32>> = (0..width)
             .map(|s| {
                 (0..k)
                     .map(|j| ((s * 13 + j * 5) % 37) as f32 / 9.0 - 2.0)
@@ -767,6 +771,8 @@ mod tests {
         let refs: Vec<&[f32]> = xs.iter().map(|v| v.as_slice()).collect();
         let serial = a.matvec_batch(&refs).unwrap();
         for threads in [2usize, 3, 4, 8] {
+            let grid = shard_tasks(threads, k * width, std::slice::from_ref(&(0..m)));
+            assert!(grid.len() > 1, "{threads} threads: the product forks");
             let rt = oaken_runtime::Runtime::new(threads);
             let par = one_shard(&a, &rt, &refs);
             for (s, (x, y)) in serial.iter().zip(&par).enumerate() {
