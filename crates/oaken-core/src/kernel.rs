@@ -403,10 +403,10 @@ impl SegmentList {
 /// [`KEY_GROUP`] rows of one stream's store, or fewer while open, in one
 /// layout for keys and values:
 ///
-/// * `dense`: the rows' 4-bit codes, sixteen per `u64` word, low nibble
-///   first. A key group keeps column `j` in word `j`, row `r` in nibble
-///   `r`; value row `r` keeps its columns `16w .. 16w + 16` in word
-///   `r · ⌈d/16⌉ + w`, column `16w + k` in nibble `k` (the last word
+/// * `dense`: the rows' 4-bit codes, sixteen per `u64` word in lane order
+///   ([`lane_code`]). A key group keeps column `j` in word `j`, row `r` in
+///   lane `r`; value row `r` keeps its columns `16w .. 16w + 16` in word
+///   `r · ⌈d/16⌉ + w`, column `16w + k` in lane `k` (the last word
 ///   zero-padded);
 /// * `coeffs`: each row's middle decode, lane `r` for row `r` (allocated
 ///   at the first row, so a stream that only shares segments holds none);
@@ -457,11 +457,11 @@ impl StoreSegment {
 
     /// The dense code of the segment's row `r`, element `i`.
     fn code(&self, r: usize, i: usize) -> u8 {
-        let (word, nibble) = match self.kind {
+        let (word, lane) = match self.kind {
             KvKind::Key => (self.dense[i], r),
             KvKind::Value => (self.dense[r * self.row_words() + i / 16], i % 16),
         };
-        ((word >> (4 * nibble)) & 0xF) as u8
+        lane_code(word, lane) as u8
     }
 
     /// Appends one row: its coefficient lane, codes and outliers, and its
@@ -488,7 +488,7 @@ impl StoreSegment {
                 lanes::widest(
                     #[inline(always)]
                     || {
-                        or_codes(columns, row.dense_bytes(), 4 * r);
+                        or_codes(columns, row.dense_bytes(), 4 * nibble_of(r));
                         merge_key_outliers(masks, values, row, r, value);
                     },
                 );
@@ -497,7 +497,7 @@ impl StoreSegment {
                 let words = row.dense_bytes().chunks(8).map(|chunk| {
                     let mut word = [0u8; 8];
                     word[..chunk.len()].copy_from_slice(chunk);
-                    u64::from_le_bytes(word)
+                    to_lanes(u64::from_le_bytes(word))
                 });
                 self.dense.extend(words);
                 let at = self.masks.len();
@@ -515,8 +515,9 @@ impl StoreSegment {
     /// (element `j` of a row in nibble `j`) into `out`, a zeroed slab of
     /// exactly those rows: a key group un-transposes its column words —
     /// per sixteen columns, one 16×16 nibble transpose (its own inverse)
-    /// gives each row's eight bytes of those columns — value rows copy
-    /// their words' bytes.
+    /// gives row `r`'s eight bytes of those columns as word
+    /// [`nibble_of`]`(r)` — value rows copy their words' bytes, back in
+    /// element order.
     fn dense_rows_into(&self, rows: std::ops::Range<usize>, out: &mut [u8]) {
         let stride = self.log.dim.div_ceil(2);
         match self.kind {
@@ -524,8 +525,8 @@ impl StoreSegment {
                 let words = self.row_words();
                 for (k, r) in rows.enumerate() {
                     let row = &mut out[k * stride..(k + 1) * stride];
-                    for (bytes, word) in row.chunks_mut(8).zip(&self.dense[r * words..]) {
-                        bytes.copy_from_slice(&word.to_le_bytes()[..bytes.len()]);
+                    for (bytes, &word) in row.chunks_mut(8).zip(&self.dense[r * words..]) {
+                        bytes.copy_from_slice(&from_lanes(word).to_le_bytes()[..bytes.len()]);
                     }
                 }
             }
@@ -537,7 +538,7 @@ impl StoreSegment {
                     let bytes = 8 * c..stride.min(8 * c + 8);
                     for r in rows.clone() {
                         let at = (r - rows.start) * stride;
-                        let word = words[r].to_le_bytes();
+                        let word = words[nibble_of(r)].to_le_bytes();
                         out[at + bytes.start..at + bytes.end].copy_from_slice(&word[..bytes.len()]);
                     }
                 }
@@ -575,6 +576,47 @@ impl StoreSegment {
 /// Rows per [`StoreSegment`]: one 512-bit vector of `f32` lanes, so a
 /// key group's column decodes in one.
 pub const KEY_GROUP: usize = 16;
+
+/// The nibble of a store word that holds lane `k`'s code: lanes `2i` and
+/// `2i + 1` in nibbles `i` and `8 + i`. Broadcast to every 64-bit lane of
+/// a vector, the word's low half sits in each even 32-bit lane and its
+/// high half in each odd one, so one per-lane shift by `4·⌊k/2⌋` brings
+/// lane `k`'s code down: an unpack with no cross-lane permute.
+#[inline(always)]
+pub const fn nibble_of(k: usize) -> usize {
+    k / 2 + 8 * (k % 2)
+}
+
+/// Lane `k`'s code in a store word of sixteen ([`nibble_of`]).
+#[inline(always)]
+pub const fn lane_code(word: u64, k: usize) -> u64 {
+    (word >> (4 * nibble_of(k))) & 0xF
+}
+
+/// Sixteen codes in element order (code `k` in nibble `k`) in lane order
+/// ([`nibble_of`]): the even codes — each byte's low nibble — packed into
+/// the low half, the odd ones into the high half.
+fn to_lanes(word: u64) -> u64 {
+    // A code in the low nibble of each byte, packed into the low half.
+    let pack = |x: u64| {
+        let x = (x | x >> 4) & 0x00FF_00FF_00FF_00FF;
+        let x = (x | x >> 8) & 0x0000_FFFF_0000_FFFF;
+        (x | x >> 16) & 0xFFFF_FFFF
+    };
+    const LOW: u64 = 0x0F0F_0F0F_0F0F_0F0F;
+    pack(word & LOW) | pack(word >> 4 & LOW) << 32
+}
+
+/// The inverse of [`to_lanes`].
+fn from_lanes(word: u64) -> u64 {
+    // Eight codes of the low half, one into the low nibble of each byte.
+    let spread = |x: u64| {
+        let x = (x | x << 16) & 0x0000_FFFF_0000_FFFF;
+        let x = (x | x << 8) & 0x00FF_00FF_00FF_00FF;
+        (x | x << 4) & 0x0F0F_0F0F_0F0F_0F0F
+    };
+    spread(word & 0xFFFF_FFFF) | spread(word >> 32) << 4
+}
 
 /// A segment's rows' middle-decode coefficients, lane `r` for its row `r`
 /// (the [`RowDecode`] fields of the same names; `c0` as an `f32`, exact
@@ -615,12 +657,12 @@ impl GroupCoeffs {
         code * self.mid_step[r] + base
     }
 
-    /// A key group's middle decode of one column's codes, `codes >> 4r &
-    /// 15` the code of row `r`: lane `r` is [`RowDecode::middle`] of row
+    /// A key group's middle decode of one column's codes, [`lane_code`]`(codes,
+    /// r)` the code of row `r`: lane `r` is [`RowDecode::middle`] of row
     /// `r`.
     #[inline(always)]
     pub fn middle(&self, codes: u64) -> [f32; KEY_GROUP] {
-        std::array::from_fn(|r| self.lane(r, ((codes >> (4 * r)) & 0xF) as f32))
+        std::array::from_fn(|r| self.lane(r, lane_code(codes, r) as f32))
     }
 
     /// Row `r`'s middle decode of every 4-bit code: entry `c` is
@@ -636,7 +678,7 @@ impl GroupCoeffs {
 /// [`KEY_GROUP`], one per [`StoreSegment`], so one decode pass per
 /// (group, column) fills sixteen lanes of the transposed score tile — no
 /// per-row table, no transpose. Per column a group holds one `u64` of
-/// codes (row `r` in nibble `r`), a 16-bit mask of the rows whose element
+/// codes (row `r` in lane `r`, [`lane_code`]), a 16-bit mask of the rows whose element
 /// is an outlier, and their values in (column, row) order — what one
 /// masked expand-load per column reads — open or sealed alike.
 #[derive(Debug, Clone, PartialEq)]
@@ -649,7 +691,7 @@ pub struct KeyPlan {
 pub struct KeyGroup<'a> {
     /// The rows' coefficients.
     pub coeffs: &'a GroupCoeffs,
-    /// One `u64` of codes per column.
+    /// One `u64` of codes per column, row `r` in lane `r` ([`lane_code`]).
     pub dense: &'a [u64],
     /// One outlier-row mask per column.
     pub masks: &'a [u16],
@@ -657,11 +699,11 @@ pub struct KeyGroup<'a> {
     pub values: &'a [f32],
 }
 
-impl KeyGroup<'_> {
+impl<'a> KeyGroup<'a> {
     /// The outlier values of columns `col..`: those after the outliers of
     /// the columns before `col`.
     #[inline(always)]
-    pub fn values_from(&self, col: usize) -> &[f32] {
+    pub fn values_from(&self, col: usize) -> &'a [f32] {
         let before: u32 = self.masks[..col].iter().map(|m| m.count_ones()).sum();
         &self.values[before as usize..]
     }
@@ -702,7 +744,7 @@ pub struct ValuePlan {
 #[derive(Debug, Clone, Copy)]
 pub struct ValueRow<'a> {
     /// The row's codes, columns `16w .. 16w + 16` in `dense[w]`, column
-    /// `16w + k` in nibble `k`.
+    /// `16w + k` in lane `k` ([`lane_code`]).
     pub dense: &'a [u64],
     /// Its segment's coefficients; the row's are lane [`lane`](Self::lane).
     pub coeffs: &'a GroupCoeffs,
@@ -729,7 +771,11 @@ impl ValuePlan {
     ///
     /// Panics if `rows` exceeds the rows cached.
     #[inline(always)]
-    pub fn for_rows(&self, rows: std::ops::Range<usize>, mut each: impl FnMut(ValueRow<'_>)) {
+    pub fn for_rows<'a>(
+        &'a self,
+        rows: std::ops::Range<usize>,
+        mut each: impl FnMut(ValueRow<'a>),
+    ) {
         assert!(rows.end <= self.rows(), "value rows past the plan");
         let words = self.list.dim.div_ceil(16);
         for s in rows.start / KEY_GROUP..rows.end.div_ceil(KEY_GROUP) {
@@ -1148,6 +1194,24 @@ mod tests {
         assert!(
             outliers.iter().sum::<usize>() > 40,
             "the rows carry outliers"
+        );
+    }
+
+    /// Lane order is a permutation of the nibbles, undone on export.
+    #[test]
+    fn lane_order_round_trips_and_puts_each_code_in_its_lane() {
+        for seed in 0..64u64 {
+            let word = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (seed << 61);
+            let lanes = to_lanes(word);
+            assert_eq!(from_lanes(lanes), word);
+            for k in 0..16 {
+                assert_eq!(lane_code(lanes, k), (word >> (4 * k)) & 0xF, "lane {k}");
+            }
+        }
+        let lanes: Vec<usize> = (0..16).map(nibble_of).collect();
+        assert_eq!(
+            lanes,
+            [0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15]
         );
     }
 

@@ -539,3 +539,41 @@ fn underflowed_weights_are_exact_zeros_and_bits_still_match() {
         );
     }
 }
+
+/// One query — a decode step — at the benchmark's shapes, the engine's way
+/// (every KV head in one call): 4 and 8 KV heads of 32 columns, multi-head
+/// and GQA 2, and GQA 8 past the score pass's register block; a head
+/// sub-range whose columns start inside the rows. Lengths on both sides of
+/// a key group's and a row block's edge, 100 and 1,172 rows, the last group
+/// open wherever the length is not a multiple of 16; and rows where every
+/// third element is an outlier.
+#[test]
+fn decode_steps_at_the_served_shapes_match_the_oracle() {
+    for (kv, group, heads) in [
+        (4, 1, 0..4),
+        (8, 1, 0..8),
+        (4, 2, 0..4),
+        (2, 8, 0..2),
+        (4, 1, 1..3),
+    ] {
+        for rows in [1, 15, 16, 17, 63, 64, 65, 100, 1_172] {
+            for outlier_every in [3, 23] {
+                let case = Case {
+                    shape: AttentionShape {
+                        num_heads: kv * group,
+                        num_kv_heads: kv,
+                        head_dim: 32,
+                        window: None,
+                    },
+                    kv_heads: heads.clone(),
+                    first_limit: rows,
+                    run: 1,
+                    outlier_every,
+                    sharp: false,
+                    seed: rows as u64,
+                };
+                check(&case).expect("kernel equals oracle");
+            }
+        }
+    }
+}
