@@ -99,8 +99,9 @@ impl CooEntry {
 
 /// A fused dense-and-sparse encoded vector: what the quantization engine
 /// emits for one row and what crosses a boundary on its own (a test
-/// oracle, a wire). A stream stores its rows packed instead
-/// ([`PackedRows`], or a read plan beside a `SparseLog`).
+/// oracle, a wire). A stream keeps its rows in its
+/// [`EncodedStore`](crate::EncodedStore)'s 16-row segments instead, and
+/// rows move between stores in page form ([`PackedRows`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FusedVector {
     dim: usize,
@@ -315,7 +316,7 @@ impl FusedVector {
 }
 
 /// One encoded row's four parts, borrowed from where they are stored (a
-/// [`FusedVector`], a [`PackedRows`] run): what read plans are built
+/// [`FusedVector`], a [`PackedRows`] run): what store segments are built
 /// from and the exact decoder walks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EncodedRow<'a> {
@@ -394,7 +395,7 @@ pub(crate) fn capacity_bytes<T>(buf: &Vec<T>) -> usize {
 
 /// Everything a run of encoded rows holds beside their dense nibbles: per
 /// row its scales, its COO bytes (one log, with each row's end) and its
-/// per-block counts — what a read plan cannot rebuild from its own
+/// per-block counts — what a store segment cannot rebuild from its own
 /// buffers. Rows are appended in order and never rewritten.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct SparseLog {
@@ -516,9 +517,12 @@ impl SparseLog {
 
 /// A run of encoded rows of one width in page form: the dense slab (each
 /// row's packed nibbles at a fixed stride) and the `SparseLog` — the
-/// bytes the pool charges, plus each row's COO end and f32 scales. What a
-/// sealed prefix-trie block holds per `(layer, kind)` and what a stream
-/// adopts.
+/// bytes the pool charges, plus each row's COO end and f32 scales. Rows
+/// leave an [`EncodedStore`](crate::EncodedStore) as copies only in this
+/// form: a sealed prefix-trie block holds, per `(layer, kind)`, shared
+/// store segments plus only its rows past the last 16-row edge as
+/// `PackedRows`, which an adopter pushes into its store, as a
+/// tensor-parallel rank does its slice of a row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedRows {
     dense: Vec<u8>,

@@ -30,19 +30,20 @@
 //! (`a + c/σ` versus `c · (1/σ) + a'` rounding), and the property tests in
 //! `oaken-model` bound the end-to-end attention divergence.
 //!
-//! An [`EncodedReadPlan`] keeps a stream's rows in 16-row
+//! An [`EncodedStore`] keeps a stream's rows in 16-row
 //! [`StoreSegment`]s of one layout for either kind, open or sealed: the
 //! rows' nibbles in `u64` words, their middle-decode coefficients as
 //! sixteen lanes ([`GroupCoeffs`], what is kept of each row's
 //! [`RowDecode`]), an outlier mask per word and the outliers' values in
 //! word order, and the rows' `SparseLog` slice. Only the words' meaning
 //! depends on the kind: a key group keeps column `j` of its sixteen rows
-//! in word `j` ([`KeyPlan`]), so a key decode writes the transposed score
-//! tile directly; a value row keeps sixteen of its columns per word
-//! ([`ValuePlan`]), decoded through a 16-entry table the reader builds
-//! from the row's coefficient lane. The plan is a stream's one store of
-//! its rows ([`EncodedRows`]); its sealed segments are shared by
-//! reference between every stream and prefix block holding the same rows.
+//! in word `j` ([`EncodedStore::group`]), so a key decode writes the
+//! transposed score tile directly; a value row keeps sixteen of its
+//! columns per word ([`EncodedStore::for_rows`]), decoded through a
+//! 16-entry table the reader builds from the row's coefficient lane. The
+//! store is a stream's one store of its rows; its sealed segments are
+//! shared by reference between every stream and prefix block holding the
+//! same rows.
 
 use crate::encoding::{
     capacity_bytes, CooEntry, EncodedRow, FusedVector, OutlierIter, PackedRows, ScaleSet,
@@ -192,154 +193,48 @@ impl RowDecode {
     }
 }
 
-/// A stream's rows laid out the way the kernel reads the stream's kind:
-/// their dense nibbles, and the per-row decode work the attention kernel
-/// would otherwise redo on every call, hoisted to quantization time.
+/// A stream's one store of its encoded rows, laid out the way the fused
+/// kernel reads the stream's kind: their dense nibbles, and the per-row
+/// decode work the attention kernel would otherwise redo on every call,
+/// hoisted to quantization time.
 ///
-/// The plan is kept in [`StoreSegment`]s of [`KEY_GROUP`] rows: sealed
+/// The rows are kept in [`StoreSegment`]s of [`KEY_GROUP`] rows: sealed
 /// ones, immutable and shared by reference (`Arc`) with every other
 /// stream and prefix-trie block that holds the same rows, and one open
-/// segment the plan owns, which takes appended rows and seals when its
-/// sixteenth row lands. A segment holds its rows' plan entries and their
-/// `SparseLog`, so the plan is the stream's one store ([`EncodedRows`]).
+/// segment the store owns, which takes appended rows and seals when its
+/// sixteenth row lands. A segment holds its rows' dense nibbles in the
+/// kind's layout and everything else in its slice of the `SparseLog`.
 ///
-/// The dense nibbles are the rows' own (a key plan keeps them column by
-/// column, a value plan row by row); everything else is a pure function
-/// of the encoded rows and the stream's [`FusedReadParams`]. Rows
-/// appended one at a time, adopted in page form, taken as another
-/// plan's sealed segments ([`share_segments`](Self::share_segments)) or
-/// re-appended after [`clear`](Self::clear) give equal plans.
+/// Everything a reader takes from a stream comes from here, read with the
+/// stream's [`FusedReadParams`]: key groups ([`group`](Self::group)) and
+/// value rows ([`for_rows`](Self::for_rows)) for the fused kernel, the
+/// sealed segments a prefix-trie block shares
+/// ([`segments`](Self::segments)), each row's charged bytes
+/// ([`row_payload`](Self::row_payload)), f32 rows
+/// ([`decode_into`](Self::decode_into)), and copies in page form, a range
+/// at a time ([`export`](Self::export)).
+///
+/// The dense nibbles are the rows' own (a key store keeps them column by
+/// column, a value store row by row); everything else is a pure function
+/// of the encoded rows and the [`FusedReadParams`]. Rows appended one at
+/// a time, adopted in page form ([`push_rows`](Self::push_rows)), taken
+/// as another store's sealed segments
+/// ([`share_segments`](Self::share_segments)) or re-appended after a
+/// stream reset clears the store give equal stores.
 #[derive(Debug, Clone, PartialEq)]
-pub enum EncodedReadPlan {
-    /// A key stream's rows, column-major in 16-row groups.
-    Keys(KeyPlan),
-    /// A value stream's rows, row-major.
-    Values(ValuePlan),
-}
-
-impl EncodedReadPlan {
-    /// An empty plan for a stream of `kind`; the row width is adopted
-    /// from the first pushed row.
-    pub fn new(kind: KvKind) -> Self {
-        let list = SegmentList::new(kind);
-        match kind {
-            KvKind::Key => Self::Keys(KeyPlan { list }),
-            KvKind::Value => Self::Values(ValuePlan { list }),
-        }
-    }
-
-    /// The plan's segments.
-    fn list(&self) -> &SegmentList {
-        match self {
-            Self::Keys(p) => &p.list,
-            Self::Values(p) => &p.list,
-        }
-    }
-
-    fn list_mut(&mut self) -> &mut SegmentList {
-        match self {
-            Self::Keys(p) => &mut p.list,
-            Self::Values(p) => &mut p.list,
-        }
-    }
-
-    /// Rows cached so far.
-    pub fn rows(&self) -> usize {
-        self.list().rows
-    }
-
-    /// Elements per row (0 before the first row).
-    pub fn dim(&self) -> usize {
-        self.list().dim
-    }
-
-    /// The sealed segments, rows `16s .. 16s + 16` in segment `s`; the
-    /// rows past the last of them are in the open segment.
-    pub fn segments(&self) -> &[Arc<StoreSegment>] {
-        &self.list().sealed
-    }
-
-    /// Derives and appends one row's read-side cache entries and its
-    /// sparse parts.
-    pub fn push_row(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) {
-        self.list_mut().push(row, params);
-    }
-
-    /// [`push_row`](Self::push_row) for each of `rows` in order.
-    pub fn push_rows(&mut self, rows: &PackedRows, params: &FusedReadParams) {
-        rows.iter().for_each(|row| self.push_row(row, params));
-    }
-
-    /// Holds `segments` — sealed segments of a plan of the same kind,
-    /// width and parameters — as this plan's segments `first ..`, by
-    /// reference: each one this plan has sealed already (it must hold
-    /// the same rows) is swapped for the shared one, and the rest are
-    /// appended, which takes a plan at a segment edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `first` is past the plan's sealed segments, a segment is
-    /// of the other kind or another width, or one would be appended while
-    /// the open segment holds rows.
-    pub fn share_segments(&mut self, first: usize, segments: &[Arc<StoreSegment>]) {
-        let list = self.list_mut();
-        assert!(first <= list.sealed.len(), "segments are shared in order");
-        for (s, shared) in (first..).zip(segments) {
-            assert_eq!(
-                shared.kind, list.open.kind,
-                "a plan shares segments of its own kind"
-            );
-            if let Some(held) = list.sealed.get_mut(s) {
-                debug_assert!(**held == **shared, "a swapped segment holds the same rows");
-                *held = Arc::clone(shared);
-                continue;
-            }
-            assert_eq!(
-                list.open.len(),
-                0,
-                "segments are appended at a segment edge"
-            );
-            if list.rows == 0 {
-                list.set_dim(shared.log.dim);
-            }
-            assert_eq!(
-                shared.log.dim, list.dim,
-                "all rows of one stream share a width"
-            );
-            list.sealed.push(Arc::clone(shared));
-            list.open.sparse_before = shared.sparse_to_end();
-            list.rows += KEY_GROUP;
-        }
-    }
-
-    /// Heap bytes the plan holds, its sealed segments included.
-    pub fn held_bytes(&self) -> usize {
-        self.list().held_bytes()
-    }
-
-    /// Drops all cached rows (the stream-reset companion): the sealed
-    /// segments are let go, the open one keeps its buffers.
-    pub fn clear(&mut self) {
-        self.list_mut().clear();
-    }
-}
-
-/// A stream's store as [`StoreSegment`]s: the sealed ones, shared, and
-/// the open one, owned.
-#[derive(Debug, Clone, PartialEq)]
-struct SegmentList {
-    dim: usize,
-    rows: usize,
+pub struct EncodedStore {
+    params: FusedReadParams,
     sealed: Vec<Arc<StoreSegment>>,
-    /// Rows `16 · sealed.len() ..`, fewer than [`KEY_GROUP`].
+    /// Rows `16 · sealed.len() ..`, fewer than [`KEY_GROUP`]; its kind and
+    /// its log's width are the store's.
     open: StoreSegment,
 }
 
-impl SegmentList {
-    fn new(kind: KvKind) -> Self {
+impl EncodedStore {
+    /// An empty store of `dim`-wide rows of `kind`, read with `params`.
+    pub fn new(kind: KvKind, dim: usize, params: FusedReadParams) -> Self {
         Self {
-            dim: 0,
-            rows: 0,
+            params,
             sealed: Vec::new(),
             open: StoreSegment {
                 kind,
@@ -347,16 +242,42 @@ impl SegmentList {
                 coeffs: None,
                 masks: Vec::new(),
                 values: Vec::new(),
-                log: SparseLog::default(),
+                log: SparseLog::new(dim),
                 sparse_before: 0,
             },
         }
     }
 
-    /// Sets the row width, at the first row.
-    fn set_dim(&mut self, dim: usize) {
-        self.dim = dim;
-        self.open.log.dim = dim;
+    /// Which tensor the rows belong to: keys are kept column-major, values
+    /// row-major.
+    pub fn kind(&self) -> KvKind {
+        self.open.kind
+    }
+
+    /// The thresholds and bit-widths the rows are read with.
+    pub(crate) fn params(&self) -> &FusedReadParams {
+        &self.params
+    }
+
+    /// Elements per row.
+    pub fn dim(&self) -> usize {
+        self.open.log.dim
+    }
+
+    /// Rows held.
+    pub fn len(&self) -> usize {
+        KEY_GROUP * self.sealed.len() + self.open.len()
+    }
+
+    /// Whether no row is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The sealed segments: rows `0 .. 16 · segments().len()`, shared by
+    /// reference; the rows past the last of them are in the open segment.
+    pub fn segments(&self) -> &[Arc<StoreSegment>] {
+        &self.sealed
     }
 
     /// The segment holding rows `16s .. 16s + 16`.
@@ -365,38 +286,242 @@ impl SegmentList {
         self.sealed.get(s).map_or(&self.open, |sealed| sealed)
     }
 
-    /// Appends one row to the open segment, sealing it at its sixteenth.
-    fn push(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) {
-        if self.rows == 0 {
-            self.set_dim(row.dim());
-        }
-        assert_eq!(row.dim(), self.dim, "all rows of one stream share a width");
-        self.open.push(row, params);
-        self.rows += 1;
+    /// The segment holding row `t`, and `t`'s row within it.
+    fn locate(&self, t: usize) -> (&StoreSegment, usize) {
+        (self.segment(t / KEY_GROUP), t % KEY_GROUP)
+    }
+
+    /// Derives and appends one row's read-side entries and its sparse
+    /// parts to the open segment, sealing it at its sixteenth row: a copy
+    /// of it, its buffers sized to its rows, joins the sealed ones, and
+    /// the open segment empties, keeping its buffers for the next sixteen
+    /// rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not [`dim`](Self::dim) wide.
+    pub fn push_row(&mut self, row: EncodedRow<'_>) {
+        assert_eq!(
+            row.dim(),
+            self.dim(),
+            "all rows of one stream share a width"
+        );
+        self.open.push(row, &self.params);
         if self.open.len() == KEY_GROUP {
-            self.seal();
+            self.sealed.push(Arc::new(self.open.clone()));
+            self.open.clear();
+            self.open.sparse_before = self.sealed.last().expect("just sealed").sparse_to_end();
         }
     }
 
-    /// Seals the full open segment: a copy of it, its buffers sized to
-    /// its rows, joins the sealed ones, and the open segment empties,
-    /// keeping its buffers for the next sixteen rows.
-    fn seal(&mut self) {
-        self.sealed.push(Arc::new(self.open.clone()));
-        self.open.clear();
-        self.open.sparse_before = self.sealed.last().expect("just sealed").sparse_to_end();
+    /// [`push_row`](Self::push_row) for each of `rows` in order: a sealed
+    /// prefix block's rows past its last segment edge, or a rank's slice
+    /// of rows encoded once at full width.
+    pub fn push_rows(&mut self, rows: &PackedRows) {
+        rows.iter().for_each(|row| self.push_row(row));
     }
 
-    fn clear(&mut self) {
-        self.rows = 0;
+    /// Holds `segments` — sealed segments of a store of the same kind,
+    /// width and parameters — as this store's segments `first ..`, by
+    /// reference and without copying a row: each one this store has
+    /// sealed already (it must hold the same rows, a late-deduplicated
+    /// prefix block) is swapped for the shared one, and the rest are
+    /// appended, which takes a store at a segment edge (an adopted
+    /// prefix).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first` is past the store's sealed segments, a segment is
+    /// of the other kind or another width, or one would be appended while
+    /// the open segment holds rows.
+    pub fn share_segments(&mut self, first: usize, segments: &[Arc<StoreSegment>]) {
+        assert!(first <= self.sealed.len(), "segments are shared in order");
+        for (s, shared) in (first..).zip(segments) {
+            assert_eq!(
+                shared.kind,
+                self.kind(),
+                "a store shares segments of its own kind"
+            );
+            assert_eq!(
+                shared.log.dim,
+                self.dim(),
+                "all rows of one stream share a width"
+            );
+            if let Some(held) = self.sealed.get_mut(s) {
+                debug_assert!(**held == **shared, "a swapped segment holds the same rows");
+                *held = Arc::clone(shared);
+                continue;
+            }
+            assert_eq!(
+                self.open.len(),
+                0,
+                "segments are appended at a segment edge"
+            );
+            self.sealed.push(Arc::clone(shared));
+            self.open.sparse_before = shared.sparse_to_end();
+        }
+    }
+
+    /// Heap bytes the store holds, its sealed segments included.
+    pub(crate) fn held_bytes(&self) -> usize {
+        let sealed = self.sealed.iter().map(|s| s.held_bytes()).sum::<usize>();
+        sealed + capacity_bytes(&self.sealed) + self.open.buffer_bytes()
+    }
+
+    /// Drops every row (the stream-reset companion): the sealed segments
+    /// are let go, the open one keeps its buffers.
+    pub(crate) fn clear(&mut self) {
         self.sealed.clear();
         self.open.clear();
         self.open.sparse_before = 0;
     }
 
-    fn held_bytes(&self) -> usize {
-        let sealed = self.sealed.iter().map(|s| s.held_bytes()).sum::<usize>();
-        sealed + capacity_bytes(&self.sealed) + self.open.buffer_bytes()
+    /// Key group `g` (rows `16g .. 16g + 16`; the open group is the last,
+    /// `len() / 16`), as a key decode reads it: column `j` of its sixteen
+    /// rows in one `u64` of codes (row `r` in lane `r`, [`lane_code`]),
+    /// a 16-bit mask of the rows whose element is an outlier, and their
+    /// values in (column, row) order — what one masked expand-load per
+    /// column reads — open or sealed alike. One decode pass per (group,
+    /// column) fills sixteen lanes of the transposed score tile: no
+    /// per-row table, no transpose.
+    #[inline(always)]
+    pub fn group(&self, g: usize) -> KeyGroup<'_> {
+        debug_assert_eq!(self.kind(), KvKind::Key, "key groups of a key store");
+        let s = self.segment(g);
+        KeyGroup {
+            coeffs: s.coeffs(),
+            dense: &s.dense,
+            masks: &s.masks,
+            values: &s.values,
+        }
+    }
+
+    /// Hands `each` value rows `rows`, in order, walking each segment's
+    /// buffers in step: per row its nibbles, sixteen columns per `u64`
+    /// word, its segment's coefficient lane, and its outliers in
+    /// expand-load form — a reader decodes sixteen nibbles through the
+    /// row's 16-entry table ([`GroupCoeffs::table`]) and overwrites the
+    /// masked lanes with the next values, never re-parsing packed COO
+    /// bytes. A row's outlier values start where its COO bytes do in the
+    /// segment's log: one value per COO byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` exceeds the rows held.
+    #[inline(always)]
+    pub fn for_rows<'a>(
+        &'a self,
+        rows: std::ops::Range<usize>,
+        mut each: impl FnMut(ValueRow<'a>),
+    ) {
+        debug_assert_eq!(self.kind(), KvKind::Value, "value rows of a value store");
+        assert!(rows.end <= self.len(), "value rows past the store");
+        let words = self.dim().div_ceil(16);
+        for s in rows.start / KEY_GROUP..rows.end.div_ceil(KEY_GROUP) {
+            let seg = self.segment(s);
+            let first = s * KEY_GROUP;
+            let (lo, hi) = (
+                rows.start.max(first) - first,
+                rows.end.min(first + KEY_GROUP) - first,
+            );
+            let mut start = seg.log.sparse_bytes_to(lo);
+            for r in lo..hi {
+                let end = seg.log.sparse_bytes_to(r + 1);
+                let at = r * words..(r + 1) * words;
+                each(ValueRow {
+                    dense: &seg.dense[at.clone()],
+                    coeffs: seg.coeffs(),
+                    lane: r,
+                    masks: &seg.masks[at],
+                    values: &seg.values[start..end],
+                });
+                start = end;
+            }
+        }
+    }
+
+    /// COO bytes of the first `rows` rows.
+    fn sparse_bytes_to(&self, rows: usize) -> usize {
+        let (segment, r) = self.locate(rows);
+        segment.sparse_before + segment.log.sparse_bytes_to(r)
+    }
+
+    /// Payload bytes of the first `rows` rows — dense nibbles, COO bytes
+    /// and FP16 scales, what the pool charges for them.
+    pub fn payload_bytes(&self, rows: usize) -> usize {
+        rows * (self.dim().div_ceil(2) + SCALE_BYTES) + self.sparse_bytes_to(rows)
+    }
+
+    /// `(dense, sparse)` payload bytes of row `t`, what the paged pool
+    /// lays into its dense slab and sparse log: packed nibbles plus FP16
+    /// scales (fixed per row), then the row's COO bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not a row held.
+    pub fn row_payload(&self, t: usize) -> (usize, usize) {
+        assert!(
+            t < self.len(),
+            "row {t} out of bounds ({} rows)",
+            self.len()
+        );
+        let (segment, r) = self.locate(t);
+        let sparse = segment.log.sparse_bytes_to(r + 1) - segment.log.sparse_bytes_to(r);
+        (self.dim().div_ceil(2) + SCALE_BYTES, sparse)
+    }
+
+    /// Dequantizes rows `rows`, appending `rows.len() × d` values to
+    /// `out` through the walk
+    /// [`OakenQuantizer::dequantize_vector_into`](crate::OakenQuantizer::dequantize_vector_into)
+    /// takes, so the values are bit-identical to dequantizing each row as
+    /// it was written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` exceeds the rows held.
+    pub fn decode_into(&self, rows: std::ops::Range<usize>, out: &mut Vec<f32>) {
+        self.check(&rows);
+        for t in rows {
+            let (segment, r) = self.locate(t);
+            let (sparse, counts, scales) = segment.log.row(r);
+            let code_at = |i| u32::from(segment.code(r, i));
+            let outliers = OutlierIter::new(sparse, counts);
+            decode_row(&self.params, &scales, self.dim(), code_at, outliers, out)
+                .expect("a stored row decodes with its stream's parameters");
+        }
+    }
+
+    /// Appends rows `rows` to `out` in page form, reserving exactly what
+    /// they take: a key group un-transposes its 16×16 nibble blocks, value
+    /// rows copy their words' bytes, the log copies its slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` exceeds the rows held or `out` is of another
+    /// width.
+    pub fn export(&self, rows: std::ops::Range<usize>, out: &mut PackedRows) {
+        self.check(&rows);
+        let sparse = self.sparse_bytes_to(rows.end) - self.sparse_bytes_to(rows.start);
+        out.reserve_exact(rows.len(), sparse);
+        let mut t = rows.start;
+        while t < rows.end {
+            let (segment, r) = self.locate(t);
+            let local = r..(r + rows.end - t).min(KEY_GROUP);
+            let dense = local.clone();
+            t += local.len();
+            out.extend(&segment.log, local, |slab| {
+                segment.dense_rows_into(dense, slab)
+            });
+        }
+    }
+
+    /// Panics unless `rows` is a range of rows held.
+    fn check(&self, rows: &std::ops::Range<usize>) {
+        assert!(
+            rows.start <= rows.end && rows.end <= self.len(),
+            "row range {rows:?} out of bounds ({} rows)",
+            self.len()
+        );
     }
 }
 
@@ -674,19 +799,8 @@ impl GroupCoeffs {
     }
 }
 
-/// The column-major plan of a key stream: rows in groups of
-/// [`KEY_GROUP`], one per [`StoreSegment`], so one decode pass per
-/// (group, column) fills sixteen lanes of the transposed score tile — no
-/// per-row table, no transpose. Per column a group holds one `u64` of
-/// codes (row `r` in lane `r`, [`lane_code`]), a 16-bit mask of the rows whose element
-/// is an outlier, and their values in (column, row) order — what one
-/// masked expand-load per column reads — open or sealed alike.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KeyPlan {
-    list: SegmentList,
-}
-
-/// One group of a [`KeyPlan`], as a decode reads it.
+/// One key group of an [`EncodedStore`], as a decode reads it
+/// ([`EncodedStore::group`]).
 #[derive(Debug, Clone, Copy)]
 pub struct KeyGroup<'a> {
     /// The rows' coefficients.
@@ -709,38 +823,8 @@ impl<'a> KeyGroup<'a> {
     }
 }
 
-impl KeyPlan {
-    /// Rows cached so far.
-    pub fn rows(&self) -> usize {
-        self.list.rows
-    }
-
-    /// Group `g` (rows `16g .. 16g + 16`; the open group is the last,
-    /// `rows() / 16`).
-    #[inline(always)]
-    pub fn group(&self, g: usize) -> KeyGroup<'_> {
-        let s = self.list.segment(g);
-        KeyGroup {
-            coeffs: s.coeffs(),
-            dense: &s.dense,
-            masks: &s.masks,
-            values: &s.values,
-        }
-    }
-}
-
-/// The row-major plan of a value stream: per row its nibbles, sixteen
-/// columns per `u64` word, its segment's coefficient lane, and its
-/// outliers in expand-load form — a reader decodes sixteen nibbles
-/// through the row's 16-entry table ([`GroupCoeffs::table`]) and
-/// overwrites the masked lanes with the next values, never re-parsing
-/// packed COO bytes ([`ValueRow`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ValuePlan {
-    list: SegmentList,
-}
-
-/// One row of a [`ValuePlan`], as the value decode reads it.
+/// One value row of an [`EncodedStore`], as the value decode reads it
+/// ([`EncodedStore::for_rows`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ValueRow<'a> {
     /// The row's codes, columns `16w .. 16w + 16` in `dense[w]`, column
@@ -755,187 +839,6 @@ pub struct ValueRow<'a> {
     /// The outliers' reconstructions (`RowDecode::outlier` of their bits)
     /// in ascending column order — one per set bit.
     pub values: &'a [f32],
-}
-
-impl ValuePlan {
-    /// Rows cached so far.
-    pub fn rows(&self) -> usize {
-        self.list.rows
-    }
-
-    /// Hands `each` rows `rows`, in order, walking each segment's buffers
-    /// in step. A row's outlier values start where its COO bytes do in
-    /// the segment's log: one value per COO byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` exceeds the rows cached.
-    #[inline(always)]
-    pub fn for_rows<'a>(
-        &'a self,
-        rows: std::ops::Range<usize>,
-        mut each: impl FnMut(ValueRow<'a>),
-    ) {
-        assert!(rows.end <= self.rows(), "value rows past the plan");
-        let words = self.list.dim.div_ceil(16);
-        for s in rows.start / KEY_GROUP..rows.end.div_ceil(KEY_GROUP) {
-            let seg = self.list.segment(s);
-            let first = s * KEY_GROUP;
-            let (lo, hi) = (
-                rows.start.max(first) - first,
-                rows.end.min(first + KEY_GROUP) - first,
-            );
-            let mut start = seg.log.sparse_bytes_to(lo);
-            for r in lo..hi {
-                let end = seg.log.sparse_bytes_to(r + 1);
-                let at = r * words..(r + 1) * words;
-                each(ValueRow {
-                    dense: &seg.dense[at.clone()],
-                    coeffs: seg.coeffs(),
-                    lane: r,
-                    masks: &seg.masks[at],
-                    values: &seg.values[start..end],
-                });
-                start = end;
-            }
-        }
-    }
-}
-
-/// A stream's encoded rows as its one store keeps them: the
-/// [`EncodedReadPlan`]'s segments, each holding its rows' dense nibbles
-/// in the plan's layout and everything else in its slice of the
-/// `SparseLog`, read with the stream's [`FusedReadParams`]. Everything a
-/// reader takes from the store goes through this view: the plan the tile
-/// kernel reads ([`plan`](Self::plan)), the sealed segments a prefix-trie
-/// block shares ([`segments`](Self::segments)), each row's charged bytes
-/// ([`row_payload`](Self::row_payload)), f32 rows
-/// ([`decode_into`](Self::decode_into)), and copies in page form, a range
-/// at a time ([`export`](Self::export)).
-#[derive(Debug, Clone, Copy)]
-pub struct EncodedRows<'a> {
-    plan: &'a EncodedReadPlan,
-    params: FusedReadParams,
-}
-
-impl<'a> EncodedRows<'a> {
-    /// The rows of `plan`, read with `params`.
-    pub(crate) fn new(plan: &'a EncodedReadPlan, params: FusedReadParams) -> Self {
-        Self { plan, params }
-    }
-
-    /// Rows held.
-    pub fn len(&self) -> usize {
-        self.plan.rows()
-    }
-
-    /// Whether no row is held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The read plan over every row held: what the fused attention kernel
-    /// reads (keys column-major, values row-major; see
-    /// [`EncodedReadPlan`]).
-    pub fn plan(&self) -> &'a EncodedReadPlan {
-        self.plan
-    }
-
-    /// The sealed segments: rows `0 .. 16 · segments().len()`, shared by
-    /// reference.
-    pub fn segments(&self) -> &'a [Arc<StoreSegment>] {
-        self.plan.segments()
-    }
-
-    /// The segment holding row `t`, and `t`'s row within it.
-    fn locate(&self, t: usize) -> (&'a StoreSegment, usize) {
-        (self.plan.list().segment(t / KEY_GROUP), t % KEY_GROUP)
-    }
-
-    /// COO bytes of the first `rows` rows.
-    fn sparse_bytes_to(&self, rows: usize) -> usize {
-        let (segment, r) = self.locate(rows);
-        segment.sparse_before + segment.log.sparse_bytes_to(r)
-    }
-
-    /// Payload bytes of the first `rows` rows — dense nibbles, COO bytes
-    /// and FP16 scales, what the pool charges for them.
-    pub fn payload_bytes(&self, rows: usize) -> usize {
-        rows * (self.plan.dim().div_ceil(2) + SCALE_BYTES) + self.sparse_bytes_to(rows)
-    }
-
-    /// `(dense, sparse)` payload bytes of row `t`, what the paged pool
-    /// lays into its dense slab and sparse log: packed nibbles plus FP16
-    /// scales (fixed per row), then the row's COO bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is not a row held.
-    pub fn row_payload(&self, t: usize) -> (usize, usize) {
-        assert!(
-            t < self.len(),
-            "row {t} out of bounds ({} rows)",
-            self.len()
-        );
-        let (segment, r) = self.locate(t);
-        let sparse = segment.log.sparse_bytes_to(r + 1) - segment.log.sparse_bytes_to(r);
-        (self.plan.dim().div_ceil(2) + SCALE_BYTES, sparse)
-    }
-
-    /// Dequantizes rows `rows`, appending `rows.len() × d` values to
-    /// `out` through the walk
-    /// [`OakenQuantizer::dequantize_vector_into`](crate::OakenQuantizer::dequantize_vector_into)
-    /// takes, so the values are bit-identical to dequantizing each row as
-    /// it was written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` exceeds the rows held.
-    pub fn decode_into(&self, rows: std::ops::Range<usize>, out: &mut Vec<f32>) {
-        self.check(&rows);
-        let d = self.plan.dim();
-        for t in rows {
-            let (segment, r) = self.locate(t);
-            let (sparse, counts, scales) = segment.log.row(r);
-            let code_at = |i| u32::from(segment.code(r, i));
-            let outliers = OutlierIter::new(sparse, counts);
-            decode_row(&self.params, &scales, d, code_at, outliers, out)
-                .expect("a stored row decodes with its stream's parameters");
-        }
-    }
-
-    /// Appends rows `rows` to `out` in page form, reserving exactly what
-    /// they take: a key group un-transposes its 16×16 nibble blocks, value
-    /// rows copy their words' bytes, the log copies its slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` exceeds the rows held or `out` is of another
-    /// width.
-    pub fn export(&self, rows: std::ops::Range<usize>, out: &mut PackedRows) {
-        self.check(&rows);
-        let sparse = self.sparse_bytes_to(rows.end) - self.sparse_bytes_to(rows.start);
-        out.reserve_exact(rows.len(), sparse);
-        let mut t = rows.start;
-        while t < rows.end {
-            let (segment, r) = self.locate(t);
-            let local = r..(r + rows.end - t).min(KEY_GROUP);
-            let dense = local.clone();
-            t += local.len();
-            out.extend(&segment.log, local, |slab| {
-                segment.dense_rows_into(dense, slab)
-            });
-        }
-    }
-
-    /// Panics unless `rows` is a range of rows held.
-    fn check(&self, rows: &std::ops::Range<usize>) {
-        assert!(
-            rows.start <= rows.end && rows.end <= self.len(),
-            "row range {rows:?} out of bounds ({} rows)",
-            self.len()
-        );
-    }
 }
 
 /// Enters key row `r`'s outliers into the group: its value last in
@@ -1165,17 +1068,14 @@ mod tests {
     fn key_group_outliers_stay_in_column_order() {
         let (q, d) = (quantizer(), 96);
         let params = q.fused_read_params(0, KvKind::Key).unwrap();
-        let mut plan = EncodedReadPlan::new(KvKind::Key);
+        let mut keys = EncodedStore::new(KvKind::Key, d, params);
         let (mut want, mut outliers) = (Vec::new(), Vec::new());
         for t in 0..40 {
             let fv = q.quantize_vector(&test_vector(d, t * 5 + 3), 0, KvKind::Key);
             let fv = fv.unwrap();
             decode_row_fused_into(&fv, &params, &mut want);
             outliers.push(fv.num_outliers());
-            plan.push_row(fv.row(), &params);
-            let EncodedReadPlan::Keys(keys) = &plan else {
-                unreachable!("a key stream's plan")
-            };
+            keys.push_row(fv.row());
             for g in 0..outliers.len().div_ceil(KEY_GROUP) {
                 let group = keys.group(g);
                 let mut values = group.values.iter();

@@ -61,9 +61,7 @@ pub use config::{BitWidths, GroupRatios, OakenConfig};
 pub use encoding::{CooEntry, EncodedRow, FusedVector, OutlierIter, PackedRows, ScaleSet};
 pub use error::OakenError;
 pub use groups::{classify, GroupKind, GroupStats};
-pub use kernel::{
-    decode_row_fused_into, EncodedReadPlan, EncodedRows, FusedReadParams, RowDecode, StoreSegment,
-};
+pub use kernel::{decode_row_fused_into, EncodedStore, FusedReadParams, RowDecode, StoreSegment};
 pub use pipeline::{OakenQuantizer, OakenRowStream, OakenScratch};
 pub use profiler::OfflineProfiler;
 pub use quant::UniformQuantizer;

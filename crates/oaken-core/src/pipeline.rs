@@ -22,17 +22,16 @@
 //! [`UniformQuantizer::quantize`]); ARCHITECTURE.md's "The write path"
 //! gives the argument, and `tests/quantize_oracle.rs` checks it.
 
-use crate::config::OakenConfig;
-use crate::encoding::{capacity_bytes, CooEntry, FusedVector, OutlierIter, PackedRows, ScaleSet};
+use crate::config::{BitWidths, OakenConfig};
+use crate::encoding::{capacity_bytes, CooEntry, FusedVector, OutlierIter, ScaleSet};
 use crate::error::OakenError;
 use crate::groups::GroupKind;
 use crate::groupshift::{unshift_middle, unshift_sparse};
-use crate::kernel::{EncodedReadPlan, EncodedRows, FusedReadParams, StoreSegment};
+use crate::kernel::{EncodedStore, FusedReadParams};
 use crate::lanes;
 use crate::quant::UniformQuantizer;
 use crate::thresholds::{KvKind, ModelThresholds, Thresholds};
 use crate::traits::{KvQuantizer, KvRowStream, OnlineCost};
-use std::sync::Arc;
 
 /// Elements per lane chunk: one 512-bit vector of `f32`.
 const LANES: usize = 16;
@@ -84,6 +83,51 @@ impl OakenScratch {
             + capacity_bytes(&self.dense_codes)
             + capacity_bytes(&self.outliers)
             + self.row.held_bytes()
+    }
+
+    /// Quantizes `x` into the scratch's packed row, reusing its buffers.
+    fn quantize_row(
+        &mut self,
+        x: &[f32],
+        t: &Thresholds,
+        bits: BitWidths,
+    ) -> Result<(), OakenError> {
+        self.quantize(x, t, bits)?;
+        self.row
+            .refill(x.len(), &self.dense_codes, &self.outliers, self.scales)
+    }
+
+    /// The two-pass quantization engine (§5.2 Figure 9), writing into the
+    /// scratch's buffers, on the widest lane the CPU offers.
+    fn quantize(&mut self, x: &[f32], t: &Thresholds, bits: BitWidths) -> Result<(), OakenError> {
+        lanes::widest(
+            #[inline(always)]
+            || {
+                let n = x.len();
+                // Both passes overwrite every element, so a warm scratch
+                // is neither cleared nor refilled.
+                self.vals.resize(n, 0.0);
+                self.tags.resize(n, 0);
+                self.dense_codes.resize(n, 0);
+                self.scales = classify_row(x, t, &mut self.vals, &mut self.tags);
+
+                // σ calculators (Eq. 2).
+                let s = self.scales;
+                let codes = GroupCodes::new(
+                    &UniformQuantizer::new(s.middle_min, s.middle_max, bits.middle)?,
+                    &UniformQuantizer::new(0.0, s.inner_mag_max, bits.outlier_mag)?,
+                    &UniformQuantizer::new(0.0, s.outer_mag_max, bits.outlier_mag)?,
+                );
+                self.outliers.clear();
+                codes.encode_row(
+                    &self.vals,
+                    &self.tags,
+                    &mut self.dense_codes,
+                    &mut self.outliers,
+                );
+                Ok(())
+            },
+        )
     }
 }
 
@@ -183,75 +227,13 @@ impl OakenQuantizer {
         kind: KvKind,
         scratch: &mut OakenScratch,
     ) -> Result<FusedVector, OakenError> {
-        let t = *self.thresholds.get(layer, kind)?;
-        self.quantize_with_thresholds(x, &t, scratch)
-    }
-
-    /// [`quantize_vector_with`](Self::quantize_vector_with) against
-    /// thresholds the caller already holds.
-    fn quantize_with_thresholds(
-        &self,
-        x: &[f32],
-        t: &Thresholds,
-        scratch: &mut OakenScratch,
-    ) -> Result<FusedVector, OakenError> {
-        self.quantize_into_scratch(x, t, scratch)?;
+        let t = self.thresholds.get(layer, kind)?;
+        scratch.quantize(x, t, self.config.bits)?;
         FusedVector::from_parts(
             x.len(),
             &scratch.dense_codes,
             &scratch.outliers,
             scratch.scales,
-        )
-    }
-
-    /// Quantizes `x` into `scratch`'s packed row, reusing its buffers.
-    fn quantize_into_row(
-        &self,
-        x: &[f32],
-        t: &Thresholds,
-        scratch: &mut OakenScratch,
-    ) -> Result<(), OakenError> {
-        self.quantize_into_scratch(x, t, scratch)?;
-        let s = scratch;
-        s.row.refill(x.len(), &s.dense_codes, &s.outliers, s.scales)
-    }
-
-    /// The two-pass quantization engine (§5.2 Figure 9), writing into
-    /// reusable scratch buffers, on the widest lane the CPU offers.
-    fn quantize_into_scratch(
-        &self,
-        x: &[f32],
-        t: &Thresholds,
-        scratch: &mut OakenScratch,
-    ) -> Result<(), OakenError> {
-        let bits = self.config.bits;
-        lanes::widest(
-            #[inline(always)]
-            || {
-                let n = x.len();
-                // Both passes overwrite every element, so a warm scratch
-                // is neither cleared nor refilled.
-                scratch.vals.resize(n, 0.0);
-                scratch.tags.resize(n, 0);
-                scratch.dense_codes.resize(n, 0);
-                scratch.scales = classify_row(x, t, &mut scratch.vals, &mut scratch.tags);
-
-                // σ calculators (Eq. 2).
-                let s = scratch.scales;
-                let codes = GroupCodes::new(
-                    &UniformQuantizer::new(s.middle_min, s.middle_max, bits.middle)?,
-                    &UniformQuantizer::new(0.0, s.inner_mag_max, bits.outlier_mag)?,
-                    &UniformQuantizer::new(0.0, s.outer_mag_max, bits.outlier_mag)?,
-                );
-                scratch.outliers.clear();
-                codes.encode_row(
-                    &scratch.vals,
-                    &scratch.tags,
-                    &mut scratch.dense_codes,
-                    &mut scratch.outliers,
-                );
-                Ok(())
-            },
         )
     }
 
@@ -301,7 +283,7 @@ impl OakenQuantizer {
 /// codes (`code_at`), its outliers, its scales and its tensor's read
 /// parameters: scan elements in order, consuming the (sorted) outlier
 /// stream whenever its head matches the current index. A
-/// [`FusedVector`] and a stored row ([`EncodedRows::decode_into`]) both
+/// [`FusedVector`] and a stored row ([`EncodedStore::decode_into`]) both
 /// decode through it.
 pub(crate) fn decode_row(
     params: &FusedReadParams,
@@ -588,70 +570,50 @@ fn push_outliers(base: usize, tags: &[u8], out: &mut Vec<CooEntry>) {
 /// Incremental append-only stream for Oaken: rows are independent (all
 /// statistics are per-vector, thresholds are offline), so every append is
 /// O(d) with no warm-up and the stream is bit-exact with the batch path by
-/// construction. The stream keeps each row once, in the
-/// [`EncodedReadPlan`] the fused kernel reads: its dense nibbles and
-/// decode coefficients, and its scales, COO bytes and per-block counts —
-/// what the plan entries cannot rebuild — in the `SparseLog` of the
-/// 16-row [`StoreSegment`] holding it ([`EncodedRows`]). Sealed segments
-/// are shared by reference with whatever else holds the same rows.
+/// construction. The stream keeps each row once, in the [`EncodedStore`]
+/// the fused kernel reads: its dense nibbles and decode coefficients, and
+/// its scales, COO bytes and per-block counts — what the segment's words
+/// cannot rebuild — in the `SparseLog` of the 16-row
+/// [`StoreSegment`](crate::StoreSegment) holding it. Sealed segments are
+/// shared by reference with whatever else holds the same rows.
+#[derive(Debug)]
 pub struct OakenRowStream {
-    quantizer: OakenQuantizer,
-    layer: usize,
-    kind: KvKind,
-    d: usize,
-    /// The tensor's thresholds and bit-widths, fetched once when the
-    /// stream opens; `None` for an unprofiled layer, which fails on the
-    /// first row.
-    params: Option<FusedReadParams>,
+    /// The configured bit-widths rows are quantized to.
+    bits: BitWidths,
     scratch: OakenScratch,
-    /// The rows' dense nibbles, decode coefficients, and outlier masks and
-    /// values, laid out for the stream's kind and built once at append
-    /// time, so the fused kernels never redo per-row decode work per
-    /// token, and the rest of each row.
-    plan: EncodedReadPlan,
+    /// The rows, read with the tensor's thresholds and bit-widths fetched
+    /// once when the stream opens; `None` for an unprofiled layer, which
+    /// fails on the first row.
+    store: Option<EncodedStore>,
 }
 
 impl OakenRowStream {
-    /// The stream's read parameters. An unprofiled layer is a caller bug
-    /// on the streaming path, as on the trait-level batch path.
-    fn params(&self) -> FusedReadParams {
-        self.params
-            .expect("layer must be profiled before streaming quantization")
-    }
-
-    /// Quantizes one row against the stream's thresholds and stores it in
-    /// the plan.
-    fn push_quantized(&mut self, row: &[f32]) {
-        assert_eq!(row.len(), self.d, "row width mismatch");
-        let params = self.params();
-        (self.quantizer)
-            .quantize_into_row(row, &params.thresholds, &mut self.scratch)
+    /// Quantizes one row against the stream's thresholds, leaves it in
+    /// the scratch's packed row and stores it. An unprofiled layer is a
+    /// caller bug on the streaming path, as on the trait-level batch path.
+    fn push_quantized(&mut self, row: &[f32]) -> &EncodedStore {
+        let store =
+            (self.store.as_mut()).expect("layer must be profiled before streaming quantization");
+        assert_eq!(row.len(), store.dim(), "row width mismatch");
+        (self.scratch)
+            .quantize_row(row, &store.params().thresholds, self.bits)
             .expect("configured bit-widths are valid");
-        self.plan.push_row(self.scratch.row.row(), &params);
-    }
-}
-
-impl std::fmt::Debug for OakenRowStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OakenRowStream")
-            .field("layer", &self.layer)
-            .field("kind", &self.kind)
-            .field("d", &self.d)
-            .field("rows", &self.plan.rows())
-            .finish()
+        store.push_row(self.scratch.row.row());
+        store
     }
 }
 
 impl KvRowStream for OakenRowStream {
     fn append_row(&mut self, row: &[f32], view: &mut Vec<f32>) {
-        self.push_quantized(row);
-        self.quantizer
-            .dequantize_vector_into(&self.scratch.row, self.layer, self.kind, view)
+        let params = *self.push_quantized(row).params();
+        let fv = &self.scratch.row;
+        let code_at = |i| u32::from(fv.dense_code(i));
+        decode_row(&params, fv.scales(), fv.dim(), code_at, fv.outliers(), view)
             .expect("fused vector decodes with the same thresholds");
     }
 
     fn held_bytes(&self) -> usize {
-        self.plan.held_bytes() + self.scratch.held_bytes()
+        self.store.as_ref().map_or(0, EncodedStore::held_bytes) + self.scratch.held_bytes()
     }
 
     fn reset(&mut self) {
@@ -660,13 +622,19 @@ impl KvRowStream for OakenRowStream {
         // with a freshly opened one. The open segment's buffers are
         // deliberately kept warm for the next sequence; the sealed ones
         // are let go.
-        self.plan.clear();
+        if let Some(store) = &mut self.store {
+            store.clear();
+        }
     }
 
     /// The stream's one store; `None` only for an unprofiled layer, whose
     /// rows cannot be encoded (its first append panics).
-    fn encoded_rows(&self) -> Option<EncodedRows<'_>> {
-        (self.params).map(|params| EncodedRows::new(&self.plan, params))
+    fn encoded_rows(&self) -> Option<&EncodedStore> {
+        self.store.as_ref()
+    }
+
+    fn encoded_rows_mut(&mut self) -> Option<&mut EncodedStore> {
+        self.store.as_mut()
     }
 
     fn append_row_encoded(&mut self, row: &[f32]) -> bool {
@@ -674,18 +642,6 @@ impl KvRowStream for OakenRowStream {
         // step: the stored row *is* the cache contents, and the fused
         // attention kernels read it in place.
         self.push_quantized(row);
-        true
-    }
-
-    fn adopt_encoded_rows(&mut self, rows: &PackedRows) -> bool {
-        assert_eq!(rows.dim(), self.d, "row width mismatch");
-        let params = self.params();
-        self.plan.push_rows(rows, &params);
-        true
-    }
-
-    fn share_segments(&mut self, first: usize, segments: &[Arc<StoreSegment>]) -> bool {
-        self.plan.share_segments(first, segments);
         true
     }
 }
@@ -741,14 +697,11 @@ impl KvQuantizer for OakenQuantizer {
     }
 
     fn row_stream(&self, d: usize, layer: usize, kind: KvKind) -> Option<Box<dyn KvRowStream>> {
+        let params = self.fused_read_params(layer, kind).ok();
         Some(Box::new(OakenRowStream {
-            quantizer: self.clone(),
-            layer,
-            kind,
-            d,
-            params: self.fused_read_params(layer, kind).ok(),
+            bits: self.config.bits,
             scratch: OakenScratch::new(),
-            plan: EncodedReadPlan::new(kind),
+            store: params.map(|params| EncodedStore::new(kind, d, params)),
         }))
     }
 
@@ -765,8 +718,10 @@ impl KvQuantizer for OakenQuantizer {
 mod tests {
     use super::*;
     use crate::config::GroupRatios;
+    use crate::encoding::PackedRows;
     use crate::kernel::KEY_GROUP;
     use crate::profiler::OfflineProfiler;
+    use std::sync::Arc;
 
     fn test_vector(n: usize, seed: u64) -> Vec<f32> {
         (0..n)
@@ -1010,6 +965,11 @@ mod tests {
         run
     }
 
+    /// The store of an Oaken stream, to write.
+    fn store(s: &mut dyn KvRowStream) -> &mut EncodedStore {
+        s.encoded_rows_mut().expect("oaken stores encoded rows")
+    }
+
     /// Everything a stream `s` of `rows` holds, exported at once.
     fn export(s: &dyn KvRowStream, dim: usize) -> PackedRows {
         let mut run = PackedRows::new(dim);
@@ -1024,7 +984,7 @@ mod tests {
     /// first 32 rows and appended after them (a prefix adoption), or
     /// sliced to a rank's channels — as swap, resume, prefix adoption,
     /// import and rank splits rely on: exported, it is
-    /// the quantizer's rows packed, its read plan is the appended one, and
+    /// the quantizer's rows packed, it equals the appended store, and
     /// it decodes to the bits the quantizer's own decoder gives each row,
     /// and each row's `(dense, sparse)` charge is the quantizer's row's,
     /// summing to the stream's payload. Widths 33 and 97 end mid-byte and
@@ -1054,23 +1014,23 @@ mod tests {
                 }
                 let mut adopted = stream(d);
                 for block in fvs.chunks(16) {
-                    assert!(adopted.adopt_encoded_rows(&packed(d, block)));
+                    store(&mut *adopted).push_rows(&packed(d, block));
                 }
                 let mut rebuilt = stream(d);
-                assert!(rebuilt.adopt_encoded_rows(&packed(d, &fvs[..23])));
+                store(&mut *rebuilt).push_rows(&packed(d, &fvs[..23]));
                 rebuilt.reset();
-                assert!(rebuilt.adopt_encoded_rows(&export(&*appended, d)));
+                store(&mut *rebuilt).push_rows(&export(&*appended, d));
                 let sealed = appended.encoded_rows().unwrap().segments();
                 assert_eq!(sealed.len(), n as usize / KEY_GROUP);
                 let mut shared = stream(d);
-                assert!(shared.share_segments(0, sealed));
+                store(&mut *shared).share_segments(0, sealed);
                 for r in (KEY_GROUP * sealed.len()) as u64..n {
                     assert!(shared.append_row_encoded(&test_vector(d, r + 11)));
                 }
                 let held = shared.encoded_rows().unwrap().segments();
                 assert!(held.iter().zip(sealed).all(|(a, b)| Arc::ptr_eq(a, b)));
                 // Sealed segments swapped for equal shared ones.
-                assert!(adopted.share_segments(0, sealed));
+                store(&mut *adopted).share_segments(0, sealed);
                 let swapped = adopted.encoded_rows().unwrap().segments();
                 assert!(swapped.iter().zip(sealed).all(|(a, b)| Arc::ptr_eq(a, b)));
                 for (how, s) in [
@@ -1082,8 +1042,7 @@ mod tests {
                     let case = format!("{kind:?} width {d} {how}");
                     assert_eq!(export(&**s, d), want, "{case}");
                     let stored = s.encoded_rows().unwrap();
-                    let plan = appended.encoded_rows().unwrap().plan();
-                    assert_eq!(stored.plan(), plan, "{case}");
+                    assert_eq!(Some(stored), appended.encoded_rows(), "{case}");
                     let mut out = Vec::new();
                     stored.decode_into(0..n as usize, &mut out);
                     assert_eq!(bits(&out), decoded(&fvs), "{case}");
@@ -1098,17 +1057,15 @@ mod tests {
                     }
                     assert_eq!(Some(sum), s.payload_bytes(), "{case}");
                 }
-                match (kind, appended.encoded_rows().unwrap().plan()) {
-                    (KvKind::Key, EncodedReadPlan::Keys(keys)) => {
-                        assert!(keys.rows() % KEY_GROUP != 0, "width {d}: an open group");
-                        let open = keys.group(keys.rows() / KEY_GROUP);
-                        assert!(
-                            open.masks.iter().any(|&m| m != 0),
-                            "width {d}: outliers marked in the open group"
-                        );
-                    }
-                    (KvKind::Value, EncodedReadPlan::Values(_)) => {}
-                    _ => panic!("{kind:?} stream has the other kind's plan"),
+                let keys = appended.encoded_rows().unwrap();
+                assert_eq!(keys.kind(), kind, "each stream keeps its own kind's store");
+                if kind == KvKind::Key {
+                    assert!(keys.len() % KEY_GROUP != 0, "width {d}: an open group");
+                    let open = keys.group(keys.len() / KEY_GROUP);
+                    assert!(
+                        open.masks.iter().any(|&m| m != 0),
+                        "width {d}: outliers marked in the open group"
+                    );
                 }
                 for range in [0..d.div_ceil(2), d / 2..d] {
                     let w = range.len();
@@ -1116,7 +1073,7 @@ mod tests {
                     for fv in &fvs {
                         let mut one = PackedRows::new(w);
                         one.push_channels(fv.row(), range.clone());
-                        assert!(sliced.adopt_encoded_rows(&one));
+                        store(&mut *sliced).push_rows(&one);
                     }
                     let slices: Vec<FusedVector> = (fvs.iter())
                         .map(|fv| fv.slice_channels(range.clone()).unwrap())

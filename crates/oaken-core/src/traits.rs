@@ -3,10 +3,8 @@
 //! the serving-path KV cache drives, plus the [`OnlineCost`] descriptor that
 //! the performance simulator uses to charge each method's runtime overhead.
 
-use crate::encoding::PackedRows;
-use crate::kernel::{EncodedRows, StoreSegment};
+use crate::kernel::EncodedStore;
 use crate::thresholds::KvKind;
-use std::sync::Arc;
 
 /// Runtime-cost descriptor of a KV quantization method, consumed by the
 /// `oaken-accel` performance simulator.
@@ -98,9 +96,13 @@ impl Default for OnlineCost {
 /// schedules.
 ///
 /// Three methods are required ([`append_row`](KvRowStream::append_row),
-/// [`held_bytes`](KvRowStream::held_bytes), [`reset`](KvRowStream::reset)),
-/// four are opt-in, for a method that keeps its rows encoded, and
-/// [`payload_bytes`](KvRowStream::payload_bytes) is derived from them.
+/// [`held_bytes`](KvRowStream::held_bytes), [`reset`](KvRowStream::reset)).
+/// A method that keeps its rows encoded also lends out its one
+/// [`EncodedStore`] ([`encoded_rows`](KvRowStream::encoded_rows) and
+/// [`encoded_rows_mut`](KvRowStream::encoded_rows_mut)) and appends
+/// without a view ([`append_row_encoded`](KvRowStream::append_row_encoded));
+/// [`payload_bytes`](KvRowStream::payload_bytes) is derived from the
+/// store.
 pub trait KvRowStream: Send {
     /// Quantizes and immediately dequantizes the next token row, appending
     /// the `d` reconstructed values to `view` (rewriting earlier rows only
@@ -128,28 +130,37 @@ pub trait KvRowStream: Send {
     /// without an encoded form, which the cache charges at the nominal
     /// [`KvQuantizer::effective_bits`] instead.
     fn payload_bytes(&self) -> Option<usize> {
-        let rows = self.encoded_rows()?;
-        Some(rows.payload_bytes(rows.len()))
+        let store = self.encoded_rows()?;
+        Some(store.payload_bytes(store.len()))
     }
 
     // ------------------------------------------------------------------
-    // Encoded (quantized-domain) form — opt-in per method.
+    // Encoded (quantized-domain) form — for a method that keeps one.
     //
     // A stream whose canonical state is the fused encoding keeps each row
-    // once, encoded, and everything a reader takes from it — the fused
-    // kernel's read plan, each row's charged bytes, dequantized rows,
-    // page-form copies, the sealed segments a prefix block shares — comes
-    // from the one view `encoded_rows` returns. The four methods below
-    // default to "no encoded form", so every
-    // baseline keeps working unchanged; a caller must check
-    // `append_row_encoded`'s return and fall back to `append_row`.
+    // once, in its `EncodedStore`, and lends the store out: readers take
+    // everything from it — the fused kernel's key groups and value rows,
+    // each row's charged bytes, dequantized rows, page-form copies, the
+    // sealed segments a prefix block shares — and writers adopt page-form
+    // rows and shared segments into it. A stream without an encoded form
+    // answers `None` / `false`, so every baseline keeps working
+    // unchanged; a caller must check `append_row_encoded`'s return and
+    // fall back to `append_row`.
     // ------------------------------------------------------------------
 
-    /// The encoded rows held by the stream, when the method stores them
-    /// encoded: a view of its one store ([`EncodedRows`]). `None` means
-    /// the method has no encoded form and readers must use the dequantized
-    /// view.
-    fn encoded_rows(&self) -> Option<EncodedRows<'_>> {
+    /// The stream's one store of its encoded rows, when the method keeps
+    /// them encoded. `None` means the method has no encoded form and
+    /// readers must use the dequantized view.
+    fn encoded_rows(&self) -> Option<&EncodedStore> {
+        None
+    }
+
+    /// [`encoded_rows`](KvRowStream::encoded_rows), to write: a sealed
+    /// prefix block's page-form rows or a rank's slice of a row are
+    /// pushed into it ([`EncodedStore::push_rows`]), another stream's
+    /// sealed segments shared into it
+    /// ([`EncodedStore::share_segments`]).
+    fn encoded_rows_mut(&mut self) -> Option<&mut EncodedStore> {
         None
     }
 
@@ -160,28 +171,6 @@ pub trait KvRowStream: Send {
     /// [`append_row`](KvRowStream::append_row) instead.
     fn append_row_encoded(&mut self, row: &[f32]) -> bool {
         let _ = row;
-        false
-    }
-
-    /// Appends already-encoded rows in page form (a sealed prefix block
-    /// being adopted from the trie, a rank's slice of a row) to the
-    /// stream's encoded state. Returns `false` when the method has no
-    /// encoded form.
-    fn adopt_encoded_rows(&mut self, rows: &PackedRows) -> bool {
-        let _ = rows;
-        false
-    }
-
-    /// Holds `segments` — sealed segments of another stream of the same
-    /// tensor and width ([`EncodedRows::segments`]) — as the stream's own
-    /// segments `first ..`, by reference and without copying a row: those
-    /// it has sealed itself (equal rows, a late-deduplicated prefix block)
-    /// are swapped for the shared ones, the rest appended at a segment
-    /// edge (an adopted prefix). Returns `false` when the method has no
-    /// encoded form. See
-    /// [`EncodedReadPlan::share_segments`](crate::EncodedReadPlan::share_segments).
-    fn share_segments(&mut self, first: usize, segments: &[Arc<StoreSegment>]) -> bool {
-        let _ = (first, segments);
         false
     }
 }

@@ -3,9 +3,13 @@
 //! buffer performs **zero** heap allocations after warm-up (acceptance
 //! criterion of the incremental cache work — the hardware engine's fixed
 //! SRAM buffers, in software), and `quantize_vector_with` allocates only
-//! the row it returns.
+//! the row it returns. And an Oaken row stream's `held_bytes` is exactly
+//! the heap it owns.
 
-use oaken_core::{FusedVector, KvKind, OakenConfig, OakenQuantizer, OakenScratch, OfflineProfiler};
+use oaken_core::{
+    FusedVector, KvKind, KvQuantizer, KvRowStream, OakenConfig, OakenQuantizer, OakenScratch,
+    OfflineProfiler,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -18,10 +22,21 @@ thread_local! {
     /// with no destructor, which is what makes it legal to touch from
     /// inside `GlobalAlloc`.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes allocated by this thread less those it freed: the live heap
+    /// of whatever this thread builds and drops itself.
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
 fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn live_bytes() -> isize {
+    LIVE_BYTES.with(Cell::get)
+}
+
+fn count(allocated: usize, freed: usize) {
+    LIVE_BYTES.with(|n| n.set(n.get() + allocated as isize - freed as isize));
 }
 
 // SAFETY: every method forwards to `System` with the arguments it was
@@ -30,10 +45,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
         // SAFETY: the caller upholds `alloc`'s contract for `layout`.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            count(layout.size(), 0);
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, layout.size());
         // SAFETY: `ptr` came from this allocator, i.e. from `System`,
         // with `layout`.
         unsafe { System.dealloc(ptr, layout) }
@@ -43,7 +63,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
         // SAFETY: `ptr` came from `System` with `layout`, and the caller
         // upholds `realloc`'s contract for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            count(new_size, layout.size());
+        }
+        moved
     }
 }
 
@@ -155,5 +179,54 @@ fn warm_quantizer_allocates_only_the_encoded_row() {
             fv.num_outliers()
         );
         assert!(made <= 3);
+    }
+}
+
+/// An Oaken stream's `held_bytes` is exactly the heap it owns — every
+/// buffer of its store and scratch, and nothing it keeps that the count
+/// misses (such as a copy of the model's thresholds): after 0, 1, 15, 16,
+/// 17 and 100 appends, for keys and values, at a served width and one
+/// ending mid-byte, and after a reset, it equals the live bytes the
+/// stream's own allocations leave, its own box aside.
+#[test]
+fn stream_held_bytes_are_its_live_heap_bytes() {
+    let config = OakenConfig::default();
+    let layers = 4;
+    let mut profiler = OfflineProfiler::new(config.clone(), layers);
+    for s in 0..16 {
+        for layer in 0..layers {
+            profiler.observe(layer, KvKind::Key, &kv_row(256, s));
+            profiler.observe(layer, KvKind::Value, &kv_row(256, s));
+        }
+    }
+    let q = OakenQuantizer::new(config, profiler.try_finish().unwrap());
+    for d in [97, 128] {
+        let rows: Vec<Vec<f32>> = (0..100).map(|t| kv_row(d, 500 + t)).collect();
+        for kind in KvKind::ALL {
+            let before = live_bytes();
+            let mut stream = q.row_stream(d, 1, kind).expect("oaken streams");
+            let owned = |s: &dyn KvRowStream| {
+                let own = live_bytes() - before - std::mem::size_of_val(s) as isize;
+                (own, s.held_bytes() as isize)
+            };
+            let mut appended = 0;
+            for n in [0, 1, 15, 16, 17, 100] {
+                for row in &rows[appended..n] {
+                    assert!(stream.append_row_encoded(row));
+                }
+                appended = n;
+                let (own, held) = owned(&*stream);
+                assert_eq!(held, own, "{kind:?} width {d} after {n} rows");
+            }
+            stream.reset();
+            let (own, held) = owned(&*stream);
+            assert_eq!(held, own, "{kind:?} width {d} after a reset");
+            drop(stream);
+            assert_eq!(
+                live_bytes(),
+                before,
+                "{kind:?} width {d}: a dropped stream frees all"
+            );
+        }
     }
 }

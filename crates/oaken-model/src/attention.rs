@@ -13,8 +13,8 @@
 //!   and carry the engine's bit-exactness contract;
 //! * the **fused** kernel ([`attend_segments_fused_into`], and its
 //!   single-token, one-KV-head form [`attend_kv_group_fused_into`]) reads
-//!   the encoded rows through
-//!   their [`EncodedReadPlan`] — one sweep decodes each row once and
+//!   the encoded rows in
+//!   their [`EncodedStore`]s — one sweep decodes each row once and
 //!   serves a whole tile of query tokens (a prefill chunk, or the decode
 //!   steps of sequences that share prefix-trie blocks, whose shared rows
 //!   it decodes once for all of them) and every query head of the group —
@@ -29,9 +29,8 @@
 //!   rows into scratch first. With the `simd` cargo feature the decodes run
 //!   on a `std::arch` AVX-512 lane, bit-identically.
 
-use oaken_core::kernel::{
-    lane_code, EncodedReadPlan, GroupCoeffs, KeyGroup, KeyPlan, ValuePlan, ValueRow, KEY_GROUP,
-};
+use oaken_core::kernel::{lane_code, EncodedStore, GroupCoeffs, KeyGroup, ValueRow, KEY_GROUP};
+use oaken_core::KvKind;
 use oaken_tensor::{softmax_in_place, softmax_rows};
 use std::ops::Range;
 
@@ -218,28 +217,20 @@ pub fn attend_kv_group_into(
 // Fused quantized-domain kernel
 // ----------------------------------------------------------------------
 
-/// Borrowed encoded KV tensor for the fused kernel: the stream-maintained
-/// [`EncodedReadPlan`] of one `(sequence, layer, kind)` — decode
-/// coefficients, dense nibbles and outlier values, keys column-major in
-/// 16-row groups and values row-major. This is what the paged pool hands
-/// out in fused mode; no dequantized f32 image of these rows exists
-/// anywhere.
-#[derive(Debug, Clone, Copy)]
-pub struct EncodedKv<'a> {
-    /// Read plan covering every cached row of the tensor.
-    pub plan: &'a EncodedReadPlan,
-}
-
 /// What attention reads for one `(sequence, layer)`: its encoded tensors
-/// under [`crate::KernelMode::Fused`], else its dequantized f32 views.
+/// under [`crate::KernelMode::Fused`] — the [`EncodedStore`] of each of
+/// its K and V streams, decode coefficients, dense nibbles and outlier
+/// values, keys column-major in 16-row groups and values row-major, with
+/// no dequantized f32 image of the rows anywhere — else its dequantized
+/// f32 views.
 #[derive(Debug, Clone, Copy)]
 pub enum KvRead<'a> {
     /// Encoded K and V tensors for [`attend_segments_fused_into`].
     Fused {
         /// Encoded keys.
-        keys: EncodedKv<'a>,
+        keys: &'a EncodedStore,
         /// Encoded values.
-        values: EncodedKv<'a>,
+        values: &'a EncodedStore,
     },
     /// Row-major `[rows × kv_dim]` views for [`attend_kv_group_into`].
     Exact {
@@ -254,7 +245,7 @@ impl KvRead<'_> {
     /// K/V row pairs the read holds (`kv_dim` wide).
     pub(crate) fn rows(&self, kv_dim: usize) -> usize {
         match self {
-            KvRead::Fused { keys, values } => keys.plan.rows().min(values.plan.rows()),
+            KvRead::Fused { keys, values } => keys.len().min(values.len()),
             KvRead::Exact { keys, values } => keys.len().min(values.len()) / kv_dim.max(1),
         }
     }
@@ -270,20 +261,9 @@ pub struct Segment<'a> {
     /// Query tokens in the run.
     pub queries: usize,
     /// The sequence's encoded keys.
-    pub keys: EncodedKv<'a>,
+    pub keys: &'a EncodedStore,
     /// The sequence's encoded values.
-    pub values: EncodedKv<'a>,
-}
-
-impl Segment<'_> {
-    /// The key and value plans.
-    #[inline(always)]
-    fn plans(&self) -> (&KeyPlan, &ValuePlan) {
-        match (self.keys.plan, self.values.plan) {
-            (EncodedReadPlan::Keys(keys), EncodedReadPlan::Values(values)) => (keys, values),
-            _ => panic!("keys are read through a key plan, values through a value plan"),
-        }
-    }
+    pub values: &'a EncodedStore,
 }
 
 /// Most query tokens one sweep over a slot's encoded rows serves; longer
@@ -378,8 +358,8 @@ pub(crate) fn attend_exact_run_into(
 #[allow(clippy::too_many_arguments)]
 pub fn attend_kv_group_fused_into(
     q: &[f32],
-    keys: &EncodedKv<'_>,
-    values: &EncodedKv<'_>,
+    keys: &EncodedStore,
+    values: &EncodedStore,
     seq_len: usize,
     shape: &AttentionShape,
     kv_head: usize,
@@ -388,8 +368,8 @@ pub fn attend_kv_group_fused_into(
 ) {
     let run = Segment {
         queries: 1,
-        keys: *keys,
-        values: *values,
+        keys,
+        values,
     };
     let head = kv_head..kv_head + 1;
     attend_segments_fused_into(&[q], &[seq_len], &[run], 0, shape, head, scratch, out_g);
@@ -402,17 +382,17 @@ pub fn attend_kv_group_fused_into(
 /// segments take the queries in order — and `out` receives
 /// `[qs.len() × kv_heads.len() × group_size × head_dim]`. Rows
 /// `0 .. shared` (a multiple of [`KEY_GROUP`]) must be the same in every
-/// segment's plans — the rows of the prefix-trie blocks their sequences
+/// segment's stores — the rows of the prefix-trie blocks their sequences
 /// share; a lone segment passes 0.
 ///
-/// Per [`QUERY_TILE`] queries the key plans are walked **once**: each
+/// Per [`QUERY_TILE`] queries the key stores are walked **once**: each
 /// block of rows is decoded a single time (a multiply-add per dense code,
 /// sixteen rows of a column at a time, outliers overwritten in place) and
 /// reused by every query of the tile that sees it and every query head of
-/// the range; softmax runs per (query, head); the value plans are swept
+/// the range; softmax runs per (query, head); the value stores are swept
 /// the same way (a table lookup per dense code). Rows below `shared` are
 /// decoded from the tile's first segment for the queries of every
-/// segment; each segment's rows from `shared` up from its own plans for
+/// segment; each segment's rows from `shared` up from its own stores for
 /// its own queries. The arithmetic behind both decodes is register-blocked
 /// (`score_block`, `weigh_block`): the queries and query heads sharing a
 /// KV head's tile keep their accumulators in registers side by side, so a
@@ -440,12 +420,11 @@ pub fn attend_kv_group_fused_into(
 /// # Panics
 ///
 /// Panics if `qs`/`limits`/`out` and the segments' query counts disagree
-/// with each other or the shape, a segment's limits decrease, a plan holds
-/// fewer
-/// rows than its largest limit or than `shared`, or rows of another
-/// width, `keys` is not a key plan or `values` not a value plan, `shared`
-/// is not a multiple of [`KEY_GROUP`], or `kv_heads` exceeds
-/// `num_kv_heads`.
+/// with each other or the shape, a segment's limits decrease, a store
+/// holds fewer rows than its largest limit or than `shared`, or rows of
+/// another width, `keys` is not a key store or `values` not a value
+/// store, `shared` is not a multiple of [`KEY_GROUP`], or `kv_heads`
+/// exceeds `num_kv_heads`.
 #[allow(clippy::too_many_arguments)]
 pub fn attend_segments_fused_into(
     qs: &[&[f32]],
@@ -480,19 +459,22 @@ pub fn attend_segments_fused_into(
             "limits must not decrease along a run"
         );
         let hi = limits.last().copied().unwrap_or(0);
-        for (plan, what) in [(seg.keys.plan, "key"), (seg.values.plan, "value")] {
-            assert!(plan.rows() >= hi, "{what} read plan shorter than seq_len");
+        for (store, kind) in [(seg.keys, KvKind::Key), (seg.values, KvKind::Value)] {
+            assert_eq!(
+                store.kind(),
+                kind,
+                "{kind:?} rows are read from a {kind:?} store"
+            );
+            assert!(store.len() >= hi, "{kind:?} store shorter than seq_len");
             assert!(
-                plan.rows() >= shared,
-                "{what} read plan shorter than the shared rows"
+                store.len() >= shared,
+                "{kind:?} store shorter than the shared rows"
             );
             assert!(
-                hi.max(shared) == 0 || plan.dim() == shape.kv_dim(),
-                "encoded {what} row width mismatch"
+                hi.max(shared) == 0 || store.dim() == shape.kv_dim(),
+                "encoded {kind:?} row width mismatch"
             );
         }
-        // Panics on a plan of the wrong kind.
-        seg.plans();
     }
     if row_w == 0 {
         return;
@@ -546,7 +528,7 @@ struct Piece {
 }
 
 /// One tile of [`attend_segments_fused_into`] (at most [`QUERY_TILE`]
-/// queries, inputs validated there): per walk of a plan's rows — the
+/// queries, inputs validated there): per walk of a store's rows — the
 /// shared rows for every piece, then each piece's own — the key blocks are
 /// decoded and scored, softmax runs per (query, head), and the same walks
 /// decode the value blocks and weigh them. `lane` supplies the decodes;
@@ -636,7 +618,7 @@ fn fused_sweep<L: Lane>(
         block.resize(width * ROW_BLOCK, 0.0);
     }
     let block = &mut block[..width * ROW_BLOCK];
-    // The walks, each from one segment's plans: the shared rows for every
+    // The walks, each from one segment's stores: the shared rows for every
     // piece, from the first; then each piece's own rows, from its own.
     let walks = || {
         let shared = std::iter::once((pieces[0].seg, common.clone(), pieces));
@@ -647,8 +629,7 @@ fn fused_sweep<L: Lane>(
     };
 
     for (seg, rows, at) in walks() {
-        let keys = segments[seg].plans().0;
-        sweep.score(lane, keys, rows, at, block, scores);
+        sweep.score(lane, segments[seg].keys, rows, at, block, scores);
     }
 
     for (t, &limit) in limits.iter().enumerate() {
@@ -657,8 +638,7 @@ fn fused_sweep<L: Lane>(
     }
 
     for (seg, rows, at) in walks() {
-        let values = segments[seg].plans().1;
-        sweep.weigh(lane, values, rows, at, block, scores, out);
+        sweep.weigh(lane, segments[seg].values, rows, at, block, scores, out);
     }
 }
 
@@ -734,7 +714,7 @@ impl<'a> Sweep<'_, 'a> {
     fn score<L: Lane>(
         &self,
         lane: L,
-        keys: &KeyPlan,
+        keys: &EncodedStore,
         rows: Range<usize>,
         pieces: &[Piece],
         block: &mut [f32],
@@ -796,7 +776,7 @@ impl<'a> Sweep<'_, 'a> {
     fn weigh<L: Lane>(
         &self,
         lane: L,
-        values: &ValuePlan,
+        values: &EncodedStore,
         rows: Range<usize>,
         pieces: &[Piece],
         block: &mut [f32],
@@ -1039,7 +1019,7 @@ struct RowSweep<'a> {
 /// weighted sum does. Query heads per KV head is one register block
 /// (one, two, four or eight).
 #[inline(always)]
-fn weigh_rows(lane: impl Lane, values: &ValuePlan, sweep: RowSweep<'_>) {
+fn weigh_rows(lane: impl Lane, values: &EncodedStore, sweep: RowSweep<'_>) {
     let RowSweep {
         rows,
         col,
@@ -1097,7 +1077,7 @@ trait Lane: Copy {
         -> [f32; 16];
 
     /// [`weigh_rows`] on this lane.
-    fn weigh_rows(self, values: &ValuePlan, sweep: RowSweep<'_>);
+    fn weigh_rows(self, values: &EncodedStore, sweep: RowSweep<'_>);
 }
 
 /// The reference lane: plain Rust, on every target.
@@ -1134,7 +1114,7 @@ impl Lane for Portable {
     }
 
     #[inline(always)]
-    fn weigh_rows(self, values: &ValuePlan, sweep: RowSweep<'_>) {
+    fn weigh_rows(self, values: &EncodedStore, sweep: RowSweep<'_>) {
         weigh_rows(self, values, sweep)
     }
 }
@@ -1255,12 +1235,12 @@ fn decode_value_row(
 /// `block[j · ROW_BLOCK + r]` is element `col + j` of row `b0 + r`,
 /// bit-identical to
 /// [`decode_row_fused_into`](oaken_core::kernel::decode_row_fused_into),
-/// for every row of those groups the plan holds; every other lane is
+/// for every row of those groups the store holds; every other lane is
 /// `+0.0`. An open group reads like a sealed one.
 #[inline(always)]
 fn decode_keys(
     lane: impl Lane,
-    plan: &KeyPlan,
+    keys: &EncodedStore,
     b0: usize,
     n: usize,
     col: usize,
@@ -1270,7 +1250,7 @@ fn decode_keys(
     let groups = b0 / KEY_GROUP..(b0 + n).div_ceil(KEY_GROUP);
     let block = &mut block[..width * ROW_BLOCK];
     for (k, g) in groups.clone().enumerate() {
-        let mut group = KeyColumns::new(plan.group(g), col);
+        let mut group = KeyColumns::new(keys.group(g), col);
         for lanes in block.chunks_exact_mut(ROW_BLOCK) {
             lanes[KEY_GROUP * k..][..KEY_GROUP].copy_from_slice(&group.next(lane));
         }
@@ -1288,7 +1268,7 @@ fn decode_keys(
     }
 }
 
-/// Decodes columns `col .. col + width` of plan rows `b0 .. b0 + n` into
+/// Decodes columns `col .. col + width` of value rows `b0 .. b0 + n` into
 /// the row-major value block (`block[r · width + j]`), bit-identical to
 /// [`decode_row_fused_into`](oaken_core::kernel::decode_row_fused_into):
 /// word by word where the columns start on a word, the rest element by
@@ -1296,7 +1276,7 @@ fn decode_keys(
 #[inline(always)]
 fn decode_values(
     lane: impl Lane,
-    plan: &ValuePlan,
+    values: &EncodedStore,
     b0: usize,
     n: usize,
     col: usize,
@@ -1309,11 +1289,11 @@ fn decode_values(
         0
     };
     let mut outs = block.chunks_exact_mut(width);
-    plan.for_rows(
+    values.for_rows(
         b0..b0 + n,
         #[inline(always)]
         |row| {
-            let out = outs.next().expect("one block row per plan row");
+            let out = outs.next().expect("one block row per value row");
             if words > 0 {
                 let mut decode = RowWords::new(lane, &row, col);
                 for chunk in out.as_chunks_mut::<16>().0 {
@@ -1340,7 +1320,9 @@ fn decode_values(
 /// nothing else.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd {
-    use super::{AttentionScratch, AttentionShape, GroupCoeffs, Lane, RowSweep, Tile, ValuePlan};
+    use super::{
+        AttentionScratch, AttentionShape, EncodedStore, GroupCoeffs, Lane, RowSweep, Tile,
+    };
     use std::arch::x86_64::*;
     use std::ops::Range;
     use std::sync::OnceLock;
@@ -1391,7 +1373,7 @@ mod simd {
     /// 1.6 ns more per row, 23.5 against 21.9, at 4 KV heads × 32).
     #[inline(never)]
     #[target_feature(enable = "avx512f,popcnt")]
-    fn weigh_rows(values: &ValuePlan, sweep: RowSweep<'_>) {
+    fn weigh_rows(values: &EncodedStore, sweep: RowSweep<'_>) {
         super::weigh_rows(lane(), values, sweep);
     }
 
@@ -1408,7 +1390,7 @@ mod simd {
         K: Fn(&GroupCoeffs, u64, u16, &mut &[f32]) -> [f32; 16] + Copy,
         T: Fn(&GroupCoeffs, usize) -> [f32; 16] + Copy,
         W: Fn(&[f32; 16], u64, u16, &mut &[f32]) -> [f32; 16] + Copy,
-        R: Fn(&ValuePlan, RowSweep<'_>) + Copy,
+        R: Fn(&EncodedStore, RowSweep<'_>) + Copy,
     {
         fn new(key: K, table: T, word: W, rows: R) -> Self {
             Self {
@@ -1425,10 +1407,10 @@ mod simd {
         K: Fn(&GroupCoeffs, u64, u16, &mut &[f32]) -> [f32; 16] + Copy,
         T: Fn(&GroupCoeffs, usize) -> [f32; 16] + Copy,
         W: Fn(&[f32; 16], u64, u16, &mut &[f32]) -> [f32; 16] + Copy,
-        R: Fn(&ValuePlan, RowSweep<'_>) + Copy,
+        R: Fn(&EncodedStore, RowSweep<'_>) + Copy,
     {
         #[inline(always)]
-        fn weigh_rows(self, values: &ValuePlan, sweep: RowSweep<'_>) {
+        fn weigh_rows(self, values: &EncodedStore, sweep: RowSweep<'_>) {
             (self.rows)(values, sweep)
         }
 
@@ -1731,7 +1713,7 @@ mod tests {
         OakenQuantizer::new(config, p.try_finish().unwrap())
     }
 
-    /// Quantizes `seq_len` rows of one kind: the read plan the fused kernel
+    /// Quantizes `seq_len` rows of one kind: the store the fused kernel
     /// walks, the encoded rows behind it, and the exact dequantized view.
     fn encode_rows(
         q: &OakenQuantizer,
@@ -1739,19 +1721,19 @@ mod tests {
         seq_len: usize,
         kv_dim: usize,
         seed: u64,
-    ) -> (EncodedReadPlan, Vec<oaken_core::FusedVector>, Vec<f32>) {
+    ) -> (EncodedStore, Vec<oaken_core::FusedVector>, Vec<f32>) {
         let params = q.fused_read_params(0, kind).unwrap();
-        let mut plan = EncodedReadPlan::new(kind);
+        let mut store = EncodedStore::new(kind, kv_dim, params);
         let mut rows = Vec::new();
         let mut view = Vec::new();
         for t in 0..seq_len {
             let x = kv_row(kv_dim, seed + t as u64 * 131);
             let fv = q.quantize_vector(&x, 0, kind).unwrap();
             view.extend_from_slice(&q.dequantize_vector(&fv, 0, kind).unwrap());
-            plan.push_row(fv.row(), &params);
+            store.push_row(fv.row());
             rows.push(fv);
         }
-        (plan, rows, view)
+        (store, rows, view)
     }
 
     fn max_rel_err(a: &[f32], b: &[f32]) -> f32 {
@@ -1764,12 +1746,11 @@ mod tests {
 
     fn attend_one_fused(
         q: &[f32],
-        keys: &EncodedReadPlan,
-        values: &EncodedReadPlan,
+        keys: &EncodedStore,
+        values: &EncodedStore,
         seq_len: usize,
         s: &AttentionShape,
     ) -> Vec<f32> {
-        let (keys, values) = (EncodedKv { plan: keys }, EncodedKv { plan: values });
         let run = Segment {
             queries: 1,
             keys,
@@ -1820,9 +1801,37 @@ mod tests {
         assert!(max_rel_err(&exact, &fused) <= 5e-4);
     }
 
+    /// The fused kernel's entry check: a segment's keys must be a key
+    /// store, its values a value store, both of the shape's KV width.
+    fn attend_mismatched(keys: (KvKind, usize), values: (KvKind, usize)) {
+        let s = shape(4, 2, 16, None);
+        let quant = oaken(s.kv_dim());
+        let store = |(kind, width)| encode_rows(&quant, kind, 20, width, 7).0;
+        let q = kv_row(s.q_dim(), 3);
+        attend_one_fused(&q, &store(keys), &store(values), 20, &s);
+    }
+
+    #[test]
+    #[should_panic(expected = "Key rows are read from a Key store")]
+    fn a_value_store_read_as_keys_panics() {
+        attend_mismatched((KvKind::Value, 32), (KvKind::Value, 32));
+    }
+
+    #[test]
+    #[should_panic(expected = "Value rows are read from a Value store")]
+    fn a_key_store_read_as_values_panics() {
+        attend_mismatched((KvKind::Key, 32), (KvKind::Key, 32));
+    }
+
+    #[test]
+    #[should_panic(expected = "row width mismatch")]
+    fn a_store_of_another_width_panics() {
+        attend_mismatched((KvKind::Key, 32), (KvKind::Value, 48));
+    }
+
     /// Both block decodes — on every lane this build and CPU offer — must
-    /// reproduce `decode_row_fused_into` element for element: key plans of
-    /// every length 1–80 and value plans of every length 1–85 (partial
+    /// reproduce `decode_row_fused_into` element for element: key stores of
+    /// every length 1–80 and value stores of every length 1–85 (partial
     /// groups, an open segment, a segment ending a row block), key blocks
     /// starting at every group edge, column offsets at every residue mod
     /// 16 and widths ending mid-chunk, at a width (67) that pads each value
@@ -1831,7 +1840,7 @@ mod tests {
     fn block_decodes_match_reference_decode_bitwise() {
         fn check_keys(
             lane: impl Lane,
-            plan: &KeyPlan,
+            keys: &EncodedStore,
             want: &[Vec<f32>],
             columns: &[(usize, usize)],
         ) {
@@ -1840,7 +1849,7 @@ mod tests {
                 for b0 in (0..rows).step_by(KEY_GROUP) {
                     for n in [ROW_BLOCK.min(rows - b0), 1] {
                         let mut kt = vec![7.0f32; width * ROW_BLOCK];
-                        decode_keys(lane, plan, b0, n, col, width, &mut kt);
+                        decode_keys(lane, keys, b0, n, col, width, &mut kt);
                         // Whole groups decode; lanes past them are zero.
                         let decoded = n.next_multiple_of(KEY_GROUP).min(rows - b0);
                         for r in 0..ROW_BLOCK {
@@ -1865,7 +1874,7 @@ mod tests {
         }
         fn check_values(
             lane: impl Lane,
-            plan: &ValuePlan,
+            values: &EncodedStore,
             want: &[Vec<f32>],
             columns: &[(usize, usize)],
         ) {
@@ -1874,7 +1883,7 @@ mod tests {
                 for b0 in (0..rows).step_by(ROW_BLOCK) {
                     let n = ROW_BLOCK.min(rows - b0);
                     let mut v = vec![7.0f32; width * ROW_BLOCK];
-                    decode_values(lane, plan, b0, n, col, width, &mut v);
+                    decode_values(lane, values, b0, n, col, width, &mut v);
                     for r in 0..n {
                         for j in 0..width {
                             assert_eq!(
@@ -1911,42 +1920,36 @@ mod tests {
         };
 
         let (encoded, want, params) = reference(KvKind::Key, 80);
-        let mut plan = EncodedReadPlan::new(KvKind::Key);
+        let mut keys = EncodedStore::new(KvKind::Key, kv_dim, params);
         let (mut open, mut sealed) = (false, false);
         for (len, fv) in (1..).zip(&encoded) {
-            plan.push_row(fv.row(), &params);
-            let EncodedReadPlan::Keys(keys) = &plan else {
-                unreachable!("a key stream's plan")
-            };
+            keys.push_row(fv.row());
             let open_masks = keys.group(len / KEY_GROUP).masks;
             open |= len % KEY_GROUP != 0 && open_masks.iter().any(|&m| m != 0);
             sealed |= len >= KEY_GROUP && !keys.group(0).values.is_empty();
-            check_keys(Portable, keys, &want[..len], &columns);
+            check_keys(Portable, &keys, &want[..len], &columns);
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
             if simd::available() {
                 // SAFETY: `available` verified the lane's CPU features.
-                check_keys(unsafe { simd::lane() }, keys, &want[..len], &columns);
+                check_keys(unsafe { simd::lane() }, &keys, &want[..len], &columns);
             }
         }
         assert!(open && sealed, "open and sealed groups must carry outliers");
 
         let (encoded, want, params) = reference(KvKind::Value, ROW_BLOCK + 21);
-        let mut plan = EncodedReadPlan::new(KvKind::Value);
+        let mut values = EncodedStore::new(KvKind::Value, kv_dim, params);
         let (mut open, mut sealed) = (false, false);
         for (len, fv) in (1..).zip(&encoded) {
-            plan.push_row(fv.row(), &params);
-            let EncodedReadPlan::Values(values) = &plan else {
-                unreachable!("a value stream's plan")
-            };
+            values.push_row(fv.row());
             let edge = len / KEY_GROUP * KEY_GROUP;
             let marked = |row: ValueRow<'_>| row.masks.iter().any(|&m| m != 0);
             values.for_rows(edge..len, |row| open |= marked(row));
             values.for_rows(0..edge, |row| sealed |= marked(row));
-            check_values(Portable, values, &want[..len], &columns);
+            check_values(Portable, &values, &want[..len], &columns);
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
             if simd::available() {
                 // SAFETY: `available` verified the lane's CPU features.
-                check_values(unsafe { simd::lane() }, values, &want[..len], &columns);
+                check_values(unsafe { simd::lane() }, &values, &want[..len], &columns);
             }
         }
         assert!(
@@ -1956,17 +1959,17 @@ mod tests {
     }
 
     /// A partial row block's key tile is `+0.0` in every lane past the
-    /// plan's groups, on every lane this build and CPU offer, however dirty
-    /// the tile was: at the served widths (128 and 256 columns), for plans
-    /// whose last block holds one to four groups, the last one open.
+    /// store's groups, on every lane this build and CPU offer, however
+    /// dirty the tile was: at the served widths (128 and 256 columns), for
+    /// stores whose last block holds one to four groups, the last one open.
     #[test]
     fn partial_key_blocks_are_zero_past_the_plan() {
-        fn check(lane: impl Lane, plan: &KeyPlan, width: usize) {
-            let rows = plan.rows();
+        fn check(lane: impl Lane, keys: &EncodedStore, width: usize) {
+            let rows = keys.len();
             let b0 = rows / ROW_BLOCK * ROW_BLOCK;
             let filled = (rows - b0).next_multiple_of(KEY_GROUP);
             let mut kt = vec![f32::NAN; width * ROW_BLOCK];
-            decode_keys(lane, plan, b0, rows - b0, 0, width, &mut kt);
+            decode_keys(lane, keys, b0, rows - b0, 0, width, &mut kt);
             for (j, lanes) in kt.chunks(ROW_BLOCK).enumerate() {
                 assert!(lanes[..rows - b0].iter().all(|v| !v.is_nan()));
                 for (r, v) in lanes.iter().enumerate().skip(filled) {
@@ -1977,15 +1980,12 @@ mod tests {
         for width in [128, 256] {
             let quant = oaken(width);
             for rows in [1, 20, 100, 115] {
-                let (plan, _, _) = encode_rows(&quant, KvKind::Key, rows, width, 3);
-                let EncodedReadPlan::Keys(keys) = &plan else {
-                    unreachable!("a key stream's plan")
-                };
-                check(Portable, keys, width);
+                let (keys, _, _) = encode_rows(&quant, KvKind::Key, rows, width, 3);
+                check(Portable, &keys, width);
                 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
                 if simd::available() {
                     // SAFETY: `available` verified the lane's CPU features.
-                    check(unsafe { simd::lane() }, keys, width);
+                    check(unsafe { simd::lane() }, &keys, width);
                 }
             }
         }

@@ -20,12 +20,15 @@
 //! [`KvRowStream`] and, when one is available (token-granular methods —
 //! Oaken, FP16, Atom, QServe, Tender), each append is O(d). A stream with
 //! an encoded form (Oaken) keeps the row only encoded, whichever
-//! [`KernelMode`] reads it, and every read goes through the one view of
-//! that store, [`KvRowStream::encoded_rows`]: the fused kernel reads its
-//! [`plan`](EncodedRows::plan) in place, an exact reader's dequantized
-//! view is decoded from it on read ([`EncodedRows::decode_into`], only
-//! the rows the view does not hold yet), and the pool charges each row's
-//! [`row_payload`](EncodedRows::row_payload). Any other stream appends
+//! [`KernelMode`] reads it, in its one [`EncodedStore`], which the stream
+//! lends out ([`KvRowStream::encoded_rows`]) and every read goes through:
+//! the fused kernel reads it in place, an exact reader's dequantized view
+//! is decoded from it on read ([`EncodedStore::decode_into`], only the
+//! rows the view does not hold yet), and the pool charges each row's
+//! [`row_payload`](EncodedStore::row_payload). Adopted rows — a trie
+//! block's shared segments and page-form rows, a rank's channels of a
+//! row — are written into it ([`KvRowStream::encoded_rows_mut`]). Any
+//! other stream appends
 //! the row's dequantized image to the view as it quantizes it, and is
 //! charged the quantizer's nominal
 //! [`effective_bits`](KvQuantizer::effective_bits).
@@ -54,17 +57,16 @@
 //! Streams are bit-exact with the batch path on every prefix — enforced by
 //! the property tests in `tests/props.rs`.
 
-use crate::attention::EncodedKv;
 use crate::config::ModelConfig;
 use crate::pool::{PagedKvPool, PoolBatchView, SeqId, ShardReads};
-use oaken_core::{EncodedRows, KvKind, KvQuantizer, KvRowStream, PackedRows, StoreSegment};
+use oaken_core::{EncodedStore, KvKind, KvQuantizer, KvRowStream, PackedRows, StoreSegment};
 use std::sync::Arc;
 
 /// Which attention kernel reads a quantized cache — a read-side choice
 /// only: how rows are stored does not depend on it. A stream with an
 /// encoded form (Oaken) holds each row once, encoded, in its stream's
-/// store (read plan plus sparse log, larger than the charged payload by
-/// the read-side decode caches; see
+/// store ([`EncodedStore`], larger than the charged payload by the
+/// read-side decode caches; see
 /// [`crate::PagedKvPool::held_kv_bytes`]) in either mode, and sealed trie
 /// blocks share the same store segments.
 ///
@@ -74,7 +76,7 @@ use std::sync::Arc;
 ///   reference, bit-identical to dequantizing each row as it is written.
 /// * [`Fused`](KernelMode::Fused) — attention runs the quantized-domain
 ///   kernel ([`crate::attention::attend_segments_fused_into`]) straight
-///   over the streams' read plans: no f32 image of a row is materialized,
+///   over the streams' stores: no f32 image of a row is materialized,
 ///   and one sweep over a sequence's rows serves a whole prefill chunk.
 ///   The numeric contract is SQNR-bounded against `Exact` (see
 ///   `oaken_core::kernel`), not bit-exact.
@@ -224,8 +226,20 @@ impl KindSlot {
     }
 
     /// The slot's encoded rows, when its stream keeps them.
-    pub(crate) fn encoded_rows(&self) -> Option<EncodedRows<'_>> {
+    pub(crate) fn encoded_rows(&self) -> Option<&EncodedStore> {
         self.stream()?.encoded_rows()
+    }
+
+    /// The slot's encoded rows, to write.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the slot's stream keeps its rows encoded.
+    fn encoded_rows_mut(&mut self) -> &mut EncodedStore {
+        let SlotRows::Stream(stream) = &mut self.storage else {
+            panic!("encoded rows are adopted only by streams");
+        };
+        (stream.encoded_rows_mut()).expect("a stream with an encoded form adopts encoded rows")
     }
 
     pub(crate) fn append(&mut self, row: &[f32]) {
@@ -246,32 +260,25 @@ impl KindSlot {
     /// channels of a row encoded once at full width — to the slot's
     /// stream.
     pub(crate) fn adopt(&mut self, rows: &PackedRows) {
-        let SlotRows::Stream(stream) = &mut self.storage else {
-            panic!("encoded rows are adopted only by streams");
-        };
-        let ok = stream.adopt_encoded_rows(rows);
-        assert!(ok, "a stream with an encoded form adopts encoded rows");
+        self.encoded_rows_mut().push_rows(rows);
         self.rows += rows.rows();
     }
 
     /// Holds a trie block's sealed segments as the stream's segments
     /// `first ..`, by reference
-    /// ([`KvRowStream::share_segments`]): appended at a segment edge on
+    /// ([`EncodedStore::share_segments`]): appended at a segment edge on
     /// adoption, swapped for the slot's own equal ones on a late-dedup
     /// seal.
     pub(crate) fn share(&mut self, first: usize, segments: &[Arc<StoreSegment>]) {
-        let SlotRows::Stream(stream) = &mut self.storage else {
-            panic!("segments are shared only by streams");
-        };
-        let ok = stream.share_segments(first, segments);
-        assert!(ok, "a stream with an encoded form shares segments");
-        self.rows = stream.encoded_rows().expect("checked above").len();
+        let store = self.encoded_rows_mut();
+        store.share_segments(first, segments);
+        self.rows = store.len();
     }
 
     /// The sealed segments the slot's stream holds (none without an
     /// encoded form).
     pub(crate) fn segments(&self) -> &[Arc<StoreSegment>] {
-        self.encoded_rows().map_or(&[], |rows| rows.segments())
+        self.encoded_rows().map_or(&[], EncodedStore::segments)
     }
 
     /// Heap bytes the slot holds: its stream's (or its exact rows') and
@@ -339,9 +346,9 @@ impl KindSlot {
 
     /// The slot's encoded tensor, when its stream keeps encoded rows
     /// covering every appended row.
-    pub(crate) fn encoded(&self) -> Option<EncodedKv<'_>> {
-        let plan = self.encoded_rows()?.plan();
-        (plan.rows() == self.rows).then_some(EncodedKv { plan })
+    pub(crate) fn encoded(&self) -> Option<&EncodedStore> {
+        let store = self.encoded_rows()?;
+        (store.len() == self.rows).then_some(store)
     }
 }
 
@@ -639,7 +646,7 @@ mod tests {
         // No dequantized image resident; encoded rows fully exposed.
         assert!(fused.slots(0, f)[0].iter().all(|s| s.view.is_empty()));
         let (ek, ev) = fused.encoded_kv(f, 0).expect("fused pool exposes encoding");
-        assert_eq!((ek.plan.rows(), ev.plan.rows()), (12, 12));
+        assert_eq!((ek.len(), ev.len()), (12, 12));
         assert!(exact.encoded_kv(e, 0).is_none());
         // Lazy decode reproduces the exact views bit-for-bit.
         assert_eq!(bits(exact.keys(e, 0)), bits(fused.keys(f, 0)));

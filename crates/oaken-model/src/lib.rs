@@ -78,8 +78,7 @@ pub mod trie;
 
 pub use attention::{
     attend_kv_group_fused_into, attend_kv_group_into, attend_one, attend_one_into,
-    attend_segments_fused_into, AttentionScratch, AttentionShape, EncodedKv, KvRead, Segment,
-    QUERY_TILE,
+    attend_segments_fused_into, AttentionScratch, AttentionShape, KvRead, Segment, QUERY_TILE,
 };
 pub use cache::{BatchKvCache, KernelMode};
 pub use config::{ModelConfig, MoeConfig, Positional};

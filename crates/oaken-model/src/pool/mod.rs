@@ -1087,7 +1087,7 @@ mod tests {
     /// The kernel mode picks the read kernel and nothing else. The same
     /// prompt fed to an Exact and a Fused pool, with a second sequence
     /// adopting the first one's sealed blocks, leaves every slot with
-    /// equal encoded rows and read plans and bit-identical views; a live
+    /// equal encoded stores and bit-identical views; a live
     /// pool switches mode both ways mid-decode; and an Exact pool's export
     /// resumes in a Fused pool to the same views.
     #[test]
@@ -1115,7 +1115,7 @@ mod tests {
             let rows = slot.encoded_rows().expect("Oaken slots keep encoded rows");
             let mut run = oaken_core::PackedRows::new(d);
             rows.export(0..rows.len(), &mut run);
-            (run, rows.plan().clone())
+            (run, rows.clone())
         };
         for seq in seqs {
             let slots = exact.slots(0, seq).iter().flatten();

@@ -6,7 +6,7 @@
 //! **one dense and one sparse stream**, the two management tables of
 //! Figure 10. The dense stream is a fixed-stride slab: every `(layer, K/V)`
 //! row's dense part has one size (the
-//! [`EncodedRows::row_payload`](oaken_core::EncodedRows::row_payload)
+//! [`EncodedStore::row_payload`](oaken_core::EncodedStore::row_payload)
 //! contract), so the owner's rows pack back to back and may straddle page
 //! edges. The sparse stream is a log of COO outlier entries that never
 //! span pages. The pool hands out owner ids once for every rank's ledger

@@ -5,10 +5,10 @@
 use super::blocks::SeqBlock;
 use super::seq::SeqShard;
 use super::{PagedKvPool, SeqId};
-use crate::attention::{tile_pieces, EncodedKv, KvRead, QUERY_TILE};
+use crate::attention::{tile_pieces, KvRead, QUERY_TILE};
 use crate::cache::{slot_index, KernelMode};
 use oaken_core::kernel::KEY_GROUP;
-use oaken_core::KvKind;
+use oaken_core::{EncodedStore, KvKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What one rank's KV shard serves attention for one layer's runs
@@ -25,7 +25,7 @@ pub struct ShardReads<'a> {
 
 impl ShardReads<'_> {
     /// Every run exactly once, per group: its runs, ascending, and its
-    /// shared rows — the leading rows every one of their plans holds
+    /// shared rows — the leading rows every one of their stores holds
     /// bit-identically. Runs whose sequences hold the same first trie
     /// block group together, sharing the rows of the blocks all their
     /// chains agree on (floored to a key group, and to the rows each
@@ -165,7 +165,7 @@ impl PagedKvPool {
     /// unknown sequence). Takes `&self` so the key and value tensors can be
     /// borrowed together; read accounting therefore goes through relaxed
     /// atomic counters.
-    pub fn encoded_kv(&self, seq: SeqId, layer: usize) -> Option<(EncodedKv<'_>, EncodedKv<'_>)> {
+    pub fn encoded_kv(&self, seq: SeqId, layer: usize) -> Option<(&EncodedStore, &EncodedStore)> {
         let shard = &self.seqs.get(&seq.0)?.shards[0];
         shard.fused(layer, self.kernel)?;
         let KvRead::Fused { keys, values } = self.read_run(shard, self.width(0), layer, 1) else {
@@ -377,7 +377,7 @@ impl SeqShard {
     /// `layer`'s encoded K and V tensors when `kernel` is
     /// [`KernelMode::Fused`] and both slots keep them — the branch probe,
     /// free of read accounting.
-    fn fused(&self, layer: usize, kernel: KernelMode) -> Option<(EncodedKv<'_>, EncodedKv<'_>)> {
+    fn fused(&self, layer: usize, kernel: KernelMode) -> Option<(&EncodedStore, &EncodedStore)> {
         let [key_slot, value_slot] = &self.slots[layer];
         match kernel {
             KernelMode::Fused => Some((key_slot.encoded()?, value_slot.encoded()?)),

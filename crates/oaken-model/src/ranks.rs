@@ -214,8 +214,8 @@ mod tests {
     use crate::pool::{PagedKvPool, PoolBatchView, PoolError, SeqId};
     use crate::sampling::sample_greedy;
     use oaken_core::{
-        EncodedRows, KvKind, KvQuantizer, KvRowStream, OakenConfig, OakenQuantizer,
-        OfflineProfiler, OnlineCost, PackedRows, StoreSegment,
+        EncodedStore, KvKind, KvQuantizer, KvRowStream, OakenConfig, OakenQuantizer,
+        OfflineProfiler, OnlineCost, PackedRows,
     };
     use oaken_mmu::FaultPlan;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -704,18 +704,15 @@ mod tests {
         fn reset(&mut self) {
             self.inner.reset();
         }
-        fn encoded_rows(&self) -> Option<EncodedRows<'_>> {
+        fn encoded_rows(&self) -> Option<&EncodedStore> {
             self.inner.encoded_rows()
+        }
+        fn encoded_rows_mut(&mut self) -> Option<&mut EncodedStore> {
+            self.inner.encoded_rows_mut()
         }
         fn append_row_encoded(&mut self, row: &[f32]) -> bool {
             self.encodes.fetch_add(1, Ordering::Relaxed);
             self.inner.append_row_encoded(row)
-        }
-        fn adopt_encoded_rows(&mut self, rows: &PackedRows) -> bool {
-            self.inner.adopt_encoded_rows(rows)
-        }
-        fn share_segments(&mut self, first: usize, segments: &[Arc<StoreSegment>]) -> bool {
-            self.inner.share_segments(first, segments)
         }
     }
 
@@ -807,7 +804,7 @@ mod tests {
 
     /// At 2, 3 (uneven: 3 / 3 / 2 heads) and 4 ranks of a `kernel` pool,
     /// every shard's encoded rows are the matching channel slices of the
-    /// one-rank rows, its read plans cover them, and its views are the
+    /// one-rank rows, its stores cover them, and its views are the
     /// matching channels of the one-rank Exact views.
     fn assert_shards_match_one_rank(kernel: KernelMode) {
         let cfg = dense_cfg();
@@ -836,10 +833,7 @@ mod tests {
                         let want = full.to_vector().slice_channels(channels.clone());
                         assert_eq!(row.to_vector(), want.unwrap());
                     }
-                    assert_eq!(
-                        stream.encoded_rows().unwrap().plan().rows(),
-                        tokens as usize
-                    );
+                    assert_eq!(stream.encoded_rows().unwrap().len(), tokens as usize);
                     // No shard has materialized a view before a read.
                     assert!(slot.view.is_empty());
                 }

@@ -431,7 +431,7 @@ mod tests {
     #[test]
     fn same_bits_rejects_a_block_one_nibble_off() {
         use oaken_core::{
-            CooEntry, EncodedReadPlan, FusedReadParams, FusedVector, GroupKind, KvKind, ScaleSet,
+            CooEntry, EncodedStore, FusedReadParams, FusedVector, GroupKind, KvKind, ScaleSet,
             Thresholds,
         };
         let dim = 97;
@@ -449,7 +449,7 @@ mod tests {
         // 16 rows in one segment, then 8 in page form.
         let block = |flip: Option<(usize, usize)>| {
             let rows = |ki: usize, kind: KvKind| {
-                let mut plan = EncodedReadPlan::new(kind);
+                let mut store = EncodedStore::new(kind, dim, params);
                 let mut tail = PackedRows::new(dim);
                 for r in 0..KEY_GROUP + 8 {
                     let mut codes = codes.clone();
@@ -459,11 +459,11 @@ mod tests {
                     let fv = FusedVector::from_parts(dim, &codes, &outliers, ScaleSet::default());
                     let fv = fv.unwrap();
                     match r < KEY_GROUP {
-                        true => plan.push_row(fv.row(), &params),
+                        true => store.push_row(fv.row()),
                         false => tail.push(fv.row()),
                     }
                 }
-                let segments = plan.segments().to_vec();
+                let segments = store.segments().to_vec();
                 EncodedBlock { segments, tail }
             };
             BlockRows::Encoded(vec![[rows(0, KvKind::Key), rows(1, KvKind::Value)]])

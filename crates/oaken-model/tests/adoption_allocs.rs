@@ -103,8 +103,8 @@ fn oaken(d: usize, layers: usize) -> OakenQuantizer {
 
 /// A second sequence adopting a sealed 12-block chain (16-token blocks,
 /// two layers of 256-wide K and V rows) allocates under 1 KiB per block:
-/// copying the rows instead would take about 16 rows' read plan and
-/// sparse log per block, layer and kind — some 5 KiB each.
+/// copying the rows instead would take about 16 rows' store segment
+/// per block, layer and kind — some 5 KiB each.
 #[test]
 fn adopting_a_sealed_chain_allocates_no_rows() {
     let cfg = ModelConfig::llama2_7b().proxy(2, 256);

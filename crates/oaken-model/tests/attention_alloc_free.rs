@@ -17,7 +17,7 @@
 use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler};
 use oaken_model::{
     attend_one_into, attend_segments_fused_into, AttentionScratch, AttentionShape, BatchStep,
-    EncodedKv, Model, ModelConfig, PagedKvPool, PoolBatchView, RankPlan, Segment, StepBatch,
+    Model, ModelConfig, PagedKvPool, PoolBatchView, RankPlan, Segment, StepBatch,
 };
 use oaken_runtime::{Comm, Runtime};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -140,18 +140,8 @@ fn steady_state(shape: AttentionShape) {
         k_stream.append_row(&keys[t * d..(t + 1) * d], &mut scratch_view);
         v_stream.append_row(&values[t * d..(t + 1) * d], &mut scratch_view);
     }
-    let ek = EncodedKv {
-        plan: k_stream
-            .encoded_rows()
-            .expect("oaken keeps encoded rows")
-            .plan(),
-    };
-    let ev = EncodedKv {
-        plan: v_stream
-            .encoded_rows()
-            .expect("oaken keeps encoded rows")
-            .plan(),
-    };
+    let ek = k_stream.encoded_rows().expect("oaken keeps encoded rows");
+    let ev = v_stream.encoded_rows().expect("oaken keeps encoded rows");
 
     // Three sequences that adopted the same 48 rows, each with rows of its
     // own past them, decoding together.
@@ -180,12 +170,8 @@ fn steady_state(shape: AttentionShape) {
     let segments: Vec<Segment<'_>> = (sharers.iter())
         .map(|(k, v)| Segment {
             queries: 1,
-            keys: EncodedKv {
-                plan: k.encoded_rows().expect("oaken keeps encoded rows").plan(),
-            },
-            values: EncodedKv {
-                plan: v.encoded_rows().expect("oaken keeps encoded rows").plan(),
-            },
+            keys: k.encoded_rows().expect("oaken keeps encoded rows"),
+            values: v.encoded_rows().expect("oaken keeps encoded rows"),
         })
         .collect();
     let mut segment_out = vec![0.0f32; 3 * shape.q_dim()];

@@ -13,11 +13,10 @@
 
 use oaken_core::kernel::decode_row_fused_into;
 use oaken_core::{
-    KvKind, KvQuantizer, KvRowStream, OakenConfig, OakenQuantizer, OfflineProfiler, PackedRows,
+    EncodedStore, KvKind, KvQuantizer, KvRowStream, OakenConfig, OakenQuantizer, OfflineProfiler,
+    PackedRows,
 };
-use oaken_model::{
-    attend_segments_fused_into, AttentionScratch, AttentionShape, EncodedKv, Segment,
-};
+use oaken_model::{attend_segments_fused_into, AttentionScratch, AttentionShape, Segment};
 use oaken_tensor::softmax_in_place;
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -172,18 +171,8 @@ fn check(case: &Case) -> Result<usize, TestCaseError> {
     let limits: Vec<usize> = (0..*run).map(|i| first_limit + i).collect();
 
     let (want, zeros) = oracle(&queries, &limits, &keys, &values, shape, kv_heads.clone());
-    let ek = EncodedKv {
-        plan: k_stream
-            .encoded_rows()
-            .expect("oaken keeps encoded rows")
-            .plan(),
-    };
-    let ev = EncodedKv {
-        plan: v_stream
-            .encoded_rows()
-            .expect("oaken keeps encoded rows")
-            .plan(),
-    };
+    let ek = k_stream.encoded_rows().expect("oaken keeps encoded rows");
+    let ev = v_stream.encoded_rows().expect("oaken keeps encoded rows");
     // Dirty output and a scratch reused across shapes: neither may show.
     let mut got = vec![f32::NAN; want.len()];
     let seg = Segment {
@@ -225,7 +214,7 @@ thread_local! {
 }
 
 /// Sequences that adopted the same prefix-trie blocks, swept together:
-/// `shared` leading rows alike in every segment's plans, then each
+/// `shared` leading rows alike in every segment's stores, then each
 /// segment's own rows.
 struct SegmentCase {
     shape: AttentionShape,
@@ -286,13 +275,8 @@ fn check_segments(case: &SegmentCase) -> Result<(), TestCaseError> {
             }
         })
         .collect();
-    fn plan(stream: &dyn KvRowStream) -> EncodedKv<'_> {
-        EncodedKv {
-            plan: stream
-                .encoded_rows()
-                .expect("oaken keeps encoded rows")
-                .plan(),
-        }
+    fn store(stream: &dyn KvRowStream) -> &EncodedStore {
+        stream.encoded_rows().expect("oaken keeps encoded rows")
     }
     let qs: Vec<Vec<&[f32]>> = (runs.iter())
         .map(|r| r.queries.iter().map(|q| q.as_slice()).collect())
@@ -300,8 +284,8 @@ fn check_segments(case: &SegmentCase) -> Result<(), TestCaseError> {
     let segments: Vec<Segment<'_>> = (runs.iter())
         .map(|run| Segment {
             queries: run.limits.len(),
-            keys: plan(&*run.keys.0),
-            values: plan(&*run.values.0),
+            keys: store(&*run.keys.0),
+            values: store(&*run.values.0),
         })
         .collect();
     let want: Vec<Vec<f32>> = (runs.iter())

@@ -7,7 +7,7 @@
 //! analogue of the hardware engines' fixed SRAM buffers).
 //!
 //! The pool under test stores exact f32 rows. That choice is deliberate:
-//! a quantized stream's store (Oaken's read plan and sparse log) grows
+//! a quantized stream's store (Oaken's `EncodedStore`) grows
 //! with the rows it keeps — inherent storage growth, not overhead of the
 //! append path. Exact storage appends into pre-grown flat buffers, so any
 //! allocation observed here would be genuine overhead of the append path.

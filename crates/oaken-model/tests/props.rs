@@ -7,8 +7,7 @@ use oaken_baselines::{AtomStyle, Fp16Reference, QServeStyle, TenderStyle};
 use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler, OnlineCost};
 use oaken_model::{
     attend_kv_group_fused_into, attend_one, attend_segments_fused_into, AttentionScratch,
-    AttentionShape, EncodedKv, KernelMode, Model, ModelConfig, PagedKvPool, Segment, SeqId,
-    QUERY_TILE,
+    AttentionShape, KernelMode, Model, ModelConfig, PagedKvPool, Segment, SeqId, QUERY_TILE,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -309,12 +308,8 @@ proptest! {
             k_stream.append_row(&row(seed * 31 + 2 * t), &mut k_view);
             v_stream.append_row(&row(seed * 37 + 2 * t + 1), &mut v_view);
         }
-        let ek = EncodedKv {
-            plan: k_stream.encoded_rows().expect("oaken keeps encoded rows").plan(),
-        };
-        let ev = EncodedKv {
-            plan: v_stream.encoded_rows().expect("oaken keeps encoded rows").plan(),
-        };
+        let ek = k_stream.encoded_rows().expect("oaken keeps encoded rows");
+        let ev = v_stream.encoded_rows().expect("oaken keeps encoded rows");
         let queries: Vec<Vec<f32>> = (0..run as u64)
             .map(|i| kv_row(shape.q_dim(), seed ^ (0xABCD + i)))
             .collect();
@@ -332,7 +327,7 @@ proptest! {
             let mut alone = vec![0.0f32; shape.q_dim()];
             for (kvh, out_g) in alone.chunks_mut(gw).enumerate() {
                 attend_kv_group_fused_into(
-                    qs[i], &ek, &ev, limits[i], &shape, kvh, out_g, &mut scratch,
+                    qs[i], ek, ev, limits[i], &shape, kvh, out_g, &mut scratch,
                 );
             }
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();

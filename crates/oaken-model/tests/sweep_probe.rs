@@ -13,10 +13,10 @@
 //! the per-core L2, so the encoded rows come from the last-level cache as
 //! a decode step's do after the weight sweep.
 
-use oaken_core::{KvKind, KvQuantizer, KvRowStream, OakenConfig, OakenQuantizer, OfflineProfiler};
-use oaken_model::{
-    attend_segments_fused_into, AttentionScratch, AttentionShape, EncodedKv, Segment,
+use oaken_core::{
+    EncodedStore, KvKind, KvQuantizer, KvRowStream, OakenConfig, OakenQuantizer, OfflineProfiler,
 };
+use oaken_model::{attend_segments_fused_into, AttentionScratch, AttentionShape, Segment};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -75,10 +75,8 @@ fn probe(kv_heads: usize, head_dim: usize, rows: usize) -> (f64, f64) {
         stream(&quant, KvKind::Key, rows, d),
         stream(&quant, KvKind::Value, rows, d),
     );
-    fn plan(s: &dyn KvRowStream) -> EncodedKv<'_> {
-        EncodedKv {
-            plan: s.encoded_rows().expect("oaken keeps encoded rows").plan(),
-        }
+    fn plan(s: &dyn KvRowStream) -> &EncodedStore {
+        s.encoded_rows().expect("oaken keeps encoded rows")
     }
     let seg = Segment {
         queries: 1,
