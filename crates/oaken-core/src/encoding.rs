@@ -24,7 +24,7 @@ use crate::groups::GroupKind;
 
 /// Elements per COO block: a COO byte's 6 offset bits address exactly 64
 /// (§4.5: "6 bits to indicate the location of each value").
-const BLOCK_SIZE: usize = 64;
+pub(crate) const BLOCK_SIZE: usize = 64;
 
 /// Per-vector quantization scales, computed online from group min/max.
 ///
@@ -133,27 +133,6 @@ impl FusedVector {
         outliers: &[CooEntry],
         scales: ScaleSet,
     ) -> Result<Self, OakenError> {
-        let mut fv = Self {
-            dim,
-            dense: Vec::new(),
-            sparse: Vec::new(),
-            block_counts: Vec::new(),
-            scales,
-        };
-        fv.refill(dim, dense_codes, outliers, scales)?;
-        Ok(fv)
-    }
-
-    /// [`from_parts`](Self::from_parts) into this vector's buffers, which
-    /// keep their capacity: the quantizer's per-row scratch. On error the
-    /// contents are unspecified.
-    pub(crate) fn refill(
-        &mut self,
-        dim: usize,
-        dense_codes: &[u8],
-        outliers: &[CooEntry],
-        scales: ScaleSet,
-    ) -> Result<(), OakenError> {
         if dense_codes.len() != dim {
             return Err(OakenError::CorruptEncoding {
                 detail: format!("{} dense codes for dimension {dim}", dense_codes.len()),
@@ -166,15 +145,11 @@ impl FusedVector {
             });
         }
         let (pairs, odd) = dense_codes.as_chunks::<2>();
-        self.dense.clear();
-        self.dense.reserve(dim.div_ceil(2));
-        self.dense
-            .extend(pairs.iter().map(|&[lo, hi]| lo | hi << 4));
-        self.dense.extend_from_slice(odd);
-        self.sparse.clear();
-        self.sparse.reserve(outliers.len());
-        self.block_counts.clear();
-        self.block_counts.resize(dim.div_ceil(BLOCK_SIZE), 0);
+        let mut dense = Vec::with_capacity(dim.div_ceil(2));
+        dense.extend(pairs.iter().map(|&[lo, hi]| lo | hi << 4));
+        dense.extend_from_slice(odd);
+        let mut sparse = Vec::with_capacity(outliers.len());
+        let mut block_counts = vec![0; dim.div_ceil(BLOCK_SIZE)];
         let mut prev: Option<usize> = None;
         for entry in outliers {
             if entry.index >= dim {
@@ -182,23 +157,23 @@ impl FusedVector {
                     detail: format!("outlier index {} out of range {dim}", entry.index),
                 });
             }
-            if let Some(p) = prev {
-                if entry.index <= p {
-                    return Err(OakenError::CorruptEncoding {
-                        detail: "outlier indices must be strictly increasing".to_owned(),
-                    });
-                }
+            if prev.is_some_and(|p| entry.index <= p) {
+                return Err(OakenError::CorruptEncoding {
+                    detail: "outlier indices must be strictly increasing".to_owned(),
+                });
             }
             prev = Some(entry.index);
-            let block = entry.index / BLOCK_SIZE;
             let offset = (entry.index % BLOCK_SIZE) as u8;
-            self.sparse
-                .push(CooEntry::pack(offset, entry.group, entry.high_side));
-            self.block_counts[block] += 1;
+            sparse.push(CooEntry::pack(offset, entry.group, entry.high_side));
+            block_counts[entry.index / BLOCK_SIZE] += 1;
         }
-        self.dim = dim;
-        self.scales = scales;
-        Ok(())
+        Ok(Self {
+            dim,
+            dense,
+            sparse,
+            block_counts,
+            scales,
+        })
     }
 
     /// The vector's parts, borrowed.
@@ -260,13 +235,6 @@ impl FusedVector {
     /// Bytes of KV payload: dense nibbles + sparse COO entries + FP16 scales.
     pub fn payload_bytes(&self) -> usize {
         self.row().payload_bytes()
-    }
-
-    /// Heap bytes the vector holds.
-    pub(crate) fn held_bytes(&self) -> usize {
-        capacity_bytes(&self.dense)
-            + capacity_bytes(&self.sparse)
-            + capacity_bytes(&self.block_counts)
     }
 
     /// Bytes of MMU-side metadata (per-block transfer sizes). Reported
@@ -523,7 +491,7 @@ impl SparseLog {
 /// store segments plus only its rows past the last 16-row edge as
 /// `PackedRows`, which an adopter pushes into its store, as a
 /// tensor-parallel rank does its slice of a row.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PackedRows {
     dense: Vec<u8>,
     log: SparseLog,
@@ -536,6 +504,21 @@ impl PackedRows {
             dense: Vec::new(),
             log: SparseLog::new(dim),
         }
+    }
+
+    /// An empty run of `dim`-wide rows with room for `rows` rows however
+    /// many outliers they carry (one COO byte per element at most), so
+    /// what it holds never depends on which rows passed through it.
+    pub fn with_capacity(dim: usize, rows: usize) -> Self {
+        let mut run = Self::new(dim);
+        run.reserve_exact(rows, rows * dim);
+        run
+    }
+
+    /// Drops every row, keeping the buffers.
+    pub fn clear(&mut self) {
+        let dim = self.dim();
+        self.reset(dim);
     }
 
     /// Row width.
@@ -551,6 +534,44 @@ impl PackedRows {
     /// Bytes per row of the dense slab.
     pub(crate) fn dense_stride(&self) -> usize {
         self.dim().div_ceil(2)
+    }
+
+    /// The rows' sparse parts.
+    pub(crate) fn log(&self) -> &SparseLog {
+        &self.log
+    }
+
+    /// Drops every row and makes the run one of `dim`-wide rows, keeping
+    /// the buffers: the quantizer's staging of a run.
+    pub(crate) fn reset(&mut self, dim: usize) {
+        self.dense.clear();
+        self.log.clear();
+        self.log.dim = dim;
+    }
+
+    /// Appends one row of `scales` written by `fill`, which is handed the
+    /// row's zeroed dense bytes, the log's COO bytes to push the row's
+    /// onto, and its zeroed per-block counts — the quantizer's pass 2
+    /// writing page form in place. Returns what `fill` returns.
+    #[inline(always)]
+    pub(crate) fn push_with<R>(
+        &mut self,
+        scales: ScaleSet,
+        fill: impl FnOnce(&mut [u8], &mut Vec<u8>, &mut [u8]) -> R,
+    ) -> R {
+        let (at, stride) = (self.dense.len(), self.dense_stride());
+        self.dense.resize(at + stride, 0);
+        let log = &mut self.log;
+        let counts_at = log.block_counts.len();
+        log.block_counts.resize(counts_at + log.blocks(), 0);
+        let out = fill(
+            &mut self.dense[at..],
+            &mut log.sparse,
+            &mut log.block_counts[counts_at..],
+        );
+        log.end_row();
+        log.scales.push(scales);
+        out
     }
 
     /// Row `i`.

@@ -45,6 +45,7 @@
 //! shared by reference between every stream and prefix block holding the
 //! same rows.
 
+use crate::config::BitWidths;
 use crate::encoding::{
     capacity_bytes, CooEntry, EncodedRow, FusedVector, OutlierIter, PackedRows, ScaleSet,
     SparseLog, SCALE_BYTES,
@@ -69,6 +70,16 @@ pub struct FusedReadParams {
     pub middle_bits: u8,
     /// Outlier magnitude code width (4 in the paper).
     pub outlier_bits: u8,
+}
+
+impl FusedReadParams {
+    /// The bit-widths rows are quantized to.
+    pub(crate) fn bits(&self) -> BitWidths {
+        BitWidths {
+            middle: self.middle_bits,
+            outlier_mag: self.outlier_bits,
+        }
+    }
 }
 
 /// Per-row decode coefficients: the [`ScaleSet`] and [`FusedReadParams`]
@@ -168,27 +179,31 @@ impl RowDecode {
     }
 
     /// Decodes an outlier from its COO group/side bits and the 4 magnitude
-    /// bits fused into its dense slot.
+    /// bits fused into its dense slot: `T_o_hi + mag` or `T_o_lo − mag`
+    /// for an outer one, `±mag` for an inner one — every candidate
+    /// computed and the bits picking one, since they are as good as
+    /// random from one outlier to the next (`x − m` is `x + (−m)`, bit for
+    /// bit).
     #[inline]
     pub fn outlier(&self, group: GroupKind, high_side: bool, code: u32) -> f32 {
-        match group {
-            GroupKind::Outer => {
-                let mag = code as f32 * self.outer_step;
-                if high_side {
-                    self.outer_hi + mag
-                } else {
-                    self.outer_lo - mag
-                }
-            }
-            GroupKind::Inner => {
-                let mag = code as f32 * self.inner_step;
-                if high_side {
-                    mag
-                } else {
-                    -mag
-                }
-            }
-            GroupKind::Middle => unreachable!("COO never stores middle"),
+        debug_assert_ne!(group, GroupKind::Middle, "COO never stores middle");
+        let outer = group == GroupKind::Outer;
+        let mag = code as f32
+            * if outer {
+                self.outer_step
+            } else {
+                self.inner_step
+            };
+        let signed = if high_side { mag } else { -mag };
+        let base = if high_side {
+            self.outer_hi
+        } else {
+            self.outer_lo
+        };
+        if outer {
+            base + signed
+        } else {
+            signed
         }
     }
 }
@@ -254,8 +269,9 @@ impl EncodedStore {
         self.open.kind
     }
 
-    /// The thresholds and bit-widths the rows are read with.
-    pub(crate) fn params(&self) -> &FusedReadParams {
+    /// The thresholds and bit-widths the rows are quantized and read
+    /// with.
+    pub fn params(&self) -> &FusedReadParams {
         &self.params
     }
 
@@ -307,6 +323,13 @@ impl EncodedStore {
             "all rows of one stream share a width"
         );
         self.open.push(row, &self.params);
+        self.seal_if_full();
+    }
+
+    /// Seals the open segment at its sixteenth row: a copy of it, its
+    /// buffers sized to its rows, joins the sealed ones, and the open
+    /// segment empties, keeping its buffers.
+    fn seal_if_full(&mut self) {
         if self.open.len() == KEY_GROUP {
             self.sealed.push(Arc::new(self.open.clone()));
             self.open.clear();
@@ -314,11 +337,34 @@ impl EncodedStore {
         }
     }
 
-    /// [`push_row`](Self::push_row) for each of `rows` in order: a sealed
-    /// prefix block's rows past its last segment edge, or a rank's slice
-    /// of rows encoded once at full width.
+    /// Appends `rows` in order — a run the quantizer staged in page form,
+    /// a sealed prefix block's rows past its last segment edge, or a
+    /// rank's slice of rows encoded once at full width — equal to
+    /// [`push_row`](Self::push_row) of each. Sixteen rows that start a key
+    /// group fill it at once ([`StoreSegment`]'s column words by nibble
+    /// transposes, its masks and outlier values column by column); rows
+    /// short of a whole group are merged in one at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` are not [`dim`](Self::dim) wide.
     pub fn push_rows(&mut self, rows: &PackedRows) {
-        rows.iter().for_each(|row| self.push_row(row));
+        assert_eq!(
+            rows.dim(),
+            self.dim(),
+            "all rows of one stream share a width"
+        );
+        let mut t = 0;
+        while t < rows.rows() {
+            if self.kind() == KvKind::Key && self.open.len() == 0 && rows.rows() - t >= KEY_GROUP {
+                self.open.fill_key_group(rows, t, &self.params);
+                self.seal_if_full();
+                t += KEY_GROUP;
+            } else {
+                self.push_row(rows.row(t));
+                t += 1;
+            }
+        }
     }
 
     /// Holds `segments` — sealed segments of a store of the same kind,
@@ -589,16 +635,28 @@ impl StoreSegment {
         lane_code(word, lane) as u8
     }
 
-    /// Appends one row: its coefficient lane, codes and outliers, and its
-    /// sparse parts.
-    fn push(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) {
-        let r = self.len();
+    /// Row `r`'s decode: its coefficient lane is set, and the whole
+    /// decode returned for its outliers.
+    fn decode_lane(
+        &mut self,
+        r: usize,
+        row: &EncodedRow<'_>,
+        params: &FusedReadParams,
+    ) -> RowDecode {
         let dec = RowDecode::new(row.scales(), params);
         let c = self.coeffs.get_or_insert_default();
         c.mid_step[r] = dec.mid_step;
         c.c0[r] = dec.c0 as f32;
         c.base_lo[r] = dec.base_lo;
         c.base_hi[r] = dec.base_hi;
+        dec
+    }
+
+    /// Appends one row: its coefficient lane, codes and outliers, and its
+    /// sparse parts.
+    fn push(&mut self, row: EncodedRow<'_>, params: &FusedReadParams) {
+        let r = self.len();
+        let dec = self.decode_lane(r, &row, params);
         let value =
             |e: &CooEntry| dec.outlier(e.group, e.high_side, u32::from(row.dense_code(e.index)));
         match self.kind {
@@ -634,6 +692,53 @@ impl StoreSegment {
             }
         }
         self.log.push(row);
+    }
+
+    /// Fills the empty segment of a key store with rows `first ..
+    /// first + 16` of `rows`, equal to pushing them one by one: per
+    /// sixteen columns one 16×16 nibble transpose of the rows' packed
+    /// bytes (row `r` as word [`nibble_of`]`(r)`, the inverse of
+    /// [`dense_rows_into`](Self::dense_rows_into)) gives the column words;
+    /// the masks take every row's outliers, and one pass down the columns
+    /// lays the values in (column, row) order, each row's next outlier
+    /// the one its mask bit stands for.
+    fn fill_key_group(&mut self, rows: &PackedRows, first: usize, params: &FusedReadParams) {
+        debug_assert_eq!((self.kind, self.len()), (KvKind::Key, 0));
+        let group: [EncodedRow<'_>; KEY_GROUP] = std::array::from_fn(|r| rows.row(first + r));
+        let decs: [RowDecode; KEY_GROUP] =
+            std::array::from_fn(|r| self.decode_lane(r, &group[r], params));
+        let dim = rows.dim();
+        self.dense.resize(dim, 0);
+        for (c, columns) in self.dense.chunks_mut(KEY_GROUP).enumerate() {
+            let mut words = [0u64; KEY_GROUP];
+            for (r, row) in group.iter().enumerate() {
+                let bytes = &row.dense_bytes()[8 * c..];
+                let mut word = [0u8; 8];
+                let n = bytes.len().min(8);
+                word[..n].copy_from_slice(&bytes[..n]);
+                words[nibble_of(r)] = u64::from_le_bytes(word);
+            }
+            transpose_nibbles(&mut words);
+            columns.copy_from_slice(&words[..columns.len()]);
+        }
+        self.masks.resize(dim, 0);
+        for (r, row) in group.iter().enumerate() {
+            row.outliers().for_each(|e| self.masks[e.index] |= 1 << r);
+        }
+        let mut next = group.map(|row| row.outliers());
+        for (j, &mask) in self.masks.iter().enumerate() {
+            let mut bits = mask;
+            while bits != 0 {
+                let r = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let e = next[r].next().expect("one outlier per mask bit");
+                debug_assert_eq!(e.index, j, "outliers in column order");
+                let code = u32::from(group[r].dense_code(j));
+                self.values
+                    .push(decs[r].outlier(e.group, e.high_side, code));
+            }
+        }
+        self.log.extend_from(rows.log(), first..first + KEY_GROUP);
     }
 
     /// Writes the packed dense nibbles of the segment's rows `rows`
@@ -843,10 +948,12 @@ pub struct ValueRow<'a> {
 
 /// Enters key row `r`'s outliers into the group: its value last in
 /// its column's run — the row is the group's newest — and bit `r` of
-/// the column's mask. One backward pass over the row's outliers, down
-/// to its first: the old values of the columns above each outlier, up
-/// to the next one, move up by the outliers up to and including it,
-/// and its value goes in just below them.
+/// the column's mask. One pass down the columns from the last to the
+/// row's first outlier, counting each column's old values once — four
+/// masks to a count between the row's outliers: at each outlier the old
+/// values counted since the one above move up, once, by the new values
+/// still to place, and its value goes in just above its column's old
+/// ones.
 #[inline(always)]
 fn merge_key_outliers(
     masks: &mut [u16],
@@ -855,19 +962,42 @@ fn merge_key_outliers(
     r: usize,
     value: impl Fn(&CooEntry) -> f32,
 ) {
-    let outliers = row.outliers();
-    let mut shift = outliers.len();
-    let (mut start, mut end, mut top) = (values.len(), values.len(), masks.len());
-    values.resize(end + shift, 0.0);
-    for e in outliers.clone().rev() {
-        let above: u32 = masks[e.index + 1..top].iter().map(|m| m.count_ones()).sum();
-        start -= above as usize;
-        values.copy_within(start..end, start + shift);
-        shift -= 1;
-        values[start + shift] = value(&e);
-        (end, top) = (start, e.index + 1);
+    let mut outliers = row.outliers();
+    let Some(mut next) = outliers.next_back() else {
+        return;
+    };
+    // `src`: the end of the old values not yet moved; `dst`: where they
+    // end once moved, `dst - src` being the new values left to place.
+    let (mut src, mut dst) = (values.len(), values.len() + outliers.len() + 1);
+    values.resize(dst, 0.0);
+    // Old values of the columns from `j` up, not yet moved.
+    let (mut j, mut above) = (masks.len(), 0);
+    loop {
+        // Down to the column above the outlier: four columns a count.
+        while j >= next.index + 5 {
+            let four = masks[j - 4..j]
+                .iter()
+                .rev()
+                .fold(0u64, |w, &m| w << 16 | u64::from(m));
+            above += four.count_ones() as usize;
+            j -= 4;
+        }
+        while j > next.index + 1 {
+            j -= 1;
+            above += masks[j].count_ones() as usize;
+        }
+        j = next.index;
+        values.copy_within(src - above..src, dst - above);
+        (src, dst) = (src - above, dst - above - 1);
+        values[dst] = value(&next);
+        above = masks[j].count_ones() as usize;
+        masks[j] |= 1 << r;
+        match outliers.next_back() {
+            Some(e) => next = e,
+            None => break,
+        }
     }
-    outliers.for_each(|e| masks[e.index] |= 1 << r);
+    debug_assert_eq!(src, dst, "every new value placed");
 }
 
 /// ORs one row's packed codes (`bytes`, element `j` in nibble `j`) into

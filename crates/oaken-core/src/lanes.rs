@@ -32,11 +32,14 @@ mod avx512 {
     /// One-time CPUID probe for the lane.
     pub(super) fn available() -> bool {
         static PROBE: OnceLock<bool> = OnceLock::new();
-        *PROBE.get_or_init(|| is_x86_feature_detected!("avx512f"))
+        *PROBE.get_or_init(|| {
+            is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("popcnt")
+        })
     }
 
-    /// `body`, with AVX-512F enabled for everything inlined into it.
-    #[target_feature(enable = "avx512f")]
+    /// `body`, with AVX-512F (and `popcnt`, which the key append's merge
+    /// counts with) enabled for everything inlined into it.
+    #[target_feature(enable = "avx512f,popcnt")]
     pub(super) fn run<R>(body: impl FnOnce() -> R) -> R {
         body()
     }

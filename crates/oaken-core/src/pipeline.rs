@@ -23,11 +23,11 @@
 //! gives the argument, and `tests/quantize_oracle.rs` checks it.
 
 use crate::config::{BitWidths, OakenConfig};
-use crate::encoding::{capacity_bytes, CooEntry, FusedVector, OutlierIter, ScaleSet};
+use crate::encoding::{capacity_bytes, FusedVector, OutlierIter, PackedRows, ScaleSet, BLOCK_SIZE};
 use crate::error::OakenError;
 use crate::groups::GroupKind;
 use crate::groupshift::{unshift_middle, unshift_sparse};
-use crate::kernel::{EncodedStore, FusedReadParams};
+use crate::kernel::{EncodedStore, FusedReadParams, KEY_GROUP};
 use crate::lanes;
 use crate::quant::UniformQuantizer;
 use crate::thresholds::{KvKind, ModelThresholds, Thresholds};
@@ -43,7 +43,8 @@ const OUTER: u8 = 2;
 const INNER: u8 = 4;
 
 /// Reusable scratch buffers for the allocation-free quantize path
-/// ([`OakenQuantizer::quantize_vector_with`]).
+/// ([`OakenQuantizer::quantize_vector_with`],
+/// [`OakenScratch::quantize_into`]).
 ///
 /// Holding one `OakenScratch` per decode stream removes every per-token
 /// heap allocation from the online quantizer — the property §5.2's
@@ -53,21 +54,21 @@ const INNER: u8 = 4;
 /// verbatim afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct OakenScratch {
-    /// Per-element shifted values (pass 1 output): signed for middle,
-    /// magnitudes for inner and outer.
+    passes: Passes,
+    /// Rows quantized and not yet stored, in page form: what a stream
+    /// pushes into its store, up to a 16-row group at a time.
+    rows: PackedRows,
+}
+
+/// Pass 1's per-element outputs, which pass 2 reads.
+#[derive(Debug, Clone, Default)]
+struct Passes {
+    /// Per-element shifted values: signed for middle, magnitudes for
+    /// inner and outer.
     vals: Vec<f32>,
-    /// Per-element group and side (pass 1 output): [`HIGH`], [`OUTER`]
-    /// and [`INNER`] bits; a middle element has neither group bit.
+    /// Per-element group and side: [`HIGH`], [`OUTER`] and [`INNER`]
+    /// bits; a middle element has neither group bit.
     tags: Vec<u8>,
-    /// 4-bit dense codes (pass 2 output), one byte per element.
-    dense_codes: Vec<u8>,
-    /// Absolute-indexed outlier entries in ascending index order.
-    outliers: Vec<CooEntry>,
-    /// Per-vector scales computed in pass 1.
-    scales: ScaleSet,
-    /// The row just quantized, packed: what a stream copies into its
-    /// store.
-    row: FusedVector,
 }
 
 impl OakenScratch {
@@ -77,29 +78,47 @@ impl OakenScratch {
     }
 
     /// Heap bytes the scratch holds.
-    fn held_bytes(&self) -> usize {
-        capacity_bytes(&self.vals)
-            + capacity_bytes(&self.tags)
-            + capacity_bytes(&self.dense_codes)
-            + capacity_bytes(&self.outliers)
-            + self.row.held_bytes()
+    pub fn held_bytes(&self) -> usize {
+        capacity_bytes(&self.passes.vals)
+            + capacity_bytes(&self.passes.tags)
+            + self.rows.held_bytes()
     }
 
-    /// Quantizes `x` into the scratch's packed row, reusing its buffers.
-    fn quantize_row(
+    /// Quantizes `x` with `params`' thresholds and bit-widths and appends
+    /// it to `out` in page form: the two passes write its packed nibbles,
+    /// COO bytes and per-block counts where `out` keeps them, with no
+    /// intermediate row. What a tensor-parallel pool encodes each row
+    /// with once, at full width, before every rank adopts its channels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `out.dim()` wide, or if `params`' bit-widths
+    /// give a code wider than a nibble.
+    pub fn quantize_into(&mut self, x: &[f32], params: &FusedReadParams, out: &mut PackedRows) {
+        assert_eq!(x.len(), out.dim(), "row width mismatch");
+        (self.passes)
+            .quantize(x, &params.thresholds, params.bits(), out)
+            .expect("stored rows are quantized with valid bit-widths");
+    }
+}
+
+impl Passes {
+    /// The two-pass quantization engine (§5.2 Figure 9), on the widest
+    /// lane the CPU offers, appending the row to `out`.
+    ///
+    /// # Errors
+    ///
+    /// [`OakenError::UnsupportedBitWidth`] for bit-widths outside `1..=8`,
+    /// and [`OakenError::CorruptEncoding`] when a code does not fit its
+    /// nibble (a width above 4 bits); `out` then holds a row of
+    /// unspecified contents.
+    fn quantize(
         &mut self,
         x: &[f32],
         t: &Thresholds,
         bits: BitWidths,
+        out: &mut PackedRows,
     ) -> Result<(), OakenError> {
-        self.quantize(x, t, bits)?;
-        self.row
-            .refill(x.len(), &self.dense_codes, &self.outliers, self.scales)
-    }
-
-    /// The two-pass quantization engine (§5.2 Figure 9), writing into the
-    /// scratch's buffers, on the widest lane the CPU offers.
-    fn quantize(&mut self, x: &[f32], t: &Thresholds, bits: BitWidths) -> Result<(), OakenError> {
         lanes::widest(
             #[inline(always)]
             || {
@@ -108,23 +127,25 @@ impl OakenScratch {
                 // is neither cleared nor refilled.
                 self.vals.resize(n, 0.0);
                 self.tags.resize(n, 0);
-                self.dense_codes.resize(n, 0);
-                self.scales = classify_row(x, t, &mut self.vals, &mut self.tags);
+                let s = classify_row(x, t, &mut self.vals, &mut self.tags);
 
                 // σ calculators (Eq. 2).
-                let s = self.scales;
                 let codes = GroupCodes::new(
                     &UniformQuantizer::new(s.middle_min, s.middle_max, bits.middle)?,
                     &UniformQuantizer::new(0.0, s.inner_mag_max, bits.outlier_mag)?,
                     &UniformQuantizer::new(0.0, s.outer_mag_max, bits.outlier_mag)?,
                 );
-                self.outliers.clear();
-                codes.encode_row(
-                    &self.vals,
-                    &self.tags,
-                    &mut self.dense_codes,
-                    &mut self.outliers,
+                let (vals, tags) = (&self.vals, &self.tags);
+                let all = out.push_with(
+                    s,
+                    #[inline(always)]
+                    |dense, sparse, counts| codes.encode_row(vals, tags, dense, sparse, counts),
                 );
+                if all > 0xF {
+                    return Err(OakenError::CorruptEncoding {
+                        detail: "dense code exceeds 4 bits".to_owned(),
+                    });
+                }
                 Ok(())
             },
         )
@@ -228,13 +249,9 @@ impl OakenQuantizer {
         scratch: &mut OakenScratch,
     ) -> Result<FusedVector, OakenError> {
         let t = self.thresholds.get(layer, kind)?;
-        scratch.quantize(x, t, self.config.bits)?;
-        FusedVector::from_parts(
-            x.len(),
-            &scratch.dense_codes,
-            &scratch.outliers,
-            scratch.scales,
-        )
+        scratch.rows.reset(x.len());
+        (scratch.passes).quantize(x, t, self.config.bits, &mut scratch.rows)?;
+        Ok(scratch.rows.row(0).to_vector())
     }
 
     /// Dequantizes a fused vector back to f32.
@@ -518,52 +535,76 @@ impl GroupCodes {
         (biased.to_bits() - TWO_23.to_bits() + u32::from(tie_down)) as u8
     }
 
-    /// Pass 2 over a whole row: writes every element's dense code and
-    /// appends its outliers' COO entries in index order, found per chunk
-    /// from a mask of the tags.
+    /// Pass 2 over a whole row: packs every element's code into `dense`
+    /// (element `i` in nibble `i`), and pushes its outliers' COO bytes in
+    /// index order onto `sparse`, counted per 64-element block in
+    /// `counts` — found per chunk from a mask of the tags. Returns the OR
+    /// of every code, which fits a nibble iff every code does.
     #[inline(always)]
-    fn encode_row(&self, vals: &[f32], tags: &[u8], codes: &mut [u8], out: &mut Vec<CooEntry>) {
+    fn encode_row(
+        &self,
+        vals: &[f32],
+        tags: &[u8],
+        dense: &mut [u8],
+        sparse: &mut Vec<u8>,
+        counts: &mut [u8],
+    ) -> u8 {
         let (val_chunks, val_tail) = vals.as_chunks::<LANES>();
         let (tag_chunks, tag_tail) = tags.as_chunks::<LANES>();
-        let (code_chunks, code_tail) = codes.as_chunks_mut::<LANES>();
-        for (k, ((vs, ts), cs)) in val_chunks
+        let (byte_chunks, _) = dense.as_chunks_mut::<{ LANES / 2 }>();
+        let mut all = 0;
+        for (k, ((vs, ts), bytes)) in val_chunks
             .iter()
             .zip(tag_chunks)
-            .zip(code_chunks)
+            .zip(byte_chunks)
             .enumerate()
         {
+            let mut cs = [0; LANES];
             for l in 0..LANES {
                 cs[l] = self.code(vs[l], ts[l]);
             }
-            push_outliers(k * LANES, ts, out);
+            all |= pack_codes(&cs, bytes);
+            push_outliers(k * LANES, ts, sparse, counts);
         }
-        for ((&v, &tag), c) in val_tail.iter().zip(tag_tail).zip(code_tail.iter_mut()) {
+        let base = val_chunks.len() * LANES;
+        let mut cs = [0; LANES];
+        for ((c, &v), &tag) in cs.iter_mut().zip(val_tail).zip(tag_tail) {
             *c = self.code(v, tag);
         }
-        push_outliers(val_chunks.len() * LANES, tag_tail, out);
+        all |= pack_codes(&cs, &mut dense[base / 2..]);
+        push_outliers(base, tag_tail, sparse, counts);
+        all
     }
 }
 
-/// Appends the COO entries of a chunk of at most 16 tags starting at
-/// element `base`, in index order.
+/// Packs codes in pairs into `bytes` (code `2i` in the low nibble of byte
+/// `i`), as many as `bytes` holds, and returns the OR of the codes.
 #[inline(always)]
-fn push_outliers(base: usize, tags: &[u8], out: &mut Vec<CooEntry>) {
+fn pack_codes(cs: &[u8; LANES], bytes: &mut [u8]) -> u8 {
+    for (i, b) in bytes.iter_mut().enumerate() {
+        *b = cs[2 * i] | cs[2 * i + 1] << 4;
+    }
+    cs.iter().fold(0, |all, &c| all | c)
+}
+
+/// Pushes the COO bytes of a chunk of at most 16 tags starting at
+/// element `base` (a multiple of 16, so inside one 64-element block) in
+/// index order, and counts them to their block. A tag's side and group
+/// bits are the byte's.
+#[inline(always)]
+fn push_outliers(base: usize, tags: &[u8], sparse: &mut Vec<u8>, counts: &mut [u8]) {
     let mut mask = tags.iter().enumerate().fold(0u32, |m, (l, &tag)| {
         m | u32::from(tag & (OUTER | INNER) != 0) << l
     });
+    if mask == 0 {
+        return;
+    }
+    counts[base / BLOCK_SIZE] += mask.count_ones() as u8;
     while mask != 0 {
         let l = mask.trailing_zeros() as usize;
         mask &= mask - 1;
-        let tag = tags[l];
-        out.push(CooEntry {
-            index: base + l,
-            group: if tag & OUTER != 0 {
-                GroupKind::Outer
-            } else {
-                GroupKind::Inner
-            },
-            high_side: tag & HIGH != 0,
-        });
+        let offset = ((base + l) % BLOCK_SIZE) as u8;
+        sparse.push(offset << 2 | (tags[l] & (OUTER | HIGH)));
     }
 }
 
@@ -578,8 +619,6 @@ fn push_outliers(base: usize, tags: &[u8], out: &mut Vec<CooEntry>) {
 /// shared by reference with whatever else holds the same rows.
 #[derive(Debug)]
 pub struct OakenRowStream {
-    /// The configured bit-widths rows are quantized to.
-    bits: BitWidths,
     scratch: OakenScratch,
     /// The rows, read with the tensor's thresholds and bit-widths fetched
     /// once when the stream opens; `None` for an unprofiled layer, which
@@ -588,28 +627,49 @@ pub struct OakenRowStream {
 }
 
 impl OakenRowStream {
-    /// Quantizes one row against the stream's thresholds, leaves it in
-    /// the scratch's packed row and stores it. An unprofiled layer is a
-    /// caller bug on the streaming path, as on the trait-level batch path.
-    fn push_quantized(&mut self, row: &[f32]) -> &EncodedStore {
+    /// Quantizes `rows` — one or more rows back to back — against the
+    /// stream's thresholds and stores them: the two passes write each row
+    /// in page form into the scratch's staging, which takes the rows up
+    /// to the next 16-row group edge at a time, so a run covering a whole
+    /// key group lays it down at once ([`EncodedStore::push_rows`]). An unprofiled layer is a caller bug
+    /// on the streaming path, as on the trait-level batch path.
+    fn push_quantized(&mut self, rows: &[f32]) {
         let store =
             (self.store.as_mut()).expect("layer must be profiled before streaming quantization");
-        assert_eq!(row.len(), store.dim(), "row width mismatch");
-        (self.scratch)
-            .quantize_row(row, &store.params().thresholds, self.bits)
-            .expect("configured bit-widths are valid");
-        store.push_row(self.scratch.row.row());
-        store
+        let d = store.dim();
+        assert!(
+            d > 0 && rows.len().is_multiple_of(d),
+            "row width mismatch: {} values for {d}-wide rows",
+            rows.len()
+        );
+        let mut rows = rows.chunks_exact(d);
+        let staged = &mut self.scratch.rows;
+        while rows.len() > 0 {
+            let take = (KEY_GROUP - store.len() % KEY_GROUP).min(rows.len());
+            // Room for a whole group from the first row on, so the stream
+            // holds the same bytes however its rows arrived.
+            staged.reset(d);
+            staged.reserve_exact(KEY_GROUP, KEY_GROUP * d);
+            for row in rows.by_ref().take(take) {
+                (self.scratch.passes)
+                    .quantize(
+                        row,
+                        &store.params().thresholds,
+                        store.params().bits(),
+                        staged,
+                    )
+                    .expect("configured bit-widths are valid");
+            }
+            store.push_rows(staged);
+        }
     }
 }
 
 impl KvRowStream for OakenRowStream {
     fn append_row(&mut self, row: &[f32], view: &mut Vec<f32>) {
-        let params = *self.push_quantized(row).params();
-        let fv = &self.scratch.row;
-        let code_at = |i| u32::from(fv.dense_code(i));
-        decode_row(&params, fv.scales(), fv.dim(), code_at, fv.outliers(), view)
-            .expect("fused vector decodes with the same thresholds");
+        self.push_quantized(row);
+        let store = self.store.as_ref().expect("just appended");
+        store.decode_into(store.len() - 1..store.len(), view);
     }
 
     fn held_bytes(&self) -> usize {
@@ -637,11 +697,11 @@ impl KvRowStream for OakenRowStream {
         self.store.as_mut()
     }
 
-    fn append_row_encoded(&mut self, row: &[f32]) -> bool {
+    fn append_row_encoded(&mut self, rows: &[f32]) -> bool {
         // Same quantization as `append_row`, minus the dequantize-into-view
-        // step: the stored row *is* the cache contents, and the fused
-        // attention kernels read it in place.
-        self.push_quantized(row);
+        // step: the stored rows *are* the cache contents, and the fused
+        // attention kernels read them in place.
+        self.push_quantized(rows);
         true
     }
 }
@@ -699,7 +759,6 @@ impl KvQuantizer for OakenQuantizer {
     fn row_stream(&self, d: usize, layer: usize, kind: KvKind) -> Option<Box<dyn KvRowStream>> {
         let params = self.fused_read_params(layer, kind).ok();
         Some(Box::new(OakenRowStream {
-            bits: self.config.bits,
             scratch: OakenScratch::new(),
             store: params.map(|params| EncodedStore::new(kind, d, params)),
         }))
@@ -718,8 +777,6 @@ impl KvQuantizer for OakenQuantizer {
 mod tests {
     use super::*;
     use crate::config::GroupRatios;
-    use crate::encoding::PackedRows;
-    use crate::kernel::KEY_GROUP;
     use crate::profiler::OfflineProfiler;
     use std::sync::Arc;
 

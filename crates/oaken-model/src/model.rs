@@ -313,8 +313,9 @@ impl Model {
     /// every decoder layer is two stages over the rows that need them:
     ///
     /// * the **KV stage**, over *all* steps — attention norm → `Wk`/`Wv` →
-    ///   RoPE on K → [`BatchKvCache::append`] per step: the cache rows are
-    ///   the pass's lasting product and every step leaves its own;
+    ///   RoPE on K → [`BatchKvCache::append`] per run of a slot's steps:
+    ///   the cache rows are the pass's lasting product and every step
+    ///   leaves its own;
     /// * the **tail stage**, over the steps whose output is still read —
     ///   `Wq` → RoPE on Q → attention, each query under its own causal
     ///   limit → `Wo` → FFN. Below the last layer that is every step (the
@@ -339,8 +340,8 @@ impl Model {
     ///   ownership and stay rank-local; `Wo`, the FFN matrices and the LM
     ///   head split evenly and gather through one all-reduce each;
     /// * **quantize + append** — serial, on the calling thread: one
-    ///   [`BatchKvCache::append`] per step and layer with full-width rows,
-    ///   each encoded once (Oaken's scales are whole-row min/max, which a
+    ///   [`BatchKvCache::append`] per slot run and layer with full-width
+    ///   rows, each encoded once (Oaken's scales are whole-row min/max, which a
     ///   rank group pays as a per-row scale sync, accounted here); each
     ///   shard stores its own heads' channels of the encoding, and the
     ///   pool's MMU stays a single writer;
@@ -552,8 +553,12 @@ impl Pass<'_, '_> {
                 obs(i, l, KvKind::Value, v);
             }
         }
-        for (&slot, (k, v)) in self.slots[span].iter().zip(ks.iter().zip(&vs)) {
-            self.cache.append(slot, l, k, v);
+        // One run per slot: a prompt chunk enters the cache at once.
+        let mut at = 0;
+        for run in self.slots[span].chunk_by(|a, b| a == b) {
+            let steps = at..at + run.len();
+            self.cache.append(run[0], l, &ks[steps.clone()], &vs[steps]);
+            at += run.len();
         }
         hs
     }

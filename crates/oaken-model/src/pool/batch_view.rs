@@ -7,7 +7,8 @@ use crate::cache::BatchKvCache;
 /// Borrowed view pairing the engine's [`PagedKvPool`] with the batch's
 /// slot → sequence mapping for one engine iteration, implementing
 /// [`BatchKvCache`] for [`crate::Model::forward_batch_sharded`]: rows go
-/// in through [`PagedKvPool::append`], reads come out one shard per rank.
+/// in through [`PagedKvPool::append_run`], one run per slot and layer,
+/// reads come out one shard per rank.
 ///
 /// Appends never panic: a failing append — an injected
 /// [`PoolError::Fault`], or pool exhaustion despite the scheduler's
@@ -53,11 +54,11 @@ impl<'p> PoolBatchView<'p> {
 }
 
 impl BatchKvCache for PoolBatchView<'_> {
-    fn append(&mut self, slot: usize, layer: usize, k: &[f32], v: &[f32]) {
+    fn append(&mut self, slot: usize, layer: usize, ks: &[Vec<f32>], vs: &[Vec<f32>]) {
         if self.slot_poisoned(slot) {
             return;
         }
-        if let Err(e) = self.pool.append(self.seqs[slot], layer, k, v) {
+        if let Err(e) = self.pool.append_run(self.seqs[slot], layer, ks, vs) {
             self.poisoned.push((slot, e));
         }
     }

@@ -32,7 +32,7 @@
 //!
 //! | module | seam | owns |
 //! |---|---|---|
-//! | `seq` | sequence lifecycle | admission, the one guarded append (page bound, fault poll, quantize, page commit), the one teardown, slot recycling |
+//! | `seq` | sequence lifecycle | admission, the one guarded append of a run of rows (page bound, fault poll, quantize, page commit, seal), the one teardown, slot recycling |
 //! | `blocks` | trie blocks | prompt plan, adoption, sealing and late dedup into the [prefix trie](crate::trie) |
 //! | `tiers` | tiers | suspend / resume to the host tier, export / import across pools ([`KvTransfer`]) |
 //! | `reads` | read views | dequantized views, encoded tensors, the runs of a layer grouped by the trie blocks they share ([`ShardReads`]), [`KvReadStats`] |
@@ -226,11 +226,18 @@ pub struct PagedKvPool {
     plan: RankPlan,
     /// One data plane per rank: the page layout and the MMU under it.
     ranks: Vec<PageLedger>,
-    /// Per layer, one full-width `[K, V]` row stream of a quantized pool
-    /// split over ranks, used only as a stateless encoder: each row is
-    /// quantized here once and every rank adopts its channels (empty
-    /// unless quantized and split).
-    encoders: Vec<[Box<dyn KvRowStream>; 2]>,
+    /// A quantized pool split over ranks quantizes each row here once and
+    /// every rank adopts its channels (`None` unless quantized and split).
+    encoder: Option<seq::RankEncoder>,
+    /// A run's rows back to back, as a slot's stream takes them, and
+    /// their `[dense, sparse]` page bytes, as a rank's ledger takes them.
+    run_rows: Vec<f32>,
+    run_sizes: Vec<[u32; 2]>,
+    /// Whether every row's stored size is fixed by the row alone — exact
+    /// f32 rows, or a quantizer whose streams all keep encoded rows — not
+    /// the quantizer's nominal estimate, which may vary with the rows
+    /// held; only then is a run's page bound taken once.
+    fixed_rows: bool,
     /// The installed fault schedule, polled once per logical operation.
     faults: Option<FaultInjector>,
     /// The next sequence owner: sequence owners count up from 0, and a
@@ -312,12 +319,18 @@ impl PagedKvPool {
             .is_none_or(|q| every_stream(q, model.num_layers, kv_dim, |_| true));
         let sharing_supported =
             streaming && quantizer.as_ref().is_none_or(|q| q.prefix_deterministic());
+        let encodes = |s: &dyn KvRowStream| s.encoded_rows().is_some();
+        let fixed_rows = (quantizer.as_deref())
+            .is_none_or(|q| every_stream(q, model.num_layers, kv_dim, encodes));
         let mut pool = Self {
             quantizer,
             model: model.clone(),
             plan: RankPlan::new(model, 1),
             ranks: Vec::new(),
-            encoders: Vec::new(),
+            encoder: None,
+            run_rows: Vec::new(),
+            run_sizes: Vec::new(),
+            fixed_rows,
             faults: None,
             next_seq_owner: 0,
             next_block_owner: u32::MAX,
@@ -388,14 +401,9 @@ impl PagedKvPool {
                 ledger
             })
             .collect();
-        self.encoders = match self.quantizer.as_deref() {
-            Some(q) if ranks > 1 => {
-                let stream = |layer, kind| q.row_stream(kv_dim, layer, kind).expect("checked");
-                (0..layers)
-                    .map(|layer| KvKind::ALL.map(|kind| stream(layer, kind)))
-                    .collect()
-            }
-            _ => Vec::new(),
+        self.encoder = match self.quantizer.as_deref() {
+            Some(q) if ranks > 1 => Some(seq::RankEncoder::new(q, layers, kv_dim, &self.plan)),
+            _ => None,
         };
         // Recycled slots are cut at the old widths.
         self.recycled.clear();
@@ -446,9 +454,7 @@ impl PagedKvPool {
     /// Whether every `(layer, kind)` stream of the pool's quantizer keeps
     /// encoded rows — what rank shards adopt and the fused kernel reads.
     fn encodes(&self) -> bool {
-        let (layers, kv_dim) = (self.model.num_layers, self.model.kv_dim());
-        let encodes = |s: &dyn KvRowStream| s.encoded_rows().is_some();
-        (self.quantizer.as_deref()).is_some_and(|q| every_stream(q, layers, kv_dim, encodes))
+        self.quantized() && self.fixed_rows
     }
 
     /// Rank 0's MMU simulator (read-only) — a one-rank pool's only one:
@@ -708,16 +714,20 @@ impl PagedKvPool {
 
     /// Heap bytes the pool holds for KV rows, every rank: the capacities
     /// of the buffers of every slot (live, suspended and recycled — its
-    /// stream or exact rows, and its view), of the rank encoders, and of
+    /// stream or exact rows, and its view), of the rank encoder, and of
     /// the trie blocks' rows, with each store segment counted once however
-    /// many slots and blocks share it. Set against the bytes the page
+    /// many slots and blocks share it — not the f32 staging of a run's
+    /// input rows, which holds no row between appends. Set against the bytes the page
     /// ledger charges ([`page_accounting`](Self::page_accounting)), it
     /// shows how much more memory the pool really takes.
     pub fn held_kv_bytes(&self) -> u64 {
         let seqs = (self.seqs.values()).chain(self.suspended.values());
         let shards = seqs.chain(&self.recycled).flat_map(|s| &s.shards);
         let slots = shards.flat_map(|shard| shard.slots.iter().flatten());
-        let encoders = self.encoders.iter().flatten().map(|e| e.held_bytes());
+        let encoder = self
+            .encoder
+            .as_ref()
+            .map_or(0, seq::RankEncoder::held_bytes);
         // Each segment's bytes, by its address.
         let mut distinct = HashMap::new();
         let mut held = 0;
@@ -732,7 +742,7 @@ impl PagedKvPool {
             distinct.insert(Arc::as_ptr(segment), segment.held_bytes());
         }
         held += distinct.values().sum::<usize>();
-        (held + encoders.sum::<usize>() + self.trie.held_bytes()) as u64
+        (held + encoder + self.trie.held_bytes()) as u64
     }
 
     /// Admission estimate: pages a sequence of `tokens` total tokens will
@@ -2047,5 +2057,137 @@ mod tests {
             }
             assert_drained(&pool);
         }
+    }
+
+    /// A run of rows enters the pool exactly as the same rows appended one
+    /// at a time. A second sequence `b` shares its prompt with a first,
+    /// `a`, which has sealed its first two 8-token blocks (so `b`'s seals
+    /// there are late dedups that free pages, and its later ones new trie
+    /// blocks); `b` is fed `start` rows (0–17), then a run of `n` (1–70)
+    /// on each of two layers, against a twin pool fed the run's rows one
+    /// by one. After it: every slot's store is equal on every rank, every
+    /// owner's page streams (pages and sizes) are equal, and so are
+    /// `held_kv_bytes`, the trie blocks, the prefix and fault statistics
+    /// and the error returned — with ample pages, with a filler sequence
+    /// leaving a page free on a rank so the run stops at its first row that does
+    /// not fit, and under a fault schedule failing allocating rows. Widths
+    /// 32, 97, 128 and 256, at 1 and 2 ranks (97 is one head, so one
+    /// rank).
+    #[test]
+    fn a_run_equals_its_rows() {
+        use oaken_mmu::{StreamClass, StreamKey};
+        let mut seed = 0x0A4E_2025_u64;
+        let mut below = |n: u64| {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            ((seed >> 33) % n) as usize
+        };
+        let (layers, bt) = (2, 8);
+        // Runs cut short, per setting: ample pages, two pages, faults.
+        let mut cut = [0; 3];
+        for width in [32, 97, 128, 256] {
+            let heads = if width % 2 == 0 { 2 } else { 1 };
+            let cfg = tiny_config(layers, heads, width / heads);
+            let q = oaken(width, layers);
+            for ranks in [1, 2] {
+                for case in 0..6 {
+                    let (start, n) = (below(18), 1 + below(70));
+                    let ctx =
+                        format!("width {width}, {ranks} ranks, case {case}: {n} rows at {start}");
+                    let prompt: Vec<u32> = (0..(start + n + 9) as u32).collect();
+                    let kv = |pos: usize| (row(width, pos as u64), row(width, 9_000 + pos as u64));
+                    let fresh = || {
+                        let mut pool = PagedKvPool::for_model(&cfg, Some(q.clone()), 512, 1024);
+                        pool.set_ranks(ranks);
+                        pool.set_block_tokens(bt);
+                        let a = pool.alloc_seq_with_prefix(&prompt).seq;
+                        let b = pool.alloc_seq_with_prefix(&prompt).seq;
+                        for pos in 0..2 * bt {
+                            let (k, v) = kv(pos);
+                            (0..layers).for_each(|l| pool.append(a, l, &k, &v).unwrap());
+                        }
+                        for pos in 0..start {
+                            let (k, v) = kv(pos);
+                            (0..layers).for_each(|l| pool.append(b, l, &k, &v).unwrap());
+                        }
+                        match case % 3 {
+                            1 => {
+                                let filler = pool.alloc_seq();
+                                let mut t = 0;
+                                while pool.ranks().all(|r| r.free_pages() > 1) {
+                                    let (k, v) = kv(50_000 + t);
+                                    if pool.append(filler, 0, &k, &v).is_err() {
+                                        break;
+                                    }
+                                    t += 1;
+                                }
+                            }
+                            2 => pool.install_faults(
+                                FaultPlan::new(case as u64).with_rate_permille(300),
+                            ),
+                            _ => {}
+                        }
+                        (pool, b)
+                    };
+                    let ks: Vec<Vec<f32>> = (start..start + n).map(|p| kv(p).0).collect();
+                    let vs: Vec<Vec<f32>> = (start..start + n).map(|p| kv(p).1).collect();
+                    let (mut run, b) = fresh();
+                    let run_err = (0..layers).find_map(|l| run.append_run(b, l, &ks, &vs).err());
+                    let (mut rows, b) = fresh();
+                    let rows_err = (0..layers)
+                        .find_map(|l| (0..n).find_map(|t| rows.append(b, l, &ks[t], &vs[t]).err()));
+                    assert_eq!(run_err, rows_err, "{ctx}: error");
+                    cut[case % 3] += usize::from(run_err.is_some());
+                    for r in 0..run.num_ranks() {
+                        for (layer, (x, y)) in
+                            run.slots(r, b).iter().zip(rows.slots(r, b)).enumerate()
+                        {
+                            for (sx, sy) in x.iter().zip(y) {
+                                assert_eq!(sx.rows, sy.rows, "{ctx}: rank {r} layer {layer} rows");
+                                assert_eq!(
+                                    sx.encoded_rows(),
+                                    sy.encoded_rows(),
+                                    "{ctx}: rank {r} layer {layer}"
+                                );
+                            }
+                        }
+                        let owners = (0..4).chain((0..8).map(|k| u32::MAX - k));
+                        for owner in owners {
+                            for class in [StreamClass::Dense, StreamClass::Sparse] {
+                                let key = StreamKey {
+                                    request: owner,
+                                    layer: 0,
+                                    head: 0,
+                                    class,
+                                };
+                                assert_eq!(
+                                    run.rank(r).mmu().stream(&key),
+                                    rows.rank(r).mmu().stream(&key),
+                                    "{ctx}: rank {r} owner {owner} {class:?}"
+                                );
+                            }
+                        }
+                        assert_eq!(
+                            run.rank(r).page_accounting(),
+                            rows.rank(r).page_accounting(),
+                            "{ctx}"
+                        );
+                    }
+                    assert_eq!(
+                        run.held_kv_bytes(),
+                        rows.held_kv_bytes(),
+                        "{ctx}: held bytes"
+                    );
+                    assert_eq!(run.trie_blocks(), rows.trie_blocks(), "{ctx}: trie blocks");
+                    assert_eq!(
+                        run.prefix_stats(),
+                        rows.prefix_stats(),
+                        "{ctx}: prefix stats"
+                    );
+                    assert_eq!(run.fault_stats(), rows.fault_stats(), "{ctx}: fault stats");
+                }
+            }
+        }
+        assert_eq!(cut[0], 0, "an ample pool takes every run");
+        assert!(cut[1] > 0 && cut[2] > 0, "runs are cut short: {cut:?}");
     }
 }

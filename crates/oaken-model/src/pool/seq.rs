@@ -1,12 +1,14 @@
 //! Sequence lifecycle: admission, growth (the one guarded append),
 //! retirement, and the slot storage they move through.
 //!
-//! * **Guarded appends** — [`PagedKvPool::append`] checks a conservative
-//!   worst-case page bound *before* touching any state and fails cleanly
-//!   with [`PoolError::OutOfPages`]; a successful call is atomic for the
-//!   `(layer, K, V)` triple. Schedulers should gate whole-token appends
-//!   with [`PagedKvPool::pages_possibly_needed_n`] so a multi-layer
-//!   forward pass never stalls mid-token.
+//! * **Guarded appends** — [`PagedKvPool::append_run`] checks a
+//!   conservative worst-case page bound *before* touching any state —
+//!   once for a run that fits, else per row — and fails cleanly with
+//!   [`PoolError::OutOfPages`]; each row is atomic for its `(layer, K, V)`
+//!   triple, and a run ends as its rows appended one by one would.
+//!   Schedulers should gate whole-token appends with
+//!   [`PagedKvPool::pages_possibly_needed_n`] so a multi-layer forward
+//!   pass never stalls mid-token.
 //! * **Slot recycling** — retiring a sequence frees its private pages
 //!   immediately, releases its shared blocks, and recycles its
 //!   stream/view buffers (via
@@ -29,7 +31,9 @@
 use super::blocks::{SeqBlock, SeqPlan};
 use super::{PagedKvPool, PoolError, SeqId};
 use crate::cache::{KindSlot, SlotRows};
-use oaken_core::{KvKind, KvQuantizer, KvRowStream, PackedRows};
+use crate::ranks::RankPlan;
+use oaken_core::kernel::KEY_GROUP;
+use oaken_core::{FusedReadParams, KvKind, KvQuantizer, OakenScratch, PackedRows};
 use oaken_mmu::FaultOp;
 use std::ops::Range;
 
@@ -62,17 +66,18 @@ impl SeqSlots {
         self.shards[0].slots[layer][0].rows
     }
 
-    /// The owner the row at `pos` is written under: the pending prompt
-    /// block covering it, else the sequence's own tail (`seq_id`).
-    fn owner_for_pos(&self, seq_id: u32, block_tokens: usize, pos: usize) -> u32 {
-        match self
-            .plan
-            .as_ref()
-            .and_then(|p| p.blocks.get(pos / block_tokens))
-        {
-            Some(SeqBlock::Pending { mmu }) => *mmu,
+    /// The owner the rows from `pos` are written under, and where its run
+    /// ends within `pos..end`: the pending prompt block covering `pos`
+    /// owns up to the block's last token, the sequence's own tail
+    /// (`seq_id`) everything past the planned blocks.
+    fn owner_run(&self, seq_id: u32, block_tokens: usize, pos: usize, end: usize) -> (u32, usize) {
+        let blocks = self.plan.as_ref().map_or(&[][..], |p| &p.blocks[..]);
+        match blocks.get(pos / block_tokens) {
+            Some(SeqBlock::Pending { mmu }) => {
+                (*mmu, end.min((pos / block_tokens + 1) * block_tokens))
+            }
             Some(SeqBlock::Shared(_)) => panic!("position {pos} lies in an adopted shared block"),
-            None => seq_id,
+            None => (seq_id, end),
         }
     }
 
@@ -86,15 +91,10 @@ impl SeqSlots {
         rows: Range<usize>,
         mut run: impl FnMut(u32, Range<usize>),
     ) {
-        let planned = self.plan.as_ref().map_or(0, |p| p.blocks.len()) * block_tokens;
         let mut pos = rows.start;
         while pos < rows.end {
-            let end = if pos < planned {
-                rows.end.min((pos / block_tokens + 1) * block_tokens)
-            } else {
-                rows.end
-            };
-            run(self.owner_for_pos(seq_id, block_tokens, pos), pos..end);
+            let (owner, end) = self.owner_run(seq_id, block_tokens, pos, rows.end);
+            run(owner, pos..end);
             pos = end;
         }
     }
@@ -246,31 +246,12 @@ impl PagedKvPool {
         needed
     }
 
-    /// Appends one token's K/V rows for `(seq, layer)`, quantizing them
-    /// incrementally and laying the encoded payload into pages — pending
-    /// prompt-block streams while inside the planned prompt, the private
-    /// tail stream afterwards. Each rank stores its channels of the rows:
-    /// a quantized pool split over ranks encodes each row **once**, at
-    /// full width, and every rank adopts its slice of the encoding
-    /// ([`PackedRows::push_channels`]) — each a pure function of its own
-    /// code, outlier entry and the shared scales. (A real rank group would
-    /// min/max all-reduce partial scales, an exact reduction with the same
-    /// result; the forward pass accounts those syncs to
-    /// [`CommStats`](oaken_runtime::CommStats).) Atomic: on `Err` nothing
-    /// was modified on any rank. Completing the last row of a pending
-    /// block **seals** it into the prefix trie (the `blocks` module).
-    ///
-    /// This is the one way a row enters the pool: page bound, fault poll,
-    /// quantize, page commit, seal — on the calling thread, so each MMU
-    /// has a single writer (§5.2) and page assignment follows call order.
+    /// Appends one token's K/V rows for `(seq, layer)`: the one-row case
+    /// of [`append_run`](Self::append_run).
     ///
     /// # Errors
     ///
-    /// [`PoolError::UnknownSequence`] for a freed handle,
-    /// [`PoolError::OutOfPages`] when a rank's worst-case page bound
-    /// exceeds its free pages (the lowest such rank's), and
-    /// [`PoolError::Fault`] when the installed fault schedule fails an
-    /// append that allocates on rank 0.
+    /// As [`append_run`](Self::append_run).
     ///
     /// # Panics
     ///
@@ -282,49 +263,94 @@ impl PagedKvPool {
         k: &[f32],
         v: &[f32],
     ) -> Result<(), PoolError> {
-        let kv_dim = self.model.kv_dim();
-        assert_eq!(k.len(), kv_dim, "key width mismatch");
-        assert_eq!(v.len(), kv_dim, "value width mismatch");
-        let plan = self.plan.clone();
-        let Some([key_encoder, value_encoder]) = self.encoders.get_mut(layer) else {
-            return self.commit(seq, layer, |r, slot, kind| {
-                slot.append(&[k, v][kind][plan.kv_channels(r)]);
-            });
-        };
-        let rows = [
-            encode(&mut **key_encoder, k),
-            encode(&mut **value_encoder, v),
-        ];
-        let slice = |full: &PackedRows, r: usize| {
-            let channels = plan.kv_channels(r);
-            let mut one = PackedRows::new(channels.len());
-            one.push_channels(full.row(0), channels);
-            one
-        };
-        let shares: Vec<[PackedRows; 2]> = (0..plan.ranks())
-            .map(|r| rows.each_ref().map(|full| slice(full, r)))
-            .collect();
-        self.commit(seq, layer, |r, slot, kind| slot.adopt(&shares[r][kind]))
+        self.append_run(seq, layer, &[k], &[v])
     }
 
-    /// The commit body behind every row: every rank's page bound, the
-    /// fault poll, then `step` stores rank `r`'s row in each of its
-    /// `(layer, kind)` slots (keys first), page commit, seal.
-    fn commit(
+    /// Appends a run of consecutive tokens' K/V rows for `(seq, layer)` —
+    /// `ks[i]` and `vs[i]` the `i`-th token's — quantizing them and laying
+    /// the encoded payload into pages: pending prompt-block streams while
+    /// inside the planned prompt, the private tail stream afterwards. Each
+    /// rank stores its channels of the rows: a quantized pool split over
+    /// ranks encodes each row **once**, at full width, in page form, and
+    /// every rank adopts its slice of the encoding
+    /// ([`PackedRows::push_channels`]) — each a pure function of its own
+    /// code, outlier entry and the shared scales. (A real rank group would
+    /// min/max all-reduce partial scales, an exact reduction with the same
+    /// result; the forward pass accounts those syncs to
+    /// [`CommStats`](oaken_runtime::CommStats).) Completing the last row
+    /// of a pending block **seals** it into the prefix trie (the `blocks`
+    /// module).
+    ///
+    /// This is the one way rows enter the pool, on the calling thread, so
+    /// each MMU has a single writer (§5.2) and page assignment follows
+    /// call order. A run whose worst-case page bound fits every rank pays
+    /// that bound once and stores its rows a pending block (or the tail)
+    /// at a time — every slot's stream quantizes its share of them in one
+    /// call — then commits their pages in row order, sealing at block
+    /// ends.
+    /// Under a fault schedule, or when the whole run does not fit (or the
+    /// rows' stored size is the quantizer's nominal estimate, which the
+    /// bound cannot pin down ahead of them), rows go one at a time, each
+    /// with its own bound and, when it allocates on rank 0, its own fault
+    /// poll. Either way the pool ends exactly as appending the rows one
+    /// by one leaves it: the same pages, owners, seals and stores, and on
+    /// `Err` the rows before the failing one appended and nothing of it
+    /// or after it on any rank.
+    ///
+    /// # Errors
+    ///
+    /// [`PoolError::UnknownSequence`] for a freed handle,
+    /// [`PoolError::OutOfPages`] when a row's worst-case page bound
+    /// exceeds a rank's free pages (the lowest such rank's), and
+    /// [`PoolError::Fault`] when the installed fault schedule fails a row
+    /// that allocates on rank 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the numbers of key and value rows differ, or a row's
+    /// width disagrees with the model's `kv_dim`.
+    pub fn append_run<R: AsRef<[f32]>>(
         &mut self,
         seq: SeqId,
         layer: usize,
-        mut step: impl FnMut(usize, &mut KindSlot, usize),
+        ks: &[R],
+        vs: &[R],
     ) -> Result<(), PoolError> {
+        let kv_dim = self.model.kv_dim();
+        assert_eq!(ks.len(), vs.len(), "one value row per key row");
+        for (k, v) in ks.iter().zip(vs) {
+            assert_eq!(k.as_ref().len(), kv_dim, "key width mismatch");
+            assert_eq!(v.as_ref().len(), kv_dim, "value width mismatch");
+        }
         let Some(state) = self.seqs.get(&seq.0) else {
             return Err(PoolError::UnknownSequence { seq });
         };
         let layers = layer..layer + 1;
-        let lead = self.rows_pages_needed(state, seq.0, 0, layers.clone(), 1);
+        let whole = self.faults.is_none()
+            && self.fixed_rows
+            && (0..self.ranks.len()).all(|r| {
+                let needed = self.rows_pages_needed(state, seq.0, r, layers.clone(), ks.len());
+                needed <= self.ranks[r].mmu().allocator().free_pages()
+            });
+        if whole {
+            self.store_rows(seq, layer, ks, vs);
+            return Ok(());
+        }
+        for t in 0..ks.len() {
+            self.check_row(seq, layer)?;
+            self.store_rows(seq, layer, &ks[t..t + 1], &vs[t..t + 1]);
+        }
+        Ok(())
+    }
+
+    /// The pre-check of one row: every rank's page bound, and the fault
+    /// poll when the row would allocate on rank 0 (appends that fit its
+    /// page tails are not allocation events and never fault). Mutates
+    /// nothing but the fault schedule.
+    fn check_row(&mut self, seq: SeqId, layer: usize) -> Result<(), PoolError> {
+        let layers = layer..layer + 1;
+        let lead = self.rows_pages_needed(&self.seqs[&seq.0], seq.0, 0, layers.clone(), 1);
         if lead > 0 {
-            // The append would allocate on rank 0: poll the fault schedule
-            // before anything mutates (appends that fit its page tails are
-            // not allocation events and never fault).
             self.poll_fault(FaultOp::DeviceAlloc)?;
         }
         let state = &self.seqs[&seq.0];
@@ -338,21 +364,64 @@ impl PagedKvPool {
                 return Err(PoolError::OutOfPages { needed, free });
             }
         }
-        let state = self.seqs.get_mut(&seq.0).expect("checked above");
-        // The row's bytes go to whoever owns its position; new pages are
-        // charged to the sequence's private count (pending blocks stay
-        // private until sealed).
-        let owner = state.owner_for_pos(seq.0, self.block_tokens, state.rows(layer));
-        let q = self.quantizer.as_deref();
-        for (r, (shard, ledger)) in state.shards.iter_mut().zip(&mut self.ranks).enumerate() {
-            let width = self.plan.kv_channels(r).len();
-            for (kind, slot) in shard.slots[layer].iter_mut().enumerate() {
-                step(r, slot, kind);
-                shard.pages += ledger.write_row(owner, encoded_row_payload(slot, q, width));
-            }
-        }
-        self.seal_ready_blocks(seq);
         Ok(())
+    }
+
+    /// Stores rows `ks`/`vs` a page owner at a time: every rank's slots
+    /// take the owner's rows (keys first), their pages are committed row
+    /// by row in the order single appends write them — per row, on each
+    /// rank, the key's bytes then the value's — and the blocks the rows
+    /// complete seal. The caller checked the page bound.
+    fn store_rows<R: AsRef<[f32]>>(&mut self, seq: SeqId, layer: usize, ks: &[R], vs: &[R]) {
+        let mut done = 0;
+        while done < ks.len() {
+            let state = self.seqs.get_mut(&seq.0).expect("checked by the caller");
+            let start = state.rows(layer);
+            let (owner, end) =
+                state.owner_run(seq.0, self.block_tokens, start, start + ks.len() - done);
+            let rows = done..done + end - start;
+            let kinds = [&ks[rows.clone()], &vs[rows.clone()]];
+            match &mut self.encoder {
+                Some(encoder) => {
+                    // Up to each 16-row group edge of the slots' stores.
+                    let mut at = start;
+                    while at < end {
+                        let to = end.min((at / KEY_GROUP + 1) * KEY_GROUP);
+                        let part = at - start..to - start;
+                        encoder.encode(layer, kinds.map(|rows| &rows[part.clone()]), &self.plan);
+                        for (shard, shares) in state.shards.iter_mut().zip(&encoder.shares) {
+                            for (slot, share) in shard.slots[layer].iter_mut().zip(shares) {
+                                slot.adopt(share);
+                            }
+                        }
+                        at = to;
+                    }
+                }
+                None => {
+                    for (r, shard) in state.shards.iter_mut().enumerate() {
+                        for (slot, rows) in shard.slots[layer].iter_mut().zip(kinds) {
+                            slot.append(rows, self.plan.kv_channels(r), &mut self.run_rows);
+                        }
+                    }
+                }
+            }
+            // The rows' bytes go to their owner; new pages are charged to
+            // the sequence's private count (pending blocks stay private
+            // until sealed).
+            let q = self.quantizer.as_deref();
+            let sizes = &mut self.run_sizes;
+            for (r, (shard, ledger)) in state.shards.iter_mut().zip(&mut self.ranks).enumerate() {
+                let width = self.plan.kv_channels(r).len();
+                sizes.clear();
+                for t in start..end {
+                    let slots = shard.slots[layer].iter();
+                    sizes.extend(slots.map(|slot| row_payload(slot, q, width, t)));
+                }
+                shard.pages += ledger.write_rows(owner, sizes);
+            }
+            self.seal_ready_blocks(seq);
+            done = rows.end;
+        }
     }
 
     /// Whether appends only *extend* this pool's dequantized views (see
@@ -364,39 +433,98 @@ impl PagedKvPool {
     }
 }
 
-/// `row` encoded by `encoder` as the one row it holds, packed: a reset
-/// stream is bit-exact with a fresh one (the quantizer is
-/// prefix-deterministic), so the encoding depends on the row alone.
-fn encode(encoder: &mut dyn KvRowStream, row: &[f32]) -> PackedRows {
-    encoder.reset();
-    assert!(
-        encoder.append_row_encoded(row),
-        "rank encoders keep encoded rows"
-    );
-    let mut one = PackedRows::new(row.len());
-    (encoder.encoded_rows().expect("checked when split")).export(0..1, &mut one);
-    one
+/// A quantized pool's encoder when split over ranks: each row is
+/// quantized once, at full width, into page form, and sliced to every
+/// rank's channels ([`PackedRows::push_channels`]) for its slots to adopt,
+/// up to the slots' next 16-row group edge at a time — the room its
+/// buffers are sized for up front, so what it holds does not depend on
+/// how rows arrived.
+pub(super) struct RankEncoder {
+    /// Per layer, the key and value tensors' quantization parameters —
+    /// their streams' stores'.
+    params: Vec<[FusedReadParams; 2]>,
+    scratch: OakenScratch,
+    /// The rows being encoded at full width, keys and values.
+    full: [PackedRows; 2],
+    /// Per rank, its channels of them.
+    shares: Vec<[PackedRows; 2]>,
 }
 
-/// `(dense, sparse)` stored byte sizes of a slot's most recently appended
-/// row: its encoded payload when the stream keeps encoded rows, the
-/// quantizer's nominal estimate otherwise, raw f32 bytes for exact
-/// storage.
-fn encoded_row_payload(
+impl RankEncoder {
+    /// An encoder over `quantizer`'s streams of `kv_dim`-wide rows of
+    /// `layers` layers, for ranks whose channels `plan` gives.
+    pub(super) fn new(
+        quantizer: &dyn KvQuantizer,
+        layers: usize,
+        kv_dim: usize,
+        plan: &RankPlan,
+    ) -> Self {
+        let params = |layer, kind| {
+            let stream = quantizer
+                .row_stream(kv_dim, layer, kind)
+                .expect("checked when split");
+            *stream.encoded_rows().expect("checked when split").params()
+        };
+        Self {
+            params: (0..layers)
+                .map(|l| KvKind::ALL.map(|kind| params(l, kind)))
+                .collect(),
+            scratch: OakenScratch::new(),
+            full: [(); 2].map(|()| PackedRows::with_capacity(kv_dim, KEY_GROUP)),
+            shares: (0..plan.ranks())
+                .map(|r| {
+                    let width = plan.kv_channels(r).len();
+                    [(); 2].map(|()| PackedRows::with_capacity(width, KEY_GROUP))
+                })
+                .collect(),
+        }
+    }
+
+    /// Encodes `rows` — `layer`'s key rows, then its value rows — into
+    /// [`shares`](Self::shares).
+    fn encode<R: AsRef<[f32]>>(&mut self, layer: usize, rows: [&[R]; 2], plan: &RankPlan) {
+        for (kind, rows) in rows.into_iter().enumerate() {
+            let full = &mut self.full[kind];
+            full.clear();
+            for row in rows {
+                (self.scratch).quantize_into(row.as_ref(), &self.params[layer][kind], full);
+            }
+            for (r, shares) in self.shares.iter_mut().enumerate() {
+                let share = &mut shares[kind];
+                share.clear();
+                full.iter()
+                    .for_each(|row| share.push_channels(row, plan.kv_channels(r)));
+            }
+        }
+    }
+
+    /// Heap bytes the encoder holds.
+    pub(super) fn held_bytes(&self) -> usize {
+        let runs = self.full.iter().chain(self.shares.iter().flatten());
+        self.scratch.held_bytes() + runs.map(PackedRows::held_bytes).sum::<usize>()
+    }
+}
+
+/// `[dense, sparse]` stored byte sizes of a slot's row `t`: its encoded
+/// payload when the stream keeps encoded rows, the quantizer's nominal
+/// estimate at `t + 1` rows otherwise, raw f32 bytes for exact storage.
+fn row_payload(
     slot: &KindSlot,
     quantizer: Option<&dyn KvQuantizer>,
     kv_dim: usize,
-) -> (usize, usize) {
+    t: usize,
+) -> [u32; 2] {
     let nominal = || {
         let q = quantizer.expect("quantized slots exist only with a quantizer");
-        let bits = q.effective_bits(slot.rows, kv_dim);
+        let bits = q.effective_bits(t + 1, kv_dim);
         (((bits * kv_dim as f64) / 8.0).ceil() as usize, 0)
     };
-    match &slot.storage {
+    let (dense, sparse) = match &slot.storage {
         SlotRows::F32 => (kv_dim * 4, 0),
         SlotRows::Stream(stream) => {
-            (stream.encoded_rows()).map_or_else(nominal, |rows| rows.row_payload(rows.len() - 1))
+            (stream.encoded_rows()).map_or_else(nominal, |rows| rows.row_payload(t))
         }
         SlotRows::Recompute(_) => nominal(),
-    }
+    };
+    [dense, sparse].map(|bytes| u32::try_from(bytes).expect("a row's bytes fit a page"))
 }

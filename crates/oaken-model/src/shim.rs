@@ -107,9 +107,9 @@ impl KvCacheBackend for ExactCache {
 pub struct SingleSlot<'a>(pub &'a mut dyn KvCacheBackend);
 
 impl BatchKvCache for SingleSlot<'_> {
-    fn append(&mut self, slot: usize, layer: usize, k: &[f32], v: &[f32]) {
+    fn append(&mut self, slot: usize, layer: usize, ks: &[Vec<f32>], vs: &[Vec<f32>]) {
         let store = self.0.cache_mut().store_mut();
-        store.with_view(|view| view.append(slot, layer, k, v));
+        store.with_view(|view| view.append(slot, layer, ks, vs));
     }
 
     fn seq_len(&self, slot: usize, layer: usize) -> usize {

@@ -6,15 +6,17 @@
 //! appends and the MMU page commit all run on reused storage (the software
 //! analogue of the hardware engines' fixed SRAM buffers).
 //!
-//! The pool under test stores exact f32 rows. That choice is deliberate:
-//! a quantized stream's store (Oaken's `EncodedStore`) grows
-//! with the rows it keeps — inherent storage growth, not overhead of the
-//! append path. Exact storage appends into pre-grown flat buffers, so any
-//! allocation observed here would be genuine overhead of the append path.
+//! Those pools store exact f32 rows, which append into pre-grown flat
+//! buffers, so any allocation observed would be genuine overhead of the
+//! append path. A quantized stream's store (Oaken's `EncodedStore`) grows
+//! with the rows it keeps: a warm Oaken pool's run allocates only where a
+//! 16-row store segment seals (its shared copy), and nothing between.
 
-use oaken_model::{BatchKvCache, ModelConfig, PagedKvPool, PoolBatchView};
+use oaken_core::{KvKind, KvQuantizer, OakenConfig, OakenQuantizer, OfflineProfiler};
+use oaken_model::{BatchKvCache, KernelMode, ModelConfig, PagedKvPool, PoolBatchView};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 struct CountingAllocator;
 
@@ -105,8 +107,10 @@ fn steady_state_pool_batch_view_append_makes_zero_allocations() {
     let rows: Vec<Vec<f32>> = (0..total * slots * layers * 2)
         .map(|j| kv_row(d, j as u64))
         .collect();
-    let row = |t: usize, slot: usize, layer: usize, kind: usize| -> &[f32] {
-        &rows[((t * slots + slot) * layers + layer) * 2 + kind]
+    // One step's row of `(slot, layer, kind)`, as the one-step run a
+    // view appends.
+    let row = |t: usize, slot: usize, layer: usize, kind: usize| -> &[Vec<f32>] {
+        std::slice::from_ref(&rows[((t * slots + slot) * layers + layer) * 2 + kind])
     };
 
     for ranks in [1usize, 2] {
@@ -191,4 +195,66 @@ fn steady_state_page_bound_over_pending_blocks_makes_zero_allocations() {
         "pages_possibly_needed_n performed {delta} heap allocations"
     );
     assert!(std::hint::black_box(pages) > 0, "the bounds were computed");
+}
+
+/// A warm Oaken pool's run allocates only at its stores' seals. A sealed
+/// 16-row segment is copied once into its shared allocation: the `Arc`,
+/// then its buffers sized to its rows — column words, coefficient lanes,
+/// masks, outlier values, and its log's COO bytes, row ends, block counts
+/// and scales — and the emptied open segment, which lets its coefficient
+/// lanes go with its rows, takes new ones at the next group's first row:
+/// at most ten allocations per sealed segment. The pool's staging, the
+/// streams' quantizer scratch, the open segments' other buffers and the
+/// page streams are all warm: a 64-row run seals four segments per kind
+/// and makes at most 80 allocations, and a 14-row run that seals none
+/// makes none.
+#[test]
+fn warm_oaken_pool_run_allocates_only_at_seals() {
+    const PER_SEAL: usize = 10;
+    let cfg = geometry();
+    let d = cfg.kv_dim();
+    let config = OakenConfig::default();
+    let mut profiler = OfflineProfiler::new(config.clone(), cfg.num_layers);
+    for s in 0..24 {
+        for layer in 0..cfg.num_layers {
+            for kind in KvKind::ALL {
+                profiler.observe(layer, kind, &kv_row(d, s * 3 + layer as u64));
+            }
+        }
+    }
+    let q: Arc<dyn KvQuantizer> =
+        Arc::new(OakenQuantizer::new(config, profiler.try_finish().unwrap()));
+    let mut pool = PagedKvPool::for_model(&cfg, Some(q), 512, 65_536);
+    pool.set_kernel_mode(KernelMode::Fused);
+    let seq = pool.alloc_seq();
+    // Rows cycle with period 64, so every measured group repeats a warm
+    // one and no buffer meets a group with more outliers than before.
+    let ks: Vec<Vec<f32>> = (0..64).map(|t| kv_row(d, t)).collect();
+    let vs: Vec<Vec<f32>> = (0..64).map(|t| kv_row(d, 1_000 + t)).collect();
+    // Warm: 144 rows, every buffer at its working size — the page
+    // streams' size logs (two entries a row) with room for 128 more.
+    for run in [&ks[..], &ks[..], &ks[..16]] {
+        pool.append_run(seq, 0, run, &vs[..run.len()]).unwrap();
+    }
+    let segments = |pool: &PagedKvPool| {
+        let (keys, values) = pool.encoded_kv(seq, 0).expect("a fused Oaken pool");
+        keys.segments().len() + values.segments().len()
+    };
+    let before = segments(&pool);
+    let made = allocations_of(|| pool.append_run(seq, 0, &ks, &vs).unwrap());
+    let seals = segments(&pool) - before;
+    assert_eq!(
+        seals, 8,
+        "64 rows from a segment edge seal four segments a kind"
+    );
+    assert!(
+        made <= PER_SEAL * seals,
+        "a 64-row run made {made} allocations for {seals} seals"
+    );
+    // The next group's first row takes its coefficient lanes; a run after
+    // it that seals nothing allocates nothing.
+    pool.append(seq, 0, &ks[0], &vs[0]).unwrap();
+    let made = allocations_of(|| pool.append_run(seq, 0, &ks[1..15], &vs[1..15]).unwrap());
+    assert_eq!(made, 0, "a run that seals nothing allocates nothing");
+    assert_eq!(pool.seq_len(seq, 0), 223);
 }
