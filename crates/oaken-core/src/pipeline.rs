@@ -27,7 +27,7 @@ use crate::encoding::{capacity_bytes, FusedVector, OutlierIter, PackedRows, Scal
 use crate::error::OakenError;
 use crate::groups::GroupKind;
 use crate::groupshift::{unshift_middle, unshift_sparse};
-use crate::kernel::{EncodedStore, FusedReadParams, KEY_GROUP};
+use crate::kernel::{EncodedStore, FusedReadParams};
 use crate::lanes;
 use crate::quant::UniformQuantizer;
 use crate::thresholds::{KvKind, ModelThresholds, Thresholds};
@@ -55,8 +55,8 @@ const INNER: u8 = 4;
 #[derive(Debug, Clone, Default)]
 pub struct OakenScratch {
     passes: Passes,
-    /// Rows quantized and not yet stored, in page form: what a stream
-    /// pushes into its store, up to a 16-row group at a time.
+    /// The row just quantized, in page form: what a stream pushes into
+    /// its store.
     rows: PackedRows,
 }
 
@@ -78,7 +78,7 @@ impl OakenScratch {
     }
 
     /// Heap bytes the scratch holds.
-    pub fn held_bytes(&self) -> usize {
+    fn held_bytes(&self) -> usize {
         capacity_bytes(&self.passes.vals)
             + capacity_bytes(&self.passes.tags)
             + self.rows.held_bytes()
@@ -87,8 +87,8 @@ impl OakenScratch {
     /// Quantizes `x` with `params`' thresholds and bit-widths and appends
     /// it to `out` in page form: the two passes write its packed nibbles,
     /// COO bytes and per-block counts where `out` keeps them, with no
-    /// intermediate row. What a tensor-parallel pool encodes each row
-    /// with once, at full width, before every rank adopts its channels.
+    /// intermediate row. What a paged pool encodes each row with once,
+    /// at full width, before every rank's streams adopt their channels.
     ///
     /// # Panics
     ///
@@ -627,41 +627,21 @@ pub struct OakenRowStream {
 }
 
 impl OakenRowStream {
-    /// Quantizes `rows` — one or more rows back to back — against the
-    /// stream's thresholds and stores them: the two passes write each row
-    /// in page form into the scratch's staging, which takes the rows up
-    /// to the next 16-row group edge at a time, so a run covering a whole
-    /// key group lays it down at once ([`EncodedStore::push_rows`]). An unprofiled layer is a caller bug
-    /// on the streaming path, as on the trait-level batch path.
-    fn push_quantized(&mut self, rows: &[f32]) {
+    /// Quantizes one row against the stream's thresholds, straight into
+    /// the scratch's page-form row, and stores it. An unprofiled layer is
+    /// a caller bug on the streaming path, as on the trait-level batch
+    /// path.
+    fn push_quantized(&mut self, row: &[f32]) {
         let store =
             (self.store.as_mut()).expect("layer must be profiled before streaming quantization");
-        let d = store.dim();
-        assert!(
-            d > 0 && rows.len().is_multiple_of(d),
-            "row width mismatch: {} values for {d}-wide rows",
-            rows.len()
-        );
-        let mut rows = rows.chunks_exact(d);
-        let staged = &mut self.scratch.rows;
-        while rows.len() > 0 {
-            let take = (KEY_GROUP - store.len() % KEY_GROUP).min(rows.len());
-            // Room for a whole group from the first row on, so the stream
-            // holds the same bytes however its rows arrived.
-            staged.reset(d);
-            staged.reserve_exact(KEY_GROUP, KEY_GROUP * d);
-            for row in rows.by_ref().take(take) {
-                (self.scratch.passes)
-                    .quantize(
-                        row,
-                        &store.params().thresholds,
-                        store.params().bits(),
-                        staged,
-                    )
-                    .expect("configured bit-widths are valid");
-            }
-            store.push_rows(staged);
-        }
+        let OakenScratch { passes, rows } = &mut self.scratch;
+        assert_eq!(row.len(), store.dim(), "row width mismatch");
+        rows.reset(store.dim());
+        let params = store.params();
+        (passes)
+            .quantize(row, &params.thresholds, params.bits(), rows)
+            .expect("configured bit-widths are valid");
+        store.push_row(rows.row(0));
     }
 }
 
@@ -697,11 +677,11 @@ impl KvRowStream for OakenRowStream {
         self.store.as_mut()
     }
 
-    fn append_row_encoded(&mut self, rows: &[f32]) -> bool {
+    fn append_row_encoded(&mut self, row: &[f32]) -> bool {
         // Same quantization as `append_row`, minus the dequantize-into-view
-        // step: the stored rows *are* the cache contents, and the fused
-        // attention kernels read them in place.
-        self.push_quantized(rows);
+        // step: the stored row *is* the cache contents, and the fused
+        // attention kernels read it in place.
+        self.push_quantized(row);
         true
     }
 }
@@ -777,6 +757,7 @@ impl KvQuantizer for OakenQuantizer {
 mod tests {
     use super::*;
     use crate::config::GroupRatios;
+    use crate::kernel::KEY_GROUP;
     use crate::profiler::OfflineProfiler;
     use std::sync::Arc;
 

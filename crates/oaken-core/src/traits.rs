@@ -100,8 +100,7 @@ impl Default for OnlineCost {
 /// A method that keeps its rows encoded also lends out its one
 /// [`EncodedStore`] ([`encoded_rows`](KvRowStream::encoded_rows) and
 /// [`encoded_rows_mut`](KvRowStream::encoded_rows_mut)) and appends
-/// without a view, a row or a run of rows at a time
-/// ([`append_row_encoded`](KvRowStream::append_row_encoded));
+/// without a view ([`append_row_encoded`](KvRowStream::append_row_encoded));
 /// [`payload_bytes`](KvRowStream::payload_bytes) is derived from the
 /// store.
 pub trait KvRowStream: Send {
@@ -165,17 +164,13 @@ pub trait KvRowStream: Send {
         None
     }
 
-    /// Quantizes and appends the next token rows — one, or a run of
-    /// consecutive tokens' rows back to back, `d` values each — **without
-    /// materializing their dequantized image**: the memory half of the
-    /// fused-kernel win, and the one write path into the stream's
-    /// [`EncodedStore`], a run taken whole so it can fill whole key groups
-    /// at once. A run stores what appending its rows one at a time would.
+    /// Quantizes and appends the next token row **without materializing
+    /// its dequantized image** — the memory half of the fused-kernel win.
     /// Returns `false` (and appends nothing) when the method cannot skip
     /// the view; the caller must then use
-    /// [`append_row`](KvRowStream::append_row), row by row, instead.
-    fn append_row_encoded(&mut self, rows: &[f32]) -> bool {
-        let _ = rows;
+    /// [`append_row`](KvRowStream::append_row) instead.
+    fn append_row_encoded(&mut self, row: &[f32]) -> bool {
+        let _ = row;
         false
     }
 }

@@ -431,93 +431,22 @@ impl MmuSim {
     ///
     /// Panics if a sparse entry exceeds the page size.
     pub fn write_token(&mut self, key: StreamKey, bytes: u32) -> Result<u32, AllocError> {
-        self.assert_writable(key);
-        let stream = self.streams.entry(key).or_default();
-        Self::place(&mut self.allocator, stream, key.class, bytes)
-    }
-
-    /// [`write_token`](Self::write_token) of each `[a, b]` of `sizes`, in
-    /// order — `a` to `keys[0]`, then `b` to `keys[1]`, a zero size
-    /// writing nothing: a run of tokens that each lay one part in each of
-    /// two streams, as the paged KV pool lays a row's dense bytes and
-    /// sparse entries. Once both streams exist and `keys[0]` sorts just
-    /// before `keys[1]` (one request's dense and sparse streams), the run
-    /// finds them once instead of once per part. Returns the pages opened.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocError::OutOfPages`] at the first part device memory
-    /// cannot hold; the parts before it are written, as the same
-    /// `write_token` calls would have left them.
-    ///
-    /// # Panics
-    ///
-    /// As [`write_token`](Self::write_token).
-    pub fn write_token_pairs(
-        &mut self,
-        keys: [StreamKey; 2],
-        sizes: &[[u32; 2]],
-    ) -> Result<u32, AllocError> {
-        keys.iter().for_each(|&key| self.assert_writable(key));
-        if keys[0] < keys[1] {
-            let mut both = self.streams.range_mut(keys[0]..=keys[1]);
-            if let (Some((&k0, s0)), Some((&k1, s1))) = (both.next(), both.next()) {
-                if [k0, k1] == keys {
-                    let mut streams = [s0, s1];
-                    let mut opened = 0;
-                    for pair in sizes {
-                        for ((key, stream), &bytes) in keys.iter().zip(&mut streams).zip(pair) {
-                            if bytes > 0 {
-                                opened +=
-                                    Self::place(&mut self.allocator, stream, key.class, bytes)?;
-                            }
-                        }
-                    }
-                    return Ok(opened);
-                }
-            }
-        }
-        // A stream not written yet: part by part.
-        let mut opened = 0;
-        for pair in sizes {
-            for (&key, &bytes) in keys.iter().zip(pair) {
-                if bytes > 0 {
-                    opened += self.write_token(key, bytes)?;
-                }
-            }
-        }
-        Ok(opened)
-    }
-
-    /// Debug-checks that `key`'s request is not frozen to host.
-    #[inline(always)]
-    fn assert_writable(&self, key: StreamKey) {
+        let page_size = self.allocator.page_size();
         debug_assert!(
             !self.host.as_ref().is_some_and(|h| h.is_frozen(key.request)),
             "write to request {} while it is frozen to host",
             key.request
         );
-    }
-
-    /// Appends one token's `bytes` to `stream`, of `class`, opening pages
-    /// from `allocator` as its packing rule needs; nothing is written when
-    /// they do not fit. Returns the pages it opened.
-    #[inline(always)]
-    fn place(
-        allocator: &mut PageAllocator,
-        stream: &mut Stream,
-        class: StreamClass,
-        bytes: u32,
-    ) -> Result<u32, AllocError> {
+        let stream = self.streams.entry(key).or_default();
         let mut tail = stream.tail;
-        let opened = tail.place(class, bytes, allocator.page_size()) - stream.pages.len();
-        if opened > allocator.free_pages() as usize {
+        let opened = tail.place(key.class, bytes, page_size) - stream.pages.len();
+        if opened > self.allocator.free_pages() as usize {
             return Err(AllocError::OutOfPages {
-                capacity: allocator.capacity(),
+                capacity: self.allocator.capacity(),
             });
         }
         for _ in 0..opened {
-            stream.pages.push(allocator.alloc()?);
+            stream.pages.push(self.allocator.alloc()?);
         }
         stream.tail = tail;
         stream.sizes.push(bytes);
@@ -676,52 +605,6 @@ mod tests {
             head,
             class,
         }
-    }
-
-    /// A run of paired writes leaves the MMU exactly as the same
-    /// `write_token` calls, part by part: the same pages (ids included)
-    /// and size logs, interleaved with another request's writes, from a
-    /// fresh request and a warm one, and up to and including the part that
-    /// runs out of pages.
-    #[test]
-    fn paired_writes_equal_single_writes() {
-        let sizes: Vec<[u32; 2]> = (0..40u32).map(|t| [70, (t * 7) % 30]).collect();
-        let mut pairs = MmuSim::new(12, 256);
-        let mut single = MmuSim::new(12, 256);
-        let keys = [
-            key(1, 0, StreamClass::Dense),
-            key(1, 0, StreamClass::Sparse),
-        ];
-        let other = key(2, 0, StreamClass::Dense);
-        for run in sizes.chunks(9) {
-            let got = pairs.write_token_pairs(keys, run);
-            let mut want = Ok(0);
-            'run: for pair in run {
-                for (&k, &bytes) in keys.iter().zip(pair).filter(|(_, &b)| b > 0) {
-                    match single.write_token(k, bytes) {
-                        Ok(n) => want = want.map(|w| w + n),
-                        Err(e) => {
-                            want = Err(e);
-                            break 'run;
-                        }
-                    }
-                }
-            }
-            assert_eq!(got, want);
-            assert_eq!(pairs.write_token(other, 90), single.write_token(other, 90));
-            for k in keys.into_iter().chain([other]) {
-                assert_eq!(pairs.stream(&k), single.stream(&k), "{k:?}");
-            }
-            assert_eq!(
-                pairs.allocator().free_pages(),
-                single.allocator().free_pages()
-            );
-        }
-        assert_eq!(
-            pairs.allocator().free_pages(),
-            0,
-            "the run outgrew the pages"
-        );
     }
 
     /// Rows land back to back: ten 64-byte rows fill the first 640 bytes

@@ -60,7 +60,6 @@
 use crate::config::ModelConfig;
 use crate::pool::{PagedKvPool, PoolBatchView, SeqId, ShardReads};
 use oaken_core::{EncodedStore, KvKind, KvQuantizer, KvRowStream, PackedRows, StoreSegment};
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Which attention kernel reads a quantized cache — a read-side choice
@@ -246,35 +245,16 @@ impl KindSlot {
         (stream.encoded_rows_mut()).expect("a stream with an encoded form adopts encoded rows")
     }
 
-    /// Appends channels `channels` of each of `rows`, in order. A stream
-    /// with an encoded form takes the run in one call — back to back in
-    /// `flat`, a caller's reusable buffer, unless it is one row — so it
-    /// can quantize it straight into its store; any other stream takes
-    /// the rows one at a time.
-    pub(crate) fn append<R: AsRef<[f32]>>(
-        &mut self,
-        rows: &[R],
-        channels: Range<usize>,
-        flat: &mut Vec<f32>,
-    ) {
-        self.rows += rows.len();
-        let each = rows.iter().map(|row| &row.as_ref()[channels.clone()]);
+    pub(crate) fn append(&mut self, row: &[f32]) {
+        self.rows += 1;
         match &mut self.storage {
-            SlotRows::F32 => each.for_each(|row| self.view.extend_from_slice(row)),
-            SlotRows::Recompute(exact) => each.for_each(|row| exact.extend_from_slice(row)),
+            SlotRows::F32 => self.view.extend_from_slice(row),
             SlotRows::Stream(stream) => {
-                let run = match rows {
-                    [row] => &row.as_ref()[channels.clone()],
-                    _ => {
-                        flat.clear();
-                        each.clone().for_each(|row| flat.extend_from_slice(row));
-                        flat
-                    }
-                };
-                if !stream.append_row_encoded(run) {
-                    each.for_each(|row| stream.append_row(row, &mut self.view));
+                if !stream.append_row_encoded(row) {
+                    stream.append_row(row, &mut self.view);
                 }
             }
+            SlotRows::Recompute(exact) => exact.extend_from_slice(row),
         }
     }
 

@@ -226,18 +226,10 @@ pub struct PagedKvPool {
     plan: RankPlan,
     /// One data plane per rank: the page layout and the MMU under it.
     ranks: Vec<PageLedger>,
-    /// A quantized pool split over ranks quantizes each row here once and
-    /// every rank adopts its channels (`None` unless quantized and split).
+    /// A quantized pool whose streams keep encoded rows quantizes each
+    /// row here once, at full width, and every rank adopts its channels
+    /// (`None` for exact rows and for other quantizers).
     encoder: Option<seq::RankEncoder>,
-    /// A run's rows back to back, as a slot's stream takes them, and
-    /// their `[dense, sparse]` page bytes, as a rank's ledger takes them.
-    run_rows: Vec<f32>,
-    run_sizes: Vec<[u32; 2]>,
-    /// Whether every row's stored size is fixed by the row alone — exact
-    /// f32 rows, or a quantizer whose streams all keep encoded rows — not
-    /// the quantizer's nominal estimate, which may vary with the rows
-    /// held; only then is a run's page bound taken once.
-    fixed_rows: bool,
     /// The installed fault schedule, polled once per logical operation.
     faults: Option<FaultInjector>,
     /// The next sequence owner: sequence owners count up from 0, and a
@@ -320,17 +312,15 @@ impl PagedKvPool {
         let sharing_supported =
             streaming && quantizer.as_ref().is_none_or(|q| q.prefix_deterministic());
         let encodes = |s: &dyn KvRowStream| s.encoded_rows().is_some();
-        let fixed_rows = (quantizer.as_deref())
-            .is_none_or(|q| every_stream(q, model.num_layers, kv_dim, encodes));
+        let encoder = (quantizer.as_deref())
+            .filter(|q| every_stream(*q, model.num_layers, kv_dim, encodes))
+            .map(|q| seq::RankEncoder::new(q, model.num_layers, kv_dim, &RankPlan::new(model, 1)));
         let mut pool = Self {
             quantizer,
             model: model.clone(),
             plan: RankPlan::new(model, 1),
             ranks: Vec::new(),
-            encoder: None,
-            run_rows: Vec::new(),
-            run_sizes: Vec::new(),
-            fixed_rows,
+            encoder,
             faults: None,
             next_seq_owner: 0,
             next_block_owner: u32::MAX,
@@ -368,10 +358,10 @@ impl PagedKvPool {
     /// its [`RankPlan`] heads' channels of every K/V row on a page ledger
     /// of its own, device and host capacity divided by [`chunk_range`].
     /// Sequences, the trie and the fault schedule stay one. A quantized
-    /// pool keeps one full-width encoder per `(layer, kind)`: Oaken's
-    /// scales are whole-row min/max, so a rank quantizing its own channels
-    /// would compute other scales and other bits — each row is encoded
-    /// once and every rank adopts its slice.
+    /// pool's encoder quantizes each row at full width: Oaken's scales are
+    /// whole-row min/max, so a rank quantizing its own channels would
+    /// compute other scales and other bits — each row is encoded once and
+    /// every rank adopts its slice.
     ///
     /// # Panics
     ///
@@ -401,10 +391,13 @@ impl PagedKvPool {
                 ledger
             })
             .collect();
-        self.encoder = match self.quantizer.as_deref() {
-            Some(q) if ranks > 1 => Some(seq::RankEncoder::new(q, layers, kv_dim, &self.plan)),
-            _ => None,
-        };
+        if self.encodes() {
+            let q = self
+                .quantizer
+                .as_deref()
+                .expect("an encoding pool is quantized");
+            self.encoder = Some(seq::RankEncoder::new(q, layers, kv_dim, &self.plan));
+        }
         // Recycled slots are cut at the old widths.
         self.recycled.clear();
         ranks
@@ -454,7 +447,13 @@ impl PagedKvPool {
     /// Whether every `(layer, kind)` stream of the pool's quantizer keeps
     /// encoded rows — what rank shards adopt and the fused kernel reads.
     fn encodes(&self) -> bool {
-        self.quantized() && self.fixed_rows
+        self.encoder.is_some()
+    }
+
+    /// Rows the pool's encoder has quantized, keys and values.
+    #[cfg(test)]
+    pub(crate) fn rows_encoded(&self) -> usize {
+        self.encoder.as_ref().map_or(0, |e| e.quantized)
     }
 
     /// Rank 0's MMU simulator (read-only) — a one-rank pool's only one:
@@ -714,20 +713,16 @@ impl PagedKvPool {
 
     /// Heap bytes the pool holds for KV rows, every rank: the capacities
     /// of the buffers of every slot (live, suspended and recycled — its
-    /// stream or exact rows, and its view), of the rank encoder, and of
-    /// the trie blocks' rows, with each store segment counted once however
-    /// many slots and blocks share it — not the f32 staging of a run's
-    /// input rows, which holds no row between appends. Set against the bytes the page
+    /// stream or exact rows, and its view) and of the trie blocks' rows,
+    /// with each store segment counted once however many slots and blocks
+    /// share it — not the pool's one encoder, whose staging every sequence
+    /// reuses and which keeps no row. Set against the bytes the page
     /// ledger charges ([`page_accounting`](Self::page_accounting)), it
     /// shows how much more memory the pool really takes.
     pub fn held_kv_bytes(&self) -> u64 {
         let seqs = (self.seqs.values()).chain(self.suspended.values());
         let shards = seqs.chain(&self.recycled).flat_map(|s| &s.shards);
         let slots = shards.flat_map(|shard| shard.slots.iter().flatten());
-        let encoder = self
-            .encoder
-            .as_ref()
-            .map_or(0, seq::RankEncoder::held_bytes);
         // Each segment's bytes, by its address.
         let mut distinct = HashMap::new();
         let mut held = 0;
@@ -742,7 +737,7 @@ impl PagedKvPool {
             distinct.insert(Arc::as_ptr(segment), segment.held_bytes());
         }
         held += distinct.values().sum::<usize>();
-        (held + encoder + self.trie.held_bytes()) as u64
+        (held + self.trie.held_bytes()) as u64
     }
 
     /// Admission estimate: pages a sequence of `tokens` total tokens will

@@ -139,18 +139,21 @@ impl PageLedger {
         needed
     }
 
-    /// Lays encoded rows' `[dense, sparse]` bytes, in order, into
-    /// `owner`'s slab and log (the burst-order write layout of §5.2) and
-    /// returns the pages they opened. Must be covered by a
+    /// Lays one encoded row's `(dense, sparse)` bytes into `owner`'s slab
+    /// and log (the burst-order write layout of §5.2) and returns the
+    /// pages it opened. Must be covered by a
     /// [`pages_needed`](Self::pages_needed) pre-check.
-    pub(super) fn write_rows(&mut self, owner: u32, rows: &[[u32; 2]]) -> u32 {
-        let keys = [StreamClass::Dense, StreamClass::Sparse].map(|class| Self::key(owner, class));
-        let opened =
-            (self.mmu.write_token_pairs(keys, rows)).expect("append pre-checked the page bound");
-        for &[dense, _] in rows {
-            let dense = dense as usize;
-            self.dense_stride = Some(self.dense_stride.map_or(dense, |s| s.max(dense)));
+    pub(super) fn write_row(&mut self, owner: u32, (dense, sparse): (usize, usize)) -> u32 {
+        let mut opened = 0;
+        for (class, bytes) in [(StreamClass::Dense, dense), (StreamClass::Sparse, sparse)] {
+            if bytes > 0 {
+                opened += self
+                    .mmu
+                    .write_token(Self::key(owner, class), bytes as u32)
+                    .expect("append pre-checked the page bound");
+            }
         }
+        self.dense_stride = Some(self.dense_stride.map_or(dense, |s| s.max(dense)));
         opened
     }
 

@@ -285,9 +285,9 @@ impl PagedKvPool {
     /// each MMU has a single writer (§5.2) and page assignment follows
     /// call order. A run whose worst-case page bound fits every rank pays
     /// that bound once and stores its rows a pending block (or the tail)
-    /// at a time — every slot's stream quantizes its share of them in one
-    /// call — then commits their pages in row order, sealing at block
-    /// ends.
+    /// at a time — the pool's encoder quantizes them and every slot
+    /// adopts its channels up to each 16-row group edge at once — then
+    /// commits their pages in row order, sealing at block ends.
     /// Under a fault schedule, or when the whole run does not fit (or the
     /// rows' stored size is the quantizer's nominal estimate, which the
     /// bound cannot pin down ahead of them), rows go one at a time, each
@@ -326,8 +326,10 @@ impl PagedKvPool {
             return Err(PoolError::UnknownSequence { seq });
         };
         let layers = layer..layer + 1;
+        // Exact rows and encoded ones are sized by the row alone.
+        let sized = self.quantizer.is_none() || self.encodes();
         let whole = self.faults.is_none()
-            && self.fixed_rows
+            && sized
             && (0..self.ranks.len()).all(|r| {
                 let needed = self.rows_pages_needed(state, seq.0, r, layers.clone(), ks.len());
                 needed <= self.ranks[r].mmu().allocator().free_pages()
@@ -368,10 +370,10 @@ impl PagedKvPool {
     }
 
     /// Stores rows `ks`/`vs` a page owner at a time: every rank's slots
-    /// take the owner's rows (keys first), their pages are committed row
-    /// by row in the order single appends write them — per row, on each
-    /// rank, the key's bytes then the value's — and the blocks the rows
-    /// complete seal. The caller checked the page bound.
+    /// take the owner's rows, their pages are committed row by row in the
+    /// order single appends write them — per row, on each rank, the key's
+    /// bytes then the value's — and the blocks the rows complete seal.
+    /// The caller checked the page bound.
     fn store_rows<R: AsRef<[f32]>>(&mut self, seq: SeqId, layer: usize, ks: &[R], vs: &[R]) {
         let mut done = 0;
         while done < ks.len() {
@@ -389,8 +391,9 @@ impl PagedKvPool {
                         let to = end.min((at / KEY_GROUP + 1) * KEY_GROUP);
                         let part = at - start..to - start;
                         encoder.encode(layer, kinds.map(|rows| &rows[part.clone()]), &self.plan);
-                        for (shard, shares) in state.shards.iter_mut().zip(&encoder.shares) {
-                            for (slot, share) in shard.slots[layer].iter_mut().zip(shares) {
+                        for (r, shard) in state.shards.iter_mut().enumerate() {
+                            for (slot, share) in shard.slots[layer].iter_mut().zip(encoder.share(r))
+                            {
                                 slot.adopt(share);
                             }
                         }
@@ -399,8 +402,10 @@ impl PagedKvPool {
                 }
                 None => {
                     for (r, shard) in state.shards.iter_mut().enumerate() {
+                        let channels = self.plan.kv_channels(r);
                         for (slot, rows) in shard.slots[layer].iter_mut().zip(kinds) {
-                            slot.append(rows, self.plan.kv_channels(r), &mut self.run_rows);
+                            rows.iter()
+                                .for_each(|row| slot.append(&row.as_ref()[channels.clone()]));
                         }
                     }
                 }
@@ -409,15 +414,13 @@ impl PagedKvPool {
             // the sequence's private count (pending blocks stay private
             // until sealed).
             let q = self.quantizer.as_deref();
-            let sizes = &mut self.run_sizes;
             for (r, (shard, ledger)) in state.shards.iter_mut().zip(&mut self.ranks).enumerate() {
                 let width = self.plan.kv_channels(r).len();
-                sizes.clear();
                 for t in start..end {
-                    let slots = shard.slots[layer].iter();
-                    sizes.extend(slots.map(|slot| row_payload(slot, q, width, t)));
+                    for slot in &shard.slots[layer] {
+                        shard.pages += ledger.write_row(owner, row_payload(slot, q, width, t));
+                    }
                 }
-                shard.pages += ledger.write_rows(owner, sizes);
             }
             self.seal_ready_blocks(seq);
             done = rows.end;
@@ -433,10 +436,10 @@ impl PagedKvPool {
     }
 }
 
-/// A quantized pool's encoder when split over ranks: each row is
-/// quantized once, at full width, into page form, and sliced to every
-/// rank's channels ([`PackedRows::push_channels`]) for its slots to adopt,
-/// up to the slots' next 16-row group edge at a time — the room its
+/// A quantized pool's encoder: each row is quantized once, at full
+/// width, into page form, for every rank's slots to adopt — split over
+/// ranks, sliced to each rank's channels ([`PackedRows::push_channels`])
+/// — up to the slots' next 16-row group edge at a time: the room its
 /// buffers are sized for up front, so what it holds does not depend on
 /// how rows arrived.
 pub(super) struct RankEncoder {
@@ -444,10 +447,14 @@ pub(super) struct RankEncoder {
     /// their streams' stores'.
     params: Vec<[FusedReadParams; 2]>,
     scratch: OakenScratch,
-    /// The rows being encoded at full width, keys and values.
+    /// The rows being encoded at full width, keys and values: what one
+    /// rank adopts.
     full: [PackedRows; 2],
-    /// Per rank, its channels of them.
+    /// Split over ranks, each rank's channels of them (none at one rank).
     shares: Vec<[PackedRows; 2]>,
+    /// Rows quantized, keys and values.
+    #[cfg(test)]
+    pub(super) quantized: usize,
 }
 
 impl RankEncoder {
@@ -462,9 +469,13 @@ impl RankEncoder {
         let params = |layer, kind| {
             let stream = quantizer
                 .row_stream(kv_dim, layer, kind)
-                .expect("checked when split");
-            *stream.encoded_rows().expect("checked when split").params()
+                .expect("checked by the caller");
+            *stream
+                .encoded_rows()
+                .expect("checked by the caller")
+                .params()
         };
+        let split = plan.ranks() > 1;
         Self {
             params: (0..layers)
                 .map(|l| KvKind::ALL.map(|kind| params(l, kind)))
@@ -472,22 +483,29 @@ impl RankEncoder {
             scratch: OakenScratch::new(),
             full: [(); 2].map(|()| PackedRows::with_capacity(kv_dim, KEY_GROUP)),
             shares: (0..plan.ranks())
+                .filter(|_| split)
                 .map(|r| {
                     let width = plan.kv_channels(r).len();
                     [(); 2].map(|()| PackedRows::with_capacity(width, KEY_GROUP))
                 })
                 .collect(),
+            #[cfg(test)]
+            quantized: 0,
         }
     }
 
-    /// Encodes `rows` — `layer`'s key rows, then its value rows — into
-    /// [`shares`](Self::shares).
+    /// Encodes `rows` — `layer`'s key rows, then its value rows — for
+    /// every rank's [`share`](Self::share).
     fn encode<R: AsRef<[f32]>>(&mut self, layer: usize, rows: [&[R]; 2], plan: &RankPlan) {
         for (kind, rows) in rows.into_iter().enumerate() {
             let full = &mut self.full[kind];
             full.clear();
             for row in rows {
                 (self.scratch).quantize_into(row.as_ref(), &self.params[layer][kind], full);
+            }
+            #[cfg(test)]
+            {
+                self.quantized += rows.len();
             }
             for (r, shares) in self.shares.iter_mut().enumerate() {
                 let share = &mut shares[kind];
@@ -498,14 +516,18 @@ impl RankEncoder {
         }
     }
 
-    /// Heap bytes the encoder holds.
-    pub(super) fn held_bytes(&self) -> usize {
-        let runs = self.full.iter().chain(self.shares.iter().flatten());
-        self.scratch.held_bytes() + runs.map(PackedRows::held_bytes).sum::<usize>()
+    /// Rank `r`'s key and value rows of the last [`encode`](Self::encode):
+    /// all of them at one rank, its channels when split.
+    fn share(&self, r: usize) -> &[PackedRows; 2] {
+        if self.shares.is_empty() {
+            &self.full
+        } else {
+            &self.shares[r]
+        }
     }
 }
 
-/// `[dense, sparse]` stored byte sizes of a slot's row `t`: its encoded
+/// `(dense, sparse)` stored byte sizes of a slot's row `t`: its encoded
 /// payload when the stream keeps encoded rows, the quantizer's nominal
 /// estimate at `t + 1` rows otherwise, raw f32 bytes for exact storage.
 fn row_payload(
@@ -513,18 +535,17 @@ fn row_payload(
     quantizer: Option<&dyn KvQuantizer>,
     kv_dim: usize,
     t: usize,
-) -> [u32; 2] {
+) -> (usize, usize) {
     let nominal = || {
         let q = quantizer.expect("quantized slots exist only with a quantizer");
         let bits = q.effective_bits(t + 1, kv_dim);
         (((bits * kv_dim as f64) / 8.0).ceil() as usize, 0)
     };
-    let (dense, sparse) = match &slot.storage {
+    match &slot.storage {
         SlotRows::F32 => (kv_dim * 4, 0),
         SlotRows::Stream(stream) => {
             (stream.encoded_rows()).map_or_else(nominal, |rows| rows.row_payload(t))
         }
         SlotRows::Recompute(_) => nominal(),
-    };
-    [dense, sparse].map(|bytes| u32::try_from(bytes).expect("a row's bytes fit a page"))
+    }
 }

@@ -651,8 +651,8 @@ mod tests {
         assert_eq!(pools.free_pages(), pools.capacity_pages());
     }
 
-    /// `q` with every row its streams quantize counted: the rows of
-    /// `append_row` and `append_row_encoded` calls, adoptions excluded.
+    /// `q` with every row its streams quantize counted: `append_row` and
+    /// `append_row_encoded` calls, adoptions excluded.
     struct CountingQuantizer {
         inner: Arc<dyn KvQuantizer>,
         encodes: Arc<AtomicUsize>,
@@ -710,10 +710,9 @@ mod tests {
         fn encoded_rows_mut(&mut self) -> Option<&mut EncodedStore> {
             self.inner.encoded_rows_mut()
         }
-        fn append_row_encoded(&mut self, rows: &[f32]) -> bool {
-            let d = self.inner.encoded_rows().map_or(rows.len(), |s| s.dim());
-            self.encodes.fetch_add(rows.len() / d, Ordering::Relaxed);
-            self.inner.append_row_encoded(rows)
+        fn append_row_encoded(&mut self, row: &[f32]) -> bool {
+            self.encodes.fetch_add(1, Ordering::Relaxed);
+            self.inner.append_row_encoded(row)
         }
     }
 
@@ -752,13 +751,17 @@ mod tests {
                     forward(&model, &rt, &mut comm, &mut pools, &seqs, &steps);
                     pos += feed.len();
                 }
-                // One rank's streams quantize every row; split, the pool
-                // quantizes each row once at full width and every rank's
-                // streams adopt their channels of it, quantizing none.
-                let once = 2 * tokens * cfg.num_layers;
+                // The pool's encoder quantizes each row once, at full
+                // width, and every rank's streams adopt their channels of
+                // it, quantizing none.
+                assert_eq!(
+                    pools.rows_encoded(),
+                    2 * tokens * cfg.num_layers,
+                    "{ranks} ranks, {kernel:?}"
+                );
                 assert_eq!(
                     encodes.load(Ordering::Relaxed),
-                    if ranks == 1 { once } else { 0 },
+                    0,
                     "{ranks} ranks, {kernel:?}"
                 );
             }

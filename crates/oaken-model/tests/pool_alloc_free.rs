@@ -203,9 +203,8 @@ fn steady_state_page_bound_over_pending_blocks_makes_zero_allocations() {
 /// masks, outlier values, and its log's COO bytes, row ends, block counts
 /// and scales — and the emptied open segment, which lets its coefficient
 /// lanes go with its rows, takes new ones at the next group's first row:
-/// at most ten allocations per sealed segment. The pool's staging, the
-/// streams' quantizer scratch, the open segments' other buffers and the
-/// page streams are all warm: a 64-row run seals four segments per kind
+/// at most ten allocations per sealed segment. The pool's encoder, the
+/// open segments' other buffers and the page streams are all warm: a 64-row run seals four segments per kind
 /// and makes at most 80 allocations, and a 14-row run that seals none
 /// makes none.
 #[test]
