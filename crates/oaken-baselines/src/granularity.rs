@@ -126,7 +126,7 @@ impl PerHeadQuantizer {
         for (h, chunk) in x.chunks(self.head_dim).enumerate() {
             let q = OakenQuantizer::new(self.config.clone(), self.heads[h].clone());
             let fv = q.quantize_vector(chunk, layer, kind)?;
-            out.extend(q.dequantize_vector(&fv, layer, kind)?);
+            q.dequantize_vector_into(fv.row(0), layer, kind, &mut out)?;
         }
         Ok(out)
     }
@@ -220,7 +220,9 @@ mod tests {
         let x = two_scale_vector(head_dim, 777);
         let ph = per_head.roundtrip_vector(&x, 0, KvKind::Key).unwrap();
         let fv = per_layer.quantize_vector(&x, 0, KvKind::Key).unwrap();
-        let pl = per_layer.dequantize_vector(&fv, 0, KvKind::Key).unwrap();
+        let pl = per_layer
+            .dequantize_vector(fv.row(0), 0, KvKind::Key)
+            .unwrap();
         let mse = |y: &[f32]| x.iter().zip(y).map(|(a, b)| (a - b) * (a - b)).sum::<f32>();
         assert!(
             mse(&ph) < mse(&pl),

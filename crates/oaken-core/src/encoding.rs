@@ -97,195 +97,9 @@ impl CooEntry {
     }
 }
 
-/// A fused dense-and-sparse encoded vector: what the quantization engine
-/// emits for one row and what crosses a boundary on its own (a test
-/// oracle, a wire). A stream keeps its rows in its
-/// [`EncodedStore`](crate::EncodedStore)'s 16-row segments instead, and
-/// rows move between stores in page form ([`PackedRows`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FusedVector {
-    dim: usize,
-    /// Packed 4-bit codes, element `i` in nibble `i` (low nibble first).
-    dense: Vec<u8>,
-    /// Packed COO entries ordered by ascending element index.
-    sparse: Vec<u8>,
-    /// Outliers per 64-element block; the sparse management table's
-    /// transfer-size information.
-    block_counts: Vec<u8>,
-    /// Per-vector scales.
-    scales: ScaleSet,
-}
-
-impl FusedVector {
-    /// Builds an encoded vector from its parts.
-    ///
-    /// `dense_codes` must contain one 4-bit code per element; `outliers`
-    /// must be sorted by ascending index and within `0..dim`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OakenError::CorruptEncoding`] if `dense_codes.len() != dim`,
-    /// any code exceeds 4 bits, outliers are unsorted/duplicated, or an
-    /// outlier index is out of range.
-    pub fn from_parts(
-        dim: usize,
-        dense_codes: &[u8],
-        outliers: &[CooEntry],
-        scales: ScaleSet,
-    ) -> Result<Self, OakenError> {
-        if dense_codes.len() != dim {
-            return Err(OakenError::CorruptEncoding {
-                detail: format!("{} dense codes for dimension {dim}", dense_codes.len()),
-            });
-        }
-        // One OR-fold: every code fits 4 bits iff their union does.
-        if dense_codes.iter().fold(0, |all, &c| all | c) > 0xF {
-            return Err(OakenError::CorruptEncoding {
-                detail: "dense code exceeds 4 bits".to_owned(),
-            });
-        }
-        let (pairs, odd) = dense_codes.as_chunks::<2>();
-        let mut dense = Vec::with_capacity(dim.div_ceil(2));
-        dense.extend(pairs.iter().map(|&[lo, hi]| lo | hi << 4));
-        dense.extend_from_slice(odd);
-        let mut sparse = Vec::with_capacity(outliers.len());
-        let mut block_counts = vec![0; dim.div_ceil(BLOCK_SIZE)];
-        let mut prev: Option<usize> = None;
-        for entry in outliers {
-            if entry.index >= dim {
-                return Err(OakenError::CorruptEncoding {
-                    detail: format!("outlier index {} out of range {dim}", entry.index),
-                });
-            }
-            if prev.is_some_and(|p| entry.index <= p) {
-                return Err(OakenError::CorruptEncoding {
-                    detail: "outlier indices must be strictly increasing".to_owned(),
-                });
-            }
-            prev = Some(entry.index);
-            let offset = (entry.index % BLOCK_SIZE) as u8;
-            sparse.push(CooEntry::pack(offset, entry.group, entry.high_side));
-            block_counts[entry.index / BLOCK_SIZE] += 1;
-        }
-        Ok(Self {
-            dim,
-            dense,
-            sparse,
-            block_counts,
-            scales,
-        })
-    }
-
-    /// The vector's parts, borrowed.
-    pub fn row(&self) -> EncodedRow<'_> {
-        EncodedRow {
-            dim: self.dim,
-            dense: &self.dense,
-            sparse: &self.sparse,
-            block_counts: &self.block_counts,
-            scales: self.scales,
-        }
-    }
-
-    /// Vector dimension (element count).
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The per-vector scales.
-    pub fn scales(&self) -> &ScaleSet {
-        &self.scales
-    }
-
-    /// Number of outliers in the sparse stream.
-    pub fn num_outliers(&self) -> usize {
-        self.sparse.len()
-    }
-
-    /// Reads the 4-bit dense code of element `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= dim()`.
-    pub fn dense_code(&self, i: usize) -> u8 {
-        self.row().dense_code(i)
-    }
-
-    /// The raw packed dense nibble buffer.
-    pub fn dense_bytes(&self) -> &[u8] {
-        &self.dense
-    }
-
-    /// The raw packed COO buffer.
-    pub fn sparse_bytes(&self) -> &[u8] {
-        &self.sparse
-    }
-
-    /// Per-block outlier counts (the sparse table's transfer sizes).
-    pub fn block_counts(&self) -> &[u8] {
-        &self.block_counts
-    }
-
-    /// Streams the COO entries in ascending index order without allocating
-    /// (see [`EncodedRow::outliers`]).
-    pub fn outliers(&self) -> OutlierIter<'_> {
-        self.row().outliers()
-    }
-
-    /// Bytes of KV payload: dense nibbles + sparse COO entries + FP16 scales.
-    pub fn payload_bytes(&self) -> usize {
-        self.row().payload_bytes()
-    }
-
-    /// Bytes of MMU-side metadata (per-block transfer sizes). Reported
-    /// separately because the paper accounts management tables to the MMU,
-    /// not to the effective bitwidth.
-    pub fn table_bytes(&self) -> usize {
-        self.block_counts.len()
-    }
-
-    /// Mean stored bits per element, the paper's "effective bitwidth":
-    /// `(dense + sparse + scales) × 8 / dim`.
-    pub fn effective_bits(&self) -> f64 {
-        self.payload_bytes() as f64 * 8.0 / self.dim.max(1) as f64
-    }
-
-    /// Extracts the encoding of a contiguous channel range as a standalone
-    /// vector of dimension `range.len()` — the unit a tensor-parallel rank
-    /// stores for its KV-head slice.
-    ///
-    /// Dense codes are positional and copy over directly; COO outliers are
-    /// rebased to the new origin and re-bucketed into blocks (the range
-    /// need not be block-aligned); the [`ScaleSet`] travels unchanged.
-    /// Because Oaken's scales are whole-row min/max reductions and every
-    /// element decodes as a pure function of its own code, outlier entry,
-    /// and the shared scales, dequantizing the slice is **bit-identical**
-    /// to slicing the full dequantization — quantize once, shard the
-    /// encoding, and every rank reconstructs the same values the unsharded
-    /// cache would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OakenError::CorruptEncoding`] if the range exceeds the
-    /// vector's dimension.
-    pub fn slice_channels(&self, range: std::ops::Range<usize>) -> Result<Self, OakenError> {
-        if range.start > range.end || range.end > self.dim {
-            return Err(OakenError::CorruptEncoding {
-                detail: format!(
-                    "channel slice {}..{} out of range for dimension {}",
-                    range.start, range.end, self.dim
-                ),
-            });
-        }
-        let mut one = PackedRows::new(range.len());
-        one.push_channels(self.row(), range);
-        Ok(one.row(0).to_vector())
-    }
-}
-
-/// One encoded row's four parts, borrowed from where they are stored (a
-/// [`FusedVector`], a [`PackedRows`] run): what store segments are built
-/// from and the exact decoder walks.
+/// One encoded row's four parts, borrowed from the [`PackedRows`] run
+/// that holds them: what store segments are built from and the exact
+/// decoder walks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EncodedRow<'a> {
     dim: usize,
@@ -321,6 +135,17 @@ impl<'a> EncodedRow<'a> {
         self.dense
     }
 
+    /// The packed COO bytes, one per outlier in ascending index order.
+    pub fn sparse_bytes(&self) -> &'a [u8] {
+        self.sparse
+    }
+
+    /// Outliers per 64-element block: the sparse management table's
+    /// transfer sizes, which delimit each block's COO bytes.
+    pub fn block_counts(&self) -> &'a [u8] {
+        self.block_counts
+    }
+
     /// Streams the COO entries in ascending index order without allocating,
     /// using the per-block counts to attribute bytes to blocks — exactly the
     /// zero-insert walk the dequantization engine performs (§5.2 "outlier
@@ -333,17 +158,6 @@ impl<'a> EncodedRow<'a> {
     /// Bytes of KV payload: dense nibbles + sparse COO entries + FP16 scales.
     pub fn payload_bytes(&self) -> usize {
         self.dense.len() + self.sparse.len() + SCALE_BYTES
-    }
-
-    /// A standalone copy of the row.
-    pub fn to_vector(&self) -> FusedVector {
-        FusedVector {
-            dim: self.dim,
-            dense: self.dense.to_vec(),
-            sparse: self.sparse.to_vec(),
-            block_counts: self.block_counts.to_vec(),
-            scales: self.scales,
-        }
     }
 }
 
@@ -515,10 +329,64 @@ impl PackedRows {
         run
     }
 
+    /// A one-row run of a `dim`-wide row built from its parts.
+    ///
+    /// `dense_codes` must contain one 4-bit code per element; `outliers`
+    /// must be sorted by ascending index and within `0..dim`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OakenError::CorruptEncoding`] if `dense_codes.len() != dim`,
+    /// any code exceeds 4 bits, outliers are unsorted/duplicated, or an
+    /// outlier index is out of range.
+    pub fn from_parts(
+        dim: usize,
+        dense_codes: &[u8],
+        outliers: &[CooEntry],
+        scales: ScaleSet,
+    ) -> Result<Self, OakenError> {
+        if dense_codes.len() != dim {
+            return Err(OakenError::CorruptEncoding {
+                detail: format!("{} dense codes for dimension {dim}", dense_codes.len()),
+            });
+        }
+        // One OR-fold: every code fits 4 bits iff their union does.
+        if dense_codes.iter().fold(0, |all, &c| all | c) > 0xF {
+            return Err(OakenError::CorruptEncoding {
+                detail: "dense code exceeds 4 bits".to_owned(),
+            });
+        }
+        let mut run = Self::new(dim);
+        run.push_with(scales, |dense, sparse, block_counts| {
+            for (byte, pair) in dense.iter_mut().zip(dense_codes.chunks(2)) {
+                *byte = pair.iter().rev().fold(0, |b, &c| b << 4 | c);
+            }
+            let mut prev: Option<usize> = None;
+            for entry in outliers {
+                if entry.index >= dim {
+                    return Err(OakenError::CorruptEncoding {
+                        detail: format!("outlier index {} out of range {dim}", entry.index),
+                    });
+                }
+                if prev.is_some_and(|p| entry.index <= p) {
+                    return Err(OakenError::CorruptEncoding {
+                        detail: "outlier indices must be strictly increasing".to_owned(),
+                    });
+                }
+                prev = Some(entry.index);
+                let offset = (entry.index % BLOCK_SIZE) as u8;
+                sparse.push(CooEntry::pack(offset, entry.group, entry.high_side));
+                block_counts[entry.index / BLOCK_SIZE] += 1;
+            }
+            Ok(())
+        })?;
+        Ok(run)
+    }
+
     /// Drops every row, keeping the buffers.
     pub fn clear(&mut self) {
-        let dim = self.dim();
-        self.reset(dim);
+        self.dense.clear();
+        self.log.clear();
     }
 
     /// Row width.
@@ -539,14 +407,6 @@ impl PackedRows {
     /// The rows' sparse parts.
     pub(crate) fn log(&self) -> &SparseLog {
         &self.log
-    }
-
-    /// Drops every row and makes the run one of `dim`-wide rows, keeping
-    /// the buffers: the quantizer's staging of a run.
-    pub(crate) fn reset(&mut self, dim: usize) {
-        self.dense.clear();
-        self.log.clear();
-        self.log.dim = dim;
     }
 
     /// Appends one row of `scales` written by `fill`, which is handed the
@@ -611,9 +471,12 @@ impl PackedRows {
     /// tensor-parallel rank's share of a row encoded once at full width.
     /// Dense codes are re-packed from the range's origin; COO entries
     /// inside it are re-based and re-bucketed into blocks (the range need
-    /// not be block-aligned); the scales travel unchanged. The one
-    /// implementation of the rule [`FusedVector::slice_channels`]
-    /// documents.
+    /// not be block-aligned); the scales travel unchanged. Because Oaken's
+    /// scales are whole-row min/max reductions and every element decodes
+    /// as a pure function of its own code, outlier entry and the shared
+    /// scales, decoding the slice is **bit-identical** to slicing the full
+    /// row's decode: quantize once, shard the encoding, and every rank
+    /// reconstructs the values the unsharded cache would.
     ///
     /// # Panics
     ///
@@ -788,16 +651,16 @@ mod tests {
     fn from_parts_validates() {
         let scales = ScaleSet::default();
         // Wrong dense length.
-        assert!(FusedVector::from_parts(4, &[1, 2, 3], &[], scales).is_err());
+        assert!(PackedRows::from_parts(4, &[1, 2, 3], &[], scales).is_err());
         // Code too wide.
-        assert!(FusedVector::from_parts(2, &[16, 0], &[], scales).is_err());
+        assert!(PackedRows::from_parts(2, &[16, 0], &[], scales).is_err());
         // Out-of-range outlier.
         assert!(
-            FusedVector::from_parts(2, &[0, 0], &[entry(5, GroupKind::Outer, true)], scales)
+            PackedRows::from_parts(2, &[0, 0], &[entry(5, GroupKind::Outer, true)], scales)
                 .is_err()
         );
         // Unsorted outliers.
-        assert!(FusedVector::from_parts(
+        assert!(PackedRows::from_parts(
             8,
             &[0; 8],
             &[
@@ -812,11 +675,12 @@ mod tests {
     #[test]
     fn dense_nibble_roundtrip() {
         let codes: Vec<u8> = (0..9).map(|i| (i * 3) % 16).collect();
-        let fv = FusedVector::from_parts(9, &codes, &[], ScaleSet::default()).unwrap();
+        let run = PackedRows::from_parts(9, &codes, &[], ScaleSet::default()).unwrap();
+        let row = run.row(0);
         for (i, &c) in codes.iter().enumerate() {
-            assert_eq!(fv.dense_code(i), c, "element {i}");
+            assert_eq!(row.dense_code(i), c, "element {i}");
         }
-        assert_eq!(fv.dense_bytes().len(), 5); // ceil(9/2)
+        assert_eq!(row.dense_bytes().len(), 5); // ceil(9/2)
     }
 
     #[test]
@@ -830,9 +694,9 @@ mod tests {
             entry(130, GroupKind::Inner, false),
             entry(199, GroupKind::Outer, true),
         ];
-        let fv = FusedVector::from_parts(dim, &codes, &outs, ScaleSet::default()).unwrap();
-        assert_eq!(fv.block_counts(), &[2, 1, 1, 1]);
-        assert_eq!(fv.outliers().collect::<Vec<_>>(), outs);
+        let run = PackedRows::from_parts(dim, &codes, &outs, ScaleSet::default()).unwrap();
+        assert_eq!(run.row(0).block_counts(), &[2, 1, 1, 1]);
+        assert_eq!(run.row(0).outliers().collect::<Vec<_>>(), outs);
     }
 
     #[test]
@@ -843,7 +707,8 @@ mod tests {
             .iter()
             .map(|&i| entry(i, GroupKind::Outer, i % 2 == 0))
             .collect();
-        let fv = FusedVector::from_parts(dim, &codes, &outs, ScaleSet::default()).unwrap();
+        let run = PackedRows::from_parts(dim, &codes, &outs, ScaleSet::default()).unwrap();
+        let fv = run.row(0);
         let it = fv.outliers();
         assert_eq!(it.len(), outs.len());
         assert_eq!(it.collect::<Vec<_>>(), outs);
@@ -856,8 +721,8 @@ mod tests {
         assert_eq!(it.len(), 4);
         assert_eq!(it.collect::<Vec<_>>(), outs[1..5]);
         // Empty stream iterates to nothing.
-        let fv = FusedVector::from_parts(dim, &codes, &[], ScaleSet::default()).unwrap();
-        assert_eq!(fv.outliers().count(), 0);
+        let run = PackedRows::from_parts(dim, &codes, &[], ScaleSet::default()).unwrap();
+        assert_eq!(run.row(0).outliers().count(), 0);
     }
 
     #[test]
@@ -867,18 +732,20 @@ mod tests {
         let outs: Vec<CooEntry> = (0..13)
             .map(|i| entry(i * 9, GroupKind::Outer, true))
             .collect();
-        let fv = FusedVector::from_parts(dim, &codes, &outs, ScaleSet::default()).unwrap();
+        let run = PackedRows::from_parts(dim, &codes, &outs, ScaleSet::default()).unwrap();
+        let fv = run.row(0);
         assert_eq!(fv.payload_bytes(), 64 + 13 + 8);
-        assert_eq!(fv.table_bytes(), 2);
+        assert_eq!(run.payload_bytes(), fv.payload_bytes());
+        assert_eq!(fv.block_counts().len(), 2);
         // ~10% outliers → effective bits ≈ 4 + 0.8 + 0.5 (scales over 128)
-        let eb = fv.effective_bits();
+        let eb = fv.payload_bytes() as f64 * 8.0 / dim as f64;
         assert!(eb > 4.7 && eb < 5.4, "{eb}");
     }
 
     #[test]
     fn empty_vector_is_legal() {
-        let fv = FusedVector::from_parts(0, &[], &[], ScaleSet::default()).unwrap();
-        assert_eq!(fv.dim(), 0);
-        assert_eq!(fv.outliers().count(), 0);
+        let run = PackedRows::from_parts(0, &[], &[], ScaleSet::default()).unwrap();
+        assert_eq!((run.dim(), run.rows()), (0, 1));
+        assert_eq!(run.row(0).outliers().count(), 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Quantized-domain decode coefficients for the fused attention kernels.
 //!
-//! The exact read path decodes a [`FusedVector`] element by element:
+//! The exact read path decodes an [`EncodedRow`] element by element:
 //! build three [`UniformQuantizer`]s from the row's [`ScaleSet`], walk the
 //! dense nibbles, branch on the reconstructed shifted value's sign
 //! ([`crate::groupshift::unshift_middle`]), and patch outliers from the COO
@@ -47,8 +47,7 @@
 
 use crate::config::BitWidths;
 use crate::encoding::{
-    capacity_bytes, CooEntry, EncodedRow, FusedVector, OutlierIter, PackedRows, ScaleSet,
-    SparseLog, SCALE_BYTES,
+    capacity_bytes, CooEntry, EncodedRow, OutlierIter, PackedRows, ScaleSet, SparseLog, SCALE_BYTES,
 };
 use crate::groups::GroupKind;
 use crate::lanes;
@@ -160,11 +159,6 @@ impl RowDecode {
             outer_hi: t.outer_hi,
             outer_lo: t.outer_lo,
         }
-    }
-
-    /// Coefficients for one encoded row.
-    pub fn for_row(fv: &FusedVector, params: &FusedReadParams) -> Self {
-        Self::new(fv.scales(), params)
     }
 
     /// Decodes a dense middle code: one compare + one fused multiply-add.
@@ -580,7 +574,8 @@ impl EncodedStore {
 ///   `r · ⌈d/16⌉ + w`, column `16w + k` in lane `k` (the last word
 ///   zero-padded);
 /// * `coeffs`: each row's middle decode, lane `r` for row `r` (allocated
-///   at the first row, so a stream that only shares segments holds none);
+///   at the first row, so a stream that only shares segments holds none,
+///   and kept with its lanes zeroed when the segment empties);
 /// * `masks[w]`: the nibbles of word `w` that hold an outlier's
 ///   magnitude, and `values`: those outliers' reconstructions
 ///   ([`RowDecode::outlier`]) in (word, nibble) order — for keys (column,
@@ -591,7 +586,7 @@ impl EncodedStore {
 /// Sealed, a segment is immutable and shared by reference: a stream and
 /// every prefix-trie block and adopter holding the same rows hold the one
 /// segment, so a shared prefix's bytes exist once.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct StoreSegment {
     kind: KvKind,
     dense: Vec<u64>,
@@ -793,13 +788,29 @@ impl StoreSegment {
         2 * std::mem::size_of::<usize>() + std::mem::size_of::<Self>() + self.buffer_bytes()
     }
 
-    /// Drops every row, keeping the buffers but the coefficients'.
+    /// Drops every row, keeping the buffers, the coefficient lanes zeroed.
     fn clear(&mut self) {
         self.dense.clear();
-        self.coeffs = None;
+        if let Some(coeffs) = &mut self.coeffs {
+            **coeffs = GroupCoeffs::NONE;
+        }
         self.masks.clear();
         self.values.clear();
         self.log.clear();
+    }
+}
+
+impl PartialEq for StoreSegment {
+    /// Segments holding the same rows are equal: coefficient lanes kept
+    /// zeroed through a clear read as none allocated.
+    fn eq(&self, other: &Self) -> bool {
+        self.kind == other.kind
+            && self.dense == other.dense
+            && self.coeffs() == other.coeffs()
+            && self.masks == other.masks
+            && self.values == other.values
+            && self.log == other.log
+            && self.sparse_before == other.sparse_before
     }
 }
 
@@ -1036,15 +1047,15 @@ fn transpose_nibbles(m: &mut [u64; 16]) {
 }
 
 /// Decodes a whole encoded row through the fused coefficients, appending
-/// `fv.dim()` values to `out`. Reference implementation for the kernel
+/// `row.dim()` values to `out`. Reference implementation for the kernel
 /// property tests — the attention kernels inline this walk instead of
 /// materializing it.
-pub fn decode_row_fused_into(fv: &FusedVector, params: &FusedReadParams, out: &mut Vec<f32>) {
-    let d = RowDecode::for_row(fv, params);
-    let mut outliers = fv.outliers().peekable();
-    out.reserve(fv.dim());
-    for i in 0..fv.dim() {
-        let code = u32::from(fv.dense_code(i));
+pub fn decode_row_fused_into(row: EncodedRow<'_>, params: &FusedReadParams, out: &mut Vec<f32>) {
+    let d = RowDecode::new(row.scales(), params);
+    let mut outliers = row.outliers().peekable();
+    out.reserve(row.dim());
+    for i in 0..row.dim() {
+        let code = u32::from(row.dense_code(i));
         let v = match outliers.peek() {
             Some(e) if e.index == i => {
                 let e = *e;
@@ -1103,13 +1114,10 @@ mod tests {
         for seed in 0..24 {
             let x = test_vector(256, seed * 13 + 1);
             let fv = q.quantize_vector(&x, 0, KvKind::Key).unwrap();
-            let d = RowDecode::for_row(&fv, &params);
-            let q_mid = UniformQuantizer::new(
-                fv.scales().middle_min,
-                fv.scales().middle_max,
-                params.middle_bits,
-            )
-            .unwrap();
+            let s = *fv.row(0).scales();
+            let d = RowDecode::new(&s, &params);
+            let q_mid =
+                UniformQuantizer::new(s.middle_min, s.middle_max, params.middle_bits).unwrap();
             for c in 0..=q_mid.max_code() {
                 let exact_high = q_mid.dequantize(c) >= 0.0;
                 assert_eq!(
@@ -1129,9 +1137,9 @@ mod tests {
             for seed in 0..16 {
                 let x = test_vector(512, seed * 31 + 7);
                 let fv = q.quantize_vector(&x, 1, kind).unwrap();
-                let exact = q.dequantize_vector(&fv, 1, kind).unwrap();
+                let exact = q.dequantize_vector(fv.row(0), 1, kind).unwrap();
                 let mut fused = Vec::new();
-                decode_row_fused_into(&fv, &params, &mut fused);
+                decode_row_fused_into(fv.row(0), &params, &mut fused);
                 assert_eq!(fused.len(), exact.len());
                 let range = exact.iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1e-6);
                 for (i, (a, b)) in exact.iter().zip(&fused).enumerate() {
@@ -1153,9 +1161,9 @@ mod tests {
         for value in [0.0f32, 1.25, -1.25] {
             let x = vec![value; 128];
             let fv = q.quantize_vector(&x, 0, KvKind::Value).unwrap();
-            let exact = q.dequantize_vector(&fv, 0, KvKind::Value).unwrap();
+            let exact = q.dequantize_vector(fv.row(0), 0, KvKind::Value).unwrap();
             let mut fused = Vec::new();
-            decode_row_fused_into(&fv, &params, &mut fused);
+            decode_row_fused_into(fv.row(0), &params, &mut fused);
             for (a, b) in exact.iter().zip(&fused) {
                 assert!((a - b).abs() <= 1e-5, "exact {a} fused {b}");
             }
@@ -1175,11 +1183,12 @@ mod tests {
             let x = test_vector(384, seed * 11 + 5);
             let fv = q.quantize_vector(&x, 0, KvKind::Key).unwrap();
             let mut full = Vec::new();
-            decode_row_fused_into(&fv, &params, &mut full);
+            decode_row_fused_into(fv.row(0), &params, &mut full);
             for range in [0..80, 80..208, 208..384] {
-                let s = fv.slice_channels(range.clone()).unwrap();
+                let mut s = PackedRows::new(range.len());
+                s.push_channels(fv.row(0), range.clone());
                 let mut got = Vec::new();
-                decode_row_fused_into(&s, &params, &mut got);
+                decode_row_fused_into(s.row(0), &params, &mut got);
                 for (j, (a, b)) in got.iter().zip(&full[range.clone()]).enumerate() {
                     assert_eq!(
                         a.to_bits(),
@@ -1203,9 +1212,9 @@ mod tests {
         for t in 0..40 {
             let fv = q.quantize_vector(&test_vector(d, t * 5 + 3), 0, KvKind::Key);
             let fv = fv.unwrap();
-            decode_row_fused_into(&fv, &params, &mut want);
-            outliers.push(fv.num_outliers());
-            keys.push_row(fv.row());
+            decode_row_fused_into(fv.row(0), &params, &mut want);
+            outliers.push(fv.row(0).outliers().len());
+            keys.push_row(fv.row(0));
             for g in 0..outliers.len().div_ceil(KEY_GROUP) {
                 let group = keys.group(g);
                 let mut values = group.values.iter();
@@ -1225,6 +1234,28 @@ mod tests {
             outliers.iter().sum::<usize>() > 40,
             "the rows carry outliers"
         );
+    }
+
+    /// A store is a function of its rows at a segment edge too: one that
+    /// appended its rows, whose emptied open segment keeps its zeroed
+    /// coefficient lanes, equals one that took the same segments by
+    /// reference, and a cleared store equals a new one.
+    #[test]
+    fn stores_at_a_segment_edge_compare_by_their_rows() {
+        let (q, d) = (quantizer(), 40);
+        for kind in KvKind::ALL {
+            let params = q.fused_read_params(0, kind).unwrap();
+            let mut appended = EncodedStore::new(kind, d, params);
+            for t in 0..2 * KEY_GROUP as u64 {
+                let run = q.quantize_vector(&test_vector(d, t), 0, kind).unwrap();
+                appended.push_row(run.row(0));
+            }
+            let mut shared = EncodedStore::new(kind, d, params);
+            shared.share_segments(0, appended.segments());
+            assert_eq!(shared, appended, "{kind:?}");
+            appended.clear();
+            assert_eq!(appended, EncodedStore::new(kind, d, params), "{kind:?}");
+        }
     }
 
     /// Lane order is a permutation of the nibbles, undone on export.

@@ -19,7 +19,11 @@
 //!    packed 4-bit dense matrix; outliers become 8-bit COO entries (6 index
 //!    bits + 1 group bit + 1 sign bit) whose 4-bit magnitude is *fused into
 //!    the zeroed dense slot* they came from, cutting outlier storage from 23
-//!    to 8 bits per entry while keeping memory alignment.
+//!    to 8 bits per entry while keeping memory alignment. Outside a
+//!    stream's [`EncodedStore`], encoded rows are in page form: a
+//!    [`PackedRows`] run (one row long from
+//!    [`OakenQuantizer::quantize_vector`]), read a row at a time as an
+//!    [`EncodedRow`].
 //!
 //! The [`OakenQuantizer`] ties the three together behind the [`KvQuantizer`]
 //! trait shared with the baseline reimplementations in `oaken-baselines`.
@@ -39,7 +43,7 @@
 //! // Online: quantize a fresh vector with the profiled thresholds.
 //! let quantizer = OakenQuantizer::new(config, thresholds);
 //! let fused = quantizer.quantize_vector(&sample, 0, oaken_core::KvKind::Key)?;
-//! let restored = quantizer.dequantize_vector(&fused, 0, oaken_core::KvKind::Key)?;
+//! let restored = quantizer.dequantize_vector(fused.row(0), 0, oaken_core::KvKind::Key)?;
 //! assert_eq!(restored.len(), sample.len());
 //! # Ok::<(), oaken_core::OakenError>(())
 //! ```
@@ -58,7 +62,7 @@ pub mod thresholds;
 pub mod traits;
 
 pub use config::{BitWidths, GroupRatios, OakenConfig};
-pub use encoding::{CooEntry, EncodedRow, FusedVector, OutlierIter, PackedRows, ScaleSet};
+pub use encoding::{CooEntry, EncodedRow, OutlierIter, PackedRows, ScaleSet};
 pub use error::OakenError;
 pub use groups::{classify, GroupKind, GroupStats};
 pub use kernel::{decode_row_fused_into, EncodedStore, FusedReadParams, RowDecode, StoreSegment};

@@ -23,7 +23,7 @@
 //! gives the argument, and `tests/quantize_oracle.rs` checks it.
 
 use crate::config::{BitWidths, OakenConfig};
-use crate::encoding::{capacity_bytes, FusedVector, OutlierIter, PackedRows, ScaleSet, BLOCK_SIZE};
+use crate::encoding::{capacity_bytes, EncodedRow, OutlierIter, PackedRows, ScaleSet, BLOCK_SIZE};
 use crate::error::OakenError;
 use crate::groups::GroupKind;
 use crate::groupshift::{unshift_middle, unshift_sparse};
@@ -43,31 +43,21 @@ const OUTER: u8 = 2;
 const INNER: u8 = 4;
 
 /// Reusable scratch buffers for the allocation-free quantize path
-/// ([`OakenQuantizer::quantize_vector_with`],
-/// [`OakenScratch::quantize_into`]).
+/// ([`OakenScratch::quantize_into`]).
 ///
-/// Holding one `OakenScratch` per decode stream removes every per-token
-/// heap allocation from the online quantizer — the property §5.2's
-/// hardware engine gets for free from its fixed SRAM buffers, and the one
-/// the serving simulation must replicate to keep long-sequence decode
-/// linear. Buffers grow to the vector width on first use and are reused
-/// verbatim afterwards.
+/// Holding one `OakenScratch` per encoder removes every per-token heap
+/// allocation from the online quantizer — the property §5.2's hardware
+/// engine gets for free from its fixed SRAM buffers, and the one the
+/// serving simulation must replicate to keep long-sequence decode linear.
+/// Buffers grow to the vector width on first use and are reused verbatim
+/// afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct OakenScratch {
-    passes: Passes,
-    /// The row just quantized, in page form: what a stream pushes into
-    /// its store.
-    rows: PackedRows,
-}
-
-/// Pass 1's per-element outputs, which pass 2 reads.
-#[derive(Debug, Clone, Default)]
-struct Passes {
-    /// Per-element shifted values: signed for middle, magnitudes for
-    /// inner and outer.
+    /// Pass 1's per-element shifted values, which pass 2 reads: signed
+    /// for middle, magnitudes for inner and outer.
     vals: Vec<f32>,
-    /// Per-element group and side: [`HIGH`], [`OUTER`] and [`INNER`]
-    /// bits; a middle element has neither group bit.
+    /// Pass 1's per-element group and side: [`HIGH`], [`OUTER`] and
+    /// [`INNER`] bits; a middle element has neither group bit.
     tags: Vec<u8>,
 }
 
@@ -79,16 +69,15 @@ impl OakenScratch {
 
     /// Heap bytes the scratch holds.
     fn held_bytes(&self) -> usize {
-        capacity_bytes(&self.passes.vals)
-            + capacity_bytes(&self.passes.tags)
-            + self.rows.held_bytes()
+        capacity_bytes(&self.vals) + capacity_bytes(&self.tags)
     }
 
     /// Quantizes `x` with `params`' thresholds and bit-widths and appends
     /// it to `out` in page form: the two passes write its packed nibbles,
     /// COO bytes and per-block counts where `out` keeps them, with no
     /// intermediate row. What a paged pool encodes each row with once,
-    /// at full width, before every rank's streams adopt their channels.
+    /// at full width, before every rank's streams adopt their channels,
+    /// and what a row stream stores each row through.
     ///
     /// # Panics
     ///
@@ -96,13 +85,10 @@ impl OakenScratch {
     /// give a code wider than a nibble.
     pub fn quantize_into(&mut self, x: &[f32], params: &FusedReadParams, out: &mut PackedRows) {
         assert_eq!(x.len(), out.dim(), "row width mismatch");
-        (self.passes)
-            .quantize(x, &params.thresholds, params.bits(), out)
+        self.quantize(x, &params.thresholds, params.bits(), out)
             .expect("stored rows are quantized with valid bit-widths");
     }
-}
 
-impl Passes {
     /// The two-pass quantization engine (§5.2 Figure 9), on the widest
     /// lane the CPU offers, appending the row to `out`.
     ///
@@ -168,7 +154,7 @@ impl Passes {
 /// let q = OakenQuantizer::new(config, profiler.finish());
 ///
 /// let fused = q.quantize_vector(&sample, 0, KvKind::Key)?;
-/// let restored = q.dequantize_vector(&fused, 0, KvKind::Key)?;
+/// let restored = q.dequantize_vector(fused.row(0), 0, KvKind::Key)?;
 /// let mse: f32 = sample.iter().zip(&restored)
 ///     .map(|(a, b)| (a - b) * (a - b)).sum::<f32>() / sample.len() as f32;
 /// assert!(mse < 0.05);
@@ -216,11 +202,11 @@ impl OakenQuantizer {
         })
     }
 
-    /// Quantizes one per-token KV vector into the fused encoding.
+    /// Quantizes one per-token KV vector into a one-row run in page form.
     ///
-    /// Convenience wrapper over [`OakenQuantizer::quantize_vector_with`]
-    /// with throwaway scratch; hot paths (the streaming cache, benches)
-    /// should hold an [`OakenScratch`] and use the `_with` variant.
+    /// Allocates its scratch and the run; hot paths (a pool's encoder, a
+    /// row stream) hold an [`OakenScratch`] and use
+    /// [`OakenScratch::quantize_into`].
     ///
     /// # Errors
     ///
@@ -230,31 +216,14 @@ impl OakenQuantizer {
         x: &[f32],
         layer: usize,
         kind: KvKind,
-    ) -> Result<FusedVector, OakenError> {
-        self.quantize_vector_with(x, layer, kind, &mut OakenScratch::new())
-    }
-
-    /// Quantizes one per-token KV vector using caller-owned scratch
-    /// buffers: the only heap allocations are the returned
-    /// [`FusedVector`]'s own storage, never intermediate state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OakenError::LayerOutOfRange`] for an unprofiled layer.
-    pub fn quantize_vector_with(
-        &self,
-        x: &[f32],
-        layer: usize,
-        kind: KvKind,
-        scratch: &mut OakenScratch,
-    ) -> Result<FusedVector, OakenError> {
+    ) -> Result<PackedRows, OakenError> {
         let t = self.thresholds.get(layer, kind)?;
-        scratch.rows.reset(x.len());
-        (scratch.passes).quantize(x, t, self.config.bits, &mut scratch.rows)?;
-        Ok(scratch.rows.row(0).to_vector())
+        let mut run = PackedRows::new(x.len());
+        OakenScratch::new().quantize(x, t, self.config.bits, &mut run)?;
+        Ok(run)
     }
 
-    /// Dequantizes a fused vector back to f32.
+    /// Dequantizes an encoded row back to f32.
     ///
     /// Convenience wrapper over
     /// [`OakenQuantizer::dequantize_vector_into`] allocating a fresh
@@ -265,18 +234,18 @@ impl OakenQuantizer {
     /// Returns [`OakenError::LayerOutOfRange`] for an unprofiled layer.
     pub fn dequantize_vector(
         &self,
-        fv: &FusedVector,
+        row: EncodedRow<'_>,
         layer: usize,
         kind: KvKind,
     ) -> Result<Vec<f32>, OakenError> {
-        let mut out = Vec::with_capacity(fv.dim());
-        self.dequantize_vector_into(fv, layer, kind, &mut out)?;
+        let mut out = Vec::with_capacity(row.dim());
+        self.dequantize_vector_into(row, layer, kind, &mut out)?;
         Ok(out)
     }
 
-    /// Dequantizes a fused vector, *appending* `fv.dim()` values to `out`
+    /// Dequantizes an encoded row, *appending* `row.dim()` values to `out`
     /// without any other allocation: the streaming engine's zero-insert is
-    /// an in-order walk of the COO stream ([`FusedVector::outliers`])
+    /// an in-order walk of the COO stream ([`EncodedRow::outliers`])
     /// interleaved with the dense nibble scan, not a scatter into a
     /// position map.
     ///
@@ -285,23 +254,30 @@ impl OakenQuantizer {
     /// Returns [`OakenError::LayerOutOfRange`] for an unprofiled layer.
     pub fn dequantize_vector_into(
         &self,
-        fv: &FusedVector,
+        row: EncodedRow<'_>,
         layer: usize,
         kind: KvKind,
         out: &mut Vec<f32>,
     ) -> Result<(), OakenError> {
         let params = self.fused_read_params(layer, kind)?;
-        let code_at = |i| u32::from(fv.dense_code(i));
-        decode_row(&params, fv.scales(), fv.dim(), code_at, fv.outliers(), out)
+        let code_at = |i| u32::from(row.dense_code(i));
+        decode_row(
+            &params,
+            row.scales(),
+            row.dim(),
+            code_at,
+            row.outliers(),
+            out,
+        )
     }
 }
 
 /// The streaming zero-insert dequantization walk of one row, from its
 /// codes (`code_at`), its outliers, its scales and its tensor's read
 /// parameters: scan elements in order, consuming the (sorted) outlier
-/// stream whenever its head matches the current index. A
-/// [`FusedVector`] and a stored row ([`EncodedStore::decode_into`]) both
-/// decode through it.
+/// stream whenever its head matches the current index. A row in page
+/// form ([`OakenQuantizer::dequantize_vector_into`]) and a stored row
+/// ([`EncodedStore::decode_into`]) both decode through it.
 pub(crate) fn decode_row(
     params: &FusedReadParams,
     s: &ScaleSet,
@@ -620,6 +596,8 @@ fn push_outliers(base: usize, tags: &[u8], sparse: &mut Vec<u8>, counts: &mut [u
 #[derive(Debug)]
 pub struct OakenRowStream {
     scratch: OakenScratch,
+    /// The row being stored, in page form.
+    staged: PackedRows,
     /// The rows, read with the tensor's thresholds and bit-widths fetched
     /// once when the stream opens; `None` for an unprofiled layer, which
     /// fails on the first row.
@@ -627,21 +605,15 @@ pub struct OakenRowStream {
 }
 
 impl OakenRowStream {
-    /// Quantizes one row against the stream's thresholds, straight into
-    /// the scratch's page-form row, and stores it. An unprofiled layer is
-    /// a caller bug on the streaming path, as on the trait-level batch
-    /// path.
+    /// Quantizes one row against the stream's thresholds into the staged
+    /// page-form row and stores it. An unprofiled layer is a caller bug
+    /// on the streaming path, as on the trait-level batch path.
     fn push_quantized(&mut self, row: &[f32]) {
         let store =
             (self.store.as_mut()).expect("layer must be profiled before streaming quantization");
-        let OakenScratch { passes, rows } = &mut self.scratch;
-        assert_eq!(row.len(), store.dim(), "row width mismatch");
-        rows.reset(store.dim());
-        let params = store.params();
-        (passes)
-            .quantize(row, &params.thresholds, params.bits(), rows)
-            .expect("configured bit-widths are valid");
-        store.push_row(rows.row(0));
+        self.staged.clear();
+        (self.scratch).quantize_into(row, store.params(), &mut self.staged);
+        store.push_row(self.staged.row(0));
     }
 }
 
@@ -653,7 +625,9 @@ impl KvRowStream for OakenRowStream {
     }
 
     fn held_bytes(&self) -> usize {
-        self.store.as_ref().map_or(0, EncodedStore::held_bytes) + self.scratch.held_bytes()
+        self.store.as_ref().map_or(0, EncodedStore::held_bytes)
+            + self.scratch.held_bytes()
+            + self.staged.held_bytes()
     }
 
     fn reset(&mut self) {
@@ -705,13 +679,11 @@ impl KvQuantizer for OakenQuantizer {
             let row = &data[r * d..(r + 1) * d];
             // An unprofiled layer is a caller bug for the trait-level API;
             // surface it loudly rather than silently passing data through.
-            let fv = self
+            let run = self
                 .quantize_vector(row, layer, kind)
                 .expect("layer must be profiled before quantization");
-            let back = self
-                .dequantize_vector(&fv, layer, kind)
-                .expect("fused vector decodes with the same thresholds");
-            out.extend_from_slice(&back);
+            self.dequantize_vector_into(run.row(0), layer, kind, &mut out)
+                .expect("an encoded row decodes with the same thresholds");
         }
         out
     }
@@ -740,6 +712,7 @@ impl KvQuantizer for OakenQuantizer {
         let params = self.fused_read_params(layer, kind).ok();
         Some(Box::new(OakenRowStream {
             scratch: OakenScratch::new(),
+            staged: PackedRows::new(d),
             store: params.map(|params| EncodedStore::new(kind, d, params)),
         }))
     }
@@ -797,7 +770,7 @@ mod tests {
         let q = quantizer();
         let x = test_vector(1024, 12345);
         let fv = q.quantize_vector(&x, 0, KvKind::Key).unwrap();
-        let back = q.dequantize_vector(&fv, 0, KvKind::Key).unwrap();
+        let back = q.dequantize_vector(fv.row(0), 0, KvKind::Key).unwrap();
         assert_eq!(back.len(), x.len());
         let rng = x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let mse: f32 = x
@@ -819,7 +792,7 @@ mod tests {
         x[7] = 40.0;
         x[100] = -35.0;
         let fv = q.quantize_vector(&x, 0, KvKind::Key).unwrap();
-        let back = q.dequantize_vector(&fv, 0, KvKind::Key).unwrap();
+        let back = q.dequantize_vector(fv.row(0), 0, KvKind::Key).unwrap();
         assert!((back[7] - 40.0).abs() / 40.0 < 0.05, "got {}", back[7]);
         assert!((back[100] + 35.0).abs() / 35.0 < 0.05, "got {}", back[100]);
     }
@@ -831,7 +804,7 @@ mod tests {
         x[3] = 0.004;
         x[9] = -0.003;
         let fv = q.quantize_vector(&x, 0, KvKind::Value).unwrap();
-        let back = q.dequantize_vector(&fv, 0, KvKind::Value).unwrap();
+        let back = q.dequantize_vector(fv.row(0), 0, KvKind::Value).unwrap();
         // Inner-group isolation keeps the sign and order of magnitude.
         assert!(back[3] >= 0.0);
         assert!(back[9] <= 0.0);
@@ -867,7 +840,7 @@ mod tests {
         let x = test_vector(d, 3);
         let via_trait = q.roundtrip_matrix(&x, 1, d, 0, KvKind::Key);
         let fv = q.quantize_vector(&x, 0, KvKind::Key).unwrap();
-        let via_vec = q.dequantize_vector(&fv, 0, KvKind::Key).unwrap();
+        let via_vec = q.dequantize_vector(fv.row(0), 0, KvKind::Key).unwrap();
         assert_eq!(via_trait, via_vec);
     }
 
@@ -900,7 +873,7 @@ mod tests {
         let x = test_vector(2048, 777);
         let err = |q: &OakenQuantizer| {
             let fv = q.quantize_vector(&x, 0, KvKind::Key).unwrap();
-            let back = q.dequantize_vector(&fv, 0, KvKind::Key).unwrap();
+            let back = q.dequantize_vector(fv.row(0), 0, KvKind::Key).unwrap();
             x.iter()
                 .zip(&back)
                 .map(|(a, b)| (a - b) * (a - b))
@@ -922,12 +895,14 @@ mod tests {
             let x = test_vector(512, seed * 31 + 1);
             for kind in KvKind::ALL {
                 let fv_alloc = q.quantize_vector(&x, 1, kind).unwrap();
-                let fv_scratch = q.quantize_vector_with(&x, 1, kind, &mut scratch).unwrap();
+                let mut fv_scratch = PackedRows::new(x.len());
+                let params = q.fused_read_params(1, kind).unwrap();
+                scratch.quantize_into(&x, &params, &mut fv_scratch);
                 assert_eq!(fv_alloc, fv_scratch);
 
-                let back_alloc = q.dequantize_vector(&fv_alloc, 1, kind).unwrap();
+                let back_alloc = q.dequantize_vector(fv_alloc.row(0), 1, kind).unwrap();
                 out.clear();
-                q.dequantize_vector_into(&fv_scratch, 1, kind, &mut out)
+                q.dequantize_vector_into(fv_scratch.row(0), 1, kind, &mut out)
                     .unwrap();
                 assert_eq!(
                     back_alloc.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -949,12 +924,12 @@ mod tests {
             let x = test_vector(512, seed * 17 + 3);
             for kind in KvKind::ALL {
                 let fv = q.quantize_vector(&x, 0, kind).unwrap();
-                let full = q.dequantize_vector(&fv, 0, kind).unwrap();
+                let full = q.dequantize_vector(fv.row(0), 0, kind).unwrap();
                 for range in [0..96, 96..224, 224..512, 40..41, 0..512] {
-                    let s = fv.slice_channels(range.clone()).unwrap();
-                    assert_eq!(s.dim(), range.len());
-                    assert_eq!(s.scales(), fv.scales());
-                    let got = q.dequantize_vector(&s, 0, kind).unwrap();
+                    let mut s = PackedRows::new(range.len());
+                    s.push_channels(fv.row(0), range.clone());
+                    assert_eq!(s.row(0).scales(), fv.row(0).scales());
+                    let got = q.dequantize_vector(s.row(0), 0, kind).unwrap();
                     for (j, (a, b)) in got.iter().zip(&full[range.clone()]).enumerate() {
                         assert_eq!(
                             a.to_bits(),
@@ -997,9 +972,9 @@ mod tests {
     }
 
     /// `rows` packed into one run.
-    fn packed<'a>(dim: usize, rows: impl IntoIterator<Item = &'a FusedVector>) -> PackedRows {
+    fn packed<'a>(dim: usize, rows: impl IntoIterator<Item = &'a PackedRows>) -> PackedRows {
         let mut run = PackedRows::new(dim);
-        rows.into_iter().for_each(|fv| run.push(fv.row()));
+        rows.into_iter().for_each(|fv| run.push(fv.row(0)));
         run
     }
 
@@ -1036,14 +1011,14 @@ mod tests {
         for d in [1, 33, 97, 128] {
             for kind in KvKind::ALL {
                 let stream = |w: usize| q.row_stream(w, 0, kind).expect("oaken streams");
-                let fvs: Vec<FusedVector> = (0..n)
+                let fvs: Vec<PackedRows> = (0..n)
                     .map(|r| q.quantize_vector(&test_vector(d, r + 11), 0, kind).unwrap())
                     .collect();
                 let want = packed(d, &fvs);
-                let decoded = |fvs: &[FusedVector]| -> Vec<u32> {
+                let decoded = |fvs: &[PackedRows]| -> Vec<u32> {
                     let rows = fvs
                         .iter()
-                        .map(|fv| q.dequantize_vector(fv, 0, kind).unwrap());
+                        .map(|fv| q.dequantize_vector(fv.row(0), 0, kind).unwrap());
                     bits(&rows.flatten().collect::<Vec<_>>())
                 };
                 let mut appended = stream(d);
@@ -1089,6 +1064,7 @@ mod tests {
                     for (t, fv) in fvs.iter().enumerate() {
                         let (dense, sparse) = stored.row_payload(t);
                         // Nibbles plus four FP16 scales, then COO bytes.
+                        let fv = fv.row(0);
                         let want = (fv.dense_bytes().len() + 8, fv.sparse_bytes().len());
                         assert_eq!((dense, sparse), want, "{case} row {t}");
                         sum += dense + sparse;
@@ -1107,15 +1083,17 @@ mod tests {
                 }
                 for range in [0..d.div_ceil(2), d / 2..d] {
                     let w = range.len();
-                    let mut sliced = stream(w);
-                    for fv in &fvs {
-                        let mut one = PackedRows::new(w);
-                        one.push_channels(fv.row(), range.clone());
-                        store(&mut *sliced).push_rows(&one);
-                    }
-                    let slices: Vec<FusedVector> = (fvs.iter())
-                        .map(|fv| fv.slice_channels(range.clone()).unwrap())
+                    let slices: Vec<PackedRows> = (fvs.iter())
+                        .map(|fv| {
+                            let mut one = PackedRows::new(w);
+                            one.push_channels(fv.row(0), range.clone());
+                            one
+                        })
                         .collect();
+                    let mut sliced = stream(w);
+                    for one in &slices {
+                        store(&mut *sliced).push_rows(one);
+                    }
                     let case = format!("{kind:?} width {d} channels {range:?}");
                     assert_eq!(export(&*sliced, w), packed(w, &slices), "{case}");
                     let mut out = Vec::new();

@@ -2,13 +2,13 @@
 //! 1k-token decode loop through `dequantize_vector_into` with a reused
 //! buffer performs **zero** heap allocations after warm-up (acceptance
 //! criterion of the incremental cache work — the hardware engine's fixed
-//! SRAM buffers, in software), and `quantize_vector_with` allocates only
-//! the row it returns. And an Oaken row stream's `held_bytes` is exactly
+//! SRAM buffers, in software), and so does `OakenScratch::quantize_into`
+//! into a warm run. And an Oaken row stream's `held_bytes` is exactly
 //! the heap it owns.
 
 use oaken_core::{
-    FusedVector, KvKind, KvQuantizer, KvRowStream, OakenConfig, OakenQuantizer, OakenScratch,
-    OfflineProfiler,
+    KvKind, KvQuantizer, KvRowStream, OakenConfig, OakenQuantizer, OakenScratch, OfflineProfiler,
+    PackedRows,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -104,20 +104,19 @@ fn thousand_token_decode_loop_makes_zero_allocations() {
     }
     let q = OakenQuantizer::new(config, profiler.try_finish().unwrap());
 
-    // Pre-encode fused vectors (storage allocation is allowed to allocate;
-    // the decode path is what must not).
-    let fused: Vec<FusedVector> = (0..tokens)
-        .map(|t| {
-            let row = kv_row(d, 100 + t as u64);
-            q.quantize_vector(&row, 0, KvKind::Key).unwrap()
-        })
-        .collect();
+    // Pre-encode the rows into one run (storage allocation is allowed to
+    // allocate; the decode path is what must not).
+    let params = q.fused_read_params(0, KvKind::Key).unwrap();
+    let (mut scratch, mut fused) = (OakenScratch::new(), PackedRows::new(d));
+    for t in 0..tokens {
+        scratch.quantize_into(&kv_row(d, 100 + t as u64), &params, &mut fused);
+    }
 
     let mut out = Vec::new();
 
     // Warm-up pass over every row: the output buffer grows to its
     // steady-state capacity.
-    for fv in &fused {
+    for fv in fused.iter() {
         out.clear();
         q.dequantize_vector_into(fv, 0, KvKind::Key, &mut out)
             .unwrap();
@@ -126,7 +125,7 @@ fn thousand_token_decode_loop_makes_zero_allocations() {
     // Measured pass: the full 1k-token loop must not allocate at all.
     let before = allocations();
     let mut checksum = 0.0f32;
-    for fv in &fused {
+    for fv in fused.iter() {
         out.clear();
         q.dequantize_vector_into(fv, 0, KvKind::Key, &mut out)
             .unwrap();
@@ -140,12 +139,12 @@ fn thousand_token_decode_loop_makes_zero_allocations() {
     );
 }
 
-/// Once its scratch is warm, the quantizer allocates the returned
-/// `FusedVector`'s own buffers and nothing else: its dense nibbles, its
-/// per-block counts and, when the row has outliers, its COO bytes — at
-/// most three per row. A scratch that regrew per row would show here.
+/// Once its scratch and the run it writes into are warm, the quantizer
+/// allocates nothing: a row's passes, nibbles, COO bytes, per-block
+/// counts, row end and scales all land in buffers already sized. A
+/// scratch or a run that regrew per row would show here.
 #[test]
-fn warm_quantizer_allocates_only_the_encoded_row() {
+fn warm_quantizer_allocates_nothing() {
     let config = OakenConfig::default();
     let mut profiler = OfflineProfiler::new(config.clone(), 1);
     for s in 0..16 {
@@ -153,32 +152,30 @@ fn warm_quantizer_allocates_only_the_encoded_row() {
         profiler.observe(0, KvKind::Value, &kv_row(256, s));
     }
     let q = OakenQuantizer::new(config, profiler.try_finish().unwrap());
+    let params = q.fused_read_params(0, KvKind::Value).unwrap();
     // Widths off the 16-element chunk edge and a shrinking order: the
-    // scratch warms once at the widest row.
-    let rows: Vec<Vec<f32>> = [256, 200, 97, 16, 1]
-        .iter()
+    // scratch warms once at the widest row, each width's run at its rows.
+    let widths = [256, 200, 97, 16, 1];
+    let rows: Vec<Vec<f32>> = (widths.iter())
         .flat_map(|&d| (0..50).map(move |t| kv_row(d, 300 + t)))
         .collect();
+    let mut runs = widths.map(PackedRows::new);
     let mut scratch = OakenScratch::new();
-    for row in &rows {
-        q.quantize_vector_with(row, 0, KvKind::Value, &mut scratch)
-            .unwrap();
-    }
-    for row in &rows {
-        let before = allocations();
-        let fv = q
-            .quantize_vector_with(row, 0, KvKind::Value, &mut scratch)
-            .unwrap();
-        let made = allocations() - before;
-        let own = 2 + usize::from(fv.num_outliers() > 0);
-        assert_eq!(
-            made,
-            own,
-            "a {}-wide row with {} outliers made {made} allocations",
-            row.len(),
-            fv.num_outliers()
-        );
-        assert!(made <= 3);
+    for warm in [false, true] {
+        for row in &rows {
+            let run = (runs.iter_mut()).find(|run| run.dim() == row.len());
+            let run = run.expect("a run per width");
+            run.clear();
+            let before = allocations();
+            scratch.quantize_into(row, &params, run);
+            let made = allocations() - before;
+            assert!(
+                !warm || made == 0,
+                "a {}-wide row with {} outliers made {made} allocations",
+                row.len(),
+                run.row(0).outliers().len()
+            );
+        }
     }
 }
 

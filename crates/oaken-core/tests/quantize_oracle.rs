@@ -1,6 +1,6 @@
 //! The lane-structured online quantizer is the straight-line quantizer,
 //! bit for bit: `groupshift::shift` per element, the four min/max folds,
-//! `UniformQuantizer::quantize` per element, then `FusedVector::from_parts`
+//! `UniformQuantizer::quantize` per element, then `PackedRows::from_parts`
 //! — the algorithm as §4 states it, kept here as the oracle.
 //!
 //! `cargo test` checks the portable lane; `cargo test --features simd`
@@ -8,8 +8,8 @@
 
 use oaken_core::groupshift::shift;
 use oaken_core::{
-    BitWidths, CooEntry, FusedVector, GroupKind, KvKind, LayerThresholds, ModelThresholds,
-    OakenConfig, OakenQuantizer, OakenScratch, ScaleSet, Thresholds, UniformQuantizer,
+    BitWidths, CooEntry, EncodedRow, GroupKind, KvKind, LayerThresholds, ModelThresholds,
+    OakenConfig, OakenQuantizer, OakenScratch, PackedRows, ScaleSet, Thresholds, UniformQuantizer,
 };
 
 /// SplitMix64: a seeded, dependency-free generator.
@@ -35,7 +35,7 @@ impl Rng {
 }
 
 /// The straight-line quantizer the lanes must reproduce.
-fn straight_line(x: &[f32], t: &Thresholds, config: &OakenConfig) -> FusedVector {
+fn straight_line(x: &[f32], t: &Thresholds, config: &OakenConfig) -> PackedRows {
     let bits = config.bits;
     let shifted: Vec<_> = x.iter().map(|&v| shift(v, t)).collect();
     let mut middle_min = f32::INFINITY;
@@ -83,7 +83,7 @@ fn straight_line(x: &[f32], t: &Thresholds, config: &OakenConfig) -> FusedVector
         inner_mag_max,
         outer_mag_max,
     };
-    FusedVector::from_parts(x.len(), &codes, &outliers, scales).unwrap()
+    PackedRows::from_parts(x.len(), &codes, &outliers, scales).unwrap()
 }
 
 /// A threshold set: usually straddling zero, sometimes with the inner band
@@ -174,7 +174,7 @@ fn row(rng: &mut Rng, t: &Thresholds, width: usize) -> Vec<f32> {
         .collect()
 }
 
-fn assert_bitwise_equal(got: &FusedVector, want: &FusedVector, case: &str) {
+fn assert_bitwise_equal(got: EncodedRow<'_>, want: EncodedRow<'_>, case: &str) {
     assert_eq!(got.dim(), want.dim(), "{case}: dim");
     assert_eq!(got.dense_bytes(), want.dense_bytes(), "{case}: dense bytes");
     assert_eq!(
@@ -217,12 +217,11 @@ fn quantize_is_the_straight_line_quantizer_bitwise() {
             let x = row(&mut rng, &t, width);
             let want = straight_line(&x, &t, &config);
             let case = format!("set {set} row {r} width {width} {t:?}");
-            let warm = q
-                .quantize_vector_with(&x, 0, KvKind::Key, &mut scratch)
-                .unwrap();
-            assert_bitwise_equal(&warm, &want, &case);
+            let mut warm = PackedRows::new(width);
+            scratch.quantize_into(&x, &q.fused_read_params(0, KvKind::Key).unwrap(), &mut warm);
+            assert_bitwise_equal(warm.row(0), want.row(0), &case);
             let cold = q.quantize_vector(&x, 0, KvKind::Value).unwrap();
-            assert_bitwise_equal(&cold, &want, &case);
+            assert_bitwise_equal(cold.row(0), want.row(0), &case);
         }
     }
 }
@@ -268,10 +267,9 @@ fn degenerate_rows_match_the_straight_line_quantizer() {
         for width in 1..=48 {
             let x: Vec<f32> = (0..width).map(f).collect();
             let want = straight_line(&x, &t, &config);
-            let got = q
-                .quantize_vector_with(&x, 0, KvKind::Key, &mut scratch)
-                .unwrap();
-            assert_bitwise_equal(&got, &want, &format!("{name} width {width}"));
+            let mut got = PackedRows::new(width);
+            scratch.quantize_into(&x, &q.fused_read_params(0, KvKind::Key).unwrap(), &mut got);
+            assert_bitwise_equal(got.row(0), want.row(0), &format!("{name} width {width}"));
         }
     }
 }

@@ -56,7 +56,7 @@ fn main() {
     let mut n = 0usize;
     for (l, k, v) in collect_rows(&model, &eval_tokens) {
         let fv = q_layer.quantize_vector(&v, l, k).expect("profiled layer");
-        let back = q_layer.dequantize_vector(&fv, l, k).expect("decodes");
+        let back = q_layer.dequantize_vector(fv.row(0), l, k).expect("decodes");
         mse_layer += v
             .iter()
             .zip(&back)

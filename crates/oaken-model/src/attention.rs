@@ -1721,17 +1721,17 @@ mod tests {
         seq_len: usize,
         kv_dim: usize,
         seed: u64,
-    ) -> (EncodedStore, Vec<oaken_core::FusedVector>, Vec<f32>) {
+    ) -> (EncodedStore, oaken_core::PackedRows, Vec<f32>) {
         let params = q.fused_read_params(0, kind).unwrap();
         let mut store = EncodedStore::new(kind, kv_dim, params);
-        let mut rows = Vec::new();
+        let mut rows = oaken_core::PackedRows::new(kv_dim);
         let mut view = Vec::new();
         for t in 0..seq_len {
             let x = kv_row(kv_dim, seed + t as u64 * 131);
             let fv = q.quantize_vector(&x, 0, kind).unwrap();
-            view.extend_from_slice(&q.dequantize_vector(&fv, 0, kind).unwrap());
-            store.push_row(fv.row());
-            rows.push(fv);
+            view.extend_from_slice(&q.dequantize_vector(fv.row(0), 0, kind).unwrap());
+            store.push_row(fv.row(0));
+            rows.push(fv.row(0));
         }
         (store, rows, view)
     }
@@ -1922,8 +1922,8 @@ mod tests {
         let (encoded, want, params) = reference(KvKind::Key, 80);
         let mut keys = EncodedStore::new(KvKind::Key, kv_dim, params);
         let (mut open, mut sealed) = (false, false);
-        for (len, fv) in (1..).zip(&encoded) {
-            keys.push_row(fv.row());
+        for (len, fv) in (1..).zip(encoded.iter()) {
+            keys.push_row(fv);
             let open_masks = keys.group(len / KEY_GROUP).masks;
             open |= len % KEY_GROUP != 0 && open_masks.iter().any(|&m| m != 0);
             sealed |= len >= KEY_GROUP && !keys.group(0).values.is_empty();
@@ -1939,8 +1939,8 @@ mod tests {
         let (encoded, want, params) = reference(KvKind::Value, ROW_BLOCK + 21);
         let mut values = EncodedStore::new(KvKind::Value, kv_dim, params);
         let (mut open, mut sealed) = (false, false);
-        for (len, fv) in (1..).zip(&encoded) {
-            values.push_row(fv.row());
+        for (len, fv) in (1..).zip(encoded.iter()) {
+            values.push_row(fv);
             let edge = len / KEY_GROUP * KEY_GROUP;
             let marked = |row: ValueRow<'_>| row.masks.iter().any(|&m| m != 0);
             values.for_rows(edge..len, |row| open |= marked(row));

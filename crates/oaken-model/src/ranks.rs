@@ -838,8 +838,9 @@ mod tests {
                     let full_rows = export(whole.stream().unwrap(), cfg.kv_dim());
                     assert_eq!(rows.rows(), tokens as usize);
                     for (row, full) in rows.iter().zip(full_rows.iter()) {
-                        let want = full.to_vector().slice_channels(channels.clone());
-                        assert_eq!(row.to_vector(), want.unwrap());
+                        let mut want = PackedRows::new(channels.len());
+                        want.push_channels(full, channels.clone());
+                        assert_eq!(row, want.row(0));
                     }
                     assert_eq!(stream.encoded_rows().unwrap().len(), tokens as usize);
                     // No shard has materialized a view before a read.

@@ -431,8 +431,7 @@ mod tests {
     #[test]
     fn same_bits_rejects_a_block_one_nibble_off() {
         use oaken_core::{
-            CooEntry, EncodedStore, FusedReadParams, FusedVector, GroupKind, KvKind, ScaleSet,
-            Thresholds,
+            CooEntry, EncodedStore, FusedReadParams, GroupKind, KvKind, ScaleSet, Thresholds,
         };
         let dim = 97;
         let params = FusedReadParams {
@@ -456,11 +455,11 @@ mod tests {
                     if flip == Some((ki, r)) {
                         codes[dim - 1 - r] ^= 0x8;
                     }
-                    let fv = FusedVector::from_parts(dim, &codes, &outliers, ScaleSet::default());
+                    let fv = PackedRows::from_parts(dim, &codes, &outliers, ScaleSet::default());
                     let fv = fv.unwrap();
                     match r < KEY_GROUP {
-                        true => store.push_row(fv.row()),
-                        false => tail.push(fv.row()),
+                        true => store.push_row(fv.row(0)),
+                        false => tail.push(fv.row(0)),
                     }
                 }
                 let segments = store.segments().to_vec();

@@ -73,7 +73,7 @@ fn encode(
         .iter()
         .map(|row| {
             let mut out = Vec::new();
-            decode_row_fused_into(&row.to_vector(), &params, &mut out);
+            decode_row_fused_into(row, &params, &mut out);
             out
         })
         .collect();

@@ -201,15 +201,14 @@ fn steady_state_page_bound_over_pending_blocks_makes_zero_allocations() {
 /// 16-row segment is copied once into its shared allocation: the `Arc`,
 /// then its buffers sized to its rows — column words, coefficient lanes,
 /// masks, outlier values, and its log's COO bytes, row ends, block counts
-/// and scales — and the emptied open segment, which lets its coefficient
-/// lanes go with its rows, takes new ones at the next group's first row:
-/// at most ten allocations per sealed segment. The pool's encoder, the
-/// open segments' other buffers and the page streams are all warm: a 64-row run seals four segments per kind
-/// and makes at most 80 allocations, and a 14-row run that seals none
-/// makes none.
+/// and scales: at most nine allocations per sealed segment. The emptied
+/// open segment keeps every buffer, its coefficient lanes zeroed; the
+/// pool's encoder and the page streams are warm too: a 64-row run seals
+/// four segments per kind and makes at most 72 allocations, and a 15-row
+/// run right after it, which seals none, makes none.
 #[test]
 fn warm_oaken_pool_run_allocates_only_at_seals() {
-    const PER_SEAL: usize = 10;
+    const PER_SEAL: usize = 9;
     let cfg = geometry();
     let d = cfg.kv_dim();
     let config = OakenConfig::default();
@@ -250,10 +249,7 @@ fn warm_oaken_pool_run_allocates_only_at_seals() {
         made <= PER_SEAL * seals,
         "a 64-row run made {made} allocations for {seals} seals"
     );
-    // The next group's first row takes its coefficient lanes; a run after
-    // it that seals nothing allocates nothing.
-    pool.append(seq, 0, &ks[0], &vs[0]).unwrap();
-    let made = allocations_of(|| pool.append_run(seq, 0, &ks[1..15], &vs[1..15]).unwrap());
+    let made = allocations_of(|| pool.append_run(seq, 0, &ks[..15], &vs[..15]).unwrap());
     assert_eq!(made, 0, "a run that seals nothing allocates nothing");
     assert_eq!(pool.seq_len(seq, 0), 223);
 }

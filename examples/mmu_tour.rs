@@ -58,7 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the request's one dense slab, its outliers to its one sparse log.
     println!("writing 32 tokens x {kv_dim} channels (one dense slab + one sparse log)...");
     for t in 0..32u64 {
-        let fv = quantizer.quantize_vector(&kv_vector(kv_dim, 1000 + t), 0, KvKind::Key)?;
+        let run = quantizer.quantize_vector(&kv_vector(kv_dim, 1000 + t), 0, KvKind::Key)?;
+        let fv = run.row(0);
         mmu.write_token(dense_key, fv.dense_bytes().len() as u32)?;
         // Sparse bytes vary per token — the reason the sparse table exists.
         mmu.write_token(sparse_key, fv.sparse_bytes().len().max(1) as u32)?;

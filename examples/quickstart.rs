@@ -45,29 +45,26 @@ fn main() -> Result<(), OakenError> {
     // 2. Online: quantize an unseen vector.
     let quantizer = OakenQuantizer::new(config, thresholds);
     let x = synthetic_kv_vector(4096, 99_999);
-    let fused = quantizer.quantize_vector(&x, 0, KvKind::Key)?;
+    let run = quantizer.quantize_vector(&x, 0, KvKind::Key)?;
+    let fused = run.row(0);
+    // Stored bits per element: dense nibbles, COO bytes and FP16 scales.
+    let effective_bits = fused.payload_bytes() as f64 * 8.0 / x.len() as f64;
     println!("\nfused encoding of a 4096-element vector:");
     println!("  dense bytes:   {}", fused.dense_bytes().len());
     println!(
         "  sparse bytes:  {} ({} outliers)",
         fused.sparse_bytes().len(),
-        fused.num_outliers()
+        fused.outliers().len()
     );
     println!(
         "  table bytes:   {} (MMU transfer sizes)",
-        fused.table_bytes()
+        fused.block_counts().len()
     );
-    println!(
-        "  effective bits: {:.2} (FP16 = 16.00)",
-        fused.effective_bits()
-    );
-    println!(
-        "  compression:    {:.2}x vs FP16",
-        16.0 / fused.effective_bits()
-    );
+    println!("  effective bits: {effective_bits:.2} (FP16 = 16.00)");
+    println!("  compression:    {:.2}x vs FP16", 16.0 / effective_bits);
 
     // 3. Dequantize and check the reconstruction error.
-    let restored = quantizer.dequantize_vector(&fused, 0, KvKind::Key)?;
+    let restored = quantizer.dequantize_vector(fused, 0, KvKind::Key)?;
     let rms: f32 = (x
         .iter()
         .zip(&restored)

@@ -1,0 +1,67 @@
+#!/usr/bin/env bash
+# Doc-reference check: the docs name only what exists.
+#
+# Fails when README.md or ARCHITECTURE.md
+#   * names, inside backticks, a repo path — a token that contains a `/`
+#     and ends in .rs, .sh, .md, .json, .toml, .tsv or .yml — that no
+#     tracked file ends with on whole path components (so
+#     `oaken-core/src/kernel.rs` and `tests/prefix_props.rs` resolve; a
+#     `*` in the token matches as a shell glob), or
+#   * cites a "ROADMAP item N" that ROADMAP.md has no numbered item for
+#     (a line starting `N. **` or `N. *`).
+# Fenced code blocks are skipped: only inline references are checked.
+#
+# Out of scope, on purpose:
+#   * bench/README.md: bench/ is the benchmark's own tree, which a change
+#     to the system may not edit, and which its next rewrite brings up to
+#     date; a check that failed on it could not be mended by the change it
+#     failed.
+#   * Test names: a backticked `snake_case` name cannot be told from a
+#     metric name such as `kv_read_bytes_per_token` without resolving it
+#     against the test suite.
+#
+# usage: scripts/doc_refs.sh [repo-root]   (default: this checkout)
+set -euo pipefail
+root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
+cd "$root"
+docs=(README.md ARCHITECTURE.md)
+tracked="$(git ls-files)"
+status=0
+
+# Inline code spans of a markdown file, one token per line, fences dropped.
+tokens() {
+    perl -0777 -ne 's/^```.*?^```[^\n]*$//gms; while (/`([^`]+)`/g) { print "$_\n" for split /\s+/, $1 }' "$1"
+}
+
+for doc in "${docs[@]}"; do
+    paths=$(tokens "$doc" |
+        grep -oE '[A-Za-z0-9_.*/-]*/[A-Za-z0-9_.*-]*\.(rs|sh|md|json|toml|tsv|yml)([^A-Za-z0-9_]|$)' |
+        sed -E 's/[^A-Za-z0-9_]$//' | sort -u || true)
+    while IFS= read -r ref; do
+        [ -n "$ref" ] || continue
+        found=0
+        while IFS= read -r file; do
+            # shellcheck disable=SC2254 # $ref is matched as a glob
+            case "/$file" in
+                */$ref) found=1; break ;;
+            esac
+        done <<< "$tracked"
+        if [ "$found" = 0 ]; then
+            echo "$doc: \`$ref\` names no tracked file" >&2
+            status=1
+        fi
+    done <<< "$paths"
+
+    items=$(perl -0777 -ne 'print "$1\n" while /ROADMAP\s+item\s+([0-9]+)/g' "$doc" | sort -un)
+    for n in $items; do
+        if ! grep -qE "^$n\. \*" ROADMAP.md; then
+            echo "$doc: cites ROADMAP item $n, which ROADMAP.md does not number" >&2
+            status=1
+        fi
+    done
+done
+
+if [ "$status" = 0 ]; then
+    echo "doc references resolve (${docs[*]})"
+fi
+exit "$status"

@@ -33,7 +33,9 @@
 //! profiler.observe(0, KvKind::Value, &sample);
 //! let quantizer = OakenQuantizer::new(config, profiler.finish());
 //! let fused = quantizer.quantize_vector(&sample, 0, KvKind::Key)?;
-//! assert!(fused.effective_bits() < 16.0);
+//! // Stored bits per element: dense nibbles, COO bytes and FP16 scales.
+//! let effective_bits = fused.payload_bytes() as f64 * 8.0 / sample.len() as f64;
+//! assert!(effective_bits < 16.0);
 //! # Ok::<(), oaken::core::OakenError>(())
 //! ```
 

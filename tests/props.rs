@@ -44,7 +44,7 @@ proptest! {
     fn oaken_roundtrip_bounded(values in prop::collection::vec(-50.0f32..50.0, 16..512)) {
         let q = quantizer_for(std::slice::from_ref(&values));
         let fv = q.quantize_vector(&values, 0, KvKind::Key).unwrap();
-        let back = q.dequantize_vector(&fv, 0, KvKind::Key).unwrap();
+        let back = q.dequantize_vector(fv.row(0), 0, KvKind::Key).unwrap();
         prop_assert_eq!(back.len(), values.len());
         let range = values.iter().fold(0.0f32, |m, v| m.max(v.abs())).max(1e-6);
         for (a, b) in values.iter().zip(&back) {
@@ -61,11 +61,12 @@ proptest! {
     #[test]
     fn fused_encoding_consistent(values in prop::collection::vec(-20.0f32..20.0, 1..300)) {
         let q = quantizer_for(std::slice::from_ref(&values));
-        let fv = q.quantize_vector(&values, 0, KvKind::Value).unwrap();
+        let run = q.quantize_vector(&values, 0, KvKind::Value).unwrap();
+        let fv = run.row(0);
         let outliers: Vec<_> = fv.outliers().collect();
-        prop_assert_eq!(outliers.len(), fv.num_outliers());
+        prop_assert_eq!(outliers.len(), fv.sparse_bytes().len());
         let block_sum: usize = fv.block_counts().iter().map(|&c| c as usize).sum();
-        prop_assert_eq!(block_sum, fv.num_outliers());
+        prop_assert_eq!(block_sum, fv.sparse_bytes().len());
         prop_assert_eq!(fv.payload_bytes(), fv.dense_bytes().len() + fv.sparse_bytes().len() + 8);
         // Outlier indices strictly increasing and in range.
         for w in outliers.windows(2) {
