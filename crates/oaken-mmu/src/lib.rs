@@ -28,9 +28,12 @@
 //! a prefix-cache hit retains a whole request's pages
 //! ([`MmuSim::retain_request`]), and a departing sharer
 //! ([`MmuSim::release_request`]) frees pages only when it was the last
-//! owner. The serving property tests
-//! re-check the resulting ownership balance (free + private + shared =
-//! capacity) after every engine step.
+//! owner. Those references are the paged KV pool's one count of a
+//! shared block's sharers, and the pool reads every page figure off this
+//! ledger through owners: free + private (each live sequence's private
+//! owners) + shared (the sealed blocks) = capacity holds only while no
+//! owner leaks, and the serving property tests re-check it after every
+//! engine step.
 //!
 //! The device tier is optionally backed by a **host swap tier**
 //! ([`swap::SwapPool`], attached via [`MmuSim::attach_host_tier`]): a

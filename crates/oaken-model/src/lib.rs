@@ -30,7 +30,7 @@
 //! For multi-sequence serving, the pool shares one paged device memory
 //! (backed by `oaken-mmu`'s refcounted allocator) across concurrent
 //! sequences — deduplicating common prompt prefixes through
-//! the [`trie`] of sealed, refcounted blocks whenever the quantizer is
+//! the [`trie`] of sealed blocks whenever the quantizer is
 //! prefix-deterministic — and [`Model::forward_batch`] advances a whole
 //! batch of steps per call (one token per decoding sequence, multi-token
 //! prompt chunks for prefilling ones), layer-major with batched weight

@@ -7,11 +7,12 @@
 //! a row's encoded bytes are a pure function of the row itself
 //! ([`KvQuantizer::prefix_deterministic`]) — identical prompt prefixes
 //! produce bit-identical page payloads, and the pool deduplicates them
-//! through a trie of immutable, refcounted, `block_tokens`-sized blocks:
+//! through a trie of immutable, `block_tokens`-sized blocks whose pages
+//! each sequence built on them holds a reference on:
 //!
 //! * [`PagedKvPool::alloc_seq_with_prefix`] walks the trie with the new
-//!   sequence's prompt, **adopts** every matched full block (refcount up,
-//!   pages retained, the chain's store segments taken by reference and
+//!   sequence's prompt, **adopts** every matched full block (its pages
+//!   retained, the chain's store segments taken by reference and
 //!   only its rows past the last 16-row edge copied — no quantization,
 //!   and the caller skips the model forward pass for those tokens too),
 //!   and plans private *pending* blocks for the unmatched remainder — the
@@ -26,7 +27,8 @@
 //!   for the block's;
 //! * retiring a sequence *releases* its shared blocks leaf-first instead
 //!   of freeing them, so a preempted or retired sharer never invalidates
-//!   the others.
+//!   the others; the release that frees a block's pages unlinks it from
+//!   the trie.
 //!
 //! Sharing is gated on the quantizer reporting itself prefix-deterministic:
 //! Oaken, FP16 and exact-f32 pools share; calibrate-then-freeze baselines
@@ -37,15 +39,16 @@
 //!
 //! [`KvQuantizer::prefix_deterministic`]: oaken_core::KvQuantizer::prefix_deterministic
 
+use super::pages::PageLedger;
 use super::seq::SeqShard;
 use super::{PagedKvPool, PrefixAlloc, SeqId};
-use crate::trie::{BlockRows, BlockShard, TrieBlock};
+use crate::trie::{BlockRows, TrieBlock};
 
 /// One slot of a sequence's prompt-block plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum SeqBlock {
     /// Adopted from (or sealed into) the trie; the sequence holds one
-    /// refcount on it.
+    /// reference on its pages.
     Shared(usize),
     /// Still being written privately by this sequence under its own MMU
     /// request id.
@@ -120,14 +123,13 @@ impl PagedKvPool {
     }
 
     /// Admits a new sequence for a known prompt, walking the prefix trie:
-    /// every matched full block is **adopted** (refcount bumped, pages
-    /// retained, its rows handed to the sequence's cache — no
-    /// re-quantization), and the unmatched remainder of the prompt is
-    /// planned as private pending blocks that will seal as they fill. The
-    /// caller must feed tokens starting at `matched_tokens` (the adopted
-    /// rows are already cached) and must feed exactly `tokens` for the
-    /// prompt span — the trie keys sealed blocks by this announced
-    /// content.
+    /// every matched full block is **adopted** (its pages retained, its
+    /// rows handed to the sequence's cache — no re-quantization), and the
+    /// unmatched remainder of the prompt is planned as private pending
+    /// blocks that will seal as they fill. The caller must feed tokens
+    /// starting at `matched_tokens` (the adopted rows are already cached)
+    /// and must feed exactly `tokens` for the prompt span — the trie keys
+    /// sealed blocks by this announced content.
     ///
     /// With sharing disabled (or a non-prefix-deterministic quantizer)
     /// this is exactly [`PagedKvPool::alloc_seq`].
@@ -143,17 +145,16 @@ impl PagedKvPool {
         let matched_ids = self.walk_prefix(tokens);
         let matched = matched_ids.len();
         let bt = self.block_tokens;
-        let state = self.seqs.get_mut(&seq.0).expect("just allocated");
         let mut adopted_bytes = 0u64;
         for &id in &matched_ids {
-            adopted_bytes += self.trie.get(id).bytes();
-            self.trie.retain(id);
             let mmu = self.trie.get(id).mmu;
-            self.ranks.iter_mut().for_each(|l| l.retain_owner(mmu));
+            adopted_bytes += block_bytes(&self.ranks, mmu);
+            self.ranks.iter_mut().for_each(|l| l.retain_block(mmu));
         }
+        let state = self.seqs.get_mut(&seq.0).expect("just allocated");
         for (r, shard) in state.shards.iter_mut().enumerate() {
             let chain: Vec<&BlockRows> = (matched_ids.iter())
-                .map(|&id| &self.trie.get(id).shards[r].rows)
+                .map(|&id| &self.trie.get(id).shards[r])
                 .collect();
             BlockRows::adopt_chain(&chain, &mut shard.slots, bt);
         }
@@ -180,22 +181,15 @@ impl PagedKvPool {
     }
 
     /// Drops one sequence's reference on a sealed trie block, freeing its
-    /// pages on every rank when the last sharer departs. Returns the pages
-    /// physically freed.
+    /// pages on every rank when the last sharer departs — which unlinks
+    /// the block from the trie. Returns the pages physically freed.
     pub(super) fn release_shared_block(&mut self, id: usize) -> u32 {
         let mmu = self.trie.get(id).mmu;
-        let released: Vec<u32> = (self.ranks.iter_mut())
-            .map(|ledger| ledger.release_owner(mmu))
-            .collect();
-        match self.trie.release(id) {
-            Some(b) => {
-                for (freed, shard) in released.iter().zip(&b.shards) {
-                    debug_assert_eq!(*freed, shard.pages, "block page accounting");
-                }
-            }
-            None => debug_assert!(released.iter().all(|&p| p == 0), "block still shared"),
+        let freed = (self.ranks.iter_mut()).map(|l| l.release_block(mmu)).sum();
+        if self.ranks.iter().all(|l| l.device_pages([mmu]) == 0) {
+            self.trie.remove(id);
         }
-        released.iter().sum()
+        freed
     }
 
     /// Seals every pending block of `seq` whose rows are appended across
@@ -220,10 +214,9 @@ impl PagedKvPool {
     }
 
     /// Seals the next pending block of `seq`: it either enters the trie as
-    /// a new node (its pages move from private to shared accounting on
-    /// every rank) or — when a concurrent sequence already sealed the
-    /// identical block — is freed and the existing node adopted instead
-    /// (late dedup).
+    /// a new node (its pages join each rank's shared count) or — when a
+    /// concurrent sequence already sealed the identical block — is freed
+    /// and the existing node adopted instead (late dedup).
     fn seal_block(&mut self, seq: SeqId) {
         let bt = self.block_tokens;
         let state = self.seqs.get_mut(&seq.0).expect("caller validated");
@@ -241,10 +234,7 @@ impl PagedKvPool {
             let width = self.plan.kv_channels(r).len();
             BlockRows::capture(&shard.slots, width, b * bt..(b + 1) * bt)
         };
-        // Either way the pending pages leave this sequence's private
-        // count on every rank: freed, or moved to the trie's shared count.
-        let existing = self.trie.child(parent, &chunk);
-        let (sealed_id, left): (usize, Vec<u32>) = match existing {
+        let sealed_id = match self.trie.child(parent, &chunk) {
             Some(existing) => {
                 // Late dedup: another sequence sealed the identical block
                 // first. Prefix determinism says both copies are
@@ -252,42 +242,36 @@ impl PagedKvPool {
                 let block = self.trie.get(existing);
                 debug_assert!(
                     (block.shards.iter().zip(&state.shards).enumerate())
-                        .all(|(r, (theirs, shard))| theirs.rows.same_bits(&ours(r, shard))),
+                        .all(|(r, (theirs, shard))| theirs.same_bits(&ours(r, shard))),
                     "trie hit is not bit-exact: quantizer wrongly claims prefix determinism"
                 );
-                let freed = (self.ranks.iter_mut())
-                    .map(|ledger| {
-                        ledger.retain_owner(block.mmu);
-                        ledger.drop_owner(pending, false)
-                    })
-                    .collect();
+                for ledger in &mut self.ranks {
+                    ledger.retain_block(block.mmu);
+                    ledger.drop_owner(pending, false);
+                }
                 for (shard, theirs) in state.shards.iter_mut().zip(&block.shards) {
-                    theirs.rows.share_into(&mut shard.slots, b * bt);
+                    theirs.share_into(&mut shard.slots, b * bt);
                 }
                 self.stats.seal_dedups += 1;
-                self.stats.bytes_deduplicated += block.bytes();
-                self.trie.retain(existing);
-                (existing, freed)
+                self.stats.bytes_deduplicated += block_bytes(&self.ranks, block.mmu);
+                existing
             }
             None => {
-                let shards: Vec<BlockShard> = (state.shards.iter().zip(&self.ranks))
-                    .enumerate()
-                    .map(|(r, (shard, ledger))| BlockShard {
-                        pages: ledger.mmu().request_pages(pending),
-                        bytes: ledger.mmu().request_bytes(pending),
-                        rows: ours(r, shard),
-                    })
-                    .collect();
-                let left = shards.iter().map(|s| s.pages).collect();
-                let block = TrieBlock::new(chunk, pending, shards);
-                (self.trie.insert(parent, block), left)
+                let shards = state.shards.iter().enumerate();
+                let block =
+                    TrieBlock::new(chunk, pending, shards.map(|(r, s)| ours(r, s)).collect());
+                self.ranks.iter_mut().for_each(|l| l.seal(pending));
+                self.trie.insert(parent, block)
             }
         };
-        for (shard, left) in state.shards.iter_mut().zip(left) {
-            shard.pages -= left;
-        }
         let plan = state.plan.as_mut().expect("caller checked");
         plan.blocks[b] = SeqBlock::Shared(sealed_id);
         plan.sealed += 1;
     }
+}
+
+/// Encoded payload bytes the sealed block owned by `mmu` stores, every
+/// rank.
+fn block_bytes(ranks: &[PageLedger], mmu: u32) -> u64 {
+    ranks.iter().map(|l| l.mmu().request_bytes(mmu)).sum()
 }

@@ -36,7 +36,7 @@
 //! | `blocks` | trie blocks | prompt plan, adoption, sealing and late dedup into the [prefix trie](crate::trie) |
 //! | `tiers` | tiers | suspend / resume to the host tier, export / import across pools ([`KvTransfer`]) |
 //! | `reads` | read views | dequantized views, encoded tensors, the runs of a layer grouped by the trie blocks they share ([`ShardReads`]), [`KvReadStats`] |
-//! | `pages` | page accounting | one rank's `MmuSim` and the **page layout** — one dense slab and one sparse log per owner; the only file that names a page stream |
+//! | `pages` | page accounting | one rank's `MmuSim` and the **page layout** — one dense slab and one sparse log per owner; the only file that names a page stream, and the only count of pages and sharers |
 //!
 //! `batch_view` holds [`PoolBatchView`], the engine's per-iteration
 //! adapter over the pool; this file holds the value types, the
@@ -67,7 +67,7 @@ pub use tiers::KvTransfer;
 use crate::cache::KernelMode;
 use crate::config::ModelConfig;
 use crate::ranks::RankPlan;
-use crate::trie::{PrefixStats, PrefixTrie};
+use crate::trie::{BlockRows, PrefixStats, PrefixTrie};
 use oaken_core::{KvKind, KvQuantizer, KvRowStream};
 use oaken_mmu::{FaultInjector, FaultKind, FaultOp, FaultPlan, FaultStats, MmuSim};
 use oaken_runtime::chunk_range;
@@ -179,7 +179,7 @@ pub struct PrefixAlloc {
 }
 
 /// Three-way physical page ownership split of a pool; the components
-/// always sum to the device capacity (the refcount invariant the serving
+/// always sum to the device capacity (the ownership invariant the serving
 /// property tests re-check after every engine step).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageAccounting {
@@ -241,8 +241,8 @@ pub struct PagedKvPool {
     /// Sequences suspended to the host tier: their stream/view state is
     /// retained verbatim (which is what makes resume bit-exact), their
     /// private pages live in each rank's swap pool, and their shared trie
-    /// blocks stay adopted (refcounts held) so the payload a resume needs
-    /// can never be destroyed underneath them.
+    /// blocks stay adopted (page references held) so the payload a resume
+    /// needs can never be destroyed underneath them.
     suspended: HashMap<u32, SeqSlots>,
     recycled: Vec<SeqSlots>,
     /// Tokens per shareable prefix block.
@@ -489,14 +489,17 @@ impl PagedKvPool {
         self.seqs.len()
     }
 
-    /// Pages owned *exclusively* by a sequence, every rank — its private
-    /// tail streams plus its unsealed pending blocks (O(1): tracked per
-    /// sequence, not recounted from the MMU's stream map). Adopted shared
-    /// pages are not included; they are accounted once, under
-    /// [`PagedKvPool::shared_block_pages`].
+    /// Pages owned *exclusively* by a live sequence, every rank — its
+    /// private tail streams plus its unsealed pending blocks, as each
+    /// rank's page ledger holds them (0 for handles that are not live).
+    /// Adopted shared pages are not included; they are accounted once,
+    /// under [`PagedKvPool::shared_block_pages`].
     pub fn seq_pages(&self, seq: SeqId) -> u32 {
-        let state = self.seqs.get(&seq.0);
-        state.map_or(0, |s| s.shards.iter().map(|shard| shard.pages).sum())
+        let Some(state) = self.seqs.get(&seq.0) else {
+            return 0;
+        };
+        let owners = || state.private_owners(seq.0);
+        self.ranks.iter().map(|l| l.device_pages(owners())).sum()
     }
 
     /// Nominal KV bytes per token of whole rows (the shared
@@ -512,8 +515,8 @@ impl PagedKvPool {
         self.sharing
     }
 
-    /// Enables or disables prefix sharing. Disabling (the PR-2 baseline
-    /// behaviour, kept for A/B sweeps) always works; enabling is a no-op
+    /// Enables or disables prefix sharing. Disabling always works — every
+    /// sequence then keeps fully private page streams; enabling is a no-op
     /// when the quantizer is not prefix-deterministic.
     ///
     /// # Panics
@@ -589,9 +592,10 @@ impl PagedKvPool {
     }
 
     /// Pages currently held by sealed trie blocks, every rank (each block
-    /// counted once, however many sequences share it).
+    /// counted once, however many sequences share it) — a running total of
+    /// each rank's page ledger, with no per-block or per-sequence work.
     pub fn shared_block_pages(&self) -> u32 {
-        self.sum_ranks(|r| r.page_accounting().shared_blocks)
+        self.ranks.iter().map(PageLedger::shared_pages).sum()
     }
 
     /// Sealed blocks currently live in the trie.
@@ -733,7 +737,7 @@ impl PagedKvPool {
                 distinct.insert(Arc::as_ptr(segment), segment.held_bytes());
             }
         }
-        for segment in self.trie.shards().flat_map(|s| s.rows.segments()) {
+        for segment in self.trie.shards().flat_map(BlockRows::segments) {
             distinct.insert(Arc::as_ptr(segment), segment.held_bytes());
         }
         held += distinct.values().sum::<usize>();
@@ -805,14 +809,20 @@ impl<'a> RankPages<'a> {
         self.mmu().host_tier().map_or(0, |h| h.free_pages())
     }
 
-    /// The rank's free/private/shared page-ownership split; `total()`
-    /// always equals its [`capacity_pages`](Self::capacity_pages).
+    /// The rank's free/private/shared page-ownership split, read off its
+    /// page ledger: the device pages of every live sequence's private
+    /// owners, and those of sealed blocks. `total()` always equals its
+    /// [`capacity_pages`](Self::capacity_pages); a page no live owner
+    /// accounts for would show as a shortfall.
     pub fn page_accounting(&self) -> PageAccounting {
-        let shards = self.pool.seqs.values().map(|s| &s.shards[self.r]);
+        let ledger = self.ledger();
+        let seqs = self.pool.seqs.iter();
         PageAccounting {
             free: self.free_pages(),
-            private: shards.map(|shard| shard.pages).sum(),
-            shared_blocks: self.pool.trie.total_pages(self.r),
+            private: seqs
+                .map(|(&id, s)| ledger.device_pages(s.private_owners(id)))
+                .sum(),
+            shared_blocks: ledger.shared_pages(),
         }
     }
 
@@ -837,7 +847,7 @@ impl<'a> RankPages<'a> {
     /// suspended).
     pub fn suspended_seq_pages(&self, seq: SeqId) -> u32 {
         let state = self.pool.suspended.get(&seq.0);
-        state.map_or(0, |s| s.shards[self.r].pages)
+        state.map_or(0, |s| self.ledger().host_pages(s.private_owners(seq.0)))
     }
 }
 
@@ -1015,7 +1025,7 @@ mod tests {
             let mut tails = 0;
             for id in 0..pool.trie.len() {
                 let (start, end) = (id * bt, (id + 1) * bt);
-                let held = pool.trie.get(id).shards[0].rows.held_bytes();
+                let held = pool.trie.get(id).shards[0].held_bytes();
                 let tail = start.max(end / KEY_GROUP * KEY_GROUP)..end;
                 let charged: usize = [keys, values]
                     .map(|slot| {
@@ -1314,7 +1324,7 @@ mod tests {
         }
         pool.free_seq(a).unwrap();
         assert_eq!(pool.seq_pages(a), 0);
-        // A recycled slot starts its counter fresh.
+        // A sequence on a recycled slot counts only its own pages.
         let c = pool.alloc_seq();
         pool.append(c, 0, &row(d, 1), &row(d, 2)).unwrap();
         assert_eq!(pool.seq_pages(c), pool.mmu().request_pages(c.0));
@@ -2051,6 +2061,99 @@ mod tests {
                 }
             }
             assert_drained(&pool);
+        }
+    }
+
+    /// A block dies with its last holder, on every rank. A sealer, a
+    /// late-dedup sealer and two adopters hold the same three blocks; one
+    /// adopter is exported into a second pool and the other suspended, and
+    /// they let go in an order that leaves the suspended one last. After
+    /// every step, on every rank of both pools, the page split sums to the
+    /// capacity and the trie holds exactly the blocks some live or
+    /// suspended sequence holds; at the end both pools are empty.
+    /// Exact-f32 and Oaken pools, at 1, 2 and 3 ranks.
+    #[test]
+    fn a_block_dies_with_its_last_holder() {
+        use super::blocks::SeqBlock;
+        use std::collections::HashSet;
+        fn check(pools: [&PagedKvPool; 2], ctx: &str) {
+            for pool in pools {
+                for rank in pool.ranks() {
+                    let acc = rank.page_accounting();
+                    assert_eq!(acc.total(), rank.capacity_pages(), "{ctx}: {acc:?}");
+                }
+                let seqs = pool.seqs.values().chain(pool.suspended.values());
+                let held: HashSet<usize> = (seqs.flat_map(|s| s.plan.iter()))
+                    .flat_map(|plan| &plan.blocks)
+                    .filter_map(|block| match block {
+                        SeqBlock::Shared(id) => Some(*id),
+                        SeqBlock::Pending { .. } => None,
+                    })
+                    .collect();
+                // Every held id is live (`get` panics on a stale one).
+                for &id in &held {
+                    let _ = pool.trie.get(id);
+                }
+                assert_eq!(pool.trie.len(), held.len(), "{ctx}: trie blocks");
+            }
+        }
+        let (layers, d) = (2, 96);
+        let cfg = tiny_config(layers, 3, 32);
+        let prompt: Vec<u32> = (0..13).collect(); // 3 full blocks + tail
+        for q in [None, Some(oaken(d, layers))] {
+            for ranks in 1..=3 {
+                let fresh = || {
+                    let mut pool = PagedKvPool::for_model(&cfg, q.clone(), 2048, 512);
+                    assert_eq!(pool.set_ranks(ranks), ranks);
+                    pool.set_block_tokens(4);
+                    pool
+                };
+                let (mut pool, mut dst) = (fresh(), fresh());
+                let kind = if q.is_some() { "Oaken" } else { "exact" };
+                let ctx = |step: &str| format!("{kind} at {ranks} ranks, {step}");
+                let sealer = pool.alloc_seq_with_prefix(&prompt).seq;
+                let late = pool.alloc_seq_with_prefix(&prompt).seq;
+                feed_prompt(&mut pool, sealer, layers, d, 0, prompt.len());
+                check([&pool, &dst], &ctx("sealed"));
+                feed_prompt(&mut pool, late, layers, d, 0, prompt.len());
+                assert_eq!(pool.prefix_stats().seal_dedups, 3, "{}", ctx("late dedup"));
+                check([&pool, &dst], &ctx("late dedup"));
+                let adopters = [(); 2].map(|()| {
+                    let s = pool.alloc_seq_with_prefix(&prompt);
+                    assert_eq!(s.matched_tokens, 12, "{}", ctx("adopted"));
+                    feed_prompt(&mut pool, s.seq, layers, d, 12, prompt.len() + 2);
+                    check([&pool, &dst], &ctx("adopted"));
+                    s.seq
+                });
+                pool.suspend_seq(adopters[0]).unwrap();
+                check([&pool, &dst], &ctx("suspended"));
+                let transfer = pool.export_seq(adopters[1]).unwrap();
+                check([&pool, &dst], &ctx("exported"));
+                let (landed, _) = dst.import_seq(transfer).unwrap();
+                check([&pool, &dst], &ctx("imported"));
+                dst.resume_seq(landed).unwrap();
+                check([&pool, &dst], &ctx("resumed"));
+                dst.free_seq(landed).unwrap();
+                check([&pool, &dst], &ctx("imported one freed"));
+                for (seq, step) in [(sealer, "sealer freed"), (late, "late sealer freed")] {
+                    pool.free_seq(seq).unwrap();
+                    assert_eq!(pool.trie_blocks(), 3, "{}", ctx(step));
+                    check([&pool, &dst], &ctx(step));
+                }
+                pool.drop_suspended_seq(adopters[0]).unwrap();
+                check([&pool, &dst], &ctx("suspended one dropped"));
+                for p in [&pool, &dst] {
+                    assert_eq!(p.trie_blocks(), 0, "{}", ctx("drained"));
+                    for rank in p.ranks() {
+                        assert_eq!(
+                            rank.free_pages(),
+                            rank.capacity_pages(),
+                            "{}",
+                            ctx("drained")
+                        );
+                    }
+                }
+            }
         }
     }
 

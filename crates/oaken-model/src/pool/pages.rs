@@ -31,12 +31,23 @@
 //! ([`ModelConfig::kv_bytes_per_token`](crate::ModelConfig::kv_bytes_per_token),
 //! also used by `oaken-accel`'s `SystemModel::max_concurrent_batch`), so
 //! the analytic and executed paths cannot drift; [`PageLedger::pages_for_tokens`]
-//! then adds the page floors the analytic model ignores. Every physical
-//! page is owned by exactly one sequence (tail + pending blocks) or one
-//! trie block, and [`PagedKvPool::page_accounting`](super::PagedKvPool::page_accounting)
-//! exposes the three-way split — free, private, shared — whose sum is
-//! always the device capacity. Because capacity is real, running out of
-//! pages is an allocator-level OOM, not an analytic estimate.
+//! then adds the page floors the analytic model ignores. Because capacity
+//! is real, running out of pages is an allocator-level OOM, not an
+//! analytic estimate.
+//!
+//! The ledger is the one place pages and sharers are counted: the rest of
+//! the pool keeps none. A sequence's pages are what its private owners —
+//! its tail and its pending blocks — hold here, on device or frozen on
+//! host; a sealed block's sharers are its pages' references, one per
+//! sequence built on it, and the block is gone when the last release
+//! frees them. The one running total is the pages sealed blocks hold
+//! (kept at seal and at a block's last release), so
+//! [`PagedKvPool::shared_block_pages`](super::PagedKvPool::shared_block_pages)
+//! costs nothing per block.
+//! [`PagedKvPool::page_accounting`](super::PagedKvPool::page_accounting)'s
+//! free, private and shared split sums to the device capacity only while
+//! every allocated page belongs to a live sequence's private owner or to
+//! a sealed block: a leaked owner shows up as a shortfall.
 
 use super::PoolError;
 use oaken_mmu::{
@@ -57,6 +68,8 @@ pub(super) struct PageLedger {
     /// The widest dense row written so far: the slab stride the page
     /// bound charges.
     dense_stride: Option<usize>,
+    /// Device pages sealed blocks hold, each block once.
+    shared: u32,
 }
 
 impl PageLedger {
@@ -89,6 +102,7 @@ impl PageLedger {
             sparse,
             bytes_per_token,
             dense_stride: None,
+            shared: 0,
         }
     }
 
@@ -140,32 +154,54 @@ impl PageLedger {
     }
 
     /// Lays one encoded row's `(dense, sparse)` bytes into `owner`'s slab
-    /// and log (the burst-order write layout of §5.2) and returns the
-    /// pages it opened. Must be covered by a
-    /// [`pages_needed`](Self::pages_needed) pre-check.
-    pub(super) fn write_row(&mut self, owner: u32, (dense, sparse): (usize, usize)) -> u32 {
-        let mut opened = 0;
+    /// and log (the burst-order write layout of §5.2). Must be covered by
+    /// a [`pages_needed`](Self::pages_needed) pre-check.
+    pub(super) fn write_row(&mut self, owner: u32, (dense, sparse): (usize, usize)) {
         for (class, bytes) in [(StreamClass::Dense, dense), (StreamClass::Sparse, sparse)] {
             if bytes > 0 {
-                opened += self
-                    .mmu
-                    .write_token(Self::key(owner, class), bytes as u32)
+                (self.mmu.write_token(Self::key(owner, class), bytes as u32))
                     .expect("append pre-checked the page bound");
             }
         }
         self.dense_stride = Some(self.dense_stride.map_or(dense, |s| s.max(dense)));
-        opened
     }
 
-    /// One more sharer of everything `owner` holds (a trie-block adoption).
-    pub(super) fn retain_owner(&mut self, owner: u32) {
+    /// Device pages `owners` hold (none while frozen).
+    pub(super) fn device_pages(&self, owners: impl IntoIterator<Item = u32>) -> u32 {
+        owners.into_iter().map(|o| self.mmu.request_pages(o)).sum()
+    }
+
+    /// Host pages frozen `owners` hold.
+    pub(super) fn host_pages(&self, owners: impl IntoIterator<Item = u32>) -> u32 {
+        let host = self.mmu.host_tier();
+        owners
+            .into_iter()
+            .map(|o| host.map_or(0, |h| h.frozen_pages(o)))
+            .sum()
+    }
+
+    /// Device pages sealed blocks hold.
+    pub(super) fn shared_pages(&self) -> u32 {
+        self.shared
+    }
+
+    /// Seals `owner`, a pending block its sequence holds alone, into a
+    /// trie block: its pages join the shared count.
+    pub(super) fn seal(&mut self, owner: u32) {
+        self.shared += self.mmu.request_pages(owner);
+    }
+
+    /// One more sharer of a sealed block (an adoption).
+    pub(super) fn retain_block(&mut self, owner: u32) {
         self.mmu.retain_request(owner);
     }
 
-    /// One sharer fewer; returns the pages freed (all of them when this
-    /// was the last sharer, else none).
-    pub(super) fn release_owner(&mut self, owner: u32) -> u32 {
-        self.mmu.release_request(owner)
+    /// One sharer fewer of a sealed block; returns the pages freed (all of
+    /// them when this was the last sharer, else none).
+    pub(super) fn release_block(&mut self, owner: u32) -> u32 {
+        let freed = self.mmu.release_request(owner);
+        self.shared -= freed;
+        freed
     }
 
     /// Gives up an exclusively held owner, wherever it lives: a live one

@@ -49,15 +49,10 @@ pub(super) struct SeqSlots {
 }
 
 /// One rank's share of a sequence: one [`KindSlot`] per `(layer, kind)`
-/// at the rank's width, plus a running private page count so admission
-/// accounting never scans the MMU's global stream map.
+/// at the rank's width. Its pages are counted by the rank's page ledger,
+/// under the sequence's [private owners](SeqSlots::private_owners).
 pub(super) struct SeqShard {
     pub(super) slots: Vec<[KindSlot; 2]>,
-    /// Pages owned exclusively by this sequence on the rank: tail streams
-    /// plus pending (unsealed) blocks — on device while the sequence is
-    /// live, on host while it is suspended. Adopted shared pages are *not*
-    /// counted here.
-    pub(super) pages: u32,
 }
 
 impl SeqSlots {
@@ -103,14 +98,12 @@ impl SeqSlots {
     /// rank: its own tail, then its pending (unsealed) prompt blocks — the
     /// pages that move tiers on suspend. Adopted shared blocks are
     /// excluded.
-    pub(super) fn private_owners(&self, seq_id: u32) -> Vec<u32> {
+    pub(super) fn private_owners(&self, seq_id: u32) -> impl Iterator<Item = u32> + '_ {
         let blocks = self.plan.iter().flat_map(|plan| &plan.blocks);
-        std::iter::once(seq_id)
-            .chain(blocks.filter_map(|block| match block {
-                SeqBlock::Pending { mmu } => Some(*mmu),
-                SeqBlock::Shared(_) => None,
-            }))
-            .collect()
+        std::iter::once(seq_id).chain(blocks.filter_map(|block| match block {
+            SeqBlock::Pending { mmu } => Some(*mmu),
+            SeqBlock::Shared(_) => None,
+        }))
     }
 }
 
@@ -124,7 +117,6 @@ impl PagedKvPool {
             slots: (0..self.model.num_layers)
                 .map(|layer| KvKind::ALL.map(|kind| KindSlot::new(q, width, layer, kind)))
                 .collect(),
-            pages: 0,
         };
         SeqSlots {
             shards: (0..self.ranks.len())
@@ -179,9 +171,6 @@ impl PagedKvPool {
                 SeqBlock::Pending { mmu } => drop_owner(self, mmu),
                 SeqBlock::Shared(id) => self.release_shared_block(id),
             };
-        }
-        for shard in &mut state.shards {
-            shard.pages = 0;
         }
         freed
     }
@@ -410,15 +399,14 @@ impl PagedKvPool {
                     }
                 }
             }
-            // The rows' bytes go to their owner; new pages are charged to
-            // the sequence's private count (pending blocks stay private
-            // until sealed).
+            // The rows' bytes go to their owner (pending blocks stay
+            // private until sealed).
             let q = self.quantizer.as_deref();
-            for (r, (shard, ledger)) in state.shards.iter_mut().zip(&mut self.ranks).enumerate() {
+            for (r, (shard, ledger)) in state.shards.iter().zip(&mut self.ranks).enumerate() {
                 let width = self.plan.kv_channels(r).len();
                 for t in start..end {
                     for slot in &shard.slots[layer] {
-                        shard.pages += ledger.write_row(owner, row_payload(slot, q, width, t));
+                        ledger.write_row(owner, row_payload(slot, q, width, t));
                     }
                 }
             }

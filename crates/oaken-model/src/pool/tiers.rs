@@ -11,9 +11,9 @@
 //! * [`PagedKvPool::suspend_seq`] moves a sequence's **private** pages
 //!   (tail streams + pending prompt blocks) to host and freezes its
 //!   quantizer stream state, views, and prompt plan verbatim; **shared**
-//!   trie blocks stay resident with their refcounts held, so no sharer —
-//!   including the suspended sequence itself — can lose sealed prefix
-//!   bytes;
+//!   trie blocks stay resident with their page references held, so no
+//!   sharer — including the suspended sequence itself — can lose sealed
+//!   prefix bytes;
 //! * [`PagedKvPool::resume_seq`] thaws the private streams onto fresh
 //!   device pages (identical per-token sizes and tail headroom) and the
 //!   sequence continues **bit-exactly** where it left off — the hard
@@ -94,9 +94,9 @@ impl PagedKvPool {
     /// views, and prompt-block plan are retained verbatim, which is what
     /// makes a later [`resume_seq`](Self::resume_seq) **bit-exact** by
     /// construction. Shared trie blocks stay resident: the suspended
-    /// sequence keeps its refcounts, so a sealed prefix another sequence
-    /// is using (or that only this sequence still needs) cannot be
-    /// destroyed while it sits on host — releasing them instead would
+    /// sequence keeps its page references, so a sealed prefix another
+    /// sequence is using (or that only this sequence still needs) cannot
+    /// be destroyed while it sits on host — releasing them instead would
     /// break the zero-recompute guarantee whenever this sequence was the
     /// last sharer.
     ///
@@ -115,7 +115,8 @@ impl PagedKvPool {
             return Err(PoolError::UnknownSequence { seq });
         };
         let short = |r: usize| {
-            let (needed, free) = (state.shards[r].pages, self.rank(r).host_free_pages());
+            let needed = self.ranks[r].device_pages(state.private_owners(seq.0));
+            let free = self.rank(r).host_free_pages();
             (needed > free).then_some(PoolError::OutOfHostPages { needed, free })
         };
         // The schedule is polled after the other ranks' host room is
@@ -132,13 +133,11 @@ impl PagedKvPool {
         if let Some(e) = lead_short {
             return Err(e);
         }
-        let mut state = self.seqs.remove(&seq.0).expect("checked above");
-        let owners = state.private_owners(seq.0);
+        let state = self.seqs.remove(&seq.0).expect("checked above");
+        let owners: Vec<u32> = state.private_owners(seq.0).collect();
         let mut total = SwapReceipt::default();
-        for (shard, ledger) in state.shards.iter_mut().zip(&mut self.ranks) {
-            let receipt = ledger.freeze(&owners);
-            debug_assert_eq!(receipt.pages, shard.pages, "private page accounting");
-            total.merge(receipt);
+        for ledger in &mut self.ranks {
+            total.merge(ledger.freeze(&owners));
         }
         self.suspended.insert(seq.0, state);
         Ok(total)
@@ -169,23 +168,21 @@ impl PagedKvPool {
         // The resume runs a host → device transfer: injectable, polled
         // before anything mutates (the sequence stays frozen on `Err`).
         self.poll_fault(FaultOp::SwapIn)?;
-        let state = &self.suspended[&seq.0];
-        let owners = state.private_owners(seq.0);
+        let owners: Vec<u32> = self.suspended[&seq.0].private_owners(seq.0).collect();
         // Every rank's headroom and frozen entries are checked before any
         // rank thaws.
-        for (shard, ledger) in state.shards.iter().zip(&self.ranks) {
-            let (needed, free) = (shard.pages, ledger.mmu().allocator().free_pages());
+        for ledger in &self.ranks {
+            let needed = ledger.host_pages(owners.iter().copied());
+            let free = ledger.mmu().allocator().free_pages();
             if needed > free {
                 return Err(PoolError::OutOfPages { needed, free });
             }
             ledger.can_thaw(&owners)?;
         }
-        let mut state = self.suspended.remove(&seq.0).expect("checked above");
+        let state = self.suspended.remove(&seq.0).expect("checked above");
         let mut total = SwapReceipt::default();
-        for (shard, ledger) in state.shards.iter_mut().zip(&mut self.ranks) {
-            let receipt = ledger.thaw(&owners);
-            shard.pages = receipt.pages;
-            total.merge(receipt);
+        for ledger in &mut self.ranks {
+            total.merge(ledger.thaw(&owners));
         }
         self.seqs.insert(seq.0, state);
         Ok(total)
@@ -339,16 +336,13 @@ impl PagedKvPool {
         }
         debug_assert!(transfer.slots.plan.is_none(), "exports are flattened");
         let KvTransfer {
-            slots: mut state,
+            slots: state,
             payloads,
         } = transfer;
         let id = self.fresh_seq_owner();
         let mut total = SwapReceipt::default();
-        let ranks = state.shards.iter_mut().zip(&mut self.ranks);
-        for ((shard, ledger), payload) in ranks.zip(&payloads) {
-            let receipt = ledger.import(id, payload);
-            shard.pages = receipt.pages;
-            total.merge(receipt);
+        for (ledger, payload) in self.ranks.iter_mut().zip(&payloads) {
+            total.merge(ledger.import(id, payload));
         }
         self.suspended.insert(id, state);
         Ok((SeqId(id), total))

@@ -13,10 +13,10 @@
 //! tokens whose K/V rows (all layers, both kinds) have been fully written
 //! and *sealed* into immutable page streams. Blocks form a trie keyed by
 //! token content: a node's children are the distinct next-blocks observed
-//! after it. Each block is reference-counted — one count per sequence
-//! currently built on it — and its MMU pages carry matching per-page
-//! references, so a block's storage survives exactly as long as some
-//! sequence needs it and the pool's page accounting stays exact.
+//! after it. The trie counts neither pages nor sharers: each sequence built
+//! on a block holds one reference on the block's MMU pages, and the block
+//! leaves the trie on the release that frees them, so its storage
+//! survives exactly as long as some sequence needs it.
 //!
 //! The heap agrees with the ledger. An Oaken stream keeps its rows in
 //! immutable 16-row store segments ([`oaken_core::StoreSegment`]), and a
@@ -28,8 +28,8 @@
 //!
 //! Sequences always hold *paths* (a block is adopted only together with all
 //! its ancestors) and always release leaf-first, which keeps the structural
-//! invariant simple: a node with zero references has no children and is
-//! removed immediately.
+//! invariant simple: a node whose last holder departs has no children
+//! left, and is unlinked at once.
 
 use crate::cache::KindSlot;
 use oaken_core::kernel::KEY_GROUP;
@@ -207,19 +207,8 @@ impl BlockRows {
     }
 }
 
-/// One rank's share of a sealed block: its channel slice of the block's
-/// rows and the pages they occupy on that rank.
-pub(crate) struct BlockShard {
-    /// Physical pages the block's streams occupy on the rank.
-    pub pages: u32,
-    /// Encoded payload bytes stored in those pages (dedup accounting).
-    pub bytes: u64,
-    /// The rank's slice of the block's K/V rows, all layers.
-    pub rows: BlockRows,
-}
-
-/// One sealed, immutable, reference-counted block of `block_tokens` prompt
-/// tokens: the trie node.
+/// One sealed, immutable block of `block_tokens` prompt tokens: the trie
+/// node.
 pub(crate) struct TrieBlock {
     /// The block's token content (the trie edge label leading to it).
     pub tokens: Box<[u32]>,
@@ -227,30 +216,22 @@ pub(crate) struct TrieBlock {
     parent: Option<usize>,
     /// Children keyed by their token content.
     children: HashMap<Box<[u32]>, usize>,
-    /// Sequences currently built on this block.
-    pub refcount: u32,
     /// MMU request id owning the block's page streams, on every rank.
     pub mmu: u32,
-    /// Per rank, its share of the block.
-    pub shards: Vec<BlockShard>,
+    /// Per rank, its channel slice of the block's K/V rows, all layers.
+    pub shards: Vec<BlockRows>,
 }
 
 impl TrieBlock {
-    /// A freshly sealed block with a single reference (the sealer).
-    pub fn new(tokens: Box<[u32]>, mmu: u32, shards: Vec<BlockShard>) -> Self {
+    /// A freshly sealed block.
+    pub fn new(tokens: Box<[u32]>, mmu: u32, shards: Vec<BlockRows>) -> Self {
         Self {
             tokens,
             parent: None,
             children: HashMap::new(),
-            refcount: 1,
             mmu,
             shards,
         }
-    }
-
-    /// Encoded payload bytes the block stores, every rank.
-    pub fn bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.bytes).sum()
     }
 }
 
@@ -261,8 +242,6 @@ pub(crate) struct PrefixTrie {
     nodes: Vec<Option<TrieBlock>>,
     free: Vec<usize>,
     roots: HashMap<Box<[u32]>, usize>,
-    /// Per rank, the pages live blocks hold.
-    pages: Vec<u32>,
     /// Live block count.
     len: usize,
 }
@@ -314,32 +293,19 @@ impl PrefixTrie {
                 .insert(tokens, id),
         };
         assert!(displaced.is_none(), "duplicate block sealed into the trie");
-        let shards = &self.nodes[id].as_ref().expect("just inserted").shards;
-        self.pages.resize(self.pages.len().max(shards.len()), 0);
-        for (pages, shard) in self.pages.iter_mut().zip(shards) {
-            *pages += shard.pages;
-        }
         self.len += 1;
         id
     }
 
-    /// One more sequence built on `id`.
-    pub fn retain(&mut self, id: usize) {
-        self.nodes[id].as_mut().expect("live trie block").refcount += 1;
-    }
-
-    /// One sequence done with `id`. When the last reference goes the node
-    /// is unlinked and returned so the caller can free its MMU pages.
+    /// Unlinks `id`, whose last holder has departed, and frees its slot.
     ///
-    /// Sequences release their blocks leaf-first, so a node reaching zero
-    /// references never has live children.
-    pub fn release(&mut self, id: usize) -> Option<TrieBlock> {
-        let node = self.nodes[id].as_mut().expect("live trie block");
-        node.refcount -= 1;
-        if node.refcount > 0 {
-            return None;
-        }
-        let block = self.nodes[id].take().expect("checked live above");
+    /// # Panics
+    ///
+    /// Panics on a stale id, or if the block still has children:
+    /// sequences release their blocks leaf-first, so the last holder of a
+    /// node has let go of every node below it.
+    pub fn remove(&mut self, id: usize) {
+        let block = self.nodes[id].take().expect("live trie block");
         assert!(
             block.children.is_empty(),
             "released block still has children — blocks must be released leaf-first"
@@ -353,17 +319,7 @@ impl PrefixTrie {
                 .remove(&block.tokens),
         };
         self.free.push(id);
-        for (pages, shard) in self.pages.iter_mut().zip(&block.shards) {
-            *pages -= shard.pages;
-        }
         self.len -= 1;
-        Some(block)
-    }
-
-    /// Pages live blocks hold on `rank` — the "shared" side of that rank's
-    /// page accounting.
-    pub fn total_pages(&self, rank: usize) -> u32 {
-        self.pages.get(rank).copied().unwrap_or(0)
     }
 
     /// Live blocks in the trie.
@@ -374,11 +330,11 @@ impl PrefixTrie {
     /// Heap bytes only the live blocks hold, every rank: their views or
     /// page-form rows, not the segments they share.
     pub fn held_bytes(&self) -> usize {
-        self.shards().map(|s| s.rows.held_bytes()).sum()
+        self.shards().map(BlockRows::held_bytes).sum()
     }
 
     /// Every rank's share of every live block.
-    pub fn shards(&self) -> impl Iterator<Item = &BlockShard> {
+    pub fn shards(&self) -> impl Iterator<Item = &BlockRows> {
         self.nodes.iter().flatten().flat_map(|b| &b.shards)
     }
 }
@@ -387,40 +343,36 @@ impl PrefixTrie {
 mod tests {
     use super::*;
 
-    fn block(tokens: &[u32], mmu: u32, pages: u32) -> TrieBlock {
-        let rows = BlockRows::Views(Vec::new());
-        let shard = BlockShard {
-            pages,
-            bytes: 64,
-            rows,
-        };
-        TrieBlock::new(tokens.into(), mmu, vec![shard])
+    fn block(tokens: &[u32], mmu: u32) -> TrieBlock {
+        TrieBlock::new(tokens.into(), mmu, vec![BlockRows::Views(Vec::new())])
     }
 
+    /// Two paths share a root; unlinking a leaf leaves its sibling and its
+    /// parent found, and its freed slot comes back under another parent.
     #[test]
     fn paths_share_and_release_leaf_first() {
         let mut t = PrefixTrie::default();
-        let a = t.insert(None, block(&[1, 2], 100, 3));
-        let b = t.insert(Some(a), block(&[3, 4], 101, 2));
+        let a = t.insert(None, block(&[1, 2], 100));
+        let b = t.insert(Some(a), block(&[3, 4], 101));
+        let c = t.insert(Some(a), block(&[5, 6], 102));
         assert_eq!(t.child(None, &[1, 2]), Some(a));
         assert_eq!(t.child(Some(a), &[3, 4]), Some(b));
         assert_eq!(t.child(Some(a), &[9, 9]), None);
-        assert_eq!(t.total_pages(0), 5);
+        assert_eq!(t.len(), 3);
+
+        t.remove(b);
+        assert_eq!(t.child(Some(a), &[3, 4]), None);
+        assert_eq!(t.child(Some(a), &[5, 6]), Some(c));
         assert_eq!(t.len(), 2);
 
-        // A second sequence adopts the whole path.
-        t.retain(a);
-        t.retain(b);
-        // First sequence departs leaf-first: nothing freed.
-        assert!(t.release(b).is_none());
-        assert!(t.release(a).is_none());
-        assert_eq!(t.len(), 2);
-        // Last sequence departs: leaf then root free.
-        let freed_b = t.release(b).expect("leaf freed");
-        assert_eq!(freed_b.mmu, 101);
-        let freed_a = t.release(a).expect("root freed");
-        assert_eq!(freed_a.mmu, 100);
-        assert_eq!(t.total_pages(0), 0);
+        // The leaf's slot is reused, under the other path.
+        let d = t.insert(Some(c), block(&[7, 8], 103));
+        assert_eq!(d, b, "freed slot is reused");
+        assert_eq!(t.get(d).mmu, 103);
+        assert_eq!(t.child(Some(c), &[7, 8]), Some(d));
+        for id in [d, c, a] {
+            t.remove(id);
+        }
         assert_eq!(t.len(), 0);
         assert_eq!(t.child(None, &[1, 2]), None);
     }
@@ -482,9 +434,9 @@ mod tests {
     #[test]
     fn slab_slots_are_recycled() {
         let mut t = PrefixTrie::default();
-        let a = t.insert(None, block(&[1], 1, 1));
-        t.release(a).expect("freed");
-        let b = t.insert(None, block(&[2], 2, 1));
+        let a = t.insert(None, block(&[1], 1));
+        t.remove(a);
+        let b = t.insert(None, block(&[2], 2));
         assert_eq!(a, b, "freed slot is reused");
         assert_eq!(t.len(), 1);
     }
@@ -493,7 +445,7 @@ mod tests {
     #[should_panic(expected = "duplicate block")]
     fn duplicate_children_are_rejected() {
         let mut t = PrefixTrie::default();
-        t.insert(None, block(&[7], 1, 1));
-        t.insert(None, block(&[7], 2, 1));
+        t.insert(None, block(&[7], 1));
+        t.insert(None, block(&[7], 2));
     }
 }

@@ -155,7 +155,8 @@ fn steady_state_pool_batch_view_append_makes_zero_allocations() {
 /// The scheduler's reservation bound is asked up to twice per active
 /// sequence per engine step, so it must not allocate either — least of all
 /// on *planned* sequences, whose next rows straddle pending prompt blocks
-/// and the private tail.
+/// and the private tail. Nor must the page figures the engine reads each
+/// step, which the page ledger counts from those same owners.
 #[test]
 fn steady_state_page_bound_over_pending_blocks_makes_zero_allocations() {
     let cfg = geometry();
@@ -195,6 +196,20 @@ fn steady_state_page_bound_over_pending_blocks_makes_zero_allocations() {
         "pages_possibly_needed_n performed {delta} heap allocations"
     );
     assert!(std::hint::black_box(pages) > 0, "the bounds were computed");
+
+    pool.suspend_seq(seqs[2]).unwrap();
+    let mut figures = 0u32;
+    let delta = allocations_of(|| {
+        for _ in 0..16 {
+            figures += pool.shared_block_pages() + pool.page_accounting().private;
+            figures += pool.seq_pages(seqs[1]) + pool.suspended_seq_pages(seqs[2]);
+        }
+    });
+    assert_eq!(
+        delta, 0,
+        "the page figures performed {delta} heap allocations"
+    );
+    assert!(std::hint::black_box(figures) > 0, "the figures were read");
 }
 
 /// A warm Oaken pool's run allocates only at its stores' seals. A sealed

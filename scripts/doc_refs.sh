@@ -8,7 +8,14 @@
 #     `oaken-core/src/kernel.rs` and `tests/prefix_props.rs` resolve; a
 #     `*` in the token matches as a shell glob), or
 #   * cites a "ROADMAP item N" that ROADMAP.md has no numbered item for
-#     (a line starting `N. **` or `N. *`).
+#     (a line starting `N. **` or `N. *`), or
+#   * names, inside backticks, a unit test `a::tests::f` that no `fn f`
+#     after the `#[cfg(test)]` of a tracked `a.rs` or `a/mod.rs` under
+#     crates/*/src declares, or
+#   * names, inside backticks, `t::f` where a tracked `t.rs` sits in a
+#     `tests/` directory, and neither such a file nor a `t.rs` under
+#     crates/*/src (a module of the same name, as `pipeline::decode_row`
+#     is) declares `fn f`.
 # Fenced code blocks are skipped: only inline references are checked.
 #
 # Out of scope, on purpose:
@@ -16,9 +23,9 @@
 #     to the system may not edit, and which its next rewrite brings up to
 #     date; a check that failed on it could not be mended by the change it
 #     failed.
-#   * Test names: a backticked `snake_case` name cannot be told from a
-#     metric name such as `kv_read_bytes_per_token` without resolving it
-#     against the test suite.
+#   * Bare test names: a backticked `snake_case` name with no path cannot
+#     be told from a metric name such as `kv_read_bytes_per_token` without
+#     resolving it against the test suite.
 #
 # usage: scripts/doc_refs.sh [repo-root]   (default: this checkout)
 set -euo pipefail
@@ -31,6 +38,21 @@ status=0
 # Inline code spans of a markdown file, one token per line, fences dropped.
 tokens() {
     perl -0777 -ne 's/^```.*?^```[^\n]*$//gms; while (/`([^`]+)`/g) { print "$_\n" for split /\s+/, $1 }' "$1"
+}
+
+# Whether any of the files named on stdin declares `fn $1`, counting only
+# lines after its first `#[cfg(test)]` when $2 is `tests`.
+declares() {
+    local file body
+    while IFS= read -r file; do
+        [ -n "$file" ] || continue
+        body=$(cat "$file")
+        if [ "$2" = tests ]; then
+            body=$(sed -n '/^[[:space:]]*#\[cfg(test)\]/,$p' <<< "$body")
+        fi
+        grep -qE "\bfn $1\b" <<< "$body" && return 0
+    done
+    return 1
 }
 
 for doc in "${docs[@]}"; do
@@ -51,6 +73,24 @@ for doc in "${docs[@]}"; do
             status=1
         fi
     done <<< "$paths"
+
+    while read -r module name; do
+        files=$(grep -E "^crates/[^/]+/src/(.*/)?$module(\.rs|/mod\.rs)$" <<< "$tracked" || true)
+        if ! declares "$name" tests <<< "$files"; then
+            echo "$doc: \`$module::tests::$name\` names no unit test" >&2
+            status=1
+        fi
+    done < <(tokens "$doc" | perl -ne 'print "$1 $2\n" if /\b([a-z][a-z0-9_]*)::tests::([a-z_][a-z0-9_]*)/' | sort -u)
+
+    while read -r file name; do
+        suite=$(grep -E "(^|/)tests/$file\.rs$" <<< "$tracked" || true)
+        [ -n "$suite" ] || continue
+        module=$(grep -E "^crates/[^/]+/src/(.*/)?$file\.rs$" <<< "$tracked" || true)
+        if ! declares "$name" all <<< "$suite"$'\n'"$module"; then
+            echo "$doc: \`$file::$name\` names no test in $(paste -sd ' ' <<< "$suite")" >&2
+            status=1
+        fi
+    done < <(tokens "$doc" | perl -ne 'print "$1 $2\n" if /^([a-z][a-z0-9_]*)::([a-z_][a-z0-9_]*)(?![A-Za-z0-9_]|::)/' | sort -u)
 
     items=$(perl -0777 -ne 'print "$1\n" while /ROADMAP\s+item\s+([0-9]+)/g' "$doc" | sort -un)
     for n in $items; do
