@@ -16,7 +16,7 @@ pub enum AllocError {
         /// Total pages in the device.
         capacity: u32,
     },
-    /// A page was freed twice or was never allocated.
+    /// A page was released past its last reference or never allocated.
     NotAllocated {
         /// The offending page.
         page: PageId,
@@ -53,9 +53,6 @@ pub struct PageAllocator {
     free: BTreeSet<PageId>,
     /// Reference count per page (0 = free).
     refs: Vec<u32>,
-    /// Pages with refcount ≥ 2 (kept incrementally; the shared-vs-private
-    /// accounting the serving stats report).
-    shared: u32,
 }
 
 impl PageAllocator {
@@ -71,7 +68,6 @@ impl PageAllocator {
             num_pages,
             free: (0..num_pages).map(PageId).collect(),
             refs: vec![0; num_pages as usize],
-            shared: 0,
         }
     }
 
@@ -93,17 +89,6 @@ impl PageAllocator {
     /// Currently allocated pages.
     pub fn allocated_pages(&self) -> u32 {
         self.num_pages - self.free_pages()
-    }
-
-    /// Pages whose reference count is at least 2 — physical pages whose
-    /// payload is shared by more than one owner (prefix-cache hits).
-    pub fn shared_pages(&self) -> u32 {
-        self.shared
-    }
-
-    /// Allocated pages with a reference count of exactly 1.
-    pub fn private_pages(&self) -> u32 {
-        self.allocated_pages() - self.shared
     }
 
     /// Current reference count of a page (0 = free).
@@ -137,9 +122,6 @@ impl PageAllocator {
         }
         let rc = &mut self.refs[page.0 as usize];
         *rc += 1;
-        if *rc == 2 {
-            self.shared += 1;
-        }
         Ok(*rc)
     }
 
@@ -156,34 +138,11 @@ impl PageAllocator {
         }
         let rc = &mut self.refs[page.0 as usize];
         *rc -= 1;
-        match *rc {
-            0 => {
-                self.free.insert(page);
-                Ok(true)
-            }
-            1 => {
-                self.shared -= 1;
-                Ok(false)
-            }
-            _ => Ok(false),
+        let freed = *rc == 0;
+        if freed {
+            self.free.insert(page);
         }
-    }
-
-    /// Frees an *exclusively owned* page (refcount exactly 1) — the
-    /// hard-free used for private streams, where a lingering sharer would
-    /// indicate corruption.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocError::NotAllocated`] on double-free, an invalid id,
-    /// or a page still shared by another owner.
-    pub fn free(&mut self, page: PageId) -> Result<(), AllocError> {
-        if self.refcount(page) != 1 {
-            return Err(AllocError::NotAllocated { page });
-        }
-        self.refs[page.0 as usize] = 0;
-        self.free.insert(page);
-        Ok(())
+        Ok(freed)
     }
 }
 
@@ -212,7 +171,7 @@ mod tests {
         let mut a = PageAllocator::new(2, 64);
         let p0 = a.alloc().unwrap();
         let _p1 = a.alloc().unwrap();
-        a.free(p0).unwrap();
+        assert!(a.release(p0).unwrap());
         assert_eq!(a.alloc().unwrap(), p0);
     }
 
@@ -220,10 +179,10 @@ mod tests {
     fn double_free_rejected() {
         let mut a = PageAllocator::new(2, 64);
         let p = a.alloc().unwrap();
-        a.free(p).unwrap();
-        assert!(matches!(a.free(p), Err(AllocError::NotAllocated { .. })));
+        assert!(a.release(p).unwrap());
+        assert!(matches!(a.release(p), Err(AllocError::NotAllocated { .. })));
         assert!(matches!(
-            a.free(PageId(9)),
+            a.release(PageId(9)),
             Err(AllocError::NotAllocated { .. })
         ));
     }
@@ -233,29 +192,14 @@ mod tests {
         let mut a = PageAllocator::new(4, 64);
         let p = a.alloc().unwrap();
         assert_eq!(a.refcount(p), 1);
-        assert_eq!(a.shared_pages(), 0);
         assert_eq!(a.retain(p).unwrap(), 2);
         assert_eq!(a.retain(p).unwrap(), 3);
-        assert_eq!(a.shared_pages(), 1);
-        assert_eq!(a.private_pages(), 0);
         assert!(!a.release(p).unwrap());
         assert!(!a.release(p).unwrap());
-        assert_eq!(a.shared_pages(), 0);
-        assert_eq!(a.private_pages(), 1);
+        assert_eq!((a.refcount(p), a.allocated_pages()), (1, 1));
         assert!(a.release(p).unwrap());
         assert_eq!(a.free_pages(), 4);
         assert!(matches!(a.release(p), Err(AllocError::NotAllocated { .. })));
-    }
-
-    #[test]
-    fn shared_pages_cannot_be_hard_freed() {
-        let mut a = PageAllocator::new(2, 64);
-        let p = a.alloc().unwrap();
-        a.retain(p).unwrap();
-        assert!(matches!(a.free(p), Err(AllocError::NotAllocated { .. })));
-        a.release(p).unwrap();
-        a.free(p).unwrap();
-        assert_eq!(a.free_pages(), 2);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub enum FaultOp {
 }
 
 impl FaultOp {
-    /// All operation classes, for stats iteration.
+    /// All operation classes, in attempt-counter order.
     pub const ALL: [FaultOp; 4] = [
         FaultOp::DeviceAlloc,
         FaultOp::HostAlloc,
@@ -133,27 +133,15 @@ impl FaultPlan {
     }
 }
 
-/// Counters over injected faults (one [`FaultInjector`]'s lifetime).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Total faults injected (transient + every poll of a burst).
-    pub injected: u64,
-    /// Transient faults injected.
-    pub transient: u64,
-    /// Persistent-burst polls failed (each burst counts `burst` times).
-    pub persistent: u64,
-    /// Injections per operation class, indexed by [`FaultOp::ALL`] order.
-    pub by_op: [u64; 4],
-}
-
-/// Stateful evaluator of a [`FaultPlan`]: per-op attempt counters plus
-/// the remaining length of an in-flight persistent burst.
+/// Stateful evaluator of a [`FaultPlan`]: per-op attempt counters, the
+/// remaining length of an in-flight persistent burst, and the faults
+/// injected so far.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
     attempts: [u64; 4],
     burst_left: [u8; 4],
-    stats: FaultStats,
+    injected: u64,
 }
 
 /// `splitmix64` finalizer — a well-mixed 64-bit hash of the input.
@@ -171,18 +159,13 @@ impl FaultInjector {
             plan,
             attempts: [0; 4],
             burst_left: [0; 4],
-            stats: FaultStats::default(),
+            injected: 0,
         }
     }
 
-    /// The installed plan.
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> FaultStats {
-        self.stats
+    /// Faults injected so far (transient, and every poll of a burst).
+    pub fn injected(&self) -> u64 {
+        self.injected
     }
 
     /// Polls the schedule for one attempt of `op`: `None` means the
@@ -193,7 +176,7 @@ impl FaultInjector {
         let i = op.index();
         if self.burst_left[i] > 0 {
             self.burst_left[i] -= 1;
-            self.record(op, FaultKind::Persistent);
+            self.injected += 1;
             return Some(FaultKind::Persistent);
         }
         let n = self.attempts[i];
@@ -209,17 +192,8 @@ impl FaultInjector {
             self.burst_left[i] = self.plan.burst.max(1) - 1;
             FaultKind::Persistent
         };
-        self.record(op, kind);
+        self.injected += 1;
         Some(kind)
-    }
-
-    fn record(&mut self, op: FaultOp, kind: FaultKind) {
-        self.stats.injected += 1;
-        self.stats.by_op[op.index()] += 1;
-        match kind {
-            FaultKind::Transient => self.stats.transient += 1,
-            FaultKind::Persistent => self.stats.persistent += 1,
-        }
     }
 }
 
@@ -235,7 +209,7 @@ mod tests {
             let op = FaultOp::ALL[i % 4];
             assert_eq!(a.poll(op), b.poll(op), "attempt {i} diverged");
         }
-        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.injected(), b.injected());
     }
 
     #[test]
@@ -252,7 +226,7 @@ mod tests {
             (500..3000).contains(&injected),
             "10k polls at 100 permille injected {injected}"
         );
-        assert_eq!(inj.stats().injected, injected);
+        assert_eq!(inj.injected(), injected);
     }
 
     #[test]

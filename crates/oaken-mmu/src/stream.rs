@@ -138,33 +138,22 @@ impl MmuSim {
 
     /// Attaches (or resizes) a host tier of `host_pages` pages, enabling
     /// [`swap_out_request`](Self::swap_out_request) /
-    /// [`swap_in_request`](Self::swap_in_request). Resizing an existing
-    /// tier keeps its cumulative [`SwapStats`](crate::swap::SwapStats)
-    /// counters.
+    /// [`swap_in_request`](Self::swap_in_request).
     ///
     /// # Panics
     ///
     /// Panics if requests are currently frozen, a zero-page one included
     /// (the tier can only be resized while empty).
     pub fn attach_host_tier(&mut self, host_pages: u32) {
-        let prev_stats = match &self.host {
-            Some(host) => {
-                assert_eq!(
-                    host.frozen_requests(),
-                    0,
-                    "host tier can only be resized while no request is frozen"
-                );
-                host.stats()
-            }
-            None => Default::default(),
-        };
-        let mut tier = SwapPool::new(host_pages);
-        tier.restore_stats(prev_stats);
-        self.host = Some(tier);
+        assert!(
+            self.host.as_ref().is_none_or(|h| h.frozen.is_empty()),
+            "host tier can only be resized while no request is frozen"
+        );
+        self.host = Some(SwapPool::new(host_pages));
     }
 
-    /// The host tier, when attached (read-only: occupancy, frozen
-    /// requests, transfer stats).
+    /// The host tier, when attached (read-only: occupancy and frozen
+    /// requests).
     pub fn host_tier(&self) -> Option<&SwapPool> {
         self.host.as_ref()
     }
@@ -186,10 +175,10 @@ impl MmuSim {
     }
 
     /// Freezes every stream of `request` to the host tier: the per-token
-    /// payload sizes move to host, the device pages free, and the host
-    /// tier charges the same page count. The request's streams become
-    /// unknown to the device until
-    /// [`swap_in_request`](Self::swap_in_request) thaws them.
+    /// payload sizes move to host, the device pages are released (each
+    /// checked to be its last reference), and the host tier charges the
+    /// same page count. The request's streams become unknown to the device
+    /// until [`swap_in_request`](Self::swap_in_request) thaws them.
     ///
     /// A request with *no* streams freezes successfully as an empty entry
     /// (0 pages, 0 bytes) — a planned-but-unwritten prompt block suspends
@@ -227,9 +216,8 @@ impl MmuSim {
         let mut payload = TransferPayload::default();
         for (k, stream) in self.take_streams(request) {
             for p in stream.pages {
-                self.allocator
-                    .free(p)
-                    .expect("refcount-1 pages hard-free cleanly");
+                let freed = self.allocator.release(p);
+                assert_eq!(freed, Ok(true), "checked refcount-1 pages free on release");
             }
             payload.streams.push(StreamPayload {
                 layer: k.layer,
@@ -248,7 +236,6 @@ impl MmuSim {
         let receipt = SwapReceipt {
             pages,
             bytes: payload.bytes,
-            checksum: payload.checksum,
         };
         let entry = FrozenRequest { payload, pages };
         self.host
@@ -333,7 +320,7 @@ impl MmuSim {
         let FrozenRequest { payload, .. } = self
             .host
             .as_mut()
-            .and_then(|host| host.thaw(request, true))
+            .and_then(|host| host.thaw(request))
             .expect("the caller verified the entry");
         let free = self.allocator.free_pages();
         for s in payload.streams {
@@ -352,7 +339,6 @@ impl MmuSim {
         SwapReceipt {
             pages: free - self.allocator.free_pages(),
             bytes: payload.bytes,
-            checksum: payload.checksum,
         }
     }
 
@@ -366,9 +352,7 @@ impl MmuSim {
     /// [`SwapError::NoHostTier`] or [`SwapError::NotFrozen`].
     pub fn discard_frozen(&mut self, request: u32) -> Result<u32, SwapError> {
         let host = self.host.as_mut().ok_or(SwapError::NoHostTier)?;
-        let entry = host
-            .thaw(request, false)
-            .ok_or(SwapError::NotFrozen { request })?;
+        let entry = host.thaw(request).ok_or(SwapError::NotFrozen { request })?;
         Ok(entry.pages)
     }
 
@@ -482,24 +466,6 @@ impl MmuSim {
         self.request_streams(request).map(|(_, s)| s.bytes()).sum()
     }
 
-    /// Frees every page belonging to `request` (request retirement). The
-    /// request's streams are removed unconditionally; each page drops
-    /// one reference and physically frees only when no other owner (a
-    /// retained sharer) still holds it. Returns the pages actually freed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates over-release errors, which indicate internal corruption.
-    pub fn free_request(&mut self, request: u32) -> Result<u32, AllocError> {
-        let mut freed = 0u32;
-        for (_, stream) in self.take_streams(request) {
-            for p in stream.pages {
-                freed += u32::from(self.allocator.release(p)?);
-            }
-        }
-        Ok(freed)
-    }
-
     /// Adds one reference to every page owned by `request`'s streams — a
     /// new sharer adopting the request's payload (a prefix-cache hit).
     /// Returns the number of pages retained (0 for an unknown request).
@@ -516,18 +482,18 @@ impl MmuSim {
         retained
     }
 
-    /// Drops one reference from every page owned by `request`'s streams (a
-    /// sharer departing). When the last reference goes, the pages free and
-    /// the streams are removed; while other sharers remain, the streams
-    /// stay readable. Returns the pages actually freed.
+    /// Drops one reference from every page owned by `request`'s streams —
+    /// the one way a request's device pages go, whether it was never
+    /// shared (its retirement) or a sharer departs. When the last
+    /// reference goes, the pages free and the streams are removed; while
+    /// other sharers remain, the streams stay readable. Returns the pages
+    /// actually freed.
     ///
-    /// Contract: the request must be **whole-request shared** — every page
-    /// at the same refcount, which [`retain_request`](Self::retain_request)
-    /// preserves and appends break. A request written to after it was
-    /// shared mixes shared and private pages and must be retired with
-    /// [`free_request`](Self::free_request) instead; releasing it would
-    /// free its private tail while its streams stay live, so that misuse is
-    /// rejected loudly.
+    /// Contract: every page of the request is at the same refcount, which
+    /// [`retain_request`](Self::retain_request) preserves and appends
+    /// break. A request written to after it was shared mixes shared and
+    /// private pages; releasing it would free its private tail while its
+    /// streams stay live, so that misuse is rejected loudly.
     ///
     /// # Panics
     ///
@@ -546,7 +512,7 @@ impl MmuSim {
         assert!(
             uniform,
             "release_request on mixed-refcount request {request}: \
-             requests written after sharing must use free_request"
+             a request written after it was shared cannot be released"
         );
         let mut freed = 0u32;
         let mut fully_freed = true;
@@ -565,16 +531,6 @@ impl MmuSim {
             self.take_streams(request);
         }
         freed
-    }
-
-    /// Physical pages currently referenced by more than one owner.
-    pub fn shared_pages(&self) -> u32 {
-        self.allocator.shared_pages()
-    }
-
-    /// Physical pages with exactly one owner.
-    pub fn private_pages(&self) -> u32 {
-        self.allocator.private_pages()
     }
 
     /// Internal fragmentation: allocated-but-unused bytes over allocated
@@ -695,8 +651,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(mmu.allocator().free_pages(), 0);
-        let freed = mmu.free_request(7).unwrap();
-        assert_eq!(freed, 4);
+        assert_eq!(mmu.release_request(7), 4);
         assert_eq!(mmu.allocator().free_pages(), 4);
         assert!(mmu.stream(&key(7, 0, StreamClass::Dense)).is_none());
     }
@@ -749,34 +704,25 @@ mod tests {
             mmu.write_token(k, 100).unwrap(); // 4 pages
         }
         assert_eq!(mmu.request_pages(10), 4);
-        assert_eq!(mmu.shared_pages(), 0);
+        let refs = |mmu: &MmuSim| -> Vec<u32> {
+            let pages = mmu.stream(&k).unwrap().0;
+            pages.iter().map(|&p| mmu.allocator().refcount(p)).collect()
+        };
+        assert_eq!(refs(&mmu), [1; 4]);
         // Two additional sharers adopt the request's payload.
         assert_eq!(mmu.retain_request(10), 4);
         assert_eq!(mmu.retain_request(10), 4);
-        assert_eq!(mmu.shared_pages(), 4);
+        assert_eq!(refs(&mmu), [3; 4]);
         // Departing sharers free nothing while others remain; the stream
         // stays readable.
         assert_eq!(mmu.release_request(10), 0);
         assert!(mmu.stream(&k).is_some());
         assert_eq!(mmu.release_request(10), 0);
-        assert_eq!(mmu.shared_pages(), 0);
+        assert_eq!(refs(&mmu), [1; 4]);
         // The last owner frees everything and drops the stream.
         assert_eq!(mmu.release_request(10), 4);
         assert!(mmu.stream(&k).is_none());
         assert_eq!(mmu.allocator().free_pages(), 8);
-    }
-
-    #[test]
-    fn free_request_releases_shared_pages_without_freeing_them() {
-        let mut mmu = MmuSim::new(8, 128);
-        let k = key(3, 0, StreamClass::Dense);
-        mmu.write_token(k, 64).unwrap();
-        mmu.retain_request(3);
-        // Hard retirement removes the stream but the page survives for the
-        // remaining owner.
-        assert_eq!(mmu.free_request(3).unwrap(), 0);
-        assert!(mmu.stream(&k).is_none());
-        assert_eq!(mmu.allocator().free_pages(), 7);
     }
 
     #[test]
@@ -787,9 +733,8 @@ mod tests {
         mmu.write_token(k, 100).unwrap();
         mmu.retain_request(1);
         // Written after sharing, the request mixes a shared history page
-        // (rc 2) with a private tail page (rc 1): releasing it
-        // whole-request would corrupt; it must be retired with
-        // free_request instead.
+        // (rc 2) with a private tail page (rc 1): releasing it would free
+        // the tail while the stream stays live.
         mmu.write_token(k, 100).unwrap();
         mmu.release_request(1);
     }
@@ -817,7 +762,7 @@ mod tests {
         assert_eq!(mmu.allocator().free_pages(), 8);
         let host = mmu.host_tier().expect("attached");
         assert_eq!(host.used_pages(), before_pages);
-        assert_eq!(host.frozen_bytes(5), before_bytes);
+        assert_eq!(host.frozen_pages(5), before_pages);
 
         // Another request takes device pages meanwhile.
         mmu.write_token(key(6, 0, StreamClass::Dense), 50).unwrap();
@@ -832,12 +777,10 @@ mod tests {
         assert_eq!(mmu.stream(&kd).unwrap().1, [100, 60, 60]);
         assert_eq!(mmu.stream(&ks).unwrap().1, [17]);
         assert_eq!(mmu.host_tier().unwrap().used_pages(), 0);
-
-        let stats = mmu.host_tier().unwrap().stats();
-        assert_eq!(stats.swap_outs, 1);
-        assert_eq!(stats.swap_ins, 1);
-        assert_eq!(stats.bytes_to_host, before_bytes);
-        assert_eq!(stats.bytes_to_device, before_bytes);
+        assert_eq!(
+            back, out,
+            "the round trip moves the same pages and bytes back"
+        );
 
         // The thawed stream keeps appending normally.
         mmu.write_token(kd, 8).unwrap();
@@ -885,26 +828,8 @@ mod tests {
             Err(SwapError::OutOfDevicePages { needed: 1, free: 0 })
         ));
         assert!(mmu.host_tier().unwrap().is_frozen(1));
-        mmu.free_request(2).unwrap();
+        mmu.release_request(2);
         assert_eq!(mmu.swap_in_request(1).unwrap().pages, 1);
-    }
-
-    #[test]
-    fn host_tier_resize_keeps_cumulative_stats() {
-        let mut mmu = MmuSim::new(4, 128);
-        mmu.attach_host_tier(4);
-        mmu.write_token(key(1, 0, StreamClass::Dense), 40).unwrap();
-        mmu.swap_out_request(1).unwrap();
-        mmu.swap_in_request(1).unwrap();
-        let before = mmu.host_tier().unwrap().stats();
-        assert_eq!(before.swap_outs, 1);
-        mmu.attach_host_tier(16);
-        assert_eq!(mmu.host_tier().unwrap().capacity(), 16);
-        assert_eq!(
-            mmu.host_tier().unwrap().stats(),
-            before,
-            "resize must not zero cumulative counters"
-        );
     }
 
     /// A zero-page frozen entry occupies no host page but is still frozen:
@@ -924,14 +849,7 @@ mod tests {
         mmu.attach_host_tier(2);
         // A request with no streams freezes as a 0-page entry.
         let r = mmu.swap_out_request(7).unwrap();
-        assert_eq!(
-            r,
-            SwapReceipt {
-                pages: 0,
-                bytes: 0,
-                checksum: 0
-            }
-        );
+        assert_eq!(r, SwapReceipt { pages: 0, bytes: 0 });
         assert!(mmu.host_tier().unwrap().is_frozen(7));
         assert_eq!(mmu.swap_in_request(7).unwrap().pages, 0);
         assert!(!mmu.host_tier().unwrap().is_frozen(7));
@@ -941,8 +859,8 @@ mod tests {
         mmu.swap_out_request(3).unwrap();
         assert_eq!(mmu.discard_frozen(3).unwrap(), 1);
         assert_eq!(mmu.host_tier().unwrap().used_pages(), 0);
-        // Only request 7's thaw counted as a swap-in; the discard did not.
-        assert_eq!(mmu.host_tier().unwrap().stats().swap_ins, 1);
+        // The discard thawed nothing back onto the device.
+        assert_eq!(mmu.request_pages(3), 0);
         assert!(matches!(
             mmu.discard_frozen(3),
             Err(SwapError::NotFrozen { request: 3 })
@@ -983,9 +901,10 @@ mod tests {
         dst.attach_host_tier(8);
         let receipt = dst.import_frozen(9, &payload).unwrap();
         assert_eq!(receipt.bytes, payload.bytes);
-        assert_eq!(receipt.checksum, payload.checksum);
-        assert!(dst.host_tier().unwrap().is_frozen(9));
-        assert_eq!(dst.host_tier().unwrap().used_pages(), receipt.pages);
+        let host = dst.host_tier().unwrap();
+        assert_eq!(host.frozen[&9].payload.checksum, payload.checksum);
+        assert!(host.is_frozen(9));
+        assert_eq!(host.used_pages(), receipt.pages);
 
         let thawed = dst.swap_in_request(9).unwrap();
         assert_eq!(thawed.bytes, payload.bytes);
@@ -997,13 +916,14 @@ mod tests {
             dst.tail_free(&key(9, 0, StreamClass::Dense)),
             src.tail_free(&kd)
         );
-        // The swap-out receipt's checksum is the same fold the transfer
-        // carries.
+        // A swap-out seals its frozen entry with the same fold the
+        // transfer carries.
         let out = src.swap_out_request(5);
         src.attach_host_tier(8);
         assert!(out.is_err(), "no host tier on src yet");
-        let out = src.swap_out_request(5).unwrap();
-        assert_eq!(out.checksum, size_checksum([100u32, 60, 60, 7, 0, 29]));
+        src.swap_out_request(5).unwrap();
+        let frozen = &src.host_tier().unwrap().frozen[&5].payload;
+        assert_eq!(frozen.checksum, size_checksum([100u32, 60, 60, 7, 0, 29]));
     }
 
     #[test]
@@ -1022,7 +942,6 @@ mod tests {
             (
                 mmu.allocator().free_pages(),
                 host.used_pages(),
-                host.stats(),
                 host.is_frozen(3),
                 host.is_frozen(4),
                 mmu.streams.len(),
@@ -1038,7 +957,7 @@ mod tests {
         flip(&mut mmu);
         // Alone, or behind an intact request of the same unit: typed, and
         // nothing moved — both still frozen, no device page taken, no
-        // stream rebuilt, no transfer counted.
+        // stream rebuilt.
         for unit in [&[3u32][..], &[4, 3]] {
             assert!(matches!(
                 mmu.swap_in_requests(unit),
@@ -1131,7 +1050,7 @@ mod tests {
             dst.import_frozen(1, &payload),
             Err(SwapError::AlreadyFrozen { request: 1 })
         );
-        dst.free_request(1).unwrap();
+        dst.release_request(1);
         dst.import_frozen(1, &payload).unwrap();
         assert_eq!(
             dst.import_frozen(1, &payload),

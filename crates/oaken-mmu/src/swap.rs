@@ -12,8 +12,9 @@
 //! serving engine exposes both as [`PreemptPolicy`] choices.
 //!
 //! The model here is functional, like the rest of the MMU: the host tier
-//! tracks page occupancy and transfer bytes (the quantities the serving
-//! stats and the preemption benchmark report), while the payload itself is
+//! tracks page occupancy, and each move returns a [`SwapReceipt`] of the
+//! pages and bytes it transferred (what the serving stats and the
+//! preemption benchmark report), while the payload itself is
 //! carried by the pool's quantizer streams, which are retained verbatim
 //! across a suspend — so a thawed sequence is bit-identical by
 //! construction, and the swap machinery only has to keep the *accounting*
@@ -143,11 +144,6 @@ pub struct SwapReceipt {
     /// Payload bytes moved (the modeled transfer size — encoded dense +
     /// sparse bytes, not page-rounded).
     pub bytes: u64,
-    /// Position-weighted checksum over the moved per-token sizes
-    /// ([`size_checksum`]): the integrity tag the transfer path re-derives
-    /// and asserts on thaw, so a truncated or reordered size table fails
-    /// loudly instead of rebuilding a garbage page layout.
-    pub checksum: u64,
 }
 
 impl SwapReceipt {
@@ -156,7 +152,6 @@ impl SwapReceipt {
     pub fn merge(&mut self, other: SwapReceipt) {
         self.pages += other.pages;
         self.bytes += other.bytes;
-        self.checksum = self.checksum.wrapping_add(other.checksum);
     }
 }
 
@@ -171,23 +166,6 @@ pub fn size_checksum<I: IntoIterator<Item = u32>>(sizes: I) -> u64 {
         sum = sum.wrapping_add((i as u64 + 1).wrapping_mul(u64::from(size) + 1));
     }
     sum
-}
-
-/// Cumulative transfer counters of one host tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SwapStats {
-    /// Completed swap-outs (requests frozen).
-    pub swap_outs: u64,
-    /// Completed swap-ins (requests thawed).
-    pub swap_ins: u64,
-    /// Pages moved device → host.
-    pub pages_to_host: u64,
-    /// Pages moved host → device.
-    pub pages_to_device: u64,
-    /// Payload bytes moved device → host.
-    pub bytes_to_host: u64,
-    /// Payload bytes moved host → device.
-    pub bytes_to_device: u64,
 }
 
 /// A request frozen to host: its per-token size tables — a
@@ -322,13 +300,12 @@ impl TransferPayload {
 ///
 /// The pool never stores payload bytes here — the functional model keeps
 /// those in the quantizer streams — so the swap pool's job is exact
-/// occupancy and transfer accounting.
+/// occupancy; what each move transferred is its [`SwapReceipt`].
 #[derive(Debug)]
 pub struct SwapPool {
     capacity: u32,
     used: u32,
     pub(crate) frozen: HashMap<u32, FrozenRequest>,
-    stats: SwapStats,
 }
 
 impl SwapPool {
@@ -339,7 +316,6 @@ impl SwapPool {
             capacity,
             used: 0,
             frozen: HashMap::new(),
-            stats: SwapStats::default(),
         }
     }
 
@@ -358,11 +334,6 @@ impl SwapPool {
         self.capacity - self.used
     }
 
-    /// Requests currently frozen.
-    pub fn frozen_requests(&self) -> usize {
-        self.frozen.len()
-    }
-
     /// Whether `request` is frozen.
     pub fn is_frozen(&self, request: u32) -> bool {
         self.frozen.contains_key(&request)
@@ -373,43 +344,17 @@ impl SwapPool {
         self.frozen.get(&request).map_or(0, |f| f.pages)
     }
 
-    /// Payload bytes a frozen request holds (0 for unknown requests).
-    pub fn frozen_bytes(&self, request: u32) -> u64 {
-        self.frozen.get(&request).map_or(0, |f| f.payload.bytes)
-    }
-
-    /// Cumulative transfer counters.
-    pub fn stats(&self) -> SwapStats {
-        self.stats
-    }
-
-    /// Carries cumulative counters over from a replaced tier (a resize
-    /// must not silently zero "cumulative" statistics).
-    pub(crate) fn restore_stats(&mut self, stats: SwapStats) {
-        self.stats = stats;
-    }
-
     /// Admits a frozen request into the host tier (swap-out completion).
     pub(crate) fn freeze(&mut self, request: u32, entry: FrozenRequest) {
         self.used += entry.pages;
-        self.stats.swap_outs += 1;
-        self.stats.pages_to_host += u64::from(entry.pages);
-        self.stats.bytes_to_host += entry.payload.bytes;
         let prev = self.frozen.insert(request, entry);
         debug_assert!(prev.is_none(), "freeze checked AlreadyFrozen");
     }
 
-    /// Removes a frozen request (swap-in completion or discard). `moved`
-    /// says whether the removal transfers bytes back to the device (a
-    /// thaw) or drops them (a retired suspended request).
-    pub(crate) fn thaw(&mut self, request: u32, moved: bool) -> Option<FrozenRequest> {
+    /// Removes a frozen request (swap-in completion or discard).
+    pub(crate) fn thaw(&mut self, request: u32) -> Option<FrozenRequest> {
         let entry = self.frozen.remove(&request)?;
         self.used -= entry.pages;
-        if moved {
-            self.stats.swap_ins += 1;
-            self.stats.pages_to_device += u64::from(entry.pages);
-            self.stats.bytes_to_device += entry.payload.bytes;
-        }
         Some(entry)
     }
 }
@@ -438,36 +383,39 @@ mod tests {
         let mut pool = SwapPool::new(8);
         assert_eq!(pool.free_pages(), 8);
         pool.freeze(1, entry(3, 100));
-        assert_eq!(pool.used_pages(), 3);
+        pool.freeze(2, entry(2, 50));
+        assert_eq!(pool.used_pages(), 5);
         assert_eq!(pool.frozen_pages(1), 3);
-        assert_eq!(pool.frozen_bytes(1), 100);
         assert!(pool.is_frozen(1));
-        assert_eq!(pool.frozen_requests(), 1);
 
-        let thawed = pool.thaw(1, true).expect("frozen");
-        assert_eq!(thawed.pages, 3);
+        let thawed = pool.thaw(1).expect("frozen");
+        assert_eq!((thawed.pages, thawed.payload.bytes), (3, 100));
+        assert_eq!(pool.used_pages(), 2);
+        assert!(pool.thaw(1).is_none(), "double thaw");
+        assert!(!pool.is_frozen(1));
+        pool.thaw(2).expect("frozen");
         assert_eq!(pool.used_pages(), 0);
-        assert!(pool.thaw(1, true).is_none(), "double thaw");
-
-        let s = pool.stats();
-        assert_eq!(s.swap_outs, 1);
-        assert_eq!(s.swap_ins, 1);
-        assert_eq!(s.pages_to_host, 3);
-        assert_eq!(s.pages_to_device, 3);
-        assert_eq!(s.bytes_to_host, 100);
-        assert_eq!(s.bytes_to_device, 100);
     }
 
+    /// A discard frees the host pages and rebuilds nothing on the device:
+    /// the bytes are dropped, not moved back.
     #[test]
     fn discard_drops_bytes_without_counting_a_swap_in() {
-        let mut pool = SwapPool::new(4);
-        pool.freeze(2, entry(2, 50));
-        pool.thaw(2, false).expect("frozen");
-        let s = pool.stats();
-        assert_eq!(s.swap_outs, 1);
-        assert_eq!(s.swap_ins, 0);
-        assert_eq!(s.bytes_to_device, 0);
-        assert_eq!(pool.used_pages(), 0);
+        let mut mmu = crate::MmuSim::new(4, 128);
+        mmu.attach_host_tier(4);
+        let key = crate::StreamKey {
+            request: 2,
+            layer: 0,
+            head: 0,
+            class: StreamClass::Dense,
+        };
+        mmu.write_token(key, 200).unwrap();
+        assert_eq!(mmu.swap_out_request(2).unwrap().pages, 2);
+        assert_eq!(mmu.discard_frozen(2), Ok(2));
+        let host = mmu.host_tier().unwrap();
+        assert_eq!((host.used_pages(), host.is_frozen(2)), (0, false));
+        assert_eq!(mmu.allocator().free_pages(), 4);
+        assert_eq!(mmu.stream(&key), None, "nothing thawed");
     }
 
     #[test]
@@ -475,19 +423,13 @@ mod tests {
         let mut r = SwapReceipt {
             pages: 1,
             bytes: 10,
-            checksum: 7,
         };
-        r.merge(SwapReceipt {
-            pages: 2,
-            bytes: 5,
-            checksum: 3,
-        });
+        r.merge(SwapReceipt { pages: 2, bytes: 5 });
         assert_eq!(
             r,
             SwapReceipt {
                 pages: 3,
-                bytes: 15,
-                checksum: 10,
+                bytes: 15
             }
         );
     }

@@ -3,7 +3,44 @@
 
 use oaken_mmu::{MmuSim, PageAllocator, StreamClass, StreamKey};
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use std::collections::HashSet;
+
+/// The release laws at one point of a sharing history: each request's
+/// pages carry its `live` references (none left, no page and no stream),
+/// and the allocated pages are exactly the live requests' pages.
+fn check_references(
+    mmu: &MmuSim,
+    keys: &[Vec<StreamKey>],
+    live: &[u32],
+) -> Result<(), TestCaseError> {
+    let mut held = 0;
+    for (r, (keys, &live)) in keys.iter().zip(live).enumerate() {
+        let streams: Vec<_> = keys.iter().filter_map(|k| mmu.stream(k)).collect();
+        if live == 0 {
+            prop_assert!(streams.is_empty(), "request {} kept a stream", r);
+            continue;
+        }
+        prop_assert_eq!(streams.len(), keys.len(), "request {} lost a stream", r);
+        for &page in streams.iter().flat_map(|(pages, _)| pages.iter()) {
+            prop_assert_eq!(
+                mmu.allocator().refcount(page),
+                live,
+                "request {} {:?}",
+                r,
+                page
+            );
+            held += 1;
+        }
+    }
+    let alloc = mmu.allocator();
+    prop_assert_eq!(alloc.allocated_pages(), held);
+    prop_assert_eq!(
+        alloc.free_pages() + alloc.allocated_pages(),
+        alloc.capacity()
+    );
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -22,7 +59,7 @@ proptest! {
                 }
             } else {
                 let p = held.swap_remove(0);
-                alloc.free(p).unwrap();
+                prop_assert_eq!(alloc.release(p), Ok(true));
                 seen.remove(&p);
             }
         }
@@ -81,8 +118,8 @@ proptest! {
         prop_assert!(room >= total, "{} bytes in {} pages", total, pages.len());
     }
 
-    /// Fragmentation is always in [0, 1) and free restores it to zero for
-    /// a fully-retired MMU.
+    /// Fragmentation is always in [0, 1) and a release restores it to zero
+    /// for a fully-retired MMU.
     #[test]
     fn fragmentation_bounded_and_recoverable(
         sizes in prop::collection::vec(1u32..512, 1..60),
@@ -94,7 +131,7 @@ proptest! {
         }
         let frag = mmu.internal_fragmentation();
         prop_assert!((0.0..1.0).contains(&frag), "{frag}");
-        mmu.free_request(3).unwrap();
+        mmu.release_request(3);
         prop_assert_eq!(mmu.internal_fragmentation(), 0.0);
         prop_assert_eq!(mmu.allocator().free_pages(), 256);
     }
@@ -142,7 +179,61 @@ proptest! {
         for (k, sizes) in sizes_before {
             prop_assert_eq!(mmu.stream(&k).unwrap().1, &sizes[..], "per-token sizes of {:?}", k);
         }
-        mmu.free_request(9).unwrap();
+        mmu.release_request(9);
         prop_assert_eq!(mmu.allocator().free_pages(), 256);
+    }
+
+    /// The one release path under random sharing: requests are written,
+    /// some retained a random number of times, then every reference is
+    /// released in a random order. After each step every page's refcount
+    /// is its request's live references; a request's pages and streams go
+    /// on its last release (its only one, when never retained), which
+    /// returns all its pages while earlier ones return none; and free +
+    /// allocated = capacity.
+    #[test]
+    fn release_request_frees_on_the_last_reference(
+        requests in prop::collection::vec((1u32..300, 1usize..8, 0u32..4, any::<bool>()), 1..6),
+        order in prop::collection::vec(any::<u64>(), 24),
+    ) {
+        let mut mmu = MmuSim::new(128, 512);
+        let mut keys = Vec::new();
+        let mut live = Vec::new();
+        for (r, &(bytes, tokens, _, dense)) in requests.iter().enumerate() {
+            let class = if dense { StreamClass::Dense } else { StreamClass::Sparse };
+            let request: Vec<StreamKey> = (0..2)
+                .map(|head| StreamKey { request: r as u32, layer: 0, head, class })
+                .collect();
+            for key in &request {
+                for _ in 0..tokens {
+                    mmu.write_token(*key, bytes).unwrap();
+                }
+            }
+            keys.push(request);
+            live.push(1);
+            check_references(&mmu, &keys, &live)?;
+        }
+        for (r, &(_, _, retains, _)) in requests.iter().enumerate() {
+            for _ in 0..retains {
+                let pages = mmu.request_pages(r as u32);
+                prop_assert_eq!(mmu.retain_request(r as u32), pages);
+                live[r] += 1;
+                check_references(&mmu, &keys, &live)?;
+            }
+        }
+        let mut releases: Vec<(u64, usize)> = Vec::new();
+        for (r, &n) in live.iter().enumerate() {
+            for _ in 0..n {
+                releases.push((order[releases.len()], r));
+            }
+        }
+        releases.sort_unstable();
+        for (_, r) in releases {
+            let pages = mmu.request_pages(r as u32);
+            let freed = mmu.release_request(r as u32);
+            live[r] -= 1;
+            prop_assert_eq!(freed, if live[r] == 0 { pages } else { 0 }, "request {}", r);
+            check_references(&mmu, &keys, &live)?;
+        }
+        prop_assert_eq!(mmu.allocator().free_pages(), 128);
     }
 }

@@ -84,7 +84,7 @@ pub use cache::{BatchKvCache, KernelMode};
 pub use config::{ModelConfig, MoeConfig, Positional};
 pub use ffn::{DenseFfn, FfnWeights};
 pub use model::{BatchKvObserver, BatchStep, KvObserver, LayerWeights, Model, Session, StepBatch};
-pub use oaken_mmu::{FaultKind, FaultOp, FaultPlan, FaultStats, SwapReceipt, SwapStats};
+pub use oaken_mmu::{FaultKind, FaultOp, FaultPlan, SwapReceipt};
 pub use pool::{
     KvReadStats, KvTransfer, PageAccounting, PagedKvPool, PoolBatchView, PoolError, PrefixAlloc,
     RankPages, SeqId, ShardReads,

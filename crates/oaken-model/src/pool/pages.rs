@@ -205,8 +205,9 @@ impl PageLedger {
     }
 
     /// Gives up an exclusively held owner, wherever it lives: a live one
-    /// frees its device pages (returned); a `frozen` one is discarded from
-    /// the host tier without a transfer back, freeing no device page.
+    /// releases its device pages (returned), which it holds alone; a
+    /// `frozen` one is discarded from the host tier without a transfer
+    /// back, freeing no device page.
     pub(super) fn drop_owner(&mut self, owner: u32, frozen: bool) -> u32 {
         if frozen {
             self.mmu
@@ -214,9 +215,7 @@ impl PageLedger {
                 .expect("a suspended sequence's private owners are frozen");
             0
         } else {
-            self.mmu
-                .free_request(owner)
-                .expect("pool-owned pages cannot double-free")
+            self.mmu.release_request(owner)
         }
     }
 

@@ -19,8 +19,8 @@
 //!   sequence continues **bit-exactly** where it left off — the hard
 //!   contract the swap-resume property tests enforce against
 //!   uninterrupted `Session` runs;
-//! * transfer pages/bytes are accounted per move (the returned
-//!   [`SwapReceipt`], and each rank's [`oaken_mmu::SwapPool`] counters),
+//! * transfer pages/bytes are accounted per move, by the returned
+//!   [`SwapReceipt`] alone (the engine sums them into its swap counts),
 //!   and because Oaken's pages hold 4-bit
 //!   dense + sparse payloads, the moved bytes are 3-4× smaller than an
 //!   FP16 cache would transfer — the reason swap beats recompute even

@@ -992,7 +992,7 @@ impl<'m> BatchEngine<'m> {
             .stats
             .shared_pages_peak
             .max(self.pool.shared_block_pages());
-        self.stats.faults_injected = self.pool.fault_stats().injected;
+        self.stats.faults_injected = self.pool.faults_injected();
         self.stats.kv_reads = self.pool.kv_read_stats();
         self.stats.comm = self.comm.stats();
     }

@@ -32,7 +32,7 @@ pub use engine::{
     AdmissionPolicy, BatchEngine, EngineConfig, EngineRequest, EngineStats, FinishedRequest,
     KvExport, PreemptPolicy, RequestFailure, RequestOutcome, TokenEvent,
 };
-pub use oaken_model::{FaultKind, FaultOp, FaultPlan, FaultStats, KernelMode, KvReadStats};
+pub use oaken_model::{FaultKind, FaultOp, FaultPlan, KernelMode, KvReadStats};
 pub use request::Request;
 pub use scheduler::{CoreAssignment, TokenScheduler};
 pub use traces::{synthesize_requests, TraceSpec};

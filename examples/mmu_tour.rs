@@ -107,10 +107,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // exactly how the serving pool adopts a sealed prompt block from its
     // prefix trie.
     let retained = mmu.retain_request(7);
+    let first = mmu.stream(&dense_key).expect("stream exists").0[0];
     println!(
         "\na second sharer adopts request 7: {retained} pages retained \
-         ({} shared device-wide)",
-        mmu.shared_pages()
+         (page {} now has refcount {})",
+        first.0,
+        mmu.allocator().refcount(first)
     );
     // Sharers depart in any order; pages free only when the last one goes,
     // and the streams stay readable until then.

@@ -107,7 +107,7 @@ proptest! {
             let key = StreamKey { request: 9, layer: 0, head: *head, class: StreamClass::Sparse };
             mmu.write_token(key, *bytes).unwrap();
         }
-        mmu.free_request(9).unwrap();
+        mmu.release_request(9);
         prop_assert_eq!(mmu.allocator().free_pages(), before);
     }
 }
