@@ -28,7 +28,8 @@ use std::fmt;
 /// Injectable operation classes, one attempt-counter stream each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultOp {
-    /// Device page allocation on the append path.
+    /// Device page allocation, polled when a step that could allocate is
+    /// reserved, before the forward pass that appends its rows.
     DeviceAlloc,
     /// Host page allocation when a suspend charges the swap tier.
     HostAlloc,

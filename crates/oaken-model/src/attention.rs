@@ -241,16 +241,6 @@ pub enum KvRead<'a> {
     },
 }
 
-impl KvRead<'_> {
-    /// K/V row pairs the read holds (`kv_dim` wide).
-    pub(crate) fn rows(&self, kv_dim: usize) -> usize {
-        match self {
-            KvRead::Fused { keys, values } => keys.len().min(values.len()),
-            KvRead::Exact { keys, values } => keys.len().min(values.len()) / kv_dim.max(1),
-        }
-    }
-}
-
 /// One segment of a fused sweep: a run of `queries` query tokens of one
 /// sequence — the next `queries` entries of the call's queries and limits,
 /// the limits non-decreasing — and that sequence's encoded K and V

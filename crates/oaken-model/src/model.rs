@@ -622,21 +622,13 @@ impl Pass<'_, '_> {
         qs: &RowShards,
     ) -> RowShards {
         let cache = &mut *self.cache;
-        let mut runs = StepRuns::new(&self.slots, span, rows, |slot| cache.seq_len(slot, l));
+        let runs = StepRuns::new(&self.slots, span, rows, |slot| cache.seq_len(slot, l));
         let reads = cache.read_runs(l, &runs.spec());
         assert_eq!(
             reads.len(),
             self.shapes.len(),
             "one read set per rank shard"
         );
-        // A slot poisoned by a failed append holds fewer rows than the
-        // schedule predicted, on some shards; its output is discarded by
-        // the caller, so its limits may as well be what every shard holds.
-        runs.clamp(|r| {
-            let held = reads.iter().zip(&self.shapes);
-            held.map(|(shard, shape)| shard.reads[r].rows(shape.kv_dim()))
-                .min()
-        });
         let shards: Vec<AttendShard<'_>> = reads
             .into_iter()
             .zip(self.shapes.iter().zip(qs))
@@ -676,9 +668,7 @@ impl StepRuns {
     /// (one entry per step of the pass), **after** the whole span's rows
     /// were appended: `len_of(slot)` is the slot's length now, so the
     /// `j`-th of a slot's `n` steps in `span` sees all but the last
-    /// `n - 1 - j` rows, attending or not. (A slot poisoned by a failed
-    /// append holds fewer rows than steps; its limits saturate at zero and
-    /// its outputs are discarded by the caller.)
+    /// `n - 1 - j` rows, attending or not.
     ///
     /// A slot's attending steps must be its **newest** — a suffix of its
     /// run, the shape [`BatchKvCache::read_runs`] accounts.
@@ -699,7 +689,7 @@ impl StepRuns {
             for (j, i) in run.iter().enumerate() {
                 if let Ok(k) = rows.binary_search(i) {
                     order.push(k);
-                    limits.push(len.saturating_sub(run.len() - 1 - j));
+                    limits.push(len - (run.len() - 1 - j));
                 }
             }
             let attending = order.len() - from;
@@ -723,17 +713,6 @@ impl StepRuns {
     /// [`BatchKvCache::read_runs`].
     fn spec(&self) -> Vec<(usize, usize)> {
         self.runs.iter().map(|(s, span)| (*s, span.len())).collect()
-    }
-
-    /// Clamps the limits of run `r` to `held(r)` rows, if any.
-    fn clamp(&mut self, held: impl Fn(usize) -> Option<usize>) {
-        for (r, (_, span)) in self.runs.iter().enumerate() {
-            if let Some(held) = held(r) {
-                self.limits[span.clone()]
-                    .iter_mut()
-                    .for_each(|l| *l = held.min(*l));
-            }
-        }
     }
 
     /// Positions `tile` of the concatenated steps of the runs `group`, run

@@ -1,7 +1,7 @@
 //! The engine's adapter: one iteration's slot → sequence mapping over the
 //! pool, as a [`BatchKvCache`].
 
-use super::{PagedKvPool, PoolError, SeqId, ShardReads};
+use super::{PagedKvPool, SeqId, ShardReads};
 use crate::cache::BatchKvCache;
 
 /// Borrowed view pairing the engine's [`PagedKvPool`] with the batch's
@@ -10,56 +10,27 @@ use crate::cache::BatchKvCache;
 /// in through [`PagedKvPool::append_run`], one run per slot and layer,
 /// reads come out one shard per rank.
 ///
-/// Appends never panic: a failing append — an injected
-/// [`PoolError::Fault`], or pool exhaustion despite the scheduler's
-/// [`pages_possibly_needed_n`](super::RankPages::pages_possibly_needed_n)
-/// reservation — **poisons** its batch slot instead. A failed append
-/// changed nothing on any rank; the poisoned slot's later appends are
-/// skipped (its cached state stays exactly as of the failure, so reads
-/// remain self-consistent) while every other slot proceeds untouched; the
-/// engine drains [`take_poisoned`](Self::take_poisoned) after the forward
-/// pass and quarantines the offending sequences. The poison list is an
-/// empty `Vec` on the fault-free path, so the steady state stays
-/// allocation-free.
+/// Appends cannot fail: the caller proved the pass's worst-case pages fit
+/// every rank ([`pages_possibly_needed_n`](super::RankPages::pages_possibly_needed_n))
+/// and took each slot's fault poll ([`PagedKvPool::reserve`]) before it,
+/// so a failed append is a bug and panics.
 pub struct PoolBatchView<'p> {
     pool: &'p mut PagedKvPool,
     seqs: &'p [SeqId],
-    /// `(slot, error)` per poisoned slot, in failure order.
-    poisoned: Vec<(usize, PoolError)>,
 }
 
 impl<'p> PoolBatchView<'p> {
     /// Creates a view where batch slot `i` maps to `seqs[i]`.
     pub fn new(pool: &'p mut PagedKvPool, seqs: &'p [SeqId]) -> Self {
-        Self {
-            pool,
-            seqs,
-            poisoned: Vec::new(),
-        }
-    }
-
-    /// Whether `slot` failed an append this iteration.
-    fn slot_poisoned(&self, slot: usize) -> bool {
-        self.poisoned.iter().any(|&(s, _)| s == slot)
-    }
-
-    /// Drains the `(slot, error)` pairs of every slot whose append failed
-    /// this iteration (empty on the fault-free path). The caller owns the
-    /// containment: each poisoned slot's sequence holds a partially
-    /// appended token (never sealed into the trie — sealing requires all
-    /// layers complete) and must be torn down or restarted.
-    pub fn take_poisoned(&mut self) -> Vec<(usize, PoolError)> {
-        std::mem::take(&mut self.poisoned)
+        Self { pool, seqs }
     }
 }
 
 impl BatchKvCache for PoolBatchView<'_> {
     fn append(&mut self, slot: usize, layer: usize, ks: &[Vec<f32>], vs: &[Vec<f32>]) {
-        if self.slot_poisoned(slot) {
-            return;
-        }
-        if let Err(e) = self.pool.append_run(self.seqs[slot], layer, ks, vs) {
-            self.poisoned.push((slot, e));
+        let seq = self.seqs[slot];
+        if let Err(e) = self.pool.append_run(seq, layer, ks, vs) {
+            panic!("slot {slot} ({seq:?}): an append of a planned pass failed: {e}");
         }
     }
 

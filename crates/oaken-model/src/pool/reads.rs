@@ -265,7 +265,7 @@ impl PagedKvPool {
             {
                 depth -= 1;
             }
-            let held = group.iter().map(|&r| reads[r].rows(width)).min();
+            let held = group.iter().map(|&r| chains[r].1).min();
             let rows = (depth * self.block_tokens).min(held.unwrap_or(0));
             let shared = if group.len() > 1 {
                 rows / KEY_GROUP * KEY_GROUP

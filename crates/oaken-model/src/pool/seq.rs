@@ -1,14 +1,15 @@
 //! Sequence lifecycle: admission, growth (the one guarded append),
 //! retirement, and the slot storage they move through.
 //!
-//! * **Guarded appends** — [`PagedKvPool::append_run`] checks a
+//! * **Reserve, then write** — a scheduler proves a step fits with
+//!   [`PagedKvPool::pages_possibly_needed_n`] on every rank and polls the
+//!   device-allocation fault once per sequence with
+//!   [`PagedKvPool::reserve`], before the forward pass; the pass's
+//!   appends then cannot fail. [`PagedKvPool::append_run`] still checks a
 //!   conservative worst-case page bound *before* touching any state —
 //!   once for a run that fits, else per row — and fails cleanly with
 //!   [`PoolError::OutOfPages`]; each row is atomic for its `(layer, K, V)`
 //!   triple, and a run ends as its rows appended one by one would.
-//!   Schedulers should gate whole-token appends with
-//!   [`PagedKvPool::pages_possibly_needed_n`] so a multi-layer forward
-//!   pass never stalls mid-token.
 //! * **Slot recycling** — retiring a sequence frees its private pages
 //!   immediately, releases its shared blocks, and recycles its
 //!   stream/view buffers (via
@@ -204,6 +205,26 @@ impl PagedKvPool {
             .sum()
     }
 
+    /// The fault check of `seq`'s next `n` tokens, before a forward pass
+    /// appends them: one [`FaultOp::DeviceAlloc`] poll when they could
+    /// allocate on rank 0 (a step that fits its page tails is not an
+    /// allocation event and never faults). The page bound itself is the
+    /// caller's: nothing allocates between its check and the pass, so no
+    /// hold is kept. Mutates nothing but the fault schedule, and returns
+    /// at once with no schedule installed.
+    ///
+    /// # Errors
+    ///
+    /// [`PoolError::Fault`] when the installed fault schedule fails the
+    /// step, and [`PoolError::UnknownSequence`] for a freed handle under
+    /// a schedule.
+    pub fn reserve(&mut self, seq: SeqId, n: usize) -> Result<(), PoolError> {
+        if self.faults.is_some() && self.rank(0).pages_possibly_needed_n(seq, n)? > 0 {
+            self.poll_fault(FaultOp::DeviceAlloc)?;
+        }
+        Ok(())
+    }
+
     /// The one page bound: worst-case new pages the next `n` rows of each
     /// of `layers` (both kinds) could allocate on `rank`, walking the
     /// owner runs the rows will land in. Every `(layer, kind)` row of one
@@ -277,22 +298,20 @@ impl PagedKvPool {
     /// at a time — the pool's encoder quantizes them and every slot
     /// adopts its channels up to each 16-row group edge at once — then
     /// commits their pages in row order, sealing at block ends.
-    /// Under a fault schedule, or when the whole run does not fit (or the
-    /// rows' stored size is the quantizer's nominal estimate, which the
-    /// bound cannot pin down ahead of them), rows go one at a time, each
-    /// with its own bound and, when it allocates on rank 0, its own fault
-    /// poll. Either way the pool ends exactly as appending the rows one
-    /// by one leaves it: the same pages, owners, seals and stores, and on
-    /// `Err` the rows before the failing one appended and nothing of it
-    /// or after it on any rank.
+    /// When the whole run does not fit (or the rows' stored size is the
+    /// quantizer's nominal estimate, which the bound cannot pin down
+    /// ahead of them), rows go one at a time, each with its own bound.
+    /// Either way the pool ends exactly as appending the rows one by one
+    /// leaves it: the same pages, owners, seals and stores, and on `Err`
+    /// the rows before the failing one appended and nothing of it or
+    /// after it on any rank. Appends never poll the fault schedule: the
+    /// device-allocation fault is [`reserve`](Self::reserve)'s.
     ///
     /// # Errors
     ///
-    /// [`PoolError::UnknownSequence`] for a freed handle,
+    /// [`PoolError::UnknownSequence`] for a freed handle, and
     /// [`PoolError::OutOfPages`] when a row's worst-case page bound
-    /// exceeds a rank's free pages (the lowest such rank's), and
-    /// [`PoolError::Fault`] when the installed fault schedule fails a row
-    /// that allocates on rank 0.
+    /// exceeds a rank's free pages (the lowest such rank's).
     ///
     /// # Panics
     ///
@@ -311,45 +330,28 @@ impl PagedKvPool {
             assert_eq!(k.as_ref().len(), kv_dim, "key width mismatch");
             assert_eq!(v.as_ref().len(), kv_dim, "value width mismatch");
         }
-        let Some(state) = self.seqs.get(&seq.0) else {
+        if !self.seqs.contains_key(&seq.0) {
             return Err(PoolError::UnknownSequence { seq });
-        };
-        let layers = layer..layer + 1;
+        }
         // Exact rows and encoded ones are sized by the row alone.
         let sized = self.quantizer.is_none() || self.encodes();
-        let whole = self.faults.is_none()
-            && sized
-            && (0..self.ranks.len()).all(|r| {
-                let needed = self.rows_pages_needed(state, seq.0, r, layers.clone(), ks.len());
-                needed <= self.ranks[r].mmu().allocator().free_pages()
-            });
-        if whole {
+        if sized && self.check_rows(seq, layer, ks.len()).is_ok() {
             self.store_rows(seq, layer, ks, vs);
             return Ok(());
         }
         for t in 0..ks.len() {
-            self.check_row(seq, layer)?;
+            self.check_rows(seq, layer, 1)?;
             self.store_rows(seq, layer, &ks[t..t + 1], &vs[t..t + 1]);
         }
         Ok(())
     }
 
-    /// The pre-check of one row: every rank's page bound, and the fault
-    /// poll when the row would allocate on rank 0 (appends that fit its
-    /// page tails are not allocation events and never fault). Mutates
-    /// nothing but the fault schedule.
-    fn check_row(&mut self, seq: SeqId, layer: usize) -> Result<(), PoolError> {
-        let layers = layer..layer + 1;
-        let lead = self.rows_pages_needed(&self.seqs[&seq.0], seq.0, 0, layers.clone(), 1);
-        if lead > 0 {
-            self.poll_fault(FaultOp::DeviceAlloc)?;
-        }
+    /// The pre-check of the next `n` rows of `(seq, layer)`: every rank's
+    /// page bound against its free pages. Mutates nothing.
+    fn check_rows(&self, seq: SeqId, layer: usize, n: usize) -> Result<(), PoolError> {
         let state = &self.seqs[&seq.0];
         for r in 0..self.ranks.len() {
-            let needed = match r {
-                0 => lead,
-                _ => self.rows_pages_needed(state, seq.0, r, layers.clone(), 1),
-            };
+            let needed = self.rows_pages_needed(state, seq.0, r, layer..layer + 1, n);
             let free = self.ranks[r].mmu().allocator().free_pages();
             if needed > free {
                 return Err(PoolError::OutOfPages { needed, free });

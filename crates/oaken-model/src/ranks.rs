@@ -262,8 +262,7 @@ mod tests {
         pool
     }
 
-    /// One engine-style forward over `pool` (as many ranks as it holds),
-    /// asserting the fault-free run poisons nothing.
+    /// One engine-style forward over `pool` (as many ranks as it holds).
     fn forward(
         model: &Model,
         rt: &Runtime,
@@ -274,12 +273,7 @@ mod tests {
     ) -> Vec<Vec<f32>> {
         let plan = pool.plan().clone();
         let mut view = PoolBatchView::new(pool, seqs);
-        let logits = model.forward_batch_sharded(rt, &plan, comm, &mut view, steps, None);
-        assert!(
-            view.take_poisoned().is_empty(),
-            "fault-free run poisons nothing"
-        );
-        logits
+        model.forward_batch_sharded(rt, &plan, comm, &mut view, steps, None)
     }
 
     /// Drives `iters` engine-style iterations (a prompt chunk, then

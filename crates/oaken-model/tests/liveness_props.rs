@@ -161,7 +161,6 @@ fn prefill(
             assert_eq!(out.len(), steps.len(), "one logits vector per step");
             logits.extend(tails.iter().map(|&i| bits(&out[i])));
         }
-        assert!(view.take_poisoned().is_empty(), "ample pool, no faults");
     }
 
     let mut states: Vec<PoolState> = (0..setup.ranks)

@@ -132,7 +132,6 @@ fn steady_state_pool_batch_view_append_makes_zero_allocations() {
                         view.append(slot, layer, row(t, slot, layer, 0), row(t, slot, layer, 1));
                     }
                 }
-                assert!(view.take_poisoned().is_empty(), "every append landed");
             }
         };
 

@@ -142,7 +142,6 @@ fn batched(
         }
         let mut view = PoolBatchView::new(&mut pools, &seqs);
         let logits = model.forward_batch_sharded(&rt, &plan, &mut comm, &mut view, &steps, None);
-        assert!(view.take_poisoned().is_empty(), "ample pool, no faults");
         for (step, l) in steps.iter().zip(&logits) {
             out[step.slot].push(bits(l));
         }

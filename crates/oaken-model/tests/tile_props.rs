@@ -83,10 +83,6 @@ fn prefill(
         let plan = pools.plan().clone();
         let mut view = PoolBatchView::new(&mut pools, &seqs);
         let logits = model.forward_batch_sharded(&rt, &plan, &mut comm, &mut view, &steps, None);
-        assert!(
-            view.take_poisoned().is_empty(),
-            "fault-free run poisons nothing"
-        );
         observed.extend(logits.iter().map(|l| bits(l)));
     }
     let reads = pools.kv_read_stats();

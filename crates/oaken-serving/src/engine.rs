@@ -40,13 +40,14 @@
 //! One iteration ([`BatchEngine::step`]) is six stages, each a private
 //! method: `expire` kills the requests past their deadline; `admit`
 //! resumes suspended sequences, then admits fresh ones; `plan` deals the
-//! chunks, degrades and preempts until they fit, and returns one
-//! `StepPlan` — each active slot's chunk and, if it samples, its index
-//! into the logits, plus the [`BatchStep`]s and their live list; `forward`
-//! runs the plan through one [`Model::forward_batch_sharded`] pass;
-//! `commit` advances cursors, samples, and quarantines the slots whose
-//! append failed; `retire` exports or finishes the sequences that are
-//! done, and a second `admit` refills their slots.
+//! chunks, degrades and preempts until they fit, reserves each slot's
+//! step ([`PagedKvPool::reserve`]) and quarantines the slots whose
+//! reservation faulted, and returns one `StepPlan` — each active slot's
+//! chunk and, if it samples, its index into the logits, plus the
+//! [`BatchStep`]s and their live list; `forward` runs the plan through
+//! one [`Model::forward_batch_sharded`] pass, whose appends cannot fail;
+//! `commit` advances cursors and samples; `retire` exports or finishes
+//! the sequences that are done, and a second `admit` refills their slots.
 //!
 //! Per-sequence arithmetic is bit-exact with a legacy single-sequence
 //! [`oaken_model::Session`] run over the same quantizer, for every
@@ -72,8 +73,8 @@ const SWAP_OUT_RETRY_LIMIT: u32 = 3;
 /// wall-clock, so runs replay bit-exactly.
 const SWAP_IN_RETRY_LIMIT: u32 = 3;
 
-/// Times a request may be torn down and restarted after transient append
-/// faults before it fails for good.
+/// Times a request may be torn down and restarted after transient
+/// reservation faults before it fails for good.
 const FAULT_RESTART_LIMIT: u32 = 3;
 
 /// One serving request with real token content: a prompt to prefill and a
@@ -458,7 +459,7 @@ pub struct EngineStats {
     pub faults_absorbed: u64,
     /// Operations retried after a transient fault: same-iteration
     /// swap-out retries, backed-off resume attempts, and whole-request
-    /// restarts after an append fault.
+    /// restarts after a reservation fault.
     pub fault_retries: u64,
     /// Victims demoted from suspend-and-resume to evict-and-restart —
     /// because the host tier was full, a swap fault exhausted its
@@ -570,7 +571,7 @@ struct Tracked {
     /// Iteration of the request's *first* admission (0 until admitted),
     /// carried across restarts — the deadline clock.
     born: u64,
-    /// Teardown-and-restart cycles caused by transient append faults
+    /// Teardown-and-restart cycles caused by transient reservation faults
     /// (bounded by `FAULT_RESTART_LIMIT`).
     fault_restarts: u32,
     /// Iteration of the latest suspension (resume-latency accounting).
@@ -970,8 +971,8 @@ impl<'m> BatchEngine<'m> {
         let mut stalled = self.admit();
         let plan = self.plan();
         if !plan.chunks.is_empty() {
-            let (logits, poisoned) = self.forward(&plan);
-            self.commit(plan, logits, poisoned);
+            let logits = self.forward(&plan);
+            self.commit(plan, logits);
             self.retire();
             stalled |= self.admit();
         }
@@ -1350,8 +1351,11 @@ impl<'m> BatchEngine<'m> {
     /// degrades to one token each before [preempting](Self::preempt) the
     /// newest sequence, and repeats until the remainder fits. A sequence
     /// that cannot proceed even alone is dropped, leaving the plan empty.
+    /// The settled chunks are then [reserved](Self::reserve), which drops
+    /// the faulted slots' chunks: quarantining them only frees pages, so
+    /// the rest still fit.
     fn plan(&mut self) -> StepPlan {
-        let chunks = loop {
+        let mut chunks = loop {
             let decoding = self.active.iter().filter(|a| a.decoding()).count();
             let mut left = self.config.prefill_token_budget.saturating_sub(decoding);
             let budgeted: Vec<usize> = (self.active.iter())
@@ -1387,6 +1391,7 @@ impl<'m> BatchEngine<'m> {
             }
             self.preempt(a);
         };
+        self.reserve(&mut chunks);
         // A slot samples when its chunk ends the prompt (or decodes): its
         // last step is live, and its logits come back at that step's
         // position in `live`.
@@ -1406,6 +1411,34 @@ impl<'m> BatchEngine<'m> {
             }));
         }
         plan
+    }
+
+    /// Takes each slot's fault poll for its chunk, slot order, before
+    /// the pass ([`PagedKvPool::reserve`]), then quarantines the faulted
+    /// slots and drops their chunks, **highest slot first** (a removal
+    /// shifts no slot still to come, and the order fixes both the restart
+    /// queue and `finished`): each is torn down and, for a transient
+    /// fault within the restart budget, restarted, otherwise failed for
+    /// good. A faulted reservation changed nothing in the pool.
+    fn reserve(&mut self, chunks: &mut Vec<usize>) {
+        let faulted: Vec<(usize, PoolError)> = (self.active.iter().zip(&*chunks).enumerate())
+            .filter_map(|(slot, (a, &n))| self.pool.reserve(a.seq(), n).err().map(|e| (slot, e)))
+            .collect();
+        for (slot, err) in faulted.into_iter().rev() {
+            chunks.remove(slot);
+            let mut a = self.active.remove(slot);
+            self.stats.faults_absorbed += 1;
+            let transient =
+                matches!(err, PoolError::Fault { kind, .. } if kind == FaultKind::Transient);
+            if transient && a.fault_restarts < FAULT_RESTART_LIMIT {
+                self.stats.fault_retries += 1;
+                a.fault_restarts += 1;
+                self.restart(a, false);
+            } else {
+                self.teardown(&mut a, false);
+                self.finish(a, RequestOutcome::Failed(RequestFailure::Pool(err)));
+            }
+        }
     }
 
     /// Preempts `a`, just taken from the active set, per
@@ -1451,54 +1484,37 @@ impl<'m> BatchEngine<'m> {
 
     /// One layer-major [`Model::forward_batch_sharded`] pass
     /// over the plan's steps (a chunk's steps attend causally within it),
-    /// then the page peaks. Returns the live steps' logits and the
-    /// poisoned slots — those whose append failed mid-pass (an injected
-    /// fault or, never on the fault-free path, exhaustion despite the
-    /// plan's reservation).
-    fn forward(&mut self, plan: &StepPlan) -> (Vec<Vec<f32>>, Vec<(usize, PoolError)>) {
+    /// then the page peaks. Returns the live steps' logits. No append of
+    /// the pass can fail: the plan proved its pages fit every rank and
+    /// took its fault polls.
+    fn forward(&mut self, plan: &StepPlan) -> Vec<Vec<f32>> {
         let seqs: Vec<SeqId> = self.active.iter().map(Tracked::seq).collect();
         let ranks = self.pool.plan().clone();
-        let mut view = PoolBatchView::new(&mut self.pool, &seqs);
         let logits = self.model.forward_batch_sharded(
             &self.runtime,
             &ranks,
             &mut self.comm,
-            &mut view,
+            &mut PoolBatchView::new(&mut self.pool, &seqs),
             StepBatch::new(&plan.steps, &plan.live),
             None,
         );
-        let poisoned = view.take_poisoned();
         let peaks = self.stats.rank_page_peaks.iter_mut();
         for (peak, rank) in peaks.zip(self.pool.ranks()) {
             *peak = (*peak).max(rank.pages_in_use());
         }
         self.stats.pages_in_use_peak = self.stats.pages_in_use_peak.max(self.pool.pages_in_use());
-        (logits, poisoned)
+        logits
     }
 
     /// Books the pass, slot order. Each slot's cursor advances
     /// by its chunk; a slot that samples greedily picks its token (token
     /// event, TTFT, recorded logits), and the decoders' contexts feed the
     /// §5.3 generation-core picture — pure-prefill iterations are skipped
-    /// rather than diluting the utilization mean. A poisoned slot's state
-    /// stops at the failure point, so it neither advances nor samples:
-    /// it is quarantined instead, **highest slot first** (removals shift
-    /// no slot still to come, and the order fixes both the restart queue
-    /// and `finished`) — torn down and, for a transient fault within the
-    /// restart budget, restarted, otherwise failed for good. The rest of
-    /// the batch advanced normally.
-    fn commit(
-        &mut self,
-        plan: StepPlan,
-        mut logits: Vec<Vec<f32>>,
-        mut poisoned: Vec<(usize, PoolError)>,
-    ) {
+    /// rather than diluting the utilization mean.
+    fn commit(&mut self, plan: StepPlan, mut logits: Vec<Vec<f32>>) {
         let iteration = self.stats.iterations;
         let mut decode_ctx: Vec<f64> = Vec::new();
-        for (slot, (a, &(n, sample))) in self.active.iter_mut().zip(&plan.chunks).enumerate() {
-            if poisoned.iter().any(|&(s, _)| s == slot) {
-                continue;
-            }
+        for (a, &(n, sample)) in self.active.iter_mut().zip(&plan.chunks) {
             let fed_prompt = a.req.prompt.len().saturating_sub(a.pos).min(n);
             if fed_prompt > 0 {
                 self.stats.prefill_tokens += fed_prompt as u64;
@@ -1534,26 +1550,6 @@ impl<'m> BatchEngine<'m> {
             let assignment = self.scheduler.assign_generation_least_loaded(&decode_ctx);
             self.stats.utilization_sum += assignment.core_utilization();
             self.stats.utilization_iters += 1;
-        }
-        poisoned.sort_by_key(|&(slot, _)| std::cmp::Reverse(slot));
-        for (slot, err) in poisoned {
-            let mut a = self.active.remove(slot);
-            self.stats.faults_absorbed += 1;
-            let transient = matches!(
-                err,
-                PoolError::Fault {
-                    kind: FaultKind::Transient,
-                    ..
-                }
-            );
-            if transient && a.fault_restarts < FAULT_RESTART_LIMIT {
-                self.stats.fault_retries += 1;
-                a.fault_restarts += 1;
-                self.restart(a, false);
-            } else {
-                self.teardown(&mut a, false);
-                self.finish(a, RequestOutcome::Failed(RequestFailure::Pool(err)));
-            }
         }
     }
 
@@ -2544,6 +2540,128 @@ mod tests {
         assert_eq!(s.faults_absorbed, s.faults_injected);
         assert_eq!(e.finished().len(), 4, "every request reached an outcome");
         assert_pool_empty(&e);
+    }
+
+    /// Three requests of staggered lengths decoding on an ample pool,
+    /// stepped fault-free until some slots' next token needs a fresh page
+    /// on rank 0 and the others fit their page tails. Returns the engine
+    /// and the ids of the slots whose rank-0 bound is above zero.
+    fn mixed_decode(m: &Model) -> (BatchEngine<'_>, Vec<u64>) {
+        let pool = PagedKvPool::for_model(m.config(), None, 512, 4096);
+        let config = EngineConfig {
+            record_logits: true,
+            ..EngineConfig::default()
+        };
+        let mut e = BatchEngine::new(m, pool, TokenScheduler::new(4), config);
+        for (id, len) in [(0, 3), (1, 5), (2, 6)] {
+            e.submit(req(id, len, 24));
+        }
+        for _ in 0..16 {
+            assert!(e.step());
+            let rank0 = e.pool.rank(0);
+            let allocating: Vec<u64> = (e.active.iter())
+                .filter(|a| rank0.pages_possibly_needed_n(a.seq(), 1).unwrap() > 0)
+                .map(|a| a.req.id)
+                .collect();
+            let decoding = e.active.len() == 3 && e.active.iter().all(Tracked::decoding);
+            if decoding && !allocating.is_empty() && allocating.len() < 3 {
+                return (e, allocating);
+            }
+        }
+        panic!("no step mixes allocating and tail-fitting slots");
+    }
+
+    /// Every rank's MMU (its page allocator and each owner's streams of
+    /// pages) and each listed request's cached rows per layer.
+    fn pool_snapshot(e: &BatchEngine<'_>, ids: &[u64]) -> Vec<String> {
+        let mut out: Vec<String> = e.pool.ranks().map(|r| format!("{:?}", r.mmu())).collect();
+        for &id in ids {
+            let a = e.active.iter().find(|a| a.req.id == id).unwrap();
+            let layers = 0..e.model.config().num_layers;
+            let lens: Vec<usize> = layers.map(|l| e.pool.seq_len(a.seq(), l)).collect();
+            out.push(format!("{id}: {lens:?}"));
+        }
+        out
+    }
+
+    /// With every poll faulting, one step injects exactly one fault per
+    /// active slot whose rank-0 bound is above zero — at its reservation,
+    /// none in the pass — and the tail-fitting slots decode on.
+    #[test]
+    fn every_allocating_slot_faults_once_at_its_reservation() {
+        let m = tiny_model();
+        let (mut e, allocating) = mixed_decode(&m);
+        let generated: Vec<usize> = e.active.iter().map(|a| a.generated.len()).collect();
+        e.pool
+            .install_faults(FaultPlan::new(5).with_rate_permille(1000));
+        assert!(e.step());
+        let s = e.stats();
+        assert_eq!(s.faults_injected, allocating.len() as u64);
+        assert_eq!(s.faults_absorbed, s.faults_injected);
+        for (id, before) in (0..3).zip(generated) {
+            let Some(a) = e.active.iter().find(|a| a.req.id == id) else {
+                continue;
+            };
+            let want = if allocating.contains(&id) {
+                0
+            } else {
+                before + 1
+            };
+            assert_eq!(a.generated.len(), want, "request {id}");
+        }
+    }
+
+    /// A faulted reservation changes nothing in the pool: the reservations
+    /// fail exactly for the allocating slots and leave every rank's pages
+    /// and every slot's rows as they were.
+    #[test]
+    fn a_faulted_reservation_changes_nothing() {
+        let m = tiny_model();
+        let (mut e, allocating) = mixed_decode(&m);
+        let ids: Vec<u64> = e.active.iter().map(|a| a.req.id).collect();
+        let before = pool_snapshot(&e, &ids);
+        e.pool
+            .install_faults(FaultPlan::new(5).with_rate_permille(1000));
+        let seqs: Vec<(u64, SeqId)> = e.active.iter().map(|a| (a.req.id, a.seq())).collect();
+        for (id, seq) in seqs {
+            let faulted = e.pool.reserve(seq, 1).is_err();
+            assert_eq!(faulted, allocating.contains(&id), "request {id}");
+        }
+        assert_eq!(pool_snapshot(&e, &ids), before, "faulted reservations");
+    }
+
+    /// The step that quarantines the faulted slots leaves the pool — and
+    /// the survivors' logits, bit for bit — as a fault-free step does
+    /// once the same requests are cancelled before it.
+    #[test]
+    fn a_faulted_step_spares_the_survivors() {
+        let m = tiny_model();
+        let (mut faulted, allocating) = mixed_decode(&m);
+        let survivors: Vec<u64> = (faulted.active.iter())
+            .map(|a| a.req.id)
+            .filter(|id| !allocating.contains(id))
+            .collect();
+        faulted
+            .pool
+            .install_faults(FaultPlan::new(5).with_rate_permille(1000));
+        assert!(faulted.step());
+        let (mut twin, _) = mixed_decode(&m);
+        for &id in allocating.iter().rev() {
+            assert!(twin.cancel(id));
+        }
+        assert!(twin.step());
+        assert_eq!(
+            pool_snapshot(&faulted, &survivors),
+            pool_snapshot(&twin, &survivors)
+        );
+        for id in survivors {
+            let logits = |e: &BatchEngine<'_>| {
+                let a = e.active.iter().find(|a| a.req.id == id).unwrap();
+                let last = a.logits.last().unwrap();
+                last.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
+            };
+            assert_eq!(logits(&faulted), logits(&twin), "survivor {id}");
+        }
     }
 
     #[test]
